@@ -66,23 +66,26 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 ## bench: one-iteration smoke of the worker-sweep, leaf-cache fast
-## path, live-churn, daemon and network-verifier benchmarks (fast).
+## path, wire-decode, live-churn, daemon and network-verifier
+## benchmarks (fast).
 bench:
-	$(GO) test -run '^$$' -bench='SwitchParallel|SwitchFastPath|Churn|CtlplaneDaemon|Netcheck' -benchtime=1x .
+	$(GO) test -run '^$$' -bench='SwitchParallel|SwitchFastPath|Decode|Churn|CtlplaneDaemon|Netcheck' -benchtime=1x .
 
 ## bench-report: regenerate bench-report.txt with steady-state numbers
 ## (host header from TestMain records NumCPU / GOMAXPROCS), then emit
 ## the machine-readable companions: BENCH_compile.json for the
 ## CompileParallel worker sweep, BENCH_switch.json for the
 ## SwitchParallel and leaf-cache SwitchFastPath sweeps (ns/op,
-## allocs/op, Mpps, host shape), and BENCH_ctlplane.json for the
+## allocs/op, Mpps, host shape) and the DecodeITCH/DecodeINT wire-decode
+## benchmarks (ns/msg, allocs and bytes per frame), and
+## BENCH_ctlplane.json for the
 ## multi-tenant daemon (updates/s and client-observed p50/p99 request
 ## latency over the HTTP API) plus the covering-heavy churn run
 ## (routing-entry reduction ratio).
 bench-report:
-	$(GO) test -run '^$$' -bench='SwitchParallel|SwitchFastPath|Churn|CompileParallel|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
+	$(GO) test -run '^$$' -bench='SwitchParallel|SwitchFastPath|Decode|Churn|CompileParallel|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'CompileParallel|^Churn$$|Netcheck|Fitcheck' -out BENCH_compile.json < bench-report.txt
-	$(GO) run ./cmd/benchjson -filter 'SwitchParallel|SwitchFastPath' -out BENCH_switch.json < bench-report.txt
+	$(GO) run ./cmd/benchjson -filter 'SwitchParallel|SwitchFastPath|Decode' -out BENCH_switch.json < bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'CtlplaneDaemon|CoverChurn' -out BENCH_ctlplane.json < bench-report.txt
 
 ## perf-guard: the CI allocation guard — run the two canonical
@@ -91,12 +94,16 @@ bench-report:
 ## on a >2x allocs/op regression against the checked-in baseline
 ## (perf-baseline.json). The single-worker leaf-cache fast path runs
 ## 50 steady-state batches and is held to an exact zero-alloc baseline
-## plus ≥0.9x its recorded Mpps. BenchmarkCoverChurn also
+## plus ≥0.9x its recorded Mpps. The wire-decode benchmarks decode 1000
+## frames each against their per-frame allocs/op (4 for an ITCH
+## datagram of any order count, 2 for an INT report), so per-message
+## decode garbage cannot return unnoticed. BenchmarkCoverChurn also
 ## self-enforces its ≥2× entry-reduction bar.
 perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkSwitchFastPath$$/^workers=1$$' -benchtime 50x -benchmem .; } \
+	  $(GO) test -run '^$$' -bench '^BenchmarkSwitchFastPath$$/^workers=1$$' -benchtime 50x -benchmem .; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkDecode(ITCH|INT)$$' -benchtime 1000x -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -baseline perf-baseline.json -max-ratio 2
 
 ## churn-soak: race-enabled soak of the live control plane — churn +
@@ -122,11 +129,13 @@ soak:
 	CAMUS_SOAK=1 $(GO) test -race -count=1 -v -run 'TestChurnSoak' ./internal/netsim
 
 ## fuzz-smoke: short, deterministic iterations of the fuzz targets —
-## the subscription parser and the compile-then-prove pipeline (seed
-## corpus plus a few hundred mutations each).
+## the subscription parser, the compile-then-prove pipeline and the two
+## wire decoders (seed corpus plus a few hundred mutations each).
 fuzz-smoke:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 200x
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 200x
+	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 200x
+	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 200x
 
 ## fuzz-extended: the nightly-CI fuzz budget — minutes, not mutations.
 fuzz-extended:

@@ -239,6 +239,61 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeITCH — wire decode alone, the packet layer of the wire
+// path (DESIGN.md "Wire decode"): MoldUDP64 datagrams of 1–8
+// Zipf-batched add-orders (the bench/ generator's shape) through
+// formats.DecodeITCHFeed, one frame per op. ns/msg is the per-message
+// cost. allocs/op is per frame and does not grow with the order count
+// (message slab + one copy for the stock strings); perf-guard pins it,
+// so per-message or per-field garbage returning to decode fails CI.
+func BenchmarkDecodeITCH(b *testing.B) {
+	feed := workload.ITCHFeed(workload.ITCHFeedConfig{Packets: 4096, BatchZipf: true, MaxBatch: 8, Seed: 1})
+	frames := make([][]byte, len(feed))
+	for i, p := range feed {
+		var err error
+		if frames[i], err = formats.EncodeITCHFeed("CAMUSBENCH", uint64(i), p.Orders); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchDecode(b, frames, func(frame []byte) (int, error) {
+		msgs, err := formats.DecodeITCHFeed(frame)
+		return len(msgs), err
+	})
+}
+
+// BenchmarkDecodeINT — the smallest frame the system carries: one
+// 27-byte telemetry report (a u4/u4 pair ahead of five subscribable
+// words) per op through formats.DecodeINT.
+func BenchmarkDecodeINT(b *testing.B) {
+	stream := workload.INTStream(workload.INTStreamConfig{Reports: 4096, Seed: 1})
+	frames := make([][]byte, len(stream))
+	for i, r := range stream {
+		var err error
+		if frames[i], err = formats.EncodeINT(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchDecode(b, frames, func(frame []byte) (int, error) {
+		_, err := formats.DecodeINT(frame)
+		return 1, err
+	})
+}
+
+func benchDecode(b *testing.B, frames [][]byte, decode func([]byte) (msgs int, err error)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	msgs := 0
+	for i := 0; i < b.N; i++ {
+		n, err := decode(frames[i%len(frames)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += n
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+}
+
 // BenchmarkCompileParallel — the parallel compilation pipeline on a
 // 10k-rule ITCH workload (symbol-equality filters with tick-threshold
 // price predicates, the §VIII-F3 shape), swept over compile worker

@@ -341,7 +341,7 @@ func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
 		if len(t.Entries) == 0 && len(t.Defaults) == 0 {
 			continue
 		}
-		t.index()
+		t.index(p.Spec)
 		classify(t, opts)
 		total += len(t.Entries) + t.MapEntries
 		if opts.MaxEntries > 0 && total > opts.MaxEntries {

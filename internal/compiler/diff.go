@@ -103,7 +103,7 @@ func (p *Program) Canonical() *Program {
 		for _, in := range ins {
 			nt.Defaults[get(in)] = get(t.Defaults[in])
 		}
-		nt.index()
+		nt.index(p.Spec)
 		np.Stages = append(np.Stages, nt)
 	}
 	leaf := append([]*LeafEntry(nil), p.Leaf...)

@@ -76,16 +76,61 @@ type Table struct {
 	MapEntries int
 
 	byState map[StateID][]*Entry
+	// What the walk reads per message, resolved once by index: the
+	// subscribable index of a packet-field stage (-1 otherwise) and the
+	// register key of an aggregate stage.
+	fieldIdx int
+	aggKey   string
 }
 
 // Name returns the stage name (the field key).
 func (t *Table) Name() string { return t.Field.Key() }
 
-// index builds the per-state entry index.
-func (t *Table) index() {
+// index builds the per-state entry index and resolves the stage's input
+// against sp, the program's spec.
+func (t *Table) index(sp *spec.Spec) {
 	t.byState = make(map[StateID][]*Entry)
 	for _, e := range t.Entries {
 		t.byState[e.In] = append(t.byState[e.In], e)
+	}
+	t.fieldIdx = -1
+	switch t.Field.Ref.Kind {
+	case subscription.PacketRef:
+		if idx, ok := sp.SubscribableIndex(t.Field.Ref.Field); ok {
+			t.fieldIdx = idx
+		}
+	case subscription.AggregateRef:
+		t.aggKey = t.Field.Ref.Key()
+	}
+}
+
+// input returns the value stage t matches on for m: a packet field, a
+// header validity bit, or an aggregate register read through st.
+func (p *Program) input(t *Table, m *spec.Message, st subscription.StateReader) (spec.Value, bool) {
+	switch t.Field.Ref.Kind {
+	case subscription.PacketRef:
+		idx := t.fieldIdx
+		if m.Spec() != p.Spec {
+			// A message of another spec sharing the field (a merged
+			// spec's component): resolve against its own layout.
+			var ok bool
+			if idx, ok = m.Spec().SubscribableIndex(t.Field.Ref.Field); !ok {
+				return spec.Value{}, false
+			}
+		}
+		return m.Get(idx)
+	case subscription.ValidityRef:
+		var bit int64
+		if m.HeaderPresent(t.Field.Ref.Header) {
+			bit = 1
+		}
+		return spec.IntVal(bit), true
+	default: // AggregateRef
+		var cur int64
+		if st != nil {
+			cur = st.AggValue(t.aggKey)
+		}
+		return spec.IntVal(cur), true
 	}
 }
 
@@ -169,26 +214,7 @@ func (p *Program) TotalEntries() int {
 func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
 	state := p.Init
 	for _, t := range p.Stages {
-		var v spec.Value
-		present := false
-		switch t.Field.Ref.Kind {
-		case subscription.PacketRef:
-			if idx, ok := m.Spec().SubscribableIndex(t.Field.Ref.Field); ok {
-				v, present = m.Get(idx)
-			}
-		case subscription.ValidityRef:
-			var bit int64
-			if m.HeaderPresent(t.Field.Ref.Header) {
-				bit = 1
-			}
-			v, present = spec.IntVal(bit), true
-		default: // AggregateRef
-			var cur int64
-			if st != nil {
-				cur = st.AggValue(t.Field.Ref.Key())
-			}
-			v, present = spec.IntVal(cur), true
-		}
+		v, present := p.input(t, m, st)
 		state, _ = t.Next(state, v, present)
 	}
 	return p.leafByState[state]
@@ -207,26 +233,7 @@ func (p *Program) LookupKeyed(m *spec.Message, st subscription.StateReader, keyS
 	state := p.Init
 	pure := true
 	for i, t := range p.Stages {
-		var v spec.Value
-		present := false
-		switch t.Field.Ref.Kind {
-		case subscription.PacketRef:
-			if idx, ok := m.Spec().SubscribableIndex(t.Field.Ref.Field); ok {
-				v, present = m.Get(idx)
-			}
-		case subscription.ValidityRef:
-			var bit int64
-			if m.HeaderPresent(t.Field.Ref.Header) {
-				bit = 1
-			}
-			v, present = spec.IntVal(bit), true
-		default: // AggregateRef
-			var cur int64
-			if st != nil {
-				cur = st.AggValue(t.Field.Ref.Key())
-			}
-			v, present = spec.IntVal(cur), true
-		}
+		v, present := p.input(t, m, st)
 		var took bool
 		state, took = t.Next(state, v, present)
 		if took && !keyStage[i] {

@@ -7,6 +7,19 @@ import (
 	"camus/internal/spec"
 )
 
+// decodeOne parses a datagram that is exactly one header of c's spec —
+// the shape of every single-report format below (and of INT).
+func decodeOne(app string, c *packet.HeaderCodec, data []byte) (*spec.Message, error) {
+	if len(data) != c.Size() {
+		return nil, fmt.Errorf("formats: %s: frame is %d bytes, want %d", app, len(data), c.Size())
+	}
+	m := spec.NewMessage(c.Spec)
+	if _, err := c.Decode(data, m); err != nil {
+		return nil, fmt.Errorf("formats: %s: %w", app, err)
+	}
+	return m, nil
+}
+
 // ---------------------------------------------------------------------
 // ILA — identifier-based routing (§VIII-C3). The IPv6 destination is
 // split into a 64-bit locator and a 64-bit identifier (Facebook's ILA);
@@ -58,13 +71,7 @@ func EncodeILA(p *ILAPacket) ([]byte, error) {
 }
 
 // DecodeILA parses one IPv6/ILA header.
-func DecodeILA(data []byte) (*spec.Message, error) {
-	m := spec.NewMessage(ILA)
-	if _, err := ilaCodec.Decode(data, m); err != nil {
-		return nil, fmt.Errorf("formats: ILA: %w", err)
-	}
-	return m, nil
-}
+func DecodeILA(data []byte) (*spec.Message, error) { return decodeOne("ILA", ilaCodec, data) }
 
 // ---------------------------------------------------------------------
 // hICN — video streaming with hybrid ICN (§VIII-C4). A content name is
@@ -110,13 +117,7 @@ func EncodeHICN(r *HICNRequest) ([]byte, error) {
 }
 
 // DecodeHICN parses one request.
-func DecodeHICN(data []byte) (*spec.Message, error) {
-	m := spec.NewMessage(HICN)
-	if _, err := hicnCodec.Decode(data, m); err != nil {
-		return nil, fmt.Errorf("formats: hICN: %w", err)
-	}
-	return m, nil
-}
+func DecodeHICN(data []byte) (*spec.Message, error) { return decodeOne("hICN", hicnCodec, data) }
 
 // ---------------------------------------------------------------------
 // DNS — the in-network resolver (§VIII-C5). A subscription per DNS entry
@@ -161,13 +162,7 @@ func EncodeDNS(q *DNSQuery) ([]byte, error) {
 }
 
 // DecodeDNS parses one query.
-func DecodeDNS(data []byte) (*spec.Message, error) {
-	m := spec.NewMessage(DNS)
-	if _, err := dnsCodec.Decode(data, m); err != nil {
-		return nil, fmt.Errorf("formats: DNS: %w", err)
-	}
-	return m, nil
-}
+func DecodeDNS(data []byte) (*spec.Message, error) { return decodeOne("DNS", dnsCodec, data) }
 
 // ---------------------------------------------------------------------
 // Highway — IoT motor-highway monitoring (§VIII-C6), Linear-Road style:
@@ -220,11 +215,7 @@ func EncodeHighway(p *PositionReport) ([]byte, error) {
 
 // DecodeHighway parses one report.
 func DecodeHighway(data []byte) (*spec.Message, error) {
-	m := spec.NewMessage(Highway)
-	if _, err := highwayCodec.Decode(data, m); err != nil {
-		return nil, fmt.Errorf("formats: highway: %w", err)
-	}
-	return m, nil
+	return decodeOne("highway", highwayCodec, data)
 }
 
 // ---------------------------------------------------------------------
@@ -243,7 +234,10 @@ header kafka_msg {
 }
 `)
 
-var kafkaCodec = packet.MustHeaderCodec(Kafka, "kafka_msg")
+var (
+	kafkaCodec      = packet.MustHeaderCodec(Kafka, "kafka_msg")
+	kafkaPayloadLen = kafkaCodec.MustField("payload_len")
+)
 
 // KafkaMaxPayload is the shim's message size limit (§VIII-C7: 512 bytes,
 // the typical JSON message size, within the MTU).
@@ -284,18 +278,16 @@ func EncodeKafka(k *KafkaMessage) ([]byte, error) {
 
 // DecodeKafka parses one message, returning the payload too.
 func DecodeKafka(data []byte) (*spec.Message, []byte, error) {
-	m := spec.NewMessage(Kafka)
-	rest, err := kafkaCodec.Decode(data, m)
-	if err != nil {
-		return nil, nil, fmt.Errorf("formats: kafka: %w", err)
+	size := kafkaCodec.Size()
+	if len(data) < size {
+		return nil, nil, fmt.Errorf("formats: kafka: frame is %d bytes, header needs %d", len(data), size)
 	}
-	vals, _, err := kafkaCodec.DecodeAll(data)
+	if n := int(kafkaPayloadLen.Uint(data)); n != len(data)-size {
+		return nil, nil, fmt.Errorf("formats: kafka: payload_len %d, frame carries %d", n, len(data)-size)
+	}
+	m, err := decodeOne("kafka", kafkaCodec, data[:size])
 	if err != nil {
 		return nil, nil, err
 	}
-	n := int(vals["payload_len"].Int)
-	if n > len(rest) {
-		return nil, nil, fmt.Errorf("formats: kafka payload truncated: %d > %d", n, len(rest))
-	}
-	return m, rest[:n], nil
+	return m, data[size:], nil
 }

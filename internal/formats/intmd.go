@@ -1,8 +1,6 @@
 package formats
 
 import (
-	"fmt"
-
 	"camus/internal/packet"
 	"camus/internal/spec"
 )
@@ -70,10 +68,4 @@ func EncodeINT(r *INTReport) ([]byte, error) {
 }
 
 // DecodeINT parses one report.
-func DecodeINT(data []byte) (*spec.Message, error) {
-	m := spec.NewMessage(INT)
-	if _, err := intCodec.Decode(data, m); err != nil {
-		return nil, fmt.Errorf("formats: INT: %w", err)
-	}
-	return m, nil
-}
+func DecodeINT(data []byte) (*spec.Message, error) { return decodeOne("INT", intCodec, data) }

@@ -32,6 +32,8 @@ header itch_order {
 
 var (
 	moldCodec  = packet.MustHeaderCodec(ITCH, "moldudp")
+	moldCount  = moldCodec.MustField("count")
+	moldIndex  = ITCH.HeaderIndex("moldudp")
 	orderCodec = packet.MustHeaderCodec(ITCH, "itch_order")
 )
 
@@ -102,6 +104,38 @@ func EncodeITCHFeed(session string, seq uint64, orders []*Order) ([]byte, error)
 	return buf, nil
 }
 
+// itchBatch checks a MoldUDP datagram's framing once — header present,
+// plausible count, exactly count order messages behind it — and returns
+// the count and the order bytes.
+func itchBatch(data []byte) (count int, orders []byte, err error) {
+	if len(data) < moldCodec.Size() {
+		return 0, nil, fmt.Errorf("formats: ITCH: moldudp needs %d bytes, have %d", moldCodec.Size(), len(data))
+	}
+	count = int(moldCount.Uint(data))
+	if count > 1024 {
+		return 0, nil, fmt.Errorf("formats: implausible ITCH count %d", count)
+	}
+	orders = data[moldCodec.Size():]
+	if len(orders) != count*ITCHOrderBytes {
+		return 0, nil, fmt.Errorf("formats: ITCH count %d needs %d order bytes, have %d",
+			count, count*ITCHOrderBytes, len(orders))
+	}
+	return count, orders, nil
+}
+
+// decodeOrders extracts the n order messages at the head of orders into
+// one message slab.
+func decodeOrders(orders []byte, n int) ([]*spec.Message, error) {
+	msgs := spec.NewMessages(ITCH, n)
+	if _, err := orderCodec.DecodeEach(orders, msgs); err != nil {
+		return nil, fmt.Errorf("formats: ITCH: %w", err)
+	}
+	for _, m := range msgs {
+		m.MarkHeaderIndex(moldIndex)
+	}
+	return msgs, nil
+}
+
 // DecodeITCHPass is the budgeted parser pass of the paper's Fig. 7: one
 // recirculation pass skips the first `startMsg` messages without
 // extracting them (the red counter loop), then extracts up to `maxMsgs`
@@ -109,36 +143,21 @@ func EncodeITCHFeed(session string, seq uint64, orders []*Order) ([]byte, error)
 // the decoded messages and the index of the next unparsed message, or
 // -1 when the batch is exhausted.
 func DecodeITCHPass(data []byte, startMsg, maxMsgs int) (msgs []*spec.Message, next int, err error) {
-	vals, rest, err := moldCodec.DecodeAll(data)
+	count, orders, err := itchBatch(data)
 	if err != nil {
 		return nil, -1, err
 	}
-	count := int(vals["count"].Int)
-	if count < 0 || count > 1024 {
-		return nil, -1, fmt.Errorf("formats: implausible ITCH count %d", count)
-	}
-	if startMsg >= count {
+	if startMsg < 0 || startMsg >= count {
 		return nil, -1, nil
 	}
-	// Counter loop: shift the parse buffer past the skipped messages
-	// without writing them to the PHV.
-	skip := startMsg * orderCodec.Size()
-	if skip > len(rest) {
-		return nil, -1, fmt.Errorf("formats: ITCH batch truncated at message %d", startMsg)
-	}
-	rest = rest[skip:]
 	end := startMsg + maxMsgs
 	if maxMsgs <= 0 || end > count {
 		end = count
 	}
-	for i := startMsg; i < end; i++ {
-		m := spec.NewMessage(ITCH)
-		m.MarkHeader("moldudp")
-		rest, err = orderCodec.Decode(rest, m)
-		if err != nil {
-			return nil, -1, fmt.Errorf("formats: ITCH message %d/%d: %w", i+1, count, err)
-		}
-		msgs = append(msgs, m)
+	// Counter loop: shift the parse buffer past the skipped messages
+	// without writing them to the PHV.
+	if msgs, err = decodeOrders(orders[startMsg*ITCHOrderBytes:], end-startMsg); err != nil {
+		return nil, -1, err
 	}
 	if end < count {
 		return msgs, end, nil
@@ -150,23 +169,9 @@ func DecodeITCHPass(data []byte, startMsg, maxMsgs int) (msgs []*spec.Message, n
 // ITCH order — the deep-parsing path of §VI: the parser advances through
 // the batch, extracting each application message.
 func DecodeITCHFeed(data []byte) ([]*spec.Message, error) {
-	vals, rest, err := moldCodec.DecodeAll(data)
+	count, orders, err := itchBatch(data)
 	if err != nil {
 		return nil, err
 	}
-	count := int(vals["count"].Int)
-	if count < 0 || count > 1024 {
-		return nil, fmt.Errorf("formats: implausible ITCH count %d", count)
-	}
-	msgs := make([]*spec.Message, 0, count)
-	for i := 0; i < count; i++ {
-		m := spec.NewMessage(ITCH)
-		m.MarkHeader("moldudp")
-		rest, err = orderCodec.Decode(rest, m)
-		if err != nil {
-			return nil, fmt.Errorf("formats: ITCH message %d/%d: %w", i+1, count, err)
-		}
-		msgs = append(msgs, m)
-	}
-	return msgs, nil
+	return decodeOrders(orders, count)
 }

@@ -1,0 +1,183 @@
+package formats
+
+import (
+	"math/rand"
+	"testing"
+
+	"camus/internal/spec"
+)
+
+// wireFormat is one datagram decoder with a well-formed frame for it.
+// A frame is `header` bytes of fixed framing whose last two bytes may be
+// a big-endian count of unit-byte items that must follow (unit 0: none).
+type wireFormat struct {
+	name         string
+	good         []byte
+	header, unit int
+	decode       func([]byte) error
+}
+
+// wantLen is the length a frame's own framing implies.
+func (wf wireFormat) wantLen(frame []byte) int {
+	if wf.unit == 0 || len(frame) < wf.header {
+		return wf.header
+	}
+	return wf.header + wf.unit*(int(frame[wf.header-2])<<8|int(frame[wf.header-1]))
+}
+
+// withCount returns the good frame with its count field overwritten.
+func (wf wireFormat) withCount(count int) []byte {
+	out := append([]byte(nil), wf.good...)
+	out[wf.header-2], out[wf.header-1] = byte(count>>8), byte(count)
+	return out
+}
+
+func wireFormats(t *testing.T) []wireFormat {
+	t.Helper()
+	must := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	one := func(f func([]byte) (*spec.Message, error)) func([]byte) error {
+		return func(b []byte) error { _, err := f(b); return err }
+	}
+	itch := must(EncodeITCHFeed("SESSION", 7, eightOrders()[:2]))
+	return []wireFormat{
+		{"ITCHFeed", itch, moldCodec.Size(), ITCHOrderBytes,
+			func(b []byte) error { _, err := DecodeITCHFeed(b); return err }},
+		{"ITCHPass", itch, moldCodec.Size(), ITCHOrderBytes,
+			func(b []byte) error { _, _, err := DecodeITCHPass(b, 1, 1); return err }},
+		{"INT", must(EncodeINT(&INTReport{FlowID: 1, SwitchID: 2, HopLatency: 3})), INTReportBytes, 0, one(DecodeINT)},
+		{"ILA", must(EncodeILA(&ILAPacket{Locator: 1, Identifier: 2})), ilaCodec.Size(), 0, one(DecodeILA)},
+		{"HICN", must(EncodeHICN(&HICNRequest{NamePrefix: "/video", ContentID: 7})), hicnCodec.Size(), 0, one(DecodeHICN)},
+		{"DNS", must(EncodeDNS(&DNSQuery{TxID: 1, QType: QTypeA, Name: "example.com"})), dnsCodec.Size(), 0, one(DecodeDNS)},
+		{"Highway", must(EncodeHighway(&PositionReport{CarID: 1, X: 2, Y: 3, Speed: 60})), highwayCodec.Size(), 0, one(DecodeHighway)},
+		{"Kafka", must(EncodeKafka(&KafkaMessage{Topic: "t", Payload: []byte("payload")})), kafkaCodec.Size(), 1,
+			func(b []byte) error { _, _, err := DecodeKafka(b); return err }},
+	}
+}
+
+func eightOrders() []*Order {
+	orders := make([]*Order, 8)
+	for i := range orders {
+		orders[i] = &Order{Stock: "SYM" + string(rune('A'+i)), Price: int64(100 + i), Shares: int64(i), Buy: i%2 == 0}
+	}
+	return orders
+}
+
+// TestMalformedFrames: every datagram decoder turns a frame whose length
+// disagrees with its format into an error; it never panics and never
+// reads past the slice (each frame is cut to its exact capacity, so an
+// over-read indexes out of range).
+func TestMalformedFrames(t *testing.T) {
+	for _, wf := range wireFormats(t) {
+		if err := wf.decode(wf.good); err != nil {
+			t.Fatalf("%s: well-formed frame rejected: %v", wf.name, err)
+		}
+		cases := map[string][]byte{
+			"empty":            {},
+			"one byte":         wf.good[:1],
+			"one byte short":   wf.good[:len(wf.good)-1],
+			"trailing garbage": append(append([]byte(nil), wf.good...), 0xDE, 0xAD),
+		}
+		if wf.unit > 0 {
+			have := (len(wf.good) - wf.header) / wf.unit
+			cases["header only"] = wf.good[:wf.header]
+			cases["count larger than payload"] = wf.withCount(have + 1)
+			cases["count smaller than payload"] = wf.withCount(have - 1)
+			cases["count over 1024"] = wf.withCount(1025)
+			cases["count 65535"] = wf.withCount(65535)
+		}
+		for name, frame := range cases {
+			if err := wf.decode(frame[:len(frame):len(frame)]); err == nil {
+				t.Errorf("%s: %s (%d bytes) decoded", wf.name, name, len(frame))
+			}
+		}
+		// Random bytes of every length around the good one: no panic, and
+		// whatever decodes had the length its own framing implies.
+		r := rand.New(rand.NewSource(5))
+		for n := 0; n < len(wf.good)+40; n++ {
+			frame := make([]byte, n)
+			r.Read(frame)
+			if err := wf.decode(frame); err == nil && n != wf.wantLen(frame) {
+				t.Errorf("%s: %d random bytes decoded", wf.name, n)
+			}
+		}
+	}
+}
+
+// TestDecodeFrameTruncated: the base stack refuses a frame cut anywhere
+// inside its three headers.
+func TestDecodeFrameTruncated(t *testing.T) {
+	frame, err := EncodeFrame(IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 1, 2, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < FrameOverheadBytes; n++ {
+		if _, err := DecodeFrame(frame[:n:n], spec.NewMessage(NetBase)); err == nil {
+			t.Errorf("%d-byte frame decoded", n)
+		}
+	}
+	if rest, err := DecodeFrame(frame, spec.NewMessage(NetBase)); err != nil || string(rest) != "x" {
+		t.Errorf("full frame: payload %q, err %v", rest, err)
+	}
+}
+
+// TestDecodedMessagesDoNotAliasFrame: a caller may reuse its receive
+// buffer the moment DecodeITCHFeed returns, and what it got is what
+// Order.FillMessage builds.
+func TestDecodedMessagesDoNotAliasFrame(t *testing.T) {
+	orders := eightOrders()
+	frame, err := EncodeITCHFeed("S", 1, orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := DecodeITCHFeed(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xFF
+	}
+	built := spec.NewMessage(ITCH)
+	for i, m := range msgs {
+		orders[i].FillMessage(built)
+		if m.String() != built.String() || m.HeaderMask() != built.HeaderMask() {
+			t.Errorf("message %d: decoded %s mask %#x, built %s mask %#x",
+				i, m, m.HeaderMask(), built, built.HeaderMask())
+		}
+	}
+}
+
+// TestDecodeAllocs pins what a frame costs. ITCH: the message slab
+// (messages, values, pointer slice) and the one copy the stock strings
+// point into. A single report: a message and its values.
+func TestDecodeAllocs(t *testing.T) {
+	frame, err := EncodeITCHFeed("S", 1, eightOrders())
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := EncodeINT(&INTReport{FlowID: 1, SwitchID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink int
+	if n := testing.AllocsPerRun(200, func() {
+		msgs, _ := DecodeITCHFeed(frame)
+		sink += len(msgs)
+	}); n > 5 {
+		t.Errorf("DecodeITCHFeed(8 orders): %v allocations, want <= 5", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		m, _ := DecodeINT(report)
+		sink += int(m.HeaderMask())
+	}); n > 2 {
+		t.Errorf("DecodeINT: %v allocations, want <= 2", n)
+	}
+	if sink == 0 {
+		t.Error("nothing decoded")
+	}
+}

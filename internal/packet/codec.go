@@ -3,12 +3,17 @@
 //
 // The codec packs header fields big-endian at bit granularity (P4
 // semantics: fields occupy consecutive bits in declaration order), so
-// specs with u4/u48/str8 fields all round-trip. Decoding follows the
-// gopacket DecodingLayerParser philosophy: decode into caller-owned
-// structures, no per-packet allocation on the hot path.
+// specs with u4/u48/str8 fields all round-trip. A HeaderCodec compiles
+// each field's access path once; decoding is then one load (or a
+// byte-wise shift-and-mask for unaligned widths) per subscribable field
+// into slab-allocated messages (spec.NewMessages). Following gopacket's
+// DecodingLayerParser, nothing is allocated per field or per message: a
+// decoded frame costs its message slab (three allocations) plus one
+// immutable copy of the bytes its string fields point into.
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"camus/internal/spec"
@@ -19,7 +24,22 @@ type HeaderCodec struct {
 	Spec   *spec.Spec
 	Header *spec.Header
 
-	subIdx []int // per field: subscribable index or -1
+	size   int
+	index  int          // the header's parse-order position in Spec
+	fields []FieldCodec // every field, declaration order
+	sub    []FieldCodec // the subscribable ones: what Decode extracts
+	subStr bool         // some subscribable field is a string
+}
+
+// FieldCodec is the compiled access path of one header field.
+type FieldCodec struct {
+	f     *spec.Field
+	idx   int    // subscribable index, -1 if none
+	off   int    // first byte of the header the field touches
+	n     int    // bytes touched
+	load  int    // n when the field is a whole 1/2/4/8-byte word, else 0
+	shift uint   // low bits of the last byte that are not the field's
+	mask  uint64 // the field's width in one bits
 }
 
 // NewHeaderCodec builds a codec for the named header.
@@ -28,12 +48,30 @@ func NewHeaderCodec(sp *spec.Spec, header string) (*HeaderCodec, error) {
 	if !ok {
 		return nil, fmt.Errorf("packet: spec %s has no header %q", sp.Name, header)
 	}
-	c := &HeaderCodec{Spec: sp, Header: h, subIdx: make([]int, len(h.Fields))}
-	for i, f := range h.Fields {
-		c.subIdx[i] = -1
-		if idx, ok := sp.SubscribableIndex(f); ok {
-			c.subIdx[i] = idx
+	c := &HeaderCodec{Spec: sp, Header: h, size: h.Bytes(), index: sp.HeaderIndex(header)}
+	for _, f := range h.Fields {
+		start, end := f.Offset, f.Offset+f.Bits
+		x := FieldCodec{f: f, idx: -1, mask: ^uint64(0)}
+		if f.Type == spec.StringField && start%8 != 0 {
+			return nil, fmt.Errorf("packet: string field %s not byte aligned", f.QName())
 		}
+		if f.Type == spec.IntField && f.Bits > 64 {
+			start = end - 64 // a Value carries the low 64 bits of a wider integer
+		} else if f.Bits < 64 {
+			x.mask = 1<<uint(f.Bits) - 1
+		}
+		x.off = start / 8
+		x.n = (end+7)/8 - x.off
+		x.shift = uint(x.n*8 - (end - x.off*8))
+		if start%8 == 0 && x.shift == 0 && (x.n == 1 || x.n == 2 || x.n == 4 || x.n == 8) {
+			x.load = x.n
+		}
+		if idx, ok := sp.SubscribableIndex(f); ok {
+			x.idx = idx
+			c.sub = append(c.sub, x)
+			c.subStr = c.subStr || f.Type == spec.StringField
+		}
+		c.fields = append(c.fields, x)
 	}
 	return c, nil
 }
@@ -48,20 +86,41 @@ func MustHeaderCodec(sp *spec.Spec, header string) *HeaderCodec {
 }
 
 // Size returns the encoded header size in bytes.
-func (c *HeaderCodec) Size() int { return c.Header.Bytes() }
+func (c *HeaderCodec) Size() int { return c.size }
+
+// Field returns the access path of the named field, for callers that
+// read one framing field (a count, a length) from every packet.
+func (c *HeaderCodec) Field(name string) (*FieldCodec, error) {
+	for i := range c.fields {
+		if c.fields[i].f.Name == name {
+			return &c.fields[i], nil
+		}
+	}
+	return nil, fmt.Errorf("packet: header %s has no field %q", c.Header.Name, name)
+}
+
+// MustField is Field, panicking on error.
+func (c *HeaderCodec) MustField(name string) *FieldCodec {
+	x, err := c.Field(name)
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
 
 // Append encodes the header to dst from a field-name → value map and
 // returns the extended slice. Missing fields encode as zero.
 func (c *HeaderCodec) Append(dst []byte, values map[string]spec.Value) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, make([]byte, c.Size())...)
+	dst = append(dst, make([]byte, c.size)...)
 	buf := dst[start:]
-	for _, f := range c.Header.Fields {
-		v, ok := values[f.Name]
+	for i := range c.fields {
+		x := &c.fields[i]
+		v, ok := values[x.f.Name]
 		if !ok {
 			continue
 		}
-		if err := putField(buf, f, v); err != nil {
+		if err := x.put(buf, v); err != nil {
 			return nil, err
 		}
 	}
@@ -71,64 +130,102 @@ func (c *HeaderCodec) Append(dst []byte, values map[string]spec.Value) ([]byte, 
 // Decode extracts the header from data, writing subscribable fields into
 // m (and marking the header valid), and returns the remaining bytes.
 func (c *HeaderCodec) Decode(data []byte, m *spec.Message) ([]byte, error) {
-	n := c.Size()
-	if len(data) < n {
-		return nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, n, len(data))
+	return c.DecodeEach(data, []*spec.Message{m})
+}
+
+// DecodeEach extracts len(msgs) back-to-back instances of the header,
+// the i-th into msgs[i], and returns the remaining bytes. The batch is
+// bounds-checked once, and string values point into one immutable copy
+// of it, never into data: the caller may reuse its buffer.
+func (c *HeaderCodec) DecodeEach(data []byte, msgs []*spec.Message) ([]byte, error) {
+	total := len(msgs) * c.size
+	if len(data) < total {
+		return nil, fmt.Errorf("packet: %d x %s needs %d bytes, have %d", len(msgs), c.Header.Name, total, len(data))
 	}
-	for i, f := range c.Header.Fields {
-		idx := c.subIdx[i]
-		if idx < 0 {
-			continue
+	var strs string
+	if c.subStr {
+		strs = string(data[:total])
+	}
+	for i, m := range msgs {
+		base := i * c.size
+		for j := range c.sub {
+			x := &c.sub[j]
+			m.SetIndex(x.idx, x.value(data, strs, base))
 		}
-		m.SetIndex(idx, getField(data, f))
+		m.MarkHeaderIndex(c.index)
 	}
-	m.MarkHeader(c.Header.Name)
-	return data[n:], nil
+	return data[total:], nil
 }
 
 // DecodeAll extracts every field (including non-subscribable ones) into a
 // map — for tests, diagnostics and control-plane software.
 func (c *HeaderCodec) DecodeAll(data []byte) (map[string]spec.Value, []byte, error) {
-	n := c.Size()
-	if len(data) < n {
-		return nil, nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, n, len(data))
+	if len(data) < c.size {
+		return nil, nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, c.size, len(data))
 	}
-	out := make(map[string]spec.Value, len(c.Header.Fields))
-	for _, f := range c.Header.Fields {
-		out[f.Name] = getField(data, f)
+	strs := string(data[:c.size])
+	out := make(map[string]spec.Value, len(c.fields))
+	for i := range c.fields {
+		out[c.fields[i].f.Name] = c.fields[i].value(data, strs, 0)
 	}
-	return out, data[n:], nil
+	return out, data[c.size:], nil
 }
 
 // Peek reads one named field without touching a Message.
 func (c *HeaderCodec) Peek(data []byte, field string) (spec.Value, error) {
-	if len(data) < c.Size() {
+	if len(data) < c.size {
 		return spec.Value{}, fmt.Errorf("packet: short %s header", c.Header.Name)
 	}
-	for _, f := range c.Header.Fields {
-		if f.Name == field {
-			return getField(data, f), nil
-		}
+	x, err := c.Field(field)
+	if err != nil {
+		return spec.Value{}, err
 	}
-	return spec.Value{}, fmt.Errorf("packet: header %s has no field %q", c.Header.Name, field)
+	return x.value(data, string(data[:c.size]), 0), nil
 }
 
-// putField writes a field value at its bit offset.
-func putField(buf []byte, f *spec.Field, v spec.Value) error {
+// Uint reads an integer field from hdr, which must hold the whole header.
+func (x *FieldCodec) Uint(hdr []byte) uint64 {
+	b := hdr[x.off : x.off+x.n]
+	switch x.load {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.BigEndian.Uint16(b))
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b))
+	case 8:
+		return binary.BigEndian.Uint64(b)
+	}
+	// Unaligned or odd-width (u4, u48): gather the bytes, drop the next
+	// field's bits from the last one and the previous field's by mask.
+	var v uint64
+	for _, c := range b[:x.n-1] {
+		v = v<<8 | uint64(c)
+	}
+	return (v<<(8-x.shift) | uint64(b[x.n-1])>>x.shift) & x.mask
+}
+
+// value reads the field of the header starting at data[base:]. Strings
+// are sliced from strs, the immutable copy of data.
+func (x *FieldCodec) value(data []byte, strs string, base int) spec.Value {
+	if x.f.Type == spec.StringField {
+		return spec.StrVal(strs[base+x.off : base+x.off+x.n])
+	}
+	return spec.IntVal(int64(x.Uint(data[base:])))
+}
+
+// put writes a field value into a zeroed header buffer.
+func (x *FieldCodec) put(buf []byte, v spec.Value) error {
+	f := x.f
+	b := buf[x.off : x.off+x.n]
 	if f.Type == spec.StringField {
 		if v.Kind != spec.StringField {
 			return fmt.Errorf("packet: field %s wants string", f.QName())
 		}
-		if f.Offset%8 != 0 {
-			return fmt.Errorf("packet: string field %s not byte aligned", f.QName())
+		if len(v.Str) > len(b) {
+			return fmt.Errorf("packet: value %q overflows %d-byte field %s", v.Str, len(b), f.QName())
 		}
-		b := buf[f.Offset/8 : f.Offset/8+f.Bytes()]
-		s := v.Str
-		if len(s) > len(b) {
-			return fmt.Errorf("packet: value %q overflows %d-byte field %s", s, len(b), f.QName())
-		}
-		copy(b, s)
-		for i := len(s); i < len(b); i++ {
+		for i := copy(b, v.Str); i < len(b); i++ {
 			b[i] = ' ' // right-pad with spaces, ITCH style
 		}
 		return nil
@@ -139,42 +236,16 @@ func putField(buf []byte, f *spec.Field, v spec.Value) error {
 	if f.Bits < 64 && (v.Int < 0 || v.Int > f.MaxValue()) {
 		return fmt.Errorf("packet: value %d out of range for %s (u%d)", v.Int, f.QName(), f.Bits)
 	}
-	putBits(buf, f.Offset, f.Bits, uint64(v.Int))
+	// The value fits the field, so OR-ing it in byte by byte from the
+	// last byte up leaves the neighbouring fields' bits alone.
+	u := uint64(v.Int)
+	b[x.n-1] |= byte(u << x.shift)
+	u >>= 8 - x.shift
+	for i := x.n - 2; i >= 0; i-- {
+		b[i] |= byte(u)
+		u >>= 8
+	}
 	return nil
-}
-
-// getField reads a field value from its bit offset.
-func getField(data []byte, f *spec.Field) spec.Value {
-	if f.Type == spec.StringField {
-		b := data[f.Offset/8 : f.Offset/8+f.Bytes()]
-		return spec.StrVal(string(b))
-	}
-	return spec.IntVal(int64(getBits(data, f.Offset, f.Bits)))
-}
-
-// putBits writes the low `bits` bits of v at bit offset off, big-endian.
-func putBits(buf []byte, off, bits int, v uint64) {
-	for i := bits - 1; i >= 0; i-- {
-		bit := (v >> uint(bits-1-i)) & 1
-		pos := off + i
-		byteIdx, bitIdx := pos/8, 7-pos%8
-		if bit == 1 {
-			buf[byteIdx] |= 1 << uint(bitIdx)
-		} else {
-			buf[byteIdx] &^= 1 << uint(bitIdx)
-		}
-	}
-}
-
-// getBits reads `bits` bits at bit offset off, big-endian.
-func getBits(data []byte, off, bits int) uint64 {
-	var v uint64
-	for i := 0; i < bits; i++ {
-		pos := off + i
-		byteIdx, bitIdx := pos/8, 7-pos%8
-		v = v<<1 | uint64(data[byteIdx]>>uint(bitIdx)&1)
-	}
-	return v
 }
 
 // V is shorthand for building value maps in encoders and tests.

@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -165,4 +167,162 @@ func TestVHelperPanics(t *testing.T) {
 		}
 	}()
 	V("only-key")
+}
+
+// refBits is the bit-at-a-time reference extractor the compiled access
+// paths are checked against: `bits` bits at bit offset off, big-endian,
+// keeping the low 64.
+func refBits(data []byte, off, bits int) uint64 {
+	var v uint64
+	for i := 0; i < bits; i++ {
+		pos := off + i
+		v = v<<1 | uint64(data[pos/8]>>uint(7-pos%8)&1)
+	}
+	return v
+}
+
+// randomHeader draws a header mixing every width the formats use plus
+// odd ones, at whatever bit offsets the draw produces; strings land only
+// on byte boundaries (the codec refuses others) and a filler closes the
+// header on one.
+func randomHeader(r *rand.Rand, name string) *spec.Header {
+	widths := []int{3, 4, 8, 13, 16, 20, 32, 48, 57, 64}
+	h := &spec.Header{Name: name}
+	off := 0
+	for i, n := 0, 1+r.Intn(10); i < n; i++ {
+		f := &spec.Field{Name: fmt.Sprintf("f%d", i), Subscribable: r.Intn(4) != 0}
+		if off%8 == 0 && r.Intn(4) == 0 {
+			f.Type, f.Bits = spec.StringField, 8*(1+r.Intn(12))
+		} else {
+			f.Type, f.Bits = spec.IntField, widths[r.Intn(len(widths))]
+		}
+		off += f.Bits
+		h.Fields = append(h.Fields, f)
+	}
+	if off%8 != 0 {
+		h.Fields = append(h.Fields, &spec.Field{Name: "fill", Type: spec.IntField, Bits: 8 - off%8})
+	}
+	return h
+}
+
+// TestDecodeMatchesBitReference: over random specs, Append → Decode and
+// DecodeAll return the values that went in, and both agree with refBits
+// on the encoded bytes.
+func TestDecodeMatchesBitReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	const letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+	for iter := 0; iter < 300; iter++ {
+		sp, err := spec.New("rnd", randomHeader(r, "a"), randomHeader(r, "b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := spec.NewMessage(sp)
+		for _, h := range sp.Headers {
+			c := MustHeaderCodec(sp, h.Name)
+			in := make(map[string]spec.Value)
+			for _, f := range h.Fields {
+				if f.Type == spec.StringField {
+					b := make([]byte, r.Intn(f.Bytes()+1))
+					for i := range b {
+						b[i] = letters[r.Intn(len(letters))]
+					}
+					in[f.Name] = spec.StrVal(string(b))
+				} else {
+					in[f.Name] = spec.IntVal(int64(r.Uint64() & uint64(f.MaxValue())))
+				}
+			}
+			// A non-zero prefix: offsets must be relative to the header.
+			buf, err := c.Append([]byte{0xA5}, in)
+			if err != nil {
+				t.Fatalf("iter %d: Append: %v", iter, err)
+			}
+			buf = buf[1:]
+			all, _, err := c.DecodeAll(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Decode(buf, m); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range h.Fields {
+				want := in[f.Name]
+				ref := spec.IntVal(int64(refBits(buf, f.Offset, f.Bits)))
+				if f.Type == spec.StringField {
+					ref = spec.StrVal(string(buf[f.Offset/8 : f.Offset/8+f.Bytes()]))
+				}
+				if !ref.Equal(want) || !all[f.Name].Equal(want) {
+					t.Fatalf("iter %d %s (u%d @%d): in %v, reference %v, DecodeAll %v",
+						iter, f.QName(), f.Bits, f.Offset, want, ref, all[f.Name])
+				}
+				got, ok := m.GetRef(f.QName())
+				if ok != f.Subscribable || (ok && !got.Equal(want)) {
+					t.Fatalf("iter %d %s (u%d @%d): Decode = %v %v, want %v",
+						iter, f.QName(), f.Bits, f.Offset, got, ok, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWideIntKeepsLow64: an integer field wider than a Value carries its
+// low 64 bits, wherever it sits.
+func TestWideIntKeepsLow64(t *testing.T) {
+	sp := spec.MustParse("wide", "header h { a : u4; w : u100 @field; b : u8; x : u128 @field; }")
+	c := MustHeaderCodec(sp, "h")
+	buf, err := c.Append(nil, V("a", 9, "w", int64(1)<<62|7, "b", 0xEE, "x", 12345))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range c.Header.Fields {
+		v, err := c.Peek(buf, f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refBits(buf, f.Offset, f.Bits); uint64(v.Int) != want {
+			t.Errorf("%s = %#x, reference %#x", f.Name, v.Int, want)
+		}
+	}
+	if v, _ := c.Peek(buf, "w"); v.Int != int64(1)<<62|7 {
+		t.Errorf("w = %#x", v.Int)
+	}
+}
+
+// TestDecodeEach: back-to-back headers land in consecutive messages, the
+// batch is bounds-checked as a whole, and no message keeps a reference
+// into the caller's buffer.
+func TestDecodeEach(t *testing.T) {
+	c := MustHeaderCodec(bitSpec, "mixed")
+	var buf []byte
+	for i := 0; i < 3; i++ {
+		var err error
+		if buf, err = c.Append(buf, V("s", fmt.Sprintf("row%d", i), "f", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msgs := spec.NewMessages(bitSpec, 3)
+	if _, err := c.DecodeEach(buf[:len(buf)-1], msgs); err == nil {
+		t.Error("batch one byte short decoded")
+	}
+	buf = append(buf, 0xFF)
+	rest, err := c.DecodeEach(buf, msgs)
+	if err != nil || len(rest) != 1 {
+		t.Fatalf("DecodeEach: rest %d, err %v", len(rest), err)
+	}
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	for i, m := range msgs {
+		s, _ := m.GetRef("s")
+		f, _ := m.GetRef("f")
+		if s.Str != fmt.Sprintf("row%d", i) || f.Int != int64(i) {
+			t.Errorf("message %d = %v", i, m)
+		}
+	}
+}
+
+func TestMisalignedStringRejected(t *testing.T) {
+	sp := spec.MustParse("mis", "header h { a : u4; s : str2 @field; b : u4; }")
+	if _, err := NewHeaderCodec(sp, "h"); err == nil {
+		t.Error("codec built for a string field off a byte boundary")
+	}
 }

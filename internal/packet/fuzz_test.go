@@ -36,3 +36,45 @@ header h {
 		}
 	})
 }
+
+// FuzzDecodeBytes feeds arbitrary bytes to Decode, DecodeEach and
+// DecodeAll: short input is an error, anything else decodes to what the
+// bit-at-a-time reference reads, and nothing panics or reads past the
+// slice.
+func FuzzDecodeBytes(f *testing.F) {
+	c := MustHeaderCodec(bitSpec, "mixed")
+	good, _ := c.Append(nil, V("a", 3, "c", 77, "s", "fuzz", "f", 9))
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add([]byte{0xFF})
+	f.Add(good[:c.Size()-1])
+	f.Add(append(append([]byte{}, good...), good...))
+	f.Add(append(append([]byte{}, good...), 0xDE, 0xAD))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / c.Size()
+		if _, err := c.DecodeEach(data, spec.NewMessages(bitSpec, n+1)); err == nil {
+			t.Fatalf("%d bytes decoded as %d headers", len(data), n+1)
+		}
+		msgs := spec.NewMessages(bitSpec, n)
+		rest, err := c.DecodeEach(data, msgs)
+		if err != nil || len(rest) != len(data)-n*c.Size() {
+			t.Fatalf("DecodeEach(%d headers): rest %d, err %v", n, len(rest), err)
+		}
+		fld, _ := bitSpec.Field("f")
+		for i, m := range msgs {
+			hdr := data[i*c.Size():]
+			if v, ok := m.GetRef("f"); !ok || uint64(v.Int) != refBits(hdr, fld.Offset, fld.Bits) {
+				t.Fatalf("header %d: f = %v %v", i, v, ok)
+			}
+			all, _, err := c.DecodeAll(hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fd := range c.Header.Fields {
+				if fd.Type == spec.IntField && uint64(all[fd.Name].Int) != refBits(hdr, fd.Offset, fd.Bits) {
+					t.Fatalf("header %d: %s = %v", i, fd.Name, all[fd.Name])
+				}
+			}
+		}
+	})
+}

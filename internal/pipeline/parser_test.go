@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math/rand"
 	"testing"
 
 	"camus/internal/compiler"
@@ -65,11 +66,38 @@ stock == MSFT: fwd(2)
 		t.Errorf("port 2 replica: %+v", out[1])
 	}
 
-	// Garbage bytes increment ParseErrors.
-	if _, err := sw.ProcessBytes([]byte{0xFF}, 0, 0); err == nil {
-		t.Fatal("garbage parsed")
+	// Every malformed frame is an error, delivers nothing, and counts
+	// one ParseErrors.
+	withCount := func(hi, lo byte) []byte {
+		f := append([]byte(nil), wire...)
+		f[18], f[19] = hi, lo // moldudp.count
+		return f
 	}
-	if st := sw.Stats(); st.ParseErrors != 1 {
-		t.Errorf("ParseErrors = %d", st.ParseErrors)
+	random := make([]byte, len(wire))
+	rand.New(rand.NewSource(3)).Read(random)
+	malformed := [][]byte{
+		{},
+		{0xFF},
+		wire[:20],                           // header only
+		wire[:len(wire)-1],                  // last order cut
+		withCount(0, 4),                     // count larger than the payload
+		withCount(0, 2),                     // count smaller than the payload
+		withCount(0x04, 0x01),               // count > 1024
+		append(withCount(0, 3), 0xDE, 0xAD), // trailing garbage
+		random,
+	}
+	before := sw.Stats()
+	for i, frame := range malformed {
+		out, err := sw.ProcessBytes(frame[:len(frame):len(frame)], 0, 0)
+		if err == nil || out != nil {
+			t.Errorf("malformed frame %d (%d bytes): deliveries %v, err %v", i, len(frame), out, err)
+		}
+	}
+	after := sw.Stats()
+	if got := after.ParseErrors - before.ParseErrors; got != int64(len(malformed)) {
+		t.Errorf("ParseErrors rose by %d over %d malformed frames", got, len(malformed))
+	}
+	if after.Packets != before.Packets {
+		t.Errorf("malformed frames counted as %d packets", after.Packets-before.Packets)
 	}
 }

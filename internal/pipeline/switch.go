@@ -415,6 +415,7 @@ func (s *Switch) processOn(sh *shard, pkt *Packet, now time.Duration) []Delivery
 
 	var flowPorts subscription.ActionSet
 	var customs []customHit
+	regs := ep.state.At(now) // boxed once per packet, not per message
 	for _, m := range pkt.Msgs {
 		st.messages.Add(1)
 		var le *compiler.LeafEntry
@@ -441,7 +442,7 @@ func (s *Switch) processOn(sh *shard, pkt *Packet, now time.Duration) []Delivery
 				continue
 			}
 			st.leafMisses.Add(1)
-			le, pure = ep.prog.LookupKeyed(m, ep.state.At(now), ep.leaf.keyStage)
+			le, pure = ep.prog.LookupKeyed(m, regs, ep.leaf.keyStage)
 			// The FIB cache-fill rule: memoize only outcomes that are a
 			// pure function of the cache key (walk purity) and whose
 			// action sets are stateless — a cached leaf then subsumes
@@ -456,7 +457,7 @@ func (s *Switch) processOn(sh *shard, pkt *Packet, now time.Duration) []Delivery
 				st.leafFills.Add(1)
 			}
 		} else {
-			le = ep.prog.Lookup(m, ep.state.At(now))
+			le = ep.prog.Lookup(m, regs)
 		}
 		if le == nil {
 			continue

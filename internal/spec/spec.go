@@ -189,6 +189,12 @@ type Spec struct {
 	subscribable  []*Field
 	subIndex      map[*Field]int
 	stateVars     map[string]*StateVar
+
+	// Message layout: subHeader is the header index of each subscribable
+	// field; maskWords is the length of a message's bit vector (one bit
+	// per subscribable field, then one per header).
+	subHeader []int
+	maskWords int
 }
 
 // New assembles a Spec from headers, validating names and computing
@@ -205,7 +211,7 @@ func New(name string, headers ...*Header) (*Spec, error) {
 	}
 	ambiguous := make(map[string]bool)
 	seenHeader := make(map[string]bool)
-	for _, h := range headers {
+	for hi, h := range headers {
 		if h.Name == "" {
 			return nil, fmt.Errorf("spec %s: header with empty name", name)
 		}
@@ -237,6 +243,7 @@ func New(name string, headers ...*Header) (*Spec, error) {
 			if f.Subscribable {
 				s.subIndex[f] = len(s.subscribable)
 				s.subscribable = append(s.subscribable, f)
+				s.subHeader = append(s.subHeader, hi)
 			}
 		}
 		if off%8 != 0 {
@@ -252,6 +259,7 @@ func New(name string, headers ...*Header) (*Spec, error) {
 	for n := range ambiguous {
 		delete(s.fieldsByName, n)
 	}
+	s.maskWords = (len(s.subscribable)+len(headers))/64 + 1
 	return s, nil
 }
 

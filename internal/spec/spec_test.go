@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -217,4 +218,105 @@ func TestValueHelpers(t *testing.T) {
 	if got := StrVal("x").String(); got != `"x"` {
 		t.Errorf("StrVal.String = %q", got)
 	}
+}
+
+// wideSpec has more fields and more headers than one mask word holds,
+// so its messages keep their masks out of line.
+func wideSpec(t *testing.T) *Spec {
+	t.Helper()
+	var src strings.Builder
+	for h := 0; h < 70; h++ {
+		fmt.Fprintf(&src, "header h%d { a : u8 @field; b : u16 @field; }\n", h)
+	}
+	s, err := Parse("wide", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestMessageLayouts drives every Message operation over the three
+// layouts a spec can give it — inline masks, a merged spec's inline
+// masks, out-of-line masks — built singly and as a slab.
+func TestMessageLayouts(t *testing.T) {
+	merged, err := Merge("m", parseITCH(t), MustParse("x", "header hx { k : u8 @field; s : str4 @field; }"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Spec{parseITCH(t), merged, wideSpec(t)} {
+		nf, nh := len(s.SubscribableFields()), len(s.Headers)
+		msgs := append(NewMessages(s, 3), NewMessage(s))
+		for mi, m := range msgs {
+			if m.Spec() != s || m.HeaderMask() != 0 || m.String() != "{}" {
+				t.Fatalf("%s msg %d: fresh message not empty: %v mask %#x", s.Name, mi, m, m.HeaderMask())
+			}
+			// Set the last field only: its header, and no other, turns valid.
+			last := s.SubscribableFields()[nf-1]
+			m.SetIndex(nf-1, IntVal(int64(mi)))
+			for i := 0; i < nf; i++ {
+				if _, ok := m.Get(i); ok != (i == nf-1) {
+					t.Fatalf("%s msg %d: field %d present = %v", s.Name, mi, i, ok)
+				}
+			}
+			for hi, h := range s.Headers {
+				if got := m.HeaderPresent(h.Name); got != (h.Name == last.Header) {
+					t.Fatalf("%s msg %d: header %s present = %v", s.Name, mi, h.Name, got)
+				}
+				if hi < 64 && (m.HeaderMask()>>uint(hi)&1 != 0) != (h.Name == last.Header) {
+					t.Fatalf("%s msg %d: mask %#x wrong at header %d", s.Name, mi, m.HeaderMask(), hi)
+				}
+			}
+			if want := fmt.Sprintf("{%s=%d}", last.QName(), mi); m.String() != want {
+				t.Fatalf("%s msg %d: String = %s, want %s", s.Name, mi, m, want)
+			}
+			// A header with no subscribable field set is marked by name.
+			m.MarkHeader(s.Headers[0].Name)
+			if !m.HeaderPresent(s.Headers[0].Name) || m.HeaderMask()&1 == 0 {
+				t.Fatalf("%s msg %d: MarkHeader lost", s.Name, mi)
+			}
+			m.SetIndex(0, StrVal("zz  "))
+			c := m.Clone()
+			m.Reset()
+			if m.HeaderMask() != 0 || m.String() != "{}" || m.HeaderPresent(last.Header) {
+				t.Fatalf("%s msg %d: Reset left %v mask %#x", s.Name, mi, m, m.HeaderMask())
+			}
+			if v, ok := c.Get(0); !ok || v.Str != "zz" {
+				t.Fatalf("%s msg %d: clone field 0 = %v %v", s.Name, mi, v, ok)
+			}
+			if v, ok := c.Get(nf - 1); !ok || v.Int != int64(mi) || !c.HeaderPresent(last.Header) || !c.HeaderPresent(s.Headers[0].Name) {
+				t.Fatalf("%s msg %d: clone lost state: %v", s.Name, mi, c)
+			}
+			c.SetIndex(0, IntVal(99))
+			if _, ok := m.Get(0); ok {
+				t.Fatalf("%s msg %d: clone shares presence with its original", s.Name, mi)
+			}
+		}
+		// Slab neighbours do not bleed into each other.
+		a := NewMessages(s, 2)
+		a[0].SetIndex(nf-1, IntVal(1))
+		a[0].MarkHeaderIndex(nh - 1)
+		if a[1].String() != "{}" || a[1].HeaderPresent(s.Headers[nh-1].Name) {
+			t.Fatalf("%s: slab neighbour sees %v", s.Name, a[1])
+		}
+	}
+}
+
+// TestMessageAllocs pins what a message costs: two allocations singly
+// or cloned, three for a slab of any size.
+func TestMessageAllocs(t *testing.T) {
+	s := parseITCH(t)
+	m := NewMessage(s)
+	m.SetIndex(1, IntVal(5))
+	var keep *Message
+	var keepAll []*Message
+	if n := testing.AllocsPerRun(100, func() { keep = NewMessage(s) }); n > 2 {
+		t.Errorf("NewMessage: %v allocations, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { keep = m.Clone() }); n > 2 {
+		t.Errorf("Clone: %v allocations, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { keepAll = NewMessages(s, 64) }); n > 3 {
+		t.Errorf("NewMessages(64): %v allocations, want <= 3", n)
+	}
+	_, _ = keep, keepAll
 }

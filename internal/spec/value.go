@@ -20,7 +20,10 @@ func IntVal(v int64) Value { return Value{Kind: IntField, Int: v} }
 // right-padded wire strings (e.g. ITCH "GOOGL   ") compare equal to their
 // subscription constants.
 func StrVal(v string) Value {
-	return Value{Kind: StringField, Str: strings.TrimRight(v, " \x00")}
+	for len(v) > 0 && (v[len(v)-1] == ' ' || v[len(v)-1] == 0) {
+		v = v[:len(v)-1]
+	}
+	return Value{Kind: StringField, Str: v}
 }
 
 func (v Value) String() string {
@@ -46,56 +49,96 @@ func (v Value) Equal(o Value) bool {
 // Fields belonging to headers absent from a given packet are marked not
 // present; predicates on absent fields evaluate to false.
 type Message struct {
-	spec    *Spec
-	values  []Value
-	present []bool
-	headers []bool // header validity bits, by header parse order
+	spec   *Spec
+	values []Value
+	// bits is one bit vector: field presence (bit i = subscribable index
+	// i), then header validity (bit len(values)+i = header i in parse
+	// order). When fields plus headers fit one word — every spec in this
+	// repository — it is the message's own inline word, which keeps the
+	// message one 64-byte cache line and presence allocation-free.
+	bits   []uint64
+	inline [inlineWords]uint64
 }
+
+const inlineWords = 1
 
 // NewMessage allocates an empty message for s.
 func NewMessage(s *Spec) *Message {
-	n := len(s.SubscribableFields())
-	return &Message{
-		spec:    s,
-		values:  make([]Value, n),
-		present: make([]bool, n),
-		headers: make([]bool, len(s.Headers)),
+	m := &Message{}
+	m.init(s, make([]Value, len(s.subscribable)), maskStorage(s, 1))
+	return m
+}
+
+// NewMessages allocates n empty messages for s as one slab: the
+// messages, their value storage and the returned pointer slice are one
+// allocation each, whatever n is. A decoded frame's messages are built
+// this way; they live and die together.
+func NewMessages(s *Spec, n int) []*Message {
+	nf, nw := len(s.subscribable), s.maskWords
+	slab := make([]Message, n)
+	values := make([]Value, n*nf)
+	wide := maskStorage(s, n)
+	out := make([]*Message, n)
+	for i := range slab {
+		var bits []uint64
+		if wide != nil {
+			bits = wide[i*nw : (i+1)*nw]
+		}
+		slab[i].init(s, values[i*nf:(i+1)*nf], bits)
+		out[i] = &slab[i]
 	}
+	return out
+}
+
+// maskStorage returns out-of-line mask words for n messages of s, or nil
+// when the masks fit the messages' inline words.
+func maskStorage(s *Spec, n int) []uint64 {
+	if s.maskWords <= inlineWords {
+		return nil
+	}
+	return make([]uint64, n*s.maskWords)
+}
+
+func (m *Message) init(s *Spec, values []Value, bits []uint64) {
+	if bits == nil {
+		bits = m.inline[:s.maskWords]
+	}
+	m.spec, m.values, m.bits = s, values, bits
 }
 
 // Spec returns the spec this message was decoded against.
 func (m *Message) Spec() *Spec { return m.spec }
 
-// Reset clears all fields so the message can be reused across packets
-// (gopacket DecodingLayerParser style: zero allocation on the hot path).
-func (m *Message) Reset() {
-	for i := range m.present {
-		m.present[i] = false
-	}
-	for i := range m.headers {
-		m.headers[i] = false
-	}
-}
+// Reset clears all fields so the message can be reused across packets.
+func (m *Message) Reset() { clear(m.bits) }
 
 // MarkHeader sets the validity bit of the named header — what the packet
 // parser does when it extracts the header. Setting any field of a header
 // marks it implicitly.
 func (m *Message) MarkHeader(name string) {
 	if i := m.spec.HeaderIndex(name); i >= 0 {
-		m.headers[i] = true
+		m.MarkHeaderIndex(i)
 	}
 }
+
+// MarkHeaderIndex is MarkHeader by parse-order position (what a compiled
+// codec holds, so the wire path does no name lookups).
+func (m *Message) MarkHeaderIndex(i int) { m.setBit(uint(len(m.values) + i)) }
+
+func (m *Message) setBit(b uint) { m.bits[b>>6] |= 1 << (b & 63) }
+
+func (m *Message) bit(b uint) bool { return m.bits[b>>6]>>(b&63)&1 != 0 }
 
 // HeaderMask returns the header validity bits packed into a uint64,
 // bit i = header i in parse order. Headers beyond the first 64 are not
 // represented (callers that need the mask as an identity — the
 // pipeline's leaf cache — refuse specs that wide).
 func (m *Message) HeaderMask() uint64 {
-	var mask uint64
-	for i, b := range m.headers {
-		if b && i < 64 {
-			mask |= 1 << uint(i)
-		}
+	first := uint(len(m.values))
+	w, sh := first>>6, first&63
+	mask := m.bits[w] >> sh
+	if sh != 0 && int(w)+1 < len(m.bits) {
+		mask |= m.bits[w+1] << (64 - sh)
 	}
 	return mask
 }
@@ -103,7 +146,7 @@ func (m *Message) HeaderMask() uint64 {
 // HeaderPresent reports the header's validity bit.
 func (m *Message) HeaderPresent(name string) bool {
 	i := m.spec.HeaderIndex(name)
-	return i >= 0 && m.headers[i]
+	return i >= 0 && m.bit(uint(len(m.values)+i))
 }
 
 // Set assigns a field value by field reference name.
@@ -131,15 +174,13 @@ func (m *Message) MustSet(ref string, v Value) {
 // field's header valid.
 func (m *Message) SetIndex(idx int, v Value) {
 	m.values[idx] = v
-	m.present[idx] = true
-	if h := m.spec.HeaderIndex(m.spec.subscribable[idx].Header); h >= 0 {
-		m.headers[h] = true
-	}
+	m.setBit(uint(idx))
+	m.MarkHeaderIndex(m.spec.subHeader[idx])
 }
 
 // Get returns the value at subscribable index idx and whether it is present.
 func (m *Message) Get(idx int) (Value, bool) {
-	if idx < 0 || idx >= len(m.values) || !m.present[idx] {
+	if idx < 0 || idx >= len(m.values) || !m.bit(uint(idx)) {
 		return Value{}, false
 	}
 	return m.values[idx], true
@@ -160,15 +201,9 @@ func (m *Message) GetRef(ref string) (Value, bool) {
 
 // Clone returns an independent copy of the message.
 func (m *Message) Clone() *Message {
-	c := &Message{
-		spec:    m.spec,
-		values:  make([]Value, len(m.values)),
-		present: make([]bool, len(m.present)),
-		headers: make([]bool, len(m.headers)),
-	}
-	copy(c.values, m.values)
-	copy(c.present, m.present)
-	copy(c.headers, m.headers)
+	c := &Message{}
+	c.init(m.spec, append([]Value(nil), m.values...), maskStorage(m.spec, 1))
+	copy(c.bits, m.bits)
 	return c
 }
 
@@ -177,14 +212,15 @@ func (m *Message) String() string {
 	b.WriteByte('{')
 	first := true
 	for i, f := range m.spec.SubscribableFields() {
-		if !m.present[i] {
+		v, ok := m.Get(i)
+		if !ok {
 			continue
 		}
 		if !first {
 			b.WriteString(", ")
 		}
 		first = false
-		fmt.Fprintf(&b, "%s=%s", f.QName(), m.values[i])
+		fmt.Fprintf(&b, "%s=%s", f.QName(), v)
 	}
 	b.WriteByte('}')
 	return b.String()
