@@ -65,9 +65,9 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-## bench: one-iteration smoke of the worker-sweep, leaf-cache fast
-## path, wire-decode, live-churn, daemon and network-verifier
-## benchmarks (fast).
+## bench: one-iteration smoke of the worker-sweep, warm-leaf-cache,
+## wire-decode, live-churn, daemon and network-verifier benchmarks
+## (fast).
 bench:
 	$(GO) test -run '^$$' -bench='SwitchParallel|SwitchFastPath|Decode|Churn|CtlplaneDaemon|Netcheck' -benchtime=1x .
 
@@ -92,9 +92,9 @@ bench-report:
 ## compiler benchmarks, the network-delivery verifier, the static
 ## fit analyzer, and the covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
-## (perf-baseline.json). The single-worker leaf-cache fast path runs
-## 50 steady-state batches and is held to an exact zero-alloc baseline
-## plus ≥0.9x its recorded Mpps. The wire-decode benchmarks decode 1000
+## (perf-baseline.json). The single-worker warm-leaf-cache batch
+## (SwitchFastPath) runs 50 steady-state batches and is held to an exact
+## zero-alloc baseline. The wire-decode benchmarks decode 1000
 ## frames each against their per-frame allocs/op (4 for an ITCH
 ## datagram of any order count, 2 for an INT report), so per-message
 ## decode garbage cannot return unnoticed. BenchmarkCoverChurn also

@@ -100,12 +100,11 @@ func parse(r *bufio.Scanner, filter *regexp.Regexp) (*Report, error) {
 // guard fails (returns messages) when a benchmark in the baseline ran
 // with more than ratio× its baseline allocs/op, or is missing from the
 // current run — a silently skipped benchmark must not pass the guard.
-// Two stricter rules protect the dataplane fast path: a baseline of 0
-// allocs/op is an exact invariant (any allocation at all fails, since
-// a ratio can't express "zero stays zero"), and a baseline Mpps metric
-// must be held to at least mppsRatio× (throughput regressions don't
-// show up as allocations).
-func guard(baseline, current *Report, ratio, mppsRatio float64) []string {
+// A baseline of 0 allocs/op is an exact invariant: any allocation at
+// all fails, since a ratio can't express "zero stays zero". Throughput
+// is not guarded here (ns/op and Mpps move with the host); BENCHMARK.json
+// bounds it on paired runs.
+func guard(baseline, current *Report, ratio float64) []string {
 	cur := make(map[string]Benchmark, len(current.Benchmarks))
 	for _, b := range current.Benchmarks {
 		cur[b.Name] = b
@@ -135,12 +134,6 @@ func guard(baseline, current *Report, ratio, mppsRatio float64) []string {
 			fails = append(fails, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (> %.1fx)",
 				name, cb.AllocsPerOp, bb.AllocsPerOp, ratio))
 		}
-		if want := bb.Metrics["Mpps"]; want > 0 {
-			if got := cb.Metrics["Mpps"]; got < mppsRatio*want {
-				fails = append(fails, fmt.Sprintf("%s: %.2f Mpps vs baseline %.2f (< %.2fx)",
-					name, got, want, mppsRatio))
-			}
-		}
 	}
 	return fails
 }
@@ -150,7 +143,6 @@ func main() {
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	baselinePath := flag.String("baseline", "", "guard mode: compare against this baseline report and exit 1 on regression")
 	maxRatio := flag.Float64("max-ratio", 2.0, "guard mode: fail when allocs/op exceeds ratio x baseline (a zero-alloc baseline is exact: any alloc fails)")
-	minMpps := flag.Float64("min-mpps-ratio", 0.9, "guard mode: fail when a baseline Mpps metric drops below ratio x baseline")
 	flag.Parse()
 
 	var filter *regexp.Regexp
@@ -176,15 +168,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: parse baseline: %v\n", err)
 			os.Exit(2)
 		}
-		fails := guard(&baseline, rep, *maxRatio, *minMpps)
+		fails := guard(&baseline, rep, *maxRatio)
 		for _, f := range fails {
 			fmt.Fprintf(os.Stderr, "benchjson: REGRESSION: %s\n", f)
 		}
 		if len(fails) > 0 {
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson: %d benchmark(s) within %.1fx of baseline allocs/op and %.2fx of baseline Mpps\n",
-			len(baseline.Benchmarks), *maxRatio, *minMpps)
+		fmt.Printf("benchjson: %d benchmark(s) within %.1fx of baseline allocs/op\n",
+			len(baseline.Benchmarks), *maxRatio)
 		return
 	}
 

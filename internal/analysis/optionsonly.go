@@ -16,14 +16,12 @@ const serverPath = "camus/internal/ctlplane/server"
 // OptionsOnlyAnalyzer enforces the functional-options construction
 // surface of the dataplane and the control plane: outside
 // internal/pipeline, a Switch must be built with NewSwitch(id, static,
-// prog, opts...) and never by composite literal, field mutation,
-// deprecated pipeline.New, or hand-rolled Config literals; outside
-// internal/ctlplane, a Service must be built with ctlplane.New(net,
-// spec, opts...) and a Reconciler with NewReconcilerWith — never via
-// ctlplane.Config literals or the deprecated NewService /
-// five-positional-argument NewReconciler shims. The frozen-Config
-// invariant is what makes both layers safe to drive from many
-// goroutines; any other construction path can smuggle in mutable
+// prog, opts...) and never by composite literal, field mutation, or
+// hand-rolled Config literals; outside internal/ctlplane, a Service
+// must be built with ctlplane.New(net, spec, opts...) and a Reconciler
+// with NewReconcilerWith — never via ctlplane.Config literals. The
+// frozen-Config invariant is what makes both layers safe to drive from
+// many goroutines; any other construction path can smuggle in mutable
 // state.
 var OptionsOnlyAnalyzer = &Analyzer{
 	Name: "camus-options",
@@ -33,9 +31,8 @@ var OptionsOnlyAnalyzer = &Analyzer{
 
 func runOptionsOnly(pass *Pass) {
 	// Exemptions are per-owning-package: pipeline may build its own
-	// Switch/Config, ctlplane may use its own Config (the Option target
-	// and the shim's plumbing), and neither exemption leaks to the
-	// other layer's checks.
+	// Switch/Config, ctlplane may use its own Config (the Option
+	// target), and neither exemption leaks to the other layer's checks.
 	inPipeline := pass.PkgPath() == pipelinePath
 	inCtlplane := pass.PkgPath() == ctlplanePath
 	inServer := pass.PkgPath() == serverPath
@@ -84,13 +81,6 @@ func runOptionsOnly(pass *Pass) {
 				if !inPipeline {
 					checkSwitchFieldWrite(pass, info, e.X)
 				}
-			case *ast.CallExpr:
-				if !inPipeline {
-					checkDeprecatedNew(pass, info, e)
-				}
-				if !inCtlplane {
-					checkDeprecatedCtlplane(pass, info, e)
-				}
 			}
 			return true
 		})
@@ -114,46 +104,4 @@ func checkSwitchFieldWrite(pass *Pass, info *types.Info, lhs ast.Expr) {
 	pass.Reportf(lhs.Pos(),
 		"mutation of pipeline.Switch field %s outside internal/pipeline; switch internals are frozen after NewSwitch",
 		sel.Sel.Name)
-}
-
-// checkDeprecatedNew reports calls to pipeline.New, the legacy
-// Config-taking constructor.
-func checkDeprecatedNew(pass *Pass, info *types.Info, call *ast.CallExpr) {
-	if fn := calledFunc(info, call); fn != nil &&
-		fn.Pkg().Path() == pipelinePath && fn.Name() == "New" {
-		pass.Reportf(call.Pos(),
-			"pipeline.New is the deprecated Config constructor; use pipeline.NewSwitch with SwitchOption functional options")
-	}
-}
-
-// checkDeprecatedCtlplane reports calls to the control plane's
-// deprecated shims: the Config-taking NewService and the
-// five-positional-argument NewReconciler.
-func checkDeprecatedCtlplane(pass *Pass, info *types.Info, call *ast.CallExpr) {
-	fn := calledFunc(info, call)
-	if fn == nil || fn.Pkg().Path() != ctlplanePath {
-		return
-	}
-	switch fn.Name() {
-	case "NewService":
-		pass.Reportf(call.Pos(),
-			"ctlplane.NewService is the deprecated Config constructor; use ctlplane.New(net, spec, opts...) with functional options")
-	case "NewReconciler":
-		pass.Reportf(call.Pos(),
-			"ctlplane.NewReconciler is the deprecated positional constructor; use ctlplane.NewReconcilerWith(net, spec, opts...) with functional options")
-	}
-}
-
-// calledFunc resolves a call through a package selector to the callee,
-// or nil when the call is not pkg.Func(...).
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil
-	}
-	return fn
 }

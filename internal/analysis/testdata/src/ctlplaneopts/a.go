@@ -1,11 +1,9 @@
 // Package ctlplaneopts is a fixture for the camus-options analyzer:
 // seeded direct construction of the control plane outside
-// internal/ctlplane — Config literals and the deprecated NewService /
-// positional NewReconciler shims.
+// internal/ctlplane — Config literals.
 package ctlplaneopts
 
 import (
-	"camus/internal/compiler"
 	"camus/internal/ctlplane"
 	"camus/internal/routing"
 	"camus/internal/spec"
@@ -18,15 +16,6 @@ func configLiteral(net *topology.Network, sp *spec.Spec) ctlplane.Config {
 
 func configPointer() *ctlplane.Config {
 	return &ctlplane.Config{Drift: 0.5} // want `composite literal of ctlplane\.Config bypasses the functional options`
-}
-
-func deprecatedService(net *topology.Network, sp *spec.Spec) (*ctlplane.Service, error) {
-	cfg := ctlplane.Config{Net: net, Spec: sp} // want `composite literal of ctlplane\.Config bypasses the functional options`
-	return ctlplane.NewService(cfg)            // want `ctlplane\.NewService is the deprecated Config constructor`
-}
-
-func deprecatedReconciler(net *topology.Network, sp *spec.Spec) (*ctlplane.Reconciler, error) {
-	return ctlplane.NewReconciler(net, sp, routing.Options{}, compiler.Options{}, 0) // want `ctlplane\.NewReconciler is the deprecated positional constructor`
 }
 
 func sanctioned(net *topology.Network, sp *spec.Spec) (*ctlplane.Service, error) {

@@ -27,9 +27,8 @@ func bareServerDaemon() *server.Daemon {
 	return &server.Daemon{} // want `composite literal of the control-plane Daemon bypasses log replay`
 }
 
-func shimThroughFacade(net *camus.Network, sp *camus.Spec) (*camus.ControlPlane, error) {
-	cfg := ctlplane.Config{Net: net, Spec: sp} // want `composite literal of ctlplane\.Config bypasses the functional options`
-	return ctlplane.NewService(cfg)            // want `ctlplane\.NewService is the deprecated Config constructor`
+func configThroughFacade(net *camus.Network, sp *camus.Spec) ctlplane.Config {
+	return ctlplane.Config{Net: net, Spec: sp} // want `composite literal of ctlplane\.Config bypasses the functional options`
 }
 
 func sanctioned(net *camus.Network, sp *camus.Spec) (*camus.ControlPlane, error) {

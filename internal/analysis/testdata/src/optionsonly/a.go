@@ -24,10 +24,6 @@ func mutateSwitch(sw *pipeline.Switch) {
 	sw.ID = "renamed" // want `mutation of pipeline\.Switch field ID`
 }
 
-func deprecatedNew(prog interface{}) {
-	_, _ = pipeline.New("sw", nil, nil, pipeline.DefaultConfig()) // want `pipeline\.New is the deprecated Config constructor`
-}
-
 func sanctioned() (*pipeline.Switch, error) {
 	return pipeline.NewSwitch("ok", nil, nil, pipeline.WithWorkers(2))
 }

@@ -212,31 +212,28 @@ func (p *Program) TotalEntries() int {
 // pipeline runtime. It returns the leaf entry reached (nil for drop with
 // no leaf row).
 func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
-	state := p.Init
-	for _, t := range p.Stages {
-		v, present := p.input(t, m, st)
-		state, _ = t.Next(state, v, present)
-	}
-	return p.leafByState[state]
+	le, _ := p.LookupKeyed(m, st, nil)
+	return le
 }
 
-// LookupKeyed evaluates the pipeline like Lookup while additionally
-// reporting whether the walk was *pure*: every taken transition
-// (ok=true from Table.Next) happened at a stage marked true in
-// keyStage (indexed like Stages). Purity is what makes a leaf-cache
-// fill sound: whether a state enters a stage at all is a property of
-// the state alone (byState/Defaults membership is value-independent),
-// so two messages agreeing on every keyStage input follow identical
-// trajectories — a pure walk's leaf is a function of the key and may
-// be memoized without hiding any overlapping decision (DESIGN.md §16).
+// LookupKeyed is Lookup's stage walk, additionally reporting whether the
+// walk was *pure*: every taken transition (ok=true from Table.Next)
+// happened at a stage marked true in keyStage (indexed like Stages; nil
+// skips the tracking and reports false). Purity is what makes a
+// leaf-cache fill sound: whether a state enters a stage at all is a
+// property of the state alone (byState/Defaults membership is
+// value-independent), so two messages agreeing on every keyStage input
+// follow identical trajectories — a pure walk's leaf is a function of
+// the key and may be memoized without hiding any overlapping decision
+// (DESIGN.md §16).
 func (p *Program) LookupKeyed(m *spec.Message, st subscription.StateReader, keyStage []bool) (*LeafEntry, bool) {
 	state := p.Init
-	pure := true
+	pure := keyStage != nil
 	for i, t := range p.Stages {
 		v, present := p.input(t, m, st)
 		var took bool
 		state, took = t.Next(state, v, present)
-		if took && !keyStage[i] {
+		if pure && took && !keyStage[i] {
 			pure = false
 		}
 	}

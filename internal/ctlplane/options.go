@@ -14,8 +14,7 @@ import (
 // style of camus.SwitchOption: the resulting configuration is frozen
 // into the Service (or Reconciler), so no caller can reach racy mutable
 // state after start. Construct services with New and synchronous
-// reconcilers with NewReconcilerWith; the Config struct and the
-// positional NewReconciler remain only as deprecated shims.
+// reconcilers with NewReconcilerWith; Config is the Option target.
 type Option func(*Config)
 
 // WithRouting selects the routing policy (MR/TR) and discretization α.
@@ -140,23 +139,6 @@ func WithAdmission(m *fitcheck.Model) Option {
 // only).
 func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
-}
-
-// New builds the control plane for a network and starts one apply
-// worker per switch:
-//
-//	svc, err := ctlplane.New(net, spec,
-//	    ctlplane.WithRouting(ropts),
-//	    ctlplane.WithInstallers(sim.Installers()...),
-//	    ctlplane.WithValidator(ctlplane.ProveValidator(net, 0), 16))
-//
-// Close must be called to stop the workers.
-func New(net *topology.Network, sp *spec.Spec, opts ...Option) (*Service, error) {
-	cfg := Config{Net: net, Spec: sp}
-	for _, fn := range opts {
-		fn(&cfg)
-	}
-	return newService(cfg)
 }
 
 // NewReconcilerWith builds the synchronous placement/compile core

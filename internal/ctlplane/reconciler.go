@@ -137,14 +137,6 @@ type Reconciler struct {
 // rebuild after cumulative deltas exceed 4× the table size.
 const DefaultDrift = 4.0
 
-// NewReconciler builds an empty reconciler for a network.
-//
-// Deprecated: use NewReconcilerWith with functional options; the
-// five-positional-argument form remains for one release.
-func NewReconciler(net *topology.Network, sp *spec.Spec, ropts routing.Options, copts compiler.Options, drift float64) (*Reconciler, error) {
-	return newReconciler(Config{Net: net, Spec: sp, Routing: ropts, Compiler: copts, Drift: drift})
-}
-
 // newReconciler builds an empty reconciler for a network from a
 // resolved Config. Every switch starts with an empty program except
 // for the MR policy's static constant-true up-port rule, which is

@@ -36,12 +36,8 @@ var ErrAdmissionRejected = errors.New("ctlplane: admission rejected: pipeline wo
 // retries.
 var ErrApplyFailed = errors.New("ctlplane: apply failed after retries")
 
-// Config configures a Service.
-//
-// Deprecated: construct services with New and functional Options
-// (WithRouting, WithDrift, WithQueueDepth, ...) instead of Config
-// literals; this struct remains exported for one release as the shim
-// behind NewService and as the Option target.
+// Config configures a Service: the target the Options passed to New
+// (WithRouting, WithDrift, WithQueueDepth, ...) apply to.
 type Config struct {
 	Net  *topology.Network
 	Spec *spec.Spec
@@ -212,15 +208,20 @@ type Service struct {
 	admissionRejects atomic.Int64
 }
 
-// NewService builds the control plane and starts one apply worker per
-// switch. Close must be called to stop the workers.
+// New builds the control plane for a network and starts one apply
+// worker per switch:
 //
-// Deprecated: use New with functional options.
-func NewService(cfg Config) (*Service, error) { return newService(cfg) }
-
-// newService is the single construction path behind New and the
-// deprecated NewService shim.
-func newService(cfg Config) (*Service, error) {
+//	svc, err := ctlplane.New(net, spec,
+//	    ctlplane.WithRouting(ropts),
+//	    ctlplane.WithInstallers(sim.Installers()...),
+//	    ctlplane.WithValidator(ctlplane.ProveValidator(net, 0), 16))
+//
+// Close must be called to stop the workers.
+func New(net *topology.Network, sp *spec.Spec, opts ...Option) (*Service, error) {
+	cfg := Config{Net: net, Spec: sp}
+	for _, fn := range opts {
+		fn(&cfg)
+	}
 	cfg = cfg.withDefaults()
 	rec, err := newReconciler(cfg)
 	if err != nil {

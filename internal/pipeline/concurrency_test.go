@@ -78,7 +78,7 @@ func TestConcurrentProcessInstall(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	progA := compileRules(t, sp, "stock == GOOGL: fwd(1)")
 	progB := compileRules(t, sp, "stock == GOOGL: fwd(2)\nstock == MSFT: fwd(3)")
-	sw, err := New("s1", nil, progA, Config{Workers: 4, DropOnIngressPort: true})
+	sw, err := NewSwitch("s1", nil, progA, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +147,99 @@ func TestConcurrentProcessInstall(t *testing.T) {
 	// Counters survived the storm: every processed packet was counted.
 	if st := sw.Stats(); st.Packets != processors*iterations+2 {
 		t.Errorf("Packets = %d, want %d", st.Packets, processors*iterations+2)
+	}
+}
+
+// TestCustomHandlerReentersSwitch: custom-action handlers are user code
+// and may call back into the switch. From inside a batch — whose worker
+// held the shard lock while matching — a handler re-enters Process with
+// a flow-less packet, a stream head and a continuation that all hash to
+// the shard being run; concurrent batches and Installs make it a -race
+// stress as well. A handler invoked under the shard lock would deadlock
+// on the flow-cache access.
+func TestCustomHandlerReentersSwitch(t *testing.T) {
+	sp := spec.MustParse("dns", dnsSpecSrc)
+	progs := []*compiler.Program{
+		compileRules(t, sp, "name == h105: answerDNS(10.0.0.105)\nname == h106: fwd(6)"),
+		compileRules(t, sp, "name == h105: answerDNS(10.0.0.105)\nname == h106: fwd(7)"),
+	}
+	sw, err := NewSwitch("s1", nil, progs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := func(name string) *spec.Message {
+		m := spec.NewMessage(sp)
+		m.MustSet("name", spec.StrVal(name))
+		return m
+	}
+	const flow = FlowKey(9)
+	sw.HandleCustom("answerDNS", func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery {
+		var out []Delivery
+		out = append(out, sw.Process(&Packet{In: 0, Msgs: []*spec.Message{msg("h106")}}, 0)...)
+		out = append(out, sw.Process(&Packet{In: 0, Flow: flow, Msgs: []*spec.Message{msg("h106")}}, 0)...)
+		return append(out, sw.Process(&Packet{In: 0, Flow: flow, Bytes: 100}, 0)...)
+	})
+
+	const publishers, rounds = 2, 50
+	pkts := func() []*Packet {
+		return []*Packet{
+			{In: 1, Msgs: []*spec.Message{msg("h105")}},
+			{In: 1, Msgs: []*spec.Message{msg("h107")}},
+			{In: 1, Flow: flow, Msgs: []*spec.Message{msg("h105")}},
+		}
+	}
+	check := func(ds []Delivery) {
+		for _, d := range ds {
+			if d.Port != 6 && d.Port != 7 {
+				t.Errorf("delivery to port %d", d.Port)
+			}
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	// One batch goroutine (the reuse contract: batch results are read
+	// before the next ProcessBatch call from any goroutine) ...
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pkts := pkts()
+		for i := 0; i < rounds; i++ {
+			for _, ds := range sw.ProcessBatch(pkts, 0) {
+				check(ds)
+			}
+		}
+	}()
+	// ... contended by per-packet publishers running the same handler.
+	for g := 0; g < publishers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkts := pkts()
+			for i := 0; i < rounds; i++ {
+				for _, p := range pkts {
+					check(sw.Process(p, 0))
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := sw.Install(progs[i%2]); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("deadlock: a custom handler re-entering Process never returned")
+	}
+	// Every h105 packet ran the handler, which re-entered three times.
+	if st, want := sw.Stats(), int64((1+publishers)*rounds*(3+2*3)); st.Packets != want {
+		t.Errorf("Packets = %d, want %d", st.Packets, want)
 	}
 }
 
@@ -222,7 +315,7 @@ price > 90: fwd(3)
 		})
 	}
 
-	ref, err := New("ref", nil, prog, DefaultConfig())
+	ref, err := NewSwitch("ref", nil, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

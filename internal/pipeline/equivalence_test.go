@@ -1,0 +1,215 @@
+package pipeline
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"camus/internal/compiler"
+	"camus/internal/spec"
+	"camus/internal/subscription"
+)
+
+// equivBatch is one ProcessBatch call of an equivalence case: the
+// reference switch takes the same packets one Process call at a time.
+type equivBatch struct {
+	now  time.Duration
+	pkts []*Packet
+}
+
+const dnsSpecSrc = `
+header dns_query {
+    name : str16 @field;
+}
+`
+
+// TestProcessBatchMatchesProcess: Process and ProcessBatch are one core
+// behind two emit targets, so over every kind of packet the core serves
+// they must produce identical deliveries and identical Stats — with one
+// worker and four, leaf cache on and off.
+//
+// With four workers a batch's flow-less packets run concurrently on
+// several shards, so the stateful case keeps every register crossing
+// between batches, never inside one; and the per-shard leaf caches see
+// a different key sequence than shard 0 alone, so the Leaf* counters are
+// only compared with one worker.
+func TestProcessBatchMatchesProcess(t *testing.T) {
+	itch := func(sp *spec.Spec, n int, stock string, price, shares int64) []*spec.Message {
+		ms := make([]*spec.Message, n)
+		for i := range ms {
+			ms[i] = itchMsg(sp, stock, price+int64(i), shares)
+		}
+		return ms
+	}
+	cases := []struct {
+		name    string
+		specSrc string
+		rules   string
+		copts   compiler.Options
+		traffic func(sp *spec.Spec) []equivBatch
+	}{
+		{
+			name:    "stateless",
+			specSrc: itchSpecSrc,
+			rules: `
+stock == GOOGL: fwd(1)
+stock == MSFT and price > 100: fwd(2)
+price > 500: fwd(3)
+shares > 900: fwd(4)
+`,
+			traffic: func(sp *spec.Spec) []equivBatch {
+				syms := []string{"GOOGL", "MSFT", "AAPL", "INTC", "TSLA"}
+				var b equivBatch
+				for i := 0; i < 300; i++ {
+					b.pkts = append(b.pkts, &Packet{In: i % 5, Bytes: 80, Msgs: []*spec.Message{
+						itchMsg(sp, syms[i%len(syms)], int64(i*13%1200), int64(i*31%1000)),
+						itchMsg(sp, syms[(i+1)%len(syms)], int64(i*7%1200), 10),
+					}})
+				}
+				return []equivBatch{b, b} // second pass: warm cache
+			},
+		},
+		{
+			name:    "stateful-window",
+			specSrc: itchSpecSrc,
+			rules:   "stock == GOOGL and sum(shares, 1ms) > 100: fwd(1)\nstock == MSFT: fwd(2)",
+			copts:   compiler.Options{LastHop: true},
+			traffic: func(sp *spec.Spec) []equivBatch {
+				mk := func(now time.Duration, n int, shares int64) equivBatch {
+					b := equivBatch{now: now}
+					for i := 0; i < n; i++ {
+						b.pkts = append(b.pkts,
+							&Packet{In: 0, Bytes: 40, Msgs: itch(sp, 1, "GOOGL", 50, shares)},
+							&Packet{In: 0, Bytes: 40, Msgs: itch(sp, 1, "MSFT", 50, shares)})
+					}
+					return b
+				}
+				return []equivBatch{
+					mk(0, 8, 10),                       // sum climbs to 80: none forward
+					mk(100*time.Microsecond, 1, 1000),  // reads 80, writes 1080
+					mk(200*time.Microsecond, 8, 1),     // all read > 100: all forward
+					mk(2500*time.Microsecond, 8, 1),    // window tumbled: none forward
+					mk(2600*time.Microsecond, 1, 1000), // and crosses again
+					mk(2700*time.Microsecond, 8, 1),
+				}
+			},
+		},
+		{
+			name:    "custom-action",
+			specSrc: dnsSpecSrc,
+			rules:   "name == h105: answerDNS(10.0.0.105)\nname == h105: fwd(2)\nname == h106: answerDNS(10.0.0.106)",
+			traffic: func(sp *spec.Spec) []equivBatch {
+				var b equivBatch
+				for i, name := range []string{"h105", "h106", "h107", "h105"} {
+					m := spec.NewMessage(sp)
+					m.MustSet("name", spec.StrVal(name))
+					b.pkts = append(b.pkts, &Packet{In: 3 + i, Bytes: 30, Msgs: []*spec.Message{m}})
+				}
+				return []equivBatch{b, b}
+			},
+		},
+		{
+			name:    "stream",
+			specSrc: itchSpecSrc,
+			rules:   "stock == GOOGL: fwd(1)\nstock == GOOGL: fwd(2)",
+			traffic: func(sp *spec.Spec) []equivBatch {
+				var heads, conts equivBatch
+				conts.now = time.Millisecond
+				for f := FlowKey(1); f <= 40; f++ {
+					stock := "GOOGL"
+					if f%4 == 0 {
+						stock = "MSFT" // a cached drop decision
+					}
+					heads.pkts = append(heads.pkts,
+						&Packet{In: 0, Flow: f, Bytes: 60, Msgs: itch(sp, 1, stock, 50, 1)},
+						&Packet{In: 0, Flow: f, Bytes: 1400}) // continuation in the head's batch
+					conts.pkts = append(conts.pkts,
+						&Packet{In: int(f % 3), Flow: f, Bytes: 1400}, // In 1, 2: ingress suppression
+						&Packet{In: 0, Flow: f + 1000, Bytes: 1400})   // never installed: miss
+				}
+				expired := equivBatch{now: time.Hour, pkts: conts.pkts}
+				return []equivBatch{heads, conts, expired}
+			},
+		},
+		{
+			name:    "recirculating",
+			specSrc: itchSpecSrc,
+			rules:   "stock == GOOGL: fwd(1)\nprice > 55: fwd(2)",
+			traffic: func(sp *spec.Spec) []equivBatch {
+				var b equivBatch
+				for _, n := range []int{1, 4, 5, 10, 17} { // parse budget is 4
+					b.pkts = append(b.pkts, &Packet{In: 0, Bytes: 40 * n, Msgs: itch(sp, n, "GOOGL", 50, 1)})
+				}
+				return []equivBatch{b}
+			},
+		},
+		{
+			name:    "empty",
+			specSrc: itchSpecSrc,
+			rules:   "stock == GOOGL: fwd(1)",
+			traffic: func(sp *spec.Spec) []equivBatch {
+				return []equivBatch{
+					{}, // an empty batch
+					{pkts: []*Packet{{In: 0}, {In: 1, Bytes: 9}, {In: 0, Msgs: itch(sp, 1, "GOOGL", 1, 1)}}},
+					{pkts: []*Packet{{In: 0}}},
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			for _, cache := range []int{0, -1} {
+				t.Run(fmt.Sprintf("%s/workers=%d/cache=%d", tc.name, workers, cache), func(t *testing.T) {
+					sp := spec.MustParse("equiv", tc.specSrc)
+					rules, err := subscription.NewParser(sp).ParseRules(tc.rules)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prog, err := compiler.Compile(sp, rules, tc.copts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					mk := func() *Switch {
+						sw, err := NewSwitch("s", static, prog, WithWorkers(workers), WithLeafCache(cache))
+						if err != nil {
+							t.Fatal(err)
+						}
+						sw.HandleCustom("answerDNS", func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery {
+							return []Delivery{{Port: pkt.In, Msgs: []*spec.Message{m}}}
+						})
+						return sw
+					}
+					ref, sw := mk(), mk()
+					for bi, b := range tc.traffic(sp) {
+						got := sw.ProcessBatch(b.pkts, b.now)
+						if len(got) != len(b.pkts) {
+							t.Fatalf("batch %d: %d results for %d packets", bi, len(got), len(b.pkts))
+						}
+						for i, p := range b.pkts {
+							if want := ref.Process(p, b.now); !reflect.DeepEqual(got[i], want) {
+								t.Fatalf("batch %d pkt %d: ProcessBatch %+v != Process %+v", bi, i, got[i], want)
+							}
+						}
+					}
+					got, want := sw.Stats(), ref.Stats()
+					if workers > 1 {
+						for _, st := range []*StatsSnapshot{&got, &want} {
+							st.LeafHits, st.LeafMisses, st.LeafFills = 0, 0, 0
+						}
+					}
+					if got != want {
+						t.Fatalf("Stats diverge:\nProcessBatch %+v\nProcess      %+v", got, want)
+					}
+					if want.Packets == 0 || (tc.name != "empty" && want.Deliveries == 0) {
+						t.Fatalf("case exercised nothing: %+v", want)
+					}
+				})
+			}
+		}
+	}
+}

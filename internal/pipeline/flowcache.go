@@ -28,12 +28,13 @@ type flowEntry struct {
 // Decisions are epoch-tagged: a lookup only returns entries installed
 // under the currently-running program generation, so a decision compiled
 // from a program that has since been replaced by Install can never
-// forward a packet (the stale §VII-B stream-state bug). The cache is not
-// internally synchronized — each worker shard owns one instance and
-// guards it with the shard lock.
+// forward a packet (the stale §VII-B stream-state bug) and Install need
+// not visit the cache. The cache is not internally synchronized — each
+// worker shard owns one instance and guards it with the shard lock.
 type flowCache struct {
 	entries map[FlowKey]flowEntry
-	// order is a FIFO ring of keys for capacity eviction.
+	// order is a FIFO ring of keys for capacity eviction, in bijection
+	// with entries: a key leaves both only by eviction.
 	order []FlowKey
 	head  int
 	cap   int
@@ -47,12 +48,10 @@ func newFlowCache(capacity int, ttl time.Duration) *flowCache {
 	if ttl <= 0 {
 		ttl = 30 * time.Second
 	}
-	return &flowCache{
-		entries: make(map[FlowKey]flowEntry, capacity),
-		order:   make([]FlowKey, 0, capacity),
-		cap:     capacity,
-		ttl:     ttl,
-	}
+	// Map and ring grow with use: most switches never see a stream, and
+	// a map pre-sized to capacity is megabytes of pointers for the
+	// collector to scan on every switch of a fabric.
+	return &flowCache{entries: make(map[FlowKey]flowEntry), cap: capacity, ttl: ttl}
 }
 
 // install caches a flow's decision under program generation gen,
@@ -75,28 +74,15 @@ func (c *flowCache) install(key FlowKey, acts subscription.ActionSet, now time.D
 }
 
 // lookup returns the cached decision for a flow, refreshing its TTL.
-// Entries from a different program generation are dead: they miss (and
-// are dropped) exactly like expired entries.
+// Expired entries and entries from a different program generation are
+// dead: they miss but keep their slot, which the flow's next install
+// overwrites in place.
 func (c *flowCache) lookup(key FlowKey, now time.Duration, gen uint64) (subscription.ActionSet, bool) {
 	e, ok := c.entries[key]
-	if !ok {
-		return subscription.ActionSet{}, false
-	}
-	if now > e.expires || e.gen != gen {
-		delete(c.entries, key)
+	if !ok || now > e.expires || e.gen != gen {
 		return subscription.ActionSet{}, false
 	}
 	e.expires = now + c.ttl
 	c.entries[key] = e
 	return e.actions, true
 }
-
-// purge drops every cached decision (program reinstall).
-func (c *flowCache) purge() {
-	c.entries = make(map[FlowKey]flowEntry)
-	c.order = c.order[:0]
-	c.head = 0
-}
-
-// size reports the live entry count.
-func (c *flowCache) size() int { return len(c.entries) }

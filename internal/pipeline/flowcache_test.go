@@ -75,8 +75,8 @@ func TestFlowCacheEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.install(FlowKey(i), acts, 0, 0)
 	}
-	if c.size() != 4 {
-		t.Fatalf("size = %d, want 4 (capacity)", c.size())
+	if len(c.entries) != 4 {
+		t.Fatalf("size = %d, want 4 (capacity)", len(c.entries))
 	}
 	// Oldest evicted, newest present.
 	if _, ok := c.lookup(FlowKey(0), 0, 0); ok {
@@ -87,8 +87,28 @@ func TestFlowCacheEviction(t *testing.T) {
 	}
 	// Reinstalling an existing key must not grow the ring.
 	c.install(FlowKey(9), acts, 0, 0)
-	if c.size() != 4 {
-		t.Errorf("size after reinstall = %d", c.size())
+	if len(c.entries) != 4 {
+		t.Errorf("size after reinstall = %d", len(c.entries))
+	}
+
+	// Nor must reinstalling a key whose entry died (expired here; a
+	// stale generation is the same branch): a lookup that dropped the
+	// map entry but left its ring slot made the next capacity eviction
+	// pop that old slot and delete the fresh decision.
+	c = newFlowCache(2, time.Second)
+	c.install(1, acts, 0, 0)
+	if _, ok := c.lookup(1, time.Minute, 0); ok {
+		t.Fatal("expired flow still cached")
+	}
+	c.install(1, acts, time.Minute, 0)
+	c.install(2, acts, time.Minute, 0)
+	for _, k := range []FlowKey{1, 2} {
+		if _, ok := c.lookup(k, time.Minute, 0); !ok {
+			t.Errorf("flow %d evicted from a cache of 2 holding 2 flows (ring %v)", k, c.order[c.head:])
+		}
+	}
+	if len(c.order)-c.head != len(c.entries) {
+		t.Errorf("ring %v and map (%d entries) out of step", c.order[c.head:], len(c.entries))
 	}
 }
 

@@ -2,9 +2,9 @@ package pipeline
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"camus/internal/compiler"
 	"camus/internal/spec"
@@ -173,7 +173,8 @@ func TestLeafCacheChurnEpochConsistency(t *testing.T) {
 	errs := make(chan string, 8)
 	// Concurrent publishers go through Process (heap-fresh results, the
 	// concurrent-publication API); they contend the shard lock against
-	// the batch goroutine below, exercising the TryLock fallbacks.
+	// the batch goroutine below, exercising the private-workspace
+	// fallback of acquire.
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -192,8 +193,8 @@ func TestLeafCacheChurnEpochConsistency(t *testing.T) {
 			}
 		}(g)
 	}
-	// One dedicated batch goroutine drives the fast path; per the reuse
-	// contract it reads each batch's results before its own next call.
+	// One dedicated batch goroutine emits into the shard arenas; per the
+	// reuse contract it reads each batch's results before its next call.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -244,55 +245,52 @@ func TestLeafCacheChurnEpochConsistency(t *testing.T) {
 	}
 }
 
-// TestProcessBatchFastPathZeroAlloc pins the tentpole invariant: the
-// single-worker steady-state batch path allocates nothing per op.
+// TestProcessBatchFastPathZeroAlloc pins the workspace invariant: the
+// single-worker steady-state batch allocates nothing per op — with the
+// leaf cache serving a stateless program, with a stateful program whose
+// register reads and writes go through the shared StateTable, and with
+// the cache off (scratch, arenas and batched stats do not depend on it).
 func TestProcessBatchFastPathZeroAlloc(t *testing.T) {
-	sw, sp := buildSwitch(t, `
+	const stateless = `
 stock == GOOGL: fwd(1)
 stock == MSFT and price > 100: fwd(2)
 price > 500: fwd(3)
-`, compiler.Options{})
-	syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
-	pkts := make([]*Packet, 256)
-	for i := range pkts {
-		pkts[i] = &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, syms[i%len(syms)], int64(50+i*7%1000), 10)}, Bytes: 64}
-	}
-	sw.ProcessBatch(pkts, 0) // warm arenas + cache
-	allocs := testing.AllocsPerRun(20, func() {
-		sw.ProcessBatch(pkts, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("fast path allocates %.1f allocs/op, want 0", allocs)
-	}
-	if st := sw.Stats(); st.LeafHits == 0 {
-		t.Fatalf("fast path never hit the cache: %+v", st)
-	}
-}
-
-// TestProcessBatchFastPathMatchesProcess cross-checks the fast path
-// against the always-slow Process path on a mixed workload.
-func TestProcessBatchFastPathMatchesProcess(t *testing.T) {
-	mk := func() *Switch {
-		sw, _ := buildSwitch(t, `
-stock == GOOGL: fwd(1)
-stock == MSFT and price > 100: fwd(2)
-price > 500: fwd(3)
-shares > 900: fwd(4)
-`, compiler.Options{})
-		return sw
-	}
-	sw, ref := mk(), mk()
-	sp := spec.MustParse("itch", itchSpecSrc)
-	syms := []string{"GOOGL", "MSFT", "AAPL", "INTC", "TSLA"}
-	pkts := make([]*Packet, 300)
-	for i := range pkts {
-		pkts[i] = &Packet{In: i % 5, Msgs: []*spec.Message{itchMsg(sp, syms[i%len(syms)], int64(i * 13 % 1200), int64(i * 31 % 1000))}, Bytes: 80}
-	}
-	got := sw.ProcessBatch(pkts, 0)
-	for i, p := range pkts {
-		want := ref.Process(p, 0)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("pkt %d: fast %+v != slow %+v", i, got[i], want)
-		}
+`
+	for _, tc := range []struct {
+		name    string
+		rules   string
+		copts   compiler.Options
+		opts    []Option
+		wantHit bool
+	}{
+		{name: "stateless", rules: stateless, wantHit: true},
+		{name: "stateful", rules: stateless + "stock == GOOGL and avg(price, 100us) > 60: fwd(4)\n",
+			copts: compiler.Options{LastHop: true}, wantHit: true},
+		{name: "cache-off", rules: stateless, opts: []Option{WithLeafCache(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw, sp := buildSwitch(t, tc.rules, tc.copts, tc.opts...)
+			syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
+			pkts := make([]*Packet, 256)
+			for i := range pkts {
+				pkts[i] = &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, syms[i%len(syms)], int64(50+i*7%1000), 10)}, Bytes: 64}
+			}
+			now := time.Duration(0)
+			sw.ProcessBatch(pkts, now) // warm arenas + cache
+			allocs := testing.AllocsPerRun(20, func() {
+				now += 30 * time.Microsecond // windows tumble every few runs
+				sw.ProcessBatch(pkts, now)
+			})
+			if allocs != 0 {
+				t.Fatalf("batch allocates %.1f allocs/op, want 0", allocs)
+			}
+			st := sw.Stats()
+			if (st.LeafHits > 0) != tc.wantHit {
+				t.Fatalf("leaf hits = %d, want hits: %v (%+v)", st.LeafHits, tc.wantHit, st)
+			}
+			if tc.copts.LastHop && (st.StateUpdates == 0 || st.Deliveries == 0) {
+				t.Fatalf("stateful run never touched a register or delivered: %+v", st)
+			}
+		})
 	}
 }

@@ -46,9 +46,9 @@ func WithWorkers(n int) Option {
 // the total entry capacity, split across worker shards and rounded up
 // to a power of two per shard. The cache memoizes final forwarding
 // decisions for the hot packet keys under the fill-time purity rule,
-// so the steady-state batch path never walks the match stages. size 0
-// keeps the default (65536 entries, the cache is on by default);
-// negative disables the cache.
+// so a hot key's messages skip the match-stage walk. size 0 keeps the
+// default (65536 entries, the cache is on by default); negative
+// disables the cache and nothing else.
 func WithLeafCache(size int) Option {
 	return func(c *Config) { c.LeafCacheSize = size }
 }

@@ -34,7 +34,7 @@ func (s *Switch) ProcessBytes(data []byte, in int, now time.Duration) ([]Deliver
 	}
 	msgs, err := s.parser.Parse(data)
 	if err != nil {
-		s.shards[0].stats.parseErrors.Add(1)
+		s.shards[0].stats.commit(StatsSnapshot{ParseErrors: 1})
 		return nil, fmt.Errorf("pipeline: %s: %w", s.ID, err)
 	}
 	return s.Process(&Packet{In: in, Msgs: msgs, Bytes: len(data)}, now), nil

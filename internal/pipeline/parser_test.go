@@ -28,7 +28,7 @@ stock == MSFT: fwd(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := New("wire", static, prog, DefaultConfig())
+	sw, err := NewSwitch("wire", static, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,46 +8,71 @@ import (
 )
 
 // shard is one worker's private slice of the dataplane: a flow-cache
-// partition, a leaf-cache partition, a stats block, and the reusable
-// hot-path workspaces. Sharding follows the cache-aware per-core
-// partitioning pattern from software packet-forwarding literature:
-// each worker touches only its own mutable state on the hot path, so
-// workers never contend on the caches, and the stats atomics are
-// uncontended in the batch path.
+// partition, a stats block, and the workspace the packet core runs in.
+// Sharding follows the cache-aware per-core partitioning pattern from
+// software packet-forwarding literature: each worker touches only its
+// own mutable state, so workers never contend on the caches.
 //
 // Shards are individually heap-allocated (the Switch holds pointers),
 // so two shards' counters never share a cache line.
 type shard struct {
 	stats switchStats
 
-	// mu guards flows, leaf, scr, and the batch arenas. Per-shard
-	// rather than per-switch: in the batch path exactly one worker owns
-	// the shard and the lock is uncontended; it exists so that direct
-	// Process calls from arbitrary goroutines that hash onto the same
-	// shard stay correct.
+	// mu guards flows and ws. Per-shard rather than per-switch: in a
+	// batch exactly one worker owns the shard and the lock is
+	// uncontended; it exists so that calls from arbitrary goroutines
+	// that hash onto the same shard stay correct.
 	mu    sync.Mutex
 	flows *flowCache
-	leaf  *leafCache // nil when the leaf cache is disabled
-	scr   procScratch
-
-	// Fast-path output arenas, reset at the start of each batch run on
-	// this shard. Handed-out delivery slices stay valid until the next
-	// ProcessBatch call on the switch (growth abandons the old chunk to
-	// the slices already pointing into it, so it never invalidates
-	// results mid-batch).
-	delArena arena[Delivery]
-	msgArena arena[*spec.Message]
+	ws    workspace
 }
 
-// procScratch is a shard's reusable ingress workspace: the per-port
-// message buckets that replace the historical per-packet
-// map[int][]*spec.Message, plus the leaf-cache probe key. Buckets are
-// a linear-scanned slice because egress ports are few per packet and
-// may be negative (e.g. routing's UpPort), ruling out dense indexing.
-type procScratch struct {
+// acquire returns the workspace a run executes in: the shard's own when
+// its lock is free (owned; the caller unlocks sh.mu when the run ends),
+// otherwise a private one without leaf cache or warm buffers, so
+// goroutines that collapse onto one shard do not serialize.
+func (sh *shard) acquire() (ws *workspace, owned bool) {
+	if sh.mu.TryLock() {
+		return &sh.ws, true
+	}
+	return &workspace{}, false
+}
+
+// lockFlows and unlockFlows bracket a flow-cache access: a run that
+// owns the shard already holds the lock.
+func (r *run) lockFlows() {
+	if !r.owned {
+		r.sh.mu.Lock()
+	}
+}
+
+func (r *run) unlockFlows() {
+	if !r.owned {
+		r.sh.mu.Unlock()
+	}
+}
+
+// workspace is the reusable mutable state of the packet core: the
+// per-port message buckets of the packet in flight, the leaf-cache
+// partition and its probe key, the register reader, and the arenas
+// ProcessBatch results are emitted into. Buckets are a linear-scanned
+// slice because egress ports are few per packet and may be negative
+// (e.g. routing's UpPort), ruling out dense indexing.
+type workspace struct {
 	buckets []portBucket
-	n       int
-	key     leafKey
+	n       int // buckets in use
+	total   int // messages across them
+
+	leaf *leafCache // nil when the leaf cache is disabled
+	key  leafKey
+	regs stateAt
+
+	// Output arenas, reset at the start of each batch run. Handed-out
+	// slices stay valid until the next ProcessBatch call on the switch
+	// (growth abandons the old chunk to the slices already pointing into
+	// it, so it never invalidates results mid-batch).
+	dels arena[Delivery]
+	msgs arena[*spec.Message]
 }
 
 type portBucket struct {
@@ -55,30 +80,27 @@ type portBucket struct {
 	msgs []*spec.Message
 }
 
-func (p *procScratch) reset() { p.n = 0 }
-
-// add appends m to port's bucket, reusing retired bucket capacity.
-func (p *procScratch) add(port int, m *spec.Message) {
-	for i := 0; i < p.n; i++ {
-		if p.buckets[i].port == port {
-			p.buckets[i].msgs = append(p.buckets[i].msgs, m)
-			return
+// bucket returns port's bucket for the packet in flight, opening an
+// empty one (reusing retired capacity) on first use.
+func (w *workspace) bucket(port int) *portBucket {
+	for i := 0; i < w.n; i++ {
+		if w.buckets[i].port == port {
+			return &w.buckets[i]
 		}
 	}
-	if p.n < len(p.buckets) {
-		b := &p.buckets[p.n]
-		b.port = port
-		b.msgs = append(b.msgs[:0], m)
-	} else {
-		p.buckets = append(p.buckets, portBucket{port: port, msgs: []*spec.Message{m}})
+	if w.n == len(w.buckets) {
+		w.buckets = append(w.buckets, portBucket{})
 	}
-	p.n++
+	b := &w.buckets[w.n]
+	b.port, b.msgs = port, b.msgs[:0]
+	w.n++
+	return b
 }
 
 // sort orders buckets[:n] by port (insertion sort: n is tiny, and
 // sort.Slice's closure would allocate).
-func (p *procScratch) sort() {
-	b := p.buckets[:p.n]
+func (w *workspace) sort() {
+	b := w.buckets[:w.n]
 	for i := 1; i < len(b); i++ {
 		for j := i; j > 0 && b[j].port < b[j-1].port; j-- {
 			b[j], b[j-1] = b[j-1], b[j]
@@ -115,26 +137,6 @@ func (a *arena[T]) alloc(n int) []T {
 	return s
 }
 
-// localStats accumulates one batch run's counters on the stack; they
-// commit to the shard atomics once per run instead of per message.
-type localStats struct {
-	packets, messages, matched, deliveries int64
-	bytesIn, bytesOut                      int64
-	leafHits, leafMisses, leafFills        int64
-}
-
-func (ls *localStats) commit(st *switchStats) {
-	st.packets.Add(ls.packets)
-	st.messages.Add(ls.messages)
-	st.matched.Add(ls.matched)
-	st.deliveries.Add(ls.deliveries)
-	st.bytesIn.Add(ls.bytesIn)
-	st.bytesOut.Add(ls.bytesOut)
-	st.leafHits.Add(ls.leafHits)
-	st.leafMisses.Add(ls.leafMisses)
-	st.leafFills.Add(ls.leafFills)
-}
-
 // shardIndex maps a flow to its home shard. The mapping is pure, so a
 // stream's continuation packets always land on the shard holding its
 // cached decision, no matter which goroutine or batch carries them.
@@ -149,13 +151,17 @@ func (s *Switch) shardIndex(flow FlowKey) int {
 	return int((h >> 32) % uint64(len(s.shards)))
 }
 
-// cachedFlows reports the total number of live flow-cache entries
-// across shards (diagnostics, tests).
+// cachedFlows reports the number of flow-cache entries installed under
+// the current epoch, across shards (diagnostics, tests).
 func (s *Switch) cachedFlows() int {
-	n := 0
+	gen, n := s.epoch.Load().gen, 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += sh.flows.size()
+		for _, e := range sh.flows.entries {
+			if e.gen == gen {
+				n++
+			}
+		}
 		sh.mu.Unlock()
 	}
 	return n
@@ -177,19 +183,19 @@ type batchScratch struct {
 // Packets are partitioned across the switch's worker shards: packets
 // with a flow identity go to the flow's home shard (preserving
 // per-stream ordering and cache locality), flow-less packets are spread
-// round-robin. Each worker processes its share in input order, taking
-// the zero-alloc leaf-cache fast path for flow-less single-pass
-// packets and falling back to the Process slow path for everything
-// else; per-packet results are identical to calling Process.
+// round-robin. Each worker runs its share in input order through the
+// same per-packet core as Process, so per-packet results are identical
+// to calling Process; custom-action handlers run once the worker's share
+// has been matched.
 //
-// Reuse contract: the returned slice and the deliveries of fast-path
-// packets live in per-switch buffers that are recycled by the *next*
-// ProcessBatch call from any goroutine — results are valid until then.
-// Concurrent ProcessBatch calls are safe (internal state is locked, and
-// contended calls fall back to private buffers), but a caller that must
-// read results while other goroutines may batch on the same switch
-// should copy them first or publish via Process, whose results are
-// always heap-fresh.
+// Reuse contract: the returned slice and every delivery in it live in
+// per-switch buffers that are recycled by the *next* ProcessBatch call
+// from any goroutine — results are valid until then. Concurrent
+// ProcessBatch calls are safe (internal state is locked, and contended
+// calls fall back to private buffers), but a caller that must read
+// results while other goroutines may batch on the same switch should
+// copy them first or publish via Process, whose results are always
+// heap-fresh.
 func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 	bs := &s.batch
 	var out [][]Delivery
@@ -207,12 +213,12 @@ func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 		out = make([][]Delivery, len(pkts))
 	}
 	if len(s.shards) == 1 {
-		s.runShard(s.shards[0], pkts, nil, out, now)
+		s.runOn(s.shards[0], pkts, nil, out, now, false)
 		return out
 	}
-	if len(pkts) < 2 {
-		for i, p := range pkts {
-			out[i] = s.processOn(s.shards[s.shardIndex(p.Flow)], p, now)
+	if len(pkts) < 2 { // nothing to fan out
+		if len(pkts) == 1 {
+			s.runOn(s.shards[s.shardIndex(pkts[0].Flow)], pkts, nil, out, now, false)
 		}
 		return out
 	}
@@ -254,144 +260,9 @@ func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 		// including the single-shard path that never reaches this loop.
 		go func(sh *shard, idxs []int32, pkts []*Packet, out [][]Delivery) {
 			defer wg.Done()
-			s.runShard(sh, pkts, idxs, out, now)
+			s.runOn(sh, pkts, idxs, out, now, false)
 		}(s.shards[sh], assign[sh], pkts, out)
 	}
 	wg.Wait()
 	return out
-}
-
-// runShard executes one shard's share of a batch. idxs selects the
-// packets (nil = the whole batch, single-shard case). The fast path
-// requires a leaf-cacheable stateless program (epoch fastOK) and an
-// uncontended shard; otherwise every packet takes the slow path.
-func (s *Switch) runShard(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration) {
-	ep := s.epoch.Load()
-	fast := ep.leaf != nil && ep.leaf.fastOK && sh.leaf != nil && sh.mu.TryLock()
-	if !fast {
-		if idxs == nil {
-			for i, p := range pkts {
-				out[i] = s.processOn(sh, p, now)
-			}
-			return
-		}
-		for _, i := range idxs {
-			out[i] = s.processOn(sh, pkts[i], now)
-		}
-		return
-	}
-	passBudget := 1 << 30
-	if s.static != nil && s.static.MaxParsedMessages > 0 {
-		passBudget = s.static.MaxParsedMessages
-	}
-	var ls localStats
-	// bail collects packets the fast path cannot serve; they re-run on
-	// the slow path after the shard lock is released. Call-local (not
-	// shard state): it is consumed after the unlock, where shard fields
-	// would race with the next batch's reset. Bailing implies the
-	// allocating slow path anyway, so the lazy append costs nothing in
-	// the all-fast steady state.
-	var bail []int32
-	sh.delArena.reset()
-	sh.msgArena.reset()
-	n := len(pkts)
-	if idxs != nil {
-		n = len(idxs)
-	}
-	for j := 0; j < n; j++ {
-		i := j
-		if idxs != nil {
-			i = int(idxs[j])
-		}
-		p := pkts[i]
-		// Stream packets (flow state), empty packets, and batches
-		// needing recirculation re-run on the slow path.
-		if p.Flow != 0 || len(p.Msgs) == 0 || len(p.Msgs) > passBudget {
-			bail = append(bail, int32(i))
-			continue
-		}
-		d, ok := s.fastOne(sh, ep, p, &ls)
-		if !ok {
-			bail = append(bail, int32(i))
-			continue
-		}
-		out[i] = d
-	}
-	ls.commit(&sh.stats)
-	sh.mu.Unlock()
-	// Bailed packets run after the lock is released: processOn takes
-	// the shard lock itself (flow install, scratch ownership).
-	for _, i := range bail {
-		out[i] = s.processOn(sh, pkts[i], now)
-	}
-}
-
-// fastOne runs one flow-less single-pass packet against the leaf cache
-// with zero allocations. Caller holds sh.mu. ok=false means the packet
-// needs the slow path (stateful or custom-action leaf); any partial
-// stats are rolled back and the arenas are untouched (deliveries are
-// emitted only after the whole packet qualifies).
-func (s *Switch) fastOne(sh *shard, ep *epoch, pkt *Packet, ls *localStats) ([]Delivery, bool) {
-	save := *ls
-	ls.packets++
-	ls.bytesIn += int64(pkt.Bytes)
-	scr := &sh.scr
-	scr.reset()
-	for _, m := range pkt.Msgs {
-		ls.messages++
-		buildLeafKey(ep.leaf, m, &scr.key)
-		if e := sh.leaf.probe(&scr.key, ep.gen); e != nil {
-			ls.leafHits++
-			if e.nports > 0 {
-				ls.matched++
-				for _, port := range e.ports[:e.nports] {
-					p := int(port)
-					if s.cfg.DropOnIngressPort && p == pkt.In {
-						continue
-					}
-					scr.add(p, m)
-				}
-			}
-			continue
-		}
-		ls.leafMisses++
-		// fastOK epochs have no aggregate stages, so the walk needs no
-		// state reader.
-		le, pure := ep.prog.LookupKeyed(m, nil, ep.leaf.keyStage)
-		if le != nil && (len(le.Updates) > 0 || len(le.Actions.Custom) > 0) {
-			*ls = save
-			return nil, false
-		}
-		if pure && (le == nil || len(le.Actions.Ports) <= LeafMaxPorts) {
-			if le == nil {
-				sh.leaf.fill(&scr.key, ep.gen, nil)
-			} else {
-				sh.leaf.fill(&scr.key, ep.gen, le.Actions.Ports)
-			}
-			ls.leafFills++
-		}
-		if le == nil || le.Actions.IsEmpty() {
-			continue
-		}
-		ls.matched++
-		for _, port := range le.Actions.Ports {
-			if s.cfg.DropOnIngressPort && port == pkt.In {
-				continue
-			}
-			scr.add(port, m)
-		}
-	}
-	scr.sort()
-	out := sh.delArena.alloc(scr.n)
-	for i := 0; i < scr.n; i++ {
-		b := &scr.buckets[i]
-		msgs := sh.msgArena.alloc(len(b.msgs))
-		copy(msgs, b.msgs)
-		out[i] = Delivery{Port: b.port, Msgs: msgs, Latency: s.cfg.BaseLatency}
-		if len(pkt.Msgs) > 0 {
-			ls.bytesOut += int64(pkt.Bytes * len(b.msgs) / len(pkt.Msgs))
-		}
-	}
-	ls.deliveries += int64(scr.n)
-	return out, true
 }

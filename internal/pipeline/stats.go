@@ -1,6 +1,6 @@
 package pipeline
 
-import "sync/atomic"
+import "sync"
 
 // StatsSnapshot is an immutable copy of the dataplane counters,
 // aggregated across all worker shards at read time. Obtain one via
@@ -41,60 +41,30 @@ func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	return a
 }
 
-// switchStats is one shard's private counter block. Counters are
-// atomics so that direct Process calls from arbitrary goroutines that
-// collapse onto the same shard (e.g. flow-less packets on shard 0)
-// remain race-free; in the steady ProcessBatch path each shard is
-// written by exactly one worker, so the atomics are uncontended.
+// switchStats is one shard's private counter block. A run accumulates
+// its counts in a StatsSnapshot on the stack and commits them once, so
+// the lock is taken per call, not per message, and a snapshot is
+// consistent across counters.
 type switchStats struct {
-	packets        atomic.Int64
-	messages       atomic.Int64
-	matched        atomic.Int64
-	deliveries     atomic.Int64
-	recirculations atomic.Int64
-	stateUpdates   atomic.Int64
-	flowHits       atomic.Int64
-	flowMisses     atomic.Int64
-	leafHits       atomic.Int64
-	leafMisses     atomic.Int64
-	leafFills      atomic.Int64
-	parseErrors    atomic.Int64
-	bytesIn        atomic.Int64
-	bytesOut       atomic.Int64
+	mu  sync.Mutex
+	sum StatsSnapshot
+}
+
+// commit adds one run's counts.
+func (st *switchStats) commit(d StatsSnapshot) {
+	st.mu.Lock()
+	st.sum = st.sum.add(d)
+	st.mu.Unlock()
 }
 
 func (st *switchStats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Packets:        st.packets.Load(),
-		Messages:       st.messages.Load(),
-		Matched:        st.matched.Load(),
-		Deliveries:     st.deliveries.Load(),
-		Recirculations: st.recirculations.Load(),
-		StateUpdates:   st.stateUpdates.Load(),
-		FlowHits:       st.flowHits.Load(),
-		FlowMisses:     st.flowMisses.Load(),
-		LeafHits:       st.leafHits.Load(),
-		LeafMisses:     st.leafMisses.Load(),
-		LeafFills:      st.leafFills.Load(),
-		ParseErrors:    st.parseErrors.Load(),
-		BytesIn:        st.bytesIn.Load(),
-		BytesOut:       st.bytesOut.Load(),
-	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.sum
 }
 
 func (st *switchStats) reset() {
-	st.packets.Store(0)
-	st.messages.Store(0)
-	st.matched.Store(0)
-	st.deliveries.Store(0)
-	st.recirculations.Store(0)
-	st.stateUpdates.Store(0)
-	st.flowHits.Store(0)
-	st.flowMisses.Store(0)
-	st.leafHits.Store(0)
-	st.leafMisses.Store(0)
-	st.leafFills.Store(0)
-	st.parseErrors.Store(0)
-	st.bytesIn.Store(0)
-	st.bytesOut.Store(0)
+	st.mu.Lock()
+	st.sum = StatsSnapshot{}
+	st.mu.Unlock()
 }

@@ -48,9 +48,8 @@ type Delivery struct {
 // concurrent invocation when the switch runs more than one worker.
 type CustomActionFunc func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery
 
-// Config tunes the switch model. Construct it via DefaultConfig plus
-// Options (see NewSwitch); direct literal construction is deprecated
-// and kept only for internal migration.
+// Config tunes the switch model: the target the Options passed to
+// NewSwitch apply to, on top of DefaultConfig.
 type Config struct {
 	// BaseLatency is the one-pass pipeline transit time. The paper
 	// reports pipeline latency under 1µs (§VIII-F1).
@@ -116,9 +115,6 @@ type leafMeta struct {
 	nslots int
 	// admissible counts leaf rows whose outcomes are cacheable.
 	admissible int
-	// fastOK reports that the program has no aggregate stages, so the
-	// zero-alloc batch path may run messages without a state reader.
-	fastOK bool
 }
 
 // newEpoch assembles an epoch, precomputing the leaf-cache metadata.
@@ -149,18 +145,14 @@ func buildLeafMeta(prog *compiler.Program) *leafMeta {
 		isKey[f] = true
 	}
 	lm.keyStage = make([]bool, len(prog.Stages))
-	hasAgg := false
 	for i, t := range prog.Stages {
 		switch t.Field.Ref.Kind {
 		case subscription.PacketRef:
 			lm.keyStage[i] = isKey[t.Field.Ref.Field]
 		case subscription.ValidityRef:
 			lm.keyStage[i] = true
-		default: // AggregateRef
-			hasAgg = true
 		}
 	}
-	lm.fastOK = !hasAgg
 	for _, le := range prog.Leaf {
 		if leafAdmissible(le) {
 			lm.admissible++
@@ -207,17 +199,21 @@ type Switch struct {
 	batch batchScratch
 }
 
-// New builds a switch from a static pipeline and a compiled program.
-// Deprecated-style entry point retained for internal callers still
-// holding a Config; new code should use NewSwitch with Options.
-func New(id string, static *compiler.StaticPipeline, prog *compiler.Program, cfg Config) (*Switch, error) {
+// NewSwitch builds a switch from a static pipeline, a compiled program
+// and DefaultConfig plus functional options — the one way to configure a
+// dataplane.
+func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Program, opts ...Option) (*Switch, error) {
 	if prog == nil {
-		return nil, fmt.Errorf("pipeline: New: nil program")
+		return nil, fmt.Errorf("pipeline: NewSwitch: nil program")
 	}
 	if static != nil {
 		if err := static.Validate(prog); err != nil {
 			return nil, err
 		}
+	}
+	cfg := DefaultConfig()
+	for _, fn := range opts {
+		fn(&cfg)
 	}
 	cfg = cfg.normalize()
 	s := &Switch{
@@ -235,22 +231,12 @@ func New(id string, static *compiler.StaticPipeline, prog *compiler.Program, cfg
 	for i := range s.shards {
 		sh := &shard{flows: newFlowCache(perShard, cfg.FlowTTL)}
 		if perLeaf > 0 {
-			sh.leaf = newLeafCache(perLeaf)
+			sh.ws.leaf = newLeafCache(perLeaf)
 		}
 		s.shards[i] = sh
 	}
 	s.epoch.Store(newEpoch(0, prog, NewStateTable(prog)))
 	return s, nil
-}
-
-// NewSwitch builds a switch from DefaultConfig plus functional options
-// — the one supported way to configure a dataplane.
-func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Program, opts ...Option) (*Switch, error) {
-	cfg := DefaultConfig()
-	for _, fn := range opts {
-		fn(&cfg)
-	}
-	return New(id, static, prog, cfg)
 }
 
 // Config returns a copy of the switch's frozen configuration.
@@ -285,11 +271,12 @@ func (s *Switch) ResetStats() {
 // Install replaces the dynamic program (a control-plane rule update,
 // §VIII-G3) with a single atomic epoch swap: in-flight packets finish
 // against the epoch they loaded, later packets see the new program.
-// Registers are re-linked; windows restart. Cached stream decisions
-// were compiled from the outgoing program, so every flow-cache shard is
-// invalidated — continuation packets re-miss until their stream's next
-// header packet installs a fresh decision (fixes the stale §VII-B
-// forwarding bug).
+// Registers are re-linked; windows restart. The swap is also the whole
+// cache invalidation: every flow-cache and leaf-cache entry carries the
+// generation it was written under and misses under any other, so a
+// decision compiled from the outgoing program can never forward a packet
+// — continuation packets re-miss until their stream's next header packet
+// installs a fresh decision (§VII-B) — and Install touches no shard.
 func (s *Switch) Install(prog *compiler.Program) error {
 	if prog == nil {
 		return fmt.Errorf("pipeline: Install: nil program")
@@ -300,20 +287,8 @@ func (s *Switch) Install(prog *compiler.Program) error {
 		}
 	}
 	s.installMu.Lock()
-	old := s.epoch.Load()
-	s.epoch.Store(newEpoch(old.gen+1, prog, NewStateTable(prog)))
+	s.epoch.Store(newEpoch(s.epoch.Load().gen+1, prog, NewStateTable(prog)))
 	s.installMu.Unlock()
-	// Purge after the swap: any straggler still installing decisions
-	// under the old epoch is defeated by the generation tag on cache
-	// entries, so post-purge lookups can never observe a stale decision.
-	// The leaf cache needs no purge at all for the same reason — every
-	// entry carries the generation it was filled under and dies on
-	// mismatch; the swap above is the invalidation.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.flows.purge()
-		sh.mu.Unlock()
-	}
 	return nil
 }
 
@@ -325,12 +300,13 @@ func (s *Switch) LeafCacheStats() LeafCacheStats {
 	var out LeafCacheStats
 	ep := s.epoch.Load()
 	for _, sh := range s.shards {
-		if sh.leaf != nil {
-			out.Capacity += len(sh.leaf.entries)
+		if sh.ws.leaf != nil {
+			out.Capacity += len(sh.ws.leaf.entries)
 		}
-		out.Hits += sh.stats.leafHits.Load()
-		out.Misses += sh.stats.leafMisses.Load()
-		out.Fills += sh.stats.leafFills.Load()
+		st := sh.stats.snapshot()
+		out.Hits += st.LeafHits
+		out.Misses += st.LeafMisses
+		out.Fills += st.LeafFills
 	}
 	out.Enabled = out.Capacity > 0 && ep.leaf != nil
 	if ep.leaf != nil {
@@ -348,201 +324,237 @@ func (s *Switch) HandleCustom(name string, fn CustomActionFunc) {
 // Process runs a packet through the pipeline at virtual time now and
 // returns the egress deliveries. Safe for concurrent use; the packet is
 // executed on the shard its flow hashes to (flow-less packets use
-// shard 0 — use ProcessBatch to spread those across workers).
-//
-// Per §VI: the ingress pass evaluates each message and builds a port
-// mask; the crossbar replicates the packet once per egress port; egress
-// prunes each replica to the messages whose mask includes the port.
-// Batches deeper than the static pipeline's parse budget recirculate,
-// adding latency.
+// shard 0 — use ProcessBatch to spread those across workers). The
+// returned deliveries are heap-fresh: callers (netsim, replay) may
+// retain them indefinitely.
 func (s *Switch) Process(pkt *Packet, now time.Duration) []Delivery {
-	return s.processOn(s.shards[s.shardIndex(pkt.Flow)], pkt, now)
+	pkts, out := [1]*Packet{pkt}, [1][]Delivery{}
+	s.runOn(s.shards[s.shardIndex(pkt.Flow)], pkts[:], nil, out[:], now, true)
+	return out[0]
 }
 
-// processOn executes one packet on one shard against the current epoch.
-func (s *Switch) processOn(sh *shard, pkt *Packet, now time.Duration) []Delivery {
-	ep := s.epoch.Load()
-	st := &sh.stats
-	st.packets.Add(1)
-	st.bytesIn.Add(int64(pkt.Bytes))
+// run is one call's pass over a shard: the epoch it loaded, the
+// workspace it acquired, where it emits, and the stats and custom hits
+// it accumulates on the stack until the call ends.
+type run struct {
+	ep  *epoch
+	sh  *shard
+	ws  *workspace
+	now time.Duration
+	// owned: ws is sh's own and sh.mu is held for the whole run.
+	owned bool
+	// fresh: emit heap-fresh slices instead of into ws's arenas.
+	fresh bool
+	// regs reads the epoch's registers at now; nil when it has none.
+	regs subscription.StateReader
+	// cache is the leaf cache in front of the stage walk and keyStage the
+	// epoch's purity mask for filling it; nil when ws carries no cache or
+	// the epoch's spec cannot be keyed, and every message then walks.
+	cache    *leafCache
+	keyStage []bool
+	stats    StatsSnapshot
+	customs  []customHit
+}
 
-	// Stream continuation: no application header, forward per the
-	// decision cached by the stream's first packet (§VII-B).
-	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
-		sh.mu.Lock()
-		acts, ok := sh.flows.lookup(pkt.Flow, now, ep.gen)
+// customHit defers a matched custom action until the shard lock is
+// released: handlers are user code and may re-enter the switch.
+type customHit struct {
+	pkt int // index into the run's packets
+	act subscription.Action
+	m   *spec.Message
+}
+
+// runOn executes pkts (those idxs selects; nil = all) on shard sh and
+// stores each packet's deliveries in out, indexed like pkts. It is the
+// body of both Process and ProcessBatch.
+func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration, fresh bool) {
+	r := run{ep: s.epoch.Load(), sh: sh, now: now}
+	r.ws, r.owned = sh.acquire()
+	// A private workspace has no arenas worth warming.
+	r.fresh = fresh || !r.owned
+	if !r.fresh {
+		r.ws.dels.reset()
+		r.ws.msgs.reset()
+	}
+	if len(r.ep.state.regs) > 0 {
+		r.ws.regs = stateAt{t: r.ep.state, now: now}
+		r.regs = &r.ws.regs
+	}
+	if r.ws.leaf != nil && r.ep.leaf != nil {
+		r.cache, r.keyStage = r.ws.leaf, r.ep.leaf.keyStage
+	}
+	n := len(pkts)
+	if idxs != nil {
+		n = len(idxs)
+	}
+	for j := 0; j < n; j++ {
+		i := j
+		if idxs != nil {
+			i = int(idxs[j])
+		}
+		out[i] = s.packet(&r, pkts[i], i)
+	}
+	if r.owned {
 		sh.mu.Unlock()
+	}
+	// Custom deliveries append onto a capacity-clamped slice, so they
+	// copy out of the arena rather than overwrite a neighbour.
+	for _, ch := range r.customs {
+		if fn, ok := s.customs[ch.act.Name]; ok {
+			extra := fn(ch.act, ch.m, pkts[ch.pkt])
+			out[ch.pkt] = append(out[ch.pkt], extra...)
+			r.stats.Deliveries += int64(len(extra))
+		}
+	}
+	sh.stats.commit(r.stats)
+}
+
+// packet is the run-to-completion core every packet takes (§VI): the
+// ingress pass evaluates each message and collects a port set; the
+// crossbar replicates the packet once per egress port; egress prunes
+// each replica to the messages that matched on that port (§VI-A).
+// Stateful predicates (§II), stream decisions (§VII-B) and recirculation
+// (§VI-B) happen inside this one pass. i is the packet's index in the
+// run, recorded with deferred custom hits.
+func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
+	ep, ws, st := r.ep, r.ws, &r.stats
+	st.Packets++
+	st.BytesIn += int64(pkt.Bytes)
+	ws.n, ws.total = 0, 0
+
+	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
+		// Stream continuation: no application header, forward per the
+		// decision cached by the stream's first packet (§VII-B).
+		r.lockFlows()
+		acts, ok := r.sh.flows.lookup(pkt.Flow, r.now, ep.gen)
+		r.unlockFlows()
 		if !ok {
-			st.flowMisses.Add(1)
+			st.FlowMisses++
 			return nil
 		}
-		st.flowHits.Add(1)
-		out := make([]Delivery, 0, len(acts.Ports))
+		st.FlowHits++
 		for _, port := range acts.Ports {
-			if s.cfg.DropOnIngressPort && port == pkt.In {
-				continue
+			if !(s.cfg.DropOnIngressPort && port == pkt.In) {
+				ws.bucket(port)
 			}
-			out = append(out, Delivery{Port: port, Latency: s.cfg.BaseLatency})
-			st.bytesOut.Add(int64(pkt.Bytes))
 		}
-		st.deliveries.Add(int64(len(out)))
-		return out
 	}
 
-	passBudget := len(pkt.Msgs)
+	// Batches deeper than the parse budget recirculate (§VI-B).
+	latency := s.cfg.BaseLatency
 	if s.static != nil && s.static.MaxParsedMessages > 0 {
-		passBudget = s.static.MaxParsedMessages
+		if extra := (len(pkt.Msgs) - 1) / s.static.MaxParsedMessages; extra > 0 {
+			st.Recirculations += int64(extra)
+			latency += time.Duration(extra) * s.cfg.RecirculationLatency
+		}
 	}
-	passes := 1
-	if len(pkt.Msgs) > passBudget {
-		passes += (len(pkt.Msgs) - 1) / passBudget
-		st.recirculations.Add(int64(passes - 1))
-	}
-	latency := s.cfg.BaseLatency + time.Duration(passes-1)*s.cfg.RecirculationLatency
-
-	// Ingress workspace: the shard's reusable scratch replaces the
-	// historical per-packet map allocation. TryLock keeps arbitrary
-	// goroutines that collapse onto one shard from serializing — a
-	// contended call falls back to a fresh private scratch (and skips
-	// the leaf cache, which only the lock holder may touch).
-	locked := sh.mu.TryLock()
-	scr := &sh.scr
-	if !locked {
-		scr = &procScratch{}
-	}
-	scr.reset()
-	useLeaf := locked && sh.leaf != nil && ep.leaf != nil
 
 	var flowPorts subscription.ActionSet
-	var customs []customHit
-	regs := ep.state.At(now) // boxed once per packet, not per message
+	var hit [LeafMaxPorts]int
 	for _, m := range pkt.Msgs {
-		st.messages.Add(1)
-		var le *compiler.LeafEntry
-		pure := false
-		if useLeaf {
-			buildLeafKey(ep.leaf, m, &scr.key)
-			if e := sh.leaf.probe(&scr.key, ep.gen); e != nil {
-				// Cache hit: admissible entries are stateless by
-				// construction, so forwarding is the whole effect.
-				st.leafHits.Add(1)
-				if e.nports > 0 {
-					st.matched.Add(1)
-					for _, port := range e.ports[:e.nports] {
-						p := int(port)
-						if pkt.Flow != 0 {
-							flowPorts.Add(subscription.FwdAction(p))
-						}
-						if s.cfg.DropOnIngressPort && p == pkt.In {
-							continue
-						}
-						scr.add(p, m)
-					}
-				}
-				continue
-			}
-			st.leafMisses.Add(1)
-			le, pure = ep.prog.LookupKeyed(m, regs, ep.leaf.keyStage)
-			// The FIB cache-fill rule: memoize only outcomes that are a
-			// pure function of the cache key (walk purity) and whose
-			// action sets are stateless — a cached leaf then subsumes
-			// every decision reachable from its key, so no overlapping
-			// higher-priority outcome can be hidden (DESIGN.md §16).
-			if pure && (le == nil || leafAdmissible(le)) {
-				if le == nil {
-					sh.leaf.fill(&scr.key, ep.gen, nil)
-				} else {
-					sh.leaf.fill(&scr.key, ep.gen, le.Actions.Ports)
-				}
-				st.leafFills.Add(1)
+		st.Messages++
+		var ports []int
+		var custom []subscription.Action
+		var e *leafCacheEntry
+		if r.cache != nil {
+			buildLeafKey(ep.leaf, m, &ws.key)
+			e = r.cache.probe(&ws.key, ep.gen)
+		}
+		if e != nil {
+			// Admissible entries are stateless by construction, so the
+			// cached port set is the whole effect.
+			st.LeafHits++
+			ports = hit[:e.nports]
+			for k := range ports {
+				ports[k] = int(e.ports[k])
 			}
 		} else {
-			le = ep.prog.Lookup(m, regs)
+			le, pure := ep.prog.LookupKeyed(m, r.regs, r.keyStage)
+			if r.cache != nil {
+				st.LeafMisses++
+				// The FIB cache-fill rule: memoize only outcomes that are
+				// a pure function of the cache key (walk purity) and whose
+				// action sets are stateless — a cached leaf then subsumes
+				// every decision reachable from its key, so no overlapping
+				// higher-priority outcome can be hidden (DESIGN.md §16).
+				if pure && (le == nil || leafAdmissible(le)) {
+					var fill []int
+					if le != nil {
+						fill = le.Actions.Ports
+					}
+					r.cache.fill(&ws.key, ep.gen, fill)
+					st.LeafFills++
+				}
+			}
+			if le == nil {
+				continue
+			}
+			// State updates fire for every message whose stateless
+			// context matched, before forwarding semantics are applied.
+			for _, key := range le.Updates {
+				ep.state.Update(key, m, r.now)
+			}
+			st.StateUpdates += int64(len(le.Updates))
+			ports, custom = le.Actions.Ports, le.Actions.Custom
 		}
-		if le == nil {
+		if len(ports)+len(custom) == 0 {
 			continue
 		}
-		// State updates fire for every message whose stateless context
-		// matched, before forwarding semantics are applied.
-		for _, key := range le.Updates {
-			ep.state.Update(key, m, now)
-			st.stateUpdates.Add(1)
-		}
-		if le.Actions.IsEmpty() {
-			continue
-		}
-		st.matched.Add(1)
-		for _, port := range le.Actions.Ports {
+		st.Matched++
+		for _, port := range ports {
 			// The cached stream decision keeps the full port set;
 			// ingress suppression re-applies per continuation packet.
 			if pkt.Flow != 0 {
 				flowPorts.Add(subscription.FwdAction(port))
 			}
-			if s.cfg.DropOnIngressPort && port == pkt.In {
-				continue
+			if !(s.cfg.DropOnIngressPort && port == pkt.In) {
+				b := ws.bucket(port)
+				b.msgs = append(b.msgs, m)
+				ws.total++
 			}
-			scr.add(port, m)
 		}
-		for _, act := range le.Actions.Custom {
-			customs = append(customs, customHit{act: act, m: m})
+		for _, act := range custom {
+			r.customs = append(r.customs, customHit{pkt: i, act: act, m: m})
 		}
 	}
 
 	// Stream subscriptions: the header-bearing packet installs the
 	// stream's merged port decision for its continuations (§VII-B),
 	// tagged with the epoch it was compiled under.
-	if pkt.Flow != 0 {
-		if !locked {
-			sh.mu.Lock()
-		}
-		sh.flows.install(pkt.Flow, flowPorts, now, ep.gen)
-		if !locked {
-			sh.mu.Unlock()
-		}
+	if pkt.Flow != 0 && len(pkt.Msgs) > 0 {
+		r.lockFlows()
+		r.sh.flows.install(pkt.Flow, flowPorts, r.now, ep.gen)
+		r.unlockFlows()
 	}
 
-	// Crossbar + egress: one pruned replica per port, deterministic
-	// port order. The returned deliveries are heap-fresh (callers —
-	// netsim in particular — retain them past this call); only the
-	// bucket scratch is reused.
-	scr.sort()
-	total := 0
-	for i := 0; i < scr.n; i++ {
-		total += len(scr.buckets[i].msgs)
+	// Crossbar + egress: one pruned replica per port, in port order,
+	// copied out of the bucket scratch.
+	if ws.n == 0 {
+		return nil
 	}
-	out := make([]Delivery, 0, scr.n)
-	if scr.n > 0 {
-		flat := make([]*spec.Message, 0, total)
-		for i := 0; i < scr.n; i++ {
-			b := &scr.buckets[i]
-			start := len(flat)
-			flat = append(flat, b.msgs...)
-			out = append(out, Delivery{Port: b.port, Msgs: flat[start:len(flat):len(flat)], Latency: latency})
-			// Pruned replica bytes scale with the surviving message share.
-			if len(pkt.Msgs) > 0 {
-				st.bytesOut.Add(int64(pkt.Bytes * len(b.msgs) / len(pkt.Msgs)))
-			}
+	ws.sort()
+	var out []Delivery
+	var flat []*spec.Message
+	if r.fresh {
+		out, flat = make([]Delivery, ws.n), make([]*spec.Message, ws.total)
+	} else {
+		out, flat = ws.dels.alloc(ws.n), ws.msgs.alloc(ws.total)
+	}
+	for k := range out {
+		b := &ws.buckets[k]
+		c := copy(flat, b.msgs)
+		out[k] = Delivery{Port: b.port, Msgs: flat[:c:c], Latency: latency}
+		flat = flat[c:]
+		// Pruned replica bytes scale with the surviving message share;
+		// a continuation replica carries the whole packet.
+		bytes := pkt.Bytes
+		if len(pkt.Msgs) > 0 {
+			bytes = pkt.Bytes * c / len(pkt.Msgs)
 		}
+		st.BytesOut += int64(bytes)
 	}
-	if locked {
-		sh.mu.Unlock()
-	}
-	// Custom actions run outside the shard lock: handlers are user code
-	// and may re-enter the switch.
-	for _, ch := range customs {
-		if fn, ok := s.customs[ch.act.Name]; ok {
-			out = append(out, fn(ch.act, ch.m, pkt)...)
-		}
-	}
-	st.deliveries.Add(int64(len(out)))
+	st.Deliveries += int64(len(out))
 	return out
-}
-
-// customHit defers a matched custom action until the shard lock is
-// released.
-type customHit struct {
-	act subscription.Action
-	m   *spec.Message
 }
 
 // EvalMessage evaluates a single message (diagnostics / examples).

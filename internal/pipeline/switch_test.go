@@ -17,7 +17,7 @@ header itch_order {
 }
 `
 
-func buildSwitch(t testing.TB, rulesSrc string, opts compiler.Options) (*Switch, *spec.Spec) {
+func buildSwitch(t testing.TB, rulesSrc string, opts compiler.Options, swOpts ...Option) (*Switch, *spec.Spec) {
 	t.Helper()
 	sp := spec.MustParse("itch", itchSpecSrc)
 	rules, err := subscription.NewParser(sp).ParseRules(rulesSrc)
@@ -32,7 +32,7 @@ func buildSwitch(t testing.TB, rulesSrc string, opts compiler.Options) (*Switch,
 	if err != nil {
 		t.Fatalf("static: %v", err)
 	}
-	sw, err := New("s1", static, prog, DefaultConfig())
+	sw, err := NewSwitch("s1", static, prog, swOpts...)
 	if err != nil {
 		t.Fatalf("switch: %v", err)
 	}
@@ -203,7 +203,7 @@ header dns_query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := New("s1", nil, prog, DefaultConfig())
+	sw, err := NewSwitch("s1", nil, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
