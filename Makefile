@@ -93,14 +93,17 @@ bench-report:
 ## fit analyzer, and the covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
 ## (perf-baseline.json). The single-worker warm-leaf-cache batch
-## (SwitchFastPath) runs 50 steady-state batches and is held to an exact
-## zero-alloc baseline. The wire-decode benchmarks decode 1000
+## (SwitchFastPath) runs 50 steady-state batches and the compiled table
+## walk (Lookup, both rule shapes) 100000 lookups over its message pool;
+## both are held to an exact zero-alloc baseline. The wire-decode
+## benchmarks decode 1000
 ## frames each against their per-frame allocs/op (4 for an ITCH
 ## datagram of any order count, 2 for an INT report), so per-message
 ## decode garbage cannot return unnoticed. BenchmarkCoverChurn also
 ## self-enforces its ≥2× entry-reduction bar.
 perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSwitchFastPath$$/^workers=1$$' -benchtime 50x -benchmem .; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkDecode(ITCH|INT)$$' -benchtime 1000x -benchmem .; } \
@@ -129,18 +132,28 @@ soak:
 	CAMUS_SOAK=1 $(GO) test -race -count=1 -v -run 'TestChurnSoak' ./internal/netsim
 
 ## fuzz-smoke: short, deterministic iterations of the fuzz targets —
-## the subscription parser, the compile-then-prove pipeline and the two
-## wire decoders (seed corpus plus a few hundred mutations each).
+## the subscription parser, the compile-then-prove pipeline, the flat
+## table walk against its reference and the two wire decoders (seed
+## corpus plus a few hundred mutations each).
 fuzz-smoke:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 200x
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 200x
+	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 200x
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 200x
 	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 200x
 
-## fuzz-extended: the nightly-CI fuzz budget — minutes, not mutations.
+## fuzz-extended: the nightly-CI fuzz budget — minutes, not mutations,
+## over every fuzz target in the module.
 fuzz-extended:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 120s
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 300s
+	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 120s
+	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 60s
+	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzHeaderCodec$$' -fuzztime 30s
+	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 60s
+	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseFilter$$' -fuzztime 30s
+	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 30s
+	$(GO) test ./internal/spec -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
 
 ## vet-report: regenerate vet-report.txt by cross-running `camusc vet`
 ## (rule self-consistency), `camusc prove` (translation validation) and

@@ -213,7 +213,7 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	}
 	for _, workers := range sweep {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sw, err := pipeline.NewSwitch("bench", nil, prog, pipeline.WithWorkers(workers))
+			sw, err := pipeline.NewSwitch("bench", nil, prog, pipeline.WithWorkers(workers), pipeline.WithLeafCache(1<<16))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -181,10 +181,10 @@ var (
 	WithRecirculationLatency = pipeline.WithRecirculationLatency
 	// WithFlowCache sizes the stream-subscription cache (§VII-B).
 	WithFlowCache = pipeline.WithFlowCache
-	// WithLeafCache sizes the hot-rule leaf cache that memoizes final
-	// forwarding decisions in front of the match stages (DESIGN.md
-	// §16): 0 keeps the default 65536 entries (the cache is on by
-	// default), negative disables it.
+	// WithLeafCache turns on the hot-rule leaf cache that memoizes
+	// final forwarding decisions in front of the match stages
+	// (DESIGN.md §16) with the given entry capacity; switches run
+	// without one by default.
 	WithLeafCache = pipeline.WithLeafCache
 	// WithWorkers sets the number of dataplane worker shards that
 	// ProcessBatch fans packets out across.

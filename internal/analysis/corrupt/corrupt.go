@@ -5,9 +5,9 @@
 // register updates. The prover (internal/analysis/prove) must produce
 // a concrete counterexample packet for every one of them.
 //
-// Mutations work in place through the pointers compiler.Program shares
-// with its internal indices, so the corrupted program stays internally
-// consistent (the runtime really executes the corrupted tables).
+// Mutations edit the program's tables in place and re-derive its
+// packet-path index (compiler.Program.Reindex), so the runtime really
+// executes the corrupted tables.
 package corrupt
 
 import (
@@ -32,8 +32,8 @@ type Mutation struct {
 	Stage int `json:"stage,omitempty"`
 	Entry int `json:"entry,omitempty"`
 	// Leaf indexes into Program.Leaf.
-	Leaf int `json:"leaf,omitempty"`
-	Port int `json:"port,omitempty"`
+	Leaf int    `json:"leaf,omitempty"`
+	Port int    `json:"port,omitempty"`
 	Key  string `json:"key,omitempty"`
 	// Out is the redirect target state (redirect-entry) or the default's
 	// in-state (drop-default).
@@ -76,6 +76,7 @@ func (m Mutation) Apply(p *compiler.Program) error {
 			return fmt.Errorf("corrupt: stage %d has no entry %d", m.Stage, m.Entry)
 		}
 		t.Entries[m.Entry].Out = m.Out
+		p.Reindex()
 	case "drop-default":
 		if m.Stage < 0 || m.Stage >= len(p.Stages) {
 			return fmt.Errorf("corrupt: no stage %d", m.Stage)
@@ -85,6 +86,7 @@ func (m Mutation) Apply(p *compiler.Program) error {
 			return fmt.Errorf("corrupt: stage %d has no default for state %d", m.Stage, m.Out)
 		}
 		delete(t.Defaults, m.Out)
+		p.Reindex()
 	case "drop-update":
 		le, err := leaf(p, m.Leaf)
 		if err != nil {

@@ -1,0 +1,158 @@
+package corrupt_test
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"camus/internal/analysis/corrupt"
+	"camus/internal/compiler"
+	"camus/internal/pipeline"
+	"camus/internal/spec"
+	"camus/internal/subscription"
+)
+
+const testSpecSrc = `
+header ord_qty {
+    shares : u32 @field;
+    price : u32 @field;
+}
+header ord_sym {
+    stock : str8 @field_exact;
+}
+`
+
+// observe runs m through a fresh switch on p and renders everything the
+// dataplane did with it: the egress ports and the register updates.
+func observe(t *testing.T, p *compiler.Program, m *spec.Message) string {
+	t.Helper()
+	sw, err := pipeline.NewSwitch("corrupt", nil, p, pipeline.WithIngressDrop(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ports []int
+	for _, d := range sw.Process(&pipeline.Packet{In: 0, Msgs: []*spec.Message{m}}, 0) {
+		ports = append(ports, d.Port)
+	}
+	sort.Ints(ports)
+	return fmt.Sprintf("ports=%v updates=%d", ports, sw.Stats().StateUpdates)
+}
+
+// TestEveryOpReachesTheDataplane: each corruption must change what
+// Switch.Process does with the packet that exercises the corrupted row.
+// The structural ops (redirect-entry, drop-default) edit tables the
+// packet path reads only through an index derived from them, so this
+// fails if Apply stops re-deriving it.
+func TestEveryOpReachesTheDataplane(t *testing.T) {
+	sp := spec.MustParse("test", testSpecSrc)
+	msg := func(price int64, stock string) *spec.Message {
+		m := spec.NewMessage(sp)
+		m.MustSet("shares", spec.IntVal(10))
+		m.MustSet("price", spec.IntVal(price))
+		if stock != "" {
+			m.MustSet("stock", spec.StrVal(stock))
+		}
+		return m
+	}
+	stage := func(p *compiler.Program, field string) (int, *compiler.Table) {
+		for i, st := range p.Stages {
+			if st.Field.Ref.Kind == subscription.PacketRef && st.Field.Ref.Field.Name == field {
+				return i, st
+			}
+		}
+		t.Fatalf("no stage on %s", field)
+		return 0, nil
+	}
+	leafOf := func(p *compiler.Program, m *spec.Message) int {
+		le := p.Lookup(m, nil)
+		for i := range p.Leaf {
+			if p.Leaf[i] == le {
+				return i
+			}
+		}
+		t.Fatalf("%s reaches no leaf row", m)
+		return 0
+	}
+
+	for _, c := range []struct {
+		op    string
+		rules string
+		opts  compiler.Options
+		m     *spec.Message
+		// pick names the row m exercises.
+		pick func(p *compiler.Program, m *spec.Message) corrupt.Mutation
+	}{
+		{op: "add-leaf-port", rules: "stock == GOOGL: fwd(1)", m: msg(60, "GOOGL"),
+			pick: func(p *compiler.Program, m *spec.Message) corrupt.Mutation {
+				return corrupt.Mutation{Op: "add-leaf-port", Leaf: leafOf(p, m), Port: 9}
+			}},
+		{op: "remove-leaf-port", rules: "stock == GOOGL: fwd(1)", m: msg(60, "GOOGL"),
+			pick: func(p *compiler.Program, m *spec.Message) corrupt.Mutation {
+				return corrupt.Mutation{Op: "remove-leaf-port", Leaf: leafOf(p, m), Port: 1}
+			}},
+		{op: "redirect-entry", rules: "stock == GOOGL: fwd(1)", m: msg(60, "GOOGL"),
+			// The GOOGL entry jumps to where its state's miss goes.
+			pick: func(p *compiler.Program, m *spec.Message) corrupt.Mutation {
+				si, st := stage(p, "stock")
+				for ei, e := range st.Entries {
+					if v, ok := e.Match.Exact(); ok && v.Str == "GOOGL" {
+						return corrupt.Mutation{Op: "redirect-entry", Stage: si, Entry: ei, Out: st.Defaults[e.In]}
+					}
+				}
+				t.Fatal("no GOOGL entry")
+				return corrupt.Mutation{}
+			}},
+		{op: "drop-default", rules: "stock == GOOGL: fwd(1)\nprice > 50: fwd(2)", m: msg(60, ""),
+			// Without validity guards a packet lacking stock takes the
+			// stock stage's default; drop the one that still forwards.
+			opts: compiler.Options{DisableValidityGuards: true},
+			pick: func(p *compiler.Program, m *spec.Message) corrupt.Mutation {
+				si, st := stage(p, "stock")
+				for in, d := range st.Defaults {
+					for _, le := range p.Leaf {
+						if le.In == d && len(le.Actions.Ports) > 0 {
+							return corrupt.Mutation{Op: "drop-default", Stage: si, Out: in}
+						}
+					}
+				}
+				t.Fatal("no default leads to a forwarding leaf")
+				return corrupt.Mutation{}
+			}},
+		{op: "drop-update", rules: "stock == GOOGL and avg(price) > 60: fwd(1)", m: msg(10, "GOOGL"),
+			opts: compiler.Options{LastHop: true},
+			pick: func(p *compiler.Program, m *spec.Message) corrupt.Mutation {
+				i := leafOf(p, m)
+				return corrupt.Mutation{Op: "drop-update", Leaf: i, Key: p.Leaf[i].Updates[0]}
+			}},
+		{op: "add-update", rules: "stock == GOOGL and avg(price) > 60: fwd(1)", m: msg(10, "MSFT"),
+			opts: compiler.Options{LastHop: true},
+			pick: func(p *compiler.Program, m *spec.Message) corrupt.Mutation {
+				var key string
+				for _, le := range p.Leaf {
+					if len(le.Updates) > 0 {
+						key = le.Updates[0]
+					}
+				}
+				return corrupt.Mutation{Op: "add-update", Leaf: leafOf(p, m), Key: key}
+			}},
+	} {
+		t.Run(c.op, func(t *testing.T) {
+			rules, err := subscription.NewParser(sp).ParseRules(c.rules)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := compiler.Compile(sp, rules, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := observe(t, p, c.m)
+			mut := c.pick(p, c.m)
+			if err := mut.Apply(p); err != nil {
+				t.Fatalf("%+v: %v", mut, err)
+			}
+			if after := observe(t, p, c.m); after == before {
+				t.Errorf("%+v left the dataplane unchanged on %s: %s", mut, c.m, after)
+			}
+		})
+	}
+}

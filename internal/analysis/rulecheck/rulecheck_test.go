@@ -306,7 +306,7 @@ func TestCacheHidingCounterexampleReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := pipeline.NewSwitch("replay", nil, prog, pipeline.WithIngressDrop(false))
+	sw, err := pipeline.NewSwitch("replay", nil, prog, pipeline.WithIngressDrop(false), pipeline.WithLeafCache(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}

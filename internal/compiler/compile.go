@@ -341,7 +341,6 @@ func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
 		if len(t.Entries) == 0 && len(t.Defaults) == 0 {
 			continue
 		}
-		t.index(p.Spec)
 		classify(t, opts)
 		total += len(t.Entries) + t.MapEntries
 		if opts.MaxEntries > 0 && total > opts.MaxEntries {
@@ -352,7 +351,6 @@ func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
 
 	// Leaf table + multicast allocation.
 	groupByKey := make(map[string]int)
-	p.leafByState = make(map[StateID]*LeafEntry)
 	var terminals []*bdd.Node
 	for _, n := range reachable {
 		if n.IsTerminal() {
@@ -385,9 +383,9 @@ func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
 			le.Group = id
 		}
 		p.Leaf = append(p.Leaf, le)
-		p.leafByState[n.ID] = le
 	}
 
+	p.Reindex()
 	p.Resources = estimate(p)
 	return p, nil
 }

@@ -425,22 +425,3 @@ func BenchmarkCompile500(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkLookup(b *testing.B) {
-	sp := testSpec(b)
-	r := rand.New(rand.NewSource(4))
-	rules := randomRules(r, sp, 500)
-	p, err := Compile(sp, rules, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := spec.NewMessage(sp)
-	m.MustSet("shares", spec.IntVal(5))
-	m.MustSet("price", spec.IntVal(3))
-	m.MustSet("stock", spec.StrVal("GOOGL"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Lookup(m, nil)
-	}
-}

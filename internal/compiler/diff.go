@@ -103,12 +103,10 @@ func (p *Program) Canonical() *Program {
 		for _, in := range ins {
 			nt.Defaults[get(in)] = get(t.Defaults[in])
 		}
-		nt.index(p.Spec)
 		np.Stages = append(np.Stages, nt)
 	}
 	leaf := append([]*LeafEntry(nil), p.Leaf...)
 	sort.Slice(leaf, func(i, j int) bool { return stateLess(canon, leaf[i].In, leaf[j].In) })
-	np.leafByState = make(map[StateID]*LeafEntry, len(leaf))
 	// Multicast group IDs were allocated in terminal creation order, which
 	// differs between compilers; renumber them in canonical-leaf
 	// first-encounter order so group tables compare too.
@@ -126,7 +124,7 @@ func (p *Program) Canonical() *Program {
 		}
 		nl := &LeafEntry{In: get(le.In), Actions: le.Actions, Group: g, Updates: le.Updates}
 		np.Leaf = append(np.Leaf, nl)
-		np.leafByState[nl.In] = nl
 	}
+	np.Reindex()
 	return np
 }

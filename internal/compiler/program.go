@@ -65,8 +65,10 @@ type Table struct {
 	Field *bdd.FieldVar
 	// Kind is the realized memory type.
 	Kind TableKind
-	// Entries in no particular order; for any in-state the entry ranges
-	// partition the field domain, so at most one entry matches.
+	// Entries of one in-state partition the field domain, except where
+	// match.maxExclusions dropped an exclusion and an exact entry overlaps
+	// a later broader one: there the first matching entry in slice order
+	// wins (emitPaths' hi-before-lo order, which is BDD evaluation order).
 	Entries []*Entry
 	// Defaults maps each entry state to the next state taken when the
 	// packet lacks the field entirely (every predicate false: the BDD
@@ -74,88 +76,10 @@ type Table struct {
 	Defaults map[StateID]StateID
 	// MapEntries counts the value-map entries of a CompressedTable.
 	MapEntries int
-
-	byState map[StateID][]*Entry
-	// What the walk reads per message, resolved once by index: the
-	// subscribable index of a packet-field stage (-1 otherwise) and the
-	// register key of an aggregate stage.
-	fieldIdx int
-	aggKey   string
 }
 
 // Name returns the stage name (the field key).
 func (t *Table) Name() string { return t.Field.Key() }
-
-// index builds the per-state entry index and resolves the stage's input
-// against sp, the program's spec.
-func (t *Table) index(sp *spec.Spec) {
-	t.byState = make(map[StateID][]*Entry)
-	for _, e := range t.Entries {
-		t.byState[e.In] = append(t.byState[e.In], e)
-	}
-	t.fieldIdx = -1
-	switch t.Field.Ref.Kind {
-	case subscription.PacketRef:
-		if idx, ok := sp.SubscribableIndex(t.Field.Ref.Field); ok {
-			t.fieldIdx = idx
-		}
-	case subscription.AggregateRef:
-		t.aggKey = t.Field.Ref.Key()
-	}
-}
-
-// input returns the value stage t matches on for m: a packet field, a
-// header validity bit, or an aggregate register read through st.
-func (p *Program) input(t *Table, m *spec.Message, st subscription.StateReader) (spec.Value, bool) {
-	switch t.Field.Ref.Kind {
-	case subscription.PacketRef:
-		idx := t.fieldIdx
-		if m.Spec() != p.Spec {
-			// A message of another spec sharing the field (a merged
-			// spec's component): resolve against its own layout.
-			var ok bool
-			if idx, ok = m.Spec().SubscribableIndex(t.Field.Ref.Field); !ok {
-				return spec.Value{}, false
-			}
-		}
-		return m.Get(idx)
-	case subscription.ValidityRef:
-		var bit int64
-		if m.HeaderPresent(t.Field.Ref.Header) {
-			bit = 1
-		}
-		return spec.IntVal(bit), true
-	default: // AggregateRef
-		var cur int64
-		if st != nil {
-			cur = st.AggValue(t.aggKey)
-		}
-		return spec.IntVal(cur), true
-	}
-}
-
-// Next computes the stage transition for the current state given the
-// field value. ok=false means the state does not enter this stage
-// (pass-through).
-func (t *Table) Next(state StateID, v spec.Value, present bool) (StateID, bool) {
-	entries, in := t.byState[state]
-	if !in {
-		return state, false
-	}
-	if present {
-		for _, e := range entries {
-			if e.Match.Matches(v) {
-				return e.Out, true
-			}
-		}
-	}
-	// Field absent (or value on a pruned-unsat residue): all predicates
-	// evaluate false — take the precomputed lo-walk.
-	if d, ok := t.Defaults[state]; ok {
-		return d, true
-	}
-	return state, false
-}
 
 // LeafEntry is one row of the final Leaf table: terminal state → action
 // set (§V-D, Fig. 6 right).
@@ -193,7 +117,8 @@ type Program struct {
 	// Resources is the switch resource estimate.
 	Resources Resources
 
-	leafByState map[StateID]*LeafEntry
+	// walk is what Lookup reads, derived from the fields above by Reindex.
+	walk walk
 }
 
 // TotalEntries is the figure-of-merit of Fig. 12/13/15: the number of
@@ -216,28 +141,18 @@ func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntr
 	return le
 }
 
-// LookupKeyed is Lookup's stage walk, additionally reporting whether the
-// walk was *pure*: every taken transition (ok=true from Table.Next)
-// happened at a stage marked true in keyStage (indexed like Stages; nil
-// skips the tracking and reports false). Purity is what makes a
-// leaf-cache fill sound: whether a state enters a stage at all is a
-// property of the state alone (byState/Defaults membership is
-// value-independent), so two messages agreeing on every keyStage input
-// follow identical trajectories — a pure walk's leaf is a function of
-// the key and may be memoized without hiding any overlapping decision
-// (DESIGN.md §16).
+// LookupKeyed is Lookup, additionally reporting whether the walk was
+// *pure*: every block it visited — every stage in which its state had
+// entries — is marked true in keyStage (indexed like Stages; nil skips
+// the tracking and reports false). Purity is what makes a leaf-cache
+// fill sound: whether a state has a block in a stage is a property of
+// the state alone, and a block's outcome depends on the message only
+// through that stage's input, so two messages agreeing on every
+// keyStage input follow identical trajectories — a pure walk's leaf is a
+// function of the key and may be memoized without hiding any
+// overlapping decision (DESIGN.md §16).
 func (p *Program) LookupKeyed(m *spec.Message, st subscription.StateReader, keyStage []bool) (*LeafEntry, bool) {
-	state := p.Init
-	pure := keyStage != nil
-	for i, t := range p.Stages {
-		v, present := p.input(t, m, st)
-		var took bool
-		state, took = t.Next(state, v, present)
-		if pure && took && !keyStage[i] {
-			pure = false
-		}
-	}
-	return p.leafByState[state], pure
+	return p.walk.lookup(m, st, m.Spec() != p.Spec, keyStage)
 }
 
 // Eval returns the merged action set for a message (empty set = drop).

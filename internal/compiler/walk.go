@@ -1,0 +1,559 @@
+package compiler
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
+	"camus/internal/match"
+	"camus/internal/spec"
+	"camus/internal/subscription"
+)
+
+// walk is the flat form of a Program that the packet path reads
+// (DESIGN.md §18). Stages/Entries/Defaults/Leaf stay the control-plane
+// view; Reindex derives this from them and nothing else writes it.
+//
+// Every (stage, in-state) pair with at least one entry is one block. A
+// block's integer entries are a step function over the field domain — a
+// sorted run of interval lower bounds with a parallel run of successors —
+// and its exact string entries one open-addressed table; all blocks'
+// runs lie back to back in program-wide slices, so a lookup touches one
+// block header and a logarithmic number of bounds (or a slot and its
+// key) per stage it enters, with no map, interface or *Entry in between.
+//
+// A successor is pre-resolved to where the walk really goes next: s >= 0
+// is the index of the next block the out-state enters (stages it passes
+// through cost nothing), s < 0 is leaf slot ^s.
+type walk struct {
+	stages []walkStage // indexed like Program.Stages
+	blocks []block
+	bounds []int64 // interval lower bounds; each run starts at MinInt64
+	next   []int32 // successor of the interval starting at bounds[i]
+	slots  []strSlot
+	keys   []byte // the exact-string keys the slots point into
+	tails  []strTail
+	// leaves[0] is nil (a terminal without a leaf row: drop);
+	// leaves[i+1] is Program.Leaf[i], the same pointer.
+	leaves []*LeafEntry
+	start  int32
+}
+
+// block is one in-state of one stage.
+type block struct {
+	stage int32
+	// miss is the successor when the field is absent, of the wrong kind,
+	// or matches no entry: the state's Defaults row, else the state
+	// itself carried on.
+	miss int32
+	// Integer entries: bounds[off:off+n] / next[off:off+n]; n == 0 when
+	// the state has none.
+	off, n int32
+	// Exact string entries: slots[slotOff:slotOff+slotN], slotN a power
+	// of two or 0. A value that is none of them tries
+	// tails[tailOff:tailOff+tailN] in order, then takes rest.
+	slotOff, slotN int32
+	tailOff, tailN int32
+	rest           int32
+}
+
+// strSlot is one slot of a block's exact-string table; hash 0 marks it
+// empty. The key is keys[off:off+n]: a block's keys lie together, and
+// the slots hold no pointer for the collector to follow.
+type strSlot struct {
+	hash   uint32
+	next   int32
+	off, n uint32
+}
+
+// strTail is a string entry that has to be evaluated: a prefix match or
+// a residual whose exclusions are not all exact keys of its block.
+type strTail struct {
+	c    *match.StrConstraint
+	next int32
+}
+
+// walkStage is what a stage reads from a message.
+type walkStage struct {
+	kind subscription.RefKind
+	// idx is the subscribable index of a packet-field stage (-1 when the
+	// program's spec lacks the field) or the header index of a validity
+	// stage, both in the program's own spec; field and header resolve
+	// them again for a message of another spec.
+	idx    int
+	field  *spec.Field
+	header string
+	aggKey string
+}
+
+func newWalkStage(sp *spec.Spec, t *Table) walkStage {
+	ref := t.Field.Ref
+	s := walkStage{kind: ref.Kind, idx: -1}
+	switch ref.Kind {
+	case subscription.PacketRef:
+		s.field = ref.Field
+		if idx, ok := sp.SubscribableIndex(ref.Field); ok {
+			s.idx = idx
+		}
+	case subscription.ValidityRef:
+		s.header = ref.Header
+		s.idx = sp.HeaderIndex(ref.Header)
+	case subscription.AggregateRef:
+		s.aggKey = ref.Key()
+	}
+	return s
+}
+
+// input returns the value the stage matches on for m: a packet field, a
+// header validity bit, or an aggregate register read through st. foreign
+// marks a message of another spec sharing the field (a merged spec's
+// component), which resolves against its own layout.
+func (s *walkStage) input(m *spec.Message, st subscription.StateReader, foreign bool) (spec.Value, bool) {
+	switch s.kind {
+	case subscription.PacketRef:
+		idx := s.idx
+		if foreign {
+			var ok bool
+			if idx, ok = m.Spec().SubscribableIndex(s.field); !ok {
+				return spec.Value{}, false
+			}
+		}
+		return m.Get(idx)
+	case subscription.ValidityRef:
+		idx := s.idx
+		if foreign {
+			idx = m.Spec().HeaderIndex(s.header)
+		}
+		var bit int64
+		if m.HeaderValid(idx) {
+			bit = 1
+		}
+		return spec.IntVal(bit), true
+	default: // AggregateRef
+		var cur int64
+		if st != nil {
+			cur = st.AggValue(s.aggKey)
+		}
+		return spec.IntVal(cur), true
+	}
+}
+
+// strHash is 32-bit FNV-1a with the top bit set, so no key hashes to the
+// empty-slot mark.
+func strHash(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h ^ h>>15 | 1<<31
+}
+
+// slot returns b's exact-string slot for key, whose strHash is h, or the
+// empty slot where it would go. Tables are at most half full, so the
+// probe ends.
+func (w *walk) slot(b *block, h uint32, key string) *strSlot {
+	tbl := w.slots[b.slotOff : b.slotOff+b.slotN]
+	mask := uint32(len(tbl) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &tbl[i]
+		if s.hash == 0 || s.hash == h && string(w.keys[s.off:s.off+s.n]) == key {
+			return s
+		}
+	}
+}
+
+// lookup is the one stage walk: from the entry block to a leaf, one
+// block per stage the state enters. pure reports that every block
+// visited belongs to a stage marked in keyStage (nil: not tracked,
+// false).
+func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool, keyStage []bool) (*LeafEntry, bool) {
+	if len(w.leaves) == 0 {
+		return nil, false // a hand-assembled Program that was never Reindexed
+	}
+	pure := keyStage != nil
+	cur := w.start
+	for cur >= 0 {
+		b := &w.blocks[cur]
+		if pure && !keyStage[b.stage] {
+			pure = false
+		}
+		cur = b.miss
+		v, present := w.stages[b.stage].input(m, st, foreign)
+		switch {
+		case !present:
+		case v.Kind == spec.IntField:
+			if b.n == 0 {
+				break
+			}
+			// The last bound <= v.Int; the run starts at MinInt64, so
+			// there is one.
+			lo := w.bounds[b.off : b.off+b.n]
+			i, n := 0, len(lo)
+			for n > 1 {
+				half := n >> 1
+				if lo[i+half] <= v.Int {
+					i += half
+				}
+				n -= half
+			}
+			cur = w.next[int(b.off)+i]
+		default:
+			cur = b.rest
+			if b.slotN > 0 {
+				if s := w.slot(b, strHash(v.Str), v.Str); s.hash != 0 {
+					cur = s.next
+					break
+				}
+			}
+			tails := w.tails[b.tailOff : b.tailOff+b.tailN]
+			for i := range tails {
+				if tails[i].c.Matches(v) {
+					cur = tails[i].next
+					break
+				}
+			}
+		}
+	}
+	return w.leaves[^cur], pure
+}
+
+// Reindex derives the walk from Stages, Defaults, Leaf and Init. The
+// compiler calls it on every program it returns; code that edits those
+// fields afterwards (internal/analysis/corrupt) calls it again, or the
+// dataplane keeps executing the tables as they were. It must not run
+// concurrently with a Lookup on p.
+func (p *Program) Reindex() {
+	states := len(p.Leaf)
+	for _, t := range p.Stages {
+		states += len(t.Defaults)
+	}
+	w := walk{
+		stages: make([]walkStage, len(p.Stages)),
+		leaves: make([]*LeafEntry, 1, len(p.Leaf)+1),
+	}
+	bld := walkBuilder{w: &w, enter: make(map[StateID]int32, states)}
+	for i, le := range p.Leaf {
+		w.leaves = append(w.leaves, le)
+		bld.enter[le.In] = ^int32(i + 1)
+	}
+	// Last stage first: when stage i is built, enter already says where
+	// every state goes from stage i+1 on.
+	for i := len(p.Stages) - 1; i >= 0; i-- {
+		w.stages[i] = newWalkStage(p.Spec, p.Stages[i])
+		bld.table(int32(i), p.Stages[i])
+	}
+	w.start = bld.resolve(p.Init)
+	p.walk = w
+}
+
+// walkBuilder holds Reindex's scratch.
+type walkBuilder struct {
+	w *walk
+	// enter maps a state to its pre-resolved successor from the stage
+	// after the one being built: the first later block it has, else its
+	// leaf slot.
+	enter  map[StateID]int32
+	recs   []walkRec
+	groups []group
+	heap   []int32
+}
+
+func (bld *walkBuilder) resolve(s StateID) int32 {
+	if next, ok := bld.enter[s]; ok {
+		return next
+	}
+	return ^0 // no later block, no leaf row
+}
+
+// walkRec is one entry of the table being built, cut into the pieces the
+// block layout stores: an integer entry gives one recSeg per maximal
+// interval between its excluded points.
+type walkRec struct {
+	in     StateID
+	kind   uint8
+	prio   int32 // index in Table.Entries: the first matching entry wins
+	next   int32
+	lo, hi int64 // recSeg
+}
+
+const (
+	recSeg uint8 = iota
+	recExact
+	recTail
+)
+
+// group is one in-state's run of the sorted pieces: recs[a:z], of which
+// the first nseg are integer pieces and the next nexact exact strings.
+type group struct {
+	a, z         int
+	nseg, nexact int
+}
+
+// slotsFor is the size of the exact-string table of n keys: a power of
+// two that leaves it at most half full.
+func slotsFor(n int) int {
+	if n == 0 {
+		return 0
+	}
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// table appends stage's blocks: one sort over (in-state, piece kind,
+// lower bound, entry order) groups every state's pieces, the slabs grow
+// once by what the groups need, then each group is laid out.
+func (bld *walkBuilder) table(stage int32, t *Table) {
+	recs := slices.Grow(bld.recs[:0], len(t.Entries))
+	nkey := 0
+	for i, e := range t.Entries {
+		r := walkRec{in: e.In, prio: int32(i), next: bld.resolve(e.Out)}
+		switch c := e.Match.(type) {
+		case *match.IntConstraint:
+			recs = appendSegs(recs, r, c)
+		case *match.StrConstraint:
+			r.kind = recTail
+			if c.HasKnown {
+				r.kind = recExact
+				nkey += len(c.Known)
+			}
+			recs = append(recs, r)
+		default:
+			panic(fmt.Sprintf("compiler: stage %s: unknown constraint type %T", t.Name(), e.Match))
+		}
+	}
+	slices.SortFunc(recs, func(a, b walkRec) int {
+		return cmp.Or(cmp.Compare(a.in, b.in), cmp.Compare(a.kind, b.kind),
+			cmp.Compare(a.lo, b.lo), cmp.Compare(a.prio, b.prio))
+	})
+	bld.recs = recs
+
+	groups := bld.groups[:0]
+	var nseg, nslot, ntail int
+	for a := 0; a < len(recs); {
+		g := group{a: a, z: a}
+		for g.z < len(recs) && recs[g.z].in == recs[a].in {
+			switch recs[g.z].kind {
+			case recSeg:
+				g.nseg++
+			case recExact:
+				g.nexact++
+			}
+			g.z++
+		}
+		groups = append(groups, g)
+		nseg += g.nseg
+		nslot += slotsFor(g.nexact)
+		ntail += g.z - g.a - g.nseg - g.nexact
+		a = g.z
+	}
+	bld.groups = groups
+	w := bld.w
+	w.blocks = slices.Grow(w.blocks, len(groups))
+	w.bounds = slices.Grow(w.bounds, 2*nseg+len(groups))
+	w.next = slices.Grow(w.next, 2*nseg+len(groups))
+	w.slots = slices.Grow(w.slots, nslot)
+	w.keys = slices.Grow(w.keys, nkey)
+	w.tails = slices.Grow(w.tails, ntail)
+
+	first := len(w.blocks)
+	for _, g := range groups {
+		in := recs[g.a].in
+		state := in
+		if d, ok := t.Defaults[in]; ok {
+			state = d
+		}
+		b := block{stage: stage, miss: bld.resolve(state)}
+		b.rest = b.miss
+		bld.paint(&b, recs[g.a:g.a+g.nseg])
+		bld.strings(&b, t, recs[g.a+g.nseg:g.a+g.nseg+g.nexact], recs[g.a+g.nseg+g.nexact:g.z])
+		w.blocks = append(w.blocks, b)
+	}
+	// Only from here on do this stage's states enter their own blocks:
+	// an entry that leads to an in-state of its own stage moves on to the
+	// next stage, as the pipeline does.
+	for i, g := range groups {
+		bld.enter[recs[g.a].in] = int32(first + i)
+	}
+}
+
+// appendSegs appends c's maximal intervals as copies of r. A constraint
+// nothing satisfies still yields one (empty) piece, so that its state has
+// a block.
+func appendSegs(recs []walkRec, r walkRec, c *match.IntConstraint) []walkRec {
+	r.kind = recSeg
+	was := len(recs)
+	lo, done := c.Lo, c.Lo > c.Hi
+	for _, x := range c.Excluded {
+		if done {
+			break
+		}
+		if x < lo || x > c.Hi {
+			continue
+		}
+		if x > lo {
+			r.lo, r.hi = lo, x-1
+			recs = append(recs, r)
+		}
+		if x == c.Hi {
+			done = true
+		} else {
+			lo = x + 1
+		}
+	}
+	if !done {
+		r.lo, r.hi = lo, c.Hi
+		recs = append(recs, r)
+	}
+	if len(recs) == was {
+		r.lo, r.hi = 0, -1
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// paint lays out one state's integer pieces (sorted by lower bound, then
+// entry order) as the step function "successor of the first entry that
+// contains v", b.miss where none does. Entries normally partition the
+// domain; they overlap where match.maxExclusions dropped an exclusion,
+// and then the earlier entry wins, as in BDD evaluation order. The sweep
+// keeps the pieces containing the current point in a heap on entry
+// order; adjacent intervals with one successor merge.
+func (bld *walkBuilder) paint(b *block, segs []walkRec) {
+	if len(segs) == 0 {
+		return
+	}
+	w := bld.w
+	b.off = int32(len(w.bounds))
+	w.bounds = append(w.bounds, math.MinInt64)
+	w.next = append(w.next, b.miss)
+	h := bld.heap[:0]
+	at := int64(math.MinInt64)
+	for i := 0; ; {
+		for ; i < len(segs) && segs[i].lo <= at; i++ {
+			h = heapPush(h, segs, int32(i))
+		}
+		for len(h) > 0 && segs[h[0]].hi < at {
+			h = heapPop(h, segs)
+		}
+		next := b.miss
+		if len(h) > 0 {
+			next = segs[h[0]].next
+		}
+		if last := len(w.next) - 1; next != w.next[last] {
+			if w.bounds[last] == at {
+				w.next[last] = next
+			} else {
+				w.bounds = append(w.bounds, at)
+				w.next = append(w.next, next)
+			}
+		}
+		// The step function next changes where the winning piece ends or
+		// where another piece begins, whichever is first.
+		switch ends := len(h) > 0 && segs[h[0]].hi < math.MaxInt64; {
+		case i < len(segs) && (!ends || segs[i].lo <= segs[h[0]].hi):
+			at = segs[i].lo
+		case ends:
+			at = segs[h[0]].hi + 1
+		default:
+			bld.heap = h
+			b.n = int32(len(w.bounds)) - b.off
+			return
+		}
+	}
+}
+
+// heapPush and heapPop keep h, indices into segs, a min-heap on entry
+// order.
+func heapPush(h []int32, segs []walkRec, x int32) []int32 {
+	h = append(h, x)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if segs[h[up]].prio <= segs[h[i]].prio {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	return h
+}
+
+func heapPop(h []int32, segs []walkRec) []int32 {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if segs[h[c]].prio < segs[h[least]].prio {
+				least = c
+			}
+		}
+		if least == i {
+			return h
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// strings lays out one state's string entries, both kinds in entry
+// order. Each exact key is resolved here against the entries before it,
+// so a table hit is final; a residual that excludes nothing but exact
+// keys of this block matches every value the table misses and becomes
+// b.rest, ending the tail.
+func (bld *walkBuilder) strings(b *block, t *Table, exacts, tails []walkRec) {
+	w := bld.w
+	constraint := func(r walkRec) *match.StrConstraint {
+		return t.Entries[r.prio].Match.(*match.StrConstraint)
+	}
+	if len(exacts) > 0 {
+		b.slotOff, b.slotN = int32(len(w.slots)), int32(slotsFor(len(exacts)))
+		w.slots = append(w.slots, make([]strSlot, b.slotN)...)
+		before := 0 // tails[:before] precede the exact entry in hand
+		for _, r := range exacts {
+			for before < len(tails) && tails[before].prio < r.prio {
+				before++
+			}
+			key := constraint(r).Known
+			h := strHash(key)
+			s := w.slot(b, h, key)
+			if s.hash != 0 {
+				continue // an earlier exact entry holds the key
+			}
+			*s = strSlot{hash: h, next: r.next, off: uint32(len(w.keys)), n: uint32(len(key))}
+			w.keys = append(w.keys, key...)
+			v := spec.Value{Kind: spec.StringField, Str: key}
+			for _, tl := range tails[:before] {
+				if constraint(tl).Matches(v) {
+					s.next = tl.next
+					break
+				}
+			}
+		}
+	}
+	b.tailOff = int32(len(w.tails))
+	for _, r := range tails {
+		c := constraint(r)
+		if c.IsResidual() && w.excludesOnlyKeys(b, c) {
+			b.rest = r.next
+			break
+		}
+		w.tails = append(w.tails, strTail{c: c, next: r.next})
+	}
+	b.tailN = int32(len(w.tails)) - b.tailOff
+}
+
+// excludesOnlyKeys reports whether every value the residual c excludes
+// is a key of b's exact-string table.
+func (w *walk) excludesOnlyKeys(b *block, c *match.StrConstraint) bool {
+	for _, x := range c.ExcludedEq {
+		if b.slotN == 0 || w.slot(b, strHash(x), x).hash == 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -1,0 +1,876 @@
+package compiler
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"camus/internal/bdd"
+	"camus/internal/formats"
+	"camus/internal/match"
+	"camus/internal/spec"
+	"camus/internal/subscription"
+	"camus/internal/workload"
+)
+
+// refWalk is the stage walk as the seed ran it — per stage: does the
+// state have entries, first entry whose Match.Matches in slice order,
+// else the Defaults row, else carry the state on; then the leaf row of
+// the final state. It reads only Entries, Defaults and Leaf, and is the
+// reference every flat-walk test compares against.
+//
+// One deliberate difference from the seed: a walk is impure as soon as
+// its state has entries in a non-key stage, even when no entry and no
+// default took it anywhere. The seed kept such a walk pure, which let a
+// default-less state memoize a drop that another value of the same key
+// would not get.
+type refWalk struct {
+	p       *Program
+	byState []map[StateID][]*Entry
+	leaf    map[StateID]*LeafEntry
+}
+
+func newRefWalk(p *Program) *refWalk {
+	r := &refWalk{p: p, leaf: make(map[StateID]*LeafEntry)}
+	for _, t := range p.Stages {
+		by := make(map[StateID][]*Entry)
+		for _, e := range t.Entries {
+			by[e.In] = append(by[e.In], e)
+		}
+		r.byState = append(r.byState, by)
+	}
+	for _, le := range p.Leaf {
+		r.leaf[le.In] = le
+	}
+	return r
+}
+
+func (r *refWalk) lookup(m *spec.Message, st subscription.StateReader, keyStage []bool) (*LeafEntry, bool) {
+	state := r.p.Init
+	pure := keyStage != nil
+	for i, t := range r.p.Stages {
+		entries, in := r.byState[i][state]
+		if !in {
+			continue
+		}
+		if pure && !keyStage[i] {
+			pure = false
+		}
+		v, present := refInput(t, m, st)
+		next, took := state, false
+		if present {
+			for _, e := range entries {
+				if e.Match.Matches(v) {
+					next, took = e.Out, true
+					break
+				}
+			}
+		}
+		if d, ok := t.Defaults[state]; ok && !took {
+			next = d
+		}
+		state = next
+	}
+	return r.leaf[state], pure
+}
+
+func refInput(t *Table, m *spec.Message, st subscription.StateReader) (spec.Value, bool) {
+	ref := t.Field.Ref
+	switch ref.Kind {
+	case subscription.PacketRef:
+		idx, ok := m.Spec().SubscribableIndex(ref.Field)
+		if !ok {
+			return spec.Value{}, false
+		}
+		return m.Get(idx)
+	case subscription.ValidityRef:
+		if m.HeaderPresent(ref.Header) {
+			return spec.IntVal(1), true
+		}
+		return spec.IntVal(0), true
+	default:
+		if st == nil {
+			return spec.IntVal(0), true
+		}
+		return spec.IntVal(st.AggValue(ref.Key())), true
+	}
+}
+
+// probes are the values worth sending through a program: every bound of
+// every entry and its neighbours, every string an entry names and a near
+// miss of it, and the ends of the integer domain.
+type probes struct {
+	// byField holds the values of packet-field stages; aggs those of
+	// aggregate stages, by register key.
+	byField map[*spec.Field][]spec.Value
+	aggs    map[string][]int64
+}
+
+func newProbes(p *Program) *probes {
+	pr := &probes{byField: make(map[*spec.Field][]spec.Value), aggs: make(map[string][]int64)}
+	for _, t := range p.Stages {
+		ints := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+		strs := []string{"", "nomatch"}
+		for _, e := range t.Entries {
+			switch c := e.Match.(type) {
+			case *match.IntConstraint:
+				ints = append(ints, c.Lo, c.Hi)
+				if c.Lo > math.MinInt64 {
+					ints = append(ints, c.Lo-1)
+				}
+				if c.Hi < math.MaxInt64 {
+					ints = append(ints, c.Hi+1)
+				}
+				for _, x := range c.Excluded {
+					ints = append(ints, x-1, x, x+1)
+				}
+			case *match.StrConstraint:
+				strs = append(strs, c.Known, c.Known+"x", c.Required, c.Required+"z")
+				strs = append(strs, c.ExcludedEq...)
+				for _, px := range c.ExcludedPx {
+					strs = append(strs, px, px+"q")
+				}
+			}
+		}
+		switch ref := t.Field.Ref; ref.Kind {
+		case subscription.PacketRef:
+			vals := pr.byField[ref.Field]
+			for _, x := range ints {
+				vals = append(vals, spec.IntVal(x))
+			}
+			for _, s := range strs {
+				vals = append(vals, spec.Value{Kind: spec.StringField, Str: s})
+			}
+			pr.byField[ref.Field] = vals
+		case subscription.AggregateRef:
+			pr.aggs[ref.Key()] = ints
+		}
+	}
+	return pr
+}
+
+// message draws one message of sp (the program's spec or one merged
+// from it): headers present five times in six; a field of a present
+// header takes one of its stage's probe values — which include values of
+// the wrong kind — or, rarely, stays absent.
+func (pr *probes) message(r *rand.Rand, sp *spec.Spec) *spec.Message {
+	m := spec.NewMessage(sp)
+	for hi, h := range sp.Headers {
+		if r.Intn(6) == 0 {
+			continue
+		}
+		m.MarkHeaderIndex(hi)
+		for _, f := range h.Fields {
+			idx, ok := sp.SubscribableIndex(f)
+			if !ok || r.Intn(24) == 0 {
+				continue
+			}
+			vals := pr.byField[f]
+			switch {
+			case len(vals) > 0 && r.Intn(8) != 0:
+				v := vals[r.Intn(len(vals))]
+				// Mostly the field's own kind.
+				for try := 0; v.Kind != f.Type && try < 4; try++ {
+					v = vals[r.Intn(len(vals))]
+				}
+				m.SetIndex(idx, v)
+			case f.Type == spec.StringField:
+				m.SetIndex(idx, spec.StrVal(fmt.Sprintf("S%03d", r.Intn(120))))
+			default:
+				m.SetIndex(idx, spec.IntVal(r.Int63n(1200)))
+			}
+		}
+	}
+	return m
+}
+
+func (pr *probes) state(r *rand.Rand) subscription.StateReader {
+	if len(pr.aggs) == 0 {
+		return nil
+	}
+	st := subscription.MapState{}
+	for key, vals := range pr.aggs {
+		st[key] = vals[r.Intn(len(vals))]
+	}
+	return st
+}
+
+// checkWalk asserts Lookup ≡ reference on n probe messages: the same
+// *LeafEntry, and the same purity bit under no mask, the all-key mask,
+// the no-key mask and a random one.
+func checkWalk(t testing.TB, p *Program, r *rand.Rand, n int, specs ...*spec.Spec) {
+	t.Helper()
+	ref := newRefWalk(p)
+	pr := newProbes(p)
+	specs = append(specs, p.Spec)
+	masks := [][]bool{nil, make([]bool, len(p.Stages)), make([]bool, len(p.Stages)), make([]bool, len(p.Stages))}
+	for i := range masks[1] {
+		masks[1][i] = true
+	}
+	for i := 0; i < n; i++ {
+		m := pr.message(r, specs[r.Intn(len(specs))])
+		st := pr.state(r)
+		for j := range masks[3] {
+			masks[3][j] = r.Intn(2) == 0
+		}
+		for _, mask := range masks {
+			want, wantPure := ref.lookup(m, st, mask)
+			got, gotPure := p.LookupKeyed(m, st, mask)
+			if got != want || gotPure != wantPure {
+				t.Fatalf("message %s state %v mask %v:\n got leaf %v pure %v\nwant leaf %v pure %v\nprogram:\n%s",
+					m, st, mask, leafString(got), gotPure, leafString(want), wantPure, clip(p.String()))
+			}
+		}
+		if le := p.Lookup(m, st); le != mustLeaf(ref.lookup(m, st, nil)) {
+			t.Fatalf("Lookup disagrees with LookupKeyed on %s", m)
+		}
+	}
+}
+
+func mustLeaf(le *LeafEntry, _ bool) *LeafEntry { return le }
+
+func leafString(le *LeafEntry) string {
+	if le == nil {
+		return "<none>"
+	}
+	return fmt.Sprintf("%d->%s%v", le.In, le.Actions, le.Updates)
+}
+
+func clip(s string) string {
+	if len(s) > 4000 {
+		return s[:4000] + "\n..."
+	}
+	return s
+}
+
+// The rule sets of bench/workloads.go: 500 ITCH rules over 100 symbols
+// whose price thresholds come off a grid all symbols share (every 5th
+// rule on a windowed average when stateful), and n (there 1000) INT
+// rules of exact + range predicates.
+func benchITCHRules(r *rand.Rand, stateful bool) []string {
+	syms := workload.DefaultSymbols(100)
+	var grid [5][10]int
+	for k := range grid {
+		for j := range grid[k] {
+			grid[k][j] = 10 + 198*k + 19*j + r.Intn(19)
+		}
+	}
+	out := make([]string, 500)
+	for i := range out {
+		k := i / 100
+		p := grid[k][(i*7+k*3)%10]
+		pred := fmt.Sprintf("price > %d", p)
+		if stateful && i%5 == 0 {
+			pred = fmt.Sprintf("avg(price, 100us) > %d", p)
+		}
+		out[i] = fmt.Sprintf("stock == %s and %s: fwd(%d)", syms[i%100], pred, i%48)
+	}
+	return out
+}
+
+func benchINTRules(r *rand.Rand, n int) []string {
+	grid := make([]int, 16)
+	for g := range grid {
+		grid[g] = 700 + 18*g + r.Intn(6)
+	}
+	out := make([]string, n)
+	na, nb := 0, 0
+	for i := range out {
+		if i%4 == 3 {
+			out[i] = fmt.Sprintf("egress_port == %d and hop_latency > %d: fwd(%d)",
+				nb%32, grid[(nb/32+nb)%len(grid)], i%48)
+			nb++
+			continue
+		}
+		k := na / 64
+		out[i] = fmt.Sprintf("switch_id == %d and hop_latency > %d and queue_depth > %d: fwd(%d)",
+			na%64, 706+18*k+r.Intn(6), 32+2*(k*5%12)+r.Intn(2), i%48)
+		na++
+	}
+	return out
+}
+
+func compileLines(t testing.TB, sp *spec.Spec, lines []string, opts Options) *Program {
+	t.Helper()
+	return compile(t, sp, strings.Join(lines, "\n"), opts)
+}
+
+// TestWalkMatchesReference is the differential test of the flat walk.
+func TestWalkMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	merged, err := spec.Merge("itch+int", formats.ITCH, formats.INT)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("bench/itch", func(t *testing.T) {
+		checkWalk(t, compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), r, 4000, merged)
+	})
+	t.Run("bench/itch_stateful", func(t *testing.T) {
+		checkWalk(t, compileLines(t, formats.ITCH, benchITCHRules(r, true), Options{LastHop: true}), r, 4000)
+	})
+	t.Run("bench/int", func(t *testing.T) {
+		checkWalk(t, compileLines(t, formats.INT, benchINTRules(r, 400), Options{LastHop: true}), r, 4000, merged)
+	})
+
+	// Siena rule sets over each of the eight application specs, with and
+	// without the implicit validity guards (without them absent fields
+	// reach the Defaults rows).
+	apps := []*spec.Spec{formats.ITCH, formats.INT, formats.ILA, formats.HICN,
+		formats.DNS, formats.Highway, formats.Kafka, formats.NetBase}
+	for _, sp := range apps {
+		for seed := int64(0); seed < 3; seed++ {
+			t.Run(fmt.Sprintf("siena/%s/%d", sp.Name, seed), func(t *testing.T) {
+				rules, err := workload.SienaRules(workload.SienaConfig{
+					Spec: sp, Filters: 25, MaxPredicates: 3, IntRange: 64,
+					StringValues: workload.DefaultSymbols(40), Seed: seed,
+				}, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := Compile(sp, rules, Options{DisableValidityGuards: seed == 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWalk(t, p, r, 1500)
+			})
+		}
+	}
+
+	// 200 incremental add/remove events, then the Canonical renumbering
+	// of where they end.
+	t.Run("incremental", func(t *testing.T) {
+		sp := testSpec(t)
+		inc, err := NewIncremental(sp, Options{LastHop: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := randomRules(r, sp, 120)
+		live := make(map[int]bool)
+		for ev := 0; ev < 200; ev++ {
+			rule := pool[r.Intn(len(pool))]
+			var err error
+			if live[rule.ID] {
+				_, err = inc.Remove(rule.ID)
+			} else {
+				_, err = inc.Add(rule)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[rule.ID] = !live[rule.ID]
+			if ev%10 == 9 {
+				checkWalk(t, inc.Program(), r, 100)
+			}
+		}
+		checkWalk(t, inc.Program(), r, 2000)
+		checkWalk(t, inc.Program().Canonical(), r, 2000)
+	})
+}
+
+// randomTables assembles a program no compiler would emit: a dozen
+// states shared by all six stages, entries in random order whose
+// constraints overlap, are empty, name one another's in-states as
+// successors or sit in a stage of the other kind, defaults with and
+// without entries, leaf rows for some states only. The walk owes the
+// reference the same answer on any tables, not only on well-formed ones.
+func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
+	state := func() StateID { return StateID(r.Intn(12)) }
+	intC := func() match.Constraint {
+		c := &match.IntConstraint{Lo: int64(r.Intn(14) - 2), Hi: int64(r.Intn(14) - 2)}
+		switch r.Intn(5) {
+		case 0:
+			c.Lo = math.MinInt64
+		case 1:
+			c.Hi = math.MaxInt64
+		case 2:
+			c.Lo, c.Hi = math.MinInt64, math.MaxInt64
+		}
+		for x := int64(-2); x < 12; x++ {
+			if x >= c.Lo && x <= c.Hi && r.Intn(4) == 0 {
+				c.Excluded = append(c.Excluded, x)
+			}
+		}
+		return c
+	}
+	words := []string{"", "A", "AB", "ABC", "B", "BA"}
+	strC := func() match.Constraint {
+		if r.Intn(2) == 0 {
+			return &match.StrConstraint{HasKnown: true, Known: words[r.Intn(len(words))]}
+		}
+		c := &match.StrConstraint{Required: words[r.Intn(3)]}
+		for _, w := range words { // words is sorted, as the exclusion lists must be
+			if r.Intn(3) == 0 {
+				c.ExcludedEq = append(c.ExcludedEq, w)
+			}
+			if w != "" && r.Intn(6) == 0 {
+				c.ExcludedPx = append(c.ExcludedPx, w)
+			}
+		}
+		return c
+	}
+	refs := []subscription.FieldRef{subscription.ValidRef("ord_sym")}
+	for _, f := range sp.SubscribableFields() {
+		refs = append(refs, subscription.FieldRef{Kind: subscription.PacketRef, Field: f})
+	}
+	price, _ := sp.Field("price")
+	refs = append(refs, subscription.FieldRef{Kind: subscription.AggregateRef, Field: price, Agg: spec.AggAvg})
+
+	p := &Program{Spec: sp, Init: state()}
+	for i, ref := range refs {
+		t := &Table{Field: &bdd.FieldVar{Index: i, Ref: ref}, Defaults: make(map[StateID]StateID)}
+		for n := r.Intn(14); n > 0; n-- {
+			e := &Entry{In: state(), Out: state()}
+			if (ref.Type() == spec.StringField) != (r.Intn(12) == 0) {
+				e.Match = strC()
+			} else {
+				e.Match = intC()
+			}
+			t.Entries = append(t.Entries, e)
+		}
+		for n := r.Intn(6); n > 0; n-- {
+			t.Defaults[state()] = state()
+		}
+		p.Stages = append(p.Stages, t)
+	}
+	for s := StateID(0); s < 12; s++ {
+		if r.Intn(3) != 0 {
+			p.Leaf = append(p.Leaf, &LeafEntry{In: s, Group: -1})
+		}
+	}
+	p.Reindex()
+	return p
+}
+
+func TestWalkOnArbitraryTables(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	sp := testSpec(t)
+	for i := 0; i < 300; i++ {
+		checkWalk(t, randomTables(r, sp), r, 150)
+	}
+}
+
+// TestFirstMatchOrder: with more equality predicates on one field than
+// match.maxExclusions keeps, the residual entry no longer excludes every
+// exact value and overlaps the exact entries before it. The first
+// matching entry in slice order must win, at every edge of the domain,
+// for absent and wrong-kind values, with a default removed and for a
+// message of another spec.
+func TestFirstMatchOrder(t *testing.T) {
+	sp := testSpec(t)
+	var lines []string
+	for i := 0; i < 40; i++ {
+		lines = append(lines, fmt.Sprintf("price == %d: fwd(%d)", 100+3*i, 1+i%7))
+		lines = append(lines, fmt.Sprintf("stock == K%02d: fwd(%d)", i, 8+i%5))
+	}
+	lines = append(lines, "price > 150 and price < 180: fwd(20)", "name prefix K1: fwd(21)")
+	// Validity guards off, so that a message may carry a header without
+	// one of its fields and reach a Defaults row.
+	p := compileLines(t, sp, lines, Options{DisableValidityGuards: true})
+
+	overlaps := 0
+	for _, st := range p.Stages {
+		for i, e := range st.Entries {
+			v, ok := e.Match.Exact()
+			if !ok {
+				continue
+			}
+			for _, later := range st.Entries[i+1:] {
+				if later.In == e.In && later.Match.Matches(v) {
+					overlaps++
+				}
+			}
+		}
+	}
+	if overlaps == 0 {
+		t.Fatal("no entry overlaps a later one: the rule set no longer exceeds match.maxExclusions")
+	}
+
+	ref := newRefWalk(p)
+	rules := mustRules(t, sp, strings.Join(lines, "\n"))
+	// agree checks the walk against the reference and, for the intact
+	// program, against the rules themselves.
+	intact := p
+	agree := func(p *Program, ref *refWalk, m *spec.Message) {
+		t.Helper()
+		if got, want := p.Lookup(m, nil), mustLeaf(ref.lookup(m, nil, nil)); got != want {
+			t.Errorf("%s: got %s, reference %s", m, leafString(got), leafString(want))
+		}
+		if p != intact {
+			return
+		}
+		if got, want := p.Eval(m, nil).Key(), subscription.MatchActions(rules, m, nil).Key(); got != want {
+			t.Errorf("%s: got %s, rules say %s", m, got, want)
+		}
+	}
+	prices := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 99, 100, 101, 102, 103, 150, 151, 152, 179, 180,
+		216, 217, 218, math.MaxInt64 - 1, math.MaxInt64}
+	stocks := []string{"", "K", "K00", "K01", "K31", "K32", "K33", "K39", "K40", "K1", "K001", "ZZ"}
+	for _, price := range prices {
+		for _, stock := range stocks {
+			m := spec.NewMessage(sp)
+			m.MustSet("shares", spec.IntVal(1))
+			m.MustSet("price", spec.IntVal(price))
+			m.MustSet("stock", spec.StrVal(stock))
+			m.MustSet("name", spec.StrVal(stock))
+			agree(p, ref, m)
+		}
+	}
+
+	base := func() *spec.Message {
+		m := spec.NewMessage(sp)
+		m.MustSet("shares", spec.IntVal(1))
+		m.MustSet("price", spec.IntVal(103))
+		m.MustSet("stock", spec.StrVal("K05"))
+		m.MustSet("name", spec.StrVal("K1x"))
+		return m
+	}
+	priceIdx, _ := sp.SubscribableIndex(mustField(t, sp, "price"))
+	stockIdx, _ := sp.SubscribableIndex(mustField(t, sp, "stock"))
+
+	wrongKind := base()
+	wrongKind.SetIndex(priceIdx, spec.StrVal("103"))
+	agree(p, ref, wrongKind)
+	wrongKind = base()
+	wrongKind.SetIndex(stockIdx, spec.IntVal(5))
+	agree(p, ref, wrongKind)
+
+	// Header present, field absent: the Defaults row.
+	absent := spec.NewMessage(sp)
+	absent.MarkHeader("ord_qty")
+	absent.MustSet("stock", spec.StrVal("K05"))
+	agree(p, ref, absent)
+	if p.Lookup(absent, nil) == nil {
+		t.Fatal("absent price should still reach the stock == K05 leaf")
+	}
+
+	// The same message once the state's default is gone: the state is
+	// carried on, enters no later stage and has no leaf row.
+	broken := compileLines(t, sp, lines, Options{DisableValidityGuards: true})
+	for _, st := range broken.Stages {
+		if st.Field.Ref.Kind == subscription.PacketRef && st.Field.Ref.Field.Name == "price" {
+			delete(st.Defaults, broken.Init)
+		}
+	}
+	broken.Reindex()
+	brokenRef := newRefWalk(broken)
+	agree(broken, brokenRef, absent)
+	if le := broken.Lookup(absent, nil); le != nil {
+		t.Fatalf("default removed: got leaf %s, want none", leafString(le))
+	}
+	agree(broken, brokenRef, base())
+
+	// A message of a merged spec resolves its fields by name, not index.
+	other := spec.MustParse("other", "header pre {\n    x : u32 @field;\n}\n")
+	merged, err := spec.Merge("merged", other, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := spec.NewMessage(merged)
+	foreign.MustSet("x", spec.IntVal(9))
+	foreign.MustSet("shares", spec.IntVal(1))
+	foreign.MustSet("price", spec.IntVal(103))
+	foreign.MustSet("stock", spec.StrVal("K39"))
+	foreign.MustSet("name", spec.StrVal("K1"))
+	agree(p, ref, foreign)
+	if got, want := p.Eval(foreign, nil).Key(), p.Eval(baseWith(base(), "stock", "K39", "name", "K1"), nil).Key(); got != want {
+		t.Errorf("merged-spec message: got %s, same-spec twin %s", got, want)
+	}
+}
+
+func baseWith(m *spec.Message, kv ...string) *spec.Message {
+	for i := 0; i < len(kv); i += 2 {
+		m.MustSet(kv[i], spec.StrVal(kv[i+1]))
+	}
+	return m
+}
+
+func mustField(t *testing.T, sp *spec.Spec, name string) *spec.Field {
+	t.Helper()
+	f, ok := sp.Field(name)
+	if !ok {
+		t.Fatalf("no field %q", name)
+	}
+	return f
+}
+
+// fuzzRules derives 1–6 rules over every predicate shape from fuzz
+// bytes; next returns 0 once the bytes run out.
+func fuzzRules(next func() int) string {
+	intRels := []string{"==", "!=", "<", "<=", ">", ">="}
+	consts := []int{0, 1, 2, 60, 61, 100, 1000}
+	syms := []string{"GOOGL", "MSFT", "GO", "A"}
+	var b strings.Builder
+	for i, n := 0, 1+next()%6; i < n; i++ {
+		for j, atoms := 0, 1+next()%3; j < atoms; j++ {
+			if j > 0 {
+				b.WriteString([]string{" and ", " and ", " or "}[next()%3])
+			}
+			switch next() % 5 {
+			case 0:
+				fmt.Fprintf(&b, "shares %s %d", intRels[next()%6], consts[next()%7])
+			case 1:
+				fmt.Fprintf(&b, "price %s %d", intRels[next()%6], consts[next()%7])
+			case 2:
+				fmt.Fprintf(&b, "stock == %s", syms[next()%4])
+			case 3:
+				fmt.Fprintf(&b, "name %s %s", []string{"==", "!=", "prefix"}[next()%3], syms[next()%4])
+			default:
+				fmt.Fprintf(&b, "avg(price) %s %d", intRels[next()%6], consts[next()%7])
+			}
+		}
+		fmt.Fprintf(&b, ": fwd(%d)\n", 1+next()%4)
+	}
+	return b.String()
+}
+
+// FuzzLookup is the differential fuzzer of the flat walk against
+// refWalk: rule bytes choose the program, message bytes the packet, the
+// register values and the purity mask. (Program against rules is
+// FuzzCompileProve's job, in internal/analysis/prove.)
+func FuzzLookup(f *testing.F) {
+	f.Add([]byte{}, []byte{}, false)
+	f.Add([]byte{1, 1, 0, 0, 2, 2, 0}, []byte{3, 60, 61, 0, 1}, false)
+	f.Add([]byte{3, 2, 4, 3, 1, 2, 1, 0, 5, 1, 2, 3, 3, 2, 2}, []byte{3, 100, 2, 1, 1, 61}, true)
+	f.Add([]byte{5, 2, 3, 2, 0, 3, 1, 1, 2, 2, 4, 0, 3, 1, 1, 0, 1, 5}, []byte{2, 0, 0, 3, 3, 200}, true)
+	f.Fuzz(func(t *testing.T, ruleBytes, msgBytes []byte, lastHop bool) {
+		reader := func(data []byte) func() int {
+			return func() int {
+				if len(data) == 0 {
+					return 0
+				}
+				b := data[0]
+				data = data[1:]
+				return int(b)
+			}
+		}
+		sp := testSpec(t)
+		rules, err := subscription.NewParser(sp).ParseRules(fuzzRules(reader(ruleBytes)))
+		if err != nil {
+			t.Skip() // the generator can emit shapes the parser rejects
+		}
+		p, err := Compile(sp, rules, Options{LastHop: lastHop})
+		if err != nil {
+			t.Skip()
+		}
+		next := reader(msgBytes)
+		m := spec.NewMessage(sp)
+		present := next()
+		ints := []int64{0, 1, 2, 59, 60, 61, 62, 99, 100, 101, 999, 1000, 1001, math.MinInt64, math.MaxInt64}
+		strs := []string{"GOOGL", "MSFT", "GO", "A", "", "GOO", "GOOGLE", "AA", "B"}
+		if present&1 != 0 {
+			m.MustSet("shares", spec.IntVal(ints[next()%len(ints)]))
+			m.MustSet("price", spec.IntVal(ints[next()%len(ints)]))
+		}
+		if present&2 != 0 {
+			m.MustSet("stock", spec.StrVal(strs[next()%len(strs)]))
+			m.MustSet("name", spec.StrVal(strs[next()%len(strs)]))
+		}
+		st := subscription.MapState{}
+		for _, stage := range p.Stages {
+			if stage.Field.Ref.Kind == subscription.AggregateRef {
+				st[stage.Field.Ref.Key()] = ints[next()%len(ints)]
+			}
+		}
+		mask := make([]bool, len(p.Stages))
+		for i := range mask {
+			mask[i] = next()&1 != 0
+		}
+		want, wantPure := newRefWalk(p).lookup(m, st, mask)
+		got, gotPure := p.LookupKeyed(m, st, mask)
+		if got != want || gotPure != wantPure {
+			t.Fatalf("%s state %v mask %v: got %s pure %v, reference %s pure %v\n%s",
+				m, st, mask, leafString(got), gotPure, leafString(want), wantPure, p)
+		}
+	})
+}
+
+// lookupPool is a pool of messages large enough that neither the branch
+// predictor nor the cache learns it: n messages over the ranges rules
+// draws its constants from.
+func itchPool(r *rand.Rand, n int) []*spec.Message {
+	syms := workload.DefaultSymbols(110) // a tenth name no rule
+	pool := spec.NewMessages(formats.ITCH, n)
+	for _, m := range pool {
+		(&formats.Order{Stock: syms[r.Intn(len(syms))], Price: int64(r.Intn(1100)), Shares: int64(r.Intn(1000))}).FillMessage(m)
+	}
+	return pool
+}
+
+func intPool(r *rand.Rand, n int) []*spec.Message {
+	pool := spec.NewMessages(formats.INT, n)
+	for _, m := range pool {
+		(&formats.INTReport{FlowID: int64(r.Uint32()), SwitchID: int64(r.Intn(64)), HopLatency: int64(r.Intn(1000)),
+			QueueDepth: int64(r.Intn(64)), EgressPort: int64(r.Intn(32))}).FillMessage(m)
+	}
+	return pool
+}
+
+// BenchmarkLookup walks a pool of 8192 random messages round and round:
+// a stage of fan-out 101 (100 symbols and the rest) then price ranges,
+// and the INT shape of exact and range stages.
+func BenchmarkLookup(b *testing.B) {
+	r := rand.New(rand.NewSource(4))
+	for _, bc := range []struct {
+		name string
+		p    *Program
+		pool []*spec.Message
+	}{
+		{"fanout100", compileLines(b, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), itchPool(r, 8192)},
+		{"int", compileLines(b, formats.INT, benchINTRules(r, 400), Options{LastHop: true}), intPool(r, 8192)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkLeaf = bc.p.Lookup(bc.pool[i&8191], nil)
+			}
+		})
+	}
+}
+
+var sinkLeaf *LeafEntry
+
+// TestLookupZeroAlloc: the walk allocates nothing, with and without the
+// purity mask, on exact, range, aggregate, string-table and string-tail
+// stages.
+func TestLookupZeroAlloc(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	sp := testSpec(t)
+	tails := compile(t, sp, "name prefix GO and shares > 10: fwd(3)\nname prefix M: fwd(4)\nstock == GOOGL: fwd(1)", Options{})
+	tailPool := spec.NewMessages(sp, 512)
+	for i, m := range tailPool {
+		m.MustSet("shares", spec.IntVal(int64(i%20)))
+		m.MustSet("price", spec.IntVal(int64(i)))
+		m.MustSet("stock", spec.StrVal([]string{"GOOGL", "MSFT"}[i%2]))
+		m.MustSet("name", spec.StrVal([]string{"GOOGL", "GO", "MSFT", "A"}[i%4]))
+	}
+	for _, c := range []struct {
+		p    *Program
+		pool []*spec.Message
+		st   subscription.StateReader
+	}{
+		{compileLines(t, formats.ITCH, benchITCHRules(r, true), Options{LastHop: true}), itchPool(r, 512), subscription.MapState{}},
+		{compileLines(t, formats.INT, benchINTRules(r, 200), Options{LastHop: true}), intPool(r, 512), nil},
+		{tails, tailPool, nil},
+	} {
+		mask := make([]bool, len(c.p.Stages))
+		i := 0
+		if n := testing.AllocsPerRun(2000, func() {
+			sinkLeaf = c.p.Lookup(c.pool[i&511], c.st)
+			sinkLeaf, _ = c.p.LookupKeyed(c.pool[i&511], c.st, mask)
+			i++
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per lookup pair, want 0", c.p.Spec.Name, n)
+		}
+	}
+	if len(tails.walk.tails) == 0 {
+		t.Error("the prefix program has no string tail: the tail path went untested")
+	}
+}
+
+// walkCost replays w.lookup for a same-spec message and counts what it
+// reads from the walk's slices (the CRAM measure: dependent memory
+// accesses, and the bytes and distinct 64-byte lines behind them). The
+// message's own fields and the leaf row are not counted.
+func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) {
+	w := &p.walk
+	seen := make(map[[2]uintptr]bool)
+	touch := func(region, off, size uintptr) {
+		accesses++
+		bytes += int(size)
+		for l := off / 64; l <= (off+size-1)/64; l++ {
+			if !seen[[2]uintptr{region, l}] {
+				seen[[2]uintptr{region, l}] = true
+				lines++
+			}
+		}
+	}
+	for cur := w.start; cur >= 0; {
+		b := &w.blocks[cur]
+		blocks++
+		touch(0, uintptr(cur)*36, 36)
+		cur = b.miss
+		v, present := w.stages[b.stage].input(m, nil, false)
+		switch {
+		case !present:
+		case v.Kind == spec.IntField:
+			if b.n == 0 {
+				break
+			}
+			i, n := 0, int(b.n)
+			for n > 1 {
+				half := n >> 1
+				touch(1, uintptr(int(b.off)+i+half)*8, 8)
+				if w.bounds[int(b.off)+i+half] <= v.Int {
+					i += half
+				}
+				n -= half
+			}
+			touch(2, uintptr(int(b.off)+i)*4, 4)
+			cur = w.next[int(b.off)+i]
+		default:
+			cur = b.rest
+			hit := false
+			if b.slotN > 0 {
+				h := strHash(v.Str)
+				mask := uint32(b.slotN - 1)
+				for i := h & mask; ; i = (i + 1) & mask {
+					s := &w.slots[uint32(b.slotOff)+i]
+					touch(3, uintptr(uint32(b.slotOff)+i)*16, 16)
+					if s.hash == h {
+						touch(4, uintptr(s.off), uintptr(s.n)) // the key's bytes
+						if string(w.keys[s.off:s.off+s.n]) == v.Str {
+							cur, hit = s.next, true
+						}
+					}
+					if hit || s.hash == 0 {
+						break
+					}
+				}
+			}
+			for i := 0; !hit && i < int(b.tailN); i++ {
+				tl := &w.tails[int(b.tailOff)+i]
+				touch(5, uintptr(int(b.tailOff)+i)*16, 16)
+				touch(6+uintptr(int(b.tailOff)+i), 0, 64) // the constraint it points to
+				if tl.c.Matches(v) {
+					cur, hit = tl.next, true
+				}
+			}
+		}
+	}
+	return blocks, accesses, bytes, lines
+}
+
+// TestWalkCost reports the per-lookup cost DESIGN.md §18 quotes, and
+// pins its order of magnitude: a lookup on the benchmark's programs
+// enters at most one block per stage and stays within a few cache lines
+// per block.
+func TestWalkCost(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, c := range []struct {
+		name string
+		p    *Program
+		pool []*spec.Message
+	}{
+		{"itch", compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), itchPool(r, 4096)},
+		{"int", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}), intPool(r, 4096)},
+	} {
+		var blocks, accesses, bytes, lines int
+		for _, m := range c.pool {
+			b, a, by, l := walkCost(c.p, m)
+			blocks, accesses, bytes, lines = blocks+b, accesses+a, bytes+by, lines+l
+		}
+		n := float64(len(c.pool))
+		w := &c.p.walk
+		t.Logf("%s: %d stages, %d entries, %d blocks, %d bounds, %d slots, %d tails (%.1f KB flat); per lookup: %.2f blocks, %.1f dependent accesses, %.0f bytes, %.1f cache lines",
+			c.name, len(c.p.Stages), c.p.TotalEntries(), len(w.blocks), len(w.bounds), len(w.slots), len(w.tails),
+			float64(len(w.blocks)*36+len(w.bounds)*12+len(w.slots)*16+len(w.keys)+len(w.tails)*16)/1024,
+			float64(blocks)/n, float64(accesses)/n, float64(bytes)/n, float64(lines)/n)
+		if perBlock := float64(lines) / float64(blocks); float64(blocks)/n > float64(len(c.p.Stages)) || perBlock > 6 {
+			t.Errorf("%s: %.2f blocks per lookup over %d stages, %.1f cache lines per block", c.name, float64(blocks)/n, len(c.p.Stages), perBlock)
+		}
+	}
+}

@@ -78,7 +78,7 @@ func TestConcurrentProcessInstall(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	progA := compileRules(t, sp, "stock == GOOGL: fwd(1)")
 	progB := compileRules(t, sp, "stock == GOOGL: fwd(2)\nstock == MSFT: fwd(3)")
-	sw, err := NewSwitch("s1", nil, progA, WithWorkers(4))
+	sw, err := NewSwitch("s1", nil, progA, WithWorkers(4), WithLeafCache(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}

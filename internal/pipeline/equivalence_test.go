@@ -159,7 +159,7 @@ shares > 900: fwd(4)
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
-			for _, cache := range []int{0, -1} {
+			for _, cache := range []int{1 << 16, 0} {
 				t.Run(fmt.Sprintf("%s/workers=%d/cache=%d", tc.name, workers, cache), func(t *testing.T) {
 					sp := spec.MustParse("equiv", tc.specSrc)
 					rules, err := subscription.NewParser(sp).ParseRules(tc.rules)

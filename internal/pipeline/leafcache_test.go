@@ -27,7 +27,7 @@ func compileFor(t testing.TB, sp *spec.Spec, rulesSrc string) *compiler.Program 
 }
 
 func TestLeafCacheHitsAndStats(t *testing.T) {
-	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
+	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{}, WithLeafCache(1<<16))
 	pkt := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}, Bytes: 100}
 	for i := 0; i < 3; i++ {
 		out := sw.Process(pkt, 0)
@@ -48,35 +48,29 @@ func TestLeafCacheHitsAndStats(t *testing.T) {
 	}
 }
 
-func TestWithLeafCacheDisable(t *testing.T) {
-	sp := spec.MustParse("itch", itchSpecSrc)
-	rules, err := subscription.NewParser(sp).ParseRules("stock == GOOGL: fwd(1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := compiler.Compile(sp, rules, compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := NewSwitch("s1", nil, prog, WithLeafCache(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}}
-	sw.Process(pkt, 0)
-	sw.Process(pkt, 0)
-	if st := sw.Stats(); st.LeafHits != 0 || st.LeafFills != 0 {
-		t.Fatalf("disabled cache recorded traffic: %+v", st)
-	}
-	if lcs := sw.LeafCacheStats(); lcs.Enabled || lcs.Capacity != 0 {
-		t.Fatalf("disabled cache reports %+v", lcs)
+// TestLeafCacheOffUnlessSized: a switch has a leaf cache only when
+// WithLeafCache names a positive size.
+func TestLeafCacheOffUnlessSized(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"default": nil, "zero": {WithLeafCache(0)}, "negative": {WithLeafCache(-1)},
+	} {
+		sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{}, opts...)
+		pkt := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}}
+		sw.Process(pkt, 0)
+		sw.Process(pkt, 0)
+		if st := sw.Stats(); st.LeafHits != 0 || st.LeafMisses != 0 || st.LeafFills != 0 {
+			t.Fatalf("%s: a switch without a cache recorded probes: %+v", name, st)
+		}
+		if lcs := sw.LeafCacheStats(); lcs.Enabled || lcs.Capacity != 0 {
+			t.Fatalf("%s: LeafCacheStats = %+v", name, lcs)
+		}
 	}
 }
 
 // TestInstallInvalidatesLeafCache mirrors TestInstallClearsFlowCache:
 // a hot cached decision must die with the epoch swap.
 func TestInstallInvalidatesLeafCache(t *testing.T) {
-	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
+	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{}, WithLeafCache(1<<16))
 	pkt := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}}
 	sw.Process(pkt, 0)
 	if out := sw.Process(pkt, 0); len(out) != 1 || out[0].Port != 1 {
@@ -118,7 +112,7 @@ stock == GOOGL and name == SPECIALISSUE: fwd(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := NewSwitch("s1", nil, prog)
+	sw, err := NewSwitch("s1", nil, prog, WithLeafCache(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +149,7 @@ stock == GOOGL and name == SPECIALISSUE: fwd(2)
 // must serve exactly the final program's decision. Run under -race
 // this doubles as the per-shard cache stress.
 func TestLeafCacheChurnEpochConsistency(t *testing.T) {
-	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
+	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{}, WithLeafCache(1<<16))
 	progs := []*compiler.Program{
 		compileFor(t, sp, "stock == GOOGL: fwd(1)"),
 		compileFor(t, sp, "stock == GOOGL: fwd(2)"),
@@ -263,10 +257,10 @@ price > 500: fwd(3)
 		opts    []Option
 		wantHit bool
 	}{
-		{name: "stateless", rules: stateless, wantHit: true},
+		{name: "stateless", rules: stateless, opts: []Option{WithLeafCache(1 << 16)}, wantHit: true},
 		{name: "stateful", rules: stateless + "stock == GOOGL and avg(price, 100us) > 60: fwd(4)\n",
-			copts: compiler.Options{LastHop: true}, wantHit: true},
-		{name: "cache-off", rules: stateless, opts: []Option{WithLeafCache(-1)}},
+			copts: compiler.Options{LastHop: true}, opts: []Option{WithLeafCache(1 << 16)}, wantHit: true},
+		{name: "cache-off", rules: stateless},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sw, sp := buildSwitch(t, tc.rules, tc.copts, tc.opts...)

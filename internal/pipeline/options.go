@@ -42,13 +42,14 @@ func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
 
-// WithLeafCache sizes the hot-rule leaf cache (DESIGN.md §16): size is
-// the total entry capacity, split across worker shards and rounded up
-// to a power of two per shard. The cache memoizes final forwarding
+// WithLeafCache turns on the hot-rule leaf cache (DESIGN.md §16): size
+// is the total entry capacity, split across worker shards and rounded
+// up to a power of two per shard. The cache memoizes final forwarding
 // decisions for the hot packet keys under the fill-time purity rule,
-// so a hot key's messages skip the match-stage walk. size 0 keeps the
-// default (65536 entries, the cache is on by default); negative
-// disables the cache and nothing else.
+// so a hot key's messages skip the match-stage walk. It is off unless
+// asked for — since the compiled walk went flat (DESIGN.md §18) a probe
+// costs more than the walk it saves on every benchmark workload — and
+// size <= 0 leaves it off.
 func WithLeafCache(size int) Option {
 	return func(c *Config) { c.LeafCacheSize = size }
 }
@@ -66,12 +67,6 @@ func WithIngressDrop(drop bool) Option {
 func (c Config) normalize() Config {
 	if c.FlowCacheSize <= 0 {
 		c.FlowCacheSize = 65536
-	}
-	switch {
-	case c.LeafCacheSize == 0:
-		c.LeafCacheSize = 65536
-	case c.LeafCacheSize < 0:
-		c.LeafCacheSize = 0 // disabled
 	}
 	if c.FlowTTL <= 0 {
 		c.FlowTTL = 30 * time.Second

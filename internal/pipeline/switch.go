@@ -70,8 +70,7 @@ type Config struct {
 	Workers int
 	// LeafCacheSize bounds the hot-rule leaf cache (DESIGN.md §16),
 	// totalled across worker shards and rounded up to a power of two
-	// per shard; 0 uses the default (65536 entries), negative disables
-	// the cache.
+	// per shard; 0 or negative runs without one.
 	LeafCacheSize int
 }
 

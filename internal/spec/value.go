@@ -145,8 +145,7 @@ func (m *Message) HeaderMask() uint64 {
 
 // HeaderPresent reports the header's validity bit.
 func (m *Message) HeaderPresent(name string) bool {
-	i := m.spec.HeaderIndex(name)
-	return i >= 0 && m.bit(uint(len(m.values)+i))
+	return m.HeaderValid(m.spec.HeaderIndex(name))
 }
 
 // Set assigns a field value by field reference name.
@@ -168,6 +167,13 @@ func (m *Message) MustSet(ref string, v Value) {
 	if err := m.Set(ref, v); err != nil {
 		panic(err)
 	}
+}
+
+// HeaderValid is HeaderPresent by parse-order position in the message's
+// own spec (what a compiled walk holds); false for an index the spec
+// does not have.
+func (m *Message) HeaderValid(i int) bool {
+	return i >= 0 && i < len(m.spec.Headers) && m.bit(uint(len(m.values)+i))
 }
 
 // SetIndex assigns the field at subscribable index idx and marks the
