@@ -2,15 +2,15 @@
 # leave `make check` green.
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report churn-soak serve-soak soak prove netcheck fit
+.PHONY: check fmt vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report churn-soak serve-soak soak prove netcheck fit
 
-## check: the full tier-1 gate — vet, custom analyzers, build,
+## check: the full tier-1 gate — gofmt, vet, custom analyzers, build,
 ## race-enabled tests, a short churn soak, a serve soak of the
 ## multi-tenant daemon, a short fuzz smoke, a translation-validation
 ## pass over the shipped rules, a network-wide delivery certification
 ## of the shipped rules, a static pipeline-fit certification of the
 ## shipped rules, and a smoke run of the parallel dataplane benchmark.
-check: vet lint build race churn-soak serve-soak fuzz-smoke prove netcheck fit bench
+check: fmt vet lint build race churn-soak serve-soak fuzz-smoke prove netcheck fit bench
 
 ## prove: certify the shipped sample rules with the translation
 ## validator (camusc prove), in both last-hop and upstream modes, and
@@ -44,6 +44,11 @@ netcheck:
 fit:
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itchfeed.rules
+
+## fmt: fail on any file gofmt would rewrite (analyzer testdata
+## included: it is read by people too).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -89,7 +94,8 @@ bench-report:
 	$(GO) run ./cmd/benchjson -filter 'CtlplaneDaemon|CoverChurn' -out BENCH_ctlplane.json < bench-report.txt
 
 ## perf-guard: the CI allocation guard — run the two canonical
-## compiler benchmarks, the network-delivery verifier, the static
+## compiler benchmarks, a warm add-one/remove-one on 192 and 10000 live
+## rules (IncrementalChurn), the network-delivery verifier, the static
 ## fit analyzer, and the covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
 ## (perf-baseline.json). The single-worker warm-leaf-cache batch
@@ -103,6 +109,7 @@ bench-report:
 ## self-enforces its ≥2× entry-reduction bar.
 perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalChurn$$' -benchtime 20x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSwitchFastPath$$/^workers=1$$' -benchtime 50x -benchmem .; \

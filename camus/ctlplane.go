@@ -79,8 +79,6 @@ var (
 	WithQueueDepth = ctlplane.WithQueueDepth
 	// WithRetry bounds apply retry backoff and attempts.
 	WithRetry = ctlplane.WithRetry
-	// WithDrift sets the full-recompile fallback threshold.
-	WithDrift = ctlplane.WithDrift
 	// WithApplyHook injects a pre-install hook (fault injection).
 	WithApplyHook = ctlplane.WithApplyHook
 	// WithValidator certifies compiled programs, sampling every Nth batch.

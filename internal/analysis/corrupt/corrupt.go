@@ -5,9 +5,12 @@
 // register updates. The prover (internal/analysis/prove) must produce
 // a concrete counterexample packet for every one of them.
 //
-// Mutations edit the program's tables in place and re-derive its
-// packet-path index (compiler.Program.Reindex), so the runtime really
-// executes the corrupted tables.
+// Mutations edit the program's tables and re-derive its packet-path
+// index (compiler.Program.Reindex), so the runtime really executes the
+// corrupted tables. The tables are the program's own, the entries in them
+// are not — an Incremental's successive programs share them
+// (compiler.Entry) — so a mutation swaps in a modified copy of the entry
+// it corrupts and later programs of the same compiler stay clean.
 package corrupt
 
 import (
@@ -48,7 +51,9 @@ func (m Mutation) Apply(p *compiler.Program) error {
 		if err != nil {
 			return err
 		}
+		le.Actions = le.Actions.Clone()
 		le.Actions.Add(subscription.FwdAction(m.Port))
+		p.Leaf[m.Leaf] = le
 	case "remove-leaf-port":
 		le, err := leaf(p, m.Leaf)
 		if err != nil {
@@ -67,6 +72,7 @@ func (m Mutation) Apply(p *compiler.Program) error {
 			return fmt.Errorf("corrupt: leaf %d has no port %d", m.Leaf, m.Port)
 		}
 		le.Actions.Ports = kept
+		p.Leaf[m.Leaf] = le
 	case "redirect-entry":
 		if m.Stage < 0 || m.Stage >= len(p.Stages) {
 			return fmt.Errorf("corrupt: no stage %d", m.Stage)
@@ -75,8 +81,9 @@ func (m Mutation) Apply(p *compiler.Program) error {
 		if m.Entry < 0 || m.Entry >= len(t.Entries) {
 			return fmt.Errorf("corrupt: stage %d has no entry %d", m.Stage, m.Entry)
 		}
-		t.Entries[m.Entry].Out = m.Out
-		p.Reindex()
+		e := *t.Entries[m.Entry]
+		e.Out = m.Out
+		t.Entries[m.Entry] = &e
 	case "drop-default":
 		if m.Stage < 0 || m.Stage >= len(p.Stages) {
 			return fmt.Errorf("corrupt: no stage %d", m.Stage)
@@ -86,7 +93,6 @@ func (m Mutation) Apply(p *compiler.Program) error {
 			return fmt.Errorf("corrupt: stage %d has no default for state %d", m.Stage, m.Out)
 		}
 		delete(t.Defaults, m.Out)
-		p.Reindex()
 	case "drop-update":
 		le, err := leaf(p, m.Leaf)
 		if err != nil {
@@ -105,23 +111,30 @@ func (m Mutation) Apply(p *compiler.Program) error {
 			return fmt.Errorf("corrupt: leaf %d has no update %q", m.Leaf, m.Key)
 		}
 		le.Updates = kept
+		p.Leaf[m.Leaf] = le
 	case "add-update":
 		le, err := leaf(p, m.Leaf)
 		if err != nil {
 			return err
 		}
-		le.Updates = append(le.Updates, m.Key)
+		le.Updates = append(le.Updates[:len(le.Updates):len(le.Updates)], m.Key)
+		p.Leaf[m.Leaf] = le
 	default:
 		return fmt.Errorf("corrupt: unknown op %q", m.Op)
 	}
+	p.Reindex()
 	return nil
 }
 
+// leaf returns a copy of leaf row i for the caller to modify and store
+// back into p.Leaf[i]. The copy still shares its slices with the
+// original: replace them, do not write through them.
 func leaf(p *compiler.Program, i int) (*compiler.LeafEntry, error) {
 	if i < 0 || i >= len(p.Leaf) {
 		return nil, fmt.Errorf("corrupt: no leaf %d", i)
 	}
-	return p.Leaf[i], nil
+	le := *p.Leaf[i]
+	return &le, nil
 }
 
 // Apply runs a mutation list in order.

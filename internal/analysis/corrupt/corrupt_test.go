@@ -156,3 +156,77 @@ func TestEveryOpReachesTheDataplane(t *testing.T) {
 		})
 	}
 }
+
+// TestCorruptionStaysInItsProgram: an Incremental's successive programs
+// share their entries, so a mutation that wrote through one would poison
+// every later epoch. Corrupt one row of each kind in a program an
+// Incremental produced, then apply a change that leaves those rows'
+// blocks alone: the next program must still be the batch compile's.
+func TestCorruptionStaysInItsProgram(t *testing.T) {
+	sp := spec.MustParse("test", testSpecSrc)
+	parser := subscription.NewParser(sp)
+	var rules []*subscription.Rule
+	add := func(src string) *subscription.Rule {
+		r, err := parser.ParseRule(src, len(rules))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules = append(rules, r)
+		return r
+	}
+	opts := compiler.Options{LastHop: true}
+	inc, err := compiler.NewIncremental(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := inc.Add(
+		add("stock == GOOGL and price > 50: fwd(1)"),
+		add("stock == GOOGL and avg(price) > 60: fwd(2)"),
+		add("stock == MSFT and price < 20: fwd(3)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := up.Program
+	clean := p.Canonical().String()
+
+	var ms []corrupt.Mutation
+	for si, st := range p.Stages {
+		for ei, e := range st.Entries {
+			ms = append(ms, corrupt.Mutation{Op: "redirect-entry", Stage: si, Entry: ei, Out: p.Leaf[0].In})
+			if len(st.Defaults) > 0 && ei == 0 {
+				ms = append(ms, corrupt.Mutation{Op: "drop-default", Stage: si, Out: e.In})
+			}
+		}
+	}
+	for li, le := range p.Leaf {
+		ms = append(ms, corrupt.Mutation{Op: "add-leaf-port", Leaf: li, Port: 9},
+			corrupt.Mutation{Op: "add-update", Leaf: li, Key: "avg(ord_qty.price)@100ms"})
+		if len(le.Actions.Ports) > 0 {
+			ms = append(ms, corrupt.Mutation{Op: "remove-leaf-port", Leaf: li, Port: le.Actions.Ports[0]})
+		}
+		if len(le.Updates) > 0 {
+			ms = append(ms, corrupt.Mutation{Op: "drop-update", Leaf: li, Key: le.Updates[0]})
+		}
+	}
+	if err := corrupt.Apply(p, ms); err != nil {
+		t.Fatal(err)
+	}
+	if p.Canonical().String() == clean {
+		t.Fatal("the mutations changed nothing")
+	}
+
+	up, err = inc.Add(add("stock == AAPL: fwd(4)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.ReusedEntries == 0 {
+		t.Fatal("the second program shares nothing with the corrupted one")
+	}
+	batch, err := compiler.Compile(sp, rules, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := up.Program.Canonical().String(), batch.Canonical().String(); got != want {
+		t.Errorf("the program after a corrupted epoch differs from the batch compile:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}

@@ -15,12 +15,12 @@ func configLiteral(net *topology.Network, sp *spec.Spec) ctlplane.Config {
 }
 
 func configPointer() *ctlplane.Config {
-	return &ctlplane.Config{Drift: 0.5} // want `composite literal of ctlplane\.Config bypasses the functional options`
+	return &ctlplane.Config{MaxPending: 64} // want `composite literal of ctlplane\.Config bypasses the functional options`
 }
 
 func sanctioned(net *topology.Network, sp *spec.Spec) (*ctlplane.Service, error) {
 	return ctlplane.New(net, sp,
-		ctlplane.WithDrift(0.3),
+		ctlplane.WithRetry(0, 0, 4),
 		ctlplane.WithQueueDepth(64))
 }
 

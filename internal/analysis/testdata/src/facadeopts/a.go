@@ -39,5 +39,5 @@ func sanctioned(net *camus.Network, sp *camus.Spec) (*camus.ControlPlane, error)
 
 func sanctionedDaemon(net *camus.Network, sp *camus.Spec) (*camus.Daemon, error) {
 	return camus.NewDaemon(net, sp,
-		camus.WithDaemonService(camus.WithDrift(0.3)))
+		camus.WithDaemonService(camus.WithQueueDepth(64)))
 }

@@ -20,7 +20,7 @@ func mutateStatsPtr(snap *pipeline.StatsSnapshot) {
 
 func mutateConfig(sw *pipeline.Switch) pipeline.Config {
 	cfg := sw.Config()
-	cfg.Workers = 8 // want `mutates a Config snapshot copy`
+	cfg.Workers = 8           // want `mutates a Config snapshot copy`
 	cfg.FlowCacheSize += 1024 // want `mutates a Config snapshot copy`
 	return cfg
 }

@@ -119,7 +119,7 @@ func buildIn(u *Universe, rules []subscription.NormalizedRule, opts Options) (d 
 			panic(r)
 		}
 	}()
-	b := newBuilder(u, !opts.DisablePruning)
+	b := newBuilder(u, !opts.DisablePruning, 0)
 	b.maxNodes = opts.MaxNodes
 
 	results := make([]chainResult, len(rules))
@@ -251,11 +251,11 @@ func (d *BDD) renumber() {
 // Performance notes: the or/apply hot path must not format strings. Path
 // contexts (per-field constraints) are interned to int32 IDs in the
 // universe's persistent cache; context refinement and implication tests
-// are memoized there by small integer tuples, so a constraint's
-// canonical Key() is computed once per distinct refinement rather than
-// once per visit — and the results survive across builds sharing the
-// universe (the incremental engine's rebuilds, parallel per-switch
-// compiles in tests).
+// are memoized there by small integer tuples, so a refinement's
+// constraint is built (and hashed, never formatted) once per distinct
+// refinement rather than once per visit — and the results survive across
+// builds sharing the universe (the incremental engine's rebuilds,
+// parallel per-switch compiles in tests).
 //
 // Nodes live in per-shard slab arenas behind a sharded unique table, so
 // chain construction can run on several goroutines: mkNode/terminal are
@@ -273,7 +273,12 @@ type builder struct {
 	termSlab  []Node
 	empty     *Node // cached ∅-action terminal (always ID 0)
 
-	memo     map[memoKey]*Node
+	// memo maps an or-merge to its result's node ID, and memoNode that ID
+	// back to the node. The indirection keeps pointers out of the memo: it
+	// is by far the engine's largest table and lives as long as the engine,
+	// and a map without pointers is one the garbage collector never scans.
+	memo     map[memoKey]int32
+	memoNode []*Node
 	termMemo map[[2]int32]*Node
 
 	// maxNodes aborts construction via a tooLarge panic when exceeded
@@ -315,13 +320,20 @@ type memoKey struct {
 // noCtx marks "no context" (pruning disabled or not yet entered a field).
 const noCtx int32 = -1
 
-func newBuilder(u *Universe, pruning bool) *builder {
+// newBuilder returns an empty builder; sizeHint is the number of nodes
+// it should hold without rehashing its tables (0: grow from empty).
+func newBuilder(u *Universe, pruning bool, sizeHint int) *builder {
 	b := &builder{
 		u:         u,
 		pruning:   pruning,
 		terminals: make(map[string]*Node),
-		memo:      make(map[memoKey]*Node),
+		memo:      make(map[memoKey]int32, 2*sizeHint),
 		termMemo:  make(map[[2]int32]*Node),
+	}
+	if sizeHint > 0 {
+		for i := range b.shards {
+			b.shards[i].uniq = make(map[[3]int32]*Node, sizeHint/nShards)
+		}
 	}
 	// The empty terminal exists in every diagram (chain fallthrough);
 	// interning it eagerly gives the hot path a lock-free pointer check
@@ -436,7 +448,7 @@ atoms:
 		ctxField := -1
 		for _, l := range lits {
 			if ctx == noCtx || ctxField != l.pred.FieldIdx {
-				ctx, _ = b.u.freshCtx(l.pred)
+				ctx, _ = b.u.FreshCtx(l.pred)
 				ctxField = l.pred.FieldIdx
 			}
 			switch b.u.impliesCtx(ctx, l.pred) {
@@ -451,7 +463,7 @@ atoms:
 				}
 				continue
 			}
-			ctx, _ = b.u.refineCtx(ctx, l.pred, l.positive)
+			ctx, _ = b.u.RefineCtx(ctx, l.pred, l.positive)
 			kept = append(kept, l)
 		}
 		lits = kept
@@ -482,10 +494,30 @@ atoms:
 // keeps memoization effective). NOT safe for concurrent use (sequential
 // merge only).
 func (b *builder) or(u, v *Node) *Node {
-	return b.orCtx(u, v, noCtx)
+	return b.orCtx(u, v, pathCtx{id: noCtx})
 }
 
-func (b *builder) orCtx(u, v *Node, ctx int32) *Node {
+// pathCtx is the within-field context a merge carries down its
+// recursion: the interned ID (what the memo keys on) together with the
+// field it constrains and the constraint itself, so the recursion reads
+// neither back from the shared cache.
+type pathCtx struct {
+	id    int32
+	field int32
+	c     match.Constraint
+}
+
+func (b *builder) freshPath(p *Pred) pathCtx {
+	id, c := b.u.FreshCtx(p)
+	return pathCtx{id: id, field: int32(p.FieldIdx), c: c}
+}
+
+func (b *builder) refinePath(ctx pathCtx, p *Pred, outcome bool) pathCtx {
+	id, c := b.u.RefineCtx(ctx.id, p, outcome)
+	return pathCtx{id: id, field: ctx.field, c: c}
+}
+
+func (b *builder) orCtx(u, v *Node, ctx pathCtx) *Node {
 	if u.IsTerminal() && v.IsTerminal() {
 		tk := [2]int32{u.ID, v.ID}
 		if u.ID > v.ID {
@@ -503,58 +535,61 @@ func (b *builder) orCtx(u, v *Node, ctx int32) *Node {
 	p := topPred(u, v)
 	if !b.pruning {
 		mk := memoKey{u: u.ID, v: v.ID, ctx: noCtx}
-		if n, ok := b.memo[mk]; ok {
-			return n
+		if id, ok := b.memo[mk]; ok {
+			return b.memoNode[id]
 		}
-		hi := b.orCtx(restrict(u, p, true), restrict(v, p, true), noCtx)
-		lo := b.orCtx(restrict(u, p, false), restrict(v, p, false), noCtx)
+		hi := b.orCtx(restrict(u, p, true), restrict(v, p, true), ctx)
+		lo := b.orCtx(restrict(u, p, false), restrict(v, p, false), ctx)
 		result := b.mkNode(p, hi, lo)
-		b.memo[mk] = result
+		b.memoize(mk, result)
 		return result
 	}
 
 	// Fast-forward every predicate the context already decides
 	// (reduction iii) in a tight loop: no memoization or allocation per
-	// skipped node. The context's constraint is held in a local and
-	// tested with direct calls — fetching it from the shared cache per
-	// node would put a lock and a map probe on the hottest loop in the
-	// compiler for an implication test that is a handful of compares.
-	// This is what keeps merging O(100k) equality chains (hICN-style
-	// workloads) tractable — a pinned field value otherwise walks the
-	// whole chain through the memo machinery.
-	var cur match.Constraint
-	if ctx == noCtx || b.u.cache.fieldOf(ctx) != int32(p.FieldIdx) {
-		ctx, cur = b.u.freshCtx(p)
-	} else {
-		cur = b.u.cache.at(ctx)
+	// skipped node, and the implication test is a direct call on the
+	// constraint the context carries — a handful of compares, where a
+	// fetch from the shared cache would put a lock and a map probe on the
+	// hottest loop in the compiler. This is what keeps merging O(100k)
+	// equality chains (hICN-style workloads) tractable — a pinned field
+	// value otherwise walks the whole chain through the memo machinery.
+	if ctx.id == noCtx || ctx.field != int32(p.FieldIdx) {
+		ctx = b.freshPath(p)
 	}
 	for {
-		switch cur.Implies(p.Rel, p.Const) {
+		switch ctx.c.Implies(p.Rel, p.Const) {
 		case match.True:
 			u, v = restrict(u, p, true), restrict(v, p, true)
 		case match.False:
 			u, v = restrict(u, p, false), restrict(v, p, false)
 		default:
-			mk := memoKey{u: u.ID, v: v.ID, ctx: ctx}
-			if n, ok := b.memo[mk]; ok {
-				return n
+			mk := memoKey{u: u.ID, v: v.ID, ctx: ctx.id}
+			if id, ok := b.memo[mk]; ok {
+				return b.memoNode[id]
 			}
-			hiCtx, _ := b.u.refineCtx(ctx, p, true)
-			loCtx, _ := b.u.refineCtx(ctx, p, false)
-			hi := b.orCtx(restrict(u, p, true), restrict(v, p, true), hiCtx)
-			lo := b.orCtx(restrict(u, p, false), restrict(v, p, false), loCtx)
+			hi := b.orCtx(restrict(u, p, true), restrict(v, p, true), b.refinePath(ctx, p, true))
+			lo := b.orCtx(restrict(u, p, false), restrict(v, p, false), b.refinePath(ctx, p, false))
 			result := b.mkNode(p, hi, lo)
-			b.memo[mk] = result
+			b.memoize(mk, result)
 			return result
 		}
 		if u.IsTerminal() && v.IsTerminal() {
 			return b.orCtx(u, v, ctx) // terminal merge path
 		}
 		p = topPred(u, v)
-		if b.u.cache.fieldOf(ctx) != int32(p.FieldIdx) {
-			ctx, cur = b.u.freshCtx(p)
+		if ctx.field != int32(p.FieldIdx) {
+			ctx = b.freshPath(p)
 		}
 	}
+}
+
+// memoize records the result of one or-merge (sequential merge only).
+func (b *builder) memoize(mk memoKey, result *Node) {
+	if int(result.ID) >= len(b.memoNode) {
+		b.memoNode = slices.Grow(b.memoNode, int(result.ID)+1-len(b.memoNode))[:int(result.ID)+1]
+	}
+	b.memoNode[result.ID] = result
+	b.memo[mk] = result.ID
 }
 
 // topPred returns the smallest-ordered predicate tested at u or v.

@@ -1,7 +1,7 @@
 package bdd
 
 import (
-	"sort"
+	"slices"
 
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -21,8 +21,12 @@ type Engine struct {
 	u       *Universe
 	b       *builder
 	chains  map[int][]*Node // rule ID → chain nodes (one per disjunct)
-	order   []int           // rule IDs in insertion order (deterministic merges)
+	order   []int           // live rule IDs, ascending: the merge order
 	dropped int
+	// Build's scratch, kept between calls: the chain list it merges (in
+	// place) and the chain IDs already on it.
+	merging []*Node
+	seen    map[int32]struct{}
 }
 
 // NewEngine creates an empty incremental engine for a spec. The
@@ -38,10 +42,17 @@ func NewEngine(sp *spec.Spec, opts Options) *Engine {
 	u.seedSpecFields()
 	return &Engine{
 		u:      u,
-		b:      newBuilder(u, !opts.DisablePruning),
+		b:      newBuilder(u, !opts.DisablePruning, engineSizeHint),
 		chains: make(map[int][]*Node),
+		seen:   make(map[int32]struct{}),
 	}
 }
+
+// engineSizeHint presizes an engine's unique and memo tables for a few
+// hundred rules' worth of merging — what one control-plane switch holds
+// after its first batches — instead of growing them from empty through
+// a dozen rehashes.
+const engineSizeHint = 1 << 12
 
 // Universe exposes the growing predicate universe.
 func (e *Engine) Universe() *Universe { return e.u }
@@ -59,7 +70,8 @@ func (e *Engine) Add(rules ...subscription.NormalizedRule) error {
 			continue
 		}
 		if _, exists := e.chains[nr.RuleID]; !exists {
-			e.order = append(e.order, nr.RuleID)
+			i, _ := slices.BinarySearch(e.order, nr.RuleID)
+			e.order = slices.Insert(e.order, i, nr.RuleID)
 		}
 		e.chains[nr.RuleID] = append(e.chains[nr.RuleID], chain)
 	}
@@ -73,21 +85,14 @@ func (e *Engine) Remove(ruleID int) bool {
 		return false
 	}
 	delete(e.chains, ruleID)
-	for i, id := range e.order {
-		if id == ruleID {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
+	if i, ok := slices.BinarySearch(e.order, ruleID); ok {
+		e.order = slices.Delete(e.order, i, i+1)
 	}
 	return true
 }
 
-// Rules returns the live rule IDs.
-func (e *Engine) Rules() []int {
-	out := append([]int(nil), e.order...)
-	sort.Ints(out)
-	return out
-}
+// Rules returns the live rule IDs, ascending.
+func (e *Engine) Rules() []int { return slices.Clone(e.order) }
 
 // Build merges the live chains into a BDD. Thanks to the persistent
 // memo tables, unchanged prefixes of the merge tree are cache hits.
@@ -97,17 +102,18 @@ func (e *Engine) Rules() []int {
 // maintained diagram stays structurally identical to a from-scratch
 // build of the surviving rules, whatever the add/remove history.
 func (e *Engine) Build() *BDD {
-	var chains []*Node
-	seen := make(map[int32]bool)
-	for _, id := range e.Rules() {
+	chains := e.merging[:0]
+	clear(e.seen)
+	for _, id := range e.order {
 		for _, c := range e.chains[id] {
-			if seen[c.ID] {
+			if _, dup := e.seen[c.ID]; dup {
 				continue
 			}
-			seen[c.ID] = true
+			e.seen[c.ID] = struct{}{}
 			chains = append(chains, c)
 		}
 	}
+	e.merging = chains
 	// Engine diagrams keep their creation-order node IDs (no DFS
 	// renumbering): downstream table diffing relies on IDs being stable
 	// across rebuilds of one engine.

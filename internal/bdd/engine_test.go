@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"camus/internal/match"
 	"camus/internal/spec"
 	"camus/internal/subscription"
 )
@@ -192,5 +193,78 @@ func TestBuildNormalizedNodeCap(t *testing.T) {
 	}
 	if _, err := Build(sp, rules, Options{}); err != nil {
 		t.Errorf("uncapped build failed: %v", err)
+	}
+}
+
+// colliding is an IntConstraint whose every value hashes alike, so
+// interning must tell contexts apart by equality alone.
+type colliding struct{ *match.IntConstraint }
+
+func (c colliding) Hash() uint64 { return 7 }
+func (c colliding) Equal(o match.Constraint) bool {
+	oc, ok := o.(colliding)
+	return ok && c.IntConstraint.Equal(oc.IntConstraint)
+}
+
+// TestCtxInternHashCollisions: contexts sharing a (field, hash) key are
+// chained and found again by equality; the same constraint under another
+// field is a different context.
+func TestCtxInternHashCollisions(t *testing.T) {
+	var cc ctxCache
+	cc.init()
+	mk := func(lo int64) match.Constraint { return colliding{&match.IntConstraint{Lo: lo, Hi: 100}} }
+	intern := func(field int32, c match.Constraint) int32 {
+		cc.mu.Lock()
+		defer cc.mu.Unlock()
+		return cc.intern(ctxKey{field: field, hash: c.Hash()}, c)
+	}
+	ids := make(map[int32]bool)
+	for lo := int64(0); lo < 5; lo++ {
+		ids[intern(0, mk(lo))] = true
+	}
+	ids[intern(1, mk(0))] = true
+	if len(ids) != 6 {
+		t.Fatalf("6 distinct contexts interned to %d IDs", len(ids))
+	}
+	for lo := int64(0); lo < 5; lo++ {
+		id := intern(0, mk(lo))
+		if !ids[id] || !cc.ctxs[id].Equal(mk(lo)) {
+			t.Errorf("re-interning [%d,100] gave context %d = %s", lo, id, cc.ctxs[id].Key())
+		}
+	}
+	if len(cc.ctxs) != 6 {
+		t.Errorf("re-interning grew the cache to %d contexts", len(cc.ctxs))
+	}
+}
+
+// TestEngineOrderSortedByConstruction: the merge order is ascending rule
+// ID whatever the arrival order, and removal keeps it so.
+func TestEngineOrderSortedByConstruction(t *testing.T) {
+	sp := testSpec(t)
+	e := NewEngine(sp, Options{})
+	for _, id := range []int{5, 1, 9, 3, 7} {
+		if err := e.Add(normalize(t, sp, fmt.Sprintf("price > %d: fwd(%d)", 10*id, id), id)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(e.Rules()); got != "[1 3 5 7 9]" {
+		t.Fatalf("Rules = %s", got)
+	}
+	if !e.Remove(5) || e.Remove(4) {
+		t.Fatal("Remove(5) failed or Remove(4) succeeded")
+	}
+	if got := fmt.Sprint(e.Rules()); got != "[1 3 7 9]" {
+		t.Fatalf("Rules after Remove(5) = %s", got)
+	}
+	if err := e.Add(normalize(t, sp, "price > 55: fwd(5)", 5)...); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(e.Rules()); got != "[1 3 5 7 9]" {
+		t.Fatalf("Rules after re-adding 5 = %s", got)
+	}
+	m := spec.NewMessage(sp)
+	m.MustSet("price", spec.IntVal(60))
+	if got := e.Build().Eval(m, nil).Key(); got != "fwd(1,3,5)" {
+		t.Errorf("eval = %s", got)
 	}
 }

@@ -57,7 +57,7 @@ func raceRules(t *testing.T, n int, seed int64) []subscription.NormalizedRule {
 // TestConcurrentBuildSharedUniverse is the -race stress for the sharded
 // unique table and the universe memo caches: several goroutines run
 // parallel builds (chain fan-out enabled) against ONE shared Universe,
-// so freshCtx/refineCtx/impliesCtx interning races with itself across
+// so FreshCtx/RefineCtx/impliesCtx interning races with itself across
 // builders while each builder's shards race across its own workers. All
 // builds must agree semantically with a sequential baseline.
 func TestConcurrentBuildSharedUniverse(t *testing.T) {

@@ -138,24 +138,32 @@ type Universe struct {
 // memoizes the two operations the builder performs on them. All methods
 // are safe for concurrent use.
 type ctxCache struct {
-	mu      sync.RWMutex
-	ctxs    []match.Constraint
-	fields  []int32
+	mu   sync.RWMutex
+	ctxs []match.Constraint
+	// byKey finds a context by (field, constraint hash): the most recent
+	// one, with chain linking each context to the previous one of the same
+	// key (-1 ends the chain). Equality decides among them, so interning
+	// formats nothing.
 	byKey   map[ctxKey]int32
-	fresh   map[int32]int32 // field index → unconstrained context ID
-	refined map[refineKey]int32
+	chain   []int32
+	fresh   map[int32]int32  // field index → unconstrained context ID
+	refined map[uint64]int32 // by refineKey
 	implied map[implKey]match.Tri
 }
 
 type ctxKey struct {
 	field int32
-	key   string
+	hash  uint64
 }
 
-type refineKey struct {
-	ctx     int32
-	pred    int32
-	outcome bool
+// refineKey packs (context, predicate, outcome) into one word, which
+// keeps the hottest map of a merge on the runtime's 8-byte-key path.
+func refineKey(ctx, pred int32, outcome bool) uint64 {
+	k := uint64(uint32(ctx))<<32 | uint64(uint32(pred))<<1
+	if outcome {
+		k |= 1
+	}
+	return k
 }
 
 type implKey struct {
@@ -166,53 +174,51 @@ type implKey struct {
 func (cc *ctxCache) init() {
 	cc.byKey = make(map[ctxKey]int32)
 	cc.fresh = make(map[int32]int32)
-	cc.refined = make(map[refineKey]int32)
+	cc.refined = make(map[uint64]int32)
 	cc.implied = make(map[implKey]match.Tri)
 }
 
-// fieldOf returns the field index a context constrains.
-func (cc *ctxCache) fieldOf(ctx int32) int32 {
-	cc.mu.RLock()
-	f := cc.fields[ctx]
-	cc.mu.RUnlock()
-	return f
-}
-
-func (cc *ctxCache) at(ctx int32) match.Constraint {
-	cc.mu.RLock()
-	c := cc.ctxs[ctx]
-	cc.mu.RUnlock()
-	return c
-}
-
-// intern returns the ID of a canonical (field, constraint) pair.
-func (cc *ctxCache) intern(field int32, c match.Constraint) int32 {
-	key := ctxKey{field: field, key: c.Key()}
-	cc.mu.RLock()
+// find returns the ID of an interned (field, constraint) pair; the
+// caller holds mu.
+func (cc *ctxCache) find(key ctxKey, c match.Constraint) (int32, bool) {
 	id, ok := cc.byKey[key]
-	cc.mu.RUnlock()
-	if ok {
+	for ok && id >= 0 {
+		if cc.ctxs[id].Equal(c) {
+			return id, true
+		}
+		id = cc.chain[id]
+	}
+	return 0, false
+}
+
+// intern returns the ID of a canonical (field, constraint) pair, adding
+// it if new; the caller holds mu for writing.
+func (cc *ctxCache) intern(key ctxKey, c match.Constraint) int32 {
+	if id, ok := cc.find(key, c); ok {
 		return id
 	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if id, ok := cc.byKey[key]; ok {
-		return id
+	prev, ok := cc.byKey[key]
+	if !ok {
+		prev = -1
 	}
-	id = int32(len(cc.ctxs))
+	id := int32(len(cc.ctxs))
 	cc.ctxs = append(cc.ctxs, c)
-	cc.fields = append(cc.fields, field)
+	cc.chain = append(cc.chain, prev)
 	cc.byKey[key] = id
 	return id
 }
 
-// freshCtx returns the unconstrained context for a predicate's field
+// FreshCtx returns the unconstrained context for a predicate's field
 // together with its constraint, so callers hold the constraint locally
-// and test implications with direct (lock-free) calls.
-func (u *Universe) freshCtx(p *Pred) (int32, match.Constraint) {
+// and test implications with direct (lock-free) calls. With RefineCtx it
+// is also how the compiler derives an entry's match constraint along a
+// path: the steps are the ones the merge just memoized, and the entries
+// share the interned constraints. Safe for concurrent use.
+func (u *Universe) FreshCtx(p *Pred) (int32, match.Constraint) {
 	cc := &u.cache
+	field := int32(p.FieldIdx)
 	cc.mu.RLock()
-	id, ok := cc.fresh[int32(p.FieldIdx)]
+	id, ok := cc.fresh[field]
 	var c match.Constraint
 	if ok {
 		c = cc.ctxs[id]
@@ -222,37 +228,57 @@ func (u *Universe) freshCtx(p *Pred) (int32, match.Constraint) {
 		return id, c
 	}
 	c = match.New(p.Ref.Type())
-	id = cc.intern(int32(p.FieldIdx), c)
+	key := ctxKey{field: field, hash: c.Hash()}
 	cc.mu.Lock()
-	cc.fresh[int32(p.FieldIdx)] = id
-	cc.mu.Unlock()
-	return id, cc.at(id)
+	defer cc.mu.Unlock()
+	id = cc.intern(key, c)
+	cc.fresh[field] = id
+	return id, cc.ctxs[id]
 }
 
-// refineCtx returns the context refined by a predicate outcome plus its
+// RefineCtx returns the context refined by a predicate outcome plus its
 // constraint, memoized on (ctx, pred, outcome). The memo persists for
 // the universe's lifetime, so an incremental engine's rebuilds (and any
 // concurrent builds sharing the universe) never recompute — or
 // re-allocate — a refinement they have seen before.
-func (u *Universe) refineCtx(ctx int32, p *Pred, outcome bool) (int32, match.Constraint) {
+//
+// The two refinements an equality-heavy field makes most often never
+// reach the interning step. A true EQ pins the value whatever the parent
+// held, so it is memoized per predicate, not per (parent, predicate); and
+// a refinement that changes nothing — With returns its receiver: an
+// exclusion dropped because the list is at its cap — is the parent context
+// itself.
+func (u *Universe) RefineCtx(ctx int32, p *Pred, outcome bool) (int32, match.Constraint) {
 	cc := &u.cache
-	rk := refineKey{ctx: ctx, pred: int32(p.ID), outcome: outcome}
+	rk := refineKey(ctx, int32(p.ID), outcome)
+	if outcome && p.Rel == subscription.EQ {
+		rk = refineKey(noCtx, int32(p.ID), true)
+	}
 	cc.mu.RLock()
 	id, ok := cc.refined[rk]
 	var c match.Constraint
 	if ok {
 		c = cc.ctxs[id]
+	} else {
+		c = cc.ctxs[ctx]
 	}
 	cc.mu.RUnlock()
 	if ok {
 		return id, c
 	}
-	c = cc.at(ctx).With(p.Rel, p.Const, outcome)
-	id = cc.intern(int32(p.FieldIdx), c)
+	parent := c
+	if c = parent.With(p.Rel, p.Const, outcome); c == parent {
+		cc.mu.Lock()
+		cc.refined[rk] = ctx
+		cc.mu.Unlock()
+		return ctx, parent
+	}
+	key := ctxKey{field: int32(p.FieldIdx), hash: c.Hash()}
 	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	id = cc.intern(key, c)
 	cc.refined[rk] = id
-	cc.mu.Unlock()
-	return id, cc.at(id)
+	return id, cc.ctxs[id]
 }
 
 // impliesCtx reports whether a context decides a predicate, memoized on

@@ -272,93 +272,176 @@ func expandStateful(rules []subscription.NormalizedRule, opts Options) []subscri
 	return out
 }
 
+// entryBlock is the emitted form of one in-node of one field component:
+// one entry per path from the node to the component's out-nodes, in
+// emitPaths' hi-before-lo order, plus the absent-field default. It is a
+// pure function of the node — hash-consing fixes a node's predicate and
+// children for its builder's lifetime, and emitPaths reads nothing else
+// (the universe's refinement memo returns what match.Constraint.With
+// would) — so the programs an Incremental compiles in successive epochs
+// share the blocks (and the *Entry values in them) of every in-node both
+// reach.
+type entryBlock struct {
+	entries []*Entry
+	// def is the lo-walk: the state taken when every predicate on the
+	// field is false (absent-field fallback).
+	def StateID
+	// exact: every entry pins one value or is residual (see classify).
+	exact bool
+}
+
+// size is the number of control-plane entries the block installs.
+func (b *entryBlock) size() int { return len(b.entries) + 1 }
+
+func emitBlock(univ *bdd.Universe, u *bdd.Node) *entryBlock {
+	b := &entryBlock{exact: true}
+	ctx, c := univ.FreshCtx(u.Pred)
+	b.entries = emitPaths(nil, univ, u, u, ctx, c)
+	for _, e := range b.entries {
+		if _, ok := e.Match.Exact(); !ok && !e.Match.IsResidual() {
+			b.exact = false
+			break
+		}
+	}
+	n := u
+	for !n.IsTerminal() && n.Pred.FieldIdx == u.Pred.FieldIdx {
+		n = n.Lo
+	}
+	b.def = n.ID
+	return b
+}
+
+// emitter runs Algorithm 2 — slice the BDD into field-specific components
+// and translate each into a (state × range → state) table — and keeps,
+// between the rebuilds of one engine, what the next rebuild reuses and
+// what the entry delta is counted against: the blocks and terminals of
+// the program it emitted last. The zero value emits from scratch.
+type emitter struct {
+	blocks map[StateID]*entryBlock // by in-node ID
+	leaves []StateID               // terminal IDs, ascending
+	// entries is the last program's count of diffable entries (block
+	// sizes plus leaves); nodes the BDD nodes it reached.
+	entries int
+	nodes   int
+}
+
+// entryDelta is the control-plane delta between two emits of one emitter,
+// in DiffPrograms' terms.
+type entryDelta struct{ added, removed, reused int }
+
 // FromBDD runs Algorithm 2: slice the BDD into field-specific components
 // and translate each into a (state × range → state) table.
 func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
-	opts = opts.withDefaults()
+	p, _, err := new(emitter).emit(d, opts.withDefaults())
+	return p, err
+}
+
+// emit compiles d, running emitPaths only for in-nodes the previous emit
+// did not reach. The delta needs no comparison of entries: a block's
+// entries all carry its node ID as their in-state, so two programs of one
+// engine share exactly the entries of the blocks (and the terminals) they
+// both hold. On error the emitter is unchanged.
+func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) {
 	p := &Program{
 		Spec: d.Universe.Spec,
 		BDD:  d,
 		Init: d.Root.ID,
 	}
-	reachable := d.Reachable()
-	inComponent := make(map[int32]int) // node → field index (internal nodes)
-	for _, n := range reachable {
-		if !n.IsTerminal() {
-			inComponent[n.ID] = n.Pred.FieldIdx
-		}
-	}
 	// In nodes per component: the root (if internal) plus every node
 	// whose parent lies outside its component.
-	inNodes := make(map[int][]*bdd.Node)
-	seenIn := make(map[int32]bool)
+	// blocks gets every in-node's block: the previous emit's where it
+	// had one, nil — to be emitted below — where it did not.
+	inNodes := make([][]*bdd.Node, len(d.Universe.Fields))
+	blocks := make(map[StateID]*entryBlock, len(em.blocks))
 	addIn := func(n *bdd.Node) {
-		if n.IsTerminal() || seenIn[n.ID] {
+		if n.IsTerminal() {
 			return
 		}
-		seenIn[n.ID] = true
-		f := n.Pred.FieldIdx
-		inNodes[f] = append(inNodes[f], n)
-	}
-	addIn(d.Root)
-	for _, n := range reachable {
-		if n.IsTerminal() {
-			continue
+		if _, ok := blocks[n.ID]; ok {
+			return
 		}
-		for _, next := range []*bdd.Node{n.Hi, n.Lo} {
-			if next.IsTerminal() {
-				continue
-			}
-			if next.Pred.FieldIdx != n.Pred.FieldIdx {
+		blocks[n.ID] = em.blocks[n.ID]
+		inNodes[n.Pred.FieldIdx] = append(inNodes[n.Pred.FieldIdx], n)
+	}
+	var terminals []*bdd.Node
+	seen := make(map[StateID]struct{}, em.nodes)
+	var walk func(n *bdd.Node)
+	walk = func(n *bdd.Node) {
+		if _, ok := seen[n.ID]; ok {
+			return
+		}
+		seen[n.ID] = struct{}{}
+		if n.IsTerminal() {
+			terminals = append(terminals, n)
+			return
+		}
+		for _, next := range [2]*bdd.Node{n.Hi, n.Lo} {
+			if !next.IsTerminal() && next.Pred.FieldIdx != n.Pred.FieldIdx {
 				addIn(next)
 			}
+			walk(next)
 		}
 	}
+	addIn(d.Root)
+	walk(d.Root)
 
+	var delta entryDelta
 	total := 0
 	for _, fv := range d.Universe.Fields {
-		t := &Table{
-			Field:    fv,
-			Defaults: make(map[StateID]StateID),
-		}
-		ins := inNodes[fv.Index]
-		sort.Slice(ins, func(i, j int) bool { return ins[i].ID < ins[j].ID })
-		for _, u := range ins {
-			if err := emitPaths(t, fv, u, u, match.New(fv.Type())); err != nil {
-				return nil, err
-			}
-			// Lo-walk: the state taken when every predicate on the field
-			// is false (absent-field fallback).
-			n := u
-			for !n.IsTerminal() && n.Pred.FieldIdx == fv.Index {
-				n = n.Lo
-			}
-			t.Defaults[u.ID] = n.ID
-		}
-		// Fields no live rule predicates on produce empty tables (the
+		// Fields no live rule predicates on have no in-node (the
 		// incremental engine's universe holds every spec field); they are
 		// pure pass-through stages, so don't materialize them.
-		if len(t.Entries) == 0 && len(t.Defaults) == 0 {
+		ins := inNodes[fv.Index]
+		if len(ins) == 0 {
 			continue
 		}
-		classify(t, opts)
+		sort.Slice(ins, func(i, j int) bool { return ins[i].ID < ins[j].ID })
+		t := &Table{
+			Field:    fv,
+			Defaults: make(map[StateID]StateID, len(ins)),
+		}
+		n, exact := 0, true
+		for _, u := range ins {
+			b := blocks[u.ID]
+			if b == nil {
+				b = emitBlock(d.Universe, u)
+				blocks[u.ID] = b
+				delta.added += b.size()
+			} else {
+				delta.reused += b.size()
+			}
+			n += len(b.entries)
+			exact = exact && b.exact
+		}
+		t.Entries = make([]*Entry, 0, n)
+		for _, u := range ins {
+			b := blocks[u.ID]
+			t.Entries = append(t.Entries, b.entries...)
+			t.Defaults[u.ID] = b.def
+		}
+		classify(t, exact, opts)
 		total += len(t.Entries) + t.MapEntries
 		if opts.MaxEntries > 0 && total > opts.MaxEntries {
-			return nil, fmt.Errorf("compiler: table entries exceed limit %d", opts.MaxEntries)
+			return nil, entryDelta{}, fmt.Errorf("compiler: table entries exceed limit %d", opts.MaxEntries)
 		}
 		p.Stages = append(p.Stages, t)
 	}
 
 	// Leaf table + multicast allocation.
 	groupByKey := make(map[string]int)
-	var terminals []*bdd.Node
-	for _, n := range reachable {
-		if n.IsTerminal() {
-			terminals = append(terminals, n)
-		}
-	}
 	sort.Slice(terminals, func(i, j int) bool { return terminals[i].ID < terminals[j].ID })
+	leaves := make([]StateID, 0, len(terminals))
+	old := em.leaves
 	for _, n := range terminals {
+		for len(old) > 0 && old[0] < n.ID {
+			old = old[1:]
+		}
+		if len(old) > 0 && old[0] == n.ID {
+			delta.reused++
+		} else {
+			delta.added++
+		}
+		leaves = append(leaves, n.ID)
 		le := &LeafEntry{In: n.ID, Group: -1}
 		// Split out the synthesized update directives.
 		for _, c := range n.Actions.Custom {
@@ -384,29 +467,33 @@ func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
 		}
 		p.Leaf = append(p.Leaf, le)
 	}
+	delta.removed = em.entries - delta.reused
+	*em = emitter{blocks: blocks, leaves: leaves, entries: delta.added + delta.reused, nodes: len(seen)}
 
 	p.Reindex()
 	p.Resources = estimate(p)
-	return p, nil
+	return p, delta, nil
 }
 
 // emitPaths walks every path from In node u through the field component,
-// intersecting predicates (Algorithm 2 lines 5–9), emitting one entry per
-// Out node reached.
-func emitPaths(t *Table, fv *bdd.FieldVar, u, n *bdd.Node, c match.Constraint) error {
-	if n.IsTerminal() || n.Pred.FieldIdx != fv.Index {
-		t.Entries = append(t.Entries, &Entry{In: u.ID, Match: c, Out: n.ID})
-		return nil
+// intersecting predicates (Algorithm 2 lines 5–9), appending one entry per
+// Out node reached. The intersection steps go through the universe's
+// refinement memo: the merge that built the diagram took the same steps,
+// so most are lookups, and entries share the interned constraints.
+func emitPaths(out []*Entry, univ *bdd.Universe, u, n *bdd.Node, ctx int32, c match.Constraint) []*Entry {
+	if n.IsTerminal() || n.Pred.FieldIdx != u.Pred.FieldIdx {
+		return append(out, &Entry{In: u.ID, Match: c, Out: n.ID})
 	}
-	if err := emitPaths(t, fv, u, n.Hi, c.With(n.Pred.Rel, n.Pred.Const, true)); err != nil {
-		return err
-	}
-	return emitPaths(t, fv, u, n.Lo, c.With(n.Pred.Rel, n.Pred.Const, false))
+	hi, hc := univ.RefineCtx(ctx, n.Pred, true)
+	out = emitPaths(out, univ, u, n.Hi, hi, hc)
+	lo, lc := univ.RefineCtx(ctx, n.Pred, false)
+	return emitPaths(out, univ, u, n.Lo, lo, lc)
 }
 
 // classify applies the §V-E resource optimizations, choosing the table
-// kind for a stage.
-func classify(t *Table, opts Options) {
+// kind for a stage. allExact reports that every entry pins one value or
+// is residual.
+func classify(t *Table, allExact bool, opts Options) {
 	if opts.DisableExactOpt {
 		t.Kind = TernaryTable
 		return
@@ -414,17 +501,6 @@ func classify(t *Table, opts Options) {
 	// An exact table stores one SRAM row per pinned value; residual
 	// ("none of the values") entries realize as the table's default
 	// action, so they don't disqualify the stage.
-	allExact := true
-	for _, e := range t.Entries {
-		if _, ok := e.Match.Exact(); ok {
-			continue
-		}
-		if e.Match.IsResidual() {
-			continue
-		}
-		allExact = false
-		break
-	}
 	if allExact {
 		t.Kind = ExactTable
 		return

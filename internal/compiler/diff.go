@@ -3,6 +3,7 @@ package compiler
 import (
 	"errors"
 	"sort"
+	"strings"
 )
 
 // Classified errors for incremental rule maintenance. Callers (the
@@ -17,6 +18,41 @@ var (
 	ErrDuplicateRule = errors.New("compiler: rule already installed")
 )
 
+// entryIdent identifies a table entry for control-plane diffing. BDD
+// node IDs are stable across incremental rebuilds (hash-consing), so
+// unchanged pipeline regions produce identical idents.
+type entryIdent struct {
+	table   string
+	in, out StateID
+	match   string // constraint key; "absent" for defaults; action-set key for leaves
+	updates string // leaf entries only: joined register updates
+}
+
+func entryKeys(p *Program) map[entryIdent]int {
+	out := make(map[entryIdent]int)
+	if p == nil {
+		return out
+	}
+	for _, t := range p.Stages {
+		name := t.Name()
+		for _, e := range t.Entries {
+			out[entryIdent{table: name, in: e.In, out: e.Out, match: e.Match.Key()}]++
+		}
+		for in, next := range t.Defaults {
+			out[entryIdent{table: name, in: in, out: next, match: "absent"}]++
+		}
+	}
+	for _, le := range p.Leaf {
+		out[entryIdent{
+			table:   "leaf",
+			in:      le.In,
+			match:   le.Actions.Key(),
+			updates: strings.Join(le.Updates, "\x1f"),
+		}]++
+	}
+	return out
+}
+
 // DiffPrograms reports the control-plane delta between two programs
 // compiled by the same engine: how many table entries must be installed,
 // deleted, and how many carry over unchanged. Entry identity includes
@@ -24,8 +60,34 @@ var (
 // not across different compilers — to compare programs from independent
 // compilations (e.g. incremental vs. batch), diff their Canonical()
 // forms instead.
+//
+// Incremental.Apply does not call it: it counts the same three numbers
+// from the blocks that entered and left the program, and the property
+// tests hold that count to this entry-by-entry one.
 func DiffPrograms(old, fresh *Program) (added, removed, reused int) {
-	return diffPrograms(old, fresh)
+	oldKeys := entryKeys(old)
+	newKeys := entryKeys(fresh)
+	for k, n := range newKeys {
+		if o := oldKeys[k]; o > 0 {
+			m := n
+			if o < m {
+				m = o
+			}
+			reused += m
+			if n > o {
+				added += n - o
+			}
+		} else {
+			added += n
+		}
+	}
+	for k, o := range oldKeys {
+		n := newKeys[k]
+		if o > n {
+			removed += o - n
+		}
+	}
+	return added, removed, reused
 }
 
 // stateLess orders states by their already-assigned canonical number.

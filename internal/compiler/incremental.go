@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"camus/internal/bdd"
@@ -24,6 +23,10 @@ type Incremental struct {
 	// can be re-added after a Reset.
 	normalized map[int][]subscription.NormalizedRule
 	prog       *Program
+	// em carries the emitted blocks from one rebuild to the next; preds is
+	// the universe's predicate count when prog was emitted.
+	em    emitter
+	preds int
 }
 
 // Update describes one incremental recompilation.
@@ -50,7 +53,7 @@ func NewIncremental(sp *spec.Spec, opts Options) (*Incremental, error) {
 		normalized: make(map[int][]subscription.NormalizedRule),
 	}
 	// Start from the empty program.
-	if _, err := inc.rebuild(); err != nil {
+	if _, err := inc.finish(time.Now()); err != nil {
 		return nil, err
 	}
 	return inc, nil
@@ -75,9 +78,13 @@ func (inc *Incremental) Add(rules ...*subscription.Rule) (*Update, error) {
 func (inc *Incremental) Apply(add []*subscription.Rule, remove []int) (*Update, error) {
 	start := time.Now()
 	for _, id := range remove {
-		if !inc.engine.Remove(id) {
+		if _, ok := inc.normalized[id]; !ok {
 			return nil, fmt.Errorf("%w: id %d", ErrUnknownRule, id)
 		}
+		// The engine holds no chain for a rule whose every disjunct was
+		// unsatisfiable, and reports it unknown; the rule was added all
+		// the same.
+		inc.engine.Remove(id)
 		delete(inc.normalized, id)
 	}
 	for _, r := range add {
@@ -86,8 +93,8 @@ func (inc *Incremental) Apply(add []*subscription.Rule, remove []int) (*Update, 
 		}
 	}
 	// Normalization is pure per-rule work; fan it out for large batches
-	// (the ctlplane drift fallback re-adds a switch's whole registry in
-	// one Apply). Engine mutation below stays sequential.
+	// (ctlplane's FullRebuild re-adds a switch's whole registry in one
+	// Apply). Engine mutation below stays sequential.
 	perRule, err := normalizeRulesPer(add, inc.opts.Parallelism)
 	if err != nil {
 		return nil, err
@@ -115,87 +122,33 @@ func (inc *Incremental) Remove(ids ...int) (*Update, error) {
 	return inc.Apply(nil, ids)
 }
 
+// CacheSize reports what the engine retains across rebuilds: every BDD
+// node it ever hash-consed and its or-merge memo entries. Neither shrinks
+// when rules leave, so a caller that churns an Incremental indefinitely
+// watches them and starts over from a fresh one (ctlplane's compaction).
+func (inc *Incremental) CacheSize() (nodes, memoEntries int) { return inc.engine.CacheSize() }
+
 func (inc *Incremental) finish(start time.Time) (*Update, error) {
-	old := inc.prog
-	fresh, err := inc.rebuild()
-	if err != nil {
-		return nil, err
-	}
-	up := &Update{Program: fresh, Elapsed: time.Since(start)}
-	up.AddedEntries, up.RemovedEntries, up.ReusedEntries = diffPrograms(old, fresh)
-	return up, nil
-}
-
-func (inc *Incremental) rebuild() (*Program, error) {
 	d := inc.engine.Build()
-	prog, err := FromBDD(d, inc.opts)
+	preds := len(d.Universe.Preds)
+	// A batch whose merged diagram is the previous one (a duplicate or
+	// subsumed rule, an add and remove that cancel) changes no entry.
+	// Table kinds depend on the universe's predicates and BDD.DroppedRules
+	// on the rules seen, hence the other two tests.
+	if old := inc.prog; old != nil && d.Root == old.BDD.Root && preds == inc.preds &&
+		d.DroppedRules == old.BDD.DroppedRules {
+		return &Update{Program: old, ReusedEntries: inc.em.entries, Elapsed: time.Since(start)}, nil
+	}
+	prog, delta, err := inc.em.emit(d, inc.opts)
 	if err != nil {
 		return nil, err
 	}
-	inc.prog = prog
-	return prog, nil
-}
-
-// entryIdent identifies a table entry for control-plane diffing. BDD
-// node IDs are stable across incremental rebuilds (hash-consing), so
-// unchanged pipeline regions produce identical idents. A comparable
-// struct key keeps the diff off the fmt hot path: diffing runs over
-// every entry of the old and new programs on each Apply.
-type entryIdent struct {
-	table   string
-	in, out StateID
-	match   string // constraint key; "absent" for defaults; action-set key for leaves
-	updates string // leaf entries only: joined register updates
-}
-
-func entryKeys(p *Program) map[entryIdent]int {
-	out := make(map[entryIdent]int)
-	if p == nil {
-		return out
-	}
-	for _, t := range p.Stages {
-		name := t.Name()
-		for _, e := range t.Entries {
-			out[entryIdent{table: name, in: e.In, out: e.Out, match: e.Match.Key()}]++
-		}
-		for in, next := range t.Defaults {
-			out[entryIdent{table: name, in: in, out: next, match: "absent"}]++
-		}
-	}
-	for _, le := range p.Leaf {
-		out[entryIdent{
-			table:   "leaf",
-			in:      le.In,
-			match:   le.Actions.Key(),
-			updates: strings.Join(le.Updates, "\x1f"),
-		}]++
-	}
-	return out
-}
-
-// diffPrograms computes the control-plane delta between two programs.
-func diffPrograms(old, fresh *Program) (added, removed, reused int) {
-	oldKeys := entryKeys(old)
-	newKeys := entryKeys(fresh)
-	for k, n := range newKeys {
-		if o := oldKeys[k]; o > 0 {
-			m := n
-			if o < m {
-				m = o
-			}
-			reused += m
-			if n > o {
-				added += n - o
-			}
-		} else {
-			added += n
-		}
-	}
-	for k, o := range oldKeys {
-		n := newKeys[k]
-		if o > n {
-			removed += o - n
-		}
-	}
-	return added, removed, reused
+	inc.prog, inc.preds = prog, preds
+	return &Update{
+		Program:        prog,
+		AddedEntries:   delta.added,
+		RemovedEntries: delta.removed,
+		ReusedEntries:  delta.reused,
+		Elapsed:        time.Since(start),
+	}, nil
 }

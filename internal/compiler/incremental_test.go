@@ -233,6 +233,108 @@ func TestIncrementalCanonicalEquivalence(t *testing.T) {
 	}
 }
 
+// TestIncrementalDeltaMatchesDiff holds the delta Apply counts from the
+// blocks that entered and left the program to the entry-by-entry oracle:
+// over 300 random batches (several adds and removes each, some that
+// change nothing, and one compaction — the live rules moved to a fresh
+// Incremental, as ctlplane's FullRebuild does) Update's three counts
+// equal DiffPrograms(previous, new), and the program stays Canonical()-
+// equal to a batch compile of the ID-sorted live rules.
+func TestIncrementalDeltaMatchesDiff(t *testing.T) {
+	inc, p, sp := newInc(t)
+	r := rand.New(rand.NewSource(11))
+	live := make(map[int]*subscription.Rule)
+	liveIDs := func() []int {
+		ids := make([]int, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		return ids
+	}
+	check := func(step int, old *Program, up *Update) {
+		t.Helper()
+		if up.Program != inc.Program() {
+			t.Fatalf("step %d: Update.Program is not the Incremental's program", step)
+		}
+		added, removed, reused := DiffPrograms(old, up.Program)
+		if up.AddedEntries != added || up.RemovedEntries != removed || up.ReusedEntries != reused {
+			t.Fatalf("step %d: Update counts +%d -%d =%d, DiffPrograms +%d -%d =%d", step,
+				up.AddedEntries, up.RemovedEntries, up.ReusedEntries, added, removed, reused)
+		}
+		var rules []*subscription.Rule
+		for _, id := range liveIDs() {
+			rules = append(rules, live[id])
+		}
+		batch, err := Compile(sp, rules, Options{})
+		if err != nil {
+			t.Fatalf("step %d: batch compile: %v", step, err)
+		}
+		if added, removed, _ := DiffPrograms(up.Program.Canonical(), batch.Canonical()); added+removed != 0 {
+			t.Fatalf("step %d (%d live rules): incremental differs from batch: +%d -%d entries",
+				step, len(live), added, removed)
+		}
+	}
+	atoms := []func() string{
+		func() string { return fmt.Sprintf("stock == S%02d", r.Intn(40)) },
+		func() string { return fmt.Sprintf("stock == S%02d", r.Intn(40)) },
+		func() string { return fmt.Sprintf("price > %d", 10*r.Intn(20)) },
+		func() string { return fmt.Sprintf("price < %d", 100+10*r.Intn(20)) },
+		func() string { return fmt.Sprintf("shares != %d", r.Intn(8)) },
+	}
+	nextID := 0
+	for step := 0; step < 300; step++ {
+		if step == 150 {
+			fresh, err := NewIncremental(sp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rules []*subscription.Rule
+			for _, id := range liveIDs() {
+				rules = append(rules, live[id])
+			}
+			inc = fresh
+			old := inc.Program()
+			up, err := inc.Add(rules...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(step, old, up)
+			continue
+		}
+		var add []*subscription.Rule
+		var remove []int
+		for n := r.Intn(4); n > 0 && len(live) > 8; n-- {
+			ids := liveIDs()
+			id := ids[r.Intn(len(ids))]
+			remove = append(remove, id)
+			delete(live, id)
+		}
+		for n := r.Intn(4); n > 0; n-- {
+			src := atoms[r.Intn(len(atoms))]()
+			if r.Intn(3) > 0 {
+				src += " and " + atoms[2+r.Intn(3)]()
+			}
+			rule, err := p.ParseRule(fmt.Sprintf("%s: fwd(%d)", src, r.Intn(6)), nextID)
+			if err != nil {
+				t.Fatalf("step %d: ParseRule(%q): %v", step, src, err)
+			}
+			add = append(add, rule)
+			live[nextID] = rule
+			nextID++
+		}
+		old := inc.Program()
+		up, err := inc.Apply(add, remove)
+		if err != nil {
+			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+		if len(add)+len(remove) == 0 && up.Program != old {
+			t.Fatalf("step %d: an empty batch emitted a new program", step)
+		}
+		check(step, old, up)
+	}
+}
+
 // TestIncrementalReuse: adding one rule to a large set must reuse most
 // entries and be much faster than the initial build — the point of the
 // memoized engine. Entry reuse is measured on a rule whose semantic
@@ -344,5 +446,64 @@ func BenchmarkIncrementalAddOne(b *testing.B) {
 		if _, err := inc.Add(r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIncrementalChurn is one warm subscription change on a switch
+// holding n live rules: add a rule, then remove the one added four
+// rounds earlier (whose compile state has cooled), as a control-plane
+// worker does once per event. One op is the add plus the remove. The
+// live set is a symbol × threshold grid — 64 symbols at 192 rules, the
+// shape of the benchmark's ctl_churn set, n/20 above that — on even
+// thresholds; the churn walks the odd ones, so every add changes the
+// program.
+func BenchmarkIncrementalChurn(b *testing.B) {
+	for _, n := range []int{192, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			sp := testSpec(b)
+			p := subscription.NewParser(sp)
+			syms := max(64, n/20)
+			rule := func(i int) *subscription.Rule {
+				sym, thr := i%syms, 2*(i/syms)
+				if j := i - n; j >= 0 {
+					sym, thr = (j*37)%syms, 2*((j*7)%(n/syms+1))+1
+				}
+				src := fmt.Sprintf("stock == S%04d and price > %d: fwd(%d)", sym, 10*thr, (sym+thr/2)%16)
+				r, err := p.ParseRule(src, i)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return r
+			}
+			inc, err := NewIncremental(sp, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rules := make([]*subscription.Rule, n)
+			for i := range rules {
+				rules[i] = rule(i)
+			}
+			if _, err := inc.Add(rules...); err != nil {
+				b.Fatal(err)
+			}
+			const lag = 4
+			next := n
+			for ; next < n+lag; next++ {
+				if _, err := inc.Add(rule(next)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := inc.Add(rule(next)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := inc.Remove(next - lag); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+		})
 	}
 }

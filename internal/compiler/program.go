@@ -21,6 +21,13 @@ type StateID = int32
 
 // Entry is one match-action table entry: (entry state, field range) →
 // next state, exactly the rows of the paper's Fig. 6.
+//
+// An Entry is immutable once its program is returned: the programs an
+// Incremental compiles in successive epochs share the entries of every
+// block both contain, and Match may be a constraint the BDD universe
+// interned. Code that wants a different entry (internal/analysis/corrupt)
+// puts a modified copy into its own program's Table.Entries; the slice
+// and the Defaults map belong to the one program.
 type Entry struct {
 	In    StateID
 	Match match.Constraint
@@ -82,7 +89,8 @@ type Table struct {
 func (t *Table) Name() string { return t.Field.Key() }
 
 // LeafEntry is one row of the final Leaf table: terminal state → action
-// set (§V-D, Fig. 6 right).
+// set (§V-D, Fig. 6 right). Like Entry it is immutable once its program
+// is returned, slices included; Program.Leaf belongs to the one program.
 type LeafEntry struct {
 	In      StateID
 	Actions subscription.ActionSet

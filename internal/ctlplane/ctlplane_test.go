@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"camus/internal/compiler"
 	"camus/internal/routing"
@@ -306,6 +307,10 @@ func TestServiceChurnMatchesBatchDeploy(t *testing.T) {
 	if snap.Failures != 0 {
 		t.Errorf("unexpected failures: %+v", snap)
 	}
+	if snap.EngineNodes == 0 || snap.EngineMemoEntries == 0 || snap.Fallbacks != snap.Compactions {
+		t.Errorf("engine gauges %d nodes / %d memo entries, %d fallbacks of which %d compactions",
+			snap.EngineNodes, snap.EngineMemoEntries, snap.Fallbacks, snap.Compactions)
+	}
 	if snap.Latency.N == 0 || snap.Latency.P99 <= 0 {
 		t.Errorf("no latency recorded: %+v", snap.Latency)
 	}
@@ -364,37 +369,207 @@ func TestRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestDriftFallback forces the drift threshold low and checks the
-// fail-safe full recompile triggers while keeping programs correct.
-func TestDriftFallback(t *testing.T) {
+// TestApplyErrorRecovery injects a batch the incremental engine rejects
+// half-way — its removal is applied, then an add collides with a live
+// rule ID — and checks Compile recovers through FullRebuild: the switch
+// ends on the program a batch compile of its registry produces, and
+// keeps applying batches afterwards.
+func TestApplyErrorRecovery(t *testing.T) {
 	net := topology.MustFatTree(4)
-	svc, _ := newServiceForTest(t, net,
-		WithRouting(routing.Options{Policy: routing.TrafficReduction}),
-		WithDrift(0.01))
-	stocks := []string{"GOOGL", "MSFT", "AAPL"}
-	var ids []int
-	for i := 0; i < 12; i++ {
-		_, got, err := svc.Subscribe(0, []subscription.Expr{
-			filter(t, fmt.Sprintf("stock == %s and price > %d", stocks[i%3], i*7)),
-		})
+	rec, err := NewReconcilerWith(net, itchSpec,
+		WithRouting(routing.Options{Policy: routing.TrafficReduction}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, _ := net.Access(0)
+	compile := func(ops []RuleOp) *CompileResult {
+		t.Helper()
+		var mine []RuleOp
+		for _, op := range ops {
+			if op.Switch == sw {
+				mine = append(mine, op)
+			}
+		}
+		res, err := rec.Compile(sw, mine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, got...)
+		return res
 	}
-	for _, id := range ids[:6] {
-		if _, err := svc.Unsubscribe(0, []int{id}); err != nil {
+	var ids []int
+	for i, stock := range []string{"GOOGL", "MSFT", "AAPL"} {
+		id, ops, err := rec.AddFilter(0, filter(t, fmt.Sprintf("stock == %s and price > %d", stock, 10*i)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
+		if res := compile(ops); res.Full {
+			t.Fatalf("plain add %d took the full-rebuild path", i)
+		}
 	}
+
+	removal, err := rec.RemoveFilter(0, ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := rec.Rules(sw)
+	clash := live[len(live)-1]
+	bad := append(removal, RuleOp{Switch: sw, Add: true, RuleID: clash.ID, Rule: &subscription.Rule{
+		ID: clash.ID, Filter: filter(t, "stock == FB"), Action: clash.Action,
+	}})
+	res := compile(bad)
+	if !res.Full || res.Compacted {
+		t.Fatalf("apply error: Full=%v Compacted=%v, want a recovery rebuild", res.Full, res.Compacted)
+	}
+	batch, err := compiler.Compile(itchSpec, rec.Rules(sw), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, removed, _ := compiler.DiffPrograms(rec.Program(sw).Canonical(), batch.Canonical()); added+removed != 0 {
+		t.Errorf("recovered program differs from a batch compile of the registry: +%d -%d", added, removed)
+	}
+	if got := rec.Program(sw).Eval(msg("FB", 1, 1), nil); got.IsEmpty() {
+		t.Error("the clashing add was lost in recovery")
+	}
+	if got := rec.Program(sw).Eval(msg("GOOGL", 99, 1), nil); !got.IsEmpty() {
+		t.Errorf("the removed filter survived recovery: %s", got)
+	}
+
+	_, ops, err := rec.AddFilter(0, filter(t, "stock == ORCL"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := compile(ops); res.Full {
+		t.Error("the batch after recovery took the full-rebuild path again")
+	}
+	if got := rec.Program(sw).Eval(msg("ORCL", 1, 1), nil); got.IsEmpty() {
+		t.Error("the rebuilt engine did not take the next add")
+	}
+}
+
+// TestCompactionBound churns one switch for 2000 events with nothing to
+// tune: what its engine retains stays under the compaction bound after
+// every batch, compaction fires, and across each compaction the program
+// keeps deciding every message as the AST evaluator does on the
+// registry's rules.
+func TestCompactionBound(t *testing.T) {
+	net := topology.MustFatTree(4)
+	rec, err := NewReconcilerWith(net, itchSpec,
+		WithRouting(routing.Options{Policy: routing.TrafficReduction, Alpha: 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := net.LayerSwitches(topology.Core)[0].ID
+	sc := rec.switches[core]
+	r := rand.New(rand.NewSource(5))
+	sample := func() *spec.Message {
+		return msg(fmt.Sprintf("S%02d", r.Intn(48)), int64(r.Intn(1100)), 1)
+	}
+	agree := func(when string) {
+		t.Helper()
+		rules, prog := rec.Rules(core), rec.Program(core)
+		for i := 0; i < 200; i++ {
+			m := sample()
+			want := subscription.MatchActions(rules, m, nil).Key()
+			if got := prog.Eval(m, nil).Key(); got != want {
+				t.Fatalf("%s: %s: program %s, evaluator %s", when, m, got, want)
+			}
+		}
+	}
+
+	type liveFilter struct{ host, id int }
+	var live []liveFilter
+	compactions := 0
+	for ev := 0; ev < 2000; ev++ {
+		var ops []RuleOp
+		if len(live) < 96 || ev%2 == 0 {
+			host := r.Intn(len(net.Hosts))
+			id, o, err := rec.AddFilter(host, filter(t,
+				fmt.Sprintf("stock == S%02d and price > %d", r.Intn(48), 50*(1+r.Intn(19)))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, ops = append(live, liveFilter{host, id}), o
+		} else {
+			i := r.Intn(len(live))
+			o, err := rec.RemoveFilter(live[i].host, live[i].id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[i], live, ops = live[len(live)-1], live[:len(live)-1], o
+		}
+		var mine []RuleOp
+		for _, op := range ops {
+			if op.Switch == core {
+				mine = append(mine, op)
+			}
+		}
+		if len(mine) == 0 {
+			continue
+		}
+		before := sc.inc
+		if compactions == 0 {
+			if nodes, memo := before.CacheSize(); nodes+memo > compactFloor-compactFloor/16 {
+				agree("before the first compaction")
+			}
+		}
+		res, err := rec.Compile(core, mine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Full != res.Compacted || res.Compacted != (sc.inc != before) {
+			t.Fatalf("event %d: Full=%v Compacted=%v, engine replaced=%v", ev, res.Full, res.Compacted, sc.inc != before)
+		}
+		if res.Compacted {
+			compactions++
+			agree(fmt.Sprintf("after compaction %d", compactions))
+		}
+		if nodes, memo := sc.inc.CacheSize(); nodes+memo > max(compactFloor, compactFactor*sc.fresh) {
+			t.Fatalf("event %d: engine retains %d nodes + %d memo entries, over the bound", ev, nodes, memo)
+		}
+	}
+	if compactions == 0 {
+		t.Error("2000 events never compacted")
+	}
+	agree("at the end")
+	if nodes, memo := rec.EngineSize(); nodes < sc.nodes.Load() || memo < sc.memo.Load() || sc.nodes.Load() == 0 {
+		t.Errorf("EngineSize = %d, %d does not cover the churned switch's %d, %d", nodes, memo, sc.nodes.Load(), sc.memo.Load())
+	}
+}
+
+// TestLatencyRecordBounded: the latency record is a window, not a log.
+// After 200 000 completions it holds latencyWindow samples — so a Stats
+// call copies and sorts the same amount as after 5 000 — while N and Max
+// still cover every event and the percentiles follow the recent ones.
+func TestLatencyRecordBounded(t *testing.T) {
+	svc, _ := newServiceForTest(t, topology.MustFatTree(4),
+		WithRouting(routing.Options{Policy: routing.TrafficReduction}))
 	svc.Quiesce()
-	if snap := svc.Stats(); snap.Fallbacks == 0 {
-		t.Errorf("no drift fallback under threshold 0.01: %+v", snap)
+	base := svc.Stats().Latency.N
+	record := func(n int, ns float64) {
+		svc.mu.Lock()
+		for i := 0; i < n; i++ {
+			svc.recordLatency(ns)
+		}
+		svc.mu.Unlock()
 	}
-	m := msg("MSFT", 99, 1)
-	sw, _ := net.Access(0)
-	if got := svc.Program(sw).Eval(m, nil).Key(); got == (subscription.ActionSet{}).Key() {
-		t.Errorf("matching message forwards nowhere after fallback: %q", got)
+	record(1, 9e9)
+	record(5000, 1e6)
+	held := cap(svc.latency)
+	record(200000-5001, 2e6)
+	if len(svc.latency) != latencyWindow || cap(svc.latency) != held {
+		t.Fatalf("record holds %d samples (cap %d) after 200000 completions, want %d (cap %d as after 5000)",
+			len(svc.latency), cap(svc.latency), latencyWindow, held)
+	}
+	lat := svc.Stats().Latency
+	if lat.N != base+200000 {
+		t.Errorf("Latency.N = %d, want the cumulative %d", lat.N, base+200000)
+	}
+	if lat.Max != 9*time.Second {
+		t.Errorf("Latency.Max = %v, want the all-time 9s", lat.Max)
+	}
+	if lat.P50 != 2*time.Millisecond || lat.P99 != 2*time.Millisecond {
+		t.Errorf("percentiles %v / %v do not follow the latest window (2ms)", lat.P50, lat.P99)
 	}
 }
 
@@ -447,7 +622,8 @@ func TestUnsubscribeErrors(t *testing.T) {
 // compiler options (unless the caller pinned Compiler.Parallelism
 // itself), and a service configured with a worker fan-out converges to
 // the same per-switch programs as a sequential one under identical
-// churn — including drift-fallback full rebuilds, which take the
+// churn — and again after a FullRebuild of every switch, which
+// re-normalizes the whole registry in one batch and so takes the
 // parallel normalization path.
 func TestParallelismThreading(t *testing.T) {
 	cfg := Config{Parallelism: 3}.withDefaults()
@@ -463,7 +639,6 @@ func TestParallelismThreading(t *testing.T) {
 	run := func(parallelism int) *Service {
 		svc, _ := newServiceForTest(t, net,
 			WithRouting(routing.Options{Policy: routing.TrafficReduction}),
-			WithDrift(0.01), // force full rebuilds through the parallel compile path
 			WithParallelism(parallelism))
 		stocks := []string{"GOOGL", "MSFT", "AAPL"}
 		var ids []int
@@ -488,9 +663,16 @@ func TestParallelismThreading(t *testing.T) {
 	par := run(4)
 	for sw := range net.Switches {
 		want := seq.Program(sw).Canonical().String()
-		got := par.Program(sw).Canonical().String()
-		if got != want {
+		if got := par.Program(sw).Canonical().String(); got != want {
 			t.Errorf("switch %d: parallel service program differs from sequential", sw)
+		}
+		// Both services are quiesced, so their workers are idle and the
+		// reconciler may be driven directly.
+		if _, err := par.rec.FullRebuild(sw); err != nil {
+			t.Fatal(err)
+		}
+		if got := par.Program(sw).Canonical().String(); got != want {
+			t.Errorf("switch %d: parallel full rebuild differs from the sequential program", sw)
 		}
 	}
 }

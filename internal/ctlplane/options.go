@@ -59,12 +59,6 @@ func WithRetry(base, max time.Duration, maxRetries int) Option {
 	}
 }
 
-// WithDrift sets the full-recompile fallback threshold (see
-// Reconciler); 0 means DefaultDrift.
-func WithDrift(d float64) Option {
-	return func(c *Config) { c.Drift = d }
-}
-
 // WithApplyHook runs fn before every install attempt — the
 // fault-injection point for retry/backoff tests. Returning an error
 // fails the attempt.
@@ -144,7 +138,7 @@ func WithSeed(seed int64) Option {
 // NewReconcilerWith builds the synchronous placement/compile core
 // without the async Service on top (single-threaded callers such as
 // controller.Resubscribe). Only WithRouting, WithCompiler,
-// WithParallelism and WithDrift are meaningful here; the queue and
+// WithParallelism and WithCovering are meaningful here; the queue and
 // retry options apply to the Service layer.
 func NewReconcilerWith(net *topology.Network, sp *spec.Spec, opts ...Option) (*Reconciler, error) {
 	cfg := Config{Net: net, Spec: sp}

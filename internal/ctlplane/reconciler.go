@@ -49,10 +49,12 @@ type RuleOp struct {
 // CompileResult is one switch's coalesced recompilation outcome.
 type CompileResult struct {
 	*compiler.Update
-	// Full reports that delta drift crossed the threshold and the
-	// switch's engine was rebuilt from its live rule registry (the
-	// fail-safe full recompile).
-	Full bool
+	// Full reports that the switch's engine was rebuilt from its live
+	// rule registry (FullRebuild): the batched apply failed, or the
+	// engine had outgrown the compaction bound. Compacted tells the two
+	// apart.
+	Full      bool
+	Compacted bool
 }
 
 // filterRec is one live host subscription.
@@ -81,15 +83,17 @@ type placeRec struct {
 
 // swCompiler is the per-switch compile state. The registry fields
 // (places, nextRule) are guarded by the Reconciler mutex in Service use;
-// the Incremental engine and churn accounting are touched only from the
-// owning switch's apply worker (single writer).
+// the Incremental engine is touched only from the owning switch's apply
+// worker (single writer).
 type swCompiler struct {
 	id       int
 	inc      *compiler.Incremental
 	places   map[string]*placeRec // "port|expr" → refcounted rule
 	rules    map[int]*subscription.Rule
 	nextRule int
-	churn    int // entries added+removed since the last full rebuild
+	// fresh is what the engine held (nodes + memo entries) right after the
+	// last FullRebuild, 0 before the first: the compaction bound's unit.
+	fresh int
 	// forests holds, under covering mode, the per-port subsumption
 	// forests (registry state: mutated only under the Service lock,
 	// like places). Installed rules exist exactly for forest roots;
@@ -97,8 +101,19 @@ type swCompiler struct {
 	// table entry.
 	forests map[int]*cover.Forest
 	// prog is the last compiled program, published atomically so the
-	// Service can read it while the owning worker recompiles.
-	prog atomic.Pointer[compiler.Program]
+	// Service can read it while the owning worker recompiles; nodes and
+	// memo are the engine's size (compiler.Incremental.CacheSize) after
+	// the same compile.
+	prog        atomic.Pointer[compiler.Program]
+	nodes, memo atomic.Int64
+}
+
+// publish makes a compile's outcome visible to concurrent readers.
+func (sc *swCompiler) publish(p *compiler.Program) {
+	sc.prog.Store(p)
+	nodes, memo := sc.inc.CacheSize()
+	sc.nodes.Store(int64(nodes))
+	sc.memo.Store(int64(memo))
 }
 
 // Reconciler owns the placement registry and the per-switch incremental
@@ -111,10 +126,6 @@ type Reconciler struct {
 	sp    *spec.Spec
 	ropts routing.Options
 	copts compiler.Options
-	// Drift is the fallback threshold: when a switch's cumulative delta
-	// entries since its last full rebuild exceed Drift × its current
-	// table size, Compile rebuilds the engine from the live rules.
-	drift float64
 
 	// subtree[s][h] reports host h is reachable through switch s's
 	// down/host ports (Algorithm 1's subtree sets, on hosts).
@@ -133,25 +144,33 @@ type Reconciler struct {
 	im       *cover.Implier
 }
 
-// DefaultDrift is the fallback threshold used when Options leave it 0:
-// rebuild after cumulative deltas exceed 4× the table size.
-const DefaultDrift = 4.0
+// The compaction bound. An engine never forgets: every node it
+// hash-consed and every or-merge it memoized stays until the engine is
+// dropped, so under churn nodes+memo grows with the batches applied while
+// the live rule set stays the same size. Compile starts a switch over
+// from a fresh engine (FullRebuild) once the engine retains more than
+// compactFactor × what the switch's last fresh engine held right after
+// its rebuild — the rebuild makes about that many entries, so its cost is
+// 1/(compactFactor-1) of the applies that made the garbage — and never
+// below compactFloor, which stands in for the fresh size until the first
+// rebuild measures it and keeps small programs from compacting every few
+// batches. DESIGN.md §9 has the measurement behind the two numbers.
+const (
+	compactFactor = 8
+	compactFloor  = 1 << 16
+)
 
 // newReconciler builds an empty reconciler for a network from a
 // resolved Config. Every switch starts with an empty program except
 // for the MR policy's static constant-true up-port rule, which is
 // installed on the first Compile.
 func newReconciler(cfg Config) (*Reconciler, error) {
-	net, sp, ropts, copts, drift := cfg.Net, cfg.Spec, cfg.Routing, cfg.Compiler, cfg.Drift
-	if drift <= 0 {
-		drift = DefaultDrift
-	}
+	net, sp, ropts, copts := cfg.Net, cfg.Spec, cfg.Routing, cfg.Compiler
 	r := &Reconciler{
 		net:      net,
 		sp:       sp,
 		ropts:    ropts,
 		copts:    copts,
-		drift:    drift,
 		filters:  make(map[int]*filterRec),
 		covering: cfg.Covering,
 	}
@@ -160,15 +179,7 @@ func newReconciler(cfg Config) (*Reconciler, error) {
 	}
 	r.computeSubtrees()
 	for _, s := range net.Switches {
-		sw := s
-		co := copts
-		// Stateful predicates run only at the hop before the subscriber
-		// (§II), exactly as controller.Deploy configures batch compiles.
-		co.LastHop = false
-		co.LastHopPort = func(port int) bool {
-			return port >= 0 && port < len(sw.Ports) && sw.Ports[port].Kind == topology.PeerHost
-		}
-		inc, err := compiler.NewIncremental(sp, co)
+		inc, err := r.newIncremental(s.ID)
 		if err != nil {
 			return nil, fmt.Errorf("ctlplane: switch %s: %w", s.Name, err)
 		}
@@ -178,7 +189,7 @@ func newReconciler(cfg Config) (*Reconciler, error) {
 			places: make(map[string]*placeRec),
 			rules:  make(map[int]*subscription.Rule),
 		}
-		sc.prog.Store(inc.Program())
+		sc.publish(inc.Program())
 		r.switches = append(r.switches, sc)
 	}
 	// MR installs the constant-true filter on every up port (Algorithm 1
@@ -448,9 +459,9 @@ func (r *Reconciler) Rules(sw int) []*subscription.Rule {
 
 // Compile applies a coalesced batch of rule ops to one switch's
 // incremental engine and returns the resulting program + entry delta.
-// When cumulative delta drift crosses the threshold — or the batched
-// apply itself fails — it falls back to a full rebuild from the live
-// rule registry. Ops for other switches are rejected.
+// When the batched apply fails, or leaves the engine over the compaction
+// bound, it rebuilds the switch from the live rule registry. Ops for
+// other switches are rejected.
 func (r *Reconciler) Compile(sw int, ops []RuleOp) (*CompileResult, error) {
 	sc := r.switches[sw]
 	var add []*subscription.Rule
@@ -494,33 +505,27 @@ func (r *Reconciler) Compile(sw int, ops []RuleOp) (*CompileResult, error) {
 		}
 		return res, nil
 	}
-	sc.churn += up.AddedEntries + up.RemovedEntries
-	if float64(sc.churn) > r.drift*float64(max(up.Program.TotalEntries(), 1)) {
+	if nodes, memo := sc.inc.CacheSize(); nodes+memo > max(compactFloor, compactFactor*sc.fresh) {
 		res, ferr := r.FullRebuild(sw)
 		if ferr != nil {
 			return nil, ferr
 		}
 		// Report the incremental delta (what changed semantically); the
 		// rebuilt program is structurally identical rule-for-rule.
-		res.Update = up
+		res.AddedEntries, res.RemovedEntries, res.ReusedEntries = up.AddedEntries, up.RemovedEntries, up.ReusedEntries
+		res.Compacted = true
 		return res, nil
 	}
-	sc.prog.Store(up.Program)
+	sc.publish(up.Program)
 	return &CompileResult{Update: up}, nil
 }
 
-// FullRebuild discards a switch's engine (and its accumulated memo
-// tables) and recompiles the live rule registry from scratch — the
-// drift fail-safe, also the recovery path after an apply error.
+// FullRebuild discards a switch's engine (and everything it memoized)
+// and recompiles the live rule registry from scratch — the recovery path
+// after an apply error, and the compaction step.
 func (r *Reconciler) FullRebuild(sw int) (*CompileResult, error) {
 	sc := r.switches[sw]
-	s := r.net.Switches[sw]
-	co := r.copts
-	co.LastHop = false
-	co.LastHopPort = func(port int) bool {
-		return port >= 0 && port < len(s.Ports) && s.Ports[port].Kind == topology.PeerHost
-	}
-	inc, err := compiler.NewIncremental(r.sp, co)
+	inc, err := r.newIncremental(sw)
 	if err != nil {
 		return nil, err
 	}
@@ -529,16 +534,34 @@ func (r *Reconciler) FullRebuild(sw int) (*CompileResult, error) {
 		return nil, fmt.Errorf("ctlplane: full rebuild of switch %d: %w", sw, err)
 	}
 	sc.inc = inc
-	sc.churn = 0
-	sc.prog.Store(up.Program)
+	nodes, memo := inc.CacheSize()
+	sc.fresh = nodes + memo
+	sc.publish(up.Program)
 	return &CompileResult{Update: up, Full: true}, nil
 }
 
-// Drift reports a switch's cumulative delta churn relative to its table
-// size (diagnostics; ≥ the configured threshold triggers fallback).
-func (r *Reconciler) Drift(sw int) float64 {
-	sc := r.switches[sw]
-	return float64(sc.churn) / float64(max(sc.inc.Program().TotalEntries(), 1))
+// newIncremental returns an empty compiler for a switch. Stateful
+// predicates run only at the hop before the subscriber (§II), exactly as
+// controller.Deploy configures batch compiles.
+func (r *Reconciler) newIncremental(sw int) (*compiler.Incremental, error) {
+	s := r.net.Switches[sw]
+	co := r.copts
+	co.LastHop = false
+	co.LastHopPort = func(port int) bool {
+		return port >= 0 && port < len(s.Ports) && s.Ports[port].Kind == topology.PeerHost
+	}
+	return compiler.NewIncremental(r.sp, co)
+}
+
+// EngineSize sums, over all switches, what the incremental engines
+// retain: BDD nodes and or-merge memo entries — the quantity the
+// compaction bound holds down. Safe to call concurrently with Compile.
+func (r *Reconciler) EngineSize() (nodes, memoEntries int64) {
+	for _, sc := range r.switches {
+		nodes += sc.nodes.Load()
+		memoEntries += sc.memo.Load()
+	}
+	return nodes, memoEntries
 }
 
 // Covering reports whether subsumption-aware covering is enabled.

@@ -30,6 +30,9 @@ const maxTenantSeries = 256
 //
 //	camus_*_total                     service counters (Snapshot)
 //	camus_queue_depth{,_peak}         in-flight event gauges
+//	camus_ctlplane_compactions_total  full rebuilds the engine-size bound triggered
+//	camus_ctlplane_engine_nodes       BDD nodes the switch engines retain
+//	camus_ctlplane_engine_memo_entries  or-merge memo entries they retain
 //	camus_apply_latency_seconds       event→applied summary (quantiles)
 //	camus_log_{seq,bytes}             durable log position
 //	camus_log_truncated_bytes         torn-tail bytes dropped at open
@@ -78,7 +81,10 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("deletes_total", "Table entries deleted.", snap.Deletes)
 	counter("keeps_total", "Table entries reused across epochs.", snap.Keeps)
 	counter("retries_total", "Backed-off apply attempts.", snap.Retries)
-	counter("fallbacks_total", "Drift-triggered full recompiles.", snap.Fallbacks)
+	counter("fallbacks_total", "Full rebuilds of a switch from its rule registry (apply-error recovery + compaction).", snap.Fallbacks)
+	counter("ctlplane_compactions_total", "Full rebuilds triggered by the engine-size compaction bound.", snap.Compactions)
+	gauge("ctlplane_engine_nodes", "BDD nodes retained by the per-switch incremental engines, summed over switches.", float64(snap.EngineNodes))
+	gauge("ctlplane_engine_memo_entries", "Or-merge memo entries retained by the per-switch incremental engines, summed over switches.", float64(snap.EngineMemoEntries))
 	counter("failures_total", "Batches that exhausted retries or failed compile/validation.", snap.Failures)
 	counter("validations_total", "Translation-validation runs.", snap.Validations)
 	counter("validation_failures_total", "Batches rejected as disequivalent.", snap.ValidationFailures)

@@ -37,7 +37,7 @@ var ErrAdmissionRejected = errors.New("ctlplane: admission rejected: pipeline wo
 var ErrApplyFailed = errors.New("ctlplane: apply failed after retries")
 
 // Config configures a Service: the target the Options passed to New
-// (WithRouting, WithDrift, WithQueueDepth, ...) apply to.
+// (WithRouting, WithQueueDepth, WithRetry, ...) apply to.
 type Config struct {
 	Net  *topology.Network
 	Spec *spec.Spec
@@ -48,8 +48,9 @@ type Config struct {
 	Compiler compiler.Options
 	// Parallelism bounds the worker fan-out inside each switch compile
 	// (rule normalization + per-rule BDD chain construction), exploited
-	// chiefly by the drift-threshold full recompile, which re-normalizes
-	// a switch's whole registry in one batch. 0 means GOMAXPROCS.
+	// chiefly by FullRebuild — apply-error recovery and compaction —
+	// which re-normalizes a switch's whole registry in one batch. 0 means
+	// GOMAXPROCS.
 	// Copied into Compiler.Parallelism when that is unset.
 	Parallelism int
 	// Installers by switch ID; nil entries leave a switch compile-only.
@@ -65,9 +66,6 @@ type Config struct {
 	// MaxRetries caps apply attempts per batch before the batch's
 	// events fail (default 8).
 	MaxRetries int
-	// Drift is the full-recompile fallback threshold (see Reconciler);
-	// 0 means DefaultDrift.
-	Drift float64
 	// ApplyHook, when set, runs before every install attempt — the
 	// fault-injection point for retry/backoff tests. Returning an error
 	// fails the attempt.
@@ -169,8 +167,12 @@ type Service struct {
 	quiesced  *sync.Cond
 	inflight  int
 	queues    []*swQueue
-	latency   []float64 // event→applied latency, ns
 	peakDepth int
+	// Event→applied latency, ns: a ring of the latest latencyWindow
+	// samples, the count of all samples ever and their maximum.
+	latency    []float64
+	latencyN   int
+	latencyMax float64
 
 	sem    chan struct{}
 	closed chan struct{}
@@ -185,6 +187,7 @@ type Service struct {
 	keeps        atomic.Int64
 	retries      atomic.Int64
 	fallbacks    atomic.Int64
+	compactions  atomic.Int64
 	failures     atomic.Int64
 	applied      atomic.Int64
 
@@ -410,6 +413,22 @@ func (q *swQueue) startWorker(s *Service, sw int) bool {
 	return true
 }
 
+// latencyWindow bounds the latency record: a service runs for months and
+// every Stats call copies and sorts the record, so it keeps the latest
+// samples only.
+const latencyWindow = 4096
+
+// recordLatency adds one sample; the caller holds s.mu.
+func (s *Service) recordLatency(ns float64) {
+	if len(s.latency) < latencyWindow {
+		s.latency = append(s.latency, ns)
+	} else {
+		s.latency[s.latencyN%latencyWindow] = ns
+	}
+	s.latencyN++
+	s.latencyMax = max(s.latencyMax, ns)
+}
+
 // complete finishes an event's bookkeeping for one fully-applied (or
 // failed) switch batch.
 func (s *Service) complete(ev *Event) {
@@ -417,7 +436,7 @@ func (s *Service) complete(ev *Event) {
 		return
 	}
 	s.mu.Lock()
-	s.latency = append(s.latency, float64(time.Since(ev.start).Nanoseconds()))
+	s.recordLatency(float64(time.Since(ev.start).Nanoseconds()))
 	s.inflight--
 	s.applied.Add(1)
 	// Quiescent cut: with no events in flight every worker is idle, so
@@ -504,6 +523,9 @@ func (s *Service) applyWorker(sw int) {
 		s.keeps.Add(int64(res.ReusedEntries))
 		if res.Full {
 			s.fallbacks.Add(1)
+		}
+		if res.Compacted {
+			s.compactions.Add(1)
 		}
 		// Post-compile, pre-install translation validation. The worker
 		// owns this switch's compile state, so rec.Rules(sw) is the

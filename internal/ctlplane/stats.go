@@ -9,7 +9,8 @@ import (
 )
 
 // LatencyStats summarizes end-to-end update latency: event submission →
-// the moment every affected switch runs the new epoch.
+// the moment every affected switch runs the new epoch. N and Max cover
+// every event since start; the percentiles the latest latencyWindow.
 type LatencyStats struct {
 	N                  int
 	P50, P90, P99, Max time.Duration
@@ -33,12 +34,21 @@ type Snapshot struct {
 	Installs int64
 	Deletes  int64
 	Keeps    int64
-	// Retries counts backed-off apply attempts; Fallbacks counts
-	// drift-triggered full recompiles; Failures counts batches that
-	// exhausted retries, failed to compile, or failed validation.
-	Retries   int64
-	Fallbacks int64
-	Failures  int64
+	// Retries counts backed-off apply attempts; Fallbacks counts full
+	// rebuilds of a switch from its rule registry — apply-error recovery
+	// plus compaction, Compactions the latter alone; Failures counts
+	// batches that exhausted retries, failed to compile, or failed
+	// validation.
+	Retries     int64
+	Fallbacks   int64
+	Compactions int64
+	Failures    int64
+	// EngineNodes / EngineMemoEntries are what the per-switch incremental
+	// engines retain, summed over switches: BDD nodes ever hash-consed
+	// and or-merge memo entries. Compaction (Reconciler.Compile) bounds
+	// each engine by a multiple of what it held when last rebuilt.
+	EngineNodes       int64
+	EngineMemoEntries int64
 	// Validations counts post-compile translation-validation runs
 	// (Config.Validator); ValidationFailures counts batches rejected as
 	// disequivalent — those never reach the installer.
@@ -112,6 +122,7 @@ func (s *Service) Stats() Snapshot {
 		Keeps:        s.keeps.Load(),
 		Retries:      s.retries.Load(),
 		Fallbacks:    s.fallbacks.Load(),
+		Compactions:  s.compactions.Load(),
 		Failures:     s.failures.Load(),
 
 		Validations:        s.validations.Load(),
@@ -120,6 +131,7 @@ func (s *Service) Stats() Snapshot {
 		NetValidations:        s.netValidations.Load(),
 		NetValidationFailures: s.netValidationFailures.Load(),
 	}
+	snap.EngineNodes, snap.EngineMemoEntries = s.rec.EngineSize()
 	s.mu.Lock()
 	snap.QueueDepth = s.inflight
 	snap.PeakQueueDepth = s.peakDepth
@@ -135,6 +147,7 @@ func (s *Service) Stats() Snapshot {
 		snap.CoverPromotions = ctr.Promotions
 	}
 	lat := append([]float64(nil), s.latency...)
+	latN, latMax := s.latencyN, s.latencyMax
 	s.mu.Unlock()
 	if m := s.cfg.Admission; m != nil {
 		snap.Admission = true
@@ -161,7 +174,9 @@ func (s *Service) Stats() Snapshot {
 	// satisfies the interface structurally; compile-only switches and
 	// foreign installers are skipped.
 	for _, ins := range s.cfg.Installers {
-		lc, ok := ins.(interface{ LeafCacheStats() pipeline.LeafCacheStats })
+		lc, ok := ins.(interface {
+			LeafCacheStats() pipeline.LeafCacheStats
+		})
 		if !ok {
 			continue
 		}
@@ -182,11 +197,11 @@ func (s *Service) Stats() Snapshot {
 			sample.Add(v)
 		}
 		snap.Latency = LatencyStats{
-			N:   sample.N(),
+			N:   latN,
 			P50: time.Duration(sample.Percentile(50)),
 			P90: time.Duration(sample.Percentile(90)),
 			P99: time.Duration(sample.Percentile(99)),
-			Max: time.Duration(sample.Max()),
+			Max: time.Duration(latMax),
 		}
 	}
 	return snap

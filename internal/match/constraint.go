@@ -16,6 +16,7 @@ package match
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,6 +52,10 @@ type Constraint interface {
 	// predicate (rel ∈ {EQ, LT, GT, PREFIX}).
 	Implies(rel subscription.Relation, c spec.Value) Tri
 	// With returns the constraint refined by the predicate outcome.
+	// Constraints are immutable; a refinement that changes nothing (the
+	// outcome was already implied, or an exclusion list is at
+	// maxExclusions and the exclusion is dropped) returns the receiver
+	// itself, so callers can detect it by identity.
 	With(rel subscription.Relation, c spec.Value, outcome bool) Constraint
 	// Matches reports whether a concrete value satisfies the constraint.
 	Matches(v spec.Value) bool
@@ -67,6 +72,11 @@ type Constraint interface {
 	TCAMEntries(bits int) int
 	// Key returns a canonical encoding (memoization / dedup key).
 	Key() string
+	// Hash and Equal are Key without the formatting: Equal reports
+	// whether o has the same Key, and Equal constraints Hash alike. The
+	// BDD builder interns path contexts by them.
+	Hash() uint64
+	Equal(o Constraint) bool
 }
 
 // New returns the unconstrained ("match everything") constraint for a
@@ -149,7 +159,7 @@ func (ic *IntConstraint) Implies(rel subscription.Relation, c spec.Value) Tri {
 // With implements Constraint.
 func (ic *IntConstraint) With(rel subscription.Relation, c spec.Value, outcome bool) Constraint {
 	v := c.Int
-	n := &IntConstraint{Lo: ic.Lo, Hi: ic.Hi, Excluded: ic.Excluded}
+	n := IntConstraint{Lo: ic.Lo, Hi: ic.Hi, Excluded: ic.Excluded}
 	switch rel {
 	case subscription.EQ:
 		if outcome {
@@ -178,7 +188,14 @@ func (ic *IntConstraint) With(rel subscription.Relation, c spec.Value, outcome b
 		panic("match: non-canonical int relation " + rel.String())
 	}
 	n.normalize()
-	return n
+	// A refinement only ever narrows the bounds or adds one exclusion, so
+	// equal bounds and an equally long list mean nothing changed.
+	if n.Lo == ic.Lo && n.Hi == ic.Hi && len(n.Excluded) == len(ic.Excluded) {
+		return ic
+	}
+	out := new(IntConstraint)
+	*out = n
+	return out
 }
 
 func (ic *IntConstraint) exclude(v int64) {
@@ -325,6 +342,21 @@ func (ic *IntConstraint) Key() string {
 
 func (ic *IntConstraint) String() string { return ic.Key() }
 
+// Hash implements Constraint.
+func (ic *IntConstraint) Hash() uint64 {
+	h := hashWord(hashWord(fnvOffset, uint64(ic.Lo)), uint64(ic.Hi))
+	for _, v := range ic.Excluded {
+		h = hashWord(h, uint64(v))
+	}
+	return h
+}
+
+// Equal implements Constraint.
+func (ic *IntConstraint) Equal(o Constraint) bool {
+	oc, ok := o.(*IntConstraint)
+	return ok && ic.Lo == oc.Lo && ic.Hi == oc.Hi && slices.Equal(ic.Excluded, oc.Excluded)
+}
+
 // ---------------------------------------------------------------------
 // String constraints.
 // ---------------------------------------------------------------------
@@ -392,30 +424,35 @@ func (sc *StrConstraint) Implies(rel subscription.Relation, c spec.Value) Tri {
 // With implements Constraint.
 func (sc *StrConstraint) With(rel subscription.Relation, c spec.Value, outcome bool) Constraint {
 	v := c.Str
-	n := &StrConstraint{
-		Known: sc.Known, HasKnown: sc.HasKnown, Required: sc.Required,
-		ExcludedEq: sc.ExcludedEq, ExcludedPx: sc.ExcludedPx,
-	}
-	switch rel {
-	case subscription.EQ:
-		if outcome {
-			n.Known, n.HasKnown = v, true
-			n.Required, n.ExcludedEq, n.ExcludedPx = "", nil, nil
-		} else if len(n.ExcludedEq) < maxExclusions {
-			n.ExcludedEq = insertStr(n.ExcludedEq, v)
-		}
-	case subscription.PREFIX:
-		if outcome {
-			if len(v) > len(n.Required) {
-				n.Required = v
-			}
-		} else if len(n.ExcludedPx) < maxExclusions {
-			n.ExcludedPx = insertStr(n.ExcludedPx, v)
-		}
-	default:
+	if rel != subscription.EQ && rel != subscription.PREFIX {
 		panic("match: non-canonical string relation " + rel.String())
 	}
-	return n
+	if rel == subscription.EQ && outcome {
+		if sc.HasKnown && sc.Known == v {
+			return sc
+		}
+		return &StrConstraint{Known: v, HasKnown: true}
+	}
+	if sc.HasKnown {
+		return sc // a pinned value decides every other predicate
+	}
+	req, eq, px := sc.Required, sc.ExcludedEq, sc.ExcludedPx
+	switch {
+	case rel == subscription.EQ:
+		if len(eq) < maxExclusions {
+			eq = insertStr(eq, v)
+		}
+	case outcome:
+		if len(v) > len(req) {
+			req = v
+		}
+	case len(px) < maxExclusions:
+		px = insertStr(px, v)
+	}
+	if req == sc.Required && len(eq) == len(sc.ExcludedEq) && len(px) == len(sc.ExcludedPx) {
+		return sc
+	}
+	return &StrConstraint{Required: req, ExcludedEq: eq, ExcludedPx: px}
 }
 
 // Matches implements Constraint.
@@ -485,6 +522,50 @@ func (sc *StrConstraint) Key() string {
 }
 
 func (sc *StrConstraint) String() string { return sc.Key() }
+
+// Hash implements Constraint.
+func (sc *StrConstraint) Hash() uint64 {
+	if sc.HasKnown {
+		return hashString(fnvOffset+1, sc.Known)
+	}
+	h := hashString(fnvOffset, sc.Required)
+	for _, v := range sc.ExcludedEq {
+		h = hashString(h, v)
+	}
+	h = hashWord(h, uint64(len(sc.ExcludedEq)))
+	for _, v := range sc.ExcludedPx {
+		h = hashString(h, v)
+	}
+	return h
+}
+
+// Equal implements Constraint.
+func (sc *StrConstraint) Equal(o Constraint) bool {
+	oc, ok := o.(*StrConstraint)
+	if !ok || sc.HasKnown != oc.HasKnown {
+		return false
+	}
+	if sc.HasKnown {
+		return sc.Known == oc.Known
+	}
+	return sc.Required == oc.Required &&
+		slices.Equal(sc.ExcludedEq, oc.ExcludedEq) && slices.Equal(sc.ExcludedPx, oc.ExcludedPx)
+}
+
+// FNV-1a, folding in a word or a length-terminated string at a time.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+func hashWord(h, w uint64) uint64 { return (h ^ w) * fnvPrime }
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return hashWord(h, uint64(len(s)))
+}
 
 func containsStr(sorted []string, v string) bool {
 	i := sort.SearchStrings(sorted, v)

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -253,5 +254,53 @@ func TestKeyCanonical(t *testing.T) {
 	b := New(spec.IntField).With(subscription.LT, iv(10), true).With(subscription.GT, iv(5), true)
 	if a.Key() != b.Key() {
 		t.Errorf("order-dependent keys: %s vs %s", a.Key(), b.Key())
+	}
+}
+
+// TestHashEqualFollowKey: Equal is Key equality without the string, Hash
+// agrees with it, and With hands back its receiver exactly when the
+// refinement left the Key unchanged — over random refinement walks of
+// both constraint kinds, long enough to fill the exclusion lists.
+func TestHashEqualFollowKey(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	step := func(c Constraint, str bool) Constraint {
+		outcome := r.Intn(4) == 0
+		if str {
+			rel := []subscription.Relation{subscription.EQ, subscription.EQ, subscription.PREFIX}[r.Intn(3)]
+			return c.With(rel, sv(fmt.Sprintf("S%02d", r.Intn(48))[:1+r.Intn(3)]), outcome)
+		}
+		rel := []subscription.Relation{subscription.EQ, subscription.EQ, subscription.LT, subscription.GT}[r.Intn(4)]
+		return c.With(rel, iv(int64(r.Intn(60))), outcome)
+	}
+	for _, str := range []bool{false, true} {
+		var seen []Constraint
+		for trial := 0; trial < 60; trial++ {
+			c := New(spec.IntField)
+			if str {
+				c = New(spec.StringField)
+			}
+			for i := 0; i < 50; i++ {
+				next := step(c, str)
+				if same := next.Key() == c.Key(); same != (next == c) {
+					t.Fatalf("With returned receiver=%v but key %s -> %s", next == c, c.Key(), next.Key())
+				}
+				c = next
+				seen = append(seen, c)
+			}
+		}
+		for _, a := range seen[:400] {
+			for _, b := range seen {
+				eq := a.Key() == b.Key()
+				if a.Equal(b) != eq {
+					t.Fatalf("Equal(%s, %s) = %v", a.Key(), b.Key(), !eq)
+				}
+				if eq && a.Hash() != b.Hash() {
+					t.Fatalf("equal constraints %s hash apart", a.Key())
+				}
+			}
+		}
+	}
+	if New(spec.IntField).Equal(New(spec.StringField)) {
+		t.Error("constraints of different kinds compare equal")
 	}
 }
