@@ -70,27 +70,26 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-## bench: one-iteration smoke of the worker-sweep, warm-leaf-cache,
-## wire-decode, live-churn, daemon and network-verifier benchmarks
-## (fast).
+## bench: one-iteration smoke of the worker-sweep, wire-decode,
+## live-churn, daemon and network-verifier benchmarks (fast).
 bench:
-	$(GO) test -run '^$$' -bench='SwitchParallel|SwitchFastPath|Decode|Churn|CtlplaneDaemon|Netcheck' -benchtime=1x .
+	$(GO) test -run '^$$' -bench='SwitchParallel|Decode|Churn|CtlplaneDaemon|Netcheck' -benchtime=1x .
 
 ## bench-report: regenerate bench-report.txt with steady-state numbers
 ## (host header from TestMain records NumCPU / GOMAXPROCS), then emit
 ## the machine-readable companions: BENCH_compile.json for the
 ## CompileParallel worker sweep, BENCH_switch.json for the
-## SwitchParallel and leaf-cache SwitchFastPath sweeps (ns/op,
-## allocs/op, Mpps, host shape) and the DecodeITCH/DecodeINT wire-decode
+## SwitchParallel sweep (ns/op, allocs/op, Mpps, host shape) and the
+## DecodeITCH/DecodeINT wire-decode
 ## benchmarks (ns/msg, allocs and bytes per frame), and
 ## BENCH_ctlplane.json for the
 ## multi-tenant daemon (updates/s and client-observed p50/p99 request
 ## latency over the HTTP API) plus the covering-heavy churn run
 ## (routing-entry reduction ratio).
 bench-report:
-	$(GO) test -run '^$$' -bench='SwitchParallel|SwitchFastPath|Decode|Churn|CompileParallel|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
+	$(GO) test -run '^$$' -bench='SwitchParallel|Decode|Churn|CompileParallel|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'CompileParallel|^Churn$$|Netcheck|Fitcheck' -out BENCH_compile.json < bench-report.txt
-	$(GO) run ./cmd/benchjson -filter 'SwitchParallel|SwitchFastPath|Decode' -out BENCH_switch.json < bench-report.txt
+	$(GO) run ./cmd/benchjson -filter 'SwitchParallel|Decode' -out BENCH_switch.json < bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'CtlplaneDaemon|CoverChurn' -out BENCH_ctlplane.json < bench-report.txt
 
 ## perf-guard: the CI allocation guard — run the two canonical
@@ -98,11 +97,9 @@ bench-report:
 ## rules (IncrementalChurn), the network-delivery verifier, the static
 ## fit analyzer, and the covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
-## (perf-baseline.json). The single-worker warm-leaf-cache batch
-## (SwitchFastPath) runs 50 steady-state batches and the compiled table
-## walk (Lookup, both rule shapes) 100000 lookups over its message pool;
-## both are held to an exact zero-alloc baseline. The wire-decode
-## benchmarks decode 1000
+## (perf-baseline.json). The compiled table walk (Lookup, both rule
+## shapes) runs 100000 lookups over its message pool and is held to an
+## exact zero-alloc baseline. The wire-decode benchmarks decode 1000
 ## frames each against their per-frame allocs/op (4 for an ITCH
 ## datagram of any order count, 2 for an INT report), so per-message
 ## decode garbage cannot return unnoticed. BenchmarkCoverChurn also
@@ -112,7 +109,6 @@ perf-guard:
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalChurn$$' -benchtime 20x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkSwitchFastPath$$/^workers=1$$' -benchtime 50x -benchmem .; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkDecode(ITCH|INT)$$' -benchtime 1000x -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -baseline perf-baseline.json -max-ratio 2
 

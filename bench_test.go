@@ -166,79 +166,6 @@ func BenchmarkSwitchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchFastPath — ProcessBatch with a warm leaf cache
-// (DESIGN.md §16) on the ITCH market-data workload: 100 symbol-equality
-// filters (key-only, so every leaf is admissible) over a Zipf-popular
-// synthetic feed. Warm-up batches fill the per-shard leaf cache and size
-// the arenas before the timer starts; the timed region must then report
-// 0 allocs/op — every message resolves from the packed-key cache without
-// walking the match stages and deliveries land in the per-shard arenas.
-// perf-guard holds workers=1 to exactly 0 allocs/op; throughput is gated
-// by BENCHMARK.json's bounds, not here.
-func BenchmarkSwitchFastPath(b *testing.B) {
-	p := subscription.NewParser(formats.ITCH)
-	syms := workload.DefaultSymbols(100)
-	rules := make([]*subscription.Rule, 0, len(syms))
-	for i, s := range syms {
-		rule, err := p.ParseRule(fmt.Sprintf("stock == %s: fwd(%d)", s, i%48), i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rules = append(rules, rule)
-	}
-	prog, err := compiler.Compile(formats.ITCH, rules, compiler.Options{LastHop: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	feed := workload.ITCHFeed(workload.ITCHFeedConfig{Packets: 20000, Seed: 1})
-	pkts := make([]*pipeline.Packet, len(feed))
-	for i, fp := range feed {
-		msgs := make([]*spec.Message, len(fp.Orders))
-		for j, o := range fp.Orders {
-			msgs[j] = o.Message()
-		}
-		pkts[i] = &pipeline.Packet{In: 0, Msgs: msgs, Bytes: formats.ITCHOrderBytes * len(fp.Orders)}
-	}
-
-	maxW := runtime.NumCPU()
-	if maxW < 8 {
-		maxW = 8
-	}
-	var sweep []int
-	for w := 1; w <= maxW; w *= 2 {
-		sweep = append(sweep, w)
-	}
-	if last := sweep[len(sweep)-1]; last != maxW {
-		sweep = append(sweep, maxW)
-	}
-	for _, workers := range sweep {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sw, err := pipeline.NewSwitch("bench", nil, prog, pipeline.WithWorkers(workers), pipeline.WithLeafCache(1<<16))
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Two warm-up batches: the first fills the leaf cache (and
-			// mostly walks the stages), the second sizes the delivery
-			// arenas for the all-hits regime the timer measures.
-			sw.ProcessBatch(pkts, 0)
-			sw.ProcessBatch(pkts, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sw.ProcessBatch(pkts, 0)
-			}
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N*len(pkts))/s/1e6, "Mpps")
-			}
-			st := sw.Stats()
-			if st.LeafHits == 0 {
-				b.Fatal("warm batches never hit the leaf cache")
-			}
-		})
-	}
-}
-
 // BenchmarkDecodeITCH — wire decode alone, the packet layer of the wire
 // path (DESIGN.md "Wire decode"): MoldUDP64 datagrams of 1–8
 // Zipf-batched add-orders (the bench/ generator's shape) through

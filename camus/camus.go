@@ -53,9 +53,6 @@ type (
 	Switch = pipeline.Switch
 	// StatsSnapshot is an immutable copy of a switch's counters.
 	StatsSnapshot = pipeline.StatsSnapshot
-	// LeafCacheStats is a point-in-time view of a switch's hot-rule
-	// leaf cache (DESIGN.md §16); read it via Switch.LeafCacheStats().
-	LeafCacheStats = pipeline.LeafCacheStats
 	// Packet is a (possibly batched) packet traversing a switch.
 	Packet = pipeline.Packet
 	// FlowKey identifies a packet's stream for stream subscriptions
@@ -181,11 +178,6 @@ var (
 	WithRecirculationLatency = pipeline.WithRecirculationLatency
 	// WithFlowCache sizes the stream-subscription cache (§VII-B).
 	WithFlowCache = pipeline.WithFlowCache
-	// WithLeafCache turns on the hot-rule leaf cache that memoizes
-	// final forwarding decisions in front of the match stages
-	// (DESIGN.md §16) with the given entry capacity; switches run
-	// without one by default.
-	WithLeafCache = pipeline.WithLeafCache
 	// WithWorkers sets the number of dataplane worker shards that
 	// ProcessBatch fans packets out across.
 	WithWorkers = pipeline.WithWorkers

@@ -27,12 +27,7 @@
 //   - conflict: some terminal carries two markers whose actions
 //     contradict — an explicit drop overlapping a forward, or one
 //     custom action name invoked with different arguments (e.g. two
-//     answerDNS rules giving different addresses for one query);
-//
-//   - cache-hiding: a rule refines an overlapping leaf-cacheable rule
-//     on a field outside the dataplane leaf-cache key, so a decision
-//     cache keyed on the packed fields alone would hide the refining
-//     rule's action (see checkCacheHiding in cachehiding.go).
+//     answerDNS rules giving different addresses for one query).
 //
 // Soundness rests on the builder's domain pruning (reduction iii):
 // with pruning on, every root-to-terminal path is satisfiable — atoms
@@ -94,11 +89,6 @@ const (
 	// KindConflict is a pair of overlapping rules with contradictory
 	// actions.
 	KindConflict Kind = "conflict"
-	// KindCacheHiding is a rule that a key-only forwarding decision
-	// cache would hide behind an overlapping leaf-cacheable rule,
-	// because the rule refines it on a field outside the packed leaf
-	// key (see checkCacheHiding).
-	KindCacheHiding Kind = "cache-hiding"
 	// KindResources is a table that compiles but exceeds the modeled
 	// switch resources.
 	KindResources Kind = "resources"
@@ -160,7 +150,6 @@ func Verify(sp *spec.Spec, file, src string) *Report {
 	}
 
 	rep.Findings = append(rep.Findings, verifyTable(sp, file, rules, ruleLine)...)
-	rep.Findings = append(rep.Findings, checkCacheHiding(sp, file, rules, ruleLine)...)
 	sortFindings(rep.Findings)
 	return rep
 }

@@ -1,7 +1,6 @@
 package rulecheck
 
 import (
-	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,12 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"camus/internal/analysis/report"
-	"camus/internal/compiler"
-	"camus/internal/packet"
-	"camus/internal/pipeline"
 	"camus/internal/spec"
-	"camus/internal/subscription"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -180,39 +174,6 @@ func TestSeededFindingsDetected(t *testing.T) {
 		t.Errorf("unknown.rules: %d rules survived parsing (want 1: the clean control)", unk.Rules)
 	}
 
-	// The cache-hiding entries refine cacheable key-only rules on the
-	// str16 name field, which cannot live in the packed leaf-cache key.
-	// The aggregate refinement (rule 4) compiles to an uncacheable leaf
-	// and must stay clean.
-	ch := read("cachehiding.rules")
-	wantKinds(t, ch, map[int]Kind{1: KindCacheHiding, 3: KindCacheHiding})
-	for _, id := range []int{0, 2, 4} {
-		if hasFindingFor(ch, id) {
-			t.Errorf("cachehiding.rules: rule %d wrongly flagged", id)
-		}
-	}
-	for _, f := range ch.Findings {
-		if f.Kind != KindCacheHiding {
-			continue
-		}
-		if f.Severity != SevWarning {
-			t.Errorf("cache-hiding severity = %s, want warning", f.Severity)
-		}
-		if f.Counterexample == nil || f.Counterexample.Packet == "" {
-			t.Errorf("cache-hiding finding for rule %d lacks a wire counterexample", f.RuleID)
-		}
-		switch f.RuleID {
-		case 1:
-			if len(f.Related) != 1 || f.Related[0] != 0 {
-				t.Errorf("hiding cover of rule 1 = %v, want [0]", f.Related)
-			}
-		case 3:
-			if len(f.Related) != 2 || f.Related[0] != 0 || f.Related[1] != 2 {
-				t.Errorf("hiding cover of rule 3 = %v, want [0 2]", f.Related)
-			}
-		}
-	}
-
 	// The resources entry compiles fine but demands five distinct
 	// aggregate windows — one more than the modeled stateful registers.
 	// The verdict is delegated to fitcheck's per-stage placement model.
@@ -253,84 +214,6 @@ func TestRepoExamplesClean(t *testing.T) {
 	}
 	if rep.Rules != 5 {
 		t.Errorf("itch.rules parsed %d rules, want 5", rep.Rules)
-	}
-}
-
-// TestCacheHidingCounterexampleReplays closes the loop on one seeded
-// violation: the finding's wire counterexample is decoded and replayed
-// through a leaf-cache-enabled pipeline.Switch whose cache was warmed
-// from the coarse rule's region with a same-key packet. The dataplane
-// must deliver the merged action set (the walk-purity fill rule refuses
-// to memoize the overlap), while the finding's Got field records what a
-// naive key-only cache would have served instead.
-func TestCacheHidingCounterexampleReplays(t *testing.T) {
-	sp := corpusSpec(t)
-	src, err := os.ReadFile(filepath.Join("testdata", "corpus", "cachehiding.rules"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Verify(sp, "cachehiding.rules", string(src))
-	var cex *report.Counterexample
-	for _, f := range rep.Findings {
-		if f.Kind == KindCacheHiding && f.RuleID == 1 {
-			cex = f.Counterexample
-		}
-	}
-	if cex == nil || cex.Packet == "" {
-		t.Fatal("no replayable counterexample on the seeded rule-1 finding")
-	}
-	wire, err := hex.DecodeString(cex.Packet)
-	if err != nil {
-		t.Fatalf("counterexample packet is not hex: %v", err)
-	}
-	m := spec.NewMessage(sp)
-	rest := wire
-	for _, h := range cex.Headers {
-		codec, err := packet.NewHeaderCodec(sp, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rest, err = codec.Decode(rest, m); err != nil {
-			t.Fatalf("decode %s: %v", h, err)
-		}
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes after decode", len(rest))
-	}
-
-	rules, err := subscription.NewParser(sp).ParseRules(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := compiler.Compile(sp, rules, compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := pipeline.NewSwitch("replay", nil, prog, pipeline.WithIngressDrop(false), pipeline.WithLeafCache(1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the leaf cache from the coarse region: same key fields as
-	// the witness (name is not a key field), different name.
-	coarse := spec.NewMessage(sp)
-	coarse.MarkHeader("market")
-	coarse.MustSet("stock", spec.StrVal("GOOGL"))
-	coarse.MustSet("name", spec.StrVal("ORDINARY"))
-	for i := 0; i < 2; i++ {
-		sw.Process(&pipeline.Packet{In: 0, Msgs: []*spec.Message{coarse}}, 0)
-	}
-	// Port 5 may ride along: interior (non-last-hop) switches forward
-	// aggregate-refined rules conservatively (§II). The hiding question
-	// is about ports 1 and 2: a key-only cache would drop port 2.
-	got := map[int]bool{}
-	for _, d := range sw.Process(&pipeline.Packet{In: 0, Msgs: []*spec.Message{m}, Bytes: len(wire)}, 0) {
-		got[d.Port] = true
-	}
-	if !got[1] || !got[2] {
-		t.Fatalf("replayed counterexample delivered to %v, want ports 1 and 2 (port 2 is what a key-only cache would hide)", got)
-	}
-	if cex.Want != "fwd(1,2)" || cex.Got != "fwd(1)" {
-		t.Fatalf("counterexample want/got = %q/%q", cex.Want, cex.Got)
 	}
 }
 

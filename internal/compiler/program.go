@@ -145,22 +145,7 @@ func (p *Program) TotalEntries() int {
 // pipeline runtime. It returns the leaf entry reached (nil for drop with
 // no leaf row).
 func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
-	le, _ := p.LookupKeyed(m, st, nil)
-	return le
-}
-
-// LookupKeyed is Lookup, additionally reporting whether the walk was
-// *pure*: every block it visited — every stage in which its state had
-// entries — is marked true in keyStage (indexed like Stages; nil skips
-// the tracking and reports false). Purity is what makes a leaf-cache
-// fill sound: whether a state has a block in a stage is a property of
-// the state alone, and a block's outcome depends on the message only
-// through that stage's input, so two messages agreeing on every
-// keyStage input follow identical trajectories — a pure walk's leaf is a
-// function of the key and may be memoized without hiding any
-// overlapping decision (DESIGN.md §16).
-func (p *Program) LookupKeyed(m *spec.Message, st subscription.StateReader, keyStage []bool) (*LeafEntry, bool) {
-	return p.walk.lookup(m, st, m.Spec() != p.Spec, keyStage)
+	return p.walk.lookup(m, st, m.Spec() != p.Spec)
 }
 
 // Eval returns the merged action set for a message (empty set = drop).

@@ -164,20 +164,14 @@ func (w *walk) slot(b *block, h uint32, key string) *strSlot {
 }
 
 // lookup is the one stage walk: from the entry block to a leaf, one
-// block per stage the state enters. pure reports that every block
-// visited belongs to a stage marked in keyStage (nil: not tracked,
-// false).
-func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool, keyStage []bool) (*LeafEntry, bool) {
+// block per stage the state enters.
+func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool) *LeafEntry {
 	if len(w.leaves) == 0 {
-		return nil, false // a hand-assembled Program that was never Reindexed
+		return nil // a hand-assembled Program that was never Reindexed
 	}
-	pure := keyStage != nil
 	cur := w.start
 	for cur >= 0 {
 		b := &w.blocks[cur]
-		if pure && !keyStage[b.stage] {
-			pure = false
-		}
 		cur = b.miss
 		v, present := w.stages[b.stage].input(m, st, foreign)
 		switch {
@@ -215,7 +209,7 @@ func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool
 			}
 		}
 	}
-	return w.leaves[^cur], pure
+	return w.leaves[^cur]
 }
 
 // Reindex derives the walk from Stages, Defaults, Leaf and Init. The

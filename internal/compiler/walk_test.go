@@ -20,12 +20,6 @@ import (
 // else the Defaults row, else carry the state on; then the leaf row of
 // the final state. It reads only Entries, Defaults and Leaf, and is the
 // reference every flat-walk test compares against.
-//
-// One deliberate difference from the seed: a walk is impure as soon as
-// its state has entries in a non-key stage, even when no entry and no
-// default took it anywhere. The seed kept such a walk pure, which let a
-// default-less state memoize a drop that another value of the same key
-// would not get.
 type refWalk struct {
 	p       *Program
 	byState []map[StateID][]*Entry
@@ -47,16 +41,12 @@ func newRefWalk(p *Program) *refWalk {
 	return r
 }
 
-func (r *refWalk) lookup(m *spec.Message, st subscription.StateReader, keyStage []bool) (*LeafEntry, bool) {
+func (r *refWalk) lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
 	state := r.p.Init
-	pure := keyStage != nil
 	for i, t := range r.p.Stages {
 		entries, in := r.byState[i][state]
 		if !in {
 			continue
-		}
-		if pure && !keyStage[i] {
-			pure = false
 		}
 		v, present := refInput(t, m, st)
 		next, took := state, false
@@ -73,7 +63,7 @@ func (r *refWalk) lookup(m *spec.Message, st subscription.StateReader, keyStage 
 		}
 		state = next
 	}
-	return r.leaf[state], pure
+	return r.leaf[state]
 }
 
 func refInput(t *Table, m *spec.Message, st subscription.StateReader) (spec.Value, bool) {
@@ -198,38 +188,21 @@ func (pr *probes) state(r *rand.Rand) subscription.StateReader {
 }
 
 // checkWalk asserts Lookup ≡ reference on n probe messages: the same
-// *LeafEntry, and the same purity bit under no mask, the all-key mask,
-// the no-key mask and a random one.
+// *LeafEntry.
 func checkWalk(t testing.TB, p *Program, r *rand.Rand, n int, specs ...*spec.Spec) {
 	t.Helper()
 	ref := newRefWalk(p)
 	pr := newProbes(p)
 	specs = append(specs, p.Spec)
-	masks := [][]bool{nil, make([]bool, len(p.Stages)), make([]bool, len(p.Stages)), make([]bool, len(p.Stages))}
-	for i := range masks[1] {
-		masks[1][i] = true
-	}
 	for i := 0; i < n; i++ {
 		m := pr.message(r, specs[r.Intn(len(specs))])
 		st := pr.state(r)
-		for j := range masks[3] {
-			masks[3][j] = r.Intn(2) == 0
-		}
-		for _, mask := range masks {
-			want, wantPure := ref.lookup(m, st, mask)
-			got, gotPure := p.LookupKeyed(m, st, mask)
-			if got != want || gotPure != wantPure {
-				t.Fatalf("message %s state %v mask %v:\n got leaf %v pure %v\nwant leaf %v pure %v\nprogram:\n%s",
-					m, st, mask, leafString(got), gotPure, leafString(want), wantPure, clip(p.String()))
-			}
-		}
-		if le := p.Lookup(m, st); le != mustLeaf(ref.lookup(m, st, nil)) {
-			t.Fatalf("Lookup disagrees with LookupKeyed on %s", m)
+		if got, want := p.Lookup(m, st), ref.lookup(m, st); got != want {
+			t.Fatalf("message %s state %v:\n got leaf %v\nwant leaf %v\nprogram:\n%s",
+				m, st, leafString(got), leafString(want), clip(p.String()))
 		}
 	}
 }
-
-func mustLeaf(le *LeafEntry, _ bool) *LeafEntry { return le }
 
 func leafString(le *LeafEntry) string {
 	if le == nil {
@@ -495,7 +468,7 @@ func TestFirstMatchOrder(t *testing.T) {
 	intact := p
 	agree := func(p *Program, ref *refWalk, m *spec.Message) {
 		t.Helper()
-		if got, want := p.Lookup(m, nil), mustLeaf(ref.lookup(m, nil, nil)); got != want {
+		if got, want := p.Lookup(m, nil), ref.lookup(m, nil); got != want {
 			t.Errorf("%s: got %s, reference %s", m, leafString(got), leafString(want))
 		}
 		if p != intact {
@@ -627,9 +600,9 @@ func fuzzRules(next func() int) string {
 }
 
 // FuzzLookup is the differential fuzzer of the flat walk against
-// refWalk: rule bytes choose the program, message bytes the packet, the
-// register values and the purity mask. (Program against rules is
-// FuzzCompileProve's job, in internal/analysis/prove.)
+// refWalk: rule bytes choose the program, message bytes the packet and
+// the register values. (Program against rules is FuzzCompileProve's job,
+// in internal/analysis/prove.)
 func FuzzLookup(f *testing.F) {
 	f.Add([]byte{}, []byte{}, false)
 	f.Add([]byte{1, 1, 0, 0, 2, 2, 0}, []byte{3, 60, 61, 0, 1}, false)
@@ -674,15 +647,8 @@ func FuzzLookup(f *testing.F) {
 				st[stage.Field.Ref.Key()] = ints[next()%len(ints)]
 			}
 		}
-		mask := make([]bool, len(p.Stages))
-		for i := range mask {
-			mask[i] = next()&1 != 0
-		}
-		want, wantPure := newRefWalk(p).lookup(m, st, mask)
-		got, gotPure := p.LookupKeyed(m, st, mask)
-		if got != want || gotPure != wantPure {
-			t.Fatalf("%s state %v mask %v: got %s pure %v, reference %s pure %v\n%s",
-				m, st, mask, leafString(got), gotPure, leafString(want), wantPure, p)
+		if got, want := p.Lookup(m, st), newRefWalk(p).lookup(m, st); got != want {
+			t.Fatalf("%s state %v: got %s, reference %s\n%s", m, st, leafString(got), leafString(want), p)
 		}
 	})
 }
@@ -733,9 +699,8 @@ func BenchmarkLookup(b *testing.B) {
 
 var sinkLeaf *LeafEntry
 
-// TestLookupZeroAlloc: the walk allocates nothing, with and without the
-// purity mask, on exact, range, aggregate, string-table and string-tail
-// stages.
+// TestLookupZeroAlloc: the walk allocates nothing on exact, range,
+// aggregate, string-table and string-tail stages.
 func TestLookupZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	sp := testSpec(t)
@@ -756,14 +721,12 @@ func TestLookupZeroAlloc(t *testing.T) {
 		{compileLines(t, formats.INT, benchINTRules(r, 200), Options{LastHop: true}), intPool(r, 512), nil},
 		{tails, tailPool, nil},
 	} {
-		mask := make([]bool, len(c.p.Stages))
 		i := 0
 		if n := testing.AllocsPerRun(2000, func() {
 			sinkLeaf = c.p.Lookup(c.pool[i&511], c.st)
-			sinkLeaf, _ = c.p.LookupKeyed(c.pool[i&511], c.st, mask)
 			i++
 		}); n != 0 {
-			t.Errorf("%s: %v allocs per lookup pair, want 0", c.p.Spec.Name, n)
+			t.Errorf("%s: %v allocs per lookup, want 0", c.p.Spec.Name, n)
 		}
 	}
 	if len(tails.walk.tails) == 0 {

@@ -53,11 +53,6 @@ const maxTenantSeries = 256
 //	camus_fit_rejects_total           subscribes refused by fit admission
 //	camus_fit_headroom_entries        min entry headroom across switches
 //	camus_fit_stage_sram_pct          fullest stage SRAM bank, percent
-//	camus_leaf_hits_total             dataplane leaf-cache hits (leaf-cache
-//	camus_leaf_misses_total           series appear only when an installed
-//	camus_leaf_fills_total            switch exposes an enabled cache)
-//	camus_leaf_admissible_entries     cacheable leaf rows, current epochs
-//	camus_leaf_capacity_entries       total leaf-cache capacity
 //	camus_tenant_events_total{tenant,op}        dispatched sub/unsub
 //	camus_tenant_rejected_total{tenant,reason}  quota/rate refusals
 //	camus_tenant_latency_seconds{tenant,quantile}
@@ -105,13 +100,6 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("fit_rejects_total", "Subscribes refused because the predicted entry delta would overflow a pipeline.", snap.AdmissionRejects)
 		gauge("fit_headroom_entries", "Minimum remaining table-entry headroom across switches with an installed program.", float64(snap.FitHeadroomEntries))
 		gauge("fit_stage_sram_pct", "Fullest stage SRAM bank anywhere in the deployment, percent.", snap.FitStageSRAMPct)
-	}
-	if snap.LeafCache {
-		counter("leaf_hits_total", "Messages served from the dataplane leaf cache.", snap.LeafHits)
-		counter("leaf_misses_total", "Messages that walked the match stages.", snap.LeafMisses)
-		counter("leaf_fills_total", "Leaf-cache fills (pure, admissible outcomes).", snap.LeafFills)
-		gauge("leaf_admissible_entries", "Cacheable leaf-table rows across installed epochs.", float64(snap.LeafAdmissible))
-		gauge("leaf_capacity_entries", "Total leaf-cache entry capacity across switches.", float64(snap.LeafCapacity))
 	}
 
 	writeSummary(&b, "apply_latency_seconds", "Event submission to all-switches-applied latency.", "", snap.Latency)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"camus/internal/pipeline"
 	"camus/internal/stats"
 )
 
@@ -95,16 +94,6 @@ type Snapshot struct {
 	AdmissionRejects   int64
 	FitHeadroomEntries int
 	FitStageSRAMPct    float64
-	// Leaf-cache telemetry (the dataplane hot-rule cache, DESIGN.md
-	// §16; all zero unless some installer exposes an enabled cache):
-	// cumulative hit/miss/fill counters plus the admissible-leaf and
-	// capacity gauges, summed across installed switches.
-	LeafCache      bool
-	LeafHits       int64
-	LeafMisses     int64
-	LeafFills      int64
-	LeafAdmissible int
-	LeafCapacity   int
 	// Latency is the event→all-switches-applied distribution.
 	Latency LatencyStats
 }
@@ -169,27 +158,6 @@ func (s *Service) Stats() Snapshot {
 			}
 			first = false
 		}
-	}
-	// Leaf-cache gauges: probe the installers — *pipeline.Switch
-	// satisfies the interface structurally; compile-only switches and
-	// foreign installers are skipped.
-	for _, ins := range s.cfg.Installers {
-		lc, ok := ins.(interface {
-			LeafCacheStats() pipeline.LeafCacheStats
-		})
-		if !ok {
-			continue
-		}
-		st := lc.LeafCacheStats()
-		if !st.Enabled {
-			continue
-		}
-		snap.LeafCache = true
-		snap.LeafHits += st.Hits
-		snap.LeafMisses += st.Misses
-		snap.LeafFills += st.Fills
-		snap.LeafAdmissible += st.Admissible
-		snap.LeafCapacity += st.Capacity
 	}
 	if len(lat) > 0 {
 		var sample stats.Sample

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -78,7 +79,7 @@ func TestConcurrentProcessInstall(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	progA := compileRules(t, sp, "stock == GOOGL: fwd(1)")
 	progB := compileRules(t, sp, "stock == GOOGL: fwd(2)\nstock == MSFT: fwd(3)")
-	sw, err := NewSwitch("s1", nil, progA, WithWorkers(4), WithLeafCache(1<<16))
+	sw, err := NewSwitch("s1", nil, progA, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +148,123 @@ func TestConcurrentProcessInstall(t *testing.T) {
 	// Counters survived the storm: every processed packet was counted.
 	if st := sw.Stats(); st.Packets != processors*iterations+2 {
 		t.Errorf("Packets = %d, want %d", st.Packets, processors*iterations+2)
+	}
+}
+
+// TestInstallChurnEpochConsistency races Process publishers and one
+// ProcessBatch goroutine across Install swaps: every delivery must come
+// from one of the two installed programs, and once traffic quiesces the
+// switch must serve exactly the final program's decision. The publishers
+// contend the shard lock against the batch goroutine, so under -race this
+// is the stress of acquire's private-workspace fallback beside the
+// arenas.
+func TestInstallChurnEpochConsistency(t *testing.T) {
+	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
+	progs := []*compiler.Program{
+		compileRules(t, sp, "stock == GOOGL: fwd(1)"),
+		compileRules(t, sp, "stock == GOOGL: fwd(2)"),
+	}
+	pkts := make([]*Packet, 64)
+	for i := range pkts {
+		sym := "GOOGL"
+		if i%4 == 3 {
+			sym = "MSFT"
+		}
+		pkts[i] = &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, sym, int64(40+i%20), 10)}}
+	}
+	const iters = 200
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	// report keeps the first few complaints and never blocks a worker.
+	report := func(format string, a ...any) {
+		select {
+		case errs <- fmt.Sprintf(format, a...):
+		default:
+		}
+	}
+	// Concurrent publishers go through Process (heap-fresh results, the
+	// concurrent-publication API).
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				for i, p := range pkts {
+					for _, d := range sw.Process(p, 0) {
+						if d.Port != 1 && d.Port != 2 {
+							report("worker %d iter %d pkt %d: port %d", g, it, i, d.Port)
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	// One dedicated batch goroutine emits into the shard arenas; per the
+	// reuse contract it reads each batch's results before its next call.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for it := 0; it < iters; it++ {
+			out := sw.ProcessBatch(pkts, 0)
+			for i, ds := range out {
+				for _, d := range ds {
+					if d.Port != 1 && d.Port != 2 {
+						report("batch iter %d pkt %d: port %d", it, i, d.Port)
+					}
+				}
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			if err := sw.Install(progs[i%2]); err != nil {
+				report("install %d: %v", i, err)
+			}
+		}
+	}()
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+	// Quiesce on the final program: its decision, not any earlier
+	// epoch's.
+	if err := sw.Install(compileRules(t, sp, "stock == GOOGL: fwd(2)")); err != nil {
+		t.Fatal(err)
+	}
+	pkt := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}}
+	for i := 0; i < 3; i++ {
+		out := sw.Process(pkt, 0)
+		if len(out) != 1 || out[0].Port != 2 {
+			t.Fatalf("post-churn deliveries = %+v", out)
+		}
+	}
+}
+
+// TestPrivateRunsCounted: a run that finds its shard busy executes in a
+// private workspace — the one degraded mode of the packet path — and
+// says so in Stats; its deliveries are those of an owned run.
+func TestPrivateRunsCounted(t *testing.T) {
+	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)\nprice > 40: fwd(2)", compiler.Options{})
+	pkt := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}, Bytes: 20}
+	want := sw.Process(pkt, 0)
+	if len(want) != 2 || want[0].Port != 1 || want[1].Port != 2 {
+		t.Fatalf("owned deliveries = %+v", want)
+	}
+	if st := sw.Stats(); st.PrivateRuns != 0 {
+		t.Fatalf("an uncontended run counted as private: %+v", st)
+	}
+	sw.shards[0].mu.Lock()
+	got := sw.Process(pkt, 0)
+	sw.shards[0].mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("private run delivered %+v, owned run %+v", got, want)
+	}
+	if st := sw.Stats(); st.PrivateRuns != 1 || st.Packets != 2 || st.Deliveries != 4 {
+		t.Fatalf("stats after one private run = %+v", st)
 	}
 }
 

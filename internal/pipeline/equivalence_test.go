@@ -27,13 +27,11 @@ header dns_query {
 // TestProcessBatchMatchesProcess: Process and ProcessBatch are one core
 // behind two emit targets, so over every kind of packet the core serves
 // they must produce identical deliveries and identical Stats — with one
-// worker and four, leaf cache on and off.
+// worker and four.
 //
 // With four workers a batch's flow-less packets run concurrently on
 // several shards, so the stateful case keeps every register crossing
-// between batches, never inside one; and the per-shard leaf caches see
-// a different key sequence than shard 0 alone, so the Leaf* counters are
-// only compared with one worker.
+// between batches, never inside one.
 func TestProcessBatchMatchesProcess(t *testing.T) {
 	itch := func(sp *spec.Spec, n int, stock string, price, shares int64) []*spec.Message {
 		ms := make([]*spec.Message, n)
@@ -48,6 +46,9 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 		rules   string
 		copts   compiler.Options
 		traffic func(sp *spec.Spec) []equivBatch
+		// wantPorts, when set, is the egress port list of each packet of
+		// every batch.
+		wantPorts [][]int
 	}{
 		{
 			name:    "stateless",
@@ -67,7 +68,7 @@ shares > 900: fwd(4)
 						itchMsg(sp, syms[(i+1)%len(syms)], int64(i*7%1200), 10),
 					}})
 				}
-				return []equivBatch{b, b} // second pass: warm cache
+				return []equivBatch{b, b}
 			},
 		},
 		{
@@ -145,6 +146,33 @@ shares > 900: fwd(4)
 			},
 		},
 		{
+			// A rule refining a broader one on a wide string field: a
+			// packet in the overlap goes to both ports, however often the
+			// broader outcome was served for the same stock and price
+			// just before.
+			name: "refinement-overlap",
+			specSrc: `
+header market {
+    stock : str8 @field_exact;
+    price : u32 @field;
+    name : str16 @field;
+}
+`,
+			rules: "stock == GOOGL: fwd(1)\nstock == GOOGL and name == SPECIALISSUE: fwd(2)",
+			traffic: func(sp *spec.Spec) []equivBatch {
+				var b equivBatch
+				for _, name := range []string{"ORDINARY", "ORDINARY", "SPECIALISSUE", "ORDINARY"} {
+					m := spec.NewMessage(sp)
+					m.MustSet("stock", spec.StrVal("GOOGL"))
+					m.MustSet("price", spec.IntVal(50))
+					m.MustSet("name", spec.StrVal(name))
+					b.pkts = append(b.pkts, &Packet{In: 9, Bytes: 30, Msgs: []*spec.Message{m}})
+				}
+				return []equivBatch{b, b}
+			},
+			wantPorts: [][]int{{1}, {1}, {1, 2}, {1}},
+		},
+		{
 			name:    "empty",
 			specSrc: itchSpecSrc,
 			rules:   "stock == GOOGL: fwd(1)",
@@ -159,57 +187,119 @@ shares > 900: fwd(4)
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
-			for _, cache := range []int{1 << 16, 0} {
-				t.Run(fmt.Sprintf("%s/workers=%d/cache=%d", tc.name, workers, cache), func(t *testing.T) {
-					sp := spec.MustParse("equiv", tc.specSrc)
-					rules, err := subscription.NewParser(sp).ParseRules(tc.rules)
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				sp := spec.MustParse("equiv", tc.specSrc)
+				rules, err := subscription.NewParser(sp).ParseRules(tc.rules)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := compiler.Compile(sp, rules, tc.copts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mk := func() *Switch {
+					sw, err := NewSwitch("s", static, prog, WithWorkers(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
-					prog, err := compiler.Compile(sp, rules, tc.copts)
-					if err != nil {
-						t.Fatal(err)
+					sw.HandleCustom("answerDNS", func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery {
+						return []Delivery{{Port: pkt.In, Msgs: []*spec.Message{m}}}
+					})
+					return sw
+				}
+				ref, sw := mk(), mk()
+				for bi, b := range tc.traffic(sp) {
+					got := sw.ProcessBatch(b.pkts, b.now)
+					if len(got) != len(b.pkts) {
+						t.Fatalf("batch %d: %d results for %d packets", bi, len(got), len(b.pkts))
 					}
-					static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					mk := func() *Switch {
-						sw, err := NewSwitch("s", static, prog, WithWorkers(workers), WithLeafCache(cache))
-						if err != nil {
-							t.Fatal(err)
+					for i, p := range b.pkts {
+						if want := ref.Process(p, b.now); !reflect.DeepEqual(got[i], want) {
+							t.Fatalf("batch %d pkt %d: ProcessBatch %+v != Process %+v", bi, i, got[i], want)
 						}
-						sw.HandleCustom("answerDNS", func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery {
-							return []Delivery{{Port: pkt.In, Msgs: []*spec.Message{m}}}
-						})
-						return sw
-					}
-					ref, sw := mk(), mk()
-					for bi, b := range tc.traffic(sp) {
-						got := sw.ProcessBatch(b.pkts, b.now)
-						if len(got) != len(b.pkts) {
-							t.Fatalf("batch %d: %d results for %d packets", bi, len(got), len(b.pkts))
+						if tc.wantPorts == nil {
+							continue
 						}
-						for i, p := range b.pkts {
-							if want := ref.Process(p, b.now); !reflect.DeepEqual(got[i], want) {
-								t.Fatalf("batch %d pkt %d: ProcessBatch %+v != Process %+v", bi, i, got[i], want)
-							}
+						var ports []int
+						for _, d := range got[i] {
+							ports = append(ports, d.Port)
+						}
+						if !reflect.DeepEqual(ports, tc.wantPorts[i]) {
+							t.Fatalf("batch %d pkt %d: delivered to ports %v, want %v", bi, i, ports, tc.wantPorts[i])
 						}
 					}
-					got, want := sw.Stats(), ref.Stats()
-					if workers > 1 {
-						for _, st := range []*StatsSnapshot{&got, &want} {
-							st.LeafHits, st.LeafMisses, st.LeafFills = 0, 0, 0
-						}
-					}
-					if got != want {
-						t.Fatalf("Stats diverge:\nProcessBatch %+v\nProcess      %+v", got, want)
-					}
-					if want.Packets == 0 || (tc.name != "empty" && want.Deliveries == 0) {
-						t.Fatalf("case exercised nothing: %+v", want)
-					}
-				})
-			}
+				}
+				got, want := sw.Stats(), ref.Stats()
+				if got != want {
+					t.Fatalf("Stats diverge:\nProcessBatch %+v\nProcess      %+v", got, want)
+				}
+				if want.Packets == 0 || (tc.name != "empty" && want.Deliveries == 0) {
+					t.Fatalf("case exercised nothing: %+v", want)
+				}
+			})
 		}
+	}
+}
+
+// TestProcessBatchZeroAlloc pins the workspace invariant: the
+// single-worker steady-state batch allocates nothing per op — on a
+// stateless program, on a stateful one whose register reads and writes go
+// through the shared StateTable, and on multi-message packets whose
+// messages fan out to several ports each.
+func TestProcessBatchZeroAlloc(t *testing.T) {
+	const stateless = `
+stock == GOOGL: fwd(1)
+stock == MSFT and price > 100: fwd(2)
+price > 500: fwd(3)
+`
+	for _, tc := range []struct {
+		name  string
+		rules string
+		copts compiler.Options
+		// msgs is the message count of packet i.
+		msgs func(i int) int
+	}{
+		{name: "stateless", rules: stateless},
+		{name: "stateful", rules: stateless + "stock == GOOGL and avg(price, 100us) > 60: fwd(4)\n",
+			copts: compiler.Options{LastHop: true}},
+		{name: "fanout", rules: stateless + "stock == GOOGL: fwd(5)\nshares > 5: fwd(6)\nshares > 5: fwd(7)\n",
+			msgs: func(i int) int { return 1 + i%8 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw, sp := buildSwitch(t, tc.rules, tc.copts)
+			syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
+			pkts := make([]*Packet, 256)
+			for i := range pkts {
+				n := 1
+				if tc.msgs != nil {
+					n = tc.msgs(i)
+				}
+				msgs := make([]*spec.Message, n)
+				for j := range msgs {
+					msgs[j] = itchMsg(sp, syms[(i+j)%len(syms)], int64(50+(i+j)*7%1000), 10)
+				}
+				pkts[i] = &Packet{In: 0, Msgs: msgs, Bytes: 64 * n}
+			}
+			now := time.Duration(0)
+			sw.ProcessBatch(pkts, now) // warm the arenas
+			allocs := testing.AllocsPerRun(20, func() {
+				now += 30 * time.Microsecond // windows tumble every few runs
+				sw.ProcessBatch(pkts, now)
+			})
+			if allocs != 0 {
+				t.Fatalf("batch allocates %.1f allocs/op, want 0", allocs)
+			}
+			st := sw.Stats()
+			if tc.copts.LastHop && (st.StateUpdates == 0 || st.Deliveries == 0) {
+				t.Fatalf("stateful run never touched a register or delivered: %+v", st)
+			}
+			if tc.msgs != nil && (st.Messages <= st.Packets || st.Deliveries < 2*st.Packets) {
+				t.Fatalf("fan-out run did not fan out: %+v", st)
+			}
+		})
 	}
 }

@@ -42,18 +42,6 @@ func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
 
-// WithLeafCache turns on the hot-rule leaf cache (DESIGN.md §16): size
-// is the total entry capacity, split across worker shards and rounded
-// up to a power of two per shard. The cache memoizes final forwarding
-// decisions for the hot packet keys under the fill-time purity rule,
-// so a hot key's messages skip the match-stage walk. It is off unless
-// asked for — since the compiled walk went flat (DESIGN.md §18) a probe
-// costs more than the walk it saves on every benchmark workload — and
-// size <= 0 leaves it off.
-func WithLeafCache(size int) Option {
-	return func(c *Config) { c.LeafCacheSize = size }
-}
-
 // WithIngressDrop controls suppression of forwarding a packet back out
 // its ingress port (Algorithm 1's "other than the ingress port"; on by
 // default).

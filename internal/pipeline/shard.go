@@ -29,8 +29,9 @@ type shard struct {
 
 // acquire returns the workspace a run executes in: the shard's own when
 // its lock is free (owned; the caller unlocks sh.mu when the run ends),
-// otherwise a private one without leaf cache or warm buffers, so
-// goroutines that collapse onto one shard do not serialize.
+// otherwise a private one with cold buffers, so goroutines that collapse
+// onto one shard do not serialize. runOn counts the private runs
+// (StatsSnapshot.PrivateRuns).
 func (sh *shard) acquire() (ws *workspace, owned bool) {
 	if sh.mu.TryLock() {
 		return &sh.ws, true
@@ -53,18 +54,15 @@ func (r *run) unlockFlows() {
 }
 
 // workspace is the reusable mutable state of the packet core: the
-// per-port message buckets of the packet in flight, the leaf-cache
-// partition and its probe key, the register reader, and the arenas
-// ProcessBatch results are emitted into. Buckets are a linear-scanned
-// slice because egress ports are few per packet and may be negative
-// (e.g. routing's UpPort), ruling out dense indexing.
+// per-port message buckets of the packet in flight, the register reader,
+// and the arenas ProcessBatch results are emitted into. Buckets are a
+// linear-scanned slice because egress ports are few per packet and may be
+// negative (e.g. routing's UpPort), ruling out dense indexing.
 type workspace struct {
 	buckets []portBucket
 	n       int // buckets in use
 	total   int // messages across them
 
-	leaf *leafCache // nil when the leaf cache is disabled
-	key  leafKey
 	regs stateAt
 
 	// Output arenas, reset at the start of each batch run. Handed-out

@@ -14,12 +14,12 @@ type StatsSnapshot struct {
 	StateUpdates   int64 // register updates
 	FlowHits       int64 // continuation packets served from the flow cache
 	FlowMisses     int64 // continuation packets with no cached flow (dropped)
-	LeafHits       int64 // messages served from the leaf cache (DESIGN.md §16)
-	LeafMisses     int64 // messages that walked the match stages
-	LeafFills      int64 // leaf-cache fills (pure, admissible outcomes)
 	ParseErrors    int64 // raw packets the parser rejected
+	PrivateRuns    int64 // runs that found their shard busy and took a private workspace
 	BytesIn        int64
 	BytesOut       int64
+
+	benchLeafCounters
 }
 
 // add returns the element-wise sum of two snapshots.
@@ -32,10 +32,8 @@ func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	a.StateUpdates += b.StateUpdates
 	a.FlowHits += b.FlowHits
 	a.FlowMisses += b.FlowMisses
-	a.LeafHits += b.LeafHits
-	a.LeafMisses += b.LeafMisses
-	a.LeafFills += b.LeafFills
 	a.ParseErrors += b.ParseErrors
+	a.PrivateRuns += b.PrivateRuns
 	a.BytesIn += b.BytesIn
 	a.BytesOut += b.BytesOut
 	return a

@@ -68,10 +68,6 @@ type Config struct {
 	// Workers is the number of dataplane shards ProcessBatch fans out
 	// across; 0 or 1 selects the sequential single-shard dataplane.
 	Workers int
-	// LeafCacheSize bounds the hot-rule leaf cache (DESIGN.md §16),
-	// totalled across worker shards and rounded up to a power of two
-	// per shard; 0 or negative runs without one.
-	LeafCacheSize int
 }
 
 // DefaultConfig returns the Tofino-like defaults.
@@ -91,81 +87,6 @@ type epoch struct {
 	gen   uint64
 	prog  *compiler.Program
 	state *StateTable
-	// leaf is the precomputed leaf-cache key layout and admissibility
-	// summary for prog, or nil when the cache cannot serve it. It is
-	// derived once per Install so the packet path never inspects the
-	// program structure (let alone the BDD).
-	leaf *leafMeta
-}
-
-// leafMeta is the per-epoch leaf-cache admissibility set: which stages
-// participate in the cache key, which subscribable indices feed the
-// key slots, and how many leaf rows are cacheable. Recomputed on every
-// Install (the epoch swap is what invalidates the cache, via the
-// generation tag).
-type leafMeta struct {
-	// keyStage marks, per pipeline stage, whether a taken transition
-	// keeps a walk pure: stages matching a key packet field or a header
-	// validity bit (both captured by the cache key). See
-	// Program.LookupKeyed.
-	keyStage []bool
-	// keyIdx are the subscribable field indices backing the key slots.
-	keyIdx [LeafKeySlots]int32
-	nslots int
-	// admissible counts leaf rows whose outcomes are cacheable.
-	admissible int
-}
-
-// newEpoch assembles an epoch, precomputing the leaf-cache metadata.
-func newEpoch(gen uint64, prog *compiler.Program, state *StateTable) *epoch {
-	return &epoch{gen: gen, prog: prog, state: state, leaf: buildLeafMeta(prog)}
-}
-
-// buildLeafMeta derives the leaf-cache key layout for a program, or
-// nil when the spec cannot be keyed (no packable fields, or more
-// headers than the validity mask holds).
-func buildLeafMeta(prog *compiler.Program) *leafMeta {
-	sp := prog.Spec
-	if len(sp.Headers) > 64 {
-		return nil
-	}
-	keyFields := LeafKeyFields(sp)
-	if len(keyFields) == 0 {
-		return nil
-	}
-	lm := &leafMeta{nslots: len(keyFields)}
-	isKey := make(map[*spec.Field]bool, len(keyFields))
-	for s, f := range keyFields {
-		idx, ok := sp.SubscribableIndex(f)
-		if !ok {
-			return nil
-		}
-		lm.keyIdx[s] = int32(idx)
-		isKey[f] = true
-	}
-	lm.keyStage = make([]bool, len(prog.Stages))
-	for i, t := range prog.Stages {
-		switch t.Field.Ref.Kind {
-		case subscription.PacketRef:
-			lm.keyStage[i] = isKey[t.Field.Ref.Field]
-		case subscription.ValidityRef:
-			lm.keyStage[i] = true
-		}
-	}
-	for _, le := range prog.Leaf {
-		if leafAdmissible(le) {
-			lm.admissible++
-		}
-	}
-	return lm
-}
-
-// leafAdmissible reports whether a leaf row's outcome may be cached:
-// stateless (no register updates), no custom actions, and a port set
-// that fits the inline entry.
-func leafAdmissible(le *compiler.LeafEntry) bool {
-	return len(le.Updates) == 0 && len(le.Actions.Custom) == 0 &&
-		len(le.Actions.Ports) <= LeafMaxPorts
 }
 
 // Switch is a software Camus switch: a static pipeline bound to a
@@ -222,19 +143,11 @@ func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Progra
 		customs: make(map[string]CustomActionFunc),
 	}
 	perShard := (cfg.FlowCacheSize + cfg.Workers - 1) / cfg.Workers
-	perLeaf := 0
-	if cfg.LeafCacheSize > 0 {
-		perLeaf = (cfg.LeafCacheSize + cfg.Workers - 1) / cfg.Workers
-	}
 	s.shards = make([]*shard, cfg.Workers)
 	for i := range s.shards {
-		sh := &shard{flows: newFlowCache(perShard, cfg.FlowTTL)}
-		if perLeaf > 0 {
-			sh.ws.leaf = newLeafCache(perLeaf)
-		}
-		s.shards[i] = sh
+		s.shards[i] = &shard{flows: newFlowCache(perShard, cfg.FlowTTL)}
 	}
-	s.epoch.Store(newEpoch(0, prog, NewStateTable(prog)))
+	s.epoch.Store(&epoch{prog: prog, state: NewStateTable(prog)})
 	return s, nil
 }
 
@@ -271,11 +184,11 @@ func (s *Switch) ResetStats() {
 // §VIII-G3) with a single atomic epoch swap: in-flight packets finish
 // against the epoch they loaded, later packets see the new program.
 // Registers are re-linked; windows restart. The swap is also the whole
-// cache invalidation: every flow-cache and leaf-cache entry carries the
-// generation it was written under and misses under any other, so a
-// decision compiled from the outgoing program can never forward a packet
-// — continuation packets re-miss until their stream's next header packet
-// installs a fresh decision (§VII-B) — and Install touches no shard.
+// flow-cache invalidation: every entry carries the generation it was
+// written under and misses under any other, so a decision compiled from
+// the outgoing program can never forward a packet — continuation packets
+// re-miss until their stream's next header packet installs a fresh
+// decision (§VII-B) — and Install touches no shard.
 func (s *Switch) Install(prog *compiler.Program) error {
 	if prog == nil {
 		return fmt.Errorf("pipeline: Install: nil program")
@@ -286,32 +199,9 @@ func (s *Switch) Install(prog *compiler.Program) error {
 		}
 	}
 	s.installMu.Lock()
-	s.epoch.Store(newEpoch(s.epoch.Load().gen+1, prog, NewStateTable(prog)))
+	s.epoch.Store(&epoch{gen: s.epoch.Load().gen + 1, prog: prog, state: NewStateTable(prog)})
 	s.installMu.Unlock()
 	return nil
-}
-
-// LeafCacheStats reports the leaf cache's cumulative counters and the
-// current epoch's admissibility gauges. Separate from Stats because
-// Admissible/Capacity are configuration-derived gauges, not resettable
-// traffic counters.
-func (s *Switch) LeafCacheStats() LeafCacheStats {
-	var out LeafCacheStats
-	ep := s.epoch.Load()
-	for _, sh := range s.shards {
-		if sh.ws.leaf != nil {
-			out.Capacity += len(sh.ws.leaf.entries)
-		}
-		st := sh.stats.snapshot()
-		out.Hits += st.LeafHits
-		out.Misses += st.LeafMisses
-		out.Fills += st.LeafFills
-	}
-	out.Enabled = out.Capacity > 0 && ep.leaf != nil
-	if ep.leaf != nil {
-		out.Admissible = ep.leaf.admissible
-	}
-	return out
 }
 
 // HandleCustom registers a handler for a custom action name. Call
@@ -345,14 +235,9 @@ type run struct {
 	// fresh: emit heap-fresh slices instead of into ws's arenas.
 	fresh bool
 	// regs reads the epoch's registers at now; nil when it has none.
-	regs subscription.StateReader
-	// cache is the leaf cache in front of the stage walk and keyStage the
-	// epoch's purity mask for filling it; nil when ws carries no cache or
-	// the epoch's spec cannot be keyed, and every message then walks.
-	cache    *leafCache
-	keyStage []bool
-	stats    StatsSnapshot
-	customs  []customHit
+	regs    subscription.StateReader
+	stats   StatsSnapshot
+	customs []customHit
 }
 
 // customHit defers a matched custom action until the shard lock is
@@ -369,6 +254,9 @@ type customHit struct {
 func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration, fresh bool) {
 	r := run{ep: s.epoch.Load(), sh: sh, now: now}
 	r.ws, r.owned = sh.acquire()
+	if !r.owned {
+		r.stats.PrivateRuns++
+	}
 	// A private workspace has no arenas worth warming.
 	r.fresh = fresh || !r.owned
 	if !r.fresh {
@@ -378,9 +266,6 @@ func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery
 	if len(r.ep.state.regs) > 0 {
 		r.ws.regs = stateAt{t: r.ep.state, now: now}
 		r.regs = &r.ws.regs
-	}
-	if r.ws.leaf != nil && r.ep.leaf != nil {
-		r.cache, r.keyStage = r.ws.leaf, r.ep.leaf.keyStage
 	}
 	n := len(pkts)
 	if idxs != nil {
@@ -449,53 +334,19 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	}
 
 	var flowPorts subscription.ActionSet
-	var hit [LeafMaxPorts]int
 	for _, m := range pkt.Msgs {
 		st.Messages++
-		var ports []int
-		var custom []subscription.Action
-		var e *leafCacheEntry
-		if r.cache != nil {
-			buildLeafKey(ep.leaf, m, &ws.key)
-			e = r.cache.probe(&ws.key, ep.gen)
+		le := ep.prog.Lookup(m, r.regs)
+		if le == nil {
+			continue
 		}
-		if e != nil {
-			// Admissible entries are stateless by construction, so the
-			// cached port set is the whole effect.
-			st.LeafHits++
-			ports = hit[:e.nports]
-			for k := range ports {
-				ports[k] = int(e.ports[k])
-			}
-		} else {
-			le, pure := ep.prog.LookupKeyed(m, r.regs, r.keyStage)
-			if r.cache != nil {
-				st.LeafMisses++
-				// The FIB cache-fill rule: memoize only outcomes that are
-				// a pure function of the cache key (walk purity) and whose
-				// action sets are stateless — a cached leaf then subsumes
-				// every decision reachable from its key, so no overlapping
-				// higher-priority outcome can be hidden (DESIGN.md §16).
-				if pure && (le == nil || leafAdmissible(le)) {
-					var fill []int
-					if le != nil {
-						fill = le.Actions.Ports
-					}
-					r.cache.fill(&ws.key, ep.gen, fill)
-					st.LeafFills++
-				}
-			}
-			if le == nil {
-				continue
-			}
-			// State updates fire for every message whose stateless
-			// context matched, before forwarding semantics are applied.
-			for _, key := range le.Updates {
-				ep.state.Update(key, m, r.now)
-			}
-			st.StateUpdates += int64(len(le.Updates))
-			ports, custom = le.Actions.Ports, le.Actions.Custom
+		// State updates fire for every message whose stateless context
+		// matched, before forwarding semantics are applied.
+		for _, key := range le.Updates {
+			ep.state.Update(key, m, r.now)
 		}
+		st.StateUpdates += int64(len(le.Updates))
+		ports, custom := le.Actions.Ports, le.Actions.Custom
 		if len(ports)+len(custom) == 0 {
 			continue
 		}

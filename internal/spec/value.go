@@ -131,8 +131,8 @@ func (m *Message) bit(b uint) bool { return m.bits[b>>6]>>(b&63)&1 != 0 }
 
 // HeaderMask returns the header validity bits packed into a uint64,
 // bit i = header i in parse order. Headers beyond the first 64 are not
-// represented (callers that need the mask as an identity — the
-// pipeline's leaf cache — refuse specs that wide).
+// represented (callers that need the mask as an identity must refuse
+// specs that wide).
 func (m *Message) HeaderMask() uint64 {
 	first := uint(len(m.values))
 	w, sh := first>>6, first&63
