@@ -13,13 +13,10 @@ GO ?= go
 check: fmt vet lint build race churn-soak serve-soak fuzz-smoke prove netcheck fit bench
 
 ## prove: certify the shipped sample rules with the translation
-## validator (camusc prove), in both last-hop and upstream modes, and
-## once through the parallel compile path (the prover is downstream of
-## the worker-pool compiler, so this run certifies parallel output).
+## validator (camusc prove), in both last-hop and upstream modes.
 prove:
 	$(GO) run ./cmd/camusc prove -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules
 	$(GO) run ./cmd/camusc prove -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules -last-hop=false
-	$(GO) run ./cmd/camusc prove -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules -parallelism 4
 
 ## netcheck: network-wide delivery certification (DESIGN.md §13) of
 ## the shipped rule sets — the itch.rules sample over a fat-tree(4)
@@ -78,7 +75,7 @@ bench:
 ## bench-report: regenerate bench-report.txt with steady-state numbers
 ## (host header from TestMain records NumCPU / GOMAXPROCS), then emit
 ## the machine-readable companions: BENCH_compile.json for the
-## CompileParallel worker sweep, BENCH_switch.json for the
+## 10k-rule batch compile (Compile10k), BENCH_switch.json for the
 ## SwitchParallel sweep (ns/op, allocs/op, Mpps, host shape) and the
 ## DecodeITCH/DecodeINT wire-decode
 ## benchmarks (ns/msg, allocs and bytes per frame), and
@@ -87,15 +84,16 @@ bench:
 ## latency over the HTTP API) plus the covering-heavy churn run
 ## (routing-entry reduction ratio).
 bench-report:
-	$(GO) test -run '^$$' -bench='SwitchParallel|Decode|Churn|CompileParallel|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
-	$(GO) run ./cmd/benchjson -filter 'CompileParallel|^Churn$$|Netcheck|Fitcheck' -out BENCH_compile.json < bench-report.txt
+	$(GO) test -run '^$$' -bench='SwitchParallel|Decode|Churn|Compile10k|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
+	$(GO) run ./cmd/benchjson -filter 'Compile10k|^Churn$$|Netcheck|Fitcheck' -out BENCH_compile.json < bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'SwitchParallel|Decode' -out BENCH_switch.json < bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'CtlplaneDaemon|CoverChurn' -out BENCH_ctlplane.json < bench-report.txt
 
 ## perf-guard: the CI allocation guard — run the two canonical
 ## compiler benchmarks, a warm add-one/remove-one on 192 and 10000 live
-## rules (IncrementalChurn), the network-delivery verifier, the static
-## fit analyzer, and the covering-heavy churn benchmark once and fail
+## rules (IncrementalChurn), one 10k-rule batch compile (Compile10k),
+## the network-delivery verifier, the static fit analyzer, and the
+## covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
 ## (perf-baseline.json). The compiled table walk (Lookup, both rule
 ## shapes) runs 100000 lookups over its message pool and is held to an
@@ -108,7 +106,7 @@ perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalChurn$$' -benchtime 20x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkCompile10k$$|^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkDecode(ITCH|INT)$$' -benchtime 1000x -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -baseline perf-baseline.json -max-ratio 2
 

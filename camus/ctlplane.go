@@ -71,8 +71,6 @@ type (
 
 // Control-plane construction options.
 var (
-	// WithParallelism bounds per-switch compile fan-out (0 = GOMAXPROCS).
-	WithParallelism = ctlplane.WithParallelism
 	// WithInstallers wires live apply targets by switch ID.
 	WithInstallers = ctlplane.WithInstallers
 	// WithQueueDepth bounds in-flight events (backpressure).

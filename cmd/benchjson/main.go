@@ -6,8 +6,8 @@
 //
 // Report mode (stdin → JSON):
 //
-//	go test -run '^$' -bench CompileParallel -benchmem . \
-//	    | benchjson -filter CompileParallel -out BENCH_compile.json
+//	go test -run '^$' -bench Compile10k -benchmem . \
+//	    | benchjson -filter Compile10k -out BENCH_compile.json
 //
 // Guard mode (stdin → exit code):
 //

@@ -76,7 +76,6 @@ func runCompile() {
 	dotPath := flag.String("dot", "", "write the rule BDD in Graphviz format")
 	lastHop := flag.Bool("last-hop", false, "compile as a last-hop switch (stateful predicates active)")
 	noPrune := flag.Bool("no-prune", false, "disable domain-specific BDD pruning (ablation)")
-	parallelism := flag.Int("parallelism", 0, "compile worker count (0 = GOMAXPROCS); output is identical for every value")
 	quiet := flag.Bool("q", false, "print only the resource summary")
 	flag.Parse()
 
@@ -95,9 +94,8 @@ func runCompile() {
 	check("parse rules", err)
 
 	opts := compiler.Options{
-		LastHop:     *lastHop,
-		BDD:         bdd.Options{DisablePruning: *noPrune},
-		Parallelism: *parallelism,
+		LastHop: *lastHop,
+		BDD:     bdd.Options{DisablePruning: *noPrune},
 	}
 	prog, err := compiler.Compile(sp, rules, opts)
 	check("compile", err)

@@ -35,7 +35,6 @@ func runProve(args []string, stdout, stderr interface{ Write([]byte) (int, error
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	lastHop := fs.Bool("last-hop", true, "prove the last-hop (stateful) program")
 	maxPaths := fs.Int("max-paths", 0, "symbolic path budget (0 = default)")
-	parallelism := fs.Int("parallelism", 0, "compile worker count (0 = GOMAXPROCS); the certified program is identical for every value")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,7 +84,7 @@ func runProve(args []string, stdout, stderr interface{ Write([]byte) (int, error
 		rules = append(rules, lineRules...)
 	}
 
-	opts := compiler.Options{LastHop: *lastHop, Parallelism: *parallelism}
+	opts := compiler.Options{LastHop: *lastHop}
 	prog, err := compiler.Compile(sp, rules, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "camusc prove: compile: %v\n", err)

@@ -30,28 +30,6 @@ func TestProveCleanExamples(t *testing.T) {
 	}
 }
 
-// TestProveParallelCompile certifies the shipped sample rules through
-// the parallel compile path: the program handed to the independent
-// prover is the worker-pool compiler's output, so a clean proof is the
-// translation validator's sign-off on the parallel pipeline.
-func TestProveParallelCompile(t *testing.T) {
-	for _, w := range []string{"1", "4", "8"} {
-		var out, errb bytes.Buffer
-		code := runProve([]string{
-			"-spec", filepath.Join("testdata", "itch.spec"),
-			"-rules", filepath.Join("testdata", "itch.rules"),
-			"-parallelism", w,
-		}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("parallelism=%s: exit code = %d, want 0; stderr: %s\nstdout: %s",
-				w, code, errb.String(), out.String())
-		}
-		if !strings.Contains(out.String(), "proof complete") {
-			t.Errorf("parallelism=%s: expected a completed proof, got: %s", w, out.String())
-		}
-	}
-}
-
 // TestProveParseRecovery: bad lines become findings, surviving rules
 // still get proved, and the envelope carries the prove tool name.
 func TestProveParseRecovery(t *testing.T) {

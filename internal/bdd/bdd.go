@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"camus/internal/match"
 	"camus/internal/spec"
@@ -54,13 +52,6 @@ type Options struct {
 	// (0 = unlimited). Without reduction iii, range workloads can blow
 	// up combinatorially; the cap turns an out-of-memory into an error.
 	MaxNodes int
-	// Parallelism is the number of goroutines building per-rule chains
-	// (<= 1 means sequential). Chains are independent, so they fan out
-	// over a worker pool; the OR-merge stays sequential because with
-	// pruning the merge result is order-sensitive. Batch builds are
-	// renumbered to a DFS order afterwards, so the emitted diagram is
-	// byte-identical whatever the worker count.
-	Parallelism int
 }
 
 // ErrTooLarge is returned when construction exceeds Options.MaxNodes.
@@ -69,10 +60,6 @@ var ErrTooLarge = fmt.Errorf("bdd: construction exceeded the node limit")
 // tooLarge is the panic sentinel carrying ErrTooLarge out of the
 // recursive builder.
 type tooLarge struct{}
-
-// parallelChainFanout is the minimum rule count before chain building
-// spawns workers; below it the goroutine overhead dominates.
-const parallelChainFanout = 32
 
 // Build compiles rules into a BDD. Rules are normalized to DNF first;
 // each disjunct becomes an independent conjunction chain OR-ed into the
@@ -90,26 +77,7 @@ func Build(sp *spec.Spec, rules []*subscription.Rule, opts Options) (*BDD, error
 }
 
 // BuildNormalized compiles already-normalized rules into a BDD.
-func BuildNormalized(sp *spec.Spec, rules []subscription.NormalizedRule, opts Options) (*BDD, error) {
-	return buildIn(NewUniverse(sp, rules, opts.Order), rules, opts)
-}
-
-// BuildInUniverse compiles rules against an existing universe, which
-// must already contain every predicate the rules reference (it is not
-// extended). The universe's memo caches are shared: concurrent
-// BuildInUniverse calls against one universe are safe and warm each
-// other's implication/refinement caches.
-func BuildInUniverse(u *Universe, rules []subscription.NormalizedRule, opts Options) (*BDD, error) {
-	return buildIn(u, rules, opts)
-}
-
-type chainResult struct {
-	node *Node
-	ok   bool
-	err  error
-}
-
-func buildIn(u *Universe, rules []subscription.NormalizedRule, opts Options) (d *BDD, err error) {
+func BuildNormalized(sp *spec.Spec, rules []subscription.NormalizedRule, opts Options) (d *BDD, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(tooLarge); ok {
@@ -119,82 +87,37 @@ func buildIn(u *Universe, rules []subscription.NormalizedRule, opts Options) (d 
 			panic(r)
 		}
 	}()
+	u := NewUniverse(sp, rules, opts.Order)
 	b := newBuilder(u, !opts.DisablePruning, 0)
 	b.maxNodes = opts.MaxNodes
-
-	results := make([]chainResult, len(rules))
-	workers := opts.Parallelism
-	if workers > len(rules) {
-		workers = len(rules)
-	}
-	if workers > 1 && len(rules) >= parallelChainFanout {
-		var next atomic.Int64
-		var overflow atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// A node-cap overflow panics out of the recursive
-				// builder; inside a worker it must not crash the
-				// process, so convert it to the error return here.
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(tooLarge); ok {
-							overflow.Store(true)
-							return
-						}
-						panic(r)
-					}
-				}()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(rules) || overflow.Load() {
-						return
-					}
-					n, ok, err := b.chain(rules[i])
-					results[i] = chainResult{node: n, ok: ok, err: err}
-				}
-			}()
-		}
-		wg.Wait()
-		if overflow.Load() {
-			return nil, ErrTooLarge
-		}
-	} else {
-		for i := range rules {
-			n, ok, cerr := b.chain(rules[i])
-			results[i] = chainResult{node: n, ok: ok, err: cerr}
-		}
-	}
 
 	dropped := 0
 	chains := make([]*Node, 0, len(rules))
 	seenChain := make(map[*Node]bool, len(rules))
-	for i := range results {
-		r := results[i]
-		if r.err != nil {
-			return nil, r.err
+	for i := range rules {
+		n, ok, cerr := b.chain(rules[i])
+		if cerr != nil {
+			return nil, cerr
 		}
-		if !r.ok {
+		if !ok {
 			dropped++
 			continue
 		}
 		// Hash-consing makes identical rules the same chain node;
 		// OR(x, x) = x, so duplicates are skipped outright.
-		if seenChain[r.node] {
+		if seenChain[n] {
 			continue
 		}
-		seenChain[r.node] = true
-		chains = append(chains, r.node)
+		seenChain[n] = true
+		chains = append(chains, n)
 	}
 	root := b.merge(chains)
 	d = &BDD{Universe: u, Root: root, DroppedRules: dropped}
-	// Batch diagrams are renumbered to a structural DFS order: the IDs
-	// no longer depend on which worker allocated a node first, so the
-	// downstream program (table entry order, multicast group numbering,
-	// prover path enumeration) is identical for every worker count.
-	// Engine builds are never renumbered — incremental table diffing
+	// One builder goroutine already makes creation-order IDs deterministic;
+	// batch diagrams are renumbered to the dense DFS order all the same,
+	// because the program's state numbering — and with it the prover's
+	// path enumeration and the counterexample goldens — is read off these
+	// IDs. Engine builds are never renumbered: incremental table diffing
 	// relies on creation-order ID stability across rebuilds.
 	d.renumber()
 	return d, nil
@@ -203,9 +126,8 @@ func buildIn(u *Universe, rules []subscription.NormalizedRule, opts Options) (d 
 // merge OR-combines chains with balanced pairwise merging: OR-ing
 // similar-sized diagrams keeps intermediate results small and memo hit
 // rates high, unlike a left fold that re-walks one ever-growing diagram
-// per rule. The merge is sequential and in ascending input order — with
-// pruning the result is merge-order sensitive, so this is what keeps
-// parallel chain building deterministic.
+// per rule. The merge runs in ascending input order — with pruning the
+// result is merge-order sensitive (DESIGN §11).
 func (b *builder) merge(chains []*Node) *Node {
 	for len(chains) > 1 {
 		next := chains[:0]
@@ -224,9 +146,8 @@ func (b *builder) merge(chains []*Node) *Node {
 }
 
 // renumber reassigns node IDs in DFS preorder (hi before lo) from the
-// root. The order is derived purely from the diagram structure, which
-// hash-consing and the sequential merge make independent of chain-build
-// scheduling.
+// root: dense over the reachable nodes and derived purely from the
+// diagram's structure.
 func (d *BDD) renumber() {
 	next := int32(0)
 	seen := make(map[*Node]bool)
@@ -246,7 +167,9 @@ func (d *BDD) renumber() {
 	walk(d.Root)
 }
 
-// builder holds the hash-consing tables during construction.
+// builder holds the hash-consing tables during construction. It belongs
+// to one goroutine at a time, like the Universe it builds against: nothing
+// in it is locked (DESIGN §11).
 //
 // Performance notes: the or/apply hot path must not format strings. Path
 // contexts (per-field constraints) are interned to int32 IDs in the
@@ -254,21 +177,18 @@ func (d *BDD) renumber() {
 // are memoized there by small integer tuples, so a refinement's
 // constraint is built (and hashed, never formatted) once per distinct
 // refinement rather than once per visit — and the results survive across
-// builds sharing the universe (the incremental engine's rebuilds,
-// parallel per-switch compiles in tests).
-//
-// Nodes live in per-shard slab arenas behind a sharded unique table, so
-// chain construction can run on several goroutines: mkNode/terminal are
-// safe for concurrent use. The or-merge memo tables (memo, termMemo)
-// are plain maps — the merge is always sequential.
+// the incremental engine's rebuilds.
 type builder struct {
 	u       *Universe
 	pruning bool
 
-	nextID atomic.Int32
-	shards [nShards]uniqShard
+	nextID int32
+	// uniq is the hash-cons unique table. Nodes live in fixed-capacity
+	// slabs that never grow in place, so node pointers stay valid for the
+	// builder's lifetime.
+	uniq map[[3]int32]*Node
+	slab []Node
 
-	termMu    sync.Mutex
 	terminals map[string]*Node
 	termSlab  []Node
 	empty     *Node // cached ∅-action terminal (always ID 0)
@@ -286,32 +206,7 @@ type builder struct {
 	maxNodes int
 }
 
-const (
-	nShards  = 16
-	slabSize = 1024
-)
-
-// uniqShard is one shard of the hash-cons unique table plus its slab
-// arena. Slabs are fixed-capacity and never grow in place, so node
-// pointers stay valid for the builder's lifetime.
-type uniqShard struct {
-	mu   sync.Mutex
-	uniq map[[3]int32]*Node
-	slab []Node
-}
-
-func (s *uniqShard) alloc() *Node {
-	if len(s.slab) == cap(s.slab) {
-		s.slab = make([]Node, 0, slabSize)
-	}
-	s.slab = append(s.slab, Node{})
-	return &s.slab[len(s.slab)-1]
-}
-
-func shardOf(key [3]int32) uint32 {
-	h := uint32(key[0])*0x9e3779b1 ^ uint32(key[1])*0x85ebca77 ^ uint32(key[2])*0xc2b2ae3d
-	return (h ^ h>>16) & (nShards - 1)
-}
+const slabSize = 1024
 
 type memoKey struct {
 	u, v, ctx int32
@@ -326,32 +221,25 @@ func newBuilder(u *Universe, pruning bool, sizeHint int) *builder {
 	b := &builder{
 		u:         u,
 		pruning:   pruning,
+		uniq:      make(map[[3]int32]*Node, sizeHint),
 		terminals: make(map[string]*Node),
 		memo:      make(map[memoKey]int32, 2*sizeHint),
 		termMemo:  make(map[[2]int32]*Node),
 	}
-	if sizeHint > 0 {
-		for i := range b.shards {
-			b.shards[i].uniq = make(map[[3]int32]*Node, sizeHint/nShards)
-		}
-	}
 	// The empty terminal exists in every diagram (chain fallthrough);
-	// interning it eagerly gives the hot path a lock-free pointer check
-	// and makes its ID (0) deterministic.
+	// interning it eagerly gives the hot path a pointer check in place of
+	// a key build and map probe, and fixes its ID at 0.
 	b.empty = b.terminal(subscription.ActionSet{})
 	return b
 }
 
 // terminal returns the hash-consed terminal for an action set
 // (reduction i for terminals: equal action sets share one node).
-// Safe for concurrent use.
 func (b *builder) terminal(acts subscription.ActionSet) *Node {
 	if acts.IsEmpty() && b.empty != nil {
 		return b.empty
 	}
 	key := acts.Key()
-	b.termMu.Lock()
-	defer b.termMu.Unlock()
 	if n, ok := b.terminals[key]; ok {
 		return n
 	}
@@ -366,39 +254,35 @@ func (b *builder) terminal(acts subscription.ActionSet) *Node {
 
 // allocID hands out the next node ID, enforcing the node cap.
 func (b *builder) allocID() int32 {
-	id := b.nextID.Add(1) - 1
+	id := b.nextID
 	if b.maxNodes > 0 && int(id) >= b.maxNodes {
 		panic(tooLarge{})
 	}
+	b.nextID++
 	return id
 }
 
 // mkNode returns the hash-consed internal node (reductions i and ii).
-// Safe for concurrent use: the key's shard serializes lookup+insert, and
-// node IDs come from one atomic counter.
 func (b *builder) mkNode(p *Pred, hi, lo *Node) *Node {
 	if hi == lo {
 		return hi // reduction ii: both branches agree
 	}
 	key := [3]int32{int32(p.ID), hi.ID, lo.ID}
-	sh := &b.shards[shardOf(key)]
-	sh.mu.Lock()
-	if n, ok := sh.uniq[key]; ok {
-		sh.mu.Unlock()
+	if n, ok := b.uniq[key]; ok {
 		return n // reduction i: isomorphic node exists
 	}
-	if sh.uniq == nil {
-		sh.uniq = make(map[[3]int32]*Node)
+	id := b.allocID()
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]Node, 0, slabSize)
 	}
-	n := sh.alloc()
-	*n = Node{ID: b.allocID(), Pred: p, Hi: hi, Lo: lo}
-	sh.uniq[key] = n
-	sh.mu.Unlock()
+	b.slab = append(b.slab, Node{ID: id, Pred: p, Hi: hi, Lo: lo})
+	n := &b.slab[len(b.slab)-1]
+	b.uniq[key] = n
 	return n
 }
 
 // nodeCount reports how many nodes the builder has allocated.
-func (b *builder) nodeCount() int { return int(b.nextID.Load()) }
+func (b *builder) nodeCount() int { return int(b.nextID) }
 
 type lit struct {
 	pred     *Pred
@@ -410,7 +294,7 @@ type lit struct {
 // Returns ok=false when the conjunction is unsatisfiable (a predicate
 // used with both polarities, or a semantic per-field contradiction such
 // as price > 20 ∧ price < 10). Literals implied by the preceding ones on
-// the same field are elided. Safe for concurrent use.
+// the same field are elided.
 func (b *builder) chain(nr subscription.NormalizedRule) (*Node, bool, error) {
 	lits := make([]lit, 0, len(nr.Conj))
 atoms:
@@ -491,8 +375,7 @@ atoms:
 // conjunction of predicate outcomes taken so far on the field currently
 // being tested. Constraints on earlier fields are irrelevant once the
 // variable order moves past them, so one field's context suffices (and
-// keeps memoization effective). NOT safe for concurrent use (sequential
-// merge only).
+// keeps memoization effective).
 func (b *builder) or(u, v *Node) *Node {
 	return b.orCtx(u, v, pathCtx{id: noCtx})
 }
@@ -500,7 +383,7 @@ func (b *builder) or(u, v *Node) *Node {
 // pathCtx is the within-field context a merge carries down its
 // recursion: the interned ID (what the memo keys on) together with the
 // field it constrains and the constraint itself, so the recursion reads
-// neither back from the shared cache.
+// neither back from the universe's cache.
 type pathCtx struct {
 	id    int32
 	field int32
@@ -548,11 +431,11 @@ func (b *builder) orCtx(u, v *Node, ctx pathCtx) *Node {
 	// Fast-forward every predicate the context already decides
 	// (reduction iii) in a tight loop: no memoization or allocation per
 	// skipped node, and the implication test is a direct call on the
-	// constraint the context carries — a handful of compares, where a
-	// fetch from the shared cache would put a lock and a map probe on the
-	// hottest loop in the compiler. This is what keeps merging O(100k)
-	// equality chains (hICN-style workloads) tractable — a pinned field
-	// value otherwise walks the whole chain through the memo machinery.
+	// constraint the context carries — a handful of compares, where the
+	// memoized test would put a map probe on the hottest loop in the
+	// compiler. This is what keeps merging O(100k) equality chains
+	// (hICN-style workloads) tractable — a pinned field value otherwise
+	// walks the whole chain through the memo machinery.
 	if ctx.id == noCtx || ctx.field != int32(p.FieldIdx) {
 		ctx = b.freshPath(p)
 	}
@@ -583,7 +466,7 @@ func (b *builder) orCtx(u, v *Node, ctx pathCtx) *Node {
 	}
 }
 
-// memoize records the result of one or-merge (sequential merge only).
+// memoize records the result of one or-merge.
 func (b *builder) memoize(mk memoKey, result *Node) {
 	if int(result.ID) >= len(b.memoNode) {
 		b.memoNode = slices.Grow(b.memoNode, int(result.ID)+1-len(b.memoNode))[:int(result.ID)+1]

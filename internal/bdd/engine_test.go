@@ -214,8 +214,6 @@ func TestCtxInternHashCollisions(t *testing.T) {
 	cc.init()
 	mk := func(lo int64) match.Constraint { return colliding{&match.IntConstraint{Lo: lo, Hi: 100}} }
 	intern := func(field int32, c match.Constraint) int32 {
-		cc.mu.Lock()
-		defer cc.mu.Unlock()
 		return cc.intern(ctxKey{field: field, hash: c.Hash()}, c)
 	}
 	ids := make(map[int32]bool)

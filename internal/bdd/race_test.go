@@ -54,72 +54,11 @@ func raceRules(t *testing.T, n int, seed int64) []subscription.NormalizedRule {
 	return normalized
 }
 
-// TestConcurrentBuildSharedUniverse is the -race stress for the sharded
-// unique table and the universe memo caches: several goroutines run
-// parallel builds (chain fan-out enabled) against ONE shared Universe,
-// so FreshCtx/RefineCtx/impliesCtx interning races with itself across
-// builders while each builder's shards race across its own workers. All
-// builds must agree semantically with a sequential baseline.
-func TestConcurrentBuildSharedUniverse(t *testing.T) {
-	rules := raceRules(t, 120, 17)
-	u := NewUniverse(spec.MustParse("race", raceSpecSrc), rules, SpecOrder)
-
-	baseline, err := BuildInUniverse(u, rules, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNodes := len(baseline.Reachable())
-
-	const goroutines = 6
-	var wg sync.WaitGroup
-	diagrams := make([]*BDD, goroutines)
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			diagrams[g], errs[g] = BuildInUniverse(u, rules, Options{Parallelism: 4})
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("goroutine %d: %v", g, err)
-		}
-	}
-
-	// Structural identity: batch builds are DFS-renumbered, so every
-	// diagram must match the sequential baseline node-for-node.
-	for g, d := range diagrams {
-		if got := len(d.Reachable()); got != wantNodes {
-			t.Errorf("goroutine %d: %d reachable nodes, want %d", g, got, wantNodes)
-		}
-		if d.Root.ID != baseline.Root.ID {
-			t.Errorf("goroutine %d: root ID %d, want %d", g, d.Root.ID, baseline.Root.ID)
-		}
-	}
-
-	// Semantic identity on a message sample.
-	sp := u.Spec
-	r := rand.New(rand.NewSource(99))
-	for i := 0; i < 50; i++ {
-		m := spec.NewMessage(sp)
-		m.MustSet("shares", spec.IntVal(int64(r.Intn(10))))
-		m.MustSet("price", spec.IntVal(int64(r.Intn(10))))
-		m.MustSet("stock", spec.StrVal([]string{"GOOGL", "MSFT", "AAPL", "NFLX"}[r.Intn(4)]))
-		want := baseline.Eval(m, nil).Key()
-		for g, d := range diagrams {
-			if got := d.Eval(m, nil).Key(); got != want {
-				t.Fatalf("goroutine %d disagrees on %s: %s vs %s", g, m, got, want)
-			}
-		}
-	}
-}
-
-// TestConcurrentEngineBuilds races independent incremental engines (each
-// with its own universe and builder) under -race: engines share no
-// state, so this guards against accidental package-level mutability in
-// the arena/memo rework.
+// TestConcurrentEngineBuilds states the package's concurrency contract
+// under -race: a builder, Universe and Engine belong to one goroutine at a
+// time and nothing in them is locked, so engines running side by side —
+// one per control-plane switch worker in production — must share no
+// state, package-level or otherwise.
 func TestConcurrentEngineBuilds(t *testing.T) {
 	ruleSets := make([][]subscription.NormalizedRule, 4)
 	for g := range ruleSets {

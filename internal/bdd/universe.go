@@ -3,7 +3,6 @@ package bdd
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"camus/internal/match"
 	"camus/internal/spec"
@@ -115,6 +114,8 @@ type predIdent struct {
 
 // Universe is the set of BDD variables derived from a rule set: the
 // referenced fields in a fixed order and the canonical predicates on each.
+// A Universe belongs to one goroutine at a time — its builder's, then the
+// emitter's: the context cache fills on reads (DESIGN §11).
 type Universe struct {
 	Spec   *spec.Spec
 	Fields []*FieldVar
@@ -124,10 +125,10 @@ type Universe struct {
 	predByKey  map[predIdent]*Pred
 
 	// cache holds the interned per-field constraint contexts and the
-	// memoized implication/refinement results. It is concurrency-safe
-	// and persistent for the universe's lifetime: parallel chain workers
-	// within one build, concurrent builds sharing the universe, and the
-	// incremental engine's successive rebuilds all hit the same entries.
+	// memoized implication/refinement results. It is persistent for the
+	// universe's lifetime: the chains and the merge of one build, the
+	// emitter after it, and the incremental engine's successive rebuilds
+	// all hit the same entries.
 	// Entries are never invalidated — predicates are append-only and
 	// constraints immutable, so a cached result stays correct when the
 	// universe grows (Extend renumbers Seq, never a Pred's ID).
@@ -135,10 +136,8 @@ type Universe struct {
 }
 
 // ctxCache interns (field, constraint) contexts to dense int32 IDs and
-// memoizes the two operations the builder performs on them. All methods
-// are safe for concurrent use.
+// memoizes the two operations the builder performs on them.
 type ctxCache struct {
-	mu   sync.RWMutex
 	ctxs []match.Constraint
 	// byKey finds a context by (field, constraint hash): the most recent
 	// one, with chain linking each context to the previous one of the same
@@ -178,8 +177,7 @@ func (cc *ctxCache) init() {
 	cc.implied = make(map[implKey]match.Tri)
 }
 
-// find returns the ID of an interned (field, constraint) pair; the
-// caller holds mu.
+// find returns the ID of an interned (field, constraint) pair.
 func (cc *ctxCache) find(key ctxKey, c match.Constraint) (int32, bool) {
 	id, ok := cc.byKey[key]
 	for ok && id >= 0 {
@@ -192,7 +190,7 @@ func (cc *ctxCache) find(key ctxKey, c match.Constraint) (int32, bool) {
 }
 
 // intern returns the ID of a canonical (field, constraint) pair, adding
-// it if new; the caller holds mu for writing.
+// it if new.
 func (cc *ctxCache) intern(key ctxKey, c match.Constraint) int32 {
 	if id, ok := cc.find(key, c); ok {
 		return id
@@ -210,37 +208,26 @@ func (cc *ctxCache) intern(key ctxKey, c match.Constraint) int32 {
 
 // FreshCtx returns the unconstrained context for a predicate's field
 // together with its constraint, so callers hold the constraint locally
-// and test implications with direct (lock-free) calls. With RefineCtx it
-// is also how the compiler derives an entry's match constraint along a
-// path: the steps are the ones the merge just memoized, and the entries
-// share the interned constraints. Safe for concurrent use.
+// and test implications with direct calls. With RefineCtx it is also how
+// the compiler derives an entry's match constraint along a path: the
+// steps are the ones the merge just memoized, and the entries share the
+// interned constraints.
 func (u *Universe) FreshCtx(p *Pred) (int32, match.Constraint) {
 	cc := &u.cache
 	field := int32(p.FieldIdx)
-	cc.mu.RLock()
 	id, ok := cc.fresh[field]
-	var c match.Constraint
-	if ok {
-		c = cc.ctxs[id]
+	if !ok {
+		c := match.New(p.Ref.Type())
+		id = cc.intern(ctxKey{field: field, hash: c.Hash()}, c)
+		cc.fresh[field] = id
 	}
-	cc.mu.RUnlock()
-	if ok {
-		return id, c
-	}
-	c = match.New(p.Ref.Type())
-	key := ctxKey{field: field, hash: c.Hash()}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	id = cc.intern(key, c)
-	cc.fresh[field] = id
 	return id, cc.ctxs[id]
 }
 
 // RefineCtx returns the context refined by a predicate outcome plus its
 // constraint, memoized on (ctx, pred, outcome). The memo persists for
-// the universe's lifetime, so an incremental engine's rebuilds (and any
-// concurrent builds sharing the universe) never recompute — or
-// re-allocate — a refinement they have seen before.
+// the universe's lifetime, so an incremental engine's rebuilds never
+// recompute — or re-allocate — a refinement they have seen before.
 //
 // The two refinements an equality-heavy field makes most often never
 // reach the interning step. A true EQ pins the value whatever the parent
@@ -254,61 +241,35 @@ func (u *Universe) RefineCtx(ctx int32, p *Pred, outcome bool) (int32, match.Con
 	if outcome && p.Rel == subscription.EQ {
 		rk = refineKey(noCtx, int32(p.ID), true)
 	}
-	cc.mu.RLock()
-	id, ok := cc.refined[rk]
-	var c match.Constraint
-	if ok {
-		c = cc.ctxs[id]
-	} else {
-		c = cc.ctxs[ctx]
+	if id, ok := cc.refined[rk]; ok {
+		return id, cc.ctxs[id]
 	}
-	cc.mu.RUnlock()
-	if ok {
-		return id, c
+	parent := cc.ctxs[ctx]
+	c := parent.With(p.Rel, p.Const, outcome)
+	id := ctx
+	if c != parent {
+		id = cc.intern(ctxKey{field: int32(p.FieldIdx), hash: c.Hash()}, c)
 	}
-	parent := c
-	if c = parent.With(p.Rel, p.Const, outcome); c == parent {
-		cc.mu.Lock()
-		cc.refined[rk] = ctx
-		cc.mu.Unlock()
-		return ctx, parent
-	}
-	key := ctxKey{field: int32(p.FieldIdx), hash: c.Hash()}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	id = cc.intern(key, c)
 	cc.refined[rk] = id
 	return id, cc.ctxs[id]
 }
 
 // impliesCtx reports whether a context decides a predicate, memoized on
-// (ctx, pred). This is the single hottest operation of the or-merge's
-// fast-forward loop.
+// (ctx, pred): the chain builder's per-literal redundancy test.
 func (u *Universe) impliesCtx(ctx int32, p *Pred) match.Tri {
 	cc := &u.cache
 	ik := implKey{ctx: ctx, pred: int32(p.ID)}
-	cc.mu.RLock()
 	v, ok := cc.implied[ik]
-	var c match.Constraint
 	if !ok {
-		c = cc.ctxs[ctx]
+		v = cc.ctxs[ctx].Implies(p.Rel, p.Const)
+		cc.implied[ik] = v
 	}
-	cc.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = c.Implies(p.Rel, p.Const)
-	cc.mu.Lock()
-	cc.implied[ik] = v
-	cc.mu.Unlock()
 	return v
 }
 
 // CtxCacheSize reports the number of interned contexts and memoized
 // implication results (diagnostics and tests).
 func (u *Universe) CtxCacheSize() (ctxs, implied int) {
-	u.cache.mu.RLock()
-	defer u.cache.mu.RUnlock()
 	return len(u.cache.ctxs), len(u.cache.implied)
 }
 
@@ -500,10 +461,6 @@ func (u *Universe) seedSpecFields() {
 // previously built node remains a well-ordered BDD and the builder's
 // memo tables (all keyed by node/predicate identity) stay valid — the
 // basis of incremental compilation (§V: "BDDs can leverage memoization").
-//
-// Extend is a mutation of the universe's variable order and is NOT safe
-// to run concurrently with builds sharing the universe; it belongs to
-// the single-threaded incremental engine.
 func (u *Universe) Extend(a *subscription.Atom) (*Pred, bool) {
 	rel, c, positive := canonicalize(a)
 	fid := identOf(a.Ref)
@@ -540,9 +497,7 @@ func (u *Universe) Extend(a *subscription.Atom) (*Pred, bool) {
 	return p, positive
 }
 
-// Lookup resolves an atom to its canonical predicate and polarity. Safe
-// for concurrent use with other lookups (the universe is read-only
-// during builds).
+// Lookup resolves an atom to its canonical predicate and polarity.
 func (u *Universe) Lookup(a *subscription.Atom) (*Pred, bool, error) {
 	rel, c, positive := canonicalize(a)
 	p, ok := u.predByKey[predIdent{f: identOf(a.Ref), rel: rel, c: c}]

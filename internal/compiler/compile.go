@@ -2,10 +2,7 @@ package compiler
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"camus/internal/bdd"
 	"camus/internal/match"
@@ -54,100 +51,27 @@ type Options struct {
 	// (P4 isValid()) added to every rule. Only for workloads where every
 	// packet is known to carry every referenced header.
 	DisableValidityGuards bool
-	// Parallelism bounds the worker count for the parallelizable
-	// compilation stages: rule normalization, per-rule BDD chain
-	// construction, and (via the controller) per-switch program builds.
-	// 0 means GOMAXPROCS. The emitted program is identical for every
-	// value — batch-built diagrams are renumbered into a deterministic
-	// DFS order before table emission, and the order-sensitive OR-merge
-	// always runs sequentially.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
 	if o.CompressionThreshold == 0 {
 		o.CompressionThreshold = 120
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.BDD.Parallelism == 0 {
-		o.BDD.Parallelism = o.Parallelism
-	}
 	return o
 }
 
-// parallelNormalizeFanout is the rule count below which normalization
-// stays sequential: goroutine + slot bookkeeping costs more than the
-// work it spreads.
-const parallelNormalizeFanout = 64
-
-// normalizeRules runs subscription.NormalizeRule over a rule batch,
-// fanning out across `workers` goroutines when the batch is large.
-// Results keep input order (per-rule result slots), so downstream
-// compilation sees exactly the sequence a sequential loop produces.
-func normalizeRules(rules []*subscription.Rule, workers int) ([]subscription.NormalizedRule, error) {
-	perRule, err := normalizeRulesPer(rules, workers)
-	if err != nil {
-		return nil, err
-	}
-	var normalized []subscription.NormalizedRule
-	for _, nrs := range perRule {
-		normalized = append(normalized, nrs...)
-	}
-	return normalized, nil
-}
-
-// normalizeRulesPer is normalizeRules keeping one result slot per input
-// rule (Incremental.Apply needs per-rule grouping for removal tracking).
-func normalizeRulesPer(rules []*subscription.Rule, workers int) ([][]subscription.NormalizedRule, error) {
-	perRule := make([][]subscription.NormalizedRule, len(rules))
-	if workers > 1 && len(rules) >= parallelNormalizeFanout {
-		var (
-			next     atomic.Int64
-			firstErr atomic.Pointer[error]
-			wg       sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(rules) || firstErr.Load() != nil {
-						return
-					}
-					nrs, err := subscription.NormalizeRule(rules[i])
-					if err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-					perRule[i] = nrs
-				}
-			}()
-		}
-		wg.Wait()
-		if ep := firstErr.Load(); ep != nil {
-			return nil, *ep
-		}
-	} else {
-		for i, r := range rules {
-			nrs, err := subscription.NormalizeRule(r)
-			if err != nil {
-				return nil, err
-			}
-			perRule[i] = nrs
-		}
-	}
-	return perRule, nil
-}
-
-// Compile translates a rule set into a switch program.
+// Compile translates a rule set into a switch program. Rules → program is
+// one goroutine's computation (DESIGN §11); callers with independent rule
+// sets, such as controller.Deploy's switches, run one Compile per
+// goroutine.
 func Compile(sp *spec.Spec, rules []*subscription.Rule, opts Options) (*Program, error) {
-	opts = opts.withDefaults()
-	normalized, err := normalizeRules(rules, opts.Parallelism)
-	if err != nil {
-		return nil, err
+	var normalized []subscription.NormalizedRule
+	for _, r := range rules {
+		nrs, err := subscription.NormalizeRule(r)
+		if err != nil {
+			return nil, err
+		}
+		normalized = append(normalized, nrs...)
 	}
 	return CompileNormalized(sp, normalized, opts)
 }

@@ -12,17 +12,17 @@ import (
 	"camus/internal/workload"
 )
 
-// canonicalString is the byte-level identity the parallel compiler is
-// held to: the Canonical() renumbering of a program rendered through
-// the deterministic String form.
+// canonicalString is the byte-level identity programs are compared by:
+// the Canonical() renumbering rendered through the deterministic String
+// form.
 func canonicalString(p *Program) string { return p.Canonical().String() }
 
-// TestParallelCompileCanonicalIdentity: the tentpole determinism
-// guarantee. Batch-built diagrams are DFS-renumbered before table
-// emission and the OR-merge is sequential, so the compiled program
-// must be byte-for-byte canonical for every worker count, on every
-// workload in the corpus.
-func TestParallelCompileCanonicalIdentity(t *testing.T) {
+// TestCompileDeterministic: compiling is one sequential computation with
+// no map-order or scheduling input, so two compiles of one rule set give
+// the same program — Canonical()-equal and, because batch diagrams are
+// DFS-renumbered, equal in their raw state IDs too — on every workload
+// in the corpus.
+func TestCompileDeterministic(t *testing.T) {
 	sp := testSpec(t)
 	r := rand.New(rand.NewSource(11))
 
@@ -63,31 +63,29 @@ avg(price, 1s) > 4: fwd(3)
 
 	for _, ld := range loads {
 		t.Run(ld.name, func(t *testing.T) {
-			seqOpts := ld.opts
-			seqOpts.Parallelism = 1
-			seq, err := Compile(ld.sp, ld.rules, seqOpts)
+			first, err := Compile(ld.sp, ld.rules, ld.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := canonicalString(seq)
-			for _, w := range []int{2, 4, 8} {
-				parOpts := ld.opts
-				parOpts.Parallelism = w
-				par, err := Compile(ld.sp, ld.rules, parOpts)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				if got := canonicalString(par); got != want {
-					t.Errorf("workers=%d: canonical program differs from sequential\nseq:\n%s\npar:\n%s", w, want, got)
-				}
+			second, err := Compile(ld.sp, ld.rules, ld.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonicalString(second), canonicalString(first); got != want {
+				t.Errorf("canonical programs differ\nfirst:\n%s\nsecond:\n%s", want, got)
+			}
+			// String prints Init and every entry's raw state IDs.
+			if got, want := second.String(), first.String(); got != want {
+				t.Errorf("raw state IDs differ\nfirst:\n%s\nsecond:\n%s", want, got)
 			}
 		})
 	}
 }
 
-// TestParallelNormalizeError: a bad rule deep inside a large batch must
-// surface its error through the worker-pool normalization path.
-func TestParallelNormalizeError(t *testing.T) {
+// TestNormalizeError: a rule that does not normalize, deep inside a
+// batch, fails Compile and fails Incremental.Apply before any rule of the
+// batch reaches the engine.
+func TestNormalizeError(t *testing.T) {
 	sp := testSpec(t)
 	r := rand.New(rand.NewSource(3))
 	rules := randomRules(r, sp, 100)
@@ -97,33 +95,43 @@ func TestParallelNormalizeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules = append(rules[:70], append([]*subscription.Rule{bad}, rules[70:]...)...)
-	if _, err := Compile(sp, rules, Options{Parallelism: 4}); err == nil {
+	if _, err := Compile(sp, rules, Options{}); err == nil {
 		t.Fatal("expected normalization error for negated prefix constraint")
+	}
+	inc, err := NewIncremental(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Apply(rules, nil); err == nil {
+		t.Fatal("Apply accepted the batch")
+	}
+	if got := inc.Rules(); len(got) != 0 {
+		t.Errorf("failed batch left %d rules in the engine", len(got))
 	}
 }
 
-// TestIncrementalParallelBatchEquivalence: a large Apply batch (the
-// drift-rebuild shape) through the parallel normalization path must
+// TestIncrementalBatchEquivalence: one large Apply (the shape of
+// ctlplane's FullRebuild, which re-adds a switch's whole registry) must
 // produce the same canonical program as a batch compile of the same
 // rules.
-func TestIncrementalParallelBatchEquivalence(t *testing.T) {
+func TestIncrementalBatchEquivalence(t *testing.T) {
 	sp := testSpec(t)
 	r := rand.New(rand.NewSource(5))
 	rules := randomRules(r, sp, 200)
 
-	inc, err := NewIncremental(sp, Options{Parallelism: 4})
+	inc, err := NewIncremental(sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inc.Apply(rules, nil); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Compile(sp, rules, Options{Parallelism: 1})
+	batch, err := Compile(sp, rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := canonicalString(inc.Program()), canonicalString(batch); got != want {
-		t.Errorf("incremental parallel batch differs from sequential batch compile")
+		t.Errorf("one-batch incremental program differs from batch compile")
 	}
 }
 
@@ -170,11 +178,11 @@ stock == MSFT: fwd(4)
 	}
 }
 
-// TestConcurrentIncrementalChurn is -race stress for the allocation-lean
-// compile pipeline under concurrent use: independent Incremental
-// compilers churn simultaneously (each owns its engine, but they share
-// package-level code paths and, through bdd, the sharded-table and
-// memo-cache implementations).
+// TestConcurrentIncrementalChurn states the compiler's concurrency
+// contract under -race: an Incremental — engine, universe, emitter —
+// belongs to one goroutine at a time and holds no lock, so independent
+// compilers churning side by side (ctlplane runs one per switch worker)
+// must share nothing mutable.
 func TestConcurrentIncrementalChurn(t *testing.T) {
 	sp := testSpec(t)
 	var wg sync.WaitGroup
@@ -185,7 +193,7 @@ func TestConcurrentIncrementalChurn(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			rules := randomRules(r, sp, 120)
-			inc, err := NewIncremental(sp, Options{Parallelism: 2})
+			inc, err := NewIncremental(sp, Options{})
 			if err != nil {
 				errc <- err
 				return
@@ -208,21 +216,5 @@ func TestConcurrentIncrementalChurn(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
-	}
-}
-
-// BenchmarkCompile500Parallel: the same workload as BenchmarkCompile500
-// through the maximum chain fan-out, for the worker-overhead
-// comparison on single-core hosts.
-func BenchmarkCompile500Parallel(b *testing.B) {
-	sp := testSpec(b)
-	r := rand.New(rand.NewSource(4))
-	rules := randomRules(r, sp, 500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compile(sp, rules, Options{Parallelism: 8}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -92,12 +92,15 @@ func (inc *Incremental) Apply(add []*subscription.Rule, remove []int) (*Update, 
 			return nil, fmt.Errorf("%w: id %d", ErrDuplicateRule, r.ID)
 		}
 	}
-	// Normalization is pure per-rule work; fan it out for large batches
-	// (ctlplane's FullRebuild re-adds a switch's whole registry in one
-	// Apply). Engine mutation below stays sequential.
-	perRule, err := normalizeRulesPer(add, inc.opts.Parallelism)
-	if err != nil {
-		return nil, err
+	// Normalize the whole batch before touching the engine, so a rule that
+	// does not normalize fails the batch with no addition applied.
+	perRule := make([][]subscription.NormalizedRule, len(add))
+	for i, r := range add {
+		nrs, err := subscription.NormalizeRule(r)
+		if err != nil {
+			return nil, err
+		}
+		perRule[i] = nrs
 	}
 	for i, r := range add {
 		expanded := expandStateful(perRule[i], inc.opts)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"camus/internal/compiler"
-	"camus/internal/ctlplane"
 	"camus/internal/routing"
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -26,11 +25,6 @@ type Options struct {
 	// Compiler options applied to every switch; LastHop is forced per
 	// switch layer (stateful predicates run only at the ToR, §II).
 	Compiler compiler.Options
-	// ForceFull makes Resubscribe recompute the routing policy and
-	// recompile every switch from scratch instead of taking the
-	// incremental delta path — the escape hatch when the caller wants a
-	// pristine engine (or to measure the full-recompile baseline).
-	ForceFull bool
 }
 
 // SwitchCompileStat records the per-switch dynamic compilation cost —
@@ -52,15 +46,6 @@ type Deployment struct {
 	Static   *compiler.StaticPipeline
 	Programs []*compiler.Program // by switch ID
 	Stats    []SwitchCompileStat // by switch ID
-
-	// subs is the live subscription set (by host), kept so Resubscribe
-	// can compute a delta instead of recompiling the world.
-	subs [][]subscription.Expr
-	// rec is the lazily built incremental reconciler backing delta
-	// resubscribes; filterIDs maps host → filter string → live ctlplane
-	// filter IDs (a stack, since a host may repeat a filter).
-	rec       *ctlplane.Reconciler
-	filterIDs []map[string][]int
 }
 
 // Deploy computes the routing policy for the subscriptions and compiles
@@ -85,35 +70,16 @@ func Deploy(net *topology.Network, sp *spec.Spec, subs [][]subscription.Expr, op
 	if err := d.recompile(opts); err != nil {
 		return nil, err
 	}
-	d.subs = copySubs(net, subs)
 	return d, nil
 }
 
-// copySubs snapshots a subscription set, normalized to one slot per
-// host.
-func copySubs(net *topology.Network, subs [][]subscription.Expr) [][]subscription.Expr {
-	out := make([][]subscription.Expr, len(net.Hosts))
-	for h := range out {
-		if h < len(subs) {
-			out[h] = append([]subscription.Expr(nil), subs[h]...)
-		}
-	}
-	return out
-}
-
-// recompile runs the dynamic compilation step for every switch. The
-// per-switch compiles share nothing mutable (each builds its own
-// universe and BDD), so they fan out across opts.Compiler.Parallelism
-// workers; results land in per-switch slots, making the deployment
-// independent of completion order.
+// recompile runs the dynamic compilation step for every switch. A compile
+// is one goroutine's work, and the per-switch compiles share nothing
+// mutable (each builds its own universe and BDD), so this is the one place
+// compilation fans out: min(GOMAXPROCS, switches) workers (DESIGN §11 has
+// the measurement). Results land in per-switch slots, making the
+// deployment independent of completion order.
 func (d *Deployment) recompile(opts Options) error {
-	workers := opts.Compiler.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(d.Network.Switches) {
-		workers = len(d.Network.Switches)
-	}
 	compileOne := func(s *topology.Switch) error {
 		copts := opts.Compiler
 		// Stateful predicates are evaluated only at the hop immediately
@@ -140,20 +106,12 @@ func (d *Deployment) recompile(opts Options) error {
 		}
 		return nil
 	}
-	if workers <= 1 {
-		for _, s := range d.Network.Switches {
-			if err := compileOne(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		next     atomic.Int64
 		firstErr atomic.Pointer[error]
 		wg       sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(d.Network.Switches)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -174,188 +132,6 @@ func (d *Deployment) recompile(opts Options) error {
 		return *ep
 	}
 	return nil
-}
-
-// ResubscribeReport describes one dynamic reconfiguration: how long it
-// took and the per-table-entry delta it pushed to the switches.
-type ResubscribeReport struct {
-	// Elapsed is the wall time of the reconfiguration (routing + compile).
-	Elapsed time.Duration
-	// Install / Delete / Keep are the summed table-entry deltas across
-	// every recompiled switch (§V table entry re-use). On the full path
-	// Install and Delete are the complete new and old table sizes.
-	Install int
-	Delete  int
-	Keep    int
-	// Switches counts the switches whose rule set actually changed.
-	Switches int
-	// Full reports the full-recompile path ran (ForceFull, first-error
-	// recovery, or drift fallback on some switch).
-	Full bool
-}
-
-// Resubscribe replaces the subscriptions — a dynamic reconfiguration
-// event (§VIII-G3). By default it diffs the new subscription set against
-// the live one and pushes only the per-switch entry deltas through the
-// incremental compiler; Options.ForceFull restores the recompile-the-
-// world behaviour.
-func (d *Deployment) Resubscribe(subs [][]subscription.Expr, opts Options) (*ResubscribeReport, error) {
-	if opts.ForceFull {
-		return d.resubscribeFull(subs, opts)
-	}
-	start := time.Now()
-	if d.rec == nil {
-		if err := d.initReconciler(opts); err != nil {
-			return nil, err
-		}
-	}
-	next := copySubs(d.Network, subs)
-	ops, err := d.diffSubs(next)
-	if err != nil {
-		return nil, err
-	}
-	rep := &ResubscribeReport{}
-	bySwitch := make(map[int][]ctlplane.RuleOp)
-	for _, op := range ops {
-		bySwitch[op.Switch] = append(bySwitch[op.Switch], op)
-	}
-	for sw, swOps := range bySwitch {
-		res, err := d.rec.Compile(sw, swOps)
-		if err != nil {
-			return nil, fmt.Errorf("controller: resubscribe switch %d: %w", sw, err)
-		}
-		rep.Install += res.AddedEntries
-		rep.Delete += res.RemovedEntries
-		rep.Keep += res.ReusedEntries
-		rep.Switches++
-		rep.Full = rep.Full || res.Full
-		d.Programs[sw] = res.Program
-		st := &d.Stats[sw]
-		st.Rules = len(d.rec.Rules(sw))
-		st.Entries = res.Program.TotalEntries()
-		st.Elapsed = res.Elapsed
-	}
-	d.subs = next
-	rep.Elapsed = time.Since(start)
-	return rep, nil
-}
-
-// resubscribeFull is the pre-incremental path: recompute routing and
-// recompile every switch from scratch.
-func (d *Deployment) resubscribeFull(subs [][]subscription.Expr, opts Options) (*ResubscribeReport, error) {
-	res, err := routing.ComputeFatTree(d.Network, subs, opts.Routing)
-	if err != nil {
-		return nil, err
-	}
-	oldEntries := 0
-	for _, p := range d.Programs {
-		if p != nil {
-			oldEntries += p.TotalEntries()
-		}
-	}
-	d.Routing = res
-	start := time.Now()
-	if err := d.recompile(opts); err != nil {
-		return nil, err
-	}
-	rep := &ResubscribeReport{
-		Elapsed:  time.Since(start),
-		Delete:   oldEntries,
-		Switches: len(d.Network.Switches),
-		Full:     true,
-	}
-	for _, p := range d.Programs {
-		rep.Install += p.TotalEntries()
-	}
-	d.subs = copySubs(d.Network, subs)
-	// A full redeploy invalidates the incremental registry.
-	d.rec = nil
-	d.filterIDs = nil
-	return rep, nil
-}
-
-// initReconciler bootstraps the incremental registry from the live
-// subscription set and replaces Programs with the reconciler's compiled
-// (semantically identical) programs, so later deltas apply on top.
-func (d *Deployment) initReconciler(opts Options) error {
-	rec, err := ctlplane.NewReconcilerWith(d.Network, d.Spec,
-		ctlplane.WithRouting(opts.Routing), ctlplane.WithCompiler(opts.Compiler))
-	if err != nil {
-		return err
-	}
-	ids := make([]map[string][]int, len(d.Network.Hosts))
-	var ops []ctlplane.RuleOp
-	for h, exprs := range d.subs {
-		ids[h] = make(map[string][]int)
-		for _, e := range exprs {
-			id, o, err := rec.AddFilter(h, e)
-			if err != nil {
-				return err
-			}
-			key := e.String()
-			ids[h][key] = append(ids[h][key], id)
-			ops = append(ops, o...)
-		}
-	}
-	bySwitch := make(map[int][]ctlplane.RuleOp)
-	for _, op := range ops {
-		bySwitch[op.Switch] = append(bySwitch[op.Switch], op)
-	}
-	for sw, swOps := range bySwitch {
-		if _, err := rec.Compile(sw, swOps); err != nil {
-			return fmt.Errorf("controller: bootstrap switch %d: %w", sw, err)
-		}
-	}
-	for sw := range d.Programs {
-		d.Programs[sw] = rec.Program(sw)
-	}
-	d.rec = rec
-	d.filterIDs = ids
-	return nil
-}
-
-// diffSubs computes the AddFilter/RemoveFilter delta from the live
-// subscription set to next, updating the filter-ID registry.
-func (d *Deployment) diffSubs(next [][]subscription.Expr) ([]ctlplane.RuleOp, error) {
-	var ops []ctlplane.RuleOp
-	for h := range next {
-		oldCount := make(map[string]int)
-		for _, e := range d.subs[h] {
-			oldCount[e.String()]++
-		}
-		newByKey := make(map[string][]subscription.Expr)
-		for _, e := range next[h] {
-			newByKey[e.String()] = append(newByKey[e.String()], e)
-		}
-		// Removals: filters present more times in old than in new.
-		for key, n := range oldCount {
-			for extra := n - len(newByKey[key]); extra > 0; extra-- {
-				stack := d.filterIDs[h][key]
-				if len(stack) == 0 {
-					return nil, fmt.Errorf("controller: no live filter id for host %d %q", h, key)
-				}
-				id := stack[len(stack)-1]
-				d.filterIDs[h][key] = stack[:len(stack)-1]
-				o, err := d.rec.RemoveFilter(h, id)
-				if err != nil {
-					return nil, err
-				}
-				ops = append(ops, o...)
-			}
-		}
-		// Additions: filters present more times in new than in old.
-		for key, exprs := range newByKey {
-			for i := oldCount[key]; i < len(exprs); i++ {
-				id, o, err := d.rec.AddFilter(h, exprs[i])
-				if err != nil {
-					return nil, err
-				}
-				d.filterIDs[h][key] = append(d.filterIDs[h][key], id)
-				ops = append(ops, o...)
-			}
-		}
-	}
-	return ops, nil
 }
 
 // LayerEntries sums compiled table entries per layer — the Fig. 13

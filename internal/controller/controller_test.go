@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"camus/internal/compiler"
 	"camus/internal/routing"
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -116,34 +117,30 @@ func TestDeployErrors(t *testing.T) {
 	}
 }
 
-// TestDeployParallelEquivalence: per-switch compiles fanned out across
-// workers must produce the same canonical program per switch as the
-// sequential controller — the parallel path changes scheduling only.
-func TestDeployParallelEquivalence(t *testing.T) {
+// TestDeployMatchesPerSwitchCompile: Deploy's fan-out changes scheduling
+// only — each switch's program is the one a plain loop of
+// compiler.Compile over RulesForSwitch produces, and programs and stats
+// land in switch order whichever worker compiled them.
+func TestDeployMatchesPerSwitchCompile(t *testing.T) {
 	net := topology.MustFatTree(4)
-	subs := subsFor(t, net)
-	opts := Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
-
-	opts.Compiler.Parallelism = 1
-	seq, err := Deploy(net, testSpec, subs, opts)
+	d, err := Deploy(net, testSpec, subsFor(t, net), Options{
+		Routing: routing.Options{Policy: routing.TrafficReduction},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Compiler.Parallelism = 6
-	par, err := Deploy(net, testSpec, subs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sw := range seq.Programs {
-		want := seq.Programs[sw].Canonical().String()
-		got := par.Programs[sw].Canonical().String()
-		if got != want {
-			t.Errorf("switch %s: parallel deploy differs from sequential", net.Switches[sw].Name)
+	for _, s := range net.Switches {
+		want, err := compiler.Compile(testSpec, d.Routing.RulesForSwitch(s.ID), compiler.Options{
+			LastHopPort: func(port int) bool { return s.Ports[port].Kind == topology.PeerHost },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for sw, st := range par.Stats {
-		if st.Switch != seq.Stats[sw].Switch || st.Entries != seq.Stats[sw].Entries {
-			t.Errorf("switch %d stats landed out of order: %+v vs %+v", sw, st, seq.Stats[sw])
+		if d.Programs[s.ID].Canonical().String() != want.Canonical().String() {
+			t.Errorf("switch %s: deployed program differs from a direct compile of its rules", s.Name)
+		}
+		if st := d.Stats[s.ID]; st.Switch != s.Name || st.Entries != want.TotalEntries() {
+			t.Errorf("switch %s: stats landed out of order: %+v, want %d entries", s.Name, st, want.TotalEntries())
 		}
 	}
 }
@@ -153,9 +150,8 @@ func TestDeployParallelEquivalence(t *testing.T) {
 func TestDeployParallelErrorPropagation(t *testing.T) {
 	net := topology.MustFatTree(4)
 	opts := Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
-	opts.Compiler.Parallelism = 6
 	opts.Compiler.MaxEntries = 1 // every switch exceeds this
 	if _, err := Deploy(net, testSpec, subsFor(t, net), opts); err == nil {
-		t.Fatal("expected MaxEntries compile failure through the parallel path")
+		t.Fatal("expected MaxEntries compile failure through the fan-out")
 	}
 }

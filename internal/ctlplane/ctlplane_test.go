@@ -617,62 +617,3 @@ func TestUnsubscribeErrors(t *testing.T) {
 		t.Errorf("Subscribe(bad host) = %v, want ErrBadHost", err)
 	}
 }
-
-// TestParallelismThreading: Config.Parallelism reaches the per-switch
-// compiler options (unless the caller pinned Compiler.Parallelism
-// itself), and a service configured with a worker fan-out converges to
-// the same per-switch programs as a sequential one under identical
-// churn — and again after a FullRebuild of every switch, which
-// re-normalizes the whole registry in one batch and so takes the
-// parallel normalization path.
-func TestParallelismThreading(t *testing.T) {
-	cfg := Config{Parallelism: 3}.withDefaults()
-	if got := cfg.Compiler.Parallelism; got != 3 {
-		t.Fatalf("Compiler.Parallelism = %d, want 3 (threaded from Config.Parallelism)", got)
-	}
-	pinned := Config{Parallelism: 3, Compiler: compiler.Options{Parallelism: 2}}.withDefaults()
-	if got := pinned.Compiler.Parallelism; got != 2 {
-		t.Fatalf("Compiler.Parallelism = %d, want the explicit 2 to win", got)
-	}
-
-	net := topology.MustFatTree(4)
-	run := func(parallelism int) *Service {
-		svc, _ := newServiceForTest(t, net,
-			WithRouting(routing.Options{Policy: routing.TrafficReduction}),
-			WithParallelism(parallelism))
-		stocks := []string{"GOOGL", "MSFT", "AAPL"}
-		var ids []int
-		for i := 0; i < 12; i++ {
-			_, got, err := svc.Subscribe(i%4, []subscription.Expr{
-				filter(t, fmt.Sprintf("stock == %s and price > %d", stocks[i%3], i*7)),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, got...)
-		}
-		for _, id := range ids[:4] {
-			if _, err := svc.Unsubscribe(id%4, []int{id}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		svc.Quiesce()
-		return svc
-	}
-	seq := run(1)
-	par := run(4)
-	for sw := range net.Switches {
-		want := seq.Program(sw).Canonical().String()
-		if got := par.Program(sw).Canonical().String(); got != want {
-			t.Errorf("switch %d: parallel service program differs from sequential", sw)
-		}
-		// Both services are quiesced, so their workers are idle and the
-		// reconciler may be driven directly.
-		if _, err := par.rec.FullRebuild(sw); err != nil {
-			t.Fatal(err)
-		}
-		if got := par.Program(sw).Canonical().String(); got != want {
-			t.Errorf("switch %d: parallel full rebuild differs from the sequential program", sw)
-		}
-	}
-}

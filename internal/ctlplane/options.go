@@ -28,13 +28,6 @@ func WithCompiler(co compiler.Options) Option {
 	return func(c *Config) { c.Compiler = co }
 }
 
-// WithParallelism bounds the worker fan-out inside each switch compile
-// (0 = GOMAXPROCS); it is copied into the compiler options when those
-// leave Parallelism unset.
-func WithParallelism(n int) Option {
-	return func(c *Config) { c.Parallelism = n }
-}
-
 // WithInstallers wires live apply targets by switch ID; nil entries
 // leave a switch compile-only.
 func WithInstallers(ins ...Installer) Option {
@@ -137,9 +130,9 @@ func WithSeed(seed int64) Option {
 
 // NewReconcilerWith builds the synchronous placement/compile core
 // without the async Service on top (single-threaded callers such as
-// controller.Resubscribe). Only WithRouting, WithCompiler,
-// WithParallelism and WithCovering are meaningful here; the queue and
-// retry options apply to the Service layer.
+// bench's replayUpdate). Only WithRouting, WithCompiler and WithCovering
+// are meaningful here; the queue and retry options apply to the Service
+// layer.
 func NewReconcilerWith(net *topology.Network, sp *spec.Spec, opts ...Option) (*Reconciler, error) {
 	cfg := Config{Net: net, Spec: sp}
 	for _, fn := range opts {

@@ -119,8 +119,8 @@ func (sc *swCompiler) publish(p *compiler.Program) {
 // Reconciler owns the placement registry and the per-switch incremental
 // compilers. It is not internally synchronized: the Service serializes
 // registry mutations under its own lock and dedicates each swCompiler
-// to one worker; single-threaded callers (controller.Resubscribe) need
-// no locking at all.
+// to one worker; single-threaded callers (NewReconcilerWith's) need no
+// locking at all.
 type Reconciler struct {
 	net   *topology.Network
 	sp    *spec.Spec

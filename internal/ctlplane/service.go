@@ -46,13 +46,6 @@ type Config struct {
 	// Compiler options applied per switch (LastHop is forced per switch
 	// exactly as controller.Deploy does).
 	Compiler compiler.Options
-	// Parallelism bounds the worker fan-out inside each switch compile
-	// (rule normalization + per-rule BDD chain construction), exploited
-	// chiefly by FullRebuild — apply-error recovery and compaction —
-	// which re-normalizes a switch's whole registry in one batch. 0 means
-	// GOMAXPROCS.
-	// Copied into Compiler.Parallelism when that is unset.
-	Parallelism int
 	// Installers by switch ID; nil entries leave a switch compile-only.
 	Installers []Installer
 	// MaxPending bounds in-flight subscription events; Subscribe and
@@ -118,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
-	}
-	if c.Compiler.Parallelism == 0 {
-		c.Compiler.Parallelism = c.Parallelism
 	}
 	return c
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"camus/internal/controller"
+	"camus/internal/ctlplane"
 	"camus/internal/routing"
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -345,65 +346,41 @@ func TestECMPFlowStability(t *testing.T) {
 	}
 }
 
-// TestResubscribe: dynamic reconfiguration swaps the routing and the
-// new subscriptions take effect.
-func TestResubscribe(t *testing.T) {
-	net := topology.MustFatTree(4)
-	subs := make([][]subscription.Expr, len(net.Hosts))
-	subs[2] = []subscription.Expr{filter(t, "stock == GOOGL")}
-	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
-	d, err := controller.Deploy(net, itchSpec, subs, opts)
+// TestLiveMigration: dynamic reconfiguration (§VIII-G3) on one live
+// simulator — a ctlplane.Service installs each subscription change into
+// the running switches, and the deliveries follow it.
+func TestLiveMigration(t *testing.T) {
+	ropts := routing.Options{Policy: routing.TrafficReduction}
+	sim := deploy(t, make([][]subscription.Expr, 16), controller.Options{Routing: ropts})
+	svc, err := ctlplane.New(sim.Deployment.Network, itchSpec,
+		ctlplane.WithRouting(ropts), ctlplane.WithInstallers(sim.Installers()...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(d)
+	defer svc.Close()
+	googl := []*spec.Message{msg("GOOGL", 1, 1)}
+
+	_, ids, err := svc.Subscribe(2, []subscription.Expr{filter(t, "stock == GOOGL")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := sim.Publish(0, []*spec.Message{msg("GOOGL", 1, 1)}, 64); len(out) != 1 || out[0].Host != 2 {
+	svc.Quiesce()
+	if out := sim.Publish(0, googl, 64); len(out) != 1 || out[0].Host != 2 {
 		t.Fatalf("initial deliveries: %+v", out)
 	}
 	// Migrate the subscription to host 9 (ILA-style service move).
-	subs2 := make([][]subscription.Expr, len(net.Hosts))
-	subs2[9] = []subscription.Expr{filter(t, "stock == GOOGL")}
-	rep, err := d.Resubscribe(subs2, opts)
-	if err != nil {
+	if _, err := svc.Unsubscribe(2, ids); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Elapsed <= 0 {
-		t.Error("recompile time not measured")
-	}
-	if rep.Full {
-		t.Errorf("migration took the full-recompile path: %+v", rep)
-	}
-	if rep.Install == 0 || rep.Delete == 0 {
-		t.Errorf("migration delta not reported: %+v", rep)
-	}
-	sim2, err := New(d)
-	if err != nil {
+	if _, _, err := svc.Subscribe(9, []subscription.Expr{filter(t, "stock == GOOGL")}); err != nil {
 		t.Fatal(err)
 	}
-	if out := sim2.Publish(0, []*spec.Message{msg("GOOGL", 1, 1)}, 64); len(out) != 1 || out[0].Host != 9 {
+	svc.Quiesce()
+	if out := sim.Publish(0, googl, 64); len(out) != 1 || out[0].Host != 9 {
 		t.Fatalf("post-migration deliveries: %+v", out)
 	}
-	// ForceFull is the escape hatch: recompile the world from scratch.
-	subs3 := make([][]subscription.Expr, len(net.Hosts))
-	subs3[4] = []subscription.Expr{filter(t, "stock == GOOGL")}
-	full := opts
-	full.ForceFull = true
-	rep3, err := d.Resubscribe(subs3, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep3.Full {
-		t.Errorf("ForceFull not honoured: %+v", rep3)
-	}
-	sim3, err := New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := sim3.Publish(0, []*spec.Message{msg("GOOGL", 1, 1)}, 64); len(out) != 1 || out[0].Host != 4 {
-		t.Fatalf("post-ForceFull deliveries: %+v", out)
+	if st := svc.Stats(); st.Installs == 0 || st.Deletes == 0 {
+		t.Errorf("migration delta not reported: %+v", st)
 	}
 }
 

@@ -40,11 +40,20 @@ func ComputeTree(t *topology.Tree, subs map[int][]subscription.Expr, alpha int64
 
 	// Global filter table; the subscriber's own node keeps the exact
 	// filter (delivery point), remote copies use the approximation.
+	// Filter IDs order every switch's rules and so its BDD merge, whose
+	// result is order-sensitive: assign them by ascending node, not in
+	// map order.
+	nodes := make([]int, 0, len(subs))
+	for node := range subs {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
 	byNode := make(map[int]FilterSet, len(subs))
-	for node, exprs := range subs {
+	for _, node := range nodes {
 		if node < 0 || node >= g.N {
 			return nil, fmt.Errorf("routing: subscriber node %d out of range", node)
 		}
+		exprs := subs[node]
 		fs := make(FilterSet, len(exprs))
 		for _, e := range exprs {
 			f := &Filter{

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"camus/internal/spec"
@@ -344,6 +345,49 @@ func TestComputeTreePartition(t *testing.T) {
 	rules := res.RulesForNode(1)
 	if len(rules) == 0 {
 		t.Error("node 1 has no rules")
+	}
+}
+
+// TestComputeTreeDeterministic: filter IDs — which order every switch's
+// rules, hence its BDD merge, hence its compiled program — follow the
+// subscriber node numbers, not the iteration order of the subs map.
+func TestComputeTreeDeterministic(t *testing.T) {
+	g := topology.NewGraph(10)
+	for v := 1; v < g.N; v++ {
+		g.AddEdge((v-1)/2, v) // a binary tree
+	}
+	tree, err := topology.PrimMST(g, 0, topology.UnitWeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make(map[int][]subscription.Expr)
+	for v := 1; v < g.N; v++ {
+		subs[v] = []subscription.Expr{
+			filter(t, fmt.Sprintf("stock == S%d", v)),
+			filter(t, fmt.Sprintf("price > %d", 10*v)),
+		}
+	}
+	render := func() string {
+		res, err := ComputeTree(tree, subs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, f := range res.Filters {
+			fmt.Fprintf(&b, "filter %d host %d: %s\n", f.ID, f.Host, f.Expr)
+		}
+		for v := 0; v < g.N; v++ {
+			for _, r := range res.RulesForNode(v) {
+				fmt.Fprintf(&b, "node %d rule %d: %s\n", v, r.ID, r)
+			}
+		}
+		return b.String()
+	}
+	want := render()
+	for run := 1; run < 20; run++ {
+		if got := render(); got != want {
+			t.Fatalf("run %d differs from run 0:\n%s\nrun 0:\n%s", run, got, want)
+		}
 	}
 }
 
