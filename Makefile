@@ -90,8 +90,11 @@ bench-report:
 	$(GO) run ./cmd/benchjson -filter 'CtlplaneDaemon|CoverChurn' -out BENCH_ctlplane.json < bench-report.txt
 
 ## perf-guard: the CI allocation guard — run the two canonical
-## compiler benchmarks, a warm add-one/remove-one on 192 and 10000 live
-## rules (IncrementalChurn), one 10k-rule batch compile (Compile10k),
+## compiler benchmarks, the 1000-rule exact+range compile whose merge is
+## a cross product (CompileINT1k, 134k entries — the equality chains of
+## the other compile rows never multiply), a warm add-one/remove-one on
+## 192 and 10000 live rules (IncrementalChurn), one 10k-rule batch
+## compile (Compile10k),
 ## the network-delivery verifier, the static fit analyzer, and the
 ## covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
@@ -103,7 +106,7 @@ bench-report:
 ## decode garbage cannot return unnoticed. BenchmarkCoverChurn also
 ## self-enforces its ≥2× entry-reduction bar.
 perf-guard:
-	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
+	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkCompileINT1k$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalChurn$$' -benchtime 20x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCompile10k$$|^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
@@ -133,11 +136,13 @@ soak:
 	CAMUS_SOAK=1 $(GO) test -race -count=1 -v -run 'TestChurnSoak' ./internal/netsim
 
 ## fuzz-smoke: short, deterministic iterations of the fuzz targets —
-## the subscription parser, the compile-then-prove pipeline, the flat
-## table walk against its reference and the two wire decoders (seed
-## corpus plus a few hundred mutations each).
+## the subscription parser, the BDD kernel's hash table against a Go
+## map, the compile-then-prove pipeline, the flat table walk against its
+## reference and the two wire decoders (seed corpus plus a few hundred
+## mutations each).
 fuzz-smoke:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 200x
+	$(GO) test ./internal/bdd -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 200x
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 200x
 	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 200x
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 200x
@@ -149,6 +154,7 @@ fuzz-extended:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 120s
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 300s
 	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 120s
+	$(GO) test ./internal/bdd -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 30s
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 60s
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzHeaderCodec$$' -fuzztime 30s
 	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 60s

@@ -88,12 +88,12 @@ func BuildNormalized(sp *spec.Spec, rules []subscription.NormalizedRule, opts Op
 		}
 	}()
 	u := NewUniverse(sp, rules, opts.Order)
-	b := newBuilder(u, !opts.DisablePruning, 0)
+	b := newBuilder(u, !opts.DisablePruning)
 	b.maxNodes = opts.MaxNodes
 
 	dropped := 0
-	chains := make([]*Node, 0, len(rules))
-	seenChain := make(map[*Node]bool, len(rules))
+	chains := make([]int32, 0, len(rules))
+	seenChain := make(map[int32]bool, len(rules))
 	for i := range rules {
 		n, ok, cerr := b.chain(rules[i])
 		if cerr != nil {
@@ -112,14 +112,17 @@ func BuildNormalized(sp *spec.Spec, rules []subscription.NormalizedRule, opts Op
 		chains = append(chains, n)
 	}
 	root := b.merge(chains)
-	d = &BDD{Universe: u, Root: root, DroppedRules: dropped}
+	mat := make([]*Node, len(b.nodes))
+	d = &BDD{Universe: u, Root: b.materialise(mat, root), DroppedRules: dropped}
 	// One builder goroutine already makes creation-order IDs deterministic;
 	// batch diagrams are renumbered to the dense DFS order all the same,
 	// because the program's state numbering — and with it the prover's
 	// path enumeration and the counterexample goldens — is read off these
 	// IDs. Engine builds are never renumbered: incremental table diffing
 	// relies on creation-order ID stability across rebuilds.
-	d.renumber()
+	for i, n := range d.Reachable() {
+		n.ID = int32(i)
+	}
 	return d, nil
 }
 
@@ -128,7 +131,7 @@ func BuildNormalized(sp *spec.Spec, rules []subscription.NormalizedRule, opts Op
 // rates high, unlike a left fold that re-walks one ever-growing diagram
 // per rule. The merge runs in ascending input order — with pruning the
 // result is merge-order sensitive (DESIGN §11).
-func (b *builder) merge(chains []*Node) *Node {
+func (b *builder) merge(chains []int32) int32 {
 	for len(chains) > 1 {
 		next := chains[:0]
 		for i := 0; i+1 < len(chains); i += 2 {
@@ -142,147 +145,179 @@ func (b *builder) merge(chains []*Node) *Node {
 	if len(chains) == 1 {
 		return chains[0]
 	}
-	return b.terminal(subscription.ActionSet{})
+	return emptyTerm
 }
 
-// renumber reassigns node IDs in DFS preorder (hi before lo) from the
-// root: dense over the reachable nodes and derived purely from the
-// diagram's structure.
-func (d *BDD) renumber() {
-	next := int32(0)
-	seen := make(map[*Node]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		n.ID = next
-		next++
-		if !n.IsTerminal() {
-			walk(n.Hi)
-			walk(n.Lo)
-		}
-	}
-	walk(d.Root)
+// node is the kernel's form of a BDD node: twelve bytes, no pointers, held
+// in builder.nodes at the index that is its ID. An internal node tests the
+// predicate with Pred.ID pred and branches to node hi or lo; a terminal has
+// pred == termPred and its action set at builder.terms[hi].
+type node struct{ pred, hi, lo int32 }
+
+const termPred int32 = -1
+
+// term is a terminal's action set. Terminals are interned by the set's
+// hash; next links the terminals of one hash (-1 ends the chain) and
+// equality decides among them, so interning formats nothing.
+type term struct {
+	acts subscription.ActionSet
+	next int32
 }
 
-// builder holds the hash-consing tables during construction. It belongs
-// to one goroutine at a time, like the Universe it builds against: nothing
-// in it is locked (DESIGN §11).
+// emptyTerm is the ∅-action terminal. It exists in every diagram (chain
+// fallthrough), so newBuilder interns it first and its ID is fixed.
+const emptyTerm int32 = 0
+
+// builder is the BDD kernel: the node store and the hash-consing and memo
+// tables of one construction. Everything the merge touches is an integer in
+// a flat slice — nodes are IDs into nodes, every table is a table (see
+// table.go) — so the or-merge probes no Go map, chases no pointer per node,
+// and leaves the garbage collector nothing to scan but the terminals'
+// action sets. *Node values exist only for diagrams handed out
+// (materialise). A builder belongs to one goroutine at a time, like the
+// Universe it builds against: nothing in it is locked (DESIGN §11).
 //
-// Performance notes: the or/apply hot path must not format strings. Path
-// contexts (per-field constraints) are interned to int32 IDs in the
-// universe's persistent cache; context refinement and implication tests
-// are memoized there by small integer tuples, so a refinement's
-// constraint is built (and hashed, never formatted) once per distinct
-// refinement rather than once per visit — and the results survive across
-// the incremental engine's rebuilds.
+// The or/apply hot path must not format strings either. Path contexts
+// (per-field constraints) are interned to int32 IDs in the universe's
+// persistent cache; context refinement and implication tests are memoized
+// there by small integer tuples, so a refinement's constraint is built (and
+// hashed, never formatted) once per distinct refinement rather than once
+// per visit — and the results survive across the incremental engine's
+// rebuilds.
 type builder struct {
 	u       *Universe
 	pruning bool
 
-	nextID int32
-	// uniq is the hash-cons unique table. Nodes live in fixed-capacity
-	// slabs that never grow in place, so node pointers stay valid for the
-	// builder's lifetime.
-	uniq map[[3]int32]*Node
-	slab []Node
+	// nodes holds every node ever created, by ID — creation order, which
+	// the engine's table diffing relies on — and terms the terminals'
+	// action sets.
+	nodes []node
+	terms []term
 
-	terminals map[string]*Node
-	termSlab  []Node
-	empty     *Node // cached ∅-action terminal (always ID 0)
+	uniq     table // (pred, hi, lo) → internal node: reduction i
+	termByH  table // (action-set hash, 0) → most recent terminal of that hash
+	memo     table // (u, v, context) → or(u, v) under the context
+	termMemo table // (u, v, 0), u < v both terminals → merged terminal
 
-	// memo maps an or-merge to its result's node ID, and memoNode that ID
-	// back to the node. The indirection keeps pointers out of the memo: it
-	// is by far the engine's largest table and lives as long as the engine,
-	// and a map without pointers is one the garbage collector never scans.
-	memo     map[memoKey]int32
-	memoNode []*Node
-	termMemo map[[2]int32]*Node
+	// materialised counts the *Node values handed out, and pending is
+	// materialise's scratch: the nodes one call is about to build.
+	materialised int
+	pending      []int32
+
+	// ports is the scratch a terminal merge unions two port lists into;
+	// the union is copied only when it turns out to be a new terminal.
+	ports []int
 
 	// maxNodes aborts construction via a tooLarge panic when exceeded
 	// (0 = unlimited).
 	maxNodes int
 }
 
-const slabSize = 1024
-
-type memoKey struct {
-	u, v, ctx int32
-}
-
 // noCtx marks "no context" (pruning disabled or not yet entered a field).
 const noCtx int32 = -1
 
-// newBuilder returns an empty builder; sizeHint is the number of nodes
-// it should hold without rehashing its tables (0: grow from empty).
-func newBuilder(u *Universe, pruning bool, sizeHint int) *builder {
-	b := &builder{
-		u:         u,
-		pruning:   pruning,
-		uniq:      make(map[[3]int32]*Node, sizeHint),
-		terminals: make(map[string]*Node),
-		memo:      make(map[memoKey]int32, 2*sizeHint),
-		termMemo:  make(map[[2]int32]*Node),
-	}
-	// The empty terminal exists in every diagram (chain fallthrough);
-	// interning it eagerly gives the hot path a pointer check in place of
-	// a key build and map probe, and fixes its ID at 0.
-	b.empty = b.terminal(subscription.ActionSet{})
+func newBuilder(u *Universe, pruning bool) *builder {
+	b := &builder{u: u, pruning: pruning}
+	b.terminal(subscription.ActionSet{}) // emptyTerm
 	return b
 }
 
-// terminal returns the hash-consed terminal for an action set
-// (reduction i for terminals: equal action sets share one node).
-func (b *builder) terminal(acts subscription.ActionSet) *Node {
-	if acts.IsEmpty() && b.empty != nil {
-		return b.empty
+// terminal returns the hash-consed terminal for an action set (reduction
+// i for terminals: equal action sets share one node). It copies acts when
+// the set is new.
+func (b *builder) terminal(acts subscription.ActionSet) int32 {
+	if acts.IsEmpty() && len(b.nodes) > 0 {
+		return emptyTerm
 	}
-	key := acts.Key()
-	if n, ok := b.terminals[key]; ok {
-		return n
+	h := acts.Hash()
+	head, ok := b.termByH.get(int32(h), int32(h>>32), 0)
+	if !ok {
+		head = -1
 	}
-	if len(b.termSlab) == cap(b.termSlab) {
-		b.termSlab = make([]Node, 0, 64)
+	for id := head; id >= 0; {
+		t := &b.terms[b.nodes[id].hi]
+		if t.acts.Equal(acts) {
+			return id
+		}
+		id = t.next
 	}
-	b.termSlab = append(b.termSlab, Node{ID: b.allocID(), Actions: acts})
-	n := &b.termSlab[len(b.termSlab)-1]
-	b.terminals[key] = n
-	return n
-}
-
-// allocID hands out the next node ID, enforcing the node cap.
-func (b *builder) allocID() int32 {
-	id := b.nextID
-	if b.maxNodes > 0 && int(id) >= b.maxNodes {
-		panic(tooLarge{})
-	}
-	b.nextID++
+	id := b.push(node{pred: termPred, hi: int32(len(b.terms))})
+	b.terms = append(b.terms, term{acts: acts.Clone(), next: head})
+	b.termByH.put(int32(h), int32(h>>32), 0, id)
 	return id
 }
 
+// push appends a node and returns its ID, enforcing the node cap. The
+// store doubles when full: append's 1.25× steps would copy a large store
+// five times over.
+func (b *builder) push(n node) int32 {
+	if b.maxNodes > 0 && len(b.nodes) >= b.maxNodes {
+		panic(tooLarge{})
+	}
+	if len(b.nodes) == cap(b.nodes) {
+		b.nodes = slices.Grow(b.nodes, max(len(b.nodes), 64))
+	}
+	b.nodes = append(b.nodes, n)
+	return int32(len(b.nodes) - 1)
+}
+
 // mkNode returns the hash-consed internal node (reductions i and ii).
-func (b *builder) mkNode(p *Pred, hi, lo *Node) *Node {
+func (b *builder) mkNode(pred, hi, lo int32) int32 {
 	if hi == lo {
 		return hi // reduction ii: both branches agree
 	}
-	key := [3]int32{int32(p.ID), hi.ID, lo.ID}
-	if n, ok := b.uniq[key]; ok {
-		return n // reduction i: isomorphic node exists
+	if id, ok := b.uniq.get(pred, hi, lo); ok {
+		return id // reduction i: isomorphic node exists
 	}
-	id := b.allocID()
-	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]Node, 0, slabSize)
-	}
-	b.slab = append(b.slab, Node{ID: id, Pred: p, Hi: hi, Lo: lo})
-	n := &b.slab[len(b.slab)-1]
-	b.uniq[key] = n
-	return n
+	id := b.push(node{pred, hi, lo})
+	b.uniq.put(pred, hi, lo, id)
+	return id
 }
 
-// nodeCount reports how many nodes the builder has allocated.
-func (b *builder) nodeCount() int { return int(b.nextID) }
+// materialise returns node root as a *Node, building it and every node
+// below it that mat — indexed by node ID — does not hold yet, all in one
+// allocation of exactly that many Nodes, laid out in DFS preorder (hi
+// before lo). A materialised node's subgraph is materialised too, so the
+// walk stops at the first node it has seen before: an engine that keeps
+// mat between builds pays for the nodes a build added, and hands out one
+// *Node per ID for its lifetime.
+func (b *builder) materialise(mat []*Node, root int32) *Node {
+	b.pending = b.collect(mat, b.pending[:0], root)
+	chunk := make([]Node, len(b.pending))
+	for i, id := range b.pending {
+		mat[id] = &chunk[i]
+	}
+	for i, id := range b.pending {
+		n, k := &chunk[i], b.nodes[id]
+		n.ID = id
+		if k.pred == termPred {
+			n.Actions = b.terms[k.hi].acts
+		} else {
+			n.Pred, n.Hi, n.Lo = b.u.Preds[k.pred], mat[k.hi], mat[k.lo]
+		}
+	}
+	b.materialised += len(chunk)
+	return mat[root]
+}
+
+// collect appends the nodes under id that mat does not hold to pending,
+// marking each in mat so that it is listed once.
+func (b *builder) collect(mat []*Node, pending []int32, id int32) []int32 {
+	if mat[id] != nil {
+		return pending
+	}
+	mat[id] = unbuilt
+	pending = append(pending, id)
+	if k := b.nodes[id]; k.pred != termPred {
+		pending = b.collect(mat, pending, k.hi)
+		pending = b.collect(mat, pending, k.lo)
+	}
+	return pending
+}
+
+// unbuilt marks, in a materialisation index, a node collected but not yet
+// built. It is never written.
+var unbuilt = new(Node)
 
 type lit struct {
 	pred     *Pred
@@ -295,19 +330,19 @@ type lit struct {
 // used with both polarities, or a semantic per-field contradiction such
 // as price > 20 ∧ price < 10). Literals implied by the preceding ones on
 // the same field are elided.
-func (b *builder) chain(nr subscription.NormalizedRule) (*Node, bool, error) {
+func (b *builder) chain(nr subscription.NormalizedRule) (int32, bool, error) {
 	lits := make([]lit, 0, len(nr.Conj))
 atoms:
 	for _, a := range nr.Conj {
 		p, pos, err := b.u.Lookup(a)
 		if err != nil {
-			return nil, false, err
+			return 0, false, err
 		}
 		// Conjunctions are small; a linear scan beats two maps.
 		for i := range lits {
 			if lits[i].pred == p {
 				if lits[i].positive != pos {
-					return nil, false, nil // p and ¬p: unsatisfiable
+					return 0, false, nil // p and ¬p: unsatisfiable
 				}
 				continue atoms
 			}
@@ -338,12 +373,12 @@ atoms:
 			switch b.u.impliesCtx(ctx, l.pred) {
 			case match.True:
 				if !l.positive {
-					return nil, false, nil
+					return 0, false, nil
 				}
 				continue // redundant literal
 			case match.False:
 				if l.positive {
-					return nil, false, nil
+					return 0, false, nil
 				}
 				continue
 			}
@@ -355,16 +390,15 @@ atoms:
 
 	var acts subscription.ActionSet
 	acts.Add(nr.Action)
-	node := b.terminal(acts)
-	empty := b.empty
+	n := b.terminal(acts)
 	for i := len(lits) - 1; i >= 0; i-- {
 		if lits[i].positive {
-			node = b.mkNode(lits[i].pred, node, empty)
+			n = b.mkNode(int32(lits[i].pred.ID), n, emptyTerm)
 		} else {
-			node = b.mkNode(lits[i].pred, empty, node)
+			n = b.mkNode(int32(lits[i].pred.ID), emptyTerm, n)
 		}
 	}
-	return node, true, nil
+	return n, true, nil
 }
 
 // or computes the union of two diagrams: the resulting terminal action
@@ -376,7 +410,7 @@ atoms:
 // being tested. Constraints on earlier fields are irrelevant once the
 // variable order moves past them, so one field's context suffices (and
 // keeps memoization effective).
-func (b *builder) or(u, v *Node) *Node {
+func (b *builder) or(u, v int32) int32 {
 	return b.orCtx(u, v, pathCtx{id: noCtx})
 }
 
@@ -400,39 +434,31 @@ func (b *builder) refinePath(ctx pathCtx, p *Pred, outcome bool) pathCtx {
 	return pathCtx{id: id, field: ctx.field, c: c}
 }
 
-func (b *builder) orCtx(u, v *Node, ctx pathCtx) *Node {
-	if u.IsTerminal() && v.IsTerminal() {
-		tk := [2]int32{u.ID, v.ID}
-		if u.ID > v.ID {
-			tk = [2]int32{v.ID, u.ID}
-		}
-		if n, ok := b.termMemo[tk]; ok {
-			return n
-		}
-		merged := u.Actions.Clone()
-		merged.Merge(v.Actions)
-		n := b.terminal(merged)
-		b.termMemo[tk] = n
-		return n
+// orCtx reads its operands by value: the recursion appends to b.nodes, so
+// no pointer into it is held across a call.
+func (b *builder) orCtx(u, v int32, ctx pathCtx) int32 {
+	nu, nv := b.nodes[u], b.nodes[v]
+	if nu.pred == termPred && nv.pred == termPred {
+		return b.orTerminals(u, v)
 	}
-	p := topPred(u, v)
+	p := b.topPred(nu, nv)
+	pid := int32(p.ID)
 	if !b.pruning {
-		mk := memoKey{u: u.ID, v: v.ID, ctx: noCtx}
-		if id, ok := b.memo[mk]; ok {
-			return b.memoNode[id]
+		if r, ok := b.memo.get(u, v, noCtx); ok {
+			return r
 		}
-		hi := b.orCtx(restrict(u, p, true), restrict(v, p, true), ctx)
-		lo := b.orCtx(restrict(u, p, false), restrict(v, p, false), ctx)
-		result := b.mkNode(p, hi, lo)
-		b.memoize(mk, result)
-		return result
+		hi := b.orCtx(restrict(u, nu, pid, true), restrict(v, nv, pid, true), ctx)
+		lo := b.orCtx(restrict(u, nu, pid, false), restrict(v, nv, pid, false), ctx)
+		r := b.mkNode(pid, hi, lo)
+		b.memo.put(u, v, noCtx, r)
+		return r
 	}
 
 	// Fast-forward every predicate the context already decides
 	// (reduction iii) in a tight loop: no memoization or allocation per
 	// skipped node, and the implication test is a direct call on the
 	// constraint the context carries — a handful of compares, where the
-	// memoized test would put a map probe on the hottest loop in the
+	// memoized test would put a table probe on the hottest loop in the
 	// compiler. This is what keeps merging O(100k) equality chains
 	// (hICN-style workloads) tractable — a pinned field value otherwise
 	// walks the whole chain through the memo machinery.
@@ -442,62 +468,86 @@ func (b *builder) orCtx(u, v *Node, ctx pathCtx) *Node {
 	for {
 		switch ctx.c.Implies(p.Rel, p.Const) {
 		case match.True:
-			u, v = restrict(u, p, true), restrict(v, p, true)
+			u, v = restrict(u, nu, pid, true), restrict(v, nv, pid, true)
 		case match.False:
-			u, v = restrict(u, p, false), restrict(v, p, false)
+			u, v = restrict(u, nu, pid, false), restrict(v, nv, pid, false)
 		default:
-			mk := memoKey{u: u.ID, v: v.ID, ctx: ctx.id}
-			if id, ok := b.memo[mk]; ok {
-				return b.memoNode[id]
+			if r, ok := b.memo.get(u, v, ctx.id); ok {
+				return r
 			}
-			hi := b.orCtx(restrict(u, p, true), restrict(v, p, true), b.refinePath(ctx, p, true))
-			lo := b.orCtx(restrict(u, p, false), restrict(v, p, false), b.refinePath(ctx, p, false))
-			result := b.mkNode(p, hi, lo)
-			b.memoize(mk, result)
-			return result
+			hi := b.orCtx(restrict(u, nu, pid, true), restrict(v, nv, pid, true), b.refinePath(ctx, p, true))
+			lo := b.orCtx(restrict(u, nu, pid, false), restrict(v, nv, pid, false), b.refinePath(ctx, p, false))
+			r := b.mkNode(pid, hi, lo)
+			b.memo.put(u, v, ctx.id, r)
+			return r
 		}
-		if u.IsTerminal() && v.IsTerminal() {
-			return b.orCtx(u, v, ctx) // terminal merge path
+		nu, nv = b.nodes[u], b.nodes[v]
+		if nu.pred == termPred && nv.pred == termPred {
+			return b.orTerminals(u, v)
 		}
-		p = topPred(u, v)
+		p = b.topPred(nu, nv)
+		pid = int32(p.ID)
 		if ctx.field != int32(p.FieldIdx) {
 			ctx = b.freshPath(p)
 		}
 	}
 }
 
-// memoize records the result of one or-merge.
-func (b *builder) memoize(mk memoKey, result *Node) {
-	if int(result.ID) >= len(b.memoNode) {
-		b.memoNode = slices.Grow(b.memoNode, int(result.ID)+1-len(b.memoNode))[:int(result.ID)+1]
-	}
-	b.memoNode[result.ID] = result
-	b.memo[mk] = result.ID
-}
-
-// topPred returns the smallest-ordered predicate tested at u or v.
-func topPred(u, v *Node) *Pred {
+// orTerminals returns the terminal carrying both terminals' actions.
+// or(t, t) and or(t, ∅) are t itself; any other pair is merged once and
+// memoized.
+func (b *builder) orTerminals(u, v int32) int32 {
 	switch {
-	case u.IsTerminal():
-		return v.Pred
-	case v.IsTerminal():
-		return u.Pred
-	case v.Pred.Less(u.Pred):
-		return v.Pred
-	default:
-		return u.Pred
+	case u == v || v == emptyTerm:
+		return u
+	case u == emptyTerm:
+		return v
+	case u > v:
+		u, v = v, u
 	}
+	if r, ok := b.termMemo.get(u, v, 0); ok {
+		return r
+	}
+	au, av := b.terms[b.nodes[u].hi].acts, b.terms[b.nodes[v].hi].acts
+	b.ports = subscription.UnionPorts(b.ports[:0], au.Ports, av.Ports)
+	merged := subscription.ActionSet{Ports: b.ports}
+	if len(au.Custom)+len(av.Custom) > 0 {
+		merged.Custom = slices.Clone(au.Custom)
+		for _, c := range av.Custom {
+			merged.Add(c)
+		}
+	}
+	r := b.terminal(merged)
+	b.termMemo.put(u, v, 0, r)
+	return r
 }
 
-// restrict specializes a node to a known outcome of predicate p.
-func restrict(n *Node, p *Pred, outcome bool) *Node {
-	if n.IsTerminal() || n.Pred.ID != p.ID {
-		return n
+// topPred returns the smallest-ordered predicate tested at u or v, at
+// least one of which is internal.
+func (b *builder) topPred(u, v node) *Pred {
+	switch {
+	case u.pred == termPred:
+		return b.u.Preds[v.pred]
+	case v.pred == termPred || u.pred == v.pred:
+		return b.u.Preds[u.pred]
+	}
+	pu, pv := b.u.Preds[u.pred], b.u.Preds[v.pred]
+	if pv.Less(pu) {
+		return pv
+	}
+	return pu
+}
+
+// restrict specializes node id (whose record is n) to a known outcome of
+// the predicate with ID pred.
+func restrict(id int32, n node, pred int32, outcome bool) int32 {
+	if n.pred != pred {
+		return id
 	}
 	if outcome {
-		return n.Hi
+		return n.hi
 	}
-	return n.Lo
+	return n.lo
 }
 
 // Eval walks the diagram for a message, returning the merged action set —
@@ -519,9 +569,12 @@ func (d *BDD) Eval(m *spec.Message, st subscription.StateReader) subscription.Ac
 // (DFS preorder, hi before lo) order.
 func (d *BDD) Reachable() []*Node {
 	var out []*Node
-	seen := make(map[int32]bool)
+	var seen []bool // by node ID
 	var walk func(n *Node)
 	walk = func(n *Node) {
+		if int(n.ID) >= len(seen) {
+			seen = slices.Grow(seen, int(n.ID)+1-len(seen))[:n.ID+1]
+		}
 		if seen[n.ID] {
 			return
 		}

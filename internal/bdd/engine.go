@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"slices"
+	"unsafe"
 
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -18,14 +19,21 @@ import (
 // across rebuilds, which downstream table diffing relies on (§V's
 // "table entry re-use").
 type Engine struct {
-	u       *Universe
-	b       *builder
-	chains  map[int][]*Node // rule ID → chain nodes (one per disjunct)
-	order   []int           // live rule IDs, ascending: the merge order
-	dropped int
+	u      *Universe
+	b      *builder
+	chains map[int][]int32 // rule ID → chain nodes (one per satisfiable disjunct)
+	order  []int           // rule IDs with a chain, ascending: the merge order
+	// dropped counts, per rule ID, the disjuncts skipped as unsatisfiable;
+	// ndropped is their sum.
+	dropped  map[int]int
+	ndropped int
+	// mat holds the *Node of every node a Build has handed out, by ID: one
+	// per ID for the engine's lifetime, so two builds that reach a node
+	// return the same pointer.
+	mat []*Node
 	// Build's scratch, kept between calls: the chain list it merges (in
 	// place) and the chain IDs already on it.
-	merging []*Node
+	merging []int32
 	seen    map[int32]struct{}
 }
 
@@ -41,18 +49,13 @@ func NewEngine(sp *spec.Spec, opts Options) *Engine {
 	u := NewUniverse(sp, nil, opts.Order)
 	u.seedSpecFields()
 	return &Engine{
-		u:      u,
-		b:      newBuilder(u, !opts.DisablePruning, engineSizeHint),
-		chains: make(map[int][]*Node),
-		seen:   make(map[int32]struct{}),
+		u:       u,
+		b:       newBuilder(u, !opts.DisablePruning),
+		chains:  make(map[int][]int32),
+		dropped: make(map[int]int),
+		seen:    make(map[int32]struct{}),
 	}
 }
-
-// engineSizeHint presizes an engine's unique and memo tables for a few
-// hundred rules' worth of merging — what one control-plane switch holds
-// after its first batches — instead of growing them from empty through
-// a dozen rehashes.
-const engineSizeHint = 1 << 12
 
 // Universe exposes the growing predicate universe.
 func (e *Engine) Universe() *Universe { return e.u }
@@ -66,7 +69,8 @@ func (e *Engine) Add(rules ...subscription.NormalizedRule) error {
 			return err
 		}
 		if !ok {
-			e.dropped++
+			e.dropped[nr.RuleID]++
+			e.ndropped++
 			continue
 		}
 		if _, exists := e.chains[nr.RuleID]; !exists {
@@ -78,11 +82,14 @@ func (e *Engine) Add(rules ...subscription.NormalizedRule) error {
 	return nil
 }
 
-// Remove deletes every disjunct of a rule ID. It reports whether the
-// rule existed.
+// Remove deletes every disjunct of a rule ID, the unsatisfiable ones Add
+// only counted included. It reports whether the rule existed.
 func (e *Engine) Remove(ruleID int) bool {
+	n, wasDropped := e.dropped[ruleID]
+	e.ndropped -= n
+	delete(e.dropped, ruleID)
 	if _, ok := e.chains[ruleID]; !ok {
-		return false
+		return wasDropped
 	}
 	delete(e.chains, ruleID)
 	if i, ok := slices.BinarySearch(e.order, ruleID); ok {
@@ -91,7 +98,8 @@ func (e *Engine) Remove(ruleID int) bool {
 	return true
 }
 
-// Rules returns the live rule IDs, ascending.
+// Rules returns the IDs of the rules with at least one satisfiable
+// disjunct, ascending.
 func (e *Engine) Rules() []int { return slices.Clone(e.order) }
 
 // Build merges the live chains into a BDD. Thanks to the persistent
@@ -106,27 +114,49 @@ func (e *Engine) Build() *BDD {
 	clear(e.seen)
 	for _, id := range e.order {
 		for _, c := range e.chains[id] {
-			if _, dup := e.seen[c.ID]; dup {
+			if _, dup := e.seen[c]; dup {
 				continue
 			}
-			e.seen[c.ID] = struct{}{}
+			e.seen[c] = struct{}{}
 			chains = append(chains, c)
 		}
 	}
 	e.merging = chains
+	root := e.b.merge(chains)
 	// Engine diagrams keep their creation-order node IDs (no DFS
 	// renumbering): downstream table diffing relies on IDs being stable
 	// across rebuilds of one engine.
-	return &BDD{Universe: e.u, Root: e.b.merge(chains), DroppedRules: e.dropped}
+	if n := len(e.b.nodes); n > len(e.mat) {
+		e.mat = slices.Grow(e.mat, n-len(e.mat))[:n]
+	}
+	return &BDD{Universe: e.u, Root: e.b.materialise(e.mat, root), DroppedRules: e.ndropped}
 }
 
 // CacheSize reports the persistent table sizes (for Compact decisions).
 func (e *Engine) CacheSize() (nodes, memoEntries int) {
-	return e.b.nodeCount(), len(e.b.memo)
+	return len(e.b.nodes), e.b.memo.len()
+}
+
+// CacheBytes reports the memory the engine retains across rebuilds,
+// exactly: the capacities of the node store, of the builder's and the
+// universe's tables, of the materialisation index and of the ID scratch
+// lists, times their element sizes, plus the nodes materialised so far.
+// What the terminals' action sets and the contexts' constraints point to is
+// not counted, nor are the per-rule maps, which grow with the live rules
+// and not with the batches applied.
+func (e *Engine) CacheBytes() int {
+	b := e.b
+	return cap(b.nodes)*int(unsafe.Sizeof(node{})) +
+		cap(b.terms)*int(unsafe.Sizeof(term{})) +
+		b.uniq.bytes() + b.termByH.bytes() + b.memo.bytes() + b.termMemo.bytes() +
+		(cap(b.pending)+cap(e.merging))*4 +
+		cap(e.mat)*int(unsafe.Sizeof((*Node)(nil))) +
+		b.materialised*int(unsafe.Sizeof(Node{})) +
+		e.u.cache.bytes()
 }
 
 // chainExtend is chain() against the growable universe.
-func (e *Engine) chainExtend(nr subscription.NormalizedRule) (*Node, bool, error) {
+func (e *Engine) chainExtend(nr subscription.NormalizedRule) (int32, bool, error) {
 	for _, a := range nr.Conj {
 		e.u.Extend(a) // ensure predicates exist before ordering literals
 	}

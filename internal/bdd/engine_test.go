@@ -60,6 +60,10 @@ func TestEngineAddRemove(t *testing.T) {
 	if nodes == 0 || memo == 0 {
 		t.Errorf("caches empty: %d %d", nodes, memo)
 	}
+	// 12 bytes a node and 16 a memo slot, before anything else is counted.
+	if got := e.CacheBytes(); got < 12*nodes+16*memo {
+		t.Errorf("CacheBytes = %d for %d nodes and %d memo entries", got, nodes, memo)
+	}
 }
 
 // TestEngineUniverseGrowth: predicates appended by later rules keep
@@ -194,6 +198,83 @@ func TestBuildNormalizedNodeCap(t *testing.T) {
 	if _, err := Build(sp, rules, Options{}); err != nil {
 		t.Errorf("uncapped build failed: %v", err)
 	}
+
+	// Every site that creates a node enforces the cap. Two rules on one
+	// predicate build nodes in a known order — ∅, fwd(1), its chain node,
+	// fwd(2), its chain node, then the merge's fwd(1,2) and root — so each
+	// cap below stops construction at a different site, and one more node
+	// lets it through.
+	pair := parseRules(t, sp, "price > 5: fwd(1)\nprice > 5: fwd(2)")
+	for _, c := range []struct {
+		max  int
+		site string
+	}{
+		{1, "terminal, building a chain"},
+		{2, "mkNode, building a chain"},
+		{5, "terminal, merging two terminals"},
+		{6, "mkNode, merging"},
+	} {
+		if _, err := Build(sp, pair, Options{MaxNodes: c.max}); err != ErrTooLarge {
+			t.Errorf("MaxNodes %d (%s): err = %v, want ErrTooLarge", c.max, c.site, err)
+		}
+	}
+	d, err := Build(sp, pair, Options{MaxNodes: 7})
+	if err != nil {
+		t.Fatalf("MaxNodes 7: %v", err)
+	}
+	if got := len(d.Reachable()); got != 3 {
+		t.Errorf("two rules on one predicate reach %d nodes, want 3", got)
+	}
+}
+
+// TestEngineDroppedRulesFollowRemove: the count of unsatisfiable disjuncts
+// is per rule and leaves with the rule, so DroppedRules always equals what
+// a batch build of the surviving rules reports.
+func TestEngineDroppedRulesFollowRemove(t *testing.T) {
+	sp := testSpec(t)
+	e := NewEngine(sp, Options{})
+	srcs := map[int]string{
+		1: "stock == GOOGL: fwd(1)",
+		7: "price > 20 and price < 10: fwd(1)",                 // unsatisfiable outright
+		8: "(price > 20 and price < 10) or shares < 5: fwd(2)", // one disjunct of two
+	}
+	batchDropped := func() int {
+		t.Helper()
+		var live []subscription.NormalizedRule
+		for _, id := range []int{1, 7, 8} {
+			if src, ok := srcs[id]; ok {
+				live = append(live, normalize(t, sp, src, id)...)
+			}
+		}
+		d, err := BuildNormalized(sp, live, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.DroppedRules
+	}
+	for _, id := range []int{1, 7, 8} {
+		if err := e.Add(normalize(t, sp, srcs[id], id)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := e.Build().DroppedRules, batchDropped(); got != want || want != 2 {
+		t.Fatalf("after adds: DroppedRules = %d, batch %d, want 2", got, want)
+	}
+	if got := fmt.Sprint(e.Rules()); got != "[1 8]" {
+		t.Errorf("Rules = %s: rule 7 has no satisfiable disjunct to merge", got)
+	}
+	for _, id := range []int{7, 8} {
+		if !e.Remove(id) {
+			t.Errorf("Remove(%d) reported the rule unknown", id)
+		}
+		delete(srcs, id)
+		if got, want := e.Build().DroppedRules, batchDropped(); got != want {
+			t.Errorf("after Remove(%d): DroppedRules = %d, batch build of the survivors %d", id, got, want)
+		}
+		if e.Remove(id) {
+			t.Errorf("second Remove(%d) succeeded", id)
+		}
+	}
 }
 
 // colliding is an IntConstraint whose every value hashes alike, so
@@ -211,11 +292,8 @@ func (c colliding) Equal(o match.Constraint) bool {
 // field is a different context.
 func TestCtxInternHashCollisions(t *testing.T) {
 	var cc ctxCache
-	cc.init()
 	mk := func(lo int64) match.Constraint { return colliding{&match.IntConstraint{Lo: lo, Hi: 100}} }
-	intern := func(field int32, c match.Constraint) int32 {
-		return cc.intern(ctxKey{field: field, hash: c.Hash()}, c)
-	}
+	intern := cc.intern
 	ids := make(map[int32]bool)
 	for lo := int64(0); lo < 5; lo++ {
 		ids[intern(0, mk(lo))] = true

@@ -3,6 +3,7 @@ package bdd
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"camus/internal/match"
 	"camus/internal/spec"
@@ -136,74 +137,48 @@ type Universe struct {
 }
 
 // ctxCache interns (field, constraint) contexts to dense int32 IDs and
-// memoizes the two operations the builder performs on them.
+// memoizes the two operations the builder performs on them, in the
+// kernel's one table type (table.go): a merge refines a context twice per
+// expansion, which makes refined as hot as the or-memo.
 type ctxCache struct {
 	ctxs []match.Constraint
 	// byKey finds a context by (field, constraint hash): the most recent
 	// one, with chain linking each context to the previous one of the same
 	// key (-1 ends the chain). Equality decides among them, so interning
 	// formats nothing.
-	byKey   map[ctxKey]int32
+	byKey   table
 	chain   []int32
-	fresh   map[int32]int32  // field index → unconstrained context ID
-	refined map[uint64]int32 // by refineKey
-	implied map[implKey]match.Tri
-}
-
-type ctxKey struct {
-	field int32
-	hash  uint64
-}
-
-// refineKey packs (context, predicate, outcome) into one word, which
-// keeps the hottest map of a merge on the runtime's 8-byte-key path.
-func refineKey(ctx, pred int32, outcome bool) uint64 {
-	k := uint64(uint32(ctx))<<32 | uint64(uint32(pred))<<1
-	if outcome {
-		k |= 1
-	}
-	return k
-}
-
-type implKey struct {
-	ctx  int32
-	pred int32
-}
-
-func (cc *ctxCache) init() {
-	cc.byKey = make(map[ctxKey]int32)
-	cc.fresh = make(map[int32]int32)
-	cc.refined = make(map[uint64]int32)
-	cc.implied = make(map[implKey]match.Tri)
-}
-
-// find returns the ID of an interned (field, constraint) pair.
-func (cc *ctxCache) find(key ctxKey, c match.Constraint) (int32, bool) {
-	id, ok := cc.byKey[key]
-	for ok && id >= 0 {
-		if cc.ctxs[id].Equal(c) {
-			return id, true
-		}
-		id = cc.chain[id]
-	}
-	return 0, false
+	fresh   table // (field, 0, 0) → the field's unconstrained context
+	refined table // (context, predicate, outcome) → context
+	implied table // (context, predicate, 0) → match.Tri
 }
 
 // intern returns the ID of a canonical (field, constraint) pair, adding
 // it if new.
-func (cc *ctxCache) intern(key ctxKey, c match.Constraint) int32 {
-	if id, ok := cc.find(key, c); ok {
-		return id
-	}
-	prev, ok := cc.byKey[key]
+func (cc *ctxCache) intern(field int32, c match.Constraint) int32 {
+	hash := c.Hash()
+	head, ok := cc.byKey.get(field, int32(hash), int32(hash>>32))
 	if !ok {
-		prev = -1
+		head = -1
+	}
+	for id := head; id >= 0; id = cc.chain[id] {
+		if cc.ctxs[id].Equal(c) {
+			return id
+		}
 	}
 	id := int32(len(cc.ctxs))
 	cc.ctxs = append(cc.ctxs, c)
-	cc.chain = append(cc.chain, prev)
-	cc.byKey[key] = id
+	cc.chain = append(cc.chain, head)
+	cc.byKey.put(field, int32(hash), int32(hash>>32), id)
 	return id
+}
+
+// bytes returns the memory the cache's slices and tables hold, the
+// constraints themselves excluded.
+func (cc *ctxCache) bytes() int {
+	return cap(cc.ctxs)*int(unsafe.Sizeof(match.Constraint(nil))) +
+		cap(cc.chain)*4 +
+		cc.byKey.bytes() + cc.fresh.bytes() + cc.refined.bytes() + cc.implied.bytes()
 }
 
 // FreshCtx returns the unconstrained context for a predicate's field
@@ -215,11 +190,10 @@ func (cc *ctxCache) intern(key ctxKey, c match.Constraint) int32 {
 func (u *Universe) FreshCtx(p *Pred) (int32, match.Constraint) {
 	cc := &u.cache
 	field := int32(p.FieldIdx)
-	id, ok := cc.fresh[field]
+	id, ok := cc.fresh.get(field, 0, 0)
 	if !ok {
-		c := match.New(p.Ref.Type())
-		id = cc.intern(ctxKey{field: field, hash: c.Hash()}, c)
-		cc.fresh[field] = id
+		id = cc.intern(field, match.New(p.Ref.Type()))
+		cc.fresh.put(field, 0, 0, id)
 	}
 	return id, cc.ctxs[id]
 }
@@ -237,20 +211,23 @@ func (u *Universe) FreshCtx(p *Pred) (int32, match.Constraint) {
 // itself.
 func (u *Universe) RefineCtx(ctx int32, p *Pred, outcome bool) (int32, match.Constraint) {
 	cc := &u.cache
-	rk := refineKey(ctx, int32(p.ID), outcome)
-	if outcome && p.Rel == subscription.EQ {
-		rk = refineKey(noCtx, int32(p.ID), true)
+	from, out := ctx, int32(0)
+	if outcome {
+		out = 1
+		if p.Rel == subscription.EQ {
+			from = noCtx
+		}
 	}
-	if id, ok := cc.refined[rk]; ok {
+	if id, ok := cc.refined.get(from, int32(p.ID), out); ok {
 		return id, cc.ctxs[id]
 	}
 	parent := cc.ctxs[ctx]
 	c := parent.With(p.Rel, p.Const, outcome)
 	id := ctx
 	if c != parent {
-		id = cc.intern(ctxKey{field: int32(p.FieldIdx), hash: c.Hash()}, c)
+		id = cc.intern(int32(p.FieldIdx), c)
 	}
-	cc.refined[rk] = id
+	cc.refined.put(from, int32(p.ID), out, id)
 	return id, cc.ctxs[id]
 }
 
@@ -258,19 +235,18 @@ func (u *Universe) RefineCtx(ctx int32, p *Pred, outcome bool) (int32, match.Con
 // (ctx, pred): the chain builder's per-literal redundancy test.
 func (u *Universe) impliesCtx(ctx int32, p *Pred) match.Tri {
 	cc := &u.cache
-	ik := implKey{ctx: ctx, pred: int32(p.ID)}
-	v, ok := cc.implied[ik]
-	if !ok {
-		v = cc.ctxs[ctx].Implies(p.Rel, p.Const)
-		cc.implied[ik] = v
+	if v, ok := cc.implied.get(ctx, int32(p.ID), 0); ok {
+		return match.Tri(v)
 	}
+	v := cc.ctxs[ctx].Implies(p.Rel, p.Const)
+	cc.implied.put(ctx, int32(p.ID), 0, int32(v))
 	return v
 }
 
 // CtxCacheSize reports the number of interned contexts and memoized
 // implication results (diagnostics and tests).
 func (u *Universe) CtxCacheSize() (ctxs, implied int) {
-	return len(u.cache.ctxs), len(u.cache.implied)
+	return len(u.cache.ctxs), u.cache.implied.len()
 }
 
 // canonicalize maps an atom to its canonical predicate form plus the
@@ -298,7 +274,6 @@ func NewUniverse(sp *spec.Spec, rules []subscription.NormalizedRule, order Field
 		fieldByKey: make(map[fieldIdent]*FieldVar),
 		predByKey:  make(map[predIdent]*Pred),
 	}
-	u.cache.init()
 	// Collect referenced fields and raw predicates.
 	type rawPred struct {
 		ref subscription.FieldRef

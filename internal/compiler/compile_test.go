@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"camus/internal/bdd"
+	"camus/internal/formats"
 	"camus/internal/spec"
 	"camus/internal/subscription"
 )
@@ -422,6 +423,25 @@ func BenchmarkCompile500(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Compile(sp, rules, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileINT1k compiles the pinned 1000-rule exact+range set
+// (intRangeRules, the bench's int_range shape): 134 k entries out of a
+// cross-product merge, where BenchmarkCompile500 and the root package's
+// Compile10k merge equality chains that never multiply.
+func BenchmarkCompileINT1k(b *testing.B) {
+	rules := intRangeRules(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := Compile(formats.INT, rules, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(p.TotalEntries()), "entries")
 		}
 	}
 }

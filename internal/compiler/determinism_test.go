@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -17,27 +18,84 @@ import (
 // form.
 func canonicalString(p *Program) string { return p.Canonical().String() }
 
+// intRangeRules is bench/workloads.go's intRules (that package is main,
+// so the generator is copied): 1000 rules, three in four
+//
+//	switch_id == a and hop_latency > b and queue_depth > c
+//
+// and one in four
+//
+//	egress_port == e and hop_latency > b
+//
+// with b on a 16-point grid shared by all switches. Unlike the equality
+// chains of the other loads, merging these is a cross product: 134 k
+// entries out of 1000 rules.
+func intRangeRules(tb testing.TB, seed int64) []*subscription.Rule {
+	tb.Helper()
+	const switches, ports = 64, 32
+	r := rand.New(rand.NewSource(seed))
+	grid := make([]int, 16)
+	for g := range grid {
+		grid[g] = 700 + 18*g + r.Intn(6)
+	}
+	p := subscription.NewParser(formats.INT)
+	rules := make([]*subscription.Rule, 1000)
+	na, nb := 0, 0
+	for i := range rules {
+		var src string
+		if i%4 == 3 {
+			src = fmt.Sprintf("egress_port == %d and hop_latency > %d: fwd(%d)",
+				nb%ports, grid[(nb/ports+nb)%len(grid)], i%48)
+			nb++
+		} else {
+			k := na / switches // k-th rule of its switch, 0..11
+			b := 706 + 18*k + r.Intn(6)
+			c := 32 + 2*(k*5%12) + r.Intn(2)
+			src = fmt.Sprintf("switch_id == %d and hop_latency > %d and queue_depth > %d: fwd(%d)",
+				na%switches, b, c, i%48)
+			na++
+		}
+		rule, err := p.ParseRule(src, i)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rules[i] = rule
+	}
+	return rules
+}
+
 // TestCompileDeterministic: compiling is one sequential computation with
 // no map-order or scheduling input, so two compiles of one rule set give
 // the same program — Canonical()-equal and, because batch diagrams are
 // DFS-renumbered, equal in their raw state IDs too — on every workload
-// in the corpus.
+// in the corpus. Each load also pins the SHA-256 of its program's String
+// form: merge order, pruning and node numbering are structural (DESIGN
+// §11), so a change to the BDD kernel that moves one state ID or one
+// entry fails here. The digests were taken at PR 19 (the map-and-pointer
+// builder).
 func TestCompileDeterministic(t *testing.T) {
 	sp := testSpec(t)
 	r := rand.New(rand.NewSource(11))
 
 	type load struct {
-		name  string
-		sp    *spec.Spec
-		rules []*subscription.Rule
-		opts  Options
+		name   string
+		sp     *spec.Spec
+		rules  []*subscription.Rule
+		opts   Options
+		digest string
 	}
 	var loads []load
+	randomDigests := map[int]string{
+		10:  "cea8bada97709371f54ef3f779ae322a1416effa9dbd24057007f8372023fcb7",
+		64:  "b72f75d8221c250c500fd1eaa4fb92be69f31fd4fb7e2b19e59cac1ba69e849d",
+		300: "61e78bc92c33b61a188b9a42b19177d223760e9b3367dd9a9279c6440e9c9931",
+	}
 	for _, n := range []int{10, 64, 300} {
 		loads = append(loads, load{
-			name:  fmt.Sprintf("random-%d", n),
-			sp:    sp,
-			rules: randomRules(r, sp, n),
+			name:   fmt.Sprintf("random-%d", n),
+			sp:     sp,
+			rules:  randomRules(r, sp, n),
+			digest: randomDigests[n],
 		})
 	}
 	// Siena-style ITCH workload; a high equality bias keeps the ordering-
@@ -48,7 +106,8 @@ func TestCompileDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads = append(loads, load{name: "siena-itch-100", sp: formats.ITCH, rules: itchRules})
+	loads = append(loads, load{name: "siena-itch-100", sp: formats.ITCH, rules: itchRules,
+		digest: "a41aef3b2bc7a14e04cf178b637a9bc31d63ac01d66efb50fdcc4a23f1f68e00"})
 	// Stateful last-hop compile exercises expandStateful + update rules.
 	loads = append(loads, load{
 		name: "stateful-lasthop",
@@ -58,8 +117,11 @@ count(1s) > 3 and stock == GOOGL: fwd(1)
 shares > 5 or price < 2: fwd(2)
 avg(price, 1s) > 4: fwd(3)
 `),
-		opts: Options{LastHop: true},
+		opts:   Options{LastHop: true},
+		digest: "b300341c2b06c2238e35973211d716f3c45bb96bb5e74dd3a662bfd454cb5f74",
 	})
+	loads = append(loads, load{name: "int-range-1000", sp: formats.INT, rules: intRangeRules(t, 1),
+		digest: "c80c757b0691579a8139013505595c8720e415f8d5e2347b9b133d73c6dfe781"})
 
 	for _, ld := range loads {
 		t.Run(ld.name, func(t *testing.T) {
@@ -77,6 +139,9 @@ avg(price, 1s) > 4: fwd(3)
 			// String prints Init and every entry's raw state IDs.
 			if got, want := second.String(), first.String(); got != want {
 				t.Errorf("raw state IDs differ\nfirst:\n%s\nsecond:\n%s", want, got)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(first.String()))); got != ld.digest {
+				t.Errorf("program digest %s, pinned %s: the compiled structure moved", got, ld.digest)
 			}
 		})
 	}

@@ -81,9 +81,6 @@ func (inc *Incremental) Apply(add []*subscription.Rule, remove []int) (*Update, 
 		if _, ok := inc.normalized[id]; !ok {
 			return nil, fmt.Errorf("%w: id %d", ErrUnknownRule, id)
 		}
-		// The engine holds no chain for a rule whose every disjunct was
-		// unsatisfiable, and reports it unknown; the rule was added all
-		// the same.
 		inc.engine.Remove(id)
 		delete(inc.normalized, id)
 	}
@@ -131,13 +128,17 @@ func (inc *Incremental) Remove(ids ...int) (*Update, error) {
 // watches them and starts over from a fresh one (ctlplane's compaction).
 func (inc *Incremental) CacheSize() (nodes, memoEntries int) { return inc.engine.CacheSize() }
 
+// CacheBytes reports the memory behind CacheSize's counts (see
+// bdd.Engine.CacheBytes).
+func (inc *Incremental) CacheBytes() int { return inc.engine.CacheBytes() }
+
 func (inc *Incremental) finish(start time.Time) (*Update, error) {
 	d := inc.engine.Build()
 	preds := len(d.Universe.Preds)
 	// A batch whose merged diagram is the previous one (a duplicate or
 	// subsumed rule, an add and remove that cancel) changes no entry.
 	// Table kinds depend on the universe's predicates and BDD.DroppedRules
-	// on the rules seen, hence the other two tests.
+	// on the live rules' unsatisfiable disjuncts, hence the other two tests.
 	if old := inc.prog; old != nil && d.Root == old.BDD.Root && preds == inc.preds &&
 		d.DroppedRules == old.BDD.DroppedRules {
 		return &Update{Program: old, ReusedEntries: inc.em.entries, Elapsed: time.Since(start)}, nil

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -70,6 +71,32 @@ func TestIncrementalAddRemove(t *testing.T) {
 	}
 	if ids := inc.Rules(); len(ids) != 1 || ids[0] != 2 {
 		t.Errorf("rules = %v", ids)
+	}
+
+	// An unsatisfiable rule is counted while it is live and not after:
+	// DroppedRules is the batch compile's of the same rules at every step.
+	r7, err := p.ParseRule("price > 20 and price < 10: fwd(1)", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		apply func() (*Update, error)
+		live  []*subscription.Rule
+	}{
+		{func() (*Update, error) { return inc.Add(r7) }, []*subscription.Rule{r2, r7}},
+		{func() (*Update, error) { return inc.Remove(7) }, []*subscription.Rule{r2}},
+	} {
+		up, err := step.apply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := Compile(sp, step.live, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := up.Program.BDD.DroppedRules, batch.BDD.DroppedRules; got != want || want != len(step.live)-1 {
+			t.Errorf("%d live rules: DroppedRules = %d, batch compile %d, want %d", len(step.live), got, want, len(step.live)-1)
+		}
 	}
 }
 
@@ -505,5 +532,65 @@ func BenchmarkIncrementalChurn(b *testing.B) {
 				next++
 			}
 		})
+	}
+}
+
+// TestIncrementalStructurePin is TestCompileDeterministic's digest pin for
+// engine builds, whose state IDs are the builder's creation-order node IDs
+// (never renumbered): a seeded churn — adds, removes, an unsatisfiable
+// rule, custom actions, a stateful last-hop rule — hashed program by
+// program. The constant was taken at PR 19 (the map-and-pointer builder);
+// a kernel that creates one node in a different order fails here.
+func TestIncrementalStructurePin(t *testing.T) {
+	sp := testSpec(t)
+	inc, err := NewIncremental(sp, Options{LastHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := subscription.NewParser(sp)
+	r := rand.New(rand.NewSource(23))
+	atoms := []func() string{
+		func() string { return fmt.Sprintf("stock == S%02d", r.Intn(12)) },
+		func() string { return fmt.Sprintf("price > %d", 5*r.Intn(30)) },
+		func() string { return fmt.Sprintf("price < %d", 40+5*r.Intn(30)) },
+		func() string { return fmt.Sprintf("shares != %d", r.Intn(6)) },
+		func() string { return fmt.Sprintf("avg(price, 1s) > %d", r.Intn(4)) },
+	}
+	actions := []func() string{
+		func() string { return fmt.Sprintf("fwd(%d)", r.Intn(10)) },
+		func() string { return fmt.Sprintf("fwd(%d)", r.Intn(10)) },
+		func() string { return fmt.Sprintf("answerDNS(10.0.0.%d)", r.Intn(3)) },
+	}
+	h := sha256.New()
+	var live []int
+	for step := 0; step < 250; step++ {
+		var add []*subscription.Rule
+		var remove []int
+		if len(live) > 10 && r.Intn(3) == 0 {
+			i := r.Intn(len(live))
+			remove = append(remove, live[i])
+			live = append(live[:i], live[i+1:]...)
+		}
+		for n := r.Intn(3); n > 0; n-- {
+			src := atoms[r.Intn(len(atoms))]()
+			if r.Intn(3) > 0 {
+				src += " and " + atoms[r.Intn(len(atoms))]()
+			}
+			rule, err := p.ParseRule(src+": "+actions[r.Intn(len(actions))](), step*4+n)
+			if err != nil {
+				t.Fatalf("step %d: ParseRule(%q): %v", step, src, err)
+			}
+			add = append(add, rule)
+			live = append(live, rule.ID)
+		}
+		up, err := inc.Apply(add, remove)
+		if err != nil {
+			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+		fmt.Fprintf(h, "%d +%d -%d =%d\n%s", step, up.AddedEntries, up.RemovedEntries, up.ReusedEntries, up.Program)
+	}
+	const pinned = "8fa57f1288e811c38c2bfcdb875de209598715bdf21abbe6d5b57260310b59ce"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinned {
+		t.Errorf("churn digest %s, pinned %s: the engine's structure or numbering moved", got, pinned)
 	}
 }

@@ -307,9 +307,11 @@ func TestServiceChurnMatchesBatchDeploy(t *testing.T) {
 	if snap.Failures != 0 {
 		t.Errorf("unexpected failures: %+v", snap)
 	}
-	if snap.EngineNodes == 0 || snap.EngineMemoEntries == 0 || snap.Fallbacks != snap.Compactions {
-		t.Errorf("engine gauges %d nodes / %d memo entries, %d fallbacks of which %d compactions",
-			snap.EngineNodes, snap.EngineMemoEntries, snap.Fallbacks, snap.Compactions)
+	// A node is 12 bytes in the store before anything else is counted.
+	if snap.EngineNodes == 0 || snap.EngineMemoEntries == 0 || snap.EngineBytes < 12*snap.EngineNodes ||
+		snap.Fallbacks != snap.Compactions {
+		t.Errorf("engine gauges %d nodes / %d memo entries / %d bytes, %d fallbacks of which %d compactions",
+			snap.EngineNodes, snap.EngineMemoEntries, snap.EngineBytes, snap.Fallbacks, snap.Compactions)
 	}
 	if snap.Latency.N == 0 || snap.Latency.P99 <= 0 {
 		t.Errorf("no latency recorded: %+v", snap.Latency)
@@ -532,8 +534,9 @@ func TestCompactionBound(t *testing.T) {
 		t.Error("2000 events never compacted")
 	}
 	agree("at the end")
-	if nodes, memo := rec.EngineSize(); nodes < sc.nodes.Load() || memo < sc.memo.Load() || sc.nodes.Load() == 0 {
-		t.Errorf("EngineSize = %d, %d does not cover the churned switch's %d, %d", nodes, memo, sc.nodes.Load(), sc.memo.Load())
+	if nodes, memo, bytes := rec.EngineSize(); nodes < sc.nodes.Load() || memo < sc.memo.Load() || bytes < sc.bytes.Load() || sc.nodes.Load() == 0 {
+		t.Errorf("EngineSize = %d, %d, %d does not cover the churned switch's %d, %d, %d",
+			nodes, memo, bytes, sc.nodes.Load(), sc.memo.Load(), sc.bytes.Load())
 	}
 }
 

@@ -101,11 +101,11 @@ type swCompiler struct {
 	// table entry.
 	forests map[int]*cover.Forest
 	// prog is the last compiled program, published atomically so the
-	// Service can read it while the owning worker recompiles; nodes and
-	// memo are the engine's size (compiler.Incremental.CacheSize) after
-	// the same compile.
-	prog        atomic.Pointer[compiler.Program]
-	nodes, memo atomic.Int64
+	// Service can read it while the owning worker recompiles; nodes, memo
+	// and bytes are the engine's size (compiler.Incremental.CacheSize and
+	// CacheBytes) after the same compile.
+	prog               atomic.Pointer[compiler.Program]
+	nodes, memo, bytes atomic.Int64
 }
 
 // publish makes a compile's outcome visible to concurrent readers.
@@ -114,6 +114,7 @@ func (sc *swCompiler) publish(p *compiler.Program) {
 	nodes, memo := sc.inc.CacheSize()
 	sc.nodes.Store(int64(nodes))
 	sc.memo.Store(int64(memo))
+	sc.bytes.Store(int64(sc.inc.CacheBytes()))
 }
 
 // Reconciler owns the placement registry and the per-switch incremental
@@ -555,13 +556,15 @@ func (r *Reconciler) newIncremental(sw int) (*compiler.Incremental, error) {
 
 // EngineSize sums, over all switches, what the incremental engines
 // retain: BDD nodes and or-merge memo entries — the quantity the
-// compaction bound holds down. Safe to call concurrently with Compile.
-func (r *Reconciler) EngineSize() (nodes, memoEntries int64) {
+// compaction bound holds down — and the bytes of memory behind them. Safe
+// to call concurrently with Compile.
+func (r *Reconciler) EngineSize() (nodes, memoEntries, bytes int64) {
 	for _, sc := range r.switches {
 		nodes += sc.nodes.Load()
 		memoEntries += sc.memo.Load()
+		bytes += sc.bytes.Load()
 	}
-	return nodes, memoEntries
+	return nodes, memoEntries, bytes
 }
 
 // Covering reports whether subsumption-aware covering is enabled.

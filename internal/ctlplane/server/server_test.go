@@ -258,6 +258,7 @@ func TestHTTPGoldens(t *testing.T) {
 		"camus_ctlplane_compactions_total 0",
 		"# TYPE camus_ctlplane_engine_nodes gauge",
 		"# TYPE camus_ctlplane_engine_memo_entries gauge",
+		"# TYPE camus_ctlplane_engine_bytes gauge",
 		"camus_tenants 2",
 		`camus_tenant_live{tenant="acme"} 1`,
 		`camus_tenant_rejected_total{tenant="acme",reason="quota"} 1`,

@@ -46,8 +46,10 @@ type Snapshot struct {
 	// engines retain, summed over switches: BDD nodes ever hash-consed
 	// and or-merge memo entries. Compaction (Reconciler.Compile) bounds
 	// each engine by a multiple of what it held when last rebuilt.
+	// EngineBytes is the memory those engines hold (bdd.Engine.CacheBytes).
 	EngineNodes       int64
 	EngineMemoEntries int64
+	EngineBytes       int64
 	// Validations counts post-compile translation-validation runs
 	// (Config.Validator); ValidationFailures counts batches rejected as
 	// disequivalent — those never reach the installer.
@@ -120,7 +122,7 @@ func (s *Service) Stats() Snapshot {
 		NetValidations:        s.netValidations.Load(),
 		NetValidationFailures: s.netValidationFailures.Load(),
 	}
-	snap.EngineNodes, snap.EngineMemoEntries = s.rec.EngineSize()
+	snap.EngineNodes, snap.EngineMemoEntries, snap.EngineBytes = s.rec.EngineSize()
 	s.mu.Lock()
 	snap.QueueDepth = s.inflight
 	snap.PeakQueueDepth = s.peakDepth

@@ -1,6 +1,7 @@
 package subscription
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,14 +45,33 @@ func (s *ActionSet) addPort(p int) {
 	s.Ports[i] = p
 }
 
-// Merge merges another action set into this one.
+// Merge merges another action set into this one: one linear merge of the
+// two sorted port lists into a slice allocated once — exactly the union's
+// size when the lists are disjoint, as when the emitter merges into an empty
+// set — which shares no storage with either input.
 func (s *ActionSet) Merge(o ActionSet) {
-	for _, p := range o.Ports {
-		s.addPort(p)
+	if len(o.Ports) > 0 {
+		s.Ports = UnionPorts(make([]int, 0, len(s.Ports)+len(o.Ports)), s.Ports, o.Ports)
 	}
 	for _, c := range o.Custom {
 		s.Add(c)
 	}
+}
+
+// UnionPorts appends the sorted, deduplicated union of two sorted,
+// deduplicated port lists to dst, which must not overlap them.
+func UnionPorts(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case a[0] > b[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 // IsEmpty reports whether the set carries no forwarding decision — the
@@ -78,8 +98,52 @@ func (s ActionSet) Key() string {
 	return b.String()
 }
 
-// Equal reports whether two action sets are identical.
-func (s ActionSet) Equal(o ActionSet) bool { return s.Key() == o.Key() }
+// Equal reports whether two action sets are identical — whether their Keys
+// are equal — without formatting either.
+func (s ActionSet) Equal(o ActionSet) bool {
+	if !slices.Equal(s.Ports, o.Ports) || len(s.Custom) != len(o.Custom) {
+		return false
+	}
+	for i := range s.Custom {
+		if !s.Custom[i].sameKey(o.Custom[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Hash is Key without the formatting: Equal sets hash alike. The BDD
+// builder interns terminals by it.
+func (s ActionSet) Hash() uint64 {
+	const (
+		offset uint64 = 14695981039346656037
+		prime  uint64 = 1099511628211
+	)
+	h := offset
+	for _, p := range s.Ports {
+		h = (h ^ uint64(p)) * prime
+	}
+	// Custom actions hash the bytes of their Key, the identity Add
+	// deduplicates them by.
+	str := func(x string) {
+		for i := 0; i < len(x); i++ {
+			h = (h ^ uint64(x[i])) * prime
+		}
+	}
+	for _, c := range s.Custom {
+		str(";")
+		str(c.Name)
+		str("(")
+		for i, a := range c.Args {
+			if i > 0 {
+				str(",")
+			}
+			str(a)
+		}
+		str(")")
+	}
+	return h
+}
 
 // Clone returns an independent copy.
 func (s ActionSet) Clone() ActionSet {

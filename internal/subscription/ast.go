@@ -8,6 +8,7 @@ package subscription
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -292,3 +293,12 @@ func (a Action) String() string {
 // Key returns a canonical identity for the action, used when merging the
 // actions of multiple rules matching the same packet.
 func (a Action) Key() string { return a.String() }
+
+// sameKey reports whether a.Key() == b.Key(), formatting only when the two
+// differ structurally.
+func (a Action) sameKey(b Action) bool {
+	if a.Name == b.Name && slices.Equal(a.Ports, b.Ports) && slices.Equal(a.Args, b.Args) {
+		return true
+	}
+	return a.Key() == b.Key()
+}

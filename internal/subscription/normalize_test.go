@@ -180,6 +180,82 @@ func TestActionSetProperties(t *testing.T) {
 	}
 }
 
+// TestActionSetUnformatted holds the three operations that format nothing
+// to their formatted definitions, over random pairs of sets: Merge is the
+// sorted, deduplicated union (of ports and of custom actions by Key) in
+// storage of its own, Equal is Key() == Key(), and Equal sets Hash alike.
+// The custom pool has two actions of one Key and different structure.
+func TestActionSetUnformatted(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	customs := []Action{
+		{Name: "answerDNS", Args: []string{"10.0.0.1"}},
+		{Name: "answerDNS", Args: []string{"10.0.0.2"}},
+		{Name: "mirror", Args: []string{"a", "b"}},
+		{Name: "mirror", Args: []string{"a,b"}}, // Key "mirror(a,b)", like the one above
+		{Name: "mirror"},
+	}
+	randomSet := func() ActionSet {
+		var s ActionSet
+		for n := r.Intn(8); n > 0; n-- {
+			s.Add(FwdAction(r.Intn(12)))
+		}
+		for n := r.Intn(3) * r.Intn(2); n > 0; n-- {
+			s.Add(customs[r.Intn(len(customs))])
+		}
+		return s
+	}
+	for trial := 0; trial < 3000; trial++ {
+		a, b := randomSet(), randomSet()
+		if r.Intn(4) == 0 {
+			b = a.Clone()
+			if len(b.Custom) > 0 && b.Custom[0].Name == "mirror" && len(b.Custom[0].Args) > 0 {
+				b.Custom[0] = customs[2+r.Intn(2)]
+			}
+		}
+		if got, want := a.Equal(b), a.Key() == b.Key(); got != want {
+			t.Fatalf("trial %d: %s Equal %s = %v, Key equality %v", trial, a, b, got, want)
+		}
+		if a.Equal(b) && a.Hash() != b.Hash() {
+			t.Fatalf("trial %d: equal sets %s and %s hash %x and %x", trial, a, b, a.Hash(), b.Hash())
+		}
+
+		ports := make(map[int]bool)
+		keys := make(map[string]bool)
+		for _, s := range []ActionSet{a, b} {
+			for _, p := range s.Ports {
+				ports[p] = true
+			}
+			for _, c := range s.Custom {
+				keys[c.Key()] = true
+			}
+		}
+		aKey, bKey := a.Key(), b.Key()
+		m := a.Clone()
+		m.Merge(b)
+		if len(m.Ports) != len(ports) || len(m.Custom) != len(keys) {
+			t.Fatalf("trial %d: %s merged with %s = %s: want %d ports, %d custom actions", trial, a, b, m, len(ports), len(keys))
+		}
+		for i, p := range m.Ports {
+			if !ports[p] || (i > 0 && m.Ports[i-1] >= p) {
+				t.Fatalf("trial %d: merged ports %v are not the sorted union of %v and %v", trial, m.Ports, a.Ports, b.Ports)
+			}
+		}
+		for i, c := range m.Custom {
+			if !keys[c.Key()] || (i > 0 && m.Custom[i-1].Key() >= c.Key()) {
+				t.Fatalf("trial %d: merged custom actions %v are not the sorted union", trial, m.Custom)
+			}
+		}
+		// The merge wrote to neither input, and shares no port storage
+		// with b.
+		for i := range m.Ports {
+			m.Ports[i] = -1
+		}
+		if a.Key() != aKey || b.Key() != bKey {
+			t.Fatalf("trial %d: Merge changed an input", trial)
+		}
+	}
+}
+
 func TestActionSetCustom(t *testing.T) {
 	var s ActionSet
 	s.Add(Action{Name: "answerDNS", Args: []string{"10.0.0.1"}})
