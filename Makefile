@@ -2,7 +2,7 @@
 # leave `make check` green.
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report churn-soak serve-soak soak prove netcheck fit
+.PHONY: check fmt vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report churn-soak serve-soak soak prove netcheck fit loc
 
 ## check: the full tier-1 gate — gofmt, vet, custom analyzers, build,
 ## race-enabled tests, a short churn soak, a serve soak of the
@@ -41,6 +41,14 @@ netcheck:
 fit:
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itchfeed.rules
+
+## loc: non-test Go lines per package directory and in total, analyzer
+## testdata excluded — the size figure ROADMAP quotes at every re-anchor.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 ## fmt: fail on any file gofmt would rewrite (analyzer testdata
 ## included: it is read by people too).
@@ -93,8 +101,11 @@ bench-report:
 ## compiler benchmarks, the 1000-rule exact+range compile whose merge is
 ## a cross product (CompileINT1k, 134k entries — the equality chains of
 ## the other compile rows never multiply), a warm add-one/remove-one on
-## 192 and 10000 live rules (IncrementalChurn), one 10k-rule batch
-## compile (Compile10k),
+## 192 and 10000 live rules (IncrementalChurn), one subscribe+unsubscribe
+## through the control plane's placement registry with no compile
+## (Placement: fat-tree(4), TR, 192 live filters — a place key that
+## re-prints the expression per place is 4x the allocations), one 10k-rule
+## batch compile (Compile10k),
 ## the network-delivery verifier, the static fit analyzer, and the
 ## covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
@@ -109,6 +120,7 @@ perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkCompileINT1k$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalChurn$$' -benchtime 20x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkPlacement$$' -benchtime 2000x -benchmem ./internal/ctlplane; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCompile10k$$|^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkDecode(ITCH|INT)$$' -benchtime 1000x -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -baseline perf-baseline.json -max-ratio 2

@@ -1,12 +1,14 @@
 // Command camus-lint runs the repo's custom static analyzers (see
 // internal/analysis) over Go packages. It is the standalone front-end
-// for the four Camus-specific checks:
+// for the five Camus-specific checks (analysis.All):
 //
 //	camus-snapshot  mutation of StatsSnapshot / Config snapshot values
 //	camus-options   direct construction of pipeline.Switch outside the
 //	                functional-options API
 //	camus-atomic    mixed atomic and plain access to the same field
 //	camus-locksend  locks held across channel sends or ProcessBatch
+//	camus-fitgate   freshly compiled programs reaching Install without a
+//	                fit-admission check in ctlplane paths
 //
 // Usage:
 //

@@ -153,15 +153,7 @@ func netcheckFatTree(sp *spec.Spec, rules []*subscription.Rule, k int, policy st
 		pol = routing.MemoryReduction
 	}
 	subs, byHost, _ := spreadRules(rules, len(net.Hosts))
-	var d *controller.Deployment
-	var st *cover.ReduceStats
-	if covering {
-		d, st, err = coveringDeploy(net, sp, byHost, routing.Options{Policy: pol, Alpha: alpha})
-	} else {
-		d, err = controller.Deploy(net, sp, byHost, controller.Options{
-			Routing: routing.Options{Policy: pol, Alpha: alpha},
-		})
-	}
+	d, st, err := fatTreeDeploy(net, sp, byHost, routing.Options{Policy: pol, Alpha: alpha}, covering)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -196,38 +188,23 @@ func netcheckFatTree(sp *spec.Spec, rules []*subscription.Rule, k int, policy st
 	return res, outcomes, st, nil
 }
 
-// coveringDeploy builds the fat-tree deployment the way a
-// covering-enabled controller would: compute routing, elide every port
-// entry implied by a broader filter on the same port
-// (cover.ReduceResult — the batch equivalent of the control plane's
-// subsumption forests), then compile the reduced tables with the
-// controller's last-hop semantics on host-facing ports.
-func coveringDeploy(net *topology.Network, sp *spec.Spec, byHost [][]subscription.Expr,
-	ropts routing.Options) (*controller.Deployment, *cover.ReduceStats, error) {
+// fatTreeDeploy builds the deployment to certify: compute routing, under
+// covering elide every port entry implied by a broader filter on the same
+// port (cover.ReduceResult — the batch equivalent of the control plane's
+// subsumption forests), then compile as the controller does.
+func fatTreeDeploy(net *topology.Network, sp *spec.Spec, byHost [][]subscription.Expr,
+	ropts routing.Options, covering bool) (*controller.Deployment, *cover.ReduceStats, error) {
 	res, err := routing.ComputeFatTree(net, byHost, ropts)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := cover.ReduceResult(cover.NewImplier(sp, 0), res)
-	static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
-	if err != nil {
-		return nil, nil, err
+	var st *cover.ReduceStats
+	if covering {
+		s := cover.ReduceResult(cover.NewImplier(sp, 0), res)
+		st = &s
 	}
-	d := &controller.Deployment{
-		Network: net, Spec: sp, Routing: res, Static: static,
-		Programs: make([]*compiler.Program, len(net.Switches)),
-	}
-	for _, s := range net.Switches {
-		copts := compiler.Options{}
-		ports := s.Ports
-		copts.LastHopPort = func(port int) bool {
-			return port >= 0 && port < len(ports) && ports[port].Kind == topology.PeerHost
-		}
-		if d.Programs[s.ID], err = compiler.Compile(sp, res.RulesForSwitch(s.ID), copts); err != nil {
-			return nil, nil, fmt.Errorf("compile switch %d: %w", s.ID, err)
-		}
-	}
-	return d, &st, nil
+	d, err := controller.Compile(sp, res, compiler.Options{})
+	return d, st, err
 }
 
 func netcheckTree(sp *spec.Spec, rules []*subscription.Rule, nodes, edges int, seed, alpha int64,

@@ -6,6 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"camus/internal/routing"
+	"camus/internal/spec"
+	"camus/internal/subscription"
+	"camus/internal/topology"
 )
 
 // TestNetcheckCleanExamples is the acceptance gate: the shipped rule
@@ -91,5 +96,54 @@ func TestNetcheckUsageErrors(t *testing.T) {
 		"-topo", "torus",
 	}, &out, &errb); code != 2 {
 		t.Errorf("bad topo: exit %d, want 2", code)
+	}
+}
+
+// TestNetcheckCoveringOutput pins `netcheck -covering` on the shipped
+// rules to the report it printed when camusc compiled the reduced tables
+// in its own loop; the deployment now comes from controller.Compile, which
+// also fills the per-switch stats.
+func TestNetcheckCoveringOutput(t *testing.T) {
+	for policy, tail := range map[string]string{
+		"tr": "  covering reduction: 100 → 71 port entries (29 elided, 1.41× smaller)\n" +
+			"  network certificate complete: 3360 packet classes propagated, delivery exact, loop-free\n",
+		"mr": "  covering reduction: 51 → 45 port entries (6 elided, 1.13× smaller)\n" +
+			"  network certificate complete: 2744 packet classes propagated, delivery exact, loop-free\n",
+	} {
+		var out, errb bytes.Buffer
+		code := runNetcheck([]string{
+			"-spec", filepath.Join("testdata", "itch.spec"),
+			"-rules", filepath.Join("testdata", "itch.rules"),
+			"-policy", policy, "-covering",
+		}, &out, &errb)
+		want := "itch.rules: 5 rules, 0 findings\n" + tail
+		if code != 0 || out.String() != want {
+			t.Errorf("-policy %s: exit %d, output\n%swant\n%s", policy, code, out.String(), want)
+		}
+	}
+
+	sp := spec.MustParse("itch", "header itch_order { price : u32 @field; stock : str8 @field_exact; }")
+	parser := subscription.NewParser(sp)
+	net := topology.MustFatTree(4)
+	byHost := make([][]subscription.Expr, len(net.Hosts))
+	for h, src := range []string{"stock == GOOGL", "stock == GOOGL and price > 500"} {
+		e, err := parser.ParseFilter(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byHost[h] = []subscription.Expr{e}
+	}
+	d, st, err := fatTreeDeploy(net, sp, byHost, routing.Options{Policy: routing.TrafficReduction}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == nil || st.Removed() == 0 {
+		t.Errorf("nested pair reduced nothing: %+v", st)
+	}
+	for i, stat := range d.Stats {
+		if stat.Switch != net.Switches[i].Name || stat.Rules != len(d.Routing.RulesForSwitch(i)) ||
+			stat.Entries != d.Programs[i].TotalEntries() {
+			t.Errorf("switch %d: stats %+v do not describe its program", i, stat)
+		}
 	}
 }

@@ -33,8 +33,7 @@ func corpusFilter(t testing.TB, src string) subscription.Expr {
 }
 
 // corpusDeploy computes routing, applies the network mutations, and
-// compiles every switch exactly like the controller does (last-hop
-// stateful semantics on host-facing ports).
+// compiles every switch exactly like the controller does.
 func corpusDeploy(t testing.TB, net *topology.Network, subs [][]subscription.Expr,
 	ropts routing.Options, muts []corrupt.NetMutation) (*controller.Deployment, []*prove.Program) {
 	t.Helper()
@@ -42,34 +41,26 @@ func corpusDeploy(t testing.TB, net *topology.Network, subs [][]subscription.Exp
 	if err != nil {
 		t.Fatalf("ComputeFatTree: %v", err)
 	}
+	return corpusCompile(t, res, muts)
+}
+
+// corpusCompile corrupts a routing result with the mutations, compiles it
+// (controller.Compile) and exports every switch's prover IR.
+func corpusCompile(t testing.TB, res *routing.Result, muts []corrupt.NetMutation) (*controller.Deployment, []*prove.Program) {
+	t.Helper()
 	for i, m := range muts {
 		if err := m.ApplyNet(res); err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
 	}
-	static, err := compiler.GenerateStatic(corpusSpec, compiler.StaticOptions{})
+	d, err := controller.Compile(corpusSpec, res, compiler.Options{})
 	if err != nil {
-		t.Fatalf("GenerateStatic: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
-	d := &controller.Deployment{
-		Network: net, Spec: corpusSpec, Routing: res, Static: static,
-		Programs: make([]*compiler.Program, len(net.Switches)),
-	}
-	irs := make([]*prove.Program, len(net.Switches))
-	for _, s := range net.Switches {
-		copts := compiler.Options{}
-		copts.LastHop = false
-		ports := s.Ports
-		copts.LastHopPort = func(port int) bool {
-			return port >= 0 && port < len(ports) && ports[port].Kind == topology.PeerHost
-		}
-		prog, err := compiler.Compile(corpusSpec, res.RulesForSwitch(s.ID), copts)
-		if err != nil {
-			t.Fatalf("Compile(%s): %v", s.Name, err)
-		}
-		d.Programs[s.ID] = prog
-		if irs[s.ID], err = prog.ProveIR(); err != nil {
-			t.Fatalf("ProveIR(%s): %v", s.Name, err)
+	irs := make([]*prove.Program, len(d.Programs))
+	for i, prog := range d.Programs {
+		if irs[i], err = prog.ProveIR(); err != nil {
+			t.Fatalf("ProveIR(%s): %v", res.Network.Switches[i].Name, err)
 		}
 	}
 	return d, irs

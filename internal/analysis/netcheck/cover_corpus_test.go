@@ -30,35 +30,7 @@ func coverDeploy(t testing.TB, net *topology.Network, subs [][]subscription.Expr
 		t.Fatalf("ComputeFatTree: %v", err)
 	}
 	st := cover.ReduceResult(cover.NewImplier(corpusSpec, 0), res)
-	for i, m := range muts {
-		if err := m.ApplyNet(res); err != nil {
-			t.Fatalf("mutation %d: %v", i, err)
-		}
-	}
-	static, err := compiler.GenerateStatic(corpusSpec, compiler.StaticOptions{})
-	if err != nil {
-		t.Fatalf("GenerateStatic: %v", err)
-	}
-	d := &controller.Deployment{
-		Network: net, Spec: corpusSpec, Routing: res, Static: static,
-		Programs: make([]*compiler.Program, len(net.Switches)),
-	}
-	irs := make([]*prove.Program, len(net.Switches))
-	for _, s := range net.Switches {
-		copts := compiler.Options{}
-		ports := s.Ports
-		copts.LastHopPort = func(port int) bool {
-			return port >= 0 && port < len(ports) && ports[port].Kind == topology.PeerHost
-		}
-		prog, err := compiler.Compile(corpusSpec, res.RulesForSwitch(s.ID), copts)
-		if err != nil {
-			t.Fatalf("Compile(%s): %v", s.Name, err)
-		}
-		d.Programs[s.ID] = prog
-		if irs[s.ID], err = prog.ProveIR(); err != nil {
-			t.Fatalf("ProveIR(%s): %v", s.Name, err)
-		}
-	}
+	d, irs := corpusCompile(t, res, muts)
 	return d, irs, st
 }
 

@@ -55,44 +55,43 @@ func Deploy(net *topology.Network, sp *spec.Spec, subs [][]subscription.Expr, op
 	if err != nil {
 		return nil, fmt.Errorf("controller: routing: %w", err)
 	}
+	return Compile(sp, res, opts.Compiler)
+}
+
+// Compile is Deploy's second half: it compiles every switch of a computed
+// routing policy — as Deploy got it, or reduced (cover.ReduceResult) or
+// otherwise rewritten by the caller first. copts apply to every switch;
+// LastHop is forced per port: stateful predicates are evaluated only at
+// the hop immediately before the subscriber (§II), on rules forwarding to
+// host-facing ports, and transit rules (up ports, switch-to-switch) are
+// erased to their stateless superset.
+//
+// A compile is one goroutine's work, and the per-switch compiles share
+// nothing mutable (each builds its own universe and BDD), so this is the
+// one place compilation fans out: min(GOMAXPROCS, switches) workers
+// (DESIGN §11 has the measurement). Results land in per-switch slots,
+// making the deployment independent of completion order.
+func Compile(sp *spec.Spec, res *routing.Result, copts compiler.Options) (*Deployment, error) {
 	static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("controller: static pipeline: %w", err)
 	}
+	switches := res.Network.Switches
 	d := &Deployment{
-		Network:  net,
+		Network:  res.Network,
 		Spec:     sp,
 		Routing:  res,
 		Static:   static,
-		Programs: make([]*compiler.Program, len(net.Switches)),
-		Stats:    make([]SwitchCompileStat, len(net.Switches)),
+		Programs: make([]*compiler.Program, len(switches)),
+		Stats:    make([]SwitchCompileStat, len(switches)),
 	}
-	if err := d.recompile(opts); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// recompile runs the dynamic compilation step for every switch. A compile
-// is one goroutine's work, and the per-switch compiles share nothing
-// mutable (each builds its own universe and BDD), so this is the one place
-// compilation fans out: min(GOMAXPROCS, switches) workers (DESIGN §11 has
-// the measurement). Results land in per-switch slots, making the
-// deployment independent of completion order.
-func (d *Deployment) recompile(opts Options) error {
 	compileOne := func(s *topology.Switch) error {
-		copts := opts.Compiler
-		// Stateful predicates are evaluated only at the hop immediately
-		// before the subscriber (§II): rules forwarding to host-facing
-		// ports. Transit rules (up ports, switch-to-switch) are erased
-		// to their stateless superset.
+		copts := copts
 		copts.LastHop = false
-		copts.LastHopPort = func(port int) bool {
-			return port >= 0 && port < len(s.Ports) && s.Ports[port].Kind == topology.PeerHost
-		}
-		rules := d.Routing.RulesForSwitch(s.ID)
+		copts.LastHopPort = s.HostFacing
+		rules := res.RulesForSwitch(s.ID)
 		start := time.Now()
-		prog, err := compiler.Compile(d.Spec, rules, copts)
+		prog, err := compiler.Compile(sp, rules, copts)
 		if err != nil {
 			return fmt.Errorf("controller: compile %s: %w", s.Name, err)
 		}
@@ -111,16 +110,16 @@ func (d *Deployment) recompile(opts Options) error {
 		firstErr atomic.Pointer[error]
 		wg       sync.WaitGroup
 	)
-	for range min(runtime.GOMAXPROCS(0), len(d.Network.Switches)) {
+	for range min(runtime.GOMAXPROCS(0), len(switches)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= len(d.Network.Switches) || firstErr.Load() != nil {
+				if i >= len(switches) || firstErr.Load() != nil {
 					return
 				}
-				if err := compileOne(d.Network.Switches[i]); err != nil {
+				if err := compileOne(switches[i]); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 					return
 				}
@@ -129,9 +128,9 @@ func (d *Deployment) recompile(opts Options) error {
 	}
 	wg.Wait()
 	if ep := firstErr.Load(); ep != nil {
-		return *ep
+		return nil, *ep
 	}
-	return nil
+	return d, nil
 }
 
 // LayerEntries sums compiled table entries per layer — the Fig. 13

@@ -131,7 +131,7 @@ func TestDeployMatchesPerSwitchCompile(t *testing.T) {
 	}
 	for _, s := range net.Switches {
 		want, err := compiler.Compile(testSpec, d.Routing.RulesForSwitch(s.ID), compiler.Options{
-			LastHopPort: func(port int) bool { return s.Ports[port].Kind == topology.PeerHost },
+			LastHopPort: s.HostFacing,
 		})
 		if err != nil {
 			t.Fatal(err)

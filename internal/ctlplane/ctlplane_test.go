@@ -70,12 +70,12 @@ func ruleSet(rules []*subscription.Rule) []string {
 	return out
 }
 
-// TestPlacementMatchesAlgorithm1 is the routing property test: for
-// random subscription sets, the reconciler's per-filter placement
-// (access port + down-port closure + TR upsets + MR match-all) must
-// produce exactly the per-switch rule sets of the batch Algorithm 1
-// implementation, under both policies and with approximation on and
-// off.
+// TestPlacementMatchesAlgorithm1: both sides place filters through
+// routing.Places, so what this pins is the collapse — for random
+// subscription sets the reconciler's refcounted (port, expression)
+// registry must hold exactly the per-switch rule sets RulesForSwitch
+// derives from the batch FIBs, under both policies and with
+// approximation on and off.
 func TestPlacementMatchesAlgorithm1(t *testing.T) {
 	net := topology.MustFatTree(4)
 	r := rand.New(rand.NewSource(5))
@@ -312,6 +312,12 @@ func TestServiceChurnMatchesBatchDeploy(t *testing.T) {
 		snap.Fallbacks != snap.Compactions {
 		t.Errorf("engine gauges %d nodes / %d memo entries / %d bytes, %d fallbacks of which %d compactions",
 			snap.EngineNodes, snap.EngineMemoEntries, snap.EngineBytes, snap.Fallbacks, snap.Compactions)
+	}
+	// Update locality: every batch drains at least one touched switch, and
+	// only a batch can change one.
+	if snap.SwitchesChanged == 0 || snap.SwitchesChanged > snap.Batches || snap.Batches > snap.SwitchesTouched {
+		t.Errorf("locality counters: %d switches touched, %d batches, %d changed",
+			snap.SwitchesTouched, snap.Batches, snap.SwitchesChanged)
 	}
 	if snap.Latency.N == 0 || snap.Latency.P99 <= 0 {
 		t.Errorf("no latency recorded: %+v", snap.Latency)
@@ -618,5 +624,44 @@ func TestUnsubscribeErrors(t *testing.T) {
 		filter(t, "stock == AAPL"),
 	}); !errors.Is(err, ErrBadHost) {
 		t.Errorf("Subscribe(bad host) = %v, want ErrBadHost", err)
+	}
+}
+
+// BenchmarkPlacement is one AddFilter + RemoveFilter on fat-tree(4) under
+// TR against a 192-filter registry (12 per host, the shape of bench's
+// ctl_churn preload): placement and the refcount registry only, no
+// compile. Its allocs/op row in perf-guard holds the registry to a struct
+// key with the expression printed once per filter — a formatted-string
+// key prints it on each of the filter's 20 places, and again on release.
+func BenchmarkPlacement(b *testing.B) {
+	net := topology.MustFatTree(4)
+	rec, err := NewReconcilerWith(net, itchSpec, WithRouting(routing.Options{Policy: routing.TrafficReduction}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	parser := subscription.NewParser(itchSpec)
+	for i := 0; i < 192; i++ {
+		e, err := parser.ParseFilter(fmt.Sprintf("stock == S%d and price > %d", i%50, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := rec.AddFilter(i%len(net.Hosts), e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e, err := parser.ParseFilter("stock == GOOGL and price > 77")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, _, err := rec.AddFilter(i%len(net.Hosts), e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rec.RemoveFilter(-1, id); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

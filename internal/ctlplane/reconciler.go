@@ -68,8 +68,15 @@ type filterRec struct {
 // place is one (switch, port, expression) the filter occupies.
 type place struct {
 	sw   int
-	port int
 	expr subscription.Expr
+	key  placeKey
+}
+
+// placeKey names one distinct (port, expression) rule on a switch; expr
+// is the expression's printed form, computed once per filter.
+type placeKey struct {
+	port int
+	expr string
 }
 
 // placeRec refcounts one distinct (port, expression) rule on a switch —
@@ -88,7 +95,7 @@ type placeRec struct {
 type swCompiler struct {
 	id       int
 	inc      *compiler.Incremental
-	places   map[string]*placeRec // "port|expr" → refcounted rule
+	places   map[placeKey]*placeRec
 	rules    map[int]*subscription.Rule
 	nextRule int
 	// fresh is what the engine held (nodes + memo entries) right after the
@@ -127,10 +134,6 @@ type Reconciler struct {
 	sp    *spec.Spec
 	ropts routing.Options
 	copts compiler.Options
-
-	// subtree[s][h] reports host h is reachable through switch s's
-	// down/host ports (Algorithm 1's subtree sets, on hosts).
-	subtree [][]bool
 
 	filters    map[int]*filterRec
 	nextFilter int
@@ -178,7 +181,6 @@ func newReconciler(cfg Config) (*Reconciler, error) {
 	if r.covering {
 		r.im = cover.NewImplier(sp, cfg.CoverMaxNodes)
 	}
-	r.computeSubtrees()
 	for _, s := range net.Switches {
 		inc, err := r.newIncremental(s.ID)
 		if err != nil {
@@ -187,114 +189,83 @@ func newReconciler(cfg Config) (*Reconciler, error) {
 		sc := &swCompiler{
 			id:     s.ID,
 			inc:    inc,
-			places: make(map[string]*placeRec),
+			places: make(map[placeKey]*placeRec),
 			rules:  make(map[int]*subscription.Rule),
 		}
 		sc.publish(inc.Program())
 		r.switches = append(r.switches, sc)
 	}
-	// MR installs the constant-true filter on every up port (Algorithm 1
-	// lines 13–15); it is permanent, so pin its refcount.
-	if ropts.Policy == routing.MemoryReduction {
-		for _, s := range net.Switches {
-			if len(s.UpPorts()) > 0 {
-				r.retain(s.ID, routing.UpPort, subscription.True)
-			}
-		}
+	// The constant-true filter of MR's up ports is permanent, so pin its
+	// refcount.
+	for _, p := range routing.MatchAll(net, ropts.Policy) {
+		r.retain(place{
+			sw:   p.Switch,
+			expr: subscription.True,
+			key:  placeKey{p.Port, subscription.True.String()},
+		})
 	}
 	return r, nil
 }
 
-// computeSubtrees mirrors Algorithm 1's bottom-up subtree accumulation,
-// tracking member hosts instead of filter sets.
-func (r *Reconciler) computeSubtrees() {
-	n := r.net
-	r.subtree = make([][]bool, len(n.Switches))
-	for i := range r.subtree {
-		r.subtree[i] = make([]bool, len(n.Hosts))
-	}
-	for h := range n.Hosts {
-		sw, _ := n.Access(h)
-		r.subtree[sw][h] = true
-	}
-	for _, layer := range []topology.Layer{topology.ToR, topology.Agg} {
-		for _, s := range n.LayerSwitches(layer) {
-			for _, up := range s.UpPorts() {
-				dst := r.subtree[up.PeerSwitch]
-				for h, in := range r.subtree[s.ID] {
-					if in {
-						dst[h] = true
-					}
-				}
-			}
+// places expands one host filter into the (switch, port, expression)
+// triples it occupies: routing.Places says where, routing.Filter which
+// expression — exact at the access port, the α-approximation
+// elsewhere. The access place is first.
+func (r *Reconciler) places(host int, exact subscription.Expr) []place {
+	f := routing.Filter{Expr: exact, Approx: routing.Approximate(exact, r.ropts.Alpha)}
+	exactKey, approxKey := f.Expr.String(), f.Approx.String()
+	where := routing.Places(r.net, r.ropts.Policy, host)
+	out := make([]place, len(where))
+	for i, p := range where {
+		delivering := r.net.Switches[p.Switch].HostFacing(p.Port)
+		key := approxKey
+		if delivering {
+			key = exactKey
 		}
-	}
-}
-
-// placements enumerates every (switch, port, expression) a host filter
-// occupies under the configured policy: the exact expression at the
-// access port, the α-approximation on each down port whose subtree
-// contains the host, and — under TR — on the logical up port of every
-// switch whose subtree does not (upset(s) holds exactly the filters not
-// below s).
-func (r *Reconciler) placements(host int, exact subscription.Expr) []place {
-	approx := routing.Approximate(exact, r.ropts.Alpha)
-	asw, aport := r.net.Access(host)
-	out := []place{{sw: asw, port: aport, expr: exact}}
-	for _, s := range r.net.Switches {
-		for _, p := range s.Ports {
-			if p.Kind == topology.PeerDown && r.subtree[p.PeerSwitch][host] {
-				out = append(out, place{sw: s.ID, port: p.Index, expr: approx})
-			}
-		}
-		if r.ropts.Policy == routing.TrafficReduction &&
-			len(s.UpPorts()) > 0 && !r.subtree[s.ID][host] {
-			out = append(out, place{sw: s.ID, port: routing.UpPort, expr: approx})
-		}
+		out[i] = place{sw: p.Switch, expr: f.Effective(delivering), key: placeKey{p.Port, key}}
 	}
 	return out
 }
 
-func placeKey(port int, expr subscription.Expr) string {
-	return fmt.Sprintf("%d|%s", port, expr)
-}
-
-// retain bumps the refcount of (switch, port, expr), returning the rule
-// ops the transition implies: in full mode an install on 0→1, under
-// covering whatever the port forest decides (nothing when the filter is
-// covered, an install plus captured-root deletes when it becomes a new
-// root).
-func (r *Reconciler) retain(sw, port int, expr subscription.Expr) []RuleOp {
-	sc := r.switches[sw]
+// retain bumps the refcount of a place, returning the rule ops the
+// transition implies: in full mode an install on 0→1, under covering
+// whatever the port forest decides (nothing when the filter is covered,
+// an install plus captured-root deletes when it becomes a new root).
+func (r *Reconciler) retain(pl place) []RuleOp {
+	sc := r.switches[pl.sw]
 	if r.covering {
-		return r.coverOps(sc, port, sc.forest(r.im, port).Add(expr))
+		return r.coverOps(sc, pl.key.port, sc.forest(r.im, pl.key.port).Add(pl.expr))
 	}
-	key := placeKey(port, expr)
-	if pr, ok := sc.places[key]; ok {
+	if pr, ok := sc.places[pl.key]; ok {
 		pr.refs++
 		return nil
 	}
+	return []RuleOp{sc.install(pl.key, pl.expr)}
+}
+
+// install registers a new rule for (port, expression) under the switch's
+// next rule ID and returns the op that adds it.
+func (sc *swCompiler) install(key placeKey, expr subscription.Expr) RuleOp {
 	rule := &subscription.Rule{
 		ID:     sc.nextRule,
 		Filter: expr,
-		Action: subscription.FwdAction(port),
+		Action: subscription.FwdAction(key.port),
 	}
 	sc.nextRule++
 	sc.places[key] = &placeRec{ruleID: rule.ID, refs: 1, rule: rule}
-	return []RuleOp{{Switch: sw, Add: true, Rule: rule, RuleID: rule.ID}}
+	return RuleOp{Switch: sc.id, Add: true, Rule: rule, RuleID: rule.ID}
 }
 
 // release drops one reference, returning the implied ops: a delete on
 // 1→0 in full mode; under covering an uncovering (delete of the root
 // plus installs for every promoted child, in one batch so delivery
 // never gaps) when the released filter was a forest root.
-func (r *Reconciler) release(sw, port int, expr subscription.Expr) []RuleOp {
-	sc := r.switches[sw]
+func (r *Reconciler) release(pl place) []RuleOp {
+	sc := r.switches[pl.sw]
 	if r.covering {
-		return r.coverOps(sc, port, sc.forest(r.im, port).Remove(expr))
+		return r.coverOps(sc, pl.key.port, sc.forest(r.im, pl.key.port).Remove(pl.expr))
 	}
-	key := placeKey(port, expr)
-	pr, ok := sc.places[key]
+	pr, ok := sc.places[pl.key]
 	if !ok {
 		return nil
 	}
@@ -302,8 +273,8 @@ func (r *Reconciler) release(sw, port int, expr subscription.Expr) []RuleOp {
 	if pr.refs > 0 {
 		return nil
 	}
-	delete(sc.places, key)
-	return []RuleOp{{Switch: sw, Add: false, RuleID: pr.ruleID}}
+	delete(sc.places, pl.key)
+	return []RuleOp{{Switch: pl.sw, Add: false, RuleID: pr.ruleID}}
 }
 
 // forest returns the port's subsumption forest, creating it on first
@@ -331,7 +302,7 @@ func (r *Reconciler) coverOps(sc *swCompiler, port int, d cover.Delta) []RuleOp 
 	}
 	ops := make([]RuleOp, 0, len(d.Install)+len(d.Uninstall))
 	for _, e := range d.Uninstall {
-		key := placeKey(port, e)
+		key := placeKey{port, e.String()}
 		pr := sc.places[key]
 		if pr == nil {
 			continue // forest and registry out of sync; nothing to delete
@@ -340,21 +311,11 @@ func (r *Reconciler) coverOps(sc *swCompiler, port int, d cover.Delta) []RuleOp 
 		ops = append(ops, RuleOp{Switch: sc.id, Add: false, RuleID: pr.ruleID})
 	}
 	for _, e := range d.Install {
-		rule := &subscription.Rule{
-			ID:     sc.nextRule,
-			Filter: e,
-			Action: subscription.FwdAction(port),
-		}
-		sc.nextRule++
-		sc.places[placeKey(port, e)] = &placeRec{ruleID: rule.ID, refs: 1, rule: rule}
-		ops = append(ops, RuleOp{Switch: sc.id, Add: true, Rule: rule, RuleID: rule.ID})
+		ops = append(ops, sc.install(placeKey{port, e.String()}, e))
 	}
 	return ops
 }
 
-// AddFilter registers one host subscription and returns its filter ID
-// plus the per-switch rule ops the event expands to (empty when every
-// placement was already covered by an identical filter).
 // PredictAdd is the non-mutating mirror of AddFilter: it returns, per
 // switch, how many new table rules adding the filter would install,
 // without touching the registry, refcounts, or forests. The admission
@@ -367,18 +328,13 @@ func (r *Reconciler) PredictAdd(host int, expr subscription.Expr) (map[int]int, 
 		return nil, fmt.Errorf("%w: %d", ErrBadHost, host)
 	}
 	adds := make(map[int]int)
-	for _, pl := range r.placements(host, expr) {
+	for _, pl := range r.places(host, expr) {
 		sc := r.switches[pl.sw]
 		if r.covering {
-			if sc.forests != nil {
-				if f := sc.forests[pl.port]; f != nil && (f.Covered(pl.expr) || f.Refs(pl.expr) > 0) {
-					continue // elided by an existing root, or already placed
-				}
+			if f := sc.forests[pl.key.port]; f != nil && (f.Covered(pl.expr) || f.Refs(pl.expr) > 0) {
+				continue // elided by an existing root, or already placed
 			}
-			adds[pl.sw]++
-			continue
-		}
-		if pr, ok := sc.places[placeKey(pl.port, pl.expr)]; ok && pr.refs > 0 {
+		} else if pr, ok := sc.places[pl.key]; ok && pr.refs > 0 {
 			continue // refcounted: no new rule
 		}
 		adds[pl.sw]++
@@ -386,16 +342,19 @@ func (r *Reconciler) PredictAdd(host int, expr subscription.Expr) (map[int]int, 
 	return adds, nil
 }
 
+// AddFilter registers one host subscription and returns its filter ID
+// plus the per-switch rule ops the event expands to (empty when every
+// placement was already covered by an identical filter).
 func (r *Reconciler) AddFilter(host int, expr subscription.Expr) (int, []RuleOp, error) {
 	if host < 0 || host >= len(r.net.Hosts) {
 		return 0, nil, fmt.Errorf("%w: %d", ErrBadHost, host)
 	}
-	f := &filterRec{id: r.nextFilter, host: host, expr: expr, places: r.placements(host, expr)}
+	f := &filterRec{id: r.nextFilter, host: host, expr: expr, places: r.places(host, expr)}
 	r.nextFilter++
 	r.filters[f.id] = f
 	var ops []RuleOp
 	for _, pl := range f.places {
-		ops = append(ops, r.retain(pl.sw, pl.port, pl.expr)...)
+		ops = append(ops, r.retain(pl)...)
 	}
 	return f.id, ops, nil
 }
@@ -410,7 +369,7 @@ func (r *Reconciler) RemoveFilter(host, id int) ([]RuleOp, error) {
 	delete(r.filters, id)
 	var ops []RuleOp
 	for _, pl := range f.places {
-		ops = append(ops, r.release(pl.sw, pl.port, pl.expr)...)
+		ops = append(ops, r.release(pl)...)
 	}
 	return ops, nil
 }
@@ -426,9 +385,6 @@ func (r *Reconciler) Filters(host int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// FilterCount returns the number of live filters.
-func (r *Reconciler) FilterCount() int { return len(r.filters) }
 
 // HostFilters returns every live subscription with its host binding,
 // sorted by filter ID — the ground truth a network-wide validator
@@ -548,9 +504,7 @@ func (r *Reconciler) newIncremental(sw int) (*compiler.Incremental, error) {
 	s := r.net.Switches[sw]
 	co := r.copts
 	co.LastHop = false
-	co.LastHopPort = func(port int) bool {
-		return port >= 0 && port < len(s.Ports) && s.Ports[port].Kind == topology.PeerHost
-	}
+	co.LastHopPort = s.HostFacing
 	return compiler.NewIncremental(r.sp, co)
 }
 
@@ -613,7 +567,7 @@ func (r *Reconciler) CoveredFilters() map[int]bool {
 	for id, f := range r.filters {
 		pl := f.places[0] // the access placement is always first
 		sc := r.switches[pl.sw]
-		if fo := sc.forests[pl.port]; fo != nil && fo.Covered(pl.expr) {
+		if fo := sc.forests[pl.key.port]; fo != nil && fo.Covered(pl.expr) {
 			out[id] = true
 		}
 	}

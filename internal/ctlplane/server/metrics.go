@@ -30,6 +30,8 @@ const maxTenantSeries = 256
 //
 //	camus_*_total                     service counters (Snapshot)
 //	camus_queue_depth{,_peak}         in-flight event gauges
+//	camus_ctlplane_switches_touched_total  switches events queued rule ops on
+//	camus_ctlplane_switches_changed_total  switch compiles with a non-empty entry delta
 //	camus_ctlplane_compactions_total  full rebuilds the engine-size bound triggered
 //	camus_ctlplane_engine_nodes       BDD nodes the switch engines retain
 //	camus_ctlplane_engine_memo_entries  or-merge memo entries they retain
@@ -76,6 +78,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("installs_total", "Table entries installed.", snap.Installs)
 	counter("deletes_total", "Table entries deleted.", snap.Deletes)
 	counter("keeps_total", "Table entries reused across epochs.", snap.Keeps)
+	counter("ctlplane_switches_touched_total", "Switches that received rule ops, summed over events.", snap.SwitchesTouched)
+	counter("ctlplane_switches_changed_total", "Per-switch compiles whose program came out with installs+deletes > 0.", snap.SwitchesChanged)
 	counter("retries_total", "Backed-off apply attempts.", snap.Retries)
 	counter("fallbacks_total", "Full rebuilds of a switch from its rule registry (apply-error recovery + compaction).", snap.Fallbacks)
 	counter("ctlplane_compactions_total", "Full rebuilds triggered by the engine-size compaction bound.", snap.Compactions)

@@ -256,6 +256,8 @@ func TestHTTPGoldens(t *testing.T) {
 	for _, want := range []string{
 		"camus_events_total ",
 		"camus_ctlplane_compactions_total 0",
+		"# TYPE camus_ctlplane_switches_touched_total counter",
+		"# TYPE camus_ctlplane_switches_changed_total counter",
 		"# TYPE camus_ctlplane_engine_nodes gauge",
 		"# TYPE camus_ctlplane_engine_memo_entries gauge",
 		"# TYPE camus_ctlplane_engine_bytes gauge",

@@ -181,6 +181,12 @@ type Service struct {
 	failures     atomic.Int64
 	applied      atomic.Int64
 
+	// Update locality: switchesTouched counts, per event, the switches its
+	// rule ops were queued on; switchesChanged the per-switch compiles
+	// whose program came out with a non-empty entry delta.
+	switchesTouched atomic.Int64
+	switchesChanged atomic.Int64
+
 	validations        atomic.Int64
 	validationFailures atomic.Int64
 
@@ -364,6 +370,7 @@ func (s *Service) submit(mutate func() ([]RuleOp, error), kind *atomic.Int64) (*
 	}
 	ev.remaining.Store(int32(len(dirty)))
 	s.mu.Unlock()
+	s.switchesTouched.Add(int64(len(dirty)))
 
 	if len(dirty) == 0 {
 		s.complete(ev)
@@ -511,6 +518,9 @@ func (s *Service) applyWorker(sw int) {
 		s.installs.Add(int64(res.AddedEntries))
 		s.deletes.Add(int64(res.RemovedEntries))
 		s.keeps.Add(int64(res.ReusedEntries))
+		if res.AddedEntries+res.RemovedEntries > 0 {
+			s.switchesChanged.Add(1)
+		}
 		if res.Full {
 			s.fallbacks.Add(1)
 		}

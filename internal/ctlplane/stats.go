@@ -33,6 +33,14 @@ type Snapshot struct {
 	Installs int64
 	Deletes  int64
 	Keeps    int64
+	// SwitchesTouched and SwitchesChanged measure update locality:
+	// SwitchesTouched sums, over events, the switches an event's rule ops
+	// were queued on; SwitchesChanged counts the per-switch compiles
+	// (Batches) whose program came out with Installs+Deletes > 0. A
+	// placement that touches a switch without changing its table shows
+	// up as the gap between the two, coalescing aside.
+	SwitchesTouched int64
+	SwitchesChanged int64
 	// Retries counts backed-off apply attempts; Fallbacks counts full
 	// rebuilds of a switch from its rule registry — apply-error recovery
 	// plus compaction, Compactions the latter alone; Failures counts
@@ -115,6 +123,9 @@ func (s *Service) Stats() Snapshot {
 		Fallbacks:    s.fallbacks.Load(),
 		Compactions:  s.compactions.Load(),
 		Failures:     s.failures.Load(),
+
+		SwitchesTouched: s.switchesTouched.Load(),
+		SwitchesChanged: s.switchesChanged.Load(),
 
 		Validations:        s.validations.Load(),
 		ValidationFailures: s.validationFailures.Load(),

@@ -37,13 +37,10 @@ func ProveValidator(net *topology.Network, maxPaths int) Validator {
 		if sw < 0 || sw >= len(net.Switches) {
 			return fmt.Errorf("%w: switch %d out of range", ErrValidationFailed, sw)
 		}
-		swc := net.Switches[sw]
 		opts := prove.Options{
-			LastHop: false,
-			LastHopPort: func(port int) bool {
-				return port >= 0 && port < len(swc.Ports) && swc.Ports[port].Kind == topology.PeerHost
-			},
-			MaxPaths: maxPaths,
+			LastHop:     false,
+			LastHopPort: net.Switches[sw].HostFacing,
+			MaxPaths:    maxPaths,
 		}
 		ir, err := prog.ProveIR()
 		if err != nil {

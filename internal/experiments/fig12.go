@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"math"
+	"strconv"
+	"strings"
+
 	"camus/internal/baseline"
 	"camus/internal/compiler"
 	"camus/internal/formats"
@@ -30,6 +34,7 @@ func Fig12(cfg Config) *Result {
 		Header: []string{"#subs", "camus entries", "big-table entries", "ratio"},
 	}
 	var lastRatio float64
+	var subs, camus, bigs []float64
 	for _, n := range subsSweep {
 		rules, err := workload.SienaRules(workload.SienaConfig{
 			Spec: formats.ITCH, Filters: n,
@@ -45,9 +50,15 @@ func Fig12(cfg Config) *Result {
 		big := baseline.BigTableEntries(formats.ITCH, rules, bigCap)
 		lastRatio = float64(big) / float64(prog.TotalEntries())
 		ta.AddRow(n, prog.TotalEntries(), big, lastRatio)
+		subs = append(subs, float64(n))
+		camus = append(camus, float64(prog.TotalEntries()))
+		bigs = append(bigs, float64(big))
 	}
 	res.addFinding("at %d subscriptions the big table needs %.0f× more entries than Camus",
 		subsSweep[len(subsSweep)-1], lastRatio)
+	slope := logLogSlope(subs, camus)
+	res.addFinding("growth law over %d–%d subscriptions (log-log least-squares slope): Camus entries ∝ subs^%.2f, big table ∝ subs^%.2f — Camus stays orders of magnitude below the baseline but is super-linear, ×%.1f per doubling",
+		subsSweep[0], subsSweep[len(subsSweep)-1], slope, logLogSlope(subs, bigs), math.Pow(2, slope))
 
 	// (b) Sweep predicates per filter at a fixed subscription count.
 	nFixed := cfg.scale(300, 1000)
@@ -55,7 +66,7 @@ func Fig12(cfg Config) *Result {
 		Title:  "(b) table entries vs. predicates per filter",
 		Header: []string{"#predicates", "camus entries", "big-table entries"},
 	}
-	var onePred, maxPred int
+	var counts []int
 	for _, k := range []int{1, 2, 3, 4} {
 		rules, err := workload.SienaRules(workload.SienaConfig{
 			Spec: formats.ITCH, Filters: nFixed,
@@ -68,19 +79,36 @@ func Fig12(cfg Config) *Result {
 		if err != nil {
 			panic(err)
 		}
-		entries := prog.TotalEntries()
-		if k == 1 {
-			onePred = entries
-		}
-		maxPred = entries
-		tb.AddRow(k, entries, baseline.BigTableEntries(formats.ITCH, rules, bigCap))
+		counts = append(counts, prog.TotalEntries())
+		tb.AddRow(k, prog.TotalEntries(), baseline.BigTableEntries(formats.ITCH, rules, bigCap))
 	}
 	res.Tables = []*stats.Table{ta, tb}
-	if maxPred < onePred {
-		res.addFinding("more selective subscriptions need fewer entries: %d (1 pred) → %d (4 preds) — matches the paper ('more predicates per filter require fewer entries')",
-			onePred, maxPred)
+	peak := 0
+	parts := make([]string, len(counts))
+	for i, n := range counts {
+		if n > counts[peak] {
+			peak = i
+		}
+		parts[i] = strconv.Itoa(n)
+	}
+	series := strings.Join(parts, " → ")
+	if peak == 0 {
+		res.addFinding("more selective subscriptions need fewer entries at every step: %s (1–4 preds) — matches the paper ('more predicates per filter require fewer entries')", series)
 	} else {
-		res.addFinding("entries at 1 pred = %d vs 4 preds = %d", onePred, maxPred)
+		res.addFinding("entries are not monotone in predicates per filter: %s (1–4 preds) peaks at %d predicates, %.0f× the 1-predicate count; the paper's 'more predicates per filter require fewer entries' holds only past the peak (4 preds = 1/%.0f of 1 pred)",
+			series, peak+1, float64(counts[peak])/float64(counts[0]), float64(counts[0])/float64(counts[len(counts)-1]))
 	}
 	return res
+}
+
+// logLogSlope is the least-squares slope of ln y on ln x — the exponent p
+// of the power law y ∝ x^p that best fits the points.
+func logLogSlope(xs, ys []float64) float64 {
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		lx, ly := math.Log(xs[i]), math.Log(ys[i])
+		sx, sy, sxx, sxy = sx+lx, sy+ly, sxx+lx*lx, sxy+lx*ly
+	}
+	n := float64(len(xs))
+	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }

@@ -77,12 +77,9 @@ func TestProverCounterexampleReplaysOnNetwork(t *testing.T) {
 
 	// Prove the corrupted ToR against its rule set, with exactly the
 	// controller's per-switch options.
-	tsw := net.Switches[tor]
 	popts := prove.Options{
-		LastHop: false,
-		LastHopPort: func(port int) bool {
-			return port >= 0 && port < len(tsw.Ports) && tsw.Ports[port].Kind == topology.PeerHost
-		},
+		LastHop:     false,
+		LastHopPort: net.Switches[tor].HostFacing,
 	}
 	rules := bad.Routing.RulesForSwitch(tor)
 	ir, err := bad.Programs[tor].ProveIR()

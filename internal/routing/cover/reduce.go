@@ -5,7 +5,6 @@ import (
 
 	"camus/internal/routing"
 	"camus/internal/subscription"
-	"camus/internal/topology"
 )
 
 // ReduceStats summarizes one whole-policy covering pass: distinct
@@ -31,9 +30,9 @@ func (s ReduceStats) Ratio() float64 {
 // ReduceResult prunes covered filters, in place, from every per-port
 // filter set of a fat-tree routing result: a filter is dropped from a
 // port when another filter on the same port has a broader effective
-// expression (exact at host-facing ports, α-approximated elsewhere,
-// mirroring RulesForSwitch). MR match-all up ports are left alone —
-// the constant-true entry is already minimal.
+// expression (routing.FIB.Effective, the expression rule generation
+// installs). MR match-all up ports are left alone — the constant-true
+// entry is already minimal.
 func ReduceResult(im *Implier, res *routing.Result) ReduceStats {
 	var st ReduceStats
 	for _, fib := range res.FIBs {
@@ -43,34 +42,19 @@ func ReduceResult(im *Implier, res *routing.Result) ReduceStats {
 				st.After++
 				continue
 			}
-			hostFacing := port >= 0 && port < len(fib.Switch.Ports) &&
-				fib.Switch.Ports[port].Kind == topology.PeerHost
-			reducePort(im, fs, func(f *routing.Filter) subscription.Expr {
-				if hostFacing {
-					return f.Expr
-				}
-				return f.Approx
-			}, &st)
+			reducePort(im, port, fs, fib.Effective, &st)
 		}
 	}
 	return st
 }
 
 // ReduceTree is ReduceResult for a general-topology spanning-tree
-// policy: effective expressions are exact on the delivering edge
-// (subscriber's own node behind the port) and approximated in transit,
-// mirroring RulesForNode.
+// policy (effective expressions by routing.TreeFIB.Effective).
 func ReduceTree(im *Implier, tr *routing.TreeResult) ReduceStats {
 	var st ReduceStats
 	for _, fib := range tr.FIBs {
 		for port, fs := range fib.Ports {
-			peer := fib.PortPeer[port]
-			reducePort(im, fs, func(f *routing.Filter) subscription.Expr {
-				if f.Host == peer {
-					return f.Expr
-				}
-				return f.Approx
-			}, &st)
+			reducePort(im, port, fs, fib.Effective, &st)
 		}
 	}
 	return st
@@ -85,10 +69,11 @@ func ReduceTree(im *Implier, tr *routing.TreeResult) ReduceStats {
 // implied by a surviving one — the cover relation (strictly broader,
 // or equivalent with smaller key) is a strict partial order, so chains
 // terminate at an uncovered maximal element.
-func reducePort(im *Implier, fs routing.FilterSet, eff func(*routing.Filter) subscription.Expr, st *ReduceStats) {
+func reducePort(im *Implier, port int, fs routing.FilterSet,
+	effective func(port int, f *routing.Filter) subscription.Expr, st *ReduceStats) {
 	byKey := make(map[string]subscription.Expr, len(fs))
 	for _, f := range fs {
-		e := eff(f)
+		e := effective(port, f)
 		byKey[e.String()] = e
 	}
 	keys := make([]string, 0, len(byKey))
@@ -115,7 +100,7 @@ func reducePort(im *Implier, fs routing.FilterSet, eff func(*routing.Filter) sub
 		}
 	}
 	for id, f := range fs {
-		if covered[eff(f).String()] {
+		if covered[effective(port, f).String()] {
 			delete(fs, id)
 		}
 	}

@@ -56,14 +56,6 @@ func (fs FilterSet) union(o FilterSet) {
 	}
 }
 
-func (fs FilterSet) clone() FilterSet {
-	c := make(FilterSet, len(fs))
-	for id, f := range fs {
-		c[id] = f
-	}
-	return c
-}
-
 // FIB is the routing policy's output for one switch: the filter sets
 // F_p^s per port (§IV-C). Port UpPort holds the logical up set; MatchAll
 // marks an up set holding the constant-true filter (MR policy).
@@ -77,8 +69,6 @@ type FIB struct {
 // Result is the computed global routing policy.
 type Result struct {
 	Network *topology.Network
-	Policy  Policy
-	Alpha   int64
 	// FIBs by switch ID.
 	FIBs []*FIB
 	// Filters is the global filter table.
@@ -93,96 +83,51 @@ type Options struct {
 	Alpha int64
 }
 
+// Effective returns the expression f is installed with on a port: the
+// exact filter on the port that delivers to its subscriber, the
+// α-approximation in transit (§IV-D; the ToR layer "stores all the
+// original subscriptions" only for its own hosts).
+func (f *Filter) Effective(delivering bool) subscription.Expr {
+	if delivering {
+		return f.Expr
+	}
+	return f.Approx
+}
+
+// Effective is Filter.Effective on one of the switch's ports: host-facing
+// ports deliver.
+func (fib *FIB) Effective(port int, f *Filter) subscription.Expr {
+	return f.Effective(fib.Switch.HostFacing(port))
+}
+
 // ComputeFatTree runs Algorithm 1: convert per-host subscriptions into
-// per-switch, per-port filter sets over a hierarchical topology.
+// per-switch, per-port filter sets over a hierarchical topology — the
+// union of Places over every filter. Filter IDs follow host order; they
+// number every switch's rules (RulesForSwitch).
 func ComputeFatTree(net *topology.Network, subs [][]subscription.Expr, opts Options) (*Result, error) {
 	if len(subs) != len(net.Hosts) {
 		return nil, fmt.Errorf("routing: %d subscription lists for %d hosts", len(subs), len(net.Hosts))
 	}
-	res := &Result{Network: net, Policy: opts.Policy, Alpha: opts.Alpha}
-	res.FIBs = make([]*FIB, len(net.Switches))
+	if opts.Policy != MemoryReduction && opts.Policy != TrafficReduction {
+		return nil, fmt.Errorf("routing: unknown policy %d", opts.Policy)
+	}
+	res := &Result{Network: net, FIBs: make([]*FIB, len(net.Switches))}
 	for i, s := range net.Switches {
 		res.FIBs[i] = &FIB{Switch: s, Ports: make(map[int]FilterSet)}
 	}
-
-	// Filters with pre-computed approximations.
 	for h, exprs := range subs {
+		places := Places(net, opts.Policy, h)
 		for _, e := range exprs {
-			res.Filters = append(res.Filters, &Filter{
-				ID:     len(res.Filters),
-				Host:   h,
-				Expr:   e,
-				Approx: Approximate(e, opts.Alpha),
-			})
-		}
-	}
-
-	// Lines 3–5: access ports get each host's exact subscriptions.
-	byHost := make([]FilterSet, len(net.Hosts))
-	for i := range byHost {
-		byHost[i] = make(FilterSet)
-	}
-	for _, f := range res.Filters {
-		byHost[f.Host][f.ID] = f
-	}
-	for h := range net.Hosts {
-		sw, port := net.Access(h)
-		fs := res.FIBs[sw].ensure(port)
-		fs.union(byHost[h])
-	}
-
-	// Lines 6–12: propagate subtree unions bottom-up. Layer order: ToR,
-	// then Agg (cores have no up links).
-	for _, layer := range []topology.Layer{topology.ToR, topology.Agg} {
-		for _, src := range net.LayerSwitches(layer) {
-			subtree := make(FilterSet)
-			for _, p := range src.Ports {
-				if p.Kind == topology.PeerHost || p.Kind == topology.PeerDown {
-					subtree.union(res.FIBs[src.ID].ensure(p.Index))
-				}
-			}
-			for _, up := range src.UpPorts() {
-				res.FIBs[up.PeerSwitch].ensure(up.PeerPort).union(subtree)
+			f := &Filter{ID: len(res.Filters), Host: h, Expr: e, Approx: Approximate(e, opts.Alpha)}
+			res.Filters = append(res.Filters, f)
+			for _, p := range places {
+				res.FIBs[p.Switch].ensure(p.Port)[f.ID] = f
 			}
 		}
 	}
-
-	// Up-port sets per policy.
-	switch opts.Policy {
-	case MemoryReduction:
-		// Lines 13–15: F_up = {true}.
-		for _, s := range net.Switches {
-			if len(s.UpPorts()) > 0 {
-				res.FIBs[s.ID].MatchAllUp = true
-				res.FIBs[s.ID].ensure(UpPort)
-			}
-		}
-	case TrafficReduction:
-		// Lines 16–22, fixed up for multi-level trees: everything
-		// reachable through the up port is the parent's up set plus the
-		// parent's other down subtrees. Computed top-down (Agg before
-		// ToR; cores have no up set).
-		for _, layer := range []topology.Layer{topology.Agg, topology.ToR} {
-			for _, src := range net.LayerSwitches(layer) {
-				ups := src.UpPorts()
-				if len(ups) == 0 {
-					continue
-				}
-				first := ups[0] // all parents see the same reachable set
-				parent := res.FIBs[first.PeerSwitch]
-				upSet := res.FIBs[src.ID].ensure(UpPort)
-				for _, p := range parent.Switch.Ports {
-					if (p.Kind == topology.PeerDown || p.Kind == topology.PeerHost) && p.Index != first.PeerPort {
-						upSet.union(parent.ensure(p.Index))
-					}
-				}
-				if parentUp, ok := parent.Ports[UpPort]; ok {
-					upSet.union(parentUp)
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("routing: unknown policy %d", opts.Policy)
+	for _, p := range MatchAll(net, opts.Policy) {
+		res.FIBs[p.Switch].MatchAllUp = true
+		res.FIBs[p.Switch].ensure(p.Port)
 	}
 	return res, nil
 }
@@ -197,20 +142,12 @@ func (f *FIB) ensure(port int) FilterSet {
 }
 
 // RulesForSwitch converts a switch's FIB into the compiler's intermediate
-// representation: one rule per (port, unique filter), with exact filters
-// at host-facing ports and approximated filters elsewhere (§IV-D; the
-// ToR layer "stores all the original subscriptions" only for its own
-// hosts). Duplicate filters per port collapse, which is where the
-// approximation's aggregation benefit appears.
+// representation: one rule per (port, unique effective filter), ports
+// ascending.
 func (r *Result) RulesForSwitch(swID int) []*subscription.Rule {
 	fib := r.FIBs[swID]
 	var rules []*subscription.Rule
-	ports := make([]int, 0, len(fib.Ports))
-	for p := range fib.Ports {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
-	for _, port := range ports {
+	for _, port := range sortedKeys(fib.Ports) {
 		if port == UpPort && fib.MatchAllUp {
 			rules = append(rules, &subscription.Rule{
 				ID:     len(rules),
@@ -219,26 +156,21 @@ func (r *Result) RulesForSwitch(swID int) []*subscription.Rule {
 			})
 			continue
 		}
-		hostFacing := false
-		if port >= 0 && port < len(fib.Switch.Ports) {
-			hostFacing = fib.Switch.Ports[port].Kind == topology.PeerHost
-		}
-		seen := make(map[string]bool)
-		ids := make([]int, 0, len(fib.Ports[port]))
-		for id := range fib.Ports[port] {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			f := fib.Ports[port][id]
-			e := f.Approx
-			if hostFacing {
-				e = f.Expr
-			}
-			key := e.String()
-			if seen[key] {
-				continue
-			}
+		rules = appendPortRules(rules, port, fib.Ports[port], fib.Effective)
+	}
+	return rules
+}
+
+// appendPortRules is the per-port collapse shared by both topologies: one
+// fwd(port) rule per distinct effective expression of fs, in filter-ID
+// order, numbered on from len(rules). Duplicates collapsing is where the
+// approximation's aggregation benefit appears.
+func appendPortRules(rules []*subscription.Rule, port int, fs FilterSet,
+	effective func(port int, f *Filter) subscription.Expr) []*subscription.Rule {
+	seen := make(map[string]bool, len(fs))
+	for _, id := range sortedKeys(fs) {
+		e := effective(port, fs[id])
+		if key := e.String(); !seen[key] {
 			seen[key] = true
 			rules = append(rules, &subscription.Rule{
 				ID:     len(rules),
@@ -250,19 +182,11 @@ func (r *Result) RulesForSwitch(swID int) []*subscription.Rule {
 	return rules
 }
 
-// UniqueFilterCount returns the number of distinct filter expressions on
-// a port after approximation-driven aggregation (diagnostics).
-func (r *Result) UniqueFilterCount(swID, port int) int {
-	fib := r.FIBs[swID]
-	hostFacing := port >= 0 && port < len(fib.Switch.Ports) &&
-		fib.Switch.Ports[port].Kind == topology.PeerHost
-	seen := make(map[string]bool)
-	for _, f := range fib.Ports[port] {
-		if hostFacing {
-			seen[f.Expr.String()] = true
-		} else {
-			seen[f.Approx.String()] = true
-		}
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return len(seen)
+	sort.Ints(keys)
+	return keys
 }

@@ -107,42 +107,19 @@ func ComputeTree(t *topology.Tree, subs map[int][]subscription.Expr, alpha int64
 	return res, nil
 }
 
+// Effective is Filter.Effective on one of the vertex's tree ports: the
+// edge to the subscriber's own node delivers.
+func (fib *TreeFIB) Effective(port int, f *Filter) subscription.Expr {
+	return f.Effective(f.Host == fib.PortPeer[port])
+}
+
 // RulesForNode converts a vertex's tree FIB into compiler rules: one rule
-// per (port, unique filter). Filters for the vertex's own subscribers use
-// the exact expression; transit copies use the approximation.
+// per (port, unique effective filter), ports ascending.
 func (r *TreeResult) RulesForNode(v int) []*subscription.Rule {
 	fib := r.FIBs[v]
 	var rules []*subscription.Rule
-	ports := make([]int, 0, len(fib.Ports))
-	for p := range fib.Ports {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
-	for _, port := range ports {
-		peer := fib.PortPeer[port]
-		seen := make(map[string]bool)
-		ids := make([]int, 0, len(fib.Ports[port]))
-		for id := range fib.Ports[port] {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			f := fib.Ports[port][id]
-			e := f.Approx
-			if f.Host == peer {
-				e = f.Expr // delivering edge: exact
-			}
-			key := e.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			rules = append(rules, &subscription.Rule{
-				ID:     len(rules),
-				Filter: e,
-				Action: subscription.FwdAction(port),
-			})
-		}
+	for _, port := range sortedKeys(fib.Ports) {
+		rules = appendPortRules(rules, port, fib.Ports[port], fib.Effective)
 	}
 	return rules
 }

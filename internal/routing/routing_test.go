@@ -99,7 +99,7 @@ func TestFatTreeCompletenessSoundness(t *testing.T) {
 						continue
 					}
 					hosts := hostsReachableDown(net, s.ID, port)
-					isHostPort := s.Ports[port].Kind == topology.PeerHost
+					isHostPort := s.HostFacing(port)
 					for _, m := range probes {
 						// Ground truth: does any reachable host subscribe to m?
 						want := false

@@ -79,6 +79,14 @@ func (s *Switch) DownPorts() []Port { return s.portsOf(PeerDown) }
 // HostPorts returns the host-facing ports.
 func (s *Switch) HostPorts() []Port { return s.portsOf(PeerHost) }
 
+// HostFacing reports whether port is one of s's host-facing (access)
+// ports — the hop before a subscriber, where filters are installed exact
+// and stateful predicates run (§II, §IV-D). The logical up port and
+// indices outside the switch are not.
+func (s *Switch) HostFacing(port int) bool {
+	return port >= 0 && port < len(s.Ports) && s.Ports[port].Kind == PeerHost
+}
+
 func (s *Switch) portsOf(k PeerKind) []Port {
 	var out []Port
 	for _, p := range s.Ports {
@@ -112,16 +120,6 @@ type Network struct {
 func (n *Network) Access(hostID int) (sw, port int) {
 	h := n.Hosts[hostID]
 	return h.Switch, h.Port
-}
-
-// SwitchByName finds a switch.
-func (n *Network) SwitchByName(name string) (*Switch, bool) {
-	for _, s := range n.Switches {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return nil, false
 }
 
 // LayerSwitches returns the switches of one layer.
