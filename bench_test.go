@@ -248,6 +248,97 @@ func BenchmarkCompile10k(b *testing.B) {
 	}
 }
 
+// BenchmarkFabricBatch — the fabric wire loop, bench/'s ctl_churn timed
+// phase without the daemon: a fat-tree(4) deployed under TR α=10 with 192
+// `stock == S and price > P` filters (12 per host, 64 symbols), and per
+// op 256 MoldUDP64 frames decoded, published each from the next host
+// through one netsim.PublishBatch, and every host delivery read. allocs/op
+// is 4 per frame (the decode slab, as in DecodeITCH) plus the batch's
+// three result slices; the benchmark enforces that sum exactly, so a
+// per-hop or per-delivery allocation returning to the fabric fails
+// perf-guard whatever the 2x ratio would forgive.
+func BenchmarkFabricBatch(b *testing.B) {
+	const (
+		perHost       = 12
+		symbols       = 64
+		frames        = 256
+		allocsPerOp   = 4*frames + 3
+		thresholdStep = 19
+	)
+	net := topology.MustFatTree(4)
+	syms := workload.DefaultSymbols(100)
+	parser := subscription.NewParser(formats.ITCH)
+	subs := make([][]subscription.Expr, len(net.Hosts))
+	for h := range subs {
+		for j := 0; j < perHost; j++ {
+			idx := h*perHost + j
+			e, err := parser.ParseFilter(fmt.Sprintf("stock == %s and price > %d",
+				syms[idx%symbols], 50*(1+(idx/symbols*6+idx%symbols*3)%thresholdStep)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			subs[h] = append(subs[h], e)
+		}
+	}
+	d, err := controller.Deploy(net, formats.ITCH, subs, controller.Options{
+		Routing: routing.Options{Policy: routing.TrafficReduction, Alpha: 10},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := netsim.New(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	feed := workload.ITCHFeed(workload.ITCHFeedConfig{Packets: 1 << 12, Stocks: 100, BatchZipf: true, MaxBatch: 8, Seed: 1})
+	wire := make([][]byte, len(feed))
+	for i, p := range feed {
+		if wire[i], err = formats.EncodeITCHFeed("CAMUSBENCH", uint64(i), p.Orders); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pubs := make([]netsim.Publication, frames)
+	var pos, delivered int
+	op := func() {
+		for i := range pubs {
+			frame := wire[pos%len(wire)]
+			msgs, err := formats.DecodeITCHFeed(frame)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pubs[i] = netsim.Publication{Host: pos % len(net.Hosts), Msgs: msgs, Bytes: len(frame)}
+			pos++
+		}
+		for _, ds := range sim.PublishBatch(pubs) {
+			for i := range ds {
+				delivered += len(ds[i].Msgs)
+			}
+		}
+	}
+	for i := 0; i < len(wire)/frames; i++ { // warm the wave scratch on every frame
+		op()
+	}
+	if got := testing.AllocsPerRun(10, op); got != allocsPerOp {
+		b.Errorf("%.0f allocs per %d-frame batch, want exactly %d", got, frames, allocsPerOp)
+	}
+	delivered = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if delivered == 0 {
+		b.Error("no frame was delivered anywhere")
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(b.N*frames)/s/1e3, "kframes/s")
+	}
+	if tr := sim.Traffic(); tr.Looped != 0 {
+		b.Errorf("%d packets looped", tr.Looped)
+	}
+}
+
 // churnTraffic keeps background traffic flowing through sim until the
 // returned stop function is called (it waits for the publisher to exit).
 // The publications are built here, before the caller starts its timer,

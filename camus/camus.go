@@ -60,13 +60,22 @@ type (
 	FlowKey = pipeline.FlowKey
 	// Delivery is one egress replica.
 	Delivery = pipeline.Delivery
+	// Results is a caller-owned output buffer for Switch.ProcessBatchInto:
+	// what a call returns lives in the Results it was given and stays
+	// valid until that Results is passed again. The zero value is ready;
+	// use one per goroutine that batches on a shared switch.
+	Results = pipeline.Results
 	// Publication is one host's packet injection for Sim.PublishBatch.
 	Publication = netsim.Publication
 	// Network is a topology instance.
 	Network = topology.Network
 	// Deployment is a controller-compiled network.
 	Deployment = controller.Deployment
-	// Sim is the network simulator.
+	// Sim is the network simulator. Publish, PublishFlow and PublishBatch
+	// share one forwarding loop: a batch advances wave by wave, one
+	// pipeline batch per switch per hop level, and returns heap-fresh
+	// deliveries the caller may retain. Safe for concurrent publishers;
+	// Sim.Workers only spreads a wave's switches over goroutines.
 	Sim = netsim.Sim
 )
 

@@ -6,7 +6,7 @@
 //	camus-options   direct construction of pipeline.Switch outside the
 //	                functional-options API
 //	camus-atomic    mixed atomic and plain access to the same field
-//	camus-locksend  locks held across channel sends or ProcessBatch
+//	camus-locksend  locks held across channel sends or a dataplane batch
 //	camus-fitgate   freshly compiled programs reaching Install without a
 //	                fit-admission check in ctlplane paths
 //

@@ -5,14 +5,16 @@ import (
 )
 
 // LockSendAnalyzer flags blocking fan-out while holding a mutex:
-// channel sends and calls to the dataplane's ProcessBatch executed
-// between a sync.Mutex/RWMutex Lock (or RLock) and its Unlock. Both can
-// block for an unbounded time — a send until a receiver arrives,
-// ProcessBatch until every worker shard drains its share — so holding a
-// lock across them turns a local critical section into a system-wide
-// convoy (and, with the wrong receiver, a deadlock). PR 1's shard locks
-// stay correct precisely because they never wrap a blocking operation;
-// this analyzer pins that invariant.
+// channel sends and calls to the dataplane's batch entry points
+// (Switch.ProcessBatch, Switch.ProcessBatchInto, and the simulator's
+// Sim.PublishBatch, which makes one such call per switch per wave)
+// executed between a sync.Mutex/RWMutex Lock (or RLock) and its Unlock.
+// Both can block for an unbounded time — a send until a receiver
+// arrives, a batch until every worker shard drains its share — so
+// holding a lock across them turns a local critical section into a
+// system-wide convoy (and, with the wrong receiver, a deadlock). PR 1's
+// shard locks stay correct precisely because they never wrap a blocking
+// operation; this analyzer pins that invariant.
 //
 // The analysis is an intra-procedural, syntactic approximation: it
 // scans each function body in statement order, tracking Lock/Unlock
@@ -21,7 +23,7 @@ import (
 // are tracked within that branch only.
 var LockSendAnalyzer = &Analyzer{
 	Name: "camus-locksend",
-	Doc:  "flag channel sends or ProcessBatch fan-out while holding a mutex",
+	Doc:  "flag channel sends or dataplane batch fan-out while holding a mutex",
 	Run:  runLockSend,
 }
 
@@ -179,8 +181,16 @@ func lockOp(pass *Pass, e ast.Expr) (key string, locked, ok bool) {
 	return exprString(sel.X), isLock, true
 }
 
-// checkBlockingExpr reports ProcessBatch calls (the dataplane fan-out
-// barrier) nested anywhere in an expression while locks are held.
+// fanOutMethods are the dataplane's batch entry points (the fan-out
+// barriers), by receiver type.
+var fanOutMethods = map[string]struct{ pkg, recv string }{
+	"ProcessBatch":     {pipelinePath, "Switch"},
+	"ProcessBatchInto": {pipelinePath, "Switch"},
+	"PublishBatch":     {"camus/internal/netsim", "Sim"},
+}
+
+// checkBlockingExpr reports fan-out calls nested anywhere in an
+// expression while locks are held.
 func checkBlockingExpr(pass *Pass, e ast.Expr, held map[string]bool) {
 	if e == nil || len(held) == 0 {
 		return
@@ -194,12 +204,16 @@ func checkBlockingExpr(pass *Pass, e ast.Expr, held map[string]bool) {
 			return true
 		}
 		sel, isSel := call.Fun.(*ast.SelectorExpr)
-		if !isSel || sel.Sel.Name != "ProcessBatch" {
+		if !isSel {
+			return true
+		}
+		m, isFanOut := fanOutMethods[sel.Sel.Name]
+		if !isFanOut {
 			return true
 		}
 		if recv, found := pass.TypesInfo().Selections[sel]; found &&
-			namedType(recv.Recv(), pipelinePath, "Switch") {
-			pass.Reportf(call.Pos(), "ProcessBatch fan-out while holding %s", heldList(held))
+			namedType(recv.Recv(), m.pkg, m.recv) {
+			pass.Reportf(call.Pos(), "%s fan-out while holding %s", sel.Sel.Name, heldList(held))
 		}
 		return true
 	})

@@ -1,10 +1,11 @@
 // Package locksend is a fixture for the camus-locksend analyzer:
-// channel sends and ProcessBatch fan-out while holding mutexes.
+// channel sends and dataplane batch fan-out while holding mutexes.
 package locksend
 
 import (
 	"sync"
 
+	"camus/internal/netsim"
 	"camus/internal/pipeline"
 )
 
@@ -62,6 +63,33 @@ func (q *queue) fanOutUnlocked(sw *pipeline.Switch, pkts []*pipeline.Packet) [][
 	q.mu.Unlock()
 	_ = n
 	return sw.ProcessBatch(pkts, 0) // no lock held: no finding
+}
+
+func (q *queue) fanOutIntoLocked(sw *pipeline.Switch, res *pipeline.Results, pkts []*pipeline.Packet) [][]pipeline.Delivery {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return sw.ProcessBatchInto(res, pkts, 0) // want `ProcessBatchInto fan-out while holding q\.mu`
+}
+
+func (q *queue) fanOutIntoUnlocked(sw *pipeline.Switch, pkts []*pipeline.Packet) [][]pipeline.Delivery {
+	q.mu.Lock()
+	res := new(pipeline.Results) // taking a buffer under the lock is fine
+	q.mu.Unlock()
+	return sw.ProcessBatchInto(res, pkts, 0) // lock released: no finding
+}
+
+func (q *queue) publishLocked(sim *netsim.Sim, pubs []netsim.Publication) int {
+	q.rw.RLock()
+	out := sim.PublishBatch(pubs) // want `PublishBatch fan-out while holding q\.rw`
+	q.rw.RUnlock()
+	return len(out)
+}
+
+func (q *queue) publishUnlocked(sim *netsim.Sim, pubs []netsim.Publication) int {
+	q.mu.Lock()
+	q.items = q.items[:0]
+	q.mu.Unlock()
+	return len(sim.PublishBatch(pubs)) // no lock held: no finding
 }
 
 func (q *queue) goroutineDoesNotInherit(v int) {

@@ -11,6 +11,7 @@ import (
 
 	"camus/internal/analysis/corrupt"
 	"camus/internal/analysis/prove"
+	"camus/internal/compiler"
 	"camus/internal/controller"
 	"camus/internal/routing"
 	"camus/internal/spec"
@@ -45,35 +46,11 @@ func TestProverCounterexampleReplaysOnNetwork(t *testing.T) {
 	}
 
 	tor, _ := net.Access(0)
-	if tor1, port1 := func() (int, int) { s, p := net.Access(1); return s, p }(); tor1 != tor {
+	tor1, port1 := net.Access(1)
+	if tor1 != tor {
 		t.Fatalf("hosts 0 and 1 on different ToRs")
-	} else {
-		// Seed the known-bad program: the first leaf that does not
-		// already forward to host 1 spuriously gains its port (the
-		// adaptive pick keeps the corpus valid across compiler layout
-		// changes; the golden pins the resulting behavior).
-		prog := bad.Programs[tor]
-		leafIdx := -1
-		for i, le := range prog.Leaf {
-			hasPort := false
-			for _, p := range le.Actions.Ports {
-				if p == port1 {
-					hasPort = true
-				}
-			}
-			if !hasPort {
-				leafIdx = i
-				break
-			}
-		}
-		if leafIdx < 0 {
-			t.Fatalf("every leaf already forwards to port %d", port1)
-		}
-		mut := corrupt.Mutation{Op: "add-leaf-port", Leaf: leafIdx, Port: port1}
-		if err := mut.Apply(prog); err != nil {
-			t.Fatal(err)
-		}
 	}
+	seedSpuriousPort(t, bad.Programs[tor], port1)
 
 	// Prove the corrupted ToR against its rule set, with exactly the
 	// controller's per-switch options.
@@ -168,6 +145,34 @@ func TestProverCounterexampleReplaysOnNetwork(t *testing.T) {
 	}
 	if b.String() != string(want) {
 		t.Errorf("replay outcome changed:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
+	}
+}
+
+// seedSpuriousPort seeds the known-bad program: the first leaf that
+// does not already forward to port spuriously gains it (the adaptive
+// pick keeps the corpus valid across compiler layout changes; the golden
+// pins the resulting behavior).
+func seedSpuriousPort(t *testing.T, prog *compiler.Program, port int) {
+	t.Helper()
+	leafIdx := -1
+	for i, le := range prog.Leaf {
+		hasPort := false
+		for _, p := range le.Actions.Ports {
+			if p == port {
+				hasPort = true
+			}
+		}
+		if !hasPort {
+			leafIdx = i
+			break
+		}
+	}
+	if leafIdx < 0 {
+		t.Fatalf("every leaf already forwards to port %d", port)
+	}
+	mut := corrupt.Mutation{Op: "add-leaf-port", Leaf: leafIdx, Port: port}
+	if err := mut.Apply(prog); err != nil {
+		t.Fatal(err)
 	}
 }
 

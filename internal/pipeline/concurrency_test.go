@@ -156,7 +156,7 @@ func TestConcurrentProcessInstall(t *testing.T) {
 // from one of the two installed programs, and once traffic quiesces the
 // switch must serve exactly the final program's decision. The publishers
 // contend the shard lock against the batch goroutine, so under -race this
-// is the stress of acquire's private-workspace fallback beside the
+// is the stress of acquire's private-workspace fallback beside the emit
 // arenas.
 func TestInstallChurnEpochConsistency(t *testing.T) {
 	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
@@ -199,7 +199,7 @@ func TestInstallChurnEpochConsistency(t *testing.T) {
 			}
 		}(g)
 	}
-	// One dedicated batch goroutine emits into the shard arenas; per the
+	// One dedicated batch goroutine emits into the switch's Results; per the
 	// reuse contract it reads each batch's results before its next call.
 	wg.Add(1)
 	go func() {
@@ -265,6 +265,115 @@ func TestPrivateRunsCounted(t *testing.T) {
 	}
 	if st := sw.Stats(); st.PrivateRuns != 1 || st.Packets != 2 || st.Deliveries != 4 {
 		t.Fatalf("stats after one private run = %+v", st)
+	}
+}
+
+// TestBatchFallbackCounted: a ProcessBatch call that finds the switch's
+// own Results in use emits into a throwaway one — the degraded mode of
+// the batch entry point — and says so in Stats; its deliveries are those
+// of an uncontended call.
+func TestBatchFallbackCounted(t *testing.T) {
+	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)\nprice > 40: fwd(2)", compiler.Options{})
+	pkts := []*Packet{{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}, Bytes: 20}}
+	want := sw.ProcessBatch(pkts, 0)
+	if len(want[0]) != 2 {
+		t.Fatalf("uncontended deliveries = %+v", want)
+	}
+	if st := sw.Stats(); st.BatchFallbacks != 0 {
+		t.Fatalf("an uncontended batch counted as a fallback: %+v", st)
+	}
+	// Another caller is mid-batch: it holds the switch's Results.
+	held, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		sw.batch.mu.Lock()
+		close(held)
+		<-release
+		sw.batch.mu.Unlock()
+	}()
+	<-held
+	got := sw.ProcessBatch(pkts, 0)
+	close(release)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fallback delivered %+v, uncontended %+v", got, want)
+	}
+	if st := sw.Stats(); st.BatchFallbacks != 1 || st.Packets != 2 {
+		t.Fatalf("stats after one fallback = %+v", st)
+	}
+}
+
+// TestProcessBatchIntoOwners: results live in the Results the caller
+// passed and nowhere else. Two goroutines batch on one 2-shard switch,
+// each into its own Results. In the first phase they take strict turns
+// and each re-checks the results of its previous call *after* the other
+// has run — the read a switch-owned buffer could only forbid. In the
+// second they run free, side by side, for the race detector.
+func TestProcessBatchIntoOwners(t *testing.T) {
+	sp := spec.MustParse("itch", itchSpecSrc)
+	prog := compileRules(t, sp, "stock == GOOGL: fwd(1)\nstock == MSFT: fwd(2)\nprice > 90: fwd(3)\n")
+	sw, err := NewSwitch("owners", nil, prog, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSwitch("ref", nil, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Owner 0 publishes GOOGL, owner 1 MSFT: a recycled buffer shows up
+	// as the other owner's port and messages.
+	var pkts [2][]*Packet
+	var want [2][][]Delivery
+	for g, sym := range []string{"GOOGL", "MSFT"} {
+		for i := 0; i < 64; i++ {
+			p := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, sym, int64(60+i), 1), itchMsg(sp, "FB", int64(60+i), 2)}}
+			pkts[g] = append(pkts[g], p)
+			want[g] = append(want[g], ref.Process(p, 0))
+		}
+	}
+	check := func(g int, phase string, got [][]Delivery) {
+		for i := range want[g] {
+			if !reflect.DeepEqual(got[i], want[g][i]) {
+				t.Errorf("owner %d %s pkt %d: %+v, want %+v", g, phase, i, got[i], want[g][i])
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	turn := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var res Results
+			var prev [][]Delivery
+			for it := 0; it < 50; it++ {
+				<-turn[g]
+				if prev != nil {
+					check(g, "after the other owner ran", prev)
+				}
+				prev = sw.ProcessBatchInto(&res, pkts[g], 0)
+				check(g, "fresh", prev)
+				if g == 1 && it == 49 {
+					return // the last turn has no one left to hand to
+				}
+				turn[1-g] <- struct{}{}
+			}
+		}(g)
+	}
+	turn[0] <- struct{}{}
+	wg.Wait()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var res Results
+			for it := 0; it < 200; it++ {
+				check(g, "side by side", sw.ProcessBatchInto(&res, pkts[g], 0))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := sw.Stats(); st.Packets != 2*250*64 || st.BatchFallbacks != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 

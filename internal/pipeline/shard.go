@@ -29,9 +29,10 @@ type shard struct {
 
 // acquire returns the workspace a run executes in: the shard's own when
 // its lock is free (owned; the caller unlocks sh.mu when the run ends),
-// otherwise a private one with cold buffers, so goroutines that collapse
+// otherwise a private one with cold buckets, so goroutines that collapse
 // onto one shard do not serialize. runOn counts the private runs
-// (StatsSnapshot.PrivateRuns).
+// (StatsSnapshot.PrivateRuns). Where the run emits does not depend on
+// which workspace it got.
 func (sh *shard) acquire() (ws *workspace, owned bool) {
 	if sh.mu.TryLock() {
 		return &sh.ws, true
@@ -54,23 +55,17 @@ func (r *run) unlockFlows() {
 }
 
 // workspace is the reusable mutable state of the packet core: the
-// per-port message buckets of the packet in flight, the register reader,
-// and the arenas ProcessBatch results are emitted into. Buckets are a
-// linear-scanned slice because egress ports are few per packet and may be
-// negative (e.g. routing's UpPort), ruling out dense indexing.
+// per-port message buckets of the packet in flight and the register
+// reader. Buckets are a linear-scanned slice because egress ports are few
+// per packet and may be negative (e.g. routing's UpPort), ruling out
+// dense indexing. Where a run emits is not the workspace's business: the
+// deliveries go into the emit arena of the Results the caller passed.
 type workspace struct {
 	buckets []portBucket
 	n       int // buckets in use
 	total   int // messages across them
 
 	regs stateAt
-
-	// Output arenas, reset at the start of each batch run. Handed-out
-	// slices stay valid until the next ProcessBatch call on the switch
-	// (growth abandons the old chunk to the slices already pointing into
-	// it, so it never invalidates results mid-batch).
-	dels arena[Delivery]
-	msgs arena[*spec.Message]
 }
 
 type portBucket struct {
@@ -165,18 +160,74 @@ func (s *Switch) cachedFlows() int {
 	return n
 }
 
-// batchScratch is the switch-level reusable ProcessBatch workspace:
-// the result index and the per-shard partition lists. Guarded by its
-// own mutex so concurrent ProcessBatch callers fall back to private
-// allocations instead of serializing.
-type batchScratch struct {
-	mu     sync.Mutex
-	out    [][]Delivery
-	assign [][]int32
+// emitArena is where one shard's share of a batch emits its deliveries
+// and their pruned message lists. Handed-out slices stay valid until the
+// arena is reset (growth abandons the old chunk to the slices already
+// pointing into it, so it never invalidates results mid-batch).
+type emitArena struct {
+	dels arena[Delivery]
+	msgs arena[*spec.Message]
 }
 
-// ProcessBatch runs a batch of packets through the dataplane at virtual
-// time now and returns each packet's deliveries, indexed like pkts.
+// Results is the caller-owned output of ProcessBatchInto: the result
+// index, the per-shard partition lists and one emit arena per shard.
+// Everything a call returns lives in the Results it was given and is
+// valid until that Results is passed to ProcessBatchInto again — whoever
+// else batches on the switch meanwhile. The zero value is ready to use;
+// a Results must not be shared by concurrent calls.
+type Results struct {
+	out    [][]Delivery
+	assign [][]int32
+	emit   []emitArena
+}
+
+// begin sizes res for a batch of n packets over w shards and returns the
+// cleared result index.
+func (res *Results) begin(n, w int) [][]Delivery {
+	if cap(res.out) < n {
+		res.out = make([][]Delivery, n)
+	}
+	out := res.out[:n]
+	for i := range out {
+		out[i] = nil
+	}
+	if len(res.emit) < w {
+		res.emit = append(res.emit, make([]emitArena, w-len(res.emit))...)
+		res.assign = append(res.assign, make([][]int32, w-len(res.assign))...)
+	}
+	return out
+}
+
+// batchScratch is the switch-owned Results ProcessBatch emits into,
+// guarded by its own mutex so concurrent ProcessBatch callers fall back
+// to a throwaway Results instead of serializing.
+type batchScratch struct {
+	mu  sync.Mutex
+	res Results
+}
+
+// ProcessBatch is ProcessBatchInto on the switch's own Results.
+//
+// Reuse contract: the returned slice and every delivery in it are
+// recycled by the *next* ProcessBatch call from any goroutine — results
+// are valid until then. Concurrent ProcessBatch calls are safe: a call
+// that finds the switch's Results in use emits into a throwaway one
+// (counted in StatsSnapshot.BatchFallbacks), whose results are the
+// caller's alone. Goroutines that batch on one switch side by side
+// should each bring their own Results to ProcessBatchInto.
+func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
+	bs := &s.batch
+	if !bs.mu.TryLock() {
+		s.shards[0].stats.commit(StatsSnapshot{BatchFallbacks: 1})
+		return s.ProcessBatchInto(new(Results), pkts, now)
+	}
+	defer bs.mu.Unlock()
+	return s.ProcessBatchInto(&bs.res, pkts, now)
+}
+
+// ProcessBatchInto runs a batch of packets through the dataplane at
+// virtual time now and returns each packet's deliveries, indexed like
+// pkts, emitted into res (see Results for their lifetime).
 //
 // Packets are partitioned across the switch's worker shards: packets
 // with a flow identity go to the flow's home shard (preserving
@@ -184,54 +235,25 @@ type batchScratch struct {
 // round-robin. Each worker runs its share in input order through the
 // same per-packet core as Process, so per-packet results are identical
 // to calling Process; custom-action handlers run once the worker's share
-// has been matched.
-//
-// Reuse contract: the returned slice and every delivery in it live in
-// per-switch buffers that are recycled by the *next* ProcessBatch call
-// from any goroutine — results are valid until then. Concurrent
-// ProcessBatch calls are safe (internal state is locked, and contended
-// calls fall back to private buffers), but a caller that must read
-// results while other goroutines may batch on the same switch should
-// copy them first or publish via Process, whose results are always
-// heap-fresh.
-func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
-	bs := &s.batch
-	var out [][]Delivery
-	locked := bs.mu.TryLock()
-	if locked {
-		defer bs.mu.Unlock()
-		if cap(bs.out) < len(pkts) {
-			bs.out = make([][]Delivery, len(pkts))
-		}
-		out = bs.out[:len(pkts)]
-		for i := range out {
-			out[i] = nil
-		}
-	} else {
-		out = make([][]Delivery, len(pkts))
-	}
-	if len(s.shards) == 1 {
-		s.runOn(s.shards[0], pkts, nil, out, now, false)
+// has been matched. Safe for concurrent use with distinct Results; a
+// steady-state call allocates nothing.
+func (s *Switch) ProcessBatchInto(res *Results, pkts []*Packet, now time.Duration) [][]Delivery {
+	w := len(s.shards)
+	out := res.begin(len(pkts), w)
+	if w == 1 {
+		s.runOn(s.shards[0], pkts, nil, out, now, &res.emit[0])
 		return out
 	}
 	if len(pkts) < 2 { // nothing to fan out
 		if len(pkts) == 1 {
-			s.runOn(s.shards[s.shardIndex(pkts[0].Flow)], pkts, nil, out, now, false)
+			sh := s.shardIndex(pkts[0].Flow)
+			s.runOn(s.shards[sh], pkts, nil, out, now, &res.emit[sh])
 		}
 		return out
 	}
-	w := len(s.shards)
-	var assign [][]int32
-	if locked {
-		if bs.assign == nil {
-			bs.assign = make([][]int32, w)
-		}
-		assign = bs.assign
-		for i := range assign {
-			assign[i] = assign[i][:0]
-		}
-	} else {
-		assign = make([][]int32, w)
+	assign := res.assign[:w]
+	for i := range assign {
+		assign[i] = assign[i][:0]
 	}
 	rr := 0
 	for i, p := range pkts {
@@ -256,10 +278,10 @@ func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 		// Captures passed as arguments: a closure capturing out/pkts by
 		// reference would heap-allocate their headers on every call,
 		// including the single-shard path that never reaches this loop.
-		go func(sh *shard, idxs []int32, pkts []*Packet, out [][]Delivery) {
+		go func(sh *shard, idxs []int32, pkts []*Packet, out [][]Delivery, em *emitArena) {
 			defer wg.Done()
-			s.runOn(sh, pkts, idxs, out, now, false)
-		}(s.shards[sh], assign[sh], pkts, out)
+			s.runOn(sh, pkts, idxs, out, now, em)
+		}(s.shards[sh], assign[sh], pkts, out, &res.emit[sh])
 	}
 	wg.Wait()
 	return out

@@ -16,6 +16,7 @@ type StatsSnapshot struct {
 	FlowMisses     int64 // continuation packets with no cached flow (dropped)
 	ParseErrors    int64 // raw packets the parser rejected
 	PrivateRuns    int64 // runs that found their shard busy and took a private workspace
+	BatchFallbacks int64 // ProcessBatch calls that found the switch's Results busy and emitted into a throwaway one
 	BytesIn        int64
 	BytesOut       int64
 
@@ -34,6 +35,7 @@ func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	a.FlowMisses += b.FlowMisses
 	a.ParseErrors += b.ParseErrors
 	a.PrivateRuns += b.PrivateRuns
+	a.BatchFallbacks += b.BatchFallbacks
 	a.BytesIn += b.BytesIn
 	a.BytesOut += b.BytesOut
 	return a

@@ -114,8 +114,8 @@ type Switch struct {
 	// generations advance monotonically.
 	installMu sync.Mutex
 
-	// batch is the reusable ProcessBatch workspace (result and
-	// partition buffers); see the ProcessBatch reuse contract.
+	// batch is the switch-owned Results ProcessBatch emits into; see the
+	// ProcessBatch reuse contract.
 	batch batchScratch
 }
 
@@ -214,11 +214,11 @@ func (s *Switch) HandleCustom(name string, fn CustomActionFunc) {
 // returns the egress deliveries. Safe for concurrent use; the packet is
 // executed on the shard its flow hashes to (flow-less packets use
 // shard 0 — use ProcessBatch to spread those across workers). The
-// returned deliveries are heap-fresh: callers (netsim, replay) may
+// returned deliveries are heap-fresh: callers (replay, examples) may
 // retain them indefinitely.
 func (s *Switch) Process(pkt *Packet, now time.Duration) []Delivery {
 	pkts, out := [1]*Packet{pkt}, [1][]Delivery{}
-	s.runOn(s.shards[s.shardIndex(pkt.Flow)], pkts[:], nil, out[:], now, true)
+	s.runOn(s.shards[s.shardIndex(pkt.Flow)], pkts[:], nil, out[:], now, nil)
 	return out[0]
 }
 
@@ -232,8 +232,9 @@ type run struct {
 	now time.Duration
 	// owned: ws is sh's own and sh.mu is held for the whole run.
 	owned bool
-	// fresh: emit heap-fresh slices instead of into ws's arenas.
-	fresh bool
+	// emit is the caller's arena for this shard; nil emits heap-fresh
+	// slices (Process).
+	emit *emitArena
 	// regs reads the epoch's registers at now; nil when it has none.
 	regs    subscription.StateReader
 	stats   StatsSnapshot
@@ -249,19 +250,18 @@ type customHit struct {
 }
 
 // runOn executes pkts (those idxs selects; nil = all) on shard sh and
-// stores each packet's deliveries in out, indexed like pkts. It is the
-// body of both Process and ProcessBatch.
-func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration, fresh bool) {
-	r := run{ep: s.epoch.Load(), sh: sh, now: now}
+// stores each packet's deliveries in out, indexed like pkts, emitting
+// into em (reset first; nil = heap-fresh). It is the body of both
+// Process and ProcessBatchInto.
+func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration, em *emitArena) {
+	r := run{ep: s.epoch.Load(), sh: sh, now: now, emit: em}
 	r.ws, r.owned = sh.acquire()
 	if !r.owned {
 		r.stats.PrivateRuns++
 	}
-	// A private workspace has no arenas worth warming.
-	r.fresh = fresh || !r.owned
-	if !r.fresh {
-		r.ws.dels.reset()
-		r.ws.msgs.reset()
+	if em != nil {
+		em.dels.reset()
+		em.msgs.reset()
 	}
 	if len(r.ep.state.regs) > 0 {
 		r.ws.regs = stateAt{t: r.ep.state, now: now}
@@ -385,10 +385,10 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	ws.sort()
 	var out []Delivery
 	var flat []*spec.Message
-	if r.fresh {
+	if em := r.emit; em == nil {
 		out, flat = make([]Delivery, ws.n), make([]*spec.Message, ws.total)
 	} else {
-		out, flat = ws.dels.alloc(ws.n), ws.msgs.alloc(ws.total)
+		out, flat = em.dels.alloc(ws.n), em.msgs.alloc(ws.total)
 	}
 	for k := range out {
 		b := &ws.buckets[k]
