@@ -100,7 +100,13 @@ bench-report:
 ## perf-guard: the CI allocation guard — run the two canonical
 ## compiler benchmarks, the 1000-rule exact+range compile whose merge is
 ## a cross product (CompileINT1k, 134k entries — the equality chains of
-## the other compile rows never multiply), a warm add-one/remove-one on
+## the other compile rows never multiply), the growth law of entries
+## against rule count on disjoint-field Siena filters (CompileSiena: 1–3
+## predicates × 100/200/400 ITCH filters under the canonical field order
+## and under declaration order, each row's entries, reachable nodes and
+## entries ÷ nodes and the fitted log-log slope recorded in the baseline's
+## metrics; its own process — the 2-predicate 400-filter rows peak at
+## 1–1.5 GB resident for ~10 s each), a warm add-one/remove-one on
 ## 192 and 10000 live rules (IncrementalChurn), one subscribe+unsubscribe
 ## through the control plane's placement registry with no compile
 ## (Placement: fat-tree(4), TR, 192 live filters — a place key that
@@ -122,6 +128,7 @@ bench-report:
 ## self-enforces its ≥2× entry-reduction bar.
 perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkCompileINT1k$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkCompileSiena$$' -benchtime 1x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalChurn$$' -benchtime 20x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPlacement$$' -benchtime 2000x -benchmem ./internal/ctlplane; \

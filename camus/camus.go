@@ -89,7 +89,11 @@ var (
 
 // BDD field-order heuristics (§V-C).
 const (
-	// SpecOrder follows spec declaration order (the default).
+	// CanonicalOrder tests @field_exact fields before the others, each
+	// group in spec declaration order (the default, and the only order
+	// NewIncremental accepts).
+	CanonicalOrder = bdd.CanonicalOrder
+	// SpecOrder follows pure spec declaration order (ablation).
 	SpecOrder = bdd.SpecOrder
 	// SelectivityOrder tests the most-constrained fields first.
 	SelectivityOrder = bdd.SelectivityOrder

@@ -106,9 +106,9 @@ func TestNetcheckUsageErrors(t *testing.T) {
 func TestNetcheckCoveringOutput(t *testing.T) {
 	for policy, tail := range map[string]string{
 		"tr": "  covering reduction: 100 → 71 port entries (29 elided, 1.41× smaller)\n" +
-			"  network certificate complete: 3360 packet classes propagated, delivery exact, loop-free\n",
+			"  network certificate complete: 1872 packet classes propagated, delivery exact, loop-free\n",
 		"mr": "  covering reduction: 51 → 45 port entries (6 elided, 1.13× smaller)\n" +
-			"  network certificate complete: 2744 packet classes propagated, delivery exact, loop-free\n",
+			"  network certificate complete: 1616 packet classes propagated, delivery exact, loop-free\n",
 	} {
 		var out, errb bytes.Buffer
 		code := runNetcheck([]string{

@@ -104,15 +104,31 @@ func TestEveryOpReachesTheDataplane(t *testing.T) {
 			}},
 		{op: "drop-default", rules: "stock == GOOGL: fwd(1)\nprice > 50: fwd(2)", m: msg(60, ""),
 			// Without validity guards a packet lacking stock takes the
-			// stock stage's default; drop the one that still forwards.
+			// stock stage's default; drop the one from which a forwarding
+			// leaf is still reachable, wherever the variable order puts
+			// the stage.
 			opts: compiler.Options{DisableValidityGuards: true},
 			pick: func(p *compiler.Program, m *spec.Message) corrupt.Mutation {
 				si, st := stage(p, "stock")
-				for in, d := range st.Defaults {
+				var forwards func(from int, s compiler.StateID) bool
+				forwards = func(from int, s compiler.StateID) bool {
 					for _, le := range p.Leaf {
-						if le.In == d && len(le.Actions.Ports) > 0 {
-							return corrupt.Mutation{Op: "drop-default", Stage: si, Out: in}
+						if le.In == s && len(le.Actions.Ports) > 0 {
+							return true
 						}
+					}
+					for i, later := range p.Stages[from:] {
+						for _, e := range later.Entries {
+							if e.In == s && forwards(from+i+1, e.Out) {
+								return true
+							}
+						}
+					}
+					return false
+				}
+				for in, d := range st.Defaults {
+					if forwards(si+1, d) {
+						return corrupt.Mutation{Op: "drop-default", Stage: si, Out: in}
 					}
 				}
 				t.Fatal("no default leads to a forwarding leaf")

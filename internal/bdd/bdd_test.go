@@ -73,7 +73,7 @@ shares >= 100 and stock == MSFT: fwd(3)
 		t.Errorf("no match → %s, want fwd()", got)
 	}
 
-	// Variable order: shares before price before stock (spec order).
+	// Variable order: stock (exact) before shares before price.
 	stats := d.Stats()
 	if stats.PerField["itch_order.shares"] == 0 || stats.PerField["itch_order.stock"] == 0 {
 		t.Errorf("expected shares and stock components, got %v", stats.PerField)
@@ -307,6 +307,7 @@ func TestSemanticEquivalence(t *testing.T) {
 		for _, opts := range []Options{
 			{},
 			{DisablePruning: true},
+			{Order: SpecOrder},
 			{Order: SelectivityOrder},
 			{Order: ReverseSpecOrder},
 		} {

@@ -39,14 +39,17 @@ type Engine struct {
 
 // NewEngine creates an empty incremental engine for a spec. The
 // universe is pre-seeded with every validity bit and subscribable
-// packet field in canonical spec order, and predicates within a field
-// keep the canonical (relation, constant) order as they arrive, so the
+// packet field in CanonicalOrder, and predicates within a field keep
+// the canonical (relation, constant) order as they arrive, so the
 // variable order — and therefore the compiled program's structure — is
 // independent of rule arrival history for stateless rule sets. Only
-// stateful aggregates append in first-reference order. opts.Order is
-// not used; pruning follows opts.DisablePruning.
+// stateful aggregates append in first-reference order. CanonicalOrder is
+// the only order an engine builds — the others depend on which fields or
+// how many predicates the rules hold, which arrival changes — so
+// opts.Order must be it (compiler.NewIncremental rejects anything else);
+// pruning follows opts.DisablePruning.
 func NewEngine(sp *spec.Spec, opts Options) *Engine {
-	u := NewUniverse(sp, nil, opts.Order)
+	u := NewUniverse(sp, nil, CanonicalOrder)
 	u.seedSpecFields()
 	return &Engine{
 		u:       u,

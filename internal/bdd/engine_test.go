@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"camus/internal/formats"
 	"camus/internal/match"
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -140,9 +141,64 @@ func TestEngineNodeIDStability(t *testing.T) {
 	}
 }
 
+// TestFieldOrderCanonical: on every shipped spec, the fields a batch
+// universe sorts its rules' references into are a subsequence of a fresh
+// engine's seeded sequence — the two users of fieldLess cannot drift
+// apart — and that sequence puts validity bits first and every
+// @field_exact field before every other packet field.
+func TestFieldOrderCanonical(t *testing.T) {
+	for _, sp := range []*spec.Spec{formats.ITCH, formats.INT, formats.ILA, formats.HICN,
+		formats.DNS, formats.Highway, formats.Kafka} {
+		seeded := NewEngine(sp, Options{}).Universe().Fields
+		group := func(f *FieldVar) int {
+			switch {
+			case f.Ref.Kind == subscription.ValidityRef:
+				return 0
+			case f.Ref.Field.Hint == spec.MatchExact:
+				return 1
+			}
+			return 2
+		}
+		for i := 1; i < len(seeded); i++ {
+			if group(seeded[i-1]) > group(seeded[i]) {
+				t.Errorf("%s: seeded order tests %s before %s", sp.Name, seeded[i-1].Key(), seeded[i].Key())
+			}
+		}
+		// One single-atom rule per field, in reverse declaration order so
+		// arrival cannot agree by accident: every field, then every other.
+		var atoms []*subscription.Atom
+		for _, h := range sp.Headers {
+			atoms = append(atoms, subscription.ValidAtom(h.Name))
+		}
+		for _, f := range sp.SubscribableFields() {
+			c := spec.IntVal(1)
+			if f.Type == spec.StringField {
+				c = spec.StrVal("x")
+			}
+			atoms = append(atoms, &subscription.Atom{
+				Ref: subscription.FieldRef{Kind: subscription.PacketRef, Field: f}, Rel: subscription.EQ, Const: c})
+		}
+		for stride := 1; stride <= 2; stride++ {
+			var rules []subscription.NormalizedRule
+			for i := len(atoms) - 1; i >= 0; i -= stride {
+				rules = append(rules, subscription.NormalizedRule{RuleID: i, Conj: subscription.Conjunction{atoms[i]}})
+			}
+			at := 0
+			for _, f := range NewUniverse(sp, rules, CanonicalOrder).Fields {
+				for at < len(seeded) && seeded[at].Key() != f.Key() {
+					at++
+				}
+				if at == len(seeded) {
+					t.Fatalf("%s, every %d. field: batch universe places %s out of the engine's seeded order", sp.Name, stride, f.Key())
+				}
+			}
+		}
+	}
+}
+
 func TestUniverseExtend(t *testing.T) {
 	sp := testSpec(t)
-	u := NewUniverse(sp, nil, SpecOrder)
+	u := NewUniverse(sp, nil, CanonicalOrder)
 	p := subscription.NewParser(sp)
 	e1, err := p.ParseFilter("price > 5")
 	if err != nil {

@@ -68,20 +68,67 @@ func (f *FieldVar) Key() string { return f.Ref.Key() }
 func (f *FieldVar) Type() spec.FieldType { return f.Ref.Type() }
 
 // FieldOrder selects the BDD variable order across fields. The paper
-// (§V-C) notes optimal ordering is NP-hard and fixed heuristic orders
-// work well; the default follows spec declaration order.
+// (§V-C) notes optimal ordering is NP-hard and that simple heuristics
+// work well; fieldLess states the one this repository uses.
 type FieldOrder int
 
 const (
-	// SpecOrder orders packet fields by spec declaration order, then
-	// aggregates. The default, matching the paper's prototype.
-	SpecOrder FieldOrder = iota
+	// CanonicalOrder tests header-validity bits, then @field_exact packet
+	// fields, then the remaining packet fields — each group in spec
+	// declaration order — then aggregates. The default, and the only order
+	// the incremental engine builds (see fieldLess).
+	CanonicalOrder FieldOrder = iota
+	// SpecOrder orders packet fields by pure spec declaration order, exact
+	// or not (validity bits before, aggregates after): the paper
+	// prototype's order, kept as the ablation CanonicalOrder is measured
+	// against.
+	SpecOrder
 	// SelectivityOrder orders fields by decreasing predicate count, so
 	// the most discriminating fields are tested first (ablation).
 	SelectivityOrder
 	// ReverseSpecOrder reverses SpecOrder (worst-case ablation).
 	ReverseSpecOrder
 )
+
+// fieldLess is the single statement of the field order. Validity bits
+// come first (the parser sets them, so they are testable before any
+// field), aggregates last; between them, under exactFirst, every
+// @field_exact packet field precedes every other packet field; inside a
+// group, spec declaration order. An equality on distinct constants
+// partitions the rule set, so the stages after an exact field see one
+// partition's thresholds instead of the cross product of all of them (on
+// ITCH, `price` before `stock` gives every price state its own symbol
+// table). The order reads only the spec, never the rules, which is what
+// lets the batch universe and the live engine's seed agree whatever the
+// rule arrival history.
+func fieldLess(sp *spec.Spec, a, b subscription.FieldRef, exactFirst bool) bool {
+	rank := func(r subscription.FieldRef) (group, idx int) {
+		switch r.Kind {
+		case subscription.ValidityRef:
+			return 0, sp.HeaderIndex(r.Header)
+		case subscription.PacketRef:
+			group = 2
+			if exactFirst && r.Field.Hint == spec.MatchExact {
+				group = 1
+			}
+			if i, ok := sp.SubscribableIndex(r.Field); ok {
+				return group, i
+			}
+			return group, len(sp.SubscribableFields())
+		default:
+			return 3, 0
+		}
+	}
+	ga, ia := rank(a)
+	gb, ib := rank(b)
+	if ga != gb {
+		return ga < gb
+	}
+	if ia != ib {
+		return ia < ib
+	}
+	return a.Key() < b.Key()
+}
 
 // fieldIdent is the comparable identity of a field variable — the struct
 // equivalent of FieldRef.Key(), so the hot lookup paths never format
@@ -305,40 +352,8 @@ func NewUniverse(sp *spec.Spec, rules []subscription.NormalizedRule, order Field
 	for _, f := range u.fieldByKey {
 		fields = append(fields, f)
 	}
-	// Group order: header-validity bits first (set by the parser, so
-	// testable before any field), then packet fields in spec order, then
-	// stateful aggregates.
-	group := func(f *FieldVar) int {
-		switch f.Ref.Kind {
-		case subscription.ValidityRef:
-			return 0
-		case subscription.PacketRef:
-			return 1
-		default:
-			return 2
-		}
-	}
-	specIdx := func(f *FieldVar) int {
-		switch f.Ref.Kind {
-		case subscription.ValidityRef:
-			return sp.HeaderIndex(f.Ref.Header)
-		case subscription.PacketRef:
-			if i, ok := sp.SubscribableIndex(f.Ref.Field); ok {
-				return i
-			}
-		}
-		return len(sp.SubscribableFields())
-	}
 	sort.Slice(fields, func(i, j int) bool {
-		a, b := fields[i], fields[j]
-		if ga, gb := group(a), group(b); ga != gb {
-			return ga < gb
-		}
-		ai, bi := specIdx(a), specIdx(b)
-		if ai != bi {
-			return ai < bi
-		}
-		return a.Key() < b.Key()
+		return fieldLess(sp, fields[i].Ref, fields[j].Ref, order == CanonicalOrder)
 	})
 	switch order {
 	case ReverseSpecOrder:
@@ -403,27 +418,30 @@ func predOrderLess(ar subscription.Relation, ac spec.Value, br subscription.Rela
 }
 
 // seedSpecFields pre-populates the universe with every field a rule
-// could reference statelessly — header validity bits, then the spec's
-// subscribable packet fields — in the same (group, spec index) order
+// could reference statelessly — header validity bits and the spec's
+// subscribable packet fields — in the canonical fieldLess order
 // NewUniverse sorts referenced fields into. An engine seeded this way
 // has an arrival-independent variable order for stateless rule sets:
 // only stateful aggregates (whose key space is unbounded) still append
 // in first-reference order.
 func (u *Universe) seedSpecFields() {
-	add := func(ref subscription.FieldRef) {
+	sp := u.Spec
+	refs := make([]subscription.FieldRef, 0, len(sp.Headers)+len(sp.SubscribableFields()))
+	for _, h := range sp.Headers {
+		refs = append(refs, subscription.ValidRef(h.Name))
+	}
+	for _, f := range sp.SubscribableFields() {
+		refs = append(refs, subscription.FieldRef{Kind: subscription.PacketRef, Field: f})
+	}
+	sort.SliceStable(refs, func(i, j int) bool { return fieldLess(sp, refs[i], refs[j], true) })
+	for _, ref := range refs {
 		fid := identOf(ref)
 		if u.fieldByKey[fid] != nil {
-			return
+			continue
 		}
 		f := &FieldVar{Index: len(u.Fields), Ref: ref}
 		u.fieldByKey[fid] = f
 		u.Fields = append(u.Fields, f)
-	}
-	for _, h := range u.Spec.Headers {
-		add(subscription.ValidRef(h.Name))
-	}
-	for _, f := range u.Spec.SubscribableFields() {
-		add(subscription.FieldRef{Kind: subscription.PacketRef, Field: f})
 	}
 }
 

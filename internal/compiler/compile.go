@@ -220,11 +220,16 @@ func (b *entryBlock) size() int { return len(b.entries) + 1 }
 func emitBlock(univ *bdd.Universe, u *bdd.Node) *entryBlock {
 	b := &entryBlock{exact: true}
 	ctx, c := univ.FreshCtx(u.Pred)
-	b.entries = emitPaths(nil, univ, u, u, ctx, c)
-	for _, e := range b.entries {
+	// The entries are one slab: a block lives and dies as a unit, and the
+	// root block of an exact field (one entry per symbol) is re-emitted by
+	// every change under any of its values.
+	slab := emitPaths(nil, univ, u, u, ctx, c)
+	b.entries = make([]*Entry, len(slab))
+	for i := range slab {
+		e := &slab[i]
+		b.entries[i] = e
 		if _, ok := e.Match.Exact(); !ok && !e.Match.IsResidual() {
 			b.exact = false
-			break
 		}
 	}
 	n := u
@@ -242,7 +247,7 @@ func emitBlock(univ *bdd.Universe, u *bdd.Node) *entryBlock {
 // the program it emitted last. The zero value emits from scratch.
 type emitter struct {
 	blocks map[StateID]*entryBlock // by in-node ID
-	leaves []StateID               // terminal IDs, ascending
+	leaves map[StateID]*leafRow    // by terminal ID
 	// entries is the last program's count of diffable entries (block
 	// sizes plus leaves); nodes the BDD nodes it reached.
 	entries int
@@ -351,45 +356,35 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 		p.Stages = append(p.Stages, t)
 	}
 
-	// Leaf table + multicast allocation.
+	// Leaf table + multicast allocation. Group numbers belong to the one
+	// program, so every emit fills fresh LeafEntry values (one slab) from
+	// the terminals' rows.
 	groupByKey := make(map[string]int)
 	sort.Slice(terminals, func(i, j int) bool { return terminals[i].ID < terminals[j].ID })
-	leaves := make([]StateID, 0, len(terminals))
-	old := em.leaves
-	for _, n := range terminals {
-		for len(old) > 0 && old[0] < n.ID {
-			old = old[1:]
-		}
-		if len(old) > 0 && old[0] == n.ID {
+	leaves := make(map[StateID]*leafRow, len(terminals))
+	slab := make([]LeafEntry, len(terminals))
+	p.Leaf = make([]*LeafEntry, len(terminals))
+	for i, n := range terminals {
+		row := em.leaves[n.ID]
+		if row != nil {
 			delta.reused++
 		} else {
 			delta.added++
+			row = newLeafRow(n)
 		}
-		leaves = append(leaves, n.ID)
-		le := &LeafEntry{In: n.ID, Group: -1}
-		// Split out the synthesized update directives.
-		for _, c := range n.Actions.Custom {
-			if c.Name == UpdateActionName {
-				le.Updates = append(le.Updates, c.Args...)
-			} else {
-				le.Actions.Add(c)
-			}
-		}
-		le.Actions.Merge(subscription.ActionSet{Ports: n.Actions.Ports})
-		if len(le.Actions.Ports) > 1 {
-			key := fmt.Sprint(le.Actions.Ports)
-			id, ok := groupByKey[key]
+		leaves[n.ID] = row
+		le := &slab[i]
+		*le = row.entry
+		if row.group != "" {
+			id, ok := groupByKey[row.group]
 			if !ok {
 				id = len(p.Groups)
-				groupByKey[key] = id
-				p.Groups = append(p.Groups, MulticastGroup{
-					ID:    id,
-					Ports: append([]int(nil), le.Actions.Ports...),
-				})
+				groupByKey[row.group] = id
+				p.Groups = append(p.Groups, MulticastGroup{ID: id, Ports: le.Actions.Ports})
 			}
 			le.Group = id
 		}
-		p.Leaf = append(p.Leaf, le)
+		p.Leaf[i] = le
 	}
 	delta.removed = em.entries - delta.reused
 	*em = emitter{blocks: blocks, leaves: leaves, entries: delta.added + delta.reused, nodes: len(seen)}
@@ -399,14 +394,42 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 	return p, delta, nil
 }
 
+// leafRow is the emitted form of one terminal: its leaf entry before a
+// multicast group is assigned, and the key that group is found under (""
+// for a unicast or drop action set). Like an entryBlock it is a pure
+// function of the node, so successive programs of one Incremental share
+// the rows — and the action slices in them — of every terminal both reach.
+type leafRow struct {
+	entry LeafEntry
+	group string
+}
+
+func newLeafRow(n *bdd.Node) *leafRow {
+	row := &leafRow{entry: LeafEntry{In: n.ID, Group: -1}}
+	le := &row.entry
+	// Split out the synthesized update directives.
+	for _, c := range n.Actions.Custom {
+		if c.Name == UpdateActionName {
+			le.Updates = append(le.Updates, c.Args...)
+		} else {
+			le.Actions.Add(c)
+		}
+	}
+	le.Actions.Merge(subscription.ActionSet{Ports: n.Actions.Ports})
+	if len(le.Actions.Ports) > 1 {
+		row.group = fmt.Sprint(le.Actions.Ports)
+	}
+	return row
+}
+
 // emitPaths walks every path from In node u through the field component,
 // intersecting predicates (Algorithm 2 lines 5–9), appending one entry per
 // Out node reached. The intersection steps go through the universe's
 // refinement memo: the merge that built the diagram took the same steps,
 // so most are lookups, and entries share the interned constraints.
-func emitPaths(out []*Entry, univ *bdd.Universe, u, n *bdd.Node, ctx int32, c match.Constraint) []*Entry {
+func emitPaths(out []Entry, univ *bdd.Universe, u, n *bdd.Node, ctx int32, c match.Constraint) []Entry {
 	if n.IsTerminal() || n.Pred.FieldIdx != u.Pred.FieldIdx {
-		return append(out, &Entry{In: u.ID, Match: c, Out: n.ID})
+		return append(out, Entry{In: u.ID, Match: c, Out: n.ID})
 	}
 	hi, hc := univ.RefineCtx(ctx, n.Pred, true)
 	out = emitPaths(out, univ, u, n.Hi, hi, hc)

@@ -9,7 +9,9 @@ import (
 	"camus/internal/bdd"
 	"camus/internal/formats"
 	"camus/internal/spec"
+	"camus/internal/stats"
 	"camus/internal/subscription"
+	"camus/internal/workload"
 )
 
 // The test spec splits fields across headers so header-absence paths
@@ -45,14 +47,17 @@ func compile(t testing.TB, sp *spec.Spec, src string, opts Options) *Program {
 }
 
 // TestPaperFigure6 checks the three-stage pipeline (Shares, Stock, Leaf)
-// produced for the running example and its evaluation semantics.
+// produced for the running example and its evaluation semantics. The
+// figure draws shares before stock, which is declaration order, so the
+// test compiles under bdd.SpecOrder; the canonical order would test the
+// @field_exact stock first.
 func TestPaperFigure6(t *testing.T) {
 	sp := testSpec(t)
 	p := compile(t, sp, `
 shares < 100 and stock == GOOGL: fwd(1)
 shares < 100 and stock == GOOGL: fwd(2)
 shares >= 100 and stock == MSFT: fwd(3)
-`, Options{})
+`, Options{BDD: bdd.Options{Order: bdd.SpecOrder}})
 
 	// Stages: validity guards first, then shares then stock (spec
 	// order), plus the leaf.
@@ -387,14 +392,14 @@ func mustRules(t *testing.T, sp *spec.Spec, src string) []*subscription.Rule {
 	return rules
 }
 
-// TestFieldOrderAblation: all three order heuristics compile and agree
+// TestFieldOrderAblation: all four field orders compile and agree
 // semantically (sizes may differ).
 func TestFieldOrderAblation(t *testing.T) {
 	sp := testSpec(t)
 	r := rand.New(rand.NewSource(23))
 	rules := randomRules(r, sp, 15)
 	var programs []*Program
-	for _, ord := range []bdd.FieldOrder{bdd.SpecOrder, bdd.SelectivityOrder, bdd.ReverseSpecOrder} {
+	for _, ord := range []bdd.FieldOrder{bdd.CanonicalOrder, bdd.SpecOrder, bdd.SelectivityOrder, bdd.ReverseSpecOrder} {
 		p, err := Compile(sp, rules, Options{BDD: bdd.Options{Order: ord}})
 		if err != nil {
 			t.Fatal(err)
@@ -423,6 +428,53 @@ func BenchmarkCompile500(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Compile(sp, rules, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileSiena measures the growth law of entries against rule
+// count where rules predicate on disjoint fields — Siena-style ITCH
+// filters of exactly 1, 2 and 3 predicates at 100, 200 and 400 filters —
+// under the canonical field order and under declaration order, the
+// ablation it replaced. Each row reports its entries, the reachable BDD
+// nodes and their ratio (emitPaths multiplies what the diagram does not);
+// the 400-filter row adds the least-squares slope of ln entries on ln
+// filters over the three sizes, the exponent EXPERIMENTS.md quotes for
+// Fig. 12a.
+func BenchmarkCompileSiena(b *testing.B) {
+	for _, ord := range []struct {
+		name  string
+		order bdd.FieldOrder
+	}{{"canonical", bdd.CanonicalOrder}, {"declaration", bdd.SpecOrder}} {
+		for preds := 1; preds <= 3; preds++ {
+			var ns, es []float64
+			for _, n := range []int{100, 200, 400} {
+				b.Run(fmt.Sprintf("%s/preds%d/%d", ord.name, preds, n), func(b *testing.B) {
+					rules, err := workload.SienaRules(workload.SienaConfig{
+						Spec: formats.ITCH, Filters: n,
+						MinPredicates: preds, MaxPredicates: preds, Seed: 1,
+					}, 32)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					var p *Program
+					for i := 0; i < b.N; i++ {
+						if p, err = Compile(formats.ITCH, rules, Options{BDD: bdd.Options{Order: ord.order}}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					entries, nodes := float64(p.TotalEntries()), float64(len(p.BDD.Reachable()))
+					b.ReportMetric(entries, "entries")
+					b.ReportMetric(nodes, "nodes")
+					b.ReportMetric(entries/nodes, "entries/node")
+					ns, es = append(ns, float64(n)), append(es, entries)
+					if len(ns) == 3 {
+						b.ReportMetric(stats.LogLogSlope(ns, es), "slope")
+					}
+				})
+			}
 		}
 	}
 }

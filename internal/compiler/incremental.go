@@ -43,9 +43,14 @@ type Update struct {
 	Elapsed time.Duration
 }
 
-// NewIncremental creates an empty incremental compiler.
+// NewIncremental creates an empty incremental compiler. The engine under
+// it builds the canonical field order only (bdd.NewEngine), so any other
+// Options.BDD.Order is an error, not a silently different program.
 func NewIncremental(sp *spec.Spec, opts Options) (*Incremental, error) {
 	opts = opts.withDefaults()
+	if opts.BDD.Order != bdd.CanonicalOrder {
+		return nil, fmt.Errorf("compiler: incremental compilation supports only the canonical field order, not bdd.FieldOrder(%d)", opts.BDD.Order)
+	}
 	inc := &Incremental{
 		sp:         sp,
 		opts:       opts,

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"camus/internal/bdd"
 	"camus/internal/spec"
 	"camus/internal/subscription"
 )
@@ -114,6 +116,14 @@ func TestIncrementalErrors(t *testing.T) {
 	}
 	if _, err := inc.Remove(99); err == nil {
 		t.Error("removing unknown rule succeeded")
+	}
+	// The engine builds one field order; asking for another is refused,
+	// not compiled as something else.
+	for _, ord := range []bdd.FieldOrder{bdd.SpecOrder, bdd.SelectivityOrder, bdd.ReverseSpecOrder} {
+		_, err := NewIncremental(testSpec(t), Options{BDD: bdd.Options{Order: ord}})
+		if err == nil || !strings.Contains(err.Error(), "only the canonical field order") {
+			t.Errorf("NewIncremental with field order %d: err = %v, want a canonical-order error", ord, err)
+		}
 	}
 }
 
@@ -539,8 +549,9 @@ func BenchmarkIncrementalChurn(b *testing.B) {
 // engine builds, whose state IDs are the builder's creation-order node IDs
 // (never renumbered): a seeded churn — adds, removes, an unsatisfiable
 // rule, custom actions, a stateful last-hop rule — hashed program by
-// program. The constant was taken at PR 19 (the map-and-pointer builder);
-// a kernel that creates one node in a different order fails here.
+// program. The constant was re-taken at PR 23, which moved @field_exact
+// fields to the front of the variable order; a kernel that creates one
+// node in a different order fails here.
 func TestIncrementalStructurePin(t *testing.T) {
 	sp := testSpec(t)
 	inc, err := NewIncremental(sp, Options{LastHop: true})
@@ -589,7 +600,7 @@ func TestIncrementalStructurePin(t *testing.T) {
 		}
 		fmt.Fprintf(h, "%d +%d -%d =%d\n%s", step, up.AddedEntries, up.RemovedEntries, up.ReusedEntries, up.Program)
 	}
-	const pinned = "8fa57f1288e811c38c2bfcdb875de209598715bdf21abbe6d5b57260310b59ce"
+	const pinned = "470d19467156a6818c86aed292261fdf4a8779e186a3820ea794b5477f722add"
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinned {
 		t.Errorf("churn digest %s, pinned %s: the engine's structure or numbering moved", got, pinned)
 	}

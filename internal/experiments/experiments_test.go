@@ -251,9 +251,21 @@ func TestAblations(t *testing.T) {
 			t.Errorf("pruning made tables larger: %v", row)
 		}
 	}
+	// The canonical order is the smallest of the four on every rule set.
 	a2 := AblationFieldOrder(quickCfg())
 	if len(a2.Tables[0].Rows) == 0 {
 		t.Error("field order ablation empty")
+	}
+	for _, row := range a2.Tables[0].Rows {
+		var canonical float64
+		mustScan(t, row[1], &canonical)
+		for _, cell := range row[2:] {
+			var other float64
+			mustScan(t, cell, &other)
+			if other < canonical {
+				t.Errorf("%s: an alternative order (%v entries) beats the canonical one (%v)", row[0], other, canonical)
+			}
+		}
 	}
 	a3 := AblationExactMatch(quickCfg())
 	rows := a3.Tables[0].Rows

@@ -56,9 +56,9 @@ func Fig12(cfg Config) *Result {
 	}
 	res.addFinding("at %d subscriptions the big table needs %.0f× more entries than Camus",
 		subsSweep[len(subsSweep)-1], lastRatio)
-	slope := logLogSlope(subs, camus)
+	slope := stats.LogLogSlope(subs, camus)
 	res.addFinding("growth law over %d–%d subscriptions (log-log least-squares slope): Camus entries ∝ subs^%.2f, big table ∝ subs^%.2f — Camus stays orders of magnitude below the baseline but is super-linear, ×%.1f per doubling",
-		subsSweep[0], subsSweep[len(subsSweep)-1], slope, logLogSlope(subs, bigs), math.Pow(2, slope))
+		subsSweep[0], subsSweep[len(subsSweep)-1], slope, stats.LogLogSlope(subs, bigs), math.Pow(2, slope))
 
 	// (b) Sweep predicates per filter at a fixed subscription count.
 	nFixed := cfg.scale(300, 1000)
@@ -99,16 +99,4 @@ func Fig12(cfg Config) *Result {
 			series, peak+1, float64(counts[peak])/float64(counts[0]), float64(counts[0])/float64(counts[len(counts)-1]))
 	}
 	return res
-}
-
-// logLogSlope is the least-squares slope of ln y on ln x — the exponent p
-// of the power law y ∝ x^p that best fits the points.
-func logLogSlope(xs, ys []float64) float64 {
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		lx, ly := math.Log(xs[i]), math.Log(ys[i])
-		sx, sy, sxx, sxy = sx+lx, sy+ly, sxx+lx*lx, sxy+lx*ly
-	}
-	n := float64(len(xs))
-	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }

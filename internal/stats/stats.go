@@ -5,6 +5,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -115,6 +116,18 @@ func (s *Sample) FracBelow(v float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(s.xs))
+}
+
+// LogLogSlope is the least-squares slope of ln y on ln x — the exponent p
+// of the power law y ∝ x^p that best fits the points.
+func LogLogSlope(xs, ys []float64) float64 {
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		lx, ly := math.Log(xs[i]), math.Log(ys[i])
+		sx, sy, sxx, sxy = sx+lx, sy+ly, sxx+lx*lx, sxy+lx*ly
+	}
+	n := float64(len(xs))
+	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }
 
 // Table renders experiment rows with aligned columns — the bench
