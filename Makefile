@@ -118,11 +118,11 @@ bench-report:
 ## (perf-baseline.json). The compiled table walk (Lookup, both rule
 ## shapes) runs 100000 lookups over its message pool and is held to an
 ## exact zero-alloc baseline. The wire-decode benchmarks decode 1000
-## frames each against their per-frame allocs/op (4 for an ITCH
-## datagram of any order count, 2 for an INT report), so per-message
+## frames each against their per-frame allocs/op (3 for an ITCH
+## datagram of any order count, 1 for an INT report), so per-message
 ## decode garbage cannot return unnoticed. The fabric wire loop
 ## (FabricBatch: 256 frames decoded and published through the 20-switch
-## netsim per op) self-enforces its allocs/op exactly — 4 per frame of
+## netsim per op) self-enforces its allocs/op exactly — 3 per frame of
 ## decode plus the three result slices of one PublishBatch — so a per-hop
 ## allocation cannot hide inside the 2x ratio. BenchmarkCoverChurn also
 ## self-enforces its ≥2× entry-reduction bar.

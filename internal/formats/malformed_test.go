@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"camus/internal/packet"
 	"camus/internal/spec"
 )
 
@@ -150,11 +151,61 @@ func TestDecodedMessagesDoNotAliasFrame(t *testing.T) {
 				i, m, m.HeaderMask(), built, built.HeaderMask())
 		}
 	}
+
+	// One message filled from several string-bearing headers keeps every
+	// header's strings: each Decode adds to the message's bytes, none
+	// replaces what an earlier one put there.
+	merged, err := spec.Merge("hicn+dns+kafka", HICN, DNS, Kafka)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := spec.NewMessage(merged)
+	for _, part := range []struct {
+		header string
+		values map[string]spec.Value
+	}{
+		{"hicn_request", packet.V("name_prefix", "/video/cats", "content_id", 7, "segment", 3)},
+		{"dns_query", packet.V("qtype", QTypeA, "name", "example.org")},
+		{"kafka_msg", packet.V("topic", "orders", "partition", 2, "key_hash", 99)},
+	} {
+		c := packet.MustHeaderCodec(merged, part.header)
+		buf, err := c.Append(nil, part.values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Decode(buf, m); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+	}
+	for ref, want := range map[string]spec.Value{
+		"name_prefix": spec.StrVal("/video/cats"), "content_id": spec.IntVal(7), "segment": spec.IntVal(3),
+		"dns_query.name": spec.StrVal("example.org"), "qtype": spec.IntVal(QTypeA),
+		"topic": spec.StrVal("orders"), "partition": spec.IntVal(2),
+	} {
+		if got, ok := m.GetRef(ref); !ok || !got.Equal(want) {
+			t.Errorf("%s = %v %v after three decodes, want %v", ref, got, ok, want)
+		}
+	}
 }
 
-// TestDecodeAllocs pins what a frame costs. ITCH: the message slab
-// (messages, values, pointer slice) and the one copy the stock strings
-// point into. A single report: a message and its values.
+// TestDecodeIntoForeignSpec: decoding into a message of another spec is
+// an error (it used to index out of range).
+func TestDecodeIntoForeignSpec(t *testing.T) {
+	frame, err := EncodeFrame(IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 1, 2, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFrame(frame, spec.NewMessage(DNS)); err == nil {
+		t.Error("DecodeFrame filled a DNS message")
+	}
+}
+
+// TestDecodeAllocs pins what a frame costs, exactly. ITCH: the message
+// slab (messages, pointer slice) and the one copy of the stock bytes. A
+// single report: its message.
 func TestDecodeAllocs(t *testing.T) {
 	frame, err := EncodeITCHFeed("S", 1, eightOrders())
 	if err != nil {
@@ -168,14 +219,14 @@ func TestDecodeAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		msgs, _ := DecodeITCHFeed(frame)
 		sink += len(msgs)
-	}); n > 5 {
-		t.Errorf("DecodeITCHFeed(8 orders): %v allocations, want <= 5", n)
+	}); n != 3 {
+		t.Errorf("DecodeITCHFeed(8 orders): %v allocations, want 3", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		m, _ := DecodeINT(report)
 		sink += int(m.HeaderMask())
-	}); n > 2 {
-		t.Errorf("DecodeINT: %v allocations, want <= 2", n)
+	}); n != 1 {
+		t.Errorf("DecodeINT: %v allocations, want 1", n)
 	}
 	if sink == 0 {
 		t.Error("nothing decoded")

@@ -5,16 +5,19 @@
 // semantics: fields occupy consecutive bits in declaration order), so
 // specs with u4/u48/str8 fields all round-trip. A HeaderCodec compiles
 // each field's access path once; decoding is then one load (or a
-// byte-wise shift-and-mask for unaligned widths) per subscribable field
-// into slab-allocated messages (spec.NewMessages). Following gopacket's
+// byte-wise shift-and-mask for unaligned widths) per subscribable field,
+// stored as that field's word of a slab-allocated message
+// (spec.NewMessages, spec.Message.Fill). Following gopacket's
 // DecodingLayerParser, nothing is allocated per field or per message: a
-// decoded frame costs its message slab (three allocations) plus one
-// immutable copy of the bytes its string fields point into.
+// decoded frame costs its message slab (two allocations) plus, when the
+// header has subscribable string fields, one immutable copy of the bytes
+// those fields span.
 package packet
 
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"camus/internal/spec"
 )
@@ -24,11 +27,11 @@ type HeaderCodec struct {
 	Spec   *spec.Spec
 	Header *spec.Header
 
-	size   int
-	index  int          // the header's parse-order position in Spec
-	fields []FieldCodec // every field, declaration order
-	sub    []FieldCodec // the subscribable ones: what Decode extracts
-	subStr bool         // some subscribable field is a string
+	size     int
+	fields   []FieldCodec // every field, declaration order
+	sub      []FieldCodec // the subscribable ones: what Decode extracts
+	bits     []uint64     // Spec.HeaderBits of the header: what Decode marks
+	strBytes int          // bytes the subscribable string fields span
 }
 
 // FieldCodec is the compiled access path of one header field.
@@ -37,6 +40,7 @@ type FieldCodec struct {
 	idx   int    // subscribable index, -1 if none
 	off   int    // first byte of the header the field touches
 	n     int    // bytes touched
+	str   int    // offset among the header's subscribable string bytes, -1 if not one
 	load  int    // n when the field is a whole 1/2/4/8-byte word, else 0
 	shift uint   // low bits of the last byte that are not the field's
 	mask  uint64 // the field's width in one bits
@@ -48,10 +52,10 @@ func NewHeaderCodec(sp *spec.Spec, header string) (*HeaderCodec, error) {
 	if !ok {
 		return nil, fmt.Errorf("packet: spec %s has no header %q", sp.Name, header)
 	}
-	c := &HeaderCodec{Spec: sp, Header: h, size: h.Bytes(), index: sp.HeaderIndex(header)}
+	c := &HeaderCodec{Spec: sp, Header: h, size: h.Bytes(), bits: sp.HeaderBits(sp.HeaderIndex(header))}
 	for _, f := range h.Fields {
 		start, end := f.Offset, f.Offset+f.Bits
-		x := FieldCodec{f: f, idx: -1, mask: ^uint64(0)}
+		x := FieldCodec{f: f, idx: -1, str: -1, mask: ^uint64(0)}
 		if f.Type == spec.StringField && start%8 != 0 {
 			return nil, fmt.Errorf("packet: string field %s not byte aligned", f.QName())
 		}
@@ -68,8 +72,11 @@ func NewHeaderCodec(sp *spec.Spec, header string) (*HeaderCodec, error) {
 		}
 		if idx, ok := sp.SubscribableIndex(f); ok {
 			x.idx = idx
+			if f.Type == spec.StringField {
+				x.str = c.strBytes
+				c.strBytes += x.n
+			}
 			c.sub = append(c.sub, x)
-			c.subStr = c.subStr || f.Type == spec.StringField
 		}
 		c.fields = append(c.fields, x)
 	}
@@ -135,24 +142,48 @@ func (c *HeaderCodec) Decode(data []byte, m *spec.Message) ([]byte, error) {
 
 // DecodeEach extracts len(msgs) back-to-back instances of the header,
 // the i-th into msgs[i], and returns the remaining bytes. The batch is
-// bounds-checked once, and string values point into one immutable copy
-// of it, never into data: the caller may reuse its buffer.
+// bounds-checked once. Every message must be of the codec's spec: the
+// field indices and the bits marked are that spec's. String fields point
+// into one immutable copy of the bytes they span, appended to whatever
+// strings the message already holds, never into data: the caller may
+// reuse its buffer.
 func (c *HeaderCodec) DecodeEach(data []byte, msgs []*spec.Message) ([]byte, error) {
 	total := len(msgs) * c.size
 	if len(data) < total {
 		return nil, fmt.Errorf("packet: %d x %s needs %d bytes, have %d", len(msgs), c.Header.Name, total, len(data))
 	}
+	for _, m := range msgs {
+		if m.Spec() != c.Spec {
+			return nil, fmt.Errorf("packet: %s of spec %s decoded into a message of spec %s", c.Header.Name, c.Spec.Name, m.Spec().Name)
+		}
+	}
 	var strs string
-	if c.subStr {
-		strs = string(data[:total])
+	if c.strBytes > 0 {
+		var b strings.Builder
+		b.Grow(len(msgs) * c.strBytes)
+		for i := range msgs {
+			hdr := data[i*c.size:]
+			for j := range c.sub {
+				if x := &c.sub[j]; x.str >= 0 {
+					b.Write(hdr[x.off : x.off+x.n])
+				}
+			}
+		}
+		strs = b.String()
 	}
 	for i, m := range msgs {
-		base := i * c.size
+		hdr := data[i*c.size : (i+1)*c.size]
+		own := strs[i*c.strBytes : (i+1)*c.strBytes]
+		fields, base := m.Fill(c.bits, own)
 		for j := range c.sub {
 			x := &c.sub[j]
-			m.SetIndex(x.idx, x.value(data, strs, base))
+			if x.str >= 0 {
+				// StrVal trims the padding by re-slicing; nothing is copied.
+				fields[x.idx] = spec.StrWord(base+x.str, len(spec.StrVal(own[x.str:x.str+x.n]).Str))
+			} else {
+				fields[x.idx] = x.Uint(hdr)
+			}
 		}
-		m.MarkHeaderIndex(c.index)
 	}
 	return data[total:], nil
 }

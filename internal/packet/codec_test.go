@@ -326,3 +326,175 @@ func TestMisalignedStringRejected(t *testing.T) {
 		t.Error("codec built for a string field off a byte boundary")
 	}
 }
+
+// TestDecodeIntoForeignSpecRefused: a codec's field indices and header
+// bits are its own spec's, so a message of another spec is an error, not
+// an out-of-range store or wrongly marked fields.
+func TestDecodeIntoForeignSpecRefused(t *testing.T) {
+	c := MustHeaderCodec(bitSpec, "mixed")
+	buf, err := c.Append(nil, V("s", "abc", "f", 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := spec.MustParse("other", "header mixed { x : u8 @field; }")
+	m := spec.NewMessage(other)
+	if _, err := c.Decode(buf, m); err == nil {
+		t.Error("decoded into a message of another spec")
+	}
+	if m.String() != "{}" || m.HeaderMask() != 0 {
+		t.Errorf("refused decode left %v mask %#x", m, m.HeaderMask())
+	}
+	// One foreign message refuses the batch before anything is written.
+	msgs := []*spec.Message{spec.NewMessage(bitSpec), m}
+	if _, err := c.DecodeEach(append(buf, buf...), msgs); err == nil {
+		t.Error("batch with a foreign message decoded")
+	}
+	if msgs[0].String() != "{}" {
+		t.Errorf("refused batch wrote %v", msgs[0])
+	}
+}
+
+// msgModel is the reference a Message is checked against: the values and
+// the valid headers, keyed by index.
+type msgModel struct {
+	vals map[int]spec.Value
+	hdrs map[int]bool
+}
+
+func newMsgModel() *msgModel {
+	return &msgModel{vals: map[int]spec.Value{}, hdrs: map[int]bool{}}
+}
+
+func (r *msgModel) clone() *msgModel {
+	c := newMsgModel()
+	for k, v := range r.vals {
+		c.vals[k] = v
+	}
+	for k := range r.hdrs {
+		c.hdrs[k] = true
+	}
+	return c
+}
+
+func (r *msgModel) check(t *testing.T, what string, m *spec.Message) {
+	t.Helper()
+	sp := m.Spec()
+	for i, f := range sp.SubscribableFields() {
+		want, present := r.vals[i]
+		got, ok := m.Get(i)
+		if ok != present || (ok && !got.Equal(want)) {
+			t.Fatalf("%s: %s = %v %v, model %v %v", what, f.QName(), got, ok, want, present)
+		}
+	}
+	var mask uint64
+	for i, h := range sp.Headers {
+		if m.HeaderPresent(h.Name) != r.hdrs[i] || m.HeaderValid(i) != r.hdrs[i] {
+			t.Fatalf("%s: header %s valid = %v, model %v", what, h.Name, m.HeaderValid(i), r.hdrs[i])
+		}
+		if r.hdrs[i] && i < 64 {
+			mask |= 1 << uint(i)
+		}
+	}
+	if m.HeaderMask() != mask {
+		t.Fatalf("%s: HeaderMask = %#x, model %#x", what, m.HeaderMask(), mask)
+	}
+}
+
+// stringHeaders builds n two-field headers, an integer and a string each.
+func stringHeaders(prefix string, n int) []*spec.Header {
+	var hs []*spec.Header
+	for i := 0; i < n; i++ {
+		hs = append(hs, &spec.Header{Name: fmt.Sprintf("%s%d", prefix, i), Fields: []*spec.Field{
+			{Name: "n", Type: spec.IntField, Bits: 16, Subscribable: true},
+			{Name: "skip", Type: spec.IntField, Bits: 8},
+			{Name: "s", Type: spec.StringField, Bits: 8 * (3 + i%4), Subscribable: true},
+		}})
+	}
+	return hs
+}
+
+// TestMessageMatchesModel drives random SetIndex / Reset / Clone /
+// MarkHeader / Decode sequences over every message layout — in the
+// struct, a merged spec still in the struct, more fields than the struct
+// holds, more bits than one word — on messages built singly, as a slab
+// and by Clone, and compares every message with its model after every
+// step. Decoded frames are overwritten straight after the decode.
+func TestMessageMatchesModel(t *testing.T) {
+	small := spec.MustNew("small", stringHeaders("a", 2)...)
+	other := spec.MustNew("other", stringHeaders("b", 1)...)
+	merged, err := spec.Merge("merged", small, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []*spec.Spec{small, merged, spec.MustNew("fields", stringHeaders("c", 6)...), spec.MustNew("bits", stringHeaders("d", 40)...)}
+	r := rand.New(rand.NewSource(24))
+	for _, sp := range specs {
+		fields := sp.SubscribableFields()
+		codecs := make([]*HeaderCodec, len(sp.Headers))
+		for i, h := range sp.Headers {
+			codecs[i] = MustHeaderCodec(sp, h.Name)
+		}
+		randVal := func(f *spec.Field) spec.Value {
+			if f.Type == spec.StringField {
+				return spec.StrVal("xyzwvut"[:r.Intn(f.Bytes()+1)])
+			}
+			return spec.IntVal(int64(r.Uint64() & uint64(f.MaxValue())))
+		}
+		msgs := append(spec.NewMessages(sp, 3), spec.NewMessage(sp))
+		models := make([]*msgModel, len(msgs))
+		for i := range models {
+			models[i] = newMsgModel()
+		}
+		for step := 0; step < 2000; step++ {
+			i := r.Intn(len(msgs))
+			m, ref := msgs[i], models[i]
+			var op string
+			switch k := r.Intn(10); {
+			case k < 4:
+				idx := r.Intn(len(fields))
+				v := randVal(fields[idx])
+				op = fmt.Sprintf("SetIndex(%d, %v)", idx, v)
+				m.SetIndex(idx, v)
+				ref.vals[idx] = v
+				ref.hdrs[sp.HeaderIndex(fields[idx].Header)] = true
+			case k < 5:
+				op = "Reset"
+				m.Reset()
+				*ref = *newMsgModel()
+			case k < 6:
+				j := r.Intn(len(msgs))
+				op = fmt.Sprintf("Clone into %d", j)
+				msgs[j], models[j] = m.Clone(), ref.clone()
+			case k < 7:
+				hi := r.Intn(len(sp.Headers))
+				op = "MarkHeader " + sp.Headers[hi].Name
+				m.MarkHeader(sp.Headers[hi].Name)
+				ref.hdrs[hi] = true
+			default:
+				hi := r.Intn(len(sp.Headers))
+				op = "Decode " + sp.Headers[hi].Name
+				in := make(map[string]spec.Value)
+				for _, f := range sp.Headers[hi].Fields {
+					in[f.Name] = randVal(f)
+					if idx, ok := sp.SubscribableIndex(f); ok {
+						ref.vals[idx] = in[f.Name]
+					}
+				}
+				ref.hdrs[hi] = true
+				frame, err := codecs[hi].Append(nil, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := codecs[hi].Decode(frame, m); err != nil {
+					t.Fatal(err)
+				}
+				for b := range frame {
+					frame[b] = 0xFF
+				}
+			}
+			for j := range msgs {
+				models[j].check(t, fmt.Sprintf("%s step %d (%s on %d) msg %d", sp.Name, step, op, i, j), msgs[j])
+			}
+		}
+	}
+}

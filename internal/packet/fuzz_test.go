@@ -61,10 +61,14 @@ func FuzzDecodeBytes(f *testing.F) {
 			t.Fatalf("DecodeEach(%d headers): rest %d, err %v", n, len(rest), err)
 		}
 		fld, _ := bitSpec.Field("f")
+		str, _ := bitSpec.Field("s")
 		for i, m := range msgs {
 			hdr := data[i*c.Size():]
 			if v, ok := m.GetRef("f"); !ok || uint64(v.Int) != refBits(hdr, fld.Offset, fld.Bits) {
 				t.Fatalf("header %d: f = %v %v", i, v, ok)
+			}
+			if v, ok := m.GetRef("s"); !ok || !v.Equal(spec.StrVal(string(hdr[str.Offset/8:][:str.Bytes()]))) {
+				t.Fatalf("header %d: s = %v %v", i, v, ok)
 			}
 			all, _, err := c.DecodeAll(hdr)
 			if err != nil {

@@ -191,10 +191,15 @@ type Spec struct {
 	stateVars     map[string]*StateVar
 
 	// Message layout: subHeader is the header index of each subscribable
-	// field; maskWords is the length of a message's bit vector (one bit
-	// per subscribable field, then one per header).
+	// field and subString whether it is a string; maskWords is the length
+	// of a message's bit vector (one bit per subscribable field, then one
+	// per header); wideWords is the length of the out-of-line block of a
+	// message too wide for the struct (bit words, then field words), 0
+	// when it fits.
 	subHeader []int
+	subString []bool
 	maskWords int
+	wideWords int
 }
 
 // New assembles a Spec from headers, validating names and computing
@@ -244,6 +249,7 @@ func New(name string, headers ...*Header) (*Spec, error) {
 				s.subIndex[f] = len(s.subscribable)
 				s.subscribable = append(s.subscribable, f)
 				s.subHeader = append(s.subHeader, hi)
+				s.subString = append(s.subString, f.Type == StringField)
 			}
 		}
 		if off%8 != 0 {
@@ -260,6 +266,9 @@ func New(name string, headers ...*Header) (*Spec, error) {
 		delete(s.fieldsByName, n)
 	}
 	s.maskWords = (len(s.subscribable)+len(headers))/64 + 1
+	if s.maskWords > 1 || len(s.subscribable) > inlineFields {
+		s.wideWords = s.maskWords + len(s.subscribable)
+	}
 	return s, nil
 }
 
@@ -327,6 +336,22 @@ func (s *Spec) HeaderIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// HeaderBits returns, in the layout of a message's bit vector, the bits a
+// parser sets when it extracts header i: the presence of each of the
+// header's subscribable fields and the header's validity. A wire codec
+// computes it once and hands it to Message.Fill per message.
+func (s *Spec) HeaderBits(i int) []uint64 {
+	bits := make([]uint64, s.maskWords)
+	set := func(b int) { bits[b>>6] |= 1 << (b & 63) }
+	for idx, hi := range s.subHeader {
+		if hi == i {
+			set(idx)
+		}
+	}
+	set(len(s.subscribable) + i)
+	return bits
 }
 
 // Merge combines several application specs into one (used when multiple

@@ -177,6 +177,20 @@ func TestMessageSetGet(t *testing.T) {
 	if err := m.Set("bogus", IntVal(1)); err == nil {
 		t.Error("setting unknown field should fail")
 	}
+	// The kind is the field's, not the value's: a mismatch is refused and
+	// leaves the field as it was.
+	if err := m.Set("stock", IntVal(7)); err == nil {
+		t.Error("setting an int on a string field should fail")
+	}
+	if err := m.Set("price", StrVal("52")); err == nil {
+		t.Error("setting a string on an int field should fail")
+	}
+	if v, ok := m.GetRef("stock"); !ok || !v.Equal(StrVal("GOOGL")) {
+		t.Errorf("stock after refused Set = %v %v", v, ok)
+	}
+	if v, ok := m.GetRef("price"); !ok || !v.Equal(IntVal(52)) {
+		t.Errorf("price after refused Set = %v %v", v, ok)
+	}
 	clone := m.Clone()
 	m.Reset()
 	if _, ok := m.GetRef("price"); ok {
@@ -235,15 +249,27 @@ func wideSpec(t *testing.T) *Spec {
 	return s
 }
 
-// TestMessageLayouts drives every Message operation over the three
-// layouts a spec can give it — inline masks, a merged spec's inline
-// masks, out-of-line masks — built singly and as a slab.
+// kindVal returns a value of f's kind that carries n.
+func kindVal(f *Field, n int) Value {
+	if f.Type == StringField {
+		return StrVal(fmt.Sprintf("s%d  ", n)) // right-padded, as on the wire
+	}
+	return IntVal(int64(n))
+}
+
+// TestMessageLayouts drives every Message operation over the layouts a
+// spec can give it — in the struct, a merged spec still in the struct,
+// too wide for it — built singly and as a slab.
 func TestMessageLayouts(t *testing.T) {
 	merged, err := Merge("m", parseITCH(t), MustParse("x", "header hx { k : u8 @field; s : str4 @field; }"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []*Spec{parseITCH(t), merged, wideSpec(t)} {
+	specs := []*Spec{parseITCH(t), merged, wideSpec(t)}
+	if specs[0].wideWords != 0 || specs[1].wideWords != 0 || specs[2].wideWords == 0 {
+		t.Fatal("the specs no longer cover both layouts")
+	}
+	for _, s := range specs {
 		nf, nh := len(s.SubscribableFields()), len(s.Headers)
 		msgs := append(NewMessages(s, 3), NewMessage(s))
 		for mi, m := range msgs {
@@ -251,8 +277,8 @@ func TestMessageLayouts(t *testing.T) {
 				t.Fatalf("%s msg %d: fresh message not empty: %v mask %#x", s.Name, mi, m, m.HeaderMask())
 			}
 			// Set the last field only: its header, and no other, turns valid.
-			last := s.SubscribableFields()[nf-1]
-			m.SetIndex(nf-1, IntVal(int64(mi)))
+			first, last := s.SubscribableFields()[0], s.SubscribableFields()[nf-1]
+			m.SetIndex(nf-1, kindVal(last, mi))
 			for i := 0; i < nf; i++ {
 				if _, ok := m.Get(i); ok != (i == nf-1) {
 					t.Fatalf("%s msg %d: field %d present = %v", s.Name, mi, i, ok)
@@ -266,7 +292,7 @@ func TestMessageLayouts(t *testing.T) {
 					t.Fatalf("%s msg %d: mask %#x wrong at header %d", s.Name, mi, m.HeaderMask(), hi)
 				}
 			}
-			if want := fmt.Sprintf("{%s=%d}", last.QName(), mi); m.String() != want {
+			if want := fmt.Sprintf("{%s=%s}", last.QName(), kindVal(last, mi)); m.String() != want {
 				t.Fatalf("%s msg %d: String = %s, want %s", s.Name, mi, m, want)
 			}
 			// A header with no subscribable field set is marked by name.
@@ -274,26 +300,26 @@ func TestMessageLayouts(t *testing.T) {
 			if !m.HeaderPresent(s.Headers[0].Name) || m.HeaderMask()&1 == 0 {
 				t.Fatalf("%s msg %d: MarkHeader lost", s.Name, mi)
 			}
-			m.SetIndex(0, StrVal("zz  "))
+			m.SetIndex(0, kindVal(first, 77))
 			c := m.Clone()
 			m.Reset()
 			if m.HeaderMask() != 0 || m.String() != "{}" || m.HeaderPresent(last.Header) {
 				t.Fatalf("%s msg %d: Reset left %v mask %#x", s.Name, mi, m, m.HeaderMask())
 			}
-			if v, ok := c.Get(0); !ok || v.Str != "zz" {
+			if v, ok := c.Get(0); !ok || !v.Equal(kindVal(first, 77)) {
 				t.Fatalf("%s msg %d: clone field 0 = %v %v", s.Name, mi, v, ok)
 			}
-			if v, ok := c.Get(nf - 1); !ok || v.Int != int64(mi) || !c.HeaderPresent(last.Header) || !c.HeaderPresent(s.Headers[0].Name) {
+			if v, ok := c.Get(nf - 1); !ok || !v.Equal(kindVal(last, mi)) || !c.HeaderPresent(last.Header) || !c.HeaderPresent(s.Headers[0].Name) {
 				t.Fatalf("%s msg %d: clone lost state: %v", s.Name, mi, c)
 			}
-			c.SetIndex(0, IntVal(99))
+			c.SetIndex(0, kindVal(first, 99))
 			if _, ok := m.Get(0); ok {
 				t.Fatalf("%s msg %d: clone shares presence with its original", s.Name, mi)
 			}
 		}
 		// Slab neighbours do not bleed into each other.
 		a := NewMessages(s, 2)
-		a[0].SetIndex(nf-1, IntVal(1))
+		a[0].SetIndex(nf-1, kindVal(s.SubscribableFields()[nf-1], 1))
 		a[0].MarkHeaderIndex(nh - 1)
 		if a[1].String() != "{}" || a[1].HeaderPresent(s.Headers[nh-1].Name) {
 			t.Fatalf("%s: slab neighbour sees %v", s.Name, a[1])
@@ -301,22 +327,28 @@ func TestMessageLayouts(t *testing.T) {
 	}
 }
 
-// TestMessageAllocs pins what a message costs: two allocations singly
-// or cloned, three for a slab of any size.
+// TestMessageAllocs pins what a message costs: one allocation singly or
+// cloned, two for a slab of any size; a spec too wide for the struct
+// pays one more for its out-of-line words.
 func TestMessageAllocs(t *testing.T) {
-	s := parseITCH(t)
-	m := NewMessage(s)
-	m.SetIndex(1, IntVal(5))
-	var keep *Message
-	var keepAll []*Message
-	if n := testing.AllocsPerRun(100, func() { keep = NewMessage(s) }); n > 2 {
-		t.Errorf("NewMessage: %v allocations, want <= 2", n)
+	for _, tc := range []struct {
+		s     *Spec
+		extra float64
+	}{{parseITCH(t), 0}, {wideSpec(t), 1}} {
+		s := tc.s
+		m := NewMessage(s)
+		m.SetIndex(1, IntVal(5))
+		var keep *Message
+		var keepAll []*Message
+		if n := testing.AllocsPerRun(100, func() { keep = NewMessage(s) }); n != 1+tc.extra {
+			t.Errorf("%s: NewMessage: %v allocations, want %v", s.Name, n, 1+tc.extra)
+		}
+		if n := testing.AllocsPerRun(100, func() { keep = m.Clone() }); n != 1+tc.extra {
+			t.Errorf("%s: Clone: %v allocations, want %v", s.Name, n, 1+tc.extra)
+		}
+		if n := testing.AllocsPerRun(100, func() { keepAll = NewMessages(s, 64) }); n != 2+tc.extra {
+			t.Errorf("%s: NewMessages(64): %v allocations, want %v", s.Name, n, 2+tc.extra)
+		}
+		_, _ = keep, keepAll
 	}
-	if n := testing.AllocsPerRun(100, func() { keep = m.Clone() }); n > 2 {
-		t.Errorf("Clone: %v allocations, want <= 2", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { keepAll = NewMessages(s, 64) }); n > 3 {
-		t.Errorf("NewMessages(64): %v allocations, want <= 3", n)
-	}
-	_, _ = keep, keepAll
 }

@@ -48,69 +48,89 @@ func (v Value) Equal(o Value) bool {
 // values of the spec's subscribable fields, in spec declaration order.
 // Fields belonging to headers absent from a given packet are marked not
 // present; predicates on absent fields evaluate to false.
+//
+// A message stores no Value. It holds one bit vector — field presence
+// (bit i = subscribable index i), then header validity (bit fields+i =
+// header i in parse order) — and one 64-bit word per subscribable field:
+// an integer field's word is its value, a string field's is
+// offset<<32 | length into strs, the one backing string of the message.
+// Which of the two a word is comes from the spec, not from a tag stored
+// beside it. For a spec of at most inlineFields fields whose bits fit one
+// word (every single-application spec in this repository) all of it is in
+// the struct, and spec, bits and the first six field words are its first
+// 64 bytes: what a table walk reads of a message, string bytes aside. A
+// wider spec (the eight-application merge) keeps its bit words and field
+// words in wide, a block shared by the messages of a slab.
 type Message struct {
-	spec   *Spec
-	values []Value
-	// bits is one bit vector: field presence (bit i = subscribable index
-	// i), then header validity (bit len(values)+i = header i in parse
-	// order). When fields plus headers fit one word — every spec in this
-	// repository — it is the message's own inline word, which keeps the
-	// message one 64-byte cache line and presence allocation-free.
-	bits   []uint64
-	inline [inlineWords]uint64
+	spec  *Spec
+	bits  [1]uint64
+	words [inlineFields]uint64
+	strs  string
+	wide  []uint64 // nil, or s.maskWords bit words then one word per field
 }
 
-const inlineWords = 1
+// inlineFields makes a Message 112 bytes — 8 (spec) + 8 (bits) + 7×8 +
+// 16 (strs) + 24 (wide) — which is an allocator size class, so nothing
+// is lost to rounding; the next class, 128 bytes, would buy two more
+// words that no single-application spec needs (INT, the widest, has five
+// fields) at 16 bytes per decoded message.
+const inlineFields = 7
 
 // NewMessage allocates an empty message for s.
 func NewMessage(s *Spec) *Message {
-	m := &Message{}
-	m.init(s, make([]Value, len(s.subscribable)), maskStorage(s, 1))
+	m := &Message{spec: s}
+	if s.wideWords > 0 {
+		m.wide = make([]uint64, s.wideWords)
+	}
 	return m
 }
 
-// NewMessages allocates n empty messages for s as one slab: the
-// messages, their value storage and the returned pointer slice are one
-// allocation each, whatever n is. A decoded frame's messages are built
-// this way; they live and die together.
+// NewMessages allocates n empty messages for s as one slab: the messages
+// and the returned pointer slice are one allocation each, whatever n is
+// (a wide spec's out-of-line words are a third). A decoded frame's
+// messages are built this way; they live and die together.
 func NewMessages(s *Spec, n int) []*Message {
-	nf, nw := len(s.subscribable), s.maskWords
 	slab := make([]Message, n)
-	values := make([]Value, n*nf)
-	wide := maskStorage(s, n)
 	out := make([]*Message, n)
+	nw := s.wideWords
+	var wide []uint64
+	if nw > 0 {
+		wide = make([]uint64, n*nw)
+	}
 	for i := range slab {
-		var bits []uint64
-		if wide != nil {
-			bits = wide[i*nw : (i+1)*nw]
+		slab[i].spec = s
+		if nw > 0 {
+			slab[i].wide = wide[i*nw : (i+1)*nw : (i+1)*nw]
 		}
-		slab[i].init(s, values[i*nf:(i+1)*nf], bits)
 		out[i] = &slab[i]
 	}
 	return out
 }
 
-// maskStorage returns out-of-line mask words for n messages of s, or nil
-// when the masks fit the messages' inline words.
-func maskStorage(s *Spec, n int) []uint64 {
-	if s.maskWords <= inlineWords {
-		return nil
-	}
-	return make([]uint64, n*s.maskWords)
-}
-
-func (m *Message) init(s *Spec, values []Value, bits []uint64) {
-	if bits == nil {
-		bits = m.inline[:s.maskWords]
-	}
-	m.spec, m.values, m.bits = s, values, bits
-}
-
 // Spec returns the spec this message was decoded against.
 func (m *Message) Spec() *Spec { return m.spec }
 
+// mask returns the message's bit vector.
+func (m *Message) mask() []uint64 {
+	if m.wide != nil {
+		return m.wide[:m.spec.maskWords]
+	}
+	return m.bits[:]
+}
+
+// fields returns the message's field words, indexed by subscribable index.
+func (m *Message) fields() []uint64 {
+	if m.wide != nil {
+		return m.wide[m.spec.maskWords:]
+	}
+	return m.words[:len(m.spec.subscribable)]
+}
+
 // Reset clears all fields so the message can be reused across packets.
-func (m *Message) Reset() { clear(m.bits) }
+func (m *Message) Reset() {
+	clear(m.mask())
+	m.strs = ""
+}
 
 // MarkHeader sets the validity bit of the named header — what the packet
 // parser does when it extracts the header. Setting any field of a header
@@ -123,22 +143,23 @@ func (m *Message) MarkHeader(name string) {
 
 // MarkHeaderIndex is MarkHeader by parse-order position (what a compiled
 // codec holds, so the wire path does no name lookups).
-func (m *Message) MarkHeaderIndex(i int) { m.setBit(uint(len(m.values) + i)) }
+func (m *Message) MarkHeaderIndex(i int) { m.setBit(uint(len(m.spec.subscribable) + i)) }
 
-func (m *Message) setBit(b uint) { m.bits[b>>6] |= 1 << (b & 63) }
+func (m *Message) setBit(b uint) { m.mask()[b>>6] |= 1 << (b & 63) }
 
-func (m *Message) bit(b uint) bool { return m.bits[b>>6]>>(b&63)&1 != 0 }
+func (m *Message) bit(b uint) bool { return m.mask()[b>>6]>>(b&63)&1 != 0 }
 
 // HeaderMask returns the header validity bits packed into a uint64,
 // bit i = header i in parse order. Headers beyond the first 64 are not
 // represented (callers that need the mask as an identity must refuse
 // specs that wide).
 func (m *Message) HeaderMask() uint64 {
-	first := uint(len(m.values))
+	bits := m.mask()
+	first := uint(len(m.spec.subscribable))
 	w, sh := first>>6, first&63
-	mask := m.bits[w] >> sh
-	if sh != 0 && int(w)+1 < len(m.bits) {
-		mask |= m.bits[w+1] << (64 - sh)
+	mask := bits[w] >> sh
+	if sh != 0 && int(w)+1 < len(bits) {
+		mask |= bits[w+1] << (64 - sh)
 	}
 	return mask
 }
@@ -148,7 +169,8 @@ func (m *Message) HeaderPresent(name string) bool {
 	return m.HeaderValid(m.spec.HeaderIndex(name))
 }
 
-// Set assigns a field value by field reference name.
+// Set assigns a field value by field reference name. The value must be
+// of the field's kind.
 func (m *Message) Set(ref string, v Value) error {
 	f, ok := m.spec.Field(ref)
 	if !ok {
@@ -157,6 +179,9 @@ func (m *Message) Set(ref string, v Value) error {
 	idx, ok := m.spec.SubscribableIndex(f)
 	if !ok {
 		return fmt.Errorf("message: field %q is not subscribable", ref)
+	}
+	if v.Kind != f.Type {
+		return fmt.Errorf("message: field %q is %s, value %s is %s", ref, f.Type, v, v.Kind)
 	}
 	m.SetIndex(idx, v)
 	return nil
@@ -173,23 +198,81 @@ func (m *Message) MustSet(ref string, v Value) {
 // own spec (what a compiled walk holds); false for an index the spec
 // does not have.
 func (m *Message) HeaderValid(i int) bool {
-	return i >= 0 && i < len(m.spec.Headers) && m.bit(uint(len(m.values)+i))
+	return i >= 0 && i < len(m.spec.Headers) && m.bit(uint(len(m.spec.subscribable)+i))
 }
 
 // SetIndex assigns the field at subscribable index idx and marks the
-// field's header valid.
+// field's header valid. It is the entry point of code that already holds
+// the index and does not check v.Kind: the field's kind comes from the
+// spec, so an integer field stores v.Int and a string field v.Str
+// whatever v says it is (Set is the checked form).
 func (m *Message) SetIndex(idx int, v Value) {
-	m.values[idx] = v
+	w := uint64(v.Int)
+	if m.spec.subString[idx] {
+		w = m.putStr(idx, v.Str)
+	}
+	m.fields()[idx] = w
 	m.setBit(uint(idx))
 	m.MarkHeaderIndex(m.spec.subHeader[idx])
 }
 
+// putStr makes s the bytes of string field idx and returns the field's
+// word. The backing string is rebuilt from the other string fields that
+// are present, so overwriting a field does not grow it; a message's only
+// string is kept as it is, not copied.
+func (m *Message) putStr(idx int, s string) uint64 {
+	keep, fields := "", m.fields()
+	for j, str := range m.spec.subString {
+		if str && j != idx && m.bit(uint(j)) {
+			old := m.str(fields[j])
+			fields[j] = StrWord(len(keep), len(old))
+			keep += old
+		}
+	}
+	m.strs = keep + s
+	return StrWord(len(keep), len(s))
+}
+
+// StrWord is the word of a string field whose n bytes begin at off in
+// the message's backing string.
+func StrWord(off, n int) uint64 { return uint64(off)<<32 | uint64(n) }
+
+// str returns the bytes a string field's word refers to.
+func (m *Message) str(w uint64) string {
+	off, n := w>>32, w&(1<<32-1)
+	return m.strs[off : off+n]
+}
+
+// Fill is the wire codec's entry point: it ORs bits (presence of the
+// fields the codec is about to store, and their header's validity, laid
+// out as the message's own bit vector) into the message, appends strs to
+// the message's backing string, and returns the field words for the
+// codec to store into together with the offset strs begins at, which the
+// codec adds to the offsets it passes to StrWord. Bytes of a header
+// decoded earlier stay where they are, until Reset drops them all.
+func (m *Message) Fill(bits []uint64, strs string) (fields []uint64, base int) {
+	mask := m.mask()
+	for i, b := range bits {
+		mask[i] |= b
+	}
+	if strs != "" {
+		base = len(m.strs)
+		m.strs += strs
+	}
+	return m.fields(), base
+}
+
 // Get returns the value at subscribable index idx and whether it is present.
 func (m *Message) Get(idx int) (Value, bool) {
-	if idx < 0 || idx >= len(m.values) || !m.bit(uint(idx)) {
+	s := m.spec
+	if idx < 0 || idx >= len(s.subscribable) || !m.bit(uint(idx)) {
 		return Value{}, false
 	}
-	return m.values[idx], true
+	w := m.fields()[idx]
+	if s.subString[idx] {
+		return Value{Kind: StringField, Str: m.str(w)}, true
+	}
+	return Value{Kind: IntField, Int: int64(w)}, true
 }
 
 // GetRef returns the value of the named field.
@@ -205,11 +288,14 @@ func (m *Message) GetRef(ref string) (Value, bool) {
 	return m.Get(idx)
 }
 
-// Clone returns an independent copy of the message.
+// Clone returns an independent copy of the message. The copy shares the
+// original's backing string, which is immutable.
 func (m *Message) Clone() *Message {
-	c := &Message{}
-	c.init(m.spec, append([]Value(nil), m.values...), maskStorage(m.spec, 1))
-	copy(c.bits, m.bits)
+	c := new(Message)
+	*c = *m
+	if m.wide != nil {
+		c.wide = append([]uint64(nil), m.wide...)
+	}
 	return c
 }
 
