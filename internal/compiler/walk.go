@@ -16,12 +16,14 @@ import (
 // view; Reindex derives this from them and nothing else writes it.
 //
 // Every (stage, in-state) pair with at least one entry is one block. A
-// block's integer entries are a step function over the field domain — a
-// sorted run of interval lower bounds with a parallel run of successors —
-// and its exact string entries one open-addressed table; all blocks'
-// runs lie back to back in program-wide slices, so a lookup touches one
-// block header and a logarithmic number of bounds (or a slot and its
-// key) per stage it enters, with no map, interface or *Entry in between.
+// block of an integer stage is a step function over the field domain,
+// stored either as a sorted run of interval lower bounds with a parallel
+// run of successors or, when its bounds span few values, as one successor
+// per value; a block of a string stage is one open-addressed table of its
+// exact keys. All blocks' runs lie back to back in program-wide slices, so
+// a lookup touches one block header and one successor, a logarithmic
+// number of bounds, or a slot and its key per stage it enters, with no
+// map, interface or *Entry in between.
 //
 // A successor is pre-resolved to where the walk really goes next: s >= 0
 // is the index of the next block the out-state enters (stages it passes
@@ -31,6 +33,7 @@ type walk struct {
 	blocks []block
 	bounds []int64 // interval lower bounds; each run starts at MinInt64
 	next   []int32 // successor of the interval starting at bounds[i]
+	direct []int32 // direct blocks' successors, one per value
 	slots  []strSlot
 	keys   []byte // the exact-string keys the slots point into
 	tails  []strTail
@@ -40,23 +43,42 @@ type walk struct {
 	start  int32
 }
 
-// block is one in-state of one stage.
+// layout is how a block stores its entries. A string stage's blocks are
+// stringLayout; an integer stage's are directLayout when that costs no
+// more bytes than searchLayout (see pickLayout), else searchLayout.
+type layout uint8
+
+const (
+	searchLayout layout = iota
+	directLayout
+	stringLayout
+)
+
+// block is one in-state of one stage: 36 bytes, no pointer.
 type block struct {
-	stage int32
-	// miss is the successor when the field is absent, of the wrong kind,
-	// or matches no entry: the state's Defaults row, else the state
-	// itself carried on.
+	stage  uint16
+	layout layout
+	// miss is the successor when the field is absent or matches no entry:
+	// the state's Defaults row, else the state itself carried on.
 	miss int32
-	// Integer entries: bounds[off:off+n] / next[off:off+n]; n == 0 when
-	// the state has none.
+	// off and n locate the block's run:
+	//   - searchLayout: bounds[off:off+n] and next[off:off+n], n >= 2;
+	//   - directLayout: direct[off:off+n], n >= 1;
+	//   - stringLayout: slots[off:off+n], n a power of two or 0.
 	off, n int32
-	// Exact string entries: slots[slotOff:slotOff+slotN], slotN a power
-	// of two or 0. A value that is none of them tries
+	// A direct block's slot 0 is the successor of every value below base,
+	// slot i that of base+i-1, and the last slot also that of every value
+	// above. base is split in halves: an int64 would pad the header to 40
+	// bytes.
+	baseLo uint32
+	baseHi int32
+	// A string block's value that is none of its exact keys tries
 	// tails[tailOff:tailOff+tailN] in order, then takes rest.
-	slotOff, slotN int32
 	tailOff, tailN int32
 	rest           int32
 }
+
+func (b *block) base() int64 { return int64(b.baseHi)<<32 | int64(b.baseLo) }
 
 // strSlot is one slot of a block's exact-string table; hash 0 marks it
 // empty. The key is keys[off:off+n]: a block's keys lie together, and
@@ -153,7 +175,7 @@ func strHash(s string) uint32 {
 // empty slot where it would go. Tables are at most half full, so the
 // probe ends.
 func (w *walk) slot(b *block, h uint32, key string) *strSlot {
-	tbl := w.slots[b.slotOff : b.slotOff+b.slotN]
+	tbl := w.slots[b.off : b.off+b.n]
 	mask := uint32(len(tbl) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := &tbl[i]
@@ -176,10 +198,15 @@ func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool
 		v, present := w.stages[b.stage].input(m, st, foreign)
 		switch {
 		case !present:
-		case v.Kind == spec.IntField:
-			if b.n == 0 {
-				break
+		case b.layout == directLayout:
+			// v − base is taken unsigned: it overflows int64 when v is
+			// far above a negative base, never uint64 once v >= base.
+			i := 0
+			if base := b.base(); v.Int >= base {
+				i = int(min(uint64(v.Int)-uint64(base)+1, uint64(b.n-1)))
 			}
+			cur = w.direct[int(b.off)+i]
+		case b.layout == searchLayout:
 			// The last bound <= v.Int; the run starts at MinInt64, so
 			// there is one.
 			lo := w.bounds[b.off : b.off+b.n]
@@ -194,7 +221,7 @@ func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool
 			cur = w.next[int(b.off)+i]
 		default:
 			cur = b.rest
-			if b.slotN > 0 {
+			if b.n > 0 {
 				if s := w.slot(b, strHash(v.Str), v.Str); s.hash != 0 {
 					cur = s.next
 					break
@@ -218,6 +245,9 @@ func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool
 // dataplane keeps executing the tables as they were. It must not run
 // concurrently with a Lookup on p.
 func (p *Program) Reindex() {
+	if len(p.Stages) > math.MaxUint16 {
+		panic(fmt.Sprintf("compiler: %d stages do not fit a block's 16-bit stage index", len(p.Stages)))
+	}
 	states := len(p.Leaf)
 	for _, t := range p.Stages {
 		states += len(t.Defaults)
@@ -235,7 +265,7 @@ func (p *Program) Reindex() {
 	// every state goes from stage i+1 on.
 	for i := len(p.Stages) - 1; i >= 0; i-- {
 		w.stages[i] = newWalkStage(p.Spec, p.Stages[i])
-		bld.table(int32(i), p.Stages[i])
+		bld.table(uint16(i), p.Stages[i])
 	}
 	w.start = bld.resolve(p.Init)
 	p.walk = w
@@ -299,8 +329,12 @@ func slotsFor(n int) int {
 
 // table appends stage's blocks: one sort over (in-state, piece kind,
 // lower bound, entry order) groups every state's pieces, the slabs grow
-// once by what the groups need, then each group is laid out.
-func (bld *walkBuilder) table(stage int32, t *Table) {
+// once by what the groups need, then each group is laid out. Only pieces
+// of the stage's own kind are laid out: the stage reads no value of the
+// other, and a piece of it (which only a hand-assembled table holds)
+// still gives its state a block, as the state's entries do.
+func (bld *walkBuilder) table(stage uint16, t *Table) {
+	ints := t.Field.Ref.Type() == spec.IntField
 	recs := slices.Grow(bld.recs[:0], len(t.Entries))
 	nkey := 0
 	for i, e := range t.Entries {
@@ -361,9 +395,12 @@ func (bld *walkBuilder) table(stage int32, t *Table) {
 			state = d
 		}
 		b := block{stage: stage, miss: bld.resolve(state)}
-		b.rest = b.miss
-		bld.paint(&b, recs[g.a:g.a+g.nseg])
-		bld.strings(&b, t, recs[g.a+g.nseg:g.a+g.nseg+g.nexact], recs[g.a+g.nseg+g.nexact:g.z])
+		if ints {
+			bld.paint(&b, recs[g.a:g.a+g.nseg])
+		} else {
+			b.layout, b.rest = stringLayout, b.miss
+			bld.strings(&b, t, recs[g.a+g.nseg:g.a+g.nseg+g.nexact], recs[g.a+g.nseg+g.nexact:g.z])
+		}
 		w.blocks = append(w.blocks, b)
 	}
 	// Only from here on do this stage's states enter their own blocks:
@@ -415,11 +452,9 @@ func appendSegs(recs []walkRec, r walkRec, c *match.IntConstraint) []walkRec {
 // domain; they overlap where match.maxExclusions dropped an exclusion,
 // and then the earlier entry wins, as in BDD evaluation order. The sweep
 // keeps the pieces containing the current point in a heap on entry
-// order; adjacent intervals with one successor merge.
+// order; adjacent intervals with one successor merge. The finished step
+// function keeps its bounds or moves to the direct slab, by bytes.
 func (bld *walkBuilder) paint(b *block, segs []walkRec) {
-	if len(segs) == 0 {
-		return
-	}
 	w := bld.w
 	b.off = int32(len(w.bounds))
 	w.bounds = append(w.bounds, math.MinInt64)
@@ -455,9 +490,66 @@ func (bld *walkBuilder) paint(b *block, segs []walkRec) {
 		default:
 			bld.heap = h
 			b.n = int32(len(w.bounds)) - b.off
+			w.pickLayout(b)
 			return
 		}
 	}
+}
+
+// Bytes per entry of the two integer layouts: a searched block stores a
+// bound and a successor per interval, a direct block a successor per
+// value of its span.
+const (
+	searchBytes = 8 + 4
+	directBytes = 4
+)
+
+// directSlots is the slot count of the direct layout of a step function
+// with the given bounds (bounds[0] is MinInt64): one below bounds[1], one
+// per value from bounds[1] to the last bound, or 1 when there is no
+// bounds[1]. fits reports whether those slots take no more bytes than the
+// bounds and successors do; slots is meaningful only when they fit.
+func directSlots(bounds []int64) (slots int, fits bool) {
+	if len(bounds) == 1 {
+		return 1, true
+	}
+	// Unsigned: bounds[1] > MinInt64, so the span, up to 2^64-2, does not
+	// wrap; span+2 could, and is not computed before the compare.
+	span := uint64(bounds[len(bounds)-1]) - uint64(bounds[1])
+	if span > uint64(len(bounds))*searchBytes/directBytes-2 {
+		return 0, false
+	}
+	return int(span) + 2, true
+}
+
+// pickLayout moves b, just painted at the end of bounds and next, to the
+// direct slab when directSlots says it fits, and marks its layout.
+// Either way the block is stored once: bounds and next give back what a
+// direct block took.
+func (w *walk) pickLayout(b *block) {
+	bounds, next := w.bounds[b.off:b.off+b.n], w.next[b.off:b.off+b.n]
+	slots, fits := directSlots(bounds)
+	if !fits {
+		b.layout = searchLayout
+		return
+	}
+	var base int64 // a one-slot block needs none: every value clamps to slot 0
+	if len(bounds) > 1 {
+		base = bounds[1]
+	}
+	off := len(w.direct)
+	w.direct = slices.Grow(w.direct, slots)
+	for i := 1; i < len(bounds); i++ {
+		// A value v >= base has slot v-base+1; the slots up to bounds[i]'s
+		// take the interval before it.
+		for end := off + int(uint64(bounds[i])-uint64(base)) + 1; len(w.direct) < end; {
+			w.direct = append(w.direct, next[i-1])
+		}
+	}
+	w.direct = append(w.direct, next[len(next)-1])
+	w.bounds, w.next = w.bounds[:b.off], w.next[:b.off]
+	b.layout, b.off, b.n = directLayout, int32(off), int32(slots)
+	b.baseLo, b.baseHi = uint32(base), int32(base>>32)
 }
 
 // heapPush and heapPop keep h, indices into segs, a min-heap on entry
@@ -505,8 +597,8 @@ func (bld *walkBuilder) strings(b *block, t *Table, exacts, tails []walkRec) {
 		return t.Entries[r.prio].Match.(*match.StrConstraint)
 	}
 	if len(exacts) > 0 {
-		b.slotOff, b.slotN = int32(len(w.slots)), int32(slotsFor(len(exacts)))
-		w.slots = append(w.slots, make([]strSlot, b.slotN)...)
+		b.off, b.n = int32(len(w.slots)), int32(slotsFor(len(exacts)))
+		w.slots = append(w.slots, make([]strSlot, b.n)...)
 		before := 0 // tails[:before] precede the exact entry in hand
 		for _, r := range exacts {
 			for before < len(tails) && tails[before].prio < r.prio {
@@ -545,7 +637,7 @@ func (bld *walkBuilder) strings(b *block, t *Table, exacts, tails []walkRec) {
 // is a key of b's exact-string table.
 func (w *walk) excludesOnlyKeys(b *block, c *match.StrConstraint) bool {
 	for _, x := range c.ExcludedEq {
-		if b.slotN == 0 || w.slot(b, strHash(x), x).hash == 0 {
+		if b.n == 0 || w.slot(b, strHash(x), x).hash == 0 {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"camus/internal/bdd"
 	"camus/internal/formats"
@@ -347,12 +348,16 @@ func TestWalkMatchesReference(t *testing.T) {
 // states shared by all six stages, entries in random order whose
 // constraints overlap, are empty, name one another's in-states as
 // successors or sit in a stage of the other kind, defaults with and
-// without entries, leaf rows for some states only. The walk owes the
-// reference the same answer on any tables, not only on well-formed ones.
+// without entries, leaf rows for some states only. A table's integer
+// constants lie around zero or against either end of the domain, so that
+// direct blocks get a base of MinInt64+1 or a last bound of MaxInt64. The
+// walk owes the reference the same answer on any tables, not only on
+// well-formed ones.
 func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
 	state := func() StateID { return StateID(r.Intn(12)) }
+	var org int64 // the table's constants are org-2 .. org+11
 	intC := func() match.Constraint {
-		c := &match.IntConstraint{Lo: int64(r.Intn(14) - 2), Hi: int64(r.Intn(14) - 2)}
+		c := &match.IntConstraint{Lo: org + int64(r.Intn(14)-2), Hi: org + int64(r.Intn(14)-2)}
 		switch r.Intn(5) {
 		case 0:
 			c.Lo = math.MinInt64
@@ -361,8 +366,8 @@ func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
 		case 2:
 			c.Lo, c.Hi = math.MinInt64, math.MaxInt64
 		}
-		for x := int64(-2); x < 12; x++ {
-			if x >= c.Lo && x <= c.Hi && r.Intn(4) == 0 {
+		for d := int64(-2); d < 12; d++ { // org+12 may overflow
+			if x := org + d; x >= c.Lo && x <= c.Hi && r.Intn(4) == 0 {
 				c.Excluded = append(c.Excluded, x)
 			}
 		}
@@ -394,6 +399,7 @@ func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
 	p := &Program{Spec: sp, Init: state()}
 	for i, ref := range refs {
 		t := &Table{Field: &bdd.FieldVar{Index: i, Ref: ref}, Defaults: make(map[StateID]StateID)}
+		org = []int64{0, 0, math.MinInt64 + 3, math.MaxInt64 - 11}[r.Intn(4)]
 		for n := r.Intn(14); n > 0; n-- {
 			e := &Entry{In: state(), Out: state()}
 			if (ref.Type() == spec.StringField) != (r.Intn(12) == 0) {
@@ -420,8 +426,91 @@ func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
 func TestWalkOnArbitraryTables(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	sp := testSpec(t)
+	var atMin, atMax, searched int
 	for i := 0; i < 300; i++ {
-		checkWalk(t, randomTables(r, sp), r, 150)
+		p := randomTables(r, sp)
+		checkWalk(t, p, r, 150)
+		for _, b := range p.walk.blocks {
+			switch {
+			case b.layout == searchLayout:
+				searched++
+			case b.layout != directLayout || b.n < 2:
+			case b.base() == math.MinInt64+1:
+				atMin++
+			case b.base()+int64(b.n-2) == math.MaxInt64: // the last bound
+				atMax++
+			}
+		}
+	}
+	if atMin == 0 || atMax == 0 || searched == 0 {
+		t.Errorf("%d direct blocks based at MinInt64+1, %d ending at MaxInt64, %d searched: a layout edge went untested", atMin, atMax, searched)
+	}
+
+	t.Run("direct edges", testDirectEdges)
+}
+
+// testDirectEdges walks a u64 field through three stages of direct
+// blocks — just above MinInt64, ending at MaxInt64, and around zero, where
+// the u64 values with the top bit set (negative as int64) fall below base
+// — and probes every bound, its neighbours, and the domain's ends.
+func testDirectEdges(t *testing.T) {
+	sp := spec.MustParse("edges", "header h {\n    x : u64 @field;\n}\n")
+	x, _ := sp.Field("x")
+	stages := [][]int64{ // each stage's interval lower bounds
+		{math.MinInt64 + 1, math.MinInt64 + 2, math.MinInt64 + 4},
+		{math.MaxInt64 - 3, math.MaxInt64 - 1, math.MaxInt64},
+		{-3, 0, 1, 5},
+	}
+	// In-state s goes to 8s+j+1 on interval j (the last one a single
+	// value), else by default to 8s: every path ends in its own state.
+	p := &Program{Spec: sp}
+	ins := []StateID{0}
+	for i, lo := range stages {
+		tbl := &Table{Field: &bdd.FieldVar{Index: i, Ref: subscription.FieldRef{Kind: subscription.PacketRef, Field: x}},
+			Defaults: make(map[StateID]StateID)}
+		var outs []StateID
+		for _, s := range ins {
+			for j := range lo {
+				hi := lo[j]
+				if j+1 < len(lo) {
+					hi = lo[j+1] - 1
+				}
+				tbl.Entries = append(tbl.Entries, &Entry{In: s, Out: 8*s + StateID(j+1), Match: &match.IntConstraint{Lo: lo[j], Hi: hi}})
+			}
+			tbl.Defaults[s] = 8 * s
+			for j := 0; j <= len(lo); j++ {
+				outs = append(outs, 8*s+StateID(j))
+			}
+		}
+		p.Stages = append(p.Stages, tbl)
+		ins = outs
+	}
+	for _, s := range ins {
+		p.Leaf = append(p.Leaf, &LeafEntry{In: s, Group: -1})
+	}
+	p.Reindex()
+
+	for _, b := range p.walk.blocks {
+		if b.layout != directLayout {
+			t.Fatalf("stage %d block is not direct: %+v", b.stage, b)
+		}
+		if lo := stages[b.stage]; b.base() != lo[0] {
+			t.Errorf("stage %d: base %d, want %d", b.stage, b.base(), lo[0])
+		}
+	}
+	vals := []int64{math.MinInt64, math.MaxInt64, -1 << 62, math.MinInt64 + 1<<32, -1}
+	for _, lo := range stages {
+		for _, b := range append(lo, lo[len(lo)-1]+1) { // the last interval's end too
+			vals = append(vals, b-1, b, b+1)
+		}
+	}
+	ref := newRefWalk(p)
+	for _, v := range vals {
+		m := spec.NewMessage(sp)
+		m.SetIndex(0, spec.IntVal(v))
+		if got, want := p.Lookup(m, nil), ref.lookup(m, nil); got != want || got == nil {
+			t.Errorf("x = %d (u64 %d): got leaf %s, reference %s", v, uint64(v), leafString(got), leafString(want))
+		}
 	}
 }
 
@@ -594,7 +683,7 @@ func fuzzRules(next func() int) string {
 			if j > 0 {
 				b.WriteString([]string{" and ", " and ", " or "}[next()%3])
 			}
-			switch next() % 5 {
+			switch next() % 6 {
 			case 0:
 				fmt.Fprintf(&b, "shares %s %d", intRels[next()%6], consts[next()%7])
 			case 1:
@@ -603,8 +692,10 @@ func fuzzRules(next func() int) string {
 				fmt.Fprintf(&b, "stock == %s", syms[next()%4])
 			case 3:
 				fmt.Fprintf(&b, "name %s %s", []string{"==", "!=", "prefix"}[next()%3], syms[next()%4])
-			default:
+			case 4:
 				fmt.Fprintf(&b, "avg(price) %s %d", intRels[next()%6], consts[next()%7])
+			default: // one of 34 dense values, as INT's egress ports
+				fmt.Fprintf(&b, "shares == %d", next()%34)
 			}
 		}
 		fmt.Fprintf(&b, ": fwd(%d)\n", 1+next()%4)
@@ -621,6 +712,11 @@ func FuzzLookup(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 2, 2, 0}, []byte{3, 60, 61, 0, 1}, false)
 	f.Add([]byte{3, 2, 4, 3, 1, 2, 1, 0, 5, 1, 2, 3, 3, 2, 2}, []byte{3, 100, 2, 1, 1, 61}, true)
 	f.Add([]byte{5, 2, 3, 2, 0, 3, 1, 1, 2, 2, 4, 0, 3, 1, 1, 0, 1, 5}, []byte{2, 0, 0, 3, 3, 200}, true)
+	// A dense-port program, shares == 0, 1, 2, 3, 5, 6: a direct block
+	// of 9 slots where a search would hold 9 bounds.
+	dense := []byte{5, 0, 5, 0, 0, 0, 5, 1, 1, 0, 5, 2, 2, 0, 5, 3, 3, 0, 5, 5, 0, 0, 5, 6, 1}
+	f.Add(dense, []byte{1, 16, 0}, false)
+	f.Add(dense, []byte{1, 18, 1}, true)
 	f.Fuzz(func(t *testing.T, ruleBytes, msgBytes []byte, lastHop bool) {
 		reader := func(data []byte) func() int {
 			return func() int {
@@ -644,7 +740,7 @@ func FuzzLookup(f *testing.F) {
 		next := reader(msgBytes)
 		m := spec.NewMessage(sp)
 		present := next()
-		ints := []int64{0, 1, 2, 59, 60, 61, 62, 99, 100, 101, 999, 1000, 1001, math.MinInt64, math.MaxInt64}
+		ints := []int64{0, 1, 2, 59, 60, 61, 62, 99, 100, 101, 999, 1000, 1001, math.MinInt64, math.MaxInt64, 31, 32, 33, -1}
 		strs := []string{"GOOGL", "MSFT", "GO", "A", "", "GOO", "GOOGLE", "AA", "B"}
 		if present&1 != 0 {
 			m.MustSet("shares", spec.IntVal(ints[next()%len(ints)]))
@@ -776,15 +872,19 @@ func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) 
 	for cur := w.start; cur >= 0; {
 		b := &w.blocks[cur]
 		blocks++
-		touch(0, uintptr(cur)*36, 36)
+		touch(0, uintptr(cur)*blockSize, blockSize)
 		cur = b.miss
 		v, present := w.stages[b.stage].input(m, nil, false)
 		switch {
 		case !present:
-		case v.Kind == spec.IntField:
-			if b.n == 0 {
-				break
+		case b.layout == directLayout:
+			i := 0
+			if v.Int >= b.base() {
+				i = int(min(uint64(v.Int)-uint64(b.base())+1, uint64(b.n-1)))
 			}
+			touch(3, uintptr(int(b.off)+i)*4, 4)
+			cur = w.direct[int(b.off)+i]
+		case b.layout == searchLayout:
 			i, n := 0, int(b.n)
 			for n > 1 {
 				half := n >> 1
@@ -799,14 +899,14 @@ func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) 
 		default:
 			cur = b.rest
 			hit := false
-			if b.slotN > 0 {
+			if b.n > 0 {
 				h := strHash(v.Str)
-				mask := uint32(b.slotN - 1)
+				mask := uint32(b.n - 1)
 				for i := h & mask; ; i = (i + 1) & mask {
-					s := &w.slots[uint32(b.slotOff)+i]
-					touch(3, uintptr(uint32(b.slotOff)+i)*16, 16)
+					s := &w.slots[uint32(b.off)+i]
+					touch(4, uintptr(uint32(b.off)+i)*16, 16)
 					if s.hash == h {
-						touch(4, uintptr(s.off), uintptr(s.n)) // the key's bytes
+						touch(5, uintptr(s.off), uintptr(s.n)) // the key's bytes
 						if string(w.keys[s.off:s.off+s.n]) == v.Str {
 							cur, hit = s.next, true
 						}
@@ -818,8 +918,8 @@ func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) 
 			}
 			for i := 0; !hit && i < int(b.tailN); i++ {
 				tl := &w.tails[int(b.tailOff)+i]
-				touch(5, uintptr(int(b.tailOff)+i)*16, 16)
-				touch(6+uintptr(int(b.tailOff)+i), 0, 64) // the constraint it points to
+				touch(6, uintptr(int(b.tailOff)+i)*16, 16)
+				touch(7+uintptr(int(b.tailOff)+i), 0, 64) // the constraint it points to
 				if tl.c.Matches(v) {
 					cur, hit = tl.next, true
 				}
@@ -833,15 +933,25 @@ func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) 
 // pins its order of magnitude: a lookup on the benchmark's programs
 // enters at most one block per stage and stays within a few cache lines
 // per block.
+//
+// The ceilings are the figures of the direct layout with a few percent of
+// slack: INT was 23.8 accesses, 276 bytes, 15.5 lines and 1 565 KB flat
+// when every integer block was searched, ITCH 11.8 accesses, 175 bytes
+// and 9.4 lines.
 func TestWalkCost(t *testing.T) {
+	if blockSize != 36 {
+		t.Errorf("block is %d bytes, want 36", blockSize)
+	}
 	r := rand.New(rand.NewSource(4))
 	for _, c := range []struct {
 		name string
 		p    *Program
 		pool []*spec.Message
+		// Ceilings per lookup, and of the flat form.
+		accesses, bytes, lines, kb float64
 	}{
-		{"itch", compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), itchPool(r, 4096)},
-		{"int", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}), intPool(r, 4096)},
+		{"itch", compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), itchPool(r, 4096), 10.5, 175, 9, 16},
+		{"int", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}), intPool(r, 4096), 13, 195, 11, 850},
 	} {
 		var blocks, accesses, bytes, lines int
 		for _, m := range c.pool {
@@ -850,12 +960,89 @@ func TestWalkCost(t *testing.T) {
 		}
 		n := float64(len(c.pool))
 		w := &c.p.walk
-		t.Logf("%s: %d stages, %d entries, %d blocks, %d bounds, %d slots, %d tails (%.1f KB flat); per lookup: %.2f blocks, %.1f dependent accesses, %.0f bytes, %.1f cache lines",
-			c.name, len(c.p.Stages), c.p.TotalEntries(), len(w.blocks), len(w.bounds), len(w.slots), len(w.tails),
-			float64(len(w.blocks)*36+len(w.bounds)*12+len(w.slots)*16+len(w.keys)+len(w.tails)*16)/1024,
+		kb := float64(flatBytes(w)) / 1024
+		t.Logf("%s: %d stages, %d entries, %d blocks, %d bounds, %d direct slots, %d string slots, %d tails (%.1f KB flat); per lookup: %.2f blocks, %.1f dependent accesses, %.0f bytes, %.1f cache lines",
+			c.name, len(c.p.Stages), c.p.TotalEntries(), len(w.blocks), len(w.bounds), len(w.direct), len(w.slots), len(w.tails), kb,
 			float64(blocks)/n, float64(accesses)/n, float64(bytes)/n, float64(lines)/n)
 		if perBlock := float64(lines) / float64(blocks); float64(blocks)/n > float64(len(c.p.Stages)) || perBlock > 6 {
 			t.Errorf("%s: %.2f blocks per lookup over %d stages, %.1f cache lines per block", c.name, float64(blocks)/n, len(c.p.Stages), perBlock)
 		}
+		if float64(accesses)/n > c.accesses || float64(bytes)/n > c.bytes || float64(lines)/n > c.lines || kb > c.kb {
+			t.Errorf("%s: over a ceiling (%.0f accesses, %.0f bytes, %.0f lines per lookup, %.0f KB flat)", c.name, c.accesses, c.bytes, c.lines, c.kb)
+		}
+	}
+}
+
+// blockSize is a block header's bytes, what walkCost counts per block.
+const blockSize = unsafe.Sizeof(block{})
+
+// flatBytes is the size of w's slices, leaves and stages aside.
+func flatBytes(w *walk) int {
+	return len(w.blocks)*int(blockSize) + len(w.bounds)*searchBytes + len(w.direct)*directBytes +
+		len(w.slots)*int(unsafe.Sizeof(strSlot{})) + len(w.keys) + len(w.tails)*int(unsafe.Sizeof(strTail{}))
+}
+
+// TestDirectLayoutNeverGrows: on the bench/ rule shapes and Siena rule
+// sets over every application spec, an integer block is direct exactly
+// when a successor per value of its span takes no more bytes than its
+// bounds and successors, so the flat form never outgrows the one in which
+// every integer block is searched.
+func TestDirectLayoutNeverGrows(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	progs := map[string]*Program{
+		"itch":          compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}),
+		"itch_stateful": compileLines(t, formats.ITCH, benchITCHRules(r, true), Options{LastHop: true}),
+		"int":           compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}),
+	}
+	for _, sp := range []*spec.Spec{formats.ITCH, formats.INT, formats.ILA, formats.HICN,
+		formats.DNS, formats.Highway, formats.Kafka, formats.NetBase} {
+		rules, err := workload.SienaRules(workload.SienaConfig{
+			Spec: sp, Filters: 25, MaxPredicates: 3, IntRange: 64,
+			StringValues: workload.DefaultSymbols(40), Seed: 1,
+		}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(sp, rules, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs["siena/"+sp.Name] = p
+	}
+
+	directs := 0
+	for name, p := range progs {
+		w := &p.walk
+		// searched is the flat form with every direct block searched
+		// instead: its bounds are where its successor changes.
+		searched := flatBytes(w) - len(w.direct)*directBytes
+		for i, b := range w.blocks {
+			switch b.layout {
+			case searchLayout:
+				bounds := w.bounds[b.off : b.off+b.n]
+				span := uint64(bounds[len(bounds)-1]) - uint64(bounds[1])
+				if span < 1<<32 && 4*(span+2) <= 12*uint64(len(bounds)) {
+					t.Errorf("%s block %d: searched, but %d bounds span %d values", name, i, len(bounds), span+1)
+				}
+			case directLayout:
+				directs++
+				slots, nb := w.direct[b.off:b.off+b.n], 1
+				for j := 1; j < len(slots); j++ {
+					if slots[j] != slots[j-1] {
+						nb++
+					}
+				}
+				if 4*len(slots) > 12*nb {
+					t.Errorf("%s block %d: direct, but %d slots for %d bounds", name, i, len(slots), nb)
+				}
+				searched += nb * searchBytes
+			}
+		}
+		if flat := flatBytes(w); flat > searched {
+			t.Errorf("%s: flat form %d bytes, %d with every integer block searched", name, flat, searched)
+		}
+	}
+	if directs == 0 {
+		t.Error("no direct block in any program")
 	}
 }

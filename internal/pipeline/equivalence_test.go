@@ -262,18 +262,33 @@ price > 500: fwd(3)
 		copts compiler.Options
 		// msgs is the message count of packet i.
 		msgs func(i int) int
+		// flows: packets come in stream pairs, a header-bearing packet of
+		// two messages on four ports, then a continuation. Installing the
+		// stream's decision clones its port set: one allocation per
+		// header-bearing packet, none per continuation.
+		flows bool
 	}{
 		{name: "stateless", rules: stateless},
 		{name: "stateful", rules: stateless + "stock == GOOGL and avg(price, 100us) > 60: fwd(4)\n",
 			copts: compiler.Options{LastHop: true}},
 		{name: "fanout", rules: stateless + "stock == GOOGL: fwd(5)\nshares > 5: fwd(6)\nshares > 5: fwd(7)\n",
 			msgs: func(i int) int { return 1 + i%8 }},
+		{name: "flows", rules: stateless + "shares > 5: fwd(4)\n", flows: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sw, sp := buildSwitch(t, tc.rules, tc.copts)
 			syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
 			pkts := make([]*Packet, 256)
+			headers := 0
 			for i := range pkts {
+				if tc.flows {
+					pkts[i] = &Packet{In: 0, Bytes: 64, Flow: FlowKey(1 + i/2)}
+					if i%2 == 0 {
+						pkts[i].Msgs = []*spec.Message{itchMsg(sp, "GOOGL", 600, 10), itchMsg(sp, "MSFT", 200, 10)}
+						headers++
+					}
+					continue
+				}
 				n := 1
 				if tc.msgs != nil {
 					n = tc.msgs(i)
@@ -290,8 +305,11 @@ price > 500: fwd(3)
 				now += 30 * time.Microsecond // windows tumble every few runs
 				sw.ProcessBatch(pkts, now)
 			})
-			if allocs != 0 {
-				t.Fatalf("batch allocates %.1f allocs/op, want 0", allocs)
+			if allocs != float64(headers) {
+				t.Fatalf("batch allocates %.1f allocs/op, want %d", allocs, headers)
+			}
+			if st := sw.Stats(); tc.flows && (st.FlowHits != st.Packets/2 || st.Deliveries != 4*st.Packets) {
+				t.Fatalf("stream run did not cache its four-port decisions: %+v", st)
 			}
 			st := sw.Stats()
 			if tc.copts.LastHop && (st.StateUpdates == 0 || st.Deliveries == 0) {

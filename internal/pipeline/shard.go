@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"camus/internal/spec"
+	"camus/internal/subscription"
 )
 
 // shard is one worker's private slice of the dataplane: a flow-cache
@@ -55,17 +56,29 @@ func (r *run) unlockFlows() {
 }
 
 // workspace is the reusable mutable state of the packet core: the
-// per-port message buckets of the packet in flight and the register
-// reader. Buckets are a linear-scanned slice because egress ports are few
-// per packet and may be negative (e.g. routing's UpPort), ruling out
-// dense indexing. Where a run emits is not the workspace's business: the
-// deliveries go into the emit arena of the Results the caller passed.
+// per-port message buckets of the packet in flight, the port set of its
+// stream decision and the register reader. Buckets are a linear-scanned
+// slice because egress ports are few per packet and may be negative (e.g.
+// routing's UpPort), ruling out dense indexing. Where a run emits is not
+// the workspace's business: the deliveries go into the emit arena of the
+// Results the caller passed.
 type workspace struct {
 	buckets []portBucket
 	n       int // buckets in use
 	total   int // messages across them
 
+	// flowPorts is the union of the matched leaves' ports so far; spare
+	// is the buffer the next union is merged into (subscription.UnionPorts
+	// needs its destination disjoint from its inputs), and the two swap.
+	flowPorts, spare []int
+
 	regs stateAt
+}
+
+// addFlowPorts merges ports, sorted and deduplicated, into flowPorts.
+func (w *workspace) addFlowPorts(ports []int) {
+	w.spare = subscription.UnionPorts(w.spare[:0], w.flowPorts, ports)
+	w.flowPorts, w.spare = w.spare, w.flowPorts
 }
 
 type portBucket struct {

@@ -333,7 +333,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 		}
 	}
 
-	var flowPorts subscription.ActionSet
+	ws.flowPorts = ws.flowPorts[:0]
 	for _, m := range pkt.Msgs {
 		st.Messages++
 		le := ep.prog.Lookup(m, r.regs)
@@ -351,12 +351,12 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 			continue
 		}
 		st.Matched++
-		for _, port := range ports {
+		if pkt.Flow != 0 {
 			// The cached stream decision keeps the full port set;
 			// ingress suppression re-applies per continuation packet.
-			if pkt.Flow != 0 {
-				flowPorts.Add(subscription.FwdAction(port))
-			}
+			ws.addFlowPorts(ports)
+		}
+		for _, port := range ports {
 			if !(s.cfg.DropOnIngressPort && port == pkt.In) {
 				b := ws.bucket(port)
 				b.msgs = append(b.msgs, m)
@@ -370,10 +370,11 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 
 	// Stream subscriptions: the header-bearing packet installs the
 	// stream's merged port decision for its continuations (§VII-B),
-	// tagged with the epoch it was compiled under.
+	// tagged with the epoch it was compiled under; install clones the
+	// workspace's port set.
 	if pkt.Flow != 0 && len(pkt.Msgs) > 0 {
 		r.lockFlows()
-		r.sh.flows.install(pkt.Flow, flowPorts, r.now, ep.gen)
+		r.sh.flows.install(pkt.Flow, subscription.ActionSet{Ports: ws.flowPorts}, r.now, ep.gen)
 		r.unlockFlows()
 	}
 
