@@ -120,8 +120,10 @@ bench-report:
 ## exact zero-alloc baseline. The wire-decode benchmarks decode 1000
 ## frames each against their per-frame allocs/op (3 for an ITCH
 ## datagram of any order count, 1 for an INT report), so per-message
-## decode garbage cannot return unnoticed. The fabric wire loop
-## (FabricBatch: 256 frames decoded and published through the 20-switch
+## decode garbage cannot return unnoticed; the wire-encode benchmarks
+## encode the same frames against 1 allocation per frame (the frame), so
+## a value map or boxed field returning to an encoder fails. The fabric
+## wire loop (FabricBatch: 256 frames decoded and published through the 20-switch
 ## netsim per op) self-enforces its allocs/op exactly — 3 per frame of
 ## decode plus the three result slices of one PublishBatch — so a per-hop
 ## allocation cannot hide inside the 2x ratio. BenchmarkCoverChurn also
@@ -133,7 +135,7 @@ perf-guard:
 	  $(GO) test -run '^$$' -bench '^BenchmarkLookup$$' -benchtime 100000x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPlacement$$' -benchtime 2000x -benchmem ./internal/ctlplane; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCompile10k$$|^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkDecode(ITCH|INT)$$' -benchtime 1000x -benchmem .; \
+	  $(GO) test -run '^$$' -bench '^Benchmark(De|En)code(ITCH|INT)$$' -benchtime 1000x -benchmem .; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFabricBatch$$' -benchtime 100x -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -baseline perf-baseline.json -max-ratio 2
 
@@ -162,13 +164,14 @@ soak:
 ## fuzz-smoke: short, deterministic iterations of the fuzz targets —
 ## the subscription parser, the BDD kernel's hash table against a Go
 ## map, the compile-then-prove pipeline, the flat table walk against its
-## reference and the two wire decoders (seed corpus plus a few hundred
-## mutations each).
+## reference, the field encoder against the bit reference and the two
+## wire decoders (seed corpus plus a few hundred mutations each).
 fuzz-smoke:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 200x
 	$(GO) test ./internal/bdd -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 200x
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 200x
 	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 200x
+	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzHeaderCodec$$' -fuzztime 200x
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 200x
 	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 200x
 

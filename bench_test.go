@@ -167,7 +167,7 @@ func BenchmarkSwitchParallel(b *testing.B) {
 }
 
 // BenchmarkDecodeITCH — wire decode alone, the packet layer of the wire
-// path (DESIGN.md "Wire decode"): MoldUDP64 datagrams of 1–8
+// path (DESIGN.md "Wire codec"): MoldUDP64 datagrams of 1–8
 // Zipf-batched add-orders (the bench/ generator's shape) through
 // formats.DecodeITCHFeed, one frame per op. ns/msg is the per-message
 // cost. allocs/op is per frame and does not grow with the order count
@@ -182,8 +182,8 @@ func BenchmarkDecodeITCH(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	benchDecode(b, frames, func(frame []byte) (int, error) {
-		msgs, err := formats.DecodeITCHFeed(frame)
+	benchFrames(b, len(frames), func(i int) (int, error) {
+		msgs, err := formats.DecodeITCHFeed(frames[i])
 		return len(msgs), err
 	})
 }
@@ -200,18 +200,20 @@ func BenchmarkDecodeINT(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	benchDecode(b, frames, func(frame []byte) (int, error) {
-		_, err := formats.DecodeINT(frame)
+	benchFrames(b, len(frames), func(i int) (int, error) {
+		_, err := formats.DecodeINT(frames[i])
 		return 1, err
 	})
 }
 
-func benchDecode(b *testing.B, frames [][]byte, decode func([]byte) (msgs int, err error)) {
+// benchFrames runs one codec call per op over frames 0..frames-1
+// round-robin and reports the cost per message as ns/msg.
+func benchFrames(b *testing.B, frames int, op func(i int) (msgs int, err error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	msgs := 0
 	for i := 0; i < b.N; i++ {
-		n, err := decode(frames[i%len(frames)])
+		n, err := op(i % frames)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,6 +221,29 @@ func benchDecode(b *testing.B, frames [][]byte, decode func([]byte) (msgs int, e
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+}
+
+// BenchmarkEncodeITCH — the publisher side of DecodeITCH: the same
+// Zipf-batched feed through formats.EncodeITCHFeed, one datagram per op.
+// Every field is written through its compiled FieldCodec into one buffer
+// per frame, so allocs/op is 1 whatever the order count; perf-guard pins
+// it, so a value map or boxed field returning to an encoder fails CI.
+func BenchmarkEncodeITCH(b *testing.B) {
+	feed := workload.ITCHFeed(workload.ITCHFeedConfig{Packets: 4096, BatchZipf: true, MaxBatch: 8, Seed: 1})
+	benchFrames(b, len(feed), func(i int) (int, error) {
+		_, err := formats.EncodeITCHFeed("CAMUSBENCH", uint64(i), feed[i].Orders)
+		return len(feed[i].Orders), err
+	})
+}
+
+// BenchmarkEncodeINT — one telemetry report per op through
+// formats.EncodeINT: one allocation, the frame.
+func BenchmarkEncodeINT(b *testing.B) {
+	stream := workload.INTStream(workload.INTStreamConfig{Reports: 4096, Seed: 1})
+	benchFrames(b, len(stream), func(i int) (int, error) {
+		_, err := formats.EncodeINT(stream[i])
+		return 1, err
+	})
 }
 
 // BenchmarkCompile10k — one batch compile of a 10k-rule ITCH workload

@@ -93,37 +93,40 @@ func Confirm(sp *spec.Spec, prog *compiler.Program, rules []*subscription.Rule,
 }
 
 // roundTrip serializes the present headers in declaration order, then
-// decodes the bytes back into a fresh message — the replayed packet is
-// exactly what a wire round-trip preserves.
+// decodes the bytes back into a fresh message through the same codecs —
+// the replayed packet is exactly what a wire round-trip preserves.
 func roundTrip(sp *spec.Spec, cex *prove.Assignment) (wire []byte, headers []string, m *spec.Message, err error) {
+	var codecs []*packet.HeaderCodec
+	size := 0
 	for _, h := range sp.Headers {
 		if !cex.Headers[h.Name] {
 			continue
 		}
-		codec, cerr := packet.NewHeaderCodec(sp, h.Name)
-		if cerr != nil {
-			return nil, nil, nil, cerr
+		codec, err := packet.NewHeaderCodec(sp, h.Name)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		values := make(map[string]spec.Value)
-		for _, f := range h.Fields {
+		codecs = append(codecs, codec)
+		headers = append(headers, h.Name)
+		size += codec.Size()
+	}
+	wire = make([]byte, size)
+	hdr := wire
+	for _, codec := range codecs {
+		for _, f := range codec.Header.Fields {
 			if v, ok := cex.Fields[f.QName()]; ok {
-				values[f.Name] = v
+				if err := codec.MustField(f.Name).Put(hdr, v); err != nil {
+					return nil, nil, nil, fmt.Errorf("replay: encode %s: %w", codec.Header.Name, err)
+				}
 			}
 		}
-		if wire, err = codec.Append(wire, values); err != nil {
-			return nil, nil, nil, fmt.Errorf("replay: encode %s: %w", h.Name, err)
-		}
-		headers = append(headers, h.Name)
+		hdr = hdr[codec.Size():]
 	}
 	m = spec.NewMessage(sp)
 	rest := wire
-	for _, name := range headers {
-		codec, cerr := packet.NewHeaderCodec(sp, name)
-		if cerr != nil {
-			return nil, nil, nil, cerr
-		}
+	for _, codec := range codecs {
 		if rest, err = codec.Decode(rest, m); err != nil {
-			return nil, nil, nil, fmt.Errorf("replay: decode %s: %w", name, err)
+			return nil, nil, nil, fmt.Errorf("replay: decode %s: %w", codec.Header.Name, err)
 		}
 	}
 	if len(rest) != 0 {

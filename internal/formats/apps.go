@@ -20,6 +20,37 @@ func decodeOne(app string, c *packet.HeaderCodec, data []byte) (*spec.Message, e
 	return m, nil
 }
 
+// fieldsOf resolves the named fields of c once, in the order an encoder
+// passes their values to put.
+func fieldsOf(c *packet.HeaderCodec, names ...string) []*packet.FieldCodec {
+	fields := make([]*packet.FieldCodec, len(names))
+	for i, name := range names {
+		fields[i] = c.MustField(name)
+	}
+	return fields
+}
+
+// put writes vals[i] into fields[i] of hdr, a zeroed header, and stops at
+// the first value that does not fit its field.
+func put(hdr []byte, fields []*packet.FieldCodec, vals ...spec.Value) error {
+	for i, x := range fields {
+		if err := x.Put(hdr, vals[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encode returns a frame of size bytes whose leading header is written by
+// put: every encoder's one allocation.
+func encode(size int, fields []*packet.FieldCodec, vals ...spec.Value) ([]byte, error) {
+	buf := make([]byte, size)
+	if err := put(buf, fields, vals...); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // ---------------------------------------------------------------------
 // ILA — identifier-based routing (§VIII-C3). The IPv6 destination is
 // split into a 64-bit locator and a 64-bit identifier (Facebook's ILA);
@@ -43,7 +74,10 @@ header ipv6 {
 }
 `)
 
-var ilaCodec = packet.MustHeaderCodec(ILA, "ipv6")
+var (
+	ilaCodec  = packet.MustHeaderCodec(ILA, "ipv6")
+	ilaFields = fieldsOf(ilaCodec, "version", "hop_limit", "src_hi", "src_lo", "dst_locator", "dst_identifier")
+)
 
 // ILAPacket is one identifier-addressed packet.
 type ILAPacket struct {
@@ -63,11 +97,8 @@ func (p *ILAPacket) Message() *spec.Message {
 
 // EncodeILA encodes one IPv6/ILA header.
 func EncodeILA(p *ILAPacket) ([]byte, error) {
-	return ilaCodec.Append(nil, packet.V(
-		"version", 6, "hop_limit", 64,
-		"src_hi", p.SrcHi, "src_lo", p.SrcLo,
-		"dst_locator", p.Locator, "dst_identifier", p.Identifier,
-	))
+	return encode(ilaCodec.Size(), ilaFields, spec.IntVal(6), spec.IntVal(64),
+		spec.IntVal(p.SrcHi), spec.IntVal(p.SrcLo), spec.IntVal(p.Locator), spec.IntVal(p.Identifier))
 }
 
 // DecodeILA parses one IPv6/ILA header.
@@ -90,7 +121,10 @@ header hicn_request {
 }
 `)
 
-var hicnCodec = packet.MustHeaderCodec(HICN, "hicn_request")
+var (
+	hicnCodec  = packet.MustHeaderCodec(HICN, "hicn_request")
+	hicnFields = fieldsOf(hicnCodec, "name_prefix", "content_id", "segment", "lifetime_ms")
+)
 
 // HICNRequest is one content interest packet.
 type HICNRequest struct {
@@ -110,10 +144,8 @@ func (r *HICNRequest) Message() *spec.Message {
 
 // EncodeHICN encodes one request.
 func EncodeHICN(r *HICNRequest) ([]byte, error) {
-	return hicnCodec.Append(nil, packet.V(
-		"name_prefix", r.NamePrefix, "content_id", r.ContentID,
-		"segment", r.Segment, "lifetime_ms", 1000,
-	))
+	return encode(hicnCodec.Size(), hicnFields,
+		spec.StrVal(r.NamePrefix), spec.IntVal(r.ContentID), spec.IntVal(r.Segment), spec.IntVal(1000))
 }
 
 // DecodeHICN parses one request.
@@ -134,7 +166,10 @@ header dns_query {
 }
 `)
 
-var dnsCodec = packet.MustHeaderCodec(DNS, "dns_query")
+var (
+	dnsCodec  = packet.MustHeaderCodec(DNS, "dns_query")
+	dnsFields = fieldsOf(dnsCodec, "txid", "qtype", "name")
+)
 
 // QTypeA is the IPv4 address query type.
 const QTypeA = 1
@@ -156,9 +191,7 @@ func (q *DNSQuery) Message() *spec.Message {
 
 // EncodeDNS encodes one query.
 func EncodeDNS(q *DNSQuery) ([]byte, error) {
-	return dnsCodec.Append(nil, packet.V(
-		"txid", q.TxID, "qtype", q.QType, "name", q.Name,
-	))
+	return encode(dnsCodec.Size(), dnsFields, spec.IntVal(q.TxID), spec.IntVal(q.QType), spec.StrVal(q.Name))
 }
 
 // DecodeDNS parses one query.
@@ -184,7 +217,10 @@ header position_report {
 }
 `)
 
-var highwayCodec = packet.MustHeaderCodec(Highway, "position_report")
+var (
+	highwayCodec  = packet.MustHeaderCodec(Highway, "position_report")
+	highwayFields = fieldsOf(highwayCodec, "car_id", "x", "y", "spd", "highway")
+)
 
 // PositionReport is one car position report (10 per second per car).
 type PositionReport struct {
@@ -207,10 +243,8 @@ func (p *PositionReport) Message() *spec.Message {
 
 // EncodeHighway encodes one report.
 func EncodeHighway(p *PositionReport) ([]byte, error) {
-	return highwayCodec.Append(nil, packet.V(
-		"car_id", p.CarID, "x", p.X, "y", p.Y,
-		"spd", p.Speed, "highway", p.Highway,
-	))
+	return encode(highwayCodec.Size(), highwayFields,
+		spec.IntVal(p.CarID), spec.IntVal(p.X), spec.IntVal(p.Y), spec.IntVal(p.Speed), spec.IntVal(p.Highway))
 }
 
 // DecodeHighway parses one report.
@@ -237,6 +271,7 @@ header kafka_msg {
 var (
 	kafkaCodec      = packet.MustHeaderCodec(Kafka, "kafka_msg")
 	kafkaPayloadLen = kafkaCodec.MustField("payload_len")
+	kafkaFields     = fieldsOf(kafkaCodec, "topic", "partition", "key_hash", "payload_len")
 )
 
 // KafkaMaxPayload is the shim's message size limit (§VIII-C7: 512 bytes,
@@ -266,14 +301,13 @@ func EncodeKafka(k *KafkaMessage) ([]byte, error) {
 		return nil, fmt.Errorf("formats: kafka payload %d exceeds %d-byte shim limit",
 			len(k.Payload), KafkaMaxPayload)
 	}
-	buf, err := kafkaCodec.Append(nil, packet.V(
-		"topic", k.Topic, "partition", k.Partition,
-		"key_hash", k.KeyHash, "payload_len", len(k.Payload),
-	))
+	buf, err := encode(kafkaCodec.Size()+len(k.Payload), kafkaFields,
+		spec.StrVal(k.Topic), spec.IntVal(k.Partition), spec.IntVal(k.KeyHash), spec.IntVal(int64(len(k.Payload))))
 	if err != nil {
 		return nil, err
 	}
-	return append(buf, k.Payload...), nil
+	copy(buf[kafkaCodec.Size():], k.Payload)
+	return buf, nil
 }
 
 // DecodeKafka parses one message, returning the payload too.
@@ -282,7 +316,11 @@ func DecodeKafka(data []byte) (*spec.Message, []byte, error) {
 	if len(data) < size {
 		return nil, nil, fmt.Errorf("formats: kafka: frame is %d bytes, header needs %d", len(data), size)
 	}
-	if n := int(kafkaPayloadLen.Uint(data)); n != len(data)-size {
+	n := int(kafkaPayloadLen.Uint(data))
+	if n > KafkaMaxPayload {
+		return nil, nil, fmt.Errorf("formats: kafka: payload_len %d exceeds %d-byte shim limit", n, KafkaMaxPayload)
+	}
+	if n != len(data)-size {
 		return nil, nil, fmt.Errorf("formats: kafka: payload_len %d, frame carries %d", n, len(data)-size)
 	}
 	m, err := decodeOne("kafka", kafkaCodec, data[:size])

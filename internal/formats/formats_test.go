@@ -1,6 +1,8 @@
 package formats
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,6 +12,96 @@ import (
 	"camus/internal/spec"
 	"camus/internal/subscription"
 )
+
+// zipfFeed is the benchmark's ITCH feed shape — seed 1, Zipf-batched 1–8
+// add-orders per datagram — with every encoded field drawn across its
+// whole range (the benchmark's generator leaves timestamp and locate 0).
+func zipfFeed(datagrams int) [][]*Order {
+	r := rand.New(rand.NewSource(1))
+	batch := rand.NewZipf(r, 1.5, 1, 7)
+	const letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+	feed := make([][]*Order, datagrams)
+	for i := range feed {
+		feed[i] = make([]*Order, 1+batch.Uint64())
+		for j := range feed[i] {
+			stock := make([]byte, 1+r.Intn(8))
+			for k := range stock {
+				stock[k] = letters[r.Intn(len(letters))]
+			}
+			feed[i][j] = &Order{
+				Stock:  string(stock),
+				Price:  r.Int63n(1 << 32),
+				Shares: r.Int63n(1 << 32),
+				Buy:    r.Intn(2) == 0,
+				RefNum: r.Uint64(),
+				TimeNS: r.Int63(),
+				Locate: r.Intn(1 << 16),
+			}
+		}
+	}
+	return feed
+}
+
+// TestEncoderGoldens pins the bytes every encoder writes, not only what
+// decodes back from them: padding that changed, or a value that spilled
+// into a neighbouring field's bits, would still round-trip.
+func TestEncoderGoldens(t *testing.T) {
+	must := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	r := rand.New(rand.NewSource(2))
+	digest := func(frames func(add func([]byte))) string {
+		h := sha256.New()
+		frames(func(b []byte) { h.Write(b) })
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, g := range []struct {
+		name, want string
+		frames     func(add func([]byte))
+	}{
+		{"ITCH feed", "a5b0914b01c7c551df512be6d42345f9162c11864b76973182074a783720a146", func(add func([]byte)) {
+			for i, orders := range zipfFeed(2048) {
+				add(must(EncodeITCHFeed("CAMUSBENCH", uint64(i)<<40|uint64(i), orders)))
+			}
+		}},
+		{"INT stream", "3e4db94587c99b83e30bf96c2e186ae3bc01e26e497fa11dade1169639a0afec", func(add func([]byte)) {
+			for i := 0; i < 2048; i++ {
+				add(must(EncodeINT(&INTReport{
+					FlowID: r.Int63n(1 << 32), SwitchID: r.Int63n(1 << 32), HopLatency: r.Int63n(1 << 32),
+					QueueDepth: r.Int63n(1 << 32), EgressPort: r.Int63n(1 << 16), TstampNS: int64(r.Uint64()),
+				})))
+			}
+		}},
+		{"Frame", "2c25c491e10efce1f26d520e659e4e1c3ad38cf3171afa2cd70d3ad128216697", func(add func([]byte)) {
+			for i := 0; i < 256; i++ {
+				add(must(EncodeFrame(r.Int63n(1<<32), r.Int63n(1<<32), r.Intn(1<<16), r.Intn(1<<16), make([]byte, r.Intn(64)))))
+			}
+		}},
+		{"ILA", "64368e1f3f564e6a4f34e444346b7893368fb2d8bd75eaf16ebc7d2609667563", func(add func([]byte)) {
+			add(must(EncodeILA(&ILAPacket{Locator: 0x20010db8_00000001, Identifier: -0x4112_5eed, SrcHi: 0x7fffffff_fffffffe, SrcLo: 3})))
+		}},
+		{"hICN", "9e303f84881f16388b4a4f0ad730869475c7e4685f9df699d68c3f62f7c8b7f8", func(add func([]byte)) {
+			add(must(EncodeHICN(&HICNRequest{NamePrefix: "video/cats", ContentID: 0x0123456789abcdef, Segment: 0xfedcba98})))
+		}},
+		{"DNS", "517582d7ce9415d54f446de06e1141f98f0373221bba0ca35535c3a67568c210", func(add func([]byte)) {
+			add(must(EncodeDNS(&DNSQuery{TxID: 0xbeef, QType: QTypeA, Name: "h105.rack7.example.org"})))
+		}},
+		{"highway", "710dfd26346b34de976b7ffc754e64799195be176fcb65ce31b592fbb26d354b", func(add func([]byte)) {
+			add(must(EncodeHighway(&PositionReport{CarID: 0xdeadbeef, X: 0xffff, Y: 0x0101, Speed: 93, Highway: 0xa5})))
+		}},
+		{"Kafka", "2dfd8b07cc6f45fe188b785e6641b85f49adee2ae0ea33ef7ed4e64d20374d65", func(add func([]byte)) {
+			add(must(EncodeKafka(&KafkaMessage{Topic: "metrics/cpu/host-17", Partition: 0xfffe, KeyHash: 0x89abcdef, Payload: []byte(`{"v":1,"u":"%"}`)})))
+		}},
+	} {
+		if got := digest(g.frames); got != g.want {
+			t.Errorf("%s: SHA-256 %s, golden %s", g.name, got, g.want)
+		}
+	}
+}
 
 func TestITCHFeedRoundTrip(t *testing.T) {
 	orders := []*Order{
@@ -71,6 +163,27 @@ func TestITCHFeedErrors(t *testing.T) {
 	}
 	if _, err := DecodeITCHFeed(data[:len(data)-4]); err == nil {
 		t.Error("truncated order decoded")
+	}
+	// The encoder holds the decoder's batch limit: the largest batch
+	// round-trips and one order more is refused, not written as a frame
+	// no decoder accepts.
+	orders := make([]*Order, ITCHMaxBatch+1)
+	for i := range orders {
+		orders[i] = &Order{Stock: "A", Price: int64(i)}
+	}
+	if data, err := EncodeITCHFeed("S", 1, orders); err == nil {
+		t.Errorf("%d-order batch encoded to %d bytes", len(orders), len(data))
+	}
+	data, err = EncodeITCHFeed("S", 1, orders[:ITCHMaxBatch])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := DecodeITCHFeed(data)
+	if err != nil || len(msgs) != ITCHMaxBatch {
+		t.Fatalf("%d-order batch: %d messages, err %v", ITCHMaxBatch, len(msgs), err)
+	}
+	if v, _ := msgs[ITCHMaxBatch-1].GetRef("price"); v.Int != ITCHMaxBatch-1 {
+		t.Errorf("last order price = %d", v.Int)
 	}
 }
 

@@ -21,7 +21,11 @@ header int_report {
 }
 `)
 
-var intCodec = packet.MustHeaderCodec(INT, "int_report")
+var (
+	intCodec  = packet.MustHeaderCodec(INT, "int_report")
+	intFields = fieldsOf(intCodec, "version", "hop_count", "flow_id", "switch_id",
+		"hop_latency", "queue_depth", "egress_port", "ingress_tstamp")
+)
 
 // INTReportBytes is the wire size of one telemetry report.
 var INTReportBytes = intCodec.Size()
@@ -55,16 +59,8 @@ func (r *INTReport) FillMessage(m *spec.Message) {
 
 // EncodeINT encodes one report.
 func EncodeINT(r *INTReport) ([]byte, error) {
-	return intCodec.Append(nil, packet.V(
-		"version", 1,
-		"hop_count", 1,
-		"flow_id", r.FlowID,
-		"switch_id", r.SwitchID,
-		"hop_latency", r.HopLatency,
-		"queue_depth", r.QueueDepth,
-		"egress_port", r.EgressPort,
-		"ingress_tstamp", r.TstampNS,
-	))
+	return encode(INTReportBytes, intFields, spec.IntVal(1), spec.IntVal(1), spec.IntVal(r.FlowID), spec.IntVal(r.SwitchID),
+		spec.IntVal(r.HopLatency), spec.IntVal(r.QueueDepth), spec.IntVal(r.EgressPort), spec.IntVal(r.TstampNS))
 }
 
 // DecodeINT parses one report.

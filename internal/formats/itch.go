@@ -34,11 +34,19 @@ var (
 	moldCodec  = packet.MustHeaderCodec(ITCH, "moldudp")
 	moldCount  = moldCodec.MustField("count")
 	moldIndex  = ITCH.HeaderIndex("moldudp")
-	orderCodec = packet.MustHeaderCodec(ITCH, "itch_order")
+	moldFields = fieldsOf(moldCodec, "session", "sequence", "count")
+
+	orderCodec  = packet.MustHeaderCodec(ITCH, "itch_order")
+	orderFields = fieldsOf(orderCodec, "msg_type", "stock_locate", "timestamp", "order_ref",
+		"buy_sell", "shares", "price", "stock")
 )
 
 // ITCHOrderBytes is the wire size of one add-order message.
 var ITCHOrderBytes = orderCodec.Size()
+
+// ITCHMaxBatch is the most add-orders one MoldUDP datagram may carry:
+// EncodeITCHFeed refuses a larger batch and the decoders a larger count.
+const ITCHMaxBatch = 1024
 
 // Order is one ITCH add-order message.
 type Order struct {
@@ -76,28 +84,22 @@ func (o *Order) FillMessage(m *spec.Message) {
 
 // EncodeITCHFeed encodes a MoldUDP datagram carrying the given orders.
 func EncodeITCHFeed(session string, seq uint64, orders []*Order) ([]byte, error) {
-	buf := make([]byte, 0, moldCodec.Size()+len(orders)*orderCodec.Size())
-	buf, err := moldCodec.Append(buf, packet.V(
-		"session", session, "sequence", seq, "count", len(orders)))
+	if len(orders) > ITCHMaxBatch {
+		return nil, fmt.Errorf("formats: ITCH batch of %d orders exceeds %d", len(orders), ITCHMaxBatch)
+	}
+	buf, err := encode(moldCodec.Size()+len(orders)*ITCHOrderBytes, moldFields,
+		spec.StrVal(session), spec.IntVal(int64(seq)), spec.IntVal(int64(len(orders))))
 	if err != nil {
 		return nil, err
 	}
-	for _, o := range orders {
-		bs := "S"
+	for i, o := range orders {
+		side := int64('S')
 		if o.Buy {
-			bs = "B"
+			side = 'B'
 		}
-		buf, err = orderCodec.Append(buf, packet.V(
-			"msg_type", int('A'),
-			"stock_locate", o.Locate,
-			"timestamp", o.TimeNS&0xFFFFFFFFFFFF,
-			"order_ref", o.RefNum,
-			"buy_sell", int(bs[0]),
-			"shares", o.Shares,
-			"price", o.Price,
-			"stock", o.Stock,
-		))
-		if err != nil {
+		if err := put(buf[moldCodec.Size()+i*ITCHOrderBytes:], orderFields,
+			spec.IntVal('A'), spec.IntVal(int64(o.Locate)), spec.IntVal(o.TimeNS&0xFFFFFFFFFFFF), spec.IntVal(int64(o.RefNum)),
+			spec.IntVal(side), spec.IntVal(o.Shares), spec.IntVal(o.Price), spec.StrVal(o.Stock)); err != nil {
 			return nil, err
 		}
 	}
@@ -112,7 +114,7 @@ func itchBatch(data []byte) (count int, orders []byte, err error) {
 		return 0, nil, fmt.Errorf("formats: ITCH: moldudp needs %d bytes, have %d", moldCodec.Size(), len(data))
 	}
 	count = int(moldCount.Uint(data))
-	if count > 1024 {
+	if count > ITCHMaxBatch {
 		return 0, nil, fmt.Errorf("formats: implausible ITCH count %d", count)
 	}
 	orders = data[moldCodec.Size():]

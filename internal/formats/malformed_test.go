@@ -10,12 +10,13 @@ import (
 
 // wireFormat is one datagram decoder with a well-formed frame for it.
 // A frame is `header` bytes of fixed framing whose last two bytes may be
-// a big-endian count of unit-byte items that must follow (unit 0: none).
+// a big-endian count of unit-byte items that must follow (unit 0: none),
+// at most max of them.
 type wireFormat struct {
-	name         string
-	good         []byte
-	header, unit int
-	decode       func([]byte) error
+	name              string
+	good              []byte
+	header, unit, max int
+	decode            func([]byte) error
 }
 
 // wantLen is the length a frame's own framing implies.
@@ -47,16 +48,16 @@ func wireFormats(t *testing.T) []wireFormat {
 	}
 	itch := must(EncodeITCHFeed("SESSION", 7, eightOrders()[:2]))
 	return []wireFormat{
-		{"ITCHFeed", itch, moldCodec.Size(), ITCHOrderBytes,
+		{"ITCHFeed", itch, moldCodec.Size(), ITCHOrderBytes, ITCHMaxBatch,
 			func(b []byte) error { _, err := DecodeITCHFeed(b); return err }},
-		{"ITCHPass", itch, moldCodec.Size(), ITCHOrderBytes,
+		{"ITCHPass", itch, moldCodec.Size(), ITCHOrderBytes, ITCHMaxBatch,
 			func(b []byte) error { _, _, err := DecodeITCHPass(b, 1, 1); return err }},
-		{"INT", must(EncodeINT(&INTReport{FlowID: 1, SwitchID: 2, HopLatency: 3})), INTReportBytes, 0, one(DecodeINT)},
-		{"ILA", must(EncodeILA(&ILAPacket{Locator: 1, Identifier: 2})), ilaCodec.Size(), 0, one(DecodeILA)},
-		{"HICN", must(EncodeHICN(&HICNRequest{NamePrefix: "/video", ContentID: 7})), hicnCodec.Size(), 0, one(DecodeHICN)},
-		{"DNS", must(EncodeDNS(&DNSQuery{TxID: 1, QType: QTypeA, Name: "example.com"})), dnsCodec.Size(), 0, one(DecodeDNS)},
-		{"Highway", must(EncodeHighway(&PositionReport{CarID: 1, X: 2, Y: 3, Speed: 60})), highwayCodec.Size(), 0, one(DecodeHighway)},
-		{"Kafka", must(EncodeKafka(&KafkaMessage{Topic: "t", Payload: []byte("payload")})), kafkaCodec.Size(), 1,
+		{"INT", must(EncodeINT(&INTReport{FlowID: 1, SwitchID: 2, HopLatency: 3})), INTReportBytes, 0, 0, one(DecodeINT)},
+		{"ILA", must(EncodeILA(&ILAPacket{Locator: 1, Identifier: 2})), ilaCodec.Size(), 0, 0, one(DecodeILA)},
+		{"HICN", must(EncodeHICN(&HICNRequest{NamePrefix: "/video", ContentID: 7})), hicnCodec.Size(), 0, 0, one(DecodeHICN)},
+		{"DNS", must(EncodeDNS(&DNSQuery{TxID: 1, QType: QTypeA, Name: "example.com"})), dnsCodec.Size(), 0, 0, one(DecodeDNS)},
+		{"Highway", must(EncodeHighway(&PositionReport{CarID: 1, X: 2, Y: 3, Speed: 60})), highwayCodec.Size(), 0, 0, one(DecodeHighway)},
+		{"Kafka", must(EncodeKafka(&KafkaMessage{Topic: "t", Payload: []byte("payload")})), kafkaCodec.Size(), 1, KafkaMaxPayload,
 			func(b []byte) error { _, _, err := DecodeKafka(b); return err }},
 	}
 }
@@ -91,6 +92,9 @@ func TestMalformedFrames(t *testing.T) {
 			cases["count smaller than payload"] = wf.withCount(have - 1)
 			cases["count over 1024"] = wf.withCount(1025)
 			cases["count 65535"] = wf.withCount(65535)
+			// Framing that agrees with itself but exceeds what the encoder
+			// would ever write: decode holds the encoder's limit.
+			cases["count over limit, with its payload"] = append(wf.withCount(wf.max + 1)[:wf.header], make([]byte, (wf.max+1)*wf.unit)...)
 		}
 		for name, frame := range cases {
 			if err := wf.decode(frame[:len(frame):len(frame)]); err == nil {
@@ -164,14 +168,16 @@ func TestDecodedMessagesDoNotAliasFrame(t *testing.T) {
 		header string
 		values map[string]spec.Value
 	}{
-		{"hicn_request", packet.V("name_prefix", "/video/cats", "content_id", 7, "segment", 3)},
-		{"dns_query", packet.V("qtype", QTypeA, "name", "example.org")},
-		{"kafka_msg", packet.V("topic", "orders", "partition", 2, "key_hash", 99)},
+		{"hicn_request", map[string]spec.Value{"name_prefix": spec.StrVal("/video/cats"), "content_id": spec.IntVal(7), "segment": spec.IntVal(3)}},
+		{"dns_query", map[string]spec.Value{"qtype": spec.IntVal(QTypeA), "name": spec.StrVal("example.org")}},
+		{"kafka_msg", map[string]spec.Value{"topic": spec.StrVal("orders"), "partition": spec.IntVal(2), "key_hash": spec.IntVal(99)}},
 	} {
 		c := packet.MustHeaderCodec(merged, part.header)
-		buf, err := c.Append(nil, part.values)
-		if err != nil {
-			t.Fatal(err)
+		buf := make([]byte, c.Size())
+		for name, v := range part.values {
+			if err := c.MustField(name).Put(buf, v); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := c.Decode(buf, m); err != nil {
 			t.Fatal(err)
@@ -205,9 +211,10 @@ func TestDecodeIntoForeignSpec(t *testing.T) {
 
 // TestDecodeAllocs pins what a frame costs, exactly. ITCH: the message
 // slab (messages, pointer slice) and the one copy of the stock bytes. A
-// single report: its message.
+// single report: its message. Encoding any frame: the frame.
 func TestDecodeAllocs(t *testing.T) {
-	frame, err := EncodeITCHFeed("S", 1, eightOrders())
+	orders := eightOrders()
+	frame, err := EncodeITCHFeed("S", 1, orders)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +234,19 @@ func TestDecodeAllocs(t *testing.T) {
 		sink += int(m.HeaderMask())
 	}); n != 1 {
 		t.Errorf("DecodeINT: %v allocations, want 1", n)
+	}
+	for name, encode := range map[string]func() ([]byte, error){
+		"EncodeITCHFeed(8 orders)": func() ([]byte, error) { return EncodeITCHFeed("S", 1, orders) },
+		"EncodeINT":                func() ([]byte, error) { return EncodeINT(&INTReport{FlowID: 1, SwitchID: 2}) },
+		"EncodeFrame":              func() ([]byte, error) { return EncodeFrame(1, 2, 3, 4, report) },
+		"EncodeKafka":              func() ([]byte, error) { return EncodeKafka(&KafkaMessage{Topic: "t", Payload: report}) },
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			b, _ := encode()
+			sink += len(b)
+		}); n != 1 {
+			t.Errorf("%s: %v allocations, want 1", name, n)
+		}
 	}
 	if sink == 0 {
 		t.Error("nothing decoded")

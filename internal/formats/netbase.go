@@ -50,6 +50,13 @@ var (
 	UDPCodec      = packet.MustHeaderCodec(NetBase, "udp")
 )
 
+// The fields EncodeFrame writes.
+var (
+	ethernetFields = fieldsOf(EthernetCodec, "ethertype")
+	ipv4Fields     = fieldsOf(IPv4Codec, "version", "ihl", "total_len", "ttl", "proto", "src", "dst")
+	udpFields      = fieldsOf(UDPCodec, "sport", "dport", "length")
+)
+
 // FrameOverheadBytes is the L2+L3+L4 framing cost charged to every
 // application packet in traffic accounting.
 const FrameOverheadBytes = 14 + 20 + 8
@@ -62,24 +69,21 @@ func IPv4(a, b, c, d int) int64 {
 // EncodeFrame prepends Ethernet+IPv4+UDP headers to an application
 // payload: the wire form used by feed generators.
 func EncodeFrame(src, dst int64, sport, dport int, payload []byte) ([]byte, error) {
-	buf := make([]byte, 0, FrameOverheadBytes+len(payload))
-	var err error
-	buf, err = EthernetCodec.Append(buf, packet.V("ethertype", 0x0800))
+	buf, err := encode(FrameOverheadBytes+len(payload), ethernetFields, spec.IntVal(0x0800))
 	if err != nil {
 		return nil, err
 	}
-	buf, err = IPv4Codec.Append(buf, packet.V(
-		"version", 4, "ihl", 5, "ttl", 64, "proto", 17,
-		"total_len", 20+8+len(payload), "src", src, "dst", dst))
-	if err != nil {
+	ip := buf[EthernetCodec.Size():]
+	if err := put(ip, ipv4Fields, spec.IntVal(4), spec.IntVal(5), spec.IntVal(int64(20+8+len(payload))),
+		spec.IntVal(64), spec.IntVal(17), spec.IntVal(src), spec.IntVal(dst)); err != nil {
 		return nil, err
 	}
-	buf, err = UDPCodec.Append(buf, packet.V(
-		"sport", sport, "dport", dport, "length", 8+len(payload)))
-	if err != nil {
+	udp := ip[IPv4Codec.Size():]
+	if err := put(udp, udpFields, spec.IntVal(int64(sport)), spec.IntVal(int64(dport)), spec.IntVal(int64(8+len(payload)))); err != nil {
 		return nil, err
 	}
-	return append(buf, payload...), nil
+	copy(buf[FrameOverheadBytes:], payload)
+	return buf, nil
 }
 
 // DecodeFrame parses the base stack into m and returns the payload.

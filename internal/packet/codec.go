@@ -11,7 +11,10 @@
 // DecodingLayerParser, nothing is allocated per field or per message: a
 // decoded frame costs its message slab (two allocations) plus, when the
 // header has subscribable string fields, one immutable copy of the bytes
-// those fields span.
+// those fields span. Encoding runs the same access paths the other way:
+// an encoder resolves each field's FieldCodec once and writes a frame
+// into one zeroed buffer with one Put per field, so a frame costs one
+// allocation whatever its field or message count.
 package packet
 
 import (
@@ -34,7 +37,8 @@ type HeaderCodec struct {
 	strBytes int          // bytes the subscribable string fields span
 }
 
-// FieldCodec is the compiled access path of one header field.
+// FieldCodec is the compiled access path of one header field: Uint reads
+// it, Put writes it.
 type FieldCodec struct {
 	f     *spec.Field
 	idx   int    // subscribable index, -1 if none
@@ -95,8 +99,9 @@ func MustHeaderCodec(sp *spec.Spec, header string) *HeaderCodec {
 // Size returns the encoded header size in bytes.
 func (c *HeaderCodec) Size() int { return c.size }
 
-// Field returns the access path of the named field, for callers that
-// read one framing field (a count, a length) from every packet.
+// Field returns the access path of the named field, for encoders, which
+// resolve every field they write once, and for decoders that read one
+// framing field (a count, a length) from every packet.
 func (c *HeaderCodec) Field(name string) (*FieldCodec, error) {
 	for i := range c.fields {
 		if c.fields[i].f.Name == name {
@@ -113,25 +118,6 @@ func (c *HeaderCodec) MustField(name string) *FieldCodec {
 		panic(err)
 	}
 	return x
-}
-
-// Append encodes the header to dst from a field-name → value map and
-// returns the extended slice. Missing fields encode as zero.
-func (c *HeaderCodec) Append(dst []byte, values map[string]spec.Value) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, make([]byte, c.size)...)
-	buf := dst[start:]
-	for i := range c.fields {
-		x := &c.fields[i]
-		v, ok := values[x.f.Name]
-		if !ok {
-			continue
-		}
-		if err := x.put(buf, v); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // Decode extracts the header from data, writing subscribable fields into
@@ -188,32 +174,6 @@ func (c *HeaderCodec) DecodeEach(data []byte, msgs []*spec.Message) ([]byte, err
 	return data[total:], nil
 }
 
-// DecodeAll extracts every field (including non-subscribable ones) into a
-// map — for tests, diagnostics and control-plane software.
-func (c *HeaderCodec) DecodeAll(data []byte) (map[string]spec.Value, []byte, error) {
-	if len(data) < c.size {
-		return nil, nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, c.size, len(data))
-	}
-	strs := string(data[:c.size])
-	out := make(map[string]spec.Value, len(c.fields))
-	for i := range c.fields {
-		out[c.fields[i].f.Name] = c.fields[i].value(data, strs, 0)
-	}
-	return out, data[c.size:], nil
-}
-
-// Peek reads one named field without touching a Message.
-func (c *HeaderCodec) Peek(data []byte, field string) (spec.Value, error) {
-	if len(data) < c.size {
-		return spec.Value{}, fmt.Errorf("packet: short %s header", c.Header.Name)
-	}
-	x, err := c.Field(field)
-	if err != nil {
-		return spec.Value{}, err
-	}
-	return x.value(data, string(data[:c.size]), 0), nil
-}
-
 // Uint reads an integer field from hdr, which must hold the whole header.
 func (x *FieldCodec) Uint(hdr []byte) uint64 {
 	b := hdr[x.off : x.off+x.n]
@@ -236,19 +196,15 @@ func (x *FieldCodec) Uint(hdr []byte) uint64 {
 	return (v<<(8-x.shift) | uint64(b[x.n-1])>>x.shift) & x.mask
 }
 
-// value reads the field of the header starting at data[base:]. Strings
-// are sliced from strs, the immutable copy of data.
-func (x *FieldCodec) value(data []byte, strs string, base int) spec.Value {
-	if x.f.Type == spec.StringField {
-		return spec.StrVal(strs[base+x.off : base+x.off+x.n])
-	}
-	return spec.IntVal(int64(x.Uint(data[base:])))
-}
-
-// put writes a field value into a zeroed header buffer.
-func (x *FieldCodec) put(buf []byte, v spec.Value) error {
+// Put writes v into the field of hdr, which must hold the whole header
+// with the field's bits still zero: the value is OR-ed in, so fields
+// already written around it keep their bits. Strings are right-padded
+// with spaces. A value of the wrong kind, an integer outside the field's
+// width or a string longer than the field is an error and hdr is left
+// as it was.
+func (x *FieldCodec) Put(hdr []byte, v spec.Value) error {
 	f := x.f
-	b := buf[x.off : x.off+x.n]
+	b := hdr[x.off : x.off+x.n]
 	if f.Type == spec.StringField {
 		if v.Kind != spec.StringField {
 			return fmt.Errorf("packet: field %s wants string", f.QName())
@@ -277,33 +233,4 @@ func (x *FieldCodec) put(buf []byte, v spec.Value) error {
 		u >>= 8
 	}
 	return nil
-}
-
-// V is shorthand for building value maps in encoders and tests.
-func V(pairs ...interface{}) map[string]spec.Value {
-	if len(pairs)%2 != 0 {
-		panic("packet.V: odd argument count")
-	}
-	m := make(map[string]spec.Value, len(pairs)/2)
-	for i := 0; i < len(pairs); i += 2 {
-		name, ok := pairs[i].(string)
-		if !ok {
-			panic("packet.V: key must be string")
-		}
-		switch v := pairs[i+1].(type) {
-		case int:
-			m[name] = spec.IntVal(int64(v))
-		case int64:
-			m[name] = spec.IntVal(v)
-		case uint64:
-			m[name] = spec.IntVal(int64(v))
-		case string:
-			m[name] = spec.StrVal(v)
-		case spec.Value:
-			m[name] = v
-		default:
-			panic(fmt.Sprintf("packet.V: unsupported value type %T", v))
-		}
-	}
-	return m
 }

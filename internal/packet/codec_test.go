@@ -9,6 +9,9 @@ import (
 	"camus/internal/spec"
 )
 
+// bitSpec mixes the widths and offsets the access paths special-case: a
+// u4, a u13 at bit 3, a u48, a whole aligned u64, a u64 straddling nine
+// bytes and a str6.
 var bitSpec = spec.MustParse("bits", `
 header mixed {
     a : u4;
@@ -18,55 +21,74 @@ header mixed {
     e : u13;
     s : str6 @field;
     f : u64 @field;
+    g : u4;
+    w : u64 @field;
+    h : u4;
 }
 `)
 
+// encode writes the named values into a zeroed header through Put.
+func encode(c *HeaderCodec, values map[string]spec.Value) ([]byte, error) {
+	buf := make([]byte, c.Size())
+	for name, v := range values {
+		if err := c.MustField(name).Put(buf, v); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// readAll reads every field of hdr back by name: integers through Uint,
+// strings as the bytes they span, trimmed as a Value trims them.
+func readAll(c *HeaderCodec, hdr []byte) map[string]spec.Value {
+	out := make(map[string]spec.Value, len(c.Header.Fields))
+	for _, f := range c.Header.Fields {
+		if f.Type == spec.StringField {
+			out[f.Name] = spec.StrVal(string(hdr[f.Offset/8 : f.Offset/8+f.Bytes()]))
+		} else {
+			out[f.Name] = spec.IntVal(int64(c.MustField(f.Name).Uint(hdr)))
+		}
+	}
+	return out
+}
+
 func TestBitPackingRoundTrip(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
-	if c.Size() != (4+12+48+3+13+48+64)/8 {
+	if c.Size() != (4+12+48+3+13+48+64+4+64+4)/8 {
 		t.Fatalf("size = %d", c.Size())
 	}
-	in := V("a", 0xF, "b", 0xABC, "c", int64(1)<<47|12345, "d", 5, "e", 8191, "s", "hello", "f", int64(1)<<62|99)
-	buf, err := c.Append(nil, in)
+	in := map[string]spec.Value{
+		"a": spec.IntVal(0xF), "b": spec.IntVal(0xABC), "c": spec.IntVal(1<<47 | 12345), "d": spec.IntVal(5),
+		"e": spec.IntVal(8191), "s": spec.StrVal("hello"), "f": spec.IntVal(1<<62 | 99),
+		"g": spec.IntVal(0xA), "w": spec.IntVal(-1 << 60), "h": spec.IntVal(0x5),
+	}
+	buf, err := encode(c, in)
 	if err != nil {
-		t.Fatalf("Append: %v", err)
+		t.Fatalf("Put: %v", err)
 	}
-	out, rest, err := c.DecodeAll(buf)
-	if err != nil {
-		t.Fatalf("DecodeAll: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Errorf("rest = %d bytes", len(rest))
-	}
+	out := readAll(c, buf)
 	for name, want := range in {
-		got := out[name]
-		if want.Kind == spec.StringField {
-			if got.Str != want.Str {
-				t.Errorf("%s = %q, want %q", name, got.Str, want.Str)
-			}
-		} else if got.Int != want.Int {
-			t.Errorf("%s = %d (%#x), want %d", name, got.Int, got.Int, want.Int)
+		if got := out[name]; !got.Equal(want) {
+			t.Errorf("%s = %v (%#x), want %v", name, got, got.Int, want)
 		}
 	}
 }
 
 func TestBitPackingProperty(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
-	f := func(a, d uint8, b, e uint16, cv, fv uint64) bool {
-		in := V(
-			"a", int64(a%16), "b", int64(b%4096), "c", int64(cv%(1<<48)),
-			"d", int64(d%8), "e", int64(e%8192), "f", int64(fv>>1),
-		)
-		buf, err := c.Append(nil, in)
+	f := func(a, d uint8, b, e uint16, cv, fv, wv uint64) bool {
+		in := map[string]spec.Value{
+			"a": spec.IntVal(int64(a % 16)), "b": spec.IntVal(int64(b % 4096)), "c": spec.IntVal(int64(cv % (1 << 48))),
+			"d": spec.IntVal(int64(d % 8)), "e": spec.IntVal(int64(e % 8192)), "f": spec.IntVal(int64(fv >> 1)),
+			"w": spec.IntVal(int64(wv)),
+		}
+		buf, err := encode(c, in)
 		if err != nil {
 			return false
 		}
-		out, _, err := c.DecodeAll(buf)
-		if err != nil {
-			return false
-		}
+		out := readAll(c, buf)
 		for name, want := range in {
-			if out[name].Int != want.Int {
+			if !out[name].Equal(want) {
 				return false
 			}
 		}
@@ -79,7 +101,7 @@ func TestBitPackingProperty(t *testing.T) {
 
 func TestDecodeIntoMessage(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
-	buf, err := c.Append(nil, V("s", "abc", "f", 42))
+	buf, err := encode(c, map[string]spec.Value{"s": spec.StrVal("abc"), "f": spec.IntVal(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +131,35 @@ func TestDecodeIntoMessage(t *testing.T) {
 	}
 }
 
+// TestEncodeErrors: Put refuses each kind of value that does not fit,
+// says which in the same words as always, and leaves the header alone.
 func TestEncodeErrors(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
-	if _, err := c.Append(nil, V("a", 16)); err == nil {
-		t.Error("out-of-range u4 encoded")
-	}
-	if _, err := c.Append(nil, V("s", "toolongstring")); err == nil {
-		t.Error("overlong string encoded")
-	}
-	if _, err := c.Append(nil, map[string]spec.Value{"a": spec.StrVal("x")}); err == nil {
-		t.Error("string into int field encoded")
+	for _, tc := range []struct {
+		field string
+		v     spec.Value
+		want  string
+	}{
+		{"a", spec.IntVal(16), "packet: value 16 out of range for mixed.a (u4)"},
+		{"e", spec.IntVal(-1), "packet: value -1 out of range for mixed.e (u13)"},
+		{"s", spec.StrVal("toolongstring"), `packet: value "toolongstring" overflows 6-byte field mixed.s`},
+		{"a", spec.StrVal("x"), "packet: field mixed.a wants int"},
+		{"s", spec.IntVal(1), "packet: field mixed.s wants string"},
+	} {
+		buf := make([]byte, c.Size())
+		err := c.MustField(tc.field).Put(buf, tc.v)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Put(%s, %v) = %v, want %q", tc.field, tc.v, err, tc.want)
+		}
+		if string(buf) != string(make([]byte, c.Size())) {
+			t.Errorf("Put(%s, %v) refused but wrote % x", tc.field, tc.v, buf)
+		}
 	}
 	if _, err := NewHeaderCodec(bitSpec, "nope"); err == nil {
 		t.Error("codec for missing header created")
+	}
+	if _, err := c.Field("zz"); err == nil {
+		t.Error("access path for a missing field returned")
 	}
 	m := spec.NewMessage(bitSpec)
 	if _, err := c.Decode([]byte{1, 2}, m); err == nil {
@@ -129,44 +167,24 @@ func TestEncodeErrors(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	c := MustHeaderCodec(bitSpec, "mixed")
-	buf, err := c.Append(nil, V("b", 777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Peek(buf, "b")
-	if err != nil || v.Int != 777 {
-		t.Errorf("Peek(b) = %v, %v", v, err)
-	}
-	if _, err := c.Peek(buf, "zz"); err == nil {
-		t.Error("Peek of unknown field succeeded")
-	}
-}
-
+// TestStringPadding: strings are right-padded with spaces on the wire and
+// trimmed on decode.
 func TestStringPadding(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
-	buf, err := c.Append(nil, V("s", "ab"))
+	buf, err := encode(c, map[string]spec.Value{"s": spec.StrVal("ab")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := c.DecodeAll(buf)
-	if err != nil {
+	if s, _ := bitSpec.Field("s"); string(buf[s.Offset/8:][:s.Bytes()]) != "ab    " {
+		t.Errorf("s on the wire = %q", buf[s.Offset/8:][:s.Bytes()])
+	}
+	m := spec.NewMessage(bitSpec)
+	if _, err := c.Decode(buf, m); err != nil {
 		t.Fatal(err)
 	}
-	// Right-padded on the wire, trimmed on decode.
-	if out["s"].Str != "ab" {
-		t.Errorf("s = %q", out["s"].Str)
+	if v, _ := m.GetRef("s"); v.Str != "ab" {
+		t.Errorf("s = %q", v.Str)
 	}
-}
-
-func TestVHelperPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("V with odd args did not panic")
-		}
-	}()
-	V("only-key")
 }
 
 // refBits is the bit-at-a-time reference extractor the compiled access
@@ -205,9 +223,8 @@ func randomHeader(r *rand.Rand, name string) *spec.Header {
 	return h
 }
 
-// TestDecodeMatchesBitReference: over random specs, Append → Decode and
-// DecodeAll return the values that went in, and both agree with refBits
-// on the encoded bytes.
+// TestDecodeMatchesBitReference: over random specs, what Put writes is
+// what refBits reads, and Decode and Uint return the values that went in.
 func TestDecodeMatchesBitReference(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	const letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -232,15 +249,13 @@ func TestDecodeMatchesBitReference(t *testing.T) {
 				}
 			}
 			// A non-zero prefix: offsets must be relative to the header.
-			buf, err := c.Append([]byte{0xA5}, in)
-			if err != nil {
-				t.Fatalf("iter %d: Append: %v", iter, err)
+			buf := append([]byte{0xA5}, make([]byte, c.Size())...)[1:]
+			for _, f := range h.Fields {
+				if err := c.MustField(f.Name).Put(buf, in[f.Name]); err != nil {
+					t.Fatalf("iter %d: Put %s: %v", iter, f.QName(), err)
+				}
 			}
-			buf = buf[1:]
-			all, _, err := c.DecodeAll(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			all := readAll(c, buf)
 			if _, err := c.Decode(buf, m); err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +266,7 @@ func TestDecodeMatchesBitReference(t *testing.T) {
 					ref = spec.StrVal(string(buf[f.Offset/8 : f.Offset/8+f.Bytes()]))
 				}
 				if !ref.Equal(want) || !all[f.Name].Equal(want) {
-					t.Fatalf("iter %d %s (u%d @%d): in %v, reference %v, DecodeAll %v",
+					t.Fatalf("iter %d %s (u%d @%d): in %v, reference %v, read back %v",
 						iter, f.QName(), f.Bits, f.Offset, want, ref, all[f.Name])
 				}
 				got, ok := m.GetRef(f.QName())
@@ -269,21 +284,18 @@ func TestDecodeMatchesBitReference(t *testing.T) {
 func TestWideIntKeepsLow64(t *testing.T) {
 	sp := spec.MustParse("wide", "header h { a : u4; w : u100 @field; b : u8; x : u128 @field; }")
 	c := MustHeaderCodec(sp, "h")
-	buf, err := c.Append(nil, V("a", 9, "w", int64(1)<<62|7, "b", 0xEE, "x", 12345))
+	buf, err := encode(c, map[string]spec.Value{
+		"a": spec.IntVal(9), "w": spec.IntVal(1<<62 | 7), "b": spec.IntVal(0xEE), "x": spec.IntVal(12345)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range c.Header.Fields {
-		v, err := c.Peek(buf, f.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := refBits(buf, f.Offset, f.Bits); uint64(v.Int) != want {
-			t.Errorf("%s = %#x, reference %#x", f.Name, v.Int, want)
+		if got, want := c.MustField(f.Name).Uint(buf), refBits(buf, f.Offset, f.Bits); got != want {
+			t.Errorf("%s = %#x, reference %#x", f.Name, got, want)
 		}
 	}
-	if v, _ := c.Peek(buf, "w"); v.Int != int64(1)<<62|7 {
-		t.Errorf("w = %#x", v.Int)
+	if v := c.MustField("w").Uint(buf); v != 1<<62|7 {
+		t.Errorf("w = %#x", v)
 	}
 }
 
@@ -294,10 +306,11 @@ func TestDecodeEach(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
 	var buf []byte
 	for i := 0; i < 3; i++ {
-		var err error
-		if buf, err = c.Append(buf, V("s", fmt.Sprintf("row%d", i), "f", i)); err != nil {
+		hdr, err := encode(c, map[string]spec.Value{"s": spec.StrVal(fmt.Sprintf("row%d", i)), "f": spec.IntVal(int64(i))})
+		if err != nil {
 			t.Fatal(err)
 		}
+		buf = append(buf, hdr...)
 	}
 	msgs := spec.NewMessages(bitSpec, 3)
 	if _, err := c.DecodeEach(buf[:len(buf)-1], msgs); err == nil {
@@ -332,7 +345,7 @@ func TestMisalignedStringRejected(t *testing.T) {
 // an out-of-range store or wrongly marked fields.
 func TestDecodeIntoForeignSpecRefused(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
-	buf, err := c.Append(nil, V("s", "abc", "f", 42))
+	buf, err := encode(c, map[string]spec.Value{"s": spec.StrVal("abc"), "f": spec.IntVal(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +494,7 @@ func TestMessageMatchesModel(t *testing.T) {
 					}
 				}
 				ref.hdrs[hi] = true
-				frame, err := codecs[hi].Append(nil, in)
+				frame, err := encode(codecs[hi], in)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,49 +1,81 @@
 package packet
 
 import (
+	"strings"
 	"testing"
 
 	"camus/internal/spec"
 )
 
-// FuzzHeaderCodec round-trips arbitrary integer values through the
-// bit-packing codec.
+// FuzzHeaderCodec writes arbitrary values through Put into every field of
+// bitSpec and checks each field's bits against refBits — the value, right
+// where it belongs, and no neighbour's bit disturbed — then reads every
+// field back through Decode and Uint. An integer too wide for its field
+// and a string longer than its field are refused.
 func FuzzHeaderCodec(f *testing.F) {
-	f.Add(uint64(0), uint64(1), uint64(2))
-	f.Add(uint64(1)<<47, uint64(4095), uint64(15))
-	sp := spec.MustParse("fz", `
-header h {
-    a : u4;
-    b : u12;
-    c : u48;
-}
-`)
-	c := MustHeaderCodec(sp, "h")
-	f.Fuzz(func(t *testing.T, a, b, cc uint64) {
-		in := V("a", int64(a%16), "b", int64(b%4096), "c", int64(cc%(1<<48)))
-		buf, err := c.Append(nil, in)
-		if err != nil {
-			t.Fatalf("Append(%v): %v", in, err)
+	f.Add(uint64(0), uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint64(6), "ABC")
+	f.Add(uint64(15), uint64(4095), uint64(1)<<47, uint64(7), uint64(8191), ^uint64(0), ^uint64(0), "GOOGL ")
+	f.Add(uint64(16), uint64(0), uint64(1)<<48, uint64(0), uint64(1)<<13, uint64(0), uint64(1)<<63, "toolong")
+	c := MustHeaderCodec(bitSpec, "mixed")
+	f.Fuzz(func(t *testing.T, a, b, cv, d, e, fv, wv uint64, s string) {
+		in := map[string]spec.Value{}
+		for name, v := range map[string]uint64{"a": a, "b": b, "c": cv, "d": d, "e": e, "f": fv, "g": a ^ b, "w": wv, "h": d ^ e} {
+			fd, _ := bitSpec.Field(name)
+			if fd.Bits < 64 && v > uint64(fd.MaxValue()) {
+				if err := c.MustField(name).Put(make([]byte, c.Size()), spec.IntVal(int64(v))); err == nil {
+					t.Fatalf("%s: %d put into u%d", name, v, fd.Bits)
+				}
+				v &= uint64(fd.MaxValue())
+			}
+			in[name] = spec.IntVal(int64(v))
 		}
-		out, _, err := c.DecodeAll(buf)
-		if err != nil {
-			t.Fatalf("DecodeAll: %v", err)
+		sv := spec.StrVal(s)
+		if len(sv.Str) > 6 {
+			if err := c.MustField("s").Put(make([]byte, c.Size()), sv); err == nil {
+				t.Fatalf("%q put into str6", sv.Str)
+			}
+			sv = spec.StrVal(sv.Str[:6])
 		}
-		for k, v := range in {
-			if out[k].Int != v.Int {
-				t.Fatalf("%s: %d != %d", k, out[k].Int, v.Int)
+		in["s"] = sv
+		buf, err := encode(c, in)
+		if err != nil {
+			t.Fatalf("Put(%v): %v", in, err)
+		}
+		for _, fd := range c.Header.Fields {
+			want := in[fd.Name]
+			if fd.Type == spec.StringField {
+				wire := string(buf[fd.Offset/8:][:fd.Bytes()])
+				if pad := want.Str + strings.Repeat(" ", fd.Bytes()-len(want.Str)); wire != pad {
+					t.Fatalf("%s on the wire = %q, want %q", fd.Name, wire, pad)
+				}
+			} else if got := refBits(buf, fd.Offset, fd.Bits); got != uint64(want.Int) {
+				t.Fatalf("%s (u%d @%d): reference reads %#x, put %#x", fd.Name, fd.Bits, fd.Offset, got, want.Int)
+			}
+		}
+		m := spec.NewMessage(bitSpec)
+		if _, err := c.Decode(buf, m); err != nil {
+			t.Fatal(err)
+		}
+		back := readAll(c, buf)
+		for _, fd := range c.Header.Fields {
+			want := in[fd.Name]
+			if !back[fd.Name].Equal(want) {
+				t.Fatalf("%s read back %v, put %v", fd.Name, back[fd.Name], want)
+			}
+			if got, ok := m.GetRef(fd.Name); ok != fd.Subscribable || (ok && !got.Equal(want)) {
+				t.Fatalf("%s decoded %v %v, put %v", fd.Name, got, ok, want)
 			}
 		}
 	})
 }
 
-// FuzzDecodeBytes feeds arbitrary bytes to Decode, DecodeEach and
-// DecodeAll: short input is an error, anything else decodes to what the
+// FuzzDecodeBytes feeds arbitrary bytes to Decode, DecodeEach and Uint:
+// short input is an error, anything else decodes to what the
 // bit-at-a-time reference reads, and nothing panics or reads past the
 // slice.
 func FuzzDecodeBytes(f *testing.F) {
 	c := MustHeaderCodec(bitSpec, "mixed")
-	good, _ := c.Append(nil, V("a", 3, "c", 77, "s", "fuzz", "f", 9))
+	good, _ := encode(c, map[string]spec.Value{"a": spec.IntVal(3), "c": spec.IntVal(77), "s": spec.StrVal("fuzz"), "f": spec.IntVal(9), "w": spec.IntVal(-2)})
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
@@ -60,24 +92,23 @@ func FuzzDecodeBytes(f *testing.F) {
 		if err != nil || len(rest) != len(data)-n*c.Size() {
 			t.Fatalf("DecodeEach(%d headers): rest %d, err %v", n, len(rest), err)
 		}
-		fld, _ := bitSpec.Field("f")
 		str, _ := bitSpec.Field("s")
 		for i, m := range msgs {
 			hdr := data[i*c.Size():]
-			if v, ok := m.GetRef("f"); !ok || uint64(v.Int) != refBits(hdr, fld.Offset, fld.Bits) {
-				t.Fatalf("header %d: f = %v %v", i, v, ok)
+			for _, fd := range c.Header.Fields {
+				if fd.Type != spec.IntField {
+					continue
+				}
+				ref := refBits(hdr, fd.Offset, fd.Bits)
+				if got := c.MustField(fd.Name).Uint(hdr); got != ref {
+					t.Fatalf("header %d: %s = %#x, reference %#x", i, fd.Name, got, ref)
+				}
+				if v, ok := m.GetRef(fd.Name); ok != fd.Subscribable || (ok && uint64(v.Int) != ref) {
+					t.Fatalf("header %d: decoded %s = %v %v", i, fd.Name, v, ok)
+				}
 			}
 			if v, ok := m.GetRef("s"); !ok || !v.Equal(spec.StrVal(string(hdr[str.Offset/8:][:str.Bytes()]))) {
 				t.Fatalf("header %d: s = %v %v", i, v, ok)
-			}
-			all, _, err := c.DecodeAll(hdr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fd := range c.Header.Fields {
-				if fd.Type == spec.IntField && uint64(all[fd.Name].Int) != refBits(hdr, fd.Offset, fd.Bits) {
-					t.Fatalf("header %d: %s = %v", i, fd.Name, all[fd.Name])
-				}
 			}
 		}
 	})
