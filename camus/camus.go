@@ -90,13 +90,10 @@ var (
 // BDD field-order heuristics (§V-C).
 const (
 	// CanonicalOrder tests @field_exact fields before the others, each
-	// group in spec declaration order (the default, and the only order
-	// NewIncremental accepts).
+	// group in spec declaration order (the default).
 	CanonicalOrder = bdd.CanonicalOrder
 	// SpecOrder follows pure spec declaration order (ablation).
 	SpecOrder = bdd.SpecOrder
-	// SelectivityOrder tests the most-constrained fields first.
-	SelectivityOrder = bdd.SelectivityOrder
 	// ReverseSpecOrder reverses SpecOrder (worst-case ablation).
 	ReverseSpecOrder = bdd.ReverseSpecOrder
 )

@@ -1,6 +1,6 @@
 // Package rulecheck verifies subscription rule tables symbolically: it
 // compiles the table through the repository's BDD path
-// (subscription.NormalizeRule → bdd.BuildNormalized) with one marker
+// (subscription.NormalizeRule → a bdd.Engine merge) with one marker
 // action per rule, then reads rule-level properties straight off the
 // diagram:
 //
@@ -182,7 +182,12 @@ func verifyTable(sp *spec.Spec, file string, rules []*subscription.Rule, ruleLin
 		normalized = append(normalized, nrs...)
 	}
 
-	d, err := bdd.BuildNormalized(sp, normalized, bdd.Options{MaxNodes: maxAnalysisNodes})
+	e := bdd.NewEngine(sp, bdd.Options{MaxNodes: maxAnalysisNodes})
+	err := e.Add(normalized...)
+	var d *bdd.BDD
+	if err == nil {
+		d, err = e.Merge()
+	}
 	if err != nil {
 		sev := SevError
 		kind := KindParseError

@@ -61,69 +61,15 @@ var ErrTooLarge = fmt.Errorf("bdd: construction exceeded the node limit")
 // recursive builder.
 type tooLarge struct{}
 
-// Build compiles rules into a BDD. Rules are normalized to DNF first;
-// each disjunct becomes an independent conjunction chain OR-ed into the
-// diagram (§V-C).
-func Build(sp *spec.Spec, rules []*subscription.Rule, opts Options) (*BDD, error) {
-	var normalized []subscription.NormalizedRule
-	for _, r := range rules {
-		nrs, err := subscription.NormalizeRule(r)
-		if err != nil {
-			return nil, err
-		}
-		normalized = append(normalized, nrs...)
-	}
-	return BuildNormalized(sp, normalized, opts)
-}
-
-// BuildNormalized compiles already-normalized rules into a BDD.
-func BuildNormalized(sp *spec.Spec, rules []subscription.NormalizedRule, opts Options) (d *BDD, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(tooLarge); ok {
-				d, err = nil, ErrTooLarge
-				return
-			}
+// recoverTooLarge, deferred, turns a tooLarge panic into ErrTooLarge in
+// *err and lets any other panic through.
+func recoverTooLarge(err *error) {
+	if r := recover(); r != nil {
+		if _, ok := r.(tooLarge); !ok {
 			panic(r)
 		}
-	}()
-	u := NewUniverse(sp, rules, opts.Order)
-	b := newBuilder(u, !opts.DisablePruning)
-	b.maxNodes = opts.MaxNodes
-
-	dropped := 0
-	chains := make([]int32, 0, len(rules))
-	seenChain := make(map[int32]bool, len(rules))
-	for i := range rules {
-		n, ok, cerr := b.chain(rules[i])
-		if cerr != nil {
-			return nil, cerr
-		}
-		if !ok {
-			dropped++
-			continue
-		}
-		// Hash-consing makes identical rules the same chain node;
-		// OR(x, x) = x, so duplicates are skipped outright.
-		if seenChain[n] {
-			continue
-		}
-		seenChain[n] = true
-		chains = append(chains, n)
+		*err = ErrTooLarge
 	}
-	root := b.merge(chains)
-	mat := make([]*Node, len(b.nodes))
-	d = &BDD{Universe: u, Root: b.materialise(mat, root), DroppedRules: dropped}
-	// One builder goroutine already makes creation-order IDs deterministic;
-	// batch diagrams are renumbered to the dense DFS order all the same,
-	// because the program's state numbering — and with it the prover's
-	// path enumeration and the counterexample goldens — is read off these
-	// IDs. Engine builds are never renumbered: incremental table diffing
-	// relies on creation-order ID stability across rebuilds.
-	for i, n := range d.Reachable() {
-		n.ID = int32(i)
-	}
-	return d, nil
 }
 
 // merge OR-combines chains with balanced pairwise merging: OR-ing

@@ -33,11 +33,29 @@ func parseRules(t testing.TB, sp *spec.Spec, src string) []*subscription.Rule {
 	return rules
 }
 
+// buildRules normalizes rules and merges them in a fresh engine: the
+// one-shot build.
+func buildRules(sp *spec.Spec, rules []*subscription.Rule, opts Options) (*BDD, error) {
+	var normalized []subscription.NormalizedRule
+	for _, r := range rules {
+		nrs, err := subscription.NormalizeRule(r)
+		if err != nil {
+			return nil, err
+		}
+		normalized = append(normalized, nrs...)
+	}
+	e := NewEngine(sp, opts)
+	if err := e.Add(normalized...); err != nil {
+		return nil, err
+	}
+	return e.Merge()
+}
+
 func build(t testing.TB, sp *spec.Spec, src string, opts Options) *BDD {
 	t.Helper()
-	d, err := Build(sp, parseRules(t, sp, src), opts)
+	d, err := buildRules(sp, parseRules(t, sp, src), opts)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	return d
 }
@@ -166,16 +184,16 @@ func TestSyntacticContradictionDropped(t *testing.T) {
 		Conj:   subscription.Conjunction{eq.(*subscription.Atom), ne.(*subscription.Atom)},
 		Action: subscription.FwdAction(1),
 	}
-	d, err := BuildNormalized(sp, []subscription.NormalizedRule{nr}, Options{})
-	if err != nil {
+	e := NewEngine(sp, Options{})
+	if err := e.Add(nr); err != nil {
 		t.Fatal(err)
 	}
-	if d.DroppedRules != 1 {
+	if d := e.Build(); d.DroppedRules != 1 {
 		t.Errorf("DroppedRules = %d, want 1", d.DroppedRules)
 	}
 	// And the front-door path: Normalize drops it before the builder.
 	rules := parseRules(t, sp, "price == 5 and price != 5: fwd(1)\nprice > 1: fwd(2)")
-	d2, err := Build(sp, rules, Options{})
+	d2, err := buildRules(sp, rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +326,11 @@ func TestSemanticEquivalence(t *testing.T) {
 			{},
 			{DisablePruning: true},
 			{Order: SpecOrder},
-			{Order: SelectivityOrder},
 			{Order: ReverseSpecOrder},
 		} {
-			d, err := Build(sp, rules, opts)
+			d, err := buildRules(sp, rules, opts)
 			if err != nil {
-				t.Fatalf("Build(%+v): %v", opts, err)
+				t.Fatalf("build(%+v): %v", opts, err)
 			}
 			for i := 0; i < 40; i++ {
 				m := randomMessage(r, sp)
@@ -340,11 +357,11 @@ func TestPruningReducesNodes(t *testing.T) {
 	shrunk := 0
 	for trial := 0; trial < 30; trial++ {
 		rules := randomRules(r, sp, 10)
-		pruned, err := Build(sp, rules, Options{})
+		pruned, err := buildRules(sp, rules, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		unpruned, err := Build(sp, rules, Options{DisablePruning: true})
+		unpruned, err := buildRules(sp, rules, Options{DisablePruning: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +423,7 @@ func BenchmarkBuild1000Rules(b *testing.B) {
 	rules := randomRules(r, sp, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(sp, rules, Options{}); err != nil {
+		if _, err := buildRules(sp, rules, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -416,7 +433,7 @@ func BenchmarkEval(b *testing.B) {
 	sp := testSpec(b)
 	r := rand.New(rand.NewSource(5))
 	rules := randomRules(r, sp, 1000)
-	d, err := Build(sp, rules, Options{})
+	d, err := buildRules(sp, rules, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

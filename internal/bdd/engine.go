@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"cmp"
 	"slices"
 	"unsafe"
 
@@ -17,44 +18,49 @@ import (
 // subgraph is a cache hit, so recompilation cost tracks the size of the
 // change rather than the size of the rule set. Node IDs are stable
 // across rebuilds, which downstream table diffing relies on (§V's
-// "table entry re-use").
+// "table entry re-use"). A one-shot build is an engine merged once.
 type Engine struct {
-	u      *Universe
-	b      *builder
-	chains map[int][]int32 // rule ID → chain nodes (one per satisfiable disjunct)
-	order  []int           // rule IDs with a chain, ascending: the merge order
+	u *Universe
+	b *builder
+	// live holds the chain of every satisfiable disjunct of every live
+	// rule, sorted by rule ID — the merge order — and by arrival within a
+	// rule.
+	live []ruleChain
 	// dropped counts, per rule ID, the disjuncts skipped as unsatisfiable;
 	// ndropped is their sum.
 	dropped  map[int]int
 	ndropped int
-	// mat holds the *Node of every node a Build has handed out, by ID: one
-	// per ID for the engine's lifetime, so two builds that reach a node
+	// mat holds the *Node of every node a Merge has handed out, by ID: one
+	// per ID for the engine's lifetime, so two merges that reach a node
 	// return the same pointer.
 	mat []*Node
-	// Build's scratch, kept between calls: the chain list it merges (in
+	// Merge's scratch, kept between calls: the chain list it merges (in
 	// place) and the chain IDs already on it.
 	merging []int32
 	seen    map[int32]struct{}
 }
 
-// NewEngine creates an empty incremental engine for a spec. The
-// universe is pre-seeded with every validity bit and subscribable
-// packet field in CanonicalOrder, and predicates within a field keep
-// the canonical (relation, constant) order as they arrive, so the
-// variable order — and therefore the compiled program's structure — is
-// independent of rule arrival history for stateless rule sets. Only
-// stateful aggregates append in first-reference order. CanonicalOrder is
-// the only order an engine builds — the others depend on which fields or
-// how many predicates the rules hold, which arrival changes — so
-// opts.Order must be it (compiler.NewIncremental rejects anything else);
-// pruning follows opts.DisablePruning.
+// ruleChain is one satisfiable disjunct of a live rule: its chain node.
+type ruleChain struct {
+	rule  int
+	chain int32
+}
+
+// NewEngine creates an empty incremental engine for a spec. Its universe
+// is seeded with every validity bit and subscribable packet field in
+// opts.Order (NewUniverse), and predicates within a field keep the
+// canonical (relation, constant) order as they arrive, so the variable
+// order — and therefore the compiled program's structure — does not depend
+// on rule arrival history. Pruning follows opts.DisablePruning, and a
+// builder that would hold more than opts.MaxNodes nodes fails the Add or
+// Merge that tried with ErrTooLarge.
 func NewEngine(sp *spec.Spec, opts Options) *Engine {
-	u := NewUniverse(sp, nil, CanonicalOrder)
-	u.seedSpecFields()
+	u := NewUniverse(sp, opts.Order)
+	b := newBuilder(u, !opts.DisablePruning)
+	b.maxNodes = opts.MaxNodes
 	return &Engine{
 		u:       u,
-		b:       newBuilder(u, !opts.DisablePruning),
-		chains:  make(map[int][]int32),
+		b:       b,
 		dropped: make(map[int]int),
 		seen:    make(map[int32]struct{}),
 	}
@@ -64,10 +70,13 @@ func NewEngine(sp *spec.Spec, opts Options) *Engine {
 func (e *Engine) Universe() *Universe { return e.u }
 
 // Add inserts normalized rules. Disjuncts of existing rule IDs
-// accumulate (a rule may be added piecewise).
-func (e *Engine) Add(rules ...subscription.NormalizedRule) error {
+// accumulate (a rule may be added piecewise). The fields the rules
+// introduce join the universe together (Universe.Extend).
+func (e *Engine) Add(rules ...subscription.NormalizedRule) (err error) {
+	defer recoverTooLarge(&err)
+	e.u.Extend(rules)
 	for _, nr := range rules {
-		chain, ok, err := e.chainExtend(nr)
+		chain, ok, err := e.b.chain(nr)
 		if err != nil {
 			return err
 		}
@@ -76,13 +85,20 @@ func (e *Engine) Add(rules ...subscription.NormalizedRule) error {
 			e.ndropped++
 			continue
 		}
-		if _, exists := e.chains[nr.RuleID]; !exists {
-			i, _ := slices.BinarySearch(e.order, nr.RuleID)
-			e.order = slices.Insert(e.order, i, nr.RuleID)
+		at := len(e.live)
+		if at > 0 && e.live[at-1].rule > nr.RuleID {
+			at = e.search(nr.RuleID + 1)
 		}
-		e.chains[nr.RuleID] = append(e.chains[nr.RuleID], chain)
+		e.live = slices.Insert(e.live, at, ruleChain{nr.RuleID, chain})
 	}
 	return nil
+}
+
+// search returns the index of the first live chain whose rule ID is at
+// least id.
+func (e *Engine) search(id int) int {
+	i, _ := slices.BinarySearchFunc(e.live, id, func(c ruleChain, id int) int { return cmp.Compare(c.rule, id) })
+	return i
 }
 
 // Remove deletes every disjunct of a rule ID, the unsatisfiable ones Add
@@ -91,48 +107,55 @@ func (e *Engine) Remove(ruleID int) bool {
 	n, wasDropped := e.dropped[ruleID]
 	e.ndropped -= n
 	delete(e.dropped, ruleID)
-	if _, ok := e.chains[ruleID]; !ok {
-		return wasDropped
-	}
-	delete(e.chains, ruleID)
-	if i, ok := slices.BinarySearch(e.order, ruleID); ok {
-		e.order = slices.Delete(e.order, i, i+1)
-	}
-	return true
+	lo, hi := e.search(ruleID), e.search(ruleID+1)
+	e.live = slices.Delete(e.live, lo, hi)
+	return wasDropped || lo < hi
 }
 
 // Rules returns the IDs of the rules with at least one satisfiable
 // disjunct, ascending.
-func (e *Engine) Rules() []int { return slices.Clone(e.order) }
+func (e *Engine) Rules() []int {
+	var ids []int
+	for _, c := range e.live {
+		if len(ids) == 0 || ids[len(ids)-1] != c.rule {
+			ids = append(ids, c.rule)
+		}
+	}
+	return ids
+}
 
-// Build merges the live chains into a BDD. Thanks to the persistent
+// Merge merges the live chains into a BDD. Thanks to the persistent
 // memo tables, unchanged prefixes of the merge tree are cache hits.
-// Chains merge in ascending rule-ID order — the same order a batch
-// compile of the ID-sorted rule set uses — so with pruning enabled
-// (where the result is merge-order sensitive) an incrementally
-// maintained diagram stays structurally identical to a from-scratch
-// build of the surviving rules, whatever the add/remove history.
-func (e *Engine) Build() *BDD {
+// Chains merge in ascending rule-ID order, so with pruning enabled (where
+// the result is merge-order sensitive) an incrementally maintained
+// diagram stays structurally identical to a fresh engine's of the
+// surviving rules, whatever the add/remove history. Node IDs are the
+// builder's creation order, never renumbered: table diffing relies on
+// them staying put across merges.
+func (e *Engine) Merge() (d *BDD, err error) {
+	defer recoverTooLarge(&err)
 	chains := e.merging[:0]
 	clear(e.seen)
-	for _, id := range e.order {
-		for _, c := range e.chains[id] {
-			if _, dup := e.seen[c]; dup {
-				continue
-			}
-			e.seen[c] = struct{}{}
-			chains = append(chains, c)
+	for _, c := range e.live {
+		if _, dup := e.seen[c.chain]; dup {
+			continue
 		}
+		e.seen[c.chain] = struct{}{}
+		chains = append(chains, c.chain)
 	}
 	e.merging = chains
 	root := e.b.merge(chains)
-	// Engine diagrams keep their creation-order node IDs (no DFS
-	// renumbering): downstream table diffing relies on IDs being stable
-	// across rebuilds of one engine.
 	if n := len(e.b.nodes); n > len(e.mat) {
 		e.mat = slices.Grow(e.mat, n-len(e.mat))[:n]
 	}
-	return &BDD{Universe: e.u, Root: e.b.materialise(e.mat, root), DroppedRules: e.ndropped}
+	return &BDD{Universe: e.u, Root: e.b.materialise(e.mat, root), DroppedRules: e.ndropped}, nil
+}
+
+// Build is Merge for an engine without a node budget, which cannot fail
+// (a budgeted one that does returns nil).
+func (e *Engine) Build() *BDD {
+	d, _ := e.Merge()
+	return d
 }
 
 // CacheSize reports the persistent table sizes (for Compact decisions).
@@ -145,8 +168,8 @@ func (e *Engine) CacheSize() (nodes, memoEntries int) {
 // universe's tables, of the materialisation index and of the ID scratch
 // lists, times their element sizes, plus the nodes materialised so far.
 // What the terminals' action sets and the contexts' constraints point to is
-// not counted, nor are the per-rule maps, which grow with the live rules
-// and not with the batches applied.
+// not counted, nor are the per-rule chain list and drop counts, which grow
+// with the live rules and not with the batches applied.
 func (e *Engine) CacheBytes() int {
 	b := e.b
 	return cap(b.nodes)*int(unsafe.Sizeof(node{})) +
@@ -156,12 +179,4 @@ func (e *Engine) CacheBytes() int {
 		cap(e.mat)*int(unsafe.Sizeof((*Node)(nil))) +
 		b.materialised*int(unsafe.Sizeof(Node{})) +
 		e.u.cache.bytes()
-}
-
-// chainExtend is chain() against the growable universe.
-func (e *Engine) chainExtend(nr subscription.NormalizedRule) (int32, bool, error) {
-	for _, a := range nr.Conj {
-		e.u.Extend(a) // ensure predicates exist before ordering literals
-	}
-	return e.b.chain(nr)
 }

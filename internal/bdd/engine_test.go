@@ -1,11 +1,11 @@
 package bdd
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"camus/internal/formats"
 	"camus/internal/match"
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -141,103 +141,62 @@ func TestEngineNodeIDStability(t *testing.T) {
 	}
 }
 
-// TestFieldOrderCanonical: on every shipped spec, the fields a batch
-// universe sorts its rules' references into are a subsequence of a fresh
-// engine's seeded sequence — the two users of fieldLess cannot drift
-// apart — and that sequence puts validity bits first and every
-// @field_exact field before every other packet field.
-func TestFieldOrderCanonical(t *testing.T) {
-	for _, sp := range []*spec.Spec{formats.ITCH, formats.INT, formats.ILA, formats.HICN,
-		formats.DNS, formats.Highway, formats.Kafka} {
-		seeded := NewEngine(sp, Options{}).Universe().Fields
-		group := func(f *FieldVar) int {
-			switch {
-			case f.Ref.Kind == subscription.ValidityRef:
-				return 0
-			case f.Ref.Field.Hint == spec.MatchExact:
-				return 1
-			}
-			return 2
-		}
-		for i := 1; i < len(seeded); i++ {
-			if group(seeded[i-1]) > group(seeded[i]) {
-				t.Errorf("%s: seeded order tests %s before %s", sp.Name, seeded[i-1].Key(), seeded[i].Key())
-			}
-		}
-		// One single-atom rule per field, in reverse declaration order so
-		// arrival cannot agree by accident: every field, then every other.
-		var atoms []*subscription.Atom
-		for _, h := range sp.Headers {
-			atoms = append(atoms, subscription.ValidAtom(h.Name))
-		}
-		for _, f := range sp.SubscribableFields() {
-			c := spec.IntVal(1)
-			if f.Type == spec.StringField {
-				c = spec.StrVal("x")
-			}
-			atoms = append(atoms, &subscription.Atom{
-				Ref: subscription.FieldRef{Kind: subscription.PacketRef, Field: f}, Rel: subscription.EQ, Const: c})
-		}
-		for stride := 1; stride <= 2; stride++ {
-			var rules []subscription.NormalizedRule
-			for i := len(atoms) - 1; i >= 0; i -= stride {
-				rules = append(rules, subscription.NormalizedRule{RuleID: i, Conj: subscription.Conjunction{atoms[i]}})
-			}
-			at := 0
-			for _, f := range NewUniverse(sp, rules, CanonicalOrder).Fields {
-				for at < len(seeded) && seeded[at].Key() != f.Key() {
-					at++
-				}
-				if at == len(seeded) {
-					t.Fatalf("%s, every %d. field: batch universe places %s out of the engine's seeded order", sp.Name, stride, f.Key())
-				}
-			}
-		}
-	}
-}
-
+// TestUniverseExtend: Extend canonicalizes predicates, keeps the seeded
+// field order, and orders the fields one call introduces by fieldLess
+// whichever rule names them first.
 func TestUniverseExtend(t *testing.T) {
 	sp := testSpec(t)
-	u := NewUniverse(sp, nil, CanonicalOrder)
-	p := subscription.NewParser(sp)
-	e1, err := p.ParseFilter("price > 5")
-	if err != nil {
-		t.Fatal(err)
+	u := NewUniverse(sp, CanonicalOrder)
+	seeded := len(u.Fields)
+	extend := func(src string) (*Pred, bool) {
+		t.Helper()
+		nrs := normalize(t, sp, src+": fwd(1)", 0)
+		u.Extend(nrs)
+		p, pos, err := u.Lookup(nrs[0].Conj[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, pos
 	}
-	a1 := e1.(*subscription.Atom)
-	p1, pos := u.Extend(a1)
+	p1, pos := extend("price > 5")
 	if !pos || p1.Rel != subscription.GT {
 		t.Fatalf("Extend: %v %v", p1, pos)
 	}
 	// Same atom: same predicate.
-	p1b, _ := u.Extend(a1)
-	if p1b != p1 {
+	if p1b, _ := extend("price > 5"); p1b != p1 {
 		t.Error("Extend not idempotent")
 	}
 	// Negative-polarity canonicalization.
-	e2, err := p.ParseFilter("price <= 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, pos2 := u.Extend(e2.(*subscription.Atom))
-	if p2 != p1 || pos2 {
+	if p2, pos2 := extend("price <= 5"); p2 != p1 || pos2 {
 		t.Errorf("price <= 5 should be ¬(price > 5): %v %v", p2, pos2)
 	}
-	// New field appends after existing ones.
-	e3, err := p.ParseFilter("stock == A")
-	if err != nil {
-		t.Fatal(err)
+	// A seeded field keeps its place: the exact field stock is tested
+	// before price although it arrived later.
+	if p3, _ := extend("stock == A"); !p3.Less(p1) {
+		t.Error("stock (@field_exact) does not order before price")
 	}
-	p3, _ := u.Extend(e3.(*subscription.Atom))
-	if !p1.Less(p3) {
-		t.Error("later field does not order after earlier field")
+	if len(u.Fields) != seeded || len(u.Preds) != 2 {
+		t.Errorf("universe: %d fields (seeded %d), %d preds", len(u.Fields), seeded, len(u.Preds))
 	}
-	if len(u.Fields) != 2 || len(u.Preds) != 2 {
-		t.Errorf("universe: %d fields %d preds", len(u.Fields), len(u.Preds))
+	// Aggregates append after every seeded field, in key order although
+	// the first rule names the later one.
+	u.Extend(append(normalize(t, sp, "count(1s) > 3: fwd(1)", 1), normalize(t, sp, "avg(price, 1s) > 4: fwd(2)", 2)...))
+	aggs := u.AggregateFields()
+	if len(aggs) != 2 || aggs[0].Index != seeded || aggs[0].Key() > aggs[1].Key() {
+		t.Fatalf("aggregates %v, want two in key order from field %d", aggs, seeded)
+	}
+	for _, f := range aggs {
+		for _, p := range f.Preds {
+			if p.FieldIdx != f.Index {
+				t.Errorf("%s: predicate %v has FieldIdx %d, field index %d", f.Key(), p, p.FieldIdx, f.Index)
+			}
+		}
 	}
 }
 
-func TestBuildNormalizedNodeCap(t *testing.T) {
+// TestEngineNodeCap: a capped engine fails the Add or Merge that would
+// exceed MaxNodes with ErrTooLarge, and no panic escapes.
+func TestEngineNodeCap(t *testing.T) {
 	sp := testSpec(t)
 	var rules []*subscription.Rule
 	p := subscription.NewParser(sp)
@@ -248,18 +207,18 @@ func TestBuildNormalizedNodeCap(t *testing.T) {
 		}
 		rules = append(rules, r)
 	}
-	if _, err := Build(sp, rules, Options{MaxNodes: 10}); err != ErrTooLarge {
+	if _, err := buildRules(sp, rules, Options{MaxNodes: 10}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("node cap not enforced: %v", err)
 	}
-	if _, err := Build(sp, rules, Options{}); err != nil {
+	if _, err := buildRules(sp, rules, Options{}); err != nil {
 		t.Errorf("uncapped build failed: %v", err)
 	}
 
 	// Every site that creates a node enforces the cap. Two rules on one
 	// predicate build nodes in a known order — ∅, fwd(1), its chain node,
-	// fwd(2), its chain node, then the merge's fwd(1,2) and root — so each
-	// cap below stops construction at a different site, and one more node
-	// lets it through.
+	// fwd(2), its chain node (Add), then the merge's fwd(1,2) and root
+	// (Merge) — so each cap below stops construction at a different site,
+	// and one more node lets it through.
 	pair := parseRules(t, sp, "price > 5: fwd(1)\nprice > 5: fwd(2)")
 	for _, c := range []struct {
 		max  int
@@ -270,11 +229,11 @@ func TestBuildNormalizedNodeCap(t *testing.T) {
 		{5, "terminal, merging two terminals"},
 		{6, "mkNode, merging"},
 	} {
-		if _, err := Build(sp, pair, Options{MaxNodes: c.max}); err != ErrTooLarge {
+		if _, err := buildRules(sp, pair, Options{MaxNodes: c.max}); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("MaxNodes %d (%s): err = %v, want ErrTooLarge", c.max, c.site, err)
 		}
 	}
-	d, err := Build(sp, pair, Options{MaxNodes: 7})
+	d, err := buildRules(sp, pair, Options{MaxNodes: 7})
 	if err != nil {
 		t.Fatalf("MaxNodes 7: %v", err)
 	}
@@ -285,7 +244,7 @@ func TestBuildNormalizedNodeCap(t *testing.T) {
 
 // TestEngineDroppedRulesFollowRemove: the count of unsatisfiable disjuncts
 // is per rule and leaves with the rule, so DroppedRules always equals what
-// a batch build of the surviving rules reports.
+// a fresh engine of the surviving rules reports.
 func TestEngineDroppedRulesFollowRemove(t *testing.T) {
 	sp := testSpec(t)
 	e := NewEngine(sp, Options{})
@@ -294,27 +253,25 @@ func TestEngineDroppedRulesFollowRemove(t *testing.T) {
 		7: "price > 20 and price < 10: fwd(1)",                 // unsatisfiable outright
 		8: "(price > 20 and price < 10) or shares < 5: fwd(2)", // one disjunct of two
 	}
-	batchDropped := func() int {
+	freshDropped := func() int {
 		t.Helper()
-		var live []subscription.NormalizedRule
+		fresh := NewEngine(sp, Options{})
 		for _, id := range []int{1, 7, 8} {
 			if src, ok := srcs[id]; ok {
-				live = append(live, normalize(t, sp, src, id)...)
+				if err := fresh.Add(normalize(t, sp, src, id)...); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		d, err := BuildNormalized(sp, live, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.DroppedRules
+		return fresh.Build().DroppedRules
 	}
 	for _, id := range []int{1, 7, 8} {
 		if err := e.Add(normalize(t, sp, srcs[id], id)...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := e.Build().DroppedRules, batchDropped(); got != want || want != 2 {
-		t.Fatalf("after adds: DroppedRules = %d, batch %d, want 2", got, want)
+	if got, want := e.Build().DroppedRules, freshDropped(); got != want || want != 2 {
+		t.Fatalf("after adds: DroppedRules = %d, fresh engine %d, want 2", got, want)
 	}
 	if got := fmt.Sprint(e.Rules()); got != "[1 8]" {
 		t.Errorf("Rules = %s: rule 7 has no satisfiable disjunct to merge", got)
@@ -324,8 +281,8 @@ func TestEngineDroppedRulesFollowRemove(t *testing.T) {
 			t.Errorf("Remove(%d) reported the rule unknown", id)
 		}
 		delete(srcs, id)
-		if got, want := e.Build().DroppedRules, batchDropped(); got != want {
-			t.Errorf("after Remove(%d): DroppedRules = %d, batch build of the survivors %d", id, got, want)
+		if got, want := e.Build().DroppedRules, freshDropped(); got != want {
+			t.Errorf("after Remove(%d): DroppedRules = %d, fresh engine of the survivors %d", id, got, want)
 		}
 		if e.Remove(id) {
 			t.Errorf("second Remove(%d) succeeded", id)

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -75,18 +76,15 @@ type FieldOrder int
 const (
 	// CanonicalOrder tests header-validity bits, then @field_exact packet
 	// fields, then the remaining packet fields — each group in spec
-	// declaration order — then aggregates. The default, and the only order
-	// the incremental engine builds (see fieldLess).
+	// declaration order — then aggregates. The default (see fieldLess).
 	CanonicalOrder FieldOrder = iota
 	// SpecOrder orders packet fields by pure spec declaration order, exact
 	// or not (validity bits before, aggregates after): the paper
 	// prototype's order, kept as the ablation CanonicalOrder is measured
 	// against.
 	SpecOrder
-	// SelectivityOrder orders fields by decreasing predicate count, so
-	// the most discriminating fields are tested first (ablation).
-	SelectivityOrder
-	// ReverseSpecOrder reverses SpecOrder (worst-case ablation).
+	// ReverseSpecOrder reverses SpecOrder's validity bits and packet
+	// fields; aggregates still come last (worst-case ablation).
 	ReverseSpecOrder
 )
 
@@ -99,8 +97,7 @@ const (
 // partition's thresholds instead of the cross product of all of them (on
 // ITCH, `price` before `stock` gives every price state its own symbol
 // table). The order reads only the spec, never the rules, which is what
-// lets the batch universe and the live engine's seed agree whatever the
-// rule arrival history.
+// lets NewUniverse seed it before the first rule arrives.
 func fieldLess(sp *spec.Spec, a, b subscription.FieldRef, exactFirst bool) bool {
 	rank := func(r subscription.FieldRef) (group, idx int) {
 		switch r.Kind {
@@ -160,15 +157,16 @@ type predIdent struct {
 	c   spec.Value
 }
 
-// Universe is the set of BDD variables derived from a rule set: the
-// referenced fields in a fixed order and the canonical predicates on each.
-// A Universe belongs to one goroutine at a time — its builder's, then the
-// emitter's: the context cache fills on reads (DESIGN §11).
+// Universe is the set of BDD variables: the fields in a fixed order and
+// the canonical predicates on each. A Universe belongs to one goroutine at
+// a time — its builder's, then the emitter's: the context cache fills on
+// reads (DESIGN §11).
 type Universe struct {
 	Spec   *spec.Spec
 	Fields []*FieldVar
-	Preds  []*Pred // global variable order
+	Preds  []*Pred // by ID
 
+	order      FieldOrder
 	fieldByKey map[fieldIdent]*FieldVar
 	predByKey  map[predIdent]*Pred
 
@@ -314,99 +312,58 @@ func canonicalize(a *subscription.Atom) (rel subscription.Relation, c spec.Value
 	}
 }
 
-// NewUniverse builds the variable universe for a set of normalized rules.
-func NewUniverse(sp *spec.Spec, rules []subscription.NormalizedRule, order FieldOrder) *Universe {
+// NewUniverse returns a universe without predicates whose fields are every
+// header validity bit and subscribable packet field of the spec, in the
+// given order: fieldLess, exact fields first under CanonicalOrder, the
+// list reversed under ReverseSpecOrder. The order reads the spec alone,
+// so no sequence of rules can move it; only aggregates, whose key space
+// is unbounded, join later (Extend).
+func NewUniverse(sp *spec.Spec, order FieldOrder) *Universe {
 	u := &Universe{
 		Spec:       sp,
+		order:      order,
 		fieldByKey: make(map[fieldIdent]*FieldVar),
 		predByKey:  make(map[predIdent]*Pred),
 	}
-	// Collect referenced fields and raw predicates.
-	type rawPred struct {
-		ref subscription.FieldRef
-		rel subscription.Relation
-		c   spec.Value
-		fv  *FieldVar
+	refs := make([]subscription.FieldRef, 0, len(sp.Headers)+len(sp.SubscribableFields()))
+	for _, h := range sp.Headers {
+		refs = append(refs, subscription.ValidRef(h.Name))
 	}
-	var raws []rawPred
-	seenPred := make(map[predIdent]bool)
-	for _, nr := range rules {
-		for _, a := range nr.Conj {
-			rel, c, _ := canonicalize(a)
-			fid := identOf(a.Ref)
-			fv := u.fieldByKey[fid]
-			if fv == nil {
-				fv = &FieldVar{Ref: a.Ref}
-				u.fieldByKey[fid] = fv
-			}
-			key := predIdent{f: fid, rel: rel, c: c}
-			if seenPred[key] {
-				continue
-			}
-			seenPred[key] = true
-			raws = append(raws, rawPred{ref: a.Ref, rel: rel, c: c, fv: fv})
-		}
+	for _, f := range sp.SubscribableFields() {
+		refs = append(refs, subscription.FieldRef{Kind: subscription.PacketRef, Field: f})
 	}
-	// Order fields.
-	fields := make([]*FieldVar, 0, len(u.fieldByKey))
-	for _, f := range u.fieldByKey {
-		fields = append(fields, f)
+	sort.SliceStable(refs, func(i, j int) bool { return u.less(refs[i], refs[j]) })
+	if order == ReverseSpecOrder {
+		slices.Reverse(refs)
 	}
-	sort.Slice(fields, func(i, j int) bool {
-		return fieldLess(sp, fields[i].Ref, fields[j].Ref, order == CanonicalOrder)
-	})
-	switch order {
-	case ReverseSpecOrder:
-		for i, j := 0, len(fields)-1; i < j; i, j = i+1, j-1 {
-			fields[i], fields[j] = fields[j], fields[i]
-		}
-	case SelectivityOrder:
-		counts := make(map[*FieldVar]int)
-		for _, rp := range raws {
-			counts[rp.fv]++
-		}
-		sort.SliceStable(fields, func(i, j int) bool {
-			return counts[fields[i]] > counts[fields[j]]
-		})
-	}
-	for i, f := range fields {
-		f.Index = i
-	}
-	u.Fields = fields
-
-	// Order predicates within each field deterministically, then assign
-	// global IDs in field order.
-	perField := make(map[*FieldVar][]rawPred)
-	for _, rp := range raws {
-		perField[rp.fv] = append(perField[rp.fv], rp)
-	}
-	for _, f := range fields {
-		rps := perField[f]
-		sort.Slice(rps, func(i, j int) bool {
-			return predOrderLess(rps[i].rel, rps[i].c, rps[j].rel, rps[j].c)
-		})
-		for _, rp := range rps {
-			p := &Pred{
-				ID:       len(u.Preds),
-				FieldIdx: f.Index,
-				Seq:      len(f.Preds),
-				Ref:      rp.ref,
-				Rel:      rp.rel,
-				Const:    rp.c,
-			}
-			u.Preds = append(u.Preds, p)
-			u.predByKey[predIdent{f: identOf(rp.ref), rel: rp.rel, c: rp.c}] = p
-			f.Preds = append(f.Preds, p)
-		}
+	for _, ref := range refs {
+		u.field(ref)
 	}
 	return u
 }
 
+// less is fieldLess in the universe's order.
+func (u *Universe) less(a, b subscription.FieldRef) bool {
+	return fieldLess(u.Spec, a, b, u.order == CanonicalOrder)
+}
+
+// field returns the field variable of ref, appending it after every
+// existing field if it is new.
+func (u *Universe) field(ref subscription.FieldRef) *FieldVar {
+	fid := identOf(ref)
+	f, ok := u.fieldByKey[fid]
+	if !ok {
+		f = &FieldVar{Index: len(u.Fields), Ref: ref}
+		u.fieldByKey[fid] = f
+		u.Fields = append(u.Fields, f)
+	}
+	return f
+}
+
 // predOrderLess is the canonical within-field predicate order: by
-// relation, then constant. Both the batch universe and Extend use it, so
-// an incrementally grown universe orders a field's predicates exactly
-// like a from-scratch build of the same rule set — which is what makes
-// incremental programs entry-for-entry comparable to batch compiles.
+// relation, then constant. Extend keeps every field's predicates in it,
+// so a field's order does not depend on which rule brought which
+// predicate.
 func predOrderLess(ar subscription.Relation, ac spec.Value, br subscription.Relation, bc spec.Value) bool {
 	if ar != br {
 		return ar < br
@@ -417,77 +374,76 @@ func predOrderLess(ar subscription.Relation, ac spec.Value, br subscription.Rela
 	return ac.Int < bc.Int
 }
 
-// seedSpecFields pre-populates the universe with every field a rule
-// could reference statelessly — header validity bits and the spec's
-// subscribable packet fields — in the canonical fieldLess order
-// NewUniverse sorts referenced fields into. An engine seeded this way
-// has an arrival-independent variable order for stateless rule sets:
-// only stateful aggregates (whose key space is unbounded) still append
-// in first-reference order.
-func (u *Universe) seedSpecFields() {
-	sp := u.Spec
-	refs := make([]subscription.FieldRef, 0, len(sp.Headers)+len(sp.SubscribableFields()))
-	for _, h := range sp.Headers {
-		refs = append(refs, subscription.ValidRef(h.Name))
-	}
-	for _, f := range sp.SubscribableFields() {
-		refs = append(refs, subscription.FieldRef{Kind: subscription.PacketRef, Field: f})
-	}
-	sort.SliceStable(refs, func(i, j int) bool { return fieldLess(sp, refs[i], refs[j], true) })
-	for _, ref := range refs {
-		fid := identOf(ref)
-		if u.fieldByKey[fid] != nil {
-			continue
+// Extend adds the fields and predicates of rules that the universe does
+// not hold yet. New fields append after every existing field, in
+// fieldLess order among themselves — in practice aggregates, since the
+// spec's fields are seeded — so the fields one call introduces are
+// ordered alike whichever rule lists them first. New predicates insert at
+// their field's canonical (relation, constant) position and later
+// predicates of the field renumber in place. Neither step swaps two
+// existing variables, so every previously built node remains a
+// well-ordered BDD and the builder's memo tables (all keyed by
+// node/predicate identity) stay valid — the basis of incremental
+// compilation (§V: "BDDs can leverage memoization").
+func (u *Universe) Extend(rules []subscription.NormalizedRule) {
+	n := len(u.Fields)
+	var fresh []Pred
+	for i := range rules {
+		for _, a := range rules[i].Conj {
+			rel, c, _ := canonicalize(a)
+			key := predIdent{f: identOf(a.Ref), rel: rel, c: c}
+			if _, ok := u.predByKey[key]; !ok {
+				u.predByKey[key] = nil // claimed; set once numbered
+				u.field(a.Ref)
+				fresh = append(fresh, Pred{Ref: a.Ref, Rel: rel, Const: c})
+			}
 		}
-		f := &FieldVar{Index: len(u.Fields), Ref: ref}
-		u.fieldByKey[fid] = f
-		u.Fields = append(u.Fields, f)
+	}
+	// No node or context refers to the fields this call added yet, so
+	// they can still be reordered among themselves.
+	if added := u.Fields[n:]; len(added) > 1 {
+		sort.SliceStable(added, func(i, j int) bool { return u.less(added[i].Ref, added[j].Ref) })
+		for i, f := range added {
+			f.Index = n + i
+		}
+	}
+	// The new predicates are numbered and laid out in variable order, in
+	// one allocation: the merge reads the predicate of every node it
+	// visits, and neighbours in the order are then neighbours in memory.
+	for i := range fresh {
+		fresh[i].FieldIdx = u.field(fresh[i].Ref).Index
+	}
+	slices.SortFunc(fresh, func(a, b Pred) int {
+		switch {
+		case a.FieldIdx != b.FieldIdx:
+			return a.FieldIdx - b.FieldIdx
+		case predOrderLess(a.Rel, a.Const, b.Rel, b.Const):
+			return -1
+		case predOrderLess(b.Rel, b.Const, a.Rel, a.Const):
+			return 1
+		}
+		return 0
+	})
+	for i := range fresh {
+		u.insert(&fresh[i])
 	}
 }
 
-// Extend adds any predicates (and fields) of the atom that the universe
-// does not yet know, returning the atom's canonical predicate and
-// polarity. New fields append after all existing fields; new predicates
-// insert at their field's canonical (relation, constant) position and
-// later predicates of the field renumber in place. Renumbering never
-// swaps the relative order of two existing predicates, so every
-// previously built node remains a well-ordered BDD and the builder's
-// memo tables (all keyed by node/predicate identity) stay valid — the
-// basis of incremental compilation (§V: "BDDs can leverage memoization").
-func (u *Universe) Extend(a *subscription.Atom) (*Pred, bool) {
-	rel, c, positive := canonicalize(a)
-	fid := identOf(a.Ref)
-	key := predIdent{f: fid, rel: rel, c: c}
-	if p, ok := u.predByKey[key]; ok {
-		return p, positive
-	}
-	f, ok := u.fieldByKey[fid]
-	if !ok {
-		f = &FieldVar{Index: len(u.Fields), Ref: a.Ref}
-		u.fieldByKey[fid] = f
-		u.Fields = append(u.Fields, f)
-	}
-	p := &Pred{
-		ID:       len(u.Preds),
-		FieldIdx: f.Index,
-		Ref:      a.Ref,
-		Rel:      rel,
-		Const:    c,
-	}
+// insert numbers a new predicate and places it at its field's canonical
+// position; the field's later predicates shift their Seq by one, in place
+// (relative order preserved).
+func (u *Universe) insert(p *Pred) {
+	p.ID = len(u.Preds)
 	u.Preds = append(u.Preds, p)
-	u.predByKey[key] = p
-	// Insert at the canonical position; Seq values after the insertion
-	// point shift by one (relative order preserved).
+	u.predByKey[predIdent{f: identOf(p.Ref), rel: p.Rel, c: p.Const}] = p
+	f := u.Fields[p.FieldIdx]
 	pos := sort.Search(len(f.Preds), func(i int) bool {
-		return predOrderLess(rel, c, f.Preds[i].Rel, f.Preds[i].Const)
+		return predOrderLess(p.Rel, p.Const, f.Preds[i].Rel, f.Preds[i].Const)
 	})
-	f.Preds = append(f.Preds, nil)
-	copy(f.Preds[pos+1:], f.Preds[pos:])
-	f.Preds[pos] = p
+	f.Preds = slices.Insert(f.Preds, pos, p)
 	for i := pos; i < len(f.Preds); i++ {
 		f.Preds[i].Seq = i
 	}
-	return p, positive
 }
 
 // Lookup resolves an atom to its canonical predicate and polarity.

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"camus/internal/bdd"
@@ -60,41 +61,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Compile translates a rule set into a switch program. Rules → program is
-// one goroutine's computation (DESIGN §11); callers with independent rule
-// sets, such as controller.Deploy's switches, run one Compile per
-// goroutine.
+// Compile translates a rule set into a switch program: the program of a
+// fresh Incremental after one Apply of the rules, so a batch compile and
+// a live one are the same computation. Rules → program is one goroutine's
+// computation (DESIGN §11); callers with independent rule sets, such as
+// controller.Deploy's switches, run one Compile per goroutine.
 func Compile(sp *spec.Spec, rules []*subscription.Rule, opts Options) (*Program, error) {
-	var normalized []subscription.NormalizedRule
-	for _, r := range rules {
-		nrs, err := subscription.NormalizeRule(r)
-		if err != nil {
-			return nil, err
-		}
-		normalized = append(normalized, nrs...)
-	}
-	return CompileNormalized(sp, normalized, opts)
-}
-
-// CompileNormalized compiles already-normalized rules.
-func CompileNormalized(sp *spec.Spec, rules []subscription.NormalizedRule, opts Options) (*Program, error) {
-	opts = opts.withDefaults()
-	expanded := expandStateful(rules, opts)
-	if !opts.DisableValidityGuards {
-		expanded = injectValidityGuards(expanded)
-	}
-	d, err := bdd.BuildNormalized(sp, expanded, opts.BDD)
+	inc, err := NewIncremental(sp, opts)
 	if err != nil {
 		return nil, err
 	}
-	return FromBDD(d, opts)
+	up, err := inc.Apply(rules, nil)
+	if err != nil {
+		return nil, err
+	}
+	return up.Program, nil
 }
 
-// injectValidityGuards prepends valid(header)==1 atoms for every header a
-// rule's conjunction reads, so rules never match packets lacking their
-// headers (the parser's isValid() bits, §VI).
-func injectValidityGuards(rules []subscription.NormalizedRule) []subscription.NormalizedRule {
-	out := make([]subscription.NormalizedRule, 0, len(rules))
+// injectValidityGuards appends rules to out, each with valid(header)==1
+// atoms prepended for every header its conjunction reads, so rules never
+// match packets lacking their headers (the parser's isValid() bits, §VI).
+func injectValidityGuards(out, rules []subscription.NormalizedRule) []subscription.NormalizedRule {
 	var headers []string // reused scratch; a rule reads 1–3 headers
 	for _, nr := range rules {
 		headers = headers[:0]
@@ -151,8 +138,14 @@ func ruleIsLastHop(nr subscription.NormalizedRule, opts Options) bool {
 }
 
 // expandStateful rewrites stateful rules per the last-hop policy and
-// synthesizes the register-update rules.
+// synthesizes the register-update rules. Rules with no aggregate atom are
+// returned as they are.
 func expandStateful(rules []subscription.NormalizedRule, opts Options) []subscription.NormalizedRule {
+	if !slices.ContainsFunc(rules, func(nr subscription.NormalizedRule) bool {
+		return slices.ContainsFunc(nr.Conj, func(a *subscription.Atom) bool { return a.Ref.Kind == subscription.AggregateRef })
+	}) {
+		return rules
+	}
 	var out []subscription.NormalizedRule
 	seenUpdate := make(map[string]bool)
 	for _, nr := range rules {

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -392,14 +393,14 @@ func mustRules(t *testing.T, sp *spec.Spec, src string) []*subscription.Rule {
 	return rules
 }
 
-// TestFieldOrderAblation: all four field orders compile and agree
+// TestFieldOrderAblation: all three field orders compile and agree
 // semantically (sizes may differ).
 func TestFieldOrderAblation(t *testing.T) {
 	sp := testSpec(t)
 	r := rand.New(rand.NewSource(23))
 	rules := randomRules(r, sp, 15)
 	var programs []*Program
-	for _, ord := range []bdd.FieldOrder{bdd.CanonicalOrder, bdd.SpecOrder, bdd.SelectivityOrder, bdd.ReverseSpecOrder} {
+	for _, ord := range []bdd.FieldOrder{bdd.CanonicalOrder, bdd.SpecOrder, bdd.ReverseSpecOrder} {
 		p, err := Compile(sp, rules, Options{BDD: bdd.Options{Order: ord}})
 		if err != nil {
 			t.Fatal(err)
@@ -417,6 +418,21 @@ func TestFieldOrderAblation(t *testing.T) {
 				t.Fatalf("order %d disagrees on %s: %s vs %s", j+1, m, got, want)
 			}
 		}
+	}
+}
+
+// TestCompileNodeCap: Compile honours bdd.Options.MaxNodes — the engine's
+// cap — by failing with bdd.ErrTooLarge, and no panic escapes.
+func TestCompileNodeCap(t *testing.T) {
+	sp := testSpec(t)
+	rules := randomRules(rand.New(rand.NewSource(3)), sp, 30)
+	for _, limit := range []int{1, 10, 100} {
+		if _, err := Compile(sp, rules, Options{BDD: bdd.Options{MaxNodes: limit}}); !errors.Is(err, bdd.ErrTooLarge) {
+			t.Errorf("MaxNodes %d: err = %v, want bdd.ErrTooLarge", limit, err)
+		}
+	}
+	if _, err := Compile(sp, rules, Options{BDD: bdd.Options{MaxNodes: 1 << 20}}); err != nil {
+		t.Errorf("MaxNodes 1<<20: %v", err)
 	}
 }
 

@@ -64,41 +64,52 @@ func intRangeRules(tb testing.TB, seed int64) []*subscription.Rule {
 	return rules
 }
 
+// statefulLastHopRules holds two aggregates, the later-keyed one named
+// first.
+const statefulLastHopRules = `
+count(1s) > 3 and stock == GOOGL: fwd(1)
+shares > 5 or price < 2: fwd(2)
+avg(price, 1s) > 4: fwd(3)
+`
+
 // TestCompileDeterministic: compiling is one sequential computation with
 // no map-order or scheduling input, so two compiles of one rule set give
-// the same program — Canonical()-equal and, because batch diagrams are
-// DFS-renumbered, equal in their raw state IDs too — on every workload
-// in the corpus. Each load also pins the SHA-256 of its program's String
-// form: merge order, pruning and node numbering are structural (DESIGN
-// §11), so a change to the BDD kernel that moves one state ID or one
-// entry fails here. The digests were taken at PR 19 (the map-and-pointer
-// builder); PR 23 re-took the four whose spec declares a @field_exact
-// field after a range field, when exact fields moved to the front of the
-// variable order (random-300 saturates to a single stock stage, INT has
-// no exact field).
+// the same program — Canonical()-equal and equal in their raw state IDs,
+// the engine's creation-order node IDs (nothing renumbers them) — on every
+// workload in the corpus. Each load also pins its entry count and the
+// SHA-256 of its program's String form: merge order, pruning and node
+// numbering are structural (DESIGN §11), so a change to the BDD kernel
+// that moves one state ID or one entry fails here. The digests were taken
+// when batch compilation became one Incremental.Apply; the entry counts
+// are those of the separate batch builder it replaced.
 func TestCompileDeterministic(t *testing.T) {
 	sp := testSpec(t)
 	r := rand.New(rand.NewSource(11))
 
 	type load struct {
-		name   string
-		sp     *spec.Spec
-		rules  []*subscription.Rule
-		opts   Options
-		digest string
+		name    string
+		sp      *spec.Spec
+		rules   []*subscription.Rule
+		opts    Options
+		entries int
+		digest  string
 	}
 	var loads []load
-	randomDigests := map[int]string{
-		10:  "7b927ee3ff4debc9168777435b91d24d02f9338fdf0d03fbecbc307cbbf8b337",
-		64:  "d1d628d92deedfc0d053cb07b748648e24dcefe3024608a7017add2292197a1e",
-		300: "61e78bc92c33b61a188b9a42b19177d223760e9b3367dd9a9279c6440e9c9931",
+	randomPins := map[int]struct {
+		entries int
+		digest  string
+	}{
+		10:  {140, "f76847b51f7f3deede6d69fde527efeacd5781d93a324a8e078ed92fa5c39276"},
+		64:  {114, "e03ba7fb684f190854d93c6cfc24081c78fc6b7c48475e679eefcc03613ee318"},
+		300: {13, "2123195a0861b749fbbd981999396d57049c4a28d78f7b3267c473ea1d1c37ed"},
 	}
 	for _, n := range []int{10, 64, 300} {
 		loads = append(loads, load{
-			name:   fmt.Sprintf("random-%d", n),
-			sp:     sp,
-			rules:  randomRules(r, sp, n),
-			digest: randomDigests[n],
+			name:    fmt.Sprintf("random-%d", n),
+			sp:      sp,
+			rules:   randomRules(r, sp, n),
+			entries: randomPins[n].entries,
+			digest:  randomPins[n].digest,
 		})
 	}
 	// Siena-style ITCH workload; a high equality bias keeps the ordering-
@@ -109,22 +120,19 @@ func TestCompileDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads = append(loads, load{name: "siena-itch-100", sp: formats.ITCH, rules: itchRules,
-		digest: "2a03b9c79cf350cea9100c14a47ff2278a8369870cd56ba2fcca1ba3e9a48220"})
+	loads = append(loads, load{name: "siena-itch-100", sp: formats.ITCH, rules: itchRules, entries: 28093,
+		digest: "0129686a7dc66049d88a3610cfd8c5ac573d142f9c853355206309f64a87480f"})
 	// Stateful last-hop compile exercises expandStateful + update rules.
 	loads = append(loads, load{
-		name: "stateful-lasthop",
-		sp:   sp,
-		rules: mustRules(t, sp, `
-count(1s) > 3 and stock == GOOGL: fwd(1)
-shares > 5 or price < 2: fwd(2)
-avg(price, 1s) > 4: fwd(3)
-`),
-		opts:   Options{LastHop: true},
-		digest: "33f8813e1006555d821bca530268e9dbf8f11d41281f4f3a19fa6482ef2d2fea",
+		name:    "stateful-lasthop",
+		sp:      sp,
+		rules:   mustRules(t, sp, statefulLastHopRules),
+		opts:    Options{LastHop: true},
+		entries: 75,
+		digest:  "25fbfa35720aae0b2c1aafe7e5410076c7ed6fec0b5cd1f154f0b5d39ea18bc3",
 	})
-	loads = append(loads, load{name: "int-range-1000", sp: formats.INT, rules: intRangeRules(t, 1),
-		digest: "c80c757b0691579a8139013505595c8720e415f8d5e2347b9b133d73c6dfe781"})
+	loads = append(loads, load{name: "int-range-1000", sp: formats.INT, rules: intRangeRules(t, 1), entries: 133677,
+		digest: "2829ac7952e9875a7548a4ce45d360b647ca605ed00b275b13f1f8dd005c9827"})
 
 	for _, ld := range loads {
 		t.Run(ld.name, func(t *testing.T) {
@@ -143,10 +151,37 @@ avg(price, 1s) > 4: fwd(3)
 			if got, want := second.String(), first.String(); got != want {
 				t.Errorf("raw state IDs differ\nfirst:\n%s\nsecond:\n%s", want, got)
 			}
+			if got := first.TotalEntries(); got != ld.entries {
+				t.Errorf("%d entries, pinned %d", got, ld.entries)
+			}
 			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(first.String()))); got != ld.digest {
 				t.Errorf("program digest %s, pinned %s: the compiled structure moved", got, ld.digest)
 			}
 		})
+	}
+}
+
+// TestOneApplyOrdersNewFields: the fields one Apply introduces are
+// ordered by fieldLess, not by first reference, so a live compile of the
+// stateful-lasthop load — whose count(1s) rule precedes its avg(price,
+// 1s) rule — is the program the separate batch builder emitted: 75
+// entries and that program's Canonical() form, whose digest is pinned.
+func TestOneApplyOrdersNewFields(t *testing.T) {
+	sp := testSpec(t)
+	inc, err := NewIncremental(sp, Options{LastHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := inc.Apply(mustRules(t, sp, statefulLastHopRules), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := up.Program.TotalEntries(); got != 75 {
+		t.Errorf("%d entries, want 75", got)
+	}
+	const batch = "cea61018754d5c6f2410d774d0a79ca84701312fb39b24ef3baff39c1a7a8a6a"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(canonicalString(up.Program)))); got != batch {
+		t.Errorf("canonical digest %s, want the batch program's %s", got, batch)
 	}
 }
 

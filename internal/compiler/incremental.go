@@ -14,15 +14,14 @@ import (
 // algorithm"): subscriptions are added and removed one at a time, the
 // BDD engine reuses its memoized state across changes, and each update
 // reports the control-plane *delta* — which table entries to install and
-// which to delete — realizing the "table entry re-use" of [32].
+// which to delete — realizing the "table entry re-use" of [32]. A batch
+// Compile is a fresh Incremental applied once.
 type Incremental struct {
-	sp     *spec.Spec
 	opts   Options
 	engine *bdd.Engine
-	// normalized retains each rule's normalized+expanded form so rules
-	// can be re-added after a Reset.
-	normalized map[int][]subscription.NormalizedRule
-	prog       *Program
+	// live holds the IDs of the rules applied and not removed.
+	live map[int]struct{}
+	prog *Program
 	// em carries the emitted blocks from one rebuild to the next; preds is
 	// the universe's predicate count when prog was emitted.
 	em    emitter
@@ -43,19 +42,15 @@ type Update struct {
 	Elapsed time.Duration
 }
 
-// NewIncremental creates an empty incremental compiler. The engine under
-// it builds the canonical field order only (bdd.NewEngine), so any other
-// Options.BDD.Order is an error, not a silently different program.
+// NewIncremental creates an empty incremental compiler. Its engine seeds
+// the field order Options.BDD.Order selects (bdd.NewEngine) and fails
+// an Apply whose diagram would exceed Options.BDD.MaxNodes.
 func NewIncremental(sp *spec.Spec, opts Options) (*Incremental, error) {
 	opts = opts.withDefaults()
-	if opts.BDD.Order != bdd.CanonicalOrder {
-		return nil, fmt.Errorf("compiler: incremental compilation supports only the canonical field order, not bdd.FieldOrder(%d)", opts.BDD.Order)
-	}
 	inc := &Incremental{
-		sp:         sp,
-		opts:       opts,
-		engine:     bdd.NewEngine(sp, opts.BDD),
-		normalized: make(map[int][]subscription.NormalizedRule),
+		opts:   opts,
+		engine: bdd.NewEngine(sp, opts.BDD),
+		live:   make(map[int]struct{}),
 	}
 	// Start from the empty program.
 	if _, err := inc.finish(time.Now()); err != nil {
@@ -83,41 +78,49 @@ func (inc *Incremental) Add(rules ...*subscription.Rule) (*Update, error) {
 func (inc *Incremental) Apply(add []*subscription.Rule, remove []int) (*Update, error) {
 	start := time.Now()
 	for _, id := range remove {
-		if _, ok := inc.normalized[id]; !ok {
+		if _, ok := inc.live[id]; !ok {
 			return nil, fmt.Errorf("%w: id %d", ErrUnknownRule, id)
 		}
 		inc.engine.Remove(id)
-		delete(inc.normalized, id)
+		delete(inc.live, id)
 	}
 	for _, r := range add {
-		if _, dup := inc.normalized[r.ID]; dup {
+		if _, dup := inc.live[r.ID]; dup {
 			return nil, fmt.Errorf("%w: id %d", ErrDuplicateRule, r.ID)
 		}
 	}
 	// Normalize the whole batch before touching the engine, so a rule that
 	// does not normalize fails the batch with no addition applied.
 	perRule := make([][]subscription.NormalizedRule, len(add))
+	n := 0
 	for i, r := range add {
 		nrs, err := subscription.NormalizeRule(r)
 		if err != nil {
 			return nil, err
 		}
 		perRule[i] = nrs
+		n += len(nrs)
 	}
+	// Expand and guard the batch into one slab and hand it to the engine in
+	// one Add, so the fields it introduces are ordered together.
+	batch := make([]subscription.NormalizedRule, 0, n)
 	for i, r := range add {
+		from := len(batch)
 		expanded := expandStateful(perRule[i], inc.opts)
-		if !inc.opts.DisableValidityGuards {
-			expanded = injectValidityGuards(expanded)
+		if inc.opts.DisableValidityGuards {
+			batch = append(batch, expanded...)
+		} else {
+			batch = injectValidityGuards(batch, expanded)
 		}
 		// Tag synthesized disjuncts with the owning rule ID so Remove
 		// drops them together.
-		for i := range expanded {
-			expanded[i].RuleID = r.ID
+		for j := from; j < len(batch); j++ {
+			batch[j].RuleID = r.ID
 		}
-		inc.normalized[r.ID] = expanded
-		if err := inc.engine.Add(expanded...); err != nil {
-			return nil, err
-		}
+		inc.live[r.ID] = struct{}{}
+	}
+	if err := inc.engine.Add(batch...); err != nil {
+		return nil, err
 	}
 	return inc.finish(start)
 }
@@ -138,7 +141,10 @@ func (inc *Incremental) CacheSize() (nodes, memoEntries int) { return inc.engine
 func (inc *Incremental) CacheBytes() int { return inc.engine.CacheBytes() }
 
 func (inc *Incremental) finish(start time.Time) (*Update, error) {
-	d := inc.engine.Build()
+	d, err := inc.engine.Merge()
+	if err != nil {
+		return nil, err
+	}
 	preds := len(d.Universe.Preds)
 	// A batch whose merged diagram is the previous one (a duplicate or
 	// subsumed rule, an add and remove that cancel) changes no entry.

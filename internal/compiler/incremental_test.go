@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -117,12 +116,50 @@ func TestIncrementalErrors(t *testing.T) {
 	if _, err := inc.Remove(99); err == nil {
 		t.Error("removing unknown rule succeeded")
 	}
-	// The engine builds one field order; asking for another is refused,
-	// not compiled as something else.
-	for _, ord := range []bdd.FieldOrder{bdd.SpecOrder, bdd.SelectivityOrder, bdd.ReverseSpecOrder} {
-		_, err := NewIncremental(testSpec(t), Options{BDD: bdd.Options{Order: ord}})
-		if err == nil || !strings.Contains(err.Error(), "only the canonical field order") {
-			t.Errorf("NewIncremental with field order %d: err = %v, want a canonical-order error", ord, err)
+}
+
+// TestIncrementalFieldOrders: every field order reads only the spec, so
+// an Incremental churned in the ablation orders stays Canonical()-equal
+// to a Compile of the survivors in the same order.
+func TestIncrementalFieldOrders(t *testing.T) {
+	sp := testSpec(t)
+	p := subscription.NewParser(sp)
+	for _, ord := range []bdd.FieldOrder{bdd.SpecOrder, bdd.ReverseSpecOrder} {
+		opts := Options{BDD: bdd.Options{Order: ord}}
+		inc, err := NewIncremental(sp, opts)
+		if err != nil {
+			t.Fatalf("order %d: %v", ord, err)
+		}
+		r := rand.New(rand.NewSource(int64(ord)))
+		var live []*subscription.Rule // ascending ID
+		for step := 0; step < 40; step++ {
+			if len(live) > 3 && r.Intn(3) == 0 {
+				i := r.Intn(len(live))
+				if _, err := inc.Remove(live[i].ID); err != nil {
+					t.Fatalf("order %d, step %d: %v", ord, step, err)
+				}
+				live = append(live[:i], live[i+1:]...)
+			} else {
+				src := fmt.Sprintf("stock == S%d and price > %d: fwd(%d)", r.Intn(4), r.Intn(30), r.Intn(5))
+				if r.Intn(2) == 0 {
+					src = fmt.Sprintf("shares < %d or price > %d: fwd(%d)", r.Intn(30), r.Intn(30), r.Intn(5))
+				}
+				rule, err := p.ParseRule(src, step)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := inc.Add(rule); err != nil {
+					t.Fatalf("order %d, step %d: %v", ord, step, err)
+				}
+				live = append(live, rule)
+			}
+			batch, err := Compile(sp, live, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonicalString(inc.Program()), canonicalString(batch); got != want {
+				t.Fatalf("order %d, step %d (%d live rules): churned program differs from a compile of the survivors", ord, step, len(live))
+			}
 		}
 	}
 }

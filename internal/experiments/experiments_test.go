@@ -251,7 +251,7 @@ func TestAblations(t *testing.T) {
 			t.Errorf("pruning made tables larger: %v", row)
 		}
 	}
-	// The canonical order is the smallest of the four on every rule set.
+	// The canonical order is the smallest of the three on every rule set.
 	a2 := AblationFieldOrder(quickCfg())
 	if len(a2.Tables[0].Rows) == 0 {
 		t.Error("field order ablation empty")

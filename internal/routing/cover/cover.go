@@ -8,7 +8,7 @@
 // The package has two halves:
 //
 //   - Implier decides f ⊑ g symbolically on the repository's BDD path
-//     (subscription.NormalizeRule → bdd.BuildNormalized with marker
+//     (subscription.NormalizeRule → a bdd.Engine merge with marker
 //     actions, the same construction rulecheck uses), memoized per
 //     expression pair;
 //   - Forest maintains, for one (switch, port), the subsumption forest
@@ -107,7 +107,11 @@ func (im *Implier) decide(f, g subscription.Expr) bool {
 		}
 		normalized = append(normalized, nrs...)
 	}
-	d, err := bdd.BuildNormalized(im.sp, normalized, bdd.Options{MaxNodes: im.maxNodes})
+	e := bdd.NewEngine(im.sp, bdd.Options{MaxNodes: im.maxNodes})
+	if err := e.Add(normalized...); err != nil {
+		return false
+	}
+	d, err := e.Merge()
 	if err != nil {
 		return false
 	}
