@@ -4,13 +4,15 @@ GO ?= go
 
 .PHONY: check fmt vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report churn-soak serve-soak soak prove netcheck fit loc
 
-## check: the full tier-1 gate — gofmt, vet, custom analyzers, build,
-## race-enabled tests, a short churn soak, a serve soak of the
-## multi-tenant daemon, a short fuzz smoke, a translation-validation
-## pass over the shipped rules, a network-wide delivery certification
-## of the shipped rules, a static pipeline-fit certification of the
-## shipped rules, and a smoke run of the parallel dataplane benchmark.
-check: fmt vet lint build race churn-soak serve-soak fuzz-smoke prove netcheck fit bench
+## check: the full tier-1 gate — gofmt, vet, build, race-enabled tests
+## (the custom analyzers run once there, as internal/analysis's
+## TestSuiteCleanOnRepo; `make lint` is their readable front-end), a
+## short churn soak, a serve soak of the multi-tenant daemon, a short
+## fuzz smoke, a translation-validation pass over the shipped rules, a
+## network-wide delivery certification of the shipped rules, a static
+## pipeline-fit certification of the shipped rules, and a smoke run of
+## the parallel dataplane benchmark.
+check: fmt vet build race churn-soak serve-soak fuzz-smoke prove netcheck fit bench
 
 ## prove: certify the shipped sample rules with the translation
 ## validator (camusc prove), in both last-hop and upstream modes.
@@ -59,7 +61,8 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the Camus-specific static analyzers (internal/analysis) over
-## the whole module, test files included.
+## the whole module, test files included — the same run `race` makes
+## through TestSuiteCleanOnRepo, printed one finding per line.
 lint:
 	$(GO) run ./cmd/camus-lint ./...
 

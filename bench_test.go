@@ -518,7 +518,7 @@ func BenchmarkCoverChurn(b *testing.B) {
 			ctlplane.WithRouting(ropts),
 			ctlplane.WithInstallers(sim.Installers()...),
 			ctlplane.WithSeed(3),
-			ctlplane.WithCovering(0))
+			ctlplane.WithCovering())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -181,13 +181,6 @@ type SwitchOption = pipeline.Option
 
 // Switch construction options.
 var (
-	// WithBaseLatency sets the one-pass pipeline transit time.
-	WithBaseLatency = pipeline.WithBaseLatency
-	// WithRecirculationLatency sets the added cost of one
-	// recirculation pass (§VI-B).
-	WithRecirculationLatency = pipeline.WithRecirculationLatency
-	// WithFlowCache sizes the stream-subscription cache (§VII-B).
-	WithFlowCache = pipeline.WithFlowCache
 	// WithWorkers sets the number of dataplane worker shards that
 	// ProcessBatch fans packets out across.
 	WithWorkers = pipeline.WithWorkers
@@ -198,9 +191,7 @@ var (
 
 // NewSwitch instantiates a software switch running a compiled program:
 //
-//	sw, err := app.NewSwitch("tor-1", prog,
-//	    camus.WithWorkers(8),
-//	    camus.WithFlowCache(1<<16, 30*time.Second))
+//	sw, err := app.NewSwitch("tor-1", prog, camus.WithWorkers(8))
 func (a *App) NewSwitch(id string, prog *Program, opts ...SwitchOption) (*Switch, error) {
 	return pipeline.NewSwitch(id, a.Static, prog, opts...)
 }

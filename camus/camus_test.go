@@ -102,21 +102,9 @@ func TestSwitchOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := app.NewSwitch("s1", prog,
-		WithWorkers(4),
-		WithFlowCache(1024, time.Second),
-		WithBaseLatency(time.Microsecond),
-		WithRecirculationLatency(2*time.Microsecond),
-		WithIngressDrop(false),
-	)
+	sw, err := app.NewSwitch("s1", prog, WithWorkers(4), WithIngressDrop(false))
 	if err != nil {
 		t.Fatal(err)
-	}
-	cfg := sw.Config()
-	if cfg.Workers != 4 || cfg.FlowCacheSize != 1024 || cfg.FlowTTL != time.Second ||
-		cfg.BaseLatency != time.Microsecond || cfg.RecirculationLatency != 2*time.Microsecond ||
-		cfg.DropOnIngressPort {
-		t.Fatalf("config = %+v", cfg)
 	}
 	if sw.Workers() != 4 {
 		t.Errorf("Workers() = %d", sw.Workers())
@@ -127,9 +115,10 @@ func TestSwitchOptions(t *testing.T) {
 	m.MustSet("price", IntVal(60))
 	m.MustSet("shares", IntVal(1))
 
-	// WithIngressDrop(false): the packet may return out its ingress port.
+	// WithIngressDrop(false): the packet may return out its ingress port,
+	// after the model's fixed one-pass transit time.
 	out := sw.Process(&Packet{In: 1, Msgs: []*Message{m}}, 0)
-	if len(out) != 1 || out[0].Port != 1 || out[0].Latency != time.Microsecond {
+	if len(out) != 1 || out[0].Port != 1 || out[0].Latency != 600*time.Nanosecond {
 		t.Fatalf("deliveries = %+v", out)
 	}
 

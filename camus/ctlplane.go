@@ -89,8 +89,7 @@ var (
 	// WithCovering enables subsumption-aware state reduction: filters
 	// implied by a broader filter on the same port get no table entry
 	// of their own, and unsubscribing a covering filter re-installs
-	// its children in the same atomic batch (no delivery gap). The
-	// argument bounds each implication diagram (≤ 0 = default).
+	// its children in the same atomic batch (no delivery gap).
 	WithCovering = ctlplane.WithCovering
 	// WithAdmission enables static resource admission: every Subscribe
 	// is fit-checked against the model before any registry mutation,

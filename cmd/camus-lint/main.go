@@ -1,18 +1,15 @@
 // Command camus-lint runs the repo's custom static analyzers (see
-// internal/analysis) over Go packages. It is the standalone front-end
-// for the five Camus-specific checks (analysis.All):
+// internal/analysis) over Go packages, test files included. It is the
+// standalone front-end for the two Camus-specific checks (analysis.All),
+// the invariants no Go declaration can carry:
 //
-//	camus-snapshot  mutation of StatsSnapshot / Config snapshot values
-//	camus-options   direct construction of pipeline.Switch outside the
-//	                functional-options API
-//	camus-atomic    mixed atomic and plain access to the same field
 //	camus-locksend  locks held across channel sends or a dataplane batch
 //	camus-fitgate   freshly compiled programs reaching Install without a
 //	                fit-admission check in ctlplane paths
 //
 // Usage:
 //
-//	camus-lint [-json] [-no-tests] [packages...]
+//	camus-lint [-json] [packages...]
 //
 // Packages default to ./... and use go-list syntax. With -json the
 // diagnostics are emitted in the shared analysis report envelope
@@ -32,14 +29,13 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	noTests := flag.Bool("no-tests", false, "skip _test.go files and test variants")
 	flag.Parse()
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, err := analysis.Run(analysis.LoadConfig{Tests: !*noTests}, analysis.All(), patterns...)
+	diags, err := analysis.Run(analysis.LoadConfig{Tests: true}, analysis.All(), patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "camus-lint: %v\n", err)
 		os.Exit(2)

@@ -163,7 +163,7 @@ func runChurn(sim *netsim.Sim, net *topology.Network, ropts routing.Options, eve
 		camus.WithSeed(seed),
 	}
 	if covering {
-		opts = append(opts, camus.WithCovering(0))
+		opts = append(opts, camus.WithCovering())
 	}
 	svc, err := camus.NewControlPlane(net, formats.ITCH, opts...)
 	check(err)

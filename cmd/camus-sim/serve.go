@@ -66,7 +66,7 @@ func runServe(cfg serveConfig) {
 		svcOpts = append(svcOpts, camus.WithValidator(camus.ProveValidator(net, 0), cfg.validateEvery))
 	}
 	if cfg.covering {
-		svcOpts = append(svcOpts, camus.WithCovering(0))
+		svcOpts = append(svcOpts, camus.WithCovering())
 	}
 	d, err := camus.NewDaemon(net, app.Spec,
 		camus.WithDaemonEventLog(logPath),

@@ -89,7 +89,7 @@ func main() {
 			camus.WithNetValidator(camus.NetcheckValidator(net, formats.ITCH, 0), *netcheckEvery))
 	}
 	if *covering {
-		svcOpts = append(svcOpts, camus.WithCovering(0))
+		svcOpts = append(svcOpts, camus.WithCovering())
 	}
 	if *admission {
 		svcOpts = append(svcOpts, camus.WithAdmission(camus.NewFitModel()))

@@ -146,21 +146,13 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// All returns the Camus analyzer suite.
+// All returns the Camus analyzer suite: the two checks no Go type can
+// express (DESIGN.md §8a).
 func All() []*Analyzer {
-	return []*Analyzer{
-		SnapshotWriteAnalyzer,
-		OptionsOnlyAnalyzer,
-		AtomicMixAnalyzer,
-		LockSendAnalyzer,
-		FitGateAnalyzer,
-	}
+	return []*Analyzer{LockSendAnalyzer, FitGateAnalyzer}
 }
 
 // --- shared type helpers -------------------------------------------------
-
-// pipelinePath is the package whose invariants the suite protects.
-const pipelinePath = "camus/internal/pipeline"
 
 // namedType reports whether t (after unwrapping pointers and aliases)
 // is the named type pkgPath.name, e.g. ("camus/internal/pipeline", "Switch").
@@ -182,14 +174,3 @@ func namedType(t types.Type, pkgPath, name string) bool {
 
 // exprString renders an expression for diagnostics.
 func exprString(e ast.Expr) string { return types.ExprString(e) }
-
-// selectionField returns the field object a selector expression reads
-// or writes, or nil when the selector is not a field access.
-func selectionField(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	f, _ := s.Obj().(*types.Var)
-	return f
-}

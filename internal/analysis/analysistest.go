@@ -13,7 +13,7 @@ import (
 // and checks the analyzer's diagnostics against the fixture's
 // expectations — the analysistest convention:
 //
-//	s.Packets = 0 // want `mutates a StatsSnapshot snapshot copy`
+//	q.ch <- v // want `channel send while holding q\.mu`
 //
 // Each `// want` comment holds one or more back-quoted or quoted
 // regular expressions that must match diagnostics reported on that

@@ -6,26 +6,6 @@ import "testing"
 // violations under testdata/src (which go's wildcard patterns skip, so
 // the seeded bugs never reach the build or the lint gate).
 
-func TestSnapshotWriteAnalyzer(t *testing.T) {
-	RunFixture(t, SnapshotWriteAnalyzer, "./testdata/src/snapshotwrite")
-}
-
-func TestOptionsOnlyAnalyzer(t *testing.T) {
-	RunFixture(t, OptionsOnlyAnalyzer, "./testdata/src/optionsonly")
-}
-
-func TestOptionsOnlyAnalyzerCtlplane(t *testing.T) {
-	RunFixture(t, OptionsOnlyAnalyzer, "./testdata/src/ctlplaneopts")
-}
-
-func TestOptionsOnlyAnalyzerFacade(t *testing.T) {
-	RunFixture(t, OptionsOnlyAnalyzer, "./testdata/src/facadeopts")
-}
-
-func TestAtomicMixAnalyzer(t *testing.T) {
-	RunFixture(t, AtomicMixAnalyzer, "./testdata/src/atomicmix")
-}
-
 func TestLockSendAnalyzer(t *testing.T) {
 	RunFixture(t, LockSendAnalyzer, "./testdata/src/locksend")
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"sort"
+	"strings"
 )
 
 // LockSendAnalyzer flags blocking fan-out while holding a mutex:
@@ -181,6 +183,10 @@ func lockOp(pass *Pass, e ast.Expr) (key string, locked, ok bool) {
 	return exprString(sel.X), isLock, true
 }
 
+// pipelinePath is the dataplane package whose batch entry points are
+// fan-out barriers.
+const pipelinePath = "camus/internal/pipeline"
+
 // fanOutMethods are the dataplane's batch entry points (the fan-out
 // barriers), by receiver type.
 var fanOutMethods = map[string]struct{ pkg, recv string }{
@@ -233,17 +239,6 @@ func heldList(held map[string]bool) string {
 	for k := range held {
 		keys = append(keys, k)
 	}
-	if len(keys) > 1 {
-		// Small fixed sort keeps diagnostics stable.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-	}
-	out := keys[0]
-	for _, k := range keys[1:] {
-		out += ", " + k
-	}
-	return out
+	sort.Strings(keys)
+	return strings.Join(keys, ", ")
 }

@@ -17,7 +17,7 @@
 // resolves to exactly one physical uplink per packet, so the checker
 // enumerates all resolutions and demands the invariants under each; a
 // packet is never forwarded back out its ingress port
-// (pipeline.Config.DropOnIngressPort, on by default) nor up again once
+// (pipeline.WithIngressDrop, on by default) nor up again once
 // it arrived from above (netsim's fromUp suppression). Aggregate
 // registers are per-switch state: a class crossing a link freezes its
 // register constraints under the source switch's namespace (see

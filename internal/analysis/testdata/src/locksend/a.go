@@ -42,6 +42,14 @@ func (q *queue) sendUnderRLock(v int) {
 	q.ch <- v // want `channel send while holding q\.rw`
 }
 
+func (q *queue) sendUnderTwoLocks(v int) {
+	q.rw.Lock()
+	defer q.rw.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.ch <- v // want `channel send while holding q\.mu, q\.rw$`
+}
+
 func (q *queue) sendInSelect(v int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

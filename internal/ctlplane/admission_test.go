@@ -71,7 +71,7 @@ func TestAdmissionRejectLeavesStateUntouched(t *testing.T) {
 				WithAdmission(model),
 			}
 			if covering {
-				opts = append(opts, WithCovering(0))
+				opts = append(opts, WithCovering())
 			}
 			svc, _ := newServiceForTest(t, net, opts...)
 
@@ -177,7 +177,7 @@ func TestPredictAddMirrorsAddFilter(t *testing.T) {
 			net := topology.MustFatTree(4)
 			opts := []Option{WithRouting(routing.Options{Policy: routing.TrafficReduction})}
 			if covering {
-				opts = append(opts, WithCovering(0))
+				opts = append(opts, WithCovering())
 			}
 			rec, err := NewReconcilerWith(net, itchSpec, opts...)
 			if err != nil {

@@ -28,7 +28,7 @@ func TestCoveringMatchesBatchReduce(t *testing.T) {
 			for trial := 0; trial < 4; trial++ {
 				subs := randomSubs(r, len(net.Hosts), 3)
 				ropts := routing.Options{Policy: policy, Alpha: alpha}
-				rec, err := NewReconcilerWith(net, itchSpec, WithRouting(ropts), WithCovering(0))
+				rec, err := NewReconcilerWith(net, itchSpec, WithRouting(ropts), WithCovering())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +93,7 @@ func TestCoveringMatchesBatchReduce(t *testing.T) {
 func TestCoveringUncoverBatch(t *testing.T) {
 	net := topology.MustFatTree(4)
 	rec, err := NewReconcilerWith(net, itchSpec,
-		WithRouting(routing.Options{Policy: routing.TrafficReduction}), WithCovering(0))
+		WithRouting(routing.Options{Policy: routing.TrafficReduction}), WithCovering())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCoveringServiceSnapshot(t *testing.T) {
 	net := topology.MustFatTree(4)
 	svc, err := New(net, itchSpec,
 		WithRouting(routing.Options{Policy: routing.TrafficReduction, Alpha: 10}),
-		WithCovering(0))
+		WithCovering())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,38 +14,38 @@ import (
 // style of camus.SwitchOption: the resulting configuration is frozen
 // into the Service (or Reconciler), so no caller can reach racy mutable
 // state after start. Construct services with New and synchronous
-// reconcilers with NewReconcilerWith; Config is the Option target.
-type Option func(*Config)
+// reconcilers with NewReconcilerWith; config is the Option target.
+type Option func(*config)
 
 // WithRouting selects the routing policy (MR/TR) and discretization α.
 func WithRouting(ro routing.Options) Option {
-	return func(c *Config) { c.Routing = ro }
+	return func(c *config) { c.Routing = ro }
 }
 
 // WithCompiler sets the per-switch compiler options (LastHop is forced
 // per switch exactly as controller.Deploy does).
 func WithCompiler(co compiler.Options) Option {
-	return func(c *Config) { c.Compiler = co }
+	return func(c *config) { c.Compiler = co }
 }
 
 // WithInstallers wires live apply targets by switch ID; nil entries
 // leave a switch compile-only.
 func WithInstallers(ins ...Installer) Option {
-	return func(c *Config) { c.Installers = ins }
+	return func(c *config) { c.Installers = ins }
 }
 
 // WithQueueDepth bounds in-flight subscription events; Subscribe and
 // Unsubscribe block when the queue is full (backpressure). Default
 // 1024.
 func WithQueueDepth(n int) Option {
-	return func(c *Config) { c.MaxPending = n }
+	return func(c *config) { c.MaxPending = n }
 }
 
 // WithRetry bounds the exponential backoff between apply attempts
 // (base/max, ±50% jitter) and caps attempts per batch at maxRetries.
 // Zero values keep the defaults (1ms / 100ms / 8).
 func WithRetry(base, max time.Duration, maxRetries int) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.RetryBase = base
 		c.RetryMax = max
 		c.MaxRetries = maxRetries
@@ -56,7 +56,7 @@ func WithRetry(base, max time.Duration, maxRetries int) Option {
 // fault-injection point for retry/backoff tests. Returning an error
 // fails the attempt.
 func WithApplyHook(fn func(sw, attempt int) error) Option {
-	return func(c *Config) { c.ApplyHook = fn }
+	return func(c *config) { c.ApplyHook = fn }
 }
 
 // WithValidator certifies each freshly compiled program against the
@@ -65,7 +65,7 @@ func WithApplyHook(fn func(sw, attempt int) error) Option {
 // Nth compiled batch (and always the first); values ≤ 1 validate every
 // batch.
 func WithValidator(v Validator, every int) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.Validator = v
 		c.ValidateEvery = every
 	}
@@ -80,7 +80,7 @@ func WithValidator(v Validator, every int) Option {
 // Snapshot (NetValidationFailures) and surfaced by camusd's /healthz;
 // they do not roll back installed epochs.
 func WithNetValidator(v NetValidator, every int) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		c.NetValidator = v
 		c.NetValidateEvery = every
 	}
@@ -96,14 +96,11 @@ func WithNetValidator(v NetValidator, every int) Option {
 // which a still-subscribed filter lacks a covering entry. Delivery is
 // provably unchanged — forwarding through a port is the union of its
 // filters, and f ⊑ g makes f ∪ g = g — and `camusc netcheck -covering`
-// certifies it end to end. maxNodes bounds each two-filter implication
-// diagram (≤ 0 selects cover.DefaultMaxNodes); oversized queries
-// conservatively count as "not implied".
-func WithCovering(maxNodes int) Option {
-	return func(c *Config) {
-		c.Covering = true
-		c.CoverMaxNodes = maxNodes
-	}
+// certifies it end to end. Each two-filter implication diagram is
+// bounded by cover.DefaultMaxNodes; oversized queries conservatively
+// count as "not implied".
+func WithCovering() Option {
+	return func(c *config) { c.Covering = true }
 }
 
 // WithAdmission enables static resource admission: before any registry
@@ -119,13 +116,13 @@ func WithCovering(maxNodes int) Option {
 // FitHeadroomEntries/FitStageSRAMPct gauges. Pass fitcheck.NewModel()
 // for the default Tofino-class budget.
 func WithAdmission(m *fitcheck.Model) Option {
-	return func(c *Config) { c.Admission = m }
+	return func(c *config) { c.Admission = m }
 }
 
 // WithSeed makes retry jitter reproducible (0 seeds from switch IDs
 // only).
 func WithSeed(seed int64) Option {
-	return func(c *Config) { c.Seed = seed }
+	return func(c *config) { c.Seed = seed }
 }
 
 // NewReconcilerWith builds the synchronous placement/compile core
@@ -134,7 +131,7 @@ func WithSeed(seed int64) Option {
 // are meaningful here; the queue and retry options apply to the Service
 // layer.
 func NewReconcilerWith(net *topology.Network, sp *spec.Spec, opts ...Option) (*Reconciler, error) {
-	cfg := Config{Net: net, Spec: sp}
+	cfg := config{Net: net, Spec: sp}
 	for _, fn := range opts {
 		fn(&cfg)
 	}

@@ -165,10 +165,10 @@ const (
 )
 
 // newReconciler builds an empty reconciler for a network from a
-// resolved Config. Every switch starts with an empty program except
+// resolved config. Every switch starts with an empty program except
 // for the MR policy's static constant-true up-port rule, which is
 // installed on the first Compile.
-func newReconciler(cfg Config) (*Reconciler, error) {
+func newReconciler(cfg config) (*Reconciler, error) {
 	net, sp, ropts, copts := cfg.Net, cfg.Spec, cfg.Routing, cfg.Compiler
 	r := &Reconciler{
 		net:      net,
@@ -179,7 +179,7 @@ func newReconciler(cfg Config) (*Reconciler, error) {
 		covering: cfg.Covering,
 	}
 	if r.covering {
-		r.im = cover.NewImplier(sp, cfg.CoverMaxNodes)
+		r.im = cover.NewImplier(sp, 0)
 	}
 	for _, s := range net.Switches {
 		inc, err := r.newIncremental(s.ID)
@@ -319,7 +319,7 @@ func (r *Reconciler) coverOps(sc *swCompiler, port int, d cover.Delta) []RuleOp 
 // PredictAdd is the non-mutating mirror of AddFilter: it returns, per
 // switch, how many new table rules adding the filter would install,
 // without touching the registry, refcounts, or forests. The admission
-// layer (Config.Admission) calls it before AddFilter so an oversized
+// layer (WithAdmission) calls it before AddFilter so an oversized
 // delta is rejected with zero state to roll back. The count is
 // conservative under covering: a new root's captures could *shrink*
 // other tables, but admission only needs an upper bound.

@@ -325,7 +325,7 @@ func TestTenantNameValidationAndEscaping(t *testing.T) {
 // covering families, including the per-tenant covered-subscription
 // gauge (registry state, so visible as soon as the subscribe returns).
 func TestMetricsCovering(t *testing.T) {
-	_, ts := newDaemon(t, server.WithService(ctlplane.WithCovering(0)),
+	_, ts := newDaemon(t, server.WithService(ctlplane.WithCovering()),
 		server.WithTenancy(ctlplane.WithAutoCreate()))
 	base := ts.URL
 

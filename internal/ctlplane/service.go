@@ -36,9 +36,10 @@ var ErrAdmissionRejected = errors.New("ctlplane: admission rejected: pipeline wo
 // retries.
 var ErrApplyFailed = errors.New("ctlplane: apply failed after retries")
 
-// Config configures a Service: the target the Options passed to New
-// (WithRouting, WithQueueDepth, WithRetry, ...) apply to.
-type Config struct {
+// config configures a Service: the target the Options passed to New
+// (WithRouting, WithQueueDepth, WithRetry, ...) apply to. It is
+// unexported, so options are the only way to set it.
+type config struct {
 	Net  *topology.Network
 	Spec *spec.Spec
 	// Routing selects the policy (MR/TR) and discretization α.
@@ -87,10 +88,8 @@ type Config struct {
 	// only).
 	Seed int64
 	// Covering enables subsumption-aware state reduction (see
-	// WithCovering); CoverMaxNodes bounds each implication diagram
-	// (≤ 0 selects cover.DefaultMaxNodes).
-	Covering      bool
-	CoverMaxNodes int
+	// WithCovering).
+	Covering bool
 	// Admission, when set, statically fit-checks every subscribe before
 	// any registry mutation (see WithAdmission): the predicted
 	// per-switch entry delta must fit each switch's remaining pipeline
@@ -99,7 +98,7 @@ type Config struct {
 	Admission *fitcheck.Model
 }
 
-func (c Config) withDefaults() Config {
+func (c config) withDefaults() config {
 	if c.MaxPending <= 0 {
 		c.MaxPending = 1024
 	}
@@ -150,7 +149,7 @@ type swQueue struct {
 // Service is the long-running control plane: it owns the Reconciler,
 // one apply worker per switch, and the end-to-end telemetry.
 type Service struct {
-	cfg Config
+	cfg config
 	rec *Reconciler
 
 	mu        sync.Mutex
@@ -201,7 +200,7 @@ type Service struct {
 	netValidationFailures atomic.Int64
 
 	// admissionChecks / admissionRejects count static fit checks run
-	// before registry mutation (Config.Admission) and the subscribes
+	// before registry mutation (WithAdmission) and the subscribes
 	// they refused.
 	admissionChecks  atomic.Int64
 	admissionRejects atomic.Int64
@@ -217,7 +216,7 @@ type Service struct {
 //
 // Close must be called to stop the workers.
 func New(net *topology.Network, sp *spec.Spec, opts ...Option) (*Service, error) {
-	cfg := Config{Net: net, Spec: sp}
+	cfg := config{Net: net, Spec: sp}
 	for _, fn := range opts {
 		fn(&cfg)
 	}

@@ -59,12 +59,12 @@ type Snapshot struct {
 	EngineMemoEntries int64
 	EngineBytes       int64
 	// Validations counts post-compile translation-validation runs
-	// (Config.Validator); ValidationFailures counts batches rejected as
+	// (WithValidator); ValidationFailures counts batches rejected as
 	// disequivalent — those never reach the installer.
 	Validations        int64
 	ValidationFailures int64
 	// NetValidations counts network-wide delivery-validation runs at
-	// quiescent points (Config.NetValidator); NetValidationFailures
+	// quiescent points (WithNetValidator); NetValidationFailures
 	// counts runs that found an invariant violation.
 	NetValidations        int64
 	NetValidationFailures int64

@@ -22,7 +22,7 @@ func TestCoveringChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	snap := runChurnMode(t, 400, 83, true, nil, ctlplane.WithCovering(0))
+	snap := runChurnMode(t, 400, 83, true, nil, ctlplane.WithCovering())
 	if snap.Applied != snap.Events || snap.Failures != 0 {
 		t.Errorf("unclean covering churn: %+v", snap)
 	}
@@ -49,7 +49,7 @@ func TestCoveringChurnNetValidated(t *testing.T) {
 	}
 	net := topology.MustFatTree(4)
 	snap := runChurnMode(t, 1000, 91, true, nil,
-		ctlplane.WithCovering(0),
+		ctlplane.WithCovering(),
 		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, itchSpec, 0), 1))
 	if snap.Applied != snap.Events || snap.Failures != 0 {
 		t.Errorf("unclean covering net-validated churn: %+v", snap)
@@ -92,7 +92,7 @@ func TestUncoverEpochConsistency(t *testing.T) {
 	svc, err := ctlplane.New(net, itchSpec,
 		ctlplane.WithRouting(ropts),
 		ctlplane.WithInstallers(sim.Installers()...),
-		ctlplane.WithCovering(0))
+		ctlplane.WithCovering())
 	if err != nil {
 		t.Fatal(err)
 	}

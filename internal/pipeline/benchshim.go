@@ -5,7 +5,7 @@ package pipeline
 // next benchmark PR. WithLeafCache sets nothing and the counters are
 // never incremented.
 
-func WithLeafCache(int) Option { return func(*Config) {} }
+func WithLeafCache(int) Option { return func(*config) {} }
 
 type benchLeafCounters struct {
 	LeafHits, LeafMisses, LeafFills int64

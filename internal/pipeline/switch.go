@@ -48,36 +48,20 @@ type Delivery struct {
 // concurrent invocation when the switch runs more than one worker.
 type CustomActionFunc func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery
 
-// Config tunes the switch model: the target the Options passed to
-// NewSwitch apply to, on top of DefaultConfig.
-type Config struct {
-	// BaseLatency is the one-pass pipeline transit time. The paper
+// The switch model's fixed, Tofino-like figures.
+const (
+	// baseLatency is the one-pass pipeline transit time. The paper
 	// reports pipeline latency under 1µs (§VIII-F1).
-	BaseLatency time.Duration
-	// RecirculationLatency is the added cost of one recirculation pass.
-	RecirculationLatency time.Duration
-	// DropOnIngressPort suppresses forwarding a packet back out its
-	// ingress port (standard switch behaviour; Algorithm 1's "other than
-	// the ingress port").
-	DropOnIngressPort bool
-	// FlowCacheSize bounds the stream-subscription cache (§VII-B),
-	// totalled across worker shards; 0 uses the default (65536 flows).
-	FlowCacheSize int
-	// FlowTTL expires idle streams; 0 uses the default (30s).
-	FlowTTL time.Duration
-	// Workers is the number of dataplane shards ProcessBatch fans out
-	// across; 0 or 1 selects the sequential single-shard dataplane.
-	Workers int
-}
-
-// DefaultConfig returns the Tofino-like defaults.
-func DefaultConfig() Config {
-	return Config{
-		BaseLatency:          600 * time.Nanosecond,
-		RecirculationLatency: 400 * time.Nanosecond,
-		DropOnIngressPort:    true,
-	}
-}
+	baseLatency = 600 * time.Nanosecond
+	// recirculationLatency is the added cost of one recirculation pass
+	// (§VI-B).
+	recirculationLatency = 400 * time.Nanosecond
+	// flowCacheSize bounds the stream-subscription cache (§VII-B),
+	// totalled across worker shards.
+	flowCacheSize = 65536
+	// flowTTL expires idle streams.
+	flowTTL = 30 * time.Second
+)
 
 // epoch is one immutable (Program, StateTable) generation. Install
 // publishes a new epoch with a single atomic pointer swap, so packet
@@ -104,7 +88,7 @@ type Switch struct {
 	ID string
 
 	static  *compiler.StaticPipeline
-	cfg     Config
+	cfg     config
 	epoch   atomic.Pointer[epoch]
 	shards  []*shard
 	customs map[string]CustomActionFunc
@@ -120,8 +104,9 @@ type Switch struct {
 }
 
 // NewSwitch builds a switch from a static pipeline, a compiled program
-// and DefaultConfig plus functional options — the one way to configure a
-// dataplane.
+// and functional options — the one way to configure a dataplane. By
+// default it runs one worker shard and drops packets bound back out
+// their ingress port.
 func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Program, opts ...Option) (*Switch, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("pipeline: NewSwitch: nil program")
@@ -131,28 +116,25 @@ func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Progra
 			return nil, err
 		}
 	}
-	cfg := DefaultConfig()
+	cfg := config{DropOnIngressPort: true}
 	for _, fn := range opts {
 		fn(&cfg)
 	}
-	cfg = cfg.normalize()
+	cfg.Workers = max(cfg.Workers, 1)
 	s := &Switch{
 		ID:      id,
 		static:  static,
 		cfg:     cfg,
 		customs: make(map[string]CustomActionFunc),
 	}
-	perShard := (cfg.FlowCacheSize + cfg.Workers - 1) / cfg.Workers
+	perShard := (flowCacheSize + cfg.Workers - 1) / cfg.Workers
 	s.shards = make([]*shard, cfg.Workers)
 	for i := range s.shards {
-		s.shards[i] = &shard{flows: newFlowCache(perShard, cfg.FlowTTL)}
+		s.shards[i] = &shard{flows: newFlowCache(perShard, flowTTL)}
 	}
 	s.epoch.Store(&epoch{prog: prog, state: NewStateTable(prog)})
 	return s, nil
 }
-
-// Config returns a copy of the switch's frozen configuration.
-func (s *Switch) Config() Config { return s.cfg }
 
 // Workers reports the number of dataplane shards.
 func (s *Switch) Workers() int { return len(s.shards) }
@@ -325,11 +307,11 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	}
 
 	// Batches deeper than the parse budget recirculate (§VI-B).
-	latency := s.cfg.BaseLatency
+	latency := baseLatency
 	if s.static != nil && s.static.MaxParsedMessages > 0 {
 		if extra := (len(pkt.Msgs) - 1) / s.static.MaxParsedMessages; extra > 0 {
 			st.Recirculations += int64(extra)
-			latency += time.Duration(extra) * s.cfg.RecirculationLatency
+			latency += time.Duration(extra) * recirculationLatency
 		}
 	}
 

@@ -53,7 +53,7 @@ func TestProcessUnicast(t *testing.T) {
 	if len(out) != 1 || out[0].Port != 1 || len(out[0].Msgs) != 1 {
 		t.Fatalf("deliveries = %+v", out)
 	}
-	if out[0].Latency != sw.Config().BaseLatency {
+	if out[0].Latency != baseLatency {
 		t.Errorf("latency = %v", out[0].Latency)
 	}
 	out2 := sw.Process(&Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "MSFT", 50, 10)}}, 0)
@@ -114,7 +114,7 @@ func TestRecirculation(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("deliveries = %d", len(out))
 	}
-	wantLat := sw.Config().BaseLatency + 2*sw.Config().RecirculationLatency
+	wantLat := baseLatency + 2*recirculationLatency
 	if out[0].Latency != wantLat {
 		t.Errorf("latency = %v, want %v", out[0].Latency, wantLat)
 	}
