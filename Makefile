@@ -167,23 +167,28 @@ soak:
 ## fuzz-smoke: short, deterministic iterations of the fuzz targets —
 ## the subscription parser, the BDD kernel's hash table against a Go
 ## map, the compile-then-prove pipeline, the flat table walk against its
-## reference, the field encoder against the bit reference and the two
-## wire decoders (seed corpus plus a few hundred mutations each).
+## reference, the switch's port-mask egress against the per-message
+## Program.Eval reference, the field encoder against the bit reference
+## and the two wire decoders (seed corpus plus a few hundred mutations
+## each).
 fuzz-smoke:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 200x
 	$(GO) test ./internal/bdd -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 200x
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 200x
 	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 200x
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzEgress$$' -fuzztime 200x
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzHeaderCodec$$' -fuzztime 200x
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 200x
 	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 200x
 
 ## fuzz-extended: the nightly-CI fuzz budget — minutes, not mutations,
-## over every fuzz target in the module.
+## over every fuzz target in the module (FuzzEgress: random port sets
+## in [-1, 100], random ingress, streams across an Install, for 60 s).
 fuzz-extended:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 120s
 	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 300s
 	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 120s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzEgress$$' -fuzztime 60s
 	$(GO) test ./internal/bdd -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 30s
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 60s
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzHeaderCodec$$' -fuzztime 30s

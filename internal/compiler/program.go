@@ -142,10 +142,10 @@ func (p *Program) TotalEntries() int {
 
 // Lookup evaluates the full pipeline for a message: the reference
 // software implementation of the compiled switch, also used by the
-// pipeline runtime. It returns the leaf entry reached (nil for drop with
-// no leaf row).
+// pipeline runtime (through LeafSlot, the same walk). It returns the leaf
+// entry reached (nil for drop with no leaf row).
 func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
-	return p.walk.lookup(m, st, m.Spec() != p.Spec)
+	return p.LeafAt(p.LeafSlot(m, st))
 }
 
 // Eval returns the merged action set for a message (empty set = drop).

@@ -38,8 +38,10 @@ type walk struct {
 	keys   []byte // the exact-string keys the slots point into
 	tails  []strTail
 	// leaves[0] is nil (a terminal without a leaf row: drop);
-	// leaves[i+1] is Program.Leaf[i], the same pointer.
+	// leaves[i+1] is Program.Leaf[i], the same pointer. egress holds the
+	// same slots' port masks.
 	leaves []*LeafEntry
+	egress Egress
 	start  int32
 }
 
@@ -185,11 +187,11 @@ func (w *walk) slot(b *block, h uint32, key string) *strSlot {
 	}
 }
 
-// lookup is the one stage walk: from the entry block to a leaf, one
-// block per stage the state enters.
-func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool) *LeafEntry {
+// lookup is the one stage walk: from the entry block to a leaf slot,
+// one block per stage the state enters.
+func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool) int {
 	if len(w.leaves) == 0 {
-		return nil // a hand-assembled Program that was never Reindexed
+		return 0 // a hand-assembled Program that was never Reindexed
 	}
 	cur := w.start
 	for cur >= 0 {
@@ -236,14 +238,14 @@ func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool
 			}
 		}
 	}
-	return w.leaves[^cur]
+	return int(^cur)
 }
 
-// Reindex derives the walk from Stages, Defaults, Leaf and Init. The
-// compiler calls it on every program it returns; code that edits those
-// fields afterwards (internal/analysis/corrupt) calls it again, or the
-// dataplane keeps executing the tables as they were. It must not run
-// concurrently with a Lookup on p.
+// Reindex derives the walk from Stages, Defaults, Leaf and Init, and the
+// Egress from Leaf. The compiler calls it on every program it returns;
+// code that edits those fields afterwards (internal/analysis/corrupt)
+// calls it again, or the dataplane keeps executing the tables as they
+// were. It must not run concurrently with a Lookup on p.
 func (p *Program) Reindex() {
 	if len(p.Stages) > math.MaxUint16 {
 		panic(fmt.Sprintf("compiler: %d stages do not fit a block's 16-bit stage index", len(p.Stages)))
@@ -268,6 +270,7 @@ func (p *Program) Reindex() {
 		bld.table(uint16(i), p.Stages[i])
 	}
 	w.start = bld.resolve(p.Init)
+	w.egress = newEgress(p.Leaf)
 	p.walk = w
 }
 

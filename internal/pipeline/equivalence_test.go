@@ -248,8 +248,9 @@ header market {
 // TestProcessBatchZeroAlloc pins the workspace invariant: the
 // single-worker steady-state batch allocates nothing per op — on a
 // stateless program, on a stateful one whose register reads and writes go
-// through the shared StateTable, and on multi-message packets whose
-// messages fan out to several ports each.
+// through the shared StateTable, on multi-message packets whose messages
+// fan out to several ports each, and on streams whose header packets
+// install decisions.
 func TestProcessBatchZeroAlloc(t *testing.T) {
 	const stateless = `
 stock == GOOGL: fwd(1)
@@ -263,9 +264,10 @@ price > 500: fwd(3)
 		// msgs is the message count of packet i.
 		msgs func(i int) int
 		// flows: packets come in stream pairs, a header-bearing packet of
-		// two messages on four ports, then a continuation. Installing the
-		// stream's decision clones its port set: one allocation per
-		// header-bearing packet, none per continuation.
+		// two messages on four ports, then a continuation. The stream's
+		// decision is the packet's union mask, copied into the flow
+		// cache's slab: no allocation per header-bearing packet or per
+		// continuation.
 		flows bool
 	}{
 		{name: "stateless", rules: stateless},
@@ -279,13 +281,11 @@ price > 500: fwd(3)
 			sw, sp := buildSwitch(t, tc.rules, tc.copts)
 			syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
 			pkts := make([]*Packet, 256)
-			headers := 0
 			for i := range pkts {
 				if tc.flows {
 					pkts[i] = &Packet{In: 0, Bytes: 64, Flow: FlowKey(1 + i/2)}
 					if i%2 == 0 {
 						pkts[i].Msgs = []*spec.Message{itchMsg(sp, "GOOGL", 600, 10), itchMsg(sp, "MSFT", 200, 10)}
-						headers++
 					}
 					continue
 				}
@@ -305,8 +305,8 @@ price > 500: fwd(3)
 				now += 30 * time.Microsecond // windows tumble every few runs
 				sw.ProcessBatch(pkts, now)
 			})
-			if allocs != float64(headers) {
-				t.Fatalf("batch allocates %.1f allocs/op, want %d", allocs, headers)
+			if allocs != 0 {
+				t.Fatalf("batch allocates %.1f allocs/op, want 0", allocs)
 			}
 			if st := sw.Stats(); tc.flows && (st.FlowHits != st.Packets/2 || st.Deliveries != 4*st.Packets) {
 				t.Fatalf("stream run did not cache its four-port decisions: %+v", st)

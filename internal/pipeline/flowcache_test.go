@@ -6,7 +6,6 @@ import (
 
 	"camus/internal/compiler"
 	"camus/internal/spec"
-	"camus/internal/subscription"
 )
 
 // TestStreamSubscription exercises §VII-B: the first packet of a stream
@@ -70,23 +69,27 @@ func TestStreamNonMatchingFirstPacket(t *testing.T) {
 
 func TestFlowCacheEviction(t *testing.T) {
 	c := newFlowCache(4, time.Second)
-	var acts subscription.ActionSet
-	acts.Add(subscription.FwdAction(1))
+	union := []uint64{1 << 1}
 	for i := 0; i < 10; i++ {
-		c.install(FlowKey(i), acts, 0, 0)
+		c.install(FlowKey(i), union, 0, 0)
 	}
 	if len(c.entries) != 4 {
 		t.Fatalf("size = %d, want 4 (capacity)", len(c.entries))
+	}
+	// An evicted flow's slot is the new flow's: the slab never outgrows
+	// the ring.
+	if len(c.words) != 4*c.stride {
+		t.Fatalf("slab holds %d words for 4 slots of %d", len(c.words), c.stride)
 	}
 	// Oldest evicted, newest present.
 	if _, ok := c.lookup(FlowKey(0), 0, 0); ok {
 		t.Error("oldest flow still cached")
 	}
-	if _, ok := c.lookup(FlowKey(9), 0, 0); !ok {
-		t.Error("newest flow evicted")
+	if words, ok := c.lookup(FlowKey(9), 0, 0); !ok || words[0] != union[0] {
+		t.Errorf("newest flow: %v, %v", words, ok)
 	}
 	// Reinstalling an existing key must not grow the ring.
-	c.install(FlowKey(9), acts, 0, 0)
+	c.install(FlowKey(9), union, 0, 0)
 	if len(c.entries) != 4 {
 		t.Errorf("size after reinstall = %d", len(c.entries))
 	}
@@ -96,27 +99,35 @@ func TestFlowCacheEviction(t *testing.T) {
 	// map entry but left its ring slot made the next capacity eviction
 	// pop that old slot and delete the fresh decision.
 	c = newFlowCache(2, time.Second)
-	c.install(1, acts, 0, 0)
+	c.install(1, union, 0, 0)
 	if _, ok := c.lookup(1, time.Minute, 0); ok {
 		t.Fatal("expired flow still cached")
 	}
-	c.install(1, acts, time.Minute, 0)
-	c.install(2, acts, time.Minute, 0)
+	c.install(1, union, time.Minute, 0)
+	c.install(2, union, time.Minute, 0)
 	for _, k := range []FlowKey{1, 2} {
 		if _, ok := c.lookup(k, time.Minute, 0); !ok {
-			t.Errorf("flow %d evicted from a cache of 2 holding 2 flows (ring %v)", k, c.order[c.head:])
+			t.Errorf("flow %d evicted from a cache of 2 holding 2 flows (ring %v)", k, c.ring)
 		}
 	}
-	if len(c.order)-c.head != len(c.entries) {
-		t.Errorf("ring %v and map (%d entries) out of step", c.order[c.head:], len(c.entries))
+	if len(c.ring) != len(c.entries) {
+		t.Errorf("ring %v and map (%d entries) out of step", c.ring, len(c.entries))
+	}
+
+	// A wider decision (a program of more ports) widens every slot and
+	// keeps the narrower ones' words.
+	c.install(3, []uint64{1, 1 << 63}, time.Minute, 1)
+	if words, ok := c.lookup(2, time.Minute, 0); !ok || len(words) != 2 || words[0] != union[0] || words[1] != 0 {
+		t.Errorf("narrow decision after restride: %v, %v", words, ok)
+	}
+	if words, ok := c.lookup(3, time.Minute, 1); !ok || words[0] != 1 || words[1] != 1<<63 {
+		t.Errorf("wide decision: %v, %v", words, ok)
 	}
 }
 
 func TestFlowCacheTTLRefresh(t *testing.T) {
 	c := newFlowCache(10, 100*time.Millisecond)
-	var acts subscription.ActionSet
-	acts.Add(subscription.FwdAction(3))
-	c.install(1, acts, 0, 0)
+	c.install(1, []uint64{1 << 3}, 0, 0)
 	// Touch at 80ms: refreshes to 180ms.
 	if _, ok := c.lookup(1, 80*time.Millisecond, 0); !ok {
 		t.Fatal("entry expired early")

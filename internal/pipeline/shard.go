@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"camus/internal/spec"
-	"camus/internal/subscription"
 )
 
 // shard is one worker's private slice of the dataplane: a flow-cache
@@ -30,7 +29,7 @@ type shard struct {
 
 // acquire returns the workspace a run executes in: the shard's own when
 // its lock is free (owned; the caller unlocks sh.mu when the run ends),
-// otherwise a private one with cold buckets, so goroutines that collapse
+// otherwise a private one with cold buffers, so goroutines that collapse
 // onto one shard do not serialize. runOn counts the private runs
 // (StatsSnapshot.PrivateRuns). Where the run emits does not depend on
 // which workspace it got.
@@ -55,63 +54,25 @@ func (r *run) unlockFlows() {
 	}
 }
 
-// workspace is the reusable mutable state of the packet core: the
-// per-port message buckets of the packet in flight, the port set of its
-// stream decision and the register reader. Buckets are a linear-scanned
-// slice because egress ports are few per packet and may be negative (e.g.
-// routing's UpPort), ruling out dense indexing. Where a run emits is not
-// the workspace's business: the deliveries go into the emit arena of the
-// Results the caller passed.
+// workspace is the reusable mutable state of the packet core: the port
+// mask words of the packet in flight and the register reader. A port set
+// is W words under the epoch program's port dictionary (compiler.Egress):
+// union is the packet's, masks holds each message's in wire order, so
+// egress prunes a replica with one bit test per message. Where a run
+// emits is not the workspace's business: the deliveries go into the emit
+// arena of the Results the caller passed.
 type workspace struct {
-	buckets []portBucket
-	n       int // buckets in use
-	total   int // messages across them
-
-	// flowPorts is the union of the matched leaves' ports so far; spare
-	// is the buffer the next union is merged into (subscription.UnionPorts
-	// needs its destination disjoint from its inputs), and the two swap.
-	flowPorts, spare []int
-
-	regs stateAt
+	union, masks []uint64
+	regs         stateAt
 }
 
-// addFlowPorts merges ports, sorted and deduplicated, into flowPorts.
-func (w *workspace) addFlowPorts(ports []int) {
-	w.spare = subscription.UnionPorts(w.spare[:0], w.flowPorts, ports)
-	w.flowPorts, w.spare = w.spare, w.flowPorts
-}
-
-type portBucket struct {
-	port int
-	msgs []*spec.Message
-}
-
-// bucket returns port's bucket for the packet in flight, opening an
-// empty one (reusing retired capacity) on first use.
-func (w *workspace) bucket(port int) *portBucket {
-	for i := 0; i < w.n; i++ {
-		if w.buckets[i].port == port {
-			return &w.buckets[i]
-		}
+// words returns buf resliced to n words, reallocated when it is too
+// short.
+func words(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
 	}
-	if w.n == len(w.buckets) {
-		w.buckets = append(w.buckets, portBucket{})
-	}
-	b := &w.buckets[w.n]
-	b.port, b.msgs = port, b.msgs[:0]
-	w.n++
-	return b
-}
-
-// sort orders buckets[:n] by port (insertion sort: n is tiny, and
-// sort.Slice's closure would allocate).
-func (w *workspace) sort() {
-	b := w.buckets[:w.n]
-	for i := 1; i < len(b); i++ {
-		for j := i; j > 0 && b[j].port < b[j-1].port; j-- {
-			b[j], b[j-1] = b[j-1], b[j]
-		}
-	}
+	return buf[:n]
 }
 
 // arena hands out capacity-clamped subslices of a chunked backing

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -276,34 +277,32 @@ func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery
 }
 
 // packet is the run-to-completion core every packet takes (§VI): the
-// ingress pass evaluates each message and collects a port set; the
-// crossbar replicates the packet once per egress port; egress prunes
-// each replica to the messages that matched on that port (§VI-A).
-// Stateful predicates (§II), stream decisions (§VII-B) and recirculation
-// (§VI-B) happen inside this one pass. i is the packet's index in the
-// run, recorded with deferred custom hits.
+// ingress pass walks each message to a leaf slot and ORs its port mask
+// into the packet's union; the crossbar and egress emit the pruned
+// replicas (§VI-A). Stateful predicates (§II), stream decisions (§VII-B)
+// and recirculation (§VI-B) happen inside this one pass. i is the
+// packet's index in the run, recorded with deferred custom hits.
 func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
-	ep, ws, st := r.ep, r.ws, &r.stats
+	ep, eg, ws, st := r.ep, r.ep.prog.Egress(), r.ws, &r.stats
+	W := eg.W
 	st.Packets++
 	st.BytesIn += int64(pkt.Bytes)
-	ws.n, ws.total = 0, 0
+	ws.union = words(ws.union, W)
+	union := ws.union
+	clear(union)
 
 	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
 		// Stream continuation: no application header, forward per the
-		// decision cached by the stream's first packet (§VII-B).
+		// union cached by the stream's first packet (§VII-B).
 		r.lockFlows()
-		acts, ok := r.sh.flows.lookup(pkt.Flow, r.now, ep.gen)
+		cached, ok := r.sh.flows.lookup(pkt.Flow, r.now, ep.gen)
+		copy(union, cached)
 		r.unlockFlows()
 		if !ok {
 			st.FlowMisses++
 			return nil
 		}
 		st.FlowHits++
-		for _, port := range acts.Ports {
-			if !(s.cfg.DropOnIngressPort && port == pkt.In) {
-				ws.bucket(port)
-			}
-		}
 	}
 
 	// Batches deeper than the parse budget recirculate (§VI-B).
@@ -315,78 +314,101 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 		}
 	}
 
-	ws.flowPorts = ws.flowPorts[:0]
-	for _, m := range pkt.Msgs {
+	ws.masks = words(ws.masks, len(pkt.Msgs)*W)
+	masks := ws.masks
+	for k, m := range pkt.Msgs {
 		st.Messages++
-		le := ep.prog.Lookup(m, r.regs)
-		if le == nil {
-			continue
+		slot := ep.prog.LeafSlot(m, r.regs)
+		var hit uint64
+		for w, x := range eg.Mask(slot) {
+			masks[k*W+w] = x
+			union[w] |= x
+			hit |= x
 		}
-		// State updates fire for every message whose stateless context
-		// matched, before forwarding semantics are applied.
-		for _, key := range le.Updates {
-			ep.state.Update(key, m, r.now)
-		}
-		st.StateUpdates += int64(len(le.Updates))
-		ports, custom := le.Actions.Ports, le.Actions.Custom
-		if len(ports)+len(custom) == 0 {
-			continue
-		}
-		st.Matched++
-		if pkt.Flow != 0 {
-			// The cached stream decision keeps the full port set;
-			// ingress suppression re-applies per continuation packet.
-			ws.addFlowPorts(ports)
-		}
-		for _, port := range ports {
-			if !(s.cfg.DropOnIngressPort && port == pkt.In) {
-				b := ws.bucket(port)
-				b.msgs = append(b.msgs, m)
-				ws.total++
+		if slot != 0 && eg.Heavy(slot) {
+			// State updates fire for every message whose stateless
+			// context matched, before forwarding semantics are applied.
+			le := ep.prog.LeafAt(slot)
+			for _, key := range le.Updates {
+				ep.state.Update(key, m, r.now)
+			}
+			st.StateUpdates += int64(len(le.Updates))
+			for _, act := range le.Actions.Custom {
+				r.customs = append(r.customs, customHit{pkt: i, act: act, m: m})
+				hit = 1 // a custom action matches without a port
 			}
 		}
-		for _, act := range custom {
-			r.customs = append(r.customs, customHit{pkt: i, act: act, m: m})
+		if hit != 0 {
+			st.Matched++
 		}
 	}
 
 	// Stream subscriptions: the header-bearing packet installs the
-	// stream's merged port decision for its continuations (§VII-B),
-	// tagged with the epoch it was compiled under; install clones the
-	// workspace's port set.
+	// stream's union for its continuations (§VII-B), tagged with the epoch
+	// whose dictionary its bits index. It keeps the full port set: ingress
+	// suppression re-applies per continuation packet.
 	if pkt.Flow != 0 && len(pkt.Msgs) > 0 {
 		r.lockFlows()
-		r.sh.flows.install(pkt.Flow, subscription.ActionSet{Ports: ws.flowPorts}, r.now, ep.gen)
+		r.sh.flows.install(pkt.Flow, union, r.now, ep.gen)
 		r.unlockFlows()
 	}
+	if s.cfg.DropOnIngressPort {
+		if w, bit, ok := eg.Bit(pkt.In); ok {
+			union[w] &^= bit
+		}
+	}
+	return s.emit(r, pkt, union, masks, latency)
+}
 
-	// Crossbar + egress: one pruned replica per port, in port order,
-	// copied out of the bucket scratch.
-	if ws.n == 0 {
+// emit is the crossbar and egress: one replica per bit of union, in
+// ascending bit order, which is port order, each holding the messages
+// whose mask has that bit, in wire order.
+func (s *Switch) emit(r *run, pkt *Packet, union, masks []uint64, latency time.Duration) []Delivery {
+	n, total := 0, 0
+	for w, u := range union {
+		n += bits.OnesCount64(u)
+		for k := w; k < len(masks); k += len(union) {
+			total += bits.OnesCount64(masks[k] & u)
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	ws.sort()
+	// Pruning stores every message and keeps those with the bit: the
+	// last store needs a spare slot.
 	var out []Delivery
 	var flat []*spec.Message
 	if em := r.emit; em == nil {
-		out, flat = make([]Delivery, ws.n), make([]*spec.Message, ws.total)
+		out, flat = make([]Delivery, n), make([]*spec.Message, total+1)
 	} else {
-		out, flat = em.dels.alloc(ws.n), em.msgs.alloc(ws.total)
+		out, flat = em.dels.alloc(n), em.msgs.alloc(total+1)
 	}
-	for k := range out {
-		b := &ws.buckets[k]
-		c := copy(flat, b.msgs)
-		out[k] = Delivery{Port: b.port, Msgs: flat[:c:c], Latency: latency}
-		flat = flat[c:]
-		// Pruned replica bytes scale with the surviving message share;
-		// a continuation replica carries the whole packet.
-		bytes := pkt.Bytes
-		if len(pkt.Msgs) > 0 {
-			bytes = pkt.Bytes * c / len(pkt.Msgs)
+	msgs, ports := pkt.Msgs, r.ep.prog.Egress().Ports
+	d, bytesOut := 0, 0
+	for w, u := range union {
+		for ; u != 0; u &= u - 1 {
+			b := bits.TrailingZeros64(u)
+			c := 0
+			for k, m := range msgs {
+				flat[c] = m
+				c += int(masks[k*len(union)+w] >> b & 1)
+			}
+			// Field by field: a literal's stack copy stalls the store.
+			dl := &out[d]
+			dl.Port, dl.Msgs, dl.Latency = ports[w<<6|b], flat[:c:c], latency
+			flat = flat[c:]
+			d++
+			// Pruned replica bytes scale with the surviving message share;
+			// a full replica (a continuation too) carries the whole packet.
+			if c < len(msgs) {
+				bytesOut += pkt.Bytes * c / len(msgs)
+			} else {
+				bytesOut += pkt.Bytes
+			}
 		}
-		st.BytesOut += int64(bytes)
 	}
-	st.Deliveries += int64(len(out))
+	r.stats.BytesOut += int64(bytesOut)
+	r.stats.Deliveries += int64(n)
 	return out
 }
 
