@@ -2,7 +2,7 @@
 # leave `make check` green.
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report churn-soak serve-soak soak prove netcheck fit loc
+.PHONY: check fmt vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report vet-report-check churn-soak serve-soak soak prove netcheck fit loc
 
 ## check: the full tier-1 gate — gofmt, vet, build, race-enabled tests
 ## (the custom analyzers run once there, as internal/analysis's
@@ -10,9 +10,10 @@ GO ?= go
 ## short churn soak, a serve soak of the multi-tenant daemon, a short
 ## fuzz smoke, a translation-validation pass over the shipped rules, a
 ## network-wide delivery certification of the shipped rules, a static
-## pipeline-fit certification of the shipped rules, and a smoke run of
+## pipeline-fit certification of the shipped rules, a regeneration of
+## vet-report.txt that must match the committed file, and a smoke run of
 ## the parallel dataplane benchmark.
-check: fmt vet build race churn-soak serve-soak fuzz-smoke prove netcheck fit bench
+check: fmt vet build race churn-soak serve-soak fuzz-smoke prove netcheck fit vet-report-check bench
 
 ## prove: certify the shipped sample rules with the translation
 ## validator (camusc prove), in both last-hop and upstream modes.
@@ -197,28 +198,43 @@ fuzz-extended:
 	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 30s
 	$(GO) test ./internal/spec -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
 
-## vet-report: regenerate vet-report.txt by cross-running `camusc vet`
-## (rule self-consistency), `camusc prove` (translation validation) and
-## `camusc fit` (static pipeline-layout certification) over the
-## rule-verifier corpus (findings are the point, so exit 1 is ok).
+## vet-report: regenerate VET_REPORT (vet-report.txt) by cross-running
+## `camusc vet` (rule self-consistency), `camusc prove` (translation
+## validation) and `camusc fit` (static pipeline-layout certification)
+## over the rule-verifier corpus (findings are the point, so exit 1 is
+## ok), with one camusc binary built for the whole report. A non-zero
+## fit exit is written as the `exit status N` line the report has always
+## carried there.
+VET_REPORT ?= vet-report.txt
+CORPUS = internal/analysis/rulecheck/testdata/corpus
 vet-report:
-	@rm -f vet-report.txt
-	@for f in internal/analysis/rulecheck/testdata/corpus/*.rules; do \
-		echo "== camusc vet -spec market.spec -rules $$(basename $$f) ==" >> vet-report.txt; \
-		$(GO) run ./cmd/camusc vet -spec internal/analysis/rulecheck/testdata/corpus/market.spec -rules $$f >> vet-report.txt || true; \
-		echo "== camusc prove -spec market.spec -rules $$(basename $$f) ==" >> vet-report.txt; \
-		$(GO) run ./cmd/camusc prove -spec internal/analysis/rulecheck/testdata/corpus/market.spec -rules $$f >> vet-report.txt || true; \
-		echo "== camusc fit -spec market.spec -rules $$(basename $$f) ==" >> vet-report.txt; \
-		$(GO) run ./cmd/camusc fit -spec internal/analysis/rulecheck/testdata/corpus/market.spec -rules $$f >> vet-report.txt 2>&1 || true; \
-	done
-	@echo "== camusc vet -spec itch.spec -rules itch.rules ==" >> vet-report.txt
-	@$(GO) run ./cmd/camusc vet -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> vet-report.txt || true
-	@echo "== camusc prove -spec itch.spec -rules itch.rules ==" >> vet-report.txt
-	@$(GO) run ./cmd/camusc prove -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> vet-report.txt || true
-	@echo "== camusc netcheck -spec itch.spec -rules itch.rules ==" >> vet-report.txt
-	@$(GO) run ./cmd/camusc netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> vet-report.txt || true
-	@echo "== camusc netcheck -spec itch.spec -rules itch.rules -topo mstpp ==" >> vet-report.txt
-	@$(GO) run ./cmd/camusc netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules -topo mstpp -nodes 24 -alpha 100 >> vet-report.txt || true
-	@echo "== camusc fit -spec itch.spec -rules itch.rules ==" >> vet-report.txt
-	@$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> vet-report.txt || true
-	@cat vet-report.txt
+	@bin=$$(mktemp -d) && trap 'rm -rf $$bin' EXIT && \
+	$(GO) build -o $$bin/camusc ./cmd/camusc && c=$$bin/camusc && out=$(VET_REPORT) && rm -f $$out && \
+	for f in $(CORPUS)/*.rules; do \
+		echo "== camusc vet -spec market.spec -rules $$(basename $$f) ==" >> $$out; \
+		$$c vet -spec $(CORPUS)/market.spec -rules $$f >> $$out || true; \
+		echo "== camusc prove -spec market.spec -rules $$(basename $$f) ==" >> $$out; \
+		$$c prove -spec $(CORPUS)/market.spec -rules $$f >> $$out || true; \
+		echo "== camusc fit -spec market.spec -rules $$(basename $$f) ==" >> $$out; \
+		$$c fit -spec $(CORPUS)/market.spec -rules $$f >> $$out 2>&1 || echo "exit status $$?" >> $$out; \
+	done; \
+	echo "== camusc vet -spec itch.spec -rules itch.rules ==" >> $$out; \
+	$$c vet -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> $$out || true; \
+	echo "== camusc prove -spec itch.spec -rules itch.rules ==" >> $$out; \
+	$$c prove -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> $$out || true; \
+	echo "== camusc netcheck -spec itch.spec -rules itch.rules ==" >> $$out; \
+	$$c netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> $$out || true; \
+	echo "== camusc netcheck -spec itch.spec -rules itch.rules -topo mstpp ==" >> $$out; \
+	$$c netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules -topo mstpp -nodes 24 -alpha 100 >> $$out || true; \
+	echo "== camusc fit -spec itch.spec -rules itch.rules ==" >> $$out; \
+	$$c fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules >> $$out || true
+	@cat $(VET_REPORT)
+
+## vet-report-check: regenerate the report into a temporary file and
+## fail on any difference from the committed vet-report.txt, so a
+## change that moves a finding, a proof or a fit certificate must
+## re-record the report.
+vet-report-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	$(MAKE) --no-print-directory vet-report VET_REPORT=$$tmp/vet-report.txt > /dev/null && \
+	diff -u vet-report.txt $$tmp/vet-report.txt

@@ -272,7 +272,7 @@ func Analyze(p *compiler.Program, opts Options) *Layout {
 	ts := gather(p, b)
 	l := place(ts, b, opts.File)
 	l.Registers = compiler.RegisterCount(p)
-	l.MulticastGroups = len(p.Groups)
+	l.MulticastGroups = p.Egress().Groups()
 	globalFindings(l, b, opts.File)
 	if !opts.SkipHeadroom {
 		headroom(l, ts, b)

@@ -216,7 +216,7 @@ func cloneWorst(t *testing.T, p *compiler.Program, l *fitcheck.Layout, idx, n in
 	tf := l.Tables[idx]
 	if tf.Kind == "leaf" {
 		for i := 0; i < n; i++ {
-			p.Leaf = append(p.Leaf, &compiler.LeafEntry{In: compiler.StateID(1<<20 + i), Group: -1})
+			p.Leaf = append(p.Leaf, &compiler.LeafEntry{In: compiler.StateID(1<<20 + i)})
 		}
 		return true
 	}
@@ -353,7 +353,7 @@ func synthProgram(rng *rand.Rand) *compiler.Program {
 		p.Stages = append(p.Stages, tab)
 	}
 	for j := 0; j < rng.Intn(300); j++ {
-		p.Leaf = append(p.Leaf, &compiler.LeafEntry{In: compiler.StateID(j), Group: -1})
+		p.Leaf = append(p.Leaf, &compiler.LeafEntry{In: compiler.StateID(j)})
 	}
 	return p
 }

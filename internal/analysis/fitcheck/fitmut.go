@@ -20,7 +20,7 @@ type Mutation struct {
 	//	inflate-exact    — append N synthetic exact entries to stage Stage
 	//	inflate-ternary  — append N worst-case range entries to stage Stage
 	//	inflate-leaf     — append N leaf rows
-	//	add-groups       — allocate N extra multicast groups
+	//	add-groups       — append N leaves on distinct two-port sets
 	//	widen-field      — grow stage Stage's field to N bits
 	//	add-aggregates   — mint N synthetic aggregate windows
 	Op string `json:"op"`
@@ -83,13 +83,19 @@ func (m Mutation) Apply(p *compiler.Program) error {
 	case "inflate-leaf":
 		next := compiler.StateID(1 << 20)
 		for i := 0; i < m.N; i++ {
-			p.Leaf = append(p.Leaf, &compiler.LeafEntry{In: next + compiler.StateID(i), Group: -1})
+			p.Leaf = append(p.Leaf, &compiler.LeafEntry{In: next + compiler.StateID(i)})
 		}
 	case "add-groups":
-		base := len(p.Groups)
+		// N leaves on fresh states, each on its own two-port set above
+		// every real port: N more distinct masks for Reindex to intern.
+		next := compiler.StateID(1 << 21)
 		for i := 0; i < m.N; i++ {
-			p.Groups = append(p.Groups, compiler.MulticastGroup{ID: base + i, Ports: []int{1, 2}})
+			p.Leaf = append(p.Leaf, &compiler.LeafEntry{
+				In:      next + compiler.StateID(i),
+				Actions: subscription.ActionSet{Ports: []int{1 << 20, 1<<20 + 1 + i}},
+			})
 		}
+		p.Reindex()
 	case "widen-field":
 		t, err := m.stage(p)
 		if err != nil {

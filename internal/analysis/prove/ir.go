@@ -43,7 +43,8 @@ import (
 )
 
 // Program is the prover's neutral view of a compiled switch program:
-// the decision DAG of compiler.Program (Stages/Leaf/Groups/Init)
+// the decision DAG of compiler.Program (Stages/Leaf/Init, and the
+// multicast groups of its egress masks)
 // re-expressed with the prover's own value domains.
 type Program struct {
 	Spec *spec.Spec
@@ -53,7 +54,9 @@ type Program struct {
 	Stages []*Stage
 	// Leaves are the terminal rows: state → merged action set.
 	Leaves []*Leaf
-	// Groups are the allocated multicast port sets, indexed by group ID.
+	// Groups are the multicast port sets, indexed by group ID: the
+	// compiler's egress mask rows decoded through its port dictionary,
+	// what the switch replicates by.
 	Groups [][]int
 
 	leafByState map[int32]*Leaf

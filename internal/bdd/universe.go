@@ -288,12 +288,6 @@ func (u *Universe) impliesCtx(ctx int32, p *Pred) match.Tri {
 	return v
 }
 
-// CtxCacheSize reports the number of interned contexts and memoized
-// implication results (diagnostics and tests).
-func (u *Universe) CtxCacheSize() (ctxs, implied int) {
-	return len(u.cache.ctxs), u.cache.implied.len()
-}
-
 // canonicalize maps an atom to its canonical predicate form plus the
 // polarity with which the atom uses it (false = the atom is the negation
 // of the canonical predicate).

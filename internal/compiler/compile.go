@@ -240,7 +240,7 @@ func emitBlock(univ *bdd.Universe, u *bdd.Node) *entryBlock {
 // the program it emitted last. The zero value emits from scratch.
 type emitter struct {
 	blocks map[StateID]*entryBlock // by in-node ID
-	leaves map[StateID]*leafRow    // by terminal ID
+	leaves map[StateID]*LeafEntry  // by terminal ID
 	// entries is the last program's count of diffable entries (block
 	// sizes plus leaves); nodes the BDD nodes it reached.
 	entries int
@@ -349,34 +349,21 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 		p.Stages = append(p.Stages, t)
 	}
 
-	// Leaf table + multicast allocation. Group numbers belong to the one
-	// program, so every emit fills fresh LeafEntry values (one slab) from
-	// the terminals' rows.
-	groupByKey := make(map[string]int)
+	// Leaf table. A leaf is a pure function of its terminal, so successive
+	// programs of one Incremental share the *LeafEntry of every terminal
+	// both reach, as they share entry blocks.
 	sort.Slice(terminals, func(i, j int) bool { return terminals[i].ID < terminals[j].ID })
-	leaves := make(map[StateID]*leafRow, len(terminals))
-	slab := make([]LeafEntry, len(terminals))
+	leaves := make(map[StateID]*LeafEntry, len(terminals))
 	p.Leaf = make([]*LeafEntry, len(terminals))
 	for i, n := range terminals {
-		row := em.leaves[n.ID]
-		if row != nil {
+		le := em.leaves[n.ID]
+		if le != nil {
 			delta.reused++
 		} else {
 			delta.added++
-			row = newLeafRow(n)
+			le = newLeaf(n)
 		}
-		leaves[n.ID] = row
-		le := &slab[i]
-		*le = row.entry
-		if row.group != "" {
-			id, ok := groupByKey[row.group]
-			if !ok {
-				id = len(p.Groups)
-				groupByKey[row.group] = id
-				p.Groups = append(p.Groups, MulticastGroup{ID: id, Ports: le.Actions.Ports})
-			}
-			le.Group = id
-		}
+		leaves[n.ID] = le
 		p.Leaf[i] = le
 	}
 	delta.removed = em.entries - delta.reused
@@ -387,20 +374,10 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 	return p, delta, nil
 }
 
-// leafRow is the emitted form of one terminal: its leaf entry before a
-// multicast group is assigned, and the key that group is found under (""
-// for a unicast or drop action set). Like an entryBlock it is a pure
-// function of the node, so successive programs of one Incremental share
-// the rows — and the action slices in them — of every terminal both reach.
-type leafRow struct {
-	entry LeafEntry
-	group string
-}
-
-func newLeafRow(n *bdd.Node) *leafRow {
-	row := &leafRow{entry: LeafEntry{In: n.ID, Group: -1}}
-	le := &row.entry
-	// Split out the synthesized update directives.
+// newLeaf is terminal n's leaf row: its ports and custom actions, with
+// the synthesized update directives split out.
+func newLeaf(n *bdd.Node) *LeafEntry {
+	le := &LeafEntry{In: n.ID}
 	for _, c := range n.Actions.Custom {
 		if c.Name == UpdateActionName {
 			le.Updates = append(le.Updates, c.Args...)
@@ -409,10 +386,7 @@ func newLeafRow(n *bdd.Node) *leafRow {
 		}
 	}
 	le.Actions.Merge(subscription.ActionSet{Ports: n.Actions.Ports})
-	if len(le.Actions.Ports) > 1 {
-		row.group = fmt.Sprint(le.Actions.Ports)
-	}
-	return row
+	return le
 }
 
 // emitPaths walks every path from In node u through the field component,

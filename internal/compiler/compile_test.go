@@ -86,9 +86,19 @@ shares >= 100 and stock == MSFT: fwd(3)
 	if got := eval(150, "GOOGL"); got != "fwd()" {
 		t.Errorf("GOOGL/150 = %s, want drop", got)
 	}
-	// One multicast group for {1,2}.
-	if len(p.Groups) != 1 || fmt.Sprint(p.Groups[0].Ports) != "[1 2]" {
-		t.Errorf("groups = %+v, want one group [1 2]", p.Groups)
+	// One multicast group, on the {1,2} leaf.
+	eg := p.Egress()
+	if eg.Groups() != 1 {
+		t.Errorf("groups = %d, want 1", eg.Groups())
+	}
+	for i, le := range p.Leaf {
+		want := -1
+		if fmt.Sprint(le.Actions.Ports) == "[1 2]" {
+			want = 0
+		}
+		if got := eg.Group(i + 1); got != want {
+			t.Errorf("leaf %s: group %d, want %d", le.Actions, got, want)
+		}
 	}
 }
 

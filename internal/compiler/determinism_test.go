@@ -83,64 +83,13 @@ avg(price, 1s) > 4: fwd(3)
 // when batch compilation became one Incremental.Apply; the entry counts
 // are those of the separate batch builder it replaced.
 func TestCompileDeterministic(t *testing.T) {
-	sp := testSpec(t)
-	r := rand.New(rand.NewSource(11))
-
-	type load struct {
-		name    string
-		sp      *spec.Spec
-		rules   []*subscription.Rule
-		opts    Options
-		entries int
-		digest  string
-	}
-	var loads []load
-	randomPins := map[int]struct {
-		entries int
-		digest  string
-	}{
-		10:  {140, "f76847b51f7f3deede6d69fde527efeacd5781d93a324a8e078ed92fa5c39276"},
-		64:  {114, "e03ba7fb684f190854d93c6cfc24081c78fc6b7c48475e679eefcc03613ee318"},
-		300: {13, "2123195a0861b749fbbd981999396d57049c4a28d78f7b3267c473ea1d1c37ed"},
-	}
-	for _, n := range []int{10, 64, 300} {
-		loads = append(loads, load{
-			name:    fmt.Sprintf("random-%d", n),
-			sp:      sp,
-			rules:   randomRules(r, sp, n),
-			entries: randomPins[n].entries,
-			digest:  randomPins[n].digest,
-		})
-	}
-	// Siena-style ITCH workload; a high equality bias keeps the ordering-
-	// relation partition count (and thus test runtime) bounded.
-	itchRules, err := workload.SienaRules(workload.SienaConfig{
-		Spec: formats.ITCH, Filters: 100, Seed: 7, EqualityBias: 0.9,
-	}, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads = append(loads, load{name: "siena-itch-100", sp: formats.ITCH, rules: itchRules, entries: 28093,
-		digest: "0129686a7dc66049d88a3610cfd8c5ac573d142f9c853355206309f64a87480f"})
-	// Stateful last-hop compile exercises expandStateful + update rules.
-	loads = append(loads, load{
-		name:    "stateful-lasthop",
-		sp:      sp,
-		rules:   mustRules(t, sp, statefulLastHopRules),
-		opts:    Options{LastHop: true},
-		entries: 75,
-		digest:  "25fbfa35720aae0b2c1aafe7e5410076c7ed6fec0b5cd1f154f0b5d39ea18bc3",
-	})
-	loads = append(loads, load{name: "int-range-1000", sp: formats.INT, rules: intRangeRules(t, 1), entries: 133677,
-		digest: "2829ac7952e9875a7548a4ce45d360b647ca605ed00b275b13f1f8dd005c9827"})
-
-	for _, ld := range loads {
-		t.Run(ld.name, func(t *testing.T) {
-			first, err := Compile(ld.sp, ld.rules, ld.opts)
+	for _, ld := range CompileLoads(t) {
+		t.Run(ld.Name, func(t *testing.T) {
+			first, err := Compile(ld.Spec, ld.Rules, ld.Opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := Compile(ld.sp, ld.rules, ld.opts)
+			second, err := Compile(ld.Spec, ld.Rules, ld.Opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,6 +108,65 @@ func TestCompileDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// CompileLoad is one load of TestCompileDeterministic's corpus, exported
+// for the package's external tests.
+type CompileLoad struct {
+	Name    string
+	Spec    *spec.Spec
+	Rules   []*subscription.Rule
+	Opts    Options
+	entries int
+	digest  string
+}
+
+// CompileLoads builds TestCompileDeterministic's corpus with its pins.
+func CompileLoads(t *testing.T) []CompileLoad {
+	sp := testSpec(t)
+	r := rand.New(rand.NewSource(11))
+
+	var loads []CompileLoad
+	randomPins := map[int]struct {
+		entries int
+		digest  string
+	}{
+		10:  {140, "f76847b51f7f3deede6d69fde527efeacd5781d93a324a8e078ed92fa5c39276"},
+		64:  {114, "e03ba7fb684f190854d93c6cfc24081c78fc6b7c48475e679eefcc03613ee318"},
+		300: {13, "2123195a0861b749fbbd981999396d57049c4a28d78f7b3267c473ea1d1c37ed"},
+	}
+	for _, n := range []int{10, 64, 300} {
+		loads = append(loads, CompileLoad{
+			Name:    fmt.Sprintf("random-%d", n),
+			Spec:    sp,
+			Rules:   randomRules(r, sp, n),
+			entries: randomPins[n].entries,
+			digest:  randomPins[n].digest,
+		})
+	}
+	// Siena-style ITCH workload; a high equality bias keeps the ordering-
+	// relation partition count (and thus test runtime) bounded.
+	itchRules, err := workload.SienaRules(workload.SienaConfig{
+		Spec: formats.ITCH, Filters: 100, Seed: 7, EqualityBias: 0.9,
+	}, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads = append(loads, CompileLoad{Name: "siena-itch-100", Spec: formats.ITCH, Rules: itchRules, entries: 28093,
+		digest: "0129686a7dc66049d88a3610cfd8c5ac573d142f9c853355206309f64a87480f"})
+	// Stateful last-hop compile exercises expandStateful + update rules.
+	loads = append(loads, CompileLoad{
+		Name:    "stateful-lasthop",
+		Spec:    sp,
+		Rules:   mustRules(t, sp, statefulLastHopRules),
+		Opts:    Options{LastHop: true},
+		entries: 75,
+		digest:  "25fbfa35720aae0b2c1aafe7e5410076c7ed6fec0b5cd1f154f0b5d39ea18bc3",
+	})
+	loads = append(loads, CompileLoad{Name: "int-range-1000", Spec: formats.INT, Rules: intRangeRules(t, 1), entries: 133677,
+		digest: "2829ac7952e9875a7548a4ce45d360b647ca605ed00b275b13f1f8dd005c9827"})
+
+	return loads
 }
 
 // TestOneApplyOrdersNewFields: the fields one Apply introduces are
@@ -238,10 +246,10 @@ func TestIncrementalBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestCanonicalGroupRenumbering: Canonical() must renumber multicast
-// groups in canonical-leaf encounter order and remap leaf Group
-// references, so programs from compilers that allocated group IDs in
-// different orders still compare equal.
+// TestCanonicalGroupRenumbering: the canonical program's multicast
+// groups are numbered in canonical-leaf encounter order, so programs from
+// compilers that met the port sets in different orders still compare
+// equal.
 func TestCanonicalGroupRenumbering(t *testing.T) {
 	sp := testSpec(t)
 	p := compile(t, sp, `
@@ -250,34 +258,29 @@ stock == GOOGL: fwd(2)
 stock == MSFT: fwd(3)
 stock == MSFT: fwd(4)
 `, Options{})
-	if len(p.Groups) < 2 {
-		t.Fatalf("want >=2 multicast groups, got %d", len(p.Groups))
+	if p.Egress().Groups() < 2 {
+		t.Fatalf("want >=2 multicast groups, got %d", p.Egress().Groups())
 	}
 	c := p.Canonical()
-	if len(c.Groups) != len(p.Groups) {
-		t.Fatalf("canonical group count %d != %d", len(c.Groups), len(p.Groups))
+	eg := c.Egress()
+	if eg.Groups() != p.Egress().Groups() {
+		t.Fatalf("canonical group count %d != %d", eg.Groups(), p.Egress().Groups())
 	}
-	seen := make(map[int]bool)
 	next := 0
-	for _, le := range c.Leaf {
-		if le.Group < 0 {
+	for i := range c.Leaf {
+		g := eg.Group(i + 1)
+		if g < 0 {
 			continue
 		}
-		if le.Group >= len(c.Groups) {
-			t.Fatalf("leaf references group %d of %d", le.Group, len(c.Groups))
+		if g > next {
+			t.Errorf("groups not renumbered in leaf encounter order: got %d want <= %d", g, next)
 		}
-		if !seen[le.Group] {
-			if le.Group != next {
-				t.Errorf("groups not renumbered in leaf encounter order: got %d want %d", le.Group, next)
-			}
-			seen[le.Group] = true
+		if g == next {
 			next++
 		}
 	}
-	for i, g := range c.Groups {
-		if g.ID != i {
-			t.Errorf("canonical group %d carries ID %d", i, g.ID)
-		}
+	if next != eg.Groups() {
+		t.Errorf("leaves reach %d groups of %d", next, eg.Groups())
 	}
 }
 

@@ -169,23 +169,8 @@ func (p *Program) Canonical() *Program {
 	}
 	leaf := append([]*LeafEntry(nil), p.Leaf...)
 	sort.Slice(leaf, func(i, j int) bool { return stateLess(canon, leaf[i].In, leaf[j].In) })
-	// Multicast group IDs were allocated in terminal creation order, which
-	// differs between compilers; renumber them in canonical-leaf
-	// first-encounter order so group tables compare too.
-	groupMap := make(map[int]int, len(p.Groups))
 	for _, le := range leaf {
-		g := le.Group
-		if g >= 0 {
-			ng, ok := groupMap[g]
-			if !ok {
-				ng = len(np.Groups)
-				groupMap[g] = ng
-				np.Groups = append(np.Groups, MulticastGroup{ID: ng, Ports: p.Groups[g].Ports})
-			}
-			g = ng
-		}
-		nl := &LeafEntry{In: get(le.In), Actions: le.Actions, Group: g, Updates: le.Updates}
-		np.Leaf = append(np.Leaf, nl)
+		np.Leaf = append(np.Leaf, &LeafEntry{In: get(le.In), Actions: le.Actions, Updates: le.Updates})
 	}
 	np.Reindex()
 	return np

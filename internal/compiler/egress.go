@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"camus/internal/spec"
@@ -12,7 +14,9 @@ import (
 // slot s (0 is drop, s ≥ 1 is Leaf[s-1], as the walk numbers them) has a
 // port set of W words: bit b is set when the leaf forwards to Ports[b].
 // Union is then OR, membership a bit test, and a replica per set bit in
-// ascending order is a replica per port in port order.
+// ascending order is a replica per port in port order. A mask of two or
+// more ports is a multicast group (§VII: one per distinct port set), so
+// the group table is these rows interned.
 type Egress struct {
 	// Ports is the program's port dictionary: the distinct ports of every
 	// leaf, ascending, negative ones such as routing.UpPort included.
@@ -25,6 +29,10 @@ type Egress struct {
 	// heavy has bit s set when slot s's leaf has Updates or Custom
 	// actions: only then need the packet path read its *LeafEntry.
 	heavy []uint64
+	// groups[s] is slot s's multicast group, -1 for one port or none;
+	// groups are numbered in slot order of first use.
+	groups  []int32
+	ngroups int
 }
 
 // Mask returns leaf slot s's port set, W words. The caller must not
@@ -34,6 +42,14 @@ func (e *Egress) Mask(s int) []uint64 { return e.masks[s*e.W : s*e.W+e.W] }
 // Heavy reports whether leaf slot s (s ≥ 1) has Updates or Custom
 // actions.
 func (e *Egress) Heavy(s int) bool { return e.heavy[s>>6]>>(s&63)&1 != 0 }
+
+// Group returns leaf slot s's multicast group, or -1 when its leaf
+// forwards to at most one port.
+func (e *Egress) Group(s int) int { return int(e.groups[s]) }
+
+// Groups returns the number of multicast groups, the distinct masks of
+// two or more ports.
+func (e *Egress) Groups() int { return e.ngroups }
 
 // Bit returns the mask word and bit of port; ok is false when no leaf
 // forwards to it.
@@ -53,7 +69,8 @@ func (e *Egress) Bit(port int) (word int, bit uint64, ok bool) {
 	return b >> 6, 1 << (b & 63), e.Ports[b] == port
 }
 
-// newEgress derives the dictionary, masks and heavy bits of leaves.
+// newEgress derives the dictionary, masks, heavy bits and multicast groups
+// of leaves.
 func newEgress(leaves []*LeafEntry) Egress {
 	var e Egress
 	for _, le := range leaves {
@@ -67,6 +84,10 @@ func newEgress(leaves []*LeafEntry) Egress {
 	slots := len(leaves) + 1
 	e.masks = make([]uint64, slots*e.W)
 	e.heavy = make([]uint64, (slots+63)/64)
+	e.groups = make([]int32, slots)
+	e.groups[0] = -1
+	byMask := make(map[string]int32)
+	key := make([]byte, 8*e.W)
 	for i, le := range leaves {
 		s := i + 1
 		mask := e.Mask(s)
@@ -76,6 +97,21 @@ func newEgress(leaves []*LeafEntry) Egress {
 		}
 		if len(le.Updates)+len(le.Actions.Custom) > 0 {
 			e.heavy[s>>6] |= 1 << (s & 63)
+		}
+		n := 0
+		for w, word := range mask {
+			n += bits.OnesCount64(word)
+			binary.LittleEndian.PutUint64(key[8*w:], word)
+		}
+		e.groups[s] = -1
+		if n > 1 {
+			g, ok := byMask[string(key)]
+			if !ok {
+				g = int32(e.ngroups)
+				e.ngroups++
+				byMask[string(key)] = g
+			}
+			e.groups[s] = g
 		}
 	}
 	return e

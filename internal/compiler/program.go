@@ -94,19 +94,9 @@ func (t *Table) Name() string { return t.Field.Key() }
 type LeafEntry struct {
 	In      StateID
 	Actions subscription.ActionSet
-	// Group is the multicast group realizing a multi-port action set,
-	// or -1 for unicast/drop (§VII: multicast groups are allocated per
-	// distinct overlapping-filter set).
-	Group int
 	// Updates lists the state-variable keys this terminal updates
 	// (stateful subscriptions, §II/§V-A).
 	Updates []string
-}
-
-// MulticastGroup is an allocated replication group.
-type MulticastGroup struct {
-	ID    int
-	Ports []int
 }
 
 // Program is the compiled dynamic configuration for one switch: the
@@ -120,8 +110,6 @@ type Program struct {
 	Leaf []*LeafEntry
 	// Init is the pipeline entry state (the BDD root).
 	Init StateID
-	// Groups are the allocated multicast groups.
-	Groups []MulticastGroup
 	// Resources is the switch resource estimate.
 	Resources Resources
 
@@ -175,10 +163,10 @@ func (p *Program) String() string {
 		}
 	}
 	fmt.Fprintf(&b, "table Leaf (%d entries):\n", len(p.Leaf))
-	for _, le := range p.Leaf {
+	for i, le := range p.Leaf {
 		fmt.Fprintf(&b, "  %d -> %s", le.In, le.Actions)
-		if le.Group >= 0 {
-			fmt.Fprintf(&b, " [mcast %d]", le.Group)
+		if g := p.Egress().Group(i + 1); g >= 0 {
+			fmt.Fprintf(&b, " [mcast %d]", g)
 		}
 		if len(le.Updates) > 0 {
 			fmt.Fprintf(&b, " updates=%v", le.Updates)

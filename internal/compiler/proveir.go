@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math/bits"
 
 	"camus/internal/analysis/prove"
 	"camus/internal/match"
@@ -57,16 +58,26 @@ func (p *Program) ProveIR() (*prove.Program, error) {
 		}
 		out.Stages = append(out.Stages, st)
 	}
-	for _, le := range p.Leaf {
+	// A group's ports are its first slot's mask words decoded through the
+	// port dictionary: what the switch replicates, not what the leaf says.
+	eg := p.Egress()
+	for i, le := range p.Leaf {
+		g := eg.Group(i + 1)
 		out.Leaves = append(out.Leaves, &prove.Leaf{
 			In:      le.In,
 			Actions: le.Actions.Clone(),
-			Group:   le.Group,
+			Group:   g,
 			Updates: append([]string(nil), le.Updates...),
 		})
-	}
-	for _, g := range p.Groups {
-		out.Groups = append(out.Groups, append([]int(nil), g.Ports...))
+		if g == len(out.Groups) {
+			var ports []int
+			for w, word := range eg.Mask(i + 1) {
+				for ; word != 0; word &= word - 1 {
+					ports = append(ports, eg.Ports[64*w+bits.TrailingZeros64(word)])
+				}
+			}
+			out.Groups = append(out.Groups, ports)
+		}
 	}
 	out.Finalize()
 	return out, nil

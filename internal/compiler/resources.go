@@ -43,7 +43,7 @@ type Resources struct {
 	// SRAMPct / TCAMPct are percentages of the modeled budgets.
 	SRAMPct float64
 	TCAMPct float64
-	// MulticastGroups is the number of allocated replication groups.
+	// MulticastGroups is the number of replication groups, Egress.Groups().
 	MulticastGroups int
 	// Stages is the number of match-action stages used (fields + leaf).
 	Stages int
@@ -191,7 +191,7 @@ func estimate(p *Program) Resources {
 	// Leaf table: exact match on state.
 	r.SRAMBytes += len(p.Leaf) * LeafEntryBytes
 	r.Entries += len(p.Leaf)
-	r.MulticastGroups = len(p.Groups)
+	r.MulticastGroups = p.Egress().Groups()
 	r.Registers = RegisterCount(p)
 	r.SRAMPct = 100 * float64(r.SRAMBytes) / float64(SRAMBudgetBytes)
 	r.TCAMPct = 100 * float64(r.TCAMBytes) / float64(TCAMBudgetBytes)

@@ -416,7 +416,7 @@ func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
 	}
 	for s := StateID(0); s < 12; s++ {
 		if r.Intn(3) != 0 {
-			p.Leaf = append(p.Leaf, &LeafEntry{In: s, Group: -1})
+			p.Leaf = append(p.Leaf, &LeafEntry{In: s})
 		}
 	}
 	p.Reindex()
@@ -486,7 +486,7 @@ func testDirectEdges(t *testing.T) {
 		ins = outs
 	}
 	for _, s := range ins {
-		p.Leaf = append(p.Leaf, &LeafEntry{In: s, Group: -1})
+		p.Leaf = append(p.Leaf, &LeafEntry{In: s})
 	}
 	p.Reindex()
 

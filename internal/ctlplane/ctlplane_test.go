@@ -558,17 +558,17 @@ func TestLatencyRecordBounded(t *testing.T) {
 	record := func(n int, ns float64) {
 		svc.mu.Lock()
 		for i := 0; i < n; i++ {
-			svc.recordLatency(ns)
+			svc.latency.add(ns)
 		}
 		svc.mu.Unlock()
 	}
 	record(1, 9e9)
 	record(5000, 1e6)
-	held := cap(svc.latency)
+	held := cap(svc.latency.ring)
 	record(200000-5001, 2e6)
-	if len(svc.latency) != latencyWindow || cap(svc.latency) != held {
+	if len(svc.latency.ring) != latencyWindow || cap(svc.latency.ring) != held {
 		t.Fatalf("record holds %d samples (cap %d) after 200000 completions, want %d (cap %d as after 5000)",
-			len(svc.latency), cap(svc.latency), latencyWindow, held)
+			len(svc.latency.ring), cap(svc.latency.ring), latencyWindow, held)
 	}
 	lat := svc.Stats().Latency
 	if lat.N != base+200000 {

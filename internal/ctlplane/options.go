@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"camus/internal/analysis/fitcheck"
-	"camus/internal/compiler"
 	"camus/internal/routing"
 	"camus/internal/spec"
 	"camus/internal/topology"
@@ -20,12 +19,6 @@ type Option func(*config)
 // WithRouting selects the routing policy (MR/TR) and discretization α.
 func WithRouting(ro routing.Options) Option {
 	return func(c *config) { c.Routing = ro }
-}
-
-// WithCompiler sets the per-switch compiler options (LastHop is forced
-// per switch exactly as controller.Deploy does).
-func WithCompiler(co compiler.Options) Option {
-	return func(c *config) { c.Compiler = co }
 }
 
 // WithInstallers wires live apply targets by switch ID; nil entries
@@ -127,8 +120,8 @@ func WithSeed(seed int64) Option {
 
 // NewReconcilerWith builds the synchronous placement/compile core
 // without the async Service on top (single-threaded callers such as
-// bench's replayUpdate). Only WithRouting, WithCompiler and WithCovering
-// are meaningful here; the queue and retry options apply to the Service
+// bench's replayUpdate). Only WithRouting and WithCovering are
+// meaningful here; the queue and retry options apply to the Service
 // layer.
 func NewReconcilerWith(net *topology.Network, sp *spec.Spec, opts ...Option) (*Reconciler, error) {
 	cfg := config{Net: net, Spec: sp}

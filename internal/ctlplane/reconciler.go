@@ -133,7 +133,6 @@ type Reconciler struct {
 	net   *topology.Network
 	sp    *spec.Spec
 	ropts routing.Options
-	copts compiler.Options
 
 	filters    map[int]*filterRec
 	nextFilter int
@@ -169,12 +168,11 @@ const (
 // for the MR policy's static constant-true up-port rule, which is
 // installed on the first Compile.
 func newReconciler(cfg config) (*Reconciler, error) {
-	net, sp, ropts, copts := cfg.Net, cfg.Spec, cfg.Routing, cfg.Compiler
+	net, sp, ropts := cfg.Net, cfg.Spec, cfg.Routing
 	r := &Reconciler{
 		net:      net,
 		sp:       sp,
 		ropts:    ropts,
-		copts:    copts,
 		filters:  make(map[int]*filterRec),
 		covering: cfg.Covering,
 	}
@@ -502,10 +500,7 @@ func (r *Reconciler) FullRebuild(sw int) (*CompileResult, error) {
 // controller.Deploy configures batch compiles.
 func (r *Reconciler) newIncremental(sw int) (*compiler.Incremental, error) {
 	s := r.net.Switches[sw]
-	co := r.copts
-	co.LastHop = false
-	co.LastHopPort = s.HostFacing
-	return compiler.NewIncremental(r.sp, co)
+	return compiler.NewIncremental(r.sp, compiler.Options{LastHopPort: s.HostFacing})
 }
 
 // EngineSize sums, over all switches, what the incremental engines

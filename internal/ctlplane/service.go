@@ -44,9 +44,6 @@ type config struct {
 	Spec *spec.Spec
 	// Routing selects the policy (MR/TR) and discretization α.
 	Routing routing.Options
-	// Compiler options applied per switch (LastHop is forced per switch
-	// exactly as controller.Deploy does).
-	Compiler compiler.Options
 	// Installers by switch ID; nil entries leave a switch compile-only.
 	Installers []Installer
 	// MaxPending bounds in-flight subscription events; Subscribe and
@@ -157,11 +154,8 @@ type Service struct {
 	inflight  int
 	queues    []*swQueue
 	peakDepth int
-	// Event→applied latency, ns: a ring of the latest latencyWindow
-	// samples, the count of all samples ever and their maximum.
-	latency    []float64
-	latencyN   int
-	latencyMax float64
+	// latency is the event→applied record.
+	latency latencyRecord
 
 	sem    chan struct{}
 	closed chan struct{}
@@ -409,22 +403,6 @@ func (q *swQueue) startWorker(s *Service, sw int) bool {
 	return true
 }
 
-// latencyWindow bounds the latency record: a service runs for months and
-// every Stats call copies and sorts the record, so it keeps the latest
-// samples only.
-const latencyWindow = 4096
-
-// recordLatency adds one sample; the caller holds s.mu.
-func (s *Service) recordLatency(ns float64) {
-	if len(s.latency) < latencyWindow {
-		s.latency = append(s.latency, ns)
-	} else {
-		s.latency[s.latencyN%latencyWindow] = ns
-	}
-	s.latencyN++
-	s.latencyMax = max(s.latencyMax, ns)
-}
-
 // complete finishes an event's bookkeeping for one fully-applied (or
 // failed) switch batch.
 func (s *Service) complete(ev *Event) {
@@ -432,7 +410,7 @@ func (s *Service) complete(ev *Event) {
 		return
 	}
 	s.mu.Lock()
-	s.recordLatency(float64(time.Since(ev.start).Nanoseconds()))
+	s.latency.add(float64(time.Since(ev.start).Nanoseconds()))
 	s.inflight--
 	s.applied.Add(1)
 	// Quiescent cut: with no events in flight every worker is idle, so

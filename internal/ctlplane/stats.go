@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"camus/internal/stats"
@@ -13,6 +14,48 @@ import (
 type LatencyStats struct {
 	N                  int
 	P50, P90, P99, Max time.Duration
+}
+
+// latencyWindow bounds a latency record: a service runs for months and
+// every summary copies and sorts the record, so it keeps the latest
+// samples only.
+const latencyWindow = 4096
+
+// latencyRecord is a latency record in ns: a ring of the latest
+// latencyWindow samples, the count of all samples ever and their
+// maximum. Its owner's lock guards it.
+type latencyRecord struct {
+	ring []float64
+	n    int
+	max  float64
+}
+
+func (r *latencyRecord) add(ns float64) {
+	if len(r.ring) < latencyWindow {
+		r.ring = append(r.ring, ns)
+	} else {
+		r.ring[r.n%latencyWindow] = ns
+	}
+	r.n++
+	r.max = max(r.max, ns)
+}
+
+// summary sorts a copy of the window; the zero LatencyStats when empty.
+func (r *latencyRecord) summary() LatencyStats {
+	if r.n == 0 {
+		return LatencyStats{}
+	}
+	var sample stats.Sample
+	for _, v := range r.ring {
+		sample.Add(v)
+	}
+	return LatencyStats{
+		N:   r.n,
+		P50: time.Duration(sample.Percentile(50)),
+		P90: time.Duration(sample.Percentile(90)),
+		P99: time.Duration(sample.Percentile(99)),
+		Max: time.Duration(r.max),
+	}
 }
 
 // Snapshot is an immutable view of the control plane's counters, in the
@@ -148,8 +191,8 @@ func (s *Service) Stats() Snapshot {
 		snap.CoverCaptures = ctr.Captures
 		snap.CoverPromotions = ctr.Promotions
 	}
-	lat := append([]float64(nil), s.latency...)
-	latN, latMax := s.latencyN, s.latencyMax
+	lat := s.latency
+	lat.ring = slices.Clone(lat.ring)
 	s.mu.Unlock()
 	if m := s.cfg.Admission; m != nil {
 		snap.Admission = true
@@ -172,19 +215,7 @@ func (s *Service) Stats() Snapshot {
 			first = false
 		}
 	}
-	if len(lat) > 0 {
-		var sample stats.Sample
-		for _, v := range lat {
-			sample.Add(v)
-		}
-		snap.Latency = LatencyStats{
-			N:   latN,
-			P50: time.Duration(sample.Percentile(50)),
-			P90: time.Duration(sample.Percentile(90)),
-			P99: time.Duration(sample.Percentile(99)),
-			Max: time.Duration(latMax),
-		}
-	}
+	snap.Latency = lat.summary()
 	return snap
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"camus/internal/stats"
 	"camus/internal/subscription"
 )
 
@@ -104,7 +103,7 @@ type tenant struct {
 	unsubscribes  int64
 	rejectedQuota int64
 	rejectedRate  int64
-	latency       stats.Sample
+	latency       latencyRecord
 }
 
 // Tenants layers per-tenant namespaces, quota/rate admission, and
@@ -449,7 +448,7 @@ func (t *Tenants) observe(tn *tenant, enq time.Time, ev *Event) {
 		}
 		lat := float64(time.Since(enq).Nanoseconds())
 		t.mu.Lock()
-		tn.latency.Add(lat)
+		tn.latency.add(lat)
 		t.mu.Unlock()
 	}()
 }
@@ -622,15 +621,7 @@ func (t *Tenants) snapshotLocked(tn *tenant, covered map[int]bool) TenantSnapsho
 			snap.Covered++
 		}
 	}
-	if tn.latency.N() > 0 {
-		snap.Latency = LatencyStats{
-			N:   tn.latency.N(),
-			P50: time.Duration(tn.latency.Percentile(50)),
-			P90: time.Duration(tn.latency.Percentile(90)),
-			P99: time.Duration(tn.latency.Percentile(99)),
-			Max: time.Duration(tn.latency.Max()),
-		}
-	}
+	snap.Latency = tn.latency.summary()
 	return snap
 }
 

@@ -555,3 +555,35 @@ func TestTenantAutoCreate(t *testing.T) {
 		t.Errorf("Snapshots = %+v", snaps)
 	}
 }
+
+// TestTenantLatencyBounded: a tenant's latency record is the service's
+// window, not its whole history: after twice latencyWindow observations
+// N counts all of them while the record retains one window, so a
+// /metrics scrape sorts as much as after the first window.
+func TestTenantLatencyBounded(t *testing.T) {
+	tns, _ := newTenantsForTest(t, topology.MustFatTree(4), nil)
+	if err := tns.CreateTenant("acme", TenantQuota{}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 2 * latencyWindow
+	tns.mu.Lock()
+	tn := tns.byName["acme"]
+	for i := 0; i < n; i++ {
+		tn.latency.add(float64(i))
+	}
+	held := len(tn.latency.ring)
+	tns.mu.Unlock()
+	if held > latencyWindow {
+		t.Errorf("tenant retains %d samples, want <= %d", held, latencyWindow)
+	}
+	snap, err := tns.Snapshot("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Latency.N != n || snap.Latency.Max != n-1 {
+		t.Errorf("Latency N = %d, Max = %v; want %d and %v", snap.Latency.N, snap.Latency.Max, n, time.Duration(n-1))
+	}
+	if lo := time.Duration(latencyWindow); snap.Latency.P50 < lo {
+		t.Errorf("P50 = %v is older than the latest window (>= %v)", snap.Latency.P50, lo)
+	}
+}

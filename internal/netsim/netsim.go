@@ -77,15 +77,6 @@ func (t *trafficCounters) snapshot() TrafficStats {
 	return out
 }
 
-func (t *trafficCounters) reset() {
-	for l := 0; l < numLayers; l++ {
-		t.linkPackets[l].Store(0)
-	}
-	t.corePackets.Store(0)
-	t.dropped.Store(0)
-	t.looped.Store(0)
-}
-
 // Sim is a running simulation of a deployment. Configuration fields
 // (LinkLatency, HopLimit, ECMP, Workers) are set before traffic starts;
 // traffic accounting is read via the Traffic() snapshot.
@@ -157,14 +148,8 @@ func (s *Sim) Installers() []ctlplane.Installer {
 // Clock returns the current virtual time.
 func (s *Sim) Clock() time.Duration { return time.Duration(s.clock.Load()) }
 
-// Advance moves the virtual clock forward.
-func (s *Sim) Advance(d time.Duration) { s.clock.Add(int64(d)) }
-
 // Traffic returns a snapshot of the traffic counters.
 func (s *Sim) Traffic() TrafficStats { return s.traffic.snapshot() }
-
-// ResetTraffic clears traffic counters between experiment phases.
-func (s *Sim) ResetTraffic() { s.traffic.reset() }
 
 // Publication is one host's packet injection, the unit PublishBatch
 // forwards.
