@@ -2,7 +2,7 @@
 # leave `make check` green.
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report vet-report-check churn-soak serve-soak soak prove netcheck fit loc
+.PHONY: check fmt vet lint build test race examples-smoke bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report vet-report-check churn-soak serve-soak soak prove netcheck fit loc
 
 ## check: the full tier-1 gate — gofmt, vet, build, race-enabled tests
 ## (the custom analyzers run once there, as internal/analysis's
@@ -11,9 +11,9 @@ GO ?= go
 ## fuzz smoke, a translation-validation pass over the shipped rules, a
 ## network-wide delivery certification of the shipped rules, a static
 ## pipeline-fit certification of the shipped rules, a regeneration of
-## vet-report.txt that must match the committed file, and a smoke run of
-## the parallel dataplane benchmark.
-check: fmt vet build race churn-soak serve-soak fuzz-smoke prove netcheck fit vet-report-check bench
+## vet-report.txt that must match the committed file, a run of every
+## example program, and a smoke run of the parallel dataplane benchmark.
+check: fmt vet build race churn-soak serve-soak fuzz-smoke prove netcheck fit vet-report-check examples-smoke bench
 
 ## prove: certify the shipped sample rules with the translation
 ## validator (camusc prove), in both last-hop and upstream modes.
@@ -69,6 +69,13 @@ lint:
 
 build:
 	$(GO) build ./...
+
+## examples-smoke: run every program under examples/ (output discarded);
+## fails on the first example that exits non-zero.
+examples-smoke:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+	done
 
 test:
 	$(GO) test ./...

@@ -434,7 +434,6 @@ func BenchmarkChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.Workers = 2
 		svc, err := ctlplane.New(net, formats.ITCH,
 			ctlplane.WithRouting(ropts),
 			ctlplane.WithInstallers(sim.Installers()...),
@@ -511,9 +510,6 @@ func BenchmarkCoverChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// sim.Workers stays 0: a wave fan-out's goroutines are allocations
-		// proportional to wall time, and perf-guard pins this row's allocs/op
-		// as the control plane's.
 		svc, err := ctlplane.New(net, formats.ITCH,
 			ctlplane.WithRouting(ropts),
 			ctlplane.WithInstallers(sim.Installers()...),
@@ -618,7 +614,6 @@ func BenchmarkCtlplaneDaemon(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.Workers = 2
 		d, err := server.New(net, formats.ITCH,
 			server.WithEventLog(filepath.Join(b.TempDir(), "events.log")),
 			server.WithService(

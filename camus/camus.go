@@ -74,8 +74,7 @@ type (
 	// Sim is the network simulator. Publish, PublishFlow and PublishBatch
 	// share one forwarding loop: a batch advances wave by wave, one
 	// pipeline batch per switch per hop level, and returns heap-fresh
-	// deliveries the caller may retain. Safe for concurrent publishers;
-	// Sim.Workers only spreads a wave's switches over goroutines.
+	// deliveries the caller may retain. Safe for concurrent publishers.
 	Sim = netsim.Sim
 )
 

@@ -75,8 +75,6 @@ var (
 	WithInstallers = ctlplane.WithInstallers
 	// WithQueueDepth bounds in-flight events (backpressure).
 	WithQueueDepth = ctlplane.WithQueueDepth
-	// WithRetry bounds apply retry backoff and attempts.
-	WithRetry = ctlplane.WithRetry
 	// WithApplyHook injects a pre-install hook (fault injection).
 	WithApplyHook = ctlplane.WithApplyHook
 	// WithValidator certifies compiled programs, sampling every Nth batch.
@@ -120,8 +118,6 @@ var (
 
 	// OpenEventLog opens (or resumes) a durable event log.
 	OpenEventLog = ctlplane.OpenLog
-	// WithFsyncInterval sets the log's group-commit window.
-	WithFsyncInterval = ctlplane.WithFsyncInterval
 	// WithFsyncEveryN bounds records per fsync batch.
 	WithFsyncEveryN = ctlplane.WithFsyncEveryN
 

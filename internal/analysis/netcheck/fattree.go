@@ -51,8 +51,11 @@ func CheckFatTree(net *topology.Network, sp *spec.Spec, progs []*prove.Program, 
 		// the chosen agg (RR/ECMP); copies arriving from above never
 		// climb again, so these are the only nondeterministic choices.
 		for _, resolution := range upResolutions(net, tor) {
+			ck.cut = false
 			deliveries := ck.propagateFat(net, progs, pub, resolution)
-			ck.checkBlackHoles(pub, deliveries, deliverNS)
+			if !ck.cut {
+				ck.checkBlackHoles(pub, deliveries, deliverNS)
+			}
 			ck.checkSpurious(pub, deliveries, deliverNS)
 			ck.checkDuplicates(pub, deliveries, deliverNS)
 		}

@@ -69,7 +69,7 @@ type Options struct {
 	// (default 4096).
 	MaxContexts int
 	// MaxHops caps a copy's path length before it is reported as a
-	// loop (default 16, netsim's HopLimit).
+	// loop (default 16, netsim's hop limit).
 	MaxHops int
 	// Publishers, when non-empty, restricts the verified ingress set
 	// (default: every host / every node). The certificate then covers
@@ -196,6 +196,10 @@ type checker struct {
 	// of every live subscription: dead transit classes inside one of
 	// them are legitimate overshoot, not spurious traffic.
 	tolerate []*prove.Matcher
+	// cut is set by every overflow: a run clears it before propagating
+	// and skips the black-hole check when the propagation set it, since
+	// a cut exploration does not show that a delivery is absent.
+	cut bool
 
 	res  *Result
 	seen map[string]bool
@@ -231,7 +235,7 @@ func (ck *checker) add(key string, f Finding) {
 }
 
 func (ck *checker) overflow(msg string) {
-	ck.res.Overflowed = true
+	ck.res.Overflowed, ck.cut = true, true
 	ck.add("overflow|"+msg, Finding{
 		Kind: KindOverflow, FilterID: -1, Host: -1, Ingress: -1,
 		Message: msg,

@@ -269,3 +269,77 @@ func TestReportEnvelope(t *testing.T) {
 		t.Fatal("missing counterexample")
 	}
 }
+
+// TestBudgetOverflow trips each exploration budget at 1 in both modes:
+// the run must say it overflowed, with an analysis-overflow finding, and
+// report no black hole — a cut exploration does not show that a delivery
+// is absent, and both deployments certify clean at the defaults.
+func TestBudgetOverflow(t *testing.T) {
+	net := topology.MustFatTree(4)
+	subs, flat := fatTreeSubs(t, net)
+	d, err := controller.Deploy(net, itchSpec, subs, controller.Options{
+		Routing: routing.Options{Policy: routing.TrafficReduction},
+	})
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	fatProgs := proveAll(t, d.Programs)
+
+	g := workload.ASGraph(workload.ASGraphConfig{Nodes: 30, Edges: 55, Seed: 0})
+	treeSubs := map[int][]subscription.Expr{
+		3:  {filter(t, "stock == GOOGL and price > 500")},
+		11: {filter(t, "stock == MSFT")},
+		17: {filter(t, "stock == GOOGL")},
+		24: {filter(t, "price > 900 and shares > 500")},
+	}
+	tr, treeProgs := buildTree(t, g, treeSubs, 0)
+
+	modes := []struct {
+		name  string
+		check func(netcheck.Options) (*netcheck.Result, error)
+	}{
+		{"fattree", func(o netcheck.Options) (*netcheck.Result, error) {
+			return netcheck.CheckFatTree(net, itchSpec, fatProgs, flat, o)
+		}},
+		{"tree", func(o netcheck.Options) (*netcheck.Result, error) {
+			return netcheck.CheckTree(tr, itchSpec, treeProgs, netcheck.TreeSubscriptions(tr), o)
+		}},
+	}
+	budgets := []struct {
+		name string
+		opts netcheck.Options
+	}{
+		{"MaxPaths", netcheck.Options{MaxPaths: 1}},
+		{"MaxClasses", netcheck.Options{MaxClasses: 1}},
+		{"MaxContexts", netcheck.Options{MaxContexts: 1}},
+		{"MaxHops", netcheck.Options{MaxHops: 1}},
+	}
+	for _, mode := range modes {
+		if res, err := mode.check(netcheck.Options{}); err != nil || !res.Ok() {
+			t.Fatalf("%s at the default budgets: err %v, result %+v", mode.name, err, res)
+		}
+		for _, b := range budgets {
+			t.Run(mode.name+"/"+b.name, func(t *testing.T) {
+				res, err := mode.check(b.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Overflowed {
+					t.Error("Overflowed not set")
+				}
+				overflows := 0
+				for _, f := range res.Findings {
+					switch f.Kind {
+					case netcheck.KindOverflow:
+						overflows++
+					case netcheck.KindBlackHole:
+						t.Errorf("black hole from a cut exploration: %s", f.Message)
+					}
+				}
+				if overflows == 0 {
+					t.Error("no analysis-overflow finding")
+				}
+			})
+		}
+	}
+}

@@ -66,8 +66,11 @@ func CheckTree(tr *routing.TreeResult, sp *spec.Spec, progs []*prove.Program, su
 		if pub < 0 || pub >= n {
 			return nil, fmt.Errorf("netcheck: publisher %d out of range", pub)
 		}
+		ck.cut = false
 		arrivals, dead := ck.propagateTree(tr, progs, pub)
-		ck.checkBlackHoles(pub, arrivals, noNS)
+		if !ck.cut {
+			ck.checkBlackHoles(pub, arrivals, noNS)
+		}
 		ck.checkSpurious(pub, dead, noNS)
 		ck.checkDuplicates(pub, arrivals, noNS)
 	}

@@ -398,3 +398,47 @@ func ExampleCheck() {
 	fmt.Println(res.Ok())
 	// Output: true
 }
+
+// TestProveBudgets trips each symbolic budget: MaxPaths at 1 on the
+// shipped itch.rules, MaxContexts at 1 on a leaf whose two contributors
+// overlap, so refining by the first one's negation leaves two cubes.
+// Each run reports exactly one analysis-overflow and no divergence; at
+// the default budgets both programs prove clean.
+func TestProveBudgets(t *testing.T) {
+	specSrc, err := os.ReadFile("../../../cmd/camusc/testdata/itch.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rulesSrc, err := os.ReadFile("../../../cmd/camusc/testdata/itch.rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	itch, err := spec.Parse("itch.spec", string(specSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		sp   *spec.Spec
+		src  string
+		opts prove.Options
+	}{
+		{"MaxPaths", itch, string(rulesSrc), prove.Options{LastHop: true, MaxPaths: 1}},
+		{"MaxContexts", testSpec(t), "price > 10 and shares > 5: fwd(1)\nprice > 0: fwd(1)", prove.Options{MaxContexts: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, rules := compileRules(t, tc.sp, tc.src, compiler.Options{LastHop: tc.opts.LastHop})
+			if res := proveProgram(t, p, rules, prove.Options{LastHop: tc.opts.LastHop}); !res.Ok() {
+				t.Fatalf("default budgets: %+v", res.Findings)
+			}
+			res := proveProgram(t, p, rules, tc.opts)
+			if !res.Overflowed {
+				t.Error("Overflowed not set")
+			}
+			if len(res.Findings) != 1 || res.Findings[0].Kind != prove.KindOverflow {
+				t.Errorf("findings = %+v, want exactly one %s", res.Findings, prove.KindOverflow)
+			}
+		})
+	}
+}

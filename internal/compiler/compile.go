@@ -28,10 +28,6 @@ type Options struct {
 	// DisableCompression turns off low-resolution domain mapping
 	// (§V-E #3). Ablation only.
 	DisableCompression bool
-	// CompressionThreshold is the maximum number of distinct comparison
-	// constants for a field to qualify for domain compression (the
-	// mapped domain must fit 8 bits).
-	CompressionThreshold int
 	// MaxEntries aborts compilation when a single switch program exceeds
 	// this many table entries (0 = unlimited); a guard against
 	// pathological workloads.
@@ -54,12 +50,10 @@ type Options struct {
 	DisableValidityGuards bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.CompressionThreshold == 0 {
-		o.CompressionThreshold = 120
-	}
-	return o
-}
+// compressionThreshold is the maximum number of distinct comparison
+// constants for a field to qualify for domain compression (the mapped
+// domain must fit 8 bits).
+const compressionThreshold = 120
 
 // Compile translates a rule set into a switch program: the program of a
 // fresh Incremental after one Apply of the rules, so a batch compile and
@@ -254,7 +248,7 @@ type entryDelta struct{ added, removed, reused int }
 // FromBDD runs Algorithm 2: slice the BDD into field-specific components
 // and translate each into a (state × range → state) table.
 func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
-	p, _, err := new(emitter).emit(d, opts.withDefaults())
+	p, _, err := new(emitter).emit(d, opts)
 	return p, err
 }
 
@@ -426,7 +420,7 @@ func classify(t *Table, allExact bool, opts Options) {
 		for _, pr := range t.Field.Preds {
 			consts[pr.Const.Int] = true
 		}
-		if len(consts) > 0 && len(consts) <= opts.CompressionThreshold {
+		if len(consts) > 0 && len(consts) <= compressionThreshold {
 			t.Kind = CompressedTable
 			// The value map partitions the domain at each constant into
 			// at most 2k+1 code ranges.

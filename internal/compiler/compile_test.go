@@ -372,7 +372,7 @@ func TestStaticPipeline(t *testing.T) {
 	if len(st.StageFields) != 4 {
 		t.Errorf("stage fields = %d, want 4", len(st.StageFields))
 	}
-	if st.RegisterBlock != 64 || st.MaxParsedMessages != 4 || st.RecirculationPorts != 3 {
+	if st.RegisterBlock != 64 || st.MaxParsedMessages != 4 {
 		t.Errorf("defaults wrong: %+v", st)
 	}
 	p := compile(t, sp, "price > 5 and avg(shares) > 3: fwd(1)", Options{LastHop: true})

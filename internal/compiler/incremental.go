@@ -46,7 +46,6 @@ type Update struct {
 // the field order Options.BDD.Order selects (bdd.NewEngine) and fails
 // an Apply whose diagram would exceed Options.BDD.MaxNodes.
 func NewIncremental(sp *spec.Spec, opts Options) (*Incremental, error) {
-	opts = opts.withDefaults()
 	inc := &Incremental{
 		opts:   opts,
 		engine: bdd.NewEngine(sp, opts.BDD),

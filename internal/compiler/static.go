@@ -25,30 +25,16 @@ type StaticPipeline struct {
 	// MaxParsedMessages bounds how many application messages one parser
 	// pass can extract (PHV budget); deeper packets recirculate (§VI-B).
 	MaxParsedMessages int
-	// RecirculationPorts is the number of loopback ports dedicated to
-	// deep parsing (Fig. 7 shows 3).
-	RecirculationPorts int
 }
 
-// StaticOptions tune static pipeline generation.
-type StaticOptions struct {
-	RegisterBlock      int // default 64
-	MaxParsedMessages  int // default 4
-	RecirculationPorts int // default 3
-}
+// StaticOptions has no settings: the register block (64) and the parse
+// budget (4 messages a pass) belong to the chip. The parameter stays
+// for existing callers.
+type StaticOptions struct{}
 
 // GenerateStatic performs the static compilation step: executed once per
 // application, independent of the subscription rules.
-func GenerateStatic(sp *spec.Spec, opts StaticOptions) (*StaticPipeline, error) {
-	if opts.RegisterBlock == 0 {
-		opts.RegisterBlock = 64
-	}
-	if opts.MaxParsedMessages == 0 {
-		opts.MaxParsedMessages = 4
-	}
-	if opts.RecirculationPorts == 0 {
-		opts.RecirculationPorts = 3
-	}
+func GenerateStatic(sp *spec.Spec, _ StaticOptions) (*StaticPipeline, error) {
 	fields := sp.SubscribableFields()
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("compiler: spec %s has no subscribable fields", sp.Name)
@@ -58,11 +44,10 @@ func GenerateStatic(sp *spec.Spec, opts StaticOptions) (*StaticPipeline, error) 
 			sp.Name, len(fields)+1, MaxPipelineStages)
 	}
 	return &StaticPipeline{
-		Spec:               sp,
-		StageFields:        fields,
-		RegisterBlock:      opts.RegisterBlock,
-		MaxParsedMessages:  opts.MaxParsedMessages,
-		RecirculationPorts: opts.RecirculationPorts,
+		Spec:              sp,
+		StageFields:       fields,
+		RegisterBlock:     64,
+		MaxParsedMessages: 4,
 	}, nil
 }
 

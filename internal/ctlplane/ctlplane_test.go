@@ -328,14 +328,13 @@ func TestServiceChurnMatchesBatchDeploy(t *testing.T) {
 }
 
 // TestRetryBackoff injects apply failures and checks the worker retries
-// with backoff until success, and fails the event after MaxRetries.
+// with backoff until success, and fails the event after maxRetries.
 func TestRetryBackoff(t *testing.T) {
 	net := topology.MustFatTree(4)
 	var fails atomic.Int64
 	fails.Store(3)
 	svc, ris := newServiceForTest(t, net,
 		WithRouting(routing.Options{Policy: routing.TrafficReduction}),
-		WithRetry(1, 100, 8),
 		WithApplyHook(func(sw, attempt int) error {
 			if fails.Add(-1) >= 0 {
 				return errors.New("injected apply fault")

@@ -1,8 +1,6 @@
 package ctlplane
 
 import (
-	"time"
-
 	"camus/internal/analysis/fitcheck"
 	"camus/internal/routing"
 	"camus/internal/spec"
@@ -32,17 +30,6 @@ func WithInstallers(ins ...Installer) Option {
 // 1024.
 func WithQueueDepth(n int) Option {
 	return func(c *config) { c.MaxPending = n }
-}
-
-// WithRetry bounds the exponential backoff between apply attempts
-// (base/max, ±50% jitter) and caps attempts per batch at maxRetries.
-// Zero values keep the defaults (1ms / 100ms / 8).
-func WithRetry(base, max time.Duration, maxRetries int) Option {
-	return func(c *config) {
-		c.RetryBase = base
-		c.RetryMax = max
-		c.MaxRetries = maxRetries
-	}
 }
 
 // WithApplyHook runs fn before every install attempt — the
@@ -121,8 +108,7 @@ func WithSeed(seed int64) Option {
 // NewReconcilerWith builds the synchronous placement/compile core
 // without the async Service on top (single-threaded callers such as
 // bench's replayUpdate). Only WithRouting and WithCovering are
-// meaningful here; the queue and retry options apply to the Service
-// layer.
+// meaningful here; the queue option applies to the Service layer.
 func NewReconcilerWith(net *topology.Network, sp *spec.Spec, opts ...Option) (*Reconciler, error) {
 	cfg := config{Net: net, Spec: sp}
 	for _, fn := range opts {

@@ -54,7 +54,6 @@ func newDaemon(t *testing.T, opts ...server.Option) (*server.Daemon, *httptest.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Workers = 2
 	opts = append(opts, server.WithService(
 		ctlplane.WithRouting(ropts),
 		ctlplane.WithInstallers(sim.Installers()...),

@@ -36,8 +36,16 @@ var ErrAdmissionRejected = errors.New("ctlplane: admission rejected: pipeline wo
 // retries.
 var ErrApplyFailed = errors.New("ctlplane: apply failed after retries")
 
+// Apply retries back off exponentially from retryBase to retryMax (±50%
+// jitter) and give up after maxRetries attempts per batch.
+const (
+	retryBase  = time.Millisecond
+	retryMax   = 100 * time.Millisecond
+	maxRetries = 8
+)
+
 // config configures a Service: the target the Options passed to New
-// (WithRouting, WithQueueDepth, WithRetry, ...) apply to. It is
+// (WithRouting, WithQueueDepth, WithApplyHook, ...) apply to. It is
 // unexported, so options are the only way to set it.
 type config struct {
 	Net  *topology.Network
@@ -50,13 +58,6 @@ type config struct {
 	// Unsubscribe block when the queue is full (backpressure). Default
 	// 1024.
 	MaxPending int
-	// RetryBase/RetryMax bound the exponential backoff between apply
-	// retries (defaults 1ms / 100ms; ±50% jitter is applied).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// MaxRetries caps apply attempts per batch before the batch's
-	// events fail (default 8).
-	MaxRetries int
 	// ApplyHook, when set, runs before every install attempt — the
 	// fault-injection point for retry/backoff tests. Returning an error
 	// fails the attempt.
@@ -98,15 +99,6 @@ type config struct {
 func (c config) withDefaults() config {
 	if c.MaxPending <= 0 {
 		c.MaxPending = 1024
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 100 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
 	}
 	return c
 }
@@ -545,15 +537,12 @@ func (s *Service) install(sw int, prog *compiler.Program, rng *rand.Rand) bool {
 		if err == nil {
 			return true
 		}
-		if attempt+1 >= s.cfg.MaxRetries {
+		if attempt+1 >= maxRetries {
 			s.failures.Add(1)
 			return false
 		}
 		s.retries.Add(1)
-		backoff := s.cfg.RetryBase << attempt
-		if backoff > s.cfg.RetryMax || backoff <= 0 {
-			backoff = s.cfg.RetryMax
-		}
+		backoff := min(retryBase<<attempt, retryMax)
 		// ±50% jitter decorrelates retry storms across switches.
 		backoff = backoff/2 + time.Duration(rng.Int63n(int64(backoff)+1))
 		select {

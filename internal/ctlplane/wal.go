@@ -47,11 +47,14 @@ const walMaxRecord = 1 << 20
 // length, then 4-byte big-endian CRC-32 (IEEE) of the payload.
 const walHeader = 8
 
+// fsyncInterval is the group-commit window.
+const fsyncInterval = 2 * time.Millisecond
+
 // Log is the durable append-only event log: checksummed
 // length-prefixed JSON records (4-byte big-endian length, 4-byte
 // big-endian CRC-32 of the payload, then the JSON payload) with
 // batched fsync. Appends are buffered and a group-commit flusher
-// syncs the file every FsyncInterval (or immediately after
+// syncs the file every fsyncInterval (or immediately after
 // FsyncEveryN records), so one fsync amortizes over a burst of events;
 // Sync and Close force the tail out. A process kill can therefore lose
 // at most the last unsynced batch and may leave a torn final record —
@@ -74,19 +77,13 @@ type Log struct {
 	lastErr   error
 	closed    bool
 
-	interval time.Duration
-	everyN   int
-	stop     chan struct{}
-	done     chan struct{}
+	everyN int
+	stop   chan struct{}
+	done   chan struct{}
 }
 
 // LogOption tunes a Log.
 type LogOption func(*Log)
-
-// WithFsyncInterval sets the group-commit window (default 2ms).
-func WithFsyncInterval(d time.Duration) LogOption {
-	return func(l *Log) { l.interval = d }
-}
 
 // WithFsyncEveryN forces a sync once N records are buffered (default
 // 64), bounding the loss window under sustained load.
@@ -104,11 +101,10 @@ func WithFsyncEveryN(n int) LogOption {
 // Replay and Append.
 func OpenLog(path string, opts ...LogOption) (*Log, error) {
 	l := &Log{
-		path:     path,
-		interval: 2 * time.Millisecond,
-		everyN:   64,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		path:   path,
+		everyN: 64,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	for _, fn := range opts {
 		fn(l)
@@ -258,7 +254,7 @@ func (l *Log) syncLocked() error {
 // every record appended inside it.
 func (l *Log) flusher() {
 	defer close(l.done)
-	t := time.NewTicker(l.interval)
+	t := time.NewTicker(fsyncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"camus/internal/controller"
@@ -37,7 +38,7 @@ func batchWorkload(t *testing.T, seed int64, n int) ([][]subscription.Expr, []Pu
 	return subs, pubs
 }
 
-// TestPublishBatchDeterminism: with a single worker, PublishBatch is
+// TestPublishBatchDeterminism: PublishBatch is
 // byte-identical to the seed's sequential Publish loop — same
 // deliveries, same order, same latencies, same traffic counters.
 func TestPublishBatchDeterminism(t *testing.T) {
@@ -50,21 +51,23 @@ func TestPublishBatchDeterminism(t *testing.T) {
 		want[i] = seq.PublishFlow(p.Host, p.Msgs, p.Bytes, p.Flow)
 	}
 
-	batch := deploy(t, subs, opts) // Workers defaults to 0 → sequential
+	batch := deploy(t, subs, opts)
 	got := batch.PublishBatch(pubs)
 
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("single-worker PublishBatch differs from sequential Publish")
+		t.Fatal("PublishBatch differs from sequential Publish")
 	}
 	if wt, gt := seq.Traffic(), batch.Traffic(); !reflect.DeepEqual(wt, gt) {
 		t.Errorf("traffic diverged: sequential %+v, batch %+v", wt, gt)
 	}
 }
 
-// TestPublishBatchParallel: with several workers the delivery SETS per
-// publication are exact (same hosts, same messages, same hop counts);
-// only round-robin path choice may differ. Runs under -race in the
-// tier-1 gate, which is what verifies switch/sim concurrency safety.
+// TestPublishBatchParallel: with several goroutines publishing side by
+// side — each batch in a wave scratch of its own, runs that meet on a
+// switch shard waiting for it — the delivery SETS per publication are
+// exact (same hosts, same messages, same hop counts); only round-robin
+// path choice may differ. Runs under -race in the tier-1 gate, which is
+// what verifies switch/sim concurrency safety.
 func TestPublishBatchParallel(t *testing.T) {
 	subs, pubs := batchWorkload(t, 13, 120)
 	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
@@ -76,8 +79,21 @@ func TestPublishBatchParallel(t *testing.T) {
 	}
 
 	par := deploy(t, subs, opts)
-	par.Workers = 4
-	got := par.PublishBatch(pubs)
+	const publishers = 4
+	got := make([][]HostDelivery, len(pubs))
+	var wg sync.WaitGroup
+	for g := 0; g < publishers; g++ {
+		lo, hi := g*len(pubs)/publishers, (g+1)*len(pubs)/publishers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i += 10 {
+				j := min(i+10, hi)
+				copy(got[i:j], par.PublishBatch(pubs[i:j]))
+			}
+		}()
+	}
+	wg.Wait()
 
 	key := func(ds []HostDelivery) []string {
 		out := make([]string, 0, len(ds))

@@ -49,7 +49,6 @@ func TestHotSwapEpochConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Workers = 8
 
 	// Publishers run until both epochs have been observed; the install
 	// is gated on a minimum pre-swap delivery count so neither side of
@@ -164,7 +163,6 @@ func runChurnMode(t *testing.T, events int, seed int64, coverHeavy bool, validat
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Workers = 4
 	opts := []ctlplane.Option{
 		ctlplane.WithRouting(ropts),
 		ctlplane.WithInstallers(sim.Installers()...),

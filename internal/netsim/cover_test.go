@@ -88,7 +88,6 @@ func TestUncoverEpochConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Workers = 8
 	svc, err := ctlplane.New(net, itchSpec,
 		ctlplane.WithRouting(ropts),
 		ctlplane.WithInstallers(sim.Installers()...),

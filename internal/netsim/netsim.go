@@ -77,24 +77,22 @@ func (t *trafficCounters) snapshot() TrafficStats {
 	return out
 }
 
-// Sim is a running simulation of a deployment. Configuration fields
-// (LinkLatency, HopLimit, ECMP, Workers) are set before traffic starts;
-// traffic accounting is read via the Traffic() snapshot.
+const (
+	// linkLatency is the per-hop wire latency.
+	linkLatency = 500 * time.Nanosecond
+	// hopLimit kills packets after this many switch hops (loop guard).
+	hopLimit = 16
+)
+
+// Sim is a running simulation of a deployment. ECMP is set before
+// traffic starts; traffic accounting is read via the Traffic() snapshot.
 type Sim struct {
 	Deployment *controller.Deployment
 	Switches   []*pipeline.Switch
-	// LinkLatency is the per-hop wire latency.
-	LinkLatency time.Duration
-	// HopLimit kills packets after this many switch hops (loop guard).
-	HopLimit int
 	// ECMP selects the physical up link by hashing the packet's flow
 	// instead of round-robin, keeping a flow on one path (§IV-C: "ECMP
 	// could be used for flow-based protocols").
 	ECMP bool
-	// Workers bounds the goroutines a PublishBatch wave fans its switches
-	// out across; 0 or 1 visits them on the calling goroutine. Results do
-	// not depend on it.
-	Workers int
 
 	clock   atomic.Int64 // virtual time, ns
 	traffic trafficCounters
@@ -116,12 +114,10 @@ type Sim struct {
 // New builds a simulator from a deployment.
 func New(d *controller.Deployment) (*Sim, error) {
 	s := &Sim{
-		Deployment:  d,
-		Switches:    make([]*pipeline.Switch, len(d.Network.Switches)),
-		LinkLatency: 500 * time.Nanosecond,
-		HopLimit:    16,
-		ups:         make([][]topology.Port, len(d.Network.Switches)),
-		upRR:        make([]atomic.Int64, len(d.Network.Switches)),
+		Deployment: d,
+		Switches:   make([]*pipeline.Switch, len(d.Network.Switches)),
+		ups:        make([][]topology.Port, len(d.Network.Switches)),
+		upRR:       make([]atomic.Int64, len(d.Network.Switches)),
 	}
 	for _, tsw := range d.Network.Switches {
 		sw, err := pipeline.NewSwitch(tsw.Name, d.Static, d.Programs[tsw.ID])
@@ -200,7 +196,7 @@ func (s *Sim) PublishBatch(pubs []Publication) [][]HostDelivery {
 	sc.inject(s, pubs)
 	now := s.Clock()
 	for hop := 0; len(sc.cur) > 0; hop++ {
-		if hop >= s.HopLimit {
+		if hop >= hopLimit {
 			sc.tally.looped += int64(len(sc.cur))
 			break
 		}
@@ -316,7 +312,7 @@ func (sc *waveScratch) inject(s *Sim, pubs []Publication) {
 		sw, port := s.Deployment.Network.Access(p.Host)
 		sc.cur = append(sc.cur, inFlight{
 			pub: int32(i), sw: int32(sw), inPort: int32(port),
-			msgs: p.Msgs, bytes: p.Bytes, latency: s.LinkLatency, flow: flow,
+			msgs: p.Msgs, bytes: p.Bytes, latency: linkLatency, flow: flow,
 		})
 	}
 }
@@ -355,34 +351,13 @@ func (sc *waveScratch) group(s *Sim) {
 	}
 }
 
-// visit makes the wave's one pipeline call per switch, across
-// min(Workers, switches) goroutines. No lock is held: each switch emits
-// into this scratch's Results for it.
+// visit makes the wave's one pipeline call per switch. No lock is held:
+// each switch emits into this scratch's Results for it.
 func (sc *waveScratch) visit(s *Sim, now time.Duration) {
-	w := min(s.Workers, len(sc.active))
-	if w <= 1 {
-		for _, sw := range sc.active {
-			sc.visitSwitch(s, sw, now)
-		}
-		return
+	for _, sw := range sc.active {
+		group := sc.pkts[sc.base[sw] : sc.base[sw]+sc.count[sw]]
+		sc.outs[sw] = s.Switches[sw].ProcessBatchInto(&sc.res[sw], group, now)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(sc.active); i = int(next.Add(1)) - 1 {
-				sc.visitSwitch(s, sc.active[i], now)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func (sc *waveScratch) visitSwitch(s *Sim, sw int32, now time.Duration) {
-	group := sc.pkts[sc.base[sw] : sc.base[sw]+sc.count[sw]]
-	sc.outs[sw] = s.Switches[sw].ProcessBatchInto(&sc.res[sw], group, now)
 }
 
 // expand turns the wave's deliveries, in queue order, into host hits and
@@ -404,7 +379,7 @@ func (sc *waveScratch) expand(s *Sim, hop int) {
 			n := len(sc.msgs)
 			sc.msgs = append(sc.msgs, d.Msgs...)
 			msgs := sc.msgs[n:len(sc.msgs):len(sc.msgs)]
-			lat := f.latency + d.Latency + s.LinkLatency
+			lat := f.latency + d.Latency + linkLatency
 			if next.Kind == topology.PeerHost {
 				sc.hits = append(sc.hits, hostHit{f.pub, HostDelivery{
 					Host: next.PeerHostID, Msgs: msgs, Latency: lat, Hops: hop + 1,

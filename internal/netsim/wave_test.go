@@ -62,12 +62,12 @@ func refPublish(s *Sim, host int, msgs []*spec.Message, bytes int, flow uint64) 
 		flow = uint64(host)*0x9E3779B97F4A7C15 + 1
 	}
 	swID, port := s.Deployment.Network.Access(host)
-	queue := []flight{{sw: swID, inPort: port, msgs: msgs, bytes: bytes, latency: s.LinkLatency, flow: flow}}
+	queue := []flight{{sw: swID, inPort: port, msgs: msgs, bytes: bytes, latency: linkLatency, flow: flow}}
 	var out []HostDelivery
 	now := s.Clock()
 	for head := 0; head < len(queue); head++ {
 		f := queue[head]
-		if f.hops >= s.HopLimit {
+		if f.hops >= hopLimit {
 			s.traffic.looped.Add(1)
 			continue
 		}
@@ -86,7 +86,7 @@ func refPublish(s *Sim, host int, msgs []*spec.Message, bytes int, flow uint64) 
 			if next == nil {
 				continue
 			}
-			lat := f.latency + d.Latency + s.LinkLatency
+			lat := f.latency + d.Latency + linkLatency
 			if next.Kind == topology.PeerHost {
 				out = append(out, HostDelivery{Host: next.PeerHostID, Msgs: d.Msgs, Latency: lat, Hops: f.hops + 1})
 				continue
@@ -195,7 +195,9 @@ func waveWorkload(t *testing.T, net *topology.Network, seed int64) ([][]subscrip
 // TestWaveMatchesReference is the differential test of the wave engine
 // against the per-packet BFS it replaced: deliveries in order with
 // latency and hops, and Traffic(), on fat-tree(4) and fat-tree(6), under
-// TR and MR with α, round-robin and ECMP, one worker and several.
+// TR and MR with α, round-robin and ECMP, with the wave sim's switches at
+// one worker shard (workers=0, the default) and at several, where each
+// switch fans its share of a wave out over its shards.
 func TestWaveMatchesReference(t *testing.T) {
 	for _, k := range []int{4, 6} {
 		if k == 6 && testing.Short() {
@@ -217,7 +219,15 @@ func TestWaveMatchesReference(t *testing.T) {
 					t.Run(fmt.Sprintf("k%d/%s-a%d/ecmp=%v/workers=%d", k, ropts.Policy, ropts.Alpha, ecmp, workers), func(t *testing.T) {
 						wave, ref := newSim(t, d), newSim(t, d)
 						wave.ECMP, ref.ECMP = ecmp, ecmp
-						wave.Workers = workers
+						if workers > 0 {
+							for i, sw := range wave.Switches {
+								sh, err := pipeline.NewSwitch(sw.ID, d.Static, d.Programs[i], pipeline.WithWorkers(workers))
+								if err != nil {
+									t.Fatal(err)
+								}
+								wave.Switches[i] = sh
+							}
+						}
 						assertWaveMatchesRef(t, wave, ref, batches)
 					})
 				}

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,8 +158,7 @@ func TestConcurrentProcessInstall(t *testing.T) {
 // from one of the two installed programs, and once traffic quiesces the
 // switch must serve exactly the final program's decision. The publishers
 // contend the shard lock against the batch goroutine, so under -race this
-// is the stress of acquire's private-workspace fallback beside the emit
-// arenas.
+// is the stress of runs waiting on a shared shard beside the emit arenas.
 func TestInstallChurnEpochConsistency(t *testing.T) {
 	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
 	progs := []*compiler.Program{
@@ -244,27 +245,69 @@ func TestInstallChurnEpochConsistency(t *testing.T) {
 	}
 }
 
-// TestPrivateRunsCounted: a run that finds its shard busy executes in a
-// private workspace — the one degraded mode of the packet path — and
-// says so in Stats; its deliveries are those of an owned run.
-func TestPrivateRunsCounted(t *testing.T) {
-	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)\nprice > 40: fwd(2)", compiler.Options{})
-	pkt := &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}, Bytes: 20}
-	want := sw.Process(pkt, 0)
-	if len(want) != 2 || want[0].Port != 1 || want[1].Port != 2 {
-		t.Fatalf("owned deliveries = %+v", want)
+// TestCarriedRegisterUnderInstall: publishers feed a counted aggregate
+// on a 4-shard switch while Install alternates two programs that both
+// hold it. Packets running either epoch update the one carried register
+// under the lock the tables share, so under -race no access races and
+// once traffic stops the count is every packet sent.
+func TestCarriedRegisterUnderInstall(t *testing.T) {
+	sp := spec.MustParse("itch", itchSpecSrc)
+	compileLastHop := func(src string) *compiler.Program {
+		rules, err := subscription.NewParser(sp).ParseRules(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := compiler.Compile(sp, rules, compiler.Options{LastHop: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
 	}
-	if st := sw.Stats(); st.PrivateRuns != 0 {
-		t.Fatalf("an uncontended run counted as private: %+v", st)
+	const counted = "stock == GOOGL and count(price, 1s) > 2: fwd(1)"
+	progs := []*compiler.Program{compileLastHop(counted), compileLastHop(counted + "\nstock == MSFT: fwd(2)")}
+	sw, err := NewSwitch("s1", nil, progs[0], WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sw.shards[0].mu.Lock()
-	got := sw.Process(pkt, 0)
-	sw.shards[0].mu.Unlock()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("private run delivered %+v, owned run %+v", got, want)
+	const (
+		publishers = 4
+		packets    = 300
+	)
+	var wg sync.WaitGroup
+	var sent atomic.Int64
+	for g := 0; g < publishers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < packets; i++ {
+				sw.Process(&Packet{In: 0, Flow: FlowKey(g*packets + i + 1), Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 1)}}, 0)
+				sent.Add(1)
+			}
+		}()
 	}
-	if st := sw.Stats(); st.PrivateRuns != 1 || st.Packets != 2 || st.Deliveries != 4 {
-		t.Fatalf("stats after one private run = %+v", st)
+	// Install i waits for i*10 packets, so the swaps land among them.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			for sent.Load() < int64(10*i) {
+				runtime.Gosched()
+			}
+			if err := sw.Install(progs[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	regs := sw.State().Snapshot(0)
+	if len(regs) != 1 {
+		t.Fatalf("registers = %v, want the one aggregate", regs)
+	}
+	for k, v := range regs {
+		if v != publishers*packets {
+			t.Errorf("register %s = %d, want %d", k, v, publishers*packets)
+		}
 	}
 }
 

@@ -18,40 +18,14 @@ import (
 type shard struct {
 	stats switchStats
 
-	// mu guards flows and ws. Per-shard rather than per-switch: in a
-	// batch exactly one worker owns the shard and the lock is
-	// uncontended; it exists so that calls from arbitrary goroutines
-	// that hash onto the same shard stay correct.
+	// mu guards flows and ws; a run holds it from start to end.
+	// Per-shard rather than per-switch: in a batch exactly one worker
+	// owns the shard and the lock is uncontended; it exists so that calls
+	// from arbitrary goroutines that hash onto the same shard stay
+	// correct, the later one waiting for the earlier.
 	mu    sync.Mutex
 	flows *flowCache
 	ws    workspace
-}
-
-// acquire returns the workspace a run executes in: the shard's own when
-// its lock is free (owned; the caller unlocks sh.mu when the run ends),
-// otherwise a private one with cold buffers, so goroutines that collapse
-// onto one shard do not serialize. runOn counts the private runs
-// (StatsSnapshot.PrivateRuns). Where the run emits does not depend on
-// which workspace it got.
-func (sh *shard) acquire() (ws *workspace, owned bool) {
-	if sh.mu.TryLock() {
-		return &sh.ws, true
-	}
-	return &workspace{}, false
-}
-
-// lockFlows and unlockFlows bracket a flow-cache access: a run that
-// owns the shard already holds the lock.
-func (r *run) lockFlows() {
-	if !r.owned {
-		r.sh.mu.Lock()
-	}
-}
-
-func (r *run) unlockFlows() {
-	if !r.owned {
-		r.sh.mu.Unlock()
-	}
 }
 
 // workspace is the reusable mutable state of the packet core: the port

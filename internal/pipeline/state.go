@@ -71,8 +71,9 @@ func (r *register) value(now time.Duration) int64 {
 type StateTable struct {
 	// mu guards the registers. The key set is fixed at construction;
 	// the lock protects the per-register window state (count/sum/start),
-	// which mutates on reads as well as updates.
-	mu   sync.Mutex
+	// which mutates on reads as well as updates. Tables that carry one
+	// another's registers share it.
+	mu   *sync.Mutex
 	regs map[string]*register
 	// fieldOf maps aggregate key → the packet field fed into the
 	// register on update (nil for count()).
@@ -84,6 +85,7 @@ type StateTable struct {
 // pre-allocated register block (§V-A).
 func NewStateTable(p *compiler.Program) *StateTable {
 	st := &StateTable{
+		mu:      new(sync.Mutex),
 		regs:    make(map[string]*register),
 		fieldOf: make(map[string]*spec.Field),
 	}
@@ -92,6 +94,22 @@ func NewStateTable(p *compiler.Program) *StateTable {
 		st.fieldOf[fv.Key()] = fv.Ref.Field
 	}
 	return st
+}
+
+// carry returns p's state table with this one's registers carried over:
+// a key both programs hold keeps its register and window, a new key
+// starts fresh, a key p dropped goes. The two tables share one lock, so
+// packets still running the outgoing program and packets on the incoming
+// one update a carried register under it.
+func (st *StateTable) carry(p *compiler.Program) *StateTable {
+	next := NewStateTable(p)
+	next.mu = st.mu
+	for k := range next.regs {
+		if r, ok := st.regs[k]; ok {
+			next.regs[k] = r
+		}
+	}
+	return next
 }
 
 // Update feeds a packet into the named register (an __update directive

@@ -15,7 +15,6 @@ type StatsSnapshot struct {
 	FlowHits       int64 // continuation packets served from the flow cache
 	FlowMisses     int64 // continuation packets with no cached flow (dropped)
 	ParseErrors    int64 // raw packets the parser rejected
-	PrivateRuns    int64 // runs that found their shard busy and took a private workspace
 	BatchFallbacks int64 // ProcessBatch calls that found the switch's Results busy and emitted into a throwaway one
 	BytesIn        int64
 	BytesOut       int64
@@ -34,7 +33,6 @@ func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	a.FlowHits += b.FlowHits
 	a.FlowMisses += b.FlowMisses
 	a.ParseErrors += b.ParseErrors
-	a.PrivateRuns += b.PrivateRuns
 	a.BatchFallbacks += b.BatchFallbacks
 	a.BytesIn += b.BytesIn
 	a.BytesOut += b.BytesOut

@@ -166,7 +166,9 @@ func (s *Switch) ResetStats() {
 // Install replaces the dynamic program (a control-plane rule update,
 // §VIII-G3) with a single atomic epoch swap: in-flight packets finish
 // against the epoch they loaded, later packets see the new program.
-// Registers are re-linked; windows restart. The swap is also the whole
+// Registers carry over (StateTable.carry): an aggregate both programs
+// hold keeps its window and counts, so a subscriber whose rule did not
+// change does not see its state restart. The swap is also the whole
 // flow-cache invalidation: every entry carries the generation it was
 // written under and misses under any other, so a decision compiled from
 // the outgoing program can never forward a packet — continuation packets
@@ -182,7 +184,8 @@ func (s *Switch) Install(prog *compiler.Program) error {
 		}
 	}
 	s.installMu.Lock()
-	s.epoch.Store(&epoch{gen: s.epoch.Load().gen + 1, prog: prog, state: NewStateTable(prog)})
+	old := s.epoch.Load()
+	s.epoch.Store(&epoch{gen: old.gen + 1, prog: prog, state: old.state.carry(prog)})
 	s.installMu.Unlock()
 	return nil
 }
@@ -205,16 +208,13 @@ func (s *Switch) Process(pkt *Packet, now time.Duration) []Delivery {
 	return out[0]
 }
 
-// run is one call's pass over a shard: the epoch it loaded, the
-// workspace it acquired, where it emits, and the stats and custom hits
-// it accumulates on the stack until the call ends.
+// run is one call's pass over a shard: the epoch it loaded, the shard
+// it holds locked, where it emits, and the stats and custom hits it
+// accumulates on the stack until the call ends.
 type run struct {
 	ep  *epoch
 	sh  *shard
-	ws  *workspace
 	now time.Duration
-	// owned: ws is sh's own and sh.mu is held for the whole run.
-	owned bool
 	// emit is the caller's arena for this shard; nil emits heap-fresh
 	// slices (Process).
 	emit *emitArena
@@ -237,18 +237,15 @@ type customHit struct {
 // into em (reset first; nil = heap-fresh). It is the body of both
 // Process and ProcessBatchInto.
 func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration, em *emitArena) {
+	sh.mu.Lock()
 	r := run{ep: s.epoch.Load(), sh: sh, now: now, emit: em}
-	r.ws, r.owned = sh.acquire()
-	if !r.owned {
-		r.stats.PrivateRuns++
-	}
 	if em != nil {
 		em.dels.reset()
 		em.msgs.reset()
 	}
 	if len(r.ep.state.regs) > 0 {
-		r.ws.regs = stateAt{t: r.ep.state, now: now}
-		r.regs = &r.ws.regs
+		sh.ws.regs = stateAt{t: r.ep.state, now: now}
+		r.regs = &sh.ws.regs
 	}
 	n := len(pkts)
 	if idxs != nil {
@@ -261,9 +258,7 @@ func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery
 		}
 		out[i] = s.packet(&r, pkts[i], i)
 	}
-	if r.owned {
-		sh.mu.Unlock()
-	}
+	sh.mu.Unlock()
 	// Custom deliveries append onto a capacity-clamped slice, so they
 	// copy out of the arena rather than overwrite a neighbour.
 	for _, ch := range r.customs {
@@ -283,7 +278,7 @@ func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery
 // and recirculation (§VI-B) happen inside this one pass. i is the
 // packet's index in the run, recorded with deferred custom hits.
 func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
-	ep, eg, ws, st := r.ep, r.ep.prog.Egress(), r.ws, &r.stats
+	ep, eg, ws, st := r.ep, r.ep.prog.Egress(), &r.sh.ws, &r.stats
 	W := eg.W
 	st.Packets++
 	st.BytesIn += int64(pkt.Bytes)
@@ -294,10 +289,8 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
 		// Stream continuation: no application header, forward per the
 		// union cached by the stream's first packet (§VII-B).
-		r.lockFlows()
 		cached, ok := r.sh.flows.lookup(pkt.Flow, r.now, ep.gen)
 		copy(union, cached)
-		r.unlockFlows()
 		if !ok {
 			st.FlowMisses++
 			return nil
@@ -307,7 +300,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 
 	// Batches deeper than the parse budget recirculate (§VI-B).
 	latency := baseLatency
-	if s.static != nil && s.static.MaxParsedMessages > 0 {
+	if s.static != nil {
 		if extra := (len(pkt.Msgs) - 1) / s.static.MaxParsedMessages; extra > 0 {
 			st.Recirculations += int64(extra)
 			latency += time.Duration(extra) * recirculationLatency
@@ -348,9 +341,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	// whose dictionary its bits index. It keeps the full port set: ingress
 	// suppression re-applies per continuation packet.
 	if pkt.Flow != 0 && len(pkt.Msgs) > 0 {
-		r.lockFlows()
 		r.sh.flows.install(pkt.Flow, union, r.now, ep.gen)
-		r.unlockFlows()
 	}
 	if s.cfg.DropOnIngressPort {
 		if w, bit, ok := eg.Bit(pkt.In); ok {

@@ -245,6 +245,50 @@ func TestInstallSwapsProgram(t *testing.T) {
 	}
 }
 
+// TestInstallCarriesRegisters: an Install that keeps an aggregate keeps
+// its window and count, so a subscriber whose rule did not change sees no
+// restart; an aggregate the program dropped goes, and comes back fresh.
+func TestInstallCarriesRegisters(t *testing.T) {
+	const counted = "stock == GOOGL and count(price, 1s) > 2: fwd(1)"
+	opts := compiler.Options{LastHop: true}
+	sw, sp := buildSwitch(t, counted, opts)
+	send := func(now time.Duration) int {
+		return len(sw.Process(&Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 1)}}, now))
+	}
+	for i := 0; i < 5; i++ {
+		send(time.Duration(i) * time.Millisecond)
+	}
+	install := func(src string) {
+		t.Helper()
+		rules, err := subscription.NewParser(sp).ParseRules(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := compiler.Compile(sp, rules, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Install(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(counted + "\nstock == MSFT: fwd(2)")
+	if n := send(10 * time.Millisecond); n != 1 {
+		t.Fatalf("after an Install that kept the rule: %d deliveries, want 1 (count restarted)", n)
+	}
+	if got := sw.State().Snapshot(10 * time.Millisecond); len(got) != 1 {
+		t.Fatalf("registers = %v, want the one aggregate", got)
+	}
+	install("stock == MSFT: fwd(2)")
+	if got := sw.State().Snapshot(10 * time.Millisecond); len(got) != 0 {
+		t.Fatalf("registers after the aggregate was dropped = %v", got)
+	}
+	install(counted)
+	if n := send(11 * time.Millisecond); n != 0 {
+		t.Fatalf("a re-added aggregate forwarded on its first packet: %d deliveries", n)
+	}
+}
+
 func BenchmarkProcessSingleMessage(b *testing.B) {
 	sw, sp := buildSwitch(b, `
 stock == GOOGL and price > 50: fwd(1)

@@ -292,3 +292,48 @@ func TestReduceTreePreservesDelivery(t *testing.T) {
 		}
 	}
 }
+
+// TestImplierNodeBudget: an implication whose diagram outgrows the node
+// budget answers false. A forest over that oracle under-covers — it
+// installs a filter a larger budget would elide — and what the port
+// forwards does not change.
+func TestImplierNodeBudget(t *testing.T) {
+	broad := filter(t, "stock == GOOGL")
+	narrow := filter(t, "stock == GOOGL and price > 500")
+	for _, c := range []struct {
+		maxNodes int
+		want     bool
+	}{{8, false}, {16, true}, {0, true}} {
+		if got := NewImplier(testSpec, c.maxNodes).Implies(narrow, broad); got != c.want {
+			t.Errorf("maxNodes %d: Implies(narrow, broad) = %v, want %v", c.maxNodes, got, c.want)
+		}
+	}
+
+	small, full := NewForest(NewImplier(testSpec, 8)), NewForest(NewImplier(testSpec, 0))
+	for _, f := range []*Forest{small, full} {
+		f.Add(broad)
+		f.Add(narrow)
+	}
+	if small.Roots() != 2 || full.Roots() != 1 {
+		t.Fatalf("roots: maxNodes 8 installs %d, default %d; want 2 and 1", small.Roots(), full.Roots())
+	}
+	forwards := func(f *Forest, m *spec.Message) bool {
+		for _, r := range f.sortedRoots() {
+			if subscription.EvalExpr(r.expr, m, nil) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, stock := range []string{"GOOGL", "MSFT"} {
+		for _, price := range []int64{0, 500, 501, 900} {
+			m := spec.NewMessage(testSpec)
+			m.MustSet("stock", spec.StrVal(stock))
+			m.MustSet("price", spec.IntVal(price))
+			m.MustSet("shares", spec.IntVal(1))
+			if a, b := forwards(small, m), forwards(full, m); a != b {
+				t.Errorf("%s at %d: forwarded %v under-covered, %v covered", stock, price, a, b)
+			}
+		}
+	}
+}
