@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: check fmt vet lint build test race examples-smoke bench bench-report perf-guard fuzz-smoke fuzz-extended vet-report vet-report-check churn-soak serve-soak soak prove netcheck fit loc
 
 ## check: the full tier-1 gate — gofmt, vet, build, race-enabled tests
-## (the custom analyzers run once there, as internal/analysis's
+## (the custom analyzer runs once there, as internal/analysis's
 ## TestSuiteCleanOnRepo; `make lint` is their readable front-end), a
 ## short churn soak, a serve soak of the multi-tenant daemon, a short
 ## fuzz smoke, a translation-validation pass over the shipped rules, a
@@ -61,7 +61,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-## lint: the Camus-specific static analyzers (internal/analysis) over
+## lint: the Camus-specific static analyzer (internal/analysis) over
 ## the whole module, test files included — the same run `race` makes
 ## through TestSuiteCleanOnRepo, printed one finding per line.
 lint:

@@ -45,8 +45,6 @@ type (
 	ActionSet = subscription.ActionSet
 	// Program is a compiled switch configuration.
 	Program = compiler.Program
-	// Resources summarizes switch resource usage (Table I).
-	Resources = compiler.Resources
 	// Switch is the software dataplane: a concurrent, sharded switch.
 	// Configure it only via SwitchOptions at NewSwitch time; read
 	// counters only via its Stats() snapshot method.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"camus/internal/compiler"
 	"camus/internal/formats"
 	"camus/internal/routing"
 )
@@ -168,15 +169,15 @@ func TestCompileOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lastHop.Resources.Registers != 1 {
-		t.Errorf("LastHop registers = %d, want 1", lastHop.Resources.Registers)
+	if n := compiler.RegisterCount(lastHop); n != 1 {
+		t.Errorf("LastHop registers = %d, want 1", n)
 	}
 	transit, err := app.Compile(rules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if transit.Resources.Registers != 0 {
-		t.Errorf("transit registers = %d, want 0", transit.Resources.Registers)
+	if n := compiler.RegisterCount(transit); n != 0 {
+		t.Errorf("transit registers = %d, want 0", n)
 	}
 }
 

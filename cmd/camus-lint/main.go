@@ -1,11 +1,9 @@
 // Command camus-lint runs the repo's custom static analyzers (see
 // internal/analysis) over Go packages, test files included. It is the
-// standalone front-end for the two Camus-specific checks (analysis.All),
-// the invariants no Go declaration can carry:
+// standalone front-end for the Camus-specific check (analysis.All), the
+// invariant no Go declaration can carry:
 //
 //	camus-locksend  locks held across channel sends or a dataplane batch
-//	camus-fitgate   freshly compiled programs reaching Install without a
-//	                fit-admission check in ctlplane paths
 //
 // Usage:
 //

@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"camus/internal/analysis/fitcheck"
 	"camus/internal/analysis/report"
 	"camus/internal/compiler"
-	"camus/internal/spec"
-	"camus/internal/subscription"
 )
 
 // runFit implements `camusc fit`: the static pipeline-layout analyzer.
@@ -39,24 +36,9 @@ func runFit(args []string, stdout, stderr interface{ Write([]byte) (int, error) 
 		fmt.Fprintln(stderr, "usage: camusc fit -spec <file> -rules <file> [-json] [-last-hop=false] [-stages n] [-recirc n]")
 		return 2
 	}
-	specSrc, err := os.ReadFile(*specPath)
+	sp, rules, err := parseInputs(*specPath, *rulesPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "camusc fit: %v\n", err)
-		return 2
-	}
-	sp, err := spec.Parse(baseName(*specPath), string(specSrc))
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc fit: parse spec: %v\n", err)
-		return 2
-	}
-	rulesSrc, err := os.ReadFile(*rulesPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc fit: %v\n", err)
-		return 2
-	}
-	rules, err := subscription.NewParser(sp).ParseRules(string(rulesSrc))
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc fit: parse rules: %v\n", err)
 		return 2
 	}
 	prog, err := compiler.Compile(sp, rules, compiler.Options{LastHop: *lastHop})

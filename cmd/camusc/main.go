@@ -1,8 +1,8 @@
 // Command camusc is the Camus subscription compiler CLI: it takes an
 // application message-format spec (the paper's Fig. 4 DSL) and a rule
 // file, and emits the compiled pipeline tables (Fig. 6), the multicast
-// groups, the resource estimate, and optionally the BDD in Graphviz
-// form.
+// groups, the fitcheck resource summary, and optionally the BDD in
+// Graphviz form.
 //
 // Usage:
 //
@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"os"
 
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/analysis/rulecheck"
 	"camus/internal/bdd"
 	"camus/internal/compiler"
@@ -67,51 +68,86 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "fit" {
 		os.Exit(runFit(os.Args[2:], os.Stdout, os.Stderr))
 	}
-	runCompile()
+	os.Exit(runCompile(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func runCompile() {
-	specPath := flag.String("spec", "", "message format specification file (required)")
-	rulesPath := flag.String("rules", "", "subscription rules file (required)")
-	dotPath := flag.String("dot", "", "write the rule BDD in Graphviz format")
-	lastHop := flag.Bool("last-hop", false, "compile as a last-hop switch (stateful predicates active)")
-	noPrune := flag.Bool("no-prune", false, "disable domain-specific BDD pruning (ablation)")
-	quiet := flag.Bool("q", false, "print only the resource summary")
-	flag.Parse()
-
-	if *specPath == "" || *rulesPath == "" {
-		flag.Usage()
-		os.Exit(2)
+// runCompile implements the default `camusc` command: compile the rules
+// and print the tables and the fitcheck resource summary, with a warning
+// when the program does not fit the modeled switch.
+func runCompile(args []string, stdout, stderr interface{ Write([]byte) (int, error) }) int {
+	fs := flag.NewFlagSet("camusc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specPath := fs.String("spec", "", "message format specification file (required)")
+	rulesPath := fs.String("rules", "", "subscription rules file (required)")
+	dotPath := fs.String("dot", "", "write the rule BDD in Graphviz format")
+	lastHop := fs.Bool("last-hop", false, "compile as a last-hop switch (stateful predicates active)")
+	noPrune := fs.Bool("no-prune", false, "disable domain-specific BDD pruning (ablation)")
+	quiet := fs.Bool("q", false, "print only the resource summary")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	specSrc, err := os.ReadFile(*specPath)
-	check("read spec", err)
-	sp, err := spec.Parse(baseName(*specPath), string(specSrc))
-	check("parse spec", err)
-
-	rulesSrc, err := os.ReadFile(*rulesPath)
-	check("read rules", err)
-	rules, err := subscription.NewParser(sp).ParseRules(string(rulesSrc))
-	check("parse rules", err)
-
+	if *specPath == "" || *rulesPath == "" {
+		fs.Usage()
+		return 2
+	}
+	sp, rules, err := parseInputs(*specPath, *rulesPath)
+	if err != nil {
+		fmt.Fprintf(stderr, "camusc: %v\n", err)
+		return 1
+	}
 	opts := compiler.Options{
 		LastHop: *lastHop,
 		BDD:     bdd.Options{DisablePruning: *noPrune},
 	}
 	prog, err := compiler.Compile(sp, rules, opts)
-	check("compile", err)
-
-	if !*quiet {
-		fmt.Print(prog)
-		fmt.Println()
+	if err != nil {
+		fmt.Fprintf(stderr, "camusc: compile: %v\n", err)
+		return 1
 	}
-	fmt.Printf("rules: %d, %s\n", len(rules), prog.Resources)
-	if !prog.Resources.Fits() {
-		fmt.Fprintln(os.Stderr, "warning: program exceeds the modeled switch resources")
+	if !*quiet {
+		fmt.Fprintln(stdout, prog)
+	}
+	layout := fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true})
+	fmt.Fprintf(stdout, "rules: %d, %s\n", len(rules), layout)
+	if !layout.Fits() {
+		fmt.Fprintln(stderr, "warning: program exceeds the modeled switch resources")
 	}
 	if *dotPath != "" {
-		check("write dot", os.WriteFile(*dotPath, []byte(prog.BDD.Dot()), 0o644))
-		fmt.Printf("BDD written to %s\n", *dotPath)
+		if err := os.WriteFile(*dotPath, []byte(prog.BDD.Dot()), 0o644); err != nil {
+			fmt.Fprintf(stderr, "camusc: write dot: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "BDD written to %s\n", *dotPath)
 	}
+	return 0
+}
+
+// readInputs reads the -spec and -rules files every subcommand takes:
+// the parsed spec and the rules source.
+func readInputs(specPath, rulesPath string) (*spec.Spec, string, error) {
+	specSrc, err := os.ReadFile(specPath)
+	if err != nil {
+		return nil, "", err
+	}
+	sp, err := spec.Parse(baseName(specPath), string(specSrc))
+	if err != nil {
+		return nil, "", fmt.Errorf("parse spec: %w", err)
+	}
+	rulesSrc, err := os.ReadFile(rulesPath)
+	return sp, string(rulesSrc), err
+}
+
+// parseInputs is readInputs with the rules parsed strictly.
+func parseInputs(specPath, rulesPath string) (*spec.Spec, []*subscription.Rule, error) {
+	sp, src, err := readInputs(specPath, rulesPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	rules, err := subscription.NewParser(sp).ParseRules(src)
+	if err != nil {
+		return nil, nil, fmt.Errorf("parse rules: %w", err)
+	}
+	return sp, rules, nil
 }
 
 // runVet implements `camusc vet`. It is factored over explicit writers
@@ -129,22 +165,12 @@ func runVet(args []string, stdout, stderr interface{ Write([]byte) (int, error) 
 		fmt.Fprintln(stderr, "usage: camusc vet -spec <file> -rules <file> [-json]")
 		return 2
 	}
-	specSrc, err := os.ReadFile(*specPath)
+	sp, rulesSrc, err := readInputs(*specPath, *rulesPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "camusc vet: %v\n", err)
 		return 2
 	}
-	sp, err := spec.Parse(baseName(*specPath), string(specSrc))
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc vet: parse spec: %v\n", err)
-		return 2
-	}
-	rulesSrc, err := os.ReadFile(*rulesPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc vet: %v\n", err)
-		return 2
-	}
-	rep := rulecheck.Verify(sp, baseName(*rulesPath)+".rules", string(rulesSrc))
+	rep := rulecheck.Verify(sp, baseName(*rulesPath)+".rules", rulesSrc)
 	if *jsonOut {
 		fmt.Fprintln(stdout, rep.JSON())
 	} else {

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/bdd"
 	"camus/internal/compiler"
 	"camus/internal/spec"
@@ -49,8 +51,8 @@ func TestCompileTestdata(t *testing.T) {
 				t.Errorf("output missing %q", want)
 			}
 		}
-		if !prog.Resources.Fits() {
-			t.Errorf("sample program does not fit: %s", prog.Resources)
+		if l := fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true}); !l.Fits() {
+			t.Errorf("sample program does not fit: %s", l)
 		}
 		dot := prog.BDD.Dot()
 		if !strings.Contains(dot, "digraph") {
@@ -60,8 +62,36 @@ func TestCompileTestdata(t *testing.T) {
 		if lastHop {
 			wantRegs = 1
 		}
-		if prog.Resources.Registers != wantRegs {
-			t.Errorf("lastHop=%v: registers = %d, want %d", lastHop, prog.Resources.Registers, wantRegs)
+		if n := compiler.RegisterCount(prog); n != wantRegs {
+			t.Errorf("lastHop=%v: registers = %d, want %d", lastHop, n, wantRegs)
+		}
+	}
+}
+
+// TestCompileWarnsWhenFitFails: `camusc` and `camusc fit` read one fit
+// model, so the compile command warns exactly when fit exits 1. The
+// seeded resources.rules corpus needs five registers as a last-hop
+// program and none upstream.
+func TestCompileWarnsWhenFitFails(t *testing.T) {
+	corpus := filepath.Join("..", "..", "internal", "analysis", "rulecheck", "testdata", "corpus")
+	for _, tc := range []struct {
+		rules, lastHop string
+		fits           bool
+	}{
+		{"resources.rules", "-last-hop=true", false},
+		{"resources.rules", "-last-hop=false", true},
+		{"shadowed.rules", "-last-hop=true", true},
+	} {
+		args := []string{"-spec", filepath.Join(corpus, "market.spec"), "-rules", filepath.Join(corpus, tc.rules), tc.lastHop}
+		var out, errb bytes.Buffer
+		if code := runCompile(append(args, "-q"), &out, &errb); code != 0 {
+			t.Fatalf("%s %s: compile exit %d: %s", tc.rules, tc.lastHop, code, errb.String())
+		}
+		warned := strings.Contains(errb.String(), "warning: program exceeds")
+		fitCode := runFit(args, &bytes.Buffer{}, &bytes.Buffer{})
+		if warned != (fitCode == 1) || warned == tc.fits {
+			t.Errorf("%s %s: compile warned %v, fit exit %d, want fits=%v\n%s",
+				tc.rules, tc.lastHop, warned, fitCode, tc.fits, out.String())
 		}
 	}
 }

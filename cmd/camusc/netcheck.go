@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"os"
 
 	"camus/internal/analysis/netcheck"
 	"camus/internal/analysis/prove"
@@ -54,24 +53,9 @@ func runNetcheck(args []string, stdout, stderr interface{ Write([]byte) (int, er
 		fmt.Fprintln(stderr, "usage: camusc netcheck -spec <file> -rules <file> [-json] [-topo fattree|mstpp]")
 		return 2
 	}
-	specSrc, err := os.ReadFile(*specPath)
+	sp, rules, err := parseInputs(*specPath, *rulesPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "camusc netcheck: %v\n", err)
-		return 2
-	}
-	sp, err := spec.Parse(baseName(*specPath), string(specSrc))
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc netcheck: parse spec: %v\n", err)
-		return 2
-	}
-	rulesSrc, err := os.ReadFile(*rulesPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc netcheck: %v\n", err)
-		return 2
-	}
-	rules, err := subscription.NewParser(sp).ParseRules(string(rulesSrc))
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc netcheck: parse rules: %v\n", err)
 		return 2
 	}
 	if len(rules) == 0 {

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"camus/internal/analysis/prove"
 	"camus/internal/analysis/replay"
 	"camus/internal/analysis/rulecheck"
 	"camus/internal/compiler"
-	"camus/internal/spec"
 	"camus/internal/subscription"
 )
 
@@ -42,17 +40,7 @@ func runProve(args []string, stdout, stderr interface{ Write([]byte) (int, error
 		fmt.Fprintln(stderr, "usage: camusc prove -spec <file> -rules <file> [-json] [-last-hop=false]")
 		return 2
 	}
-	specSrc, err := os.ReadFile(*specPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc prove: %v\n", err)
-		return 2
-	}
-	sp, err := spec.Parse(baseName(*specPath), string(specSrc))
-	if err != nil {
-		fmt.Fprintf(stderr, "camusc prove: parse spec: %v\n", err)
-		return 2
-	}
-	rulesSrc, err := os.ReadFile(*rulesPath)
+	sp, rulesSrc, err := readInputs(*specPath, *rulesPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "camusc prove: %v\n", err)
 		return 2
@@ -65,7 +53,7 @@ func runProve(args []string, stdout, stderr interface{ Write([]byte) (int, error
 	var rules []*subscription.Rule
 	ruleLine := make(map[int]int)
 	var parseFindings []rulecheck.Finding
-	for i, line := range strings.Split(string(rulesSrc), "\n") {
+	for i, line := range strings.Split(rulesSrc, "\n") {
 		lineRules, err := parser.ParseRuleLine(line, len(rules))
 		if err != nil {
 			kind := rulecheck.KindParseError

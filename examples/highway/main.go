@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"camus/camus"
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/formats"
 )
 
@@ -36,7 +37,7 @@ highway == 7 and spd > 65: fwd(2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("compiled %d zone rules: %s\n\n", 3, prog.Resources)
+	fmt.Printf("compiled %d zone rules: %s\n\n", 3, fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true}))
 
 	r := rand.New(rand.NewSource(42))
 	cars := 200

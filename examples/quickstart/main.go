@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"camus/camus"
+	"camus/internal/analysis/fitcheck"
 )
 
 const specSrc = `
@@ -43,7 +44,7 @@ price < 10: fwd(3)
 		log.Fatalf("compile: %v", err)
 	}
 	fmt.Println(camus.Describe(prog))
-	fmt.Printf("resources: %s\n\n", prog.Resources)
+	fmt.Printf("resources: %s\n\n", fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true}))
 
 	// 4. A software switch executes the compiled tables.
 	sw, err := app.NewSwitch("demo", prog)

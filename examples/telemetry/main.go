@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"camus/camus"
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/formats"
 	"camus/internal/workload"
 )
@@ -48,7 +49,7 @@ queue_depth > 48: fwd(2)
 	}
 	fmt.Printf("anomalous events forwarded to analytics: %d / %d (%.3f%%)\n",
 		matched, len(stream), 100*float64(matched)/float64(len(stream)))
-	fmt.Printf("switch filter state: %s\n", prog.Resources)
+	fmt.Printf("switch filter state: %s\n", fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true}))
 	fmt.Println("\nwithout Camus, all reports would cross the collection cluster;")
 	fmt.Printf("with Camus the cluster ingests %.3f%% of the stream.\n",
 		100*float64(matched)/float64(len(stream)))

@@ -146,10 +146,10 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// All returns the Camus analyzer suite: the two checks no Go type can
+// All returns the Camus analyzer suite: the one check no Go type can
 // express (DESIGN.md §8a).
 func All() []*Analyzer {
-	return []*Analyzer{LockSendAnalyzer, FitGateAnalyzer}
+	return []*Analyzer{LockSendAnalyzer}
 }
 
 // --- shared type helpers -------------------------------------------------

@@ -10,10 +10,6 @@ func TestLockSendAnalyzer(t *testing.T) {
 	RunFixture(t, LockSendAnalyzer, "./testdata/src/locksend")
 }
 
-func TestFitGateAnalyzer(t *testing.T) {
-	RunFixture(t, FitGateAnalyzer, "./testdata/src/fitgate")
-}
-
 // TestSuiteCleanOnRepo asserts the tier-1 property directly: the whole
 // module (tests included) carries zero findings.
 func TestSuiteCleanOnRepo(t *testing.T) {

@@ -155,6 +155,44 @@ func (l *Layout) Fits() bool {
 	return true
 }
 
+// total sums every table's cost, the leaf included.
+func (l *Layout) total() compiler.TableCost {
+	var c compiler.TableCost
+	for _, t := range l.Tables {
+		c.SRAMBytes += t.Cost.SRAMBytes
+		c.TCAMBytes += t.Cost.TCAMBytes
+		c.Entries += t.Cost.Entries
+	}
+	return c
+}
+
+// Entries is the program's control-plane entry count: every table's
+// rows, value-map ranges and defaults, plus the leaf rows.
+func (l *Layout) Entries() int { return l.total().Entries }
+
+// SRAMBytes / TCAMBytes are the program's whole-switch memory footprint.
+func (l *Layout) SRAMBytes() int { return l.total().SRAMBytes }
+
+func (l *Layout) TCAMBytes() int { return l.total().TCAMBytes }
+
+// SRAMPct / TCAMPct are the footprints as percentages of the pipe-wide
+// budgets (compiler.SRAMBudgetBytes / TCAMBudgetBytes) — the Table I
+// columns.
+func (l *Layout) SRAMPct() float64 {
+	return 100 * float64(l.SRAMBytes()) / float64(compiler.SRAMBudgetBytes)
+}
+
+func (l *Layout) TCAMPct() float64 {
+	return 100 * float64(l.TCAMBytes()) / float64(compiler.TCAMBudgetBytes)
+}
+
+// String is the one-line resource summary: totals, multicast groups,
+// logical tables (field stages plus the leaf) and registers.
+func (l *Layout) String() string {
+	return fmt.Sprintf("entries=%d sram=%.2f%% tcam=%.2f%% mcast=%d stages=%d regs=%d",
+		l.Entries(), l.SRAMPct(), l.TCAMPct(), l.MulticastGroups, len(l.Tables), l.Registers)
+}
+
 // MinHeadroom returns the smallest per-table headroom — the number of
 // worst-case entries the tightest table can still absorb.
 func (l *Layout) MinHeadroom() int {

@@ -205,6 +205,13 @@ func TestShippedRulesClean(t *testing.T) {
 	if h := l.MinHeadroom(); h <= 0 {
 		t.Errorf("itch.rules min headroom %d, want > 0", h)
 	}
+	// The totals are the Table I columns and camusc's summary line.
+	if l.Entries() != p.TotalEntries() {
+		t.Errorf("Entries() = %d, TotalEntries() = %d", l.Entries(), p.TotalEntries())
+	}
+	if got, want := l.String(), "entries=60 sram=0.00% tcam=0.03% mcast=8 stages=6 regs=1"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
 }
 
 // cloneWorst appends n copies of table idx's worst-case entry — the
@@ -459,5 +466,67 @@ func TestEntryEstimate(t *testing.T) {
 	}
 	if got := fitcheck.EntryEstimate(e); got != 5 {
 		t.Errorf("EntryEstimate = %d, want 5 (3 atoms + guard + leaf)", got)
+	}
+}
+
+// TestRecirculationPassFits pins the verdict camusc compile, Table I and
+// Fig. 9 print under the default budget: a program whose placement
+// spills into the budgeted recirculation pass fits with a warning, even
+// when its TCAM footprint exceeds the pipe-wide budget (each pass brings
+// fresh per-stage banks); a program past the last pass does not fit.
+func TestRecirculationPassFits(t *testing.T) {
+	sp := spec.MustParse("wide", `
+header w {
+    a : u32 @field;
+    b : u32 @field;
+    c : u32 @field;
+    d : u32 @field;
+    e : u32 @field;
+    f : u32 @field;
+}
+`)
+	p := compileRules(t, sp, "a > 1 and b > 1 and c > 1 and d > 1 and e > 1 and f > 1: fwd(1)", compiler.Options{})
+	var packet []int
+	for i, st := range p.Stages {
+		if st.Field.Ref.Kind == subscription.PacketRef {
+			packet = append(packet, i)
+		}
+	}
+	if len(packet) != 6 {
+		t.Fatalf("want 6 packet-field stages, got %d", len(packet))
+	}
+	// 140 worst-case 32-bit ranges fill 4 of a stage's 64 KiB TCAM banks.
+	inflate := func(stages []int) {
+		for _, i := range stages {
+			// A single range compiles to a compressed table; the
+			// inflated one is charged as the ternary table it becomes.
+			p.Stages[i].Kind = compiler.TernaryTable
+			if err := (fitcheck.Mutation{Op: "inflate-ternary", Stage: i, N: 140}).Apply(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	kinds := func(l *fitcheck.Layout) map[report.Kind]report.Severity {
+		m := make(map[report.Kind]report.Severity)
+		for _, f := range l.Findings {
+			m[f.Kind] = f.Severity
+		}
+		return m
+	}
+
+	inflate(packet[:4])
+	l := fitcheck.Analyze(p, fitcheck.Options{SkipHeadroom: true})
+	if l.Passes != 2 || !l.Fits() || kinds(l)[fitcheck.KindRecirc] != report.SevWarning {
+		t.Errorf("one recirculation pass: passes=%d fits=%v findings=%+v, want 2 passes, a recirculation warning, fits",
+			l.Passes, l.Fits(), l.Findings)
+	}
+	if l.TCAMPct() <= 100 {
+		t.Errorf("tcam=%.2f%%, want above the pipe-wide budget", l.TCAMPct())
+	}
+
+	inflate(packet[4:])
+	l = fitcheck.Analyze(p, fitcheck.Options{SkipHeadroom: true})
+	if l.Fits() || kinds(l)[fitcheck.KindStages] != report.SevError {
+		t.Errorf("past the last pass: fits=%v findings=%+v, want a stage-count error", l.Fits(), l.Findings)
 	}
 }

@@ -2,8 +2,8 @@ package fitcheck
 
 import (
 	"fmt"
+	"slices"
 
-	"camus/internal/bdd"
 	"camus/internal/compiler"
 	"camus/internal/match"
 	"camus/internal/spec"
@@ -107,17 +107,19 @@ func (m Mutation) Apply(p *compiler.Program) error {
 		}
 		f.Bits = m.N
 	case "add-aggregates":
-		if p.BDD == nil {
-			return fmt.Errorf("fitmut: program has no BDD universe")
+		// The windows are linked the way the compiler links a live
+		// aggregate: a leaf row updates each one.
+		if len(p.Leaf) == 0 {
+			return fmt.Errorf("fitmut: program has no leaf row")
 		}
+		le := p.Leaf[0]
+		le.Updates = slices.Clip(le.Updates)
 		for i := 0; i < m.N; i++ {
-			p.BDD.Universe.Fields = append(p.BDD.Universe.Fields, &bdd.FieldVar{
-				Ref: subscription.FieldRef{
-					Kind: subscription.AggregateRef,
-					Agg:  spec.AggCount,
-					Var:  fmt.Sprintf("fitmut%d", i),
-				},
-			})
+			le.Updates = append(le.Updates, subscription.FieldRef{
+				Kind: subscription.AggregateRef,
+				Agg:  spec.AggCount,
+				Var:  fmt.Sprintf("fitmut%d", i),
+			}.Key())
 		}
 	default:
 		return fmt.Errorf("fitmut: unknown op %q", m.Op)

@@ -364,7 +364,6 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 	*em = emitter{blocks: blocks, leaves: leaves, entries: delta.added + delta.reused, nodes: len(seen)}
 
 	p.Reindex()
-	p.Resources = estimate(p)
 	return p, delta, nil
 }
 

@@ -271,7 +271,7 @@ func TestStatefulLastHop(t *testing.T) {
 	if got := up.Eval(m, nil).Key(); got != "fwd(1)" {
 		t.Errorf("upstream switch must forward superset: %s, want fwd(1)", got)
 	}
-	if regs := up.Resources.Registers; regs != 0 {
+	if regs := RegisterCount(up); regs != 0 {
 		t.Errorf("upstream program allocated %d registers, want 0", regs)
 	}
 }
@@ -299,8 +299,8 @@ stock == MSFT: fwd(2)
 	if st := stageByName(t, p, "ord_sym.stock"); st.Kind != ExactTable {
 		t.Errorf("stock stage = %v, want exact", st.Kind)
 	}
-	if p.Resources.TCAMBytes != 0 {
-		t.Errorf("exact program uses TCAM: %+v", p.Resources)
+	if c := footprint(p); c.TCAMBytes != 0 {
+		t.Errorf("exact program uses TCAM: %+v", c)
 	}
 
 	p2 := compile(t, sp, "price > 10 and price < 500: fwd(1)", Options{})
@@ -316,7 +316,7 @@ stock == MSFT: fwd(2)
 	if st3 := stageByName(t, p3, "ord_qty.price"); st3.Kind != TernaryTable {
 		t.Errorf("uncompressed price stage = %v, want ternary", st3.Kind)
 	}
-	if p3.Resources.TCAMBytes == 0 {
+	if footprint(p3).TCAMBytes == 0 {
 		t.Error("ternary stage consumed no TCAM")
 	}
 
@@ -333,19 +333,29 @@ func TestResourcesSanity(t *testing.T) {
 		fmt.Fprintf(&b, "stock == S%02d and price > %d: fwd(%d)\n", i, i*10, i%32)
 	}
 	p := compile(t, sp, b.String(), Options{})
-	r := p.Resources
-	if r.Entries != p.TotalEntries() {
-		t.Errorf("Entries %d != TotalEntries %d", r.Entries, p.TotalEntries())
+	c := footprint(p)
+	if c.Entries != p.TotalEntries() {
+		t.Errorf("Entries %d != TotalEntries %d", c.Entries, p.TotalEntries())
 	}
-	if r.Entries == 0 || r.SRAMBytes == 0 {
-		t.Errorf("degenerate resources: %+v", r)
+	if c.Entries == 0 || c.SRAMBytes == 0 {
+		t.Errorf("degenerate resources: %+v", c)
 	}
-	if !r.Fits() {
-		t.Errorf("100-rule program should fit the switch: %s", r)
+	if c.SRAMBytes > SRAMBudgetBytes || c.TCAMBytes > TCAMBudgetBytes ||
+		len(p.Stages)+1 > MaxPipelineStages || RegisterCount(p) > RegisterBudget {
+		t.Errorf("100-rule program should fit the switch: %+v, %d stages", c, len(p.Stages)+1)
 	}
-	if r.Stages != len(p.Stages)+1 {
-		t.Errorf("stages = %d", r.Stages)
+}
+
+// footprint sums CostOf over p's stage tables plus the leaf rows.
+func footprint(p *Program) TableCost {
+	c := TableCost{SRAMBytes: len(p.Leaf) * LeafEntryBytes, Entries: len(p.Leaf)}
+	for _, t := range p.Stages {
+		tc := CostOf(t)
+		c.SRAMBytes += tc.SRAMBytes
+		c.TCAMBytes += tc.TCAMBytes
+		c.Entries += tc.Entries
 	}
+	return c
 }
 
 func TestMaxEntriesGuard(t *testing.T) {
@@ -371,9 +381,6 @@ func TestStaticPipeline(t *testing.T) {
 	}
 	if len(st.StageFields) != 4 {
 		t.Errorf("stage fields = %d, want 4", len(st.StageFields))
-	}
-	if st.RegisterBlock != 64 || st.MaxParsedMessages != 4 {
-		t.Errorf("defaults wrong: %+v", st)
 	}
 	p := compile(t, sp, "price > 5 and avg(shares) > 3: fwd(1)", Options{LastHop: true})
 	if err := st.Validate(p); err != nil {

@@ -130,10 +130,9 @@ func (p *Program) Canonical() *Program {
 	get(p.Init)
 
 	np := &Program{
-		Spec:      p.Spec,
-		BDD:       p.BDD,
-		Init:      canon[p.Init],
-		Resources: p.Resources,
+		Spec: p.Spec,
+		BDD:  p.BDD,
+		Init: canon[p.Init],
 	}
 	for _, t := range p.Stages {
 		es := append([]*Entry(nil), t.Entries...)

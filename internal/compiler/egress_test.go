@@ -13,8 +13,8 @@ import (
 
 // TestEgressGroups: the multicast groups are the egress mask rows of two
 // or more ports, numbered as a table keyed by each leaf's action-set
-// ports in leaf order would number them, and their count is what
-// Resources and the fit analyzer report. The corpus is
+// ports in leaf order would number them, and their count is what the
+// fit analyzer reports. The corpus is
 // TestCompileDeterministic's plus a 70-port program, whose masks take
 // two words.
 func TestEgressGroups(t *testing.T) {
@@ -58,9 +58,6 @@ func TestEgressGroups(t *testing.T) {
 			}
 			if eg.Groups() != len(ref) {
 				t.Errorf("Groups() = %d, want %d distinct port sets", eg.Groups(), len(ref))
-			}
-			if r := p.Resources.MulticastGroups; r != eg.Groups() {
-				t.Errorf("Resources.MulticastGroups = %d, Groups() = %d", r, eg.Groups())
 			}
 			if n := fitcheck.Analyze(p, fitcheck.Options{SkipHeadroom: true}).MulticastGroups; n != eg.Groups() {
 				t.Errorf("fitcheck counts %d groups, Groups() = %d", n, eg.Groups())

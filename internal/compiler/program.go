@@ -110,8 +110,6 @@ type Program struct {
 	Leaf []*LeafEntry
 	// Init is the pipeline entry state (the BDD root).
 	Init StateID
-	// Resources is the switch resource estimate.
-	Resources Resources
 
 	// walk is what Lookup reads, derived from the fields above by Reindex.
 	walk walk

@@ -1,10 +1,6 @@
 package compiler
 
-import (
-	"fmt"
-
-	"camus/internal/subscription"
-)
+import "camus/internal/subscription"
 
 // Switch resource budgets modeling a Tofino-class programmable ASIC
 // pipeline (per pipe). Absolute sizes are a stand-in for the testbed
@@ -32,47 +28,13 @@ const (
 	tcamOverheadFactor = 2
 )
 
-// Resources summarizes the switch resources a compiled program consumes —
-// the columns of Table I.
-type Resources struct {
-	// Entries is the total number of control-plane entries installed.
-	Entries int
-	// SRAMBytes / TCAMBytes are the estimated memory footprints.
-	SRAMBytes int
-	TCAMBytes int
-	// SRAMPct / TCAMPct are percentages of the modeled budgets.
-	SRAMPct float64
-	TCAMPct float64
-	// MulticastGroups is the number of replication groups, Egress.Groups().
-	MulticastGroups int
-	// Stages is the number of match-action stages used (fields + leaf).
-	Stages int
-	// Registers is the number of stateful registers allocated.
-	Registers int
-}
-
-// Fits reports whether the program fits the modeled switch. All five
-// declared budgets are enforced: memory (SRAM/TCAM), multicast groups,
-// pipeline stages, and stateful registers.
-func (r Resources) Fits() bool {
-	return r.SRAMBytes <= SRAMBudgetBytes &&
-		r.TCAMBytes <= TCAMBudgetBytes &&
-		r.MulticastGroups <= MulticastGroupBudget &&
-		r.Stages <= MaxPipelineStages &&
-		r.Registers <= RegisterBudget
-}
-
-func (r Resources) String() string {
-	return fmt.Sprintf("entries=%d sram=%.2f%% tcam=%.2f%% mcast=%d stages=%d regs=%d",
-		r.Entries, r.SRAMPct, r.TCAMPct, r.MulticastGroups, r.Stages, r.Registers)
-}
-
 // LeafEntryBytes is the SRAM cost of one leaf-table row: exact match on
 // the BDD state plus the action/group word.
 const LeafEntryBytes = stateBytes + 8
 
-// TableCost is the per-table slice of the Resources estimate — the unit
-// the layout analyzer (internal/analysis/fitcheck) packs into stages.
+// TableCost is one table's resource footprint — the unit the layout
+// analyzer (internal/analysis/fitcheck) packs into stages and sums into
+// the Table I columns.
 type TableCost struct {
 	// SRAMBytes / TCAMBytes are the table's memory footprint.
 	SRAMBytes int
@@ -102,9 +64,8 @@ func fieldWidth(t *Table) (fieldBytes, bits int) {
 	return fieldBytes, bits
 }
 
-// CostOf computes the resource footprint of a single stage table. The
-// whole-program estimate and the fitcheck layout analyzer both consume
-// this so the cost model has one definition.
+// CostOf computes the resource footprint of a single stage table — the
+// one cost definition fitcheck places and totals.
 func CostOf(t *Table) TableCost {
 	fieldBytes, bits := fieldWidth(t)
 	keyBytes := stateBytes + fieldBytes
@@ -165,35 +126,20 @@ func MaxEntryCost(t *Table) TableCost {
 }
 
 // RegisterCount returns the number of stateful registers the program
-// allocates — one per aggregate field in the predicate universe.
+// uses: one per aggregate a stage reads or a leaf updates. An aggregate
+// field the universe still holds after its last filter left (the
+// incremental engine's universe only grows) takes no register.
 func RegisterCount(p *Program) int {
-	if p.BDD != nil {
-		return len(p.BDD.Universe.AggregateFields())
-	}
-	n := 0
+	keys := make(map[string]bool)
 	for _, t := range p.Stages {
 		if t.Field.Ref.Kind == subscription.AggregateRef {
-			n++
+			keys[t.Field.Key()] = true
 		}
 	}
-	return n
-}
-
-// estimate computes the resource footprint of a compiled program.
-func estimate(p *Program) Resources {
-	r := Resources{Stages: len(p.Stages) + 1}
-	for _, t := range p.Stages {
-		c := CostOf(t)
-		r.SRAMBytes += c.SRAMBytes
-		r.TCAMBytes += c.TCAMBytes
-		r.Entries += c.Entries
+	for _, le := range p.Leaf {
+		for _, k := range le.Updates {
+			keys[k] = true
+		}
 	}
-	// Leaf table: exact match on state.
-	r.SRAMBytes += len(p.Leaf) * LeafEntryBytes
-	r.Entries += len(p.Leaf)
-	r.MulticastGroups = p.Egress().Groups()
-	r.Registers = RegisterCount(p)
-	r.SRAMPct = 100 * float64(r.SRAMBytes) / float64(SRAMBudgetBytes)
-	r.TCAMPct = 100 * float64(r.TCAMBytes) / float64(TCAMBudgetBytes)
-	return r
+	return len(keys)
 }

@@ -77,7 +77,7 @@ func TestStatefulOnlyAtToR(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range net.Switches {
-		regs := d.Programs[s.ID].Resources.Registers
+		regs := compiler.RegisterCount(d.Programs[s.ID])
 		if s.Layer == topology.ToR && s.ID == net.Hosts[3].Switch {
 			if regs != 1 {
 				t.Errorf("subscriber ToR %s has %d registers, want 1", s.Name, regs)

@@ -86,6 +86,86 @@ func TestCoveringMatchesBatchReduce(t *testing.T) {
 	}
 }
 
+// TestCoveringEquivalentKeepsFirst: of two equivalent filters on one
+// port, the covering reconciler installs the one subscribed first, and
+// the batch reduction that netcheck -covering certifies must install
+// that same expression — not another member of its equivalence class.
+func TestCoveringEquivalentKeepsFirst(t *testing.T) {
+	net := topology.MustFatTree(4)
+	ropts := routing.Options{Policy: routing.TrafficReduction}
+	rec, err := NewReconcilerWith(net, itchSpec, WithRouting(ropts), WithCovering())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := filter(t, "stock == GOOGL and price >= 6"), filter(t, "stock == GOOGL and price > 5")
+	subs := make([][]subscription.Expr, len(net.Hosts))
+	subs[0] = []subscription.Expr{first, second}
+	for _, e := range subs[0] {
+		if _, _, err := rec.AddFilter(0, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := routing.ComputeFatTree(net, subs, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover.ReduceResult(cover.NewImplier(itchSpec, 0), res)
+	access, port := net.Access(0)
+	if got, want := ruleSet(rec.pendingRules(access)), []string{fmt.Sprintf("%s: fwd(%d)", first, port)}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reconciler installs %v, want %v", got, want)
+	}
+	for sw := range net.Switches {
+		want := ruleSet(rec.pendingRules(sw))
+		if got := ruleSet(res.RulesForSwitch(sw)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("switch %s: batch reduction installs %v, reconciler %v", net.Switches[sw].Name, got, want)
+		}
+	}
+}
+
+// TestCoveringUncoverKeepsFirst: after an uncovering the live forest
+// still agrees with the batch reduction of what is left. Two equivalent
+// filters sit under a broad one; unsubscribing the broad filter must
+// promote the one subscribed first, the expression a batch reduction of
+// the two (in filter-ID order) installs — on every switch.
+func TestCoveringUncoverKeepsFirst(t *testing.T) {
+	net := topology.MustFatTree(4)
+	ropts := routing.Options{Policy: routing.TrafficReduction}
+	rec, err := NewReconcilerWith(net, itchSpec, WithRouting(ropts), WithCovering())
+	if err != nil {
+		t.Fatal(err)
+	}
+	broadID, _, err := rec.AddFilter(0, filter(t, "stock == GOOGL"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := filter(t, "stock == GOOGL and price > 5"), filter(t, "stock == GOOGL and price >= 6")
+	subs := make([][]subscription.Expr, len(net.Hosts))
+	subs[0] = []subscription.Expr{first, second}
+	for _, e := range subs[0] {
+		if _, _, err := rec.AddFilter(0, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rec.RemoveFilter(0, broadID); err != nil {
+		t.Fatal(err)
+	}
+	res, err := routing.ComputeFatTree(net, subs, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover.ReduceResult(cover.NewImplier(itchSpec, 0), res)
+	access, port := net.Access(0)
+	if got, want := ruleSet(rec.pendingRules(access)), []string{fmt.Sprintf("%s: fwd(%d)", first, port)}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reconciler installs %v, want %v", got, want)
+	}
+	for sw := range net.Switches {
+		want := ruleSet(rec.pendingRules(sw))
+		if got := ruleSet(res.RulesForSwitch(sw)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("switch %s: batch reduction installs %v, reconciler %v", net.Switches[sw].Name, got, want)
+		}
+	}
+}
+
 // TestCoveringUncoverBatch asserts the no-gap contract at the op
 // level: unsubscribing a covering filter emits, for the access switch,
 // the root's delete and the promoted child's install in one op slice,

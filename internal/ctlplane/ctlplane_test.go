@@ -327,6 +327,52 @@ func TestServiceChurnMatchesBatchDeploy(t *testing.T) {
 	}
 }
 
+// TestUnchangedProgramNotReinstalled: unsubscribing a filter that a
+// broader one from the same host already forwards leaves every
+// switch's merged diagram — and so its *Program — as it was. The
+// service completes the event without reinstalling that program, so no
+// switch advances its epoch.
+func TestUnchangedProgramNotReinstalled(t *testing.T) {
+	net := topology.MustFatTree(4)
+	svc, ris := newServiceForTest(t, net, WithRouting(routing.Options{Policy: routing.TrafficReduction}))
+	installs := func() int64 {
+		var n int64
+		for _, ri := range ris {
+			n += ri.installs.Load()
+		}
+		return n
+	}
+	if _, _, err := svc.Subscribe(0, []subscription.Expr{filter(t, "stock == GOOGL")}); err != nil {
+		t.Fatal(err)
+	}
+	_, ids, err := svc.Subscribe(0, []subscription.Expr{filter(t, "stock == GOOGL and price > 500")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Quiesce()
+	before := installs()
+	progs := make([]*compiler.Program, len(net.Switches))
+	for sw := range progs {
+		progs[sw] = svc.Program(sw)
+	}
+	ev, err := svc.Unsubscribe(0, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ev.Done()
+	if err := ev.Err(); err != nil {
+		t.Fatalf("unsubscribe event: %v", err)
+	}
+	for sw := range progs {
+		if svc.Program(sw) != progs[sw] {
+			t.Fatalf("switch %s: unsubscribe compiled a new program", net.Switches[sw].Name)
+		}
+	}
+	if n := installs() - before; n != 0 {
+		t.Errorf("unsubscribe reinstalled %d unchanged programs, want 0", n)
+	}
+}
+
 // TestRetryBackoff injects apply failures and checks the worker retries
 // with backoff until success, and fails the event after maxRetries.
 func TestRetryBackoff(t *testing.T) {

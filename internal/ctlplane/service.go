@@ -461,6 +461,8 @@ func (s *Service) applyWorker(sw int) {
 	rng := rand.New(rand.NewSource(s.cfg.Seed*0x9E3779B9 + int64(sw) + 1))
 	q := s.queues[sw]
 	batchNo := 0
+	// installed is the program this switch last installed successfully.
+	var installed *compiler.Program
 	for {
 		s.mu.Lock()
 		ops := q.ops
@@ -496,6 +498,14 @@ func (s *Service) applyWorker(sw int) {
 		if res.Compacted {
 			s.compactions.Add(1)
 		}
+		// The incremental compiler hands back the same *Program when the
+		// batch left the merged diagram unchanged. The switch already runs
+		// it: a reinstall would only advance its epoch, and every cached
+		// flow — stream continuations included — would miss.
+		if res.Program == installed {
+			s.finishSwitch(events, false)
+			continue
+		}
 		// Post-compile, pre-install translation validation. The worker
 		// owns this switch's compile state, so rec.Rules(sw) is the
 		// exact survivor set the batch produced.
@@ -510,7 +520,11 @@ func (s *Service) applyWorker(sw int) {
 			}
 		}
 		batchNo++
-		s.finishSwitch(events, !s.install(sw, res.Program, rng))
+		ok := s.install(sw, res.Program, rng)
+		if ok {
+			installed = res.Program
+		}
+		s.finishSwitch(events, !ok)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/bdd"
 	"camus/internal/compiler"
 	"camus/internal/formats"
@@ -180,13 +181,13 @@ func AblationExactMatch(cfg Config) *Result {
 		if err != nil {
 			panic(err)
 		}
-		r := prog.Resources
-		tbl.AddRow(c.name, r.SRAMBytes, r.TCAMBytes, r.Entries)
+		l := fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true})
+		tbl.AddRow(c.name, l.SRAMBytes(), l.TCAMBytes(), l.Entries())
 		if i == 0 {
-			tcamFull = r.TCAMBytes
+			tcamFull = l.TCAMBytes()
 		}
 		if i == len(configs)-1 {
-			tcamNone = r.TCAMBytes
+			tcamNone = l.TCAMBytes()
 		}
 	}
 	res.Tables = []*stats.Table{tbl}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/baseline"
 	"camus/internal/compiler"
 	"camus/internal/formats"
@@ -131,7 +132,7 @@ func Fig8(cfg Config) *Result {
 		}
 	}
 	res.Tables = []*stats.Table{tbl, cdf}
-	res.addFinding("Camus entries installed: %d (%s)", prog.TotalEntries(), prog.Resources)
+	res.addFinding("Camus entries installed: %d (%s)", prog.TotalEntries(), fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true}))
 	return res
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/baseline"
 	"camus/internal/compiler"
 	"camus/internal/formats"
@@ -50,7 +51,7 @@ func Fig9(cfg Config) *Result {
 		if compileN != n {
 			note += " (10k compiled)"
 		}
-		tbl.AddRow(n, c.ThroughputMpps(n), d.ThroughputMpps(n), line, note, prog.Resources.Fits())
+		tbl.AddRow(n, c.ThroughputMpps(n), d.ThroughputMpps(n), line, note, fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true}).Fits())
 	}
 	res.Tables = []*stats.Table{tbl}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"camus/internal/analysis/fitcheck"
 	"camus/internal/compiler"
 	"camus/internal/formats"
 	"camus/internal/spec"
@@ -88,6 +89,6 @@ func addApp(res *Result, tbl *stats.Table, name string, sp *specT, rules []*subs
 	if err != nil {
 		panic(err)
 	}
-	r := prog.Resources
-	tbl.AddRow(name, len(rules), r.Entries, r.SRAMPct, r.TCAMPct, r.MulticastGroups, r.Fits())
+	l := fitcheck.Analyze(prog, fitcheck.Options{SkipHeadroom: true})
+	tbl.AddRow(name, len(rules), l.Entries(), l.SRAMPct(), l.TCAMPct(), l.MulticastGroups, l.Fits())
 }

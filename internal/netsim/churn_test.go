@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"camus/internal/compiler"
 	"camus/internal/controller"
 	"camus/internal/ctlplane"
+	"camus/internal/pipeline"
 	"camus/internal/routing"
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -134,6 +136,116 @@ func deliverySet(ds []HostDelivery) string {
 	}
 	sort.Ints(hosts)
 	return fmt.Sprint(hosts)
+}
+
+// TestUnsubscribeKeepsStreams: an unsubscribe that leaves a switch's
+// program unchanged must not cut the streams through it. Host 0's
+// broad filter forwards everything its narrow one does, so dropping the
+// narrow one changes no switch's diagram; a stream continuation sent
+// after the unsubscribe still follows the header's cached decision.
+func TestUnsubscribeKeepsStreams(t *testing.T) {
+	net := topology.MustFatTree(4)
+	ropts := routing.Options{Policy: routing.TrafficReduction}
+	d, err := controller.Deploy(net, itchSpec, make([][]subscription.Expr, len(net.Hosts)),
+		controller.Options{Routing: ropts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := ctlplane.New(net, itchSpec, ctlplane.WithRouting(ropts), ctlplane.WithInstallers(sim.Installers()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, _, err := svc.Subscribe(0, []subscription.Expr{filter(t, "stock == GOOGL")}); err != nil {
+		t.Fatal(err)
+	}
+	_, ids, err := svc.Subscribe(0, []subscription.Expr{filter(t, "stock == GOOGL and price > 500")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Quiesce()
+
+	access, port := net.Access(0)
+	_, in := net.Access(1)
+	sw := sim.Switches[access]
+	const flow = pipeline.FlowKey(0x5eed)
+	delivered := func(ds []pipeline.Delivery) bool {
+		return len(ds) == 1 && ds[0].Port == port
+	}
+	if ds := sw.Process(&pipeline.Packet{In: in, Flow: flow, Msgs: []*spec.Message{msg("GOOGL", 600, 1)}}, 0); !delivered(ds) {
+		t.Fatalf("stream header delivered to %v, want port %d", ds, port)
+	}
+	if _, err := svc.Unsubscribe(0, ids); err != nil {
+		t.Fatal(err)
+	}
+	svc.Quiesce()
+	if ds := sw.Process(&pipeline.Packet{In: in, Flow: flow}, time.Millisecond); !delivered(ds) {
+		t.Errorf("stream continuation after the unsubscribe delivered to %v, want port %d", ds, port)
+	}
+}
+
+// TestRegisterChurnInstalls: the register budget counts the aggregates a
+// program uses, not every window its switch has ever seen. Host 0
+// subscribes and unsubscribes RegisterBudget+1 distinct count() windows
+// one at a time; at most one is live, so every event must apply on the
+// real switches, and the last window must still fire on the ToR.
+func TestRegisterChurnInstalls(t *testing.T) {
+	net := topology.MustFatTree(4)
+	ropts := routing.Options{Policy: routing.TrafficReduction}
+	d, err := controller.Deploy(net, itchSpec, make([][]subscription.Expr, len(net.Hosts)),
+		controller.Options{Routing: ropts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := ctlplane.New(net, itchSpec, ctlplane.WithRouting(ropts), ctlplane.WithInstallers(sim.Installers()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	wait := func(what string, ev *ctlplane.Event) {
+		t.Helper()
+		<-ev.Done()
+		if err := ev.Err(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	access, port := net.Access(0)
+	_, in := net.Access(1)
+	for n := 1; n <= compiler.RegisterBudget+1; n++ {
+		src := fmt.Sprintf("stock == GOOGL and count(price, %dms) > 0", n)
+		ev, ids, err := svc.Subscribe(0, []subscription.Expr{filter(t, src)})
+		if err != nil {
+			t.Fatalf("subscribe %q: %v", src, err)
+		}
+		wait("subscribe "+src, ev)
+		if got := svc.Program(access); got != sim.Switches[access].Program() {
+			t.Fatalf("%q: ToR runs a stale program", src)
+		}
+		if n <= compiler.RegisterBudget {
+			ev, err := svc.Unsubscribe(0, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait("unsubscribe "+src, ev)
+		}
+	}
+	// count() > 0 holds from the second message in the window on.
+	sw := sim.Switches[access]
+	var ds []pipeline.Delivery
+	for i := 0; i < 2; i++ {
+		ds = sw.Process(&pipeline.Packet{In: in, Msgs: []*spec.Message{msg("GOOGL", 1, 1)}}, time.Duration(i)*time.Microsecond)
+	}
+	if len(ds) != 1 || ds[0].Port != port {
+		t.Errorf("last window delivered to %v, want port %d", ds, port)
+	}
 }
 
 // runChurn drives a generated churn stream through a live control plane

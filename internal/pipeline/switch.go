@@ -301,7 +301,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	// Batches deeper than the parse budget recirculate (§VI-B).
 	latency := baseLatency
 	if s.static != nil {
-		if extra := (len(pkt.Msgs) - 1) / s.static.MaxParsedMessages; extra > 0 {
+		if extra := (len(pkt.Msgs) - 1) / compiler.MaxParsedMessages; extra > 0 {
 			st.Recirculations += int64(extra)
 			latency += time.Duration(extra) * recirculationLatency
 		}
@@ -411,6 +411,6 @@ func (s *Switch) EvalMessage(m *spec.Message, now time.Duration) subscription.Ac
 
 func (s *Switch) String() string {
 	prog := s.Program()
-	return fmt.Sprintf("switch %s: %d stages, %d entries, %s",
-		s.ID, len(prog.Stages)+1, prog.TotalEntries(), prog.Resources)
+	return fmt.Sprintf("switch %s: %d stages, %d entries",
+		s.ID, len(prog.Stages)+1, prog.TotalEntries())
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +39,50 @@ func buildSwitch(t testing.TB, rulesSrc string, opts compiler.Options, swOpts ..
 		t.Fatalf("switch: %v", err)
 	}
 	return sw, sp
+}
+
+// TestRegisterBudget: the static pipeline's register block is
+// compiler.RegisterBudget, the budget fitcheck and admission enforce.
+// A last-hop program with one aggregate window more is refused by
+// NewSwitch and by Install, and the running program stays.
+func TestRegisterBudget(t *testing.T) {
+	sp := spec.MustParse("itch", itchSpecSrc)
+	var b strings.Builder
+	for n := 1; n <= compiler.RegisterBudget+1; n++ {
+		fmt.Fprintf(&b, "stock == GOOGL and count(price, %dms) > 2: fwd(1)\n", n)
+	}
+	rules, err := subscription.NewParser(sp).ParseRules(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiler.Compile(sp, rules, compiler.Options{LastHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := compiler.RegisterCount(prog); n != compiler.RegisterBudget+1 {
+		t.Fatalf("program needs %d registers, want %d", n, compiler.RegisterBudget+1)
+	}
+	static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSwitch("s1", static, prog); err == nil {
+		t.Error("NewSwitch accepted a program over the register budget")
+	}
+	small, err := compiler.Compile(sp, rules[:compiler.RegisterBudget], compiler.Options{LastHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewSwitch("s1", static, small)
+	if err != nil {
+		t.Fatalf("NewSwitch refused a program within the register budget: %v", err)
+	}
+	running := sw.Program()
+	if err := sw.Install(prog); err == nil {
+		t.Error("Install accepted a program over the register budget")
+	} else if sw.Program() != running {
+		t.Error("a refused Install replaced the running program")
+	}
 }
 
 func itchMsg(sp *spec.Spec, stock string, price, shares int64) *spec.Message {

@@ -19,10 +19,11 @@
 //     land the delete and the promotions in a single apply batch — the
 //     FIB-caching "no cache-hiding gap" rule.
 //
-// ReduceResult / ReduceTree apply the same per-port covering to a
+// ReduceResult / ReduceTree run that same Forest once per port over a
 // whole precomputed routing policy (used by `camusc netcheck
 // -covering` to certify that covering and full installation produce
-// identical delivery cuts).
+// identical delivery cuts), so the certificate covers the entries the
+// control plane installs.
 //
 // Covering is sound per port because forwarding through a port is the
 // union of its filters: f ⊑ g implies f ∪ g = g, so dropping f leaves

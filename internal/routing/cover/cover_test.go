@@ -197,6 +197,26 @@ func TestForestEquivalentFilters(t *testing.T) {
 	wantDelta(t, f.Remove(a), []string{b.String()}, []string{a.String()})
 }
 
+// TestForestUncoverKeepsFirstAdded: an uncovering promotes orphans in
+// add order, so of two equivalent orphans the one added first becomes
+// the root — as Add files them when no broader root was ever there —
+// whatever their keys' order ("price > 5" sorts before "price >= 6").
+func TestForestUncoverKeepsFirstAdded(t *testing.T) {
+	for _, order := range [][2]string{{"price >= 6", "price > 5"}, {"price > 5", "price >= 6"}} {
+		f := NewForest(NewImplier(testSpec, 0))
+		broad := filter(t, "stock == GOOGL")
+		first := filter(t, "stock == GOOGL and "+order[0])
+		second := filter(t, "stock == GOOGL and "+order[1])
+		f.Add(broad)
+		wantDelta(t, f.Add(first), nil, nil)
+		wantDelta(t, f.Add(second), nil, nil)
+		wantDelta(t, f.Remove(broad), []string{first.String()}, []string{broad.String()})
+		if f.Covered(first) || !f.Covered(second) {
+			t.Errorf("%v: Covered(first)=%v Covered(second)=%v", order, f.Covered(first), f.Covered(second))
+		}
+	}
+}
+
 func buildFatTree(t *testing.T, k int) *topology.Network {
 	t.Helper()
 	net, err := topology.FatTree(k)

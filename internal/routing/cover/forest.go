@@ -25,9 +25,12 @@ func (d Delta) Empty() bool { return len(d.Install) == 0 && len(d.Uninstall) == 
 // from the placement layer; parent == nil marks a root (installed
 // entry), everything else is a covered obligation.
 type node struct {
-	key      string
-	expr     subscription.Expr
-	refs     int
+	key  string
+	expr subscription.Expr
+	refs int
+	// seq is the node's add order: an uncovering promotes orphans in
+	// it, so of two equivalent orphans the one added first survives.
+	seq      int
 	parent   *node
 	children map[string]*node
 }
@@ -47,13 +50,16 @@ type node struct {
 //     at the port, so Size() is the entry count full installation
 //     would use and Roots() the count covering uses.
 //
-// Iteration is by sorted expression key throughout, so forests evolve
-// deterministically for a given operation sequence. Not safe for
+// Roots are scanned by sorted expression key and an uncovering's orphans
+// in add order, so forests evolve deterministically for a given
+// operation sequence, and of equivalent filters the one added first is
+// the installed one. Not safe for
 // concurrent use; the control plane mutates forests only under its
 // registry lock.
 type Forest struct {
 	im    *Implier
 	nodes map[string]*node
+	seq   int
 	ctr   Counters
 }
 
@@ -95,7 +101,8 @@ func (f *Forest) Add(expr subscription.Expr) Delta {
 		n.refs++
 		return Delta{}
 	}
-	n := &node{key: key, expr: expr, refs: 1, children: make(map[string]*node)}
+	f.seq++
+	n := &node{key: key, expr: expr, refs: 1, seq: f.seq, children: make(map[string]*node)}
 	for _, r := range f.sortedRoots() {
 		if f.im.Implies(expr, r.expr) {
 			f.nodes[key] = n
@@ -142,31 +149,41 @@ func (f *Forest) Remove(expr subscription.Expr) Delta {
 		return Delta{}
 	}
 	d := Delta{Uninstall: []subscription.Expr{expr}}
-	orphans := sortedChildren(n)
+	// Orphans are re-homed in add order, each as Add would file it: an
+	// orphan keeps its stale parent until its turn, so it is not yet a
+	// root the earlier ones could attach to.
+	orphans := make([]*node, 0, len(n.children))
+	for _, c := range n.children {
+		orphans = append(orphans, c)
+	}
+	sort.Slice(orphans, func(i, j int) bool { return orphans[i].seq < orphans[j].seq })
+	var promoted []*node
 	for _, c := range orphans {
 		c.parent = nil
-	}
-	for _, c := range orphans {
-		if c.parent != nil {
-			// Already captured by a sibling promoted earlier in this
-			// same uncovering? Impossible — promotion only re-parents
-			// the seeker — but guard stays for clarity.
-			continue
-		}
 		attached := false
 		for _, r := range f.sortedRoots() {
-			if r == c {
-				continue
-			}
-			if f.im.Implies(c.expr, r.expr) {
+			if r != c && f.im.Implies(c.expr, r.expr) {
 				attach(c, r)
 				attached = true
 				break
 			}
 		}
-		if !attached {
-			d.Install = append(d.Install, c.expr)
+		if attached {
+			continue
 		}
+		// A broader orphan captures the narrower ones promoted before it.
+		kept := promoted[:0]
+		for _, p := range promoted {
+			if f.im.Implies(p.expr, c.expr) {
+				attach(p, c)
+			} else {
+				kept = append(kept, p)
+			}
+		}
+		promoted = append(kept, c)
+	}
+	for _, c := range promoted {
+		d.Install = append(d.Install, c.expr)
 	}
 	f.ctr.Promotions += int64(len(d.Install))
 	return d

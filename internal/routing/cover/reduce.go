@@ -60,49 +60,31 @@ func ReduceTree(im *Implier, tr *routing.TreeResult) ReduceStats {
 	return st
 }
 
-// reducePort prunes one port's filter set in place. Identical
-// effective expressions already collapse to one entry at rule
-// generation, so work happens on the distinct-expression level: an
-// expression is covered when another distinct expression on the port
-// implies it is redundant; equivalent expressions keep the
-// lexicographically first key. Every covered expression ends up
-// implied by a surviving one — the cover relation (strictly broader,
-// or equivalent with smaller key) is a strict partial order, so chains
-// terminate at an uncovered maximal element.
+// reducePort prunes one port's filter set in place by running the
+// control plane's covering once: the port's effective expressions are
+// added to a Forest in filter-ID order and every filter whose
+// expression the forest files as a covered obligation is dropped. The
+// surviving entries are the forest's roots — of two equivalent
+// expressions the one added first — which is what the covering
+// reconciler installs when the filters were subscribed in ID order.
 func reducePort(im *Implier, port int, fs routing.FilterSet,
 	effective func(port int, f *routing.Filter) subscription.Expr, st *ReduceStats) {
-	byKey := make(map[string]subscription.Expr, len(fs))
-	for _, f := range fs {
-		e := effective(port, f)
-		byKey[e.String()] = e
+	ids := make([]int, 0, len(fs))
+	for id := range fs {
+		ids = append(ids, id)
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
+	sort.Ints(ids)
+	exprs := make([]subscription.Expr, len(ids))
+	f := NewForest(im)
+	for i, id := range ids {
+		exprs[i] = effective(port, fs[id])
+		f.Add(exprs[i])
 	}
-	sort.Strings(keys)
-	st.Before += len(keys)
-
-	covered := make(map[string]bool)
-	for _, k := range keys {
-		for _, g := range keys {
-			if g == k {
-				continue
-			}
-			if !im.Implies(byKey[k], byKey[g]) {
-				continue
-			}
-			if im.Implies(byKey[g], byKey[k]) && g > k {
-				continue // equivalent pair: the smaller key survives
-			}
-			covered[k] = true
-			break
-		}
-	}
-	for id, f := range fs {
-		if covered[effective(port, f).String()] {
+	for i, id := range ids {
+		if f.Covered(exprs[i]) {
 			delete(fs, id)
 		}
 	}
-	st.After += len(keys) - len(covered)
+	st.Before += f.Size()
+	st.After += f.Roots()
 }
