@@ -172,38 +172,34 @@ serve-soak:
 soak:
 	CAMUS_SOAK=1 $(GO) test -race -count=1 -v -run 'TestChurnSoak' ./internal/netsim
 
-## fuzz-smoke: short, deterministic iterations of the fuzz targets —
-## the subscription parser, the BDD kernel's hash table against a Go
-## map, the compile-then-prove pipeline, the flat table walk against its
+# fuzz runs every fuzz target in the module for $(1) each, one
+# `go test -fuzz` per target. The list is what `go test -list '^Fuzz'
+# ./...` prints, so a new target is fuzzed without an edit here.
+define fuzz
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	printf '%s\n' "$$list" \
+		| awk '/^Fuzz/ { n[++k] = $$1 } /^ok/ { for (i = 1; i <= k; i++) print $$2, n[i]; k = 0 }' \
+		| while read pkg target; do \
+			echo "fuzz $$pkg $$target ($(1))"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(1) || exit 1; \
+		done
+endef
+
+## fuzz-smoke: short, deterministic iterations of every fuzz target —
+## the parsers, the BDD kernel's hash table against a Go map, the
+## compile-then-prove pipeline, the flat table walk against its
 ## reference, the switch's port-mask egress against the per-message
 ## Program.Eval reference, the field encoder against the bit reference
 ## and the two wire decoders (seed corpus plus a few hundred mutations
 ## each).
 fuzz-smoke:
-	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 200x
-	$(GO) test ./internal/bdd -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 200x
-	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 200x
-	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 200x
-	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzEgress$$' -fuzztime 200x
-	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzHeaderCodec$$' -fuzztime 200x
-	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 200x
-	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 200x
+	$(call fuzz,200x)
 
 ## fuzz-extended: the nightly-CI fuzz budget — minutes, not mutations,
 ## over every fuzz target in the module (FuzzEgress: random port sets
-## in [-1, 100], random ingress, streams across an Install, for 60 s).
+## in [-1, 100], random ingress, streams across an Install).
 fuzz-extended:
-	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseSubscription$$' -fuzztime 120s
-	$(GO) test ./internal/analysis/prove -run '^$$' -fuzz '^FuzzCompileProve$$' -fuzztime 300s
-	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 120s
-	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzEgress$$' -fuzztime 60s
-	$(GO) test ./internal/bdd -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 30s
-	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime 60s
-	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzHeaderCodec$$' -fuzztime 30s
-	$(GO) test ./internal/formats -run '^$$' -fuzz '^FuzzDecodeITCH$$' -fuzztime 60s
-	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseFilter$$' -fuzztime 30s
-	$(GO) test ./internal/subscription -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 30s
-	$(GO) test ./internal/spec -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s
+	$(call fuzz,80s)
 
 ## vet-report: regenerate VET_REPORT (vet-report.txt) by cross-running
 ## `camusc vet` (rule self-consistency), `camusc prove` (translation

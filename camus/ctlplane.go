@@ -57,8 +57,6 @@ type (
 
 	// EventLog is the durable append-only control-plane log.
 	EventLog = ctlplane.Log
-	// EventLogOption tunes OpenEventLog.
-	EventLogOption = ctlplane.LogOption
 	// EventLogRecord is one durable control-plane event.
 	EventLogRecord = ctlplane.LogRecord
 
@@ -118,8 +116,6 @@ var (
 
 	// OpenEventLog opens (or resumes) a durable event log.
 	OpenEventLog = ctlplane.OpenLog
-	// WithFsyncEveryN bounds records per fsync batch.
-	WithFsyncEveryN = ctlplane.WithFsyncEveryN
 
 	// WithDaemonEventLog opens + replays a durable log inside NewDaemon.
 	WithDaemonEventLog = server.WithEventLog

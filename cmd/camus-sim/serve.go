@@ -63,7 +63,7 @@ func runServe(cfg serveConfig) {
 		camus.WithSeed(cfg.seed),
 	}
 	if cfg.validateEvery > 0 {
-		svcOpts = append(svcOpts, camus.WithValidator(camus.ProveValidator(net, 0), cfg.validateEvery))
+		svcOpts = append(svcOpts, camus.WithValidator(camus.ProveValidator(net), cfg.validateEvery))
 	}
 	if cfg.covering {
 		svcOpts = append(svcOpts, camus.WithCovering())

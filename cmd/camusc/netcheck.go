@@ -174,7 +174,7 @@ func netcheckFatTree(sp *spec.Spec, rules []*subscription.Rule, k int, policy st
 
 // fatTreeDeploy builds the deployment to certify: compute routing, under
 // covering elide every port entry implied by a broader filter on the same
-// port (cover.ReduceResult — the batch equivalent of the control plane's
+// port (cover.Reduce — the batch equivalent of the control plane's
 // subsumption forests), then compile as the controller does.
 func fatTreeDeploy(net *topology.Network, sp *spec.Spec, byHost [][]subscription.Expr,
 	ropts routing.Options, covering bool) (*controller.Deployment, *cover.ReduceStats, error) {
@@ -184,10 +184,10 @@ func fatTreeDeploy(net *topology.Network, sp *spec.Spec, byHost [][]subscription
 	}
 	var st *cover.ReduceStats
 	if covering {
-		s := cover.ReduceResult(cover.NewImplier(sp, 0), res)
+		s := cover.Reduce(cover.NewImplier(sp, 0), res)
 		st = &s
 	}
-	d, err := controller.Compile(sp, res, compiler.Options{})
+	d, err := controller.Compile(sp, net, res, compiler.Options{})
 	return d, st, err
 }
 
@@ -208,12 +208,12 @@ func netcheckTree(sp *spec.Spec, rules []*subscription.Rule, nodes, edges int, s
 	}
 	var st *cover.ReduceStats
 	if covering {
-		s := cover.ReduceTree(cover.NewImplier(sp, 0), tr)
+		s := cover.Reduce(cover.NewImplier(sp, 0), tr)
 		st = &s
 	}
 	progs := make([]*prove.Program, g.N)
 	for v := 0; v < g.N; v++ {
-		prog, err := compiler.Compile(sp, tr.RulesForNode(v), compiler.Options{})
+		prog, err := compiler.Compile(sp, tr.RulesForSwitch(v), compiler.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("compile node %d: %w", v, err)
 		}
@@ -221,7 +221,7 @@ func netcheckTree(sp *spec.Spec, rules []*subscription.Rule, nodes, edges int, s
 			return nil, nil, fmt.Errorf("export IR for node %d: %w", v, err)
 		}
 	}
-	res, err := netcheck.CheckTree(tr, sp, progs, netcheck.TreeSubscriptions(tr), netcheck.Options{
+	res, err := netcheck.CheckTree(mst, sp, progs, netcheck.Subscriptions(tr), netcheck.Options{
 		MaxPaths: maxPaths, Alpha: alpha,
 	})
 	return res, st, err

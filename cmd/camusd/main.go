@@ -82,11 +82,11 @@ func main() {
 		camus.WithSeed(*seed),
 	}
 	if *validateEvery > 0 {
-		svcOpts = append(svcOpts, camus.WithValidator(camus.ProveValidator(net, 0), *validateEvery))
+		svcOpts = append(svcOpts, camus.WithValidator(camus.ProveValidator(net), *validateEvery))
 	}
 	if *netcheckEvery > 0 {
 		svcOpts = append(svcOpts,
-			camus.WithNetValidator(camus.NetcheckValidator(net, formats.ITCH, 0), *netcheckEvery))
+			camus.WithNetValidator(camus.NetcheckValidator(net, formats.ITCH), *netcheckEvery))
 	}
 	if *covering {
 		svcOpts = append(svcOpts, camus.WithCovering())

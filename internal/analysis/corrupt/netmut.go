@@ -9,11 +9,11 @@ import (
 
 // NetMutation is one named placement/routing corruption — the
 // network-level analogue of Mutation. It mutates a computed routing
-// policy (fat-tree Result or general-topology TreeResult) before
-// compilation, simulating controller defects: a port entry the
-// reconciler dropped, a stale refcount keeping a dead filter installed,
-// a wrong α-approximation cut, a mis-wired tree port. The netcheck
-// verifier must report every one with a replayable counterexample.
+// policy (fat tree or spanning tree) before compilation, simulating
+// controller defects: a port entry the reconciler dropped or misplaced,
+// a wrong α-approximation cut, a covering pass that lost or kept the
+// wrong entry. The netcheck verifier must report every one with a
+// replayable counterexample.
 type NetMutation struct {
 	// Op selects the corruption:
 	//
@@ -22,16 +22,10 @@ type NetMutation struct {
 	//	redirect-port   — filter FilterID on Switch moves from Port to
 	//	                  ToPort (wrong placement → black hole and/or
 	//	                  spurious delivery)
-	//	inject-filter   — Filter is installed on Switch's port Port
-	//	                  although no live subscription owns it (stale
-	//	                  refcount → spurious delivery)
 	//	narrow-approx   — filter FilterID's α-approximation is replaced
 	//	                  with Expr network-wide (wrong α cut: an
 	//	                  under-approximation starves the delivering
 	//	                  edge → black hole at the α boundary)
-	//	rewire-peer     — tree mode: node Switch's port Port is rewired
-	//	                  to neighbor ToPort's vertex (routing loop /
-	//	                  duplicate delivery)
 	//
 	// The covering family corrupts subsumption-reduced tables
 	// (internal/routing/cover), simulating defects in the covering
@@ -60,60 +54,34 @@ type NetMutation struct {
 	ToPort int `json:"to_port,omitempty"`
 	// FilterID indexes the routing result's global filter table.
 	FilterID int `json:"filter_id,omitempty"`
-	// Expr carries the replacement approximation (narrow-approx).
+	// Expr carries the replacement expression (narrow-approx,
+	// over-broad-cover).
 	Expr subscription.Expr `json:"-"`
-	// Filter carries the stale entry to install (inject-filter).
+	// Filter carries the stale parent entry to install (stale-cover).
 	Filter *routing.Filter `json:"-"`
 }
 
-// ApplyNet performs the mutation on a fat-tree routing result in place.
+// Apply performs the mutation on a routing result in place.
 // Filter pointers are shared across FIBs, so narrow-approx propagates
 // network-wide exactly like a controller computing the wrong cut once.
-func (m NetMutation) ApplyNet(r *routing.Result) error {
+func (m NetMutation) Apply(r *routing.Result) error {
 	switch m.Op {
 	case "drop-port-entry":
-		fib, err := netFIB(r, m.Switch)
+		_, fs, _, err := m.entry(r)
 		if err != nil {
 			return err
-		}
-		fs, ok := fib.Ports[m.Port]
-		if !ok {
-			return fmt.Errorf("corrupt: switch %d has no port %d", m.Switch, m.Port)
-		}
-		if _, ok := fs[m.FilterID]; !ok {
-			return fmt.Errorf("corrupt: switch %d port %d has no filter %d", m.Switch, m.Port, m.FilterID)
 		}
 		delete(fs, m.FilterID)
 	case "redirect-port":
-		fib, err := netFIB(r, m.Switch)
+		fib, fs, f, err := m.entry(r)
 		if err != nil {
 			return err
-		}
-		fs, ok := fib.Ports[m.Port]
-		if !ok {
-			return fmt.Errorf("corrupt: switch %d has no port %d", m.Switch, m.Port)
-		}
-		f, ok := fs[m.FilterID]
-		if !ok {
-			return fmt.Errorf("corrupt: switch %d port %d has no filter %d", m.Switch, m.Port, m.FilterID)
 		}
 		delete(fs, m.FilterID)
 		if fib.Ports[m.ToPort] == nil {
 			fib.Ports[m.ToPort] = make(routing.FilterSet)
 		}
 		fib.Ports[m.ToPort][m.FilterID] = f
-	case "inject-filter":
-		if m.Filter == nil {
-			return fmt.Errorf("corrupt: inject-filter needs a filter")
-		}
-		fib, err := netFIB(r, m.Switch)
-		if err != nil {
-			return err
-		}
-		if fib.Ports[m.Port] == nil {
-			fib.Ports[m.Port] = make(routing.FilterSet)
-		}
-		fib.Ports[m.Port][m.Filter.ID] = m.Filter
 	case "narrow-approx":
 		if m.Expr == nil {
 			return fmt.Errorf("corrupt: narrow-approx needs an expression")
@@ -140,16 +108,9 @@ func (m NetMutation) ApplyNet(r *routing.Result) error {
 		if m.Filter == nil {
 			return fmt.Errorf("corrupt: stale-cover needs the stale parent filter")
 		}
-		fib, err := netFIB(r, m.Switch)
+		_, fs, _, err := m.entry(r)
 		if err != nil {
 			return err
-		}
-		fs, ok := fib.Ports[m.Port]
-		if !ok {
-			return fmt.Errorf("corrupt: switch %d has no port %d", m.Switch, m.Port)
-		}
-		if _, ok := fs[m.FilterID]; !ok {
-			return fmt.Errorf("corrupt: switch %d port %d has no filter %d", m.Switch, m.Port, m.FilterID)
 		}
 		delete(fs, m.FilterID)
 		fs[m.Filter.ID] = m.Filter
@@ -169,114 +130,22 @@ func (m NetMutation) ApplyNet(r *routing.Result) error {
 	return nil
 }
 
-// ApplyTree performs the mutation on a general-topology routing result
-// in place.
-func (m NetMutation) ApplyTree(r *routing.TreeResult) error {
-	switch m.Op {
-	case "drop-port-entry":
-		fib, err := treeFIB(r, m.Switch)
-		if err != nil {
-			return err
-		}
-		fs, ok := fib.Ports[m.Port]
-		if !ok {
-			return fmt.Errorf("corrupt: node %d has no port %d", m.Switch, m.Port)
-		}
-		if _, ok := fs[m.FilterID]; !ok {
-			return fmt.Errorf("corrupt: node %d port %d has no filter %d", m.Switch, m.Port, m.FilterID)
-		}
-		delete(fs, m.FilterID)
-	case "inject-filter":
-		if m.Filter == nil {
-			return fmt.Errorf("corrupt: inject-filter needs a filter")
-		}
-		fib, err := treeFIB(r, m.Switch)
-		if err != nil {
-			return err
-		}
-		if fib.Ports[m.Port] == nil {
-			fib.Ports[m.Port] = make(routing.FilterSet)
-		}
-		fib.Ports[m.Port][m.Filter.ID] = m.Filter
-	case "narrow-approx":
-		if m.Expr == nil {
-			return fmt.Errorf("corrupt: narrow-approx needs an expression")
-		}
-		f, err := netFilter(r.Filters, m.FilterID)
-		if err != nil {
-			return err
-		}
-		f.Approx = m.Expr
-	case "rewire-peer":
-		fib, err := treeFIB(r, m.Switch)
-		if err != nil {
-			return err
-		}
-		if m.Port < 0 || m.Port >= len(fib.PortPeer) {
-			return fmt.Errorf("corrupt: node %d has no port %d", m.Switch, m.Port)
-		}
-		fib.PortPeer[m.Port] = m.ToPort
-	case "dropped-uncover":
-		found := false
-		for _, fib := range r.FIBs {
-			if fib == nil {
-				continue
-			}
-			for _, fs := range fib.Ports {
-				if _, ok := fs[m.FilterID]; ok {
-					delete(fs, m.FilterID)
-					found = true
-				}
-			}
-		}
-		if !found {
-			return fmt.Errorf("corrupt: filter %d installed nowhere", m.FilterID)
-		}
-	case "stale-cover":
-		if m.Filter == nil {
-			return fmt.Errorf("corrupt: stale-cover needs the stale parent filter")
-		}
-		fib, err := treeFIB(r, m.Switch)
-		if err != nil {
-			return err
-		}
-		fs, ok := fib.Ports[m.Port]
-		if !ok {
-			return fmt.Errorf("corrupt: node %d has no port %d", m.Switch, m.Port)
-		}
-		if _, ok := fs[m.FilterID]; !ok {
-			return fmt.Errorf("corrupt: node %d port %d has no filter %d", m.Switch, m.Port, m.FilterID)
-		}
-		delete(fs, m.FilterID)
-		fs[m.Filter.ID] = m.Filter
-	case "over-broad-cover":
-		if m.Expr == nil {
-			return fmt.Errorf("corrupt: over-broad-cover needs an expression")
-		}
-		f, err := netFilter(r.Filters, m.FilterID)
-		if err != nil {
-			return err
-		}
-		f.Expr = m.Expr
-		f.Approx = m.Expr
-	default:
-		return fmt.Errorf("corrupt: unknown tree op %q", m.Op)
+// entry resolves the port entry m names: filter FilterID on switch
+// Switch's port Port.
+func (m NetMutation) entry(r *routing.Result) (*routing.FIB, routing.FilterSet, *routing.Filter, error) {
+	if m.Switch < 0 || m.Switch >= len(r.FIBs) {
+		return nil, nil, nil, fmt.Errorf("corrupt: no switch %d", m.Switch)
 	}
-	return nil
-}
-
-func netFIB(r *routing.Result, sw int) (*routing.FIB, error) {
-	if sw < 0 || sw >= len(r.FIBs) {
-		return nil, fmt.Errorf("corrupt: no switch %d", sw)
+	fib := r.FIBs[m.Switch]
+	fs, ok := fib.Ports[m.Port]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("corrupt: switch %d has no port %d", m.Switch, m.Port)
 	}
-	return r.FIBs[sw], nil
-}
-
-func treeFIB(r *routing.TreeResult, v int) (*routing.TreeFIB, error) {
-	if v < 0 || v >= len(r.FIBs) || r.FIBs[v] == nil {
-		return nil, fmt.Errorf("corrupt: no node %d", v)
+	f, ok := fs[m.FilterID]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("corrupt: switch %d port %d has no filter %d", m.Switch, m.Port, m.FilterID)
 	}
-	return r.FIBs[v], nil
+	return fib, fs, f, nil
 }
 
 func netFilter(fs []*routing.Filter, id int) (*routing.Filter, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"camus/internal/bdd"
 	"camus/internal/compiler"
 	"camus/internal/match"
 	"camus/internal/spec"
@@ -108,18 +109,21 @@ func (m Mutation) Apply(p *compiler.Program) error {
 		f.Bits = m.N
 	case "add-aggregates":
 		// The windows are linked the way the compiler links a live
-		// aggregate: a leaf row updates each one.
+		// aggregate: a universe field a leaf row updates.
 		if len(p.Leaf) == 0 {
 			return fmt.Errorf("fitmut: program has no leaf row")
 		}
-		le := p.Leaf[0]
+		u, le := p.BDD.Universe, p.Leaf[0]
+		u.Fields = slices.Clip(u.Fields)
 		le.Updates = slices.Clip(le.Updates)
 		for i := 0; i < m.N; i++ {
-			le.Updates = append(le.Updates, subscription.FieldRef{
+			ref := subscription.FieldRef{
 				Kind: subscription.AggregateRef,
 				Agg:  spec.AggCount,
 				Var:  fmt.Sprintf("fitmut%d", i),
-			}.Key())
+			}
+			u.Fields = append(u.Fields, &bdd.FieldVar{Index: len(u.Fields), Ref: ref})
+			le.Updates = append(le.Updates, ref.Key())
 		}
 	default:
 		return fmt.Errorf("fitmut: unknown op %q", m.Op)

@@ -1,6 +1,7 @@
 package netcheck_test
 
 import (
+	"slices"
 	"testing"
 
 	"camus/internal/analysis/corrupt"
@@ -41,26 +42,26 @@ func corpusDeploy(t testing.TB, net *topology.Network, subs [][]subscription.Exp
 	if err != nil {
 		t.Fatalf("ComputeFatTree: %v", err)
 	}
-	return corpusCompile(t, res, muts)
+	return corpusCompile(t, net, res, muts)
 }
 
 // corpusCompile corrupts a routing result with the mutations, compiles it
 // (controller.Compile) and exports every switch's prover IR.
-func corpusCompile(t testing.TB, res *routing.Result, muts []corrupt.NetMutation) (*controller.Deployment, []*prove.Program) {
+func corpusCompile(t testing.TB, net *topology.Network, res *routing.Result, muts []corrupt.NetMutation) (*controller.Deployment, []*prove.Program) {
 	t.Helper()
 	for i, m := range muts {
-		if err := m.ApplyNet(res); err != nil {
+		if err := m.Apply(res); err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
 	}
-	d, err := controller.Compile(corpusSpec, res, compiler.Options{})
+	d, err := controller.Compile(corpusSpec, net, res, compiler.Options{})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
 	irs := make([]*prove.Program, len(d.Programs))
 	for i, prog := range d.Programs {
 		if irs[i], err = prog.ProveIR(); err != nil {
-			t.Fatalf("ProveIR(%s): %v", res.Network.Switches[i].Name, err)
+			t.Fatalf("ProveIR(%s): %v", net.Switches[i].Name, err)
 		}
 	}
 	return d, irs
@@ -200,27 +201,12 @@ func TestTreeCorpusSeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	port := -1
-	for p, peer := range tr.FIBs[0].PortPeer {
-		if peer == 1 {
-			port = p
-		}
-	}
+	port := slices.Index(mst.TreeNeighbors(0), 1)
 	mut := corrupt.NetMutation{Op: "drop-port-entry", Switch: 0, Port: port, FilterID: 0}
-	if err := mut.ApplyTree(tr); err != nil {
-		t.Fatalf("ApplyTree: %v", err)
+	if err := mut.Apply(tr); err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
-	progs := make([]*prove.Program, g.N)
-	for v := 0; v < g.N; v++ {
-		prog, err := compiler.Compile(corpusSpec, tr.RulesForNode(v), compiler.Options{})
-		if err != nil {
-			t.Fatalf("Compile(%d): %v", v, err)
-		}
-		if progs[v], err = prog.ProveIR(); err != nil {
-			t.Fatalf("ProveIR(%d): %v", v, err)
-		}
-	}
-	res, err := netcheck.CheckTree(tr, corpusSpec, progs, netcheck.TreeSubscriptions(tr), netcheck.Options{})
+	res, err := netcheck.CheckTree(mst, corpusSpec, compileTree(t, corpusSpec, tr), netcheck.Subscriptions(tr), netcheck.Options{})
 	if err != nil {
 		t.Fatalf("CheckTree: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"camus/internal/analysis/netcheck"
 	"camus/internal/analysis/prove"
 	"camus/internal/analysis/replay"
-	"camus/internal/compiler"
 	"camus/internal/controller"
 	"camus/internal/routing"
 	"camus/internal/routing/cover"
@@ -17,7 +16,7 @@ import (
 
 // coverDeploy is corpusDeploy with the covering reduction applied
 // between routing and compilation: the subsumption forest's batch
-// equivalent (cover.ReduceResult) elides every port entry implied by a
+// equivalent (cover.Reduce) elides every port entry implied by a
 // broader filter on the same port, then the mutations corrupt the
 // *reduced* tables — the state a buggy uncover/promote pass would leave
 // behind. (cover stays out of netcheck's non-test dependencies; this
@@ -29,8 +28,8 @@ func coverDeploy(t testing.TB, net *topology.Network, subs [][]subscription.Expr
 	if err != nil {
 		t.Fatalf("ComputeFatTree: %v", err)
 	}
-	st := cover.ReduceResult(cover.NewImplier(corpusSpec, 0), res)
-	d, irs := corpusCompile(t, res, muts)
+	st := cover.Reduce(cover.NewImplier(corpusSpec, 0), res)
+	d, irs := corpusCompile(t, net, res, muts)
 	return d, irs, st
 }
 
@@ -210,35 +209,25 @@ func TestCoveringTreeCorpus(t *testing.T) {
 		corpusFilter(t, "stock == GOOGL"),
 		corpusFilter(t, "stock == GOOGL and price > 500"),
 	}}
-	build := func(muts []corrupt.NetMutation) (*routing.TreeResult, []*prove.Program, cover.ReduceStats) {
+	build := func(muts []corrupt.NetMutation) (*routing.Result, []*prove.Program, cover.ReduceStats) {
 		tr, err := routing.ComputeTree(mst, subs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := cover.ReduceTree(cover.NewImplier(corpusSpec, 0), tr)
+		st := cover.Reduce(cover.NewImplier(corpusSpec, 0), tr)
 		for i, m := range muts {
-			if err := m.ApplyTree(tr); err != nil {
+			if err := m.Apply(tr); err != nil {
 				t.Fatalf("mutation %d: %v", i, err)
 			}
 		}
-		progs := make([]*prove.Program, g.N)
-		for v := 0; v < g.N; v++ {
-			prog, err := compiler.Compile(corpusSpec, tr.RulesForNode(v), compiler.Options{})
-			if err != nil {
-				t.Fatalf("Compile(%d): %v", v, err)
-			}
-			if progs[v], err = prog.ProveIR(); err != nil {
-				t.Fatalf("ProveIR(%d): %v", v, err)
-			}
-		}
-		return tr, progs, st
+		return tr, compileTree(t, corpusSpec, tr), st
 	}
 
 	tr, progs, st := build(nil)
 	if st.Removed() == 0 {
 		t.Fatalf("tree covering reduction elided nothing: %+v", st)
 	}
-	res, err := netcheck.CheckTree(tr, corpusSpec, progs, netcheck.TreeSubscriptions(tr), netcheck.Options{})
+	res, err := netcheck.CheckTree(mst, corpusSpec, progs, netcheck.Subscriptions(tr), netcheck.Options{})
 	if err != nil {
 		t.Fatalf("CheckTree: %v", err)
 	}
@@ -247,7 +236,7 @@ func TestCoveringTreeCorpus(t *testing.T) {
 	}
 
 	tr, progs, _ = build([]corrupt.NetMutation{{Op: "dropped-uncover", FilterID: 0}})
-	res, err = netcheck.CheckTree(tr, corpusSpec, progs, netcheck.TreeSubscriptions(tr), netcheck.Options{})
+	res, err = netcheck.CheckTree(mst, corpusSpec, progs, netcheck.Subscriptions(tr), netcheck.Options{})
 	if err != nil {
 		t.Fatalf("CheckTree: %v", err)
 	}

@@ -2,6 +2,7 @@ package netcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"camus/internal/analysis/prove"
 	"camus/internal/routing"
@@ -158,7 +159,7 @@ func (ck *checker) propagateFat(net *topology.Network, progs []*prove.Program, p
 						continue
 					}
 					npath := append(append([]int(nil), it.path...), it.sw)
-					if containsInt(npath, next) {
+					if slices.Contains(npath, next) {
 						ck.loopFinding(pub, next, npath, ncls)
 						continue
 					}

@@ -35,6 +35,7 @@ import (
 
 	"camus/internal/analysis/prove"
 	"camus/internal/analysis/report"
+	"camus/internal/routing"
 	"camus/internal/spec"
 	"camus/internal/subscription"
 )
@@ -55,6 +56,16 @@ type Subscription struct {
 	ID   int
 	Host int
 	Expr subscription.Expr
+}
+
+// Subscriptions derives the exact subscription set from a computed
+// routing policy, fat tree or spanning tree.
+func Subscriptions(res *routing.Result) []Subscription {
+	subs := make([]Subscription, 0, len(res.Filters))
+	for _, f := range res.Filters {
+		subs = append(subs, Subscription{ID: f.ID, Host: f.Host, Expr: f.Expr})
+	}
+	return subs
 }
 
 // Options bound the symbolic exploration.
@@ -421,13 +432,4 @@ func (ck *checker) loopFinding(ingress, sw int, path []int, cls *prove.Class) {
 		Cex:     a,
 		Message: fmt.Sprintf("loop: a packet published from %d revisits %s (path %v)", ingress, ck.swName(sw), ck.names(path)),
 	})
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

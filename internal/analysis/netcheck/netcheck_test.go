@@ -114,29 +114,36 @@ func TestFatTreeClean(t *testing.T) {
 }
 
 // buildTree computes and compiles an MST++ deployment over a random
-// AS-like graph.
-func buildTree(t testing.TB, g *topology.Graph, subs map[int][]subscription.Expr, alpha int64) (*routing.TreeResult, []*prove.Program) {
+// AS-like graph, returning the tree, the ground truth and the per-node
+// prover IR.
+func buildTree(t testing.TB, g *topology.Graph, subs map[int][]subscription.Expr, alpha int64) (*topology.Tree, []netcheck.Subscription, []*prove.Program) {
 	t.Helper()
 	mst, err := topology.PrimMST(g, 0, topology.DegreeProductWeight(g))
 	if err != nil {
 		t.Fatalf("PrimMST: %v", err)
 	}
-	tr, err := routing.ComputeTree(mst, subs, alpha)
+	res, err := routing.ComputeTree(mst, subs, alpha)
 	if err != nil {
 		t.Fatalf("ComputeTree: %v", err)
 	}
-	progs := make([]*prove.Program, g.N)
-	for v := 0; v < g.N; v++ {
-		prog, err := compiler.Compile(itchSpec, tr.RulesForNode(v), compiler.Options{})
+	return mst, netcheck.Subscriptions(res), compileTree(t, itchSpec, res)
+}
+
+// compileTree compiles every node of a spanning-tree routing result and
+// exports its prover IR.
+func compileTree(t testing.TB, sp *spec.Spec, res *routing.Result) []*prove.Program {
+	t.Helper()
+	progs := make([]*prove.Program, len(res.FIBs))
+	for v := range res.FIBs {
+		prog, err := compiler.Compile(sp, res.RulesForSwitch(v), compiler.Options{})
 		if err != nil {
 			t.Fatalf("Compile(node %d): %v", v, err)
 		}
-		progs[v], err = prog.ProveIR()
-		if err != nil {
+		if progs[v], err = prog.ProveIR(); err != nil {
 			t.Fatalf("ProveIR(node %d): %v", v, err)
 		}
 	}
-	return tr, progs
+	return progs
 }
 
 // TestTreeClean certifies §IV-E routing end-to-end on random general
@@ -154,8 +161,8 @@ func TestTreeClean(t *testing.T) {
 					subs[node] = append(subs[node], filter(t, fmt.Sprintf(
 						"stock == %s and price > %d", stocks[r.Intn(len(stocks))], 100+r.Intn(800))))
 				}
-				tr, progs := buildTree(t, g, subs, alpha)
-				res, err := netcheck.CheckTree(tr, itchSpec, progs, netcheck.TreeSubscriptions(tr), netcheck.Options{Alpha: alpha})
+				mst, truth, progs := buildTree(t, g, subs, alpha)
+				res, err := netcheck.CheckTree(mst, itchSpec, progs, truth, netcheck.Options{Alpha: alpha})
 				if err != nil {
 					t.Fatalf("seed %d: CheckTree: %v", seed, err)
 				}
@@ -202,24 +209,20 @@ func TestFatTreeBlackHoleSeeded(t *testing.T) {
 	}
 }
 
-// TestTreeLoopSeeded rewires a leaf's FIB back toward the root's
-// direction so a class revisits a node, and demands a loop finding.
+// TestTreeLoopSeeded hands CheckTree a "tree" that is a triangle, every
+// node flooding both of its ports, and demands a loop finding.
 func TestTreeLoopSeeded(t *testing.T) {
-	// Triangle: nodes 0-1-2 fully connected; MST is a path.
 	g := topology.NewGraph(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(0, 2)
-	subs := map[int][]subscription.Expr{2: {filter(t, "stock == GOOGL")}}
-	tr, _ := buildTree(t, g, subs, 0)
-	// Corrupt: every node floods all ports — classic routing loop.
+	// Each node's parent is its predecessor round the cycle, so node v's
+	// ports lead to (v+1)%3 and (v+2)%3 — no spanning tree, a ring.
+	ring := &topology.Tree{Graph: g, Root: 0, Parent: []int{2, 0, 1}, Kids: [][]int{{1}, {2}, {0}}}
 	progs := make([]*prove.Program, 3)
 	for v := 0; v < 3; v++ {
-		fib := tr.FIBs[v]
-		// Rewire the tree FIB into the triangle so a cycle exists.
-		fib.PortPeer = []int{(v + 1) % 3, (v + 2) % 3}
 		var rules []*subscription.Rule
-		for p := range fib.PortPeer {
+		for p := range ring.TreeNeighbors(v) {
 			rules = append(rules, &subscription.Rule{
 				ID: p, Filter: filter(t, "stock == GOOGL"), Action: subscription.FwdAction(p),
 			})
@@ -233,7 +236,8 @@ func TestTreeLoopSeeded(t *testing.T) {
 			t.Fatalf("ProveIR: %v", err)
 		}
 	}
-	res, err := netcheck.CheckTree(tr, itchSpec, progs, netcheck.TreeSubscriptions(tr), netcheck.Options{})
+	truth := []netcheck.Subscription{{ID: 0, Host: 2, Expr: filter(t, "stock == GOOGL")}}
+	res, err := netcheck.CheckTree(ring, itchSpec, progs, truth, netcheck.Options{})
 	if err != nil {
 		t.Fatalf("CheckTree: %v", err)
 	}
@@ -292,7 +296,7 @@ func TestBudgetOverflow(t *testing.T) {
 		17: {filter(t, "stock == GOOGL")},
 		24: {filter(t, "price > 900 and shares > 500")},
 	}
-	tr, treeProgs := buildTree(t, g, treeSubs, 0)
+	mst, treeTruth, treeProgs := buildTree(t, g, treeSubs, 0)
 
 	modes := []struct {
 		name  string
@@ -302,7 +306,7 @@ func TestBudgetOverflow(t *testing.T) {
 			return netcheck.CheckFatTree(net, itchSpec, fatProgs, flat, o)
 		}},
 		{"tree", func(o netcheck.Options) (*netcheck.Result, error) {
-			return netcheck.CheckTree(tr, itchSpec, treeProgs, netcheck.TreeSubscriptions(tr), o)
+			return netcheck.CheckTree(mst, itchSpec, treeProgs, treeTruth, o)
 		}},
 	}
 	budgets := []struct {

@@ -2,16 +2,19 @@ package netcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"camus/internal/analysis/prove"
 	"camus/internal/routing"
 	"camus/internal/spec"
+	"camus/internal/topology"
 )
 
 // CheckTree verifies the network invariants for a general-topology
-// spanning-tree deployment (routing.ComputeTree): progs is the
+// spanning-tree deployment (routing.ComputeTree over t): progs is the
 // per-node symbolic IR (from programs compiled over
-// TreeResult.RulesForNode) and subs the exact subscription set with
+// Result.RulesForSwitch), port i of node v leads to
+// t.TreeNeighbors(v)[i], and subs is the exact subscription set with
 // Host = graph vertex.
 //
 // Tree nodes are their own access switches, so delivery means "a copy
@@ -23,8 +26,8 @@ import (
 // none of that node's subscriptions and forwarded nowhere — is
 // mis-routed traffic, since α-approximation is deterministic and a
 // transit node forwards everything its upstream approximation admits.
-func CheckTree(tr *routing.TreeResult, sp *spec.Spec, progs []*prove.Program, subs []Subscription, opts Options) (*Result, error) {
-	n := tr.Tree.Graph.N
+func CheckTree(t *topology.Tree, sp *spec.Spec, progs []*prove.Program, subs []Subscription, opts Options) (*Result, error) {
+	n := t.Graph.N
 	if len(progs) != n {
 		return nil, fmt.Errorf("netcheck: %d programs for %d nodes", len(progs), n)
 	}
@@ -67,7 +70,7 @@ func CheckTree(tr *routing.TreeResult, sp *spec.Spec, progs []*prove.Program, su
 			return nil, fmt.Errorf("netcheck: publisher %d out of range", pub)
 		}
 		ck.cut = false
-		arrivals, dead := ck.propagateTree(tr, progs, pub)
+		arrivals, dead := ck.propagateTree(t, progs, pub)
 		if !ck.cut {
 			ck.checkBlackHoles(pub, arrivals, noNS)
 		}
@@ -75,16 +78,6 @@ func CheckTree(tr *routing.TreeResult, sp *spec.Spec, progs []*prove.Program, su
 		ck.checkDuplicates(pub, arrivals, noNS)
 	}
 	return ck.res, nil
-}
-
-// TreeSubscriptions derives the exact subscription set from a computed
-// tree policy.
-func TreeSubscriptions(tr *routing.TreeResult) []Subscription {
-	subs := make([]Subscription, 0, len(tr.Filters))
-	for _, f := range tr.Filters {
-		subs = append(subs, Subscription{ID: f.ID, Host: f.Host, Expr: f.Expr})
-	}
-	return subs
 }
 
 type treeInst struct {
@@ -95,9 +88,9 @@ type treeInst struct {
 }
 
 // propagateTree pushes the unconstrained class from the publishing
-// node through the tree FIBs, returning per-node arrivals and the
-// dead classes (arrived, matched no forwarding port).
-func (ck *checker) propagateTree(tr *routing.TreeResult, progs []*prove.Program, pub int) (arrivals, dead map[int][]delivery) {
+// node over the tree's links, returning per-node arrivals and the dead
+// classes (arrived, matched no forwarding port).
+func (ck *checker) propagateTree(t *topology.Tree, progs []*prove.Program, pub int) (arrivals, dead map[int][]delivery) {
 	arrivals = make(map[int][]delivery)
 	dead = make(map[int][]delivery)
 	queue := []treeInst{{node: pub, in: -1, cls: prove.NewClass()}}
@@ -111,8 +104,7 @@ func (ck *checker) propagateTree(tr *routing.TreeResult, progs []*prove.Program,
 			break
 		}
 		prog := progs[it.node]
-		fib := tr.FIBs[it.node]
-		if prog == nil || fib == nil {
+		if prog == nil {
 			if it.node != pub {
 				dead[it.node] = append(dead[it.node], delivery{cls: it.cls, path: append(append([]int(nil), it.path...), it.node)})
 			}
@@ -122,21 +114,22 @@ func (ck *checker) propagateTree(tr *routing.TreeResult, progs []*prove.Program,
 		if over {
 			ck.overflow(fmt.Sprintf("symbolic path budget (%d) exhausted on node %d", ck.opts.MaxPaths, it.node))
 		}
+		peers := t.TreeNeighbors(it.node)
 		for _, sp := range paths {
 			npath := append(append([]int(nil), it.path...), it.node)
 			forwarded := false
 			for _, q := range sp.Actions.Ports {
-				if q == it.in || q < 0 || q >= len(fib.PortPeer) {
+				if q == it.in || q < 0 || q >= len(peers) {
 					continue // ingress-port drop / invalid port
 				}
 				forwarded = true
-				next := fib.PortPeer[q]
+				next := peers[q]
 				ncls := sp.Class.Freeze(ns(it.node))
 				if ncls == nil {
 					continue
 				}
 				arrivals[next] = append(arrivals[next], delivery{cls: ncls, path: npath})
-				if containsInt(npath, next) {
+				if slices.Contains(npath, next) {
 					ck.loopFinding(pub, next, npath, ncls)
 					continue
 				}
@@ -144,16 +137,7 @@ func (ck *checker) propagateTree(tr *routing.TreeResult, progs []*prove.Program,
 					ck.overflow(fmt.Sprintf("hop budget (%d) exhausted from node %d without a revisit", ck.opts.MaxHops, pub))
 					continue
 				}
-				in := -1
-				nfib := tr.FIBs[next]
-				if nfib != nil {
-					for p, peer := range nfib.PortPeer {
-						if peer == it.node {
-							in = p
-							break
-						}
-					}
-				}
+				in := slices.Index(t.TreeNeighbors(next), it.node)
 				queue = append(queue, treeInst{node: next, in: in, cls: ncls, path: npath})
 			}
 			if !forwarded && it.node != pub {

@@ -2,6 +2,7 @@ package prove
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -141,7 +142,7 @@ func (c *checker) checkGroups() {
 			continue
 		}
 		ok := l.Group >= 0 && l.Group < len(c.p.Groups) &&
-			equalInts(c.p.Groups[l.Group], l.Actions.Ports)
+			slices.Equal(c.p.Groups[l.Group], l.Actions.Ports)
 		if !ok {
 			c.res.Findings = append(c.res.Findings, Finding{
 				Kind: KindGroupMismatch, RuleID: -1,
@@ -194,7 +195,7 @@ func (c *checker) checkMissing() {
 				scan:
 					for _, pr := range paths {
 						for _, k := range d.aggKeys {
-							if pr.leaf != nil && containsStr(pr.leaf.Updates, k) {
+							if pr.leaf != nil && slices.Contains(pr.leaf.Updates, k) {
 								continue
 							}
 							if a, ok := pr.c.concretize(c.p.Spec); ok &&
@@ -277,7 +278,7 @@ func (c *checker) checkSpurious() {
 func (c *checker) portRules(q int) []*provedRule {
 	var out []*provedRule
 	for _, r := range c.rules {
-		if r.action.IsFwd() && containsInt(r.action.Ports, q) {
+		if _, ok := slices.BinarySearch(r.action.Ports, q); ok && r.action.IsFwd() {
 			out = append(out, r)
 		}
 	}
@@ -339,7 +340,7 @@ func (c *checker) unjustifiedUpdate(pc *pctx, k string) ([]int, *Assignment) {
 	ctxs := []*pctx{pc}
 	for _, r := range c.rules {
 		for _, d := range r.disjuncts {
-			if !containsStr(d.aggKeys, k) {
+			if !slices.Contains(d.aggKeys, k) {
 				continue
 			}
 			idSet[r.id] = true
@@ -368,27 +369,6 @@ func (c *checker) unjustifiedUpdate(pc *pctx, k string) ([]int, *Assignment) {
 		}
 	}
 	return nil, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsStr(list []string, v string) bool {
-	for _, s := range list {
-		if s == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Report converts the result to the shared diagnostic envelope.

@@ -37,6 +37,7 @@ package prove
 
 import (
 	"fmt"
+	"slices"
 
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -240,7 +241,7 @@ func (p *Program) Eval(a *Assignment) (subscription.ActionSet, []string) {
 	}
 	if l := p.leafByState[state]; l != nil {
 		upd := append([]string(nil), l.Updates...)
-		sortStrings(upd)
+		slices.Sort(upd)
 		return l.Actions.Clone(), upd
 	}
 	return subscription.ActionSet{}, nil

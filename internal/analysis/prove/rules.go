@@ -2,6 +2,7 @@ package prove
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"camus/internal/spec"
@@ -265,7 +266,7 @@ func processRules(rules []*subscription.Rule, o Options) ([]*provedRule, error) 
 			for _, at := range d {
 				if at.ref.Kind == subscription.AggregateRef {
 					aggKeys = append(aggKeys, at.ref.Key())
-					if at.ref.Field != nil && !containsStr(aggHeaders, at.ref.Field.Header) {
+					if at.ref.Field != nil && !slices.Contains(aggHeaders, at.ref.Field.Header) {
 						aggHeaders = append(aggHeaders, at.ref.Field.Header)
 					}
 				} else {
@@ -352,20 +353,19 @@ func (c conj) eval(a *Assignment) bool {
 // stateless contexts trigger.
 func evalRules(rules []*provedRule, a *Assignment) (subscription.ActionSet, []string) {
 	var set subscription.ActionSet
-	updates := make(map[string]bool)
+	var updates []string
 	for _, r := range rules {
 		for _, d := range r.disjuncts {
 			if d.atoms.eval(a) {
 				set.Add(r.action)
 			}
 			if len(d.aggKeys) > 0 && d.stateless.eval(a) {
-				for _, k := range d.aggKeys {
-					updates[k] = true
-				}
+				updates = append(updates, d.aggKeys...)
 			}
 		}
 	}
-	return set, sortedKeys(updates)
+	slices.Sort(updates)
+	return set, slices.Compact(updates)
 }
 
 // EvalRules is the exported ground truth: the merged action set and
@@ -381,23 +381,6 @@ func EvalRules(rules []*subscription.Rule, o Options, a *Assignment) (subscripti
 	return set, upd, nil
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // subsumes reports whether the merged action set already carries every
 // effect of act under the §V-D forwarding merge: all fwd ports
 // present; custom actions present by exact key. The empty fwd() (drop)
@@ -405,7 +388,7 @@ func sortStrings(s []string) {
 func subsumes(set subscription.ActionSet, act subscription.Action) bool {
 	if act.IsFwd() {
 		for _, p := range act.Ports {
-			if !containsInt(set.Ports, p) {
+			if _, ok := slices.BinarySearch(set.Ports, p); !ok {
 				return false
 			}
 		}
@@ -418,17 +401,4 @@ func subsumes(set subscription.ActionSet, act subscription.Action) bool {
 		}
 	}
 	return false
-}
-
-func containsInt(sorted []int, v int) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == v
 }

@@ -9,6 +9,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"camus/internal/analysis/prove"
 	"camus/internal/compiler"
@@ -84,7 +85,7 @@ func Confirm(sp *spec.Spec, prog *compiler.Program, rules []*subscription.Rule,
 	out.Got = sw.EvalMessage(m, 0)
 	if le := prog.Lookup(m, cex.MapState()); le != nil {
 		out.GotUpdates = append([]string(nil), le.Updates...)
-		sortStrings(out.GotUpdates)
+		slices.Sort(out.GotUpdates)
 	}
 	for _, d := range sw.Process(&pipeline.Packet{In: 0, Msgs: []*spec.Message{m}, Bytes: len(out.Wire)}, 0) {
 		out.Ports = append(out.Ports, d.Port)
@@ -133,12 +134,4 @@ func roundTrip(sp *spec.Spec, cex *prove.Assignment) (wire []byte, headers []str
 		return nil, nil, nil, fmt.Errorf("replay: %d trailing bytes after decode", len(rest))
 	}
 	return wire, headers, m, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -18,6 +18,7 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -108,7 +109,7 @@ func (c *Counterexample) String() string {
 		for k := range c.Fields {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		b.WriteString("{")
 		for i, k := range keys {
 			if i > 0 {
@@ -123,7 +124,7 @@ func (c *Counterexample) String() string {
 		for k := range c.State {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		b.WriteString("state{")
 		for i, k := range keys {
 			if i > 0 {
@@ -181,14 +182,4 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  %s\n", f)
 	}
 	return b.String()
-}
-
-// sortStrings is a tiny insertion sort; envelope maps are small and this
-// keeps the package dependency-free.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,6 +1,9 @@
 package compiler
 
-import "camus/internal/subscription"
+import (
+	"camus/internal/bdd"
+	"camus/internal/subscription"
+)
 
 // Switch resource budgets modeling a Tofino-class programmable ASIC
 // pipeline (per pipe). Absolute sizes are a stand-in for the testbed
@@ -125,21 +128,34 @@ func MaxEntryCost(t *Table) TableCost {
 	return c
 }
 
-// RegisterCount returns the number of stateful registers the program
-// uses: one per aggregate a stage reads or a leaf updates. An aggregate
-// field the universe still holds after its last filter left (the
-// incremental engine's universe only grows) takes no register.
-func RegisterCount(p *Program) int {
-	keys := make(map[string]bool)
+// Aggregates returns the aggregates the program holds a stateful
+// register for: the universe's aggregate fields a stage reads or a leaf
+// updates, in universe order. An aggregate field the universe still
+// holds after its last filter left (the incremental engine's universe
+// only grows) is not among them, and a program built without a diagram
+// has none.
+func Aggregates(p *Program) []*bdd.FieldVar {
+	if p.BDD == nil {
+		return nil
+	}
+	live := make(map[string]bool)
 	for _, t := range p.Stages {
-		if t.Field.Ref.Kind == subscription.AggregateRef {
-			keys[t.Field.Key()] = true
-		}
+		live[t.Field.Key()] = true
 	}
 	for _, le := range p.Leaf {
 		for _, k := range le.Updates {
-			keys[k] = true
+			live[k] = true
 		}
 	}
-	return len(keys)
+	var out []*bdd.FieldVar
+	for _, fv := range p.BDD.Universe.AggregateFields() {
+		if live[fv.Key()] {
+			out = append(out, fv)
+		}
+	}
+	return out
 }
+
+// RegisterCount returns the number of stateful registers the program
+// uses: one per aggregate (Aggregates).
+func RegisterCount(p *Program) int { return len(Aggregates(p)) }

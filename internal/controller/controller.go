@@ -55,30 +55,30 @@ func Deploy(net *topology.Network, sp *spec.Spec, subs [][]subscription.Expr, op
 	if err != nil {
 		return nil, fmt.Errorf("controller: routing: %w", err)
 	}
-	return Compile(sp, res, opts.Compiler)
+	return Compile(sp, net, res, opts.Compiler)
 }
 
-// Compile is Deploy's second half: it compiles every switch of a computed
-// routing policy — as Deploy got it, or reduced (cover.ReduceResult) or
-// otherwise rewritten by the caller first. copts apply to every switch;
-// LastHop is forced per port: stateful predicates are evaluated only at
-// the hop immediately before the subscriber (§II), on rules forwarding to
-// host-facing ports, and transit rules (up ports, switch-to-switch) are
-// erased to their stateless superset.
+// Compile is Deploy's second half: it compiles every switch of net under
+// a routing policy computed over it — as Deploy got it, or reduced
+// (cover.Reduce) or otherwise rewritten by the caller first. copts apply
+// to every switch; LastHop is forced per port: stateful predicates are
+// evaluated only at the hop immediately before the subscriber (§II), on
+// rules forwarding to host-facing ports, and transit rules (up ports,
+// switch-to-switch) are erased to their stateless superset.
 //
 // A compile is one goroutine's work, and the per-switch compiles share
 // nothing mutable (each builds its own universe and BDD), so this is the
 // one place compilation fans out: min(GOMAXPROCS, switches) workers
 // (DESIGN §11 has the measurement). Results land in per-switch slots,
 // making the deployment independent of completion order.
-func Compile(sp *spec.Spec, res *routing.Result, copts compiler.Options) (*Deployment, error) {
+func Compile(sp *spec.Spec, net *topology.Network, res *routing.Result, copts compiler.Options) (*Deployment, error) {
 	static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("controller: static pipeline: %w", err)
 	}
-	switches := res.Network.Switches
+	switches := net.Switches
 	d := &Deployment{
-		Network:  res.Network,
+		Network:  net,
 		Spec:     sp,
 		Routing:  res,
 		Static:   static,

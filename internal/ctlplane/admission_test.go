@@ -50,7 +50,7 @@ func netValidate(t *testing.T, svc *Service, net *topology.Network) {
 	for i := range net.Switches {
 		progs[i] = svc.rec.Program(i)
 	}
-	v := NetcheckValidator(net, itchSpec, 0)
+	v := NetcheckValidator(net, itchSpec)
 	if err := v(progs, svc.rec.HostFilters()); err != nil {
 		t.Fatalf("netcheck validation failed: %v", err)
 	}

@@ -15,7 +15,7 @@ import (
 // TestPlacementMatchesAlgorithm1: for random subscription sets — with
 // random interleaved removals — the covering reconciler's registered
 // rule set per switch must equal the batch pipeline's, i.e.
-// ComputeFatTree followed by cover.ReduceResult. Both sides keep
+// ComputeFatTree followed by cover.Reduce. Both sides keep
 // exactly the maximal filters per port, so the incremental forest
 // maintenance must converge to the batch covering regardless of
 // operation order.
@@ -72,7 +72,7 @@ func TestCoveringMatchesBatchReduce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cover.ReduceResult(im, res)
+				cover.Reduce(im, res)
 				for sw := range net.Switches {
 					want := ruleSet(res.RulesForSwitch(sw))
 					got := ruleSet(rec.pendingRules(sw))
@@ -109,7 +109,7 @@ func TestCoveringEquivalentKeepsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cover.ReduceResult(cover.NewImplier(itchSpec, 0), res)
+	cover.Reduce(cover.NewImplier(itchSpec, 0), res)
 	access, port := net.Access(0)
 	if got, want := ruleSet(rec.pendingRules(access)), []string{fmt.Sprintf("%s: fwd(%d)", first, port)}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("reconciler installs %v, want %v", got, want)
@@ -153,7 +153,7 @@ func TestCoveringUncoverKeepsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cover.ReduceResult(cover.NewImplier(itchSpec, 0), res)
+	cover.Reduce(cover.NewImplier(itchSpec, 0), res)
 	access, port := net.Access(0)
 	if got, want := ruleSet(rec.pendingRules(access)), []string{fmt.Sprintf("%s: fwd(%d)", first, port)}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("reconciler installs %v, want %v", got, want)

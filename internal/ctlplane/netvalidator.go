@@ -7,17 +7,12 @@ import (
 	"camus/internal/analysis/prove"
 	"camus/internal/compiler"
 	"camus/internal/spec"
-	"camus/internal/subscription"
 	"camus/internal/topology"
 )
 
 // HostFilter is one live subscription as the network-wide validator
 // sees it: the exact filter expression bound to its subscribing host.
-type HostFilter struct {
-	ID   int
-	Host int
-	Expr subscription.Expr
-}
+type HostFilter = netcheck.Subscription
 
 // NetValidator certifies the whole deployment — every switch's current
 // program against the live subscription set — at a quiescent point (no
@@ -33,11 +28,9 @@ type NetValidator func(progs []*compiler.Program, filters []HostFilter) error
 // quiescence re-proves the three invariants — no black holes, no
 // loops, exact delivery — for the control plane's current placement.
 // Like ProveValidator, a budget overflow is a validation error: the
-// certificate must be complete to count.
-//
-// maxPaths bounds each per-switch symbolic exploration (0 uses the
-// verifier default).
-func NetcheckValidator(net *topology.Network, sp *spec.Spec, maxPaths int) NetValidator {
+// certificate must be complete to count, at the verifier's default
+// budgets.
+func NetcheckValidator(net *topology.Network, sp *spec.Spec) NetValidator {
 	return func(progs []*compiler.Program, filters []HostFilter) error {
 		irs := make([]*prove.Program, len(progs))
 		for i, p := range progs {
@@ -50,11 +43,7 @@ func NetcheckValidator(net *topology.Network, sp *spec.Spec, maxPaths int) NetVa
 			}
 			irs[i] = ir
 		}
-		subs := make([]netcheck.Subscription, len(filters))
-		for i, f := range filters {
-			subs[i] = netcheck.Subscription{ID: f.ID, Host: f.Host, Expr: f.Expr}
-		}
-		res, err := netcheck.CheckFatTree(net, sp, irs, subs, netcheck.Options{MaxPaths: maxPaths})
+		res, err := netcheck.CheckFatTree(net, sp, irs, filters, netcheck.Options{})
 		if err != nil {
 			return fmt.Errorf("%w: netcheck: %v", ErrValidationFailed, err)
 		}

@@ -58,15 +58,14 @@ type Option func(*config)
 
 type config struct {
 	logPath    string
-	logOpts    []ctlplane.LogOption
 	svcOpts    []ctlplane.Option
 	tenantOpts []ctlplane.TenantOption
 }
 
 // WithEventLog opens (or resumes) the durable event log at path; New
 // replays it before the daemon serves traffic.
-func WithEventLog(path string, opts ...ctlplane.LogOption) Option {
-	return func(c *config) { c.logPath = path; c.logOpts = opts }
+func WithEventLog(path string) Option {
+	return func(c *config) { c.logPath = path }
 }
 
 // WithService forwards functional options to the underlying
@@ -92,7 +91,7 @@ func New(netw *topology.Network, sp *spec.Spec, opts ...Option) (*Daemon, error)
 	}
 	d := &Daemon{net: netw, sp: sp, start: time.Now()}
 	if cfg.logPath != "" {
-		l, err := ctlplane.OpenLog(cfg.logPath, cfg.logOpts...)
+		l, err := ctlplane.OpenLog(cfg.logPath)
 		if err != nil {
 			return nil, err
 		}

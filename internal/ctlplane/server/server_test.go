@@ -568,7 +568,7 @@ func TestHTTPChurnSoakValidated(t *testing.T) {
 	}
 	net := topology.MustFatTree(4)
 	d, ts := newDaemon(t,
-		server.WithService(ctlplane.WithValidator(ctlplane.ProveValidator(net, 0), 8)),
+		server.WithService(ctlplane.WithValidator(ctlplane.ProveValidator(net), 8)),
 		server.WithTenancy(ctlplane.WithAutoCreate(),
 			ctlplane.WithDefaultQuota(ctlplane.TenantQuota{MaxSubscriptions: 256, EventsPerSec: 1e6})))
 	evs, err := workload.TenantChurn(workload.TenantChurnConfig{
@@ -647,7 +647,7 @@ func TestHTTPCrashRecoveryNetchecked(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "events.log")
 	net := topology.MustFatTree(4)
 	netOpt := server.WithService(
-		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, formats.ITCH, 0), 1))
+		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, formats.ITCH), 1))
 	d1, ts1 := newDaemon(t, server.WithEventLog(logPath), netOpt)
 	if status, raw := do(t, http.MethodPut, ts1.URL+"/v1/tenants/gamma", nil); status != http.StatusCreated {
 		t.Fatalf("create tenant: %d\n%s", status, raw)
@@ -715,7 +715,7 @@ func TestHTTPCrashRecoveryNetchecked(t *testing.T) {
 	for sw := range net.Switches {
 		progs[sw] = d2.Service().Program(sw)
 	}
-	check := ctlplane.NetcheckValidator(net, formats.ITCH, 0)
+	check := ctlplane.NetcheckValidator(net, formats.ITCH)
 	if err := check(progs, d2.Service().HostFilters()); err != nil {
 		t.Errorf("replayed deployment fails netcheck: %v", err)
 	}

@@ -198,7 +198,7 @@ type Service struct {
 //	svc, err := ctlplane.New(net, spec,
 //	    ctlplane.WithRouting(ropts),
 //	    ctlplane.WithInstallers(sim.Installers()...),
-//	    ctlplane.WithValidator(ctlplane.ProveValidator(net, 0), 16))
+//	    ctlplane.WithValidator(ctlplane.ProveValidator(net), 16))
 //
 // Close must be called to stop the workers.
 func New(net *topology.Network, sp *spec.Spec, opts ...Option) (*Service, error) {

@@ -210,7 +210,7 @@ func TestCrossTenantFairness(t *testing.T) {
 func TestWALCrashRecovery(t *testing.T) {
 	net := topology.MustFatTree(4)
 	path := filepath.Join(t.TempDir(), "events.log")
-	log1, err := OpenLog(path, WithFsyncEveryN(4))
+	log1, err := OpenLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}

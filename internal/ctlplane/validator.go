@@ -27,12 +27,12 @@ var ErrValidationFailed = fmt.Errorf("ctlplane: epoch validation failed")
 // with stateful predicates active only on host-facing ports — so a
 // clean reconciler always certifies clean.
 //
-// maxPaths bounds each symbolic exploration (0 uses the prover
-// default). A budget overflow is reported as a validation error too:
+// Each symbolic exploration runs at the prover's default budget. A
+// budget overflow is reported as a validation error too:
 // under churn the per-switch programs are small, so an exhausted
 // budget signals a misconfigured limit rather than an intractable
 // table, and silently skipping it would weaken the certificate.
-func ProveValidator(net *topology.Network, maxPaths int) Validator {
+func ProveValidator(net *topology.Network) Validator {
 	return func(sw int, prog *compiler.Program, rules []*subscription.Rule) error {
 		if sw < 0 || sw >= len(net.Switches) {
 			return fmt.Errorf("%w: switch %d out of range", ErrValidationFailed, sw)
@@ -40,7 +40,6 @@ func ProveValidator(net *topology.Network, maxPaths int) Validator {
 		opts := prove.Options{
 			LastHop:     false,
 			LastHopPort: net.Switches[sw].HostFacing,
-			MaxPaths:    maxPaths,
 		}
 		ir, err := prog.ProveIR()
 		if err != nil {

@@ -56,7 +56,7 @@ func TestProveValidatorCertifiesService(t *testing.T) {
 	net := topology.MustFatTree(4)
 	svc, ris := newServiceForTest(t, net,
 		WithRouting(routing.Options{Policy: routing.TrafficReduction, Alpha: 10}),
-		WithValidator(ProveValidator(net, 0), 0))
+		WithValidator(ProveValidator(net), 0))
 	ev, ids, err := svc.Subscribe(2, []subscription.Expr{
 		filter(t, "stock == GOOGL and price > 50"),
 		filter(t, "stock == MSFT"),
@@ -99,7 +99,7 @@ func TestValidateEverySampling(t *testing.T) {
 	net := topology.MustFatTree(4)
 	svc, _ := newServiceForTest(t, net,
 		WithRouting(routing.Options{Policy: routing.TrafficReduction}),
-		WithValidator(ProveValidator(net, 0), 4))
+		WithValidator(ProveValidator(net), 4))
 	for i := 0; i < 12; i++ {
 		stock := []string{"GOOGL", "MSFT", "AAPL"}[i%3]
 		ev, _, err := svc.Subscribe(i%4, []subscription.Expr{

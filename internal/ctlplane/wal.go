@@ -77,19 +77,13 @@ type Log struct {
 	lastErr   error
 	closed    bool
 
-	everyN int
-	stop   chan struct{}
-	done   chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
-// LogOption tunes a Log.
-type LogOption func(*Log)
-
-// WithFsyncEveryN forces a sync once N records are buffered (default
-// 64), bounding the loss window under sustained load.
-func WithFsyncEveryN(n int) LogOption {
-	return func(l *Log) { l.everyN = n }
-}
+// fsyncEveryN forces a sync once this many records are buffered,
+// bounding the loss window under sustained load.
+const fsyncEveryN = 64
 
 // OpenLog opens (or creates) the event log at path, scans the existing
 // records to recover the append position and last sequence number, and
@@ -99,15 +93,11 @@ func WithFsyncEveryN(n int) LogOption {
 // crash artifact and fails the open rather than silently discarding
 // the committed records behind it. The returned log is ready for
 // Replay and Append.
-func OpenLog(path string, opts ...LogOption) (*Log, error) {
+func OpenLog(path string) (*Log, error) {
 	l := &Log{
-		path:   path,
-		everyN: 64,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	for _, fn := range opts {
-		fn(l)
+		path: path,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -217,7 +207,7 @@ func (l *Log) Append(rec *LogRecord) error {
 	}
 	l.size += int64(walHeader + len(buf))
 	l.dirty++
-	if l.dirty >= l.everyN {
+	if l.dirty >= fsyncEveryN {
 		return l.syncLocked()
 	}
 	return nil

@@ -145,7 +145,7 @@ func maxEntries(t *topology.Tree, g *topology.Graph, selected, rulesPer int, see
 	}
 	max := 0
 	for _, l := range loads {
-		rules := tr.RulesForNode(l.node)
+		rules := tr.RulesForSwitch(l.node)
 		prog, err := compiler.Compile(formats.ITCH, rules, compiler.Options{})
 		if err != nil {
 			panic(fmt.Sprintf("node %d: %v", l.node, err))

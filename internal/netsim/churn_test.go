@@ -420,7 +420,7 @@ func TestChurnValidated(t *testing.T) {
 		t.Skip("short mode")
 	}
 	net := topology.MustFatTree(4)
-	snap := runChurn(t, 1000, 61, ctlplane.ProveValidator(net, 0))
+	snap := runChurn(t, 1000, 61, ctlplane.ProveValidator(net))
 	if snap.Applied != snap.Events || snap.Failures != 0 {
 		t.Errorf("unclean validated churn: %+v", snap)
 	}
@@ -448,7 +448,7 @@ func TestChurnNetValidated(t *testing.T) {
 	}
 	net := topology.MustFatTree(4)
 	snap := runChurn(t, 1000, 71, nil,
-		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, itchSpec, 0), 1))
+		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, itchSpec), 1))
 	if snap.Applied != snap.Events || snap.Failures != 0 {
 		t.Errorf("unclean net-validated churn: %+v", snap)
 	}

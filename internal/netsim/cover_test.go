@@ -50,7 +50,7 @@ func TestCoveringChurnNetValidated(t *testing.T) {
 	net := topology.MustFatTree(4)
 	snap := runChurnMode(t, 1000, 91, true, nil,
 		ctlplane.WithCovering(),
-		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, itchSpec, 0), 1))
+		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, itchSpec), 1))
 	if snap.Applied != snap.Events || snap.Failures != 0 {
 		t.Errorf("unclean covering net-validated churn: %+v", snap)
 	}

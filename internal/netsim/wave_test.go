@@ -285,10 +285,10 @@ func TestWaveMatchesReferenceKnownBad(t *testing.T) {
 		}
 		agg := net.Switches[0].UpPorts()[0].PeerSwitch
 		mut := corrupt.NetMutation{Op: "redirect-port", Switch: agg, Port: 0, ToPort: 1, FilterID: 0}
-		if err := mut.ApplyNet(res); err != nil {
+		if err := mut.Apply(res); err != nil {
 			t.Fatal(err)
 		}
-		bad, err := controller.Compile(itchSpec, res, compiler.Options{})
+		bad, err := controller.Compile(itchSpec, net, res, compiler.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,8 +80,8 @@ type StateTable struct {
 	fieldOf map[string]*spec.Field
 }
 
-// NewStateTable allocates registers for every aggregate the program's
-// universe references — the dynamic linking of state variables to the
+// NewStateTable allocates one register per aggregate the program uses
+// (compiler.Aggregates) — the dynamic linking of state variables to the
 // pre-allocated register block (§V-A).
 func NewStateTable(p *compiler.Program) *StateTable {
 	st := &StateTable{
@@ -89,7 +89,7 @@ func NewStateTable(p *compiler.Program) *StateTable {
 		regs:    make(map[string]*register),
 		fieldOf: make(map[string]*spec.Field),
 	}
-	for _, fv := range p.BDD.Universe.AggregateFields() {
+	for _, fv := range compiler.Aggregates(p) {
 		st.regs[fv.Key()] = &register{agg: fv.Ref.Agg, window: fv.Ref.Window}
 		st.fieldOf[fv.Key()] = fv.Ref.Field
 	}

@@ -335,6 +335,51 @@ func TestInstallCarriesRegisters(t *testing.T) {
 	}
 }
 
+// TestIncrementalInstallDropsRegisters is TestInstallCarriesRegisters
+// on the live path: the incremental engine's universe keeps an
+// aggregate field after its last rule leaves, and the switch must still
+// drop that aggregate's register, so a re-added count() starts from
+// zero rather than from the packets counted before the removal.
+func TestIncrementalInstallDropsRegisters(t *testing.T) {
+	opts := compiler.Options{LastHop: true}
+	sw, sp := buildSwitch(t, "stock == MSFT: fwd(2)", opts)
+	rules, err := subscription.NewParser(sp).ParseRules("stock == GOOGL and count(price, 1s) > 2: fwd(1)\nstock == MSFT: fwd(2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := compiler.NewIncremental(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	install := func(u *compiler.Update, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Install(u.Program); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send := func(now time.Duration) int {
+		return len(sw.Process(&Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 1)}}, now))
+	}
+	install(inc.Add(rules...))
+	for i := 0; i < 5; i++ {
+		send(time.Duration(i) * time.Millisecond)
+	}
+	install(inc.Remove(rules[0].ID))
+	if n := compiler.RegisterCount(inc.Program()); n != 0 {
+		t.Fatalf("RegisterCount after the aggregate's rule left = %d, want 0", n)
+	}
+	if got := sw.State().Snapshot(10 * time.Millisecond); len(got) != 0 {
+		t.Fatalf("registers after the aggregate's rule left = %v, want none", got)
+	}
+	install(inc.Add(rules[0]))
+	if n := send(11 * time.Millisecond); n != 0 {
+		t.Fatalf("a re-added aggregate forwarded on its first packet: %d deliveries", n)
+	}
+}
+
 func BenchmarkProcessSingleMessage(b *testing.B) {
 	sw, sp := buildSwitch(b, `
 stock == GOOGL and price > 50: fwd(1)

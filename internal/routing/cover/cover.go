@@ -19,11 +19,10 @@
 //     land the delete and the promotions in a single apply batch — the
 //     FIB-caching "no cache-hiding gap" rule.
 //
-// ReduceResult / ReduceTree run that same Forest once per port over a
-// whole precomputed routing policy (used by `camusc netcheck
-// -covering` to certify that covering and full installation produce
-// identical delivery cuts), so the certificate covers the entries the
-// control plane installs.
+// Reduce runs that same Forest once per port over a whole precomputed
+// routing policy (used by `camusc netcheck -covering` to certify that
+// covering and full installation produce identical delivery cuts), so
+// the certificate covers the entries the control plane installs.
 //
 // Covering is sound per port because forwarding through a port is the
 // union of its filters: f ⊑ g implies f ∪ g = g, so dropping f leaves

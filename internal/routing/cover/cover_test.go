@@ -2,6 +2,7 @@ package cover
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"camus/internal/routing"
@@ -249,7 +250,7 @@ func TestReduceResultPreservesPortUnions(t *testing.T) {
 	}
 
 	im := NewImplier(testSpec, 0)
-	st := ReduceResult(im, res)
+	st := Reduce(im, res)
 	if st.Before != fullEntries {
 		t.Fatalf("stats.Before = %d, want full entry count %d", st.Before, fullEntries)
 	}
@@ -294,21 +295,19 @@ func TestReduceTreePreservesDelivery(t *testing.T) {
 		t.Fatalf("ComputeTree: %v", err)
 	}
 	im := NewImplier(testSpec, 0)
-	st := ReduceTree(im, tr)
+	st := Reduce(im, tr)
 	if st.Removed() <= 0 {
 		t.Fatalf("expected reduction on nested tree subscriptions, got %+v", st)
 	}
 	// Transit node 1's port toward 2 carried both GOOGL filters; only
 	// the broad one survives.
-	fib := tr.FIBs[1]
-	for port, peer := range fib.PortPeer {
-		if peer != 2 {
-			continue
-		}
-		for _, f := range fib.Ports[port] {
-			if f.Expr.String() == subs[3][1].String() {
-				t.Fatalf("covered transit filter %q survived", f.Expr)
-			}
+	port := slices.Index(tree.TreeNeighbors(1), 2)
+	if port < 0 {
+		t.Fatal("node 1 has no port toward node 2")
+	}
+	for _, f := range tr.FIBs[1].Ports[port] {
+		if f.Expr.String() == subs[3][1].String() {
+			t.Fatalf("covered transit filter %q survived", f.Expr)
 		}
 	}
 }

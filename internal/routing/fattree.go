@@ -38,7 +38,7 @@ func (p Policy) String() string {
 type Filter struct {
 	// ID is the global filter index.
 	ID int
-	// Host is the subscribing host.
+	// Host is the subscribing host (fat tree) or vertex (tree).
 	Host int
 	// Expr is the original filter.
 	Expr subscription.Expr
@@ -57,19 +57,23 @@ func (fs FilterSet) union(o FilterSet) {
 }
 
 // FIB is the routing policy's output for one switch: the filter sets
-// F_p^s per port (§IV-C). Port UpPort holds the logical up set; MatchAll
-// marks an up set holding the constant-true filter (MR policy).
+// F_p^s per port, whichever topology computed them — Algorithm 1 on a fat
+// tree (§IV-C) or the spanning tree of a general graph (§IV-E). Port
+// UpPort holds the logical up set of a fat-tree switch.
 type FIB struct {
-	Switch *topology.Switch
-	Ports  map[int]FilterSet
+	Ports map[int]FilterSet
+	// Subscriber maps each port that hands packets straight to a
+	// subscriber to that subscriber's ID: a fat-tree switch's
+	// host-facing ports to their hosts, every port of a tree vertex to
+	// its neighbour vertex.
+	Subscriber map[int]int
 	// MatchAllUp is set under MR: the up port forwards everything.
 	MatchAllUp bool
 }
 
 // Result is the computed global routing policy.
 type Result struct {
-	Network *topology.Network
-	// FIBs by switch ID.
+	// FIBs by switch ID (fat tree) or vertex (tree).
 	FIBs []*FIB
 	// Filters is the global filter table.
 	Filters []*Filter
@@ -94,10 +98,11 @@ func (f *Filter) Effective(delivering bool) subscription.Expr {
 	return f.Approx
 }
 
-// Effective is Filter.Effective on one of the switch's ports: host-facing
-// ports deliver.
+// Effective is Filter.Effective on one of the switch's ports: the port
+// that hands packets to f's subscriber delivers.
 func (fib *FIB) Effective(port int, f *Filter) subscription.Expr {
-	return f.Effective(fib.Switch.HostFacing(port))
+	sub, ok := fib.Subscriber[port]
+	return f.Effective(ok && sub == f.Host)
 }
 
 // ComputeFatTree runs Algorithm 1: convert per-host subscriptions into
@@ -111,9 +116,13 @@ func ComputeFatTree(net *topology.Network, subs [][]subscription.Expr, opts Opti
 	if opts.Policy != MemoryReduction && opts.Policy != TrafficReduction {
 		return nil, fmt.Errorf("routing: unknown policy %d", opts.Policy)
 	}
-	res := &Result{Network: net, FIBs: make([]*FIB, len(net.Switches))}
+	res := &Result{FIBs: make([]*FIB, len(net.Switches))}
 	for i, s := range net.Switches {
-		res.FIBs[i] = &FIB{Switch: s, Ports: make(map[int]FilterSet)}
+		fib := &FIB{Ports: make(map[int]FilterSet), Subscriber: make(map[int]int)}
+		for _, p := range s.HostPorts() {
+			fib.Subscriber[p.Index] = p.PeerHostID
+		}
+		res.FIBs[i] = fib
 	}
 	for h, exprs := range subs {
 		places := Places(net, opts.Policy, h)
@@ -142,8 +151,9 @@ func (f *FIB) ensure(port int) FilterSet {
 }
 
 // RulesForSwitch converts a switch's FIB into the compiler's intermediate
-// representation: one rule per (port, unique effective filter), ports
-// ascending.
+// representation: one fwd(port) rule per (port, distinct effective
+// filter), ports ascending and filters in ID order. Duplicates collapsing
+// is where the approximation's aggregation benefit appears.
 func (r *Result) RulesForSwitch(swID int) []*subscription.Rule {
 	fib := r.FIBs[swID]
 	var rules []*subscription.Rule
@@ -156,27 +166,18 @@ func (r *Result) RulesForSwitch(swID int) []*subscription.Rule {
 			})
 			continue
 		}
-		rules = appendPortRules(rules, port, fib.Ports[port], fib.Effective)
-	}
-	return rules
-}
-
-// appendPortRules is the per-port collapse shared by both topologies: one
-// fwd(port) rule per distinct effective expression of fs, in filter-ID
-// order, numbered on from len(rules). Duplicates collapsing is where the
-// approximation's aggregation benefit appears.
-func appendPortRules(rules []*subscription.Rule, port int, fs FilterSet,
-	effective func(port int, f *Filter) subscription.Expr) []*subscription.Rule {
-	seen := make(map[string]bool, len(fs))
-	for _, id := range sortedKeys(fs) {
-		e := effective(port, fs[id])
-		if key := e.String(); !seen[key] {
-			seen[key] = true
-			rules = append(rules, &subscription.Rule{
-				ID:     len(rules),
-				Filter: e,
-				Action: subscription.FwdAction(port),
-			})
+		fs := fib.Ports[port]
+		seen := make(map[string]bool, len(fs))
+		for _, id := range sortedKeys(fs) {
+			e := fib.Effective(port, fs[id])
+			if key := e.String(); !seen[key] {
+				seen[key] = true
+				rules = append(rules, &subscription.Rule{
+					ID:     len(rules),
+					Filter: e,
+					Action: subscription.FwdAction(port),
+				})
+			}
 		}
 	}
 	return rules

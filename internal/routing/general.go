@@ -8,35 +8,15 @@ import (
 	"camus/internal/topology"
 )
 
-// TreeFIB is the general-topology analogue of FIB (§IV-E): for a switch v
-// on a spanning tree, each tree port carries the subscriptions of the
-// nodes on the far side of that edge.
-type TreeFIB struct {
-	// Node is the graph vertex.
-	Node int
-	// PortPeer maps local port index → tree-neighbor vertex.
-	PortPeer []int
-	// Ports maps local port index → filter set.
-	Ports map[int]FilterSet
-}
-
-// TreeResult is the computed policy for a general topology.
-type TreeResult struct {
-	Tree *topology.Tree
-	// FIBs by vertex.
-	FIBs []*TreeFIB
-	// Filters is the global filter table.
-	Filters []*Filter
-}
-
 // ComputeTree routes subscriptions over a spanning tree: for each tree
 // edge (u,v), u's port toward v holds every subscription on v's side
 // (the subtree of v when v is u's child; the rest of the network when v
 // is u's parent). Every packet is then routed within the tree without
-// loops (§IV-E).
-func ComputeTree(t *topology.Tree, subs map[int][]subscription.Expr, alpha int64) (*TreeResult, error) {
+// loops (§IV-E). A vertex's local ports are t.TreeNeighbors(v), and each
+// delivers to the neighbour it leads to.
+func ComputeTree(t *topology.Tree, subs map[int][]subscription.Expr, alpha int64) (*Result, error) {
 	g := t.Graph
-	res := &TreeResult{Tree: t, FIBs: make([]*TreeFIB, g.N)}
+	res := &Result{FIBs: make([]*FIB, g.N)}
 
 	// Global filter table; the subscriber's own node keeps the exact
 	// filter (delivery point), remote copies use the approximation.
@@ -83,16 +63,13 @@ func ComputeTree(t *topology.Tree, subs map[int][]subscription.Expr, alpha int64
 	all := subtree[t.Root]
 
 	for v := 0; v < g.N; v++ {
-		fib := &TreeFIB{Node: v, Ports: make(map[int]FilterSet)}
-		// Port numbering: children in order, then the parent link.
-		for _, c := range t.Kids[v] {
-			port := len(fib.PortPeer)
-			fib.PortPeer = append(fib.PortPeer, c)
-			fib.Ports[port] = subtree[c]
-		}
-		if p := t.Parent[v]; p >= 0 {
-			port := len(fib.PortPeer)
-			fib.PortPeer = append(fib.PortPeer, p)
+		fib := &FIB{Ports: make(map[int]FilterSet), Subscriber: make(map[int]int)}
+		for port, peer := range t.TreeNeighbors(v) {
+			fib.Subscriber[port] = peer
+			if peer != t.Parent[v] {
+				fib.Ports[port] = subtree[peer]
+				continue
+			}
 			// Parent side = everything minus our own subtree.
 			diff := make(FilterSet, len(all)-len(subtree[v]))
 			for id, f := range all {
@@ -105,21 +82,4 @@ func ComputeTree(t *topology.Tree, subs map[int][]subscription.Expr, alpha int64
 		res.FIBs[v] = fib
 	}
 	return res, nil
-}
-
-// Effective is Filter.Effective on one of the vertex's tree ports: the
-// edge to the subscriber's own node delivers.
-func (fib *TreeFIB) Effective(port int, f *Filter) subscription.Expr {
-	return f.Effective(f.Host == fib.PortPeer[port])
-}
-
-// RulesForNode converts a vertex's tree FIB into compiler rules: one rule
-// per (port, unique effective filter), ports ascending.
-func (r *TreeResult) RulesForNode(v int) []*subscription.Rule {
-	fib := r.FIBs[v]
-	var rules []*subscription.Rule
-	for _, port := range sortedKeys(fib.Ports) {
-		rules = appendPortRules(rules, port, fib.Ports[port], fib.Effective)
-	}
-	return rules
 }

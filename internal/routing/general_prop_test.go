@@ -11,7 +11,7 @@ import (
 )
 
 // carrierPorts returns the ports of fib whose filter set contains id.
-func carrierPorts(fib *TreeFIB, id int) []int {
+func carrierPorts(fib *FIB, id int) []int {
 	var ports []int
 	for p, fs := range fib.Ports {
 		if _, ok := fs[id]; ok {
@@ -78,8 +78,7 @@ func TestTreeRoutingProperties(t *testing.T) {
 							t.Fatalf("filter %d: routing loop revisits node %d on walk from %d", f.ID, v, start)
 						}
 						visited[v] = true
-						fib := tr.FIBs[v]
-						v = fib.PortPeer[carrierPorts(fib, f.ID)[0]]
+						v = mst.TreeNeighbors(v)[carrierPorts(tr.FIBs[v], f.ID)[0]]
 					}
 				}
 			}

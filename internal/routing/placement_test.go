@@ -84,13 +84,13 @@ func TestPlacesMatchDefinition(t *testing.T) {
 			}
 			fibs := make(map[Place][]int)
 			var matchAll []Place
-			for _, fib := range res.FIBs {
+			for sw, fib := range res.FIBs {
 				for port, fs := range fib.Ports {
 					if port == UpPort && fib.MatchAllUp {
-						matchAll = append(matchAll, Place{fib.Switch.ID, port})
+						matchAll = append(matchAll, Place{sw, port})
 					}
 					for id := range fs {
-						fibs[Place{fib.Switch.ID, port}] = append(fibs[Place{fib.Switch.ID, port}], res.Filters[id].Host)
+						fibs[Place{sw, port}] = append(fibs[Place{sw, port}], res.Filters[id].Host)
 					}
 				}
 			}

@@ -330,7 +330,7 @@ func TestComputeTreePartition(t *testing.T) {
 	for v := 0; v < g.N; v++ {
 		fib := res.FIBs[v]
 		for port, fs := range fib.Ports {
-			peer := fib.PortPeer[port]
+			peer := tree.TreeNeighbors(v)[port]
 			side := sideHosts(v, peer)
 			for _, f := range res.Filters {
 				_, in := fs[f.ID]
@@ -342,9 +342,67 @@ func TestComputeTreePartition(t *testing.T) {
 		}
 	}
 	// Every filter appears on every edge cut exactly once per direction.
-	rules := res.RulesForNode(1)
+	rules := res.RulesForSwitch(1)
 	if len(rules) == 0 {
 		t.Error("node 1 has no rules")
+	}
+}
+
+// TestEffectiveExactAtSubscriber: a filter is installed exact on the
+// port that hands packets to its subscriber — a fat-tree switch's
+// host-facing port, a tree vertex's port toward the subscriber node —
+// and α-approximated on every other port.
+func TestEffectiveExactAtSubscriber(t *testing.T) {
+	check := func(name string, fib *FIB, port int, f *Filter, delivering bool) {
+		t.Helper()
+		want := f.Approx
+		if delivering {
+			want = f.Expr
+		}
+		if got := fib.Effective(port, f); got != want {
+			t.Errorf("%s port %d filter %d (host %d): installs %s, want %s", name, port, f.ID, f.Host, got, want)
+		}
+	}
+	net := topology.MustFatTree(4)
+	for _, policy := range []Policy{MemoryReduction, TrafficReduction} {
+		res, err := ComputeFatTree(net, subsForTest(t, net), Options{Policy: policy, Alpha: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range net.Switches {
+			fib := res.FIBs[s.ID]
+			for port, fs := range fib.Ports {
+				for _, f := range fs {
+					check(s.Name, fib, port, f, s.HostFacing(port))
+				}
+			}
+		}
+	}
+
+	g := topology.NewGraph(5)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {1, 3}, {3, 4}} {
+		g.AddEdge(e[0], e[1])
+	}
+	tree, err := topology.PrimMST(g, 0, topology.UnitWeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := map[int][]subscription.Expr{
+		0: {filter(t, "stock == GOOGL and price > 53")},
+		2: {filter(t, "price < 17")},
+		4: {filter(t, "stock == MSFT and price > 8")},
+	}
+	res, err := ComputeTree(tree, subs, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, fib := range res.FIBs {
+		for port, fs := range fib.Ports {
+			peer := tree.TreeNeighbors(v)[port]
+			for _, f := range fs {
+				check(fmt.Sprintf("node %d", v), fib, port, f, f.Host == peer)
+			}
+		}
 	}
 }
 
@@ -377,7 +435,7 @@ func TestComputeTreeDeterministic(t *testing.T) {
 			fmt.Fprintf(&b, "filter %d host %d: %s\n", f.ID, f.Host, f.Expr)
 		}
 		for v := 0; v < g.N; v++ {
-			for _, r := range res.RulesForNode(v) {
+			for _, r := range res.RulesForSwitch(v) {
 				fmt.Fprintf(&b, "node %d rule %d: %s\n", v, r.ID, r)
 			}
 		}

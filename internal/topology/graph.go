@@ -187,7 +187,9 @@ func (t *Tree) PostOrder() []int {
 	return out
 }
 
-// TreeNeighbors lists a vertex's tree-adjacent vertices.
+// TreeNeighbors lists a vertex's tree-adjacent vertices, children in
+// order and then the parent: index i is the vertex's local port i
+// (routing.ComputeTree, netcheck.CheckTree).
 func (t *Tree) TreeNeighbors(v int) []int {
 	out := append([]int(nil), t.Kids[v]...)
 	if t.Parent[v] >= 0 {
