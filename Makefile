@@ -86,16 +86,16 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-## bench: one-iteration smoke of the worker-sweep, wire-decode,
+## bench: one-iteration smoke of the switch-batch, wire-decode,
 ## live-churn, daemon and network-verifier benchmarks (fast).
 bench:
-	$(GO) test -run '^$$' -bench='SwitchParallel|Decode|Churn|CtlplaneDaemon|Netcheck' -benchtime=1x .
+	$(GO) test -run '^$$' -bench='SwitchBatch|Decode|Churn|CtlplaneDaemon|Netcheck' -benchtime=1x .
 
 ## bench-report: regenerate bench-report.txt with steady-state numbers
 ## (host header from TestMain records NumCPU / GOMAXPROCS), then emit
 ## the machine-readable companions: BENCH_compile.json for the
 ## 10k-rule batch compile (Compile10k), BENCH_switch.json for the
-## SwitchParallel sweep (ns/op, allocs/op, Mpps, host shape) and the
+## SwitchBatch run (ns/op, allocs/op, Mpps, host shape) and the
 ## DecodeITCH/DecodeINT wire-decode
 ## benchmarks (ns/msg, allocs and bytes per frame), and
 ## BENCH_ctlplane.json for the
@@ -103,9 +103,9 @@ bench:
 ## latency over the HTTP API) plus the covering-heavy churn run
 ## (routing-entry reduction ratio).
 bench-report:
-	$(GO) test -run '^$$' -bench='SwitchParallel|Decode|Churn|Compile10k|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
+	$(GO) test -run '^$$' -bench='SwitchBatch|Decode|Churn|Compile10k|CtlplaneDaemon|Netcheck|Fitcheck' -benchmem . | tee bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'Compile10k|^Churn$$|Netcheck|Fitcheck' -out BENCH_compile.json < bench-report.txt
-	$(GO) run ./cmd/benchjson -filter 'SwitchParallel|Decode' -out BENCH_switch.json < bench-report.txt
+	$(GO) run ./cmd/benchjson -filter 'SwitchBatch|Decode' -out BENCH_switch.json < bench-report.txt
 	$(GO) run ./cmd/benchjson -filter 'CtlplaneDaemon|CoverChurn' -out BENCH_ctlplane.json < bench-report.txt
 
 ## perf-guard: the CI allocation guard — run the two canonical

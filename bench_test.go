@@ -121,48 +121,28 @@ func BenchmarkFig15GeneralTopology(b *testing.B) {
 	runExperiment(b, experiments.Fig15)
 }
 
-// BenchmarkSwitchParallel — the concurrent sharded dataplane on the
-// Fig. 9 INT workload (100 compiled filters, generated telemetry
-// stream): ProcessBatch aggregate throughput swept over worker counts
-// from 1 to max(NumCPU, 8). Reports Mpps per sub-benchmark; on a
-// multi-core host the aggregate scales with workers until the core
-// budget saturates (a single-core host pins every sweep point to the
-// sequential rate).
-func BenchmarkSwitchParallel(b *testing.B) {
+// BenchmarkSwitchBatch — the switch core on the Fig. 9 INT workload
+// (100 compiled filters, generated telemetry stream): ProcessBatch
+// throughput on one 20 000-packet batch, in Mpps.
+func BenchmarkSwitchBatch(b *testing.B) {
 	prog := experiments.INTFilterProgram(100, 1)
 	stream := workload.INTStream(workload.INTStreamConfig{Reports: 20000, Seed: 1})
 	pkts := make([]*pipeline.Packet, len(stream))
 	for i, r := range stream {
 		pkts[i] = &pipeline.Packet{In: 0, Msgs: []*spec.Message{r.Message()}, Bytes: formats.INTReportBytes}
 	}
-
-	maxW := runtime.NumCPU()
-	if maxW < 8 {
-		maxW = 8
+	sw, err := pipeline.NewSwitch("bench", nil, prog)
+	if err != nil {
+		b.Fatal(err)
 	}
-	var sweep []int
-	for w := 1; w <= maxW; w *= 2 {
-		sweep = append(sweep, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw.ProcessBatch(pkts, 0)
 	}
-	if last := sweep[len(sweep)-1]; last != maxW {
-		sweep = append(sweep, maxW)
-	}
-	for _, workers := range sweep {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sw, err := pipeline.NewSwitch("bench", nil, prog, pipeline.WithWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sw.ProcessBatch(pkts, 0)
-			}
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N*len(pkts))/s/1e6, "Mpps")
-			}
-		})
+	b.StopTimer()
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(b.N*len(pkts))/s/1e6, "Mpps")
 	}
 }
 

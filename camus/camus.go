@@ -45,7 +45,8 @@ type (
 	ActionSet = subscription.ActionSet
 	// Program is a compiled switch configuration.
 	Program = compiler.Program
-	// Switch is the software dataplane: a concurrent, sharded switch.
+	// Switch is the software dataplane: one run-to-completion core that
+	// many goroutines may drive at once.
 	// Configure it only via SwitchOptions at NewSwitch time; read
 	// counters only via its Stats() snapshot method.
 	Switch = pipeline.Switch
@@ -176,19 +177,13 @@ func (a *App) Compile(rules []*Rule, opts ...CompileOption) (*Program, error) {
 // the switch, so no caller can reach racy mutable state.
 type SwitchOption = pipeline.Option
 
-// Switch construction options.
-var (
-	// WithWorkers sets the number of dataplane worker shards that
-	// ProcessBatch fans packets out across.
-	WithWorkers = pipeline.WithWorkers
-	// WithIngressDrop controls suppression of forwarding a packet back
-	// out its ingress port.
-	WithIngressDrop = pipeline.WithIngressDrop
-)
+// WithIngressDrop controls suppression of forwarding a packet back out
+// its ingress port, the one switch construction option.
+var WithIngressDrop = pipeline.WithIngressDrop
 
 // NewSwitch instantiates a software switch running a compiled program:
 //
-//	sw, err := app.NewSwitch("tor-1", prog, camus.WithWorkers(8))
+//	sw, err := app.NewSwitch("tor-1", prog, camus.WithIngressDrop(false))
 func (a *App) NewSwitch(id string, prog *Program, opts ...SwitchOption) (*Switch, error) {
 	return pipeline.NewSwitch(id, a.Static, prog, opts...)
 }

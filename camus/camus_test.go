@@ -103,12 +103,9 @@ func TestSwitchOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := app.NewSwitch("s1", prog, WithWorkers(4), WithIngressDrop(false))
+	sw, err := app.NewSwitch("s1", prog, WithIngressDrop(false))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sw.Workers() != 4 {
-		t.Errorf("Workers() = %d", sw.Workers())
 	}
 
 	m := app.NewMessage()

@@ -45,12 +45,6 @@ func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 // TypesInfo returns the package's type-checker results.
 func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
 
-// PkgPath returns the package's import path with any test-variant
-// suffix stripped: "camus/internal/pipeline [camus/internal/pipeline.test]"
-// and plain "camus/internal/pipeline" both report the latter, so
-// analyzers exempting a package automatically exempt its test files.
-func (p *Pass) PkgPath() string { return basePkgPath(p.Pkg.ImportPath) }
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.diags = append(p.diags, Diagnostic{

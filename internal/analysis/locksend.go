@@ -12,11 +12,11 @@ import (
 // Sim.PublishBatch, which makes one such call per switch per wave)
 // executed between a sync.Mutex/RWMutex Lock (or RLock) and its Unlock.
 // Both can block for an unbounded time — a send until a receiver
-// arrives, a batch until every worker shard drains its share — so
-// holding a lock across them turns a local critical section into a
-// system-wide convoy (and, with the wrong receiver, a deadlock). PR 1's
-// shard locks stay correct precisely because they never wrap a blocking
-// operation; this analyzer pins that invariant.
+// arrives, a batch until the switch lock comes free and its packets have
+// run — so holding a lock across them turns a local critical section
+// into a system-wide convoy (and, with the wrong receiver, a deadlock).
+// The switch lock stays correct precisely because it never wraps a
+// blocking operation; this analyzer pins that invariant.
 //
 // The analysis is an intra-procedural, syntactic approximation: it
 // scans each function body in statement order, tracking Lock/Unlock

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"camus/internal/analysis/fitcheck"
 	"camus/internal/baseline"
 	"camus/internal/compiler"
 	"camus/internal/formats"
-	"camus/internal/pipeline"
-	"camus/internal/spec"
 	"camus/internal/stats"
 	"camus/internal/subscription"
 	"camus/internal/workload"
@@ -80,41 +77,7 @@ func Fig9(cfg Config) *Result {
 	// (CPU-bound, far below ASIC line rate), which is the paper's point.
 	res.addFinding("this repo's software pipeline measures %.2f Mpps at 100 filters (CPU-bound, as Fig. 9 predicts for software)",
 		measuredSoftwareMpps(prog, stream[:min(20000, len(stream))]))
-
-	// The concurrent sharded dataplane: the same workload through
-	// Switch.ProcessBatch at 1 worker vs GOMAXPROCS workers. On a
-	// multi-core host the aggregate Mpps scales with the worker count;
-	// it can only saturate at the host's core budget.
-	sample := stream[:min(20000, len(stream))]
-	seqMpps, seqWorkers := measuredParallelMpps(prog, sample, 1)
-	parMpps, parWorkers := measuredParallelMpps(prog, sample, runtime.GOMAXPROCS(0))
-	res.addFinding("sharded dataplane (ProcessBatch): %.2f Mpps @%d worker, %.2f Mpps @%d workers (GOMAXPROCS=%d)",
-		seqMpps, seqWorkers, parMpps, parWorkers, runtime.GOMAXPROCS(0))
 	return res
-}
-
-// measuredParallelMpps pushes the sampled INT stream through the
-// concurrent sharded dataplane with the given worker count and reports
-// aggregate packet throughput plus the worker count the switch actually
-// ran (the switch, not the request, is authoritative — printing the
-// requested count produced a stale "@1 workers" line on single-core
-// hosts).
-func measuredParallelMpps(prog *compiler.Program, reports []*formats.INTReport, workers int) (float64, int) {
-	sw, err := pipeline.NewSwitch("fig9", nil, prog, pipeline.WithWorkers(workers))
-	if err != nil {
-		panic(err)
-	}
-	pkts := make([]*pipeline.Packet, len(reports))
-	for i, r := range reports {
-		pkts[i] = &pipeline.Packet{In: 0, Msgs: []*spec.Message{r.Message()}, Bytes: formats.INTReportBytes}
-	}
-	start := time.Now()
-	sw.ProcessBatch(pkts, 0)
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return 0, sw.Workers()
-	}
-	return float64(len(pkts)) / elapsed.Seconds() / 1e6, sw.Workers()
 }
 
 var intParser = subscription.NewParser(formats.INT)

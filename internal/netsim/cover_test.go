@@ -22,7 +22,7 @@ func TestCoveringChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	snap := runChurnMode(t, 400, 83, true, nil, ctlplane.WithCovering())
+	snap := runChurnMode(t, 400, 83, true, nil, nil, ctlplane.WithCovering())
 	if snap.Applied != snap.Events || snap.Failures != 0 {
 		t.Errorf("unclean covering churn: %+v", snap)
 	}
@@ -48,7 +48,7 @@ func TestCoveringChurnNetValidated(t *testing.T) {
 		t.Skip("short mode")
 	}
 	net := topology.MustFatTree(4)
-	snap := runChurnMode(t, 1000, 91, true, nil,
+	snap := runChurnMode(t, 1000, 91, true, nil, nil,
 		ctlplane.WithCovering(),
 		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, itchSpec), 1))
 	if snap.Applied != snap.Events || snap.Failures != 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -195,9 +196,10 @@ func waveWorkload(t *testing.T, net *topology.Network, seed int64) ([][]subscrip
 // TestWaveMatchesReference is the differential test of the wave engine
 // against the per-packet BFS it replaced: deliveries in order with
 // latency and hops, and Traffic(), on fat-tree(4) and fat-tree(6), under
-// TR and MR with α, round-robin and ECMP, with the wave sim's switches at
-// one worker shard (workers=0, the default) and at several, where each
-// switch fans its share of a wave out over its shards.
+// TR and MR with α, round-robin and ECMP, with the wave sim's switches
+// driven by it alone (workers=0) and shared with several other
+// publishing goroutines (workers=3): a switch runs one call at a time, so
+// its other callers' traffic must not reach the wave's results.
 func TestWaveMatchesReference(t *testing.T) {
 	for _, k := range []int{4, 6} {
 		if k == 6 && testing.Short() {
@@ -219,15 +221,25 @@ func TestWaveMatchesReference(t *testing.T) {
 					t.Run(fmt.Sprintf("k%d/%s-a%d/ecmp=%v/workers=%d", k, ropts.Policy, ropts.Alpha, ecmp, workers), func(t *testing.T) {
 						wave, ref := newSim(t, d), newSim(t, d)
 						wave.ECMP, ref.ECMP = ecmp, ecmp
-						if workers > 0 {
-							for i, sw := range wave.Switches {
-								sh, err := pipeline.NewSwitch(sw.ID, d.Static, d.Programs[i], pipeline.WithWorkers(workers))
-								if err != nil {
-									t.Fatal(err)
+						done := make(chan struct{})
+						var wg sync.WaitGroup
+						for g := 0; g < workers; g++ {
+							other := newSim(t, d)
+							other.ECMP, other.Switches = ecmp, wave.Switches
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								for i := g; ; i++ {
+									select {
+									case <-done:
+										return
+									default:
+										other.PublishBatch(batches[i%len(batches)])
+									}
 								}
-								wave.Switches[i] = sh
-							}
+							}()
 						}
+						defer func() { close(done); wg.Wait() }()
 						assertWaveMatchesRef(t, wave, ref, batches)
 					})
 				}

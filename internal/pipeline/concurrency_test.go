@@ -81,7 +81,7 @@ func TestConcurrentProcessInstall(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	progA := compileRules(t, sp, "stock == GOOGL: fwd(1)")
 	progB := compileRules(t, sp, "stock == GOOGL: fwd(2)\nstock == MSFT: fwd(3)")
-	sw, err := NewSwitch("s1", nil, progA, WithWorkers(4))
+	sw, err := NewSwitch("s1", nil, progA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,9 @@ func TestConcurrentProcessInstall(t *testing.T) {
 // ProcessBatch goroutine across Install swaps: every delivery must come
 // from one of the two installed programs, and once traffic quiesces the
 // switch must serve exactly the final program's decision. The publishers
-// contend the shard lock against the batch goroutine, so under -race this
-// is the stress of runs waiting on a shared shard beside the emit arenas.
+// contend the switch lock against the batch goroutine, so under -race
+// this is the stress of runs waiting on the one core beside the emit
+// arenas.
 func TestInstallChurnEpochConsistency(t *testing.T) {
 	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
 	progs := []*compiler.Program{
@@ -246,7 +247,7 @@ func TestInstallChurnEpochConsistency(t *testing.T) {
 }
 
 // TestCarriedRegisterUnderInstall: publishers feed a counted aggregate
-// on a 4-shard switch while Install alternates two programs that both
+// on one switch while Install alternates two programs that both
 // hold it. Packets running either epoch update the one carried register
 // under the lock the tables share, so under -race no access races and
 // once traffic stops the count is every packet sent.
@@ -265,7 +266,7 @@ func TestCarriedRegisterUnderInstall(t *testing.T) {
 	}
 	const counted = "stock == GOOGL and count(price, 1s) > 2: fwd(1)"
 	progs := []*compiler.Program{compileLastHop(counted), compileLastHop(counted + "\nstock == MSFT: fwd(2)")}
-	sw, err := NewSwitch("s1", nil, progs[0], WithWorkers(4))
+	sw, err := NewSwitch("s1", nil, progs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,15 +346,15 @@ func TestBatchFallbackCounted(t *testing.T) {
 }
 
 // TestProcessBatchIntoOwners: results live in the Results the caller
-// passed and nowhere else. Two goroutines batch on one 2-shard switch,
-// each into its own Results. In the first phase they take strict turns
+// passed and nowhere else. Two goroutines batch on one switch, each
+// into its own Results. In the first phase they take strict turns
 // and each re-checks the results of its previous call *after* the other
 // has run — the read a switch-owned buffer could only forbid. In the
 // second they run free, side by side, for the race detector.
 func TestProcessBatchIntoOwners(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	prog := compileRules(t, sp, "stock == GOOGL: fwd(1)\nstock == MSFT: fwd(2)\nprice > 90: fwd(3)\n")
-	sw, err := NewSwitch("owners", nil, prog, WithWorkers(2))
+	sw, err := NewSwitch("owners", nil, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,12 +422,11 @@ func TestProcessBatchIntoOwners(t *testing.T) {
 }
 
 // TestCustomHandlerReentersSwitch: custom-action handlers are user code
-// and may call back into the switch. From inside a batch — whose worker
-// held the shard lock while matching — a handler re-enters Process with
-// a flow-less packet, a stream head and a continuation that all hash to
-// the shard being run; concurrent batches and Installs make it a -race
-// stress as well. A handler invoked under the shard lock would deadlock
-// on the flow-cache access.
+// and may call back into the switch. From inside a batch — which held
+// the switch lock while matching — a handler re-enters Process with a
+// flow-less packet, a stream head and a continuation; concurrent batches
+// and Installs make it a -race stress as well. A handler invoked under
+// the switch lock would deadlock on it.
 func TestCustomHandlerReentersSwitch(t *testing.T) {
 	sp := spec.MustParse("dns", dnsSpecSrc)
 	progs := []*compiler.Program{
@@ -513,38 +513,16 @@ func TestCustomHandlerReentersSwitch(t *testing.T) {
 	}
 }
 
-// TestFlowShardAffinity: a flow's packets always execute on the same
-// shard, so a stream's continuation packets meet the decision its
-// header packet cached — across Process and ProcessBatch alike.
-func TestFlowShardAffinity(t *testing.T) {
+// TestFlowCacheAcrossBatches: header packets for 100 flows in one
+// batch, continuations in the next — every continuation must hit its
+// flow's cached decision.
+func TestFlowCacheAcrossBatches(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	prog := compileRules(t, sp, "stock == GOOGL: fwd(1)")
-	sw, err := NewSwitch("s1", nil, prog, WithWorkers(8))
+	sw, err := NewSwitch("s1", nil, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Workers() != 8 {
-		t.Fatalf("workers = %d", sw.Workers())
-	}
-
-	// The mapping is pure and non-degenerate.
-	used := make(map[int]bool)
-	for f := FlowKey(1); f <= 1000; f++ {
-		idx := sw.shardIndex(f)
-		if idx < 0 || idx >= 8 {
-			t.Fatalf("shardIndex(%d) = %d", f, idx)
-		}
-		if idx != sw.shardIndex(f) {
-			t.Fatalf("shardIndex(%d) not stable", f)
-		}
-		used[idx] = true
-	}
-	if len(used) < 2 {
-		t.Errorf("all 1000 flows hashed to %d shard(s)", len(used))
-	}
-
-	// Header packets for 100 flows in one batch, continuations in the
-	// next: every continuation must hit its flow's cached decision.
 	const flows = 100
 	heads := make([]*Packet, flows)
 	conts := make([]*Packet, flows)
@@ -562,58 +540,6 @@ func TestFlowShardAffinity(t *testing.T) {
 	}
 	if st := sw.Stats(); st.FlowHits != flows || st.FlowMisses != 0 {
 		t.Errorf("hits = %d misses = %d, want %d/0", st.FlowHits, st.FlowMisses, flows)
-	}
-}
-
-// TestProcessBatchMatchesSequential: the batch API is a pure fan-out —
-// per-packet results are identical to per-packet Process, both for the
-// single-worker (bit-identical, ordered) and multi-worker dataplane.
-func TestProcessBatchMatchesSequential(t *testing.T) {
-	sp := spec.MustParse("itch", itchSpecSrc)
-	rules := `
-stock == GOOGL and price > 50: fwd(1)
-stock == MSFT: fwd(2)
-price > 90: fwd(3)
-`
-	prog := compileRules(t, sp, rules)
-	stocks := []string{"GOOGL", "MSFT", "AAPL", "FB"}
-	var pkts []*Packet
-	for i := 0; i < 200; i++ {
-		pkts = append(pkts, &Packet{
-			In:   i % 4,
-			Msgs: []*spec.Message{itchMsg(sp, stocks[i%len(stocks)], int64(i%100), 1)},
-		})
-	}
-
-	ref, err := NewSwitch("ref", nil, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]Delivery, len(pkts))
-	for i, p := range pkts {
-		want[i] = ref.Process(p, 0)
-	}
-
-	// The program is stateless and the packets flow-less, so the same
-	// packets can be replayed against each dataplane variant; message
-	// pointers then compare equal across switches.
-	for _, workers := range []int{1, 4} {
-		sw, err := NewSwitch("batch", nil, prog, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := sw.ProcessBatch(pkts, 0)
-		for i := range want {
-			if len(want[i]) == 0 && len(got[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Fatalf("workers=%d pkt %d: got %+v want %+v", workers, i, got[i], want[i])
-			}
-		}
-		if st := sw.Stats(); st.Packets != int64(len(pkts)) {
-			t.Errorf("workers=%d: Packets = %d, want %d", workers, st.Packets, len(pkts))
-		}
 	}
 }
 

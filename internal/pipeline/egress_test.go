@@ -125,10 +125,10 @@ func fmtDeliveries(ds []Delivery) string {
 	return b.String()
 }
 
-// runEgress drives sw and a reference through steps and fails on the
-// first packet whose deliveries differ, then on differing stream and
-// delivery counters.
-func runEgress(t *testing.T, sw *Switch, ref *refSwitch, steps []egressStep) {
+// runEgress drives sw, batching with workers goroutines (batchBy), and a
+// reference through steps and fails on the first packet whose deliveries
+// differ, then on differing stream and delivery counters.
+func runEgress(t *testing.T, sw *Switch, ref *refSwitch, steps []egressStep, workers int) {
 	t.Helper()
 	for si, step := range steps {
 		if step.install != nil {
@@ -138,7 +138,7 @@ func runEgress(t *testing.T, sw *Switch, ref *refSwitch, steps []egressStep) {
 			ref.install(step.install)
 			continue
 		}
-		got := sw.ProcessBatch(step.pkts, step.now)
+		got := batchBy(sw, step.pkts, step.now, workers)
 		for i, pkt := range step.pkts {
 			if want := ref.packet(pkt, step.now); !sameDeliveries(got[i], want) {
 				t.Fatalf("step %d packet %d (in %d, flow %d, %d msgs): got %s, want %s",
@@ -191,7 +191,8 @@ func wideRules() string {
 // reference: a leaf on routing.UpPort, a program of two mask words,
 // ingress ports inside and outside the port dictionary, ingress drop off,
 // custom actions and register updates, and stream decisions across an
-// Install — with one worker and four.
+// Install — with the batches driven by one worker goroutine and by four
+// (batchBy).
 func TestEgressMatchesEval(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	syms := []string{"GOOGL", "MSFT", "AAPL", "S0", "S1", "S2", "S3", "S4", "S5", "S6"}
@@ -269,9 +270,9 @@ stock == MSFT and price > 100: fwd(3)
 			name: "custom-stateful", prog: stateful, drop: true,
 			steps: func(testing.TB) []egressStep {
 				// One packet per step: registers are switch-wide, so four
-				// workers would write them in no defined order inside a
-				// batch. Inside a packet, a message reads what the ones
-				// before it wrote.
+				// concurrent workers would write them in no defined order
+				// inside a batch. Inside a packet, a message reads what the
+				// ones before it wrote.
 				var steps []egressStep
 				for i, now := range []time.Duration{0, 100 * time.Microsecond, 200 * time.Microsecond,
 					1500 * time.Microsecond, 1600 * time.Microsecond} {
@@ -325,7 +326,7 @@ stock == MSFT and price > 100: fwd(3)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				prog := tc.prog(t)
-				sw, err := NewSwitch("s1", nil, prog, WithWorkers(workers), WithIngressDrop(tc.drop))
+				sw, err := NewSwitch("s1", nil, prog, WithIngressDrop(tc.drop))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,7 +335,7 @@ stock == MSFT and price > 100: fwd(3)
 				})
 				ref := newRefSwitch(prog, tc.drop)
 				ref.customsHandled = true
-				runEgress(t, sw, ref, tc.steps(t))
+				runEgress(t, sw, ref, tc.steps(t), workers)
 				for _, p := range tc.reach {
 					if !ref.reached[p] {
 						t.Errorf("no delivery to port %d", p)
@@ -349,7 +350,8 @@ stock == MSFT and price > 100: fwd(3)
 // random programs: rules forwarding to random port sets in [-1, 100]
 // (several ports a rule make two-word masks likely), random ingress
 // ports, streams whose decisions span an Install of a second program,
-// one to four workers and ingress drop on or off.
+// one to four worker goroutines batching at once and ingress drop on or
+// off.
 func FuzzEgress(f *testing.F) {
 	// Seeds shaped like TestEgressMatchesEval's cases: a few narrow rules
 	// on one worker, a wide program on four, ingress drop off.
@@ -405,7 +407,7 @@ func FuzzEgress(f *testing.F) {
 			return pkts
 		}
 		prog := randProg()
-		sw, err := NewSwitch("s1", nil, prog, WithWorkers(1+int(workers%4)), WithIngressDrop(drop))
+		sw, err := NewSwitch("s1", nil, prog, WithIngressDrop(drop))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,6 +416,6 @@ func FuzzEgress(f *testing.F) {
 			{now: time.Millisecond, pkts: randPkts()},
 			{install: randProg()},
 			{now: 2 * time.Millisecond, pkts: randPkts()},
-		})
+		}, 1+int(workers%4))
 	})
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,13 +25,52 @@ header dns_query {
 }
 `
 
+// batchBy runs pkts as workers goroutines batching on sw at once, each
+// into a Results of its own: the concurrency the switch promises its
+// callers, who take turns on its lock. A flow's packets stay with one
+// worker, in order; flow-less packets are dealt round-robin. One worker
+// is a plain ProcessBatch.
+func batchBy(sw *Switch, pkts []*Packet, now time.Duration, workers int) [][]Delivery {
+	if workers <= 1 {
+		return sw.ProcessBatch(pkts, now)
+	}
+	share := make([][]int, workers)
+	rr := 0
+	for i, p := range pkts {
+		w := rr
+		if p.Flow != 0 {
+			w = int(uint64(p.Flow) % uint64(workers))
+		} else {
+			rr = (rr + 1) % workers
+		}
+		share[w] = append(share[w], i)
+	}
+	out := make([][]Delivery, len(pkts))
+	var wg sync.WaitGroup
+	for _, idxs := range share {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine := make([]*Packet, len(idxs))
+			for j, i := range idxs {
+				mine[j] = pkts[i]
+			}
+			for j, ds := range sw.ProcessBatchInto(new(Results), mine, now) {
+				out[idxs[j]] = ds
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // TestProcessBatchMatchesProcess: Process and ProcessBatch are one core
 // behind two emit targets, so over every kind of packet the core serves
-// they must produce identical deliveries and identical Stats — with one
-// worker and four.
+// they must produce identical deliveries and identical Stats — with the
+// batch driven by one worker goroutine and by four (batchBy).
 //
-// With four workers a batch's flow-less packets run concurrently on
-// several shards, so the stateful case keeps every register crossing
+// With four workers a batch's flow-less packets run in several
+// concurrent calls, so the stateful case keeps every register crossing
 // between batches, never inside one.
 func TestProcessBatchMatchesProcess(t *testing.T) {
 	itch := func(sp *spec.Spec, n int, stock string, price, shares int64) []*spec.Message {
@@ -202,7 +242,7 @@ header market {
 					t.Fatal(err)
 				}
 				mk := func() *Switch {
-					sw, err := NewSwitch("s", static, prog, WithWorkers(workers))
+					sw, err := NewSwitch("s", static, prog)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -213,7 +253,7 @@ header market {
 				}
 				ref, sw := mk(), mk()
 				for bi, b := range tc.traffic(sp) {
-					got := sw.ProcessBatch(b.pkts, b.now)
+					got := batchBy(sw, b.pkts, b.now, workers)
 					if len(got) != len(b.pkts) {
 						t.Fatalf("batch %d: %d results for %d packets", bi, len(got), len(b.pkts))
 					}
@@ -246,7 +286,7 @@ header market {
 }
 
 // TestProcessBatchZeroAlloc pins the workspace invariant: the
-// single-worker steady-state batch allocates nothing per op — on a
+// steady-state batch allocates nothing per op — on a
 // stateless program, on a stateful one whose register reads and writes go
 // through the shared StateTable, on multi-message packets whose messages
 // fan out to several ports each, and on streams whose header packets

@@ -29,8 +29,7 @@ type flowEntry struct {
 // bits index, so a decision compiled from a program that has since been
 // replaced by Install can never forward a packet (the stale §VII-B
 // stream-state bug) and Install need not visit the cache. The cache is
-// not internally synchronized — each worker shard owns one instance and
-// guards it with the shard lock.
+// not internally synchronized: the switch lock guards it.
 type flowCache struct {
 	entries map[FlowKey]flowEntry
 	// ring holds each slot's flow, in bijection with entries: a key

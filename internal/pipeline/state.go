@@ -65,9 +65,10 @@ func (r *register) value(now time.Duration) int64 {
 // StateTable holds a switch's stateful registers, keyed by aggregate key
 // (subscription.FieldRef.Key). It implements subscription.StateReader
 // when bound to a read time via At. The
-// register set is shared by every worker shard of a switch, so all
-// access — including reads, which roll tumbling windows — goes through
-// an internal lock.
+// registers are also read outside the switch lock (EvalMessage,
+// Snapshot) and shared with the tables an Install carries them into, so
+// all access — including reads, which roll tumbling windows — goes
+// through one lock of their own.
 type StateTable struct {
 	// mu guards the registers. The key set is fixed at construction;
 	// the lock protects the per-register window state (count/sum/start),

@@ -2,9 +2,8 @@ package pipeline
 
 import "sync"
 
-// StatsSnapshot is an immutable copy of the dataplane counters,
-// aggregated across all worker shards at read time. Obtain one via
-// Switch.Stats(); the zero value is an empty snapshot.
+// StatsSnapshot is an immutable copy of the dataplane counters. Obtain
+// one via Switch.Stats(); the zero value is an empty snapshot.
 type StatsSnapshot struct {
 	Packets        int64 // packets processed
 	Messages       int64 // messages evaluated
@@ -39,10 +38,10 @@ func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	return a
 }
 
-// switchStats is one shard's private counter block. A run accumulates
-// its counts in a StatsSnapshot on the stack and commits them once, so
-// the lock is taken per call, not per message, and a snapshot is
-// consistent across counters.
+// switchStats is the switch's counter block, behind one lock of its own.
+// A run accumulates its counts in a StatsSnapshot on the stack and
+// commits them once, after its custom handlers, so the lock is taken per
+// call, not per message, and a snapshot is consistent across counters.
 type switchStats struct {
 	mu  sync.Mutex
 	sum StatsSnapshot

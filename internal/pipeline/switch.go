@@ -45,8 +45,9 @@ type Delivery struct {
 
 // CustomActionFunc handles a non-fwd action (e.g. answerDNS). It may
 // return extra deliveries (crafted response packets). Handlers run on
-// whichever worker shard processes the packet, so they must be safe for
-// concurrent invocation when the switch runs more than one worker.
+// the calling goroutine once the switch lock is released, so they must
+// be safe for concurrent invocation when several goroutines drive the
+// switch.
 type CustomActionFunc func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery
 
 // The switch model's fixed, Tofino-like figures.
@@ -57,16 +58,15 @@ const (
 	// recirculationLatency is the added cost of one recirculation pass
 	// (§VI-B).
 	recirculationLatency = 400 * time.Nanosecond
-	// flowCacheSize bounds the stream-subscription cache (§VII-B),
-	// totalled across worker shards.
+	// flowCacheSize bounds the stream-subscription cache (§VII-B).
 	flowCacheSize = 65536
 	// flowTTL expires idle streams.
 	flowTTL = 30 * time.Second
 )
 
 // epoch is one immutable (Program, StateTable) generation. Install
-// publishes a new epoch with a single atomic pointer swap, so packet
-// workers always observe a consistent program/state pair and never a
+// publishes a new epoch with a single atomic pointer swap, so a packet
+// run always observes a consistent program/state pair and never a
 // half-updated switch.
 type epoch struct {
 	gen   uint64
@@ -77,11 +77,12 @@ type epoch struct {
 // Switch is a software Camus switch: a static pipeline bound to a
 // compiled program, with stateful registers and custom action handlers.
 //
-// The dataplane is sharded: each worker shard owns a private flow-cache
-// partition and stats block, flows hash to a fixed shard, and the
-// installed (Program, StateTable) pair is swapped atomically by
-// Install. Process and ProcessBatch may therefore be called from many
-// goroutines concurrently, including concurrently with Install.
+// The dataplane is one run-to-completion core (§VI): a call holds the
+// switch lock while its packets run, so calls from many goroutines take
+// turns, and the installed (Program, StateTable) pair is swapped
+// atomically by Install. Process and ProcessBatch may therefore be
+// called from many goroutines concurrently, including concurrently with
+// Install.
 // Configuration (SetParser, HandleCustom) is not synchronized and must
 // complete before traffic starts.
 type Switch struct {
@@ -91,9 +92,14 @@ type Switch struct {
 	static  *compiler.StaticPipeline
 	cfg     config
 	epoch   atomic.Pointer[epoch]
-	shards  []*shard
 	customs map[string]CustomActionFunc
 	parser  Parser
+	stats   switchStats
+
+	// mu guards flows and ws; a run holds it from start to end.
+	mu    sync.Mutex
+	flows *flowCache
+	ws    workspace
 
 	// installMu serializes control-plane updates (Install) so epoch
 	// generations advance monotonically.
@@ -106,8 +112,7 @@ type Switch struct {
 
 // NewSwitch builds a switch from a static pipeline, a compiled program
 // and functional options — the one way to configure a dataplane. By
-// default it runs one worker shard and drops packets bound back out
-// their ingress port.
+// default it drops packets bound back out their ingress port.
 func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Program, opts ...Option) (*Switch, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("pipeline: NewSwitch: nil program")
@@ -121,24 +126,16 @@ func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Progra
 	for _, fn := range opts {
 		fn(&cfg)
 	}
-	cfg.Workers = max(cfg.Workers, 1)
 	s := &Switch{
 		ID:      id,
 		static:  static,
 		cfg:     cfg,
 		customs: make(map[string]CustomActionFunc),
-	}
-	perShard := (flowCacheSize + cfg.Workers - 1) / cfg.Workers
-	s.shards = make([]*shard, cfg.Workers)
-	for i := range s.shards {
-		s.shards[i] = &shard{flows: newFlowCache(perShard, flowTTL)}
+		flows:   newFlowCache(flowCacheSize, flowTTL),
 	}
 	s.epoch.Store(&epoch{prog: prog, state: NewStateTable(prog)})
 	return s, nil
 }
-
-// Workers reports the number of dataplane shards.
-func (s *Switch) Workers() int { return len(s.shards) }
 
 // Program returns the currently-installed dynamic configuration.
 func (s *Switch) Program() *compiler.Program { return s.epoch.Load().prog }
@@ -146,22 +143,11 @@ func (s *Switch) Program() *compiler.Program { return s.epoch.Load().prog }
 // State returns the stateful registers of the current epoch.
 func (s *Switch) State() *StateTable { return s.epoch.Load().state }
 
-// Stats returns a snapshot of the dataplane counters, summed across
-// worker shards.
-func (s *Switch) Stats() StatsSnapshot {
-	var t StatsSnapshot
-	for _, sh := range s.shards {
-		t = t.add(sh.stats.snapshot())
-	}
-	return t
-}
+// Stats returns a snapshot of the dataplane counters.
+func (s *Switch) Stats() StatsSnapshot { return s.stats.snapshot() }
 
-// ResetStats zeroes every shard's counters.
-func (s *Switch) ResetStats() {
-	for _, sh := range s.shards {
-		sh.stats.reset()
-	}
-}
+// ResetStats zeroes the counters.
+func (s *Switch) ResetStats() { s.stats.reset() }
 
 // Install replaces the dynamic program (a control-plane rule update,
 // §VIII-G3) with a single atomic epoch swap: in-flight packets finish
@@ -173,7 +159,7 @@ func (s *Switch) ResetStats() {
 // written under and misses under any other, so a decision compiled from
 // the outgoing program can never forward a packet — continuation packets
 // re-miss until their stream's next header packet installs a fresh
-// decision (§VII-B) — and Install touches no shard.
+// decision (§VII-B) — and Install never takes the switch lock.
 func (s *Switch) Install(prog *compiler.Program) error {
 	if prog == nil {
 		return fmt.Errorf("pipeline: Install: nil program")
@@ -197,26 +183,22 @@ func (s *Switch) HandleCustom(name string, fn CustomActionFunc) {
 }
 
 // Process runs a packet through the pipeline at virtual time now and
-// returns the egress deliveries. Safe for concurrent use; the packet is
-// executed on the shard its flow hashes to (flow-less packets use
-// shard 0 — use ProcessBatch to spread those across workers). The
-// returned deliveries are heap-fresh: callers (replay, examples) may
-// retain them indefinitely.
+// returns the egress deliveries. Safe for concurrent use. The returned
+// deliveries are heap-fresh: callers (replay, examples) may retain them
+// indefinitely.
 func (s *Switch) Process(pkt *Packet, now time.Duration) []Delivery {
 	pkts, out := [1]*Packet{pkt}, [1][]Delivery{}
-	s.runOn(s.shards[s.shardIndex(pkt.Flow)], pkts[:], nil, out[:], now, nil)
+	s.execute(pkts[:], out[:], now, nil)
 	return out[0]
 }
 
-// run is one call's pass over a shard: the epoch it loaded, the shard
-// it holds locked, where it emits, and the stats and custom hits it
-// accumulates on the stack until the call ends.
+// run is one call's pass over the switch: the epoch it loaded, where it
+// emits, and the stats and custom hits it accumulates on the stack until
+// the call ends.
 type run struct {
 	ep  *epoch
-	sh  *shard
 	now time.Duration
-	// emit is the caller's arena for this shard; nil emits heap-fresh
-	// slices (Process).
+	// emit is the caller's arena; nil emits heap-fresh slices (Process).
 	emit *emitArena
 	// regs reads the epoch's registers at now; nil when it has none.
 	regs    subscription.StateReader
@@ -224,7 +206,7 @@ type run struct {
 	customs []customHit
 }
 
-// customHit defers a matched custom action until the shard lock is
+// customHit defers a matched custom action until the switch lock is
 // released: handlers are user code and may re-enter the switch.
 type customHit struct {
 	pkt int // index into the run's packets
@@ -232,33 +214,25 @@ type customHit struct {
 	m   *spec.Message
 }
 
-// runOn executes pkts (those idxs selects; nil = all) on shard sh and
-// stores each packet's deliveries in out, indexed like pkts, emitting
-// into em (reset first; nil = heap-fresh). It is the body of both
-// Process and ProcessBatchInto.
-func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration, em *emitArena) {
-	sh.mu.Lock()
-	r := run{ep: s.epoch.Load(), sh: sh, now: now, emit: em}
+// execute runs pkts in order under the switch lock and stores each
+// packet's deliveries in out, indexed like pkts, emitting into em (reset
+// first; nil = heap-fresh). It is the body of both Process and
+// ProcessBatchInto.
+func (s *Switch) execute(pkts []*Packet, out [][]Delivery, now time.Duration, em *emitArena) {
+	s.mu.Lock()
+	r := run{ep: s.epoch.Load(), now: now, emit: em}
 	if em != nil {
 		em.dels.reset()
 		em.msgs.reset()
 	}
 	if len(r.ep.state.regs) > 0 {
-		sh.ws.regs = stateAt{t: r.ep.state, now: now}
-		r.regs = &sh.ws.regs
+		s.ws.regs = stateAt{t: r.ep.state, now: now}
+		r.regs = &s.ws.regs
 	}
-	n := len(pkts)
-	if idxs != nil {
-		n = len(idxs)
+	for i, p := range pkts {
+		out[i] = s.packet(&r, p, i)
 	}
-	for j := 0; j < n; j++ {
-		i := j
-		if idxs != nil {
-			i = int(idxs[j])
-		}
-		out[i] = s.packet(&r, pkts[i], i)
-	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	// Custom deliveries append onto a capacity-clamped slice, so they
 	// copy out of the arena rather than overwrite a neighbour.
 	for _, ch := range r.customs {
@@ -268,7 +242,7 @@ func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery
 			r.stats.Deliveries += int64(len(extra))
 		}
 	}
-	sh.stats.commit(r.stats)
+	s.stats.commit(r.stats)
 }
 
 // packet is the run-to-completion core every packet takes (§VI): the
@@ -278,7 +252,7 @@ func (s *Switch) runOn(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery
 // and recirculation (§VI-B) happen inside this one pass. i is the
 // packet's index in the run, recorded with deferred custom hits.
 func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
-	ep, eg, ws, st := r.ep, r.ep.prog.Egress(), &r.sh.ws, &r.stats
+	ep, eg, ws, st := r.ep, r.ep.prog.Egress(), &s.ws, &r.stats
 	W := eg.W
 	st.Packets++
 	st.BytesIn += int64(pkt.Bytes)
@@ -289,7 +263,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
 		// Stream continuation: no application header, forward per the
 		// union cached by the stream's first packet (§VII-B).
-		cached, ok := r.sh.flows.lookup(pkt.Flow, r.now, ep.gen)
+		cached, ok := s.flows.lookup(pkt.Flow, r.now, ep.gen)
 		copy(union, cached)
 		if !ok {
 			st.FlowMisses++
@@ -300,11 +274,9 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 
 	// Batches deeper than the parse budget recirculate (§VI-B).
 	latency := baseLatency
-	if s.static != nil {
-		if extra := (len(pkt.Msgs) - 1) / compiler.MaxParsedMessages; extra > 0 {
-			st.Recirculations += int64(extra)
-			latency += time.Duration(extra) * recirculationLatency
-		}
+	if extra := (len(pkt.Msgs) - 1) / compiler.MaxParsedMessages; extra > 0 {
+		st.Recirculations += int64(extra)
+		latency += time.Duration(extra) * recirculationLatency
 	}
 
 	ws.masks = words(ws.masks, len(pkt.Msgs)*W)
@@ -341,7 +313,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	// whose dictionary its bits index. It keeps the full port set: ingress
 	// suppression re-applies per continuation packet.
 	if pkt.Flow != 0 && len(pkt.Msgs) > 0 {
-		r.sh.flows.install(pkt.Flow, union, r.now, ep.gen)
+		s.flows.install(pkt.Flow, union, r.now, ep.gen)
 	}
 	if s.cfg.DropOnIngressPort {
 		if w, bit, ok := eg.Bit(pkt.In); ok {

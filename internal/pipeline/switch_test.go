@@ -148,24 +148,39 @@ price > 90: fwd(2)
 	}
 }
 
-// TestRecirculation: batches deeper than the parse budget (default 4)
-// recirculate, adding latency per extra pass (§VI-B).
+// TestRecirculation: batches deeper than the parse budget
+// (compiler.MaxParsedMessages, 4) recirculate, adding latency per extra
+// pass (§VI-B), on a switch built with a static pipeline and on one
+// built without.
 func TestRecirculation(t *testing.T) {
 	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
-	msgs := make([]*spec.Message, 10) // budget 4 → 3 passes
-	for i := range msgs {
-		msgs[i] = itchMsg(sp, "GOOGL", 50, 10)
+	bare, err := NewSwitch("bare", nil, sw.Program())
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := sw.Process(&Packet{In: 0, Msgs: msgs}, 0)
-	if len(out) != 1 {
-		t.Fatalf("deliveries = %d", len(out))
-	}
-	wantLat := baseLatency + 2*recirculationLatency
-	if out[0].Latency != wantLat {
-		t.Errorf("latency = %v, want %v", out[0].Latency, wantLat)
-	}
-	if st := sw.Stats(); st.Recirculations != 2 {
-		t.Errorf("recirculations = %d, want 2", st.Recirculations)
+	for _, tc := range []struct {
+		sw          *Switch
+		msgs, extra int
+	}{
+		{sw, 10, 2}, // budget 4 → 3 passes
+		{bare, 10, 2},
+		{bare, 5, 1},
+	} {
+		msgs := make([]*spec.Message, tc.msgs)
+		for i := range msgs {
+			msgs[i] = itchMsg(sp, "GOOGL", 50, 10)
+		}
+		tc.sw.ResetStats()
+		out := tc.sw.Process(&Packet{In: 0, Msgs: msgs}, 0)
+		if len(out) != 1 {
+			t.Fatalf("%s, %d messages: deliveries = %d", tc.sw.ID, tc.msgs, len(out))
+		}
+		if want := baseLatency + time.Duration(tc.extra)*recirculationLatency; out[0].Latency != want {
+			t.Errorf("%s, %d messages: latency = %v, want %v", tc.sw.ID, tc.msgs, out[0].Latency, want)
+		}
+		if st := tc.sw.Stats(); st.Recirculations != int64(tc.extra) {
+			t.Errorf("%s, %d messages: recirculations = %d, want %d", tc.sw.ID, tc.msgs, st.Recirculations, tc.extra)
+		}
 	}
 }
 
