@@ -129,16 +129,18 @@ bench-report:
 ## (perf-baseline.json). The compiled table walk (Lookup, both rule
 ## shapes) runs 100000 lookups over its message pool and is held to an
 ## exact zero-alloc baseline. The wire-decode benchmarks decode 1000
-## frames each against their per-frame allocs/op (3 for an ITCH
-## datagram of any order count, 1 for an INT report), so per-message
-## decode garbage cannot return unnoticed; the wire-encode benchmarks
-## encode the same frames against 1 allocation per frame (the frame), so
-## a value map or boxed field returning to an encoder fails. The fabric
-## wire loop (FabricBatch: 256 frames decoded and published through the 20-switch
-## netsim per op) self-enforces its allocs/op exactly — 3 per frame of
-## decode plus the three result slices of one PublishBatch — so a per-hop
-## allocation cannot hide inside the 2x ratio. BenchmarkCoverChurn also
-## self-enforces its ≥2× entry-reduction bar.
+## frames each against an exact zero-alloc baseline too (messages and
+## string bytes are carved from pooled chunks, whose refills round to 0
+## per frame), so per-frame, per-message or per-field decode garbage
+## cannot return unnoticed; the wire-encode benchmarks encode the same
+## frames against 1 allocation per frame (the frame), so a value map or
+## boxed field returning to an encoder fails. The fabric wire loop
+## (FabricBatch: 256 frames decoded and published through the 20-switch
+## netsim per op) self-enforces at most frames/8 + 3 allocs/op — the
+## decode chunks' refills plus the three result slices of one
+## PublishBatch — so an allocation per frame, hop or delivery cannot hide
+## inside the 2x ratio. BenchmarkCoverChurn also self-enforces its ≥2×
+## entry-reduction bar.
 perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkCompileINT1k$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCompileSiena$$' -benchtime 1x -benchmem ./internal/compiler; \

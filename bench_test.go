@@ -150,9 +150,10 @@ func BenchmarkSwitchBatch(b *testing.B) {
 // path (DESIGN.md "Wire codec"): MoldUDP64 datagrams of 1–8
 // Zipf-batched add-orders (the bench/ generator's shape) through
 // formats.DecodeITCHFeed, one frame per op. ns/msg is the per-message
-// cost. allocs/op is per frame and does not grow with the order count
-// (message slab + one copy for the stock strings); perf-guard pins it,
-// so per-message or per-field garbage returning to decode fails CI.
+// cost. allocs/op is 0: the messages, their pointer slice and the copy
+// of the stock strings are carved from pooled chunks, whose refill every
+// few dozen frames rounds away. perf-guard holds it at 0, so per-frame,
+// per-message or per-field garbage returning to decode fails CI.
 func BenchmarkDecodeITCH(b *testing.B) {
 	feed := workload.ITCHFeed(workload.ITCHFeedConfig{Packets: 4096, BatchZipf: true, MaxBatch: 8, Seed: 1})
 	frames := make([][]byte, len(feed))
@@ -257,17 +258,19 @@ func BenchmarkCompile10k(b *testing.B) {
 // phase without the daemon: a fat-tree(4) deployed under TR α=10 with 192
 // `stock == S and price > P` filters (12 per host, 64 symbols), and per
 // op 256 MoldUDP64 frames decoded, published each from the next host
-// through one netsim.PublishBatch, and every host delivery read. allocs/op
-// is 3 per frame (the decode slab, as in DecodeITCH) plus the batch's
-// three result slices; the benchmark enforces that sum exactly, so a
-// per-hop or per-delivery allocation returning to the fabric fails
-// perf-guard whatever the 2x ratio would forgive.
+// through one netsim.PublishBatch, and every host delivery read. Decode
+// costs only the refills of its pooled chunks (about 20 per op; how many
+// depends on where the chunks run out), and the batch its three result
+// slices. The benchmark holds allocs/op to at most frames/8 + 3, so an
+// allocation per frame — a per-frame slab, or one per hop or delivery —
+// returning to the fabric fails perf-guard whatever the 2x ratio would
+// forgive.
 func BenchmarkFabricBatch(b *testing.B) {
 	const (
 		perHost       = 12
 		symbols       = 64
 		frames        = 256
-		allocsPerOp   = 3*frames + 3
+		maxAllocsOp   = frames/8 + 3
 		thresholdStep = 19
 	)
 	net := topology.MustFatTree(4)
@@ -323,8 +326,8 @@ func BenchmarkFabricBatch(b *testing.B) {
 	for i := 0; i < len(wire)/frames; i++ { // warm the wave scratch on every frame
 		op()
 	}
-	if got := testing.AllocsPerRun(10, op); got != allocsPerOp {
-		b.Errorf("%.0f allocs per %d-frame batch, want exactly %d", got, frames, allocsPerOp)
+	if got := testing.AllocsPerRun(10, op); got > maxAllocsOp {
+		b.Errorf("%.0f allocs per %d-frame batch, want at most %d", got, frames, maxAllocsOp)
 	}
 	delivered = 0
 	b.ReportAllocs()

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -481,6 +482,14 @@ func TestDecodeITCHPass(t *testing.T) {
 	// Out-of-range start terminates immediately.
 	if msgs, next, err := DecodeITCHPass(data, 50, 4); err != nil || next != -1 || len(msgs) != 0 {
 		t.Errorf("past-end pass: %v %d %v", msgs, next, err)
+	}
+	// A budget past the end takes the rest of the batch, however large:
+	// start + budget must not overflow into a negative message count.
+	for _, start := range []int{0, 1, 10} {
+		msgs, next, err := DecodeITCHPass(data, start, math.MaxInt)
+		if err != nil || next != -1 || len(msgs) != len(orders)-start {
+			t.Errorf("pass at %d, budget MaxInt: %d messages, next %d, %v", start, len(msgs), next, err)
+		}
 	}
 }
 

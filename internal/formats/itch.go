@@ -152,9 +152,9 @@ func DecodeITCHPass(data []byte, startMsg, maxMsgs int) (msgs []*spec.Message, n
 	if startMsg < 0 || startMsg >= count {
 		return nil, -1, nil
 	}
-	end := startMsg + maxMsgs
-	if maxMsgs <= 0 || end > count {
-		end = count
+	end := count
+	if maxMsgs > 0 && maxMsgs < count-startMsg {
+		end = startMsg + maxMsgs
 	}
 	// Counter loop: shift the parse buffer past the skipped messages
 	// without writing them to the PHV.

@@ -209,9 +209,12 @@ func TestDecodeIntoForeignSpec(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocs pins what a frame costs, exactly. ITCH: the message
-// slab (messages, pointer slice) and the one copy of the stock bytes. A
-// single report: its message. Encoding any frame: the frame.
+// TestDecodeAllocs pins what a frame costs, exactly. Decoding costs
+// nothing: an ITCH frame's messages, their pointer slice and the copy of
+// its stock bytes, and a single report's message, are carved from pooled
+// chunks, and a chunk refill every few dozen frames rounds to 0 per run
+// (in a build without the race detector, which defeats the pool).
+// Encoding any frame: the frame.
 func TestDecodeAllocs(t *testing.T) {
 	orders := eightOrders()
 	frame, err := EncodeITCHFeed("S", 1, orders)
@@ -223,17 +226,19 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink int
-	if n := testing.AllocsPerRun(200, func() {
-		msgs, _ := DecodeITCHFeed(frame)
-		sink += len(msgs)
-	}); n != 3 {
-		t.Errorf("DecodeITCHFeed(8 orders): %v allocations, want 3", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		m, _ := DecodeINT(report)
-		sink += int(m.HeaderMask())
-	}); n != 1 {
-		t.Errorf("DecodeINT: %v allocations, want 1", n)
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(200, func() {
+			msgs, _ := DecodeITCHFeed(frame)
+			sink += len(msgs)
+		}); n != 0 {
+			t.Errorf("DecodeITCHFeed(8 orders): %v allocations, want 0", n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			m, _ := DecodeINT(report)
+			sink += int(m.HeaderMask())
+		}); n != 0 {
+			t.Errorf("DecodeINT: %v allocations, want 0", n)
+		}
 	}
 	for name, encode := range map[string]func() ([]byte, error){
 		"EncodeITCHFeed(8 orders)": func() ([]byte, error) { return EncodeITCHFeed("S", 1, orders) },

@@ -1,0 +1,129 @@
+package formats
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"camus/internal/spec"
+)
+
+// ordersFor returns n orders whose stocks, prices and sizes are all
+// distinct for distinct tags, so a message that took another frame's
+// bytes cannot pass for its own.
+func ordersFor(tag, n int) []*Order {
+	orders := make([]*Order, n)
+	for i := range orders {
+		orders[i] = &Order{Stock: fmt.Sprintf("T%dO%d", tag, i), Price: int64(tag*16 + i), Shares: int64(tag + i), Buy: (tag+i)%2 == 0}
+	}
+	return orders
+}
+
+// checkOrders reports the first way msgs do not hold exactly the
+// orders, field by field, or nil.
+func checkOrders(msgs []*spec.Message, orders []*Order) error {
+	if len(msgs) != len(orders) {
+		return fmt.Errorf("%d messages, want %d", len(msgs), len(orders))
+	}
+	for i, m := range msgs {
+		if got, want := m.String(), orders[i].Message().String(); got != want {
+			return fmt.Errorf("message %d is %s, want %s", i, got, want)
+		}
+		if !m.HeaderValid(moldIndex) {
+			return fmt.Errorf("message %d lost its moldudp header", i)
+		}
+	}
+	return nil
+}
+
+// TestDecodedMessagesOutliveTheirChunks: decoded messages are carved from
+// pooled chunks that are handed out once, so messages decoded first keep
+// every field, their stock strings and a DNS name included, across
+// 10 000 later decodes that fill and abandon many message, pointer and
+// string chunks (and across collections, which empty the pools).
+func TestDecodedMessagesOutliveTheirChunks(t *testing.T) {
+	first := ordersFor(0, 8)
+	frame, err := EncodeITCHFeed("S", 1, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := DecodeITCHFeed(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, err := EncodeDNS(&DNSQuery{TxID: 1, QType: QTypeA, Name: "kept.example"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dns, err := DecodeDNS(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const later = 10000
+	frames := make([][]byte, 16)
+	for i := range frames {
+		if frames[i], err = EncodeITCHFeed("S", uint64(i), ordersFor(i+1, 1+i%8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < later; i++ {
+		msgs, err := DecodeITCHFeed(frames[i%len(frames)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 0 {
+			if err := checkOrders(msgs, ordersFor(i%len(frames)+1, 1+i%len(frames)%8)); err != nil {
+				t.Fatalf("later frame %d: %v", i, err)
+			}
+			runtime.GC()
+		}
+		if _, err := DecodeDNS(query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkOrders(kept, first); err != nil {
+		t.Errorf("first frame: %v", err)
+	}
+	if v, ok := dns.GetRef("name"); !ok || v.Str != "kept.example" {
+		t.Errorf("first DNS query: name %v (present %v), want kept.example", v, ok)
+	}
+}
+
+// TestConcurrentDecode: goroutines decoding distinct frames at once each
+// get messages of their own frame only — no two carve the same region of
+// a pooled chunk. Run it under -race.
+func TestConcurrentDecode(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 500
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		orders := ordersFor(w, 1+w%8)
+		frame, err := EncodeITCHFeed("S", uint64(w), orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kept := make([][]*spec.Message, rounds)
+			for r := range kept {
+				msgs, err := DecodeITCHFeed(frame)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				kept[r] = msgs
+			}
+			for r, msgs := range kept {
+				if err := checkOrders(msgs, orders); err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -6,21 +6,24 @@
 // specs with u4/u48/str8 fields all round-trip. A HeaderCodec compiles
 // each field's access path once; decoding is then one load (or a
 // byte-wise shift-and-mask for unaligned widths) per subscribable field,
-// stored as that field's word of a slab-allocated message
+// stored as that field's word of a message carved from a pooled chunk
 // (spec.NewMessages, spec.Message.Fill). Following gopacket's
-// DecodingLayerParser, nothing is allocated per field or per message: a
-// decoded frame costs its message slab (two allocations) plus, when the
-// header has subscribable string fields, one immutable copy of the bytes
-// those fields span. Encoding runs the same access paths the other way:
-// an encoder resolves each field's FieldCodec once and writes a frame
-// into one zeroed buffer with one Put per field, so a frame costs one
-// allocation whatever its field or message count.
+// DecodingLayerParser, nothing is allocated per field, per message or
+// per frame: the messages, and the one immutable copy of the bytes a
+// header's subscribable string fields span, are carved from append-only
+// chunks that are refilled every few dozen frames and never handed out
+// twice, so a decoded message is the caller's to keep. A kept message
+// keeps its chunks alive. Encoding runs the same access paths the other
+// way: an encoder resolves each field's FieldCodec once and writes a
+// frame into one zeroed buffer with one Put per field, so a frame costs
+// one allocation whatever its field or message count.
 package packet
 
 import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 
 	"camus/internal/spec"
 )
@@ -130,9 +133,9 @@ func (c *HeaderCodec) Decode(data []byte, m *spec.Message) ([]byte, error) {
 // the i-th into msgs[i], and returns the remaining bytes. The batch is
 // bounds-checked once. Every message must be of the codec's spec: the
 // field indices and the bits marked are that spec's. String fields point
-// into one immutable copy of the bytes they span, appended to whatever
-// strings the message already holds, never into data: the caller may
-// reuse its buffer.
+// into an immutable copy of the bytes they span, carved from a pooled
+// string chunk and appended to whatever strings the message already
+// holds, never into data: the caller may reuse its buffer.
 func (c *HeaderCodec) DecodeEach(data []byte, msgs []*spec.Message) ([]byte, error) {
 	total := len(msgs) * c.size
 	if len(data) < total {
@@ -145,17 +148,7 @@ func (c *HeaderCodec) DecodeEach(data []byte, msgs []*spec.Message) ([]byte, err
 	}
 	var strs string
 	if c.strBytes > 0 {
-		var b strings.Builder
-		b.Grow(len(msgs) * c.strBytes)
-		for i := range msgs {
-			hdr := data[i*c.size:]
-			for j := range c.sub {
-				if x := &c.sub[j]; x.str >= 0 {
-					b.Write(hdr[x.off : x.off+x.n])
-				}
-			}
-		}
-		strs = b.String()
+		strs = c.copyStrs(data, len(msgs))
 	}
 	for i, m := range msgs {
 		hdr := data[i*c.size : (i+1)*c.size]
@@ -172,6 +165,42 @@ func (c *HeaderCodec) DecodeEach(data []byte, msgs []*spec.Message) ([]byte, err
 		}
 	}
 	return data[total:], nil
+}
+
+// strChunk is the size of the chunks decoded string bytes are copied to.
+const strChunk = 4096
+
+// strPool hands each P the builder it is filling: its current string
+// chunk.
+var strPool sync.Pool
+
+// copyStrs copies the subscribable string bytes of the n headers at the
+// head of data to the end of the current string chunk and returns them
+// as one string. A chunk is only ever appended to, so what it returned
+// earlier never changes; one too full for the copy is left to the
+// collector, and the builder starts a fresh one.
+func (c *HeaderCodec) copyStrs(data []byte, n int) string {
+	need := n * c.strBytes
+	b, _ := strPool.Get().(*strings.Builder)
+	if b == nil {
+		b = new(strings.Builder)
+	}
+	if b.Cap()-b.Len() < need {
+		b.Reset()
+		b.Grow(max(need, strChunk))
+	}
+	start := b.Len()
+	for i := range n {
+		hdr := data[i*c.size:]
+		for j := range c.sub {
+			if x := &c.sub[j]; x.str >= 0 {
+				b.Write(hdr[x.off : x.off+x.n])
+			}
+		}
+	}
+	strs := b.String()[start:]
+	strPool.Put(b)
+	return strs
 }
 
 // Uint reads an integer field from hdr, which must hold the whole header.

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Value is a dynamically-typed field value: either an unsigned integer
@@ -57,10 +58,10 @@ func (v Value) Equal(o Value) bool {
 // Which of the two a word is comes from the spec, not from a tag stored
 // beside it. For a spec of at most inlineFields fields whose bits fit one
 // word (every single-application spec in this repository) all of it is in
-// the struct, and spec, bits and the first six field words are its first
-// 64 bytes: what a table walk reads of a message, string bytes aside. A
-// wider spec (the eight-application merge) keeps its bit words and field
-// words in wide, a block shared by the messages of a slab.
+// the struct, and spec, bits, the field words and the pointer of strs are
+// its first 64 bytes: what a table walk reads of a message, string bytes
+// aside. A wider spec (the eight-application merge) keeps its bit words
+// and field words in wide, carved like the message from a shared chunk.
 type Message struct {
 	spec  *Spec
 	bits  [1]uint64
@@ -69,12 +70,12 @@ type Message struct {
 	wide  []uint64 // nil, or s.maskWords bit words then one word per field
 }
 
-// inlineFields makes a Message 112 bytes — 8 (spec) + 8 (bits) + 7×8 +
+// inlineFields makes a Message 96 bytes — 8 (spec) + 8 (bits) + 5×8 +
 // 16 (strs) + 24 (wide) — which is an allocator size class, so nothing
-// is lost to rounding; the next class, 128 bytes, would buy two more
-// words that no single-application spec needs (INT, the widest, has five
-// fields) at 16 bytes per decoded message.
-const inlineFields = 7
+// is lost to rounding; five words are what the widest single-application
+// specs (INT, highway) need, and each word more would cost every decoded
+// message 8 bytes.
+const inlineFields = 5
 
 // NewMessage allocates an empty message for s.
 func NewMessage(s *Spec) *Message {
@@ -85,18 +86,60 @@ func NewMessage(s *Spec) *Message {
 	return m
 }
 
-// NewMessages allocates n empty messages for s as one slab: the messages
-// and the returned pointer slice are one allocation each, whatever n is
-// (a wide spec's out-of-line words are a third). A decoded frame's
-// messages are built this way; they live and die together.
+// Chunk lengths of the slabs NewMessages carves from. An object over
+// 512 bytes that holds pointers carries an 8-byte allocator header, so
+// 85 messages (8160 bytes) and 1023 pointers (8184 bytes) fill the
+// 8 KB size class exactly; the wide words hold no pointer and have no
+// header.
+const (
+	msgChunk  = 85
+	ptrChunk  = 1023
+	wideChunk = 1024
+)
+
+// slabs is one P's unused tail of the current message, pointer and
+// wide-word chunks.
+type slabs struct {
+	msgs []Message
+	ptrs []*Message
+	wide []uint64
+}
+
+// slabPool hands each P its own slabs, so carving needs no lock.
+var slabPool sync.Pool
+
+// carve returns the next n elements of *free, refilling it with a fresh
+// chunk of at least n when fewer are left. A region is handed out once:
+// the slice is capped, and a chunk that runs out is left to the
+// collector, which frees it once no carved element is live.
+func carve[T any](free *[]T, n, chunk int) []T {
+	if len(*free) < n {
+		*free = make([]T, max(n, chunk))
+	}
+	out := (*free)[:n:n]
+	*free = (*free)[n:]
+	return out
+}
+
+// NewMessages returns n empty messages for s. The messages, the returned
+// pointer slice and a wide spec's out-of-line words are carved from
+// per-P chunks, so a small slab costs no allocation; no memory is handed
+// out twice, so the messages are the caller's to keep and to change like
+// any other. A decoded frame's messages are built this way. The cost is
+// retention: a kept message keeps its chunks (8 KB each) alive.
 func NewMessages(s *Spec, n int) []*Message {
-	slab := make([]Message, n)
-	out := make([]*Message, n)
+	c, _ := slabPool.Get().(*slabs)
+	if c == nil {
+		c = new(slabs)
+	}
+	slab := carve(&c.msgs, n, msgChunk)
+	out := carve(&c.ptrs, n, ptrChunk)
 	nw := s.wideWords
 	var wide []uint64
 	if nw > 0 {
-		wide = make([]uint64, n*nw)
+		wide = carve(&c.wide, n*nw, wideChunk)
 	}
+	slabPool.Put(c)
 	for i := range slab {
 		slab[i].spec = s
 		if nw > 0 {
@@ -246,16 +289,20 @@ func (m *Message) str(w uint64) string {
 // Fill is the wire codec's entry point: it ORs bits (presence of the
 // fields the codec is about to store, and their header's validity, laid
 // out as the message's own bit vector) into the message, appends strs to
-// the message's backing string, and returns the field words for the
-// codec to store into together with the offset strs begins at, which the
-// codec adds to the offsets it passes to StrWord. Bytes of a header
-// decoded earlier stay where they are, until Reset drops them all.
+// the message's backing string (a message with none yet takes strs as it
+// is, uncopied), and returns the field words for the codec to store into
+// together with the offset strs begins at, which the codec adds to the
+// offsets it passes to StrWord. Bytes of a header decoded earlier stay
+// where they are, until Reset drops them all.
 func (m *Message) Fill(bits []uint64, strs string) (fields []uint64, base int) {
 	mask := m.mask()
 	for i, b := range bits {
 		mask[i] |= b
 	}
-	if strs != "" {
+	switch {
+	case m.strs == "":
+		m.strs = strs
+	case strs != "":
 		base = len(m.strs)
 		m.strs += strs
 	}
