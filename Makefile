@@ -155,10 +155,14 @@ perf-guard:
 ## churn-soak: race-enabled soak of the live control plane — churn +
 ## concurrent traffic through the netsim switches, plus the covering
 ## variants: a covering-heavy churn run and the uncovering epoch-swap
-## consistency check (~5s). The 1000-event net-validated covering twin
+## consistency check (~5s) — then ten race-enabled rounds of the
+## switch's own concurrency tests: Install as a barrier under traffic,
+## carried registers, re-entrant handlers, caller-owned Results and the
+## batch fallback (~10s). The 1000-event net-validated covering twin
 ## (TestCoveringChurnNetValidated) runs in the full `race` target.
 churn-soak:
 	$(GO) test -race -count=1 -run 'TestChurnSoak|TestLiveChurn|TestHotSwapEpochConsistency|TestCoveringChurn$$|TestUncoverEpochConsistency' ./internal/netsim
+	$(GO) test -race -count=10 -run 'Concurrent|Install|Carried|Reenters|Owners|Fallback' ./internal/pipeline
 
 ## serve-soak: end-to-end soak of the multi-tenant daemon — an
 ## in-process camusd with a durable event log, 1000 tenants of

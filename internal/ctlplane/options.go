@@ -72,7 +72,7 @@ func WithNetValidator(v NetValidator, every int) Option {
 // tracked as refcounted covered obligations in a subsumption forest
 // (BDD implication decides f ⊑ g). Unsubscribing a covering filter
 // uncovers its children: the delete and their re-installs are emitted
-// in one coalesced batch, so the atomic epoch swap leaves no window in
+// in one coalesced batch, so the one Install leaves no window in
 // which a still-subscribed filter lacks a covering entry. Delivery is
 // provably unchanged — forwarding through a port is the union of its
 // filters, and f ⊑ g makes f ∪ g = g — and `camusc netcheck -covering`

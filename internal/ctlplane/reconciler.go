@@ -2,7 +2,7 @@
 // story requires (§V memoized recompilation, §VIII-G3 rule-update
 // latency): a long-running service that turns individual subscribe /
 // unsubscribe events into per-switch table-entry deltas and applies
-// them to running switches through the atomic epoch Install, instead of
+// them to running switches through one Install per switch, instead of
 // batch-redeploying the whole network.
 //
 // The package splits into a synchronous core and an asynchronous
@@ -292,7 +292,7 @@ func (sc *swCompiler) forest(im *cover.Implier, port int) *cover.Forest {
 // coverOps translates a forest delta into rule ops against the
 // installed-entry registry. Uninstalls precede installs; both halves of
 // an uncovering travel in one slice and therefore land in one coalesced
-// Compile batch — a single atomic epoch swap with no window in which a
+// Compile batch — a single Install with no window in which a
 // still-subscribed filter lacks a covering entry.
 func (r *Reconciler) coverOps(sc *swCompiler, port int, d cover.Delta) []RuleOp {
 	if d.Empty() {

@@ -17,7 +17,7 @@ import (
 )
 
 // Installer is a live apply target for one switch's program — satisfied
-// structurally by *pipeline.Switch (atomic epoch Install). A nil
+// structurally by *pipeline.Switch (Install under the switch lock). A nil
 // installer makes the switch compile-only.
 type Installer interface {
 	Install(p *compiler.Program) error

@@ -9,11 +9,11 @@ import (
 
 // workspace is the reusable mutable state of the packet core: the port
 // mask words of the packet in flight and the register reader. A port set
-// is W words under the epoch program's port dictionary (compiler.Egress):
-// union is the packet's, masks holds each message's in wire order, so
-// egress prunes a replica with one bit test per message. Where a run
-// emits is not the workspace's business: the deliveries go into the emit
-// arena of the Results the caller passed.
+// is W words under the installed program's port dictionary
+// (compiler.Egress): union is the packet's, masks holds each message's
+// in wire order, so egress prunes a replica with one bit test per
+// message. Where a run emits is not the workspace's business: the
+// deliveries go into the emit arena of the Results the caller passed.
 type workspace struct {
 	union, masks []uint64
 	regs         stateAt
@@ -58,12 +58,12 @@ func (a *arena[T]) alloc(n int) []T {
 }
 
 // cachedFlows reports the number of flow-cache entries installed under
-// the current epoch (diagnostics, tests).
+// the current program (diagnostics, tests).
 func (s *Switch) cachedFlows() int {
-	gen, n := s.epoch.Load().gen, 0
 	s.mu.Lock()
+	n := 0
 	for _, e := range s.flows.entries {
-		if e.gen == gen {
+		if e.gen == s.gen {
 			n++
 		}
 	}
@@ -104,9 +104,11 @@ func (res *Results) begin(n int) [][]Delivery {
 	return out
 }
 
-// batchScratch is the switch-owned Results ProcessBatch emits into,
-// guarded by its own mutex so concurrent ProcessBatch callers fall back
-// to a throwaway Results instead of serializing.
+// batchScratch is the switch-owned Results ProcessBatch emits into. A
+// call that finds it busy falls back to a throwaway Results: blocking
+// would recycle a concurrent caller's unread results, deadlock a custom
+// handler batching on its own switch, and queue callers on a mutex
+// held across ProcessBatchInto, the convoy camus-locksend flags.
 type batchScratch struct {
 	mu  sync.Mutex
 	res Results
@@ -124,7 +126,7 @@ type batchScratch struct {
 func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 	bs := &s.batch
 	if !bs.mu.TryLock() {
-		s.stats.commit(StatsSnapshot{BatchFallbacks: 1})
+		s.count(StatsSnapshot{BatchFallbacks: 1})
 		return s.ProcessBatchInto(new(Results), pkts, now)
 	}
 	defer bs.mu.Unlock()

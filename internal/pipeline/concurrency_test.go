@@ -74,7 +74,7 @@ func TestInstallClearsFlowCache(t *testing.T) {
 // TestConcurrentProcessInstall hammers Process from several goroutines
 // while the control plane keeps swapping programs — the §VIII-G3
 // "rule updates under traffic" scenario. Run under -race this verifies
-// the epoch swap; functionally it checks every delivery is valid under
+// the swap under the switch lock; functionally it checks every delivery is valid under
 // one of the two installed programs and that after quiescing the switch
 // obeys exactly the last program.
 func TestConcurrentProcessInstall(t *testing.T) {
@@ -233,7 +233,7 @@ func TestInstallChurnEpochConsistency(t *testing.T) {
 	default:
 	}
 	// Quiesce on the final program: its decision, not any earlier
-	// epoch's.
+	// program's.
 	if err := sw.Install(compileRules(t, sp, "stock == GOOGL: fwd(2)")); err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +248,8 @@ func TestInstallChurnEpochConsistency(t *testing.T) {
 
 // TestCarriedRegisterUnderInstall: publishers feed a counted aggregate
 // on one switch while Install alternates two programs that both
-// hold it. Packets running either epoch update the one carried register
-// under the lock the tables share, so under -race no access races and
+// hold it. Packets running either program update the one carried
+// register under the switch lock, so under -race no access races and
 // once traffic stops the count is every packet sent.
 func TestCarriedRegisterUnderInstall(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
@@ -301,7 +301,7 @@ func TestCarriedRegisterUnderInstall(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	regs := sw.State().Snapshot(0)
+	regs := sw.Registers(0)
 	if len(regs) != 1 {
 		t.Fatalf("registers = %v, want the one aggregate", regs)
 	}
@@ -315,7 +315,9 @@ func TestCarriedRegisterUnderInstall(t *testing.T) {
 // TestBatchFallbackCounted: a ProcessBatch call that finds the switch's
 // own Results in use emits into a throwaway one — the degraded mode of
 // the batch entry point — and says so in Stats; its deliveries are those
-// of an uncontended call.
+// of an uncontended call. A custom handler that batches on its own
+// switch is such a call: the outer batch still holds the Results, so
+// blocking on them would deadlock.
 func TestBatchFallbackCounted(t *testing.T) {
 	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)\nprice > 40: fwd(2)", compiler.Options{})
 	pkts := []*Packet{{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 10)}, Bytes: 20}}
@@ -342,6 +344,62 @@ func TestBatchFallbackCounted(t *testing.T) {
 	}
 	if st := sw.Stats(); st.BatchFallbacks != 1 || st.Packets != 2 {
 		t.Fatalf("stats after one fallback = %+v", st)
+	}
+
+	re, err := NewSwitch("re", nil, compileRules(t, sp, "stock == GOOGL: fwd(1)\nprice > 40: fwd(2)\nstock == MSFT: alert(7)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inner [][]Delivery
+	re.HandleCustom("alert", func(subscription.Action, *spec.Message, *Packet) []Delivery {
+		inner = re.ProcessBatch(pkts, 0)
+		return nil
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		re.ProcessBatch([]*Packet{{In: 0, Msgs: []*spec.Message{itchMsg(sp, "MSFT", 10, 1)}}}, 0)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("deadlock: a handler's ProcessBatch waited on its caller's Results")
+	}
+	if !reflect.DeepEqual(inner, want) {
+		t.Fatalf("re-entrant batch delivered %+v, uncontended %+v", inner, want)
+	}
+	if st := re.Stats(); st.BatchFallbacks != 1 || st.Packets != 2 {
+		t.Fatalf("stats after a re-entrant batch = %+v", st)
+	}
+}
+
+// TestInstallWaitsForRun: Install swaps the program under the switch
+// lock, so it is a barrier. While a run holds the lock it waits, and once
+// it returns the next packet runs the new program.
+func TestInstallWaitsForRun(t *testing.T) {
+	sw, sp := buildSwitch(t, "stock == GOOGL: fwd(1)", compiler.Options{})
+	next := compileRules(t, sp, "stock == GOOGL: fwd(2)")
+	sw.mu.Lock() // a run in flight
+	installed := make(chan error, 1)
+	go func() { installed <- sw.Install(next) }()
+	select {
+	case err := <-installed:
+		sw.mu.Unlock()
+		t.Fatalf("Install returned (err %v) while a run held the switch", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	sw.mu.Unlock()
+	select {
+	case err := <-installed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Install never returned after the run ended")
+	}
+	out := sw.Process(&Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 50, 1)}}, 0)
+	if len(out) != 1 || out[0].Port != 2 {
+		t.Fatalf("after Install, GOOGL → %+v, want fwd(2)", out)
 	}
 }
 

@@ -71,7 +71,7 @@ func (r *refSwitch) packet(pkt *Packet, now time.Duration) []Delivery {
 		acts := r.prog.Eval(m, r.state.At(now))
 		if le := r.prog.Lookup(m, r.state.At(now)); le != nil {
 			for _, key := range le.Updates {
-				r.state.Update(key, m, now)
+				r.state.update(key, m, now)
 			}
 		}
 		for _, p := range acts.Ports {

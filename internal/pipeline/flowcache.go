@@ -6,7 +6,7 @@ import "time"
 // parser).
 type FlowKey uint64
 
-// flowEntry is one cached stream decision: the program epoch it was
+// flowEntry is one cached stream decision: the program generation it was
 // compiled under, its expiry, and its ring slot, whose words in the
 // cache's slab are the decision. It holds no pointer, so the collector
 // never scans the entries map.
@@ -24,9 +24,9 @@ type flowEntry struct {
 // packet's union mask, is cached under the flow key and applied to
 // header-less continuation packets.
 //
-// Decisions are epoch-tagged: a lookup only returns entries installed
-// under the currently-running program generation, whose dictionary their
-// bits index, so a decision compiled from a program that has since been
+// Decisions are generation-tagged: a lookup only returns entries
+// installed under the currently-running program generation, whose
+// dictionary their bits index, so a decision compiled from a program that has since been
 // replaced by Install can never forward a packet (the stale §VII-B
 // stream-state bug) and Install need not visit the cache. The cache is
 // not internally synchronized: the switch lock guards it.

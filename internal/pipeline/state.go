@@ -7,7 +7,6 @@
 package pipeline
 
 import (
-	"sync"
 	"time"
 
 	"camus/internal/compiler"
@@ -20,6 +19,9 @@ import (
 // the aggregate restarts from zero (paper §II: count, sum, average over
 // tumbling windows).
 type register struct {
+	// field is the packet field fed into the register on update (nil for
+	// count()).
+	field  *spec.Field
 	agg    spec.AggFunc
 	window time.Duration
 	start  time.Duration // virtual time of window start
@@ -64,47 +66,29 @@ func (r *register) value(now time.Duration) int64 {
 
 // StateTable holds a switch's stateful registers, keyed by aggregate key
 // (subscription.FieldRef.Key). It implements subscription.StateReader
-// when bound to a read time via At. The
-// registers are also read outside the switch lock (EvalMessage,
-// Snapshot) and shared with the tables an Install carries them into, so
-// all access — including reads, which roll tumbling windows — goes
-// through one lock of their own.
+// when bound to a read time via At. It has no lock of its own: reads
+// roll tumbling windows, so a switch's table — and the registers Install
+// carries into the next one — is only touched under the switch lock.
 type StateTable struct {
-	// mu guards the registers. The key set is fixed at construction;
-	// the lock protects the per-register window state (count/sum/start),
-	// which mutates on reads as well as updates. Tables that carry one
-	// another's registers share it.
-	mu   *sync.Mutex
 	regs map[string]*register
-	// fieldOf maps aggregate key → the packet field fed into the
-	// register on update (nil for count()).
-	fieldOf map[string]*spec.Field
 }
 
 // NewStateTable allocates one register per aggregate the program uses
 // (compiler.Aggregates) — the dynamic linking of state variables to the
 // pre-allocated register block (§V-A).
 func NewStateTable(p *compiler.Program) *StateTable {
-	st := &StateTable{
-		mu:      new(sync.Mutex),
-		regs:    make(map[string]*register),
-		fieldOf: make(map[string]*spec.Field),
-	}
+	st := &StateTable{regs: make(map[string]*register)}
 	for _, fv := range compiler.Aggregates(p) {
-		st.regs[fv.Key()] = &register{agg: fv.Ref.Agg, window: fv.Ref.Window}
-		st.fieldOf[fv.Key()] = fv.Ref.Field
+		st.regs[fv.Key()] = &register{field: fv.Ref.Field, agg: fv.Ref.Agg, window: fv.Ref.Window}
 	}
 	return st
 }
 
 // carry returns p's state table with this one's registers carried over:
 // a key both programs hold keeps its register and window, a new key
-// starts fresh, a key p dropped goes. The two tables share one lock, so
-// packets still running the outgoing program and packets on the incoming
-// one update a carried register under it.
+// starts fresh, a key p dropped goes.
 func (st *StateTable) carry(p *compiler.Program) *StateTable {
 	next := NewStateTable(p)
-	next.mu = st.mu
 	for k := range next.regs {
 		if r, ok := st.regs[k]; ok {
 			next.regs[k] = r
@@ -113,16 +97,16 @@ func (st *StateTable) carry(p *compiler.Program) *StateTable {
 	return next
 }
 
-// Update feeds a packet into the named register (an __update directive
-// from a leaf entry). Safe for concurrent use.
-func (st *StateTable) Update(key string, m *spec.Message, now time.Duration) {
+// update feeds a packet into the named register (an __update directive
+// from a leaf entry).
+func (st *StateTable) update(key string, m *spec.Message, now time.Duration) {
 	r, ok := st.regs[key]
 	if !ok {
 		return
 	}
 	var v int64
-	if f := st.fieldOf[key]; f != nil {
-		idx, ok := m.Spec().SubscribableIndex(f)
+	if r.field != nil {
+		idx, ok := m.Spec().SubscribableIndex(r.field)
 		if !ok {
 			return
 		}
@@ -132,9 +116,7 @@ func (st *StateTable) Update(key string, m *spec.Message, now time.Duration) {
 		}
 		v = val.Int
 	}
-	st.mu.Lock()
 	r.update(now, v)
-	st.mu.Unlock()
 }
 
 // At returns a StateReader view of the registers at a virtual time.
@@ -153,16 +135,11 @@ func (s stateAt) AggValue(key string) int64 {
 	if !ok {
 		return 0
 	}
-	s.t.mu.Lock()
-	v := r.value(s.now)
-	s.t.mu.Unlock()
-	return v
+	return r.value(s.now)
 }
 
-// Snapshot returns the current value of every register (diagnostics).
-func (st *StateTable) Snapshot(now time.Duration) map[string]int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// snapshot returns the current value of every register (diagnostics).
+func (st *StateTable) snapshot(now time.Duration) map[string]int64 {
 	out := make(map[string]int64, len(st.regs))
 	for k, r := range st.regs {
 		out[k] = r.value(now)

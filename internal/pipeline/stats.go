@@ -1,7 +1,5 @@
 package pipeline
 
-import "sync"
-
 // StatsSnapshot is an immutable copy of the dataplane counters. Obtain
 // one via Switch.Stats(); the zero value is an empty snapshot.
 type StatsSnapshot struct {
@@ -21,7 +19,10 @@ type StatsSnapshot struct {
 	benchLeafCounters
 }
 
-// add returns the element-wise sum of two snapshots.
+// add returns the element-wise sum of two snapshots. A run accumulates
+// its counts on the stack and adds them to the switch's under the switch
+// lock once, so the lock is not taken per message and a snapshot is
+// consistent across counters.
 func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	a.Packets += b.Packets
 	a.Messages += b.Messages
@@ -36,32 +37,4 @@ func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	a.BytesIn += b.BytesIn
 	a.BytesOut += b.BytesOut
 	return a
-}
-
-// switchStats is the switch's counter block, behind one lock of its own.
-// A run accumulates its counts in a StatsSnapshot on the stack and
-// commits them once, after its custom handlers, so the lock is taken per
-// call, not per message, and a snapshot is consistent across counters.
-type switchStats struct {
-	mu  sync.Mutex
-	sum StatsSnapshot
-}
-
-// commit adds one run's counts.
-func (st *switchStats) commit(d StatsSnapshot) {
-	st.mu.Lock()
-	st.sum = st.sum.add(d)
-	st.mu.Unlock()
-}
-
-func (st *switchStats) snapshot() StatsSnapshot {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.sum
-}
-
-func (st *switchStats) reset() {
-	st.mu.Lock()
-	st.sum = StatsSnapshot{}
-	st.mu.Unlock()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"camus/internal/compiler"
@@ -45,9 +44,9 @@ type Delivery struct {
 
 // CustomActionFunc handles a non-fwd action (e.g. answerDNS). It may
 // return extra deliveries (crafted response packets). Handlers run on
-// the calling goroutine once the switch lock is released, so they must
-// be safe for concurrent invocation when several goroutines drive the
-// switch.
+// the calling goroutine once the switch lock is released, so they may
+// re-enter the switch (Process, ProcessBatch, Install) and must be safe
+// for concurrent invocation when several goroutines drive the switch.
 type CustomActionFunc func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery
 
 // The switch model's fixed, Tofino-like figures.
@@ -64,46 +63,34 @@ const (
 	flowTTL = 30 * time.Second
 )
 
-// epoch is one immutable (Program, StateTable) generation. Install
-// publishes a new epoch with a single atomic pointer swap, so a packet
-// run always observes a consistent program/state pair and never a
-// half-updated switch.
-type epoch struct {
-	gen   uint64
-	prog  *compiler.Program
-	state *StateTable
-}
-
 // Switch is a software Camus switch: a static pipeline bound to a
 // compiled program, with stateful registers and custom action handlers.
 //
-// The dataplane is one run-to-completion core (§VI): a call holds the
-// switch lock while its packets run, so calls from many goroutines take
-// turns, and the installed (Program, StateTable) pair is swapped
-// atomically by Install. Process and ProcessBatch may therefore be
-// called from many goroutines concurrently, including concurrently with
-// Install.
-// Configuration (SetParser, HandleCustom) is not synchronized and must
-// complete before traffic starts.
+// The dataplane is one run-to-completion core (§VI) behind one lock: a
+// call holds it while its packets run, so calls from many goroutines
+// take turns, and Install swaps the program and its registers under it,
+// between two calls, as a chip writes its tables between packets.
+// Process, ProcessBatch and Install may therefore be called from many
+// goroutines concurrently. Configuration (SetParser, HandleCustom) is
+// not synchronized and must complete before traffic starts.
 type Switch struct {
 	// ID names the switch (diagnostics, netsim).
 	ID string
 
 	static  *compiler.StaticPipeline
 	cfg     config
-	epoch   atomic.Pointer[epoch]
 	customs map[string]CustomActionFunc
 	parser  Parser
-	stats   switchStats
 
-	// mu guards flows and ws; a run holds it from start to end.
-	mu    sync.Mutex
+	// mu guards everything below; a run holds it from start to end.
+	mu sync.Mutex
+	// gen counts Installs; flow-cache entries are tagged with it.
+	gen   uint64
+	prog  *compiler.Program
+	state *StateTable
+	stats StatsSnapshot
 	flows *flowCache
 	ws    workspace
-
-	// installMu serializes control-plane updates (Install) so epoch
-	// generations advance monotonically.
-	installMu sync.Mutex
 
 	// batch is the switch-owned Results ProcessBatch emits into; see the
 	// ProcessBatch reuse contract.
@@ -131,35 +118,62 @@ func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Progra
 		static:  static,
 		cfg:     cfg,
 		customs: make(map[string]CustomActionFunc),
+		prog:    prog,
+		state:   NewStateTable(prog),
 		flows:   newFlowCache(flowCacheSize, flowTTL),
 	}
-	s.epoch.Store(&epoch{prog: prog, state: NewStateTable(prog)})
 	return s, nil
 }
 
 // Program returns the currently-installed dynamic configuration.
-func (s *Switch) Program() *compiler.Program { return s.epoch.Load().prog }
+func (s *Switch) Program() *compiler.Program {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.prog
+}
 
-// State returns the stateful registers of the current epoch.
-func (s *Switch) State() *StateTable { return s.epoch.Load().state }
+// Registers returns the value of every stateful register at virtual
+// time now (diagnostics). Reading rolls tumbling windows, so it runs
+// under the switch lock like a packet.
+func (s *Switch) Registers(now time.Duration) map[string]int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state.snapshot(now)
+}
 
 // Stats returns a snapshot of the dataplane counters.
-func (s *Switch) Stats() StatsSnapshot { return s.stats.snapshot() }
+func (s *Switch) Stats() StatsSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
 
 // ResetStats zeroes the counters.
-func (s *Switch) ResetStats() { s.stats.reset() }
+func (s *Switch) ResetStats() {
+	s.mu.Lock()
+	s.stats = StatsSnapshot{}
+	s.mu.Unlock()
+}
+
+// count adds counts taken outside a run (parse errors, batch fallbacks,
+// custom-handler deliveries) to the counters.
+func (s *Switch) count(d StatsSnapshot) {
+	s.mu.Lock()
+	s.stats = s.stats.add(d)
+	s.mu.Unlock()
+}
 
 // Install replaces the dynamic program (a control-plane rule update,
-// §VIII-G3) with a single atomic epoch swap: in-flight packets finish
-// against the epoch they loaded, later packets see the new program.
-// Registers carry over (StateTable.carry): an aggregate both programs
-// hold keeps its window and counts, so a subscriber whose rule did not
-// change does not see its state restart. The swap is also the whole
-// flow-cache invalidation: every entry carries the generation it was
-// written under and misses under any other, so a decision compiled from
-// the outgoing program can never forward a packet — continuation packets
-// re-miss until their stream's next header packet installs a fresh
-// decision (§VII-B) — and Install never takes the switch lock.
+// §VIII-G3). It validates outside the switch lock and swaps under it,
+// so it is a barrier: it waits for the call in flight, if any, and once
+// it returns every packet runs the new program. Registers carry over
+// (StateTable.carry): an aggregate both programs hold keeps its window
+// and counts, so a subscriber whose rule did not change does not see its
+// state restart. The swap is also the whole flow-cache invalidation:
+// every entry carries the generation it was written under and misses
+// under any other, so a decision compiled from the outgoing program can
+// never forward a packet — continuation packets re-miss until their
+// stream's next header packet installs a fresh decision (§VII-B).
 func (s *Switch) Install(prog *compiler.Program) error {
 	if prog == nil {
 		return fmt.Errorf("pipeline: Install: nil program")
@@ -169,10 +183,10 @@ func (s *Switch) Install(prog *compiler.Program) error {
 			return err
 		}
 	}
-	s.installMu.Lock()
-	old := s.epoch.Load()
-	s.epoch.Store(&epoch{gen: old.gen + 1, prog: prog, state: old.state.carry(prog)})
-	s.installMu.Unlock()
+	s.mu.Lock()
+	s.gen++
+	s.prog, s.state = prog, s.state.carry(prog)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -192,15 +206,13 @@ func (s *Switch) Process(pkt *Packet, now time.Duration) []Delivery {
 	return out[0]
 }
 
-// run is one call's pass over the switch: the epoch it loaded, where it
-// emits, and the stats and custom hits it accumulates on the stack until
-// the call ends.
+// run is one call's pass over the switch: where it emits, and the stats
+// and custom hits it accumulates on the stack until the call ends.
 type run struct {
-	ep  *epoch
 	now time.Duration
 	// emit is the caller's arena; nil emits heap-fresh slices (Process).
 	emit *emitArena
-	// regs reads the epoch's registers at now; nil when it has none.
+	// regs reads the switch's registers at now; nil when it has none.
 	regs    subscription.StateReader
 	stats   StatsSnapshot
 	customs []customHit
@@ -220,29 +232,34 @@ type customHit struct {
 // ProcessBatchInto.
 func (s *Switch) execute(pkts []*Packet, out [][]Delivery, now time.Duration, em *emitArena) {
 	s.mu.Lock()
-	r := run{ep: s.epoch.Load(), now: now, emit: em}
+	r := run{now: now, emit: em}
 	if em != nil {
 		em.dels.reset()
 		em.msgs.reset()
 	}
-	if len(r.ep.state.regs) > 0 {
-		s.ws.regs = stateAt{t: r.ep.state, now: now}
+	if len(s.state.regs) > 0 {
+		s.ws.regs = stateAt{t: s.state, now: now}
 		r.regs = &s.ws.regs
 	}
 	for i, p := range pkts {
 		out[i] = s.packet(&r, p, i)
 	}
+	s.stats = s.stats.add(r.stats)
 	s.mu.Unlock()
+	if len(r.customs) == 0 {
+		return
+	}
 	// Custom deliveries append onto a capacity-clamped slice, so they
 	// copy out of the arena rather than overwrite a neighbour.
+	var extra StatsSnapshot
 	for _, ch := range r.customs {
 		if fn, ok := s.customs[ch.act.Name]; ok {
-			extra := fn(ch.act, ch.m, pkts[ch.pkt])
-			out[ch.pkt] = append(out[ch.pkt], extra...)
-			r.stats.Deliveries += int64(len(extra))
+			ds := fn(ch.act, ch.m, pkts[ch.pkt])
+			out[ch.pkt] = append(out[ch.pkt], ds...)
+			extra.Deliveries += int64(len(ds))
 		}
 	}
-	s.stats.commit(r.stats)
+	s.count(extra)
 }
 
 // packet is the run-to-completion core every packet takes (§VI): the
@@ -252,7 +269,7 @@ func (s *Switch) execute(pkts []*Packet, out [][]Delivery, now time.Duration, em
 // and recirculation (§VI-B) happen inside this one pass. i is the
 // packet's index in the run, recorded with deferred custom hits.
 func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
-	ep, eg, ws, st := r.ep, r.ep.prog.Egress(), &s.ws, &r.stats
+	eg, ws, st := s.prog.Egress(), &s.ws, &r.stats
 	W := eg.W
 	st.Packets++
 	st.BytesIn += int64(pkt.Bytes)
@@ -263,7 +280,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
 		// Stream continuation: no application header, forward per the
 		// union cached by the stream's first packet (§VII-B).
-		cached, ok := s.flows.lookup(pkt.Flow, r.now, ep.gen)
+		cached, ok := s.flows.lookup(pkt.Flow, r.now, s.gen)
 		copy(union, cached)
 		if !ok {
 			st.FlowMisses++
@@ -283,7 +300,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	masks := ws.masks
 	for k, m := range pkt.Msgs {
 		st.Messages++
-		slot := ep.prog.LeafSlot(m, r.regs)
+		slot := s.prog.LeafSlot(m, r.regs)
 		var hit uint64
 		for w, x := range eg.Mask(slot) {
 			masks[k*W+w] = x
@@ -293,9 +310,9 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 		if slot != 0 && eg.Heavy(slot) {
 			// State updates fire for every message whose stateless
 			// context matched, before forwarding semantics are applied.
-			le := ep.prog.LeafAt(slot)
+			le := s.prog.LeafAt(slot)
 			for _, key := range le.Updates {
-				ep.state.Update(key, m, r.now)
+				s.state.update(key, m, r.now)
 			}
 			st.StateUpdates += int64(len(le.Updates))
 			for _, act := range le.Actions.Custom {
@@ -309,11 +326,11 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 	}
 
 	// Stream subscriptions: the header-bearing packet installs the
-	// stream's union for its continuations (§VII-B), tagged with the epoch
-	// whose dictionary its bits index. It keeps the full port set: ingress
+	// stream's union for its continuations (§VII-B), tagged with the
+	// generation whose dictionary its bits index. It keeps the full port set: ingress
 	// suppression re-applies per continuation packet.
 	if pkt.Flow != 0 && len(pkt.Msgs) > 0 {
-		s.flows.install(pkt.Flow, union, r.now, ep.gen)
+		s.flows.install(pkt.Flow, union, r.now, s.gen)
 	}
 	if s.cfg.DropOnIngressPort {
 		if w, bit, ok := eg.Bit(pkt.In); ok {
@@ -346,7 +363,7 @@ func (s *Switch) emit(r *run, pkt *Packet, union, masks []uint64, latency time.D
 	} else {
 		out, flat = em.dels.alloc(n), em.msgs.alloc(total+1)
 	}
-	msgs, ports := pkt.Msgs, r.ep.prog.Egress().Ports
+	msgs, ports := pkt.Msgs, s.prog.Egress().Ports
 	d, bytesOut := 0, 0
 	for w, u := range union {
 		for ; u != 0; u &= u - 1 {
@@ -377,8 +394,9 @@ func (s *Switch) emit(r *run, pkt *Packet, union, masks []uint64, latency time.D
 
 // EvalMessage evaluates a single message (diagnostics / examples).
 func (s *Switch) EvalMessage(m *spec.Message, now time.Duration) subscription.ActionSet {
-	ep := s.epoch.Load()
-	return ep.prog.Eval(m, ep.state.At(now))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.prog.Eval(m, s.state.At(now))
 }
 
 func (s *Switch) String() string {

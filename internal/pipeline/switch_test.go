@@ -210,9 +210,9 @@ func TestStatefulWindow(t *testing.T) {
 		t.Logf("third packet: %d deliveries", n)
 	}
 	// MSFT traffic must not touch the GOOGL register.
-	before := sw.State().Snapshot(now)
+	before := sw.Registers(now)
 	send("MSFT", 1000)
-	after := sw.State().Snapshot(now)
+	after := sw.Registers(now)
 	for k := range before {
 		if before[k] != after[k] {
 			t.Errorf("register %s changed on non-matching packet: %d → %d", k, before[k], after[k])
@@ -337,11 +337,11 @@ func TestInstallCarriesRegisters(t *testing.T) {
 	if n := send(10 * time.Millisecond); n != 1 {
 		t.Fatalf("after an Install that kept the rule: %d deliveries, want 1 (count restarted)", n)
 	}
-	if got := sw.State().Snapshot(10 * time.Millisecond); len(got) != 1 {
+	if got := sw.Registers(10 * time.Millisecond); len(got) != 1 {
 		t.Fatalf("registers = %v, want the one aggregate", got)
 	}
 	install("stock == MSFT: fwd(2)")
-	if got := sw.State().Snapshot(10 * time.Millisecond); len(got) != 0 {
+	if got := sw.Registers(10 * time.Millisecond); len(got) != 0 {
 		t.Fatalf("registers after the aggregate was dropped = %v", got)
 	}
 	install(counted)
@@ -386,7 +386,7 @@ func TestIncrementalInstallDropsRegisters(t *testing.T) {
 	if n := compiler.RegisterCount(inc.Program()); n != 0 {
 		t.Fatalf("RegisterCount after the aggregate's rule left = %d, want 0", n)
 	}
-	if got := sw.State().Snapshot(10 * time.Millisecond); len(got) != 0 {
+	if got := sw.Registers(10 * time.Millisecond); len(got) != 0 {
 		t.Fatalf("registers after the aggregate's rule left = %v, want none", got)
 	}
 	install(inc.Add(rules[0]))
