@@ -35,7 +35,7 @@ func tightBudget() fitcheck.Budget {
 func netState(svc *Service, net *topology.Network) string {
 	progs := make([]*compiler.Program, len(net.Switches))
 	for i := range net.Switches {
-		progs[i] = svc.rec.Program(i)
+		progs[i] = svc.Program(i)
 	}
 	entries, obligations := svc.rec.CoverStats()
 	return fmt.Sprintf("filters=%v progs=%p... %v cover=%d/%d",
@@ -48,7 +48,7 @@ func netValidate(t *testing.T, svc *Service, net *topology.Network) {
 	t.Helper()
 	progs := make([]*compiler.Program, len(net.Switches))
 	for i := range net.Switches {
-		progs[i] = svc.rec.Program(i)
+		progs[i] = svc.Program(i)
 	}
 	v := NetcheckValidator(net, itchSpec)
 	if err := v(progs, svc.rec.HostFilters()); err != nil {

@@ -585,9 +585,10 @@ func TestCompactionBound(t *testing.T) {
 		t.Error("2000 events never compacted")
 	}
 	agree("at the end")
-	if nodes, memo, bytes := rec.EngineSize(); nodes < sc.nodes.Load() || memo < sc.memo.Load() || bytes < sc.bytes.Load() || sc.nodes.Load() == 0 {
-		t.Errorf("EngineSize = %d, %d, %d does not cover the churned switch's %d, %d, %d",
-			nodes, memo, bytes, sc.nodes.Load(), sc.memo.Load(), sc.bytes.Load())
+	nodes, memo := sc.inc.CacheSize()
+	if n, m, bytes := rec.EngineSize(core); n != int64(nodes) || m != int64(memo) || bytes != int64(sc.inc.CacheBytes()) || n == 0 {
+		t.Errorf("EngineSize(core) = %d, %d, %d, want the churned engine's %d, %d, %d",
+			n, m, bytes, nodes, memo, sc.inc.CacheBytes())
 	}
 }
 
@@ -647,6 +648,127 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	if snap.Applied != snap.Events {
 		t.Errorf("applied %d != events %d", snap.Applied, snap.Events)
+	}
+}
+
+// TestSubmitAfterClose: once Close has begun, every submission fails
+// with ErrClosed — one made after Close, and one already blocked on a
+// full queue, which Close must wake without waiting for the apply in
+// flight.
+func TestSubmitAfterClose(t *testing.T) {
+	tr := WithRouting(routing.Options{Policy: routing.TrafficReduction})
+	t.Run("after", func(t *testing.T) {
+		net := topology.MustFatTree(4)
+		svc, _ := newServiceForTest(t, net, tr)
+		for h := range net.Hosts {
+			if _, _, err := svc.Subscribe(h, []subscription.Expr{filter(t, "stock == GOOGL")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Quiesce()
+		svc.Close()
+		for i := 0; i < 20; i++ {
+			if _, _, err := svc.Subscribe(i%len(net.Hosts), []subscription.Expr{filter(t, "stock == MSFT")}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Subscribe %d after Close = %v, want ErrClosed", i, err)
+			}
+		}
+		if d := svc.Stats().QueueDepth; d != 0 {
+			t.Errorf("QueueDepth after Close = %d, want 0", d)
+		}
+	})
+	t.Run("blocked", func(t *testing.T) {
+		release := make(chan struct{})
+		svc, _ := newServiceForTest(t, topology.MustFatTree(4), tr, WithQueueDepth(1),
+			WithApplyHook(func(sw, attempt int) error {
+				<-release
+				return nil
+			}))
+		if _, _, err := svc.Subscribe(0, []subscription.Expr{filter(t, "stock == GOOGL")}); err != nil {
+			t.Fatal(err)
+		}
+		msft := []subscription.Expr{filter(t, "stock == MSFT")}
+		second := make(chan error, 1)
+		go func() {
+			_, _, err := svc.Subscribe(1, msft)
+			second <- err
+		}()
+		select {
+		case err := <-second:
+			t.Fatalf("Subscribe on a full queue returned %v, want it to block", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		closed := make(chan struct{})
+		go func() {
+			svc.Close()
+			close(closed)
+		}()
+		select {
+		case err := <-second:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("blocked Subscribe = %v after Close, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("Close did not release the blocked Subscribe")
+		}
+		close(release)
+		<-closed
+	})
+}
+
+// TestStatsConsistentCut: a snapshot is one cut of the counters. Under
+// concurrent churn every snapshot's event counts add up, and the events
+// not yet applied are exactly the queue depth.
+func TestStatsConsistentCut(t *testing.T) {
+	net := topology.MustFatTree(4)
+	svc, _ := newServiceForTest(t, net,
+		WithRouting(routing.Options{Policy: routing.TrafficReduction}))
+	const workers, rounds = 4, 100
+	exprs := make([][]subscription.Expr, 8)
+	for i := range exprs {
+		exprs[i] = []subscription.Expr{filter(t, fmt.Sprintf("stock == S%d", i))}
+	}
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := 0; i < rounds; i++ {
+				_, ids, err := svc.Subscribe(w, exprs[i%len(exprs)])
+				if err == nil {
+					_, err = svc.Unsubscribe(w, ids)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	check := func(snap Snapshot) {
+		t.Helper()
+		if snap.Events != snap.Subscribes+snap.Unsubscribes+1 {
+			t.Fatalf("Events %d != Subscribes %d + Unsubscribes %d + 1", snap.Events, snap.Subscribes, snap.Unsubscribes)
+		}
+		if d := snap.Events - snap.Applied; d != int64(snap.QueueDepth) || snap.QueueDepth > snap.PeakQueueDepth {
+			t.Fatalf("Events %d − Applied %d = %d, QueueDepth %d, PeakQueueDepth %d",
+				snap.Events, snap.Applied, d, snap.QueueDepth, snap.PeakQueueDepth)
+		}
+	}
+	for running := workers; running > 0; {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running--
+		default:
+			check(svc.Stats())
+		}
+	}
+	svc.Quiesce()
+	snap := svc.Stats()
+	check(snap)
+	if snap.Events != 2*workers*rounds+1 || snap.QueueDepth != 0 {
+		t.Errorf("after Quiesce: Events %d, QueueDepth %d; want %d, 0", snap.Events, snap.QueueDepth, 2*workers*rounds+1)
 	}
 }
 

@@ -25,9 +25,10 @@ func WithInstallers(ins ...Installer) Option {
 	return func(c *config) { c.Installers = ins }
 }
 
-// WithQueueDepth bounds in-flight subscription events; Subscribe and
-// Unsubscribe block when the queue is full (backpressure). Default
-// 1024.
+// WithQueueDepth bounds in-flight subscription events, counting a
+// running network validation as one; Subscribe and Unsubscribe block
+// while the queue is full (backpressure) and fail with ErrClosed once
+// Close begins. Default 1024.
 func WithQueueDepth(n int) Option {
 	return func(c *config) { c.MaxPending = n }
 }

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"camus/internal/compiler"
 	"camus/internal/routing"
@@ -89,9 +88,10 @@ type placeRec struct {
 }
 
 // swCompiler is the per-switch compile state. The registry fields
-// (places, nextRule) are guarded by the Reconciler mutex in Service use;
-// the Incremental engine is touched only from the owning switch's apply
-// worker (single writer).
+// (places, nextRule, forests) are guarded by the Service lock in Service
+// use; the Incremental engine, rules and fresh belong to the switch's
+// apply worker (single writer), and the Service keeps the programs it
+// compiles.
 type swCompiler struct {
 	id       int
 	inc      *compiler.Incremental
@@ -107,28 +107,13 @@ type swCompiler struct {
 	// covered filters are tracked as refcounted obligations with no
 	// table entry.
 	forests map[int]*cover.Forest
-	// prog is the last compiled program, published atomically so the
-	// Service can read it while the owning worker recompiles; nodes, memo
-	// and bytes are the engine's size (compiler.Incremental.CacheSize and
-	// CacheBytes) after the same compile.
-	prog               atomic.Pointer[compiler.Program]
-	nodes, memo, bytes atomic.Int64
-}
-
-// publish makes a compile's outcome visible to concurrent readers.
-func (sc *swCompiler) publish(p *compiler.Program) {
-	sc.prog.Store(p)
-	nodes, memo := sc.inc.CacheSize()
-	sc.nodes.Store(int64(nodes))
-	sc.memo.Store(int64(memo))
-	sc.bytes.Store(int64(sc.inc.CacheBytes()))
 }
 
 // Reconciler owns the placement registry and the per-switch incremental
-// compilers. It is not internally synchronized: the Service serializes
-// registry mutations under its own lock and dedicates each swCompiler
-// to one worker; single-threaded callers (NewReconcilerWith's) need no
-// locking at all.
+// compilers. It is a plain single-threaded type: the Service serializes
+// registry mutations under its own lock and dedicates each switch's
+// compile state to one worker; single-threaded callers
+// (NewReconcilerWith's) need no locking at all.
 type Reconciler struct {
 	net   *topology.Network
 	sp    *spec.Spec
@@ -184,14 +169,12 @@ func newReconciler(cfg config) (*Reconciler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ctlplane: switch %s: %w", s.Name, err)
 		}
-		sc := &swCompiler{
+		r.switches = append(r.switches, &swCompiler{
 			id:     s.ID,
 			inc:    inc,
 			places: make(map[placeKey]*placeRec),
 			rules:  make(map[int]*subscription.Rule),
-		}
-		sc.publish(inc.Program())
-		r.switches = append(r.switches, sc)
+		})
 	}
 	// The constant-true filter of MR's up ports is permanent, so pin its
 	// refcount.
@@ -396,9 +379,9 @@ func (r *Reconciler) HostFilters() []HostFilter {
 	return out
 }
 
-// Program returns a switch's current compiled program. Safe to call
-// concurrently with Compile (atomic snapshot of the last publish).
-func (r *Reconciler) Program(sw int) *compiler.Program { return r.switches[sw].prog.Load() }
+// Program returns a switch's last compiled program (the empty program
+// before its first Compile).
+func (r *Reconciler) Program(sw int) *compiler.Program { return r.switches[sw].inc.Program() }
 
 // Rules returns a switch's live rule set sorted by rule ID (the
 // canonical merge order).
@@ -471,7 +454,6 @@ func (r *Reconciler) Compile(sw int, ops []RuleOp) (*CompileResult, error) {
 		res.Compacted = true
 		return res, nil
 	}
-	sc.publish(up.Program)
 	return &CompileResult{Update: up}, nil
 }
 
@@ -491,7 +473,6 @@ func (r *Reconciler) FullRebuild(sw int) (*CompileResult, error) {
 	sc.inc = inc
 	nodes, memo := inc.CacheSize()
 	sc.fresh = nodes + memo
-	sc.publish(up.Program)
 	return &CompileResult{Update: up, Full: true}, nil
 }
 
@@ -503,17 +484,13 @@ func (r *Reconciler) newIncremental(sw int) (*compiler.Incremental, error) {
 	return compiler.NewIncremental(r.sp, compiler.Options{LastHopPort: s.HostFacing})
 }
 
-// EngineSize sums, over all switches, what the incremental engines
-// retain: BDD nodes and or-merge memo entries — the quantity the
-// compaction bound holds down — and the bytes of memory behind them. Safe
-// to call concurrently with Compile.
-func (r *Reconciler) EngineSize() (nodes, memoEntries, bytes int64) {
-	for _, sc := range r.switches {
-		nodes += sc.nodes.Load()
-		memoEntries += sc.memo.Load()
-		bytes += sc.bytes.Load()
-	}
-	return nodes, memoEntries, bytes
+// EngineSize reports what one switch's incremental engine retains: BDD
+// nodes and or-merge memo entries — the quantity the compaction bound
+// holds down — and the bytes of memory behind them.
+func (r *Reconciler) EngineSize(sw int) (nodes, memoEntries, bytes int64) {
+	inc := r.switches[sw].inc
+	n, m := inc.CacheSize()
+	return int64(n), int64(m), int64(inc.CacheBytes())
 }
 
 // Covering reports whether subsumption-aware covering is enabled.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"camus/internal/analysis/fitcheck"
@@ -54,9 +53,9 @@ type config struct {
 	Routing routing.Options
 	// Installers by switch ID; nil entries leave a switch compile-only.
 	Installers []Installer
-	// MaxPending bounds in-flight subscription events; Subscribe and
-	// Unsubscribe block when the queue is full (backpressure). Default
-	// 1024.
+	// MaxPending bounds in-flight subscription events, running network
+	// validations included; Subscribe and Unsubscribe block while the
+	// queue is full (backpressure). Default 1024.
 	MaxPending int
 	// ApplyHook, when set, runs before every install attempt — the
 	// fault-injection point for retry/backoff tests. Returning an error
@@ -104,11 +103,12 @@ func (c config) withDefaults() config {
 }
 
 // Event tracks one subscription change from submission to the moment
-// every affected switch runs the new epoch.
+// every affected switch runs the new epoch. remaining and failed are
+// guarded by Service.mu until done is closed.
 type Event struct {
 	start     time.Time
-	remaining atomic.Int32
-	failed    atomic.Bool
+	remaining int
+	failed    bool
 	done      chan struct{}
 }
 
@@ -117,79 +117,63 @@ type Event struct {
 // immediately.
 func (e *Event) Done() <-chan struct{} { return e.done }
 
-// Err reports ErrApplyFailed if any switch exhausted its retries.
-// Meaningful after Done is closed.
+// Err reports ErrApplyFailed if any switch exhausted its retries. It
+// returns nil until Done is closed.
 func (e *Event) Err() error {
-	if e.failed.Load() {
-		return ErrApplyFailed
+	select {
+	case <-e.done:
+		if e.failed {
+			return ErrApplyFailed
+		}
+	default:
 	}
 	return nil
 }
 
 // swQueue is one switch's pending coalesced work (level-triggered: the
-// worker drains everything queued since its last pass in one compile).
+// worker drains everything queued since its last pass in one compile)
+// and what that work last produced: the compiled program and the size
+// of the engine that compiled it (nodes, memo entries, bytes). Every
+// field but notify is guarded by Service.mu.
 type swQueue struct {
-	ops     []RuleOp
-	events  []*Event
-	notify  chan struct{}
-	started bool
+	ops                []RuleOp
+	events             []*Event
+	notify             chan struct{}
+	prog               *compiler.Program
+	nodes, memo, bytes int64
 }
 
 // Service is the long-running control plane: it owns the Reconciler,
-// one apply worker per switch, and the end-to-end telemetry.
+// one apply worker per switch, and the end-to-end telemetry. One mutex,
+// mu, guards everything submitters, workers and readers share: the
+// Reconciler's registry, the queues and the programs they produced, the
+// in-flight count, the counters and the latency record. Workers compile, validate and
+// install outside it; each switch's compile state belongs to its
+// worker.
 type Service struct {
 	cfg config
 	rec *Reconciler
 
-	mu        sync.Mutex
-	quiesced  *sync.Cond
-	inflight  int
-	queues    []*swQueue
-	peakDepth int
+	mu sync.Mutex
+	// cond is broadcast whenever inflight or netRunning falls and on
+	// Close: submitters wait on it for queue room, Quiesce for zero.
+	cond     *sync.Cond
+	inflight int
+	queues   []*swQueue
+	// stats holds the counters; Stats fills in the gauges.
+	stats Snapshot
 	// latency is the event→applied record.
 	latency latencyRecord
-
-	sem    chan struct{}
-	closed chan struct{}
-	wg     sync.WaitGroup
-
-	events       atomic.Int64
-	subscribes   atomic.Int64
-	unsubscribes atomic.Int64
-	batches      atomic.Int64
-	installs     atomic.Int64
-	deletes      atomic.Int64
-	keeps        atomic.Int64
-	retries      atomic.Int64
-	fallbacks    atomic.Int64
-	compactions  atomic.Int64
-	failures     atomic.Int64
-	applied      atomic.Int64
-
-	// Update locality: switchesTouched counts, per event, the switches its
-	// rule ops were queued on; switchesChanged the per-switch compiles
-	// whose program came out with a non-empty entry delta.
-	switchesTouched atomic.Int64
-	switchesChanged atomic.Int64
-
-	validations        atomic.Int64
-	validationFailures atomic.Int64
-
 	// netQuiescences counts inflight→0 transitions and netRunning the
-	// network validations still executing (both under mu; Quiesce waits
-	// for netRunning to drain so post-quiesce stats include them);
-	// netValidations / netValidationFailures count sampled network
-	// validator runs and their failures.
-	netQuiescences        int
-	netRunning            int
-	netValidations        atomic.Int64
-	netValidationFailures atomic.Int64
-
-	// admissionChecks / admissionRejects count static fit checks run
-	// before registry mutation (WithAdmission) and the subscribes
-	// they refused.
-	admissionChecks  atomic.Int64
-	admissionRejects atomic.Int64
+	// network validations still executing; each holds its event's
+	// queue slot until it ends.
+	netQuiescences int
+	netRunning     int
+	// closing is set by Close: every later submission fails. closed is
+	// closed once, right after, to stop the workers.
+	closing bool
+	closed  chan struct{}
+	wg      sync.WaitGroup
 }
 
 // New builds the control plane for a network and starts one apply
@@ -211,15 +195,17 @@ func New(net *topology.Network, sp *spec.Spec, opts ...Option) (*Service, error)
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{
-		cfg:    cfg,
-		rec:    rec,
-		sem:    make(chan struct{}, cfg.MaxPending),
-		closed: make(chan struct{}),
+	s := &Service{cfg: cfg, rec: rec, closed: make(chan struct{})}
+	s.cond = sync.NewCond(&s.mu)
+	s.queues = make([]*swQueue, len(cfg.Net.Switches))
+	for sw := range s.queues {
+		q := &swQueue{notify: make(chan struct{}, 1), prog: rec.Program(sw)}
+		q.nodes, q.memo, q.bytes = rec.EngineSize(sw)
+		s.queues[sw] = q
 	}
-	s.quiesced = sync.NewCond(&s.mu)
-	for range cfg.Net.Switches {
-		s.queues = append(s.queues, &swQueue{notify: make(chan struct{}, 1)})
+	for sw := range s.queues {
+		s.wg.Add(1)
+		go s.applyWorker(sw)
 	}
 	// The MR static up-port rules were registered by the Reconciler;
 	// flush them through the normal apply path so installers start from
@@ -273,7 +259,7 @@ func (s *Service) Subscribe(host int, exprs []subscription.Expr) (*Event, []int,
 			all = append(all, ops...)
 		}
 		return all, nil
-	}, &s.subscribes)
+	}, &s.stats.Subscribes)
 	return ev, ids, err
 }
 
@@ -283,7 +269,7 @@ func (s *Service) Subscribe(host int, exprs []subscription.Expr) (*Event, []int,
 // the switch's remaining headroom. Called under s.mu with no prior
 // mutation, so a rejection needs no rollback.
 func (s *Service) admit(host int, exprs []subscription.Expr) error {
-	s.admissionChecks.Add(1)
+	s.stats.AdmissionChecks++
 	need := make(map[int]int)
 	for _, e := range exprs {
 		adds, err := s.rec.PredictAdd(host, e)
@@ -296,8 +282,8 @@ func (s *Service) admit(host int, exprs []subscription.Expr) error {
 		}
 	}
 	for sw, n := range need {
-		if err := s.cfg.Admission.Admit(s.rec.Program(sw), n); err != nil {
-			s.admissionRejects.Add(1)
+		if err := s.cfg.Admission.Admit(s.queues[sw].prog, n); err != nil {
+			s.stats.AdmissionRejects++
 			return fmt.Errorf("%w: switch %d: %v", ErrAdmissionRejected, sw, err)
 		}
 	}
@@ -316,34 +302,33 @@ func (s *Service) Unsubscribe(host int, ids []int) (*Event, error) {
 			all = append(all, ops...)
 		}
 		return all, nil
-	}, &s.unsubscribes)
+	}, &s.stats.Unsubscribes)
 }
 
-// submit runs a registry mutation under the lock, fans its rule ops out
-// to the per-switch queues, and returns the tracking event.
-func (s *Service) submit(mutate func() ([]RuleOp, error), kind *atomic.Int64) (*Event, error) {
-	select {
-	case <-s.closed:
-		return nil, ErrClosed
-	case s.sem <- struct{}{}:
-	}
-	ev := &Event{start: time.Now(), done: make(chan struct{})}
-
+// submit waits for queue room, runs a registry mutation under the lock,
+// fans its rule ops out to the per-switch queues, and returns the
+// tracking event. kind is the counter the event adds to.
+func (s *Service) submit(mutate func() ([]RuleOp, error), kind *int64) (*Event, error) {
 	s.mu.Lock()
+	for !s.closing && s.inflight+s.netRunning >= s.cfg.MaxPending {
+		s.cond.Wait()
+	}
+	if s.closing {
+		s.mu.Unlock()
+		return nil, ErrClosed
+	}
 	ops, err := mutate()
 	if err != nil {
 		s.mu.Unlock()
-		<-s.sem
 		return nil, err
 	}
-	s.events.Add(1)
+	ev := &Event{start: time.Now(), done: make(chan struct{})}
+	s.stats.Events++
 	if kind != nil {
-		kind.Add(1)
+		*kind++
 	}
 	s.inflight++
-	if s.inflight > s.peakDepth {
-		s.peakDepth = s.inflight
-	}
+	s.stats.PeakQueueDepth = max(s.stats.PeakQueueDepth, s.inflight)
 	dirty := make(map[int]bool)
 	for _, op := range ops {
 		q := s.queues[op.Switch]
@@ -353,109 +338,120 @@ func (s *Service) submit(mutate func() ([]RuleOp, error), kind *atomic.Int64) (*
 			q.events = append(q.events, ev)
 		}
 	}
-	ev.remaining.Store(int32(len(dirty)))
+	ev.remaining = len(dirty)
+	s.stats.SwitchesTouched += int64(len(dirty))
+	var netRun func()
+	if len(dirty) == 0 {
+		netRun = s.completeLocked([]*Event{ev})
+	}
 	s.mu.Unlock()
-	s.switchesTouched.Add(int64(len(dirty)))
 
 	if len(dirty) == 0 {
-		s.complete(ev)
-		return ev, nil
+		close(ev.done)
+		if netRun != nil {
+			netRun()
+		}
 	}
+	// Level-triggered: a full channel already guarantees a future drain.
 	for sw := range dirty {
-		s.kick(sw)
+		select {
+		case s.queues[sw].notify <- struct{}{}:
+		default:
+		}
 	}
 	return ev, nil
 }
 
-// kick nudges a switch worker (level-triggered; a full channel already
-// guarantees a future drain). Workers start lazily on first use so
-// idle switches cost nothing.
-func (s *Service) kick(sw int) {
-	q := s.queues[sw]
-	if q.startWorker(s, sw) {
-		return // freshly started worker drains immediately
+// completeLocked records completed events — latency, Applied, the
+// in-flight count — under s.mu. When the last in-flight event leaves,
+// the switch programs and the filter registry are a consistent cut: a
+// sampled one is snapshotted here and the returned function runs the
+// (expensive) network validator on it after the caller unlocks. It
+// returns nil when there is nothing to validate.
+func (s *Service) completeLocked(done []*Event) func() {
+	if len(done) == 0 {
+		return nil
 	}
-	select {
-	case q.notify <- struct{}{}:
-	default:
+	for _, ev := range done {
+		s.latency.add(float64(time.Since(ev.start).Nanoseconds()))
+		s.inflight--
+		s.stats.Applied++
 	}
-}
-
-// startWorker launches the switch's apply worker on first kick.
-func (q *swQueue) startWorker(s *Service, sw int) bool {
-	s.mu.Lock()
-	if q.started {
+	s.cond.Broadcast()
+	if s.inflight > 0 || s.cfg.NetValidator == nil {
+		return nil
+	}
+	n := s.netQuiescences
+	s.netQuiescences++
+	if s.cfg.NetValidateEvery > 1 && n%s.cfg.NetValidateEvery != 0 {
+		return nil
+	}
+	progs := make([]*compiler.Program, len(s.queues))
+	for i, q := range s.queues {
+		progs[i] = q.prog
+	}
+	filters := s.rec.HostFilters()
+	s.netRunning++
+	return func() {
+		err := s.cfg.NetValidator(progs, filters)
+		s.mu.Lock()
+		s.stats.NetValidations++
+		if err != nil {
+			s.stats.NetValidationFailures++
+		}
+		s.netRunning--
+		s.cond.Broadcast()
 		s.mu.Unlock()
-		return false
 	}
-	q.started = true
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.applyWorker(sw)
-	return true
 }
 
-// complete finishes an event's bookkeeping for one fully-applied (or
-// failed) switch batch.
-func (s *Service) complete(ev *Event) {
-	if n := ev.remaining.Load(); n > 0 {
-		return
-	}
+// finish accounts one drained batch of a switch in one critical
+// section: the batch's counts d, the program it compiled (nil when the
+// compile failed) and the engine's size, and every event it
+// carried — completing those whose last switch this was. Done channels
+// close, and a sampled network validation runs, after unlocking.
+func (s *Service) finish(sw int, events []*Event, prog *compiler.Program, d *Snapshot, failed bool) {
+	nodes, memo, bytes := s.rec.EngineSize(sw)
 	s.mu.Lock()
-	s.latency.add(float64(time.Since(ev.start).Nanoseconds()))
-	s.inflight--
-	s.applied.Add(1)
-	// Quiescent cut: with no events in flight every worker is idle, so
-	// the reconciler's programs and filter registry are consistent.
-	// Snapshot them under the lock; run the (expensive) network
-	// validator after releasing it.
-	var netRun func()
-	if s.inflight == 0 && s.cfg.NetValidator != nil {
-		n := s.netQuiescences
-		s.netQuiescences++
-		if s.cfg.NetValidateEvery <= 1 || n%s.cfg.NetValidateEvery == 0 {
-			progs := make([]*compiler.Program, len(s.cfg.Net.Switches))
-			for i := range progs {
-				progs[i] = s.rec.Program(i)
-			}
-			filters := s.rec.HostFilters()
-			s.netRunning++
-			netRun = func() {
-				s.netValidations.Add(1)
-				if err := s.cfg.NetValidator(progs, filters); err != nil {
-					s.netValidationFailures.Add(1)
-				}
-				s.mu.Lock()
-				s.netRunning--
-				s.quiesced.Broadcast()
-				s.mu.Unlock()
-			}
+	st := &s.stats
+	st.Batches += d.Batches
+	st.Installs += d.Installs
+	st.Deletes += d.Deletes
+	st.Keeps += d.Keeps
+	st.SwitchesChanged += d.SwitchesChanged
+	st.Retries += d.Retries
+	st.Fallbacks += d.Fallbacks
+	st.Compactions += d.Compactions
+	st.Failures += d.Failures
+	st.Validations += d.Validations
+	st.ValidationFailures += d.ValidationFailures
+	q := s.queues[sw]
+	if prog != nil {
+		q.prog = prog
+	}
+	q.nodes, q.memo, q.bytes = nodes, memo, bytes
+	// The worker owns events now, so the completed ones are collected
+	// in place.
+	done := events[:0]
+	for _, ev := range events {
+		ev.failed = ev.failed || failed
+		if ev.remaining--; ev.remaining == 0 {
+			done = append(done, ev)
 		}
 	}
-	s.quiesced.Broadcast()
+	netRun := s.completeLocked(done)
 	s.mu.Unlock()
-	close(ev.done)
+	for _, ev := range done {
+		close(ev.done)
+	}
 	if netRun != nil {
 		netRun()
-	}
-	<-s.sem
-}
-
-// finishSwitch decrements every event in a drained batch and completes
-// those whose last switch this was.
-func (s *Service) finishSwitch(events []*Event, failed bool) {
-	for _, ev := range events {
-		if failed {
-			ev.failed.Store(true)
-		}
-		if ev.remaining.Add(-1) == 0 {
-			s.complete(ev)
-		}
 	}
 }
 
 // applyWorker is one switch's apply loop: drain the coalesced op queue,
-// compile once, install with retry/backoff, account telemetry.
+// compile once, validate and install with retry/backoff, account the
+// batch.
 func (s *Service) applyWorker(sw int) {
 	defer s.wg.Done()
 	rng := rand.New(rand.NewSource(s.cfg.Seed*0x9E3779B9 + int64(sw) + 1))
@@ -465,8 +461,7 @@ func (s *Service) applyWorker(sw int) {
 	var installed *compiler.Program
 	for {
 		s.mu.Lock()
-		ops := q.ops
-		events := q.events
+		ops, events := q.ops, q.events
 		q.ops, q.events = nil, nil
 		s.mu.Unlock()
 
@@ -479,59 +474,57 @@ func (s *Service) applyWorker(sw int) {
 			}
 		}
 
+		var d Snapshot
 		res, err := s.rec.Compile(sw, ops)
 		if err != nil {
-			s.failures.Add(1)
-			s.finishSwitch(events, true)
+			d.Failures = 1
+			s.finish(sw, events, nil, &d, true)
 			continue
 		}
-		s.batches.Add(1)
-		s.installs.Add(int64(res.AddedEntries))
-		s.deletes.Add(int64(res.RemovedEntries))
-		s.keeps.Add(int64(res.ReusedEntries))
+		d.Batches = 1
+		d.Installs, d.Deletes, d.Keeps = int64(res.AddedEntries), int64(res.RemovedEntries), int64(res.ReusedEntries)
 		if res.AddedEntries+res.RemovedEntries > 0 {
-			s.switchesChanged.Add(1)
+			d.SwitchesChanged = 1
 		}
 		if res.Full {
-			s.fallbacks.Add(1)
+			d.Fallbacks = 1
 		}
 		if res.Compacted {
-			s.compactions.Add(1)
+			d.Compactions = 1
 		}
 		// The incremental compiler hands back the same *Program when the
 		// batch left the merged diagram unchanged. The switch already runs
 		// it: a reinstall would only advance its epoch, and every cached
 		// flow — stream continuations included — would miss.
-		if res.Program == installed {
-			s.finishSwitch(events, false)
-			continue
-		}
-		// Post-compile, pre-install translation validation. The worker
-		// owns this switch's compile state, so rec.Rules(sw) is the
-		// exact survivor set the batch produced.
-		if s.cfg.Validator != nil && (s.cfg.ValidateEvery <= 1 || batchNo%s.cfg.ValidateEvery == 0) {
-			s.validations.Add(1)
-			if verr := s.cfg.Validator(sw, res.Program, s.rec.Rules(sw)); verr != nil {
-				s.validationFailures.Add(1)
-				s.failures.Add(1)
-				batchNo++
-				s.finishSwitch(events, true)
-				continue
+		ok := true
+		if res.Program != installed {
+			ok = s.install(sw, res.Program, batchNo, rng, &d)
+			batchNo++
+			if ok {
+				installed = res.Program
 			}
 		}
-		batchNo++
-		ok := s.install(sw, res.Program, rng)
-		if ok {
-			installed = res.Program
-		}
-		s.finishSwitch(events, !ok)
+		s.finish(sw, events, res.Program, &d, !ok)
 	}
 }
 
-// install pushes a program to the switch with exponential backoff +
-// jitter on injected failures. Returns false when retries are
-// exhausted or the service closes mid-retry.
-func (s *Service) install(sw int, prog *compiler.Program, rng *rand.Rand) bool {
+// install validates a freshly compiled program (every ValidateEvery-th
+// batch, counting from batchNo 0) and pushes it to the switch with
+// exponential backoff + jitter on injected failures, counting into d.
+// Returns false when validation fails, retries are exhausted or the
+// service closes mid-retry.
+func (s *Service) install(sw int, prog *compiler.Program, batchNo int, rng *rand.Rand, d *Snapshot) bool {
+	// Post-compile, pre-install translation validation. The worker owns
+	// this switch's compile state, so rec.Rules(sw) is the exact
+	// survivor set the batch produced.
+	if s.cfg.Validator != nil && (s.cfg.ValidateEvery <= 1 || batchNo%s.cfg.ValidateEvery == 0) {
+		d.Validations++
+		if err := s.cfg.Validator(sw, prog, s.rec.Rules(sw)); err != nil {
+			d.ValidationFailures++
+			d.Failures++
+			return false
+		}
+	}
 	var target Installer
 	if sw < len(s.cfg.Installers) {
 		target = s.cfg.Installers[sw]
@@ -552,10 +545,10 @@ func (s *Service) install(sw int, prog *compiler.Program, rng *rand.Rand) bool {
 			return true
 		}
 		if attempt+1 >= maxRetries {
-			s.failures.Add(1)
+			d.Failures++
 			return false
 		}
-		s.retries.Add(1)
+		d.Retries++
 		backoff := min(retryBase<<attempt, retryMax)
 		// ±50% jitter decorrelates retry storms across switches.
 		backoff = backoff/2 + time.Duration(rng.Int63n(int64(backoff)+1))
@@ -572,17 +565,19 @@ func (s *Service) install(sw int, prog *compiler.Program, rng *rand.Rand) bool {
 func (s *Service) Quiesce() {
 	s.mu.Lock()
 	for s.inflight > 0 || s.netRunning > 0 {
-		s.quiesced.Wait()
+		s.cond.Wait()
 	}
 	s.mu.Unlock()
 }
 
-// Program returns a switch's current compiled program (the control
-// plane's view; the switch itself may still be applying it).
+// Program returns the program a switch's last finished batch compiled
+// (the control plane's view; the switch itself may still be applying
+// it, or have refused it). Once an event's Done is closed, it is the
+// program that event's batch compiled, or a later one.
 func (s *Service) Program(sw int) *compiler.Program {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rec.Program(sw)
+	return s.queues[sw].prog
 }
 
 // Spec returns the message spec the control plane compiles against
@@ -618,12 +613,17 @@ func (s *Service) CoveredFilters() map[int]bool {
 	return s.rec.CoveredFilters()
 }
 
-// Close stops the apply workers. Pending batches not yet drained are
-// abandoned; call Quiesce first for a clean shutdown.
+// Close stops the apply workers. Every later Subscribe or Unsubscribe,
+// and every one blocked on a full queue, returns ErrClosed. Pending
+// batches not yet drained are abandoned; call Quiesce first for a clean
+// shutdown.
 func (s *Service) Close() {
-	select {
-	case <-s.closed:
-	default:
+	s.mu.Lock()
+	first := !s.closing
+	s.closing = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if first {
 		close(s.closed)
 	}
 	s.wg.Wait()

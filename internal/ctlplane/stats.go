@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"camus/internal/compiler"
 	"camus/internal/stats"
 )
 
@@ -59,7 +60,8 @@ func (r *latencyRecord) summary() LatencyStats {
 }
 
 // Snapshot is an immutable view of the control plane's counters, in the
-// style of pipeline.StatsSnapshot. Obtain one via Service.Stats().
+// style of pipeline.StatsSnapshot. Obtain one via Service.Stats(); the
+// Service keeps its counters in one, under its lock.
 type Snapshot struct {
 	// Events counts submitted subscription changes (Subscribes +
 	// Unsubscribes + the initial policy flush); Applied counts those
@@ -151,35 +153,19 @@ type Snapshot struct {
 	Latency LatencyStats
 }
 
-// Stats returns a snapshot of the service counters.
+// Stats returns a snapshot of the service counters: one cut, taken
+// under the service lock.
 func (s *Service) Stats() Snapshot {
-	snap := Snapshot{
-		Events:       s.events.Load(),
-		Subscribes:   s.subscribes.Load(),
-		Unsubscribes: s.unsubscribes.Load(),
-		Applied:      s.applied.Load(),
-		Batches:      s.batches.Load(),
-		Installs:     s.installs.Load(),
-		Deletes:      s.deletes.Load(),
-		Keeps:        s.keeps.Load(),
-		Retries:      s.retries.Load(),
-		Fallbacks:    s.fallbacks.Load(),
-		Compactions:  s.compactions.Load(),
-		Failures:     s.failures.Load(),
-
-		SwitchesTouched: s.switchesTouched.Load(),
-		SwitchesChanged: s.switchesChanged.Load(),
-
-		Validations:        s.validations.Load(),
-		ValidationFailures: s.validationFailures.Load(),
-
-		NetValidations:        s.netValidations.Load(),
-		NetValidationFailures: s.netValidationFailures.Load(),
-	}
-	snap.EngineNodes, snap.EngineMemoEntries, snap.EngineBytes = s.rec.EngineSize()
 	s.mu.Lock()
+	snap := s.stats
 	snap.QueueDepth = s.inflight
-	snap.PeakQueueDepth = s.peakDepth
+	var progs []*compiler.Program
+	for _, q := range s.queues {
+		snap.EngineNodes += q.nodes
+		snap.EngineMemoEntries += q.memo
+		snap.EngineBytes += q.bytes
+		progs = append(progs, q.prog)
+	}
 	if s.rec.Covering() {
 		snap.Covering = true
 		snap.CoverEntries, snap.CoverObligations = s.rec.CoverStats()
@@ -196,13 +182,10 @@ func (s *Service) Stats() Snapshot {
 	s.mu.Unlock()
 	if m := s.cfg.Admission; m != nil {
 		snap.Admission = true
-		snap.AdmissionChecks = s.admissionChecks.Load()
-		snap.AdmissionRejects = s.admissionRejects.Load()
-		// Program loads are atomic, so the gauges are safe concurrent
-		// with the apply workers; layouts are cached per program.
+		// Layouts are cached per program, and programs are immutable.
 		first := true
-		for _, sw := range s.cfg.Net.Switches {
-			l := m.Layout(s.rec.Program(sw.ID))
+		for _, p := range progs {
+			l := m.Layout(p)
 			if l == nil {
 				continue
 			}

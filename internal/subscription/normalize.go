@@ -39,7 +39,10 @@ func (c Conjunction) Key() string {
 // subscription rules are first normalized into disjunctive form").
 // Negation is pushed down to atoms via De Morgan's laws and absorbed into
 // the atom relations. The result is deduplicated; conjunctions containing
-// a contradictory pair (an atom and its exact negation) are dropped.
+// a contradictory pair of packet atoms (an atom and its exact negation)
+// are dropped. A pair on an aggregate is kept: the rest of the
+// conjunction still owes the aggregate's register update, so the BDD
+// drops it as it drops any other unsatisfiable conjunction.
 //
 // An empty, non-nil slice means the filter is unsatisfiable (false); a
 // slice containing an empty conjunction means it is constant true.
@@ -69,7 +72,7 @@ conj:
 			if byIdent[id] {
 				continue
 			}
-			if canNegate(a.Rel) && byIdent[atomIdent{ref: a.Ref, rel: negOf(a.Rel), c: a.Const}] {
+			if canNegate(a.Rel) && a.Ref.Kind != AggregateRef && byIdent[atomIdent{ref: a.Ref, rel: negOf(a.Rel), c: a.Const}] {
 				continue conj // contains p and not p
 			}
 			byIdent[id] = true

@@ -40,6 +40,8 @@ func TestNormalizeShapes(t *testing.T) {
 		{"not (not (price > 1))", 1, []int{1}},      // double negation
 		{"not true", 0, nil},                        // ¬true = false
 		{"price > 10 and (stock == A or stock == B)", 2, []int{2, 2}},
+		// An aggregate's contradiction is kept: its register update is owed.
+		{"avg(price) > 10 and not (avg(price) > 10)", 1, []int{2}},
 	}
 	for _, tc := range cases {
 		e := mustFilter(t, tc.src)
