@@ -161,14 +161,15 @@ perf-guard:
 ## batch fallback (~10s) — and ten race-enabled rounds of the control
 ## plane's service tests: churn against a batch deploy, covering,
 ## unchanged programs, backpressure, retry, apply-error and WAL
-## recovery, validation, tenant fairness, submissions after Close and
-## the one-cut Stats snapshot (~20s). The 1000-event
+## recovery, validation, tenant fairness, submissions after Close, the
+## one-cut Stats snapshot, and the tenancy layer's quota, rate,
+## ownership, auto-create, Close and latency tests (~25s). The 1000-event
 ## net-validated covering twin (TestCoveringChurnNetValidated) runs in
 ## the full `race` target.
 churn-soak:
 	$(GO) test -race -count=1 -run 'TestChurnSoak|TestLiveChurn|TestHotSwapEpochConsistency|TestCoveringChurn$$|TestUncoverEpochConsistency' ./internal/netsim
 	$(GO) test -race -count=10 -run 'Concurrent|Install|Carried|Reenters|Owners|Fallback' ./internal/pipeline
-	$(GO) test -race -count=10 -run 'Service|Backpressure|Retry|Recovery|Reinstalled|Validat|Fairness|SubmitAfterClose|ConsistentCut' ./internal/ctlplane
+	$(GO) test -race -count=10 -run 'Service|Backpressure|Retry|Recovery|Reinstalled|Validat|Fairness|SubmitAfterClose|ConsistentCut|Tenant' ./internal/ctlplane
 
 ## serve-soak: end-to-end soak of the multi-tenant daemon — an
 ## in-process camusd with a durable event log, 1000 tenants of

@@ -91,8 +91,7 @@ func runServe(cfg serveConfig) {
 
 	// Partition the stream by tenant: per-tenant order is preserved
 	// (removes follow their adds) while tenants run concurrently —
-	// the daemon's round-robin dispatcher sees real cross-tenant
-	// contention.
+	// the daemon's round-robin turns see real cross-tenant contention.
 	shards := make([][]workload.TenantChurnEvent, cfg.workers)
 	for _, ev := range evs {
 		s := tenantShard(ev.Tenant, cfg.workers)

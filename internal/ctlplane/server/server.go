@@ -161,9 +161,9 @@ func (d *Daemon) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close drains the HTTP server, stops the tenancy dispatcher, shuts the
-// apply workers down and syncs+closes the event log, returning the
-// first error.
+// Close drains the HTTP server, releases the tenancy layer's queued
+// callers, shuts the apply workers down and syncs+closes the event log,
+// returning the first error.
 func (d *Daemon) Close() error {
 	var first error
 	d.mu.Lock()

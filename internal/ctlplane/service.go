@@ -103,10 +103,11 @@ func (c config) withDefaults() config {
 }
 
 // Event tracks one subscription change from submission to the moment
-// every affected switch runs the new epoch. remaining and failed are
-// guarded by Service.mu until done is closed.
+// every affected switch runs the new epoch. remaining, failed and end
+// (the completion time) are guarded by Service.mu until done is closed.
 type Event struct {
 	start     time.Time
+	end       time.Time
 	remaining int
 	failed    bool
 	done      chan struct{}
@@ -373,7 +374,8 @@ func (s *Service) completeLocked(done []*Event) func() {
 		return nil
 	}
 	for _, ev := range done {
-		s.latency.add(float64(time.Since(ev.start).Nanoseconds()))
+		ev.end = time.Now()
+		s.latency.add(float64(ev.end.Sub(ev.start).Nanoseconds()))
 		s.inflight--
 		s.stats.Applied++
 	}

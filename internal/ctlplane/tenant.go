@@ -71,19 +71,18 @@ type TenantSnapshot struct {
 	Latency LatencyStats `json:"-"`
 }
 
-// tenantOp is one admitted event waiting for its round-robin dispatch
-// slot. exprs != nil marks a subscribe; otherwise ids names the
-// filters to remove.
+// tenantOp is one admitted event waiting in its tenant's FIFO for its
+// round-robin turn. turn is closed when the op may run, or when Close
+// drops it (dropped, set under Tenants.mu before the close).
 type tenantOp struct {
-	host  int
-	exprs []subscription.Expr
-	ids   []int
-	enq   time.Time
+	turn    chan struct{}
+	dropped bool
+}
 
-	ev     *Event
-	outIDs []int
-	err    error
-	done   chan struct{}
+// tenantEvent is a dispatched event whose latency is not yet recorded.
+type tenantEvent struct {
+	ev  *Event
+	enq time.Time
 }
 
 // tenant is one namespace's registry + quota state.
@@ -98,6 +97,9 @@ type tenant struct {
 	reserved int         // admitted subscribes not yet dispatched
 
 	pending []*tenantOp
+	// unrecorded lists dispatched events not yet seen done; recordDone
+	// moves their latency into latency.
+	unrecorded []tenantEvent
 
 	subscribes    int64
 	unsubscribes  int64
@@ -107,12 +109,14 @@ type tenant struct {
 }
 
 // Tenants layers per-tenant namespaces, quota/rate admission, and
-// round-robin fairness on top of a Service: every admitted event waits
-// in its tenant's FIFO and a single dispatcher hands one event per
-// tenant per turn to the underlying service, so a hostile neighbor
-// flooding its own queue cannot starve other tenants of apply
-// bandwidth — its backlog grows, theirs drains at the shared
-// round-robin rate.
+// round-robin fairness on top of a Service. One event runs against the
+// service at a time, on its caller's goroutine; an event admitted while
+// another runs waits in its tenant's FIFO, and the caller that finishes
+// hands the turn to the next tenant in round-robin order, one event per
+// tenant per turn. A hostile neighbor flooding its own queue therefore
+// cannot starve other tenants of apply bandwidth — its backlog grows,
+// theirs drains at the shared round-robin rate. The layer starts no
+// goroutine: mu guards all of its state.
 //
 // With an attached event Log every dispatched event is appended (in
 // dispatch order, the filter-ID assignment order) before the caller is
@@ -130,10 +134,10 @@ type Tenants struct {
 	rrPos    int
 	pendingN int
 	logErr   error
-
-	notify chan struct{}
-	closed chan struct{}
-	wg     sync.WaitGroup
+	// busy is set while an event runs against the service; closing
+	// once Close has run.
+	busy    bool
+	closing bool
 }
 
 // TenantOption configures the tenancy layer at construction time.
@@ -158,21 +162,14 @@ func WithEventLog(l *Log) TenantOption {
 	return func(t *Tenants) { t.log = l }
 }
 
-// NewTenants builds the tenancy layer over a running Service and
-// starts its dispatcher. Close stops the dispatcher; the Service and
+// NewTenants builds the tenancy layer over a running Service. Close
+// releases the callers still waiting for their turn; the Service and
 // Log remain the caller's to close.
 func NewTenants(svc *Service, opts ...TenantOption) *Tenants {
-	t := &Tenants{
-		svc:    svc,
-		byName: make(map[string]*tenant),
-		notify: make(chan struct{}, 1),
-		closed: make(chan struct{}),
-	}
+	t := &Tenants{svc: svc, byName: make(map[string]*tenant)}
 	for _, fn := range opts {
 		fn(t)
 	}
-	t.wg.Add(1)
-	go t.dispatch()
 	return t
 }
 
@@ -180,12 +177,16 @@ func NewTenants(svc *Service, opts ...TenantOption) *Tenants {
 // the layer default. The log record is appended under the same lock
 // hold that mutates the registry, so log order always matches logical
 // order (a quota update can never be logged after a "sub" it preceded).
+// It fails with ErrClosed after Close.
 func (t *Tenants) CreateTenant(name string, q TenantQuota) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty name", ErrUnknownTenant)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closing {
+		return ErrClosed
+	}
 	tn := t.createLocked(name, q)
 	return t.appendLogLocked(&LogRecord{Op: "tenant", Tenant: name, Quota: &tn.quota})
 }
@@ -220,8 +221,12 @@ func (t *Tenants) createLocked(name string, q TenantQuota) *tenant {
 // lookup resolves a tenant for an operation, auto-creating when
 // enabled. created reports whether an auto-create happened (the caller
 // must append its "tenant" log record before releasing t.mu, so the
-// record provably precedes any of the tenant's event records).
+// record provably precedes any of the tenant's event records). It
+// fails with ErrClosed after Close.
 func (t *Tenants) lookup(name string) (tn *tenant, created bool, err error) {
+	if t.closing {
+		return nil, false, ErrClosed
+	}
 	if name == "" {
 		return nil, false, fmt.Errorf("%w: empty name", ErrUnknownTenant)
 	}
@@ -254,10 +259,10 @@ func (tn *tenant) admit(now time.Time) bool {
 }
 
 // Subscribe admits one subscribe event for a tenant, waits for its
-// round-robin dispatch slot, and returns the tracking event plus the
-// assigned filter IDs. The call blocks while the tenant's queued
-// events wait their turn — that wait is the fairness backpressure a
-// flooding tenant feels.
+// round-robin turn, and returns the tracking event plus the assigned
+// filter IDs. The call blocks while the tenant's queued events wait
+// their turn — that wait is the fairness backpressure a flooding tenant
+// feels.
 func (t *Tenants) Subscribe(tenantName string, host int, exprs []subscription.Expr) (*Event, []int, error) {
 	if len(exprs) == 0 {
 		return nil, nil, fmt.Errorf("ctlplane: subscribe with no filters")
@@ -268,10 +273,9 @@ func (t *Tenants) Subscribe(tenantName string, host int, exprs []subscription.Ex
 		t.mu.Unlock()
 		return nil, nil, err
 	}
-	// Log the auto-create while still holding the lock: the dispatcher
-	// cannot pop (and log) this tenant's first event until we release,
-	// so the "tenant" record lands first even if this very call is
-	// rejected below.
+	// Log the auto-create while still holding the lock: no event of this
+	// tenant can run (and log) before we release, so the "tenant" record
+	// lands first even if this very call is rejected below.
 	if created {
 		t.appendLogLocked(&LogRecord{Op: "tenant", Tenant: tenantName, Quota: &tn.quota})
 	}
@@ -286,10 +290,28 @@ func (t *Tenants) Subscribe(tenantName string, host int, exprs []subscription.Ex
 		return nil, nil, fmt.Errorf("%w: tenant %q at %d/%d subscriptions", ErrQuotaExceeded, tenantName, len(tn.live), q)
 	}
 	tn.reserved += len(exprs)
-	op := &tenantOp{host: host, exprs: exprs, enq: time.Now(), done: make(chan struct{})}
-	t.enqueueLocked(tn, op)
-	t.mu.Unlock()
-	return t.wait(op)
+	enq := time.Now()
+	if !t.awaitTurn(tn) {
+		return nil, nil, ErrClosed
+	}
+	ev, ids, err := t.svc.Subscribe(host, exprs)
+	t.mu.Lock()
+	tn.reserved -= len(exprs)
+	if err == nil {
+		tn.subscribes++
+		for _, id := range ids {
+			tn.live[id] = host
+		}
+		srcs := make([]string, len(exprs))
+		for i, e := range exprs {
+			srcs[i] = e.String()
+		}
+		t.appendLogLocked(&LogRecord{Op: "sub", Tenant: tn.name, Host: host, Filters: srcs, IDs: ids})
+		tn.unrecorded = append(tn.unrecorded, tenantEvent{ev, enq})
+		tn.recordDone()
+	}
+	t.passTurn()
+	return ev, ids, err
 }
 
 // Unsubscribe admits one unsubscribe event for filters the tenant
@@ -320,38 +342,62 @@ func (t *Tenants) Unsubscribe(tenantName string, host int, ids []int) (*Event, e
 			return nil, fmt.Errorf("%w: id %d not held by tenant %q host %d", ErrUnknownFilter, id, tenantName, host)
 		}
 	}
-	op := &tenantOp{host: host, ids: ids, enq: time.Now(), done: make(chan struct{})}
-	t.enqueueLocked(tn, op)
-	t.mu.Unlock()
-	ev, _, err := t.wait(op)
+	enq := time.Now()
+	if !t.awaitTurn(tn) {
+		return nil, ErrClosed
+	}
+	ev, err := t.svc.Unsubscribe(host, ids)
+	t.mu.Lock()
+	if err == nil {
+		tn.unsubscribes++
+		for _, id := range ids {
+			delete(tn.live, id)
+		}
+		t.appendLogLocked(&LogRecord{Op: "unsub", Tenant: tn.name, Host: host, IDs: ids})
+		tn.unrecorded = append(tn.unrecorded, tenantEvent{ev, enq})
+		tn.recordDone()
+	}
+	t.passTurn()
 	return ev, err
 }
 
-func (t *Tenants) enqueueLocked(tn *tenant, op *tenantOp) {
+// awaitTurn is entered with t.mu held and releases it. When no event
+// runs, the caller takes the turn at once; otherwise its event joins
+// the tenant's FIFO and the call blocks until a finishing caller hands
+// it the turn. It reports false when Close dropped the event first.
+func (t *Tenants) awaitTurn(tn *tenant) bool {
+	if !t.busy {
+		t.busy = true
+		t.mu.Unlock()
+		return true
+	}
+	op := &tenantOp{turn: make(chan struct{})}
 	tn.pending = append(tn.pending, op)
 	t.pendingN++
-	select {
-	case t.notify <- struct{}{}:
-	default:
+	t.mu.Unlock()
+	<-op.turn
+	return !op.dropped
+}
+
+// passTurn is entered with t.mu held by the caller whose event just
+// finished, and releases it. It hands the turn to the next op in
+// round-robin tenant order, or clears busy when no op waits.
+func (t *Tenants) passTurn() {
+	op := t.next()
+	if op == nil {
+		t.busy = false
+	}
+	t.mu.Unlock()
+	if op != nil {
+		close(op.turn)
 	}
 }
 
-func (t *Tenants) wait(op *tenantOp) (*Event, []int, error) {
-	select {
-	case <-op.done:
-		return op.ev, op.outIDs, op.err
-	case <-t.closed:
-		return nil, nil, ErrClosed
-	}
-}
-
-// next pops the next event in round-robin tenant order, or nil when
-// every queue is empty.
-func (t *Tenants) next() (*tenant, *tenantOp) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pendingN == 0 || len(t.order) == 0 {
-		return nil, nil
+// next pops the next op in round-robin tenant order, or nil when every
+// queue is empty. The caller holds t.mu.
+func (t *Tenants) next() *tenantOp {
+	if t.pendingN == 0 {
+		return nil
 	}
 	for i := 0; i < len(t.order); i++ {
 		tn := t.byName[t.order[(t.rrPos+i)%len(t.order)]]
@@ -362,114 +408,33 @@ func (t *Tenants) next() (*tenant, *tenantOp) {
 		tn.pending = tn.pending[1:]
 		t.pendingN--
 		t.rrPos = (t.rrPos + i + 1) % len(t.order)
-		return tn, op
+		return op
 	}
-	return nil, nil
+	return nil
 }
 
-// dispatch is the fairness loop: one admitted event per tenant per
-// turn reaches the underlying service, in tenant round-robin order.
-func (t *Tenants) dispatch() {
-	defer t.wg.Done()
-	for {
+// recordDone records the admission→applied latency of every unrecorded
+// event whose Done is closed and keeps the rest. Event.end is written
+// before Done closes, so reading it here is race-free.
+func (tn *tenant) recordDone() {
+	keep := tn.unrecorded[:0]
+	for _, u := range tn.unrecorded {
 		select {
-		case <-t.closed:
-			return
+		case <-u.ev.Done():
+			tn.latency.add(float64(u.ev.end.Sub(u.enq).Nanoseconds()))
 		default:
+			keep = append(keep, u)
 		}
-		tn, op := t.next()
-		if op == nil {
-			select {
-			case <-t.closed:
-				return
-			case <-t.notify:
-				continue
-			}
-		}
-		t.run(tn, op)
 	}
+	clear(tn.unrecorded[len(keep):])
+	tn.unrecorded = keep
 }
 
-// run executes one dispatched event against the service, appends its
-// log record, and releases the waiting caller.
-func (t *Tenants) run(tn *tenant, op *tenantOp) {
-	if op.exprs != nil {
-		ev, ids, err := t.svc.Subscribe(op.host, op.exprs)
-		t.mu.Lock()
-		tn.reserved -= len(op.exprs)
-		if err == nil {
-			tn.subscribes++
-			for _, id := range ids {
-				tn.live[id] = op.host
-			}
-		}
-		t.mu.Unlock()
-		if err == nil {
-			srcs := make([]string, len(op.exprs))
-			for i, e := range op.exprs {
-				srcs[i] = e.String()
-			}
-			t.appendLog(&LogRecord{Op: "sub", Tenant: tn.name, Host: op.host, Filters: srcs, IDs: ids})
-			t.observe(tn, op.enq, ev)
-		}
-		op.ev, op.outIDs, op.err = ev, ids, err
-	} else {
-		ev, err := t.svc.Unsubscribe(op.host, op.ids)
-		t.mu.Lock()
-		if err == nil {
-			tn.unsubscribes++
-			for _, id := range op.ids {
-				delete(tn.live, id)
-			}
-		}
-		t.mu.Unlock()
-		if err == nil {
-			t.appendLog(&LogRecord{Op: "unsub", Tenant: tn.name, Host: op.host, IDs: op.ids})
-			t.observe(tn, op.enq, ev)
-		}
-		op.ev, op.err = ev, err
-	}
-	close(op.done)
-}
-
-// observe records the tenant's admission→applied latency once the
-// event's last switch swaps epochs.
-func (t *Tenants) observe(tn *tenant, enq time.Time, ev *Event) {
-	if ev == nil {
-		return
-	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		select {
-		case <-ev.Done():
-		case <-t.closed:
-			return
-		}
-		lat := float64(time.Since(enq).Nanoseconds())
-		t.mu.Lock()
-		tn.latency.add(lat)
-		t.mu.Unlock()
-	}()
-}
-
-// appendLog writes one record to the attached log, remembering the
-// first failure for the health surface (state and log diverging is a
-// serve-stopping condition, not a silent one).
-func (t *Tenants) appendLog(rec *LogRecord) error {
-	if t.log == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.appendLogLocked(rec)
-}
-
-// appendLogLocked is appendLog for callers already holding t.mu.
-// Appending under the lock is the ordering guarantee for registry
-// mutations: the dispatcher (which logs event records lock-free, in
-// dispatch order) cannot observe the mutation until the lock drops,
-// by which point its log record is durable-ordered behind this one.
+// appendLogLocked writes one record to the attached log, remembering
+// the first failure for the health surface (state and log diverging is
+// a serve-stopping condition, not a silent one). Every append happens
+// under t.mu, in the same critical section as the registry mutation it
+// records, so log order is the order those mutations took effect.
 func (t *Tenants) appendLogLocked(rec *LogRecord) error {
 	if t.log == nil {
 		return nil
@@ -513,56 +478,20 @@ func (t *Tenants) Replay() (int, error) {
 			t.createLocked(rec.Tenant, q)
 			t.mu.Unlock()
 			return nil
-		case "sub":
-			t.mu.Lock()
-			tn, ok := t.byName[rec.Tenant]
-			if !ok && t.autoCreate {
-				// Logs written before the tenant-record-first ordering
-				// guarantee may carry an event ahead of its tenant
-				// record; under auto-create, mint the tenant exactly as
-				// the live path would have.
-				tn, ok = t.createLocked(rec.Tenant, TenantQuota{}), true
-			}
-			t.mu.Unlock()
-			if !ok {
-				return fmt.Errorf("ctlplane: replay seq %d: subscribe for unknown tenant %q", rec.Seq, rec.Tenant)
-			}
-			exprs := make([]subscription.Expr, len(rec.Filters))
-			for i, src := range rec.Filters {
-				e, perr := parser.ParseFilter(src)
-				if perr != nil {
-					return fmt.Errorf("ctlplane: replay seq %d: parse %q: %w", rec.Seq, src, perr)
-				}
-				exprs[i] = e
-			}
-			_, ids, serr := t.svc.Subscribe(rec.Host, exprs)
-			if serr != nil {
-				return fmt.Errorf("ctlplane: replay seq %d: %w", rec.Seq, serr)
-			}
-			if len(ids) != len(rec.IDs) {
-				return fmt.Errorf("ctlplane: replay seq %d: %d ids reassigned, log has %d", rec.Seq, len(ids), len(rec.IDs))
-			}
-			for i := range ids {
-				if ids[i] != rec.IDs[i] {
-					return fmt.Errorf("ctlplane: replay seq %d: filter ID drift (%d != logged %d) — log is not from this deployment", rec.Seq, ids[i], rec.IDs[i])
-				}
-			}
-			t.mu.Lock()
-			for _, id := range ids {
-				tn.live[id] = rec.Host
-			}
-			t.mu.Unlock()
-			return nil
-		case "unsub":
-			t.mu.Lock()
-			tn, ok := t.byName[rec.Tenant]
-			if !ok && t.autoCreate {
-				tn, ok = t.createLocked(rec.Tenant, TenantQuota{}), true
-			}
-			t.mu.Unlock()
-			if !ok {
-				return fmt.Errorf("ctlplane: replay seq %d: unsubscribe for unknown tenant %q", rec.Seq, rec.Tenant)
-			}
+		case "sub", "unsub":
+		default:
+			return fmt.Errorf("ctlplane: replay seq %d: unknown op %q", rec.Seq, rec.Op)
+		}
+		// Under auto-create, a log written before the tenant-record-first
+		// ordering may carry an event ahead of its tenant record; lookup
+		// mints that tenant exactly as the live path would have.
+		t.mu.Lock()
+		tn, _, err := t.lookup(rec.Tenant)
+		t.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("ctlplane: replay seq %d: %w", rec.Seq, err)
+		}
+		if rec.Op == "unsub" {
 			if _, serr := t.svc.Unsubscribe(rec.Host, rec.IDs); serr != nil {
 				return fmt.Errorf("ctlplane: replay seq %d: %w", rec.Seq, serr)
 			}
@@ -572,9 +501,33 @@ func (t *Tenants) Replay() (int, error) {
 			}
 			t.mu.Unlock()
 			return nil
-		default:
-			return fmt.Errorf("ctlplane: replay seq %d: unknown op %q", rec.Seq, rec.Op)
 		}
+		exprs := make([]subscription.Expr, len(rec.Filters))
+		for i, src := range rec.Filters {
+			e, perr := parser.ParseFilter(src)
+			if perr != nil {
+				return fmt.Errorf("ctlplane: replay seq %d: parse %q: %w", rec.Seq, src, perr)
+			}
+			exprs[i] = e
+		}
+		_, ids, serr := t.svc.Subscribe(rec.Host, exprs)
+		if serr != nil {
+			return fmt.Errorf("ctlplane: replay seq %d: %w", rec.Seq, serr)
+		}
+		if len(ids) != len(rec.IDs) {
+			return fmt.Errorf("ctlplane: replay seq %d: %d ids reassigned, log has %d", rec.Seq, len(ids), len(rec.IDs))
+		}
+		for i := range ids {
+			if ids[i] != rec.IDs[i] {
+				return fmt.Errorf("ctlplane: replay seq %d: filter ID drift (%d != logged %d) — log is not from this deployment", rec.Seq, ids[i], rec.IDs[i])
+			}
+		}
+		t.mu.Lock()
+		for _, id := range ids {
+			tn.live[id] = rec.Host
+		}
+		t.mu.Unlock()
+		return nil
 	})
 	t.svc.Quiesce()
 	return n, err
@@ -621,6 +574,7 @@ func (t *Tenants) snapshotLocked(tn *tenant, covered map[int]bool) TenantSnapsho
 			snap.Covered++
 		}
 	}
+	tn.recordDone()
 	snap.Latency = tn.latency.summary()
 	return snap
 }
@@ -650,13 +604,26 @@ func (t *Tenants) TenantCount() int {
 	return len(t.byName)
 }
 
-// Close stops the dispatcher and releases queued callers with
-// ErrClosed. The underlying Service and Log are not closed.
+// Close refuses further operations with ErrClosed and releases every
+// caller still waiting for its turn with ErrClosed; their events never
+// reach the service. An event that already has its turn finishes
+// normally, and Close does not wait for it. (A dropped subscribe keeps
+// its quota reservation: nothing is admitted after Close.) The
+// underlying Service and Log are not closed.
 func (t *Tenants) Close() {
-	select {
-	case <-t.closed:
-	default:
-		close(t.closed)
+	t.mu.Lock()
+	t.closing = true
+	var dropped []*tenantOp
+	for _, tn := range t.byName {
+		for _, op := range tn.pending {
+			op.dropped = true
+		}
+		dropped = append(dropped, tn.pending...)
+		tn.pending = nil
 	}
-	t.wg.Wait()
+	t.pendingN = 0
+	t.mu.Unlock()
+	for _, op := range dropped {
+		close(op.turn)
+	}
 }

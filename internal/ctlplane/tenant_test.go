@@ -132,7 +132,7 @@ func TestTenantOwnership(t *testing.T) {
 }
 
 // TestCrossTenantFairness: a hostile neighbor flooding its own queue
-// must not starve a quiet tenant. The round-robin dispatcher hands one
+// must not starve a quiet tenant. Callers take round-robin turns, one
 // event per tenant per turn, so the victim's few events ride alongside
 // the flood — when the victim finishes, the hostile backlog must still
 // be mostly intact, and no single victim event may have waited for the
@@ -146,7 +146,7 @@ func TestCrossTenantFairness(t *testing.T) {
 	tn, _ := newTenantsForTest(t, net, nil,
 		WithQueueDepth(1),
 		WithApplyHook(func(sw, attempt int) error {
-			time.Sleep(200 * time.Microsecond) // slow applies → dispatch slots are scarce
+			time.Sleep(200 * time.Microsecond) // slow applies → turns are scarce
 			return nil
 		}))
 	for _, name := range []string{"hostile", "victim"} {
@@ -435,7 +435,7 @@ func TestLogCorruptionDetected(t *testing.T) {
 
 // TestWALAutoCreateTenantRecordOrdering: an auto-created tenant's
 // "tenant" record must land in the log before any of its event
-// records, no matter how the dispatcher races the creating caller —
+// records, no matter how other tenants' events race the creating caller —
 // and even when the tenant's very first event is rejected at
 // admission. Pre-fix, both shapes produced a log whose replay died
 // with "subscribe for unknown tenant".
@@ -462,9 +462,8 @@ func TestWALAutoCreateTenantRecordOrdering(t *testing.T) {
 	if _, _, err := tn1.Subscribe("reject-first", 0, []subscription.Expr{filter(t, "stock == GOOGL")}); err != nil {
 		t.Fatal(err)
 	}
-	// Racy shape: many fresh tenants subscribing concurrently, so the
-	// dispatcher is busy appending "sub" records while callers append
-	// "tenant" records.
+	// Racy shape: many fresh tenants subscribing concurrently, so some
+	// callers append "sub" records while others append "tenant" records.
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -585,5 +584,110 @@ func TestTenantLatencyBounded(t *testing.T) {
 	}
 	if lo := time.Duration(latencyWindow); snap.Latency.P50 < lo {
 		t.Errorf("P50 = %v is older than the latest window (>= %v)", snap.Latency.P50, lo)
+	}
+}
+
+// TestTenantsCloseKeepsRunningEvent: Close releases only the callers
+// still waiting for their turn. An event that already has its turn —
+// here blocked on a full service queue behind a stuck apply — finishes
+// normally and reports success, and Close does not wait for it.
+func TestTenantsCloseKeepsRunningEvent(t *testing.T) {
+	release := make(chan struct{})
+	tns, svc := newTenantsForTest(t, topology.MustFatTree(4), nil,
+		WithQueueDepth(1),
+		WithApplyHook(func(sw, attempt int) error {
+			<-release
+			return nil
+		}))
+	if err := tns.CreateTenant("acme", TenantQuota{}); err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := tns.Subscribe("acme", 0, []subscription.Expr{filter(t, "stock == GOOGL")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two more events: one takes the turn and blocks inside the service,
+	// whose one-deep queue holds the first event with its apply stuck;
+	// the other waits in the FIFO.
+	type result struct {
+		ids []int
+		err error
+	}
+	out := make(chan result, 2)
+	for _, src := range []string{"stock == MSFT", "stock == AAPL"} {
+		go func() {
+			_, ids, err := tns.Subscribe("acme", 0, []subscription.Expr{filter(t, src)})
+			out <- result{ids, err}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if snap, _ := tns.Snapshot("acme"); snap.Pending == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("no event ever waited in the FIFO")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		tns.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Error("Close waited for the running event")
+	}
+	select {
+	case r := <-out:
+		if !errors.Is(r.err, ErrClosed) {
+			t.Errorf("queued subscribe = %v, want ErrClosed", r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Close did not release the queued subscribe")
+	}
+	close(release)
+	<-closed
+	r := <-out
+	if r.err != nil {
+		t.Fatalf("running subscribe = %v, want nil (Close lets it finish)", r.err)
+	}
+	svc.Quiesce()
+	want := []int{first[0], r.ids[0]}
+	if got := svc.Filters(0); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Filters(0) = %v, want %v: the dropped event must not be installed", got, want)
+	}
+	if _, _, err := tns.Subscribe("acme", 0, []subscription.Expr{filter(t, "stock == FB")}); !errors.Is(err, ErrClosed) {
+		t.Errorf("subscribe after Close = %v, want ErrClosed", err)
+	}
+	if err := tns.CreateTenant("late", TenantQuota{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("CreateTenant after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestTenantLatencyCountsDoneEvents: a tenant snapshot taken after an
+// event's Done has closed counts that event's latency.
+func TestTenantLatencyCountsDoneEvents(t *testing.T) {
+	net := topology.MustFatTree(4)
+	tns, _ := newTenantsForTest(t, net, nil)
+	if err := tns.CreateTenant("acme", TenantQuota{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		ev, _, err := tns.Subscribe("acme", i%len(net.Hosts), []subscription.Expr{
+			filter(t, fmt.Sprintf("price > %d", i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-ev.Done()
+		snap, err := tns.Snapshot("acme")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Latency.N != i+1 {
+			t.Fatalf("after %d done events, Latency.N = %d", i+1, snap.Latency.N)
+		}
 	}
 }

@@ -147,36 +147,54 @@ func scanLog(f *os.File) (good int64, lastSeq int64, n int, err error) {
 		return 0, 0, 0, err
 	}
 	r := bufio.NewReader(f)
-	var hdr [walHeader]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return good, lastSeq, n, nil // clean EOF or torn header
-			}
-			return good, lastSeq, n, err
+		rec, size, err := readRecord(r)
+		if err == io.EOF || err == errTornRecord {
+			return good, lastSeq, n, nil
 		}
-		size := binary.BigEndian.Uint32(hdr[:4])
-		if size == 0 || size > walMaxRecord {
-			return good, lastSeq, n, fmt.Errorf("ctlplane: event log corrupt at offset %d (record %d): impossible length %d", good, n+1, size)
+		if err != nil {
+			return good, lastSeq, n, fmt.Errorf("ctlplane: event log at offset %d (record %d): %w", good, n+1, err)
 		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return good, lastSeq, n, nil // torn payload
-			}
-			return good, lastSeq, n, err
-		}
-		if sum := crc32.ChecksumIEEE(buf); sum != binary.BigEndian.Uint32(hdr[4:]) {
-			return good, lastSeq, n, fmt.Errorf("ctlplane: event log corrupt at offset %d (record %d): checksum mismatch", good, n+1)
-		}
-		var rec LogRecord
-		if err := json.Unmarshal(buf, &rec); err != nil {
-			return good, lastSeq, n, fmt.Errorf("ctlplane: event log corrupt at offset %d (record %d): %v", good, n+1, err)
-		}
-		good += int64(walHeader + size)
+		good += size
 		lastSeq = rec.Seq
 		n++
 	}
+}
+
+// errTornRecord is readRecord's verdict on a frame cut short by EOF.
+var errTornRecord = errors.New("torn record")
+
+// readRecord decodes the next frame from r and returns the record and
+// the frame's byte length. It returns io.EOF at a clean end,
+// errTornRecord when EOF cuts the header or payload short, a "corrupt"
+// error for an impossible length, a checksum mismatch or undecodable
+// JSON, and the read error for anything else.
+func readRecord(r *bufio.Reader) (rec LogRecord, size int64, err error) {
+	var hdr [walHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = errTornRecord
+		}
+		return rec, 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n == 0 || n > walMaxRecord {
+		return rec, 0, fmt.Errorf("corrupt: impossible length %d", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errTornRecord
+		}
+		return rec, 0, err
+	}
+	if crc32.ChecksumIEEE(buf) != binary.BigEndian.Uint32(hdr[4:]) {
+		return rec, 0, errors.New("corrupt: checksum mismatch")
+	}
+	if err := json.Unmarshal(buf, &rec); err != nil {
+		return rec, 0, fmt.Errorf("corrupt: %w", err)
+	}
+	return rec, walHeader + int64(n), nil
 }
 
 // Append encodes rec, assigns it the next sequence number, and buffers
@@ -334,33 +352,16 @@ func (l *Log) Replay(fn func(*LogRecord) error) (int, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReader(io.LimitReader(f, limit))
-	var hdr [walHeader]byte
-	n := 0
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return n, nil
-			}
-			return n, fmt.Errorf("ctlplane: replay record %d: %w", n+1, err)
+	for n := 0; ; n++ {
+		rec, _, err := readRecord(r)
+		if err == io.EOF {
+			return n, nil
 		}
-		size := binary.BigEndian.Uint32(hdr[:4])
-		if size == 0 || size > walMaxRecord {
-			return n, fmt.Errorf("ctlplane: replay record %d: impossible length %d", n+1, size)
-		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return n, fmt.Errorf("ctlplane: replay record %d: %w", n+1, err)
-		}
-		if sum := crc32.ChecksumIEEE(buf); sum != binary.BigEndian.Uint32(hdr[4:]) {
-			return n, fmt.Errorf("ctlplane: replay record %d: checksum mismatch", n+1)
-		}
-		var rec LogRecord
-		if err := json.Unmarshal(buf, &rec); err != nil {
+		if err != nil {
 			return n, fmt.Errorf("ctlplane: replay record %d: %w", n+1, err)
 		}
 		if err := fn(&rec); err != nil {
 			return n, err
 		}
-		n++
 	}
 }

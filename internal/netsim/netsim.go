@@ -6,10 +6,10 @@
 // as one pipeline batch — resolves the logical up port, and accounts
 // deliveries, latency, and per-layer traffic.
 //
-// The simulator is concurrency-safe: traffic counters, the virtual
-// clock, and the round-robin up-port pointers are atomics, the pipeline
-// switches are themselves concurrent, and each PublishBatch call works in
-// a wave scratch of its own, so goroutines may publish side by side and
+// The simulator is concurrency-safe: traffic counters and the
+// round-robin up-port pointers are atomics, the pipeline switches are
+// themselves concurrent, and each PublishBatch call works in a wave
+// scratch of its own, so goroutines may publish side by side and
 // beside Install. What a call recycles is that scratch (queues, packet
 // slab, per-switch pipeline.Results, message arena); what it hands back
 // is heap-fresh and the caller's to keep.
@@ -94,7 +94,6 @@ type Sim struct {
 	// could be used for flow-based protocols").
 	ECMP bool
 
-	clock   atomic.Int64 // virtual time, ns
 	traffic trafficCounters
 	// ups lists each switch's physical up links, in port order.
 	ups [][]topology.Port
@@ -141,9 +140,6 @@ func (s *Sim) Installers() []ctlplane.Installer {
 	return out
 }
 
-// Clock returns the current virtual time.
-func (s *Sim) Clock() time.Duration { return time.Duration(s.clock.Load()) }
-
 // Traffic returns a snapshot of the traffic counters.
 func (s *Sim) Traffic() TrafficStats { return s.traffic.snapshot() }
 
@@ -161,9 +157,9 @@ type Publication struct {
 }
 
 // Publish injects a packet from a host and forwards it to completion,
-// returning every host delivery. Processing is synchronous at the
-// current virtual clock (switch transit latencies are summed into the
-// per-delivery latency but do not advance the global clock).
+// returning every host delivery. Processing is synchronous at time 0:
+// the simulator keeps no clock (switch transit latencies are summed
+// into the per-delivery latency only).
 func (s *Sim) Publish(host int, msgs []*spec.Message, bytes int) []HostDelivery {
 	return s.PublishFlow(host, msgs, bytes, 0)
 }
@@ -194,14 +190,13 @@ func (s *Sim) PublishFlow(host int, msgs []*spec.Message, bytes int, flow uint64
 func (s *Sim) PublishBatch(pubs []Publication) [][]HostDelivery {
 	sc := s.takeScratch()
 	sc.inject(s, pubs)
-	now := s.Clock()
 	for hop := 0; len(sc.cur) > 0; hop++ {
 		if hop >= hopLimit {
 			sc.tally.looped += int64(len(sc.cur))
 			break
 		}
 		sc.group(s)
-		sc.visit(s, now)
+		sc.visit(s)
 		sc.expand(s, hop)
 		sc.cur, sc.next = sc.next, sc.cur[:0]
 	}
@@ -351,12 +346,13 @@ func (sc *waveScratch) group(s *Sim) {
 	}
 }
 
-// visit makes the wave's one pipeline call per switch. No lock is held:
-// each switch emits into this scratch's Results for it.
-func (sc *waveScratch) visit(s *Sim, now time.Duration) {
+// visit makes the wave's one pipeline call per switch, at time 0 (the
+// simulator keeps no clock). No lock is held: each switch emits into
+// this scratch's Results for it.
+func (sc *waveScratch) visit(s *Sim) {
 	for _, sw := range sc.active {
 		group := sc.pkts[sc.base[sw] : sc.base[sw]+sc.count[sw]]
-		sc.outs[sw] = s.Switches[sw].ProcessBatchInto(&sc.res[sw], group, now)
+		sc.outs[sw] = s.Switches[sw].ProcessBatchInto(&sc.res[sw], group, 0)
 	}
 }
 

@@ -65,7 +65,7 @@ func refPublish(s *Sim, host int, msgs []*spec.Message, bytes int, flow uint64) 
 	swID, port := s.Deployment.Network.Access(host)
 	queue := []flight{{sw: swID, inPort: port, msgs: msgs, bytes: bytes, latency: linkLatency, flow: flow}}
 	var out []HostDelivery
-	now := s.Clock()
+	var now time.Duration // PublishBatch runs at time 0: the simulator keeps no clock
 	for head := 0; head < len(queue); head++ {
 		f := queue[head]
 		if f.hops >= hopLimit {
