@@ -171,15 +171,19 @@ churn-soak:
 	$(GO) test -race -count=10 -run 'Concurrent|Install|Carried|Reenters|Owners|Fallback' ./internal/pipeline
 	$(GO) test -race -count=10 -run 'Service|Backpressure|Retry|Recovery|Reinstalled|Validat|Fairness|SubmitAfterClose|ConsistentCut|Tenant' ./internal/ctlplane
 
-## serve-soak: end-to-end soak of the multi-tenant daemon — an
-## in-process camusd with a durable event log, 1000 tenants of
-## Zipf-skewed churn driven through the HTTP API by concurrent
-## tenant-sharded workers, translation validation sampling every 16th
-## batch. Fails on any HTTP error, apply failure, validation failure,
-## or unhealthy /healthz. Runs with -covering so the soak also
-## exercises subsumption covering under multi-tenant churn.
+## serve-soak: both modes of the control-plane load driver
+## (internal/workload/drive). First the end-to-end soak of the
+## multi-tenant daemon: an in-process camusd with a durable event log,
+## 1000 tenants of Zipf-skewed churn driven through the HTTP API by
+## concurrent tenant-sharded workers, translation validation sampling
+## every 16th batch. Then 300 events straight into the in-process
+## service, followed by a feed replay on the converged network. Each
+## fails on any refused event or HTTP error, apply failure, validation
+## failure or unhealthy /healthz. Both run with -covering, so they also
+## exercise subsumption covering and fail if no install was elided.
 serve-soak:
 	$(GO) run ./cmd/camus-sim -serve -tenants 1000 -churn 1000 -validate-every 16 -seed 7 -covering
+	$(GO) run ./cmd/camus-sim -churn 300 -covering -packets 500
 
 ## soak: the longer churn soak (CAMUS_SOAK widens the event stream).
 soak:

@@ -11,18 +11,12 @@
 package camusbench
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"camus/internal/analysis/fitcheck"
 	"camus/internal/analysis/netcheck"
@@ -30,7 +24,6 @@ import (
 	"camus/internal/compiler"
 	"camus/internal/controller"
 	"camus/internal/ctlplane"
-	"camus/internal/ctlplane/server"
 	"camus/internal/experiments"
 	"camus/internal/formats"
 	"camus/internal/netsim"
@@ -40,6 +33,7 @@ import (
 	"camus/internal/subscription"
 	"camus/internal/topology"
 	"camus/internal/workload"
+	"camus/internal/workload/drive"
 )
 
 // TestMain stamps the host shape into every benchmark run (and thus
@@ -347,44 +341,27 @@ func BenchmarkFabricBatch(b *testing.B) {
 	}
 }
 
-// churnTraffic keeps background traffic flowing through sim until the
-// returned stop function is called (it waits for the publisher to exit).
-// The publications are built here, before the caller starts its timer,
-// and re-sent round-robin: a publisher that built fresh messages per spin
-// put allocations proportional to wall time, not to control-plane work,
-// inside the timed region.
-func churnTraffic(sim *netsim.Sim, hosts int) (stop func()) {
-	r := rand.New(rand.NewSource(4))
-	stocks := workload.DefaultSymbols(100)
-	pool := make([][]netsim.Publication, 64)
-	for i := range pool {
-		pool[i] = make([]netsim.Publication, 16)
-		for j := range pool[i] {
-			m := spec.NewMessage(formats.ITCH)
-			m.MustSet("stock", spec.StrVal(stocks[r.Intn(len(stocks))]))
-			m.MustSet("price", spec.IntVal(int64(r.Intn(1000))))
-			m.MustSet("shares", spec.IntVal(1))
-			pool[i][j] = netsim.Publication{Host: r.Intn(hosts), Msgs: []*spec.Message{m}, Bytes: 64}
+// benchDrive replays cfg through the load driver b.N times, timing the
+// replay but not setup or shutdown, and returns the last run's result. A
+// refused event or a failed verdict fails the benchmark.
+func benchDrive(b *testing.B, cfg drive.Config) drive.Result {
+	var res drive.Result
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := drive.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err = d.Run()
+		b.StopTimer()
+		if err := errors.Join(err, d.Close(), res.Verdict()); err != nil {
+			b.Fatal(err)
 		}
 	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			sim.PublishBatch(pool[i%len(pool)])
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
+	b.ReportMetric(res.UpdatesPerSec(), "updates/s")
+	b.ReportMetric(0, "ns/op")
+	return res
 }
 
 // BenchmarkChurn — the live control plane under load: a fat-tree(4)
@@ -395,70 +372,18 @@ func churnTraffic(sim *netsim.Sim, hosts int) (stop func()) {
 // sustained updates/sec and the p50/p99 event→all-switches-applied
 // latency.
 func BenchmarkChurn(b *testing.B) {
-	net := topology.MustFatTree(4)
-	ropts := routing.Options{Policy: routing.TrafficReduction, Alpha: 10}
-	evs, err := workload.Churn(workload.ChurnConfig{
-		Spec: formats.ITCH, Hosts: len(net.Hosts), Events: 600, PoolSize: 40, Seed: 3,
+	res := benchDrive(b, drive.Config{
+		K: 4, Routing: routing.Options{Policy: routing.TrafficReduction, Alpha: 10},
+		Churn:   workload.ChurnConfig{Events: 600, PoolSize: 40, Seed: 3},
+		Workers: 1, Traffic: true,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var lastStats ctlplane.Snapshot
-	var updatesPerSec float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d, err := controller.Deploy(net, formats.ITCH,
-			make([][]subscription.Expr, len(net.Hosts)), controller.Options{Routing: ropts})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := netsim.New(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := ctlplane.New(net, formats.ITCH,
-			ctlplane.WithRouting(ropts),
-			ctlplane.WithInstallers(sim.Installers()...),
-			ctlplane.WithSeed(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		stop := churnTraffic(sim, len(net.Hosts))
-		live := make(map[int]int)
-		b.StartTimer()
-		start := time.Now()
-		for _, ev := range evs {
-			if ev.Add {
-				_, ids, err := svc.Subscribe(ev.Host, []subscription.Expr{ev.Filter})
-				if err != nil {
-					b.Fatal(err)
-				}
-				live[ev.Key] = ids[0]
-			} else {
-				if _, err := svc.Unsubscribe(ev.Host, []int{live[ev.Key]}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		svc.Quiesce()
-		elapsed := time.Since(start)
-		b.StopTimer()
-		stop()
-		lastStats = svc.Stats()
-		svc.Close()
-		updatesPerSec = float64(len(evs)) / elapsed.Seconds()
-		b.StartTimer()
-	}
-	b.ReportMetric(updatesPerSec, "updates/s")
-	b.ReportMetric(float64(lastStats.Latency.P50.Microseconds()), "p50-µs")
-	b.ReportMetric(float64(lastStats.Latency.P99.Microseconds()), "p99-µs")
-	b.ReportMetric(0, "ns/op")
+	s := res.Snapshot
+	b.ReportMetric(float64(s.Latency.P50.Microseconds()), "p50-µs")
+	b.ReportMetric(float64(s.Latency.P99.Microseconds()), "p99-µs")
 	b.Logf("churn: %d events, %d batches (coalesced), +%d -%d =%d entries, %d retries, %d fallbacks, latency %s",
-		lastStats.Events, lastStats.Batches, lastStats.Installs, lastStats.Deletes,
-		lastStats.Keeps, lastStats.Retries, lastStats.Fallbacks, lastStats.Latency)
-	if updatesPerSec < 1000 {
-		b.Errorf("sustained %.0f updates/sec, want >= 1000", updatesPerSec)
+		s.Events, s.Batches, s.Installs, s.Deletes, s.Keeps, s.Retries, s.Fallbacks, s.Latency)
+	if u := res.UpdatesPerSec(); u < 1000 {
+		b.Errorf("sustained %.0f updates/sec, want >= 1000", u)
 	}
 }
 
@@ -470,74 +395,24 @@ func BenchmarkChurn(b *testing.B) {
 // roots across every (switch, port) forest — and the benchmark fails
 // if subsumption stops buying at least a 2× table-state reduction.
 func BenchmarkCoverChurn(b *testing.B) {
-	net := topology.MustFatTree(4)
-	ropts := routing.Options{Policy: routing.TrafficReduction, Alpha: 10}
-	evs, err := workload.Churn(workload.ChurnConfig{
-		Spec: formats.ITCH, Hosts: 4, Events: 600, PoolSize: 64,
-		CoverHeavy: true, CoverDepth: 8, AddFraction: 0.7, Seed: 3,
+	res := benchDrive(b, drive.Config{
+		K: 4, Routing: routing.Options{Policy: routing.TrafficReduction, Alpha: 10},
+		Churn: workload.ChurnConfig{
+			Hosts: 4, Events: 600, PoolSize: 64,
+			CoverHeavy: true, CoverDepth: 8, AddFraction: 0.7, Seed: 3,
+		},
+		Service: []ctlplane.Option{ctlplane.WithCovering()},
+		Workers: 1, Traffic: true,
 	})
-	if err != nil {
-		b.Fatal(err)
+	s := res.Snapshot
+	var reduction float64
+	if s.CoverEntries > 0 {
+		reduction = float64(s.CoverEntries+s.CoverObligations) / float64(s.CoverEntries)
 	}
-	var lastStats ctlplane.Snapshot
-	var updatesPerSec, reduction float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d, err := controller.Deploy(net, formats.ITCH,
-			make([][]subscription.Expr, len(net.Hosts)), controller.Options{Routing: ropts})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := netsim.New(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := ctlplane.New(net, formats.ITCH,
-			ctlplane.WithRouting(ropts),
-			ctlplane.WithInstallers(sim.Installers()...),
-			ctlplane.WithSeed(3),
-			ctlplane.WithCovering())
-		if err != nil {
-			b.Fatal(err)
-		}
-		stop := churnTraffic(sim, len(net.Hosts))
-		live := make(map[int]int)
-		b.StartTimer()
-		start := time.Now()
-		for _, ev := range evs {
-			if ev.Add {
-				_, ids, err := svc.Subscribe(ev.Host, []subscription.Expr{ev.Filter})
-				if err != nil {
-					b.Fatal(err)
-				}
-				live[ev.Key] = ids[0]
-			} else {
-				if _, err := svc.Unsubscribe(ev.Host, []int{live[ev.Key]}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		svc.Quiesce()
-		elapsed := time.Since(start)
-		b.StopTimer()
-		stop()
-		lastStats = svc.Stats()
-		svc.Close()
-		updatesPerSec = float64(len(evs)) / elapsed.Seconds()
-		if lastStats.CoverEntries > 0 {
-			reduction = float64(lastStats.CoverEntries+lastStats.CoverObligations) /
-				float64(lastStats.CoverEntries)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(updatesPerSec, "updates/s")
 	b.ReportMetric(reduction, "reduction-x")
-	b.ReportMetric(float64(lastStats.Latency.P50.Microseconds()), "p50-µs")
-	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(float64(s.Latency.P50.Microseconds()), "p50-µs")
 	b.Logf("cover churn: %d events, %d batches, %d entries + %d covered (%.2f× reduction), latency %s",
-		lastStats.Events, lastStats.Batches, lastStats.CoverEntries,
-		lastStats.CoverObligations, reduction, lastStats.Latency)
+		s.Events, s.Batches, s.CoverEntries, s.CoverObligations, reduction, s.Latency)
 	if reduction < 2 {
 		b.Errorf("covering reduction %.2f×, want >= 2× on the covering-heavy workload", reduction)
 	}
@@ -552,117 +427,16 @@ func BenchmarkCoverChurn(b *testing.B) {
 // p50/p99 request latency (parse + admission + fairness queue + apply
 // fan-out + fsync, as a tenant experiences it).
 func BenchmarkCtlplaneDaemon(b *testing.B) {
-	net := topology.MustFatTree(4)
-	ropts := routing.Options{Policy: routing.TrafficReduction, Alpha: 10}
-	evs, err := workload.TenantChurn(workload.TenantChurnConfig{
-		ChurnConfig: workload.ChurnConfig{
-			Spec: formats.ITCH, Hosts: len(net.Hosts), Events: 400, PoolSize: 40, Seed: 5,
-		},
-		Tenants: 200,
+	res := benchDrive(b, drive.Config{
+		K: 4, Routing: routing.Options{Policy: routing.TrafficReduction, Alpha: 10},
+		Churn: workload.ChurnConfig{Events: 400, PoolSize: 40, Tenants: 200, Seed: 5},
+		HTTP:  true, Workers: 1,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	post := func(client *http.Client, method, url string, body any) ([]byte, error) {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequest(method, url, bytes.NewReader(buf))
-		if err != nil {
-			return nil, err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		var out bytes.Buffer
-		out.ReadFrom(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s %s: status %d: %s", method, url, resp.StatusCode, out.String())
-		}
-		return out.Bytes(), nil
-	}
-	var p50, p99, updatesPerSec float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dep, err := controller.Deploy(net, formats.ITCH,
-			make([][]subscription.Expr, len(net.Hosts)), controller.Options{Routing: ropts})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := netsim.New(dep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := server.New(net, formats.ITCH,
-			server.WithEventLog(filepath.Join(b.TempDir(), "events.log")),
-			server.WithService(
-				ctlplane.WithRouting(ropts),
-				ctlplane.WithInstallers(sim.Installers()...),
-				ctlplane.WithSeed(5)),
-			server.WithTenancy(ctlplane.WithAutoCreate()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		addr, err := d.Start("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := "http://" + addr
-		client := &http.Client{}
-		live := make(map[int]struct{ host, id int })
-		lats := make([]time.Duration, 0, len(evs))
-		b.StartTimer()
-		start := time.Now()
-		for _, ev := range evs {
-			reqStart := time.Now()
-			if ev.Add {
-				raw, err := post(client, http.MethodPost,
-					base+"/v1/tenants/"+ev.Tenant+"/subscriptions",
-					map[string]any{"host": ev.Host, "filters": []string{ev.Filter.String()}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var resp struct {
-					IDs []int `json:"ids"`
-				}
-				json.Unmarshal(raw, &resp)
-				live[ev.Key] = struct{ host, id int }{ev.Host, resp.IDs[0]}
-			} else {
-				s := live[ev.Key]
-				delete(live, ev.Key)
-				if _, err := post(client, http.MethodDelete,
-					base+"/v1/tenants/"+ev.Tenant+"/subscriptions",
-					map[string]any{"host": s.host, "ids": []int{s.id}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			lats = append(lats, time.Since(reqStart))
-		}
-		elapsed := time.Since(start)
-		b.StopTimer()
-		snap := d.Service().Stats()
-		if snap.Failures != 0 {
-			b.Fatalf("daemon churn: %d apply failures", snap.Failures)
-		}
-		if err := d.Close(); err != nil {
-			b.Fatal(err)
-		}
-		sort.Slice(lats, func(x, y int) bool { return lats[x] < lats[y] })
-		ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-		p50, p99 = ms(lats[len(lats)/2]), ms(lats[len(lats)*99/100])
-		updatesPerSec = float64(len(evs)) / elapsed.Seconds()
-		b.StartTimer()
-	}
-	b.ReportMetric(updatesPerSec, "updates/s")
+	p50, p99 := res.Latency.Percentile(50)/1e6, res.Latency.Percentile(99)/1e6
 	b.ReportMetric(p50, "p50-ms")
 	b.ReportMetric(p99, "p99-ms")
-	b.ReportMetric(0, "ns/op")
 	b.Logf("daemon churn: %d events over HTTP, %.0f updates/s, p50 %.2fms p99 %.2fms",
-		len(evs), updatesPerSec, p50, p99)
+		res.Latency.N(), res.UpdatesPerSec(), p50, p99)
 }
 
 // BenchmarkAblationNoImplicationPruning — DESIGN.md §5.1: effect of the

@@ -10,35 +10,40 @@
 //
 // With -churn N the command instead starts from an empty network and
 // drives N live subscribe/unsubscribe events through the ctlplane
-// service (per-switch incremental deltas, coalescing, retry/backoff)
-// while feed traffic flows, then reports sustained updates/sec and the
-// update-latency percentiles before replaying the feed on the converged
-// network:
+// service (per-switch incremental deltas, coalescing, retry/backoff),
+// reports sustained updates/sec and the update-latency percentiles,
+// then replays the feed on the converged network:
 //
-//	camus-sim -churn 1000 [-churn-rate 2000]
+//	camus-sim -churn 1000 [-churn-pool 64] [-covering]
 //
 // With -serve the command instead starts an in-process camusd daemon
-// and soaks its HTTP API with a multi-tenant churn workload (see
-// runServe) — the `make serve-soak` CI gate:
+// and soaks its HTTP API with a multi-tenant churn workload — the
+// `make serve-soak` CI gate:
 //
 //	camus-sim -serve [-tenants 1000] [-churn 1000] [-validate-every 16]
+//
+// Both modes are configurations of the load driver (internal/workload/
+// drive) and exit 1 when its verdict fails: a batch that failed to
+// apply or validate, a failed network validation, or an unhealthy
+// daemon.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"camus/camus"
 	"camus/internal/controller"
+	"camus/internal/ctlplane"
 	"camus/internal/formats"
 	"camus/internal/netsim"
 	"camus/internal/routing"
 	"camus/internal/spec"
-	"camus/internal/subscription"
 	"camus/internal/topology"
 	"camus/internal/workload"
+	"camus/internal/workload/drive"
 )
 
 func main() {
@@ -70,65 +75,51 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *serve {
-		events := *churnEvents
-		if events == 0 {
-			events = 1000
+	ropts := routing.Options{Policy: policy, Alpha: *alpha}
+	var net *topology.Network
+	var sim *netsim.Sim
+	if *serve || *churnEvents > 0 {
+		cfg := drive.Config{K: *k, Routing: ropts, Workers: 1, Churn: workload.ChurnConfig{
+			Events: *churnEvents, PoolSize: *churnPool, CoverHeavy: *covering, Seed: *seed,
+		}}
+		if *covering {
+			cfg.Service = []ctlplane.Option{ctlplane.WithCovering()}
 		}
-		runServe(serveConfig{
-			k:             *k,
-			policy:        camus.DeployOptions{Policy: policy, Alpha: *alpha},
-			tenants:       *tenants,
-			events:        events,
-			pool:          *churnPool,
-			validateEvery: *validateEvery,
-			workers:       *serveWorkers,
-			addr:          *serveAddr,
-			logPath:       *serveLog,
-			seed:          *seed,
-			covering:      *covering,
-		})
-		return
-	}
-
-	net, err := topology.FatTree(*k)
-	check(err)
-	fmt.Printf("topology: k=%d fat tree — %d switches, %d hosts\n",
-		*k, len(net.Switches), len(net.Hosts))
-
-	subs := make([][]subscription.Expr, len(net.Hosts))
-	if *churnEvents == 0 {
+		if *serve {
+			cfg.HTTP, cfg.Churn.Tenants, cfg.ValidateEvery = true, *tenants, *validateEvery
+			cfg.Workers, cfg.Addr, cfg.LogPath = *serveWorkers, *serveAddr, *serveLog
+		}
+		d := runChurn(cfg)
+		if *serve {
+			return
+		}
+		net, sim = d.Net, d.Sim
+	} else {
+		var err error
+		net, err = topology.FatTree(*k)
+		check(err)
+		fmt.Printf("topology: k=%d fat tree — %d switches, %d hosts\n",
+			*k, len(net.Switches), len(net.Hosts))
 		exprs, err := workload.Siena(workload.SienaConfig{
 			Spec: formats.ITCH, Filters: *nFilters,
 			MinPredicates: 2, MaxPredicates: 3, Seed: *seed,
 		})
 		check(err)
-		subs = workload.SpreadOverHosts(exprs, len(net.Hosts))
+		subs := workload.SpreadOverHosts(exprs, len(net.Hosts))
+		d, err := controller.Deploy(net, formats.ITCH, subs, controller.Options{Routing: ropts})
+		check(err)
+		total, byLayer := d.CompileTime()
+		fmt.Printf("deployed %d filters with policy %s α=%d in %s (ToR %s, Agg %s, Core %s)\n",
+			len(exprs), policy, *alpha, total.Round(1000),
+			byLayer[topology.ToR].Round(1000), byLayer[topology.Agg].Round(1000),
+			byLayer[topology.Core].Round(1000))
+		layers := d.LayerEntries()
+		fmt.Printf("table entries: ToR=%d Agg=%d Core=%d\n",
+			layers[topology.ToR], layers[topology.Agg], layers[topology.Core])
+		sim, err = netsim.New(d)
+		check(err)
 	}
 
-	d, err := controller.Deploy(net, formats.ITCH, subs, controller.Options{
-		Routing: routing.Options{Policy: policy, Alpha: *alpha},
-	})
-	check(err)
-	total, byLayer := d.CompileTime()
-	deployed := 0
-	for _, hs := range subs {
-		deployed += len(hs)
-	}
-	fmt.Printf("deployed %d filters with policy %s α=%d in %s (ToR %s, Agg %s, Core %s)\n",
-		deployed, policy, *alpha, total.Round(1000),
-		byLayer[topology.ToR].Round(1000), byLayer[topology.Agg].Round(1000),
-		byLayer[topology.Core].Round(1000))
-	layers := d.LayerEntries()
-	fmt.Printf("table entries: ToR=%d Agg=%d Core=%d\n",
-		layers[topology.ToR], layers[topology.Agg], layers[topology.Core])
-
-	sim, err := netsim.New(d)
-	check(err)
-	if *churnEvents > 0 {
-		runChurn(sim, net, routing.Options{Policy: policy, Alpha: *alpha},
-			*churnEvents, *churnPool, *seed, *covering)
-	}
 	feed := workload.ITCHFeed(workload.ITCHFeedConfig{
 		Packets: *packets, BatchZipf: true, InterestFraction: 0.05, Seed: *seed,
 	})
@@ -154,47 +145,31 @@ func main() {
 		sim.Traffic().CorePackets, sim.Traffic().Dropped, sim.Traffic().Looped)
 }
 
-// runChurn drives a live subscription-churn session against the running
-// simulation and prints the control-plane telemetry.
-func runChurn(sim *netsim.Sim, net *topology.Network, ropts routing.Options, events, pool int, seed int64, covering bool) {
-	opts := []camus.ControlPlaneOption{
-		camus.WithPolicy(ropts.Policy, ropts.Alpha),
-		camus.WithInstallers(sim.Installers()...),
-		camus.WithSeed(seed),
+// runChurn replays a churn stream through the load driver — the service
+// with -churn, the daemon's HTTP API with -serve — and prints the report.
+// It exits 1 unless the driver's verdict passes, and returns the driver,
+// whose Sim holds the converged network.
+func runChurn(cfg drive.Config) *drive.Driver {
+	mode := "churn"
+	if cfg.HTTP {
+		mode = "serve-soak"
 	}
-	if covering {
-		opts = append(opts, camus.WithCovering())
+	d, err := drive.New(cfg)
+	if errors.Is(err, drive.ErrWorkers) {
+		fmt.Fprintf(os.Stderr, "camus-sim: -serve-workers %d: must be at least 1\n", cfg.Workers)
+		flag.Usage()
+		os.Exit(2)
 	}
-	svc, err := camus.NewControlPlane(net, formats.ITCH, opts...)
 	check(err)
-	defer svc.Close()
-	evs, err := workload.Churn(workload.ChurnConfig{
-		Spec: formats.ITCH, Hosts: len(net.Hosts),
-		Events: events, PoolSize: pool, CoverHeavy: covering, Seed: seed,
-	})
-	check(err)
-	live := make(map[int]int)
-	start := time.Now()
-	for _, ev := range evs {
-		if ev.Add {
-			_, ids, err := svc.Subscribe(ev.Host, []subscription.Expr{ev.Filter})
-			check(err)
-			live[ev.Key] = ids[0]
-		} else {
-			_, err := svc.Unsubscribe(ev.Host, []int{live[ev.Key]})
-			check(err)
-			delete(live, ev.Key)
-		}
-	}
-	svc.Quiesce()
-	elapsed := time.Since(start)
-	snap := svc.Stats()
-	fmt.Printf("churn: %d events in %s (%.0f updates/sec), %d live filters\n",
-		snap.Events, elapsed.Round(time.Millisecond),
-		float64(events)/elapsed.Seconds(), len(live))
-	fmt.Printf("  batches=%d (coalesced) entries +%d -%d =%d retries=%d fallbacks=%d failures=%d\n",
+	res, err := d.Run()
+	check(errors.Join(err, d.Close()))
+	snap := res.Snapshot
+	fmt.Printf("%s: %d events on a k=%d fat tree in %s (%.0f updates/sec), %d live filters\n",
+		mode, res.Latency.N(), cfg.K, res.Elapsed.Round(time.Millisecond), res.UpdatesPerSec(),
+		snap.Subscribes-snap.Unsubscribes)
+	fmt.Printf("  batches=%d (coalesced) entries +%d -%d =%d retries=%d fallbacks=%d failures=%d validations=%d\n",
 		snap.Batches, snap.Installs, snap.Deletes, snap.Keeps,
-		snap.Retries, snap.Fallbacks, snap.Failures)
+		snap.Retries, snap.Fallbacks, snap.Failures, snap.Validations)
 	if snap.Covering {
 		fmt.Printf("  covering: %d entries carry %d covered filters (%.0f%% of table state elided)\n",
 			snap.CoverEntries, snap.CoverObligations, snap.CoverSavingsRatio*100)
@@ -202,6 +177,22 @@ func runChurn(sim *netsim.Sim, net *topology.Network, ropts routing.Options, eve
 			snap.CoveredAdds, snap.CoverCaptures, snap.CoverPromotions)
 	}
 	fmt.Printf("  update latency: %s\n", snap.Latency)
+	if cfg.HTTP {
+		fmt.Printf("  camusd on %s: %d tenants (%d workers), log %d records, %d bytes\n", d.URL,
+			d.Daemon.Tenants().TenantCount(), cfg.Workers, d.Daemon.Log().Seq(), d.Daemon.Log().Size())
+	}
+	verdict := res.Verdict()
+	// The end-state cover gauges can read zero (the final live set may
+	// hold no implication pair), but the lifetime totals cannot.
+	if verdict == nil && snap.Covering && snap.CoveredAdds == 0 {
+		verdict = errors.New("covering enabled but no install was ever elided")
+	}
+	if verdict != nil {
+		fmt.Fprintf(os.Stderr, "%s: FAILED — %v\n", mode, verdict)
+		os.Exit(1)
+	}
+	fmt.Printf("%s: PASS\n", mode)
+	return d
 }
 
 func check(err error) {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 	"camus/internal/subscription"
 	"camus/internal/topology"
 	"camus/internal/workload"
+	"camus/internal/workload/drive"
 )
 
 // envelope mirrors the unified report.Report JSON the daemon returns on
@@ -452,64 +454,43 @@ func TestHTTPAdmissionReject(t *testing.T) {
 // namespaces before it serves a single request.
 func TestHTTPCrashRecovery(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "events.log")
-	d1, ts1 := newDaemon(t, server.WithEventLog(logPath))
-	tenants := []string{"alpha", "beta"}
+	d1, err := drive.New(drive.Config{
+		K: 4, Routing: routing.Options{Policy: routing.TrafficReduction, Alpha: 10},
+		Churn: workload.ChurnConfig{Events: 60, PoolSize: 16, Tenants: 2, Seed: 9},
+		HTTP:  true, LogPath: logPath, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := []string{"tenant-0000", "tenant-0001"}
 	for _, name := range tenants {
-		if status, raw := do(t, http.MethodPut, ts1.URL+"/v1/tenants/"+name, nil); status != http.StatusCreated {
+		if status, raw := do(t, http.MethodPut, d1.URL+"/v1/tenants/"+name, nil); status != http.StatusCreated {
 			t.Fatalf("create %s: %d\n%s", name, status, raw)
 		}
 	}
-	stocks := []string{"GOOGL", "MSFT", "AAPL", "FB"}
-	type sub struct{ host, id int }
-	live := map[string][]sub{}
-	for i := 0; i < 60; i++ {
-		name := tenants[i%len(tenants)]
-		if ids := live[name]; len(ids) > 2 && i%6 == 5 {
-			s := ids[0]
-			live[name] = ids[1:]
-			status, raw := do(t, http.MethodDelete, ts1.URL+"/v1/tenants/"+name+"/subscriptions",
-				map[string]any{"host": s.host, "ids": []int{s.id}})
-			if status != http.StatusOK {
-				t.Fatalf("op %d unsubscribe: %d\n%s", i, status, raw)
-			}
-			continue
-		}
-		host := i % 16
-		status, raw := do(t, http.MethodPost, ts1.URL+"/v1/tenants/"+name+"/subscriptions",
-			map[string]any{"host": host, "filters": []string{
-				fmt.Sprintf("stock == %s and price > %d", stocks[i%len(stocks)], i%9),
-			}})
-		if status != http.StatusOK {
-			t.Fatalf("op %d subscribe: %d\n%s", i, status, raw)
-		}
-		var resp struct {
-			IDs []int `json:"ids"`
-		}
-		json.Unmarshal(raw, &resp)
-		live[name] = append(live[name], sub{host: host, id: resp.IDs[0]})
+	if _, err := d1.Run(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Pre-crash ground truth.
 	net := topology.MustFatTree(4)
-	svc1 := d1.Service()
-	svc1.Quiesce()
+	svc1 := d1.Daemon.Service()
 	wantProgs := make([]string, len(net.Switches))
 	for sw := range net.Switches {
 		wantProgs[sw] = svc1.Program(sw).Canonical().String()
 	}
 	wantLive := map[string]map[int][]int{}
 	for _, name := range tenants {
-		lf, err := d1.Tenants().LiveFilters(name)
+		lf, err := d1.Daemon.Tenants().LiveFilters(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantLive[name] = lf
 	}
-	wantSeq := d1.Log().Seq()
+	wantSeq := d1.Daemon.Log().Seq()
 
 	// Kill: close (records are already fsynced by the group-commit
 	// flusher), then tear the tail the way an interrupted append would.
-	ts1.Close()
 	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -543,9 +524,16 @@ func TestHTTPCrashRecovery(t *testing.T) {
 
 	// The rebooted daemon keeps serving: replayed filters are still
 	// unsubscribable over HTTP, and the log picks up where it left off.
-	s := live[tenants[0]][0]
+	host, id := -1, 0
+	for h, ids := range wantLive[tenants[0]] {
+		host, id = h, ids[0]
+		break
+	}
+	if host < 0 {
+		t.Fatalf("tenant %s holds no live filter to unsubscribe", tenants[0])
+	}
 	status, raw := do(t, http.MethodDelete, ts2.URL+"/v1/tenants/"+tenants[0]+"/subscriptions",
-		map[string]any{"host": s.host, "ids": []int{s.id}})
+		map[string]any{"host": host, "ids": []int{id}})
 	if status != http.StatusOK {
 		t.Fatalf("post-reboot unsubscribe: %d\n%s", status, raw)
 	}
@@ -558,76 +546,37 @@ func TestHTTPCrashRecovery(t *testing.T) {
 }
 
 // TestHTTPChurnSoakValidated drives a multi-tenant Zipf churn stream
-// through the API with the translation validator sampling batches: the
-// in-test version of `camus-sim -serve`'s soak gate. Zero validation
-// failures and a healthy daemon at the end are the pass criteria.
+// through the API with the translation validator sampling batches: a
+// small `camus-sim -serve`. A passing verdict (no failed batch, healthy
+// daemon) and sampled validations are the pass criteria.
 func TestHTTPChurnSoakValidated(t *testing.T) {
 	events := 120
 	if testing.Short() {
 		events = 40
 	}
-	net := topology.MustFatTree(4)
-	d, ts := newDaemon(t,
-		server.WithService(ctlplane.WithValidator(ctlplane.ProveValidator(net), 8)),
-		server.WithTenancy(ctlplane.WithAutoCreate(),
-			ctlplane.WithDefaultQuota(ctlplane.TenantQuota{MaxSubscriptions: 256, EventsPerSec: 1e6})))
-	evs, err := workload.TenantChurn(workload.TenantChurnConfig{
-		ChurnConfig: workload.ChurnConfig{
-			Spec: formats.ITCH, Hosts: len(net.Hosts), Events: events, PoolSize: 24, Seed: 11,
-		},
-		Tenants: 40,
+	d, err := drive.New(drive.Config{
+		K: 4, Routing: routing.Options{Policy: routing.TrafficReduction, Alpha: 10},
+		Churn:         workload.ChurnConfig{Events: events, PoolSize: 24, Tenants: 40, Seed: 11},
+		ValidateEvery: 8, HTTP: true, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type sub struct{ host, id int }
-	assigned := map[int]sub{} // churn key → served assignment
-	adds, removes := 0, 0
-	for i, ev := range evs {
-		if ev.Add {
-			status, raw := do(t, http.MethodPost, ts.URL+"/v1/tenants/"+ev.Tenant+"/subscriptions",
-				map[string]any{"host": ev.Host, "filters": []string{ev.Filter.String()}})
-			if status != http.StatusOK {
-				t.Fatalf("event %d: subscribe: %d\n%s", i, status, raw)
-			}
-			var resp struct {
-				IDs []int `json:"ids"`
-			}
-			json.Unmarshal(raw, &resp)
-			assigned[ev.Key] = sub{host: ev.Host, id: resp.IDs[0]}
-			adds++
-		} else {
-			s := assigned[ev.Key]
-			delete(assigned, ev.Key)
-			status, raw := do(t, http.MethodDelete, ts.URL+"/v1/tenants/"+ev.Tenant+"/subscriptions",
-				map[string]any{"host": s.host, "ids": []int{s.id}})
-			if status != http.StatusOK {
-				t.Fatalf("event %d: unsubscribe: %d\n%s", i, status, raw)
-			}
-			removes++
-		}
+	res, err := d.Run()
+	if err := errors.Join(err, d.Close(), res.Verdict()); err != nil {
+		t.Fatalf("soak gate failed: %v", err)
 	}
-	d.Service().Quiesce()
-	snap := d.Service().Stats()
+	snap := res.Snapshot
 	if snap.Validations == 0 {
 		t.Error("soak ran without a single sampled validation")
 	}
-	if snap.ValidationFailures != 0 || snap.Failures != 0 {
-		t.Errorf("soak gate failed: %d validation failures, %d failures", snap.ValidationFailures, snap.Failures)
-	}
-	if got := int64(adds + removes); snap.Events < got {
-		t.Errorf("service saw %d events, drove %d", snap.Events, got)
-	}
-	if d.Tenants().TenantCount() == 0 {
-		t.Error("auto-create minted no tenants")
-	}
-	if status, raw := do(t, http.MethodGet, ts.URL+"/healthz", nil); status != http.StatusOK {
-		t.Errorf("healthz after soak = %d %q", status, raw)
+	if snap.Events < int64(res.Latency.N()) {
+		t.Errorf("service saw %d events, drove %d", snap.Events, res.Latency.N())
 	}
 	// Per-tenant latency percentiles reached the snapshots (the soak
 	// report's data source).
 	var sawLatency bool
-	for _, s := range d.Tenants().Snapshots() {
+	for _, s := range d.Daemon.Tenants().Snapshots() {
 		if s.Latency.N > 0 {
 			sawLatency = true
 			break
@@ -646,58 +595,31 @@ func TestHTTPChurnSoakValidated(t *testing.T) {
 func TestHTTPCrashRecoveryNetchecked(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "events.log")
 	net := topology.MustFatTree(4)
-	netOpt := server.WithService(
-		ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, formats.ITCH), 1))
-	d1, ts1 := newDaemon(t, server.WithEventLog(logPath), netOpt)
-	if status, raw := do(t, http.MethodPut, ts1.URL+"/v1/tenants/gamma", nil); status != http.StatusCreated {
-		t.Fatalf("create tenant: %d\n%s", status, raw)
-	}
-	stocks := []string{"GOOGL", "MSFT", "AAPL", "FB"}
-	type sub struct{ host, id int }
-	var live []sub
-	for i := 0; i < 40; i++ {
-		if len(live) > 3 && i%5 == 4 {
-			s := live[0]
-			live = live[1:]
-			status, raw := do(t, http.MethodDelete, ts1.URL+"/v1/tenants/gamma/subscriptions",
-				map[string]any{"host": s.host, "ids": []int{s.id}})
-			if status != http.StatusOK {
-				t.Fatalf("op %d unsubscribe: %d\n%s", i, status, raw)
-			}
-			continue
-		}
-		host := i % 16
-		status, raw := do(t, http.MethodPost, ts1.URL+"/v1/tenants/gamma/subscriptions",
-			map[string]any{"host": host, "filters": []string{
-				fmt.Sprintf("stock == %s and price > %d", stocks[i%len(stocks)], 100*(i%7)),
-			}})
-		if status != http.StatusOK {
-			t.Fatalf("op %d subscribe: %d\n%s", i, status, raw)
-		}
-		var resp struct {
-			IDs []int `json:"ids"`
-		}
-		json.Unmarshal(raw, &resp)
-		live = append(live, sub{host: host, id: resp.IDs[0]})
-	}
-
-	d1.Service().Quiesce()
-	snap1 := d1.Service().Stats()
-	if snap1.NetValidations == 0 {
-		t.Fatal("pre-crash: always-on net validator never ran")
-	}
-	if snap1.NetValidationFailures != 0 {
-		t.Fatalf("pre-crash: %d delivery-invariant violations", snap1.NetValidationFailures)
-	}
-	wantCut := fmt.Sprint(d1.Service().HostFilters())
-	ts1.Close()
-	if err := d1.Close(); err != nil {
+	netOpt := ctlplane.WithNetValidator(ctlplane.NetcheckValidator(net, formats.ITCH), 1)
+	d1, err := drive.New(drive.Config{
+		K: 4, Routing: routing.Options{Policy: routing.TrafficReduction, Alpha: 10},
+		Churn:   workload.ChurnConfig{Events: 40, PoolSize: 16, Tenants: 1, Seed: 3},
+		Service: []ctlplane.Option{netOpt},
+		HTTP:    true, LogPath: logPath, Workers: 1,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if status, raw := do(t, http.MethodPut, d1.URL+"/v1/tenants/tenant-0000", nil); status != http.StatusCreated {
+		t.Fatalf("create tenant: %d\n%s", status, raw)
+	}
+	res, err := d1.Run()
+	if err := errors.Join(err, d1.Close(), res.Verdict()); err != nil {
+		t.Fatalf("pre-crash: %v", err) // a delivery-invariant violation fails the verdict
+	}
+	if res.Snapshot.NetValidations == 0 {
+		t.Fatal("pre-crash: always-on net validator never ran")
+	}
+	wantCut := fmt.Sprint(d1.Daemon.Service().HostFilters())
 
 	// Reboot over the same log: replay re-drives every event through the
 	// service, so the validator re-certifies the recovered network.
-	d2, ts2 := newDaemon(t, server.WithEventLog(logPath), netOpt)
+	d2, ts2 := newDaemon(t, server.WithEventLog(logPath), server.WithService(netOpt))
 	d2.Service().Quiesce()
 	snap2 := d2.Service().Stats()
 	if snap2.NetValidations == 0 {

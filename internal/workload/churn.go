@@ -17,13 +17,10 @@ import (
 // more often than tail filters), and the add:remove mix is
 // configurable.
 type ChurnConfig struct {
-	// Spec is the message spec filters are generated against (required
-	// unless Pool is provided).
+	// Spec is the message spec filters are generated against (required).
 	Spec *spec.Spec
-	// Pool overrides the generated filter pool.
-	Pool []subscription.Expr
-	// PoolSize is the number of distinct filters to generate when Pool
-	// is nil (default 64).
+	// PoolSize is the number of distinct filters to generate (default
+	// 64); their popularity is Zipf with s = 1.2.
 	PoolSize int
 	// Hosts is the subscriber population (required).
 	Hosts int
@@ -36,15 +33,18 @@ type ChurnConfig struct {
 	// 0.5; removals are drawn from the simulated live set, so the
 	// realized mix leans toward adds while the set is small).
 	AddFraction float64
-	// ZipfS is the Zipf skew over the pool (default 1.2, s > 1).
-	ZipfS float64
-	// CoverHeavy switches pool generation (when Pool is nil) from
-	// independent Siena filters to Zipf-nested refinement chains
-	// (CoverChains): broad filters sit at the popular front of the
-	// pool with refinement tails behind them, so the stream exercises
-	// subsumption covering. CoverDepth is the chain length (default 4).
+	// CoverHeavy switches pool generation from independent Siena filters
+	// to Zipf-nested refinement chains (CoverChains): broad filters sit at
+	// the popular front of the pool with refinement tails behind them, so
+	// the stream exercises subsumption covering. CoverDepth is the chain
+	// length (default 4).
 	CoverHeavy bool
 	CoverDepth int
+	// Tenants, when positive, gives each Add one of that many simulated
+	// tenants, Zipf-skewed (s = 1.2) so a few hot tenants dominate, and
+	// each Remove the tenant of its Add: every tenant's subsequence is
+	// consistent on its own, so a harness may drive tenants concurrently.
+	Tenants int
 	// Seed makes the stream deterministic.
 	Seed int64
 }
@@ -62,8 +62,8 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.AddFraction <= 0 {
 		c.AddFraction = 0.5
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
+	if c.CoverDepth <= 0 {
+		c.CoverDepth = 4
 	}
 	return c
 }
@@ -83,6 +83,9 @@ type ChurnEvent struct {
 	Key int
 	// Filter is the subscribed expression (set on both event kinds).
 	Filter subscription.Expr
+	// Tenant names the owning tenant ("tenant-0042"); empty unless
+	// ChurnConfig.Tenants is positive.
+	Tenant string
 }
 
 // Churn generates a deterministic subscription-churn event stream.
@@ -91,38 +94,33 @@ func Churn(cfg ChurnConfig) ([]ChurnEvent, error) {
 	if cfg.Hosts <= 0 {
 		return nil, fmt.Errorf("workload: ChurnConfig.Hosts required")
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		var err error
-		if cfg.CoverHeavy {
-			depth := cfg.CoverDepth
-			if depth <= 0 {
-				depth = 4
-			}
-			pool, err = CoverChains(CoverChainsConfig{
-				Spec:   cfg.Spec,
-				Chains: (cfg.PoolSize + depth - 1) / depth,
-				Depth:  depth,
-				Seed:   cfg.Seed,
-			})
-		} else {
-			pool, err = Siena(SienaConfig{Spec: cfg.Spec, Filters: cfg.PoolSize, Seed: cfg.Seed})
-		}
-		if err != nil {
-			return nil, err
-		}
+	var pool []subscription.Expr
+	var err error
+	if cfg.CoverHeavy {
+		depth := cfg.CoverDepth
+		pool, err = CoverChains(CoverChainsConfig{
+			Spec: cfg.Spec, Chains: (cfg.PoolSize + depth - 1) / depth, Depth: depth, Seed: cfg.Seed,
+		})
+	} else {
+		pool, err = Siena(SienaConfig{Spec: cfg.Spec, Filters: cfg.PoolSize, Seed: cfg.Seed})
+	}
+	if err != nil {
+		return nil, err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(r, cfg.ZipfS, 1, uint64(len(pool)-1))
-
-	type liveSub struct {
-		key, host int
-		filter    subscription.Expr
+	zipf := rand.NewZipf(r, 1.2, 1, uint64(len(pool)-1))
+	var tenant *rand.Zipf
+	if cfg.Tenants > 0 {
+		// A stream of its own: the events are the same for any tenant
+		// population.
+		tr := rand.New(rand.NewSource(cfg.Seed + 0x7e9a97))
+		tenant = rand.NewZipf(tr, 1.2, 1, uint64(cfg.Tenants-1))
 	}
-	var live []liveSub
+
+	var live []ChurnEvent // the Adds not yet removed
 	out := make([]ChurnEvent, 0, cfg.Events)
 	var at time.Duration
-	nextKey := 0
+	adds := 0
 	for len(out) < cfg.Events {
 		// Exponential inter-arrival for a Poisson process of rate λ.
 		at += time.Duration(-math.Log(1-r.Float64()) / cfg.Rate * float64(time.Second))
@@ -131,20 +129,22 @@ func Churn(cfg ChurnConfig) ([]ChurnEvent, error) {
 				At:     at,
 				Host:   r.Intn(cfg.Hosts),
 				Add:    true,
-				Key:    nextKey,
+				Key:    adds,
 				Filter: pool[zipf.Uint64()],
 			}
-			nextKey++
-			live = append(live, liveSub{key: ev.Key, host: ev.Host, filter: ev.Filter})
+			if tenant != nil {
+				ev.Tenant = fmt.Sprintf("tenant-%04d", tenant.Uint64())
+			}
+			adds++
+			live = append(live, ev)
 			out = append(out, ev)
 		} else {
 			i := r.Intn(len(live))
-			ls := live[i]
+			ev := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			out = append(out, ChurnEvent{
-				At: at, Host: ls.host, Key: ls.key, Filter: ls.filter,
-			})
+			ev.At, ev.Add = at, false
+			out = append(out, ev)
 		}
 	}
 	return out, nil

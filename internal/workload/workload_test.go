@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
 	"camus/internal/compiler"
+	"camus/internal/formats"
 	"camus/internal/spec"
 	"camus/internal/subscription"
 )
@@ -224,6 +227,7 @@ func TestChurnStream(t *testing.T) {
 	// Arrivals are monotone; removes always reference a live prior add
 	// on the same host with the same filter.
 	live := make(map[int]ChurnEvent)
+	popularity := make(map[string]int) // adds per filter
 	adds := 0
 	var last time.Duration
 	for i, ev := range evs {
@@ -239,6 +243,7 @@ func TestChurnStream(t *testing.T) {
 		}
 		if ev.Add {
 			adds++
+			popularity[ev.Filter.String()]++
 			if _, dup := live[ev.Key]; dup {
 				t.Fatalf("event %d: duplicate key %d", i, ev.Key)
 			}
@@ -259,12 +264,6 @@ func TestChurnStream(t *testing.T) {
 		t.Errorf("add fraction %.2f far from 0.5", frac)
 	}
 	// Zipf popularity: the most popular filter should dominate the tail.
-	popularity := make(map[string]int)
-	for _, ev := range evs {
-		if ev.Add {
-			popularity[ev.Filter.String()]++
-		}
-	}
 	top := 0
 	for _, n := range popularity {
 		if n > top {
@@ -275,16 +274,34 @@ func TestChurnStream(t *testing.T) {
 		t.Errorf("no popular filter: top=%d of %d adds over %d distinct",
 			top, adds, len(popularity))
 	}
-	// Determinism.
-	evs2, err := Churn(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Determinism, arrival times included (the pins below omit At).
+	if evs2, err := Churn(cfg); err != nil || fmt.Sprint(evs2) != fmt.Sprint(evs) {
+		t.Fatalf("stream not deterministic (err %v)", err)
 	}
-	for i := range evs {
-		a, b := evs[i], evs2[i]
-		if a.At != b.At || a.Host != b.Host || a.Add != b.Add ||
-			a.Key != b.Key || a.Filter.String() != b.Filter.String() {
-			t.Fatalf("event %d not deterministic", i)
+}
+
+// TestChurnStreamPins pins, by a SHA-256 over (Host, Add, Key, Filter,
+// Tenant), the streams of serve-soak, BenchmarkCtlplaneDaemon,
+// TestHTTPChurnSoakValidated and BenchmarkCoverChurn, as recorded when
+// tenants were drawn by a separate generator.
+func TestChurnStreamPins(t *testing.T) {
+	for want, cfg := range map[string]ChurnConfig{
+		"04bd0bbfd52c0a9d97b2c7aff194723fd0d5b50543a16461a7765035e4b0acd3": {Hosts: 16, Events: 1000, PoolSize: 64, CoverHeavy: true, Tenants: 1000, Seed: 7},
+		"3ae87118d6096dc911b937aea06ad5600d9c01ee061f7ae5dfc200a4f0d64656": {Hosts: 16, Events: 400, PoolSize: 40, Tenants: 200, Seed: 5},
+		"34e03626565b6270f3c9103f14c0be9c254386ccee1731a9a7629733886a65e2": {Hosts: 16, Events: 120, PoolSize: 24, Tenants: 40, Seed: 11},
+		"7d37f42a4cff89c8d291268fcdfe7704ca1ad9c7937a8eeba5b4b77c7423f372": {Hosts: 4, Events: 600, PoolSize: 64, CoverHeavy: true, CoverDepth: 8, AddFraction: 0.7, Seed: 3},
+	} {
+		cfg.Spec = formats.ITCH
+		evs, err := Churn(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, ev := range evs {
+			fmt.Fprintf(h, "%d %t %d %s %s\n", ev.Host, ev.Add, ev.Key, ev.Filter.String(), ev.Tenant)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("seed %d: stream digest %s, want %s", cfg.Seed, got, want)
 		}
 	}
 }
