@@ -126,7 +126,9 @@ bench-report:
 ## the network-delivery verifier, the static fit analyzer, and the
 ## covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
-## (perf-baseline.json). The compiled table walk (Lookup, both rule
+## (perf-baseline.json), and on any compile row whose entries or nodes
+## metric differs from it (a kernel change that moved structure;
+## CompileINT1k also records engine-MB, what its engine retains). The compiled table walk (Lookup, both rule
 ## shapes) runs 100000 lookups over its message pool and is held to an
 ## exact zero-alloc baseline. The wire-decode benchmarks decode 1000
 ## frames each against an exact zero-alloc baseline too (messages and

@@ -378,8 +378,8 @@ func BenchmarkChurn(b *testing.B) {
 		Workers: 1, Traffic: true,
 	})
 	s := res.Snapshot
-	b.ReportMetric(float64(s.Latency.P50.Microseconds()), "p50-µs")
-	b.ReportMetric(float64(s.Latency.P99.Microseconds()), "p99-µs")
+	b.ReportMetric(float64(s.Latency.P50.Nanoseconds()), "p50-ns")
+	b.ReportMetric(float64(s.Latency.P99.Nanoseconds()), "p99-ns")
 	b.Logf("churn: %d events, %d batches (coalesced), +%d -%d =%d entries, %d retries, %d fallbacks, latency %s",
 		s.Events, s.Batches, s.Installs, s.Deletes, s.Keeps, s.Retries, s.Fallbacks, s.Latency)
 	if u := res.UpdatesPerSec(); u < 1000 {
@@ -410,7 +410,7 @@ func BenchmarkCoverChurn(b *testing.B) {
 		reduction = float64(s.CoverEntries+s.CoverObligations) / float64(s.CoverEntries)
 	}
 	b.ReportMetric(reduction, "reduction-x")
-	b.ReportMetric(float64(s.Latency.P50.Microseconds()), "p50-µs")
+	b.ReportMetric(float64(s.Latency.P50.Nanoseconds()), "p50-ns")
 	b.Logf("cover churn: %d events, %d batches, %d entries + %d covered (%.2f× reduction), latency %s",
 		s.Events, s.Batches, s.CoverEntries, s.CoverObligations, reduction, s.Latency)
 	if reduction < 2 {

@@ -2,7 +2,8 @@
 // machine-readable JSON report, so the perf trajectory is diffable
 // across PRs, and doubles as the CI perf guard: with -baseline it
 // compares the parsed run against a checked-in report and fails on
-// allocation regressions.
+// allocation regressions and on compiles whose table entries or BDD nodes
+// moved.
 //
 // Report mode (stdin → JSON):
 //
@@ -97,13 +98,20 @@ func parse(r *bufio.Scanner, filter *regexp.Regexp) (*Report, error) {
 	return rep, r.Err()
 }
 
+// structural lists the metrics guard holds exactly: the table entries and
+// reachable BDD nodes of a compile are a function of the rules and the
+// kernel, not of the host, so a change that moves them changed what the
+// compiler builds.
+var structural = []string{"entries", "nodes"}
+
 // guard fails (returns messages) when a benchmark in the baseline ran
-// with more than ratio× its baseline allocs/op, or is missing from the
-// current run — a silently skipped benchmark must not pass the guard.
-// A baseline of 0 allocs/op is an exact invariant: any allocation at
-// all fails, since a ratio can't express "zero stays zero". Throughput
-// is not guarded here (ns/op and Mpps move with the host); BENCHMARK.json
-// bounds it on paired runs.
+// with more than ratio× its baseline allocs/op, reported a structural
+// metric other than the baseline's, or is missing from the current run —
+// a silently skipped benchmark must not pass the guard. A baseline of 0
+// allocs/op is an exact invariant: any allocation at all fails, since a
+// ratio can't express "zero stays zero". Throughput is not guarded here
+// (ns/op and Mpps move with the host); BENCHMARK.json bounds it on paired
+// runs.
 func guard(baseline, current *Report, ratio float64) []string {
 	cur := make(map[string]Benchmark, len(current.Benchmarks))
 	for _, b := range current.Benchmarks {
@@ -133,6 +141,18 @@ func guard(baseline, current *Report, ratio float64) []string {
 		case bb.AllocsPerOp > 0 && cb.AllocsPerOp > ratio*bb.AllocsPerOp:
 			fails = append(fails, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (> %.1fx)",
 				name, cb.AllocsPerOp, bb.AllocsPerOp, ratio))
+		}
+		for _, m := range structural {
+			want, ok := bb.Metrics[m]
+			if !ok {
+				continue
+			}
+			switch got, ok := cb.Metrics[m]; {
+			case !ok:
+				fails = append(fails, fmt.Sprintf("%s: %s missing vs baseline %g (structure moved)", name, m, want))
+			case got != want:
+				fails = append(fails, fmt.Sprintf("%s: %s %g vs baseline %g (structure moved)", name, m, got, want))
+			}
 		}
 	}
 	return fails
@@ -175,7 +195,7 @@ func main() {
 		if len(fails) > 0 {
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson: %d benchmark(s) within %.1fx of baseline allocs/op\n",
+		fmt.Printf("benchjson: %d benchmark(s) within %.1fx of baseline allocs/op, entries and nodes as recorded\n",
 			len(baseline.Benchmarks), *maxRatio)
 		return
 	}

@@ -116,12 +116,12 @@ const emptyTerm int32 = 0
 
 // builder is the BDD kernel: the node store and the hash-consing and memo
 // tables of one construction. Everything the merge touches is an integer in
-// a flat slice — nodes are IDs into nodes, every table is a table (see
-// table.go) — so the or-merge probes no Go map, chases no pointer per node,
-// and leaves the garbage collector nothing to scan but the terminals'
-// action sets. *Node values exist only for diagrams handed out
-// (materialise). A builder belongs to one goroutine at a time, like the
-// Universe it builds against: nothing in it is locked (DESIGN §11).
+// a flat slice — nodes are IDs into nodes, every table is a table or a
+// cache (see table.go) — so the or-merge probes no Go map, chases no
+// pointer per node, and leaves the garbage collector nothing to scan but
+// the terminals' action sets. *Node values exist only for diagrams handed
+// out (materialise). A builder belongs to one goroutine at a time, like
+// the Universe it builds against: nothing in it is locked (DESIGN §11).
 //
 // The or/apply hot path must not format strings either. Path contexts
 // (per-field constraints) are interned to int32 IDs in the universe's
@@ -142,7 +142,8 @@ type builder struct {
 
 	uniq     table // (pred, hi, lo) → internal node: reduction i
 	termByH  table // (action-set hash, 0) → most recent terminal of that hash
-	memo     table // (u, v, context) → or(u, v) under the context
+	memo     table // (u, v, 0) → or(u, v), for the pairs merge combines
+	computed cache // (u, v, context) → or(u, v) under the context, lossy
 	termMemo table // (u, v, 0), u < v both terminals → merged terminal
 
 	// materialised counts the *Node values handed out, and pending is
@@ -356,8 +357,20 @@ atoms:
 // being tested. Constraints on earlier fields are irrelevant once the
 // variable order moves past them, so one field's context suffices (and
 // keeps memoization effective).
+//
+// The merge tree's pairs — the calls merge makes — are memoized exactly:
+// they are what an incremental rebuild finds again. The recursion's
+// subproblems go to the lossy computed table, sized to the node store: most
+// of them never recur, and a table that fits in L2 still finds nearly all
+// that do (DESIGN §11).
 func (b *builder) or(u, v int32) int32 {
-	return b.orCtx(u, v, pathCtx{id: noCtx})
+	if r, ok := b.memo.get(u, v, 0); ok {
+		return r
+	}
+	b.computed.fit(len(b.nodes))
+	r := b.orCtx(u, v, pathCtx{id: noCtx})
+	b.memo.put(u, v, 0, r)
+	return r
 }
 
 // pathCtx is the within-field context a merge carries down its
@@ -390,13 +403,13 @@ func (b *builder) orCtx(u, v int32, ctx pathCtx) int32 {
 	p := b.topPred(nu, nv)
 	pid := int32(p.ID)
 	if !b.pruning {
-		if r, ok := b.memo.get(u, v, noCtx); ok {
+		if r, ok := b.computed.get(u, v, noCtx); ok {
 			return r
 		}
 		hi := b.orCtx(restrict(u, nu, pid, true), restrict(v, nv, pid, true), ctx)
 		lo := b.orCtx(restrict(u, nu, pid, false), restrict(v, nv, pid, false), ctx)
 		r := b.mkNode(pid, hi, lo)
-		b.memo.put(u, v, noCtx, r)
+		b.computed.put(u, v, noCtx, r)
 		return r
 	}
 
@@ -418,13 +431,13 @@ func (b *builder) orCtx(u, v int32, ctx pathCtx) int32 {
 		case match.False:
 			u, v = restrict(u, nu, pid, false), restrict(v, nv, pid, false)
 		default:
-			if r, ok := b.memo.get(u, v, ctx.id); ok {
+			if r, ok := b.computed.get(u, v, ctx.id); ok {
 				return r
 			}
 			hi := b.orCtx(restrict(u, nu, pid, true), restrict(v, nv, pid, true), b.refinePath(ctx, p, true))
 			lo := b.orCtx(restrict(u, nu, pid, false), restrict(v, nv, pid, false), b.refinePath(ctx, p, false))
 			r := b.mkNode(pid, hi, lo)
-			b.memo.put(u, v, ctx.id, r)
+			b.computed.put(u, v, ctx.id, r)
 			return r
 		}
 		nu, nv = b.nodes[u], b.nodes[v]

@@ -12,11 +12,11 @@ import (
 // Engine is the incremental BDD builder the paper sketches for highly
 // dynamic filter sets (§V: "Prior work has demonstrated that such
 // incremental algorithms are feasible. BDDs — our primary internal data
-// structure — can leverage memoization"). It keeps the hash-consing and
-// apply-memoization tables alive across subscription changes: adding or
-// removing a rule re-merges the per-rule chains, and every unchanged
-// subgraph is a cache hit, so recompilation cost tracks the size of the
-// change rather than the size of the rule set. Node IDs are stable
+// structure — can leverage memoization"). It keeps the hash-consing table
+// and the merge tree's memo alive across subscription changes: adding or
+// removing a rule re-merges the per-rule chains, and every unchanged pair
+// of the merge tree is a memo hit, so recompilation cost tracks the size
+// of the change rather than the size of the rule set. Node IDs are stable
 // across rebuilds, which downstream table diffing relies on (§V's
 // "table entry re-use"). A one-shot build is an engine merged once.
 type Engine struct {
@@ -71,10 +71,13 @@ func (e *Engine) Universe() *Universe { return e.u }
 
 // Add inserts normalized rules. Disjuncts of existing rule IDs
 // accumulate (a rule may be added piecewise). The fields the rules
-// introduce join the universe together (Universe.Extend).
+// introduce join the universe together (Universe.Extend), and an atom of
+// no known relation fails the call before any rule is added.
 func (e *Engine) Add(rules ...subscription.NormalizedRule) (err error) {
 	defer recoverTooLarge(&err)
-	e.u.Extend(rules)
+	if err := e.u.Extend(rules); err != nil {
+		return err
+	}
 	for _, nr := range rules {
 		chain, ok, err := e.b.chain(nr)
 		if err != nil {
@@ -124,8 +127,8 @@ func (e *Engine) Rules() []int {
 	return ids
 }
 
-// Merge merges the live chains into a BDD. Thanks to the persistent
-// memo tables, unchanged prefixes of the merge tree are cache hits.
+// Merge merges the live chains into a BDD. Thanks to the merge tree's
+// persistent memo, unchanged pairs of the tree are memo hits.
 // Chains merge in ascending rule-ID order, so with pruning enabled (where
 // the result is merge-order sensitive) an incrementally maintained
 // diagram stays structurally identical to a fresh engine's of the
@@ -158,7 +161,9 @@ func (e *Engine) Build() *BDD {
 	return d
 }
 
-// CacheSize reports the persistent table sizes (for Compact decisions).
+// CacheSize reports what the engine retains and never forgets: the nodes
+// it hash-consed and the merge tree's memoized pairs. The lossy computed
+// table is bounded and not counted (for Compact decisions).
 func (e *Engine) CacheSize() (nodes, memoEntries int) {
 	return len(e.b.nodes), e.b.memo.len()
 }
@@ -166,7 +171,8 @@ func (e *Engine) CacheSize() (nodes, memoEntries int) {
 // CacheBytes reports the memory the engine retains across rebuilds,
 // exactly: the capacities of the node store, of the builder's and the
 // universe's tables, of the materialisation index and of the ID scratch
-// lists, times their element sizes, plus the nodes materialised so far.
+// lists, times their element sizes, plus the computed table's slots and
+// the nodes materialised so far.
 // What the terminals' action sets and the contexts' constraints point to is
 // not counted, nor are the per-rule chain list and drop counts, which grow
 // with the live rules and not with the batches applied.
@@ -174,7 +180,7 @@ func (e *Engine) CacheBytes() int {
 	b := e.b
 	return cap(b.nodes)*int(unsafe.Sizeof(node{})) +
 		cap(b.terms)*int(unsafe.Sizeof(term{})) +
-		b.uniq.bytes() + b.termByH.bytes() + b.memo.bytes() + b.termMemo.bytes() +
+		b.uniq.bytes() + b.termByH.bytes() + b.memo.bytes() + b.computed.bytes() + b.termMemo.bytes() +
 		(cap(b.pending)+cap(e.merging))*4 +
 		cap(e.mat)*int(unsafe.Sizeof((*Node)(nil))) +
 		b.materialised*int(unsafe.Sizeof(Node{})) +

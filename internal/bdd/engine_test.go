@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"camus/internal/match"
@@ -151,7 +152,9 @@ func TestUniverseExtend(t *testing.T) {
 	extend := func(src string) (*Pred, bool) {
 		t.Helper()
 		nrs := normalize(t, sp, src+": fwd(1)", 0)
-		u.Extend(nrs)
+		if err := u.Extend(nrs); err != nil {
+			t.Fatal(err)
+		}
 		p, pos, err := u.Lookup(nrs[0].Conj[0])
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +183,9 @@ func TestUniverseExtend(t *testing.T) {
 	}
 	// Aggregates append after every seeded field, in key order although
 	// the first rule names the later one.
-	u.Extend(append(normalize(t, sp, "count(1s) > 3: fwd(1)", 1), normalize(t, sp, "avg(price, 1s) > 4: fwd(2)", 2)...))
+	if err := u.Extend(append(normalize(t, sp, "count(1s) > 3: fwd(1)", 1), normalize(t, sp, "avg(price, 1s) > 4: fwd(2)", 2)...)); err != nil {
+		t.Fatal(err)
+	}
 	aggs := u.AggregateFields()
 	if len(aggs) != 2 || aggs[0].Index != seeded || aggs[0].Key() > aggs[1].Key() {
 		t.Fatalf("aggregates %v, want two in key order from field %d", aggs, seeded)
@@ -239,6 +244,54 @@ func TestEngineNodeCap(t *testing.T) {
 	}
 	if got := len(d.Reachable()); got != 3 {
 		t.Errorf("two rules on one predicate reach %d nodes, want 3", got)
+	}
+}
+
+// TestUnknownRelationIsAnError: an atom whose relation is none of the
+// parser's fails Add and Lookup with an error, not a panic, and the failed
+// Add leaves the engine as it was.
+func TestUnknownRelationIsAnError(t *testing.T) {
+	sp := testSpec(t)
+	e := NewEngine(sp, Options{})
+	good := normalize(t, sp, "price > 5: fwd(1)", 1)
+	bad := normalize(t, sp, "shares < 7 and price > 9: fwd(2)", 2)
+	bad[0].Conj[1].Rel = subscription.Relation(99)
+	if err := e.Add(append(good, bad...)...); err == nil || !strings.Contains(err.Error(), "unknown relation") {
+		t.Fatalf("Add of relation 99: err = %v, want an unknown-relation error", err)
+	}
+	if _, _, err := e.Universe().Lookup(bad[0].Conj[1]); err == nil {
+		t.Error("Lookup of relation 99: no error")
+	}
+	if n := len(e.Universe().Preds); n != 0 {
+		t.Errorf("failed Add left %d predicates in the universe", n)
+	}
+	if err := e.Add(good...); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := e.Merge(); err != nil || len(d.Reachable()) != 3 {
+		t.Fatalf("after the failed Add: Merge = %v, %v", d, err)
+	}
+}
+
+// TestRecoverTooLarge: the tooLarge sentinel is the one panic Add and
+// Merge turn into an error, and it becomes exactly ErrTooLarge; any other
+// panic goes on up.
+func TestRecoverTooLarge(t *testing.T) {
+	run := func(v any) (err error, escaped any) {
+		defer func() { escaped = recover() }()
+		func() {
+			defer recoverTooLarge(&err)
+			panic(v)
+		}()
+		return err, nil
+	}
+	if err, escaped := run(tooLarge{}); err != ErrTooLarge || escaped != nil {
+		t.Errorf("tooLarge: err = %v, escaped %v; want ErrTooLarge", err, escaped)
+	}
+	for _, v := range []any{"boom", errors.New("boom"), ErrTooLarge} {
+		if err, escaped := run(v); err != nil || escaped != v {
+			t.Errorf("panic(%v): err = %v, escaped %v; want the panic to go on up", v, err, escaped)
+		}
 	}
 }
 

@@ -7,17 +7,17 @@ import (
 
 // table is the one hash table of the BDD kernel: an exact map from three
 // int32s to a non-negative int32, open-addressed with linear probing over
-// one flat slice of 16-byte slots. The unique table, the or-merge memo, the
-// terminal-pair memo, the terminal intern index and the universe's context
-// memos are all instances of it. It holds no pointers, so the garbage
-// collector never scans it; a probe hashes three words with two multiplies
-// and usually touches one cache line. It never evicts — the engine's
-// rebuild cost rests on every memoized merge staying found — and grows by
-// doubling at three-quarters load. Most or-memo probes miss, and a miss
-// under linear probing walks (1 + 1/(1−α)²)/2 slots, 8.5 at α = ¾ against
-// 2.5 at ½; but the slots of a run are adjacent and the cost of a probe is
-// its first cache miss, so the two loads compile in the same time (DESIGN
-// §11) and ¾ holds a quarter fewer bytes.
+// one flat slice of 16-byte slots. The unique table, the merge tree's memo,
+// the terminal-pair memo, the terminal intern index and the universe's
+// context memos are all instances of it. It holds no pointers, so the
+// garbage collector never scans it; a probe hashes three words with two
+// multiplies and usually touches one cache line. It grows by doubling at
+// three-quarters load. A miss under linear probing walks
+// (1 + 1/(1−α)²)/2 slots, 8.5 at α = ¾ against 2.5 at ½; but the slots of
+// a run are adjacent and the cost of a probe is its first cache miss, so
+// the two loads compile in the same time (DESIGN §11) and ¾ holds a quarter
+// fewer bytes. The merge's recursive subproblems, which mostly miss, go to
+// the lossy cache below instead.
 // The zero value is an empty table.
 type table struct {
 	slots []slot // length 0 or a power of two
@@ -107,3 +107,61 @@ func (t *table) len() int { return t.n }
 
 // bytes returns the memory the table holds.
 func (t *table) bytes() int { return cap(t.slots) * int(unsafe.Sizeof(slot{})) }
+
+// cache is the kernel's computed table, as in CUDD and BuDDy: a lossy map
+// from three int32s to a non-negative int32 over direct-mapped 16-byte
+// slots. A lookup probes one slot, and a store overwrites whatever the slot
+// held. The or-merge's recursive subproblems go here: losing one costs a
+// recomputation, which finds every node it builds already in the unique
+// table, so what is lost never changes a result or a node ID. Few
+// subproblems recur (DESIGN §11), so a cache that fits in L2 finds nearly
+// as many as a table that keeps them all, at a fraction of the memory
+// latency. The zero value holds nothing until fit.
+type cache struct {
+	slots []slot // length 0 or a power of two
+	shift uint
+	limit int // a lower slot cap, a power of two; 0 for none (tests only)
+}
+
+// The cache's size bounds: 64 slots, so that the one-shot engines of
+// covering queries stay small, up to 64 Ki slots (1 MiB, half a 2 MiB L2).
+// Larger caches compiled slower (DESIGN §11).
+const (
+	minCacheSlots = 64
+	maxCacheSlots = 1 << 16
+)
+
+// fit sizes the cache to the next power of two at or above n slots, within
+// its bounds. A resize drops every entry.
+func (c *cache) fit(n int) {
+	size := min(max(minCacheSlots, 1<<bits.Len(uint(n-1))), maxCacheSlots)
+	if c.limit > 0 {
+		size = min(size, c.limit)
+	}
+	if size == len(c.slots) {
+		return
+	}
+	c.slots = make([]slot, size)
+	clear(c.slots) // one fault a page up front; see table.grow
+	c.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// get returns the value stored under (a, b, k), if its slot still holds it.
+func (c *cache) get(a, b, k int32) (int32, bool) {
+	if len(c.slots) == 0 {
+		return 0, false
+	}
+	s := &c.slots[hash3(a, b, k)>>c.shift]
+	if s.v != 0 && s.a == a && s.b == b && s.c == k {
+		return s.v - 1, true
+	}
+	return 0, false
+}
+
+// put stores v (≥ 0) under (a, b, k), evicting what its slot held.
+func (c *cache) put(a, b, k, v int32) {
+	c.slots[hash3(a, b, k)>>c.shift] = slot{a, b, k, v + 1}
+}
+
+// bytes returns the memory the cache holds.
+func (c *cache) bytes() int { return cap(c.slots) * int(unsafe.Sizeof(slot{})) }

@@ -149,3 +149,30 @@ func FuzzTable(f *testing.F) {
 		runTableOps(t, decodeTableOps(data))
 	})
 }
+
+// TestCacheFit: the computed table is sized to the next power of two at
+// or above the node store, between 64 and 64 Ki slots; a resize drops its
+// entries and a refit to the same size keeps them.
+func TestCacheFit(t *testing.T) {
+	var c cache
+	if _, ok := c.get(0, 0, 0); ok || c.bytes() != 0 {
+		t.Fatal("zero cache is not empty")
+	}
+	for _, step := range []struct{ nodes, slots int }{
+		{1, 64}, {64, 64}, {65, 128}, {1000, 1024}, {1 << 16, 1 << 16}, {1<<16 + 1, 1 << 16}, {1 << 24, 1 << 16},
+	} {
+		c.fit(step.nodes)
+		if len(c.slots) != step.slots {
+			t.Errorf("fit(%d): %d slots, want %d", step.nodes, len(c.slots), step.slots)
+		}
+	}
+	c.put(3, 4, noCtx, 0)
+	c.fit(1 << 20)
+	if v, ok := c.get(3, 4, noCtx); !ok || v != 0 {
+		t.Errorf("refit to the same size lost an entry: %d, %v", v, ok)
+	}
+	c.fit(100)
+	if _, ok := c.get(3, 4, noCtx); ok {
+		t.Error("resize kept an entry")
+	}
+}

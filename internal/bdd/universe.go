@@ -290,19 +290,19 @@ func (u *Universe) impliesCtx(ctx int32, p *Pred) match.Tri {
 
 // canonicalize maps an atom to its canonical predicate form plus the
 // polarity with which the atom uses it (false = the atom is the negation
-// of the canonical predicate).
-func canonicalize(a *subscription.Atom) (rel subscription.Relation, c spec.Value, positive bool) {
+// of the canonical predicate). An atom of no known relation is an error.
+func canonicalize(a *subscription.Atom) (rel subscription.Relation, c spec.Value, positive bool, err error) {
 	switch a.Rel {
 	case subscription.EQ, subscription.LT, subscription.GT, subscription.PREFIX:
-		return a.Rel, a.Const, true
+		return a.Rel, a.Const, true, nil
 	case subscription.NE:
-		return subscription.EQ, a.Const, false
+		return subscription.EQ, a.Const, false, nil
 	case subscription.GE: // v >= c  ≡  ¬(v < c)
-		return subscription.LT, a.Const, false
+		return subscription.LT, a.Const, false, nil
 	case subscription.LE: // v <= c  ≡  ¬(v > c)
-		return subscription.GT, a.Const, false
+		return subscription.GT, a.Const, false, nil
 	default:
-		panic("bdd: unknown relation " + a.Rel.String())
+		return 0, spec.Value{}, false, fmt.Errorf("bdd: unknown relation %s in %q", a.Rel, a.Key())
 	}
 }
 
@@ -378,13 +378,21 @@ func predOrderLess(ar subscription.Relation, ac spec.Value, br subscription.Rela
 // existing variables, so every previously built node remains a
 // well-ordered BDD and the builder's memo tables (all keyed by
 // node/predicate identity) stay valid — the basis of incremental
-// compilation (§V: "BDDs can leverage memoization").
-func (u *Universe) Extend(rules []subscription.NormalizedRule) {
+// compilation (§V: "BDDs can leverage memoization"). An atom of no known
+// relation fails the call, which then adds nothing.
+func (u *Universe) Extend(rules []subscription.NormalizedRule) error {
+	for i := range rules {
+		for _, a := range rules[i].Conj {
+			if _, _, _, err := canonicalize(a); err != nil {
+				return err
+			}
+		}
+	}
 	n := len(u.Fields)
 	var fresh []Pred
 	for i := range rules {
 		for _, a := range rules[i].Conj {
-			rel, c, _ := canonicalize(a)
+			rel, c, _, _ := canonicalize(a) // every relation checked above
 			key := predIdent{f: identOf(a.Ref), rel: rel, c: c}
 			if _, ok := u.predByKey[key]; !ok {
 				u.predByKey[key] = nil // claimed; set once numbered
@@ -421,6 +429,7 @@ func (u *Universe) Extend(rules []subscription.NormalizedRule) {
 	for i := range fresh {
 		u.insert(&fresh[i])
 	}
+	return nil
 }
 
 // insert numbers a new predicate and places it at its field's canonical
@@ -442,7 +451,10 @@ func (u *Universe) insert(p *Pred) {
 
 // Lookup resolves an atom to its canonical predicate and polarity.
 func (u *Universe) Lookup(a *subscription.Atom) (*Pred, bool, error) {
-	rel, c, positive := canonicalize(a)
+	rel, c, positive, err := canonicalize(a)
+	if err != nil {
+		return nil, false, err
+	}
 	p, ok := u.predByKey[predIdent{f: identOf(a.Ref), rel: rel, c: c}]
 	if !ok {
 		return nil, false, fmt.Errorf("bdd: predicate %q not in universe", a.Key())

@@ -515,18 +515,26 @@ func BenchmarkCompileSiena(b *testing.B) {
 // BenchmarkCompileINT1k compiles the pinned 1000-rule exact+range set
 // (intRangeRules, the bench's int_range shape): 134 k entries out of a
 // cross-product merge, where BenchmarkCompile500 and the root package's
-// Compile10k merge equality chains that never multiply.
+// Compile10k merge equality chains that never multiply. It builds as
+// Compile does, NewIncremental and one Apply, so that it can also report
+// engine-MB: the memory the engine retains after the compile
+// (Incremental.CacheBytes).
 func BenchmarkCompileINT1k(b *testing.B) {
 	rules := intRangeRules(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := Compile(formats.INT, rules, Options{})
+		inc, err := NewIncremental(formats.INT, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		up, err := inc.Apply(rules, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(float64(p.TotalEntries()), "entries")
+			b.ReportMetric(float64(up.Program.TotalEntries()), "entries")
+			b.ReportMetric(float64(inc.CacheBytes())/1e6, "engine-MB")
 		}
 	}
 }

@@ -130,7 +130,7 @@ func (inc *Incremental) Remove(ids ...int) (*Update, error) {
 }
 
 // CacheSize reports what the engine retains across rebuilds: every BDD
-// node it ever hash-consed and its or-merge memo entries. Neither shrinks
+// node it ever hash-consed and its merge tree's memo entries. Neither shrinks
 // when rules leave, so a caller that churns an Incremental indefinitely
 // watches them and starts over from a fresh one (ctlplane's compaction).
 func (inc *Incremental) CacheSize() (nodes, memoEntries int) { return inc.engine.CacheSize() }

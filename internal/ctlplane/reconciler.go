@@ -133,19 +133,22 @@ type Reconciler struct {
 }
 
 // The compaction bound. An engine never forgets: every node it
-// hash-consed and every or-merge it memoized stays until the engine is
-// dropped, so under churn nodes+memo grows with the batches applied while
-// the live rule set stays the same size. Compile starts a switch over
-// from a fresh engine (FullRebuild) once the engine retains more than
-// compactFactor × what the switch's last fresh engine held right after
-// its rebuild — the rebuild makes about that many entries, so its cost is
-// 1/(compactFactor-1) of the applies that made the garbage — and never
+// hash-consed and every pair of its merge tree it memoized stays until the
+// engine is dropped, so under churn nodes+memo grows with the batches
+// applied while the live rule set stays the same size. (The merge's
+// recursive subproblems go to a lossy computed table of bounded size,
+// which CacheSize does not count; nodes are most of the count.) Compile
+// starts a switch over from a fresh engine (FullRebuild) once the engine
+// retains more than compactFactor × what the switch's last fresh engine
+// held right after its rebuild — the rebuild makes about that many
+// entries, so its cost is 1/(compactFactor-1) of the applies that made
+// the garbage — and never
 // below compactFloor, which stands in for the fresh size until the first
 // rebuild measures it and keeps small programs from compacting every few
 // batches. DESIGN.md §9 has the measurement behind the two numbers.
 const (
 	compactFactor = 8
-	compactFloor  = 1 << 16
+	compactFloor  = 1 << 15
 )
 
 // newReconciler builds an empty reconciler for a network from a
@@ -485,8 +488,9 @@ func (r *Reconciler) newIncremental(sw int) (*compiler.Incremental, error) {
 }
 
 // EngineSize reports what one switch's incremental engine retains: BDD
-// nodes and or-merge memo entries — the quantity the compaction bound
-// holds down — and the bytes of memory behind them.
+// nodes and the merge tree's memo entries — the quantity the compaction
+// bound holds down — and the bytes of memory behind them, the computed
+// table's included.
 func (r *Reconciler) EngineSize(sw int) (nodes, memoEntries, bytes int64) {
 	inc := r.switches[sw].inc
 	n, m := inc.CacheSize()

@@ -34,7 +34,7 @@ const maxTenantSeries = 256
 //	camus_ctlplane_switches_changed_total  switch compiles with a non-empty entry delta
 //	camus_ctlplane_compactions_total  full rebuilds the engine-size bound triggered
 //	camus_ctlplane_engine_nodes       BDD nodes the switch engines retain
-//	camus_ctlplane_engine_memo_entries  or-merge memo entries they retain
+//	camus_ctlplane_engine_memo_entries  merge-tree memo entries they retain
 //	camus_ctlplane_engine_bytes       memory the switch engines hold
 //	camus_apply_latency_seconds       event→applied summary (quantiles)
 //	camus_log_{seq,bytes}             durable log position
@@ -84,7 +84,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("fallbacks_total", "Full rebuilds of a switch from its rule registry (apply-error recovery + compaction).", snap.Fallbacks)
 	counter("ctlplane_compactions_total", "Full rebuilds triggered by the engine-size compaction bound.", snap.Compactions)
 	gauge("ctlplane_engine_nodes", "BDD nodes retained by the per-switch incremental engines, summed over switches.", float64(snap.EngineNodes))
-	gauge("ctlplane_engine_memo_entries", "Or-merge memo entries retained by the per-switch incremental engines, summed over switches.", float64(snap.EngineMemoEntries))
+	gauge("ctlplane_engine_memo_entries", "Merge-tree memo entries retained by the per-switch incremental engines, summed over switches (the merge's subproblems are cached in bounded lossy tables and not counted).", float64(snap.EngineMemoEntries))
 	gauge("ctlplane_engine_bytes", "Bytes of node store, tables and materialised nodes held by the per-switch incremental engines, summed over switches.", float64(snap.EngineBytes))
 	counter("failures_total", "Batches that exhausted retries or failed compile/validation.", snap.Failures)
 	counter("validations_total", "Translation-validation runs.", snap.Validations)

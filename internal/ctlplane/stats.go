@@ -97,9 +97,11 @@ type Snapshot struct {
 	Failures    int64
 	// EngineNodes / EngineMemoEntries are what the per-switch incremental
 	// engines retain, summed over switches: BDD nodes ever hash-consed
-	// and or-merge memo entries. Compaction (Reconciler.Compile) bounds
-	// each engine by a multiple of what it held when last rebuilt.
-	// EngineBytes is the memory those engines hold (bdd.Engine.CacheBytes).
+	// and the merge tree's memoized pairs (the merge's subproblems live
+	// in a bounded lossy table and are not counted). Compaction
+	// (Reconciler.Compile) bounds each engine by a multiple of what it
+	// held when last rebuilt. EngineBytes is the memory those engines
+	// hold (bdd.Engine.CacheBytes), the lossy tables included.
 	EngineNodes       int64
 	EngineMemoEntries int64
 	EngineBytes       int64
