@@ -145,9 +145,10 @@ func BenchmarkSwitchBatch(b *testing.B) {
 // Zipf-batched add-orders (the bench/ generator's shape) through
 // formats.DecodeITCHFeed, one frame per op. ns/msg is the per-message
 // cost. allocs/op is 0: the messages, their pointer slice and the copy
-// of the stock strings are carved from pooled chunks, whose refill every
-// few dozen frames rounds away. perf-guard holds it at 0, so per-frame,
-// per-message or per-field garbage returning to decode fails CI.
+// of the stock strings are carved from pooled chunks in one visit per
+// frame, and a chunk's refill every hundred-odd messages rounds away.
+// perf-guard holds it at 0, so per-frame, per-message or per-field
+// garbage returning to decode fails CI.
 func BenchmarkDecodeITCH(b *testing.B) {
 	feed := workload.ITCHFeed(workload.ITCHFeedConfig{Packets: 4096, BatchZipf: true, MaxBatch: 8, Seed: 1})
 	frames := make([][]byte, len(feed))
@@ -253,7 +254,7 @@ func BenchmarkCompile10k(b *testing.B) {
 // `stock == S and price > P` filters (12 per host, 64 symbols), and per
 // op 256 MoldUDP64 frames decoded, published each from the next host
 // through one netsim.PublishBatch, and every host delivery read. Decode
-// costs only the refills of its pooled chunks (about 20 per op; how many
+// costs only the refills of its pooled chunks (about 6 per op; how many
 // depends on where the chunks run out), and the batch its three result
 // slices. The benchmark holds allocs/op to at most frames/8 + 3, so an
 // allocation per frame — a per-frame slab, or one per hop or delivery —

@@ -9,14 +9,14 @@ import (
 
 // decodeOne parses a datagram that is exactly one header of c's spec —
 // the shape of every single-report format below (and of INT). Its
-// message is carved from the pooled chunks a frame's are, so a report
-// costs no allocation either.
+// message is carved from the pooled chunks a frame's are, with no
+// pointer slot beside it, so a report costs no allocation either.
 func decodeOne(app string, c *packet.HeaderCodec, data []byte) (*spec.Message, error) {
 	if len(data) != c.Size() {
 		return nil, fmt.Errorf("formats: %s: frame is %d bytes, want %d", app, len(data), c.Size())
 	}
-	m := spec.NewMessages(c.Spec, 1)[0]
-	if _, err := c.Decode(data, m); err != nil {
+	m, _, err := c.DecodeOne(data)
+	if err != nil {
 		return nil, fmt.Errorf("formats: %s: %w", app, err)
 	}
 	return m, nil

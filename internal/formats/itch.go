@@ -128,8 +128,8 @@ func itchBatch(data []byte) (count int, orders []byte, err error) {
 // decodeOrders extracts the n order messages at the head of orders into
 // one message slab.
 func decodeOrders(orders []byte, n int) ([]*spec.Message, error) {
-	msgs := spec.NewMessages(ITCH, n)
-	if _, err := orderCodec.DecodeEach(orders, msgs); err != nil {
+	msgs, _, err := orderCodec.DecodeNew(orders, n)
+	if err != nil {
 		return nil, fmt.Errorf("formats: ITCH: %w", err)
 	}
 	for _, m := range msgs {

@@ -2,6 +2,7 @@ package formats
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"camus/internal/packet"
@@ -212,8 +213,15 @@ func TestDecodeIntoForeignSpec(t *testing.T) {
 // TestDecodeAllocs pins what a frame costs, exactly. Decoding costs
 // nothing: an ITCH frame's messages, their pointer slice and the copy of
 // its stock bytes, and a single report's message, are carved from pooled
-// chunks, and a chunk refill every few dozen frames rounds to 0 per run
-// (in a build without the race detector, which defeats the pool).
+// chunks, and a chunk refill every hundred-odd messages rounds to 0 per
+// run (in a build without the race detector, which defeats the pool).
+// The bytes are pinned too, so a message that grows fails here and not
+// only in a benchmark: per order a 64-byte message, an 8-byte pointer
+// slot and the 8 stock bytes, per report the message alone, within the
+// rounding of the 8 KB chunks they are carved from: 127 messages take
+// 8128 bytes of an 8192-byte object, a frame of n messages refills the
+// chunk with up to n−1 of them unused, and a collection may drop the
+// pool's partly used chunks (three, one of each kind, are allowed for).
 // Encoding any frame: the frame.
 func TestDecodeAllocs(t *testing.T) {
 	orders := eightOrders()
@@ -226,18 +234,40 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink int
+	decodeITCH := func() {
+		msgs, _ := DecodeITCHFeed(frame)
+		sink += len(msgs)
+	}
+	decodeINT := func() {
+		m, _ := DecodeINT(report)
+		sink += int(m.HeaderMask())
+	}
 	if !raceEnabled {
-		if n := testing.AllocsPerRun(200, func() {
-			msgs, _ := DecodeITCHFeed(frame)
-			sink += len(msgs)
-		}); n != 0 {
+		if n := testing.AllocsPerRun(200, decodeITCH); n != 0 {
 			t.Errorf("DecodeITCHFeed(8 orders): %v allocations, want 0", n)
 		}
-		if n := testing.AllocsPerRun(200, func() {
-			m, _ := DecodeINT(report)
-			sink += int(m.HeaderMask())
-		}); n != 0 {
+		if n := testing.AllocsPerRun(200, decodeINT); n != 0 {
 			t.Errorf("DecodeINT: %v allocations, want 0", n)
+		}
+		for _, tc := range []struct {
+			name         string
+			frames, msgs int
+			decode       func()
+			want         float64
+		}{
+			{"DecodeITCHFeed(8 orders)", 8192, 8, decodeITCH, 8 * (64 + 8 + 8)},
+			{"DecodeINT", 16384, 1, decodeINT, 64},
+		} {
+			most := tc.want*(1+float64(tc.msgs-1)/127)*8192/8128 + 3*8192/float64(tc.frames)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range tc.frames {
+				tc.decode()
+			}
+			runtime.ReadMemStats(&after)
+			if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.frames); got < tc.want*0.98 || got > most {
+				t.Errorf("%s: %.1f bytes per frame, want %v to %.1f", tc.name, got, tc.want, most)
+			}
 		}
 	}
 	for name, encode := range map[string]func() ([]byte, error){

@@ -90,6 +90,58 @@ func TestDecodedMessagesOutliveTheirChunks(t *testing.T) {
 	}
 }
 
+// TestKeptMessageOutlivesItsFrame: a decoded message that is all that is
+// left of its frame keeps its string bytes alive and unchanged. A message
+// reaches its string bytes through one pointer to their base, so if the
+// collector missed it, the string chunk would be freed and handed to the
+// 8 KB allocations made here between collections, which overwrite it. The
+// test runs under -race too, whose checkptr instrumentation checks every
+// conversion of that pointer.
+func TestKeptMessageOutlivesItsFrame(t *testing.T) {
+	const stock = "KEPT"
+	var kept *spec.Message
+	func() {
+		orders := ordersFor(1, 8)
+		orders[5].Stock = stock
+		frame, err := EncodeITCHFeed("S", 1, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := DecodeITCHFeed(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = msgs[5]
+	}()
+	other, err := EncodeITCHFeed("S", 2, ordersFor(2, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var junk [][]byte
+	for round := 0; round < 10; round++ {
+		runtime.GC()
+		junk = junk[:0]
+		for i := 0; i < 64; i++ {
+			b := make([]byte, 8192)
+			for j := range b {
+				b[j] = 'X'
+			}
+			junk = append(junk, b)
+		}
+		for i := 0; i < 256; i++ {
+			if _, err := DecodeITCHFeed(other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, ok := kept.GetRef("stock"); !ok || v.Str != stock {
+			t.Fatalf("round %d: kept message's stock is %v (present %v), want %s", round, v, ok, stock)
+		}
+	}
+	if len(junk) == 0 {
+		t.Error("nothing allocated")
+	}
+}
+
 // TestConcurrentDecode: goroutines decoding distinct frames at once each
 // get messages of their own frame only — no two carve the same region of
 // a pooled chunk. Run it under -race.

@@ -4,26 +4,25 @@
 // The codec packs header fields big-endian at bit granularity (P4
 // semantics: fields occupy consecutive bits in declaration order), so
 // specs with u4/u48/str8 fields all round-trip. A HeaderCodec compiles
-// each field's access path once; decoding is then one load (or a
+// each field's access path once; decoding is then one inlined load (or a
 // byte-wise shift-and-mask for unaligned widths) per subscribable field,
-// stored as that field's word of a message carved from a pooled chunk
-// (spec.NewMessages, spec.Message.Fill). Following gopacket's
-// DecodingLayerParser, nothing is allocated per field, per message or
-// per frame: the messages, and the one immutable copy of the bytes a
-// header's subscribable string fields span, are carved from append-only
-// chunks that are refilled every few dozen frames and never handed out
-// twice, so a decoded message is the caller's to keep. A kept message
-// keeps its chunks alive. Encoding runs the same access paths the other
-// way: an encoder resolves each field's FieldCodec once and writes a
-// frame into one zeroed buffer with one Put per field, so a frame costs
-// one allocation whatever its field or message count.
+// stored as that field's word of a message (spec.Message.Fill). Following
+// gopacket's DecodingLayerParser, nothing is allocated per field, per
+// message or per frame: a frame's messages, the slice that holds them and
+// one immutable copy of the bytes its subscribable string fields span are
+// carved in one visit to spec's pool of append-only chunks
+// (spec.Carve), which are refilled every hundred-odd messages and never
+// handed out twice, so a decoded message is the caller's to keep. A kept
+// message keeps its chunks alive. Encoding runs the same access paths
+// the other way: an encoder resolves each field's FieldCodec once and
+// writes a frame into one zeroed buffer with one Put per field, so a
+// frame costs one allocation whatever its field or message count.
 package packet
 
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
-	"sync"
+	"math/bits"
 
 	"camus/internal/spec"
 )
@@ -35,8 +34,9 @@ type HeaderCodec struct {
 
 	size     int
 	fields   []FieldCodec // every field, declaration order
-	sub      []FieldCodec // the subscribable ones: what Decode extracts
-	bits     []uint64     // Spec.HeaderBits of the header: what Decode marks
+	ints     []FieldCodec // the subscribable integer fields: what decoding loads
+	strs     []FieldCodec // the subscribable string fields: what decoding copies
+	bits     []uint64     // Spec.HeaderBits of the header: what decoding marks
 	strBytes int          // bytes the subscribable string fields span
 }
 
@@ -82,8 +82,10 @@ func NewHeaderCodec(sp *spec.Spec, header string) (*HeaderCodec, error) {
 			if f.Type == spec.StringField {
 				x.str = c.strBytes
 				c.strBytes += x.n
+				c.strs = append(c.strs, x)
+			} else {
+				c.ints = append(c.ints, x)
 			}
-			c.sub = append(c.sub, x)
 		}
 		c.fields = append(c.fields, x)
 	}
@@ -123,101 +125,124 @@ func (c *HeaderCodec) MustField(name string) *FieldCodec {
 	return x
 }
 
-// Decode extracts the header from data, writing subscribable fields into
-// m (and marking the header valid), and returns the remaining bytes.
+// Decode extracts the header from data into m, an existing message of
+// the codec's spec — what a parser does when it walks a header stack into
+// one message — and returns the remaining bytes. String fields point into
+// an immutable copy of the bytes they span, added to whatever strings the
+// message already holds, never into data: the caller may reuse its
+// buffer.
 func (c *HeaderCodec) Decode(data []byte, m *spec.Message) ([]byte, error) {
-	return c.DecodeEach(data, []*spec.Message{m})
-}
-
-// DecodeEach extracts len(msgs) back-to-back instances of the header,
-// the i-th into msgs[i], and returns the remaining bytes. The batch is
-// bounds-checked once. Every message must be of the codec's spec: the
-// field indices and the bits marked are that spec's. String fields point
-// into an immutable copy of the bytes they span, carved from a pooled
-// string chunk and appended to whatever strings the message already
-// holds, never into data: the caller may reuse its buffer.
-func (c *HeaderCodec) DecodeEach(data []byte, msgs []*spec.Message) ([]byte, error) {
-	total := len(msgs) * c.size
-	if len(data) < total {
-		return nil, fmt.Errorf("packet: %d x %s needs %d bytes, have %d", len(msgs), c.Header.Name, total, len(data))
+	if len(data) < c.size {
+		return nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, c.size, len(data))
 	}
-	for _, m := range msgs {
-		if m.Spec() != c.Spec {
-			return nil, fmt.Errorf("packet: %s of spec %s decoded into a message of spec %s", c.Header.Name, c.Spec.Name, m.Spec().Name)
-		}
+	if m.Spec() != c.Spec {
+		return nil, fmt.Errorf("packet: %s of spec %s decoded into a message of spec %s", c.Header.Name, c.Spec.Name, m.Spec().Name)
 	}
-	var strs string
+	var room []byte
 	if c.strBytes > 0 {
-		strs = c.copyStrs(data, len(msgs))
+		_, _, room = spec.Carve(c.Spec, 0, c.strBytes, false)
 	}
-	for i, m := range msgs {
-		hdr := data[i*c.size : (i+1)*c.size]
-		own := strs[i*c.strBytes : (i+1)*c.strBytes]
-		fields, base := m.Fill(c.bits, own)
-		for j := range c.sub {
-			x := &c.sub[j]
-			if x.str >= 0 {
-				// StrVal trims the padding by re-slicing; nothing is copied.
-				fields[x.idx] = spec.StrWord(base+x.str, len(spec.StrVal(own[x.str:x.str+x.n]).Str))
-			} else {
-				fields[x.idx] = x.Uint(hdr)
-			}
-		}
-	}
-	return data[total:], nil
+	c.extract(data, m, room)
+	return data[c.size:], nil
 }
 
-// strChunk is the size of the chunks decoded string bytes are copied to.
-const strChunk = 4096
-
-// strPool hands each P the builder it is filling: its current string
-// chunk.
-var strPool sync.Pool
-
-// copyStrs copies the subscribable string bytes of the n headers at the
-// head of data to the end of the current string chunk and returns them
-// as one string. A chunk is only ever appended to, so what it returned
-// earlier never changes; one too full for the copy is left to the
-// collector, and the builder starts a fresh one.
-func (c *HeaderCodec) copyStrs(data []byte, n int) string {
-	need := n * c.strBytes
-	b, _ := strPool.Get().(*strings.Builder)
-	if b == nil {
-		b = new(strings.Builder)
+// DecodeNew extracts n back-to-back instances of the header into n fresh
+// messages and returns them and the remaining bytes. The messages, the
+// slice that holds them and their string bytes are carved in one visit
+// to the message pool (spec.Carve), and the batch is bounds-checked once.
+func (c *HeaderCodec) DecodeNew(data []byte, n int) ([]*spec.Message, []byte, error) {
+	if len(data) < n*c.size {
+		return nil, nil, fmt.Errorf("packet: %d x %s needs %d bytes, have %d", n, c.Header.Name, n*c.size, len(data))
 	}
-	if b.Cap()-b.Len() < need {
-		b.Reset()
-		b.Grow(max(need, strChunk))
+	slab, out, strs := spec.Carve(c.Spec, n, n*c.strBytes, true)
+	for i := range slab {
+		c.extract(data[i*c.size:], &slab[i], strs[i*c.strBytes:(i+1)*c.strBytes])
 	}
-	start := b.Len()
-	for i := range n {
-		hdr := data[i*c.size:]
-		for j := range c.sub {
-			if x := &c.sub[j]; x.str >= 0 {
-				b.Write(hdr[x.off : x.off+x.n])
-			}
-		}
-	}
-	strs := b.String()[start:]
-	strPool.Put(b)
-	return strs
+	return out, data[n*c.size:], nil
 }
 
-// Uint reads an integer field from hdr, which must hold the whole header.
+// DecodeOne is DecodeNew for one header: the message, and no slice to
+// hold it.
+func (c *HeaderCodec) DecodeOne(data []byte) (*spec.Message, []byte, error) {
+	if len(data) < c.size {
+		return nil, nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, c.size, len(data))
+	}
+	slab, _, strs := spec.Carve(c.Spec, 1, c.strBytes, false)
+	c.extract(data, &slab[0], strs)
+	return &slab[0], data[c.size:], nil
+}
+
+// extract is the one extraction routine: it stores the header at the
+// head of hdr into m and marks it valid. The bytes of its string fields
+// are copied to room, c.strBytes long and written nowhere else, which
+// the message takes; an aligned integer field is one big-endian load.
+func (c *HeaderCodec) extract(hdr []byte, m *spec.Message, room []byte) {
+	hdr = hdr[:c.size]
+	for i := range c.strs {
+		x := &c.strs[i]
+		copyStr(room[x.str:x.str+x.n], hdr[x.off:x.off+x.n])
+	}
+	fields, base := m.Fill(c.bits, room)
+	for i := range c.strs {
+		x := &c.strs[i]
+		fields[x.idx] = spec.StrWord(base+x.str, trimmed(room[x.str:x.str+x.n]))
+	}
+	for i := range c.ints {
+		x := &c.ints[i]
+		var v uint64
+		switch b := hdr[x.off:]; x.load {
+		case 1:
+			v = uint64(b[0])
+		case 2:
+			v = uint64(binary.BigEndian.Uint16(b))
+		case 4:
+			v = uint64(binary.BigEndian.Uint32(b))
+		case 8:
+			v = binary.BigEndian.Uint64(b)
+		default:
+			v = x.Uint(hdr)
+		}
+		fields[x.idx] = v
+	}
+}
+
+// copyStr copies a string field's bytes from src to dst, which are the
+// same length, a word at a time: a field is a few bytes, and a word load
+// and store beat a call to memmove.
+func copyStr(dst, src []byte) {
+	for len(src) >= 8 {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+		dst, src = dst[8:], src[8:]
+	}
+	for i := range src {
+		dst[i] = src[i]
+	}
+}
+
+// trimmed returns the length of b without its right padding, StrVal's
+// trim without building the string, a word at a time: b&^0x20 is zero
+// exactly for the pad bytes ' ' and NUL.
+func trimmed(b []byte) int {
+	n := len(b)
+	for ; n >= 8; n -= 8 {
+		if w := binary.LittleEndian.Uint64(b[n-8:]) &^ 0x2020202020202020; w != 0 {
+			return n - bits.LeadingZeros64(w)/8
+		}
+	}
+	for n > 0 && b[n-1]&^0x20 == 0 {
+		n--
+	}
+	return n
+}
+
+// Uint reads an integer field from hdr, which must hold the whole
+// header, byte by byte: it gathers the bytes, drops the next field's bits
+// from the last one and the previous field's by mask. It serves every
+// width and offset (u4, u48, a u13 at bit 3); decoding loads a field that
+// is a whole byte-aligned word in one instruction and calls it for the
+// rest.
 func (x *FieldCodec) Uint(hdr []byte) uint64 {
 	b := hdr[x.off : x.off+x.n]
-	switch x.load {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		return uint64(binary.BigEndian.Uint16(b))
-	case 4:
-		return uint64(binary.BigEndian.Uint32(b))
-	case 8:
-		return binary.BigEndian.Uint64(b)
-	}
-	// Unaligned or odd-width (u4, u48): gather the bytes, drop the next
-	// field's bits from the last one and the previous field's by mask.
 	var v uint64
 	for _, c := range b[:x.n-1] {
 		v = v<<8 | uint64(c)

@@ -299,10 +299,10 @@ func TestWideIntKeepsLow64(t *testing.T) {
 	}
 }
 
-// TestDecodeEach: back-to-back headers land in consecutive messages, the
-// batch is bounds-checked as a whole, and no message keeps a reference
-// into the caller's buffer.
-func TestDecodeEach(t *testing.T) {
+// TestDecodeNew: back-to-back headers land in consecutive fresh
+// messages, the batch is bounds-checked as a whole, and no message keeps
+// a reference into the caller's buffer. DecodeOne is the one-header case.
+func TestDecodeNew(t *testing.T) {
 	c := MustHeaderCodec(bitSpec, "mixed")
 	var buf []byte
 	for i := 0; i < 3; i++ {
@@ -312,22 +312,28 @@ func TestDecodeEach(t *testing.T) {
 		}
 		buf = append(buf, hdr...)
 	}
-	msgs := spec.NewMessages(bitSpec, 3)
-	if _, err := c.DecodeEach(buf[:len(buf)-1], msgs); err == nil {
+	if _, _, err := c.DecodeNew(buf[:len(buf)-1], 3); err == nil {
 		t.Error("batch one byte short decoded")
 	}
+	if _, _, err := c.DecodeOne(buf[:c.Size()-1]); err == nil {
+		t.Error("header one byte short decoded")
+	}
 	buf = append(buf, 0xFF)
-	rest, err := c.DecodeEach(buf, msgs)
-	if err != nil || len(rest) != 1 {
-		t.Fatalf("DecodeEach: rest %d, err %v", len(rest), err)
+	msgs, rest, err := c.DecodeNew(buf, 3)
+	if err != nil || len(rest) != 1 || len(msgs) != 3 {
+		t.Fatalf("DecodeNew: %d messages, rest %d, err %v", len(msgs), len(rest), err)
+	}
+	one, rest, err := c.DecodeOne(buf[c.Size():])
+	if err != nil || len(rest) != 1+c.Size() {
+		t.Fatalf("DecodeOne: rest %d, err %v", len(rest), err)
 	}
 	for i := range buf {
 		buf[i] = 0xFF
 	}
-	for i, m := range msgs {
+	for i, m := range append(msgs, one) {
 		s, _ := m.GetRef("s")
 		f, _ := m.GetRef("f")
-		if s.Str != fmt.Sprintf("row%d", i) || f.Int != int64(i) {
+		if want := []int{0, 1, 2, 1}[i]; s.Str != fmt.Sprintf("row%d", want) || f.Int != int64(want) || !m.HeaderPresent("mixed") {
 			t.Errorf("message %d = %v", i, m)
 		}
 	}
@@ -337,6 +343,42 @@ func TestMisalignedStringRejected(t *testing.T) {
 	sp := spec.MustParse("mis", "header h { a : u4; s : str2 @field; b : u4; }")
 	if _, err := NewHeaderCodec(sp, "h"); err == nil {
 		t.Error("codec built for a string field off a byte boundary")
+	}
+}
+
+// TestMustFormsReturnErrors is this file's panic audit: its two panic
+// sites are the Must wrappers MustHeaderCodec and MustField, and an
+// unknown header, a string field off a byte boundary or an unknown field
+// is an error from NewHeaderCodec and Field.
+func TestMustFormsReturnErrors(t *testing.T) {
+	c := MustHeaderCodec(bitSpec, "mixed")
+	mis := spec.MustParse("mis", "header h { a : u4; s : str2 @field; b : u4; }")
+	for _, tc := range []struct {
+		name string
+		err  func() error
+		must func()
+	}{
+		{"NewHeaderCodec: unknown header",
+			func() error { _, err := NewHeaderCodec(bitSpec, "bogus"); return err },
+			func() { MustHeaderCodec(bitSpec, "bogus") }},
+		{"NewHeaderCodec: misaligned string",
+			func() error { _, err := NewHeaderCodec(mis, "h"); return err },
+			func() { MustHeaderCodec(mis, "h") }},
+		{"Field: unknown field",
+			func() error { _, err := c.Field("bogus"); return err },
+			func() { c.MustField("bogus") }},
+	} {
+		if err := tc.err(); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the Must form did not panic", tc.name)
+				}
+			}()
+			tc.must()
+		}()
 	}
 }
 
@@ -356,14 +398,6 @@ func TestDecodeIntoForeignSpecRefused(t *testing.T) {
 	}
 	if m.String() != "{}" || m.HeaderMask() != 0 {
 		t.Errorf("refused decode left %v mask %#x", m, m.HeaderMask())
-	}
-	// One foreign message refuses the batch before anything is written.
-	msgs := []*spec.Message{spec.NewMessage(bitSpec), m}
-	if _, err := c.DecodeEach(append(buf, buf...), msgs); err == nil {
-		t.Error("batch with a foreign message decoded")
-	}
-	if msgs[0].String() != "{}" {
-		t.Errorf("refused batch wrote %v", msgs[0])
 	}
 }
 

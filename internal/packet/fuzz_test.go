@@ -69,7 +69,7 @@ func FuzzHeaderCodec(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBytes feeds arbitrary bytes to Decode, DecodeEach and Uint:
+// FuzzDecodeBytes feeds arbitrary bytes to DecodeNew, DecodeOne and Uint:
 // short input is an error, anything else decodes to what the
 // bit-at-a-time reference reads, and nothing panics or reads past the
 // slice.
@@ -84,13 +84,15 @@ func FuzzDecodeBytes(f *testing.F) {
 	f.Add(append(append([]byte{}, good...), 0xDE, 0xAD))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := len(data) / c.Size()
-		if _, err := c.DecodeEach(data, spec.NewMessages(bitSpec, n+1)); err == nil {
+		if _, _, err := c.DecodeNew(data, n+1); err == nil {
 			t.Fatalf("%d bytes decoded as %d headers", len(data), n+1)
 		}
-		msgs := spec.NewMessages(bitSpec, n)
-		rest, err := c.DecodeEach(data, msgs)
+		msgs, rest, err := c.DecodeNew(data, n)
 		if err != nil || len(rest) != len(data)-n*c.Size() {
-			t.Fatalf("DecodeEach(%d headers): rest %d, err %v", n, len(rest), err)
+			t.Fatalf("DecodeNew(%d headers): rest %d, err %v", n, len(rest), err)
+		}
+		if one, _, err := c.DecodeOne(data); (err == nil) != (n > 0) || (n > 0 && one.String() != msgs[0].String()) {
+			t.Fatalf("DecodeOne: %v, err %v; DecodeNew's first: %v", one, err, msgs)
 		}
 		str, _ := bitSpec.Field("s")
 		for i, m := range msgs {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 const itchSrc = `
@@ -142,6 +143,58 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestMustFormsReturnErrors is this package's panic audit: its three
+// panic sites are the Must wrappers MustParse, MustNew and MustSet, and
+// the input that makes each wrapper panic — malformed spec text, a
+// duplicate header or a misaligned string field, an unknown field or a
+// value of the wrong kind — is an error from the form a caller with
+// untrusted input uses.
+func TestMustFormsReturnErrors(t *testing.T) {
+	dup := func() []*Header {
+		return []*Header{{Name: "a", Fields: []*Field{{Name: "x", Type: IntField, Bits: 8}}}, {Name: "a"}}
+	}
+	odd := func() []*Header {
+		return []*Header{{Name: "a", Fields: []*Field{{Name: "s", Type: StringField, Bits: 12}, {Name: "p", Type: IntField, Bits: 4}}}}
+	}
+	m := NewMessage(parseITCH(t))
+	for _, tc := range []struct {
+		name string
+		err  func() error
+		must func()
+	}{
+		{"Parse: malformed text",
+			func() error { _, err := Parse("bad", "header a { x : u8 }"); return err },
+			func() { MustParse("bad", "header a { x : u8 }") }},
+		{"New: duplicate header",
+			func() error { _, err := New("bad", dup()...); return err },
+			func() { MustNew("bad", dup()...) }},
+		{"New: misaligned string field",
+			func() error { _, err := New("bad", odd()...); return err },
+			func() { MustNew("bad", odd()...) }},
+		{"Set: unknown field",
+			func() error { return m.Set("bogus", IntVal(1)) },
+			func() { m.MustSet("bogus", IntVal(1)) }},
+		{"Set: wrong kind",
+			func() error { return m.Set("stock", IntVal(7)) },
+			func() { m.MustSet("stock", IntVal(7)) }},
+	} {
+		if err := tc.err(); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the Must form did not panic", tc.name)
+				}
+			}()
+			tc.must()
+		}()
+	}
+	if m.String() != "{}" {
+		t.Errorf("refused sets wrote %v", m)
+	}
+}
+
 func TestFieldMaxValue(t *testing.T) {
 	cases := []struct {
 		bits int
@@ -259,14 +312,19 @@ func kindVal(f *Field, n int) Value {
 
 // TestMessageLayouts drives every Message operation over the layouts a
 // spec can give it — in the struct, a merged spec still in the struct,
-// too wide for it — built singly and as a slab.
+// too wide for it — built singly and as a slab. A message is one 64-byte
+// cache line; TestFormatSpecsInline checks that every application spec
+// fits it.
 func TestMessageLayouts(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n != 64 {
+		t.Fatalf("Message is %d bytes, want 64", n)
+	}
 	merged, err := Merge("m", parseITCH(t), MustParse("x", "header hx { k : u8 @field; s : str4 @field; }"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := []*Spec{parseITCH(t), merged, wideSpec(t)}
-	if specs[0].wideWords != 0 || specs[1].wideWords != 0 || specs[2].wideWords == 0 {
+	if !Inline(specs[0]) || !Inline(specs[1]) || Inline(specs[2]) {
 		t.Fatal("the specs no longer cover both layouts")
 	}
 	for _, s := range specs {
@@ -330,11 +388,12 @@ func TestMessageLayouts(t *testing.T) {
 // TestMessageAllocs pins what a message costs: one allocation singly or
 // cloned, and one for each chunk a slab fills. A 2-message slab shares
 // its chunks with the slabs before it and costs nothing; a 64-message
-// one does not fit the 85-message chunk the one before it left, so each
-// takes a fresh message chunk (its pointer slices still share theirs). A
-// spec too wide for the struct pays one more singly, and one more per
-// 64-message slab for its out-of-line words. The slab pins need a build
-// without the race detector, which defeats the pool.
+// one does not fit the 63 messages the one before it left of a
+// 127-message chunk, so each takes a fresh message chunk (its pointer
+// slices still share theirs). A spec too wide for the struct pays one
+// more singly, and one more per 64-message slab for its out-of-line
+// words. The slab pins need a build without the race detector, which
+// defeats the pool.
 func TestMessageAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		s     *Spec

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Value is a dynamically-typed field value: either an unsigned integer
@@ -54,55 +55,70 @@ func (v Value) Equal(o Value) bool {
 // (bit i = subscribable index i), then header validity (bit fields+i =
 // header i in parse order) — and one 64-bit word per subscribable field:
 // an integer field's word is its value, a string field's is
-// offset<<32 | length into strs, the one backing string of the message.
-// Which of the two a word is comes from the spec, not from a tag stored
-// beside it. For a spec of at most inlineFields fields whose bits fit one
-// word (every single-application spec in this repository) all of it is in
-// the struct, and spec, bits, the field words and the pointer of strs are
-// its first 64 bytes: what a table walk reads of a message, string bytes
-// aside. A wider spec (the eight-application merge) keeps its bit words
-// and field words in wide, carved like the message from a shared chunk.
+// offset<<32 | length into the message's string bytes. Which of the two a
+// word is comes from the spec, not from a tag stored beside it. For a
+// spec of at most inlineFields fields whose bits fit one word (every
+// single-application spec in this repository) all of it is in the
+// struct, and ext is the base of the string bytes: the words already say
+// where each string starts and how long it is, so no string header
+// repeats it. A wider spec (the eight-application merge) keeps its bit
+// words, its field words and then its string bytes in one out-of-line
+// block of words, and ext points to that block.
 type Message struct {
 	spec  *Spec
 	bits  [1]uint64
 	words [inlineFields]uint64
-	strs  string
-	wide  []uint64 // nil, or s.maskWords bit words then one word per field
+	ext   unsafe.Pointer // string bytes (nil: none), or a wide spec's block
 }
 
-// inlineFields makes a Message 96 bytes — 8 (spec) + 8 (bits) + 5×8 +
-// 16 (strs) + 24 (wide) — which is an allocator size class, so nothing
-// is lost to rounding; five words are what the widest single-application
-// specs (INT, highway) need, and each word more would cost every decoded
-// message 8 bytes.
+// inlineFields makes a Message 64 bytes — 8 (spec) + 8 (bits) + 5×8 +
+// 8 (ext) — one cache line and an allocator size class; five words are
+// what the widest single-application specs (INT, highway) need, and each
+// word more would cost every decoded message 8 bytes.
 const inlineFields = 5
+
+// strAt returns the n bytes at base+off as a string. The bytes must never
+// change again.
+func strAt(base unsafe.Pointer, off, n uint64) string {
+	return unsafe.String((*byte)(unsafe.Add(base, off)), n)
+}
+
+// strBase returns the address of s's first byte, nil for "".
+func strBase(s string) unsafe.Pointer {
+	if s == "" {
+		return nil
+	}
+	return unsafe.Pointer(unsafe.StringData(s))
+}
 
 // NewMessage allocates an empty message for s.
 func NewMessage(s *Spec) *Message {
 	m := &Message{spec: s}
 	if s.wideWords > 0 {
-		m.wide = make([]uint64, s.wideWords)
+		m.ext = unsafe.Pointer(&make([]uint64, s.wideWords)[0])
 	}
 	return m
 }
 
-// Chunk lengths of the slabs NewMessages carves from. An object over
-// 512 bytes that holds pointers carries an 8-byte allocator header, so
-// 85 messages (8160 bytes) and 1023 pointers (8184 bytes) fill the
-// 8 KB size class exactly; the wide words hold no pointer and have no
+// Chunk lengths of the slabs Carve carves from. An object over 512 bytes
+// that holds pointers carries an 8-byte allocator header, so 127
+// messages (8128 bytes) and 1023 pointers (8184 bytes) fit the 8 KB size
+// class; the wide words and the string bytes hold no pointer and have no
 // header.
 const (
-	msgChunk  = 85
+	msgChunk  = 127
 	ptrChunk  = 1023
 	wideChunk = 1024
+	strChunk  = 8192
 )
 
-// slabs is one P's unused tail of the current message, pointer and
-// wide-word chunks.
+// slabs is one P's unused tail of the current message, pointer,
+// wide-word and string-byte chunks.
 type slabs struct {
 	msgs []Message
 	ptrs []*Message
 	wide []uint64
+	strs []byte
 }
 
 // slabPool hands each P its own slabs, so carving needs no lock.
@@ -121,19 +137,26 @@ func carve[T any](free *[]T, n, chunk int) []T {
 	return out
 }
 
-// NewMessages returns n empty messages for s. The messages, the returned
-// pointer slice and a wide spec's out-of-line words are carved from
-// per-P chunks, so a small slab costs no allocation; no memory is handed
-// out twice, so the messages are the caller's to keep and to change like
-// any other. A decoded frame's messages are built this way. The cost is
-// retention: a kept message keeps its chunks (8 KB each) alive.
-func NewMessages(s *Spec, n int) []*Message {
+// Carve returns n empty messages of s, room bytes for the caller to
+// write their string bytes into before it hands them out (and gives a
+// message its share through Fill), and with ptrs a pointer to each
+// message, all carved from per-P chunks in one visit to the pool, so a
+// small slab costs no allocation. No memory is handed out twice, so the
+// messages are the caller's to keep and to change like any other. A
+// decoded frame is built this way. The cost is retention: a kept message
+// keeps its chunks (8 KB each) alive.
+func Carve(s *Spec, n, room int, ptrs bool) (slab []Message, out []*Message, strs []byte) {
 	c, _ := slabPool.Get().(*slabs)
 	if c == nil {
 		c = new(slabs)
 	}
-	slab := carve(&c.msgs, n, msgChunk)
-	out := carve(&c.ptrs, n, ptrChunk)
+	slab = carve(&c.msgs, n, msgChunk)
+	if ptrs {
+		out = carve(&c.ptrs, n, ptrChunk)
+	}
+	if room > 0 {
+		strs = carve(&c.strs, room, strChunk)
+	}
 	nw := s.wideWords
 	var wide []uint64
 	if nw > 0 {
@@ -143,28 +166,41 @@ func NewMessages(s *Spec, n int) []*Message {
 	for i := range slab {
 		slab[i].spec = s
 		if nw > 0 {
-			slab[i].wide = wide[i*nw : (i+1)*nw : (i+1)*nw]
+			slab[i].ext = unsafe.Pointer(&wide[i*nw])
 		}
-		out[i] = &slab[i]
+		if ptrs {
+			out[i] = &slab[i]
+		}
 	}
+	return slab, out, strs
+}
+
+// NewMessages returns n empty messages for s, carved as Carve carves
+// them.
+func NewMessages(s *Spec, n int) []*Message {
+	_, out, _ := Carve(s, n, 0, true)
 	return out
 }
 
 // Spec returns the spec this message was decoded against.
 func (m *Message) Spec() *Spec { return m.spec }
 
+// block returns a wide spec's out-of-line words: bit words, field
+// words, then as many words as the string bytes take.
+func (m *Message) block(n int) []uint64 { return unsafe.Slice((*uint64)(m.ext), n) }
+
 // mask returns the message's bit vector.
 func (m *Message) mask() []uint64 {
-	if m.wide != nil {
-		return m.wide[:m.spec.maskWords]
+	if s := m.spec; s.wideWords > 0 {
+		return m.block(s.maskWords)
 	}
 	return m.bits[:]
 }
 
 // fields returns the message's field words, indexed by subscribable index.
 func (m *Message) fields() []uint64 {
-	if m.wide != nil {
-		return m.wide[m.spec.maskWords:]
+	if s := m.spec; s.wideWords > 0 {
+		return m.block(s.wideWords)[s.maskWords:]
 	}
 	return m.words[:len(m.spec.subscribable)]
 }
@@ -172,7 +208,9 @@ func (m *Message) fields() []uint64 {
 // Reset clears all fields so the message can be reused across packets.
 func (m *Message) Reset() {
 	clear(m.mask())
-	m.strs = ""
+	if m.spec.wideWords == 0 {
+		m.ext = nil
+	}
 }
 
 // MarkHeader sets the validity bit of the named header — what the packet
@@ -260,9 +298,9 @@ func (m *Message) SetIndex(idx int, v Value) {
 }
 
 // putStr makes s the bytes of string field idx and returns the field's
-// word. The backing string is rebuilt from the other string fields that
-// are present, so overwriting a field does not grow it; a message's only
-// string is kept as it is, not copied.
+// word. The string bytes are rebuilt from the other string fields that
+// are present, so overwriting a field does not grow them; a narrow
+// message's only string is kept as it is, not copied.
 func (m *Message) putStr(idx int, s string) uint64 {
 	keep, fields := "", m.fields()
 	for j, str := range m.spec.subString {
@@ -272,39 +310,80 @@ func (m *Message) putStr(idx int, s string) uint64 {
 			keep += old
 		}
 	}
-	m.strs = keep + s
+	m.setStrs(keep + s)
 	return StrWord(len(keep), len(s))
 }
 
+// setStrs makes b the message's string bytes. A narrow message points at
+// b; a wide one moves to a fresh block of its words followed by b, so
+// bytes handed out before, in the old block, never change.
+func (m *Message) setStrs(b string) {
+	nw := m.spec.wideWords
+	if nw == 0 {
+		m.ext = strBase(b)
+		return
+	}
+	blk := make([]uint64, nw+(len(b)+7)/8)
+	copy(blk, m.block(nw))
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&blk[0])), 8*len(blk))[8*nw:], b)
+	m.ext = unsafe.Pointer(&blk[0])
+}
+
+// strLen returns how many of the message's string bytes its present
+// string fields refer to: the string bytes end there.
+func (m *Message) strLen() int {
+	n, fields := 0, m.fields()
+	for j, str := range m.spec.subString {
+		if w := fields[j]; str && m.bit(uint(j)) {
+			n = max(n, int(w>>32+w&(1<<32-1)))
+		}
+	}
+	return n
+}
+
 // StrWord is the word of a string field whose n bytes begin at off in
-// the message's backing string.
+// the message's string bytes.
 func StrWord(off, n int) uint64 { return uint64(off)<<32 | uint64(n) }
 
 // str returns the bytes a string field's word refers to.
 func (m *Message) str(w uint64) string {
 	off, n := w>>32, w&(1<<32-1)
-	return m.strs[off : off+n]
+	if n == 0 {
+		return ""
+	}
+	base := m.ext
+	if nw := m.spec.wideWords; nw > 0 {
+		base = unsafe.Add(base, 8*nw)
+	}
+	return strAt(base, off, n)
 }
 
 // Fill is the wire codec's entry point: it ORs bits (presence of the
 // fields the codec is about to store, and their header's validity, laid
-// out as the message's own bit vector) into the message, appends strs to
-// the message's backing string (a message with none yet takes strs as it
-// is, uncopied), and returns the field words for the codec to store into
-// together with the offset strs begins at, which the codec adds to the
-// offsets it passes to StrWord. Bytes of a header decoded earlier stay
-// where they are, until Reset drops them all.
-func (m *Message) Fill(bits []uint64, strs string) (fields []uint64, base int) {
+// out as the message's own bit vector) into the message, appends strs —
+// the header's string bytes, which the caller has written and never
+// writes again — to the message's string bytes, and returns the field
+// words for the codec to store into together with the offset strs begins
+// at, which the codec adds to the offsets it passes to StrWord. A narrow
+// message with no string bytes yet takes strs as they are, uncopied;
+// otherwise the bytes are copied behind the ones the message holds,
+// which stay where they are, until Reset drops them all.
+func (m *Message) Fill(bits []uint64, strs []byte) (fields []uint64, base int) {
+	if len(strs) > 0 {
+		if m.ext == nil {
+			m.ext = unsafe.Pointer(&strs[0])
+		} else {
+			base = m.strLen()
+			m.setStrs(m.str(StrWord(0, base)) + string(strs))
+		}
+	}
+	if m.spec.wideWords == 0 {
+		m.bits[0] |= bits[0]
+		return m.words[:len(m.spec.subscribable)], base
+	}
 	mask := m.mask()
 	for i, b := range bits {
 		mask[i] |= b
-	}
-	switch {
-	case m.strs == "":
-		m.strs = strs
-	case strs != "":
-		base = len(m.strs)
-		m.strs += strs
 	}
 	return m.fields(), base
 }
@@ -335,13 +414,13 @@ func (m *Message) GetRef(ref string) (Value, bool) {
 	return m.Get(idx)
 }
 
-// Clone returns an independent copy of the message. The copy shares the
-// original's backing string, which is immutable.
+// Clone returns an independent copy of the message. A narrow copy shares
+// the original's string bytes, which are immutable.
 func (m *Message) Clone() *Message {
 	c := new(Message)
 	*c = *m
-	if m.wide != nil {
-		c.wide = append([]uint64(nil), m.wide...)
+	if nw := m.spec.wideWords; nw > 0 {
+		c.ext = unsafe.Pointer(&append([]uint64(nil), m.block(nw+(m.strLen()+7)/8)...)[0])
 	}
 	return c
 }
