@@ -138,10 +138,9 @@ bench-report:
 ## frames against 1 allocation per frame (the frame), so a value map or
 ## boxed field returning to an encoder fails. The fabric wire loop
 ## (FabricBatch: 256 frames decoded and published through the 20-switch
-## netsim per op) self-enforces at most frames/8 + 3 allocs/op — the
-## decode chunks' refills plus the three result slices of one
-## PublishBatch — so an allocation per frame, hop or delivery cannot hide
-## inside the 2x ratio. BenchmarkCoverChurn also self-enforces its ≥2×
+## netsim per op) self-enforces at most frames/8 allocs/op — the decode
+## chunks' refills; PublishBatch reuses the Sim's Results — so an
+## allocation per frame, hop or delivery cannot hide inside the 2x ratio. BenchmarkCoverChurn also self-enforces its ≥2×
 ## entry-reduction bar.
 perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkCompileINT1k$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \

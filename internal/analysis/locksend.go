@@ -9,7 +9,8 @@ import (
 // LockSendAnalyzer flags blocking fan-out while holding a mutex:
 // channel sends and calls to the dataplane's batch entry points
 // (Switch.ProcessBatch, Switch.ProcessBatchInto, and the simulator's
-// Sim.PublishBatch, which makes one such call per switch per wave)
+// Sim.PublishBatch and Sim.PublishBatchInto, which make one such call
+// per switch per wave)
 // executed between a sync.Mutex/RWMutex Lock (or RLock) and its Unlock.
 // Both can block for an unbounded time — a send until a receiver
 // arrives, a batch until the switch lock comes free and its packets have
@@ -193,6 +194,7 @@ var fanOutMethods = map[string]struct{ pkg, recv string }{
 	"ProcessBatch":     {pipelinePath, "Switch"},
 	"ProcessBatchInto": {pipelinePath, "Switch"},
 	"PublishBatch":     {"camus/internal/netsim", "Sim"},
+	"PublishBatchInto": {"camus/internal/netsim", "Sim"},
 }
 
 // checkBlockingExpr reports fan-out calls nested anywhere in an

@@ -93,6 +93,12 @@ func (q *queue) publishLocked(sim *netsim.Sim, pubs []netsim.Publication) int {
 	return len(out)
 }
 
+func (q *queue) publishIntoLocked(sim *netsim.Sim, res *netsim.Results, pubs []netsim.Publication) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(sim.PublishBatchInto(res, pubs)) // want `PublishBatchInto fan-out while holding q\.mu`
+}
+
 func (q *queue) publishUnlocked(sim *netsim.Sim, pubs []netsim.Publication) int {
 	q.mu.Lock()
 	q.items = q.items[:0]

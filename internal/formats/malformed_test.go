@@ -219,9 +219,10 @@ func TestDecodeIntoForeignSpec(t *testing.T) {
 // only in a benchmark: per order a 64-byte message, an 8-byte pointer
 // slot and the 8 stock bytes, per report the message alone, within the
 // rounding of the 8 KB chunks they are carved from: 127 messages take
-// 8128 bytes of an 8192-byte object, a frame of n messages refills the
-// chunk with up to n−1 of them unused, and a collection may drop the
-// pool's partly used chunks (three, one of each kind, are allowed for).
+// 8128 bytes of an 8192-byte object, a frame whose messages overrun a
+// chunk's tail carves that tail before it refills (no message slot goes
+// unused), and a collection may drop the pool's partly used chunks
+// (three, one of each kind, are allowed for).
 // Encoding any frame: the frame.
 func TestDecodeAllocs(t *testing.T) {
 	orders := eightOrders()
@@ -250,15 +251,15 @@ func TestDecodeAllocs(t *testing.T) {
 			t.Errorf("DecodeINT: %v allocations, want 0", n)
 		}
 		for _, tc := range []struct {
-			name         string
-			frames, msgs int
-			decode       func()
-			want         float64
+			name   string
+			frames int
+			decode func()
+			want   float64
 		}{
-			{"DecodeITCHFeed(8 orders)", 8192, 8, decodeITCH, 8 * (64 + 8 + 8)},
-			{"DecodeINT", 16384, 1, decodeINT, 64},
+			{"DecodeITCHFeed(8 orders)", 8192, decodeITCH, 8 * (64 + 8 + 8)},
+			{"DecodeINT", 16384, decodeINT, 64},
 		} {
-			most := tc.want*(1+float64(tc.msgs-1)/127)*8192/8128 + 3*8192/float64(tc.frames)
+			most := tc.want*8192/8128 + 3*8192/float64(tc.frames)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for range tc.frames {

@@ -38,9 +38,9 @@ func batchWorkload(t *testing.T, seed int64, n int) ([][]subscription.Expr, []Pu
 	return subs, pubs
 }
 
-// TestPublishBatchDeterminism: PublishBatch is
-// byte-identical to the seed's sequential Publish loop — same
-// deliveries, same order, same latencies, same traffic counters.
+// TestPublishBatchDeterminism: a batch is byte-identical to the seed's
+// sequential Publish loop — same deliveries, same order, same latencies,
+// same traffic counters.
 func TestPublishBatchDeterminism(t *testing.T) {
 	subs, pubs := batchWorkload(t, 11, 80)
 	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
@@ -52,10 +52,11 @@ func TestPublishBatchDeterminism(t *testing.T) {
 	}
 
 	batch := deploy(t, subs, opts)
-	got := batch.PublishBatch(pubs)
+	var res Results
+	got := batch.PublishBatchInto(&res, pubs)
 
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("PublishBatch differs from sequential Publish")
+		t.Fatal("PublishBatchInto differs from sequential Publish")
 	}
 	if wt, gt := seq.Traffic(), batch.Traffic(); !reflect.DeepEqual(wt, gt) {
 		t.Errorf("traffic diverged: sequential %+v, batch %+v", wt, gt)
@@ -63,8 +64,8 @@ func TestPublishBatchDeterminism(t *testing.T) {
 }
 
 // TestPublishBatchParallel: with several goroutines publishing side by
-// side — each batch in a wave scratch of its own, runs that meet on a
-// switch shard waiting for it — the delivery SETS per publication are
+// side — each batch in a wave scratch and a Results of its own, runs
+// that meet on a switch waiting for it — the delivery SETS per publication are
 // exact (same hosts, same messages, same hop counts); only round-robin
 // path choice may differ. Runs under -race in the tier-1 gate, which is
 // what verifies switch/sim concurrency safety.
@@ -89,7 +90,7 @@ func TestPublishBatchParallel(t *testing.T) {
 			defer wg.Done()
 			for i := lo; i < hi; i += 10 {
 				j := min(i+10, hi)
-				copy(got[i:j], par.PublishBatch(pubs[i:j]))
+				copy(got[i:j], par.PublishBatchInto(new(Results), pubs[i:j]))
 			}
 		}()
 	}
@@ -126,5 +127,147 @@ func TestPublishBatchParallel(t *testing.T) {
 	}
 	if wl != gl {
 		t.Errorf("total link packets: %d vs %d", wl, gl)
+	}
+}
+
+// cloneResults deep-copies a batch's results out of the Results they
+// live in.
+func cloneResults(out [][]HostDelivery) [][]HostDelivery {
+	c := make([][]HostDelivery, len(out))
+	for i, ds := range out {
+		for _, d := range ds {
+			d.Msgs = append([]*spec.Message(nil), d.Msgs...)
+			c[i] = append(c[i], d)
+		}
+	}
+	return c
+}
+
+// sequential publishes pubs one by one on a fresh deployment, the
+// heap-fresh reference the batch contract tests compare against.
+func sequential(t *testing.T, subs [][]subscription.Expr, opts controller.Options, pubs []Publication) [][]HostDelivery {
+	t.Helper()
+	seq := deploy(t, subs, opts)
+	want := make([][]HostDelivery, len(pubs))
+	for i, p := range pubs {
+		want[i] = seq.PublishFlow(p.Host, p.Msgs, p.Bytes, p.Flow)
+	}
+	return want
+}
+
+// TestPublishBatchRecycles: PublishBatch lays its results out in the
+// Sim's own Results, so a second call recycles the first call's index,
+// deliveries and message pointers, and what the first call returned now
+// reads the second batch.
+func TestPublishBatchRecycles(t *testing.T) {
+	subs, pubs := batchWorkload(t, 17, 64)
+	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
+	sim := deploy(t, subs, opts)
+	first := sim.PublishBatch(pubs[:32])
+	if len(first) != 32 {
+		t.Fatalf("%d results for 32 publications", len(first))
+	}
+	second := sim.PublishBatch(pubs[32:])
+	if &first[0] != &second[0] {
+		t.Fatal("the second PublishBatch did not recycle the first call's index")
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("the first call's results do not read the second batch")
+	}
+	want := sequential(t, subs, opts, pubs)
+	if !reflect.DeepEqual(cloneResults(second), want[32:]) {
+		t.Fatal("second PublishBatch differs from sequential Publish")
+	}
+	if st := sim.Traffic(); st.BatchFallbacks != 0 {
+		t.Fatalf("uncontended batches counted as fallbacks: %+v", st)
+	}
+}
+
+// TestPublishBatchIntoKeepsBoth: results laid out in two Results both
+// stay valid, whatever the other one is used for.
+func TestPublishBatchIntoKeepsBoth(t *testing.T) {
+	subs, pubs := batchWorkload(t, 19, 96)
+	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
+	want := sequential(t, subs, opts, pubs)
+	sim := deploy(t, subs, opts)
+	var a, b Results
+	gotA := sim.PublishBatchInto(&a, pubs[:48])
+	gotB := sim.PublishBatchInto(&b, pubs[48:])
+	sim.PublishBatch(pubs) // the Sim's own Results touch neither
+	if !reflect.DeepEqual(gotA, want[:48]) {
+		t.Error("first Results lost its batch")
+	}
+	if !reflect.DeepEqual(gotB, want[48:]) {
+		t.Error("second Results lost its batch")
+	}
+}
+
+// TestPublishSurvivesBatches: Publish and PublishFlow results are
+// heap-fresh, unchanged by any later batch.
+func TestPublishSurvivesBatches(t *testing.T) {
+	subs, pubs := batchWorkload(t, 23, 64)
+	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
+	sim := deploy(t, subs, opts)
+	kept := make([][]HostDelivery, len(pubs))
+	for i, p := range pubs {
+		kept[i] = sim.PublishFlow(p.Host, p.Msgs, p.Bytes, p.Flow)
+	}
+	want := cloneResults(kept)
+	delivered := 0
+	for _, ds := range want {
+		delivered += len(ds)
+	}
+	if delivered == 0 {
+		t.Fatal("workload delivered nothing")
+	}
+	var res Results
+	for range 3 {
+		sim.PublishBatch(pubs)
+		sim.PublishBatchInto(&res, pubs)
+	}
+	if !reflect.DeepEqual(cloneResults(kept), want) {
+		t.Fatal("a later batch changed what Publish returned")
+	}
+}
+
+// TestPublishBatchFallbackCounted: a PublishBatch that finds the Sim's
+// own Results in use lays its deliveries out in a fresh one — the
+// degraded mode of the batch entry point — and says so in Traffic();
+// its deliveries are those of an uncontended call, and the busy caller's
+// results are left alone.
+func TestPublishBatchFallbackCounted(t *testing.T) {
+	subs, pubs := batchWorkload(t, 29, 16)
+	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
+	sim := deploy(t, subs, opts)
+	held := sim.PublishBatch(pubs[:8])
+	want := cloneResults(held)
+	if st := sim.Traffic(); st.BatchFallbacks != 0 {
+		t.Fatalf("an uncontended batch counted as a fallback: %+v", st)
+	}
+	// Another caller is mid-batch: it holds the Sim's Results.
+	locked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sim.batch.mu.Lock()
+		close(locked)
+		<-release
+		sim.batch.mu.Unlock()
+	}()
+	<-locked
+	got := sim.PublishBatch(pubs[8:])
+	close(release)
+	<-done
+	if &got[0] == &held[0] {
+		t.Fatal("the fallback recycled the busy Results")
+	}
+	if !reflect.DeepEqual(cloneResults(held), want) {
+		t.Fatal("the fallback changed the busy caller's results")
+	}
+	if ref := sequential(t, subs, opts, pubs); !reflect.DeepEqual(cloneResults(got), ref[8:]) {
+		t.Fatalf("fallback delivered %+v, sequential %+v", got, ref[8:])
+	}
+	if st := sim.Traffic(); st.BatchFallbacks != 1 {
+		t.Fatalf("traffic after one fallback = %+v", st)
 	}
 }

@@ -64,6 +64,7 @@ func TestHotSwapEpochConsistency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var res Results
 			for {
 				select {
 				case <-stop:
@@ -74,7 +75,7 @@ func TestHotSwapEpochConsistency(t *testing.T) {
 				for i := range pubs {
 					pubs[i] = Publication{Host: 12, Msgs: []*spec.Message{msg("GOOGL", 10, 1)}, Bytes: 64}
 				}
-				out := sim.PublishBatch(pubs)
+				out := sim.PublishBatchInto(&res, pubs)
 				mu.Lock()
 				for _, ds := range out {
 					sets = append(sets, deliverySet(ds))
@@ -312,6 +313,7 @@ func runChurnMode(t *testing.T, events int, seed int64, coverHeavy bool, validat
 	go func() {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(seed + 1))
+		var res Results
 		for {
 			select {
 			case <-stop:
@@ -326,7 +328,7 @@ func runChurnMode(t *testing.T, events int, seed int64, coverHeavy bool, validat
 					Bytes: 64,
 				}
 			}
-			sim.PublishBatch(pubs)
+			sim.PublishBatchInto(&res, pubs)
 		}
 	}()
 

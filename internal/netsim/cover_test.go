@@ -128,6 +128,7 @@ func TestUncoverEpochConsistency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var res Results
 			for {
 				select {
 				case <-stop:
@@ -138,7 +139,7 @@ func TestUncoverEpochConsistency(t *testing.T) {
 				for i := range pubs {
 					pubs[i] = Publication{Host: 12, Msgs: []*spec.Message{msg("GOOGL", 600, 1)}, Bytes: 64}
 				}
-				out := sim.PublishBatch(pubs)
+				out := sim.PublishBatchInto(&res, pubs)
 				mu.Lock()
 				for _, ds := range out {
 					sets = append(sets, deliverySet(ds))

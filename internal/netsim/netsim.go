@@ -8,11 +8,13 @@
 //
 // The simulator is concurrency-safe: traffic counters and the
 // round-robin up-port pointers are atomics, the pipeline switches are
-// themselves concurrent, and each PublishBatch call works in a wave
-// scratch of its own, so goroutines may publish side by side and
-// beside Install. What a call recycles is that scratch (queues, packet
-// slab, per-switch pipeline.Results, message arena); what it hands back
-// is heap-fresh and the caller's to keep.
+// themselves concurrent, and each batch works in a wave scratch of its
+// own, so goroutines may publish side by side and beside Install. The
+// results follow pipeline's contract: PublishBatchInto lays a batch's
+// deliveries out in a caller-owned Results, valid until that Results is
+// passed again; PublishBatch uses the Sim's own Results, recycled by the
+// next PublishBatch; Publish and PublishFlow return heap-fresh results
+// the caller may keep.
 package netsim
 
 import (
@@ -49,6 +51,9 @@ type TrafficStats struct {
 	Dropped int64
 	// Looped counts packets killed by the hop limit (must stay 0).
 	Looped int64
+	// BatchFallbacks counts PublishBatch calls that found the Sim's
+	// Results busy and laid their deliveries out in a fresh one.
+	BatchFallbacks int64
 }
 
 // numLayers sizes the per-layer counter block (ToR, Agg, Core).
@@ -60,14 +65,16 @@ type trafficCounters struct {
 	corePackets atomic.Int64
 	dropped     atomic.Int64
 	looped      atomic.Int64
+	fallbacks   atomic.Int64
 }
 
 func (t *trafficCounters) snapshot() TrafficStats {
 	out := TrafficStats{
-		LinkPackets: make(map[topology.Layer]int64, numLayers),
-		CorePackets: t.corePackets.Load(),
-		Dropped:     t.dropped.Load(),
-		Looped:      t.looped.Load(),
+		LinkPackets:    make(map[topology.Layer]int64, numLayers),
+		CorePackets:    t.corePackets.Load(),
+		Dropped:        t.dropped.Load(),
+		Looped:         t.looped.Load(),
+		BatchFallbacks: t.fallbacks.Load(),
 	}
 	for l := 0; l < numLayers; l++ {
 		if n := t.linkPackets[l].Load(); n != 0 {
@@ -108,6 +115,15 @@ type Sim struct {
 	// back, so concurrent publishers neither serialize nor share buffers.
 	freeMu sync.Mutex
 	free   []*waveScratch
+
+	// batch is the Sim-owned Results PublishBatch lays its deliveries out
+	// in. A call that finds it busy falls back to a fresh Results, as
+	// pipeline's ProcessBatch does, rather than recycle a concurrent
+	// caller's unread results or queue behind its whole batch.
+	batch struct {
+		mu  sync.Mutex
+		res Results
+	}
 }
 
 // New builds a simulator from a deployment.
@@ -165,16 +181,53 @@ func (s *Sim) Publish(host int, msgs []*spec.Message, bytes int) []HostDelivery 
 }
 
 // PublishFlow is Publish with an explicit flow identity for ECMP path
-// selection (flow 0 hashes from the publisher): a batch of one.
+// selection (flow 0 hashes from the publisher): a batch of one, laid out
+// in a Results of its own, so what it returns is heap-fresh and the
+// caller's to keep.
 func (s *Sim) PublishFlow(host int, msgs []*spec.Message, bytes int, flow uint64) []HostDelivery {
-	return s.PublishBatch([]Publication{{Host: host, Msgs: msgs, Bytes: bytes, Flow: flow}})[0]
+	var res Results
+	return s.PublishBatchInto(&res, []Publication{{Host: host, Msgs: msgs, Bytes: bytes, Flow: flow}})[0]
 }
 
-// PublishBatch injects independent publications and returns each one's
-// host deliveries, indexed like pubs — the same deliveries, in the same
-// order, with the same latencies, hops and traffic counts as publishing
-// them one after another. The results are heap-fresh (three allocations
-// per call, whatever the batch size) and stay valid after later calls.
+// Results is the caller-owned output of PublishBatchInto: the
+// per-publication index, the host deliveries and their message
+// pointers. Everything a call returns lives in the Results it was given
+// and is valid until that Results is passed to PublishBatchInto again.
+// Its slices grow to the largest batch seen and are never shrunk. The
+// zero value is ready to use; a Results must not be shared by
+// concurrent calls.
+type Results struct {
+	out  [][]HostDelivery
+	dels []HostDelivery
+	msgs []*spec.Message
+}
+
+// PublishBatch is PublishBatchInto on the Sim's own Results.
+//
+// Reuse contract: the returned slices are recycled by the *next*
+// PublishBatch call from any goroutine — results are valid until then.
+// Concurrent PublishBatch calls are safe: a call that finds the Sim's
+// Results in use lays its deliveries out in a fresh one (counted in
+// TrafficStats.BatchFallbacks), whose results are the caller's alone.
+// Goroutines that publish side by side and read or keep what they get
+// should each bring their own Results to PublishBatchInto.
+func (s *Sim) PublishBatch(pubs []Publication) [][]HostDelivery {
+	b := &s.batch
+	if !b.mu.TryLock() {
+		s.traffic.fallbacks.Add(1)
+		return s.PublishBatchInto(new(Results), pubs)
+	}
+	defer b.mu.Unlock()
+	return s.PublishBatchInto(&b.res, pubs)
+}
+
+// PublishBatchInto injects independent publications and returns each
+// one's host deliveries, indexed like pubs and laid out in res (see
+// Results for their lifetime) — the same deliveries, in the same order,
+// with the same latencies, hops and traffic counts as publishing them
+// one after another. Safe for concurrent use with distinct Results; once
+// res and the wave scratch have grown to the batch, a call allocates
+// nothing.
 //
 // The batch advances in waves, one per hop level: a wave groups the
 // packets in flight by the switch they stand at, hands each switch its
@@ -187,7 +240,7 @@ func (s *Sim) PublishFlow(host int, msgs []*spec.Message, bytes int, flow uint64
 // h+1, where a sequential publisher finishes publication i first), which
 // only a stateful program — registers updated by one packet and read by
 // the next within the batch — can observe.
-func (s *Sim) PublishBatch(pubs []Publication) [][]HostDelivery {
+func (s *Sim) PublishBatchInto(res *Results, pubs []Publication) [][]HostDelivery {
 	sc := s.takeScratch()
 	sc.inject(s, pubs)
 	for hop := 0; len(sc.cur) > 0; hop++ {
@@ -201,7 +254,7 @@ func (s *Sim) PublishBatch(pubs []Publication) [][]HostDelivery {
 		sc.cur, sc.next = sc.next, sc.cur[:0]
 	}
 	s.traffic.add(&sc.tally)
-	out := sc.deliveries(len(pubs))
+	out := sc.deliveries(res, len(pubs))
 	s.putScratch(sc)
 	return out
 }
@@ -243,8 +296,9 @@ func (t *trafficCounters) add(d *trafficTally) {
 	t.looped.Add(d.looped)
 }
 
-// waveScratch is everything one PublishBatch call recycles. Nothing in
-// it outlives the call: deliveries() copies what the caller keeps.
+// waveScratch is everything one PublishBatchInto call recycles. Nothing
+// in it outlives the call: deliveries() copies what the caller reads into
+// its Results.
 type waveScratch struct {
 	cur, next []inFlight
 	// The current wave by switch: active lists the switches with packets,
@@ -423,16 +477,14 @@ func (s *Sim) resolvePort(tsw *topology.Switch, port int, f *inFlight) (topology
 
 // deliveries lays the batch's host hits out by publication — a stable
 // counting sort, so each publication keeps wave-then-queue order — into
-// one exact-size delivery slice and one message slice, both fresh.
-func (sc *waveScratch) deliveries(pubs int) [][]HostDelivery {
-	out := make([][]HostDelivery, pubs)
+// res: the index, one delivery slice and one message slice.
+func (sc *waveScratch) deliveries(res *Results, pubs int) [][]HostDelivery {
+	out := resize(&res.out, pubs)
+	clear(out)
 	if len(sc.hits) == 0 {
 		return out
 	}
-	if cap(sc.first) < pubs+1 {
-		sc.first = make([]int32, pubs+1)
-	}
-	first := sc.first[:pubs+1]
+	first := resize(&sc.first, pubs+1)
 	clear(first)
 	msgs := 0
 	for i := range sc.hits {
@@ -442,7 +494,7 @@ func (sc *waveScratch) deliveries(pubs int) [][]HostDelivery {
 	for p := 0; p < pubs; p++ {
 		first[p+1] += first[p]
 	}
-	flat := make([]HostDelivery, len(sc.hits))
+	flat := resize(&res.dels, len(sc.hits))
 	for p := 0; p < pubs; p++ {
 		if lo, hi := first[p], first[p+1]; lo < hi {
 			out[p] = flat[lo:hi:hi]
@@ -454,10 +506,19 @@ func (sc *waveScratch) deliveries(pubs int) [][]HostDelivery {
 		flat[first[h.pub]] = h.HostDelivery
 		first[h.pub]++
 	}
-	kept := make([]*spec.Message, msgs)
+	kept := resize(&res.msgs, msgs)
 	for i := range flat {
 		c := copy(kept, flat[i].Msgs)
 		flat[i].Msgs, kept = kept[:c:c], kept[c:]
 	}
 	return out
+}
+
+// resize returns the first n elements of *buf, capped at n, growing its
+// backing array only when it is too short.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n:n]
 }

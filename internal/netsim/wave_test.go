@@ -129,15 +129,17 @@ func sameDeliveries(a, b []HostDelivery) bool {
 }
 
 // assertWaveMatchesRef publishes the batches through wave's engine,
-// retaining every batch's results, and only then replays the same
-// publications one by one through refPublish on ref and compares: a
-// result recycled by a later batch, or by a later wave of its own batch,
-// shows up as a divergence from the heap-fresh reference.
+// each into a Results of its own so every batch's results are retained,
+// and only then replays the same publications one by one through
+// refPublish on ref and compares: a result recycled by a later wave of
+// its own batch, or a Results written by another batch, shows up as a
+// divergence from the heap-fresh reference.
 func assertWaveMatchesRef(t *testing.T, wave, ref *Sim, batches [][]Publication) {
 	t.Helper()
+	res := make([]Results, len(batches))
 	got := make([][][]HostDelivery, len(batches))
 	for b, pubs := range batches {
-		got[b] = wave.PublishBatch(pubs)
+		got[b] = wave.PublishBatchInto(&res[b], pubs)
 	}
 	delivered := 0
 	for b, pubs := range batches {
@@ -385,8 +387,8 @@ func TestWaveMatchesReferenceLoop(t *testing.T) {
 }
 
 // TestPublishBatchAllocs pins what a publisher allocates once its wave
-// scratch is warm: the three result slices per batch, whatever its size,
-// plus the one-element batch for a single Publish.
+// scratch and the Sim's Results are warm: nothing for a batch, whatever
+// its size, and for a single Publish only its heap-fresh results.
 func TestPublishBatchAllocs(t *testing.T) {
 	net := topology.MustFatTree(4)
 	subs, batches := waveWorkload(t, net, 7)
@@ -395,9 +397,9 @@ func TestPublishBatchAllocs(t *testing.T) {
 	if len(pubs) != 256 {
 		t.Fatalf("batch of %d", len(pubs))
 	}
-	sim.PublishBatch(pubs) // warm the scratch and every switch's Results
-	if got := testing.AllocsPerRun(20, func() { sim.PublishBatch(pubs) }); got > 3 {
-		t.Errorf("256-publication batch: %.1f allocs, want <= 3", got)
+	sim.PublishBatch(pubs) // warm the scratch, every switch's Results and the Sim's
+	if got := testing.AllocsPerRun(20, func() { sim.PublishBatch(pubs) }); got != 0 {
+		t.Errorf("256-publication batch: %.1f allocs, want 0", got)
 	}
 	one := pubs[0]
 	for _, p := range pubs {

@@ -140,7 +140,7 @@ func (c *HeaderCodec) Decode(data []byte, m *spec.Message) ([]byte, error) {
 	}
 	var room []byte
 	if c.strBytes > 0 {
-		_, _, room = spec.Carve(c.Spec, 0, c.strBytes, false)
+		_, room = spec.Carve(c.Spec, 0, c.strBytes)
 	}
 	c.extract(data, m, room)
 	return data[c.size:], nil
@@ -154,9 +154,9 @@ func (c *HeaderCodec) DecodeNew(data []byte, n int) ([]*spec.Message, []byte, er
 	if len(data) < n*c.size {
 		return nil, nil, fmt.Errorf("packet: %d x %s needs %d bytes, have %d", n, c.Header.Name, n*c.size, len(data))
 	}
-	slab, out, strs := spec.Carve(c.Spec, n, n*c.strBytes, true)
-	for i := range slab {
-		c.extract(data[i*c.size:], &slab[i], strs[i*c.strBytes:(i+1)*c.strBytes])
+	out, strs := spec.Carve(c.Spec, n, n*c.strBytes)
+	for i, m := range out {
+		c.extract(data[i*c.size:], m, strs[i*c.strBytes:(i+1)*c.strBytes])
 	}
 	return out, data[n*c.size:], nil
 }
@@ -167,9 +167,9 @@ func (c *HeaderCodec) DecodeOne(data []byte) (*spec.Message, []byte, error) {
 	if len(data) < c.size {
 		return nil, nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, c.size, len(data))
 	}
-	slab, _, strs := spec.Carve(c.Spec, 1, c.strBytes, false)
-	c.extract(data, &slab[0], strs)
-	return &slab[0], data[c.size:], nil
+	m, strs := spec.CarveOne(c.Spec, c.strBytes)
+	c.extract(data, m, strs)
+	return m, data[c.size:], nil
 }
 
 // extract is the one extraction routine: it stores the header at the

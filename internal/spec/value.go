@@ -137,48 +137,83 @@ func carve[T any](free *[]T, n, chunk int) []T {
 	return out
 }
 
-// Carve returns n empty messages of s, room bytes for the caller to
-// write their string bytes into before it hands them out (and gives a
-// message its share through Fill), and with ptrs a pointer to each
-// message, all carved from per-P chunks in one visit to the pool, so a
-// small slab costs no allocation. No memory is handed out twice, so the
-// messages are the caller's to keep and to change like any other. A
-// decoded frame is built this way. The cost is retention: a kept message
-// keeps its chunks (8 KB each) alive.
-func Carve(s *Spec, n, room int, ptrs bool) (slab []Message, out []*Message, strs []byte) {
+// takeSlabs starts a visit to the calling P's slabs; slabPool.Put ends
+// it.
+func takeSlabs() *slabs {
 	c, _ := slabPool.Get().(*slabs)
 	if c == nil {
 		c = new(slabs)
 	}
-	slab = carve(&c.msgs, n, msgChunk)
-	if ptrs {
-		out = carve(&c.ptrs, n, ptrChunk)
-	}
-	if room > 0 {
-		strs = carve(&c.strs, room, strChunk)
-	}
+	return c
+}
+
+// messages fills out with pointers to len(out) empty messages of s. The
+// messages need not be contiguous, so a run that does not fit what is
+// left of the message chunk takes that tail first and the rest from a
+// fresh chunk: no chunk is abandoned with room in it. A wide spec's
+// blocks are one carve.
+func (c *slabs) messages(s *Spec, out []*Message) {
 	nw := s.wideWords
 	var wide []uint64
 	if nw > 0 {
-		wide = carve(&c.wide, n*nw, wideChunk)
+		wide = carve(&c.wide, len(out)*nw, wideChunk)
+	}
+	for done := 0; done < len(out); {
+		if len(c.msgs) == 0 {
+			c.msgs = make([]Message, msgChunk)
+		}
+		k := min(len(out)-done, len(c.msgs))
+		slab := c.msgs[:k:k]
+		c.msgs = c.msgs[k:]
+		for i := range slab {
+			slab[i].spec = s
+			if nw > 0 {
+				slab[i].ext = unsafe.Pointer(&wide[(done+i)*nw])
+			}
+			out[done+i] = &slab[i]
+		}
+		done += k
+	}
+}
+
+// Carve returns n empty messages of s through one carved pointer slice
+// (none for n = 0: string room alone, for a header decoded into a
+// message that already exists), and room bytes for the caller to write
+// their string bytes into before it hands them out (and gives a message
+// its share through Fill), all
+// carved from per-P chunks in one visit to the pool, so a small slab
+// costs no allocation. No memory is handed out twice, so the messages
+// are the caller's to keep and to change like any other. A decoded frame
+// is built this way. The cost is retention: a kept message keeps its
+// chunks (8 KB each) alive.
+func Carve(s *Spec, n, room int) (out []*Message, strs []byte) {
+	c := takeSlabs()
+	out = carve(&c.ptrs, n, ptrChunk)
+	c.messages(s, out)
+	if room > 0 {
+		strs = carve(&c.strs, room, strChunk)
 	}
 	slabPool.Put(c)
-	for i := range slab {
-		slab[i].spec = s
-		if nw > 0 {
-			slab[i].ext = unsafe.Pointer(&wide[i*nw])
-		}
-		if ptrs {
-			out[i] = &slab[i]
-		}
+	return out, strs
+}
+
+// CarveOne is Carve for one message, with no pointer slot to hold it: a
+// decoded report.
+func CarveOne(s *Spec, room int) (m *Message, strs []byte) {
+	c := takeSlabs()
+	var one [1]*Message
+	c.messages(s, one[:])
+	if room > 0 {
+		strs = carve(&c.strs, room, strChunk)
 	}
-	return slab, out, strs
+	slabPool.Put(c)
+	return one[0], strs
 }
 
 // NewMessages returns n empty messages for s, carved as Carve carves
 // them.
 func NewMessages(s *Spec, n int) []*Message {
-	_, out, _ := Carve(s, n, 0, true)
+	out, _ := Carve(s, n, 0)
 	return out
 }
 
