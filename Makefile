@@ -16,10 +16,12 @@ GO ?= go
 check: fmt vet build race churn-soak serve-soak fuzz-smoke prove netcheck fit vet-report-check examples-smoke bench
 
 ## prove: certify the shipped sample rules with the translation
-## validator (camusc prove), in both last-hop and upstream modes.
+## validator (camusc prove), in both last-hop and upstream modes, and
+## the INT telemetry sample, whose program has two parts.
 prove:
 	$(GO) run ./cmd/camusc prove -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules
 	$(GO) run ./cmd/camusc prove -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules -last-hop=false
+	$(GO) run ./cmd/camusc prove -spec cmd/camusc/testdata/int.spec -rules cmd/camusc/testdata/int.rules
 
 ## netcheck: network-wide delivery certification (DESIGN.md §13) of
 ## the shipped rule sets — the itch.rules sample over a fat-tree(4)
@@ -27,7 +29,8 @@ prove:
 ## overshoot, the itchfeed example's subscriptions, and the itch.rules
 ## sample again with subsumption covering enabled on both topologies
 ## (DESIGN.md §14 — the covered tables must deliver identically to the
-## full ones). Every run must certify clean: no black holes, no loops,
+## full ones), and the INT telemetry sample, whose switch programs have
+## two parts. Every run must certify clean: no black holes, no loops,
 ## exact delivery.
 netcheck:
 	$(GO) run ./cmd/camusc netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules
@@ -36,14 +39,17 @@ netcheck:
 	$(GO) run ./cmd/camusc netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itchfeed.rules
 	$(GO) run ./cmd/camusc netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules -covering
 	$(GO) run ./cmd/camusc netcheck -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules -topo mstpp -nodes 24 -covering
+	$(GO) run ./cmd/camusc netcheck -spec cmd/camusc/testdata/int.spec -rules cmd/camusc/testdata/int.rules
 
 ## fit: static pipeline-fit certification (DESIGN.md §15) of the
 ## shipped rule sets — every table must place within the modeled
 ## per-stage SRAM/TCAM/key-width budgets in one pipeline pass, with
-## positive entry headroom. Exit 1 on any overflow finding.
+## positive entry headroom; the INT telemetry sample places each of its
+## two parts' tables. Exit 1 on any overflow finding.
 fit:
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itchfeed.rules
+	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/int.spec -rules cmd/camusc/testdata/int.rules
 
 ## loc: non-test Go lines per package directory and in total, analyzer
 ## testdata excluded — the size figure ROADMAP quotes at every re-anchor.
@@ -109,15 +115,15 @@ bench-report:
 	$(GO) run ./cmd/benchjson -filter 'CtlplaneDaemon|CoverChurn' -out BENCH_ctlplane.json < bench-report.txt
 
 ## perf-guard: the CI allocation guard — run the two canonical
-## compiler benchmarks, the 1000-rule exact+range compile whose merge is
-## a cross product (CompileINT1k, 134k entries — the equality chains of
-## the other compile rows never multiply), the growth law of entries
+## compiler benchmarks, the 1000-rule exact+range compile whose two rule
+## shapes test different fields (CompileINT1k, 8.6k entries in two parts —
+## as one diagram their merge is a cross product of 134k), the growth law of entries
 ## against rule count on disjoint-field Siena filters (CompileSiena: 1–3
 ## predicates × 100/200/400 ITCH filters under the canonical field order
 ## and under declaration order, each row's entries, reachable nodes and
 ## entries ÷ nodes and the fitted log-log slope recorded in the baseline's
-## metrics; its own process — the 2-predicate 400-filter rows peak at
-## 1–1.5 GB resident for ~10 s each), a warm add-one/remove-one on
+## metrics; its own process — as one diagram the 2-predicate 400-filter
+## rows peaked at 1–1.5 GB, in parts the whole sweep takes about a second), a warm add-one/remove-one on
 ## 192 and 10000 live rules (IncrementalChurn), one subscribe+unsubscribe
 ## through the control plane's placement registry with no compile
 ## (Placement: fat-tree(4), TR, 192 live filters — a place key that

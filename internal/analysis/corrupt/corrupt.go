@@ -122,8 +122,7 @@ func (m Mutation) Apply(p *compiler.Program) error {
 	default:
 		return fmt.Errorf("corrupt: unknown op %q", m.Op)
 	}
-	p.Reindex()
-	return nil
+	return p.Reindex()
 }
 
 // leaf returns a copy of leaf row i for the caller to modify and store

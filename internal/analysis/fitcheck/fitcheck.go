@@ -272,32 +272,112 @@ func demandFor(c compiler.TableCost, b Budget) int {
 }
 
 // gather extracts the placement units from a program: one table per
-// stage field plus the leaf pseudo-table.
+// stage field plus the leaf pseudo-table, per part. Each part carries its
+// own BDD-state metadata field and keys its rows on it, so with several
+// parts each part's rows of a stage are a table of their own, named
+// field#k, and so are its leaf rows (Leaf#k); the tables are placed in
+// stage order, part by part within a stage, as one dependency chain
+// (parts could share a stage: the chain is the conservative placement).
+// A block two parts reach is installed in both, and a row no part
+// reaches is installed all the same, with the first part's. The only
+// part of a one-part program holds every row, so its tables are the
+// program's.
 func gather(p *compiler.Program, b Budget) []table {
-	ts := make([]table, 0, len(p.Stages)+1)
+	if len(p.Parts) == 1 {
+		ts := make([]table, 0, len(p.Stages)+1)
+		for _, st := range p.Stages {
+			ts = append(ts, stageTable(st, st.Name(), b))
+		}
+		return append(ts, leafTable(len(p.Leaf), "Leaf", b))
+	}
+	reach := make([]map[compiler.StateID]bool, len(p.Parts))
+	reached := make(map[compiler.StateID]bool)
+	for k, part := range p.Parts {
+		reach[k] = partStates(p, part.Init)
+		for s := range reach[k] {
+			reached[s] = true
+		}
+	}
+	// holds reports whether part k installs the rows of in-state s.
+	holds := func(k int, s compiler.StateID) bool { return reach[k][s] || k == 0 && !reached[s] }
+	ts := make([]table, 0, len(p.Parts)*(len(p.Stages)+1))
 	for _, st := range p.Stages {
-		c := compiler.CostOf(st)
-		ts = append(ts, table{
-			name:   st.Name(),
-			kind:   kindName(st.Kind),
-			cost:   c,
-			extra:  compiler.MaxEntryCost(st),
-			demand: demandFor(c, b),
-		})
+		for k := range p.Parts {
+			sub := &compiler.Table{Field: st.Field, Kind: st.Kind, MapEntries: st.MapEntries,
+				Defaults: make(map[compiler.StateID]compiler.StateID)}
+			for _, e := range st.Entries {
+				if holds(k, e.In) {
+					sub.Entries = append(sub.Entries, e)
+				}
+			}
+			for in, out := range st.Defaults {
+				if holds(k, in) {
+					sub.Defaults[in] = out
+				}
+			}
+			if len(sub.Entries)+len(sub.Defaults) > 0 {
+				ts = append(ts, stageTable(sub, fmt.Sprintf("%s#%d", st.Name(), k), b))
+			}
+		}
 	}
+	for k := range p.Parts {
+		n := 0
+		for _, le := range p.Leaf {
+			if holds(k, le.In) {
+				n++
+			}
+		}
+		ts = append(ts, leafTable(n, fmt.Sprintf("Leaf#%d", k), b))
+	}
+	return ts
+}
+
+// stageTable is the placement unit of one stage table.
+func stageTable(st *compiler.Table, name string, b Budget) table {
+	c := compiler.CostOf(st)
+	return table{
+		name:   name,
+		kind:   kindName(st.Kind),
+		cost:   c,
+		extra:  compiler.MaxEntryCost(st),
+		demand: demandFor(c, b),
+	}
+}
+
+// leafTable is the leaf pseudo-table of n rows.
+func leafTable(n int, name string, b Budget) table {
 	leaf := compiler.TableCost{
-		SRAMBytes: len(p.Leaf) * compiler.LeafEntryBytes,
+		SRAMBytes: n * compiler.LeafEntryBytes,
 		KeyBits:   32, // state metadata only
-		Entries:   len(p.Leaf),
+		Entries:   n,
 	}
-	ts = append(ts, table{
-		name:   "Leaf",
+	return table{
+		name:   name,
 		kind:   "leaf",
 		cost:   leaf,
 		extra:  compiler.TableCost{SRAMBytes: compiler.LeafEntryBytes, KeyBits: 32, Entries: 1},
 		demand: demandFor(leaf, b),
-	})
-	return ts
+	}
+}
+
+// partStates returns the states a walk from init can hold: init, and the
+// out-states and defaults of every entry of a state it holds, stage by
+// stage, with states passing the stages they have no entry in.
+func partStates(p *compiler.Program, init compiler.StateID) map[compiler.StateID]bool {
+	reach := map[compiler.StateID]bool{init: true}
+	for _, st := range p.Stages {
+		for _, e := range st.Entries {
+			if reach[e.In] {
+				reach[e.Out] = true
+			}
+		}
+		for in, out := range st.Defaults {
+			if reach[in] {
+				reach[out] = true
+			}
+		}
+	}
+	return reach
 }
 
 // Analyze computes the stage placement of p under opts.Budget and

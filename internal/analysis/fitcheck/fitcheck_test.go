@@ -334,7 +334,7 @@ func TestHeadroomSoundnessCompiled(t *testing.T) {
 func synthProgram(rng *rand.Rand) *compiler.Program {
 	sp := spec.MustParse("synth", testSpecSrc)
 	nTables := 1 + rng.Intn(4)
-	p := &compiler.Program{Spec: sp}
+	p := &compiler.Program{Spec: sp, Parts: []compiler.Part{{}}}
 	for i := 0; i < nTables; i++ {
 		f := &spec.Field{Header: "h", Name: fmt.Sprintf("f%d", i), Type: spec.IntField, Bits: 32}
 		tab := &compiler.Table{

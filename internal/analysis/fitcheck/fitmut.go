@@ -96,7 +96,9 @@ func (m Mutation) Apply(p *compiler.Program) error {
 				Actions: subscription.ActionSet{Ports: []int{1 << 20, 1<<20 + 1 + i}},
 			})
 		}
-		p.Reindex()
+		if err := p.Reindex(); err != nil {
+			return err
+		}
 	case "widen-field":
 		t, err := m.stage(p)
 		if err != nil {

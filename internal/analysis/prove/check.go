@@ -27,6 +27,9 @@ const (
 	// KindGroupMismatch: a leaf's multicast group does not realize its
 	// port set.
 	KindGroupMismatch = "group-mismatch"
+	// KindPartition: the program's parts do not partition the rules: a
+	// rule in two parts, or a part holding a rule the set lacks.
+	KindPartition = "part-partition"
 	// KindOverflow: a symbolic budget was exhausted; the proof is
 	// partial.
 	KindOverflow = "analysis-overflow"
@@ -87,8 +90,10 @@ func Check(p *Program, rules []*subscription.Rule, opts Options) (*Result, error
 	chk := &checker{p: p, rules: proved, opts: opts, res: res}
 
 	chk.checkGroups()
-	chk.checkMissing()
-	chk.checkSpurious()
+	for _, part := range chk.parts() {
+		part.checkMissing()
+		part.checkSpurious()
+	}
 
 	sort.SliceStable(res.Findings, func(i, j int) bool {
 		if res.Findings[i].RuleID != res.Findings[j].RuleID {

@@ -20,6 +20,10 @@ type pathResult struct {
 // Table.Next exactly: first matching entry wins; a miss takes the
 // stage default; states outside the stage pass through.
 //
+// It walks from the first part's entry state alone: a checker's view of
+// the program holds one part (Program.from), and exploreAll continues
+// the paths through the other parts.
+//
 // Returns the completed paths and whether the budget was exhausted
 // (in which case the path list is partial).
 func (p *Program) explore(c0 *pctx, budget int) ([]pathResult, bool) {
@@ -28,7 +32,7 @@ func (p *Program) explore(c0 *pctx, budget int) ([]pathResult, bool) {
 		state int32
 		c     *pctx
 	}
-	stack := []frame{{0, p.Init, c0}}
+	stack := []frame{{0, p.Parts[0].Init, c0}}
 	var out []pathResult
 	overflow := false
 	for len(stack) > 0 {

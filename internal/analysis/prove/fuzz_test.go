@@ -95,6 +95,11 @@ func FuzzCompileProve(f *testing.F) {
 	f.Add([]byte{3, 2, 4, 3, 1, 2, 1, 0, 5, 1, 2}, true)
 	f.Add([]byte{2, 2, 2, 0, 3, 2, 1, 5, 0, 4, 1, 1, 2, 2, 0, 1}, true)
 	f.Add([]byte{0, 1, 3, 0, 1, 4, 2, 2, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0}, false)
+	// Two rule sets whose programs have two parts (compiler.Program.Parts).
+	f.Add([]byte{0x16, 0x48, 0x99, 0xff, 0xfa, 0x16, 0xeb, 0x32, 0x96, 0xf3, 0x10, 0xe3, 0x2, 0x51, 0x23, 0x52, 0xa8, 0x64, 0xfd, 0x80,
+		0x9b, 0xea, 0xab, 0x41, 0x69, 0x11, 0x30, 0x27, 0xc6, 0xcc, 0xca, 0x99, 0xa9, 0x2c, 0x6c, 0xe3, 0x5c, 0x30, 0xf9, 0x44}, true)
+	f.Add([]byte{0xe3, 0x1e, 0x6, 0x14, 0xf9, 0xe8, 0x14, 0x8e, 0xf9, 0x1e, 0xf1, 0x74, 0xa1, 0xcc, 0x31, 0x7c, 0x7f, 0x41, 0x11, 0x61,
+		0x51, 0x3c, 0xd4, 0x62, 0xc0, 0xf3, 0x8e, 0xb3, 0xff, 0xeb, 0xb, 0x6f, 0x1e, 0x6b, 0xd1, 0x72, 0xea, 0xff, 0x46, 0xf4}, false)
 	f.Fuzz(func(t *testing.T, data []byte, lastHop bool) {
 		src := genRules(data)
 		sp := testSpec(t)

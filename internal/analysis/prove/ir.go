@@ -49,8 +49,10 @@ import (
 // re-expressed with the prover's own value domains.
 type Program struct {
 	Spec *spec.Spec
-	// Init is the pipeline entry state.
-	Init int32
+	// Parts lists each diagram's entry state and rule IDs, at least one
+	// part. Every part walks the same stages, and a packet's outcome is
+	// the union of the leaves the walks reach.
+	Parts []Part
 	// Stages in pipeline order.
 	Stages []*Stage
 	// Leaves are the terminal rows: state → merged action set.
@@ -211,9 +213,23 @@ func (e *Entry) matches(v spec.Value) bool {
 // Eval executes the IR concretely for an assignment — the prover's own
 // software model of the compiled pipeline, used to re-check every
 // symbolic counterexample before it is reported. It returns the merged
-// action set and update keys (empty action set = drop).
+// action set and update keys (empty action set = drop), united over the
+// parts.
 func (p *Program) Eval(a *Assignment) (subscription.ActionSet, []string) {
-	state := p.Init
+	var set subscription.ActionSet
+	var upd []string
+	for _, part := range p.Parts {
+		s, u := p.evalFrom(part.Init, a)
+		set.Merge(s)
+		upd = append(upd, u...)
+	}
+	slices.Sort(upd)
+	return set, slices.Compact(upd)
+}
+
+// evalFrom is Eval of the one walk from state init.
+func (p *Program) evalFrom(init int32, a *Assignment) (subscription.ActionSet, []string) {
+	state := init
 	for _, st := range p.Stages {
 		entries, in := st.byState[state]
 		if !in {
@@ -249,7 +265,10 @@ func (p *Program) Eval(a *Assignment) (subscription.ActionSet, []string) {
 
 // String renders the IR for debugging.
 func (p *Program) String() string {
-	s := fmt.Sprintf("prove IR: init=%d, %d stages, %d leaves\n", p.Init, len(p.Stages), len(p.Leaves))
+	s := fmt.Sprintf("prove IR: init=%d, %d stages, %d leaves\n", p.Parts[0].Init, len(p.Stages), len(p.Leaves))
+	for i, part := range p.Parts {
+		s += fmt.Sprintf("  part %d: init=%d, %d rules\n", i, part.Init, len(part.Rules))
+	}
 	for _, st := range p.Stages {
 		s += fmt.Sprintf("  stage %s: %d entries, %d defaults\n", st.Ref.Key(), len(st.Entries), len(st.Defaults))
 	}

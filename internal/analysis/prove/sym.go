@@ -327,7 +327,8 @@ func (cl *Class) Minus(o *Class, sp *spec.Spec) []*Class {
 }
 
 // SymPath is one terminal symbolic path through a program: the refined
-// class and the merged action set (empty = drop) of the leaf reached.
+// class and the merged action set (empty = drop) of the leaf reached, or
+// of the leaves the parts' walks reached, united.
 type SymPath struct {
 	Class   *Class
 	Actions subscription.ActionSet
@@ -344,7 +345,7 @@ func (p *Program) Explore(cl *Class, budget int) ([]SymPath, bool) {
 	if budget <= 0 {
 		budget = Options{}.withDefaults().MaxPaths
 	}
-	paths, overflow := p.explore(cl.c, budget)
+	paths, overflow := p.exploreAll(cl.c, budget)
 	out := make([]SymPath, 0, len(paths))
 	for _, pr := range paths {
 		sp := SymPath{Class: &Class{c: pr.c, frozen: cl.frozen}}

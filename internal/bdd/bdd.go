@@ -32,13 +32,26 @@ func (n *Node) String() string {
 }
 
 // BDD is a compiled rule set: the variable universe plus the root node of
-// the reduced, ordered, multi-terminal decision diagram.
+// the reduced, ordered, multi-terminal decision diagram — or, for a rule
+// set Engine.MergeParts split, of one diagram per part, whose action sets
+// a message unites.
 type BDD struct {
 	Universe *Universe
-	Root     *Node
+	// Parts lists the diagrams, at least one. A rule set that is one
+	// diagram is one part, whose Rules are nil: it holds every rule.
+	Parts []Part
 	// DroppedRules counts rule disjuncts skipped because their
 	// conjunction was syntactically unsatisfiable.
 	DroppedRules int
+}
+
+// Roots returns every part's root.
+func (d *BDD) Roots() []*Node {
+	roots := make([]*Node, len(d.Parts))
+	for i, p := range d.Parts {
+		roots[i] = p.Root
+	}
+	return roots
 }
 
 // Options configure BDD construction.
@@ -511,21 +524,29 @@ func restrict(id int32, n node, pred int32, outcome bool) int32 {
 
 // Eval walks the diagram for a message, returning the merged action set —
 // semantically identical to brute-force rule evaluation, in at most one
-// predicate test per node on a single root-to-terminal path.
+// predicate test per node on a single root-to-terminal path per part.
 func (d *BDD) Eval(m *spec.Message, st subscription.StateReader) subscription.ActionSet {
-	n := d.Root
-	for !n.IsTerminal() {
-		if n.Pred.Eval(m, st) {
-			n = n.Hi
+	var acts subscription.ActionSet
+	for i, n := range d.Roots() {
+		for !n.IsTerminal() {
+			if n.Pred.Eval(m, st) {
+				n = n.Hi
+			} else {
+				n = n.Lo
+			}
+		}
+		if i == 0 {
+			acts = n.Actions
 		} else {
-			n = n.Lo
+			acts = acts.Clone()
+			acts.Merge(n.Actions)
 		}
 	}
-	return n.Actions
+	return acts
 }
 
-// Reachable returns all nodes reachable from the root, in a deterministic
-// (DFS preorder, hi before lo) order.
+// Reachable returns all nodes reachable from the roots, in a deterministic
+// (DFS preorder, hi before lo, part by part) order.
 func (d *BDD) Reachable() []*Node {
 	var out []*Node
 	var seen []bool // by node ID
@@ -544,7 +565,9 @@ func (d *BDD) Reachable() []*Node {
 			walk(n.Lo)
 		}
 	}
-	walk(d.Root)
+	for _, r := range d.Roots() {
+		walk(r)
+	}
 	return out
 }
 

@@ -134,9 +134,9 @@ func TestComputedTableLossless(t *testing.T) {
 			}
 			for i := range wantDs {
 				g, w := gotDs[i].Reachable(), wantDs[i].Reachable()
-				if gotDs[i].Root.ID != wantDs[i].Root.ID || !slices.EqualFunc(g, w, sameNode) {
+				if gotDs[i].Parts[0].Root.ID != wantDs[i].Parts[0].Root.ID || !slices.EqualFunc(g, w, sameNode) {
 					t.Fatalf("merge %d: root %d reaching %d nodes, want root %d reaching %d",
-						i, gotDs[i].Root.ID, len(g), wantDs[i].Root.ID, len(w))
+						i, gotDs[i].Parts[0].Root.ID, len(g), wantDs[i].Parts[0].Root.ID, len(w))
 				}
 			}
 			if gm, wm := got.b.memo.len(), want.b.memo.len(); gm != wm {

@@ -38,12 +38,24 @@ type Engine struct {
 	// place) and the chain IDs already on it.
 	merging []int32
 	seen    map[int32]struct{}
+	// trial is the builder MergeParts decides the parts in (parts.go): a
+	// second node store over the same universe, so that the diagrams it
+	// tries and rejects leave no node, and no node ID, in b. It is made
+	// when a rule set first has two groups.
+	trial *trialBuilder
+	opts  Options
 }
 
-// ruleChain is one satisfiable disjunct of a live rule: its chain node.
+// ruleChain is one satisfiable disjunct of a live rule: its chain node,
+// the fields it tests, and the disjunct itself, which the trial builder
+// chains again when a part decision first needs it.
 type ruleChain struct {
-	rule  int
-	chain int32
+	rule   int
+	chain  int32
+	fields fieldSet
+	nr     subscription.NormalizedRule
+	// trial is the chain's node in the trial builder, -1 until built.
+	trial int32
 }
 
 // NewEngine creates an empty incremental engine for a spec. Its universe
@@ -63,6 +75,7 @@ func NewEngine(sp *spec.Spec, opts Options) *Engine {
 		b:       b,
 		dropped: make(map[int]int),
 		seen:    make(map[int32]struct{}),
+		opts:    opts,
 	}
 }
 
@@ -92,7 +105,8 @@ func (e *Engine) Add(rules ...subscription.NormalizedRule) (err error) {
 		if at > 0 && e.live[at-1].rule > nr.RuleID {
 			at = e.search(nr.RuleID + 1)
 		}
-		e.live = slices.Insert(e.live, at, ruleChain{nr.RuleID, chain})
+		rc := ruleChain{rule: nr.RuleID, chain: chain, fields: e.fieldsOf(nr), nr: nr, trial: -1}
+		e.live = slices.Insert(e.live, at, rc)
 	}
 	return nil
 }
@@ -137,9 +151,20 @@ func (e *Engine) Rules() []int {
 // them staying put across merges.
 func (e *Engine) Merge() (d *BDD, err error) {
 	defer recoverTooLarge(&err)
+	root := e.mergeLive(nil)
+	return &BDD{Universe: e.u, Parts: []Part{{Root: e.materialise(root)}}, DroppedRules: e.ndropped}, nil
+}
+
+// mergeLive merges, in the main builder, the distinct chains of the live
+// disjuncts that keep accepts (every one when keep is nil), in rule-ID
+// order: one balanced merge tree.
+func (e *Engine) mergeLive(keep func(rule int) bool) int32 {
 	chains := e.merging[:0]
 	clear(e.seen)
 	for _, c := range e.live {
+		if keep != nil && !keep(c.rule) {
+			continue
+		}
 		if _, dup := e.seen[c.chain]; dup {
 			continue
 		}
@@ -147,11 +172,15 @@ func (e *Engine) Merge() (d *BDD, err error) {
 		chains = append(chains, c.chain)
 	}
 	e.merging = chains
-	root := e.b.merge(chains)
+	return e.b.merge(chains)
+}
+
+// materialise returns the main builder's node root as a *Node.
+func (e *Engine) materialise(root int32) *Node {
 	if n := len(e.b.nodes); n > len(e.mat) {
 		e.mat = slices.Grow(e.mat, n-len(e.mat))[:n]
 	}
-	return &BDD{Universe: e.u, Root: e.b.materialise(e.mat, root), DroppedRules: e.ndropped}, nil
+	return e.b.materialise(e.mat, root)
 }
 
 // Build is Merge for an engine without a node budget, which cannot fail
@@ -162,10 +191,15 @@ func (e *Engine) Build() *BDD {
 }
 
 // CacheSize reports what the engine retains and never forgets: the nodes
-// it hash-consed and the merge tree's memoized pairs. The lossy computed
-// table is bounded and not counted (for Compact decisions).
+// it hash-consed and the merge tree's memoized pairs, in both builders.
+// The lossy computed tables are bounded and not counted (for Compact
+// decisions).
 func (e *Engine) CacheSize() (nodes, memoEntries int) {
-	return len(e.b.nodes), e.b.memo.len()
+	nodes, memoEntries = len(e.b.nodes), e.b.memo.len()
+	if e.trial != nil {
+		nodes, memoEntries = nodes+len(e.trial.b.nodes), memoEntries+e.trial.b.memo.len()
+	}
+	return nodes, memoEntries
 }
 
 // CacheBytes reports the memory the engine retains across rebuilds,
@@ -178,11 +212,16 @@ func (e *Engine) CacheSize() (nodes, memoEntries int) {
 // with the live rules and not with the batches applied.
 func (e *Engine) CacheBytes() int {
 	b := e.b
-	return cap(b.nodes)*int(unsafe.Sizeof(node{})) +
-		cap(b.terms)*int(unsafe.Sizeof(term{})) +
-		b.uniq.bytes() + b.termByH.bytes() + b.memo.bytes() + b.computed.bytes() + b.termMemo.bytes() +
+	return b.bytes() + e.trial.bytes() +
 		(cap(b.pending)+cap(e.merging))*4 +
 		cap(e.mat)*int(unsafe.Sizeof((*Node)(nil))) +
 		b.materialised*int(unsafe.Sizeof(Node{})) +
 		e.u.cache.bytes()
+}
+
+// bytes is what a builder's node store and tables hold.
+func (b *builder) bytes() int {
+	return cap(b.nodes)*int(unsafe.Sizeof(node{})) +
+		cap(b.terms)*int(unsafe.Sizeof(term{})) +
+		b.uniq.bytes() + b.termByH.bytes() + b.memo.bytes() + b.computed.bytes() + b.termMemo.bytes()
 }

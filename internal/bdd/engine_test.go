@@ -137,8 +137,8 @@ func TestEngineNodeIDStability(t *testing.T) {
 	}
 	e.Remove(99)
 	after := e.Build()
-	if before.Root.ID != after.Root.ID {
-		t.Errorf("root ID changed across add/remove: %d vs %d", before.Root.ID, after.Root.ID)
+	if before.Parts[0].Root.ID != after.Parts[0].Root.ID {
+		t.Errorf("root ID changed across add/remove: %d vs %d", before.Parts[0].Root.ID, after.Parts[0].Root.ID)
 	}
 }
 

@@ -28,6 +28,10 @@ type Options struct {
 	// DisableCompression turns off low-resolution domain mapping
 	// (§V-E #3). Ablation only.
 	DisableCompression bool
+	// OneDiagram compiles every rule set into one diagram, as the paper
+	// does, where the compiler would split rules that test different
+	// fields into parts (bdd.Engine.MergeParts). Ablation only.
+	OneDiagram bool
 	// MaxEntries aborts compilation when a single switch program exceeds
 	// this many table entries (0 = unlimited); a guard against
 	// pathological workloads.
@@ -261,7 +265,9 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 	p := &Program{
 		Spec: d.Universe.Spec,
 		BDD:  d,
-		Init: d.Root.ID,
+	}
+	for _, part := range d.Parts {
+		p.Parts = append(p.Parts, Part{Init: part.Root.ID, Rules: part.Rules})
 	}
 	// In nodes per component: the root (if internal) plus every node
 	// whose parent lies outside its component.
@@ -298,8 +304,10 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 			walk(next)
 		}
 	}
-	addIn(d.Root)
-	walk(d.Root)
+	for _, root := range d.Roots() {
+		addIn(root)
+		walk(root)
+	}
 
 	var delta entryDelta
 	total := 0
@@ -360,10 +368,11 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 		leaves[n.ID] = le
 		p.Leaf[i] = le
 	}
+	if err := p.Reindex(); err != nil {
+		return nil, entryDelta{}, err
+	}
 	delta.removed = em.entries - delta.reused
 	*em = emitter{blocks: blocks, leaves: leaves, entries: delta.added + delta.reused, nodes: len(seen)}
-
-	p.Reindex()
 	return p, delta, nil
 }
 

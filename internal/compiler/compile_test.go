@@ -513,9 +513,11 @@ func BenchmarkCompileSiena(b *testing.B) {
 }
 
 // BenchmarkCompileINT1k compiles the pinned 1000-rule exact+range set
-// (intRangeRules, the bench's int_range shape): 134 k entries out of a
-// cross-product merge, where BenchmarkCompile500 and the root package's
-// Compile10k merge equality chains that never multiply. It builds as
+// (intRangeRules, the bench's int_range shape): two rule shapes on
+// different fields, which compile as two parts of 8.6 k entries — as one
+// diagram their merge is a cross product of 134 k (Options.OneDiagram),
+// where BenchmarkCompile500 and the root package's Compile10k merge
+// equality chains that never multiply. It builds as
 // Compile does, NewIncremental and one Apply, so that it can also report
 // engine-MB: the memory the engine retains after the compile
 // (Incremental.CacheBytes).

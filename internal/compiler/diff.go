@@ -127,12 +127,16 @@ func (p *Program) Canonical() *Program {
 		canon[s] = c
 		return c
 	}
-	get(p.Init)
+	for _, part := range p.Parts {
+		get(part.Init)
+	}
 
 	np := &Program{
 		Spec: p.Spec,
 		BDD:  p.BDD,
-		Init: canon[p.Init],
+	}
+	for _, part := range p.Parts {
+		np.Parts = append(np.Parts, Part{Init: canon[part.Init], Rules: part.Rules})
 	}
 	for _, t := range p.Stages {
 		es := append([]*Entry(nil), t.Entries...)
@@ -171,6 +175,8 @@ func (p *Program) Canonical() *Program {
 	for _, le := range leaf {
 		np.Leaf = append(np.Leaf, &LeafEntry{In: get(le.In), Actions: le.Actions, Updates: le.Updates})
 	}
-	np.Reindex()
+	// np holds p's tables renumbered: Reindex fails on it only where it
+	// fails on p, and then np, like p, has no walk.
+	_ = np.Reindex()
 	return np
 }

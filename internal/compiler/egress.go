@@ -121,10 +121,16 @@ func newEgress(leaves []*LeafEntry) Egress {
 // changes only with Reindex.
 func (p *Program) Egress() *Egress { return &p.walk.egress }
 
-// LeafSlot walks the tables for m, as Lookup does, and returns the leaf
-// slot reached: 0 for drop with no leaf row, s ≥ 1 for Leaf[s-1].
-func (p *Program) LeafSlot(m *spec.Message, st subscription.StateReader) int {
-	return p.walk.lookup(m, st, m.Spec() != p.Spec)
+// Walks returns the number of walks a message takes through the tables:
+// one per part, 1 for a program of one diagram, 0 for one never
+// Reindexed.
+func (p *Program) Walks() int { return len(p.walk.starts) }
+
+// LeafSlot walks the tables for m from part's entry state, as Lookup
+// does, and returns the leaf slot reached: 0 for drop with no leaf row,
+// s ≥ 1 for Leaf[s-1]. part is below Walks().
+func (p *Program) LeafSlot(part int, m *spec.Message, st subscription.StateReader) int {
+	return p.walk.lookup(p.walk.starts[part], m, st, m.Spec() != p.Spec)
 }
 
 // LeafAt returns the leaf row of slot s, nil for slot 0.

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"camus/internal/bdd"
@@ -140,16 +141,21 @@ func (inc *Incremental) CacheSize() (nodes, memoEntries int) { return inc.engine
 func (inc *Incremental) CacheBytes() int { return inc.engine.CacheBytes() }
 
 func (inc *Incremental) finish(start time.Time) (*Update, error) {
-	d, err := inc.engine.Merge()
+	merge := inc.engine.MergeParts
+	if inc.opts.OneDiagram {
+		merge = inc.engine.Merge
+	}
+	d, err := merge()
 	if err != nil {
 		return nil, err
 	}
 	preds := len(d.Universe.Preds)
-	// A batch whose merged diagram is the previous one (a duplicate or
-	// subsumed rule, an add and remove that cancel) changes no entry.
-	// Table kinds depend on the universe's predicates and BDD.DroppedRules
-	// on the live rules' unsatisfiable disjuncts, hence the other two tests.
-	if old := inc.prog; old != nil && d.Root == old.BDD.Root && preds == inc.preds &&
+	// A batch whose merged diagrams are the previous ones (a duplicate or
+	// subsumed rule, an add and remove that cancel) changes no entry, as
+	// long as every rule stays in its part. Table kinds depend on the
+	// universe's predicates and BDD.DroppedRules on the live rules'
+	// unsatisfiable disjuncts, hence the other two tests.
+	if old := inc.prog; old != nil && sameParts(d, old.BDD) && preds == inc.preds &&
 		d.DroppedRules == old.BDD.DroppedRules {
 		return &Update{Program: old, ReusedEntries: inc.em.entries, Elapsed: time.Since(start)}, nil
 	}
@@ -165,4 +171,18 @@ func (inc *Incremental) finish(start time.Time) (*Update, error) {
 		ReusedEntries:  delta.reused,
 		Elapsed:        time.Since(start),
 	}, nil
+}
+
+// sameParts reports whether two diagrams of one engine have the same roots
+// and the same rules in each part.
+func sameParts(a, b *bdd.BDD) bool {
+	if len(a.Parts) != len(b.Parts) {
+		return false
+	}
+	for i := range a.Parts {
+		if a.Parts[i].Root != b.Parts[i].Root || !slices.Equal(a.Parts[i].Rules, b.Parts[i].Rules) {
+			return false
+		}
+	}
+	return true
 }

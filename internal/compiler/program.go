@@ -6,6 +6,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,11 +109,22 @@ type Program struct {
 	Stages []*Table
 	// Leaf is the terminal table.
 	Leaf []*LeafEntry
-	// Init is the pipeline entry state (the BDD root).
-	Init StateID
+	// Parts lists the program's diagrams (bdd.Engine.MergeParts), at least
+	// one, in order. Every part walks the same stage tables from its own
+	// entry state (its BDD root), and a message's outcome is the union of
+	// the leaves the walks reach.
+	Parts []Part
 
 	// walk is what Lookup reads, derived from the fields above by Reindex.
 	walk walk
+}
+
+// Part is one diagram of a program: its entry state and, when the program
+// has several parts, the IDs of the rules it holds, ascending. The only
+// part of a one-part program lists no rules: it holds every rule.
+type Part struct {
+	Init  StateID
+	Rules []int
 }
 
 // TotalEntries is the figure-of-merit of Fig. 12/13/15: the number of
@@ -128,11 +140,44 @@ func (p *Program) TotalEntries() int {
 
 // Lookup evaluates the full pipeline for a message: the reference
 // software implementation of the compiled switch, also used by the
-// pipeline runtime (through LeafSlot, the same walk). It returns the leaf
-// entry reached (nil for drop with no leaf row).
+// pipeline runtime (through LeafSlot, the same walk, once per part). It
+// returns the leaf entry reached (nil for drop with no leaf row). Of the
+// leaves several parts' walks reach, one that does nothing (no action,
+// no update) is passed over; when two or more do something, Lookup
+// returns a new entry holding their union: the first one's In, every
+// action and every update key once.
 func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
-	return p.LeafAt(p.LeafSlot(m, st))
+	var le *LeafEntry
+	merged := false
+	for part := range p.walk.starts {
+		s := p.LeafSlot(part, m, st)
+		if s == 0 {
+			continue
+		}
+		next := p.walk.leaves[s]
+		switch {
+		case le == nil || le.idle():
+			le = next
+			continue
+		case next.idle():
+			continue
+		case !merged:
+			u := *le
+			u.Actions, u.Updates = le.Actions.Clone(), slices.Clone(le.Updates)
+			le, merged = &u, true
+		}
+		le.Actions.Merge(next.Actions)
+		for _, k := range next.Updates {
+			if !slices.Contains(le.Updates, k) {
+				le.Updates = append(le.Updates, k)
+			}
+		}
+	}
+	return le
 }
+
+// idle reports whether the leaf does nothing: no action, no update.
+func (le *LeafEntry) idle() bool { return le.Actions.IsEmpty() && len(le.Updates) == 0 }
 
 // Eval returns the merged action set for a message (empty set = drop).
 func (p *Program) Eval(m *spec.Message, st subscription.StateReader) subscription.ActionSet {
@@ -145,7 +190,12 @@ func (p *Program) Eval(m *spec.Message, st subscription.StateReader) subscriptio
 // String renders the program as the paper's Fig. 6-style table listing.
 func (p *Program) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "program %s: init=%d\n", p.Spec.Name, p.Init)
+	fmt.Fprintf(&b, "program %s: init=%d\n", p.Spec.Name, p.Parts[0].Init)
+	for i, part := range p.Parts {
+		if len(p.Parts) > 1 {
+			fmt.Fprintf(&b, "part %d: init=%d rules=%v\n", i, part.Init, part.Rules)
+		}
+	}
 	for _, t := range p.Stages {
 		fmt.Fprintf(&b, "table %s (%s, %d entries):\n", t.Name(), t.Kind, len(t.Entries))
 		for _, e := range t.Entries {

@@ -18,9 +18,9 @@ import (
 // map one-to-one — so a miscompiled entry survives export and is
 // caught by prove.Check.
 func (p *Program) ProveIR() (*prove.Program, error) {
-	out := &prove.Program{
-		Spec: p.Spec,
-		Init: p.Init,
+	out := &prove.Program{Spec: p.Spec}
+	for _, part := range p.Parts {
+		out.Parts = append(out.Parts, prove.Part{Init: part.Init, Rules: append([]int(nil), part.Rules...)})
 	}
 	for _, t := range p.Stages {
 		st := &prove.Stage{

@@ -27,7 +27,9 @@ import (
 //
 // A successor is pre-resolved to where the walk really goes next: s >= 0
 // is the index of the next block the out-state enters (stages it passes
-// through cost nothing), s < 0 is leaf slot ^s.
+// through cost nothing), s < 0 is leaf slot ^s. A program of several parts
+// has one start per part, each pre-resolved the same way; the parts share
+// every block and leaf slot they both reach.
 type walk struct {
 	stages []walkStage // indexed like Program.Stages
 	blocks []block
@@ -42,7 +44,7 @@ type walk struct {
 	// same slots' port masks.
 	leaves []*LeafEntry
 	egress Egress
-	start  int32
+	starts []int32
 }
 
 // layout is how a block stores its entries. A string stage's blocks are
@@ -187,13 +189,9 @@ func (w *walk) slot(b *block, h uint32, key string) *strSlot {
 	}
 }
 
-// lookup is the one stage walk: from the entry block to a leaf slot,
-// one block per stage the state enters.
-func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool) int {
-	if len(w.leaves) == 0 {
-		return 0 // a hand-assembled Program that was never Reindexed
-	}
-	cur := w.start
+// lookup is the one stage walk: from a part's start to a leaf slot, one
+// block per stage the state enters.
+func (w *walk) lookup(cur int32, m *spec.Message, st subscription.StateReader, foreign bool) int {
 	for cur >= 0 {
 		b := &w.blocks[cur]
 		cur = b.miss
@@ -241,14 +239,17 @@ func (w *walk) lookup(m *spec.Message, st subscription.StateReader, foreign bool
 	return int(^cur)
 }
 
-// Reindex derives the walk from Stages, Defaults, Leaf and Init, and the
-// Egress from Leaf. The compiler calls it on every program it returns;
-// code that edits those fields afterwards (internal/analysis/corrupt)
-// calls it again, or the dataplane keeps executing the tables as they
-// were. It must not run concurrently with a Lookup on p.
-func (p *Program) Reindex() {
+// Reindex derives the walk from Stages, Defaults, Leaf and Parts,
+// and the Egress from Leaf. The compiler calls it on every program it
+// returns; code that edits those fields afterwards
+// (internal/analysis/corrupt) calls it again, or the dataplane keeps
+// executing the tables as they were. It must not run concurrently with a
+// Lookup on p. It fails, leaving p's walk as it was, on tables the walk
+// cannot hold: more stages than a block's 16-bit stage index numbers, or
+// an entry whose constraint is neither an integer nor a string one.
+func (p *Program) Reindex() error {
 	if len(p.Stages) > math.MaxUint16 {
-		panic(fmt.Sprintf("compiler: %d stages do not fit a block's 16-bit stage index", len(p.Stages)))
+		return fmt.Errorf("compiler: %d stages do not fit a block's 16-bit stage index", len(p.Stages))
 	}
 	states := len(p.Leaf)
 	for _, t := range p.Stages {
@@ -267,11 +268,16 @@ func (p *Program) Reindex() {
 	// every state goes from stage i+1 on.
 	for i := len(p.Stages) - 1; i >= 0; i-- {
 		w.stages[i] = newWalkStage(p.Spec, p.Stages[i])
-		bld.table(uint16(i), p.Stages[i])
+		if err := bld.table(uint16(i), p.Stages[i]); err != nil {
+			return err
+		}
 	}
-	w.start = bld.resolve(p.Init)
+	for _, part := range p.Parts {
+		w.starts = append(w.starts, bld.resolve(part.Init))
+	}
 	w.egress = newEgress(p.Leaf)
 	p.walk = w
+	return nil
 }
 
 // walkBuilder holds Reindex's scratch.
@@ -336,7 +342,7 @@ func slotsFor(n int) int {
 // of the stage's own kind are laid out: the stage reads no value of the
 // other, and a piece of it (which only a hand-assembled table holds)
 // still gives its state a block, as the state's entries do.
-func (bld *walkBuilder) table(stage uint16, t *Table) {
+func (bld *walkBuilder) table(stage uint16, t *Table) error {
 	ints := t.Field.Ref.Type() == spec.IntField
 	recs := slices.Grow(bld.recs[:0], len(t.Entries))
 	nkey := 0
@@ -353,7 +359,7 @@ func (bld *walkBuilder) table(stage uint16, t *Table) {
 			}
 			recs = append(recs, r)
 		default:
-			panic(fmt.Sprintf("compiler: stage %s: unknown constraint type %T", t.Name(), e.Match))
+			return fmt.Errorf("compiler: stage %s: unknown constraint type %T", t.Name(), e.Match)
 		}
 	}
 	slices.SortFunc(recs, func(a, b walkRec) int {
@@ -412,6 +418,7 @@ func (bld *walkBuilder) table(stage uint16, t *Table) {
 	for i, g := range groups {
 		bld.enter[recs[g.a].in] = int32(first + i)
 	}
+	return nil
 }
 
 // appendSegs appends c's maximal intervals as copies of r. A constraint

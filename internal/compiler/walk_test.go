@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -42,8 +43,41 @@ func newRefWalk(p *Program) *refWalk {
 	return r
 }
 
+// lookup walks from every part's entry state and unites the leaves
+// reached, as Program.Lookup documents: a leaf that does nothing is passed
+// over, one that does something is itself, several a new entry with the
+// first's In and every action and update key once.
 func (r *refWalk) lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
-	state := r.p.Init
+	var out *LeafEntry
+	idle := func(le *LeafEntry) bool { return le.Actions.IsEmpty() && len(le.Updates) == 0 }
+	for _, part := range r.p.Parts {
+		le := r.from(part.Init, m, st)
+		switch {
+		case le == nil:
+		case out == nil || idle(out):
+			out = le
+		case idle(le):
+		default:
+			u := &LeafEntry{In: out.In, Actions: out.Actions.Clone(), Updates: append([]string(nil), out.Updates...)}
+			u.Actions.Merge(le.Actions)
+			for _, k := range le.Updates {
+				if !slices.Contains(u.Updates, k) {
+					u.Updates = append(u.Updates, k)
+				}
+			}
+			out = u
+		}
+	}
+	return out
+}
+
+// sameLeaf reports whether two lookups agree: the same row, or equal
+// unions of rows.
+func sameLeaf(a, b *LeafEntry) bool {
+	return a == b || a != nil && b != nil && leafString(a) == leafString(b)
+}
+
+func (r *refWalk) from(state StateID, m *spec.Message, st subscription.StateReader) *LeafEntry {
 	for i, t := range r.p.Stages {
 		entries, in := r.byState[i][state]
 		if !in {
@@ -198,7 +232,7 @@ func checkWalk(t testing.TB, p *Program, r *rand.Rand, n int, specs ...*spec.Spe
 	for i := 0; i < n; i++ {
 		m := pr.message(r, specs[r.Intn(len(specs))])
 		st := pr.state(r)
-		if got, want := p.Lookup(m, st), ref.lookup(m, st); got != want {
+		if got, want := p.Lookup(m, st), ref.lookup(m, st); !sameLeaf(got, want) {
 			t.Fatalf("message %s state %v:\n got leaf %v\nwant leaf %v\nprogram:\n%s",
 				m, st, leafString(got), leafString(want), clip(p.String()))
 		}
@@ -396,7 +430,7 @@ func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
 	price, _ := sp.Field("price")
 	refs = append(refs, subscription.FieldRef{Kind: subscription.AggregateRef, Field: price, Agg: spec.AggAvg})
 
-	p := &Program{Spec: sp, Init: state()}
+	p := &Program{Spec: sp, Parts: []Part{{Init: state()}}}
 	for i, ref := range refs {
 		t := &Table{Field: &bdd.FieldVar{Index: i, Ref: ref}, Defaults: make(map[StateID]StateID)}
 		org = []int64{0, 0, math.MinInt64 + 3, math.MaxInt64 - 11}[r.Intn(4)]
@@ -419,7 +453,9 @@ func randomTables(r *rand.Rand, sp *spec.Spec) *Program {
 			p.Leaf = append(p.Leaf, &LeafEntry{In: s})
 		}
 	}
-	p.Reindex()
+	if err := p.Reindex(); err != nil {
+		panic(err) // the generator builds integer and string constraints only
+	}
 	return p
 }
 
@@ -463,7 +499,7 @@ func testDirectEdges(t *testing.T) {
 	}
 	// In-state s goes to 8s+j+1 on interval j (the last one a single
 	// value), else by default to 8s: every path ends in its own state.
-	p := &Program{Spec: sp}
+	p := &Program{Spec: sp, Parts: []Part{{}}}
 	ins := []StateID{0}
 	for i, lo := range stages {
 		tbl := &Table{Field: &bdd.FieldVar{Index: i, Ref: subscription.FieldRef{Kind: subscription.PacketRef, Field: x}},
@@ -488,7 +524,9 @@ func testDirectEdges(t *testing.T) {
 	for _, s := range ins {
 		p.Leaf = append(p.Leaf, &LeafEntry{In: s})
 	}
-	p.Reindex()
+	if err := p.Reindex(); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, b := range p.walk.blocks {
 		if b.layout != directLayout {
@@ -557,7 +595,7 @@ func TestFirstMatchOrder(t *testing.T) {
 	intact := p
 	agree := func(p *Program, ref *refWalk, m *spec.Message) {
 		t.Helper()
-		if got, want := p.Lookup(m, nil), ref.lookup(m, nil); got != want {
+		if got, want := p.Lookup(m, nil), ref.lookup(m, nil); !sameLeaf(got, want) {
 			t.Errorf("%s: got %s, reference %s", m, leafString(got), leafString(want))
 		}
 		if p != intact {
@@ -605,7 +643,7 @@ func TestFirstMatchOrder(t *testing.T) {
 	// without that stage's field.
 	initStage := func(p *Program) *Table {
 		for _, st := range p.Stages {
-			if _, ok := st.Defaults[p.Init]; ok {
+			if _, ok := st.Defaults[p.Parts[0].Init]; ok {
 				return st
 			}
 		}
@@ -628,12 +666,14 @@ func TestFirstMatchOrder(t *testing.T) {
 	// The same message once the state's default is gone: the state is
 	// carried on, enters no later stage and has no leaf row.
 	broken := compileLines(t, sp, lines, Options{DisableValidityGuards: true})
-	delete(initStage(broken).Defaults, broken.Init)
-	broken.Reindex()
+	delete(initStage(broken).Defaults, broken.Parts[0].Init)
+	if err := broken.Reindex(); err != nil {
+		t.Fatal(err)
+	}
 	brokenRef := newRefWalk(broken)
 	agree(broken, brokenRef, absent)
-	if le := broken.Lookup(absent, nil); le != nil {
-		t.Fatalf("default removed: got leaf %s, want none", leafString(le))
+	if slot := broken.LeafSlot(0, absent, nil); slot != 0 {
+		t.Fatalf("default removed: the first part's walk got leaf %s, want none", leafString(broken.LeafAt(slot)))
 	}
 	agree(broken, brokenRef, base())
 
@@ -756,7 +796,7 @@ func FuzzLookup(f *testing.F) {
 				st[stage.Field.Ref.Key()] = ints[next()%len(ints)]
 			}
 		}
-		if got, want := p.Lookup(m, st), newRefWalk(p).lookup(m, st); got != want {
+		if got, want := p.Lookup(m, st), newRefWalk(p).lookup(m, st); !sameLeaf(got, want) {
 			t.Fatalf("%s state %v: got %s, reference %s\n%s", m, st, leafString(got), leafString(want), p)
 		}
 	})
@@ -783,12 +823,13 @@ func intPool(r *rand.Rand, n int) []*spec.Message {
 	return pool
 }
 
-// BenchmarkLookup walks a pool of 8192 random messages round and round:
-// a stage of fan-out 101 (100 symbols and the rest) then price ranges,
-// and the INT shape of exact and range stages. walkB/lookup is walkCost's
-// bytes read from the flat tables per lookup, averaged over the pool: 175
-// on ITCH with stock tested first (one 256-slot symbol table, 15 KB flat),
-// 203 when every price state carried its own symbol table (205 KB flat).
+// BenchmarkLookup walks a pool of 8192 random messages round and round,
+// as the switch does (LeafSlot, every part): a stage of fan-out 101 (100
+// symbols and the rest) then price ranges, and the INT shape of exact and
+// range stages, two parts. walkB/lookup is walkCost's bytes read from the
+// flat tables per message, averaged over the pool: 175 on ITCH with stock
+// tested first (one 256-slot symbol table, 15 KB flat), 203 when every
+// price state carried its own symbol table (205 KB flat).
 func BenchmarkLookup(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	for _, bc := range []struct {
@@ -808,17 +849,25 @@ func BenchmarkLookup(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkLeaf = bc.p.Lookup(bc.pool[i&8191], nil)
+				for j := 0; j < bc.p.Walks(); j++ {
+					sinkSlot += bc.p.LeafSlot(j, bc.pool[i&8191], nil)
+				}
 			}
 			b.ReportMetric(float64(touched)/float64(len(bc.pool)), "walkB/lookup")
 		})
 	}
 }
 
-var sinkLeaf *LeafEntry
+var (
+	sinkLeaf *LeafEntry
+	sinkSlot int
+)
 
 // TestLookupZeroAlloc: the walk allocates nothing on exact, range,
-// aggregate, string-table and string-tail stages.
+// aggregate, string-table and string-tail stages, for one part or for
+// several (the INT rules test two field sets: two parts). Lookup of a
+// one-part program returns the leaf row itself and allocates nothing
+// either; with parts it may build a union.
 func TestLookupZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	sp := testSpec(t)
@@ -839,7 +888,22 @@ func TestLookupZeroAlloc(t *testing.T) {
 		{compileLines(t, formats.INT, benchINTRules(r, 200), Options{LastHop: true}), intPool(r, 512), nil},
 		{tails, tailPool, nil},
 	} {
+		if c.p.Spec == formats.INT && len(c.p.Parts) < 2 {
+			t.Fatalf("the INT program has %d parts, want 2", len(c.p.Parts))
+		}
 		i := 0
+		if n := testing.AllocsPerRun(2000, func() {
+			for j := 0; j < c.p.Walks(); j++ {
+				sinkSlot += c.p.LeafSlot(j, c.pool[i&511], c.st)
+			}
+			i++
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per walk, want 0", c.p.Spec.Name, n)
+		}
+		// A lookup that unites the leaves of two parts builds the union.
+		if len(c.p.Parts) > 1 {
+			continue
+		}
 		if n := testing.AllocsPerRun(2000, func() {
 			sinkLeaf = c.p.Lookup(c.pool[i&511], c.st)
 			i++
@@ -852,10 +916,11 @@ func TestLookupZeroAlloc(t *testing.T) {
 	}
 }
 
-// walkCost replays w.lookup for a same-spec message and counts what it
-// reads from the walk's slices (the CRAM measure: dependent memory
-// accesses, and the bytes and distinct 64-byte lines behind them). The
-// message's own fields and the leaf row are not counted.
+// walkCost replays w.lookup from every part's start for a same-spec
+// message and counts what the walks read from the walk's slices (the CRAM
+// measure: dependent memory accesses, and the bytes and distinct 64-byte
+// lines behind them). The message's own fields and the leaf rows are not
+// counted.
 func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) {
 	w := &p.walk
 	seen := make(map[[2]uintptr]bool)
@@ -869,9 +934,17 @@ func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) 
 			}
 		}
 	}
-	for cur := w.start; cur >= 0; {
+	for _, start := range w.starts {
+		walkCostFrom(w, start, m, touch, &blocks)
+	}
+	return blocks, accesses, bytes, lines
+}
+
+// walkCostFrom is walkCost's walk from one start.
+func walkCostFrom(w *walk, cur int32, m *spec.Message, touch func(region, off, size uintptr), blocks *int) {
+	for cur >= 0 {
 		b := &w.blocks[cur]
-		blocks++
+		*blocks++
 		touch(0, uintptr(cur)*blockSize, blockSize)
 		cur = b.miss
 		v, present := w.stages[b.stage].input(m, nil, false)
@@ -926,18 +999,22 @@ func walkCost(p *Program, m *spec.Message) (blocks, accesses, bytes, lines int) 
 			}
 		}
 	}
-	return blocks, accesses, bytes, lines
 }
 
 // TestWalkCost reports the per-lookup cost DESIGN.md §18 quotes, and
 // pins its order of magnitude: a lookup on the benchmark's programs
-// enters at most one block per stage and stays within a few cache lines
-// per block.
+// enters at most one block per stage and part and stays within a few
+// cache lines per block.
 //
 // The ceilings are the figures of the direct layout with a few percent of
-// slack: INT was 23.8 accesses, 276 bytes, 15.5 lines and 1 565 KB flat
-// when every integer block was searched, ITCH 11.8 accesses, 175 bytes
-// and 9.4 lines.
+// slack: INT as one diagram was 23.8 accesses, 276 bytes, 15.5 lines and
+// 1 565 KB flat when every integer block was searched, ITCH 11.8
+// accesses, 175 bytes and 9.4 lines. INT's rules compile as two parts,
+// each message walking both: 19.4 accesses, 289 bytes and 13.3 lines per
+// message, over a flat form of 92 KB where the one diagram's is 743 KB.
+// Its per-lookup ceilings were raised from the one diagram's 13 / 195 /
+// 11 to 20 / 295 / 14 for that second walk; int-one-diagram keeps the
+// old ones.
 func TestWalkCost(t *testing.T) {
 	if blockSize != 36 {
 		t.Errorf("block is %d bytes, want 36", blockSize)
@@ -951,7 +1028,8 @@ func TestWalkCost(t *testing.T) {
 		accesses, bytes, lines, kb float64
 	}{
 		{"itch", compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), itchPool(r, 4096), 10.5, 175, 9, 16},
-		{"int", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}), intPool(r, 4096), 13, 195, 11, 850},
+		{"int", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}), intPool(r, 4096), 20, 295, 14, 96},
+		{"int-one-diagram", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true, OneDiagram: true}), intPool(r, 4096), 13, 195, 11, 850},
 	} {
 		var blocks, accesses, bytes, lines int
 		for _, m := range c.pool {
@@ -964,7 +1042,8 @@ func TestWalkCost(t *testing.T) {
 		t.Logf("%s: %d stages, %d entries, %d blocks, %d bounds, %d direct slots, %d string slots, %d tails (%.1f KB flat); per lookup: %.2f blocks, %.1f dependent accesses, %.0f bytes, %.1f cache lines",
 			c.name, len(c.p.Stages), c.p.TotalEntries(), len(w.blocks), len(w.bounds), len(w.direct), len(w.slots), len(w.tails), kb,
 			float64(blocks)/n, float64(accesses)/n, float64(bytes)/n, float64(lines)/n)
-		if perBlock := float64(lines) / float64(blocks); float64(blocks)/n > float64(len(c.p.Stages)) || perBlock > 6 {
+		walks := float64(len(c.p.Parts))
+		if perBlock := float64(lines) / float64(blocks); float64(blocks)/n > walks*float64(len(c.p.Stages)) || perBlock > 6 {
 			t.Errorf("%s: %.2f blocks per lookup over %d stages, %.1f cache lines per block", c.name, float64(blocks)/n, len(c.p.Stages), perBlock)
 		}
 		if float64(accesses)/n > c.accesses || float64(bytes)/n > c.bytes || float64(lines)/n > c.lines || kb > c.kb {
@@ -1044,5 +1123,37 @@ func TestDirectLayoutNeverGrows(t *testing.T) {
 	}
 	if directs == 0 {
 		t.Error("no direct block in any program")
+	}
+}
+
+// TestReindexRefuses: the two tables the flat walk cannot hold are
+// errors, from Reindex and so from the Compile that emitted them, not
+// panics: more stages than a block's 16-bit stage index numbers, and an
+// entry whose constraint is of a type the walk has no layout for. On
+// either the program keeps the walk it had.
+func TestReindexRefuses(t *testing.T) {
+	sp := testSpec(t)
+	p := compile(t, sp, "stock == GOOGL: fwd(1)", Options{})
+	msg := spec.NewMessage(sp)
+	msg.MustSet("stock", spec.StrVal("GOOGL"))
+	want := p.Eval(msg, nil).Key()
+
+	wide := *p
+	wide.Stages = make([]*Table, math.MaxUint16+1)
+	if err := wide.Reindex(); err == nil || !strings.Contains(err.Error(), "16-bit stage index") {
+		t.Errorf("%d stages: Reindex = %v, want the stage-index error", len(wide.Stages), err)
+	}
+
+	type foreign struct{ match.Constraint }
+	odd := *p
+	odd.Stages = slices.Clone(p.Stages)
+	st := *odd.Stages[len(odd.Stages)-1]
+	st.Entries = append(slices.Clone(st.Entries), &Entry{In: st.Entries[0].In, Match: foreign{}, Out: 0})
+	odd.Stages[len(odd.Stages)-1] = &st
+	if err := odd.Reindex(); err == nil || !strings.Contains(err.Error(), "unknown constraint type") {
+		t.Errorf("foreign constraint: Reindex = %v, want the constraint-type error", err)
+	}
+	if got := odd.Eval(msg, nil).Key(); got != want {
+		t.Errorf("after the refused Reindex the program evaluates %s, want %s", got, want)
 	}
 }

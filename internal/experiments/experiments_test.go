@@ -119,24 +119,37 @@ func TestFig12Shape(t *testing.T) {
 	ta := r.Tables[0]
 	var prevCamus float64
 	for i, row := range ta.Rows {
-		var camus, big float64
+		var camus, parts, big float64
 		mustScan(t, row[1], &camus)
-		mustScan(t, row[2], &big)
+		mustScan(t, row[2], &parts)
+		mustScan(t, row[3], &big)
 		if big <= camus {
 			t.Errorf("row %d: big table (%f) not above camus (%f)", i, big, camus)
+		}
+		if parts > camus {
+			t.Errorf("row %d: parts (%f) above the one diagram (%f)", i, parts, camus)
 		}
 		if i > 0 && camus < prevCamus/2 {
 			t.Errorf("row %d: camus entries should grow roughly with subscriptions", i)
 		}
 		prevCamus = camus
 	}
-	// (b): 4-pred filters need fewer entries than 1-pred filters.
+	// (b): 4-pred filters need fewer entries than 1-pred filters in the
+	// paper's one diagram; parts never need more than it.
 	tb := r.Tables[1]
 	var one, four float64
 	mustScan(t, tb.Rows[0][1], &one)
 	mustScan(t, tb.Rows[len(tb.Rows)-1][1], &four)
 	if four >= one {
 		t.Errorf("selectivity effect missing: 1-pred %.0f vs 4-pred %.0f entries", one, four)
+	}
+	for i, row := range tb.Rows {
+		var camus, parts float64
+		mustScan(t, row[1], &camus)
+		mustScan(t, row[2], &parts)
+		if parts > camus {
+			t.Errorf("(b) row %d: parts (%f) above the one diagram (%f)", i, parts, camus)
+		}
 	}
 }
 
@@ -251,19 +264,28 @@ func TestAblations(t *testing.T) {
 			t.Errorf("pruning made tables larger: %v", row)
 		}
 	}
-	// The canonical order is the smallest of the three on every rule set.
+	// As one diagram the canonical order is the smallest of the three on
+	// every rule set. In parts the part decision moves with the order and
+	// another order can win (ROADMAP, "Cut the product"): those rows are
+	// reported, not failed.
 	a2 := AblationFieldOrder(quickCfg())
 	if len(a2.Tables[0].Rows) == 0 {
 		t.Error("field order ablation empty")
 	}
 	for _, row := range a2.Tables[0].Rows {
-		var canonical float64
-		mustScan(t, row[1], &canonical)
-		for _, cell := range row[2:] {
-			var other float64
-			mustScan(t, cell, &other)
-			if other < canonical {
-				t.Errorf("%s: an alternative order (%v entries) beats the canonical one (%v)", row[0], other, canonical)
+		for k, cols := range [][]string{row[1:4], row[4:7]} {
+			var canonical float64
+			mustScan(t, cols[0], &canonical)
+			for _, cell := range cols[1:] {
+				var other float64
+				mustScan(t, cell, &other)
+				switch {
+				case other >= canonical:
+				case k == 0:
+					t.Logf("%s, in parts: an alternative order (%v entries) beats the canonical one (%v)", row[0], other, canonical)
+				default:
+					t.Errorf("%s, one diagram: an alternative order (%v entries) beats the canonical one (%v)", row[0], other, canonical)
+				}
 			}
 		}
 	}

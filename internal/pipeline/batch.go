@@ -14,8 +14,11 @@ import (
 // in wire order, so egress prunes a replica with one bit test per
 // message. Where a run emits is not the workspace's business: the
 // deliveries go into the emit arena of the Results the caller passed.
+// slots holds the heavy leaf slots the parts reached for the message in
+// hand, in part order.
 type workspace struct {
 	union, masks []uint64
+	slots        []int
 	regs         stateAt
 }
 

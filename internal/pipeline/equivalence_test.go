@@ -3,6 +3,8 @@ package pipeline
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -285,12 +287,28 @@ header market {
 	}
 }
 
+// partsRules test two field sets, {stock, price} and {shares}, whose
+// merge would split every symbol's price ranges at every shares
+// threshold: they compile as two parts.
+var partsRules = func() string {
+	var b strings.Builder
+	for i, sym := range []string{"GOOGL", "MSFT", "AAPL", "INTC"} {
+		for j, price := range []int{100, 300, 600} {
+			fmt.Fprintf(&b, "stock == %s and price > %d: fwd(%d)\n", sym, price+i, 1+(i+j)%4)
+		}
+	}
+	for k, shares := range []int{2, 5, 8, 11, 20} {
+		fmt.Fprintf(&b, "shares > %d: fwd(%d)\n", shares, 5+k%3)
+	}
+	return b.String()
+}()
+
 // TestProcessBatchZeroAlloc pins the workspace invariant: the
 // steady-state batch allocates nothing per op — on a
 // stateless program, on a stateful one whose register reads and writes go
 // through the shared StateTable, on multi-message packets whose messages
-// fan out to several ports each, and on streams whose header packets
-// install decisions.
+// fan out to several ports each, on streams whose header packets
+// install decisions, and on a program of two parts.
 func TestProcessBatchZeroAlloc(t *testing.T) {
 	const stateless = `
 stock == GOOGL: fwd(1)
@@ -309,6 +327,8 @@ price > 500: fwd(3)
 		// cache's slab: no allocation per header-bearing packet or per
 		// continuation.
 		flows bool
+		// parts is the program's part count, when it is more than one.
+		parts int
 	}{
 		{name: "stateless", rules: stateless},
 		{name: "stateful", rules: stateless + "stock == GOOGL and avg(price, 100us) > 60: fwd(4)\n",
@@ -316,9 +336,15 @@ price > 500: fwd(3)
 		{name: "fanout", rules: stateless + "stock == GOOGL: fwd(5)\nshares > 5: fwd(6)\nshares > 5: fwd(7)\n",
 			msgs: func(i int) int { return 1 + i%8 }},
 		{name: "flows", rules: stateless + "shares > 5: fwd(4)\n", flows: true},
+		// Rules on {stock, price} and on {shares}: two parts, two walks
+		// and one mask union per message.
+		{name: "parts", rules: partsRules, parts: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sw, sp := buildSwitch(t, tc.rules, tc.copts)
+			if n, want := len(sw.Program().Parts), max(tc.parts, 1); n != want {
+				t.Fatalf("program has %d parts, want %d", n, want)
+			}
 			syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
 			pkts := make([]*Packet, 256)
 			for i := range pkts {
@@ -359,5 +385,83 @@ price > 500: fwd(3)
 				t.Fatalf("fan-out run did not fan out: %+v", st)
 			}
 		})
+	}
+}
+
+// TestPartsUpdateOnce: a message both parts' leaves update the same
+// register for is counted into it once, and a custom action both name
+// runs once — the union of the parts' leaves, each key and action once —
+// and it is forwarded to the union of their ports.
+func TestPartsUpdateOnce(t *testing.T) {
+	var b strings.Builder
+	for i, sym := range []string{"GOOGL", "MSFT", "AAPL", "INTC"} {
+		for j, price := range []int{100, 300, 600} {
+			fmt.Fprintf(&b, "stock == %s and price > %d and count(1s) < 1000: fwd(%d)\n", sym, price+i, 1+(i+j)%4)
+		}
+	}
+	for k, shares := range []int{2, 5, 8, 11, 20} {
+		fmt.Fprintf(&b, "shares > %d and count(1s) < 1000: fwd(%d)\n", shares, 5+k%3)
+	}
+	b.WriteString("stock == GOOGL and price > 650 and count(1s) < 1000: alert(hi)\nshares > 25 and count(1s) < 1000: alert(hi)\n")
+	sw, sp := buildSwitch(t, b.String(), compiler.Options{LastHop: true}, WithIngressDrop(false))
+	if n := len(sw.Program().Parts); n != 2 {
+		t.Fatalf("program has %d parts, want 2", n)
+	}
+	alerts := 0
+	sw.HandleCustom("alert", func(subscription.Action, *spec.Message, *Packet) []Delivery {
+		alerts++
+		return nil
+	})
+	out := sw.Process(&Packet{Msgs: []*spec.Message{itchMsg(sp, "GOOGL", 700, 30)}}, 0)
+	var ports []int
+	for _, d := range out {
+		ports = append(ports, d.Port)
+	}
+	if want := []int{1, 2, 3, 5, 6, 7}; !slices.Equal(ports, want) {
+		t.Errorf("delivered to %v, want %v", ports, want)
+	}
+	if st := sw.Stats(); st.StateUpdates != 1 {
+		t.Errorf("%d register updates, want 1", st.StateUpdates)
+	}
+	if got := sw.Registers(0)["count()@1s"]; got != 1 {
+		t.Errorf("count register %d after one message, want 1", got)
+	}
+	if alerts != 1 {
+		t.Errorf("the custom action both parts name ran %d times, want 1", alerts)
+	}
+}
+
+// TestPartsReadBeforeUpdate: every part reads the registers as they
+// stood before the message, as one diagram does. Both parts read
+// count(1s), and the second's threshold is crossed by the first message's
+// own update, so a switch that updated between the parts' walks would
+// withhold the second part's port from it.
+func TestPartsReadBeforeUpdate(t *testing.T) {
+	var b strings.Builder
+	for i, sym := range []string{"GOOGL", "MSFT", "AAPL", "INTC"} {
+		for j, price := range []int{100, 300, 600} {
+			fmt.Fprintf(&b, "stock == %s and price > %d and count(1s) < 1000: fwd(%d)\n", sym, price+i, 1+(i+j)%4)
+		}
+	}
+	for k, shares := range []int{2, 5, 8, 11, 20} {
+		fmt.Fprintf(&b, "shares > %d and count(1s) < 2: fwd(%d)\n", shares, 5+k%3)
+	}
+	sw, sp := buildSwitch(t, b.String(), compiler.Options{LastHop: true}, WithIngressDrop(false))
+	if n := len(sw.Program().Parts); n != 2 {
+		t.Fatalf("program has %d parts, want 2", n)
+	}
+	for i, want := range [][]int{{1, 2, 3, 5, 6, 7}, {1, 2, 3, 5, 6, 7}, {1, 2, 3}} {
+		m := itchMsg(sp, "GOOGL", 700, 30)
+		before := subscription.MapState(sw.Registers(0))
+		if eval := sw.Program().Eval(m, before).Ports; !slices.Equal(eval, want) {
+			t.Fatalf("message %d: Eval says %v, want %v", i, eval, want)
+		}
+		var ports []int
+		for _, d := range sw.Process(&Packet{Msgs: []*spec.Message{m}}, 0) {
+			ports = append(ports, d.Port)
+		}
+		if !slices.Equal(ports, want) {
+			t.Errorf("message %d: delivered to %v, Eval at the registers before it says %v", i, ports, want)
+		}
 	}
 }

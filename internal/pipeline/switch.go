@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -298,25 +299,47 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 
 	ws.masks = words(ws.masks, len(pkt.Msgs)*W)
 	masks := ws.masks
+	walks := s.prog.Walks()
 	for k, m := range pkt.Msgs {
 		st.Messages++
-		slot := s.prog.LeafSlot(m, r.regs)
+		// One walk per part of the program; the message's port set is the
+		// union of the leaves they reach. Every part walks before any
+		// register update, so each reads the registers as they stood
+		// before this message, as one diagram's single walk does.
+		ws.slots = ws.slots[:0]
 		var hit uint64
-		for w, x := range eg.Mask(slot) {
-			masks[k*W+w] = x
-			union[w] |= x
-			hit |= x
+		for j := 0; j < walks; j++ {
+			slot := s.prog.LeafSlot(j, m, r.regs)
+			for w, x := range eg.Mask(slot) {
+				if j == 0 {
+					masks[k*W+w] = x
+				} else {
+					masks[k*W+w] |= x
+				}
+				union[w] |= x
+				hit |= x
+			}
+			if slot != 0 && eg.Heavy(slot) {
+				ws.slots = append(ws.slots, slot)
+			}
 		}
-		if slot != 0 && eg.Heavy(slot) {
-			// State updates fire for every message whose stateless
-			// context matched, before forwarding semantics are applied.
+		// State updates fire for every message whose stateless context
+		// matched, before forwarding semantics are applied: once per key
+		// and custom action, whichever parts' leaves name it.
+		for j, slot := range ws.slots {
 			le := s.prog.LeafAt(slot)
 			for _, key := range le.Updates {
-				s.state.update(key, m, r.now)
+				if j == 0 || !s.earlier(ws.slots[:j], func(e *compiler.LeafEntry) bool { return slices.Contains(e.Updates, key) }) {
+					s.state.update(key, m, r.now)
+					st.StateUpdates++
+				}
 			}
-			st.StateUpdates += int64(len(le.Updates))
 			for _, act := range le.Actions.Custom {
-				r.customs = append(r.customs, customHit{pkt: i, act: act, m: m})
+				if j == 0 || !s.earlier(ws.slots[:j], func(e *compiler.LeafEntry) bool {
+					return slices.ContainsFunc(e.Actions.Custom, func(c subscription.Action) bool { return sameAction(c, act) })
+				}) {
+					r.customs = append(r.customs, customHit{pkt: i, act: act, m: m})
+				}
 				hit = 1 // a custom action matches without a port
 			}
 		}
@@ -338,6 +361,21 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 		}
 	}
 	return s.emit(r, pkt, union, masks, latency)
+}
+
+// earlier reports whether the leaf of one of the heavy slots satisfies has.
+func (s *Switch) earlier(slots []int, has func(*compiler.LeafEntry) bool) bool {
+	for _, slot := range slots {
+		if has(s.prog.LeafAt(slot)) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameAction reports whether two custom actions are equal.
+func sameAction(a, b subscription.Action) bool {
+	return a.Name == b.Name && slices.Equal(a.Args, b.Args) && slices.Equal(a.Ports, b.Ports)
 }
 
 // emit is the crossbar and egress: one replica per bit of union, in
