@@ -70,12 +70,12 @@ type (
 	Network = topology.Network
 	// Deployment is a controller-compiled network.
 	Deployment = controller.Deployment
-	// Sim is the network simulator. Publish, PublishFlow and PublishBatch
-	// share one forwarding loop: a batch advances wave by wave, one
-	// pipeline batch per switch per hop level. PublishBatch lays the
-	// deliveries out in the Sim's own results, valid until the next
-	// PublishBatch; Publish and PublishFlow return heap-fresh deliveries
-	// the caller may retain. Safe for concurrent publishers.
+	// Sim is the network simulator. Publish and PublishBatch share one
+	// forwarding loop: a batch advances wave by wave, one pipeline batch
+	// per switch per hop level. PublishBatch lays the deliveries out in
+	// the Sim's own results, valid until the next PublishBatch; Publish
+	// returns heap-fresh deliveries the caller may retain. Safe for
+	// concurrent publishers.
 	Sim = netsim.Sim
 )
 

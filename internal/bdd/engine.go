@@ -18,7 +18,10 @@ import (
 // of the merge tree is a memo hit, so recompilation cost tracks the size
 // of the change rather than the size of the rule set. Node IDs are stable
 // across rebuilds, which downstream table diffing relies on (§V's
-// "table entry re-use"). A one-shot build is an engine merged once.
+// "table entry re-use"). The engine has one node store: MergeParts tries
+// its part merges there too, so a part's merge reuses what its trials
+// merged, and Options.MaxNodes bounds all of it. A one-shot build is an
+// engine merged once.
 type Engine struct {
 	u *Universe
 	b *builder
@@ -38,24 +41,21 @@ type Engine struct {
 	// place) and the chain IDs already on it.
 	merging []int32
 	seen    map[int32]struct{}
-	// trial is the builder MergeParts decides the parts in (parts.go): a
-	// second node store over the same universe, so that the diagrams it
-	// tries and rejects leave no node, and no node ID, in b. It is made
-	// when a rule set first has two groups.
-	trial *trialBuilder
+	// MergeParts's trial sizing (parts.go): reachable-node counts by root;
+	// mark and stamp are a count's visited set, stack its work list.
+	sizes map[int32]int
+	mark  []uint32
+	stamp uint32
+	stack []int32
 	opts  Options
 }
 
-// ruleChain is one satisfiable disjunct of a live rule: its chain node,
-// the fields it tests, and the disjunct itself, which the trial builder
-// chains again when a part decision first needs it.
+// ruleChain is one satisfiable disjunct of a live rule: its chain node
+// and the fields it tests.
 type ruleChain struct {
 	rule   int
 	chain  int32
 	fields fieldSet
-	nr     subscription.NormalizedRule
-	// trial is the chain's node in the trial builder, -1 until built.
-	trial int32
 }
 
 // NewEngine creates an empty incremental engine for a spec. Its universe
@@ -105,8 +105,7 @@ func (e *Engine) Add(rules ...subscription.NormalizedRule) (err error) {
 		if at > 0 && e.live[at-1].rule > nr.RuleID {
 			at = e.search(nr.RuleID + 1)
 		}
-		rc := ruleChain{rule: nr.RuleID, chain: chain, fields: e.fieldsOf(nr), nr: nr, trial: -1}
-		e.live = slices.Insert(e.live, at, rc)
+		e.live = slices.Insert(e.live, at, ruleChain{rule: nr.RuleID, chain: chain, fields: e.fieldsOf(nr)})
 	}
 	return nil
 }
@@ -155,14 +154,14 @@ func (e *Engine) Merge() (d *BDD, err error) {
 	return &BDD{Universe: e.u, Parts: []Part{{Root: e.materialise(root)}}, DroppedRules: e.ndropped}, nil
 }
 
-// mergeLive merges, in the main builder, the distinct chains of the live
-// disjuncts that keep accepts (every one when keep is nil), in rule-ID
-// order: one balanced merge tree.
-func (e *Engine) mergeLive(keep func(rule int) bool) int32 {
+// mergeLive merges the distinct chains of the live disjuncts whose
+// indices keep accepts (every one when keep is nil), in rule-ID order:
+// one balanced merge tree.
+func (e *Engine) mergeLive(keep func(i int) bool) int32 {
 	chains := e.merging[:0]
 	clear(e.seen)
-	for _, c := range e.live {
-		if keep != nil && !keep(c.rule) {
+	for i, c := range e.live {
+		if keep != nil && !keep(i) {
 			continue
 		}
 		if _, dup := e.seen[c.chain]; dup {
@@ -175,7 +174,7 @@ func (e *Engine) mergeLive(keep func(rule int) bool) int32 {
 	return e.b.merge(chains)
 }
 
-// materialise returns the main builder's node root as a *Node.
+// materialise returns the builder's node root as a *Node.
 func (e *Engine) materialise(root int32) *Node {
 	if n := len(e.b.nodes); n > len(e.mat) {
 		e.mat = slices.Grow(e.mat, n-len(e.mat))[:n]
@@ -191,37 +190,28 @@ func (e *Engine) Build() *BDD {
 }
 
 // CacheSize reports what the engine retains and never forgets: the nodes
-// it hash-consed and the merge tree's memoized pairs, in both builders.
-// The lossy computed tables are bounded and not counted (for Compact
-// decisions).
+// it hash-consed, MergeParts's trials included, and the memoized pairs of
+// its merge trees and part trials. The lossy computed table is bounded and
+// not counted (for Compact decisions).
 func (e *Engine) CacheSize() (nodes, memoEntries int) {
-	nodes, memoEntries = len(e.b.nodes), e.b.memo.len()
-	if e.trial != nil {
-		nodes, memoEntries = nodes+len(e.trial.b.nodes), memoEntries+e.trial.b.memo.len()
-	}
-	return nodes, memoEntries
+	return len(e.b.nodes), e.b.memo.len()
 }
 
 // CacheBytes reports the memory the engine retains across rebuilds,
 // exactly: the capacities of the node store, of the builder's and the
 // universe's tables, of the materialisation index and of the ID scratch
-// lists, times their element sizes, plus the computed table's slots and
-// the nodes materialised so far.
+// lists (MergeParts's sizing included), times their element sizes, plus
+// the computed table's slots and the nodes materialised so far.
 // What the terminals' action sets and the contexts' constraints point to is
 // not counted, nor are the per-rule chain list and drop counts, which grow
 // with the live rules and not with the batches applied.
 func (e *Engine) CacheBytes() int {
 	b := e.b
-	return b.bytes() + e.trial.bytes() +
-		(cap(b.pending)+cap(e.merging))*4 +
+	return cap(b.nodes)*int(unsafe.Sizeof(node{})) +
+		cap(b.terms)*int(unsafe.Sizeof(term{})) +
+		b.uniq.bytes() + b.termByH.bytes() + b.memo.bytes() + b.computed.bytes() + b.termMemo.bytes() +
+		(cap(b.pending)+cap(e.merging)+cap(e.mark)+cap(e.stack))*4 +
 		cap(e.mat)*int(unsafe.Sizeof((*Node)(nil))) +
 		b.materialised*int(unsafe.Sizeof(Node{})) +
 		e.u.cache.bytes()
-}
-
-// bytes is what a builder's node store and tables hold.
-func (b *builder) bytes() int {
-	return cap(b.nodes)*int(unsafe.Sizeof(node{})) +
-		cap(b.terms)*int(unsafe.Sizeof(term{})) +
-		b.uniq.bytes() + b.termByH.bytes() + b.memo.bytes() + b.computed.bytes() + b.termMemo.bytes()
 }

@@ -67,15 +67,12 @@ func containsAll(a, b fieldSet) bool {
 	return true
 }
 
-// group is the live disjuncts of the rules that test one field set: their
-// indices into Engine.live, in rule-ID order.
-type group []int
-
-// groups partitions the live rules by the union of the field sets their
-// disjuncts test, in order of each group's smallest rule ID. It returns
-// nil when every rule tests the same fields, the common case, which then
-// costs one pass and no allocation.
-func (e *Engine) groups() []group {
+// groups labels each live disjunct with its group: rules are grouped by
+// the union of the field sets their disjuncts test, and the groups are
+// numbered in order of their smallest rule ID. It returns no labels and
+// one group when every rule tests the same fields, the common case,
+// which then costs one pass and no allocation.
+func (e *Engine) groups() (label []int, n int) {
 	// ruleSets calls yield with each rule's field set and its live range.
 	ruleSets := func(yield func(fs fieldSet, lo, hi int)) {
 		for lo := 0; lo < len(e.live); {
@@ -97,22 +94,21 @@ func (e *Engine) groups() []group {
 		}
 	})
 	if one {
-		return nil
+		return nil, 1
 	}
-	var out []group
+	label = make([]int, len(e.live))
 	index := make(map[fieldSet]int)
 	ruleSets(func(fs fieldSet, lo, hi int) {
 		g, ok := index[fs]
 		if !ok {
-			g = len(out)
+			g = len(index)
 			index[fs] = g
-			out = append(out, nil)
 		}
 		for i := lo; i < hi; i++ {
-			out[g] = append(out[g], i)
+			label[i] = g
 		}
 	})
-	return out
+	return label, len(index)
 }
 
 // MergeParts merges the live chains into one diagram per part (DESIGN
@@ -120,124 +116,57 @@ func (e *Engine) groups() []group {
 // (validity bits aside), the groups taken in order of their smallest rule
 // ID; a group joins the first part whose diagram, merged with the group's,
 // has at most partFactor times the reachable nodes of the two apart, and
-// otherwise starts a part. The decision is taken in the engine's trial
-// builder, whose merges are a function of the rules they merge, so the
-// parts are a function of the live rule set whatever the add/remove
-// history. Each part is then one merge tree over its chains in rule-ID
-// order in the main builder, as Merge builds the one diagram: a rule set
-// that ends in one part gets Merge's diagram, node IDs included.
+// otherwise starts a part. The decision is taken in the engine's one node
+// store, and a trial's outcome is a function of the two diagrams it
+// merges, so the parts are a function of the live rule set whatever the
+// add/remove history. Each part is then one merge tree over its chains in
+// rule-ID order, as Merge builds the one diagram: a rule set of one group
+// gets Merge's diagram, node IDs included, and a part that is one group
+// is the merge tree its trial already built, all memo hits. The trials'
+// nodes count against Options.MaxNodes like any other.
 func (e *Engine) MergeParts() (d *BDD, err error) {
 	defer recoverTooLarge(&err)
-	var parts [][]int
-	if groups := e.groups(); groups != nil {
-		parts = e.decide(groups)
+	label, n := e.groups()
+	if n <= 1 {
+		return e.Merge()
 	}
-	if len(parts) <= 1 {
+	partOf, nparts := e.decide(label, n)
+	if nparts == 1 {
 		return e.Merge()
 	}
 	d = &BDD{Universe: e.u, DroppedRules: e.ndropped}
-	part := make(map[int]int, len(e.live)) // rule ID → part
-	for pi, rules := range parts {
-		for _, id := range rules {
-			part[id] = pi
+	for pi := range nparts {
+		in := func(i int) bool { return partOf[label[i]] == pi }
+		var rules []int
+		for i, c := range e.live {
+			if in(i) && (len(rules) == 0 || rules[len(rules)-1] != c.rule) {
+				rules = append(rules, c.rule)
+			}
 		}
-	}
-	for pi, rules := range parts {
-		root := e.mergeLive(func(rule int) bool { return part[rule] == pi })
-		d.Parts = append(d.Parts, Part{Root: e.materialise(root), Rules: rules})
+		d.Parts = append(d.Parts, Part{Root: e.materialise(e.mergeLive(in)), Rules: rules})
 	}
 	return d, nil
 }
 
-// decide returns the parts of groups as ascending rule-ID lists, in part
-// order.
-func (e *Engine) decide(groups []group) [][]int {
-	if e.trial == nil {
-		e.trial = newTrialBuilder(e.u, !e.opts.DisablePruning, e.opts.MaxNodes)
-	}
-	t := e.trial
-	type part struct {
-		root   int32
-		groups []int
-	}
-	var parts []part
-	for gi, g := range groups {
-		root := t.mergeGroup(e.live, g)
-		joined := false
-		for pi := range parts {
-			bound := partFactor * (t.size(parts[pi].root, -1) + t.size(root, -1))
-			if r, ok := t.tryOr(parts[pi].root, root, bound); ok {
-				parts[pi].root = r
-				parts[pi].groups = append(parts[pi].groups, gi)
-				joined = true
+// decide gives each of the n groups labelled by label a part, in group
+// order, and returns each group's part and the number of parts.
+func (e *Engine) decide(label []int, n int) (partOf []int, nparts int) {
+	partOf = make([]int, n)
+	var roots []int32 // each part's diagram so far
+	for g := range n {
+		root := e.mergeLive(func(i int) bool { return label[i] == g })
+		partOf[g] = len(roots)
+		for pi, pr := range roots {
+			if r, ok := e.tryOr(pr, root, partFactor*(e.size(pr, -1)+e.size(root, -1))); ok {
+				roots[pi], partOf[g] = r, pi
 				break
 			}
 		}
-		if !joined {
-			parts = append(parts, part{root: root, groups: []int{gi}})
+		if partOf[g] == len(roots) {
+			roots = append(roots, root)
 		}
 	}
-	out := make([][]int, len(parts))
-	for pi, p := range parts {
-		var rules []int
-		for _, gi := range p.groups {
-			for _, i := range groups[gi] {
-				if id := e.live[i].rule; len(rules) == 0 || rules[len(rules)-1] != id {
-					rules = append(rules, id)
-				}
-			}
-		}
-		slices.Sort(rules)
-		out[pi] = slices.Compact(rules)
-	}
-	return out
-}
-
-// trialBuilder is where MergeParts tries merges: a builder of its own over
-// the engine's universe, with what sizes its diagrams.
-type trialBuilder struct {
-	b *builder
-	// maxNodes is the engine's node cap, which the group merges keep.
-	maxNodes int
-	// sizes caches reachable-node counts by root; mark and stamp are the
-	// count's visited set, stack its work list.
-	sizes map[int32]int
-	mark  []uint32
-	stamp uint32
-	stack []int32
-}
-
-func newTrialBuilder(u *Universe, pruning bool, maxNodes int) *trialBuilder {
-	b := newBuilder(u, pruning)
-	b.maxNodes = maxNodes
-	return &trialBuilder{b: b, maxNodes: maxNodes, sizes: make(map[int32]int)}
-}
-
-func (t *trialBuilder) bytes() int {
-	if t == nil {
-		return 0
-	}
-	return t.b.bytes() + 4*(cap(t.mark)+cap(t.stack))
-}
-
-// mergeGroup returns the trial diagram of the group g of live: its
-// distinct chains, built here the first time, merged in rule-ID order.
-func (t *trialBuilder) mergeGroup(live []ruleChain, g group) int32 {
-	chains := make([]int32, 0, len(g))
-	seen := make(map[int32]bool, len(g))
-	for _, i := range g {
-		c := &live[i]
-		if c.trial < 0 {
-			// The main builder chained the disjunct over the same universe
-			// and pruning, so it is satisfiable here too.
-			c.trial, _, _ = t.b.chain(c.nr)
-		}
-		if !seen[c.trial] {
-			seen[c.trial] = true
-			chains = append(chains, c.trial)
-		}
-	}
-	return t.b.merge(chains)
+	return partOf, len(roots)
 }
 
 // tryOr returns or(u, v) when its diagram has at most bound reachable
@@ -245,57 +174,65 @@ func (t *trialBuilder) mergeGroup(live []ruleChain, g group) int32 {
 // is reachable from its result, so a merge that needs more fails the
 // bound, and is abandoned there. Either outcome is a function of the two
 // diagrams alone, and is memoized: a rejected pair under (u, v, 1).
-func (t *trialBuilder) tryOr(u, v int32, bound int) (int32, bool) {
-	if _, rejected := t.b.memo.get(u, v, 1); rejected {
+func (e *Engine) tryOr(u, v int32, bound int) (int32, bool) {
+	if _, rejected := e.b.memo.get(u, v, 1); rejected {
 		return 0, false
 	}
-	r, err := t.boundedOr(u, v, bound)
-	if err == nil && t.size(r, bound) <= bound {
+	r, err := e.boundedOr(u, v, bound)
+	if err == nil && e.size(r, bound) <= bound {
 		return r, true
 	}
-	t.b.memo.put(u, v, 1, 0)
+	e.b.memo.put(u, v, 1, 0)
 	return 0, false
 }
 
-// boundedOr is or(u, v) with at most bound nodes created, or ErrTooLarge.
-func (t *trialBuilder) boundedOr(u, v int32, bound int) (r int32, err error) {
-	t.b.maxNodes = len(t.b.nodes) + bound
-	defer func() { t.b.maxNodes = t.maxNodes }()
-	defer recoverTooLarge(&err)
-	return t.b.or(u, v), nil
+// boundedOr is or(u, v) with at most bound nodes created, or ErrTooLarge
+// when the bound stops it. Where Options.MaxNodes comes first, the merge
+// runs under MaxNodes alone, and reaching it panics out as any merge's
+// does: the store never holds more than MaxNodes nodes.
+func (e *Engine) boundedOr(u, v int32, bound int) (r int32, err error) {
+	if limit := len(e.b.nodes) + bound; e.opts.MaxNodes <= 0 || limit < e.opts.MaxNodes {
+		e.b.maxNodes = limit
+		defer func() { e.b.maxNodes = e.opts.MaxNodes }()
+		defer recoverTooLarge(&err)
+	}
+	return e.b.or(u, v), nil
 }
 
 // size returns the number of nodes reachable from root, or some count
 // above limit once it passes limit (limit < 0: no limit).
-func (t *trialBuilder) size(root int32, limit int) int {
-	if n, ok := t.sizes[root]; ok {
+func (e *Engine) size(root int32, limit int) int {
+	if n, ok := e.sizes[root]; ok {
 		return n
 	}
-	if len(t.mark) < len(t.b.nodes) {
-		t.mark = slices.Grow(t.mark, len(t.b.nodes)-len(t.mark))[:len(t.b.nodes)]
+	if len(e.mark) < len(e.b.nodes) {
+		e.mark = slices.Grow(e.mark, len(e.b.nodes)-len(e.mark))[:len(e.b.nodes)]
 	}
-	t.stamp++
-	if t.stamp == 0 {
-		clear(t.mark)
-		t.stamp = 1
+	e.stamp++
+	if e.stamp == 0 {
+		clear(e.mark)
+		e.stamp = 1
 	}
-	n, stack := 0, append(t.stack[:0], root)
+	n, stack := 0, append(e.stack[:0], root)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if t.mark[id] == t.stamp {
+		if e.mark[id] == e.stamp {
 			continue
 		}
-		t.mark[id] = t.stamp
+		e.mark[id] = e.stamp
 		if n++; limit >= 0 && n > limit {
-			t.stack = stack
+			e.stack = stack
 			return n
 		}
-		if k := t.b.nodes[id]; k.pred != termPred {
+		if k := e.b.nodes[id]; k.pred != termPred {
 			stack = append(stack, k.hi, k.lo)
 		}
 	}
-	t.stack = stack
-	t.sizes[root] = n
+	e.stack = stack
+	if e.sizes == nil {
+		e.sizes = make(map[int32]int)
+	}
+	e.sizes[root] = n
 	return n
 }

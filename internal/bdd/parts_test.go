@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -42,7 +43,7 @@ func normalizeRules(t *testing.T, rules []*subscription.Rule) []subscription.Nor
 
 // TestMergePartsOneGroup: rules that all test the same fields are one
 // part, built as Merge builds the one diagram — the same nodes under the
-// same IDs — and the engine makes no trial builder.
+// same IDs — and the store holds exactly Merge's nodes: no trial ran.
 func TestMergePartsOneGroup(t *testing.T) {
 	sp := testSpec(t)
 	rules := parseRules(t, sp, "stock == A and price > 5: fwd(1)\nstock == B and price < 9: fwd(2)\nstock == A and price > 7: fwd(3)")
@@ -63,8 +64,8 @@ func TestMergePartsOneGroup(t *testing.T) {
 	if len(parts.Parts) != 1 || parts.Parts[0].Rules != nil || parts.Parts[0].Root.ID != one.Parts[0].Root.ID || parts.Dot() != one.Dot() {
 		t.Fatalf("one group: parts %v, root %d, want one part and root %d", parts.Parts, parts.Parts[0].Root.ID, one.Parts[0].Root.ID)
 	}
-	if b.trial != nil {
-		t.Error("one group made a trial builder")
+	if len(b.b.nodes) != len(a.b.nodes) {
+		t.Errorf("one group: the store holds %d nodes, Merge's %d", len(b.b.nodes), len(a.b.nodes))
 	}
 }
 
@@ -137,31 +138,56 @@ func TestMergePartsSplit(t *testing.T) {
 	}
 }
 
-// TestTrialBudget: a rejected trial creates at most its bound of nodes,
-// and is not tried again.
+// TestTrialBudget: a rejected trial, run in the engine's one store,
+// creates at most its bound of nodes and is not tried again; under an
+// engine MaxNodes below what the trial needs, MergeParts fails with
+// ErrTooLarge, the store never passes MaxNodes, and no rejection is
+// memoized.
 func TestTrialBudget(t *testing.T) {
 	sp := testSpec(t)
-	e := NewEngine(sp, Options{})
-	if err := e.Add(normalizeRules(t, parseRules(t, sp, partsSrc()))...); err != nil {
-		t.Fatal(err)
+	nrs := normalizeRules(t, parseRules(t, sp, partsSrc()))
+	// groupRoots adds nrs to a fresh engine and merges its two groups, as
+	// MergeParts does before its first trial.
+	groupRoots := func(maxNodes int) (e *Engine, a, b int32) {
+		e = NewEngine(sp, Options{MaxNodes: maxNodes})
+		if err := e.Add(nrs...); err != nil {
+			t.Fatal(err)
+		}
+		label, n := e.groups()
+		if n != 2 {
+			t.Fatalf("%d groups, want 2", n)
+		}
+		a = e.mergeLive(func(i int) bool { return label[i] == 0 })
+		b = e.mergeLive(func(i int) bool { return label[i] == 1 })
+		return e, a, b
 	}
-	groups := e.groups()
-	if len(groups) != 2 {
-		t.Fatalf("%d groups, want 2", len(groups))
-	}
-	e.trial = newTrialBuilder(e.u, true, 0)
-	tb := e.trial
-	a, b := tb.mergeGroup(e.live, groups[0]), tb.mergeGroup(e.live, groups[1])
-	bound := partFactor * (tb.size(a, -1) + tb.size(b, -1))
-	before := len(tb.b.nodes)
-	if _, ok := tb.tryOr(a, b, bound); ok {
+	e, a, b := groupRoots(0)
+	base := len(e.b.nodes)
+	bound := partFactor * (e.size(a, -1) + e.size(b, -1))
+	if _, ok := e.tryOr(a, b, bound); ok {
 		t.Fatal("the blow-up merge was accepted")
 	}
-	if created := len(tb.b.nodes) - before; created > bound {
+	created := len(e.b.nodes) - base
+	if created > bound {
 		t.Errorf("the rejected trial created %d nodes, bound %d", created, bound)
 	}
-	before = len(tb.b.nodes)
-	if _, ok := tb.tryOr(a, b, bound); ok || len(tb.b.nodes) != before {
+	if _, ok := e.tryOr(a, b, bound); ok || len(e.b.nodes) != base+created {
 		t.Error("the rejected pair was tried again")
+	}
+	if e.b.maxNodes != 0 {
+		t.Errorf("the trial left the store capped at %d nodes", e.b.maxNodes)
+	}
+
+	t.Logf("groups %d nodes, the rejected trial %d, bound %d", base, created, bound)
+	maxNodes := base + created/2
+	capped, ca, cb := groupRoots(maxNodes)
+	if _, err := capped.MergeParts(); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("MaxNodes %d below the trial's %d: MergeParts returned %v, want ErrTooLarge", maxNodes, base+created, err)
+	}
+	if n := len(capped.b.nodes); n > maxNodes {
+		t.Errorf("the store holds %d nodes, MaxNodes %d", n, maxNodes)
+	}
+	if _, rejected := capped.b.memo.get(ca, cb, 1); rejected {
+		t.Error("a trial stopped by MaxNodes was memoized as rejected")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"camus/internal/analysis/prove"
 	"camus/internal/compiler"
 	"camus/internal/formats"
 	"camus/internal/pipeline"
@@ -88,15 +89,16 @@ var orderDefect = map[string]bool{"stateful-lasthop": true}
 // TestPartsDifferential is the differential test of parts (DESIGN §11):
 // on every load, compiled in parts and as one diagram, Program.Eval, the
 // ports Switch.ProcessBatch delivers to and the AST evaluator
-// (subscription.MatchActions) agree on seeded messages; and a seeded
-// Incremental churn that ends at the load's rules chooses the batch
-// compile's parts and compiles a program Canonical()-equal to it.
+// (subscription.MatchActions) agree on seeded messages, on the stateful
+// loads at the switch's live registers and with prove's evaluator too;
+// and a seeded Incremental churn that ends at the load's rules chooses the
+// batch compile's parts and compiles a program Canonical()-equal to it.
 func TestPartsDifferential(t *testing.T) {
 	split := 0
 	for _, ld := range partsLoads(t) {
 		t.Run(ld.Name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(len(ld.Rules))))
-			msgs := seededMessages(t, r, ld.Spec, ld.Rules, 300)
+			msgs := seededMessages(t, r, ld.Spec, ld.Rules, 300, 10)
 			for _, one := range []bool{false, true} {
 				opts := ld.Opts
 				opts.OneDiagram = one
@@ -140,11 +142,10 @@ func TestPartsDifferential(t *testing.T) {
 // action set against the AST evaluator's at empty registers, and the
 // ports a switch running p delivers each message to against Eval's. With
 // aggregates (stateful) the switch takes the messages one at a time,
-// 100µs apart, and Eval reads its registers as they stood before each
-// message. The AST evaluator is not compared at live registers: it reads
-// an aggregate over a field whose header is absent, where the compiler's
-// validity guard (injectValidityGuards) makes that atom false.
-func agreeOnMessages(t *testing.T, p *compiler.Program, rules []*subscription.Rule, msgs []*spec.Message, stateful, one bool) {
+// 100µs apart; Eval, the AST evaluator and prove's evaluator of p's
+// ProveIR read the registers as they stood before each message, which it
+// returns, one state per message.
+func agreeOnMessages(t *testing.T, p *compiler.Program, rules []*subscription.Rule, msgs []*spec.Message, stateful, one bool) []subscription.MapState {
 	t.Helper()
 	sw, err := pipeline.NewSwitch("diff", nil, p, pipeline.WithIngressDrop(false))
 	if err != nil {
@@ -166,12 +167,25 @@ func agreeOnMessages(t *testing.T, p *compiler.Program, rules []*subscription.Ru
 		}
 	}
 	if stateful {
+		ir, err := p.ProveIR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		states := make([]subscription.MapState, len(msgs))
 		for i, m := range msgs {
 			now := time.Duration(i) * 100 * time.Microsecond
 			before := subscription.MapState(sw.Registers(now))
+			want := p.Eval(m, before)
+			if got := subscription.MatchActions(rules, m, before); got.Key() != want.Key() {
+				t.Fatalf("one-diagram=%v: %s at %v: rules %s, Eval %s", one, m, before, got, want)
+			}
+			if got, _ := ir.Eval(assignment(m, before)); !got.Equal(want) {
+				t.Fatalf("one-diagram=%v: %s at %v: prove %s, Eval %s", one, m, before, got, want)
+			}
 			agree(m, before, sw.Process(&pipeline.Packet{In: -1, Msgs: []*spec.Message{m}, Bytes: 64}, now))
+			states[i] = before
 		}
-		return
+		return states
 	}
 	pkts := make([]*pipeline.Packet, len(msgs))
 	for i, m := range msgs {
@@ -180,6 +194,76 @@ func agreeOnMessages(t *testing.T, p *compiler.Program, rules []*subscription.Ru
 	res := sw.ProcessBatch(pkts, 0)
 	for i, m := range msgs {
 		agree(m, nil, res[i])
+	}
+	return nil
+}
+
+// assignment is m at registers st as prove's concrete model.
+func assignment(m *spec.Message, st subscription.MapState) *prove.Assignment {
+	a := &prove.Assignment{Headers: map[string]bool{}, Fields: map[string]spec.Value{}, State: st}
+	sp := m.Spec()
+	for _, h := range sp.Headers {
+		if !m.HeaderPresent(h.Name) {
+			continue
+		}
+		a.Headers[h.Name] = true
+		for _, f := range h.Fields {
+			if idx, ok := sp.SubscribableIndex(f); ok {
+				if v, ok := m.Get(idx); ok {
+					a.Fields[f.QName()] = v
+				}
+			}
+		}
+	}
+	return a
+}
+
+// TestAggregateWithoutHeader: on stateful-lasthop, messages that lack the
+// header of an aggregated field while the switch's register for it is
+// past the rule's threshold get one result from the AST evaluator,
+// Program.Eval, prove's evaluator and the switch (agreeOnMessages): the
+// aggregate atom is false without its field's header, in every mode.
+func TestAggregateWithoutHeader(t *testing.T) {
+	var ld compiler.CompileLoad
+	for _, l := range compiler.CompileLoads(t) {
+		if l.Name == "stateful-lasthop" {
+			ld = l
+		}
+	}
+	// The aggregate atoms over a field: avg(price, 1s) > 4.
+	var aggs []*subscription.Atom
+	for _, r := range ld.Rules {
+		nrs, err := subscription.NormalizeRule(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nr := range nrs {
+			for _, a := range nr.Conj {
+				if a.Ref.Kind == subscription.AggregateRef && a.Ref.Field != nil {
+					aggs = append(aggs, a)
+				}
+			}
+		}
+	}
+	if len(aggs) == 0 {
+		t.Fatal("stateful-lasthop has no aggregate over a field")
+	}
+	p, err := compiler.Compile(ld.Spec, ld.Rules, ld.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := seededMessages(t, rand.New(rand.NewSource(46)), ld.Spec, ld.Rules, 400, 2)
+	states := agreeOnMessages(t, p, ld.Rules, msgs, true, false)
+	past := 0
+	for i, m := range msgs {
+		for _, a := range aggs {
+			if !m.HeaderPresent(a.Ref.Field.Header) && subscription.Compare(spec.IntVal(states[i][a.Ref.Key()]), a.Rel, a.Const) {
+				past++
+			}
+		}
+	}
+	if past < 100 {
+		t.Errorf("only %d messages lack an aggregated field's header with its register past the threshold", past)
 	}
 }
 
@@ -240,8 +324,8 @@ func churnTo(t *testing.T, r *rand.Rand, ld compiler.CompileLoad) *compiler.Prog
 
 // seededMessages draws n messages of sp whose fields take the rules'
 // constants, their neighbours or random values; a header is absent one
-// time in ten.
-func seededMessages(t *testing.T, r *rand.Rand, sp *spec.Spec, rules []*subscription.Rule, n int) []*spec.Message {
+// time in drop.
+func seededMessages(t *testing.T, r *rand.Rand, sp *spec.Spec, rules []*subscription.Rule, n, drop int) []*spec.Message {
 	t.Helper()
 	consts := make(map[*spec.Field][]spec.Value)
 	for _, rule := range rules {
@@ -261,7 +345,7 @@ func seededMessages(t *testing.T, r *rand.Rand, sp *spec.Spec, rules []*subscrip
 	for i := range msgs {
 		m := spec.NewMessage(sp)
 		for _, h := range sp.Headers {
-			if r.Intn(10) == 0 {
+			if r.Intn(drop) == 0 {
 				continue
 			}
 			m.MarkHeader(h.Name)

@@ -48,7 +48,7 @@ func TestPublishBatchDeterminism(t *testing.T) {
 	seq := deploy(t, subs, opts)
 	want := make([][]HostDelivery, len(pubs))
 	for i, p := range pubs {
-		want[i] = seq.PublishFlow(p.Host, p.Msgs, p.Bytes, p.Flow)
+		want[i] = seq.Publish(p.Host, p.Msgs, p.Bytes)
 	}
 
 	batch := deploy(t, subs, opts)
@@ -76,7 +76,7 @@ func TestPublishBatchParallel(t *testing.T) {
 	seq := deploy(t, subs, opts)
 	want := make([][]HostDelivery, len(pubs))
 	for i, p := range pubs {
-		want[i] = seq.PublishFlow(p.Host, p.Msgs, p.Bytes, p.Flow)
+		want[i] = seq.Publish(p.Host, p.Msgs, p.Bytes)
 	}
 
 	par := deploy(t, subs, opts)
@@ -150,7 +150,7 @@ func sequential(t *testing.T, subs [][]subscription.Expr, opts controller.Option
 	seq := deploy(t, subs, opts)
 	want := make([][]HostDelivery, len(pubs))
 	for i, p := range pubs {
-		want[i] = seq.PublishFlow(p.Host, p.Msgs, p.Bytes, p.Flow)
+		want[i] = seq.Publish(p.Host, p.Msgs, p.Bytes)
 	}
 	return want
 }
@@ -202,15 +202,15 @@ func TestPublishBatchIntoKeepsBoth(t *testing.T) {
 	}
 }
 
-// TestPublishSurvivesBatches: Publish and PublishFlow results are
-// heap-fresh, unchanged by any later batch.
+// TestPublishSurvivesBatches: Publish results are heap-fresh, unchanged
+// by any later batch.
 func TestPublishSurvivesBatches(t *testing.T) {
 	subs, pubs := batchWorkload(t, 23, 64)
 	opts := controller.Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
 	sim := deploy(t, subs, opts)
 	kept := make([][]HostDelivery, len(pubs))
 	for i, p := range pubs {
-		kept[i] = sim.PublishFlow(p.Host, p.Msgs, p.Bytes, p.Flow)
+		kept[i] = sim.Publish(p.Host, p.Msgs, p.Bytes)
 	}
 	want := cloneResults(kept)
 	delivered := 0

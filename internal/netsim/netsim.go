@@ -13,8 +13,8 @@
 // results follow pipeline's contract: PublishBatchInto lays a batch's
 // deliveries out in a caller-owned Results, valid until that Results is
 // passed again; PublishBatch uses the Sim's own Results, recycled by the
-// next PublishBatch; Publish and PublishFlow return heap-fresh results
-// the caller may keep.
+// next PublishBatch; Publish returns heap-fresh results the caller may
+// keep.
 package netsim
 
 import (
@@ -175,18 +175,13 @@ type Publication struct {
 // Publish injects a packet from a host and forwards it to completion,
 // returning every host delivery. Processing is synchronous at time 0:
 // the simulator keeps no clock (switch transit latencies are summed
-// into the per-delivery latency only).
+// into the per-delivery latency only). It is a batch of one, laid out in
+// a Results of its own, so what it returns is heap-fresh and the
+// caller's to keep; its ECMP flow identity hashes from the publisher (a
+// Publication's Flow pins another, through PublishBatchInto).
 func (s *Sim) Publish(host int, msgs []*spec.Message, bytes int) []HostDelivery {
-	return s.PublishFlow(host, msgs, bytes, 0)
-}
-
-// PublishFlow is Publish with an explicit flow identity for ECMP path
-// selection (flow 0 hashes from the publisher): a batch of one, laid out
-// in a Results of its own, so what it returns is heap-fresh and the
-// caller's to keep.
-func (s *Sim) PublishFlow(host int, msgs []*spec.Message, bytes int, flow uint64) []HostDelivery {
 	var res Results
-	return s.PublishBatchInto(&res, []Publication{{Host: host, Msgs: msgs, Bytes: bytes, Flow: flow}})[0]
+	return s.PublishBatchInto(&res, []Publication{{Host: host, Msgs: msgs, Bytes: bytes}})[0]
 }
 
 // Results is the caller-owned output of PublishBatchInto: the

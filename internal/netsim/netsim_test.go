@@ -338,7 +338,8 @@ func TestECMPFlowStability(t *testing.T) {
 	// loss); distinct flows must also all deliver.
 	for flow := uint64(1); flow <= 8; flow++ {
 		for i := 0; i < 5; i++ {
-			out := sim.PublishFlow(0, []*spec.Message{msg("GOOGL", 1, 1)}, 64, flow)
+			pub := Publication{Host: 0, Msgs: []*spec.Message{msg("GOOGL", 1, 1)}, Bytes: 64, Flow: flow}
+			out := sim.PublishBatchInto(new(Results), []Publication{pub})[0]
 			if len(out) != 1 || out[0].Host != 15 {
 				t.Fatalf("flow %d iteration %d: %+v", flow, i, out)
 			}

@@ -22,7 +22,11 @@ func (m MapState) AggValue(key string) int64 { return m[key] }
 
 // EvalAtom evaluates one atomic constraint against a message. Constraints
 // on fields absent from the packet evaluate to false (the packet lacks the
-// header the subscription filters on).
+// header the subscription filters on), and so does an aggregate over a
+// field whose header the packet lacks: a rule never matches a packet
+// without a header it reads (§VI), which is the validity guard every
+// compiled program carries. A count aggregate reads no field and has no
+// guard.
 func EvalAtom(a *Atom, m *spec.Message, st StateReader) bool {
 	var v spec.Value
 	switch a.Ref.Kind {
@@ -36,6 +40,9 @@ func EvalAtom(a *Atom, m *spec.Message, st StateReader) bool {
 			return false
 		}
 	case AggregateRef:
+		if a.Ref.Field != nil && !m.HeaderPresent(a.Ref.Field.Header) {
+			return false
+		}
 		var cur int64
 		if st != nil {
 			cur = st.AggValue(a.Ref.Key())
