@@ -65,7 +65,7 @@ func (m Mutation) Apply(p *compiler.Program) error {
 		if len(t.Entries) > 0 {
 			in = t.Entries[0].In
 		}
-		_, bits := widthOf(t)
+		_, bits := compiler.FieldWidth(t)
 		for i := 0; i < m.N; i++ {
 			var c match.Constraint
 			if m.Op == "inflate-exact" {
@@ -131,20 +131,4 @@ func (m Mutation) Apply(p *compiler.Program) error {
 		return fmt.Errorf("fitmut: unknown op %q", m.Op)
 	}
 	return nil
-}
-
-// widthOf mirrors the cost model's field sizing for mutation targets.
-func widthOf(t *compiler.Table) (fieldBytes, bits int) {
-	fieldBytes = 4
-	switch t.Field.Ref.Kind {
-	case subscription.PacketRef:
-		fieldBytes = t.Field.Ref.Field.Bytes()
-	case subscription.ValidityRef:
-		fieldBytes = 1
-	}
-	bits = fieldBytes * 8
-	if t.Field.Ref.Kind == subscription.PacketRef {
-		bits = t.Field.Ref.Field.Bits
-	}
-	return fieldBytes, bits
 }

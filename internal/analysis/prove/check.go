@@ -178,7 +178,7 @@ func (c *checker) checkMissing() {
 						if pr.leaf != nil {
 							acts = pr.leaf.Actions
 						}
-						if subsumes(acts, r.action) {
+						if acts.Covers(r.action) {
 							continue
 						}
 						if a, ok := pr.c.concretize(c.p.Spec); ok &&
@@ -256,7 +256,7 @@ func (c *checker) checkSpurious() {
 			if done[key] {
 				continue
 			}
-			contributors := c.customRules(act.Key())
+			contributors := c.customRules(act)
 			if ruleIDs, a := c.unjustified(pr.c, contributors); a != nil {
 				if c.confirm(KindSpuriousAction, -1, ruleIDs, a,
 					fmt.Sprintf("leaf state %d fires %s for a packet no rule justifies", l.In, act)) {
@@ -290,11 +290,11 @@ func (c *checker) portRules(q int) []*provedRule {
 	return out
 }
 
-// customRules returns the rules carrying the custom action key.
-func (c *checker) customRules(key string) []*provedRule {
+// customRules returns the rules carrying the custom action act.
+func (c *checker) customRules(act subscription.Action) []*provedRule {
 	var out []*provedRule
 	for _, r := range c.rules {
-		if !r.action.IsFwd() && r.action.Key() == key {
+		if !r.action.IsFwd() && r.action.Equal(act) {
 			out = append(out, r)
 		}
 	}

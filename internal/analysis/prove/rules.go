@@ -380,25 +380,3 @@ func EvalRules(rules []*subscription.Rule, o Options, a *Assignment) (subscripti
 	set, upd := evalRules(prs, a)
 	return set, upd, nil
 }
-
-// subsumes reports whether the merged action set already carries every
-// effect of act under the §V-D forwarding merge: all fwd ports
-// present; custom actions present by exact key. The empty fwd() (drop)
-// is subsumed by anything.
-func subsumes(set subscription.ActionSet, act subscription.Action) bool {
-	if act.IsFwd() {
-		for _, p := range act.Ports {
-			if _, ok := slices.BinarySearch(set.Ports, p); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	key := act.Key()
-	for _, c := range set.Custom {
-		if c.Key() == key {
-			return true
-		}
-	}
-	return false
-}

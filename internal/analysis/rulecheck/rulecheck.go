@@ -1,13 +1,13 @@
 // Package rulecheck verifies subscription rule tables symbolically: it
 // compiles the table through the repository's BDD path
-// (subscription.NormalizeRule → a bdd.Engine merge) with one marker
-// action per rule, then reads rule-level properties straight off the
-// diagram:
+// (subscription.NormalizeRule → bdd.CoMatch, one merge that names the
+// rules matching at each terminal), then reads rule-level properties
+// straight off the diagram:
 //
-//   - unsatisfiable: the rule's marker reaches no terminal — no packet
+//   - unsatisfiable: the rule reaches no terminal — no packet
 //     can ever match the filter;
 //
-//   - shadowed: at every terminal carrying the rule's marker, earlier
+//   - shadowed: at every terminal the rule reaches, earlier
 //     rules are present too AND their merged actions already subsume
 //     this rule's action — the filter is implied by the union of the
 //     rules before it and, under Camus merge semantics (§V-D), removing
@@ -24,7 +24,7 @@
 //     unchanged, and unlike a union shadow there is one specific rule
 //     to point at. Redundant rules suppress their shadowed finding;
 //
-//   - conflict: some terminal carries two markers whose actions
+//   - conflict: some terminal carries two rules whose actions
 //     contradict — an explicit drop overlapping a forward, or one
 //     custom action name invoked with different arguments (e.g. two
 //     answerDNS rules giving different addresses for one query).
@@ -53,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"camus/internal/analysis/fitcheck"
@@ -111,7 +110,7 @@ type Finding = report.Finding
 // Report is the result of verifying one rule file.
 type Report = report.Report
 
-// maxAnalysisNodes bounds the marker diagram; distinct markers defeat
+// maxAnalysisNodes bounds the co-match diagram; distinct rule tags defeat
 // terminal sharing, so the cap guards against pathological tables.
 const maxAnalysisNodes = 1 << 21
 
@@ -165,29 +164,23 @@ func verifyTable(sp *spec.Spec, file string, rules []*subscription.Rule, ruleLin
 		})
 	}
 
-	// Re-tag every rule disjunct with a marker action carrying its rule
-	// ID, so terminals of the merged diagram name the exact set of
-	// rules matching each packet region.
+	// One co-match read (bdd.CoMatch) names the exact set of rules
+	// matching each packet region of the merged diagram.
 	var normalized []subscription.NormalizedRule
 	analyzable := make(map[int]bool, len(rules))
 	for _, r := range rules {
-		nrs, err := subscription.NormalizeRule(&subscription.Rule{ID: r.ID, Filter: r.Filter, Action: markAction(r.ID)})
+		nrs, err := subscription.NormalizeRule(r)
 		if err != nil {
 			finding(r.ID, KindParseError, SevError, nil, "cannot normalize filter: %v", err)
 			continue
 		}
 		analyzable[r.ID] = true
-		// A rule whose DNF is empty is already unsatisfiable; keep it
-		// out of the build but let the marker scan report it uniformly.
+		// A rule whose DNF is empty is already unsatisfiable; it reaches
+		// no terminal and is reported with the others below.
 		normalized = append(normalized, nrs...)
 	}
 
-	e := bdd.NewEngine(sp, bdd.Options{MaxNodes: maxAnalysisNodes})
-	err := e.Add(normalized...)
-	var d *bdd.BDD
-	if err == nil {
-		d, err = e.Merge()
-	}
+	sets, err := bdd.CoMatch(sp, normalized, bdd.Options{MaxNodes: maxAnalysisNodes})
 	if err != nil {
 		sev := SevError
 		kind := KindParseError
@@ -200,7 +193,7 @@ func verifyTable(sp *spec.Spec, file string, rules []*subscription.Rule, ruleLin
 		})
 	}
 
-	// One pass over the reachable terminals gathers everything the
+	// One pass over the co-matching rule sets gathers everything the
 	// three checks need.
 	present := make(map[int]bool)
 	shadowed := make(map[int]bool)
@@ -210,14 +203,7 @@ func verifyTable(sp *spec.Spec, file string, rules []*subscription.Rule, ruleLin
 	for id := range analyzable {
 		shadowed[id] = true // until a terminal proves sole reach
 	}
-	for _, n := range d.Reachable() {
-		if !n.IsTerminal() {
-			continue
-		}
-		ids := markerIDs(n.Actions)
-		if len(ids) == 0 {
-			continue
-		}
+	for _, ids := range sets {
 		for _, id := range ids {
 			present[id] = true
 		}
@@ -252,7 +238,7 @@ func verifyTable(sp *spec.Spec, file string, rules []*subscription.Rule, ruleLin
 			for _, e := range earlier {
 				merged.Add(rules[e].Action)
 			}
-			if !subsumes(merged, rules[id].Action) {
+			if !merged.Covers(rules[id].Action) {
 				shadowed[id] = false
 				continue
 			}
@@ -295,7 +281,7 @@ func verifyTable(sp *spec.Spec, file string, rules []*subscription.Rule, ruleLin
 			// redundant — deletable with one specific rule to blame.
 			var dup []int
 			for e := range alwaysWith[id] {
-				if sameAction(rules[e].Action, rules[id].Action) {
+				if rules[e].Action.Equal(rules[id].Action) {
 					dup = append(dup, e)
 				}
 			}
@@ -332,77 +318,6 @@ func verifyTable(sp *spec.Spec, file string, rules []*subscription.Rule, ruleLin
 	return out
 }
 
-// markAction builds the per-rule marker action. The name is outside
-// the identifier grammar, so it can never collide with a user action.
-func markAction(id int) subscription.Action {
-	return subscription.Action{Name: "\x00mark", Args: []string{strconv.Itoa(id)}}
-}
-
-// markerIDs extracts the rule IDs present at a terminal.
-func markerIDs(acts subscription.ActionSet) []int {
-	var ids []int
-	for _, c := range acts.Custom {
-		if c.Name != "\x00mark" || len(c.Args) != 1 {
-			continue
-		}
-		if id, err := strconv.Atoi(c.Args[0]); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// subsumes reports whether the merged action set already carries every
-// effect of act: all fwd ports present, and any custom action present
-// by exact key. The empty (drop) action is subsumed by anything.
-func subsumes(set subscription.ActionSet, act subscription.Action) bool {
-	if act.IsFwd() {
-		have := make(map[int]bool, len(set.Ports))
-		for _, p := range set.Ports {
-			have[p] = true
-		}
-		for _, p := range act.Ports {
-			if !have[p] {
-				return false
-			}
-		}
-		return true
-	}
-	key := act.Key()
-	for _, c := range set.Custom {
-		if c.Key() == key {
-			return true
-		}
-	}
-	return false
-}
-
-// sameAction reports whether two actions are identical effects:
-// forwarding to the same port set (order-insensitive), or the same
-// custom action with the same arguments.
-func sameAction(a, b subscription.Action) bool {
-	if a.IsFwd() != b.IsFwd() {
-		return false
-	}
-	if a.IsFwd() {
-		if len(a.Ports) != len(b.Ports) {
-			return false
-		}
-		have := make(map[int]bool, len(a.Ports))
-		for _, p := range a.Ports {
-			have[p] = true
-		}
-		for _, p := range b.Ports {
-			if !have[p] {
-				return false
-			}
-		}
-		return true
-	}
-	return a.Key() == b.Key()
-}
-
 // earliestOthers returns the IDs in ids smaller than id.
 func earliestOthers(ids []int, id int) []int {
 	var out []int
@@ -426,7 +341,7 @@ func actionConflict(a, b subscription.Action) string {
 		}
 		return ""
 	}
-	if !a.IsFwd() && !b.IsFwd() && a.Name == b.Name && a.Key() != b.Key() {
+	if !a.IsFwd() && !b.IsFwd() && a.Name == b.Name && !a.Equal(b) {
 		return fmt.Sprintf("%s vs %s (same action, different arguments)", a, b)
 	}
 	return ""

@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -32,10 +31,6 @@ type Options struct {
 	// does, where the compiler would split rules that test different
 	// fields into parts (bdd.Engine.MergeParts). Ablation only.
 	OneDiagram bool
-	// MaxEntries aborts compilation when a single switch program exceeds
-	// this many table entries (0 = unlimited); a guard against
-	// pathological workloads.
-	MaxEntries int
 	// LastHop marks the program as running on a last-hop (host-facing)
 	// switch: stateful predicates are evaluated and updated here. On
 	// non-last-hop switches stateful atoms are erased (treated as true)
@@ -310,7 +305,6 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 	}
 
 	var delta entryDelta
-	total := 0
 	for _, fv := range d.Universe.Fields {
 		// Fields no live rule predicates on have no in-node (the
 		// incremental engine's universe holds every spec field); they are
@@ -344,10 +338,6 @@ func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) 
 			t.Defaults[u.ID] = b.def
 		}
 		classify(t, exact, opts)
-		total += len(t.Entries) + t.MapEntries
-		if opts.MaxEntries > 0 && total > opts.MaxEntries {
-			return nil, entryDelta{}, fmt.Errorf("compiler: table entries exceed limit %d", opts.MaxEntries)
-		}
 		p.Stages = append(p.Stages, t)
 	}
 

@@ -358,21 +358,6 @@ func footprint(p *Program) TableCost {
 	return c
 }
 
-func TestMaxEntriesGuard(t *testing.T) {
-	sp := testSpec(t)
-	rules, err := subscription.NewParser(sp).ParseRules(`
-price > 1: fwd(1)
-price > 2: fwd(2)
-price > 3: fwd(3)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(sp, rules, Options{MaxEntries: 2}); err == nil {
-		t.Error("MaxEntries guard did not trip")
-	}
-}
-
 func TestStaticPipeline(t *testing.T) {
 	sp := testSpec(t)
 	st, err := GenerateStatic(sp, StaticOptions{})

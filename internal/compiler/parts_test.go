@@ -20,7 +20,8 @@ import (
 
 // partsLoads is the differential corpus: TestCompileDeterministic's loads,
 // camusc's shipped ITCH and INT samples, Siena filters of exactly 1, 2
-// and 3 predicates over 100 ITCH filters, and statefulPartsRules.
+// and 3 predicates over 100 ITCH filters, statefulPartsRules and
+// negatedRules.
 func partsLoads(t *testing.T) []compiler.CompileLoad {
 	loads := compiler.CompileLoads(t)
 	for _, f := range []struct{ spec, rules string }{
@@ -58,8 +59,26 @@ func partsLoads(t *testing.T) []compiler.CompileLoad {
 		t.Fatal(err)
 	}
 	loads = append(loads, compiler.CompileLoad{Name: "stateful-parts", Spec: formats.ITCH, Rules: rules, Opts: compiler.Options{LastHop: true}})
+	rules, err = subscription.NewParser(formats.ITCH).ParseRules(negatedRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads = append(loads, compiler.CompileLoad{Name: "negated", Spec: formats.ITCH, Rules: rules})
 	return loads
 }
+
+// negatedRules negate atoms, conjunctions and disjunctions over fields of
+// itch_order, which the seeded messages lack one time in ten: a negated
+// atom is false there, as its normal form is.
+const negatedRules = `
+not (price > 500) and stock == GOOGL: fwd(1)
+not (stock == MSFT): fwd(2)
+not (shares < 100 or price < 50): fwd(3)
+not (not (buy_sell == 1) and shares > 300): fwd(4)
+stock == AAPL and not (price >= 700): fwd(5)
+not (buy_sell == 0): fwd(6)
+not (stock == INTC and shares <= 200): fwd(1)
+`
 
 // statefulPartsRules compile as two parts, {stock, price} and {shares},
 // that both read count(1s) with thresholds the seeded messages cross: a

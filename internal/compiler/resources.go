@@ -50,9 +50,9 @@ type TableCost struct {
 	Entries int
 }
 
-// fieldWidth returns the field byte width and match-key bit count used
+// FieldWidth returns the field byte width and match-key bit count used
 // by the cost model for a stage table.
-func fieldWidth(t *Table) (fieldBytes, bits int) {
+func FieldWidth(t *Table) (fieldBytes, bits int) {
 	fieldBytes = 4
 	switch t.Field.Ref.Kind {
 	case subscription.PacketRef:
@@ -70,7 +70,7 @@ func fieldWidth(t *Table) (fieldBytes, bits int) {
 // CostOf computes the resource footprint of a single stage table — the
 // one cost definition fitcheck places and totals.
 func CostOf(t *Table) TableCost {
-	fieldBytes, bits := fieldWidth(t)
+	fieldBytes, bits := FieldWidth(t)
 	keyBytes := stateBytes + fieldBytes
 	c := TableCost{KeyBits: keyBytes * 8}
 	switch t.Kind {
@@ -103,7 +103,7 @@ func CostOf(t *Table) TableCost {
 // entry to t — the increment fitcheck's headroom search charges per
 // hypothetical entry.
 func MaxEntryCost(t *Table) TableCost {
-	fieldBytes, bits := fieldWidth(t)
+	fieldBytes, bits := FieldWidth(t)
 	keyBytes := stateBytes + fieldBytes
 	c := TableCost{KeyBits: keyBytes * 8, Entries: 1}
 	switch t.Kind {

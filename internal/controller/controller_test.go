@@ -150,8 +150,8 @@ func TestDeployMatchesPerSwitchCompile(t *testing.T) {
 func TestDeployParallelErrorPropagation(t *testing.T) {
 	net := topology.MustFatTree(4)
 	opts := Options{Routing: routing.Options{Policy: routing.TrafficReduction}}
-	opts.Compiler.MaxEntries = 1 // every switch exceeds this
+	opts.Compiler.BDD.MaxNodes = 1 // every switch's merge exceeds this
 	if _, err := Deploy(net, testSpec, subsFor(t, net), opts); err == nil {
-		t.Fatal("expected MaxEntries compile failure through the fan-out")
+		t.Fatal("expected MaxNodes compile failure through the fan-out")
 	}
 }

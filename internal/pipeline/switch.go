@@ -336,7 +336,7 @@ func (s *Switch) packet(r *run, pkt *Packet, i int) []Delivery {
 			}
 			for _, act := range le.Actions.Custom {
 				if j == 0 || !s.earlier(ws.slots[:j], func(e *compiler.LeafEntry) bool {
-					return slices.ContainsFunc(e.Actions.Custom, func(c subscription.Action) bool { return sameAction(c, act) })
+					return e.Actions.Covers(act)
 				}) {
 					r.customs = append(r.customs, customHit{pkt: i, act: act, m: m})
 				}
@@ -371,11 +371,6 @@ func (s *Switch) earlier(slots []int, has func(*compiler.LeafEntry) bool) bool {
 		}
 	}
 	return false
-}
-
-// sameAction reports whether two custom actions are equal.
-func sameAction(a, b subscription.Action) bool {
-	return a.Name == b.Name && slices.Equal(a.Args, b.Args) && slices.Equal(a.Ports, b.Ports)
 }
 
 // emit is the crossbar and egress: one replica per bit of union, in

@@ -8,9 +8,8 @@
 // The package has two halves:
 //
 //   - Implier decides f ⊑ g symbolically on the repository's BDD path
-//     (subscription.NormalizeRule → a bdd.Engine merge with marker
-//     actions, the same construction rulecheck uses), memoized per
-//     expression pair;
+//     (subscription.NormalizeRule → bdd.CoMatch, the co-match read
+//     rulecheck uses too), memoized per expression pair;
 //   - Forest maintains, for one (switch, port), the subsumption forest
 //     over the filters placed there: table entries exist exactly for
 //     forest roots, every non-root node implies its parent (and, by
@@ -34,7 +33,7 @@
 package cover
 
 import (
-	"strconv"
+	"slices"
 	"sync"
 
 	"camus/internal/bdd"
@@ -47,10 +46,6 @@ import (
 // with whole-table builds; the cap is a guard against pathological
 // filters, not a working limit.
 const DefaultMaxNodes = 1 << 18
-
-// markName tags the marker actions; the NUL prefix is outside the
-// identifier grammar, so it can never collide with a user action.
-const markName = "\x00cover"
 
 // Implier answers subsumption queries f ⊑ g over a message spec,
 // memoizing by expression string pair. Safe for concurrent use.
@@ -92,52 +87,29 @@ func (im *Implier) Implies(f, g subscription.Expr) bool {
 	return v
 }
 
-// decide runs the symbolic check: build one diagram over the two
-// marker-tagged filters and scan its reachable terminals. f ⊑ g holds
-// iff no terminal carries f's marker without g's. The builder's domain
-// pruning keeps every root-to-terminal path satisfiable, so the read
-// is exact; an unsatisfiable f reaches no terminal and so implies
-// everything, which is the correct vacuous answer.
+// decide runs the symbolic check: which of f (rule 0) and g (rule 1)
+// match together, read off one diagram (bdd.CoMatch). f ⊑ g holds iff
+// no terminal carries f without g. The builder's domain pruning keeps
+// every root-to-terminal path satisfiable, so the read is exact; an
+// unsatisfiable f reaches no terminal and so implies everything, which
+// is the correct vacuous answer.
 func (im *Implier) decide(f, g subscription.Expr) bool {
 	var normalized []subscription.NormalizedRule
 	for i, e := range []subscription.Expr{f, g} {
-		nrs, err := subscription.NormalizeRule(&subscription.Rule{ID: i, Filter: e, Action: markAction(i)})
+		nrs, err := subscription.NormalizeRule(&subscription.Rule{ID: i, Filter: e})
 		if err != nil {
 			return false
 		}
 		normalized = append(normalized, nrs...)
 	}
-	e := bdd.NewEngine(im.sp, bdd.Options{MaxNodes: im.maxNodes})
-	if err := e.Add(normalized...); err != nil {
-		return false
-	}
-	d, err := e.Merge()
+	sets, err := bdd.CoMatch(im.sp, normalized, bdd.Options{MaxNodes: im.maxNodes})
 	if err != nil {
 		return false
 	}
-	for _, n := range d.Reachable() {
-		if !n.IsTerminal() {
-			continue
-		}
-		hasF, hasG := false, false
-		for _, c := range n.Actions.Custom {
-			if c.Name != markName || len(c.Args) != 1 {
-				continue
-			}
-			switch c.Args[0] {
-			case "0":
-				hasF = true
-			case "1":
-				hasG = true
-			}
-		}
-		if hasF && !hasG {
+	for _, ids := range sets {
+		if ids[0] == 0 && !slices.Contains(ids, 1) {
 			return false
 		}
 	}
 	return true
-}
-
-func markAction(id int) subscription.Action {
-	return subscription.Action{Name: markName, Args: []string{strconv.Itoa(id)}}
 }

@@ -13,7 +13,8 @@ import (
 type ActionSet struct {
 	// Ports is the sorted, deduplicated union of fwd ports.
 	Ports []int
-	// Custom holds non-fwd actions, deduplicated by key and sorted.
+	// Custom holds non-fwd actions, deduplicated (Action.Equal) and sorted
+	// by Key.
 	Custom []Action
 }
 
@@ -25,11 +26,8 @@ func (s *ActionSet) Add(a Action) {
 		}
 		return
 	}
-	key := a.Key()
-	for _, c := range s.Custom {
-		if c.Key() == key {
-			return
-		}
+	if s.Covers(a) {
+		return
 	}
 	s.Custom = append(s.Custom, a)
 	sort.Slice(s.Custom, func(i, j int) bool { return s.Custom[i].Key() < s.Custom[j].Key() })
@@ -74,6 +72,26 @@ func UnionPorts(dst, a, b []int) []int {
 	return append(append(dst, a...), b...)
 }
 
+// Covers reports whether the set already carries every effect of a under
+// the §V-D merge: each of a fwd action's ports (so the empty fwd(), a
+// drop, is covered by any set), or the custom action itself.
+func (s ActionSet) Covers(a Action) bool {
+	if a.IsFwd() {
+		for _, p := range a.Ports {
+			if _, ok := slices.BinarySearch(s.Ports, p); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	for _, c := range s.Custom {
+		if c.Equal(a) {
+			return true
+		}
+	}
+	return false
+}
+
 // IsEmpty reports whether the set carries no forwarding decision — the
 // packet is dropped.
 func (s ActionSet) IsEmpty() bool { return len(s.Ports) == 0 && len(s.Custom) == 0 }
@@ -105,7 +123,7 @@ func (s ActionSet) Equal(o ActionSet) bool {
 		return false
 	}
 	for i := range s.Custom {
-		if !s.Custom[i].sameKey(o.Custom[i]) {
+		if !s.Custom[i].Equal(o.Custom[i]) {
 			return false
 		}
 	}
@@ -123,8 +141,7 @@ func (s ActionSet) Hash() uint64 {
 	for _, p := range s.Ports {
 		h = (h ^ uint64(p)) * prime
 	}
-	// Custom actions hash the bytes of their Key, the identity Add
-	// deduplicates them by.
+	// Custom actions hash their name and arguments, which Equal compares.
 	str := func(x string) {
 		for i := 0; i < len(x); i++ {
 			h = (h ^ uint64(x[i])) * prime

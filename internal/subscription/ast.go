@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -287,18 +288,32 @@ func (a Action) String() string {
 		}
 		return "fwd(" + strings.Join(parts, ",") + ")"
 	}
-	return a.Name + "(" + strings.Join(a.Args, ",") + ")"
+	args := make([]string, len(a.Args))
+	for i, arg := range a.Args {
+		if args[i] = arg; !bareArg(arg) {
+			args[i] = strconv.Quote(arg)
+		}
+	}
+	return a.Name + "(" + strings.Join(args, ",") + ")"
+}
+
+// bareArg reports whether the lexer reads arg back as one unquoted action
+// argument: an identifier, a number or an IPv4 address whose text is arg.
+// Every other argument prints quoted, so a printed action parses back to
+// itself and two actions print alike only when they are Equal.
+func bareArg(arg string) bool {
+	t, err := newLexer(arg).next()
+	return err == nil && t.text == arg && (t.kind == tokIdent || t.kind == tokNumber || t.kind == tokIP)
 }
 
 // Key returns a canonical identity for the action, used when merging the
-// actions of multiple rules matching the same packet.
+// actions of multiple rules matching the same packet. Two actions the
+// parser makes (a fwd action carries only ports, a custom one only
+// arguments) have one Key exactly when they are Equal.
 func (a Action) Key() string { return a.String() }
 
-// sameKey reports whether a.Key() == b.Key(), formatting only when the two
-// differ structurally.
-func (a Action) sameKey(b Action) bool {
-	if a.Name == b.Name && slices.Equal(a.Ports, b.Ports) && slices.Equal(a.Args, b.Args) {
-		return true
-	}
-	return a.Key() == b.Key()
+// Equal reports whether two actions are the same action: one name, one
+// port list and one argument list. It allocates nothing.
+func (a Action) Equal(b Action) bool {
+	return a.Name == b.Name && slices.Equal(a.Ports, b.Ports) && slices.Equal(a.Args, b.Args)
 }

@@ -28,6 +28,13 @@ func (m MapState) AggValue(key string) int64 { return m[key] }
 // compiled program carries. A count aggregate reads no field and has no
 // guard.
 func EvalAtom(a *Atom, m *spec.Message, st StateReader) bool {
+	return evalAtom(a, m, st, false)
+}
+
+// evalAtom evaluates a, or its negation when neg is set. A negated atom is
+// the atom with the negated relation, as normalization (pushNot) makes
+// it, so it too is false on a message without the header it reads.
+func evalAtom(a *Atom, m *spec.Message, st StateReader, neg bool) bool {
 	var v spec.Value
 	switch a.Ref.Kind {
 	case PacketRef:
@@ -55,7 +62,7 @@ func EvalAtom(a *Atom, m *spec.Message, st StateReader) bool {
 		}
 		v = spec.IntVal(bit)
 	}
-	return Compare(v, a.Rel, a.Const)
+	return Compare(v, a.Rel, a.Const) != neg
 }
 
 // Compare applies a relation between a field value and a constant.
@@ -94,32 +101,40 @@ func Compare(v spec.Value, rel Relation, c spec.Value) bool {
 }
 
 // EvalExpr evaluates a filter expression against a message — the reference
-// semantics that the BDD and the compiled pipeline must agree with.
+// semantics that the BDD and the compiled pipeline must agree with. A
+// negation is evaluated as normalization reads it: pushed down to the
+// atoms (De Morgan), where a negated atom is false without its header.
 func EvalExpr(e Expr, m *spec.Message, st StateReader) bool {
+	return evalExpr(e, m, st, false)
+}
+
+// evalExpr evaluates e, or not (e) when neg is set.
+func evalExpr(e Expr, m *spec.Message, st StateReader, neg bool) bool {
 	switch n := e.(type) {
 	case *Bool:
-		return n.Value
+		return n.Value != neg
 	case *Atom:
-		return EvalAtom(n, m, st)
+		return evalAtom(n, m, st, neg)
 	case *Not:
-		return !EvalExpr(n.Term, m, st)
+		return evalExpr(n.Term, m, st, !neg)
 	case *And:
-		for _, t := range n.Terms {
-			if !EvalExpr(t, m, st) {
-				return false
-			}
-		}
-		return true
+		return evalTerms(n.Terms, m, st, neg, !neg)
 	case *Or:
-		for _, t := range n.Terms {
-			if EvalExpr(t, m, st) {
-				return true
-			}
-		}
-		return false
+		return evalTerms(n.Terms, m, st, neg, neg)
 	default:
 		return false
 	}
+}
+
+// evalTerms evaluates terms, each negated when neg is set, as a
+// conjunction when all is set and as a disjunction otherwise.
+func evalTerms(terms []Expr, m *spec.Message, st StateReader, neg, all bool) bool {
+	for _, t := range terms {
+		if evalExpr(t, m, st, neg) != all {
+			return !all
+		}
+	}
+	return all
 }
 
 // EvalConjunction evaluates a normalized conjunction.
@@ -135,7 +150,7 @@ func EvalConjunction(c Conjunction, m *spec.Message, st StateReader) bool {
 // MatchActions evaluates a rule set against a message by brute force and
 // returns the merged action set of all matching rules — the ground truth
 // for the BDD and pipeline equivalence property tests. Actions are
-// deduplicated by Action.Key and fwd ports are merged.
+// deduplicated (Action.Equal) and fwd ports are merged.
 func MatchActions(rules []*Rule, m *spec.Message, st StateReader) ActionSet {
 	var set ActionSet
 	for _, r := range rules {
