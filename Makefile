@@ -136,7 +136,8 @@ bench-report:
 ## metric differs from it (a kernel change that moved structure;
 ## CompileINT1k also records engine-MB, what its engine retains). The compiled table walk (Lookup, both rule
 ## shapes) runs 100000 lookups over its message pool and is held to an
-## exact zero-alloc baseline. The wire-decode benchmarks decode 1000
+## exact zero-alloc baseline and to its walkB/lookup exactly (the bytes a
+## lookup reads over the seeded pool, which no host moves). The wire-decode benchmarks decode 1000
 ## frames each against an exact zero-alloc baseline too (messages and
 ## string bytes are carved from pooled chunks, whose refills round to 0
 ## per frame), so per-frame, per-message or per-field decode garbage

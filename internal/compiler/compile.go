@@ -251,6 +251,15 @@ func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
 	return p, err
 }
 
+// parts is d's parts as a program's: each entered at its root's state.
+func parts(d *bdd.BDD) []Part {
+	out := make([]Part, len(d.Parts))
+	for i, part := range d.Parts {
+		out[i] = Part{Init: part.Root.ID, Rules: part.Rules}
+	}
+	return out
+}
+
 // emit compiles d, running emitPaths only for in-nodes the previous emit
 // did not reach. The delta needs no comparison of entries: a block's
 // entries all carry its node ID as their in-state, so two programs of one
@@ -258,11 +267,9 @@ func FromBDD(d *bdd.BDD, opts Options) (*Program, error) {
 // both hold. On error the emitter is unchanged.
 func (em *emitter) emit(d *bdd.BDD, opts Options) (*Program, entryDelta, error) {
 	p := &Program{
-		Spec: d.Universe.Spec,
-		BDD:  d,
-	}
-	for _, part := range d.Parts {
-		p.Parts = append(p.Parts, Part{Init: part.Root.ID, Rules: part.Rules})
+		Spec:  d.Universe.Spec,
+		BDD:   d,
+		Parts: parts(d),
 	}
 	// In nodes per component: the root (if internal) plus every node
 	// whose parent lies outside its component.

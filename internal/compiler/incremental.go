@@ -150,14 +150,21 @@ func (inc *Incremental) finish(start time.Time) (*Update, error) {
 		return nil, err
 	}
 	preds := len(d.Universe.Preds)
-	// A batch whose merged diagrams are the previous ones (a duplicate or
-	// subsumed rule, an add and remove that cancel) changes no entry, as
-	// long as every rule stays in its part. Table kinds depend on the
-	// universe's predicates and BDD.DroppedRules on the live rules'
-	// unsatisfiable disjuncts, hence the other two tests.
-	if old := inc.prog; old != nil && sameParts(d, old.BDD) && preds == inc.preds &&
+	// A batch whose merged diagrams have the previous roots (a duplicate or
+	// subsumed rule, an add and remove that cancel) changes no entry. Table
+	// kinds depend on the universe's predicates and BDD.DroppedRules on the
+	// live rules' unsatisfiable disjuncts, hence the other two tests. When
+	// a part's rule list moved too (a duplicate joined it), the program is
+	// the previous one's tables under the new parts: Program.SameTables
+	// holds, and a switch running the previous one need not install it.
+	if old := inc.prog; old != nil && sameRoots(d, old.BDD) && preds == inc.preds &&
 		d.DroppedRules == old.BDD.DroppedRules {
-		return &Update{Program: old, ReusedEntries: inc.em.entries, Elapsed: time.Since(start)}, nil
+		if !sameRules(d, old.BDD) {
+			np := *old
+			np.BDD, np.Parts = d, parts(d)
+			inc.prog = &np
+		}
+		return &Update{Program: inc.prog, ReusedEntries: inc.em.entries, Elapsed: time.Since(start)}, nil
 	}
 	prog, delta, err := inc.em.emit(d, inc.opts)
 	if err != nil {
@@ -173,16 +180,12 @@ func (inc *Incremental) finish(start time.Time) (*Update, error) {
 	}, nil
 }
 
-// sameParts reports whether two diagrams of one engine have the same roots
-// and the same rules in each part.
-func sameParts(a, b *bdd.BDD) bool {
-	if len(a.Parts) != len(b.Parts) {
-		return false
-	}
-	for i := range a.Parts {
-		if a.Parts[i].Root != b.Parts[i].Root || !slices.Equal(a.Parts[i].Rules, b.Parts[i].Rules) {
-			return false
-		}
-	}
-	return true
+// sameRoots reports whether two diagrams of one engine have the same
+// parts, root by root; sameRules whether their parts hold the same rules.
+func sameRoots(a, b *bdd.BDD) bool {
+	return slices.EqualFunc(a.Parts, b.Parts, func(x, y bdd.Part) bool { return x.Root == y.Root })
+}
+
+func sameRules(a, b *bdd.BDD) bool {
+	return slices.EqualFunc(a.Parts, b.Parts, func(x, y bdd.Part) bool { return slices.Equal(x.Rules, y.Rules) })
 }

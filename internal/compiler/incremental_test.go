@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -662,4 +664,70 @@ func structureChurnDigest(t *testing.T, opts Options) string {
 		fmt.Fprintf(h, "%d +%d -%d =%d\n%s", step, up.AddedEntries, up.RemovedEntries, up.ReusedEntries, up.Program)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestDuplicateRuleKeepsTables: a copy of a live rule under a new ID
+// moves no root and changes no entry. The one-part itch.rules program
+// comes back as the same pointer; the two-part int.rules program, whose
+// part now lists the copy, comes back new with Program.SameTables, so
+// the control plane leaves the switch's epoch alone.
+func TestDuplicateRuleKeepsTables(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		parts int
+	}{{"itch", 1}, {"int", 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			specSrc, err := os.ReadFile("../../cmd/camusc/testdata/" + c.name + ".spec")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rulesSrc, err := os.ReadFile("../../cmd/camusc/testdata/" + c.name + ".rules")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := spec.Parse(c.name+".spec", string(specSrc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rules := mustRules(t, sp, string(rulesSrc))
+			inc, err := NewIncremental(sp, Options{LastHop: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := inc.Add(rules...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, entries := first.Program, first.AddedEntries+first.ReusedEntries
+
+			if len(old.Parts) != c.parts {
+				t.Fatalf("%d parts, want %d", len(old.Parts), c.parts)
+			}
+			dup := *rules[0]
+			dup.ID = 1000
+			up, err := inc.Add(&dup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up.AddedEntries != 0 || up.RemovedEntries != 0 || up.ReusedEntries != entries {
+				t.Errorf("delta %d/%d/%d, want 0/0/%d", up.AddedEntries, up.RemovedEntries, up.ReusedEntries, entries)
+			}
+			if !up.Program.SameTables(old) {
+				t.Error("the copy changed the tables")
+			}
+			if same := up.Program == old; same != (c.parts == 1) {
+				t.Errorf("same pointer = %v, want %v", same, c.parts == 1)
+			}
+			if c.parts > 1 && !slices.ContainsFunc(up.Program.Parts, func(p Part) bool { return slices.Contains(p.Rules, 1000) }) {
+				t.Errorf("no part lists the copy: %+v", up.Program.Parts)
+			}
+			m := spec.NewMessage(sp)
+			for i := range sp.SubscribableFields() {
+				m.SetIndex(i, spec.IntVal(int64(800+i)))
+			}
+			if got, want := up.Program.Eval(m, nil).Key(), old.Eval(m, nil).Key(); got != want {
+				t.Errorf("Eval %s, before the copy %s", got, want)
+			}
+		})
+	}
 }

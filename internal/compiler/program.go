@@ -127,6 +127,16 @@ type Part struct {
 	Rules []int
 }
 
+// SameTables reports whether p and q run the same tables: the same stage
+// tables and leaf rows, by pointer, entered from the same part states. An
+// Incremental update that moves no part root and changes no entry returns
+// such a program, new only in its diagram and its parts' rule lists, and
+// a switch running q has no need to install p.
+func (p *Program) SameTables(q *Program) bool {
+	return q != nil && slices.Equal(p.Stages, q.Stages) && slices.Equal(p.Leaf, q.Leaf) &&
+		slices.EqualFunc(p.Parts, q.Parts, func(a, b Part) bool { return a.Init == b.Init })
+}
+
 // TotalEntries is the figure-of-merit of Fig. 12/13/15: the number of
 // control-plane table entries across all stages, value maps, and the
 // leaf table.

@@ -15,7 +15,9 @@ import (
 // (DESIGN.md §18). Stages/Entries/Defaults/Leaf stay the control-plane
 // view; Reindex derives this from them and nothing else writes it.
 //
-// Every (stage, in-state) pair with at least one entry is one block. A
+// Every (stage, in-state) pair with at least one entry is one block,
+// except a validity test whose outcome the header's field tests already
+// decide for a message without the header: Reindex skips it. A
 // block of an integer stage is a step function over the field domain,
 // stored either as a sorted run of interval lower bounds with a parallel
 // run of successors or, when its bounds span few values, as one successor
@@ -195,7 +197,16 @@ func (w *walk) lookup(cur int32, m *spec.Message, st subscription.StateReader, f
 	for cur >= 0 {
 		b := &w.blocks[cur]
 		cur = b.miss
-		v, present := w.stages[b.stage].input(m, st, foreign)
+		s := &w.stages[b.stage]
+		var v spec.Value
+		var present bool
+		if s.kind == subscription.PacketRef && !foreign && b.layout != stringLayout {
+			// An integer field of the program's own spec: its word, with
+			// no Value built (the stage's kind is the field's).
+			v.Int, present = m.Int(s.idx)
+		} else {
+			v, present = s.input(m, st, foreign)
+		}
 		switch {
 		case !present:
 		case b.layout == directLayout:
@@ -318,9 +329,12 @@ const (
 
 // group is one in-state's run of the sorted pieces: recs[a:z], of which
 // the first nseg are integer pieces and the next nexact exact strings.
+// enter is where the state goes from this stage on: its block, or the
+// successor it skips to when its block is bypassed.
 type group struct {
 	a, z         int
 	nseg, nexact int
+	enter        int32
 }
 
 // slotsFor is the size of the exact-string table of n keys: a power of
@@ -396,16 +410,33 @@ func (bld *walkBuilder) table(stage uint16, t *Table) error {
 	w.keys = slices.Grow(w.keys, nkey)
 	w.tails = slices.Grow(w.tails, ntail)
 
-	first := len(w.blocks)
-	for _, g := range groups {
+	header := ""
+	if t.Field.Ref.Kind == subscription.ValidityRef {
+		header = t.Field.Ref.Header
+	}
+	for i := range groups {
+		g := &groups[i]
 		in := recs[g.a].in
 		state := in
 		if d, ok := t.Defaults[in]; ok {
 			state = d
 		}
 		b := block{stage: stage, miss: bld.resolve(state)}
+		segs := recs[g.a : g.a+g.nseg]
+		if header != "" {
+			// A message without the header takes valid = 0, then the miss
+			// of every block of the header's fields. Where that ends where
+			// the valid = 1 successor's misses end, valid = 1 answers for
+			// both and the test is skipped.
+			on := at(segs, 1, b.miss)
+			if w.absent(on, header) == w.absent(at(segs, 0, b.miss), header) {
+				g.enter = on
+				continue
+			}
+		}
+		g.enter = int32(len(w.blocks))
 		if ints {
-			bld.paint(&b, recs[g.a:g.a+g.nseg])
+			bld.paint(&b, segs)
 		} else {
 			b.layout, b.rest = stringLayout, b.miss
 			bld.strings(&b, t, recs[g.a+g.nseg:g.a+g.nseg+g.nexact], recs[g.a+g.nseg+g.nexact:g.z])
@@ -415,10 +446,41 @@ func (bld *walkBuilder) table(stage uint16, t *Table) error {
 	// Only from here on do this stage's states enter their own blocks:
 	// an entry that leads to an in-state of its own stage moves on to the
 	// next stage, as the pipeline does.
-	for i, g := range groups {
-		bld.enter[recs[g.a].in] = int32(first + i)
+	for _, g := range groups {
+		bld.enter[recs[g.a].in] = g.enter
 	}
 	return nil
+}
+
+// at is the successor of the integer pieces segs at v: that of the first
+// entry containing v, else miss. It is paint's step function at one
+// point.
+func at(segs []walkRec, v int64, miss int32) int32 {
+	win := -1
+	for i, s := range segs {
+		if s.lo <= v && v <= s.hi && (win < 0 || s.prio < segs[win].prio) {
+			win = i
+		}
+	}
+	if win < 0 {
+		return miss
+	}
+	return segs[win].next
+}
+
+// absent is where a message without header goes from cur: through the
+// blocks of the header's packet-field stages by their misses, since a
+// present field's header is valid (spec.Message.SetIndex), to the first
+// block of another stage or a leaf slot.
+func (w *walk) absent(cur int32, header string) int32 {
+	for cur >= 0 {
+		b := &w.blocks[cur]
+		if s := &w.stages[b.stage]; s.kind != subscription.PacketRef || s.field.Header != header {
+			break
+		}
+		cur = b.miss
+	}
+	return cur
 }
 
 // appendSegs appends c's maximal intervals as copies of r. A constraint

@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"camus/internal/compiler"
+	"camus/internal/pipeline"
 	"camus/internal/routing"
 	"camus/internal/spec"
 	"camus/internal/subscription"
@@ -370,6 +373,106 @@ func TestUnchangedProgramNotReinstalled(t *testing.T) {
 	}
 	if n := installs() - before; n != 0 {
 		t.Errorf("unsubscribe reinstalled %d unchanged programs, want 0", n)
+	}
+}
+
+// TestDuplicateRuleKeepsFlows: host 0 subscribes to int.rules, whose
+// switch programs have two parts, and a stream opens through its access
+// switch. Then it subscribes to rule 0 again with its atoms reordered, so
+// the placement registry gives the copy a rule of its own. The copy joins
+// a part's rule list and changes no entry: the service must not
+// reinstall, and the stream's continuations keep hitting the flow cache.
+func TestDuplicateRuleKeepsFlows(t *testing.T) {
+	specSrc, err := os.ReadFile("../../cmd/camusc/testdata/int.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rulesSrc, err := os.ReadFile("../../cmd/camusc/testdata/int.rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := spec.Parse("int.spec", string(specSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parser := subscription.NewParser(sp)
+	rules, err := parser.ParseRules(string(rulesSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topology.MustFatTree(4)
+	empty, err := compiler.Compile(sp, nil, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	switches := make([]*pipeline.Switch, len(net.Switches))
+	installers := make([]Installer, len(net.Switches))
+	for i, s := range net.Switches {
+		if switches[i], err = pipeline.NewSwitch(s.Name, nil, empty); err != nil {
+			t.Fatal(err)
+		}
+		installers[i] = switches[i]
+	}
+	svc, err := New(net, sp, WithInstallers(installers...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	subscribe := func(exprs ...subscription.Expr) {
+		t.Helper()
+		ev, _, err := svc.Subscribe(0, exprs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-ev.Done()
+		if err := ev.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var exprs []subscription.Expr
+	for _, r := range rules {
+		exprs = append(exprs, r.Filter)
+	}
+	subscribe(exprs...)
+
+	sw, port := net.Access(0)
+	if n := len(svc.Program(sw).Parts); n != 2 {
+		t.Fatalf("access switch program has %d parts, want 2", n)
+	}
+	listed := func() (n int) {
+		for _, part := range svc.Program(sw).Parts {
+			n += len(part.Rules)
+		}
+		return n
+	}
+	before := listed()
+	m := spec.NewMessage(sp)
+	m.MustSet("switch_id", spec.IntVal(0))
+	m.MustSet("hop_latency", spec.IntVal(800))
+	m.MustSet("queue_depth", spec.IntVal(40))
+	const flow = pipeline.FlowKey(48)
+	in := (port + 1) % len(net.Switches[sw].Ports)
+	deliver := func(pkt *pipeline.Packet, now time.Duration) {
+		t.Helper()
+		out := switches[sw].Process(pkt, now)
+		if !slices.ContainsFunc(out, func(d pipeline.Delivery) bool { return d.Port == port }) {
+			t.Fatalf("packet at %v: deliveries %+v, none to host port %d", now, out, port)
+		}
+	}
+	deliver(&pipeline.Packet{In: in, Flow: flow, Msgs: []*spec.Message{m}}, 0)
+	deliver(&pipeline.Packet{In: in, Flow: flow}, time.Millisecond)
+
+	copy0, err := parser.ParseFilter("queue_depth > 30 and hop_latency > 700 and switch_id == 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	subscribe(copy0)
+	if after := listed(); after != before+1 {
+		t.Fatalf("the access switch's parts list %d rules, %d before the copy: it did not reach the compiler", after, before)
+	}
+	deliver(&pipeline.Packet{In: in, Flow: flow}, 2*time.Millisecond)
+	if st := switches[sw].Stats(); st.FlowMisses != 0 || st.FlowHits != 2 {
+		t.Errorf("continuations: %d hits, %d misses; want 2 and 0", st.FlowHits, st.FlowMisses)
 	}
 }
 

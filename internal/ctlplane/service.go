@@ -495,11 +495,13 @@ func (s *Service) applyWorker(sw int) {
 			d.Compactions = 1
 		}
 		// The incremental compiler hands back the same *Program when the
-		// batch left the merged diagram unchanged. The switch already runs
-		// it: a reinstall would only advance its epoch, and every cached
-		// flow — stream continuations included — would miss.
+		// batch left the merged diagram unchanged, and one with the same
+		// tables when only a part's rule list moved (a duplicate rule
+		// joined it). The switch already runs those tables: a reinstall
+		// would only advance its epoch, and every cached flow — stream
+		// continuations included — would miss.
 		ok := true
-		if res.Program != installed {
+		if res.Program != installed && !res.Program.SameTables(installed) {
 			ok = s.install(sw, res.Program, batchNo, rng, &d)
 			batchNo++
 			if ok {

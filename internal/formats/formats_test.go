@@ -104,6 +104,16 @@ func TestEncoderGoldens(t *testing.T) {
 	}
 }
 
+// headersValid fails t when a decoded message holds a field of a header
+// it lacks: the compiled walk skips validity tests on that never
+// happening.
+func headersValid(t *testing.T, m *spec.Message) {
+	t.Helper()
+	if err := m.CheckHeaders(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestITCHFeedRoundTrip(t *testing.T) {
 	orders := []*Order{
 		{Stock: "GOOGL", Price: 52, Shares: 100, Buy: true, RefNum: 1},
@@ -126,6 +136,7 @@ func TestITCHFeedRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d messages, want 3", len(msgs))
 	}
 	for i, o := range orders {
+		headersValid(t, msgs[i])
 		if v, _ := msgs[i].GetRef("stock"); v.Str != o.Stock {
 			t.Errorf("msg %d stock = %q, want %q", i, v.Str, o.Stock)
 		}
@@ -218,6 +229,7 @@ func TestINTRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headersValid(t, m)
 	if v, _ := m.GetRef("switch_id"); v.Int != 2 {
 		t.Errorf("switch_id = %d", v.Int)
 	}
@@ -252,6 +264,7 @@ func TestILARoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headersValid(t, m)
 	if v, _ := m.GetRef("dst_identifier"); v.Int != 0xBEEF {
 		t.Errorf("identifier = %#x", v.Int)
 	}
@@ -270,6 +283,7 @@ func TestHICNRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headersValid(t, m)
 	if v, _ := m.GetRef("name_prefix"); v.Str != "video/cats" {
 		t.Errorf("name = %q", v.Str)
 	}
@@ -297,6 +311,7 @@ func TestDNSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headersValid(t, m)
 	if v, _ := m.GetRef("name"); v.Str != "h105" {
 		t.Errorf("name = %q", v.Str)
 	}
@@ -315,6 +330,7 @@ func TestHighwayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headersValid(t, m)
 	// The paper's speeding filter (§VIII-C6).
 	rules, err := subscription.NewParser(Highway).ParseRules(
 		"x > 10 and x < 20 and y > 30 and y < 40 and spd > 55: fwd(1)")
@@ -344,6 +360,7 @@ func TestKafkaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headersValid(t, m)
 	if string(payload) != `{"v":1}` {
 		t.Errorf("payload = %q", payload)
 	}
@@ -370,6 +387,7 @@ func TestNetBaseFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headersValid(t, m)
 	if string(rest) != "hello" {
 		t.Errorf("payload = %q", rest)
 	}

@@ -432,6 +432,12 @@ func (r *msgModel) check(t *testing.T, what string, m *spec.Message) {
 		if ok != present || (ok && !got.Equal(want)) {
 			t.Fatalf("%s: %s = %v %v, model %v %v", what, f.QName(), got, ok, want, present)
 		}
+		if n, ok := m.Int(i); f.Type == spec.IntField && (ok != present || ok && n != want.Int) {
+			t.Fatalf("%s: Int(%s) = %d %v, model %v %v", what, f.QName(), n, ok, want, present)
+		}
+	}
+	if err := m.CheckHeaders(); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 	var mask uint64
 	for i, h := range sp.Headers {

@@ -56,6 +56,9 @@ func FuzzHeaderCodec(f *testing.F) {
 		if _, err := c.Decode(buf, m); err != nil {
 			t.Fatal(err)
 		}
+		if err := m.CheckHeaders(); err != nil {
+			t.Fatal(err)
+		}
 		back := readAll(c, buf)
 		for _, fd := range c.Header.Fields {
 			want := in[fd.Name]

@@ -322,6 +322,10 @@ func (m *Message) HeaderValid(i int) bool {
 // the index and does not check v.Kind: the field's kind comes from the
 // spec, so an integer field stores v.Int and a string field v.Str
 // whatever v says it is (Set is the checked form).
+//
+// SetIndex and Fill are the only ways a field becomes present, and both
+// keep the invariant the compiled walk relies on: a present field's
+// header is valid (DESIGN.md §6). CheckHeaders tests it.
 func (m *Message) SetIndex(idx int, v Value) {
 	w := uint64(v.Int)
 	if m.spec.subString[idx] {
@@ -403,6 +407,10 @@ func (m *Message) str(w uint64) string {
 // message with no string bytes yet takes strs as they are, uncopied;
 // otherwise the bytes are copied behind the ones the message holds,
 // which stay where they are, until Reset drops them all.
+//
+// bits must set a header's validity wherever they set the presence of
+// one of its fields, as HeaderBits does: a present field's header is
+// valid.
 func (m *Message) Fill(bits []uint64, strs []byte) (fields []uint64, base int) {
 	if len(strs) > 0 {
 		if m.ext == nil {
@@ -421,6 +429,29 @@ func (m *Message) Fill(bits []uint64, strs []byte) (fields []uint64, base int) {
 		mask[i] |= b
 	}
 	return m.fields(), base
+}
+
+// CheckHeaders returns an error naming the first present field whose
+// header is not valid, nil when there is none: the invariant SetIndex and
+// Fill keep.
+func (m *Message) CheckHeaders() error {
+	for idx, hi := range m.spec.subHeader {
+		if m.bit(uint(idx)) && !m.HeaderValid(hi) {
+			return fmt.Errorf("message: field %s is present, header %s is not valid",
+				m.spec.subscribable[idx].QName(), m.spec.Headers[hi].Name)
+		}
+	}
+	return nil
+}
+
+// Int is Get for an integer field without building a Value: the field's
+// Value.Int and whether it is present. idx must be an integer field's;
+// for a string field the result means nothing.
+func (m *Message) Int(idx int) (int64, bool) {
+	if uint(idx) >= uint(len(m.spec.subscribable)) || !m.bit(uint(idx)) {
+		return 0, false
+	}
+	return int64(m.fields()[idx]), true
 }
 
 // Get returns the value at subscribable index idx and whether it is present.
