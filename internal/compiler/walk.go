@@ -22,10 +22,11 @@ import (
 // stored either as a sorted run of interval lower bounds with a parallel
 // run of successors or, when its bounds span few values, as one successor
 // per value; a block of a string stage is one open-addressed table of its
-// exact keys. All blocks' runs lie back to back in program-wide slices, so
+// exact keys, each in its slot as one word when the field is at most 8
+// bytes wide. All blocks' runs lie back to back in program-wide slices, so
 // a lookup touches one block header and one successor, a logarithmic
-// number of bounds, or a slot and its key per stage it enters, with no
-// map, interface or *Entry in between.
+// number of bounds, or a slot (and a longer key's bytes) per stage it
+// enters, with no map, interface or *Entry in between.
 //
 // A successor is pre-resolved to where the walk really goes next: s >= 0
 // is the index of the next block the out-state enters (stages it passes
@@ -39,7 +40,7 @@ type walk struct {
 	next   []int32 // successor of the interval starting at bounds[i]
 	direct []int32 // direct blocks' successors, one per value
 	slots  []strSlot
-	keys   []byte // the exact-string keys the slots point into
+	keys   []byte // the exact-string keys of string blocks' slots
 	tails  []strTail
 	// leaves[0] is nil (a terminal without a leaf row: drop);
 	// leaves[i+1] is Program.Leaf[i], the same pointer. egress holds the
@@ -50,14 +51,16 @@ type walk struct {
 }
 
 // layout is how a block stores its entries. A string stage's blocks are
-// stringLayout; an integer stage's are directLayout when that costs no
-// more bytes than searchLayout (see pickLayout), else searchLayout.
+// wordLayout when its field is at most 8 bytes wide, else stringLayout;
+// an integer stage's are directLayout when that costs no more bytes than
+// searchLayout (see pickLayout), else searchLayout.
 type layout uint8
 
 const (
 	searchLayout layout = iota
 	directLayout
 	stringLayout
+	wordLayout
 )
 
 // block is one in-state of one stage: 36 bytes, no pointer.
@@ -70,7 +73,8 @@ type block struct {
 	// off and n locate the block's run:
 	//   - searchLayout: bounds[off:off+n] and next[off:off+n], n >= 2;
 	//   - directLayout: direct[off:off+n], n >= 1;
-	//   - stringLayout: slots[off:off+n], n a power of two or 0.
+	//   - stringLayout, wordLayout: slots[off:off+n], n a power of two
+	//     or 0.
 	off, n int32
 	// A direct block's slot 0 is the successor of every value below base,
 	// slot i that of base+i-1, and the last slot also that of every value
@@ -78,8 +82,8 @@ type block struct {
 	// bytes.
 	baseLo uint32
 	baseHi int32
-	// A string block's value that is none of its exact keys tries
-	// tails[tailOff:tailOff+tailN] in order, then takes rest.
+	// A string or word block's value that is none of its exact keys
+	// tries tails[tailOff:tailOff+tailN] in order, then takes rest.
 	tailOff, tailN int32
 	rest           int32
 }
@@ -87,12 +91,14 @@ type block struct {
 func (b *block) base() int64 { return int64(b.baseHi)<<32 | int64(b.baseLo) }
 
 // strSlot is one slot of a block's exact-string table; hash 0 marks it
-// empty. The key is keys[off:off+n]: a block's keys lie together, and
-// the slots hold no pointer for the collector to follow.
+// empty. A word block's key is the slot's key itself (spec.WordKey), so a
+// probe reads nothing else; a string block's is keys[key>>32:][:n] with n
+// the key's low 32 bits (spec.StrWord's encoding): a block's keys lie
+// together, and the slots hold no pointer for the collector to follow.
 type strSlot struct {
-	hash   uint32
-	next   int32
-	off, n uint32
+	hash uint32
+	next int32
+	key  uint64
 }
 
 // strTail is a string entry that has to be evaluated: a prefix match or
@@ -177,7 +183,14 @@ func strHash(s string) uint32 {
 	return h ^ h>>15 | 1<<31
 }
 
-// slot returns b's exact-string slot for key, whose strHash is h, or the
+// wordHash is strHash for a word key: the halves folded together, then
+// one multiply, whose high half depends on every byte of the key.
+func wordHash(k uint64) uint32 {
+	k = (k ^ k>>32) * 0x9E3779B97F4A7C15
+	return uint32(k>>32) | 1<<31
+}
+
+// slot returns string block b's slot for key, whose strHash is h, or the
 // empty slot where it would go. Tables are at most half full, so the
 // probe ends.
 func (w *walk) slot(b *block, h uint32, key string) *strSlot {
@@ -185,10 +198,52 @@ func (w *walk) slot(b *block, h uint32, key string) *strSlot {
 	mask := uint32(len(tbl) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := &tbl[i]
-		if s.hash == 0 || s.hash == h && string(w.keys[s.off:s.off+s.n]) == key {
+		if s.hash == 0 || s.hash == h && string(w.keys[s.key>>32:][:uint32(s.key)]) == key {
 			return s
 		}
 	}
+}
+
+// wordSlot is slot for word block b and the word key k.
+func (w *walk) wordSlot(b *block, k uint64) *strSlot {
+	tbl := w.slots[b.off : b.off+b.n]
+	mask := uint32(len(tbl) - 1)
+	for i := wordHash(k) & mask; ; i = (i + 1) & mask {
+		if s := &tbl[i]; s.hash == 0 || s.key == k {
+			return s
+		}
+	}
+}
+
+// wordHit is word block b's slot that holds k, nil when none does.
+func (w *walk) wordHit(b *block, k uint64) *strSlot {
+	if b.n == 0 {
+		return nil
+	}
+	if s := w.wordSlot(b, k); s.hash != 0 {
+		return s
+	}
+	return nil
+}
+
+// exact is string or word block b's slot that holds v, nil when none
+// does. A value that is no word key (longer than 8 bytes, or ending in
+// NUL) is in no word block's table: it can only meet a tail.
+func (w *walk) exact(b *block, v string) *strSlot {
+	if b.layout == wordLayout {
+		k, ok := spec.WordKey(v)
+		if !ok {
+			return nil
+		}
+		return w.wordHit(b, k)
+	}
+	if b.n == 0 {
+		return nil
+	}
+	if s := w.slot(b, strHash(v), v); s.hash != 0 {
+		return s
+	}
+	return nil
 }
 
 // lookup is the one stage walk: from a part's start to a leaf slot, one
@@ -200,12 +255,32 @@ func (w *walk) lookup(cur int32, m *spec.Message, st subscription.StateReader, f
 		s := &w.stages[b.stage]
 		var v spec.Value
 		var present bool
-		if s.kind == subscription.PacketRef && !foreign && b.layout != stringLayout {
+		probed := false // the word table missed the value
+		switch {
+		case s.kind != subscription.PacketRef || foreign:
+			v, present = s.input(m, st, foreign)
+		case b.layout == wordLayout:
+			// A short string of the program's own spec: its word, one
+			// load where the message holds the bytes, and one compare per
+			// slot probed. Only the tails need its Value.
+			if k, ok := m.WordKey(s.idx); ok {
+				if sl := w.wordHit(b, k); sl != nil {
+					cur = sl.next
+					continue
+				}
+				if b.tailN == 0 {
+					cur = b.rest
+					continue
+				}
+				probed = true
+			}
+			v, present = m.Get(s.idx)
+		case b.layout == stringLayout:
+			v, present = m.Get(s.idx)
+		default:
 			// An integer field of the program's own spec: its word, with
 			// no Value built (the stage's kind is the field's).
 			v.Int, present = m.Int(s.idx)
-		} else {
-			v, present = s.input(m, st, foreign)
 		}
 		switch {
 		case !present:
@@ -232,9 +307,9 @@ func (w *walk) lookup(cur int32, m *spec.Message, st subscription.StateReader, f
 			cur = w.next[int(b.off)+i]
 		default:
 			cur = b.rest
-			if b.n > 0 {
-				if s := w.slot(b, strHash(v.Str), v.Str); s.hash != 0 {
-					cur = s.next
+			if !probed {
+				if sl := w.exact(b, v.Str); sl != nil {
+					cur = sl.next
 					break
 				}
 			}
@@ -358,6 +433,10 @@ func slotsFor(n int) int {
 // still gives its state a block, as the state's entries do.
 func (bld *walkBuilder) table(stage uint16, t *Table) error {
 	ints := t.Field.Ref.Type() == spec.IntField
+	layout := stringLayout
+	if width, _ := FieldWidth(t); width <= 8 {
+		layout = wordLayout
+	}
 	recs := slices.Grow(bld.recs[:0], len(t.Entries))
 	nkey := 0
 	for i, e := range t.Entries {
@@ -366,10 +445,15 @@ func (bld *walkBuilder) table(stage uint16, t *Table) error {
 		case *match.IntConstraint:
 			recs = appendSegs(recs, r, c)
 		case *match.StrConstraint:
+			// A key that is no word key (longer than the field) is a tail
+			// of a word block: no decoded value reaches it, and a longer
+			// value a setter stored still meets it there.
 			r.kind = recTail
-			if c.HasKnown {
+			if _, word := spec.WordKey(c.Known); c.HasKnown && (word || layout == stringLayout) {
 				r.kind = recExact
-				nkey += len(c.Known)
+				if layout == stringLayout {
+					nkey += len(c.Known)
+				}
 			}
 			recs = append(recs, r)
 		default:
@@ -438,7 +522,7 @@ func (bld *walkBuilder) table(stage uint16, t *Table) error {
 		if ints {
 			bld.paint(&b, segs)
 		} else {
-			b.layout, b.rest = stringLayout, b.miss
+			b.layout, b.rest = layout, b.miss
 			bld.strings(&b, t, recs[g.a+g.nseg:g.a+g.nseg+g.nexact], recs[g.a+g.nseg+g.nexact:g.z])
 		}
 		w.blocks = append(w.blocks, b)
@@ -677,13 +761,21 @@ func (bld *walkBuilder) strings(b *block, t *Table, exacts, tails []walkRec) {
 				before++
 			}
 			key := constraint(r).Known
-			h := strHash(key)
-			s := w.slot(b, h, key)
-			if s.hash != 0 {
-				continue // an earlier exact entry holds the key
+			var s *strSlot
+			if b.layout == wordLayout {
+				k, _ := spec.WordKey(key)
+				if s = w.wordSlot(b, k); s.hash != 0 {
+					continue // an earlier exact entry holds the key
+				}
+				*s = strSlot{hash: wordHash(k), next: r.next, key: k}
+			} else {
+				h := strHash(key)
+				if s = w.slot(b, h, key); s.hash != 0 {
+					continue
+				}
+				*s = strSlot{hash: h, next: r.next, key: spec.StrWord(len(w.keys), len(key))}
+				w.keys = append(w.keys, key...)
 			}
-			*s = strSlot{hash: h, next: r.next, off: uint32(len(w.keys)), n: uint32(len(key))}
-			w.keys = append(w.keys, key...)
 			v := spec.Value{Kind: spec.StringField, Str: key}
 			for _, tl := range tails[:before] {
 				if constraint(tl).Matches(v) {
@@ -709,7 +801,7 @@ func (bld *walkBuilder) strings(b *block, t *Table, exacts, tails []walkRec) {
 // is a key of b's exact-string table.
 func (w *walk) excludesOnlyKeys(b *block, c *match.StrConstraint) bool {
 	for _, x := range c.ExcludedEq {
-		if b.n == 0 || w.slot(b, strHash(x), x).hash == 0 {
+		if w.exact(b, x) == nil {
 			return false
 		}
 	}

@@ -828,10 +828,11 @@ func intPool(r *rand.Rand, n int) []*spec.Message {
 // as the switch does (LeafSlot, every part): a stage of fan-out 101 (100
 // symbols and the rest) then price ranges, and the INT shape of exact and
 // range stages, two parts. walkB/lookup is walkCost's bytes read from the
-// flat tables per message, averaged over the pool: 118.6 on ITCH and
-// 213.9 on INT, 158.6 and 293.9 while every part's walk began with a
-// validity block. The pools are seeded, so make perf-guard holds it
-// exactly.
+// flat tables per message, averaged over the pool: 116.4 on ITCH and
+// 213.9 on INT; ITCH read 118.6 while its stock keys were compared
+// through the keys slab, and 158.6 and 293.9 while every part's walk
+// began with a validity block. The pools are seeded, so make perf-guard
+// holds it exactly.
 func BenchmarkLookup(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	for _, bc := range []struct {
@@ -866,10 +867,18 @@ var (
 )
 
 // TestLookupZeroAlloc: the walk allocates nothing on exact, range,
-// aggregate, string-table and string-tail stages, for one part or for
-// several (the INT rules test two field sets: two parts). Lookup of a
+// aggregate, string-table, string-tail and word stages, for one part or
+// for several (the INT rules test two field sets: two parts). Lookup of a
 // one-part program returns the leaf row itself and allocates nothing
 // either; with parts it may build a union.
+//
+// ITCH's stock (str8) is a word stage, read three ways: from decoded
+// messages, whose stock sits in the message's spare word (one load);
+// from Set-built ones, whose bytes are gathered; and by a key longer than
+// the field, which is a tail: a Set-built value that long meets it there,
+// and a short one misses the table and tries it. A word stage with
+// prefix rules keeps its prefixes as tails too. On those, Lookup agrees
+// with refWalk and Eval with MatchActions.
 func TestLookupZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	sp := testSpec(t)
@@ -881,17 +890,61 @@ func TestLookupZeroAlloc(t *testing.T) {
 		m.MustSet("stock", spec.StrVal([]string{"GOOGL", "MSFT"}[i%2]))
 		m.MustSet("name", spec.StrVal([]string{"GOOGL", "GO", "MSFT", "A"}[i%4]))
 	}
+	// 30 symbols, so the residual of stock's table keeps every exclusion
+	// (match.maxExclusions is 32), the longer key's among them: a tail
+	// that short values missing the table meet.
+	const long = "LONGERTHAN8"
+	wordRules := mustRules(t, formats.ITCH, strings.Join(benchITCHRules(r, false)[:30], "\n")+
+		"\nstock == "+long+" and price > 100: fwd(47)\nstock != "+long+" and price < 50: fwd(46)")
+	word, err := Compile(formats.ITCH, wordRules, Options{LastHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagSpec := spec.MustParse("tag", "header t {\n    tag : str8 @field;\n    qty : u16 @field;\n}\n")
+	prefixRules := mustRules(t, tagSpec, "tag prefix GO and qty > 10: fwd(3)\ntag prefix M: fwd(4)\ntag == GOOGL: fwd(1)")
+	prefix, err := Compile(tagSpec, prefixRules, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixPool := spec.NewMessages(tagSpec, 512)
+	for i, m := range prefixPool {
+		m.MustSet("qty", spec.IntVal(int64(i%20)))
+		m.MustSet("tag", spec.StrVal([]string{"GOOGL", "GO", "MSFT", "A", long}[i%5]))
+	}
+	longPool := itchPool(r, 512)
+	for i, m := range longPool {
+		if i%3 == 0 {
+			m.MustSet("stock", spec.StrVal(long))
+		}
+	}
 	for _, c := range []struct {
-		p    *Program
-		pool []*spec.Message
-		st   subscription.StateReader
+		name  string
+		p     *Program
+		rules []*subscription.Rule // when set, the pool's messages are checked against them
+		pool  []*spec.Message
+		st    subscription.StateReader
 	}{
-		{compileLines(t, formats.ITCH, benchITCHRules(r, true), Options{LastHop: true}), itchPool(r, 512), subscription.MapState{}},
-		{compileLines(t, formats.INT, benchINTRules(r, 200), Options{LastHop: true}), intPool(r, 512), nil},
-		{tails, tailPool, nil},
+		{"itch", compileLines(t, formats.ITCH, benchITCHRules(r, true), Options{LastHop: true}), nil, itchPool(r, 512), subscription.MapState{}},
+		{"int", compileLines(t, formats.INT, benchINTRules(r, 200), Options{LastHop: true}), nil, intPool(r, 512), nil},
+		{"tails", tails, nil, tailPool, nil},
+		{"word/decoded", word, wordRules, decodedITCHPool(t, r, 512), nil},
+		{"word/set", word, wordRules, itchPool(r, 512), nil},
+		{"word/longer-key", word, wordRules, longPool, nil},
+		{"word/prefix-tails", prefix, prefixRules, prefixPool, nil},
 	} {
 		if c.p.Spec == formats.INT && len(c.p.Parts) < 2 {
 			t.Fatalf("the INT program has %d parts, want 2", len(c.p.Parts))
+		}
+		if c.rules != nil {
+			ref := newRefWalk(c.p)
+			for _, m := range c.pool {
+				if got, want := c.p.Lookup(m, c.st), ref.lookup(m, c.st); !sameLeaf(got, want) {
+					t.Fatalf("%s %s: got leaf %s, reference %s", c.name, m, leafString(got), leafString(want))
+				}
+				if got, want := c.p.Eval(m, c.st).Key(), subscription.MatchActions(c.rules, m, c.st).Key(); got != want {
+					t.Fatalf("%s %s: got %s, rules say %s", c.name, m, got, want)
+				}
+			}
 		}
 		i := 0
 		if n := testing.AllocsPerRun(2000, func() {
@@ -900,7 +953,7 @@ func TestLookupZeroAlloc(t *testing.T) {
 			}
 			i++
 		}); n != 0 {
-			t.Errorf("%s: %v allocs per walk, want 0", c.p.Spec.Name, n)
+			t.Errorf("%s: %v allocs per walk, want 0", c.name, n)
 		}
 		// A lookup that unites the leaves of two parts builds the union.
 		if len(c.p.Parts) > 1 {
@@ -910,12 +963,47 @@ func TestLookupZeroAlloc(t *testing.T) {
 			sinkLeaf = c.p.Lookup(c.pool[i&511], c.st)
 			i++
 		}); n != 0 {
-			t.Errorf("%s: %v allocs per lookup, want 0", c.p.Spec.Name, n)
+			t.Errorf("%s: %v allocs per lookup, want 0", c.name, n)
 		}
 	}
 	if len(tails.walk.tails) == 0 {
 		t.Error("the prefix program has no string tail: the tail path went untested")
 	}
+	for _, p := range []*Program{word, prefix} {
+		words, tails := 0, 0
+		for _, b := range p.walk.blocks {
+			if b.layout == wordLayout {
+				words++
+				tails += int(b.tailN)
+			}
+		}
+		if words == 0 || tails == 0 {
+			t.Errorf("the %s program has %d word blocks with %d tails: the word path or its tails went untested", p.Spec.Name, words, tails)
+		}
+	}
+}
+
+// decodedITCHPool is itchPool's orders encoded as ITCH frames of 8 and
+// decoded, so each stock sits in its message's spare word.
+func decodedITCHPool(t testing.TB, r *rand.Rand, n int) []*spec.Message {
+	syms := workload.DefaultSymbols(110)
+	var pool []*spec.Message
+	for len(pool) < n {
+		orders := make([]*formats.Order, 8)
+		for i := range orders {
+			orders[i] = &formats.Order{Stock: syms[r.Intn(len(syms))], Price: int64(r.Intn(1100)), Shares: int64(r.Intn(1000))}
+		}
+		frame, err := formats.EncodeITCHFeed("S", 1, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := formats.DecodeITCHFeed(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, msgs...)
+	}
+	return pool[:n]
 }
 
 // walkCost replays w.lookup from every part's start for a same-spec
@@ -974,17 +1062,29 @@ func walkCostFrom(w *walk, cur int32, m *spec.Message, touch func(region, off, s
 		default:
 			cur = b.rest
 			hit := false
-			if b.n > 0 {
-				h := strHash(v.Str)
+			// A word block's key is in its slot: a probe reads the slot
+			// alone. A value that is no word key probes no word table.
+			k, word := spec.WordKey(v.Str)
+			h := strHash(v.Str)
+			if b.layout == wordLayout {
+				h = wordHash(k)
+			}
+			if b.n > 0 && (word || b.layout == stringLayout) {
 				mask := uint32(b.n - 1)
 				for i := h & mask; ; i = (i + 1) & mask {
 					s := &w.slots[uint32(b.off)+i]
 					touch(4, uintptr(uint32(b.off)+i)*16, 16)
-					if s.hash == h {
-						touch(5, uintptr(s.off), uintptr(s.n)) // the key's bytes
-						if string(w.keys[s.off:s.off+s.n]) == v.Str {
-							cur, hit = s.next, true
-						}
+					switch {
+					case s.hash == 0:
+					case b.layout == wordLayout:
+						hit = s.key == k
+					case s.hash == h:
+						off, n := s.key>>32, s.key&(1<<32-1)
+						touch(5, uintptr(off), uintptr(n)) // the key's bytes
+						hit = string(w.keys[off:off+n]) == v.Str
+					}
+					if hit {
+						cur = s.next
 					}
 					if hit || s.hash == 0 {
 						break
@@ -1010,12 +1110,15 @@ func walkCostFrom(w *walk, cur int32, m *spec.Message, touch func(region, off, s
 //
 // The ceilings are the figures of the walk that skips the validity
 // blocks the next field test answers, with a percent or two of slack:
-// ITCH 1.92 blocks, 7.8 accesses, 119 bytes and 6.4 lines per lookup,
-// INT in two parts 3.58, 15.4, 209 and 11.5, INT as one diagram 2.57,
-// 10.4, 145 and 9.4. Each test of valid(header) cost one block per part
-// before: 2.92, 9.8, 159 and 8.4 on ITCH, 5.58, 19.4, 289 and 13.3 on
-// INT. (INT as one diagram was 23.8 accesses, 276 bytes and 15.5 lines
-// when every integer block was searched.)
+// ITCH 1.92 blocks, 6.98 accesses, 117.0 bytes, 5.48 lines per lookup
+// and 14.6 KB flat, INT in two parts 3.58, 15.4, 209 and 11.5, INT as
+// one diagram 2.57, 10.4, 145 and 9.4. ITCH's stock keys sit in their
+// slots as words; compared through the keys slab they cost 7.80
+// accesses, 119.2 bytes, 6.41 lines and 15.0 KB. Each test of
+// valid(header) cost one block per part before: 2.92, 9.8, 159 and 8.4
+// on ITCH, 5.58, 19.4, 289 and 13.3 on INT. (INT as one diagram was 23.8
+// accesses, 276 bytes and 15.5 lines when every integer block was
+// searched.)
 func TestWalkCost(t *testing.T) {
 	if blockSize != 36 {
 		t.Errorf("block is %d bytes, want 36", blockSize)
@@ -1028,7 +1131,7 @@ func TestWalkCost(t *testing.T) {
 		// Ceilings per lookup, and of the flat form.
 		blocks, accesses, bytes, lines, kb float64
 	}{
-		{"itch", compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), itchPool(r, 4096), 1.95, 7.9, 120, 6.5, 16},
+		{"itch", compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}), itchPool(r, 4096), 1.95, 7.1, 118, 5.6, 15},
 		{"int", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}), intPool(r, 4096), 3.6, 15.5, 210, 11.6, 96},
 		{"int-one-diagram", compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true, OneDiagram: true}), intPool(r, 4096), 2.6, 10.5, 146, 9.5, 850},
 	} {

@@ -211,13 +211,14 @@ func TestDecodeIntoForeignSpec(t *testing.T) {
 }
 
 // TestDecodeAllocs pins what a frame costs, exactly. Decoding costs
-// nothing: an ITCH frame's messages, their pointer slice and the copy of
-// its stock bytes, and a single report's message, are carved from pooled
-// chunks, and a chunk refill every hundred-odd messages rounds to 0 per
-// run (in a build without the race detector, which defeats the pool).
-// The bytes are pinned too, so a message that grows fails here and not
-// only in a benchmark: per order a 64-byte message, an 8-byte pointer
-// slot and the 8 stock bytes, per report the message alone, within the
+// nothing: an ITCH frame's messages and their pointer slice, and a single
+// report's message, are carved from pooled chunks, and a chunk refill
+// every hundred-odd messages rounds to 0 per run (in a build without the
+// race detector, which defeats the pool). The bytes are pinned too, so a
+// message that grows fails here and not only in a benchmark: per order a
+// 64-byte message and an 8-byte pointer slot (the 8 stock bytes sit in
+// the message's spare fifth word, not in a string chunk), per report the
+// message alone, within the
 // rounding of the 8 KB chunks they are carved from: 127 messages take
 // 8128 bytes of an 8192-byte object, a frame whose messages overrun a
 // chunk's tail carves that tail before it refills (no message slot goes
@@ -256,7 +257,7 @@ func TestDecodeAllocs(t *testing.T) {
 			decode func()
 			want   float64
 		}{
-			{"DecodeITCHFeed(8 orders)", 8192, decodeITCH, 8 * (64 + 8 + 8)},
+			{"DecodeITCHFeed(8 orders)", 8192, decodeITCH, 8 * (64 + 8)},
 			{"DecodeINT", 16384, decodeINT, 64},
 		} {
 			most := tc.want*8192/8128 + 3*8192/float64(tc.frames)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"camus/internal/spec"
 )
@@ -139,6 +140,142 @@ func TestKeptMessageOutlivesItsFrame(t *testing.T) {
 	}
 	if len(junk) == 0 {
 		t.Error("nothing allocated")
+	}
+}
+
+// inMessage reports whether str's bytes lie inside m's struct: in its
+// spare field words.
+func inMessage(m *spec.Message, str string) bool {
+	base, p := uintptr(unsafe.Pointer(m)), uintptr(unsafe.Pointer(unsafe.StringData(str)))
+	return str != "" && p >= base && p+uintptr(len(str)) <= base+unsafe.Sizeof(*m)
+}
+
+// TestSpareStringsNeverChange: a decoded order's stock bytes sit in the
+// message's spare fifth word, which the codec writes once, when it
+// carves the message. A stock read by Get before stays equal whatever
+// happens after, to the message or to a clone that shares those bytes:
+// nothing writes the spare word again.
+func TestSpareStringsNeverChange(t *testing.T) {
+	stock, _ := ITCH.Field("stock")
+	idx, _ := ITCH.SubscribableIndex(stock)
+	otherFrame, err := EncodeITCHFeed("S", 2, ordersFor(2, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherOrder := otherFrame[moldCodec.Size():]
+	for _, c := range []struct {
+		name  string
+		after func(t *testing.T, m *spec.Message)
+	}{
+		{"reset and SetIndex", func(t *testing.T, m *spec.Message) {
+			m.Reset()
+			m.SetIndex(idx, spec.StrVal("RESET"))
+		}},
+		{"decode into it again", func(t *testing.T, m *spec.Message) {
+			if _, err := orderCodec.Decode(otherOrder, m); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"clone, then change the clone", func(t *testing.T, m *spec.Message) {
+			cl := m.Clone()
+			if cl.String() != m.String() {
+				t.Fatalf("clone %s, message %s", cl, m)
+			}
+			cl.SetIndex(idx, spec.StrVal("CLONE"))
+			if _, err := orderCodec.Decode(otherOrder, cl); err != nil {
+				t.Fatal(err)
+			}
+			cl.Reset()
+			cl.SetIndex(idx, spec.StrVal("AGAIN"))
+		}},
+		{"collections and later decodes", func(t *testing.T, m *spec.Message) {
+			for round := 0; round < 5; round++ {
+				runtime.GC()
+				for i := 0; i < 256; i++ {
+					if _, err := DecodeITCHFeed(otherFrame); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			orders := ordersFor(1, 8)
+			orders[3].Stock = "SPAREWD"
+			frame, err := EncodeITCHFeed("S", 1, orders)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs, err := DecodeITCHFeed(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := msgs[3]
+			v, ok := m.Get(idx)
+			if !ok || v.Str != "SPAREWD" || !inMessage(m, v.Str) {
+				t.Fatalf("stock %v (present %v, in the message %v), want SPAREWD in a spare word", v, ok, inMessage(m, v.Str))
+			}
+			c.after(t, m)
+			if v.Str != "SPAREWD" {
+				t.Errorf("the stock read before reads %q after", v.Str)
+			}
+		})
+	}
+}
+
+// TestSpareWordSpecs names the format specs whose decoded strings sit in
+// the message's spare field words — ITCH (4 fields, 8 stock bytes in the
+// fifth word) and hICN (3 fields, the 16 name_prefix bytes in the fourth
+// and fifth) — and those whose string bytes take the string slab: DNS
+// and Kafka, whose 32-byte fields fit no message.
+func TestSpareWordSpecs(t *testing.T) {
+	itch, err := EncodeITCHFeed("S", 1, ordersFor(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hicn, err := EncodeHICN(&HICNRequest{NamePrefix: "/video/abc", ContentID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dns, err := EncodeDNS(&DNSQuery{TxID: 1, QType: QTypeA, Name: "a.example"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kafka, err := EncodeKafka(&KafkaMessage{Topic: "orders/eu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sp     *spec.Spec
+		field  string
+		decode func() (*spec.Message, error)
+		spare  bool
+	}{
+		{ITCH, "stock", func() (*spec.Message, error) {
+			msgs, err := DecodeITCHFeed(itch)
+			if err != nil {
+				return nil, err
+			}
+			return msgs[1], nil
+		}, true},
+		{HICN, "name_prefix", func() (*spec.Message, error) { return DecodeHICN(hicn) }, true},
+		{DNS, "name", func() (*spec.Message, error) { return DecodeDNS(dns) }, false},
+		{Kafka, "topic", func() (*spec.Message, error) {
+			m, _, err := DecodeKafka(kafka)
+			return m, err
+		}, false},
+	} {
+		m, err := c.decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := m.GetRef(c.field)
+		if !ok || v.Str == "" {
+			t.Fatalf("%s: %s = %v, present %v", c.sp.Name, c.field, v, ok)
+		}
+		if got := inMessage(m, v.Str); got != c.spare {
+			t.Errorf("%s: %s in a spare word %v, want %v (%d spare bytes)", c.sp.Name, c.field, got, c.spare, c.sp.SpareBytes())
+		}
 	}
 }
 

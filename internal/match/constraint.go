@@ -49,7 +49,10 @@ func (t Tri) String() string {
 // or within one compiled table entry.
 type Constraint interface {
 	// Implies tests whether the constraint decides the canonical
-	// predicate (rel ∈ {EQ, LT, GT, PREFIX}).
+	// predicate (rel ∈ {EQ, LT, GT, PREFIX}). It and With panic on any
+	// other relation, or on PREFIX for an integer and LT or GT for a
+	// string: the BDD's canonicalize passes parsed rules through in
+	// canonical form only (bdd's TestOnlyCanonicalRelationsReachMatch).
 	Implies(rel subscription.Relation, c spec.Value) Tri
 	// With returns the constraint refined by the predicate outcome.
 	// Constraints are immutable; a refinement that changes nothing (the

@@ -13,7 +13,10 @@
 // carved in one visit to spec's pool of append-only chunks
 // (spec.Carve), which are refilled every hundred-odd messages and never
 // handed out twice, so a decoded message is the caller's to keep. A kept
-// message keeps its chunks alive. Encoding runs the same access paths
+// message keeps its chunks alive. String bytes that fit a fresh
+// message's spare field words (spec.Message.Spare: ITCH's 8 stock bytes,
+// hICN's 16-byte name prefix) are copied there instead, once, and take
+// no chunk. Encoding runs the same access paths
 // the other way: an encoder resolves each field's FieldCodec once and
 // writes a frame into one zeroed buffer with one Put per field, so a
 // frame costs one allocation whatever its field or message count.
@@ -38,6 +41,9 @@ type HeaderCodec struct {
 	strs     []FieldCodec // the subscribable string fields: what decoding copies
 	bits     []uint64     // Spec.HeaderBits of the header: what decoding marks
 	strBytes int          // bytes the subscribable string fields span
+	// spare: the string bytes fit a message's spare field words
+	// (Spec.SpareBytes), where DecodeNew and DecodeOne keep them.
+	spare bool
 }
 
 // FieldCodec is the compiled access path of one header field: Uint reads
@@ -89,6 +95,7 @@ func NewHeaderCodec(sp *spec.Spec, header string) (*HeaderCodec, error) {
 		}
 		c.fields = append(c.fields, x)
 	}
+	c.spare = c.strBytes > 0 && c.strBytes <= sp.SpareBytes()
 	return c, nil
 }
 
@@ -150,13 +157,16 @@ func (c *HeaderCodec) Decode(data []byte, m *spec.Message) ([]byte, error) {
 // messages and returns them and the remaining bytes. The messages, the
 // slice that holds them and their string bytes are carved in one visit
 // to the message pool (spec.Carve), and the batch is bounds-checked once.
+// String bytes that fit a message's spare field words are kept there
+// (spec.Message.Spare), and the string slab is not touched.
 func (c *HeaderCodec) DecodeNew(data []byte, n int) ([]*spec.Message, []byte, error) {
 	if len(data) < n*c.size {
 		return nil, nil, fmt.Errorf("packet: %d x %s needs %d bytes, have %d", n, c.Header.Name, n*c.size, len(data))
 	}
-	out, strs := spec.Carve(c.Spec, n, n*c.strBytes)
+	k := c.slabBytes()
+	out, strs := spec.Carve(c.Spec, n, n*k)
 	for i, m := range out {
-		c.extract(data[i*c.size:], m, strs[i*c.strBytes:(i+1)*c.strBytes])
+		c.extract(data[i*c.size:], m, c.room(m, strs[i*k:(i+1)*k]))
 	}
 	return out, data[n*c.size:], nil
 }
@@ -167,9 +177,27 @@ func (c *HeaderCodec) DecodeOne(data []byte) (*spec.Message, []byte, error) {
 	if len(data) < c.size {
 		return nil, nil, fmt.Errorf("packet: %s needs %d bytes, have %d", c.Header.Name, c.size, len(data))
 	}
-	m, strs := spec.CarveOne(c.Spec, c.strBytes)
-	c.extract(data, m, strs)
+	m, strs := spec.CarveOne(c.Spec, c.slabBytes())
+	c.extract(data, m, c.room(m, strs))
 	return m, data[c.size:], nil
+}
+
+// slabBytes is how many string-slab bytes a fresh message of the header
+// takes: none when its string bytes fit the message's spare words.
+func (c *HeaderCodec) slabBytes() int {
+	if c.spare {
+		return 0
+	}
+	return c.strBytes
+}
+
+// room is where the header's string bytes go in m, a message just
+// carved: its spare words, else slab, its share of the string slab.
+func (c *HeaderCodec) room(m *spec.Message, slab []byte) []byte {
+	if c.spare {
+		return m.Spare(c.strBytes)
+	}
+	return slab
 }
 
 // extract is the one extraction routine: it stores the header at the

@@ -11,7 +11,10 @@ import (
 // bitSpec and checks each field's bits against refBits — the value, right
 // where it belongs, and no neighbour's bit disturbed — then reads every
 // field back through Decode and Uint. An integer too wide for its field
-// and a string longer than its field are refused.
+// and a string longer than its field are refused. DecodeNew and
+// DecodeOne, whose fresh messages keep the str6 in their spare field
+// words, agree with Decode into an existing message, whose string takes
+// the string slab, on every field's Get and every string's WordKey.
 func FuzzHeaderCodec(f *testing.F) {
 	f.Add(uint64(0), uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint64(6), "ABC")
 	f.Add(uint64(15), uint64(4095), uint64(1)<<47, uint64(7), uint64(8191), ^uint64(0), ^uint64(0), "GOOGL ")
@@ -67,6 +70,32 @@ func FuzzHeaderCodec(f *testing.F) {
 			}
 			if got, ok := m.GetRef(fd.Name); ok != fd.Subscribable || (ok && !got.Equal(want)) {
 				t.Fatalf("%s decoded %v %v, put %v", fd.Name, got, ok, want)
+			}
+		}
+		fresh, _, err := c.DecodeNew(buf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, _, err := c.DecodeOne(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, fd := range bitSpec.SubscribableFields() {
+			want, _ := m.Get(idx)
+			for name, got := range map[string]*spec.Message{"DecodeNew": fresh[0], "DecodeOne": one} {
+				if v, ok := got.Get(idx); !ok || !v.Equal(want) {
+					t.Fatalf("%s: %s = %v %v, Decode into a message read %v", name, fd.Name, v, ok, want)
+				}
+				if fd.Type != spec.StringField {
+					continue
+				}
+				k, kok := got.WordKey(idx)
+				if wk, wok := m.WordKey(idx); k != wk || kok != wok {
+					t.Fatalf("%s: %s word key %#x %v, Decode into a message's %#x %v", name, fd.Name, k, kok, wk, wok)
+				}
+				if wk, wok := spec.WordKey(want.Str); k != wk || kok != wok {
+					t.Fatalf("%s: %s word key %#x %v, of its value %q %#x %v", name, fd.Name, k, kok, want.Str, wk, wok)
+				}
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -61,7 +62,9 @@ func (v Value) Equal(o Value) bool {
 // single-application spec in this repository) all of it is in the
 // struct, and ext is the base of the string bytes: the words already say
 // where each string starts and how long it is, so no string header
-// repeats it. A wider spec (the eight-application merge) keeps its bit
+// repeats it. Those bytes may be the message's own spare field words
+// (Spare), where a codec that carves the message keeps short strings. A
+// wider spec (the eight-application merge) keeps its bit
 // words, its field words and then its string bytes in one out-of-line
 // block of words, and ext points to that block.
 type Message struct {
@@ -74,7 +77,10 @@ type Message struct {
 // inlineFields makes a Message 64 bytes — 8 (spec) + 8 (bits) + 5×8 +
 // 8 (ext) — one cache line and an allocator size class; five words are
 // what the widest single-application specs (INT, highway) need, and each
-// word more would cost every decoded message 8 bytes.
+// word more would cost every decoded message 8 bytes. A spec with fewer
+// fields leaves the rest spare: a codec that carves a message keeps a
+// header's string bytes there when they fit (Spare), as ITCH's stock
+// fits the fifth word, and the message needs no string bytes elsewhere.
 const inlineFields = 5
 
 // strAt returns the n bytes at base+off as a string. The bytes must never
@@ -215,6 +221,31 @@ func CarveOne(s *Spec, room int) (m *Message, strs []byte) {
 func NewMessages(s *Spec, n int) []*Message {
 	out, _ := Carve(s, n, 0)
 	return out
+}
+
+// SpareBytes is how many bytes of a message's field words s leaves
+// unused: 8 per word past its fields for a spec whose messages are
+// inline, 0 for a wide one.
+func (s *Spec) SpareBytes() int {
+	if s.wideWords > 0 {
+		return 0
+	}
+	return 8 * (inlineFields - len(s.subscribable))
+}
+
+// Spare returns the first n bytes of the message's spare field words
+// (SpareBytes), nil when there are fewer. It is for a codec that has
+// just carved the message (Carve, CarveOne): it writes a header's string
+// bytes there once and hands them to Fill, which takes them uncopied.
+// Nothing writes them again — no field word and no setter reaches them,
+// and Reset, SetIndex and Fill's append path put later strings
+// elsewhere — so a string read from them never changes, and a Clone
+// shares them like any other string bytes.
+func (m *Message) Spare(n int) []byte {
+	if n <= 0 || n > m.spec.SpareBytes() {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&m.words[len(m.spec.subscribable)])), n)
 }
 
 // Spec returns the spec this message was decoded against.
@@ -404,9 +435,10 @@ func (m *Message) str(w uint64) string {
 // writes again — to the message's string bytes, and returns the field
 // words for the codec to store into together with the offset strs begins
 // at, which the codec adds to the offsets it passes to StrWord. A narrow
-// message with no string bytes yet takes strs as they are, uncopied;
-// otherwise the bytes are copied behind the ones the message holds,
-// which stay where they are, until Reset drops them all.
+// message with no string bytes yet takes strs as they are, uncopied (a
+// freshly carved message's own Spare bytes among them); otherwise the
+// bytes are copied behind the ones the message holds, which stay where
+// they are, until Reset drops them all.
 //
 // bits must set a header's validity wherever they set the presence of
 // one of its fields, as HeaderBits does: a present field's header is
@@ -452,6 +484,43 @@ func (m *Message) Int(idx int) (int64, bool) {
 		return 0, false
 	}
 	return int64(m.fields()[idx]), true
+}
+
+// WordKey returns a string of at most 8 bytes as one word, its bytes
+// little-endian and zero-padded, and false for a longer string or one
+// that ends in NUL: the word determines every other string, since a
+// string that does not end in NUL is as long as its last non-zero byte.
+// A decoded value never ends in NUL or ' ' (its pad bytes are trimmed).
+func WordKey(s string) (key uint64, ok bool) {
+	if len(s) > 8 || len(s) > 0 && s[len(s)-1] == 0 {
+		return 0, false
+	}
+	for i := len(s) - 1; i >= 0; i-- {
+		key = key<<8 | uint64(s[i])
+	}
+	return key, true
+}
+
+// WordKey is the package's WordKey of string field idx's value, false
+// also when the field is absent. Where the message holds the bytes in
+// its own spare words (a message DecodeNew or DecodeOne carved) the word
+// is one load, masked to the value's length; elsewhere the bytes are
+// gathered. idx must be a string field's.
+func (m *Message) WordKey(idx int) (key uint64, ok bool) {
+	if uint(idx) >= uint(len(m.spec.subscribable)) || !m.bit(uint(idx)) {
+		return 0, false
+	}
+	w := m.fields()[idx]
+	n := w & (1<<32 - 1)
+	if n == 0 || n > 8 || m.spec.wideWords > 0 {
+		return WordKey(m.str(w))
+	}
+	p := unsafe.Add(m.ext, w>>32)
+	if words := uintptr(unsafe.Pointer(&m.words)); uintptr(p) < words || uintptr(p)+8 > words+8*inlineFields {
+		return WordKey(m.str(w))
+	}
+	key = binary.LittleEndian.Uint64(unsafe.Slice((*byte)(p), 8)) & (^uint64(0) >> (64 - 8*n))
+	return key, key>>(8*(n-1)) != 0
 }
 
 // Get returns the value at subscribable index idx and whether it is present.
