@@ -209,7 +209,7 @@ func TestShippedRulesClean(t *testing.T) {
 	if l.Entries() != p.TotalEntries() {
 		t.Errorf("Entries() = %d, TotalEntries() = %d", l.Entries(), p.TotalEntries())
 	}
-	if got, want := l.String(), "entries=60 sram=0.00% tcam=0.03% mcast=8 stages=6 regs=1"; got != want {
+	if got, want := l.String(), "entries=50 sram=0.00% tcam=0.03% mcast=8 stages=6 regs=1"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

@@ -15,10 +15,10 @@ type pathResult struct {
 
 // explore symbolically executes the program as a decision DAG from an
 // initial context, branching at every stage on the entry domains, the
-// residual value region (values no entry covers — domain pruning means
-// entries need not partition the field) and header absence. It mirrors
-// Table.Next exactly: first matching entry wins; a miss takes the
-// stage default; states outside the stage pass through.
+// residual value region (values no entry covers — the compiler stores
+// no entry that goes where the stage default goes) and header absence.
+// It mirrors the compiled walk exactly: first matching entry wins; a
+// miss takes the stage default; states outside the stage pass through.
 //
 // It walks from the first part's entry state alone: a checker's view of
 // the program holds one part (Program.from), and exploreAll continues

@@ -72,13 +72,17 @@ type Stage struct {
 	// validity bit, or a stateful aggregate.
 	Ref subscription.FieldRef
 	// Entries in match priority order: for one in-state, the first
-	// entry whose domain contains the value wins (compiled entries
-	// normally partition the domain, but capacity-bounded constraint
-	// loosening can make a residual entry overlap earlier ones).
+	// entry whose domain contains the value wins (compiled entries are
+	// normally disjoint, but capacity-bounded constraint loosening can
+	// make an entry overlap earlier ones). Compiled entries do not cover
+	// the domain: the compiler stores no entry that would go where the
+	// state's default goes.
 	Entries []*Entry
 	// Defaults maps an in-state to the next state taken when the value
-	// is absent or matches no entry (the BDD lo-walk). States absent
-	// from Defaults pass through unchanged.
+	// is absent or matches no entry (the BDD lo-walk) — for a compiled
+	// program, also every value whose path through the state's
+	// predicates ends where the all-false path does. States absent from
+	// Defaults pass through unchanged.
 	Defaults map[int32]int32
 
 	byState map[int32][]*Entry
@@ -234,7 +238,7 @@ func (p *Program) evalFrom(init int32, a *Assignment) (subscription.ActionSet, [
 		entries, in := st.byState[state]
 		if !in {
 			// Pass-through: the state does not enter this stage. (The
-			// compiled Table.Next has the same rule and never consults
+			// compiled walk has the same rule and never consults
 			// Defaults for such states.)
 			continue
 		}

@@ -184,8 +184,9 @@ func expandStateful(rules []subscription.NormalizedRule, opts Options) []subscri
 
 // entryBlock is the emitted form of one in-node of one field component:
 // one entry per path from the node to the component's out-nodes, in
-// emitPaths' hi-before-lo order, plus the absent-field default. It is a
-// pure function of the node — hash-consing fixes a node's predicate and
+// emitPaths' hi-before-lo order, less the entries that go where the
+// block's miss goes, plus the Defaults row that takes them. It is a pure
+// function of the node — hash-consing fixes a node's predicate and
 // children for its builder's lifetime, and emitPaths reads nothing else
 // (the universe's refinement memo returns what match.Constraint.With
 // would) — so the programs an Incremental compiles in successive epochs
@@ -194,9 +195,9 @@ func expandStateful(rules []subscription.NormalizedRule, opts Options) []subscri
 type entryBlock struct {
 	entries []*Entry
 	// def is the lo-walk: the state taken when every predicate on the
-	// field is false (absent-field fallback).
+	// field is false — the field is absent, or its value matches no entry.
 	def StateID
-	// exact: every entry pins one value or is residual (see classify).
+	// exact: every entry pins one value.
 	exact bool
 }
 
@@ -205,24 +206,27 @@ func (b *entryBlock) size() int { return len(b.entries) + 1 }
 
 func emitBlock(univ *bdd.Universe, u *bdd.Node) *entryBlock {
 	b := &entryBlock{exact: true}
-	ctx, c := univ.FreshCtx(u.Pred)
-	// The entries are one slab: a block lives and dies as a unit, and the
-	// root block of an exact field (one entry per symbol) is re-emitted by
-	// every change under any of its values.
-	slab := emitPaths(nil, univ, u, u, ctx, c)
-	b.entries = make([]*Entry, len(slab))
-	for i := range slab {
-		e := &slab[i]
-		b.entries[i] = e
-		if _, ok := e.Match.Exact(); !ok && !e.Match.IsResidual() {
-			b.exact = false
-		}
-	}
 	n := u
 	for !n.IsTerminal() && n.Pred.FieldIdx == u.Pred.FieldIdx {
 		n = n.Lo
 	}
 	b.def = n.ID
+	// The entries are one slab: a block lives and dies as a unit, and the
+	// root block of an exact field (one entry per symbol) is re-emitted by
+	// every change under any of its values.
+	ep := emitPaths{univ: univ, u: u, def: b.def}
+	ctx, c := univ.FreshCtx(u.Pred)
+	ep.from(u, ctx, c, false)
+	slab := ep.out
+	slices.Reverse(slab)
+	b.entries = make([]*Entry, len(slab))
+	for i := range slab {
+		e := &slab[i]
+		b.entries[i] = e
+		if _, ok := e.Match.Exact(); !ok {
+			b.exact = false
+		}
+	}
 	return b
 }
 
@@ -389,31 +393,49 @@ func newLeaf(n *bdd.Node) *LeafEntry {
 }
 
 // emitPaths walks every path from In node u through the field component,
-// intersecting predicates (Algorithm 2 lines 5–9), appending one entry per
-// Out node reached. The intersection steps go through the universe's
-// refinement memo: the merge that built the diagram took the same steps,
-// so most are lookups, and entries share the interned constraints.
-func emitPaths(out []Entry, univ *bdd.Universe, u, n *bdd.Node, ctx int32, c match.Constraint) []Entry {
-	if n.IsTerminal() || n.Pred.FieldIdx != u.Pred.FieldIdx {
-		return append(out, Entry{In: u.ID, Match: c, Out: n.ID})
+// intersecting predicates (Algorithm 2 lines 5–9), and appends one entry
+// per Out node reached, lo subtree first: the reverse of table order. The
+// steps go through the universe's refinement memo, which the merge that
+// built the diagram filled, and entries share the interned constraints.
+//
+// A path that ends at def, where u's Defaults row goes, stores no entry
+// unless a later entry with another Out may overlap it. The entries of a
+// block are disjoint but below a lo step whose exclusion
+// match.maxExclusions dropped, the one refinement that returns its own
+// context.
+type emitPaths struct {
+	univ *bdd.Universe
+	u    *bdd.Node
+	def  StateID
+	out  []Entry
+}
+
+// from appends the entries of the paths from n in context ctx (constraint
+// c), shadowed when a later entry may overlap them, and reports whether it
+// appended one whose Out is not def.
+func (ep *emitPaths) from(n *bdd.Node, ctx int32, c match.Constraint, shadowed bool) bool {
+	if n.IsTerminal() || n.Pred.FieldIdx != ep.u.Pred.FieldIdx {
+		if n.ID == ep.def && !shadowed {
+			return false
+		}
+		ep.out = append(ep.out, Entry{In: ep.u.ID, Match: c, Out: n.ID})
+		return n.ID != ep.def
 	}
-	hi, hc := univ.RefineCtx(ctx, n.Pred, true)
-	out = emitPaths(out, univ, u, n.Hi, hi, hc)
-	lo, lc := univ.RefineCtx(ctx, n.Pred, false)
-	return emitPaths(out, univ, u, n.Lo, lo, lc)
+	hi, hc := ep.univ.RefineCtx(ctx, n.Pred, true)
+	lo, lc := ep.univ.RefineCtx(ctx, n.Pred, false)
+	stored := ep.from(n.Lo, lo, lc, shadowed)
+	return ep.from(n.Hi, hi, hc, shadowed || stored && lo == ctx) || stored
 }
 
 // classify applies the §V-E resource optimizations, choosing the table
-// kind for a stage. allExact reports that every entry pins one value or
-// is residual.
+// kind for a stage. allExact reports that every entry pins one value.
 func classify(t *Table, allExact bool, opts Options) {
 	if opts.DisableExactOpt {
 		t.Kind = TernaryTable
 		return
 	}
-	// An exact table stores one SRAM row per pinned value; residual
-	// ("none of the values") entries realize as the table's default
-	// action, so they don't disqualify the stage.
+	// An exact table stores one SRAM row per pinned value; a value no
+	// entry pins takes its state's Defaults row.
 	if allExact {
 		t.Kind = ExactTable
 		return

@@ -3,6 +3,7 @@ package compiler
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -138,31 +139,112 @@ func TestEntriesBoundedQuadratically(t *testing.T) {
 	}
 }
 
-// TestEntriesPartitionDomain: for every stage and in-state, each concrete
-// field value matches exactly one entry.
+// TestEntriesPartitionDomain: for every stage and in-state, a present
+// value reaches, through the first entry it matches or else the state's
+// Defaults row, the out-node its own path through the state's field
+// component reaches; it matches at most one entry (the rule sets stay
+// under match.maxExclusions on every chain a later entry overlaps); and
+// no entry goes where the state's Defaults row goes — the row takes its
+// values. Over three hand-written rules, random rule sets, and the
+// bench's ITCH (stateful too) and INT rule shapes.
 func TestEntriesPartitionDomain(t *testing.T) {
 	sp := testSpec(t)
-	p := compile(t, sp, `
+	r := rand.New(rand.NewSource(29))
+	loads := map[string]*Program{
+		"three": compile(t, sp, `
 price > 10 and price < 30: fwd(1)
 price > 20 or price == 5: fwd(2)
 price != 7: fwd(3)
-`, Options{})
+`, Options{}),
+		"itch":          compileLines(t, formats.ITCH, benchITCHRules(r, false), Options{LastHop: true}),
+		"itch-stateful": compileLines(t, formats.ITCH, benchITCHRules(r, true), Options{LastHop: true}),
+		"int":           compileLines(t, formats.INT, benchINTRules(r, 1000), Options{LastHop: true}),
+	}
+	for i := 0; i < 20; i++ {
+		p, err := Compile(sp, randomRules(r, sp, 1+r.Intn(12)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads[fmt.Sprintf("random-%d", i)] = p
+	}
+	for name, p := range loads {
+		checkEntriesPartition(t, name, p)
+	}
+
+	// The rule reaches past the all-lo entry: of the price stage's three
+	// paths only [11, 19] leads anywhere but the drop the other two share,
+	// and it is the one entry stored.
+	p := compile(t, sp, "price > 10 and price < 20: fwd(1)", Options{DisableValidityGuards: true})
 	for _, st := range p.Stages {
-		byState := make(map[int32][]*Entry)
+		if st.Name() != "ord_qty.price" {
+			continue
+		}
+		if len(st.Entries) != 1 || st.Entries[0].Match.Key() != "[11,19]" {
+			t.Errorf("price stage stores %v, want the one entry [11,19]", st.Entries)
+		}
+	}
+	checkEntriesPartition(t, "band", p)
+}
+
+// checkEntriesPartition is TestEntriesPartitionDomain's check of one
+// program, probing each field at its predicates' constants and their
+// neighbours, and at the ends of its domain.
+func checkEntriesPartition(t *testing.T, name string, p *Program) {
+	t.Helper()
+	nodes := make(map[StateID]*bdd.Node)
+	for _, n := range p.BDD.Reachable() {
+		nodes[n.ID] = n
+	}
+	for _, st := range p.Stages {
+		var probes []spec.Value
+		if st.Field.Type() == spec.StringField {
+			probes = append(probes, spec.StrVal(""), spec.StrVal("~"))
+			for _, pr := range st.Field.Preds {
+				c := pr.Const.Str
+				probes = append(probes, spec.StrVal(c), spec.StrVal(c+"0"))
+				if c != "" {
+					probes = append(probes, spec.StrVal(c[:len(c)-1]))
+				}
+			}
+		} else {
+			probes = append(probes, spec.IntVal(math.MinInt64), spec.IntVal(math.MaxInt64))
+			for _, pr := range st.Field.Preds {
+				c := pr.Const.Int
+				probes = append(probes, spec.IntVal(c-1), spec.IntVal(c), spec.IntVal(c+1))
+			}
+		}
+		byState := make(map[StateID][]*Entry)
 		for _, e := range st.Entries {
 			byState[e.In] = append(byState[e.In], e)
+			if e.Out == st.Defaults[e.In] {
+				t.Errorf("%s: stage %s stores %s, which goes where the state's default goes", name, st.Name(), e)
+			}
 		}
 		for in, entries := range byState {
-			for v := int64(0); v < 40; v++ {
-				matched := 0
+			for _, v := range probes {
+				// The value's own path through the component.
+				n := nodes[in]
+				for !n.IsTerminal() && n.Pred.FieldIdx == st.Field.Index {
+					if subscription.Compare(v, n.Pred.Rel, n.Pred.Const) {
+						n = n.Hi
+					} else {
+						n = n.Lo
+					}
+				}
+				got, matched := st.Defaults[in], 0
 				for _, e := range entries {
-					if e.Match.Matches(spec.IntVal(v)) {
+					if e.Match.Matches(v) {
+						if matched == 0 {
+							got = e.Out
+						}
 						matched++
 					}
 				}
-				if matched != 1 {
-					t.Errorf("stage %s state %d value %d matched %d entries",
-						st.Name(), in, v, matched)
+				if matched > 1 {
+					t.Errorf("%s: stage %s state %d value %v matched %d entries", name, st.Name(), in, v, matched)
+				}
+				if got != n.ID {
+					t.Errorf("%s: stage %s state %d value %v goes to %d, its path to %d", name, st.Name(), in, v, got, n.ID)
 				}
 			}
 		}

@@ -73,14 +73,18 @@ type Table struct {
 	Field *bdd.FieldVar
 	// Kind is the realized memory type.
 	Kind TableKind
-	// Entries of one in-state partition the field domain, except where
-	// match.maxExclusions dropped an exclusion and an exact entry overlaps
-	// a later broader one: there the first matching entry in slice order
+	// Entries of one in-state are disjoint, except where
+	// match.maxExclusions dropped an exclusion and an entry overlaps a
+	// later broader one: there the first matching entry in slice order
 	// wins (emitPaths' hi-before-lo order, which is BDD evaluation order).
+	// An entry that would go where its state's Defaults row goes is not
+	// stored unless such a later entry overlaps it, so a state's entries
+	// need not cover the field's domain.
 	Entries []*Entry
 	// Defaults maps each entry state to the next state taken when the
-	// packet lacks the field entirely (every predicate false: the BDD
-	// lo-walk). States absent from Defaults pass through unchanged.
+	// packet lacks the field or its value matches none of the state's
+	// entries (every predicate false: the BDD lo-walk). States absent
+	// from Defaults pass through unchanged.
 	Defaults map[StateID]StateID
 	// MapEntries counts the value-map entries of a CompressedTable.
 	MapEntries int
@@ -198,6 +202,8 @@ func (p *Program) Eval(m *spec.Message, st subscription.StateReader) subscriptio
 }
 
 // String renders the program as the paper's Fig. 6-style table listing.
+// A state's Defaults row prints as "(in, absent) -> out"; it also answers
+// a present value that matches none of the state's entries.
 func (p *Program) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s: init=%d\n", p.Spec.Name, p.Parts[0].Init)

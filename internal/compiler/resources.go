@@ -75,14 +75,7 @@ func CostOf(t *Table) TableCost {
 	c := TableCost{KeyBits: keyBytes * 8}
 	switch t.Kind {
 	case ExactTable:
-		// Residual entries are the table's default action, not rows.
-		stored := 0
-		for _, e := range t.Entries {
-			if _, ok := e.Match.Exact(); ok {
-				stored++
-			}
-		}
-		c.SRAMBytes += stored*(keyBytes+actionBytes) + (len(t.Entries)-stored)*(stateBytes+actionBytes)
+		c.SRAMBytes += len(t.Entries) * (keyBytes + actionBytes)
 	case CompressedTable:
 		// Value map: TCAM ranges over the raw field producing an
 		// 8-bit code; main table: exact SRAM on (state, code).

@@ -83,7 +83,8 @@ type block struct {
 	baseLo uint32
 	baseHi int32
 	// A string or word block's value that is none of its exact keys
-	// tries tails[tailOff:tailOff+tailN] in order, then takes rest.
+	// tries tails[tailOff:tailOff+tailN] in order, then takes rest: the
+	// miss, as no entry matched.
 	tailOff, tailN int32
 	rest           int32
 }
@@ -101,8 +102,8 @@ type strSlot struct {
 	key  uint64
 }
 
-// strTail is a string entry that has to be evaluated: a prefix match or
-// a residual whose exclusions are not all exact keys of its block.
+// strTail is a string entry that has to be evaluated: a prefix match, or
+// an exact key that a word block cannot hold.
 type strTail struct {
 	c    *match.StrConstraint
 	next int32
@@ -744,9 +745,7 @@ func heapPop(h []int32, segs []walkRec) []int32 {
 
 // strings lays out one state's string entries, both kinds in entry
 // order. Each exact key is resolved here against the entries before it,
-// so a table hit is final; a residual that excludes nothing but exact
-// keys of this block matches every value the table misses and becomes
-// b.rest, ending the tail.
+// so a table hit is final; every other entry is a tail.
 func (bld *walkBuilder) strings(b *block, t *Table, exacts, tails []walkRec) {
 	w := bld.w
 	constraint := func(r walkRec) *match.StrConstraint {
@@ -787,23 +786,7 @@ func (bld *walkBuilder) strings(b *block, t *Table, exacts, tails []walkRec) {
 	}
 	b.tailOff = int32(len(w.tails))
 	for _, r := range tails {
-		c := constraint(r)
-		if c.IsResidual() && w.excludesOnlyKeys(b, c) {
-			b.rest = r.next
-			break
-		}
-		w.tails = append(w.tails, strTail{c: c, next: r.next})
+		w.tails = append(w.tails, strTail{c: constraint(r), next: r.next})
 	}
 	b.tailN = int32(len(w.tails)) - b.tailOff
-}
-
-// excludesOnlyKeys reports whether every value the residual c excludes
-// is a key of b's exact-string table.
-func (w *walk) excludesOnlyKeys(b *block, c *match.StrConstraint) bool {
-	for _, x := range c.ExcludedEq {
-		if w.exact(b, x) == nil {
-			return false
-		}
-	}
-	return true
 }

@@ -554,24 +554,30 @@ func testDirectEdges(t *testing.T) {
 }
 
 // TestFirstMatchOrder: with more equality predicates on one field than
-// match.maxExclusions keeps, the residual entry no longer excludes every
-// exact value and overlaps the exact entries before it. The first
-// matching entry in slice order must win, at every edge of the domain,
-// for absent and wrong-kind values, with a default removed and for a
-// message of another spec.
+// match.maxExclusions keeps, the entry of `name prefix K` no longer
+// excludes every exact value and overlaps the exact entries before it.
+// One of them, K35's, goes where its state's default goes — `name != K35`
+// keeps K35 out of the prefix rule — and is stored all the same: left to
+// the miss, K35 would meet the prefix entry. The first matching entry in
+// slice order must win, at every edge of the domain, for absent and
+// wrong-kind values, with a default removed and for a message of another
+// spec.
 func TestFirstMatchOrder(t *testing.T) {
 	sp := testSpec(t)
 	var lines []string
 	for i := 0; i < 40; i++ {
 		lines = append(lines, fmt.Sprintf("price == %d: fwd(%d)", 100+3*i, 1+i%7))
 		lines = append(lines, fmt.Sprintf("stock == K%02d: fwd(%d)", i, 8+i%5))
+		if i != 35 {
+			lines = append(lines, fmt.Sprintf("name == K%02d: fwd(%d)", i, 13+i%5))
+		}
 	}
-	lines = append(lines, "price > 150 and price < 180: fwd(20)", "name prefix K1: fwd(21)")
+	lines = append(lines, "price > 150 and price < 180: fwd(20)", "name != K35 and name prefix K: fwd(21)")
 	// Validity guards off, so that a message may carry a header without
 	// one of its fields and reach a Defaults row.
 	p := compileLines(t, sp, lines, Options{DisableValidityGuards: true})
 
-	overlaps := 0
+	overlaps, shadowed := 0, 0
 	for _, st := range p.Stages {
 		for i, e := range st.Entries {
 			v, ok := e.Match.Exact()
@@ -581,12 +587,15 @@ func TestFirstMatchOrder(t *testing.T) {
 			for _, later := range st.Entries[i+1:] {
 				if later.In == e.In && later.Match.Matches(v) {
 					overlaps++
+					if e.Out == st.Defaults[e.In] && later.Out != e.Out {
+						shadowed++
+					}
 				}
 			}
 		}
 	}
-	if overlaps == 0 {
-		t.Fatal("no entry overlaps a later one: the rule set no longer exceeds match.maxExclusions")
+	if overlaps == 0 || shadowed == 0 {
+		t.Fatalf("%d entries overlap a later one, %d of them going where their state's default goes: the rule set no longer exceeds match.maxExclusions", overlaps, shadowed)
 	}
 
 	ref := newRefWalk(p)
@@ -608,7 +617,7 @@ func TestFirstMatchOrder(t *testing.T) {
 	}
 	prices := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 99, 100, 101, 102, 103, 150, 151, 152, 179, 180,
 		216, 217, 218, math.MaxInt64 - 1, math.MaxInt64}
-	stocks := []string{"", "K", "K00", "K01", "K31", "K32", "K33", "K39", "K40", "K1", "K001", "ZZ"}
+	stocks := []string{"", "K", "K00", "K01", "K31", "K32", "K33", "K34", "K35", "K36", "K39", "K40", "K1", "K001", "ZZ"}
 	for _, price := range prices {
 		for _, stock := range stocks {
 			m := spec.NewMessage(sp)
@@ -890,8 +899,7 @@ func TestLookupZeroAlloc(t *testing.T) {
 		m.MustSet("stock", spec.StrVal([]string{"GOOGL", "MSFT"}[i%2]))
 		m.MustSet("name", spec.StrVal([]string{"GOOGL", "GO", "MSFT", "A"}[i%4]))
 	}
-	// 30 symbols, so the residual of stock's table keeps every exclusion
-	// (match.maxExclusions is 32), the longer key's among them: a tail
+	// 30 symbols and a key longer than the field, whose entry is a tail
 	// that short values missing the table meet.
 	const long = "LONGERTHAN8"
 	wordRules := mustRules(t, formats.ITCH, strings.Join(benchITCHRules(r, false)[:30], "\n")+

@@ -46,7 +46,9 @@ func (t Tri) String() string {
 }
 
 // Constraint is the set of values a field may still take along a BDD path
-// or within one compiled table entry.
+// or within one compiled table entry. No compiled entry stands for "none
+// of the other values": what no entry of a state matches takes the
+// state's default row.
 type Constraint interface {
 	// Implies tests whether the constraint decides the canonical
 	// predicate (rel ∈ {EQ, LT, GT, PREFIX}). It and With panic on any
@@ -65,11 +67,6 @@ type Constraint interface {
 	// Exact returns the single satisfying value, if the constraint pins
 	// one — such entries compile to exact (SRAM) matches (§V-E).
 	Exact() (spec.Value, bool)
-	// IsResidual reports whether the constraint is the complement of a
-	// finite set of exact values (no range or prefix component). Residual
-	// entries realize as the default (miss) action of an exact table
-	// rather than stored entries.
-	IsResidual() bool
 	// TCAMEntries estimates how many TCAM entries realize the constraint
 	// on a field of the given bit width (range-to-prefix expansion).
 	TCAMEntries(bits int) int
@@ -95,10 +92,12 @@ func New(t spec.FieldType) Constraint {
 // tens of thousands of equality predicates on one field (e.g. 1M hICN
 // content IDs) would otherwise build O(n)-sized lists copied O(n) times.
 // Dropping exclusions only loosens a constraint, which is sound:
-// implication tests lose a pruning opportunity, and compiled entries may
-// overlap a later residual entry — the pipeline takes the first match in
+// implication tests lose a pruning opportunity, and a compiled entry may
+// overlap the entries before it — the pipeline takes the first match in
 // hi-before-lo path order, which is exactly BDD evaluation order, so
-// semantics are unchanged.
+// semantics are unchanged. The compiler leaves out an entry that goes
+// where its state's miss goes, except where such a later entry may
+// overlap it: the miss would then not be what the value reaches.
 const maxExclusions = 32
 
 // ---------------------------------------------------------------------
@@ -251,11 +250,6 @@ func (ic *IntConstraint) Exact() (spec.Value, bool) {
 		return spec.IntVal(p), true
 	}
 	return spec.Value{}, false
-}
-
-// IsResidual implements Constraint.
-func (ic *IntConstraint) IsResidual() bool {
-	return ic.Lo == math.MinInt64 && ic.Hi == math.MaxInt64
 }
 
 // TCAMEntries implements Constraint: the allowed set is split at excluded
@@ -487,11 +481,6 @@ func (sc *StrConstraint) Exact() (spec.Value, bool) {
 		return spec.StrVal(sc.Known), true
 	}
 	return spec.Value{}, false
-}
-
-// IsResidual implements Constraint.
-func (sc *StrConstraint) IsResidual() bool {
-	return !sc.HasKnown && sc.Required == "" && len(sc.ExcludedPx) == 0
 }
 
 // TCAMEntries implements Constraint: one ternary entry for the required

@@ -1,7 +1,9 @@
 package subscription
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -356,5 +358,47 @@ func TestCompareStringPrefix(t *testing.T) {
 	}
 	if Compare(spec.IntVal(5), PREFIX, spec.StrVal("5")) {
 		t.Error("cross-kind compare should be false")
+	}
+}
+
+// TestNormalizePanicsUnreachable: normalization's two panics — distribute
+// on a node pushNot leaves behind, and Relation.Negate of a relation
+// without a complement — are out of reach of any filter the parser
+// accepts. Expr is sealed to the parser's five node kinds, and pushNot
+// removes every Not and returns an error, not a node, for anything else;
+// it negates only relations canNegate admits, and the parser produces no
+// relation outside the seven. Every pairing of the atoms below, under
+// every connective and negation, normalizes or fails with an error.
+func TestNormalizePanicsUnreachable(t *testing.T) {
+	atoms := []string{"true", "false", "my_counter > 7"}
+	for _, rel := range []string{"==", "!=", "<", "<=", ">", ">="} {
+		atoms = append(atoms, "price "+rel+" 7")
+	}
+	for _, rel := range []string{"==", "!=", "prefix"} {
+		atoms = append(atoms, "name "+rel+" AB")
+	}
+	forms := []string{"%s and %s", "%s or %s", "not (%s and %s)", "not (%s or %s)",
+		"not (not (%s) or (%s and true))", "(%s or false) and not (%s)"}
+	p := NewParser(spec.MustParse("test", testSpecSrc))
+	for _, a := range atoms {
+		for _, b := range atoms {
+			for _, form := range forms {
+				src := fmt.Sprintf(form, a, b)
+				e, err := p.ParseFilter(src)
+				if err != nil {
+					t.Fatalf("ParseFilter(%q): %v", src, err)
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("Normalize(%q) panicked: %v", src, r)
+						}
+					}()
+					if _, err := Normalize(e); err != nil && !strings.Contains(err.Error(), "cannot negate prefix") {
+						t.Errorf("Normalize(%q): %v", src, err)
+					}
+				}()
+			}
+		}
 	}
 }

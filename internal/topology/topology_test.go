@@ -1,7 +1,14 @@
 package topology
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -248,5 +255,62 @@ func TestTreeNeighbors(t *testing.T) {
 	}
 	if tree.MaxDegree() != 4 {
 		t.Errorf("star max degree = %d", tree.MaxDegree())
+	}
+}
+
+// TestMustFatTreeTakesConstants: MustFatTree panics only on an arity
+// FatTree refuses, and no input reaches it — every call in the module
+// (the camusd, camusc and camus-sim flags go to FatTree, which returns the
+// error) passes an integer literal that FatTree accepts.
+func TestMustFatTreeTakesConstants(t *testing.T) {
+	calls := 0
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != "../.." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := ""
+			switch fn := call.Fun.(type) {
+			case *ast.Ident:
+				name = fn.Name
+			case *ast.SelectorExpr:
+				name = fn.Sel.Name
+			}
+			if name != "MustFatTree" {
+				return true
+			}
+			calls++
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.INT {
+				t.Errorf("%s: MustFatTree takes a non-literal arity", path)
+				return true
+			}
+			k, _ := strconv.Atoi(lit.Value)
+			if _, err := FatTree(k); err != nil {
+				t.Errorf("%s: MustFatTree(%d) would panic: %v", path, k, err)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Error("found no MustFatTree call: the scan read nothing")
 	}
 }
